@@ -97,13 +97,6 @@ __kernel void copy(__global float* dst, __global float* src, int stride) {
 	return sim.Result()
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func TestStridePenaltyOnGPU(t *testing.T) {
 	// Uncoalesced (strided) access must cost more than unit stride on a
 	// GPU profile — the coalescing model at work.

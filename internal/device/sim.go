@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"sync"
 
 	"grover/internal/clc"
 	"grover/internal/ir"
@@ -15,23 +16,33 @@ import (
 // device time is the maximum across workers (they run in parallel).
 type Simulator struct {
 	Prof    *Profile
-	workers []*workerSim
+	workers []*accessAdapter
+
+	// free holds the group traces no GPU worker is filling. A launch has
+	// one worker per compute unit but the host runs only GOMAXPROCS of
+	// them at a time, so a shared list grows a few buffers to full size
+	// where per-worker buffers would grow one per unit.
+	mu   sync.Mutex
+	free []*vm.AccessBatch
 }
 
 // NewSimulator prepares per-core state for the profile.
 func NewSimulator(p *Profile) (*Simulator, error) {
-	s := &Simulator{Prof: p, workers: make([]*workerSim, p.Cores)}
+	s := &Simulator{Prof: p, workers: make([]*accessAdapter, p.Cores)}
 	for i := range s.workers {
 		h, err := memsim.NewHierarchy(p.Caches, p.DRAMLatency)
 		if err != nil {
 			return nil, fmt.Errorf("device %s: %w", p.Name, err)
 		}
-		s.workers[i] = &workerSim{prof: p, hier: h}
+		s.workers[i] = &accessAdapter{workerSim: workerSim{sim: s, prof: p, hier: h}}
 	}
 	return s, nil
 }
 
 // Opts returns the launch options wiring this simulator into a VM launch.
+// The tracers take a barrier region at a time (vm.BatchTracer) from the
+// engines that produce one, and gather the per-access calls of the others
+// into the same batches.
 func (s *Simulator) Opts() *vm.LaunchOpts {
 	return &vm.LaunchOpts{
 		Workers:   s.Prof.Cores,
@@ -93,26 +104,49 @@ func (s *Simulator) Result() Result {
 	return r
 }
 
-// Reset clears all worker state (cycles and cache contents).
+// Reset clears all worker state (cycles and cache contents). Buffers keep
+// their capacity.
 func (s *Simulator) Reset() {
 	for _, w := range s.workers {
 		w.cycles, w.instrs, w.accesses, w.transactions = 0, 0, 0, 0
 		w.hier.Reset()
+		// An aborted launch may have left a group half-delivered.
 		w.group = nil
+		w.region.Reset(0)
+		w.pending = false
 	}
 }
 
-// access is one buffered GPU access record.
-type access struct {
-	in    *ir.Instr
-	addr  uint64
-	size  int
-	store bool
-	space clc.AddrSpace
+// getGroup lends out an empty group trace: on a GPU a work-group's trace
+// is collected as one batch spanning all its barrier regions (per
+// work-item, its records and retired count so far; the instruction table
+// stays the producer's). It is pointer-free and keeps its capacity from
+// group to group.
+func (s *Simulator) getGroup() *vm.AccessBatch {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.free); n > 0 {
+		g := s.free[n-1]
+		s.free = s.free[:n-1]
+		return g
+	}
+	return new(vm.AccessBatch)
 }
 
-// workerSim is one simulated core / compute unit implementing vm.Tracer.
+func (s *Simulator) putGroup(g *vm.AccessBatch) {
+	g.Reset(0)
+	s.mu.Lock()
+	s.free = append(s.free, g)
+	s.mu.Unlock()
+}
+
+// workerSim is one simulated core / compute unit. It consumes the trace a
+// barrier region at a time and has one charging path per device kind: a
+// CPU walks each region item-major through its cache hierarchy as it
+// arrives; a GPU collects the group's regions per work-item and forms
+// warps over them at GroupEnd.
 type workerSim struct {
+	sim  *Simulator
 	prof *Profile
 	hier *memsim.Hierarchy
 
@@ -121,10 +155,15 @@ type workerSim struct {
 	accesses     int64
 	transactions int64
 
-	// group buffers per-work-item access streams (GPU mode only).
-	group    [][]access
-	wiInstrs []int64
-	groupN   int
+	// group is the current work-group's trace (GPU only), borrowed from
+	// the simulator between GroupBegin and GroupEnd.
+	group *vm.AccessBatch
+
+	// Scratch for one warp position: the lanes' addresses and sizes, and
+	// the segments they coalesce into.
+	addrs []uint64
+	sizes []int
+	segs  []uint64
 }
 
 // localBase maps the per-core local-memory arena into a distinct region of
@@ -133,43 +172,43 @@ type workerSim struct {
 // local buffer, so it stays cache-resident.
 const localBase = uint64(1) << 40
 
-// privBase maps private (stack) memory; CPU profiles charge a flat cost
-// instead, so this is only used for completeness.
-const privBase = uint64(1) << 41
-
 // GroupBegin implements vm.Tracer.
 func (w *workerSim) GroupBegin(group [3]int, linear int) {
-	if w.prof.Kind != GPUKind {
-		return
+	if w.prof.Kind == GPUKind {
+		w.group = w.sim.getGroup()
 	}
-	w.group = w.group[:0]
-	w.wiInstrs = w.wiInstrs[:0]
-	w.groupN = 0
 }
 
-// Access implements vm.Tracer.
-func (w *workerSim) Access(in *ir.Instr, wi int, addr uint64, size int, store bool) {
-	w.accesses++
-	space, off := vm.SplitAddr(addr)
+// AccessBatch implements vm.BatchTracer.
+func (w *workerSim) AccessBatch(b *vm.AccessBatch) {
 	if w.prof.Kind == CPUKind {
-		switch space {
-		case clc.ASPrivate:
-			w.cycles += w.prof.PrivCost
-		case clc.ASLocal:
-			// Local memory on a cache-only processor is ordinary memory.
-			w.cycles += w.hier.Access(localBase+off, size, store)
-		default:
-			w.cycles += w.hier.Access(off, size, store)
+		for wi, recs := range b.Items {
+			for i := range recs {
+				r := &recs[i]
+				switch space, off := vm.SplitAddr(r.Addr); space {
+				case clc.ASPrivate:
+					w.cycles += w.prof.PrivCost
+				case clc.ASLocal:
+					// Local memory on a cache-only processor is ordinary memory.
+					w.cycles += w.hier.Access(localBase+off, int(r.Size), r.Store)
+				default:
+					w.cycles += w.hier.Access(off, int(r.Size), r.Store)
+				}
+			}
+			w.accesses += int64(len(recs))
+			w.instrs += b.Retired[wi]
+			w.cycles += int64(float64(b.Retired[wi]) * w.prof.IssueCost)
 		}
 		return
 	}
-	// GPU: buffer for warp-level processing at GroupEnd.
-	for wi >= len(w.group) {
-		w.group = append(w.group, nil)
-	}
-	w.group[wi] = append(w.group[wi], access{in: in, addr: addr, size: size, store: store, space: space})
-	if wi >= w.groupN {
-		w.groupN = wi + 1
+	// GPU: collect for warp-level processing at GroupEnd.
+	g := w.group
+	g.Extend(len(b.Items))
+	for wi, recs := range b.Items {
+		g.Items[wi] = append(g.Items[wi], recs...)
+		w.accesses += int64(len(recs))
+		g.Retired[wi] += b.Retired[wi]
+		w.instrs += b.Retired[wi]
 	}
 }
 
@@ -183,135 +222,159 @@ func (w *workerSim) Barrier(wiCount int) {
 	w.cycles += int64(warps) * w.prof.BarrierCost
 }
 
-// Instrs implements vm.Tracer.
-func (w *workerSim) Instrs(wi int, n int64) {
-	w.instrs += n
-	if w.prof.Kind == CPUKind {
-		w.cycles += int64(float64(n) * w.prof.IssueCost)
-		return
-	}
-	for wi >= len(w.wiInstrs) {
-		w.wiInstrs = append(w.wiInstrs, 0)
-	}
-	w.wiInstrs[wi] += n
-	if wi >= w.groupN {
-		w.groupN = wi + 1
-	}
-}
-
 // GroupEnd implements vm.Tracer. For GPUs this is where warps are formed
-// and the coalescing/bank models run.
+// and the coalescing/bank models run: over the whole group, warp by warp,
+// because the warps share this compute unit's cache state and charging
+// them in any other order would change what hits.
 func (w *workerSim) GroupEnd() {
 	if w.prof.Kind != GPUKind {
 		return
 	}
 	ww := w.prof.WarpWidth
-	for warpStart := 0; warpStart < w.groupN; warpStart += ww {
-		warpEnd := warpStart + ww
-		if warpEnd > w.groupN {
-			warpEnd = w.groupN
-		}
-		w.processWarp(warpStart, warpEnd)
+	n := len(w.group.Items)
+	for lo := 0; lo < n; lo += ww {
+		w.processWarp(lo, min(lo+ww, n))
 	}
-	w.group = w.group[:0]
-	w.wiInstrs = w.wiInstrs[:0]
-	w.groupN = 0
+	w.sim.putGroup(w.group)
+	w.group = nil
 }
 
 func (w *workerSim) processWarp(lo, hi int) {
 	// Instruction issue: lockstep execution costs the longest lane.
 	var maxInstr int64
-	for wi := lo; wi < hi && wi < len(w.wiInstrs); wi++ {
-		if w.wiInstrs[wi] > maxInstr {
-			maxInstr = w.wiInstrs[wi]
-		}
+	for _, n := range w.group.Retired[lo:hi] {
+		maxInstr = max(maxInstr, n)
 	}
 	w.cycles += int64(float64(maxInstr) * w.prof.IssueCost)
 
 	// Memory: align lanes position-by-position. Uniform kernels produce
 	// identical access sequences per lane; on divergence (differing
 	// instructions at one position) each lane is charged separately.
+	lanes := w.group.Items[lo:hi]
 	maxLen := 0
-	for wi := lo; wi < hi && wi < len(w.group); wi++ {
-		if n := len(w.group[wi]); n > maxLen {
-			maxLen = n
-		}
+	for _, lane := range lanes {
+		maxLen = max(maxLen, len(lane))
 	}
-	addrs := make([]uint64, 0, hi-lo)
-	sizes := make([]int, 0, hi-lo)
 	for k := 0; k < maxLen; k++ {
-		addrs = addrs[:0]
-		sizes = sizes[:0]
-		var first *ir.Instr
+		addrs, sizes := w.addrs[:0], w.sizes[:0]
+		var first *vm.AccessRec
 		uniform := true
-		var store bool
-		var space clc.AddrSpace
-		for wi := lo; wi < hi && wi < len(w.group); wi++ {
-			lane := w.group[wi]
+		for _, lane := range lanes {
 			if k >= len(lane) {
 				continue
 			}
-			a := lane[k]
+			a := &lane[k]
 			if first == nil {
-				first = a.in
-				store = a.store
-				space = a.space
-			} else if a.in != first {
+				first = a
+			} else if a.Instr != first.Instr {
 				uniform = false
 			}
-			_, off := vm.SplitAddr(a.addr)
+			_, off := vm.SplitAddr(a.Addr)
 			addrs = append(addrs, off)
-			sizes = append(sizes, a.size)
+			sizes = append(sizes, int(a.Size))
 		}
-		if len(addrs) == 0 {
+		w.addrs, w.sizes = addrs, sizes
+		if first == nil {
 			continue
 		}
+		// The position's space and direction are its first lane's.
+		space, _ := vm.SplitAddr(first.Addr)
 		if !uniform {
 			// Divergent warp position: serialize each lane.
-			for i, a := range addrs {
-				w.chargeWarpAccess([]uint64{a}, sizes[i:i+1], space, store)
+			for i := range addrs {
+				w.chargeWarpAccess(addrs[i:i+1], sizes[i:i+1], space, first.Store)
 			}
 			continue
 		}
-		w.chargeWarpAccess(addrs, sizes, space, store)
+		w.chargeWarpAccess(addrs, sizes, space, first.Store)
 	}
 }
 
+// chargeWarpAccess charges one warp-wide access. addrs is scratch the
+// caller is done with.
 func (w *workerSim) chargeWarpAccess(addrs []uint64, sizes []int, space clc.AddrSpace, store bool) {
 	switch space {
 	case clc.ASPrivate:
 		w.cycles += w.prof.PrivCost
 	case clc.ASLocal:
-		deg := memsim.BankConflictDegree(addrsWithBase(addrs, localBase), w.prof.SPMBanks, w.prof.BankWidth)
+		for i := range addrs {
+			addrs[i] += localBase
+		}
+		deg := memsim.BankConflictDegree(addrs, w.prof.SPMBanks, w.prof.BankWidth)
 		w.cycles += int64(deg) * w.prof.SPMLat
 	default:
-		n := memsim.Coalesce(addrs, sizes, w.prof.Segment)
-		w.transactions += int64(n)
 		// Each transaction pays the issue cost plus the hierarchy cost of
 		// one segment.
-		seen := map[uint64]struct{}{}
-		for i, a := range addrs {
-			sz := 4
-			if i < len(sizes) {
-				sz = sizes[i]
-			}
-			firstSeg := a / uint64(w.prof.Segment)
-			lastSeg := (a + uint64(sz) - 1) / uint64(w.prof.Segment)
-			for s := firstSeg; s <= lastSeg; s++ {
-				if _, ok := seen[s]; ok {
-					continue
-				}
-				seen[s] = struct{}{}
-				w.cycles += w.prof.TransCost + w.hier.Access(s*uint64(w.prof.Segment), w.prof.Segment, store)
-			}
+		w.segs = memsim.Segments(w.segs[:0], addrs, sizes, w.prof.Segment)
+		w.transactions += int64(len(w.segs))
+		seg := uint64(w.prof.Segment)
+		for _, s := range w.segs {
+			w.cycles += w.prof.TransCost + w.hier.Access(s*seg, w.prof.Segment, store)
 		}
 	}
 }
 
-func addrsWithBase(addrs []uint64, base uint64) []uint64 {
-	out := make([]uint64, len(addrs))
-	for i, a := range addrs {
-		out[i] = base + a
+// accessAdapter is the tracer a worker hands the VM. Engines that buffer
+// a barrier region (wgvec, jit) reach the embedded workerSim's AccessBatch
+// directly; for the ones that report one access at a time (interp, bcode)
+// the adapter gathers the region into a batch of its own and delivers it
+// the same way before the Barrier or GroupEnd that closes it.
+type accessAdapter struct {
+	workerSim
+	region  vm.AccessBatch
+	pending bool
+}
+
+// GroupBegin implements vm.Tracer.
+func (t *accessAdapter) GroupBegin(group [3]int, linear int) {
+	if t.pending { // an aborted group's leftovers
+		t.region.Clear()
+		t.pending = false
 	}
-	return out
+	t.workerSim.GroupBegin(group, linear)
+}
+
+// Access implements vm.Tracer.
+func (t *accessAdapter) Access(in *ir.Instr, wi int, addr uint64, size int, store bool) {
+	if wi >= len(t.region.Items) {
+		t.region.Extend(wi + 1)
+	}
+	rec := vm.AccessRec{Addr: addr, Size: int32(size), Store: store}
+	if t.prof.Kind == GPUKind {
+		// Only warp formation looks at the instruction, and these engines
+		// switch instruction with every access, so each one is a table
+		// lookup worth skipping.
+		rec.Instr = t.region.Intern(in)
+	}
+	t.region.Items[wi] = append(t.region.Items[wi], rec)
+	t.pending = true
+}
+
+// Instrs implements vm.Tracer.
+func (t *accessAdapter) Instrs(wi int, n int64) {
+	if wi >= len(t.region.Items) {
+		t.region.Extend(wi + 1)
+	}
+	t.region.Retired[wi] += n
+	t.pending = true
+}
+
+// Barrier implements vm.Tracer.
+func (t *accessAdapter) Barrier(wiCount int) {
+	t.flush()
+	t.workerSim.Barrier(wiCount)
+}
+
+// GroupEnd implements vm.Tracer.
+func (t *accessAdapter) GroupEnd() {
+	t.flush()
+	t.workerSim.GroupEnd()
+}
+
+func (t *accessAdapter) flush() {
+	if t.pending {
+		t.workerSim.AccessBatch(&t.region)
+		t.region.Clear()
+		t.pending = false
+	}
 }

@@ -1,27 +1,45 @@
 package memsim
 
-// Coalesce computes the number of memory transactions a warp's
-// simultaneous accesses generate: the count of distinct segment-aligned
-// blocks touched (the classic NVIDIA/AMD coalescing rule). addrs are the
-// byte addresses of the active lanes; segment is the transaction size in
-// bytes (e.g. 128).
-func Coalesce(addrs []uint64, sizes []int, segment int) int {
-	if len(addrs) == 0 {
-		return 0
-	}
-	seen := map[uint64]struct{}{}
+// The warp helpers below find distinct values by scanning the ones found
+// so far. A warp has at most 64 lanes, so the scan is short, needs no map
+// and — unlike a map — yields the values in first-touch order, which is
+// the order the hierarchy has to see them in.
+
+// Segments appends to dst the distinct segment-aligned blocks a warp's
+// simultaneous accesses touch, as block indices (address / segment) in
+// first-touch order: lanes in order, each lane's blocks ascending. addrs
+// are the byte addresses of the active lanes, sizes their access sizes
+// (a missing or non-positive size counts as 4 bytes), segment the
+// transaction size in bytes (e.g. 128). Both the transaction count and
+// the per-transaction hierarchy charge derive from this one walk.
+func Segments(dst []uint64, addrs []uint64, sizes []int, segment int) []uint64 {
+	seg := uint64(segment)
+	start := len(dst)
 	for i, a := range addrs {
 		sz := 4
 		if i < len(sizes) && sizes[i] > 0 {
 			sz = sizes[i]
 		}
-		first := a / uint64(segment)
-		last := (a + uint64(sz) - 1) / uint64(segment)
-		for s := first; s <= last; s++ {
-			seen[s] = struct{}{}
+		last := (a + uint64(sz) - 1) / seg
+	blocks:
+		for s := a / seg; s <= last; s++ {
+			for _, t := range dst[start:] {
+				if t == s {
+					continue blocks
+				}
+			}
+			dst = append(dst, s)
 		}
 	}
-	return len(seen)
+	return dst
+}
+
+// Coalesce computes the number of memory transactions a warp's
+// simultaneous accesses generate: the count of distinct segment-aligned
+// blocks touched (the classic NVIDIA/AMD coalescing rule).
+func Coalesce(addrs []uint64, sizes []int, segment int) int {
+	var scratch [64]uint64
+	return len(Segments(scratch[:0], addrs, sizes, segment))
 }
 
 // BankConflictDegree computes the scratch-pad conflict factor of a warp
@@ -31,19 +49,31 @@ func BankConflictDegree(addrs []uint64, banks, bankWidth int) int {
 	if len(addrs) == 0 {
 		return 0
 	}
-	perBank := map[int]map[uint64]struct{}{}
-	for _, a := range addrs {
-		b := int((a / uint64(bankWidth)) % uint64(banks))
-		if perBank[b] == nil {
-			perBank[b] = map[uint64]struct{}{}
-		}
-		perBank[b][a/uint64(bankWidth)] = struct{}{}
+	// Distinct bank-width words are chained per bank: head[b] is the
+	// latest word of bank b and prev links to the one before it, both as
+	// index+1 into words with 0 ending the chain. A lane only scans its
+	// own bank's chain, so a conflict-free warp costs one step per lane.
+	var headScratch, prevScratch [64]int32
+	var wordScratch [64]uint64
+	head, prev, words := headScratch[:], prevScratch[:0], wordScratch[:0]
+	if banks > len(head) {
+		head = make([]int32, banks)
 	}
 	maxDeg := 1
-	for _, m := range perBank {
-		if len(m) > maxDeg {
-			maxDeg = len(m)
+lanes:
+	for _, a := range addrs {
+		w := a / uint64(bankWidth)
+		b := w % uint64(banks)
+		deg := 1
+		for i := head[b]; i != 0; i = prev[i-1] {
+			if words[i-1] == w {
+				continue lanes
+			}
+			deg++
 		}
+		words, prev = append(words, w), append(prev, head[b])
+		head[b] = int32(len(words))
+		maxDeg = max(maxDeg, deg)
 	}
 	return maxDeg
 }

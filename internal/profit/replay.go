@@ -33,6 +33,8 @@ type replay struct {
 
 	// lane environments of the group (CPU: one at a time; GPU: per warp).
 	envs []*memaccess.Env
+	// segs is scratch for the segments one warp access coalesces into.
+	segs []uint64
 }
 
 func newReplay(sum *memaccess.Summary, prof *device.Profile, opts Options) (*replay, error) {
@@ -209,7 +211,10 @@ func (r *replay) replayAccess(a *memaccess.Access, w float64) {
 		}
 	}
 	if a.Space == clc.ASLocal {
-		deg := memsim.BankConflictDegree(addrsWithBase(addrs, memaccess.LocalBase), r.prof.SPMBanks, r.prof.BankWidth)
+		for i := range addrs {
+			addrs[i] += memaccess.LocalBase
+		}
+		deg := memsim.BankConflictDegree(addrs, r.prof.SPMBanks, r.prof.BankWidth)
 		r.local += w * float64(deg) * float64(r.prof.SPMLat)
 		r.warpLocal += w
 		r.warpLocalDeg += w * float64(deg)
@@ -218,21 +223,13 @@ func (r *replay) replayAccess(a *memaccess.Access, w float64) {
 	// Coalesce into segment transactions; each pays issue plus the
 	// hierarchy cost of one segment (device.workerSim mechanics).
 	seg := uint64(r.prof.Segment)
-	seen := map[uint64]struct{}{}
-	for i, addr := range addrs {
-		first := addr / seg
-		last := (addr + uint64(sizes[i]) - 1) / seg
-		for s := first; s <= last; s++ {
-			if _, dup := seen[s]; dup {
-				continue
-			}
-			seen[s] = struct{}{}
-			r.mem += w * float64(r.prof.TransCost+r.hier.Access(s*seg, r.prof.Segment, a.Store))
-		}
+	r.segs = memsim.Segments(r.segs[:0], addrs, sizes, r.prof.Segment)
+	for _, s := range r.segs {
+		r.mem += w * float64(r.prof.TransCost+r.hier.Access(s*seg, r.prof.Segment, a.Store))
 	}
-	r.transactions += w * float64(len(seen))
+	r.transactions += w * float64(len(r.segs))
 	r.warpGlobal += w
-	r.warpGlobalLanes += w * float64(len(seen))
+	r.warpGlobalLanes += w * float64(len(r.segs))
 }
 
 // fallback synthesizes streaming addresses for an access the evaluator
@@ -254,14 +251,6 @@ func (r *replay) fallback(a *memaccess.Access, lanes int) []uint64 {
 	out := make([]uint64, lanes)
 	for i := range out {
 		out[i] = base + uint64(i*a.Bytes)
-	}
-	return out
-}
-
-func addrsWithBase(addrs []uint64, base uint64) []uint64 {
-	out := make([]uint64, len(addrs))
-	for i, a := range addrs {
-		out[i] = base + a
 	}
 	return out
 }

@@ -1,0 +1,151 @@
+package wgvec_test
+
+import (
+	"sync"
+	"testing"
+
+	"grover/internal/clc"
+	"grover/internal/ir"
+	"grover/internal/lower"
+	"grover/internal/vm"
+	"grover/internal/wgvec"
+)
+
+// sumTracer folds everything it is told into order-independent sums.
+type sumTracer struct {
+	groups, accesses, barriers int64
+	addrSum                    uint64
+	retired                    int64
+	perAccessCalls             int64
+}
+
+func (s *sumTracer) GroupBegin([3]int, int) { s.groups++ }
+func (s *sumTracer) Access(_ *ir.Instr, _ int, addr uint64, size int, _ bool) {
+	s.perAccessCalls++
+	s.accesses++
+	s.addrSum += addr * uint64(size)
+}
+func (s *sumTracer) Barrier(int)           { s.barriers++ }
+func (s *sumTracer) Instrs(_ int, n int64) { s.retired += n }
+func (s *sumTracer) GroupEnd()             {}
+
+// batchSumTracer also takes batches, and must then never see a
+// per-access call.
+type batchSumTracer struct{ sumTracer }
+
+func (s *batchSumTracer) AccessBatch(b *vm.AccessBatch) {
+	for wi, recs := range b.Items {
+		for _, r := range recs {
+			if b.Instrs[r.Instr] == nil {
+				panic("record without an instruction")
+			}
+			s.accesses++
+			s.addrSum += r.Addr * uint64(r.Size)
+		}
+		s.retired += b.Retired[wi]
+	}
+}
+
+// TestConcurrentTracedLaunches launches one machine from several
+// goroutines at once — as an all-device autotune does — with batch and
+// per-access tracers attached, so the pooled trace buffers are borrowed
+// and returned concurrently. Every launch must see the same stream. Run
+// under -race.
+func TestConcurrentTracedLaunches(t *testing.T) {
+	f, err := clc.Parse("t.cl", `
+__kernel void k(__global float* out, __global float* in, __local float* tmp) {
+    int l = get_local_id(0);
+    int g = get_global_id(0);
+    float acc = 0.0f;
+    for (int i = 0; i <= l % 4; i++) {
+        acc += in[(g + i) % 512];
+    }
+    tmp[l] = acc;
+    barrier(CLK_LOCAL_MEM_FENCE);
+    out[g] = tmp[(l + 1) % 16] + acc;
+}
+`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := lower.Module(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := vm.Prepare(mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := wgvec.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const workers = 4
+	launch := func(batches bool) (sumTracer, error) {
+		g := vm.NewGlobalMem(1 << 16)
+		out, in := g.Alloc(512*4), g.Alloc(512*4)
+		cfg := vm.Config{
+			GlobalSize: [3]int{512, 1, 1}, LocalSize: [3]int{16, 1, 1},
+			Args: []vm.Arg{vm.BufArg(out), vm.BufArg(in), vm.LocalArg(16 * 4)},
+		}
+		plain := make([]sumTracer, workers)
+		batch := make([]batchSumTracer, workers)
+		opts := &vm.LaunchOpts{Workers: workers, TracerFor: func(w int) vm.Tracer {
+			if batches {
+				return &batch[w]
+			}
+			return &plain[w]
+		}}
+		if err := m.Launch("k", cfg, g, opts); err != nil {
+			return sumTracer{}, err
+		}
+		var total sumTracer
+		for w := 0; w < workers; w++ {
+			s := plain[w]
+			if batches {
+				s = batch[w].sumTracer
+			}
+			total.groups += s.groups
+			total.accesses += s.accesses
+			total.barriers += s.barriers
+			total.addrSum += s.addrSum
+			total.retired += s.retired
+			total.perAccessCalls += s.perAccessCalls
+		}
+		return total, nil
+	}
+
+	want, err := launch(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.groups != 32 || want.barriers != 32 || want.accesses == 0 || want.retired == 0 {
+		t.Fatalf("implausible reference stream: %+v", want)
+	}
+	wantBatched := want
+	wantBatched.perAccessCalls = 0
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(batches bool) {
+			defer wg.Done()
+			for rep := 0; rep < 5; rep++ {
+				got, err := launch(batches)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				w := want
+				if batches {
+					w = wantBatched
+				}
+				if got != w {
+					t.Errorf("batches=%v: got %+v, want %+v", batches, got, w)
+				}
+			}
+		}(i%2 == 0)
+	}
+	wg.Wait()
+}

@@ -24,20 +24,6 @@ const (
 	retVecF
 )
 
-// traceEv is one buffered memory access. Events are appended per lane
-// during lockstep execution and replayed work-item-major at the end of
-// each barrier round, reproducing the interpreter's trace stream.
-// The instruction is stored as an index into the group's evInstrs table
-// rather than a pointer, keeping the (large, frequently appended) event
-// buffers pointer-free: the garbage collector neither scans them nor
-// needs write barriers on append.
-type traceEv struct {
-	addr  uint64
-	instr int32
-	size  int32
-	store bool
-}
-
 // colFrame is the pooled columnar register file for one call depth:
 // scalar banks as [register][lane] columns, vector banks as flat
 // lane-major columns (lane l of register r occupies
@@ -239,6 +225,20 @@ func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts 
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	sched := vm.NewGroupSchedule(nGroups, workers, tracerFor != nil)
+	// A traced group fills a trace buffer here and often another in its
+	// tracer. A traced launch has one worker per simulated core, far more
+	// than can run, so the launch owns only as many trace buffers as the
+	// host runs goroutines at a time and a worker holds one for the length
+	// of a group: the rest wait here instead of sitting preempted on
+	// full-grown buffers of their own. Each worker's stream is its own, so
+	// the order between workers is free.
+	var traces chan *vm.AccessBatch
+	if tracerFor != nil {
+		traces = make(chan *vm.AccessBatch, runtime.GOMAXPROCS(0))
+		for i := 0; i < cap(traces); i++ {
+			traces <- m.traces.Get().(*vm.AccessBatch)
+		}
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
@@ -249,8 +249,9 @@ func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts 
 			}
 			g := newGroupState(m, bf, ncfg, gmem.Data, paramI, paramF, localTotal, stack, n, tr)
 			g.prof = prof
-			if prof != nil && g.retired == nil {
-				// Retire accounting reuses the tracer's per-lane counters.
+			if prof != nil && tr == nil {
+				// Untraced retire accounting needs counters of its own;
+				// traced launches use the trace's.
 				g.retired = make([]int64, n)
 			}
 			cur := sched.Cursor(worker)
@@ -259,7 +260,14 @@ func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts 
 				rem := gi % (groups[0] * groups[1])
 				gy := rem / groups[0]
 				gx := rem % groups[0]
-				if err := g.runGroup([3]int{gx, gy, gz}, gi); err != nil {
+				if traces != nil {
+					g.trace = <-traces
+				}
+				err := g.runGroup([3]int{gx, gy, gz}, gi)
+				if traces != nil {
+					traces <- g.trace
+				}
+				if err != nil {
 					errs[worker] = fmt.Errorf("group (%d,%d,%d): %w", gx, gy, gz, err)
 					return
 				}
@@ -267,6 +275,9 @@ func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts 
 		}(w)
 	}
 	wg.Wait()
+	for i := 0; i < cap(traces); i++ {
+		m.traces.Put(<-traces)
+	}
 	for _, e := range errs {
 		if e != nil {
 			return e
@@ -285,6 +296,7 @@ type groupState struct {
 	localTotal int
 	stack      int
 	tracer     vm.Tracer
+	batcher    vm.BatchTracer // tracer's batch extension; nil: per-access replay
 	prof       *vm.Profiler
 	n          int
 
@@ -304,16 +316,13 @@ type groupState struct {
 	barInstr []*ir.Instr
 	resumePC []int32
 
-	events  [][]traceEv
+	// trace buffers the current barrier round's accesses per lane during
+	// lockstep execution (traced launches only; one of the launch's
+	// buffers, held for the duration of a group). retired counts
+	// per-lane retired instructions; it is the trace's Retired column
+	// when tracing.
+	trace   *vm.AccessBatch
 	retired []int64
-
-	// Dedup table mapping buffered events back to their IR instruction;
-	// lastIn/lastIdx cache the previous lookup since events arrive in
-	// per-instruction runs.
-	evInstrs []*ir.Instr
-	evIdx    map[*ir.Instr]int32
-	lastIn   *ir.Instr
-	lastIdx  int32
 
 	maskT, maskF []int32
 	addrs        []uint64
@@ -356,11 +365,7 @@ func newGroupState(m *Machine, bf *bcode.BFunc, cfg vm.Config, gmem []byte,
 	g.maskT = make([]int32, 0, n)
 	g.maskF = make([]int32, 0, n)
 	g.addrs = make([]uint64, n)
-	if tr != nil {
-		g.events = make([][]traceEv, n)
-		g.retired = make([]int64, n)
-		g.evIdx = make(map[*ir.Instr]int32)
-	}
+	g.batcher, _ = tr.(vm.BatchTracer)
 
 	fr := g.frame(0)
 	fr.ensure(bf, m.progs[bf.Fn], n)
@@ -427,6 +432,8 @@ func (g *groupState) runGroup(group [3]int, linear int) error {
 	}
 
 	if g.tracer != nil {
+		g.trace.Reset(n)
+		g.retired = g.trace.Retired
 		g.tracer.GroupBegin(group, linear)
 	}
 	doneBefore := 0
@@ -497,22 +504,17 @@ func (g *groupState) runGroup(group [3]int, linear int) error {
 	return nil
 }
 
-// replay flushes each lane's buffered accesses and retire count to the
-// tracer in work-item-major order, matching the per-round stream the
-// work-item-at-a-time backends produce.
+// replay hands the barrier round's buffered trace to the tracer: in one
+// call when it takes batches, else access by access in work-item-major
+// order, matching the per-round stream the work-item-at-a-time backends
+// produce.
 func (g *groupState) replay() {
-	for l := 0; l < g.n; l++ {
-		evs := g.events[l]
-		for i := range evs {
-			ev := &evs[i]
-			g.tracer.Access(g.evInstrs[ev.instr], l, ev.addr, int(ev.size), ev.store)
-		}
-		g.events[l] = evs[:0]
-		if g.retired[l] > 0 {
-			g.tracer.Instrs(l, g.retired[l])
-			g.retired[l] = 0
-		}
+	if g.batcher != nil {
+		g.batcher.AccessBatch(g.trace)
+	} else {
+		g.trace.Replay(g.tracer)
 	}
+	g.trace.Clear()
 }
 
 // schedule runs the given lanes to completion of the current function

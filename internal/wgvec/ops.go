@@ -868,10 +868,11 @@ func (g *groupState) addrPass(fr *colFrame, in *bcode.Inst, mask []int32, fused,
 		}
 	}
 	if g.tracer != nil {
-		ei := g.instrIdx(in.In)
-		sz := in.N
+		items := g.trace.Items
+		rec := vm.AccessRec{Instr: g.trace.Intern(in.In), Size: in.N, Store: store}
 		for _, l := range mask {
-			g.events[l] = append(g.events[l], traceEv{addr: addrs[l], instr: ei, size: sz, store: store})
+			rec.Addr = addrs[l]
+			items[l] = append(items[l], rec)
 		}
 	}
 	if g.prof != nil {
@@ -882,23 +883,6 @@ func (g *groupState) addrPass(fr *colFrame, in *bcode.Inst, mask []int32, fused,
 		}
 	}
 	return addrs
-}
-
-// instrIdx interns an IR instruction into the group's event table. The
-// single-entry cache covers the per-instruction lane sweeps that produce
-// event runs.
-func (g *groupState) instrIdx(in *ir.Instr) int32 {
-	if in == g.lastIn {
-		return g.lastIdx
-	}
-	idx, ok := g.evIdx[in]
-	if !ok {
-		idx = int32(len(g.evInstrs))
-		g.evInstrs = append(g.evInstrs, in)
-		g.evIdx[in] = idx
-	}
-	g.lastIn, g.lastIdx = in, idx
-	return idx
 }
 
 // loadCol performs a scalar load for all masked lanes. With uni set (a

@@ -22,9 +22,10 @@
 // The backend preserves the PR 3 execution contract exactly: cooperative
 // barrier semantics with barrier-divergence detection, and
 // backend-invariant simulated counters. Memory-trace events are buffered
-// per work-item during lockstep execution and replayed to the tracer in
-// work-item-major order at the end of each barrier round, so memsim
-// observes the same stream as the interpreter and bcode.
+// per work-item during lockstep execution and handed to the tracer at the
+// end of each barrier round — as one vm.AccessBatch when the tracer takes
+// batches, else replayed access by access in work-item-major order — so
+// memsim observes the same stream as the interpreter and bcode.
 //
 // The backend registers itself with the VM under the name "wgvec";
 // importing the package (a blank import suffices) enables it.
@@ -32,6 +33,7 @@ package wgvec
 
 import (
 	"context"
+	"sync"
 
 	"grover/internal/analysis"
 	"grover/internal/analysis/graph"
@@ -56,6 +58,12 @@ func init() {
 type Machine struct {
 	bm    *bcode.Machine
 	progs map[*ir.Function]*regionProgram
+
+	// traces pools the trace buffers (*vm.AccessBatch) traced launches
+	// work with, so a machine launched again — concurrently, under an
+	// all-device autotune — does not regrow them every time. Their
+	// instruction tables point into this machine's own program.
+	traces sync.Pool
 }
 
 // Compile lowers every function of a prepared program to a region
@@ -74,6 +82,7 @@ func CompileCtx(ctx context.Context, p *vm.Program) (*Machine, error) {
 	}
 	defer telemetry.StartSpan(ctx, "wgvec.compile")()
 	m := &Machine{bm: bm, progs: map[*ir.Function]*regionProgram{}}
+	m.traces.New = func() any { return new(vm.AccessBatch) }
 	// Uniform execute-once facts assume work-group-uniform parameters,
 	// which holds for launch arguments but not for call arguments; only
 	// kernels that are never themselves called qualify.
