@@ -7,13 +7,14 @@ import (
 	"testing"
 
 	"grover/internal/apps"
+	"grover/internal/enginetest"
 	"grover/internal/rewrite"
 	"grover/internal/vm"
 	"grover/opencl"
 )
 
 // planDiffBackends are the backends every rewrite plan must agree on.
-var planDiffBackends = []string{"interp", "bcode", "wgvec", "jit"}
+var planDiffBackends = enginetest.Engines()
 
 // planSpace is the differential plan list for one app: the Grover
 // direction pinned to the app's candidate set, address hoisting alone and

@@ -13,17 +13,15 @@ import (
 	"testing"
 
 	"grover/internal/apps"
-	"grover/internal/bcode"
 	"grover/internal/device"
+	"grover/internal/enginetest"
 	igrover "grover/internal/grover"
-	"grover/internal/jit"
 	"grover/internal/vm"
-	"grover/internal/wgvec"
 	"grover/opencl"
 )
 
 // backends under comparison; the interpreter is the reference.
-var backends = []string{vm.BackendInterp, bcode.Name, wgvec.Name, jit.Name}
+var backends = enginetest.Engines()
 
 func TestBackendDifferentialApps(t *testing.T) {
 	profiles := device.All()

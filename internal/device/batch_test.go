@@ -5,10 +5,9 @@ import (
 	"reflect"
 	"testing"
 
-	"grover/internal/bcode"
 	"grover/internal/clc"
+	"grover/internal/enginetest"
 	"grover/internal/ir"
-	"grover/internal/jit"
 	"grover/internal/memsim"
 	"grover/internal/vm"
 	"grover/internal/wgvec"
@@ -467,7 +466,7 @@ __kernel void ragged(__global float* out, __global float* in, __local float* tmp
 `
 
 // TestEnginesMatchRecordedStream launches one kernel through every engine
-// on a simulator — wgvec and jit hand over batches, interp and bcode go
+// on a simulator — wgvec (and jit) hand over batches, interp and bcode go
 // through the adapter — and requires the Result the reference model
 // computes from the recorded per-access stream.
 func TestEnginesMatchRecordedStream(t *testing.T) {
@@ -496,7 +495,7 @@ func TestEnginesMatchRecordedStream(t *testing.T) {
 			streams[i] = r.evs
 		}
 		want := newDeliveries(t, p).check(t, streams, local)
-		for _, backend := range []string{vm.BackendInterp, bcode.Name, wgvec.Name, jit.Name} {
+		for _, backend := range enginetest.Engines() {
 			sim, err := NewSimulator(p)
 			if err != nil {
 				t.Fatal(err)

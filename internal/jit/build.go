@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"grover/internal/bcode"
 	"grover/internal/kcache"
 )
 
@@ -69,12 +70,11 @@ func jitDebugf(format string, a ...any) {
 	}
 }
 
-// buildNativeModule generates Go source for the machine's eligible
+// buildNativeModule generates Go source for the program's eligible
 // kernels and loads it through the content-addressed build cache.
-// Best-effort: any failure returns nil and execution stays on the
-// closure-threaded floor.
-func buildNativeModule(ctx context.Context, m *Machine) *nativeModule {
-	src, kernels, ok := genModule(m)
+// Best-effort: any failure returns nil and execution stays on wgvec.
+func buildNativeModule(ctx context.Context, bm *bcode.Machine) *nativeModule {
+	src, kernels, ok := genModule(bm)
 	if !ok {
 		return nil
 	}
@@ -286,7 +286,17 @@ type workerProc struct {
 	bw  *bufio.Writer
 	enc *gob.Encoder
 	dec *gob.Decoder
+
+	// gone is set, under mu, by the first launch whose pipe to the worker
+	// failed. The worker is shared through modCache by every machine built
+	// from the same source; all of them run on wgvec from then on.
+	gone atomic.Bool
 }
+
+// errWorkerGone reports a launch the worker process did not answer. The
+// caller's global memory is untouched (the worker computes on its own
+// copy), so the launch can run again elsewhere.
+var errWorkerGone = errors.New("jit: native worker gone")
 
 // workerReq/workerResp mirror the generated worker's gob frames (gob
 // matches by struct field names, so the host-side type names are free).
@@ -328,43 +338,36 @@ func startWorker(path string) (*workerProc, error) {
 	}, nil
 }
 
-// launch runs one whole kernel launch in the worker and returns the
-// worker's view of global memory.
-func (w *workerProc) launch(req *workerReq) (*workerResp, error) {
+// launch runs one whole kernel launch in the worker and copies the
+// worker's view of global memory back into the request's. A kernel error
+// comes back as the worker reported it; a failed pipe retires the worker
+// and returns errWorkerGone.
+func (w *workerProc) launch(req *workerReq) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.enc.Encode(req); err != nil {
-		return nil, fmt.Errorf("jit: native worker send: %w", err)
-	}
-	if err := w.bw.Flush(); err != nil {
-		return nil, fmt.Errorf("jit: native worker send: %w", err)
+	if w.gone.Load() {
+		return errWorkerGone
 	}
 	var resp workerResp
-	if err := w.dec.Decode(&resp); err != nil {
-		return nil, fmt.Errorf("jit: native worker receive: %w", err)
+	err := w.enc.Encode(req)
+	if err == nil {
+		err = w.bw.Flush()
 	}
-	return &resp, nil
-}
-
-// launchNativeWorker runs a whole launch through the subprocess
-// transport and copies the resulting global memory back.
-func launchNativeWorker(nat *nativeKernel, gmem []byte,
-	localTotal, stack int, paramI []int64, paramF []float64, geom9 []int64) error {
-	resp, err := nat.mod.worker.launch(&workerReq{
-		Kernel:     nat.index,
-		Gmem:       gmem,
-		LocalBytes: localTotal,
-		PrivBytes:  stack,
-		ParamI:     paramI,
-		ParamF:     paramF,
-		Geom:       geom9,
-	})
+	if err == nil {
+		err = w.dec.Decode(&resp)
+	}
 	if err != nil {
-		return err
+		jitDebugf("native worker lost, launches fall back to wgvec: %v", err)
+		w.gone.Store(true)
+		// Whatever state the process is in, it is not answering: make sure
+		// it exits and reap it.
+		_ = w.cmd.Process.Kill()
+		_ = w.cmd.Wait()
+		return errWorkerGone
 	}
 	if resp.Err != "" {
 		return errors.New(resp.Err)
 	}
-	copy(gmem, resp.Gmem)
+	copy(req.Gmem, resp.Gmem)
 	return nil
 }

@@ -1,188 +1,37 @@
 package jit
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
-	"grover/internal/bcode"
 	"grover/internal/clc"
-	"grover/internal/ir"
 	"grover/internal/vm"
 )
 
-// Return-value tags for the per-lane stash of a columnar call frame,
-// mirroring bcode's clear-then-set return fields.
-const (
-	retNone = iota
-	retInt
-	retFlt
-	retVecI
-	retVecF
-)
-
-// Sentinel step results (see stepFn): a non-negative result continues
-// the segment inline at that pc; the sentinels end the segment.
-const (
-	// stepDone: the masked lanes left the segment (returned, suspended
-	// at a barrier, or parked at divergent branch targets); their pcs
-	// are already updated.
-	stepDone = int32(-1)
-)
-
-// frame is the pooled columnar register file for one call depth:
-// scalar banks as [register][lane] columns, vector banks as flat
-// lane-major columns.
-type frame struct {
-	bf *bcode.BFunc
-	pr *program
-	n  int
-
-	ri [][]int64
-	rf [][]float64
-	vi [][]int64
-	vf [][]float64
-
-	pcs []int32 // per-lane pending pc; -1 done/returned, -2 at a barrier
-	seg []int32 // current segment mask (scratch, rebuilt per pick)
-
-	frameBase, sp int
-
-	// Per-lane return stash (callee side). Vector stashes are strided by
-	// the frame's maximal vector length.
-	retSet       []uint8
-	retI         []int64
-	retF         []float64
-	retVI        []int64
-	retVF        []float64
-	retVILen     int
-	retVFLen     int
-	maxVI, maxVF int
-}
-
-// growCols shapes a scalar column set to nregs columns of n lanes.
-func growCols[T int64 | float64](cols [][]T, nregs, n int) [][]T {
-	if cap(cols) < nregs {
-		grown := make([][]T, nregs)
-		copy(grown, cols)
-		cols = grown
-	}
-	cols = cols[:nregs]
-	for i := range cols {
-		if cap(cols[i]) < n {
-			cols[i] = make([]T, n)
-		}
-		cols[i] = cols[i][:n]
-	}
-	return cols
-}
-
-// growVecCols shapes a vector column set: column i holds lens[i] lanes
-// per work-item, flat lane-major.
-func growVecCols[T int64 | float64](cols [][]T, lens []int, n int) [][]T {
-	if cap(cols) < len(lens) {
-		grown := make([][]T, len(lens))
-		copy(grown, cols)
-		cols = grown
-	}
-	cols = cols[:len(lens)]
-	for i, ln := range lens {
-		sz := ln * n
-		if cap(cols[i]) < sz {
-			cols[i] = make([]T, sz)
-		}
-		cols[i] = cols[i][:sz]
-	}
-	return cols
-}
-
-// ensure shapes the frame for pr with n lanes, refilling constant
-// columns only when the shape changes (constant and parameter registers
-// are never written by compiled code, so a matching shape stays valid).
-func (fr *frame) ensure(pr *program, n int) {
-	bf := pr.bf
-	fr.pr = pr
-	if fr.bf == bf && fr.n == n {
-		return
-	}
-	fr.bf, fr.n = bf, n
-	fr.ri = growCols(fr.ri, bf.NInt, n)
-	fr.rf = growCols(fr.rf, bf.NFlt, n)
-	fr.vi = growVecCols(fr.vi, bf.VecILens, n)
-	fr.vf = growVecCols(fr.vf, bf.VecFLens, n)
-	fr.maxVI, fr.maxVF = 0, 0
-	for _, ln := range bf.VecILens {
-		fr.maxVI = max(fr.maxVI, ln)
-	}
-	for _, ln := range bf.VecFLens {
-		fr.maxVF = max(fr.maxVF, ln)
-	}
-	if cap(fr.pcs) < n {
-		fr.pcs = make([]int32, n)
-		fr.seg = make([]int32, 0, n)
-		fr.retSet = make([]uint8, n)
-		fr.retI = make([]int64, n)
-		fr.retF = make([]float64, n)
-	}
-	fr.pcs = fr.pcs[:n]
-	fr.retSet = fr.retSet[:n]
-	fr.retI = fr.retI[:n]
-	fr.retF = fr.retF[:n]
-	if sz := fr.maxVI * n; cap(fr.retVI) < sz {
-		fr.retVI = make([]int64, sz)
-	}
-	if sz := fr.maxVF * n; cap(fr.retVF) < sz {
-		fr.retVF = make([]float64, sz)
-	}
-	for ci, v := range bf.IntConsts {
-		col := fr.ri[ci]
-		for i := range col {
-			col[i] = v
-		}
-	}
-	for ci, v := range bf.FltConsts {
-		col := fr.rf[ci]
-		for i := range col {
-			col[i] = v
-		}
-	}
-}
-
-// broadcastI copies lane 0's value column-wide after a uniform
-// execute-once.
-func broadcastLaneI(col []int64) {
-	v := col[0]
-	for i := 1; i < len(col); i++ {
-		col[i] = v
-	}
-}
-
-func broadcastLaneF(col []float64) {
-	v := col[0]
-	for i := 1; i < len(col); i++ {
-		col[i] = v
-	}
-}
-
-// Launch implements vm.Executor with bcode's exact launch contract.
-// Traced launches delegate to wgvec (identical trace streams by
-// construction); untraced launches run generated code — natively
-// compiled kernels when stage 2 built them, closure chains otherwise.
+// Launch implements vm.Executor. An untraced, unprofiled launch of a
+// natively built kernel runs the generated code; every other launch is
+// the wgvec machine's. A native launch whose transport failed (the worker
+// process died) has not touched gmem and runs again on wgvec.
 func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts *vm.LaunchOpts) error {
-	if opts != nil && opts.TracerFor != nil {
-		d, err := m.traceDelegate()
-		if err != nil {
-			return err
+	if opts == nil || opts.TracerFor == nil && opts.Profiler == nil {
+		if nat := m.native.kernel(kernel); nat != nil {
+			if err := m.launchNative(nat, kernel, cfg, gmem.Data, opts); !errors.Is(err, errWorkerGone) {
+				return err
+			}
 		}
-		return d.Launch(kernel, cfg, gmem, opts)
 	}
-	p := m.bm.Program()
+	return m.wg.Launch(kernel, cfg, gmem, opts)
+}
+
+// launchNative marshals the launch into the generated module's flat
+// calling convention with bcode's exact launch contract (argument
+// checks, dynamic __local layout, group order and error wrap) and runs
+// it through the module's transport.
+func (m *Machine) launchNative(nat *nativeKernel, kernel string, cfg vm.Config, gmem []byte, opts *vm.LaunchOpts) error {
+	p := m.wg.Program()
 	fn := p.Module.Kernel(kernel)
-	if fn == nil {
-		return fmt.Errorf("vm: no kernel %q", kernel)
-	}
-	bf := m.bm.Func(fn)
 	ncfg, err := cfg.Normalized()
 	if err != nil {
 		return err
@@ -191,24 +40,21 @@ func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts 
 		return fmt.Errorf("vm: kernel %s expects %d args, got %d", kernel, len(fn.Params), len(ncfg.Args))
 	}
 	workers := 1
-	var prof *vm.Profiler
 	if opts != nil {
 		workers = opts.Workers
-		prof = opts.Profiler
-	}
-	if prof != nil {
-		prof.LaunchBegin(kernel, Name)
-		start := time.Now()
-		defer func() { prof.LaunchDone(time.Since(start)) }()
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	groups := [3]int{
-		ncfg.GlobalSize[0] / ncfg.LocalSize[0],
-		ncfg.GlobalSize[1] / ncfg.LocalSize[1],
-		ncfg.GlobalSize[2] / ncfg.LocalSize[2],
+	// geom is the module's geometry vector: gsz 0-2, lsz 3-5, ngrp 6-8.
+	geom := make([]int64, 9)
+	var groups [3]int
+	for d := 0; d < 3; d++ {
+		groups[d] = ncfg.GlobalSize[d] / ncfg.LocalSize[d]
+		geom[d] = int64(ncfg.GlobalSize[d])
+		geom[3+d] = int64(ncfg.LocalSize[d])
+		geom[6+d] = int64(groups[d])
 	}
 	nGroups := groups[0] * groups[1] * groups[2]
 	if nGroups < workers {
@@ -219,18 +65,7 @@ func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts 
 	}
 
 	// Dynamic local buffers: lay out after the static local allocas.
-	staticLocal := bf.LocalSize
-	dynOff := make([]int, len(ncfg.Args))
-	localTotal := staticLocal
-	for i, a := range ncfg.Args {
-		if a.Kind == vm.ArgLocalBuf {
-			const align = 16
-			localTotal = (localTotal + align - 1) &^ (align - 1)
-			dynOff[i] = localTotal
-			localTotal += a.LocalBytes
-		}
-	}
-
+	localTotal := m.wg.Bytecode().Func(fn).LocalSize
 	paramI := make([]int64, len(ncfg.Args))
 	paramF := make([]float64, len(ncfg.Args))
 	for i, a := range ncfg.Args {
@@ -242,32 +77,29 @@ func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts 
 		case vm.ArgFloat:
 			paramF[i] = a.F
 		case vm.ArgLocalBuf:
-			paramI[i] = int64(vm.MakeAddr(clc.ASLocal, uint64(dynOff[i])))
+			const align = 16
+			localTotal = (localTotal + align - 1) &^ (align - 1)
+			paramI[i] = int64(vm.MakeAddr(clc.ASLocal, uint64(localTotal)))
+			localTotal += a.LocalBytes
 		}
 	}
-
-	n := ncfg.LocalSize[0] * ncfg.LocalSize[1] * ncfg.LocalSize[2]
 	stack := p.StackBytes()
-
-	// Profiled launches run the closure path: region attribution needs
-	// the threaded dispatch loop, which natively compiled kernels bypass.
-	var nat *nativeKernel
-	if m.native != nil && prof == nil {
-		nat = m.native.kernel(kernel)
-	}
 
 	// Subprocess transport: the worker runs the whole launch (all groups)
 	// and wraps errors itself, so its result passes through unwrapped.
-	if nat != nil && nat.mod.worker != nil {
-		geom9 := make([]int64, 9)
-		for d := 0; d < 3; d++ {
-			geom9[d] = int64(ncfg.GlobalSize[d])
-			geom9[3+d] = int64(ncfg.LocalSize[d])
-			geom9[6+d] = int64(groups[d])
-		}
-		return launchNativeWorker(nat, gmem.Data, localTotal, stack, paramI, paramF, geom9)
+	if w := nat.mod.worker; w != nil {
+		return w.launch(&workerReq{
+			Kernel:     nat.index,
+			Gmem:       gmem,
+			LocalBytes: localTotal,
+			PrivBytes:  stack,
+			ParamI:     paramI,
+			ParamF:     paramF,
+			Geom:       geom,
+		})
 	}
 
+	n := ncfg.LocalSize[0] * ncfg.LocalSize[1] * ncfg.LocalSize[2]
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	sched := vm.NewGroupSchedule(nGroups, workers, false)
@@ -275,21 +107,14 @@ func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts 
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			g := newGroupState(m, m.progs[fn], ncfg, gmem.Data, paramI, paramF, localTotal, stack, n)
-			g.prof = prof
+			g := newNativeWorker(nat, geom, localTotal, stack, n)
 			cur := sched.Cursor(worker)
 			for gi := cur.Next(); gi >= 0; gi = cur.Next() {
 				gz := gi / (groups[0] * groups[1])
 				rem := gi % (groups[0] * groups[1])
 				gy := rem / groups[0]
 				gx := rem % groups[0]
-				var err error
-				if nat != nil {
-					err = g.runGroupNative(nat, [3]int{gx, gy, gz})
-				} else {
-					err = g.runGroup([3]int{gx, gy, gz})
-				}
-				if err != nil {
+				if err := g.runGroupNative(gmem, paramI, paramF, [3]int{gx, gy, gz}); err != nil {
 					errs[worker] = fmt.Errorf("group (%d,%d,%d): %w", gx, gy, gz, err)
 					return
 				}
@@ -305,424 +130,39 @@ func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts 
 	return nil
 }
 
-// groupState executes the work-groups assigned to one worker. Columns,
-// frames, and scratch buffers are allocated once per worker and reused
-// across all its groups.
-type groupState struct {
-	m          *Machine
-	gmem       []byte
-	local      []byte
-	localTotal int
-	stack      int
-	n          int
-	prof       *vm.Profiler
-
-	// Per-round profiler accumulators; harvested and reset by runGroup
-	// at every barrier round when prof is set.
-	profRetired int64
-	profLoads   int64
-	profStores  int64
-
-	gsz, lsz, ngrp, grp [3]int64
-	gidCol, lidCol      [3][]int64
-
-	priv   [][]byte
-	frames []*frame
-
-	// Native (stage-2) execution state: launch parameters and geometry in
-	// the plugin's flat calling convention, plus this worker's lazily
-	// created runner closure.
-	paramI []int64
-	paramF []float64
-	geom   []int64 // gsz 0-2, lsz 3-5, ngrp 6-8, grp 9-11
-	natRun nativeGroupFn
-
-	allLanes []int32
-	barInstr []*ir.Instr
-	resumePC []int32
-
-	maskT, maskF []int32
-	mathF        []float64
-	mathI        []int64
+// nativeWorker is one launch worker's state under the plugin transport:
+// its runner closure and the arenas it reuses across all its groups.
+type nativeWorker struct {
+	run   nativeGroupFn
+	index int
+	local []byte
+	priv  [][]byte
+	geom  []int64 // the launch's gsz 0-2, lsz 3-5, ngrp 6-8, then grp 9-11
 }
 
-func newGroupState(m *Machine, pr *program, cfg vm.Config, gmem []byte,
-	paramI []int64, paramF []float64, localTotal, stack, n int) *groupState {
-	g := &groupState{
-		m: m, gmem: gmem, localTotal: localTotal, stack: stack, n: n,
-		paramI: paramI, paramF: paramF, geom: make([]int64, 12),
+func newNativeWorker(nat *nativeKernel, geom9 []int64, localTotal, stack, n int) *nativeWorker {
+	g := &nativeWorker{
+		run:   nat.mod.newRunner(),
+		index: nat.index,
+		priv:  make([][]byte, n),
+		geom:  make([]int64, 12),
 	}
-	for d := 0; d < 3; d++ {
-		g.gsz[d] = int64(cfg.GlobalSize[d])
-		g.lsz[d] = int64(cfg.LocalSize[d])
-		g.ngrp[d] = int64(cfg.GlobalSize[d] / cfg.LocalSize[d])
-		g.gidCol[d] = make([]int64, n)
-		g.lidCol[d] = make([]int64, n)
-		g.geom[d] = g.gsz[d]
-		g.geom[3+d] = g.lsz[d]
-		g.geom[6+d] = g.ngrp[d]
+	copy(g.geom, geom9)
+	// Grover-rewritten kernels have no __local memory at all; they get no
+	// arena and no per-group clear.
+	if localTotal > 0 {
+		g.local = make([]byte, localTotal)
 	}
-	lx0, lx1 := cfg.LocalSize[0], cfg.LocalSize[1]
-	for wi := 0; wi < n; wi++ {
-		lz := wi / (lx0 * lx1)
-		rem := wi % (lx0 * lx1)
-		g.lidCol[0][wi] = int64(rem % lx0)
-		g.lidCol[1][wi] = int64(rem / lx0)
-		g.lidCol[2][wi] = int64(lz)
-	}
-	g.priv = make([][]byte, n)
 	for wi := range g.priv {
 		g.priv[wi] = make([]byte, stack)
-	}
-	g.allLanes = make([]int32, n)
-	for i := range g.allLanes {
-		g.allLanes[i] = int32(i)
-	}
-	g.barInstr = make([]*ir.Instr, n)
-	g.resumePC = make([]int32, n)
-	g.maskT = make([]int32, 0, n)
-	g.maskF = make([]int32, 0, n)
-
-	bf := pr.bf
-	fr := g.frame(0)
-	fr.ensure(pr, n)
-	for k, pp := range bf.Params {
-		switch pp.Bank {
-		case bcode.BankInt:
-			col := fr.ri[pp.Idx]
-			v := paramI[k]
-			for i := range col {
-				col[i] = v
-			}
-		case bcode.BankFlt:
-			col := fr.rf[pp.Idx]
-			v := paramF[k]
-			for i := range col {
-				col[i] = v
-			}
-		}
 	}
 	return g
 }
 
-// frame returns the pooled columnar frame for a call depth.
-func (g *groupState) frame(depth int) *frame {
-	for len(g.frames) <= depth {
-		g.frames = append(g.frames, &frame{})
-	}
-	return g.frames[depth]
-}
-
-func laneErr(l int32, err error) error {
-	return fmt.Errorf("work-item %d: %w", l, err)
-}
-
-// runGroup executes one work-group in barrier-delimited rounds with the
-// closure-threaded programs: each round runs lockstep segments until
-// every lane is done or suspended at a barrier, checks barrier
-// divergence with the interpreter's exact diagnostics, then releases
-// the suspended lanes into the next round.
-func (g *groupState) runGroup(group [3]int) error {
-	n := g.n
-	g.resetGroup(group)
-	fr := g.frames[0]
-	fr.frameBase, fr.sp = 0, fr.bf.FrameSize
-	for l := 0; l < n; l++ {
-		fr.pcs[l] = 0
-	}
-
-	doneBefore := 0
-	round := 0
-	var roundStart time.Time
-	for {
-		if g.prof != nil {
-			roundStart = time.Now()
-			g.profRetired, g.profLoads, g.profStores = 0, 0, 0
-		}
-		if err := g.schedule(0, fr, g.allLanes); err != nil {
-			return err
-		}
-		var barrierAt *ir.Instr
-		atBarrier, doneTotal := 0, 0
-		for l := 0; l < n; l++ {
-			switch fr.pcs[l] {
-			case -1:
-				doneTotal++
-			case -2:
-				atBarrier++
-				if barrierAt == nil {
-					barrierAt = g.barInstr[l]
-				} else if barrierAt != g.barInstr[l] {
-					return fmt.Errorf("barrier divergence: work-items reached different barriers")
-				}
-			}
-		}
-		if g.prof != nil {
-			g.prof.Region(round, time.Since(roundStart), g.profRetired, g.profLoads, g.profStores, atBarrier > 0)
-			round++
-		}
-		doneNow := doneTotal - doneBefore
-		if atBarrier > 0 && doneNow > 0 {
-			return fmt.Errorf("barrier divergence: %d work-items at a barrier while %d finished", atBarrier, doneNow)
-		}
-		if atBarrier == 0 {
-			return nil
-		}
-		doneBefore = doneTotal
-		for l := 0; l < n; l++ {
-			if fr.pcs[l] == -2 {
-				fr.pcs[l] = g.resumePC[l]
-			}
-		}
-	}
-}
-
-// resetGroup points the group state at a new work-group: fresh group
-// ids, recomputed global-id columns, and a cleared local arena.
-// Grover-rewritten kernels have no __local memory at all; the arena
-// sizing and per-group clear are skipped entirely in that case.
-func (g *groupState) resetGroup(group [3]int) {
-	n := g.n
-	if g.localTotal == 0 {
-		g.local = nil
-	} else if cap(g.local) < g.localTotal {
-		g.local = make([]byte, g.localTotal)
-	} else {
-		g.local = g.local[:g.localTotal]
-		clear(g.local)
-	}
-	for d := 0; d < 3; d++ {
-		g.grp[d] = int64(group[d])
-		base := g.grp[d] * g.lsz[d]
-		gid, lid := g.gidCol[d], g.lidCol[d]
-		for wi := 0; wi < n; wi++ {
-			gid[wi] = base + lid[wi]
-		}
-	}
-}
-
-// schedule runs the given lanes to completion of the current function
-// activation (or to a barrier at kernel level): it repeatedly picks the
-// pending program point with minimal (block priority, pc) and threads
-// the pre-bound step closures from there with the mask of all lanes
-// waiting at it. Masks are built in ascending lane order, so a mask of
-// n lanes is always the identity permutation — step closures exploit
-// that with dense bounds-check-eliminated loops.
-func (g *groupState) schedule(depth int, fr *frame, lanes []int32) error {
-	pr := fr.pr
-	steps := pr.steps
-	profiled := g.prof != nil
-	const inf = int64(1) << 62
-	for {
-		best := inf
-		for _, l := range lanes {
-			pc := fr.pcs[l]
-			if pc < 0 {
-				continue
-			}
-			key := int64(pr.prio[pr.blockOf[pc]])<<32 | int64(pc)
-			if key < best {
-				best = key
-			}
-		}
-		if best == inf {
-			return nil
-		}
-		pc := int32(best)
-		seg := fr.seg[:0]
-		for _, l := range lanes {
-			if fr.pcs[l] == pc {
-				seg = append(seg, l)
-			}
-		}
-		fr.seg = seg
-		// Thread the closure chain: each step returns the next pc while
-		// the whole mask agrees on control; divergence, returns, and
-		// barriers end the chain and go back to the pick loop.
-		if profiled {
-			// Accounting mirrors wgvec's runSeg: Retire and memory
-			// traffic per masked lane per instruction. costs[pc] is the
-			// precomputed aggregate of every instruction the step runs.
-			for pc >= 0 {
-				c := &pr.costs[pc]
-				lanes := int64(len(seg))
-				g.profRetired += c.retire * lanes
-				g.profLoads += c.loads * lanes
-				g.profStores += c.stores * lanes
-				next, err := steps[pc](g, depth, fr, seg)
-				if err != nil {
-					return err
-				}
-				pc = next
-			}
-			continue
-		}
-		for pc >= 0 {
-			next, err := steps[pc](g, depth, fr, seg)
-			if err != nil {
-				return err
-			}
-			pc = next
-		}
-	}
-}
-
-// retLanes stashes per-lane return values and retires the mask from the
-// current activation.
-func retLanes(fr *frame, op bcode.Opcode, src int32, mask []int32) {
-	switch op {
-	case bcode.OpRet:
-		for _, l := range mask {
-			fr.retSet[l] = retNone
-			fr.pcs[l] = -1
-		}
-	case bcode.OpRetI:
-		s := fr.ri[src]
-		for _, l := range mask {
-			fr.retSet[l] = retInt
-			fr.retI[l] = s[l]
-			fr.pcs[l] = -1
-		}
-	case bcode.OpRetF:
-		s := fr.rf[src]
-		for _, l := range mask {
-			fr.retSet[l] = retFlt
-			fr.retF[l] = s[l]
-			fr.pcs[l] = -1
-		}
-	case bcode.OpRetVI:
-		ls := fr.bf.VecILens[src]
-		s := fr.vi[src]
-		fr.retVILen = ls
-		for _, l := range mask {
-			fr.retSet[l] = retVecI
-			copy(fr.retVI[int(l)*fr.maxVI:int(l)*fr.maxVI+ls], s[int(l)*ls:int(l)*ls+ls])
-			fr.pcs[l] = -1
-		}
-	case bcode.OpRetVF:
-		ls := fr.bf.VecFLens[src]
-		s := fr.vf[src]
-		fr.retVFLen = ls
-		for _, l := range mask {
-			fr.retSet[l] = retVecF
-			copy(fr.retVF[int(l)*fr.maxVF:int(l)*fr.maxVF+ls], s[int(l)*ls:int(l)*ls+ls])
-			fr.pcs[l] = -1
-		}
-	}
-}
-
-// callStep executes a user function for all masked lanes as a nested
-// columnar activation, exactly like wgvec's callCol: arguments copy
-// column-to-column, the callee runs under the segment scheduler one
-// depth down, and return values copy out per lane from the stash (a
-// lane whose stash tag mismatches the destination bank gets zero).
-func (g *groupState) callStep(depth int, fr *frame, in *bcode.Inst, mask []int32) error {
-	ax := &fr.bf.Aux[in.Imm]
-	callee := ax.Callee
-	child := g.frame(depth + 1)
-	child.ensure(g.m.progs[callee.Fn], g.n)
-	for i, r := range ax.Refs {
-		p := callee.Params[i]
-		switch p.Bank {
-		case bcode.BankInt:
-			dst, src := child.ri[p.Idx], fr.ri[r.Idx]
-			for _, l := range mask {
-				dst[l] = src[l]
-			}
-		case bcode.BankFlt:
-			dst, src := child.rf[p.Idx], fr.rf[r.Idx]
-			for _, l := range mask {
-				dst[l] = src[l]
-			}
-		case bcode.BankVecI:
-			ld, ls := callee.VecILens[p.Idx], fr.bf.VecILens[r.Idx]
-			m := min(ld, ls)
-			dst, src := child.vi[p.Idx], fr.vi[r.Idx]
-			for _, l := range mask {
-				copy(dst[int(l)*ld:int(l)*ld+m], src[int(l)*ls:int(l)*ls+m])
-			}
-		case bcode.BankVecF:
-			ld, ls := callee.VecFLens[p.Idx], fr.bf.VecFLens[r.Idx]
-			m := min(ld, ls)
-			dst, src := child.vf[p.Idx], fr.vf[r.Idx]
-			for _, l := range mask {
-				copy(dst[int(l)*ld:int(l)*ld+m], src[int(l)*ls:int(l)*ls+m])
-			}
-		}
-	}
-	child.frameBase = fr.sp
-	child.sp = fr.sp + callee.FrameSize
-	if child.sp > g.stack {
-		return laneErr(mask[0], fmt.Errorf("vm: private stack overflow calling %s", callee.Fn.Name))
-	}
-	for _, l := range mask {
-		child.pcs[l] = 0
-	}
-	if err := g.schedule(depth+1, child, mask); err != nil {
-		return err
-	}
-	if in.A >= 0 {
-		switch bcode.Bank(in.Sub) {
-		case bcode.BankInt:
-			d := fr.ri[in.A]
-			for _, l := range mask {
-				if child.retSet[l] == retInt {
-					d[l] = child.retI[l]
-				} else {
-					d[l] = 0
-				}
-			}
-		case bcode.BankFlt:
-			d := fr.rf[in.A]
-			for _, l := range mask {
-				if child.retSet[l] == retFlt {
-					d[l] = child.retF[l]
-				} else {
-					d[l] = 0
-				}
-			}
-		case bcode.BankVecI:
-			ld := fr.bf.VecILens[in.A]
-			d := fr.vi[in.A]
-			for _, l := range mask {
-				if child.retSet[l] == retVecI {
-					m := min(ld, child.retVILen)
-					copy(d[int(l)*ld:int(l)*ld+m], child.retVI[int(l)*child.maxVI:int(l)*child.maxVI+m])
-				}
-			}
-		case bcode.BankVecF:
-			ld := fr.bf.VecFLens[in.A]
-			d := fr.vf[in.A]
-			for _, l := range mask {
-				if child.retSet[l] == retVecF {
-					m := min(ld, child.retVFLen)
-					copy(d[int(l)*ld:int(l)*ld+m], child.retVF[int(l)*child.maxVF:int(l)*child.maxVF+m])
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// scratchF returns the worker's pooled float argument buffer.
-func (g *groupState) scratchF(n int) []float64 {
-	if cap(g.mathF) < n {
-		g.mathF = make([]float64, n)
-	}
-	return g.mathF[:n]
-}
-
-// scratchI returns the worker's pooled integer argument buffer.
-func (g *groupState) scratchI(n int) []int64 {
-	if cap(g.mathI) < n {
-		g.mathI = make([]int64, n)
-	}
-	return g.mathI[:n]
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
+// runGroupNative executes one work-group inside the plugin on a cleared
+// local arena.
+func (g *nativeWorker) runGroupNative(gmem []byte, paramI []int64, paramF []float64, group [3]int) error {
+	clear(g.local)
+	g.geom[9], g.geom[10], g.geom[11] = int64(group[0]), int64(group[1]), int64(group[2])
+	return g.run(g.index, gmem, g.local, g.priv, paramI, paramF, g.geom)
 }

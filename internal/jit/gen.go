@@ -22,16 +22,16 @@ import (
 // no reassociation), identical arena-decode order, and identical error
 // strings. Bit-identical results are by construction, and the
 // differential suites enforce it.
-func genModule(m *Machine) (src string, kernels map[string]int, ok bool) {
-	p := m.bm.Program()
-	g := &srcGen{m: m, fnID: map[*bcode.BFunc]int{}}
+func genModule(bm *bcode.Machine) (src string, kernels map[string]int, ok bool) {
+	p := bm.Program()
+	g := &srcGen{fnID: map[*bcode.BFunc]int{}}
 	kernels = map[string]int{}
 	var kerns []*bcode.BFunc
 	for _, f := range p.Module.Funcs {
 		if !f.IsKernel {
 			continue
 		}
-		bf := m.bm.Func(f)
+		bf := bm.Func(f)
 		if bf == nil || !g.supported(bf, map[*bcode.BFunc]bool{}) {
 			continue
 		}
@@ -77,7 +77,6 @@ func genModule(m *Machine) (src string, kernels map[string]int, ok bool) {
 
 // srcGen accumulates the generated source and the callee emission queue.
 type srcGen struct {
-	m       *Machine
 	b       strings.Builder
 	fnID    map[*bcode.BFunc]int
 	fnQueue []*bcode.BFunc
@@ -114,8 +113,7 @@ func spillSlots(bf *bcode.BFunc) (nI, nF int) {
 }
 
 // supported reports whether every opcode reachable from bf (through
-// calls) has a native lowering. Unsupported kernels stay on the
-// closure-threaded floor.
+// calls) has a native lowering. Unsupported kernels run on wgvec.
 func (g *srcGen) supported(bf *bcode.BFunc, seen map[*bcode.BFunc]bool) bool {
 	if seen[bf] {
 		return true

@@ -31,6 +31,20 @@ func arenaExpr(in *bcode.Inst) string {
 	return "e.arena(ta >> 62)"
 }
 
+// fusedMem reports whether the opcode is a fused GEP+access
+// superinstruction (base register + index register × element size).
+func fusedMem(op bcode.Opcode) bool {
+	switch op {
+	case bcode.OpLdXI8, bcode.OpLdXU8, bcode.OpLdXI16, bcode.OpLdXU16,
+		bcode.OpLdXI32, bcode.OpLdXU32, bcode.OpLdXI64, bcode.OpLdXF32, bcode.OpLdXF64,
+		bcode.OpStXI8, bcode.OpStXI16, bcode.OpStXI32, bcode.OpStXI64,
+		bcode.OpStXF32, bcode.OpStXF64,
+		bcode.OpLdXVI, bcode.OpLdXVF, bcode.OpStXVI, bcode.OpStXVF:
+		return true
+	}
+	return false
+}
+
 // memCheck emits the scalar-access prologue: address, tag decode, and
 // the combined bounds check with bcode's diagnostics on failure.
 // Leaves ab/tb bound for the access expression.

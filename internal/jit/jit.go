@@ -1,35 +1,25 @@
-// Package jit is a code-generating execution backend for the kernel VM.
-// Where bcode interprets register bytecode and wgvec sweeps it over
-// columnar lanes, jit eliminates the fetch/decode loop entirely: every
-// bcode region program is lowered at compile time into chains of
-// pre-bound Go closures — one specialized closure per instruction, with
-// operand registers, immediates, scalar kinds, and branch targets all
-// resolved before the first launch. Straight-line instruction runs
-// execute as a flat closure slice with no per-op program-counter
-// bookkeeping, full-mask segments take dense bounds-check-eliminated
-// loops instead of mask-indirected sweeps, and the fused GEP+load /
-// GEP+store superinstructions resolve the address, decode the arena tag,
-// bounds-check, and access memory in a single pass per lane.
+// Package jit is the native-code execution backend for the kernel VM: a
+// code generator, a build cache, and a small launch shim layered on the
+// program's wgvec machine.
 //
-// The backend reuses wgvec's execution structure wholesale: barrier-
-// delimited rounds, per-work-item active masks, and a reconvergence
-// scheduler that always runs the pending program point with minimal
-// (reverse-post-order block priority, pc). Results, error behavior, and
-// memory contents are bit-identical to the other backends.
+// With GROVER_JIT=native (or the -jit-native flag on the CLIs) every
+// eligible kernel is emitted as Go source — a statement-for-statement
+// transliteration of its bytecode — built with `go build
+// -buildmode=plugin` (with a subprocess worker as fallback transport),
+// and content-addressed in a kcache.DiskStore so a fleet of groverd
+// processes compiles each kernel×plan once. The bytecode comes from the
+// wgvec machine the program's executor cache already holds, so a jit
+// compile lowers the program once, not twice.
 //
-// Traced launches (profiling queues, memsim) delegate to the wgvec
-// executor for the same program: trace streams and simulated counters
-// stay backend-invariant by construction, while the untraced hot path —
-// the one the Fig. 10 wall-clock sweep times — always runs generated
-// code. See EXPERIMENTS.md for the invariance argument.
-//
-// Stage 2, gated behind GROVER_JIT=native (or the -jit-native flag on
-// the CLIs), goes one step further: it emits real Go source per kernel,
-// builds it with `go build -buildmode=plugin` (with a subprocess worker
-// as fallback transport), and content-addresses the built artifact in a
-// kcache.DiskStore so a fleet of groverd processes compiles each
-// kernel×plan once. When no Go toolchain is available, or the build
-// fails for any reason, the closure-threaded stage remains the floor.
+// A launch has exactly two paths. It runs the natively built kernel when
+// one exists for that kernel and the launch is neither traced nor
+// profiled; every other case — native off, no Go toolchain, a failed
+// build or load, a kernel the generator does not support, a tracer, a
+// profiler, a native worker that died — is one call to the wgvec
+// executor of the same program. Non-native execution therefore is wgvec,
+// not a copy of it: trace streams, simulated counters, profile reports
+// (labeled "wgvec", the engine that ran) and error text are the same
+// object's output. See EXPERIMENTS.md for the invariance argument.
 //
 // The backend registers itself with the VM under the name "jit";
 // importing the package (a blank import suffices) enables it.
@@ -38,8 +28,6 @@ package jit
 import (
 	"context"
 
-	"grover/internal/bcode"
-	"grover/internal/ir"
 	"grover/internal/telemetry"
 	"grover/internal/vm"
 	"grover/internal/wgvec"
@@ -54,66 +42,36 @@ func init() {
 	})
 }
 
-// Machine is a prepared program compiled to closure-threaded code: one
-// program of pre-bound step closures per function, plus (in native mode)
-// the natively compiled kernels. It implements vm.Executor; the vm
-// caches one Machine per program, and a Machine is safe for concurrent
-// launches from many workers.
+// Machine is the program's shared wgvec machine plus, in native mode, the
+// natively compiled kernels. It implements vm.Executor; the vm caches one
+// Machine per program, and a Machine is safe for concurrent launches from
+// many workers.
 type Machine struct {
-	bm    *bcode.Machine
-	progs map[*ir.Function]*program
+	wg *wgvec.Machine
 
-	// native holds the stage-2 module when GROVER_JIT=native produced
-	// one; nil means closure-threaded execution only.
+	// native holds the built module when GROVER_JIT=native produced one;
+	// nil means every launch runs on wg.
 	native *nativeModule
 }
 
-// Compile lowers every function of a prepared program to closure chains.
-func Compile(p *vm.Program) (*Machine, error) {
-	return CompileCtx(context.Background(), p)
-}
-
-// CompileCtx is Compile with span recording: the embedded bytecode
-// compile reports as bcode.compile, the closure lowering (and, in
-// native mode, the source emission and plugin build) as jit.compile.
+// CompileCtx takes the program's wgvec machine from its executor cache
+// (compiling it there on first use, under the bcode.compile and
+// wgvec.compile spans) and, in native mode, emits, builds and loads
+// native code for the eligible kernels under a jit.compile span.
 func CompileCtx(ctx context.Context, p *vm.Program) (*Machine, error) {
-	bm, err := bcode.CompileCtx(ctx, p)
+	e, err := p.ExecutorCtx(ctx, wgvec.Name)
 	if err != nil {
 		return nil, err
 	}
-	defer telemetry.StartSpan(ctx, "jit.compile")()
-	m := &Machine{bm: bm, progs: map[*ir.Function]*program{}}
-	// Uniform execute-once facts assume work-group-uniform parameters,
-	// which holds for launch arguments but not for call arguments; only
-	// kernels that are never themselves called qualify.
-	called := map[*ir.Function]bool{}
-	for _, f := range p.Module.Funcs {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpCall && in.Callee != nil {
-					called[in.Callee] = true
-				}
-			}
-		}
-	}
-	for _, f := range p.Module.Funcs {
-		m.progs[f] = newProgram(bm.Func(f), f.IsKernel && !called[f])
-	}
+	m := &Machine{wg: e.(*wgvec.Machine)}
 	if NativeEnabled() {
-		// Native compilation is best-effort: any failure (no toolchain,
-		// incompatible host build, unsupported kernel) leaves the
-		// closure-threaded programs as the executable floor.
-		m.native = buildNative(ctx, m)
+		defer telemetry.StartSpan(ctx, "jit.compile")()
+		// Best-effort: any failure (no toolchain, incompatible host build,
+		// no eligible kernel) leaves native nil.
+		m.native = buildNativeModule(ctx, m.wg.Bytecode())
 	}
 	return m, nil
 }
 
 // Program returns the prepared program this machine executes.
-func (m *Machine) Program() *vm.Program { return m.bm.Program() }
-
-// traceDelegate returns the wgvec executor for the same program. It
-// goes through the program's executor cache, so a traced jit launch and
-// a direct wgvec launch share one compiled wgvec machine.
-func (m *Machine) traceDelegate() (vm.Executor, error) {
-	return m.bm.Program().Executor(wgvec.Name)
-}
+func (m *Machine) Program() *vm.Program { return m.wg.Program() }

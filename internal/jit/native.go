@@ -1,17 +1,16 @@
 package jit
 
 import (
-	"context"
 	"os"
 	"sync/atomic"
 	"time"
 )
 
-// nativeModule holds the stage-2 natively compiled kernels for one
-// program, together with the transport that executes them: an in-process
-// plugin (per-group calls, zero-copy arenas) or a subprocess worker
+// nativeModule holds the natively compiled kernels for one program,
+// together with the transport that executes them: an in-process plugin
+// (per-group calls, zero-copy arenas) or a subprocess worker
 // (whole-launch calls over a gob pipe). A nil module (build disabled or
-// failed) means closure-threaded execution.
+// failed) means every launch runs on wgvec.
 type nativeModule struct {
 	kernels map[string]*nativeKernel
 
@@ -36,17 +35,18 @@ type nativeKernel struct {
 	mod   *nativeModule
 }
 
-// kernel returns the native entry for a kernel, or nil when it was not
-// eligible for native compilation (the closure-threaded program runs it).
+// kernel returns the native entry for a kernel, or nil when wgvec runs
+// it: no module, a kernel that was not eligible for native compilation,
+// or a subprocess worker that has died.
 func (nm *nativeModule) kernel(name string) *nativeKernel {
-	if nm == nil {
+	if nm == nil || nm.worker != nil && nm.worker.gone.Load() {
 		return nil
 	}
 	return nm.kernels[name]
 }
 
-// NativeEnabled reports whether stage-2 native compilation is requested,
-// via GROVER_JIT=native or a programmatic override (see SetNative).
+// NativeEnabled reports whether native compilation is requested, via
+// GROVER_JIT=native or a programmatic override (see SetNative).
 func NativeEnabled() bool {
 	if o := nativeOverride.Load(); o != 0 {
 		return o > 0
@@ -57,8 +57,10 @@ func NativeEnabled() bool {
 // nativeOverride: 0 = follow GROVER_JIT, >0 = force on, <0 = force off.
 var nativeOverride atomic.Int32
 
-// SetNative overrides the GROVER_JIT environment gate programmatically
-// (the CLIs' -jit-native flag). Call before programs are prepared.
+// SetNative overrides the GROVER_JIT environment gate for the rest of
+// the process (the CLIs' -jit-native flag). Call before programs are
+// prepared. Tests set GROVER_JIT instead: an override has no "follow the
+// environment again" value to restore.
 func SetNative(on bool) {
 	if on {
 		nativeOverride.Store(1)
@@ -96,23 +98,4 @@ func observeBuild(d time.Duration) {
 	if f, ok := buildObserver.Load().(func(time.Duration)); ok && f != nil {
 		f(d)
 	}
-}
-
-// buildNative emits, builds, and loads native code for every eligible
-// kernel of the machine. Best-effort: nil on any failure (no toolchain,
-// incompatible host build, no eligible kernels), leaving the
-// closure-threaded programs as the executable floor.
-func buildNative(ctx context.Context, m *Machine) *nativeModule {
-	return buildNativeModule(ctx, m)
-}
-
-// runGroupNative executes one work-group through the plugin transport,
-// lazily creating this worker's runner closure.
-func (g *groupState) runGroupNative(nat *nativeKernel, group [3]int) error {
-	if g.natRun == nil {
-		g.natRun = nat.mod.newRunner()
-	}
-	g.resetGroup(group)
-	g.geom[9], g.geom[10], g.geom[11] = int64(group[0]), int64(group[1]), int64(group[2])
-	return g.natRun(nat.index, g.gmem, g.local, g.priv, g.paramI, g.paramF, g.geom)
 }

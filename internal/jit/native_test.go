@@ -20,14 +20,13 @@ __kernel void scale(__global float* a, int n) {
 `
 
 // runNativeOnce compiles and launches scaleSrc (with the given OFF
-// value) on the jit backend with native codegen forced on and the
-// artifact cache pointed at dir. It returns the result buffer.
+// value) on the jit backend with native codegen requested through the
+// environment and the artifact cache pointed at dir. It returns the
+// result buffer.
 func runNativeOnce(t *testing.T, dir, off string) []float32 {
 	t.Helper()
-	os.Setenv("GROVER_JIT_CACHE", dir)
-	t.Cleanup(func() { os.Unsetenv("GROVER_JIT_CACHE") })
-	jit.SetNative(true)
-	t.Cleanup(func() { jit.SetNative(false) })
+	t.Setenv("GROVER_JIT_CACHE", dir)
+	t.Setenv("GROVER_JIT", "native")
 
 	plat := opencl.NewPlatform()
 	dev, err := plat.DeviceByName("SNB")
@@ -117,8 +116,7 @@ func TestNativeDistinctPlansDistinctKeys(t *testing.T) {
 // plugin.Open by file path in-process, so only the worker transport
 // actually re-reads the artifact bytes within one process.
 func TestNativeCorruptArtifactRebuilds(t *testing.T) {
-	os.Setenv("GROVER_JIT_TRANSPORT", "worker")
-	t.Cleanup(func() { os.Unsetenv("GROVER_JIT_TRANSPORT") })
+	t.Setenv("GROVER_JIT_TRANSPORT", "worker")
 	dir := t.TempDir()
 	jit.ResetNativeForTest()
 	checkScaled(t, runNativeOnce(t, dir, "5.0f"), 5)

@@ -9,14 +9,13 @@ import (
 	"grover/internal/jit"
 )
 
-// TestJITStatsAndMetrics enables stage-2 native compilation, drives an
+// TestJITStatsAndMetrics enables native compilation, drives an
 // autotune on the jit backend, and checks both observability surfaces:
 // the jit row on /v1/stats and the jit series on /metrics, with the
 // scrape still a well-formed exposition.
 func TestJITStatsAndMetrics(t *testing.T) {
 	t.Setenv("GROVER_JIT_CACHE", t.TempDir())
-	jit.SetNative(true)
-	t.Cleanup(func() { jit.SetNative(false) })
+	t.Setenv("GROVER_JIT", "native")
 
 	ts := newTestServer(t)
 	_, tuneReq := nvdMT()

@@ -243,7 +243,7 @@ func (s *Server) registerGauges() {
 		func() float64 { return float64(s.store.Stats().Hits) })
 	m.CounterFunc("groverd_store_evictions_total", "feature-store records evicted by the size bound",
 		func() float64 { return float64(s.store.Stats().Evictions) })
-	m.CounterFunc("groverd_jit_compile_total", "stage-2 native jit modules built (codegen + go build)",
+	m.CounterFunc("groverd_jit_compile_total", "native jit modules built (codegen + go build)",
 		func() float64 { b, _ := jit.NativeStats(); return float64(b) })
 	m.CounterFunc("groverd_jit_cache_hits_total", "native jit artifacts served from the content-addressed disk cache",
 		func() float64 { _, h := jit.NativeStats(); return float64(h) })
@@ -770,7 +770,7 @@ type StatsResponse struct {
 	// Predict tallies predictive-autotuning outcomes and feature-store
 	// occupancy.
 	Predict PredictStats `json:"predict"`
-	// JIT reports the jit backend's stage-2 native compile activity.
+	// JIT reports the jit backend's native compile activity.
 	JIT JITStats `json:"jit"`
 }
 
@@ -785,7 +785,7 @@ type TracesResponse struct {
 
 // JITStats is the /v1/stats row for the jit backend's native compiler.
 type JITStats struct {
-	// Native reports whether stage-2 native code generation is enabled
+	// Native reports whether native code generation is enabled
 	// (GROVER_JIT=native or the -jit-native flag).
 	Native bool `json:"native"`
 	// Compiles counts actual codegen+go-build runs; CacheHits counts

@@ -10,16 +10,14 @@ import (
 	"testing"
 
 	"grover/internal/apps"
-	"grover/internal/bcode"
+	"grover/internal/enginetest"
 	igrover "grover/internal/grover"
-	"grover/internal/jit"
 	"grover/internal/telemetry/aiwc"
 	"grover/internal/vm"
-	"grover/internal/wgvec"
 	"grover/opencl"
 )
 
-var backends = []string{vm.BackendInterp, bcode.Name, wgvec.Name, jit.Name}
+var backends = enginetest.Engines()
 
 func characterize(t *testing.T, p *opencl.Program, kernel string, cfg vm.Config,
 	mem *vm.GlobalMem, initial []byte, workers int) []byte {

@@ -105,6 +105,12 @@ func (p *Program) Executor(name string) (Executor, error) {
 // ExecutorCtx is Executor with the caller's context threaded into the
 // backend builder, so a first-use backend compile records its span into
 // the request trace. Cache hits never touch the context.
+//
+// At most one build per backend name is in flight: concurrent first uses
+// of one name share that build, and builds of different names do not wait
+// on each other, so a builder may itself ask this program for another
+// backend's executor (jit builds on the shared wgvec machine). A failed
+// build is not cached; the next call tries again.
 func (p *Program) ExecutorCtx(ctx context.Context, name string) (Executor, error) {
 	backendsMu.RLock()
 	build, ok := backendBuilders[name]
@@ -113,19 +119,25 @@ func (p *Program) ExecutorCtx(ctx context.Context, name string) (Executor, error
 		return nil, fmt.Errorf("vm: unknown backend %q (available: %v)", name, Backends())
 	}
 	p.execMu.Lock()
-	defer p.execMu.Unlock()
-	if e, ok := p.execs[name]; ok {
-		return e, nil
+	b := p.execs[name]
+	if b == nil {
+		if p.execs == nil {
+			p.execs = map[string]*execBuild{}
+		}
+		b = new(execBuild)
+		p.execs[name] = b
 	}
-	e, err := build(ctx, p)
-	if err != nil {
-		return nil, fmt.Errorf("vm: backend %q: %w", name, err)
-	}
-	if p.execs == nil {
-		p.execs = map[string]Executor{}
-	}
-	p.execs[name] = e
-	return e, nil
+	p.execMu.Unlock()
+	b.once.Do(func() {
+		b.exec, b.err = build(ctx, p)
+		if b.err != nil {
+			b.err = fmt.Errorf("vm: backend %q: %w", name, b.err)
+			p.execMu.Lock()
+			delete(p.execs, name)
+			p.execMu.Unlock()
+		}
+	})
+	return b.exec, b.err
 }
 
 // The accessors below expose the layouts Prepare computed so alternative

@@ -2,8 +2,12 @@ package vm
 
 import (
 	"context"
+	"errors"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func mustPanic(t *testing.T, want string, f func()) {
@@ -22,12 +26,7 @@ func mustPanic(t *testing.T, want string, f func()) {
 
 func TestRegisterBackendDuplicatePanics(t *testing.T) {
 	build := func(context.Context, *Program) (Executor, error) { return nil, nil }
-	RegisterBackend("backend-test-dup", build)
-	t.Cleanup(func() {
-		backendsMu.Lock()
-		delete(backendBuilders, "backend-test-dup")
-		backendsMu.Unlock()
-	})
+	registerForTest(t, "backend-test-dup", build)
 	mustPanic(t, `duplicate backend "backend-test-dup"`, func() {
 		RegisterBackend("backend-test-dup", build)
 	})
@@ -87,5 +86,104 @@ func TestLaunchUnknownBackendEager(t *testing.T) {
 	err := p.Launch("nope", Config{Backend: "no-such-backend"}, NewGlobalMem(64), nil)
 	if err == nil || !strings.Contains(err.Error(), "no-such-backend") {
 		t.Fatalf("Launch error = %v, want unknown-backend report", err)
+	}
+}
+
+// registerForTest registers a backend for the length of one test.
+func registerForTest(t *testing.T, name string, build func(context.Context, *Program) (Executor, error)) {
+	t.Helper()
+	RegisterBackend(name, build)
+	t.Cleanup(func() {
+		backendsMu.Lock()
+		delete(backendBuilders, name)
+		backendsMu.Unlock()
+	})
+}
+
+type stubExecutor struct{ inner Executor }
+
+func (stubExecutor) Launch(string, Config, *GlobalMem, *LaunchOpts) error { return nil }
+
+// TestExecutorBuildPerName: a backend's builder may ask the same program
+// for another backend's executor (jit builds on the wgvec machine) without
+// deadlocking, and concurrent first uses of a name share one build.
+func TestExecutorBuildPerName(t *testing.T) {
+	var innerBuilds, outerBuilds atomic.Int64
+	registerForTest(t, "backend-test-inner", func(context.Context, *Program) (Executor, error) {
+		innerBuilds.Add(1)
+		time.Sleep(10 * time.Millisecond) // hold the build open so first uses overlap
+		return &stubExecutor{}, nil
+	})
+	registerForTest(t, "backend-test-outer", func(_ context.Context, p *Program) (Executor, error) {
+		outerBuilds.Add(1)
+		inner, err := p.Executor("backend-test-inner")
+		if err != nil {
+			return nil, err
+		}
+		return &stubExecutor{inner: inner}, nil
+	})
+
+	p := &Program{}
+	const callers = 8
+	got := make([]Executor, 2*callers)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				name := "backend-test-outer"
+				if i%2 == 1 {
+					name = "backend-test-inner"
+				}
+				e, err := p.Executor(name)
+				if err != nil {
+					t.Errorf("Executor(%s): %v", name, err)
+				}
+				got[i] = e
+			}(i)
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("deadlock: a builder asking for another backend's executor never returned")
+	}
+	if i, o := innerBuilds.Load(), outerBuilds.Load(); i != 1 || o != 1 {
+		t.Fatalf("builds: inner %d, outer %d; want one each", i, o)
+	}
+	for i := 2; i < len(got); i++ {
+		if got[i] != got[i%2] {
+			t.Fatalf("caller %d got a different executor than caller %d", i, i%2)
+		}
+	}
+	if got[0].(*stubExecutor).inner != got[1] {
+		t.Error("the outer builder saw a different inner executor than direct callers")
+	}
+}
+
+// TestExecutorFailedBuildRetries: a failed build reaches every caller
+// waiting on it and is not cached.
+func TestExecutorFailedBuildRetries(t *testing.T) {
+	var builds atomic.Int64
+	boom := errors.New("boom")
+	registerForTest(t, "backend-test-flaky", func(context.Context, *Program) (Executor, error) {
+		if builds.Add(1) == 1 {
+			return nil, boom
+		}
+		return &stubExecutor{}, nil
+	})
+	p := &Program{}
+	if _, err := p.Executor("backend-test-flaky"); !errors.Is(err, boom) || !strings.Contains(err.Error(), "backend-test-flaky") {
+		t.Fatalf("first build error = %v, want boom wrapped with the backend name", err)
+	}
+	if e, err := p.Executor("backend-test-flaky"); err != nil || e == nil {
+		t.Fatalf("second build = %v, %v; want a fresh attempt to succeed", e, err)
+	}
+	if builds.Load() != 2 {
+		t.Fatalf("builds = %d, want 2", builds.Load())
 	}
 }

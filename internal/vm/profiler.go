@@ -15,7 +15,7 @@ import (
 // round's wall time and retire/traffic counters. Regions are
 // backend-invariant — retire and traffic accounting mirrors the tracer
 // contract, which the differential suite holds bit-identical across
-// backends — so the same kernel profiled on interp and jit shows the
+// backends — so the same kernel profiled on interp and wgvec shows the
 // same counters with different wall columns.
 //
 // A nil *Profiler disables all accounting: backends gate every counter

@@ -41,9 +41,17 @@ type Program struct {
 	stackBytes int
 
 	// execMu guards execs, the per-backend compiled executors cached so
-	// each program is compiled once and executed many times.
+	// each program is compiled once and executed many times. The lock is
+	// not held while a backend builds (see ExecutorCtx).
 	execMu sync.Mutex
-	execs  map[string]Executor
+	execs  map[string]*execBuild
+}
+
+// execBuild is one backend's executor for a program, built at most once.
+type execBuild struct {
+	once sync.Once
+	exec Executor
+	err  error
 }
 
 // PrepareCtx is Prepare recording a vm.prepare span into the trace
@@ -191,8 +199,9 @@ type LaunchOpts struct {
 	// TracerFor, when non-nil, supplies a tracer per worker.
 	TracerFor func(worker int) Tracer
 	// Profiler, when non-nil, attributes the launch's wall time and
-	// retire/traffic counters to barrier-delimited regions. All four
-	// backends implement the hook; nil keeps every hot path untouched.
+	// retire/traffic counters to barrier-delimited regions. interp, bcode
+	// and wgvec implement the hook (jit hands profiled launches to wgvec);
+	// nil keeps every hot path untouched.
 	Profiler *Profiler
 }
 

@@ -8,15 +8,13 @@ import (
 	"bytes"
 	"testing"
 
-	"grover/internal/bcode"
+	"grover/internal/enginetest"
 	"grover/internal/ir"
-	"grover/internal/jit"
 	"grover/internal/vm"
-	"grover/internal/wgvec"
 	"grover/opencl"
 )
 
-var backends = []string{vm.BackendInterp, bcode.Name, wgvec.Name, jit.Name}
+var backends = enginetest.Engines()
 
 // nestedSrc: both loop trip counts depend on the work-item id, so lanes
 // leave the inner and outer loops at different iterations and must

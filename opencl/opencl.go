@@ -33,7 +33,7 @@ import (
 	"grover/internal/device"
 	igrover "grover/internal/grover"
 	"grover/internal/ir"
-	_ "grover/internal/jit" // register the closure-threaded/native JIT backend
+	_ "grover/internal/jit" // register the native-codegen JIT backend (wgvec when native is off)
 	"grover/internal/lower"
 	"grover/internal/opt"
 	"grover/internal/rewrite"
@@ -388,8 +388,8 @@ type Queue struct {
 // queue: subsequent launches attribute wall time and retire/traffic
 // counters to their barrier-delimited regions (vm.Profiler accumulates
 // across launches). Pass nil to detach. Works on both functional and
-// profiling queues; on the jit backend a profiled launch takes the
-// closure-threaded path (native code cannot attribute regions).
+// profiling queues; on the jit backend a profiled launch runs on wgvec
+// and is reported as wgvec (native code cannot attribute regions).
 func (q *Queue) SetKernelProfiler(p *vm.Profiler) { q.profiler = p }
 
 // NewQueue creates a functional (non-profiling) queue: launches execute
