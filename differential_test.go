@@ -2,11 +2,15 @@ package grover_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"grover"
 	"grover/internal/apps"
+	"grover/internal/device"
 	"grover/internal/enginetest"
 	"grover/internal/rewrite"
 	"grover/internal/vm"
@@ -153,5 +157,278 @@ func TestPlanDifferentialBackendsExist(t *testing.T) {
 		if !have[b] {
 			t.Fatalf("backend %q not registered (have %v)", b, vm.Backends())
 		}
+	}
+}
+
+// setDiffEngines are the engines the shared pass is checked on: one that
+// hands the device models a barrier region at a time and one that reports
+// every access.
+var setDiffEngines = []string{"wgvec", "bcode"}
+
+// deviceLaunch times one kernel and returns one result per device.
+type deviceLaunch func(*opencl.Kernel) ([]device.Result, error)
+
+// ownQueue launches on ctx's own device through a profiling queue.
+func ownQueue(t *testing.T, ctx *opencl.Context, nd opencl.NDRange, args []interface{}) deviceLaunch {
+	q, err := ctx.NewProfilingQueue()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(k *opencl.Kernel) ([]device.Result, error) {
+		evt, err := q.EnqueueNDRange(k, nd, args...)
+		if err != nil {
+			return nil, err
+		}
+		return []device.Result{evt.Stats}, nil
+	}
+}
+
+// sharedQueue launches once for all of devs through a set queue.
+func sharedQueue(t *testing.T, ctx *opencl.Context, devs []*opencl.Device, nd opencl.NDRange, args []interface{}) deviceLaunch {
+	q, err := ctx.NewProfilingQueueSet(devs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(k *opencl.Kernel) ([]device.Result, error) {
+		evts, err := q.EnqueueNDRange(k, nd, args...)
+		if err != nil {
+			return nil, err
+		}
+		res := make([]device.Result, len(evts))
+		for i, e := range evts {
+			res[i] = e.Stats
+		}
+		return res, nil
+	}
+}
+
+// planStats runs app's default plan space, one launch after the other on
+// the same buffers as an autotune does, and returns each executed plan's
+// device counters.
+func planStats(t *testing.T, ctx *opencl.Context, app *apps.App, engine string,
+	queue func(*opencl.Context, *apps.Instance) deviceLaunch) map[string][]device.Result {
+	t.Helper()
+	if err := ctx.SetBackend(engine); err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ctx.CompileProgram(app.ID+".cl", app.Source, app.Defines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := app.Setup(ctx, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	launch := queue(ctx, inst)
+	out := map[string][]device.Result{}
+	for _, ps := range grover.DefaultPlanSpace(inst.ND.Local) {
+		plan, err := rewrite.ParsePlan(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := prog
+		if len(plan.Steps) > 0 {
+			rp, rep, err := prog.WithRewritePlan(app.Kernel, plan)
+			if err != nil || !rep.Changed() {
+				continue
+			}
+			p = rp
+		}
+		k, err := p.Kernel(app.Kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := launch(k)
+		if err != nil {
+			t.Fatalf("%s on %s: %v", plan, engine, err)
+		}
+		out[plan.String()] = res
+	}
+	return out
+}
+
+// TestSetDifferential is the shared pass's gate: one execution per plan
+// charged to all six device models (opencl.SetQueue) must report, for every
+// app, plan and device, exactly the counters of that device's own sequence
+// of launches on a fresh context — cycles, instructions, accesses,
+// transactions, every cache level, DRAM traffic and time. The six own
+// sequences run on wgvec; that a device's counters do not depend on the
+// engine is the engine suites' business (internal/device, internal/bcode).
+func TestSetDifferential(t *testing.T) {
+	devs := opencl.NewPlatform().Devices()
+	ran := map[string]string{}
+	for _, app := range apps.All() {
+		app := app
+		// The default plan space does not look at an app's candidate set, so
+		// NVD-MM-A, -B and -AB are one program, plan list and launch here.
+		same, dup := ran[app.Source+"\x00"+app.Kernel]
+		ran[app.Source+"\x00"+app.Kernel] = app.ID
+		t.Run(app.ID, func(t *testing.T) {
+			if dup {
+				t.Skipf("same program, plans and launch as %s", same)
+			}
+			if testing.Short() && strings.HasPrefix(app.ID, "NVD-MM") {
+				t.Skip("the matmul is a third of the suite's time; AMD-MM covers the pattern in -short runs")
+			}
+			t.Parallel()
+			own := make([]map[string][]device.Result, len(devs))
+			for i, dev := range devs {
+				own[i] = planStats(t, opencl.NewContext(dev), app, "wgvec",
+					func(ctx *opencl.Context, inst *apps.Instance) deviceLaunch {
+						return ownQueue(t, ctx, inst.ND, inst.Args)
+					})
+			}
+			if len(own[0]) < 2 {
+				t.Fatalf("only %d plans executed", len(own[0]))
+			}
+			for _, engine := range setDiffEngines {
+				shared := planStats(t, opencl.NewContext(devs[0]), app, engine,
+					func(ctx *opencl.Context, inst *apps.Instance) deviceLaunch {
+						return sharedQueue(t, ctx, devs, inst.ND, inst.Args)
+					})
+				for i, dev := range devs {
+					if len(own[i]) != len(shared) {
+						t.Fatalf("%s executed %d plans, the shared pass on %s %d", dev.Name(), len(own[i]), engine, len(shared))
+					}
+					for plan, res := range own[i] {
+						if !reflect.DeepEqual(res[0], shared[plan][i]) {
+							t.Errorf("%s, plan %s, shared pass on %s:\n own    %+v\n shared %+v",
+								dev.Name(), plan, engine, res[0], shared[plan][i])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSetDifferentialFewGroups launches fewer work-groups than some devices
+// have cores (MIC has 60, Tahiti 32, Fermi 16), so most simulated workers
+// never get a group.
+func TestSetDifferentialFewGroups(t *testing.T) {
+	devs := opencl.NewPlatform().Devices()
+	for _, n := range []int{16, 32, 64} { // 1, 4 and 16 groups of 16×16
+		nd := opencl.NDRange{Global: [3]int{n, n, 1}, Local: [3]int{16, 16, 1}}
+		for _, engine := range setDiffEngines {
+			run := func(dev *opencl.Device, queue func(*opencl.Context, []interface{}) deviceLaunch) []device.Result {
+				ctx := opencl.NewContext(dev)
+				if err := ctx.SetBackend(engine); err != nil {
+					t.Fatal(err)
+				}
+				prog, err := ctx.CompileProgram("transpose.cl", transposeSrc, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				k, err := prog.Kernel("transpose")
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, in := ctx.NewBuffer(n*n*4), ctx.NewBuffer(n*n*4)
+				res, err := queue(ctx, []interface{}{out, in, int32(n), int32(n)})(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			shared := run(devs[0], func(ctx *opencl.Context, args []interface{}) deviceLaunch {
+				return sharedQueue(t, ctx, devs, nd, args)
+			})
+			for i, dev := range devs {
+				own := run(dev, func(ctx *opencl.Context, args []interface{}) deviceLaunch {
+					return ownQueue(t, ctx, nd, args)
+				})
+				if !reflect.DeepEqual(own[0], shared[i]) {
+					t.Errorf("%s, %d×%d on %s:\n own    %+v\n shared %+v", dev.Name(), n, n, engine, own[0], shared[i])
+				}
+			}
+		}
+	}
+}
+
+// TestTuneSetPruneGroups: with static pruning every device ranks the plan
+// space with its own cost model, so the devices of one TuneSet call keep
+// different plans; TuneSet then tunes them group by group, each group in a
+// fresh context, and every device must still get exactly the search a tune
+// of its own (AutoTunePlansOpts on a context and profiling queue of its
+// own) performs: the same plans pruned, the same timings, the same winner.
+func TestTuneSetPruneGroups(t *testing.T) {
+	app, err := apps.ByID("AMD-SS") // data-dependent early exits, seven plans
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := opencl.CompileModule(app.ID+".cl", app.Source, app.Defines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	devs := opencl.NewPlatform().Devices()
+	scratch, err := app.Setup(opencl.NewContext(devs[0]), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := grover.DefaultPlanSpace(scratch.ND.Local)
+	const prune = 2
+
+	fills := 0
+	set := grover.TuneSet(context.Background(), devs, app.Kernel, grover.LaunchSpec{
+		ND: scratch.ND, Plans: plans, Prune: prune,
+		Args: func(ctx *opencl.Context) ([]interface{}, error) {
+			fills++
+			inst, err := app.Setup(ctx, 1)
+			if err != nil {
+				return nil, err
+			}
+			return inst.Args, nil
+		},
+	}, func(ctx *opencl.Context) (*opencl.Program, error) {
+		return ctx.NewProgramFromIR(app.ID+".cl", mod)
+	})
+
+	groups := map[*grover.LaunchSet]bool{}
+	for i, dev := range devs {
+		if set[i].Err != nil {
+			t.Fatalf("%s: %v", dev.Name(), set[i].Err)
+		}
+		groups[set[i].Set] = true
+
+		ctx := opencl.NewContext(dev)
+		prog, err := ctx.NewProgramFromIR(app.ID+".cl", mod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := app.Setup(ctx, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := ctx.NewProfilingQueue()
+		if err != nil {
+			t.Fatal(err)
+		}
+		own, err := grover.AutoTunePlansOpts(context.Background(), prog, app.Kernel, plans, 1,
+			func(k *opencl.Kernel) (*opencl.Event, error) { return q.EnqueueNDRange(k, inst.ND, inst.Args...) },
+			grover.PlanSearchOptions{Prune: prune, WorkGroup: inst.ND.Local, Global: inst.ND.Global,
+				ArgInts: grover.IntArgs(inst.Args)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := set[i].Result
+		if got.Plan != own.Plan || got.OriginalMS != own.OriginalMS || got.TransformedMS != own.TransformedMS {
+			t.Errorf("%s: set verdict %s, own verdict %s", dev.Name(), got, own)
+		}
+		if len(got.PlanSearch) != len(own.PlanSearch) {
+			t.Fatalf("%s: %d plans in the set's search, %d in its own", dev.Name(), len(got.PlanSearch), len(own.PlanSearch))
+		}
+		for j, g := range got.PlanSearch {
+			o := own.PlanSearch[j]
+			if g.Plan != o.Plan || g.Pruned != o.Pruned || g.Applied != o.Applied || g.MS != o.MS ||
+				g.Err != o.Err || !reflect.DeepEqual(g.Score, o.Score) {
+				t.Errorf("%s, plan %s: in the set %+v, on its own %+v", dev.Name(), g.Plan, g, o)
+			}
+		}
+	}
+	if len(groups) < 2 {
+		t.Errorf("all six devices kept the same plans: the test no longer splits the set")
+	}
+	if fills != len(groups) {
+		t.Errorf("Args built %d argument lists for %d groups", fills, len(groups))
 	}
 }

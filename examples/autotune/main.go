@@ -1,6 +1,7 @@
 // Autotune: the paper's headline use case. AutoTuneAll compiles the
-// kernel once, then tunes every simulated platform concurrently: each
-// device times both versions and keeps the faster one — "an auto-tuning
+// kernel once and executes each version once, charging the execution to
+// every simulated platform's cost model: each device gets both timings and
+// keeps the faster version — "an auto-tuning
 // step for OpenCL kernels" (paper abstract). Staging matrix A clearly
 // wins on the NVIDIA-style GPUs; on the cache-only CPUs the two versions
 // land within a few percent of each other (the paper's Fig. 2 MM bars

@@ -27,10 +27,10 @@ package grover
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 
 	igrover "grover/internal/grover"
-	"grover/internal/ir"
 	"grover/internal/predict"
 	"grover/internal/profit"
 	"grover/internal/rewrite"
@@ -156,6 +156,61 @@ func AutoTune(prog *opencl.Program, kernel string, opts Options, runs int,
 // and the re-prepare stages) when ctx carries a telemetry trace.
 func AutoTuneCtx(ctx context.Context, prog *opencl.Program, kernel string, opts Options, runs int,
 	launch func(k *opencl.Kernel) (*opencl.Event, error)) (*TuneResult, error) {
+	res, err := tuneVersions(ctx, prog, kernel, opts, runs, single(launch), []*opencl.Device{prog.Device()})
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// setLaunch executes a kernel once and reports it for every device of a
+// set: one event per device, in the set's order. Every tuning entry point
+// runs on it — a single device is a set of one.
+type setLaunch func(k *opencl.Kernel) ([]*opencl.Event, error)
+
+func single(launch func(k *opencl.Kernel) (*opencl.Event, error)) setLaunch {
+	return func(k *opencl.Kernel) ([]*opencl.Event, error) {
+		evt, err := launch(k)
+		if err != nil {
+			return nil, err
+		}
+		return []*opencl.Event{evt}, nil
+	}
+}
+
+// deviceNames renders a set for the "devices" span attribute.
+func deviceNames(devs []*opencl.Device) string {
+	names := make([]string, len(devs))
+	for i, d := range devs {
+		names[i] = d.Name()
+	}
+	return strings.Join(names, ",")
+}
+
+// timeKernel launches k runs times and returns each device's average
+// simulated time.
+func timeKernel(k *opencl.Kernel, runs, devices int, launch setLaunch) ([]float64, error) {
+	ms := make([]float64, devices)
+	for i := 0; i < runs; i++ {
+		evts, err := launch(k)
+		if err != nil {
+			return nil, err
+		}
+		for d, evt := range evts {
+			ms[d] += evt.Duration()
+		}
+	}
+	for d := range ms {
+		ms[d] /= float64(runs)
+	}
+	return ms, nil
+}
+
+// tuneVersions is the two-version tune for a set of devices: the pass runs
+// once, each version executes runs times, and every device gets the
+// verdict its own cost model supports.
+func tuneVersions(ctx context.Context, prog *opencl.Program, kernel string, opts Options, runs int,
+	launch setLaunch, devs []*opencl.Device) ([]*TuneResult, error) {
 	if runs <= 0 {
 		runs = 1
 	}
@@ -163,59 +218,56 @@ func AutoTuneCtx(ctx context.Context, prog *opencl.Program, kernel string, opts 
 	if err != nil {
 		return nil, err
 	}
-	if !rep.Transformed() {
-		k, kerr := prog.Kernel(kernel)
-		if kerr != nil {
-			return nil, kerr
-		}
-		return &TuneResult{Kernel: k, Original: k, Report: rep, Speedup: 1}, nil
-	}
 	orig, err := prog.Kernel(kernel)
 	if err != nil {
 		return nil, err
+	}
+	out := make([]*TuneResult, len(devs))
+	if !rep.Transformed() {
+		for i := range out {
+			out[i] = &TuneResult{Kernel: orig, Original: orig, Report: rep, Speedup: 1}
+		}
+		return out, nil
 	}
 	noLM, err := transformed.Kernel(kernel)
 	if err != nil {
 		return nil, err
 	}
-	avg := func(k *opencl.Kernel) (float64, error) {
-		var total float64
-		for i := 0; i < runs; i++ {
-			evt, err := launch(k)
-			if err != nil {
-				return 0, err
-			}
-			total += evt.Duration()
+	timed := func(name string, k *opencl.Kernel) ([]float64, error) {
+		_, span := telemetry.StartSpanCtx(ctx, "tune:"+name)
+		span.SetAttr("devices", deviceNames(devs))
+		defer span.End()
+		ms, err := timeKernel(k, runs, len(devs), launch)
+		if err != nil {
+			return nil, fmt.Errorf("grover: timing %s: %w", name, err)
 		}
-		return total / float64(runs), nil
+		return ms, nil
 	}
-	end := telemetry.StartSpan(ctx, "tune:original")
-	origMS, err := avg(orig)
-	end()
+	origMS, err := timed("original", orig)
 	if err != nil {
-		return nil, fmt.Errorf("grover: timing original: %w", err)
+		return nil, err
 	}
-	end = telemetry.StartSpan(ctx, "tune:transformed")
-	noLMMS, err := avg(noLM)
-	end()
+	noLMMS, err := timed("transformed", noLM)
 	if err != nil {
-		return nil, fmt.Errorf("grover: timing transformed: %w", err)
+		return nil, err
 	}
-	res := &TuneResult{
-		Original:      orig,
-		Transformed:   noLM,
-		OriginalMS:    origMS,
-		TransformedMS: noLMMS,
-		Report:        rep,
-		Speedup:       origMS / noLMMS,
+	for i := range out {
+		res := &TuneResult{
+			Kernel:        orig,
+			Original:      orig,
+			Transformed:   noLM,
+			OriginalMS:    origMS[i],
+			TransformedMS: noLMMS[i],
+			Report:        rep,
+			Speedup:       origMS[i] / noLMMS[i],
+		}
+		if noLMMS[i] < origMS[i] {
+			res.UseTransformed = true
+			res.Kernel = noLM
+		}
+		out[i] = res
 	}
-	if noLMMS < origMS {
-		res.UseTransformed = true
-		res.Kernel = noLM
-	} else {
-		res.Kernel = orig
-	}
-	return res, nil
+	return out, nil
 }
 
 // AutoTunePlans generalizes AutoTune from two versions to a plan space:
@@ -267,9 +319,8 @@ type PlanSearchOptions struct {
 	// DefaultMinConfidence.
 	MinConfidence float64
 	// Characterize runs one traced launch of the base kernel and returns
-	// its AIWC features. Required for predict mode (tuneOnDevice and the
-	// service wire it automatically); without it every request falls back
-	// to measurement.
+	// its AIWC features. Required for predict mode (TuneSet wires it
+	// automatically); without it every request falls back to measurement.
 	Characterize func() (*aiwc.Features, error)
 	// Device names the store neighborhood; empty uses the program's
 	// device name.
@@ -295,176 +346,242 @@ type PlanSearchOptions struct {
 // prune mode; see PlanSearchOptions).
 func AutoTunePlansOpts(ctx context.Context, prog *opencl.Program, kernel string, plans []string, runs int,
 	launch func(k *opencl.Kernel) (*opencl.Event, error), popts PlanSearchOptions) (*TuneResult, error) {
-	if runs <= 0 {
-		runs = 1
+	if _, err := prog.Kernel(kernel); err != nil {
+		return nil, err
 	}
-	avg := func(k *opencl.Kernel) (float64, error) {
-		var total float64
-		for i := 0; i < runs; i++ {
-			evt, err := launch(k)
-			if err != nil {
-				return 0, err
-			}
-			total += evt.Duration()
-		}
-		return total / float64(runs), nil
+	plans = withBasePlan(plans)
+	answered, search := planDevice(ctx, prog, kernel, plans, prog.Device(), popts)
+	if answered != nil {
+		return answered, nil
 	}
-
-	hasBase := false
-	for _, ps := range plans {
-		if p, err := rewrite.ParsePlan(ps); err == nil && len(p.Steps) == 0 {
-			hasBase = true
-		}
-	}
-	if !hasBase {
-		plans = append([]string{rewrite.BasePlanName}, plans...)
-	}
-
-	orig, err := prog.Kernel(kernel)
+	res, err := measurePlans(ctx, prog, kernel, plans, runs, single(launch), popts.Profile, []*deviceSearch{search})
 	if err != nil {
 		return nil, err
 	}
+	return res[0], nil
+}
 
-	// Predict mode: try to answer from the feature store before running
-	// anything. A confident prediction returns here; otherwise pending
-	// carries the characterization into the measured fallback below.
-	var pending *pendingPredict
+// withBasePlan puts "base" in front of a plan list that does not have it.
+func withBasePlan(plans []string) []string {
+	for _, ps := range plans {
+		if p, err := rewrite.ParsePlan(ps); err == nil && len(p.Steps) == 0 {
+			return plans
+		}
+	}
+	return append([]string{rewrite.BasePlanName}, plans...)
+}
+
+// deviceSearch is one device's side of a plan search: what predict mode
+// and the static ranking decided for it before anything runs.
+type deviceSearch struct {
+	dev   *opencl.Device
+	popts PlanSearchOptions
+	// pending is set when predict mode fell back to measurement.
+	pending *pendingPredict
+	// scores and keep are the static ranking and the plans it lets run;
+	// both nil when every plan runs.
+	scores map[string]*profit.Score
+	keep   map[string]bool
+}
+
+// planDevice settles what one device's search will execute. Predict mode
+// may answer it from the feature store, and then the finished result is
+// returned and nothing runs; otherwise the static ranking (prune mode)
+// picks the plans to keep. A ranking failure falls back to exhaustive
+// timing rather than aborting the tune.
+func planDevice(ctx context.Context, prog *opencl.Program, kernel string, plans []string,
+	dev *opencl.Device, popts PlanSearchOptions) (*TuneResult, *deviceSearch) {
+	s := &deviceSearch{dev: dev, popts: popts}
 	if popts.Predict {
 		var answered *TuneResult
-		answered, pending = predictTune(ctx, prog, kernel, plans, popts)
+		answered, s.pending = predictTune(ctx, prog, kernel, plans, dev, popts)
 		if answered != nil {
 			return answered, nil
 		}
 	}
-
-	// Static prune: rank the parseable plans with the profit model and
-	// keep only the top Prune for execution. A ranking failure falls back
-	// to exhaustive timing rather than aborting the tune.
-	var scores map[string]*profit.Score
-	var keep map[string]bool
 	if popts.Prune > 0 {
-		var canon []string
-		for _, ps := range plans {
-			if p, err := rewrite.ParsePlan(ps); err == nil {
-				canon = append(canon, p.String())
-			}
-		}
-		ranked, err := profit.RankPlans(prog.Module(), kernel, canon,
-			prog.Device().CostModel(), profit.Options{
-				WorkGroup: popts.WorkGroup,
-				Global:    popts.Global,
-				ArgInts:   popts.ArgInts,
-			})
+		ranked, err := rankPlans(prog, kernel, plans, dev, popts)
 		if err == nil {
-			scores = make(map[string]*profit.Score, len(ranked))
-			keep = make(map[string]bool, popts.Prune)
+			s.scores = make(map[string]*profit.Score, len(ranked))
+			s.keep = make(map[string]bool, popts.Prune)
 			for i, ps := range ranked {
-				scores[ps.Plan] = ps.Score
+				s.scores[ps.Plan] = ps.Score
 				if i < popts.Prune {
-					keep[ps.Plan] = true
+					s.keep[ps.Plan] = true
 				}
 			}
 		}
 	}
+	return nil, s
+}
 
-	res := &TuneResult{Original: orig}
-	var bestK *opencl.Kernel
-	var bestRewrite *rewrite.Report
-	bestMS, bestPlan := 0.0, ""
+// rankPlans scores the parseable plans with the profit model on dev's cost
+// model, most promising first.
+func rankPlans(prog *opencl.Program, kernel string, plans []string, dev *opencl.Device,
+	popts PlanSearchOptions) ([]*profit.PlanScore, error) {
+	return profit.RankPlans(prog.Module(), kernel, canonicalPlans(plans), dev.CostModel(),
+		profit.Options{WorkGroup: popts.WorkGroup, Global: popts.Global, ArgInts: popts.ArgInts})
+}
+
+// canonicalPlans returns the canonical strings of the parseable plans.
+func canonicalPlans(plans []string) []string {
+	var canon []string
+	for _, ps := range plans {
+		if p, err := rewrite.ParsePlan(ps); err == nil {
+			canon = append(canon, p.String())
+		}
+	}
+	return canon
+}
+
+// runs reports whether this device's search executes the (canonical) plan.
+func (s *deviceSearch) runs(plan string) bool { return s.scores == nil || s.keep[plan] }
+
+// executed is the list of plans this device's search executes. Devices
+// with equal lists see the same sequence of launches, so one execution of
+// each plan serves them all.
+func (s *deviceSearch) executed(plans []string) string {
+	var kept []string
+	for _, plan := range canonicalPlans(plans) {
+		if s.runs(plan) {
+			kept = append(kept, plan)
+		}
+	}
+	return strings.Join(kept, "|")
+}
+
+// measurePlans is the measured plan search for a group of devices that
+// execute the same plans: each plan is rewritten and prepared once and
+// executed runs times, every execution is charged to all of the group's
+// cost models (launch returns one event per device, in group order), and
+// each device gets its own timings, winner and static scores.
+func measurePlans(ctx context.Context, prog *opencl.Program, kernel string, plans []string, runs int,
+	launch setLaunch, profile func(plan string) *vm.Profiler, group []*deviceSearch) ([]*TuneResult, error) {
+	if runs <= 0 {
+		runs = 1
+	}
+	orig, err := prog.Kernel(kernel)
+	if err != nil {
+		return nil, err
+	}
+	devs := make([]*opencl.Device, len(group))
+	for i, s := range group {
+		devs[i] = s.dev
+	}
+	devices := deviceNames(devs)
+
+	type best struct {
+		k       *opencl.Kernel
+		ms      float64
+		plan    string
+		rewrite *rewrite.Report
+	}
+	results := make([]*TuneResult, len(group))
+	bests := make([]best, len(group))
+	for i := range results {
+		results[i] = &TuneResult{Original: orig}
+	}
+	// record files one plan's outcome with every device: the shared part
+	// in t, the device's own static score and, when the plan was timed
+	// (ms non-nil), its own time.
+	record := func(t PlanTiming, k *opencl.Kernel, ms []float64) {
+		for i, s := range group {
+			t.Score = s.scores[t.Plan]
+			if ms != nil {
+				t.MS = ms[i]
+				if t.Plan == rewrite.BasePlanName {
+					results[i].OriginalMS = t.MS
+				}
+				if b := &bests[i]; b.plan == "" || t.MS < b.ms {
+					*b = best{k, t.MS, t.Plan, t.Report}
+				}
+			}
+			results[i].PlanSearch = append(results[i].PlanSearch, t)
+		}
+	}
 	for _, ps := range plans {
 		p, err := rewrite.ParsePlan(ps)
 		if err != nil {
-			res.PlanSearch = append(res.PlanSearch, PlanTiming{Plan: ps, Err: err.Error()})
+			record(PlanTiming{Plan: ps, Err: err.Error()}, nil, nil)
 			continue
 		}
 		t := PlanTiming{Plan: p.String()}
-		if scores != nil {
-			t.Score = scores[t.Plan]
-			if !keep[t.Plan] {
-				t.Pruned = true
-				res.PlanSearch = append(res.PlanSearch, t)
-				continue
-			}
+		if !group[0].runs(t.Plan) {
+			t.Pruned = true
+			record(t, nil, nil)
+			continue
 		}
+		// One span per plan per set: the rewrite and re-prepare stages are
+		// its children.
+		sctx, span := telemetry.StartSpanCtx(ctx, "tune:"+t.Plan)
+		span.SetAttr("devices", devices)
 		k := orig
 		if len(p.Steps) > 0 {
-			rp, rep, err := prog.WithRewritePlanCtx(ctx, kernel, p)
-			t.Report = rep
-			if err != nil {
-				t.Err = err.Error()
-				res.PlanSearch = append(res.PlanSearch, t)
-				continue
+			var rp *opencl.Program
+			rp, t.Report, err = prog.WithRewritePlanCtx(sctx, kernel, p)
+			if err == nil && t.Report.Changed() {
+				k, err = rp.Kernel(kernel)
 			}
-			if !rep.Changed() {
-				// Nothing matched: identical to base, skip the timing.
-				res.PlanSearch = append(res.PlanSearch, t)
-				continue
-			}
-			if k, err = rp.Kernel(kernel); err != nil {
-				t.Err = err.Error()
-				res.PlanSearch = append(res.PlanSearch, t)
+			// Nothing matched: identical to base, skip the timing.
+			if err != nil || !t.Report.Changed() {
+				if err != nil {
+					t.Err = err.Error()
+				}
+				span.SetAttr("applied", "false")
+				span.End()
+				record(t, nil, nil)
 				continue
 			}
 		}
-		t.Applied = true
 		var prof *vm.Profiler
-		if popts.Profile != nil {
-			prof = popts.Profile(t.Plan)
+		if profile != nil {
+			prof = profile(t.Plan)
 		}
-		end := telemetry.StartSpan(ctx, "tune:"+t.Plan)
-		ms, err := avg(k)
-		end()
+		ms, err := timeKernel(k, runs, len(group), launch)
+		span.End()
 		if prof != nil {
 			t.Profile = prof.Report()
 		}
 		if err != nil {
-			t.Applied = false
 			t.Err = fmt.Sprintf("timing: %v", err)
-			res.PlanSearch = append(res.PlanSearch, t)
+			record(t, nil, nil)
 			continue
 		}
-		t.MS = ms
-		res.PlanSearch = append(res.PlanSearch, t)
-		if t.Plan == rewrite.BasePlanName {
-			res.OriginalMS = ms
-		}
-		if bestPlan == "" || ms < bestMS {
-			bestK, bestMS, bestPlan, bestRewrite = k, ms, t.Plan, t.Report
-		}
+		t.Applied = true
+		record(t, k, ms)
 	}
-	if bestPlan == "" {
+	if bests[0].plan == "" {
 		return nil, fmt.Errorf("grover: no plan could be evaluated for kernel %q", kernel)
 	}
-	res.Plan = bestPlan
-	res.Kernel = bestK
-	res.TransformedMS = bestMS
-	if res.OriginalMS > 0 {
-		res.Speedup = res.OriginalMS / bestMS
-	}
-	if bestPlan != rewrite.BasePlanName {
-		res.UseTransformed = true
-		res.Transformed = bestK
-		res.Rewrite = bestRewrite
-		if bestRewrite != nil {
-			for _, s := range bestRewrite.Steps {
-				if s.Grover != nil {
-					res.Report = s.Grover
+	for i, s := range group {
+		res, b := results[i], bests[i]
+		res.Plan = b.plan
+		res.Kernel = b.k
+		res.TransformedMS = b.ms
+		if res.OriginalMS > 0 {
+			res.Speedup = res.OriginalMS / b.ms
+		}
+		if b.plan != rewrite.BasePlanName {
+			res.UseTransformed = true
+			res.Transformed = b.k
+			res.Rewrite = b.rewrite
+			if b.rewrite != nil {
+				for _, st := range b.rewrite.Steps {
+					if st.Grover != nil {
+						res.Report = st.Grover
+					}
 				}
 			}
 		}
-	}
-	if pending != nil {
-		// Measured fallback under predict mode: report the shaky
-		// prediction and teach the store the measured outcome.
-		res.Fallback = true
-		res.Prediction = pending.prediction
-		device := popts.Device
-		if device == "" {
-			device = prog.Device().Name()
+		if s.pending != nil {
+			// Measured fallback under predict mode: report the shaky
+			// prediction and teach the store the measured outcome.
+			res.Fallback = true
+			res.Prediction = s.pending.prediction
+			recordMeasurement(s.popts, s.popts.storeDevice(s.dev), s.pending.features, res)
 		}
-		recordMeasurement(popts, device, pending.features, res)
 	}
-	return res, nil
+	return results, nil
 }
 
 // DefaultPlanSpace is the small plan space AutoTuneAll and the service
@@ -488,11 +605,13 @@ func DefaultPlanSpace(local [3]int) []string {
 	return plans
 }
 
-// LaunchSpec describes how to launch a kernel for timing on any device:
-// pass options, launch geometry, run count, and a builder that
-// materializes the kernel arguments. Buffers belong to a context and
-// contexts belong to a device, so Args is called once per device with
-// that device's fresh context.
+// LaunchSpec describes how to launch a kernel for timing on a set of
+// devices: pass options, launch geometry, run count, and a builder that
+// materializes the kernel arguments. Buffers belong to a context, and a
+// set of devices that executes the same plans is tuned in one context from
+// one execution per plan, so Args is called once for the whole set — and
+// once more, with a fresh context, for each group of devices whose static
+// pruning left it a different plan list to run.
 type LaunchSpec struct {
 	// Options control the Grover pass.
 	Options Options
@@ -516,8 +635,8 @@ type LaunchSpec struct {
 	// automatically.
 	Prune int
 	// Predict answers the plan search from the feature store (one
-	// characterization run, measured fallback below MinConfidence — see
-	// PlanSearchOptions.Predict). Requires Plans.
+	// characterization run for the whole set, measured fallback below
+	// MinConfidence — see PlanSearchOptions.Predict). Requires Plans.
 	Predict bool
 	// Predictor supplies the feature store for predict mode; nil uses
 	// DefaultPredictor.
@@ -527,86 +646,245 @@ type LaunchSpec struct {
 	MinConfidence float64
 	// Label names the workload in records written by measured fallback.
 	Label string
+	// ExactKey, when set, gives predict mode a content address of the whole
+	// request on the named device (see PlanSearchOptions.ExactKey).
+	ExactKey func(device string) string
+	// Profile attaches a fresh execution profiler to every timed plan; the
+	// report of the one execution lands in PlanTiming.Profile on every
+	// device it was charged to. Requires Plans.
+	Profile bool
 }
 
-// DeviceTuneResult is one device's outcome from AutoTuneAll.
+// DeviceTuneResult is one device's outcome from TuneSet or AutoTuneAll.
 type DeviceTuneResult struct {
 	// Device is the profile name ("SNB", "Fermi", ...).
 	Device string
 	// Result is the tuning verdict; nil when Err is set.
 	Result *TuneResult
-	// Err reports a per-device failure (the other devices still tune).
+	// Err reports a per-device failure.
 	Err error
+	// Set is the launch environment Result's kernels live in, shared with
+	// every device that was tuned from the same executions.
+	Set *LaunchSet
+}
+
+// LaunchSet is one launch environment of a TuneSet call: a context of its
+// own, the arguments built in it, and the kernel executions that ran there.
+type LaunchSet struct {
+	// Args is what LaunchSpec.Args built.
+	Args []interface{}
+	// Launches counts the kernel executions on the host: timed runs, each
+	// charged to every device of the group, and predict mode's
+	// characterization run.
+	Launches int
+}
+
+// launchEnv is a program instantiated in a fresh context next to freshly
+// built arguments.
+type launchEnv struct {
+	prog *opencl.Program
+	set  *LaunchSet
+}
+
+func newLaunchEnv(dev *opencl.Device, spec LaunchSpec,
+	instantiate func(*opencl.Context) (*opencl.Program, error)) (*launchEnv, error) {
+	ctx := opencl.NewContext(dev)
+	prog, err := instantiate(ctx)
+	if err != nil {
+		return nil, err
+	}
+	env := &launchEnv{prog: prog, set: &LaunchSet{}}
+	if spec.Args != nil {
+		if env.set.Args, err = spec.Args(ctx); err != nil {
+			return nil, err
+		}
+	}
+	return env, nil
+}
+
+// queue opens a profiling queue over devs: one execution per launch,
+// charged to each device's cost model.
+func (e *launchEnv) queue(devs []*opencl.Device, nd opencl.NDRange) (*opencl.SetQueue, setLaunch, error) {
+	q, err := e.prog.Context().NewProfilingQueueSet(devs...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return q, func(k *opencl.Kernel) ([]*opencl.Event, error) {
+		e.set.Launches++
+		return q.EnqueueNDRange(k, nd, e.set.Args...)
+	}, nil
+}
+
+// TuneSet runs the paper's auto-tuning step for one kernel on a set of
+// devices from one execution per kernel version. What a kernel does — its
+// memory accesses, barrier by barrier and work-group by work-group — does
+// not depend on the device, only what a device's cost model makes of it
+// does; so the program is instantiated once (instantiate, in a fresh
+// context on which it may also select the backend), the arguments are
+// built once, every version or plan is rewritten, prepared and executed
+// once, and each execution is charged to all the devices' models
+// (opencl.SetQueue). Every device gets the verdict a tune of its own would
+// have reached.
+//
+// Devices are grouped by the plans they will execute: static pruning
+// (LaunchSpec.Prune) ranks per device and predict mode answers some devices
+// without measuring, so the groups can differ, and each further group
+// starts from a fresh context — every device sees the launch sequence, on
+// the buffer contents, of a tune of its own.
+//
+// Results are in devs order. A failure is reported in the slot of every
+// device it concerns.
+func TuneSet(ctx context.Context, devs []*opencl.Device, kernel string, spec LaunchSpec,
+	instantiate func(*opencl.Context) (*opencl.Program, error)) []DeviceTuneResult {
+	out := make([]DeviceTuneResult, len(devs))
+	all := make([]int, len(devs))
+	for i, d := range devs {
+		out[i].Device = d.Name()
+		all[i] = i
+	}
+	fail := func(members []int, err error) {
+		for _, i := range members {
+			out[i].Err = err
+		}
+	}
+	env, err := newLaunchEnv(devs[0], spec, instantiate)
+	if err != nil {
+		fail(all, err)
+		return out
+	}
+
+	if len(spec.Plans) == 0 {
+		_, launch, err := env.queue(devs, spec.ND)
+		var res []*TuneResult
+		if err == nil {
+			res, err = tuneVersions(ctx, env.prog, kernel, spec.Options, spec.Runs, launch, devs)
+		}
+		if err != nil {
+			fail(all, err)
+			return out
+		}
+		for i := range out {
+			out[i].Result, out[i].Set = res[i], env.set
+		}
+		return out
+	}
+
+	if _, err := env.prog.Kernel(kernel); err != nil {
+		fail(all, err)
+		return out
+	}
+	plans := withBasePlan(spec.Plans)
+	popts := PlanSearchOptions{
+		Prune:         spec.Prune,
+		WorkGroup:     spec.ND.Local,
+		Global:        spec.ND.Global,
+		ArgInts:       IntArgs(env.set.Args),
+		Predict:       spec.Predict,
+		Predictor:     spec.Predictor,
+		MinConfidence: spec.MinConfidence,
+		Label:         spec.Label,
+	}
+	if spec.Predict {
+		// The feature vector is the kernel's, not a device's: whichever
+		// device asks first pays for the run.
+		run, set := CharacterizeLaunch(env.prog, kernel, spec.ND, env.set.Args), env.set
+		popts.Characterize = sync.OnceValues(func() (*aiwc.Features, error) {
+			set.Launches++
+			return run()
+		})
+	}
+
+	// Settle what each device will execute; equal plan lists share a group.
+	type group struct {
+		members  []int
+		searches []*deviceSearch
+	}
+	var groups []*group
+	byPlans := map[string]*group{}
+	for i, dev := range devs {
+		popts.Device = dev.Name()
+		if spec.ExactKey != nil {
+			popts.ExactKey = spec.ExactKey(dev.Name())
+		}
+		answered, search := planDevice(ctx, env.prog, kernel, plans, dev, popts)
+		if answered != nil {
+			out[i].Result, out[i].Set = answered, env.set
+			continue
+		}
+		key := search.executed(plans)
+		g := byPlans[key]
+		if g == nil {
+			g = &group{}
+			byPlans[key] = g
+			groups = append(groups, g)
+		}
+		g.members = append(g.members, i)
+		g.searches = append(g.searches, search)
+	}
+
+	for gi, g := range groups {
+		if gi > 0 {
+			// Another plan list leaves other buffer contents behind.
+			if env, err = newLaunchEnv(devs[0], spec, instantiate); err != nil {
+				fail(g.members, err)
+				continue
+			}
+		}
+		gdevs := make([]*opencl.Device, len(g.members))
+		for j, i := range g.members {
+			gdevs[j] = devs[i]
+		}
+		q, launch, err := env.queue(gdevs, spec.ND)
+		if err != nil {
+			fail(g.members, err)
+			continue
+		}
+		var profile func(plan string) *vm.Profiler
+		if spec.Profile {
+			profile = func(string) *vm.Profiler {
+				prof := vm.NewProfiler()
+				q.SetKernelProfiler(prof)
+				return prof
+			}
+		}
+		res, err := measurePlans(ctx, env.prog, kernel, plans, spec.Runs, launch, profile, g.searches)
+		if err != nil {
+			fail(g.members, err)
+			continue
+		}
+		for j, i := range g.members {
+			out[i].Result, out[i].Set = res[j], env.set
+		}
+	}
+	return out
 }
 
 // AutoTuneAll runs the paper's auto-tuning step for one kernel on every
-// simulated platform concurrently: the source is compiled once to the
-// device-independent IR, then each device gets its own goroutine,
-// context, program instance and profiling queue, and both kernel versions
-// are timed. Results are ordered as opencl.NewPlatform().Devices(); a
-// failure on one device is reported in its slot without aborting the
-// others. Only a compile failure — which no device could survive — is
-// returned as a top-level error.
+// simulated platform: the source is compiled once to the
+// device-independent IR and tuned as one device set (TuneSet), so every
+// kernel version executes once, on as many host workers as there are
+// processors, and is charged to all six cost models. Results are ordered as
+// opencl.NewPlatform().Devices(); a failure is reported in the slot of each
+// device it concerns. Only a compile failure is returned as a top-level
+// error.
 func AutoTuneAll(source, kernel string, spec LaunchSpec) ([]DeviceTuneResult, error) {
 	mod, err := opencl.CompileModule(kernel+".cl", source, spec.Defines)
 	if err != nil {
 		return nil, err
 	}
-	devs := opencl.NewPlatform().Devices()
-	out := make([]DeviceTuneResult, len(devs))
-	var wg sync.WaitGroup
-	for i, dev := range devs {
-		wg.Add(1)
-		go func(i int, dev *opencl.Device) {
-			defer wg.Done()
-			res, err := tuneOnDevice(dev, mod, kernel, spec)
-			out[i] = DeviceTuneResult{Device: dev.Name(), Result: res, Err: err}
-		}(i, dev)
-	}
-	wg.Wait()
-	return out, nil
-}
-
-// tuneOnDevice instantiates the shared compiled module on one device and
-// times both kernel versions there.
-func tuneOnDevice(dev *opencl.Device, mod *ir.Module, kernel string, spec LaunchSpec) (*TuneResult, error) {
-	ctx := opencl.NewContext(dev)
-	prog, err := ctx.NewProgramFromIR(kernel+".cl", mod)
-	if err != nil {
-		return nil, err
-	}
-	var args []interface{}
-	if spec.Args != nil {
-		args, err = spec.Args(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("grover: building args on %s: %w", dev.Name(), err)
+	if build := spec.Args; build != nil {
+		spec.Args = func(ctx *opencl.Context) ([]interface{}, error) {
+			args, err := build(ctx)
+			if err != nil {
+				return nil, fmt.Errorf("grover: building args: %w", err)
+			}
+			return args, nil
 		}
 	}
-	q, err := ctx.NewProfilingQueue()
-	if err != nil {
-		return nil, err
-	}
-	launch := func(k *opencl.Kernel) (*opencl.Event, error) {
-		return q.EnqueueNDRange(k, spec.ND, args...)
-	}
-	if len(spec.Plans) > 0 {
-		popts := PlanSearchOptions{
-			Prune:         spec.Prune,
-			WorkGroup:     spec.ND.Local,
-			Global:        spec.ND.Global,
-			ArgInts:       IntArgs(args),
-			Predict:       spec.Predict,
-			Predictor:     spec.Predictor,
-			MinConfidence: spec.MinConfidence,
-			Label:         spec.Label,
-			Device:        dev.Name(),
-		}
-		if spec.Predict {
-			popts.Characterize = CharacterizeLaunch(prog, kernel, spec.ND, args)
-		}
-		return AutoTunePlansOpts(context.Background(), prog, kernel, spec.Plans, spec.Runs, launch, popts)
-	}
-	return AutoTune(prog, kernel, spec.Options, spec.Runs, launch)
+	return TuneSet(context.Background(), opencl.NewPlatform().Devices(), kernel, spec,
+		func(ctx *opencl.Context) (*opencl.Program, error) {
+			return ctx.NewProgramFromIR(kernel+".cl", mod)
+		}), nil
 }
 
 // IntArgs extracts known integer scalar arguments by parameter index

@@ -169,16 +169,18 @@ __kernel void mm(__global float* C, __global float* A, __global float* B, int N)
 	}
 }
 
-// TestAutoTuneAll exercises the concurrent six-device fan-out: one
-// compile, per-device tuning, and the paper's Fig. 2 shape — the tiled
-// transpose keeps local memory on the NVIDIA-style GPUs and drops it on
-// the cache-only CPUs.
+// TestAutoTuneAll exercises the six-device set: one compile, one argument
+// fill, one execution per kernel version charged to every device's cost
+// model, and the paper's Fig. 2 shape — the tiled transpose keeps local
+// memory on the NVIDIA-style GPUs and drops it on the cache-only CPUs.
 func TestAutoTuneAll(t *testing.T) {
 	const n = 64
+	built := 0
 	results, err := grover.AutoTuneAll(transposeSrc, "transpose", grover.LaunchSpec{
 		ND:   opencl.NDRange{Global: [3]int{n, n, 1}, Local: [3]int{16, 16, 1}},
 		Runs: 1,
 		Args: func(ctx *opencl.Context) ([]interface{}, error) {
+			built++
 			out := ctx.NewBuffer(n * n * 4)
 			in := ctx.NewBuffer(n * n * 4)
 			return []interface{}{out, in, int32(n), int32(n)}, nil
@@ -191,6 +193,9 @@ func TestAutoTuneAll(t *testing.T) {
 	if len(results) != len(want) {
 		t.Fatalf("got %d results, want %d", len(results), len(want))
 	}
+	if built != 1 {
+		t.Errorf("Args was called %d times, want once for the whole set", built)
+	}
 	for i, r := range results {
 		if r.Device != want[i] {
 			t.Errorf("result %d device = %s, want %s", i, r.Device, want[i])
@@ -198,6 +203,9 @@ func TestAutoTuneAll(t *testing.T) {
 		if r.Err != nil {
 			t.Errorf("%s: %v", r.Device, r.Err)
 			continue
+		}
+		if r.Set != results[0].Set || r.Set.Launches != 2 {
+			t.Errorf("%s: launch set %+v, want the one all six share, with one execution per version", r.Device, r.Set)
 		}
 		if r.Result == nil || r.Result.OriginalMS <= 0 || r.Result.TransformedMS <= 0 {
 			t.Errorf("%s: missing timings: %+v", r.Device, r.Result)

@@ -214,6 +214,7 @@ func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts 
 				gy := rem / groups[0]
 				gx := rem % groups[0]
 				if err := g.runGroup([3]int{gx, gy, gz}, gi); err != nil {
+					vm.AbortGroup(tr)
 					errs[worker] = fmt.Errorf("group (%d,%d,%d): %w", gx, gy, gz, err)
 					return
 				}

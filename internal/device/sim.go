@@ -34,7 +34,10 @@ func NewSimulator(p *Profile) (*Simulator, error) {
 		if err != nil {
 			return nil, fmt.Errorf("device %s: %w", p.Name, err)
 		}
-		s.workers[i] = &accessAdapter{workerSim: workerSim{sim: s, prof: p, hier: h}}
+		s.workers[i] = &accessAdapter{
+			workerSim:    workerSim{sim: s, prof: p, hier: h},
+			regionGather: regionGather{intern: p.Kind == GPUKind},
+		}
 	}
 	return s, nil
 }
@@ -112,8 +115,7 @@ func (s *Simulator) Reset() {
 		w.hier.Reset()
 		// An aborted launch may have left a group half-delivered.
 		w.group = nil
-		w.region.Reset(0)
-		w.pending = false
+		w.regionGather.reset()
 	}
 }
 
@@ -202,14 +204,22 @@ func (w *workerSim) AccessBatch(b *vm.AccessBatch) {
 		return
 	}
 	// GPU: collect for warp-level processing at GroupEnd.
-	g := w.group
+	accesses, instrs := appendRegion(w.group, b)
+	w.accesses += accesses
+	w.instrs += instrs
+}
+
+// appendRegion adds barrier region b to the whole-group trace g, work-item
+// by work-item, and returns the accesses and retired instructions it held.
+func appendRegion(g, b *vm.AccessBatch) (accesses, instrs int64) {
 	g.Extend(len(b.Items))
 	for wi, recs := range b.Items {
 		g.Items[wi] = append(g.Items[wi], recs...)
-		w.accesses += int64(len(recs))
+		accesses += int64(len(recs))
 		g.Retired[wi] += b.Retired[wi]
-		w.instrs += b.Retired[wi]
+		instrs += b.Retired[wi]
 	}
+	return accesses, instrs
 }
 
 // Barrier implements vm.Tracer.
@@ -230,19 +240,25 @@ func (w *workerSim) GroupEnd() {
 	if w.prof.Kind != GPUKind {
 		return
 	}
-	ww := w.prof.WarpWidth
-	n := len(w.group.Items)
-	for lo := 0; lo < n; lo += ww {
-		w.processWarp(lo, min(lo+ww, n))
-	}
+	w.chargeGroup(w.group)
 	w.sim.putGroup(w.group)
 	w.group = nil
 }
 
-func (w *workerSim) processWarp(lo, hi int) {
+// chargeGroup charges a whole work-group's trace to this compute unit, warp
+// by warp. It only reads g.
+func (w *workerSim) chargeGroup(g *vm.AccessBatch) {
+	ww := w.prof.WarpWidth
+	n := len(g.Items)
+	for lo := 0; lo < n; lo += ww {
+		w.processWarp(g, lo, min(lo+ww, n))
+	}
+}
+
+func (w *workerSim) processWarp(g *vm.AccessBatch, lo, hi int) {
 	// Instruction issue: lockstep execution costs the longest lane.
 	var maxInstr int64
-	for _, n := range w.group.Retired[lo:hi] {
+	for _, n := range g.Retired[lo:hi] {
 		maxInstr = max(maxInstr, n)
 	}
 	w.cycles += int64(float64(maxInstr) * w.prof.IssueCost)
@@ -250,7 +266,7 @@ func (w *workerSim) processWarp(lo, hi int) {
 	// Memory: align lanes position-by-position. Uniform kernels produce
 	// identical access sequences per lane; on divergence (differing
 	// instructions at one position) each lane is charged separately.
-	lanes := w.group.Items[lo:hi]
+	lanes := g.Items[lo:hi]
 	maxLen := 0
 	for _, lane := range lanes {
 		maxLen = max(maxLen, len(lane))
@@ -314,49 +330,76 @@ func (w *workerSim) chargeWarpAccess(addrs []uint64, sizes []int, space clc.Addr
 	}
 }
 
-// accessAdapter is the tracer a worker hands the VM. Engines that buffer
-// a barrier region (wgvec, jit) reach the embedded workerSim's AccessBatch
-// directly; for the ones that report one access at a time (interp, bcode)
-// the adapter gathers the region into a batch of its own and delivers it
-// the same way before the Barrier or GroupEnd that closes it.
-type accessAdapter struct {
-	workerSim
+// regionGather gathers the per-access calls of the engines that report one
+// access at a time (interp, bcode) into one barrier region's batch, for its
+// owner to deliver before the Barrier or GroupEnd that closes the region.
+type regionGather struct {
 	region  vm.AccessBatch
 	pending bool
+	// intern is set when a consumer forms warps: only warp formation looks
+	// at the instruction, and these engines switch instruction with every
+	// access, so each one is a table lookup worth skipping otherwise.
+	intern bool
+}
+
+// Access implements vm.Tracer.
+func (r *regionGather) Access(in *ir.Instr, wi int, addr uint64, size int, store bool) {
+	if wi >= len(r.region.Items) {
+		r.region.Extend(wi + 1)
+	}
+	rec := vm.AccessRec{Addr: addr, Size: int32(size), Store: store}
+	if r.intern {
+		rec.Instr = r.region.Intern(in)
+	}
+	r.region.Items[wi] = append(r.region.Items[wi], rec)
+	r.pending = true
+}
+
+// Instrs implements vm.Tracer.
+func (r *regionGather) Instrs(wi int, n int64) {
+	if wi >= len(r.region.Items) {
+		r.region.Extend(wi + 1)
+	}
+	r.region.Retired[wi] += n
+	r.pending = true
+}
+
+// take returns the gathered region, or nil when nothing is pending; the
+// caller delivers it and calls drop.
+func (r *regionGather) take() *vm.AccessBatch {
+	if !r.pending {
+		return nil
+	}
+	return &r.region
+}
+
+// drop empties the region: after delivery, or an aborted group's leftovers.
+func (r *regionGather) drop() {
+	if r.pending {
+		r.region.Clear()
+		r.pending = false
+	}
+}
+
+// reset is drop plus the instruction table, between launches.
+func (r *regionGather) reset() {
+	r.region.Reset(0)
+	r.pending = false
+}
+
+// accessAdapter is the tracer a worker hands the VM. Engines that buffer
+// a barrier region (wgvec, jit) reach the embedded workerSim's AccessBatch
+// directly; for the ones that report one access at a time the adapter
+// gathers the region and delivers it the same way.
+type accessAdapter struct {
+	workerSim
+	regionGather
 }
 
 // GroupBegin implements vm.Tracer.
 func (t *accessAdapter) GroupBegin(group [3]int, linear int) {
-	if t.pending { // an aborted group's leftovers
-		t.region.Clear()
-		t.pending = false
-	}
+	t.drop()
 	t.workerSim.GroupBegin(group, linear)
-}
-
-// Access implements vm.Tracer.
-func (t *accessAdapter) Access(in *ir.Instr, wi int, addr uint64, size int, store bool) {
-	if wi >= len(t.region.Items) {
-		t.region.Extend(wi + 1)
-	}
-	rec := vm.AccessRec{Addr: addr, Size: int32(size), Store: store}
-	if t.prof.Kind == GPUKind {
-		// Only warp formation looks at the instruction, and these engines
-		// switch instruction with every access, so each one is a table
-		// lookup worth skipping.
-		rec.Instr = t.region.Intern(in)
-	}
-	t.region.Items[wi] = append(t.region.Items[wi], rec)
-	t.pending = true
-}
-
-// Instrs implements vm.Tracer.
-func (t *accessAdapter) Instrs(wi int, n int64) {
-	if wi >= len(t.region.Items) {
-		t.region.Extend(wi + 1)
-	}
-	t.region.Retired[wi] += n
-	t.pending = true
 }
 
 // Barrier implements vm.Tracer.
@@ -372,9 +415,8 @@ func (t *accessAdapter) GroupEnd() {
 }
 
 func (t *accessAdapter) flush() {
-	if t.pending {
-		t.workerSim.AccessBatch(&t.region)
-		t.region.Clear()
-		t.pending = false
+	if b := t.take(); b != nil {
+		t.workerSim.AccessBatch(b)
+		t.drop()
 	}
 }

@@ -156,28 +156,39 @@ func (c *Cache) Get(key string) (interface{}, bool) {
 	return nil, false
 }
 
+// claim looks key up for a Do or DoMany call and tallies the outcome: the
+// resident value on a Hit, the flight to wait on for a Dedup, or — a Miss —
+// a new flight the caller must finish. c.mu is held.
+func (c *Cache) claim(key string) (interface{}, *flight, Outcome) {
+	if el, ok := c.byKey[key]; ok {
+		c.ll.MoveToFront(el)
+		c.hits++
+		return el.Value.(*entry).val, nil, Hit
+	}
+	if f, ok := c.inflight[key]; ok {
+		c.dedups++
+		return nil, f, Dedup
+	}
+	f := &flight{done: make(chan struct{})}
+	c.inflight[key] = f
+	c.misses++
+	return nil, f, Miss
+}
+
 // Do returns the artifact for key, computing it at most once across all
 // concurrent callers. The reported Outcome says whether this call hit the
 // cache, ran the compute, or waited on another caller's compute.
 func (c *Cache) Do(key string, compute func() (interface{}, error)) (interface{}, Outcome, error) {
 	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		v := el.Value.(*entry).val
-		c.mu.Unlock()
-		return v, Hit, nil
-	}
-	if f, ok := c.inflight[key]; ok {
-		c.dedups++
-		c.mu.Unlock()
+	val, f, out := c.claim(key)
+	c.mu.Unlock()
+	switch out {
+	case Hit:
+		return val, Hit, nil
+	case Dedup:
 		<-f.done
 		return f.val, Dedup, f.err
 	}
-	f := &flight{done: make(chan struct{})}
-	c.inflight[key] = f
-	c.misses++
-	c.mu.Unlock()
 
 	// Publish the result even if compute panics, so waiters never hang;
 	// the panic then propagates to this caller.
@@ -191,6 +202,54 @@ func (c *Cache) Do(key string, compute func() (interface{}, error)) (interface{}
 	completed = true
 	c.finish(key, f, val, err)
 	return val, Miss, err
+}
+
+// DoMany is Do for several distinct keys whose computes share work: the
+// keys nobody holds or is computing are claimed together and compute is
+// called once with their indices, returning one value and one error per
+// index it was given; each is then published under its own key. Keys
+// another caller is computing are waited for after that, so two DoMany
+// calls with overlapping keys cannot wait on each other. compute is not
+// called when every key hits or dedups.
+func (c *Cache) DoMany(keys []string, compute func(miss []int) ([]interface{}, []error)) ([]interface{}, []Outcome, []error) {
+	vals := make([]interface{}, len(keys))
+	outs := make([]Outcome, len(keys))
+	errs := make([]error, len(keys))
+	flights := make([]*flight, len(keys))
+	var miss []int
+	c.mu.Lock()
+	for i, key := range keys {
+		vals[i], flights[i], outs[i] = c.claim(key)
+		if outs[i] == Miss {
+			miss = append(miss, i)
+		}
+	}
+	c.mu.Unlock()
+
+	if len(miss) > 0 {
+		completed := false // as in Do
+		defer func() {
+			if completed {
+				return
+			}
+			for _, i := range miss {
+				c.finish(keys[i], flights[i], nil, fmt.Errorf("kcache: compute for %s panicked", keys[i]))
+			}
+		}()
+		mv, me := compute(miss)
+		completed = true
+		for j, i := range miss {
+			vals[i], errs[i] = mv[j], me[j]
+			c.finish(keys[i], flights[i], mv[j], me[j])
+		}
+	}
+	for i, f := range flights {
+		if outs[i] == Dedup {
+			<-f.done
+			vals[i], errs[i] = f.val, f.err
+		}
+	}
+	return vals, outs, errs
 }
 
 // finish stores a successful compute, wakes waiters, and enforces the LRU

@@ -3,6 +3,7 @@ package kcache
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -231,5 +232,103 @@ func TestConcurrentChurn(t *testing.T) {
 	}
 	if st.InFlight != 0 {
 		t.Errorf("in-flight leak: %d", st.InFlight)
+	}
+}
+
+// TestDoMany: the keys nobody holds are computed together in one call, the
+// resident ones hit, errors are per key and not cached, and each value is
+// published under its own key for later single-key callers.
+func TestDoMany(t *testing.T) {
+	c := New(8)
+	if _, _, err := c.Do("b", func() (interface{}, error) { return "B", nil }); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("d failed")
+	calls := 0
+	before := c.Snapshot()
+	vals, outs, errs := c.DoMany([]string{"a", "b", "c", "d"}, func(miss []int) ([]interface{}, []error) {
+		calls++
+		if !reflect.DeepEqual(miss, []int{0, 2, 3}) {
+			t.Errorf("compute asked for %v, want the three absent keys", miss)
+		}
+		return []interface{}{"A", "C", nil}, []error{nil, nil, boom}
+	})
+	if calls != 1 {
+		t.Errorf("compute ran %d times, want 1", calls)
+	}
+	if st := c.Snapshot(); st.Misses-before.Misses != 3 || st.Hits-before.Hits != 1 || st.InFlight != 0 {
+		t.Errorf("counters: %+v → %+v, want one tally per key", before, st)
+	}
+	if !reflect.DeepEqual(vals, []interface{}{"A", "B", "C", nil}) ||
+		!reflect.DeepEqual(outs, []Outcome{Miss, Hit, Miss, Miss}) ||
+		errs[0] != nil || errs[1] != nil || errs[2] != nil || errs[3] != boom {
+		t.Errorf("DoMany = %v %v %v", vals, outs, errs)
+	}
+	for key, want := range map[string]string{"a": "A", "c": "C"} {
+		if v, ok := c.Get(key); !ok || v != want {
+			t.Errorf("Get(%s) = %v, %v", key, v, ok)
+		}
+	}
+	if _, ok := c.Get("d"); ok {
+		t.Error("a failed compute was cached")
+	}
+	_, outs, _ = c.DoMany([]string{"a", "b"}, func([]int) ([]interface{}, []error) {
+		t.Error("compute ran with every key resident")
+		return nil, nil
+	})
+	if !reflect.DeepEqual(outs, []Outcome{Hit, Hit}) {
+		t.Errorf("all-resident DoMany outcomes %v", outs)
+	}
+}
+
+// TestDoManyOverlap: two DoMany calls with overlapping keys compute
+// disjoint parts and wait for each other's only afterwards, so neither
+// can deadlock on the other; a panicking compute wakes its waiters.
+func TestDoManyOverlap(t *testing.T) {
+	c := New(8)
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	var first, second []Outcome
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, first, _ = c.DoMany([]string{"x", "y"}, func(miss []int) ([]interface{}, []error) {
+			close(started)
+			<-release
+			return []interface{}{"X", "Y"}, []error{nil, nil}
+		})
+	}()
+	<-started
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var vals []interface{}
+		vals, second, _ = c.DoMany([]string{"y", "z"}, func(miss []int) ([]interface{}, []error) {
+			if !reflect.DeepEqual(miss, []int{1}) {
+				t.Errorf("second caller computes %v, want only z", miss)
+			}
+			close(release) // the first flight ends only once this one computed
+			return []interface{}{"Z"}, []error{nil}
+		})
+		if !reflect.DeepEqual(vals, []interface{}{"Y", "Z"}) {
+			t.Errorf("second caller got %v", vals)
+		}
+	}()
+	wg.Wait()
+	if !reflect.DeepEqual(first, []Outcome{Miss, Miss}) || !reflect.DeepEqual(second, []Outcome{Dedup, Miss}) {
+		t.Errorf("outcomes %v and %v", first, second)
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("compute's panic did not propagate")
+			}
+		}()
+		c.DoMany([]string{"p", "q"}, func([]int) ([]interface{}, []error) { panic("boom") })
+	}()
+	if st := c.Snapshot(); st.InFlight != 0 {
+		t.Errorf("a panicked DoMany left %d flights open", st.InFlight)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"grover"
@@ -266,86 +265,119 @@ func fill(n int, seed uint32) []float32 {
 	return out
 }
 
-// autotuneDevice returns the cached tuning verdict for (request, device,
-// backend), timing both kernel versions at most once across concurrent
-// requests. The backend is part of the key: the verdict is
+// autotuneKey is the cache address of the tuning verdict for (request,
+// device, backend). The backend is part of the key: the verdict is
 // backend-invariant by the VM contract, but keeping the entries separate
 // keeps the cache an honest record of what actually ran.
-func (s *Server) autotuneDevice(rctx context.Context, req *AutotuneRequest, devName, backend string, plans []string) (*verdictArtifact, kcache.Outcome, error) {
-	key := kcache.Key("autotune", req.Source, kcache.DefinesField(req.Defines),
+func autotuneKey(req *AutotuneRequest, devName, backend string, plans []string) string {
+	return kcache.Key("autotune", req.Source, kcache.DefinesField(req.Defines),
 		req.Kernel, req.Options.field(), devName, backend, launchField(req),
 		fmt.Sprintf("char=%t", req.Characterize), "plans="+strings.Join(plans, "|"),
 		fmt.Sprintf("prune=%d", req.Prune),
 		fmt.Sprintf("predict=%t;minconf=%g", req.Predict, req.MinConfidence),
 		fmt.Sprintf("profile=%t", req.Profile))
-	v, out, err := s.cache.Do(key, func() (interface{}, error) {
-		comp, _, err := s.compile(rctx, req.Name, req.Source, req.Defines)
-		if err != nil {
-			return nil, err
+}
+
+// autotuneDevices returns the tuning verdict of every named device, each
+// cached under its own key and computed at most once across concurrent
+// requests. The devices nobody holds a verdict for are tuned together as
+// one device set — one execution per kernel version, charged to each
+// device's cost model (tuneSet) — so a partially warm request computes
+// only what is missing.
+func (s *Server) autotuneDevices(rctx context.Context, req *AutotuneRequest, devices []string,
+	backend string, plans []string) ([]*verdictArtifact, []kcache.Outcome, []error) {
+	keys := make([]string, len(devices))
+	for i, name := range devices {
+		keys[i] = autotuneKey(req, name, backend, plans)
+	}
+	vals, outs, errs := s.cache.DoMany(keys, func(miss []int) ([]interface{}, []error) {
+		names, exact := make([]string, len(miss)), make(map[string]string, len(miss))
+		for j, i := range miss {
+			names[j] = devices[i]
+			exact[devices[i]] = keys[i]
 		}
-		if err := kernelIn(comp, req.Kernel); err != nil {
-			return nil, err
-		}
-		dev, err := s.plat.DeviceByName(devName)
-		if err != nil {
-			return nil, notFound("%v", err)
-		}
-		ctx := opencl.NewContext(dev)
-		if err := ctx.SetBackend(backend); err != nil {
-			return nil, badRequest("%v", err)
-		}
-		prog := ctx.NewProgramFromPrepared(programName(req.Name), comp.prog)
-		args, err := buildArgs(ctx, req.Args)
-		if err != nil {
-			return nil, err
-		}
-		q, err := ctx.NewProfilingQueue()
-		if err != nil {
-			return nil, err
-		}
-		nd := opencl.NDRange{Global: req.Global, Local: req.Local}
-		launch := func(k *opencl.Kernel) (*opencl.Event, error) {
-			return q.EnqueueNDRange(k, nd, args...)
-		}
-		var res *grover.TuneResult
-		if len(plans) > 0 {
-			popts := grover.PlanSearchOptions{
-				Prune:     req.Prune,
-				WorkGroup: req.Local,
-				Global:    req.Global,
-				ArgInts:   grover.IntArgs(args),
+		arts, errs := s.tuneSet(rctx, req, names, exact, backend, plans)
+		vals := make([]interface{}, len(arts))
+		for j, art := range arts {
+			if errs[j] == nil {
+				vals[j] = art
 			}
-			if req.Profile {
-				// A fresh profiler per plan, installed on this device's
-				// queue so the plan's timed runs land in it.
-				popts.Profile = func(plan string) *vm.Profiler {
-					prof := vm.NewProfiler()
-					q.SetKernelProfiler(prof)
-					return prof
-				}
-			}
-			if req.Predict {
-				popts.Predict = true
-				popts.Predictor = s.predictor
-				popts.MinConfidence = req.MinConfidence
-				popts.Device = devName
-				// The artifact-cache key is a full content address of the
-				// request on this device — exactly what the store's alias
-				// index wants, so a repeat request after a cache eviction
-				// (or restart, with a persistent store) still answers with
-				// zero runs.
-				popts.ExactKey = key
-				popts.Label = programName(req.Name) + "/" + req.Kernel
-				popts.Characterize = grover.CharacterizeLaunch(prog, req.Kernel, nd, args)
-			}
-			res, err = grover.AutoTunePlansOpts(rctx, prog, req.Kernel, plans, req.Runs, launch, popts)
-		} else {
-			res, err = grover.AutoTuneCtx(rctx, prog, req.Kernel, req.Options.options(), req.Runs, launch)
 		}
-		if err != nil {
-			return nil, err
+		return vals, errs
+	})
+	arts := make([]*verdictArtifact, len(devices))
+	for i, v := range vals {
+		if errs[i] == nil {
+			arts[i] = v.(*verdictArtifact)
 		}
-		art := &verdictArtifact{
+	}
+	return arts, outs, errs
+}
+
+// tuneSet computes the verdicts of a device set (grover.TuneSet). exact
+// maps each device to its cache key, which is a full content address of
+// the request on that device — exactly what the feature store's alias
+// index wants, so a repeat predict-mode request after a cache eviction (or
+// restart, with a persistent store) still answers with zero runs.
+func (s *Server) tuneSet(rctx context.Context, req *AutotuneRequest, devices []string,
+	exact map[string]string, backend string, plans []string) ([]*verdictArtifact, []error) {
+	arts, errs := make([]*verdictArtifact, len(devices)), make([]error, len(devices))
+	failAll := func(err error) ([]*verdictArtifact, []error) {
+		for i := range errs {
+			errs[i] = err
+		}
+		return arts, errs
+	}
+	comp, _, err := s.compile(rctx, req.Name, req.Source, req.Defines)
+	if err != nil {
+		return failAll(err)
+	}
+	if err := kernelIn(comp, req.Kernel); err != nil {
+		return failAll(err)
+	}
+	devs := make([]*opencl.Device, len(devices))
+	for i, name := range devices {
+		if devs[i], err = s.plat.DeviceByName(name); err != nil {
+			return failAll(notFound("%v", err))
+		}
+	}
+	nd := opencl.NDRange{Global: req.Global, Local: req.Local}
+	spec := grover.LaunchSpec{
+		Options: req.Options.options(),
+		ND:      nd,
+		Runs:    req.Runs,
+		Args: func(ctx *opencl.Context) ([]interface{}, error) {
+			return buildArgs(ctx, req.Args)
+		},
+		Plans:         plans,
+		Prune:         req.Prune,
+		Predict:       req.Predict,
+		Predictor:     s.predictor,
+		MinConfidence: req.MinConfidence,
+		Label:         programName(req.Name) + "/" + req.Kernel,
+		ExactKey:      func(device string) string { return exact[device] },
+		Profile:       req.Profile,
+	}
+	results := grover.TuneSet(rctx, devs, req.Kernel, spec,
+		func(ctx *opencl.Context) (*opencl.Program, error) {
+			if err := ctx.SetBackend(backend); err != nil {
+				return nil, badRequest("%v", err)
+			}
+			return ctx.NewProgramFromPrepared(programName(req.Name), comp.prog), nil
+		})
+
+	var launches int64
+	counted := map[*grover.LaunchSet]bool{}
+	for i, r := range results {
+		if r.Set != nil && !counted[r.Set] {
+			counted[r.Set] = true
+			launches += int64(r.Set.Launches)
+		}
+		if errs[i] = r.Err; r.Err != nil {
+			continue
+		}
+		res := r.Result
+		arts[i] = &verdictArtifact{
 			useTransformed: res.UseTransformed,
 			origMS:         res.OriginalMS,
 			transMS:        res.TransformedMS,
@@ -364,48 +396,62 @@ func (s *Server) autotuneDevice(rctx context.Context, req *AutotuneRequest, devN
 			s.stats.recordPredict(!res.Fallback,
 				res.Prediction != nil && res.Prediction.Exact, correct)
 		}
-		if req.Characterize {
-			art.char, err = characterizeVerdict(rctx, ctx, res, nd, args, backend)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return art, nil
-	})
-	if err != nil {
-		return nil, out, err
 	}
-	return v.(*verdictArtifact), out, nil
+	s.stats.recordBackend(backend, int64(len(devices)), launches)
+	if req.Characterize {
+		characterizeVerdicts(rctx, results, arts, errs, nd, backend)
+	}
+	return arts, errs
 }
 
-// characterizeVerdict runs one traced launch of each kernel version and
-// returns their AIWC-style feature vectors. The vectors are
-// backend-invariant, so they describe the kernels, not the backend the
-// tuning happened to run on.
-func characterizeVerdict(rctx context.Context, ctx *opencl.Context, res *grover.TuneResult,
-	nd opencl.NDRange, args []interface{}, backend string) (*Characterization, error) {
+// characterizeVerdicts attaches the AIWC-style feature vectors of each
+// verdict's two kernel versions. The vectors are the kernels' — backend-
+// and device-invariant — so each distinct kernel of the set is traced
+// once, in the launch environment it was tuned in, and every verdict that
+// names it shares the result.
+func characterizeVerdicts(rctx context.Context, results []grover.DeviceTuneResult,
+	arts []*verdictArtifact, errs []error, nd opencl.NDRange, backend string) {
 	defer telemetry.StartSpan(rctx, "characterize")()
-	vargs, err := opencl.VMArgs(args...)
-	if err != nil {
-		return nil, err
+	type version struct {
+		prog   *vm.Program
+		kernel string
 	}
-	cfg := vm.Config{GlobalSize: nd.Global, LocalSize: nd.Local, Args: vargs, Backend: backend}
-	char := &Characterization{}
-	for _, v := range []struct {
-		k    *opencl.Kernel
-		dest **aiwc.Features
-	}{{res.Original, &char.Original}, {res.Transformed, &char.Transformed}} {
-		if v.k == nil {
+	done := map[version]*aiwc.Features{}
+	characterize := func(k *opencl.Kernel, args []interface{}) (*aiwc.Features, error) {
+		if k == nil {
+			return nil, nil
+		}
+		v := version{k.Program().VM(), k.Name()}
+		if f := done[v]; f != nil {
+			return f, nil
+		}
+		vargs, err := opencl.VMArgs(args...)
+		if err != nil {
+			return nil, err
+		}
+		cfg := vm.Config{GlobalSize: nd.Global, LocalSize: nd.Local, Args: vargs, Backend: backend}
+		f, err := aiwc.Characterize(v.prog, v.kernel, cfg, k.Program().Context().Mem())
+		if err != nil {
+			return nil, fmt.Errorf("characterize %s: %w", v.prog.Module.Name, err)
+		}
+		done[v] = f
+		return f, nil
+	}
+	for i, r := range results {
+		if errs[i] != nil {
 			continue
 		}
-		prog := v.k.Program().VM()
-		f, err := aiwc.Characterize(prog, v.k.Name(), cfg, ctx.Mem())
-		if err != nil {
-			return nil, fmt.Errorf("characterize %s: %w", prog.Module.Name, err)
+		char := &Characterization{}
+		var err error
+		if char.Original, err = characterize(r.Result.Original, r.Set.Args); err == nil {
+			char.Transformed, err = characterize(r.Result.Transformed, r.Set.Args)
 		}
-		*v.dest = f
+		if err != nil {
+			arts[i], errs[i] = nil, err
+			continue
+		}
+		arts[i].char = char
 	}
-	return char, nil
 }
 
 func (v *verdictArtifact) verdict(device string, outcome kcache.Outcome) TuneVerdict {
@@ -611,33 +657,25 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 	}
 
 	results := make([]TuneVerdict, len(devices))
-	outcomes := make([]kcache.Outcome, len(devices))
-	errs := make([]error, len(devices))
+	var outcomes []kcache.Outcome
+	var errs []error
 	if perr := s.pool.RunCtx(r.Context(), func() {
-		// The per-device fan-out runs inside this job's pool slot (see
-		// Pool.Run); a sweep is one unit of queued work.
-		var wg sync.WaitGroup
+		// A sweep is one unit of queued work: its devices are tuned
+		// together, from one execution per kernel version.
+		var arts []*verdictArtifact
+		arts, outcomes, errs = s.autotuneDevices(r.Context(), &req, devices, backend, plans)
 		for i, name := range devices {
-			wg.Add(1)
-			go func(i int, name string) {
-				defer wg.Done()
-				v, out, err := s.autotuneDevice(r.Context(), &req, name, backend, plans)
-				outcomes[i] = out
-				if err != nil {
-					errs[i] = err
-					results[i] = TuneVerdict{Device: name, Error: err.Error()}
-					return
-				}
-				results[i] = v.verdict(name, out)
-			}(i, name)
+			if errs[i] != nil {
+				results[i] = TuneVerdict{Device: name, Error: errs[i].Error()}
+				continue
+			}
+			results[i] = arts[i].verdict(name, outcomes[i])
 		}
-		wg.Wait()
 	}); perr != nil {
 		writeError(w, perr)
 		return
 	}
 	noteOutcome(r.Context(), outcomes...)
-	s.stats.recordBackend(backend, int64(len(devices)))
 	// A single-device failure is the request's failure (with its original
 	// HTTP status); sweeps report per-device errors inline instead.
 	if len(devices) == 1 && errs[0] != nil {
@@ -709,14 +747,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	ps := s.stats.predictSnapshot()
 	ps.Store = s.store.Stats()
 	jb, jh := jit.NativeStats()
+	verdicts, executions := s.stats.backendSnapshot()
 	writeJSON(w, http.StatusOK, &StatsResponse{
-		Cache:     s.cache.Snapshot(),
-		Pool:      s.pool.Snapshot(),
-		Backend:   s.backend,
-		Backends:  s.stats.backendSnapshot(),
-		Endpoints: s.stats.snapshot(),
-		Predict:   ps,
-		JIT:       JITStats{Native: jit.NativeEnabled(), Compiles: jb, CacheHits: jh},
+		Cache:      s.cache.Snapshot(),
+		Pool:       s.pool.Snapshot(),
+		Backend:    s.backend,
+		Backends:   verdicts,
+		Executions: executions,
+		Endpoints:  s.stats.snapshot(),
+		Predict:    ps,
+		JIT:        JITStats{Native: jit.NativeEnabled(), Compiles: jb, CacheHits: jh},
 	})
 }
 

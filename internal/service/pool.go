@@ -77,10 +77,10 @@ func (p *Pool) release() {
 }
 
 // Run executes fn in the caller's goroutine once a slot is free, blocking
-// while the pool is saturated. Nested work spawned by fn (e.g. the
-// per-device fan-out of an autotune-all job) must not call Run, or a full
-// pool of parents waiting on children would deadlock; such fan-outs run
-// within the parent's slot. Run never sheds; use RunCtx on request paths
+// while the pool is saturated. Nested work spawned by fn (e.g. the host
+// workers of an autotune job's kernel launches) must not call Run, or a
+// full pool of parents waiting on children would deadlock; it runs within
+// the parent's slot. Run never sheds; use RunCtx on request paths
 // that should honor the queue bound.
 func (p *Pool) Run(fn func()) {
 	p.acquire(context.Background())

@@ -593,7 +593,9 @@ type AutotuneRequest struct {
 	Kernel  string            `json:"kernel"`
 	Options OptionsSpec       `json:"options"`
 	// Device is a profile name ("SNB", "Fermi", ...) or "all" (also the
-	// default) for a concurrent sweep over every platform.
+	// default) for every platform, tuned together as one device set: each
+	// kernel version executes once and is charged to every device's cost
+	// model.
 	Device string `json:"device,omitempty"`
 	// Global and Local are the launch geometry (zero dims default to 1).
 	Global [3]int `json:"global"`
@@ -608,7 +610,8 @@ type AutotuneRequest struct {
 	Backend string `json:"backend,omitempty"`
 	// Characterize attaches an AIWC-style feature vector for both kernel
 	// versions to each device verdict (one extra traced launch per
-	// version). The flag is part of the cache key.
+	// version, shared by the devices of the request). The flag is part of
+	// the cache key.
 	Characterize bool `json:"characterize,omitempty"`
 	// Plan switches tuning from the classic two-version comparison to a
 	// rewrite-plan search: "search" enumerates the default plan space for
@@ -762,11 +765,14 @@ type HealthResponse struct {
 type StatsResponse struct {
 	Cache kcache.Stats `json:"cache"`
 	Pool  PoolStats    `json:"pool"`
-	// Backend is the server's default execution backend; Backends counts
-	// autotune device-runs per backend actually used.
-	Backend   string                   `json:"backend"`
-	Backends  map[string]int64         `json:"backends"`
-	Endpoints map[string]EndpointStats `json:"endpoints"`
+	// Backend is the server's default execution backend. Backends counts
+	// the autotune device verdicts computed per backend actually used
+	// (cache hits run nothing and are not counted), Executions the kernel
+	// executions on the host behind them: one serves a whole device set.
+	Backend    string                   `json:"backend"`
+	Backends   map[string]int64         `json:"backends"`
+	Executions map[string]int64         `json:"executions"`
+	Endpoints  map[string]EndpointStats `json:"endpoints"`
 	// Predict tallies predictive-autotuning outcomes and feature-store
 	// occupancy.
 	Predict PredictStats `json:"predict"`

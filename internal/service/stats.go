@@ -1,6 +1,7 @@
 package service
 
 import (
+	"maps"
 	"sync"
 	"time"
 
@@ -50,15 +51,16 @@ type PredictStats struct {
 	Store kcache.DiskStats `json:"store"`
 }
 
-// registry collects EndpointStats keyed by endpoint name plus execution
-// counts keyed by backend name, mirroring every tally into a telemetry
-// registry so /v1/stats and /metrics are two views of one set of
-// counters.
+// registry collects EndpointStats keyed by endpoint name plus verdict and
+// execution counts keyed by backend name, mirroring every tally into a
+// telemetry registry so /v1/stats and /metrics are two views of one set
+// of counters.
 type registry struct {
 	mu      sync.Mutex
 	m       map[string]*EndpointStats
 	hist    map[string]*telemetry.Histogram
 	be      map[string]int64
+	exec    map[string]int64
 	predict PredictStats
 	prom    *telemetry.Registry
 }
@@ -68,18 +70,26 @@ func newRegistry(prom *telemetry.Registry) *registry {
 		m:    make(map[string]*EndpointStats),
 		hist: make(map[string]*telemetry.Histogram),
 		be:   make(map[string]int64),
+		exec: make(map[string]int64),
 		prom: prom,
 	}
 }
 
-// recordBackend tallies n device-runs executed on the named backend.
-func (r *registry) recordBackend(name string, n int64) {
+// recordBackend tallies the device verdicts computed on the named backend
+// (cache hits replay a stored verdict and run nothing) and the kernel
+// executions on the host they came from: one execution serves every
+// device of a set.
+func (r *registry) recordBackend(name string, verdicts, executions int64) {
 	r.mu.Lock()
-	r.be[name] += n
+	r.be[name] += verdicts
+	r.exec[name] += executions
 	r.mu.Unlock()
+	backend := telemetry.Label{Name: "backend", Value: name}
 	r.prom.Counter("groverd_backend_runs_total",
-		"autotune device-runs per execution backend",
-		telemetry.Label{Name: "backend", Value: name}).Add(n)
+		"autotune device verdicts computed per execution backend", backend).Add(verdicts)
+	r.prom.Counter("groverd_host_executions_total",
+		"kernel executions on the host per execution backend; one serves every device of a set",
+		backend).Add(executions)
 }
 
 // recordPredict tallies one predict-mode device-tune outcome.
@@ -125,15 +135,12 @@ func (r *registry) predictSnapshot() PredictStats {
 	return r.predict
 }
 
-// backendSnapshot copies the per-backend run counts.
-func (r *registry) backendSnapshot() map[string]int64 {
+// backendSnapshot copies the per-backend verdict and host-execution
+// counts.
+func (r *registry) backendSnapshot() (verdicts, executions map[string]int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.be))
-	for k, v := range r.be {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(r.be), maps.Clone(r.exec)
 }
 
 // record tallies one request: its latency, whether it failed, and the

@@ -191,6 +191,23 @@ type Tracer interface {
 	GroupEnd()
 }
 
+// GroupAborter is the optional extension of Tracer for consumers that hold
+// something from GroupBegin to GroupEnd (a turn on a shared device model, a
+// borrowed buffer). When a group fails, the engine calls GroupAbort where
+// GroupEnd would have come; that worker then runs no further group, so the
+// consumer must not wait for one.
+type GroupAborter interface {
+	GroupAbort()
+}
+
+// AbortGroup tells t, if it wants to know, that its worker's current group
+// failed. Engines call it on the error path of their group loop.
+func AbortGroup(t Tracer) {
+	if a, ok := t.(GroupAborter); ok {
+		a.GroupAbort()
+	}
+}
+
 // LaunchOpts control scheduling, tracing, and profiling.
 type LaunchOpts struct {
 	// Workers is the number of concurrent group executors (simulated
@@ -318,6 +335,7 @@ func (p *Program) launchInterp(kernel string, cfg Config, gmem *GlobalMem, opts 
 				gy := rem / groups[0]
 				gx := rem % groups[0]
 				if err := ge.runGroup([3]int{gx, gy, gz}, g); err != nil {
+					AbortGroup(tr)
 					errs[worker] = fmt.Errorf("group (%d,%d,%d): %w", gx, gy, gz, err)
 					return
 				}

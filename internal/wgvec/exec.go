@@ -268,6 +268,7 @@ func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts 
 					traces <- g.trace
 				}
 				if err != nil {
+					vm.AbortGroup(tr)
 					errs[worker] = fmt.Errorf("group (%d,%d,%d): %w", gx, gy, gz, err)
 					return
 				}

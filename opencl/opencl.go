@@ -452,6 +452,58 @@ func (q *Queue) EnqueueNDRange(k *Kernel, nd NDRange, args ...interface{}) (*Eve
 	return &Event{Millis: res.TimeMS, Cycles: res.Cycles, Instrs: res.Instrs, Stats: res}, nil
 }
 
+// SetQueue is a profiling queue over a set of devices: a launch executes
+// once and is charged to every device's cost model (device.Set), so each
+// device's event equals what a profiling queue of its own reports for the
+// same launch on the same memory contents. The context's own device plays
+// no part.
+type SetQueue struct {
+	ctx      *Context
+	devs     []*Device
+	set      *device.Set
+	profiler *vm.Profiler
+}
+
+// NewProfilingQueueSet creates a profiling queue over devs.
+func (c *Context) NewProfilingQueueSet(devs ...*Device) (*SetQueue, error) {
+	profs := make([]*device.Profile, len(devs))
+	for i, d := range devs {
+		profs[i] = d.prof
+	}
+	set, err := device.NewSet(profs)
+	if err != nil {
+		return nil, err
+	}
+	return &SetQueue{ctx: c, devs: devs, set: set}, nil
+}
+
+// SetKernelProfiler attaches a per-launch execution profiler, as
+// Queue.SetKernelProfiler does; the one execution is what it sees.
+func (q *SetQueue) SetKernelProfiler(p *vm.Profiler) { q.profiler = p }
+
+// EnqueueNDRange launches the kernel once and returns one event per
+// device, in the order the queue was created with. Arguments are as for Queue.EnqueueNDRange.
+func (q *SetQueue) EnqueueNDRange(k *Kernel, nd NDRange, args ...interface{}) ([]*Event, error) {
+	vargs, err := VMArgs(args...)
+	if err != nil {
+		return nil, err
+	}
+	cfg := vm.Config{GlobalSize: nd.Global, LocalSize: nd.Local, Args: vargs,
+		Backend: q.ctx.backend}
+	q.set.Reset()
+	opts := q.set.Opts()
+	opts.Profiler = q.profiler
+	if err := k.prog.prog.Launch(k.name, cfg, q.ctx.gmem, opts); err != nil {
+		return nil, err
+	}
+	evts := make([]*Event, len(q.devs))
+	for i := range evts {
+		res := q.set.Result(i)
+		evts[i] = &Event{Millis: res.TimeMS, Cycles: res.Cycles, Instrs: res.Instrs, Stats: res}
+	}
+	return evts, nil
+}
+
 // VMArgs converts host-side kernel arguments (*Buffer, LocalMem, Go
 // integers and floats) to vm.Arg values, exactly as EnqueueNDRange does.
 func VMArgs(args ...interface{}) ([]vm.Arg, error) {

@@ -302,8 +302,8 @@ func TestDeviceByNameErrorListsDevices(t *testing.T) {
 }
 
 // TestCompileModuleSharedAcrossContexts compiles once and instantiates the
-// module on two devices concurrently — the pattern AutoTuneAll and the
-// groverd cache rely on. Run under -race this also checks that
+// module on two devices concurrently — the pattern concurrent groverd
+// requests sharing a cached artifact rely on. Run under -race this also checks that
 // instantiation does not mutate the shared artifact.
 func TestCompileModuleSharedAcrossContexts(t *testing.T) {
 	mod, err := CompileModule("scale.cl", testKernel, nil)

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"grover/internal/predict"
-	"grover/internal/profit"
 	"grover/internal/rewrite"
 	"grover/internal/telemetry/aiwc"
 	"grover/internal/vm"
@@ -67,6 +66,14 @@ func (popts *PlanSearchOptions) predictor() *predict.Predictor {
 	return DefaultPredictor()
 }
 
+// storeDevice names the store neighborhood of a search on dev.
+func (popts *PlanSearchOptions) storeDevice(dev *opencl.Device) string {
+	if popts.Device != "" {
+		return popts.Device
+	}
+	return dev.Name()
+}
+
 func (popts *PlanSearchOptions) minConfidence() float64 {
 	if popts.MinConfidence > 0 {
 		return popts.MinConfidence
@@ -89,12 +96,9 @@ type pendingPredict struct {
 // measured fallback — pending carries whatever was learned so the
 // measurement is recorded back.
 func predictTune(ctx context.Context, prog *opencl.Program, kernel string, plans []string,
-	popts PlanSearchOptions) (*TuneResult, *pendingPredict) {
+	dev *opencl.Device, popts PlanSearchOptions) (*TuneResult, *pendingPredict) {
 	pred := popts.predictor()
-	device := popts.Device
-	if device == "" {
-		device = prog.Device().Name()
-	}
+	device := popts.storeDevice(dev)
 
 	// Exact request hit: this source+kernel+launch was tuned on this
 	// device before — answer from the record with zero runs.
@@ -125,7 +129,7 @@ func predictTune(ctx context.Context, prog *opencl.Program, kernel string, plans
 		Features: feats,
 		Device:   device,
 		Shapes:   plans,
-		Prior:    staticPrior(prog, kernel, plans, popts),
+		Prior:    staticPrior(prog, kernel, plans, dev, popts),
 	})
 	pending := &pendingPredict{features: feats, prediction: pr}
 	if pr.Confidence < popts.minConfidence() {
@@ -148,19 +152,8 @@ func predictTune(ctx context.Context, prog *opencl.Program, kernel string, plans
 // predicted cycles ratio against base per plan shape — the prior the
 // predictor blends with measured neighbors. nil when the model cannot
 // score this kernel.
-func staticPrior(prog *opencl.Program, kernel string, plans []string, popts PlanSearchOptions) map[string]float64 {
-	var canon []string
-	for _, ps := range plans {
-		if p, err := rewrite.ParsePlan(ps); err == nil {
-			canon = append(canon, p.String())
-		}
-	}
-	ranked, err := profit.RankPlans(prog.Module(), kernel, canon,
-		prog.Device().CostModel(), profit.Options{
-			WorkGroup: popts.WorkGroup,
-			Global:    popts.Global,
-			ArgInts:   popts.ArgInts,
-		})
+func staticPrior(prog *opencl.Program, kernel string, plans []string, dev *opencl.Device, popts PlanSearchOptions) map[string]float64 {
+	ranked, err := rankPlans(prog, kernel, plans, dev, popts)
 	if err != nil {
 		return nil
 	}
@@ -248,12 +241,7 @@ func concretePlan(plans []string, pr *predict.Prediction) string {
 	if pr.Verdict == rewrite.BasePlanName {
 		return rewrite.BasePlanName
 	}
-	var canon []string
-	for _, ps := range plans {
-		if p, err := rewrite.ParsePlan(ps); err == nil {
-			canon = append(canon, p.String())
-		}
-	}
+	canon := canonicalPlans(plans)
 	if pr.Plan != "" {
 		for _, c := range canon {
 			if c == pr.Plan {
@@ -281,9 +269,6 @@ func concretePlan(plans []string, pr *predict.Prediction) string {
 func recordMeasurement(popts PlanSearchOptions, device string, feats *aiwc.Features, res *TuneResult) {
 	if feats == nil || res == nil {
 		return
-	}
-	if device == "" {
-		device = popts.Device
 	}
 	label := popts.Label
 	if label == "" {
