@@ -50,7 +50,7 @@ func main() {
 		useGrover  = flag.Bool("grover", false, "run the Grover-transformed kernel as well and compare times")
 		timed      = flag.Bool("time", false, "use the device cost model and report simulated time")
 		dump       = flag.String("dump", "", "print buffer contents after the run: ARGINDEX:COUNT")
-		backend    = flag.String("backend", "", "execution backend (interp, bcode, wgvec, jit; default: $GROVER_BACKEND, else interp)")
+		backend    = flag.String("backend", "", "execution backend (interp, wgvec, jit; default: $GROVER_BACKEND, else wgvec)")
 		jitNative  = flag.Bool("jit-native", false, "enable the jit backend's native code generation (also: GROVER_JIT=native)")
 		profile    = flag.Bool("profile", false, "run one extra traced launch per kernel version and print its AIWC-style feature vector")
 		kprofile   = flag.Bool("kernel-profile", false, "attribute each launch's wall time and retire/traffic counters to its barrier-delimited regions")
@@ -64,6 +64,10 @@ func main() {
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: clrun [flags] kernel.cl")
 		flag.PrintDefaults()
+		os.Exit(2)
+	}
+	if _, err := vm.ResolveBackend(*backend); err != nil {
+		fmt.Fprintln(os.Stderr, "clrun:", err)
 		os.Exit(2)
 	}
 	if err := run(flag.Arg(0), *deviceName, *kernel, *globalStr, *localStr, args, *useGrover, *timed, *profile, *kprofile, *backend, *dump, *traceOut); err != nil {

@@ -12,19 +12,19 @@
 //	groverbench -experiment table4          # gain/loss distribution
 //	groverbench -experiment all             # everything
 //	groverbench -experiment case -app NVD-MT -device SNB
-//	groverbench -experiment backends -format json      # backend wall-clock comparison
 //	groverbench -experiment characterize -format json  # AIWC-style feature vectors
 //	groverbench -experiment rewrite -format json       # rewrite-plan search sweep
 //	groverbench -experiment predict -device all -format json  # predictive-autotuning cross-validation
 //	groverbench -experiment service -format json       # groverd load harness (open-loop)
 //
-// -backend selects the execution backend (interp, bcode, or wgvec) and
-// -format json emits machine-readable measurements; the committed
-// BENCH_vm.json and BENCH_wgvec.json are outputs of the backends
-// experiment, BENCH_characterize.json of the characterize experiment,
-// and BENCH_rewrite.json of the rewrite experiment (every app plus a
-// synthetic window-sum kernel, autotuned across the rewrite plan space
-// on all six platforms). BENCH_profit.json comes from the profit
+// -backend selects the execution backend (interp, wgvec or jit; wgvec
+// unless named) and -format json emits machine-readable measurements;
+// engine against engine is the ledger's business (bench/, the engine.*
+// rows). The committed BENCH_characterize.json is the output of the
+// characterize experiment and BENCH_rewrite.json of the rewrite
+// experiment (every app plus a synthetic window-sum kernel, autotuned
+// across the rewrite plan space on all six platforms).
+// BENCH_profit.json comes from the profit
 // experiment (static-ranking validation) and BENCH_predict.json from
 // the predict experiment (leave-one-app-out cross-validation of the
 // feature-store verdict predictor), both with -device all.
@@ -40,11 +40,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 
 	"grover/internal/apps"
 	igrover "grover/internal/grover"
@@ -57,13 +55,13 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig2 | fig10 | figgpu | table1 | table2 | table3 | table4 | case | backends | characterize | rewrite | profit | predict | service | all")
+		experiment = flag.String("experiment", "all", "fig2 | fig10 | figgpu | table1 | table2 | table3 | table4 | case | characterize | rewrite | profit | predict | service | all")
 		app        = flag.String("app", "", "benchmark id for -experiment case (e.g. NVD-MT)")
 		device     = flag.String("device", "SNB", "device for -experiment case, profit and predict (profit/predict also accept \"all\")")
 		scale      = flag.Int("scale", 1, "dataset scale factor")
 		runs       = flag.Int("runs", 1, "simulated executions to average per version")
 		validate   = flag.Bool("validate", false, "also validate both kernel versions against host references")
-		backend    = flag.String("backend", "", "execution backend (interp, bcode, wgvec, jit; default: $GROVER_BACKEND, else interp)")
+		backend    = flag.String("backend", "", "execution backend (interp, wgvec, jit; default: $GROVER_BACKEND, else wgvec)")
 		jitNative  = flag.Bool("jit-native", false, "enable the jit backend's native code generation (also: GROVER_JIT=native)")
 		format     = flag.String("format", "text", "output format: text | json")
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
@@ -85,6 +83,10 @@ func main() {
 	}
 	if *format != "text" && *format != "json" {
 		fmt.Fprintf(os.Stderr, "groverbench: unknown format %q (want text or json)\n", *format)
+		os.Exit(2)
+	}
+	if _, err := vm.ResolveBackend(*backend); err != nil {
+		fmt.Fprintln(os.Stderr, "groverbench:", err)
 		os.Exit(2)
 	}
 	if *cpuprofile != "" {
@@ -191,8 +193,6 @@ func run(experiment, appID, deviceName, format string, cfg harness.Config, lc se
 			return err
 		}
 		return emitMeasurements("GPU sweep (paper future work) — all benchmarks on the GPU platforms", ms, format, true)
-	case "backends":
-		return runBackends(cfg, format)
 	case "characterize":
 		return runCharacterize(cfg, format)
 	case "rewrite":
@@ -362,272 +362,6 @@ func runCharacterize(cfg harness.Config, format string) error {
 		fmt.Printf("=== %s (base) ===\n%s", e.App, e.Base.Table())
 		if e.Grover != nil {
 			fmt.Printf("--- %s (grover) ---\n%s", e.App, e.Grover.Table())
-		}
-		fmt.Println()
-	}
-	return nil
-}
-
-// backendRunJSON is one backend's wall-clock result for the Fig. 10 sweep.
-type backendRunJSON struct {
-	Backend string  `json:"backend"`
-	WallMS  float64 `json:"wall_ms"`
-	// NsPerItem is experiment wall-clock divided by the total number of
-	// work-items executed in timed launches.
-	NsPerItem float64 `json:"ns_per_item"`
-	// Speedup is interpreter wall-clock over this backend's wall-clock.
-	Speedup float64 `json:"speedup"`
-}
-
-// appRunJSON is one backend's untraced wall-clock for a single
-// benchmark app in the functional section.
-type appRunJSON struct {
-	Backend   string  `json:"backend"`
-	WallMS    float64 `json:"wall_ms"`
-	NsPerItem float64 `json:"ns_per_item"`
-	// Per-launch statistics over the -runs repetitions (the buffer reset
-	// between launches is excluded from every number).
-	MinMS    float64 `json:"min_ms"`
-	MeanMS   float64 `json:"mean_ms"`
-	StddevMS float64 `json:"stddev_ms"`
-	// SpeedupInterp and SpeedupBcode are this backend's speedup over
-	// the interpreter and the bytecode backend on the same app.
-	SpeedupInterp float64 `json:"speedup_vs_interp"`
-	SpeedupBcode  float64 `json:"speedup_vs_bcode"`
-}
-
-// launchStats summarizes repeated launch times: total, fastest, mean,
-// and population standard deviation, all in milliseconds.
-func launchStats(per []time.Duration) (total time.Duration, minMS, meanMS, stddevMS float64) {
-	const ms = float64(time.Millisecond)
-	minMS = float64(per[0]) / ms
-	for _, d := range per {
-		total += d
-		if v := float64(d) / ms; v < minMS {
-			minMS = v
-		}
-	}
-	meanMS = float64(total) / ms / float64(len(per))
-	var sq float64
-	for _, d := range per {
-		dev := float64(d)/ms - meanMS
-		sq += dev * dev
-	}
-	stddevMS = math.Sqrt(sq / float64(len(per)))
-	return total, minMS, meanMS, stddevMS
-}
-
-// appBenchJSON is the functional (untraced) comparison for one app.
-type appBenchJSON struct {
-	App      string       `json:"app"`
-	Backends []appRunJSON `json:"backends"`
-}
-
-// backendBenchJSON is the backends experiment output (BENCH_vm.json,
-// BENCH_wgvec.json).
-type backendBenchJSON struct {
-	Experiment string           `json:"experiment"`
-	Scale      int              `json:"scale"`
-	Runs       int              `json:"runs"`
-	Backends   []backendRunJSON `json:"backends"`
-	// Speedup is interpreter wall-clock over the fastest compiled
-	// backend's wall-clock for the identical sweep.
-	Speedup float64 `json:"speedup"`
-	// Invariant reports that every simulated measurement was identical
-	// across backends (the VM contract).
-	Invariant    bool              `json:"invariant"`
-	Measurements []measurementJSON `json:"measurements"`
-	// Functional times untraced launches of every benchmark app on
-	// every backend. The traced sweep above is dominated by the device
-	// simulator's per-access cost and gates measurement invariance;
-	// the functional section is the measure of raw backend speed.
-	Functional []appBenchJSON `json:"functional"`
-}
-
-// backendList orders every registered backend with the interpreter (the
-// reference implementation) first.
-func backendList() []string {
-	out := []string{vm.BackendInterp}
-	for _, b := range vm.Backends() {
-		if b != vm.BackendInterp {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// runFunctional times untraced launches of every benchmark app on every
-// registered backend. Without a tracer there is no simulation cost, so
-// this measures the backends themselves.
-func runFunctional(cfg harness.Config) ([]appBenchJSON, error) {
-	runs := cfg.Runs
-	if runs < 1 {
-		runs = 1
-	}
-	backends := backendList()
-	plat := opencl.NewPlatform()
-	var out []appBenchJSON
-	for _, app := range apps.All() {
-		if cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, "backends: functional runs of %s\n", app.ID)
-		}
-		ctx := opencl.NewContext(plat.Devices()[0])
-		prog, err := ctx.CompileProgram(app.ID, app.Source, app.Defines)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", app.ID, err)
-		}
-		inst, err := app.Setup(ctx, cfg.Scale)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", app.ID, err)
-		}
-		vargs, err := opencl.VMArgs(inst.Args...)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", app.ID, err)
-		}
-		mem := ctx.Mem()
-		initial := append([]byte(nil), mem.Data...)
-		items := int64(runs) * int64(inst.ND.Global[0]) *
-			int64(inst.ND.Global[1]) * int64(inst.ND.Global[2])
-		walls := make([]time.Duration, len(backends))
-		perRun := make([][]time.Duration, len(backends))
-		for bi, b := range backends {
-			c := vm.Config{GlobalSize: inst.ND.Global, LocalSize: inst.ND.Local,
-				Args: vargs, Backend: b}
-			per := make([]time.Duration, runs)
-			for r := 0; r < runs; r++ {
-				copy(mem.Data[:len(initial)], initial)
-				start := time.Now()
-				if err := prog.VM().Launch(app.Kernel, c, mem, nil); err != nil {
-					return nil, fmt.Errorf("%s on %s: %w", app.ID, b, err)
-				}
-				per[r] = time.Since(start)
-			}
-			perRun[bi] = per
-			for _, d := range per {
-				walls[bi] += d
-			}
-		}
-		bcodeWall := walls[0]
-		for bi, b := range backends {
-			if b == "bcode" {
-				bcodeWall = walls[bi]
-			}
-		}
-		entry := appBenchJSON{App: app.ID}
-		for bi, b := range backends {
-			_, minMS, meanMS, stddevMS := launchStats(perRun[bi])
-			entry.Backends = append(entry.Backends, appRunJSON{
-				Backend:       b,
-				WallMS:        float64(walls[bi]) / float64(time.Millisecond),
-				NsPerItem:     float64(walls[bi].Nanoseconds()) / float64(items),
-				MinMS:         minMS,
-				MeanMS:        meanMS,
-				StddevMS:      stddevMS,
-				SpeedupInterp: float64(walls[0]) / float64(walls[bi]),
-				SpeedupBcode:  float64(bcodeWall) / float64(walls[bi]),
-			})
-		}
-		out = append(out, entry)
-	}
-	return out, nil
-}
-
-// runBackends times the full Fig. 10 sweep on every registered backend.
-// Simulated measurements must be identical — only the wall-clock time of
-// the experiment itself changes.
-func runBackends(cfg harness.Config, format string) error {
-	type result struct {
-		backend string
-		ms      []*harness.Measurement
-		wall    time.Duration
-	}
-	var results []result
-	for _, b := range backendList() {
-		c := cfg
-		c.Backend = b
-		if c.Log != nil {
-			fmt.Fprintf(c.Log, "backends: running the Fig. 10 sweep on %s\n", b)
-		}
-		start := time.Now()
-		ms, err := harness.Fig10(c)
-		if err != nil {
-			return fmt.Errorf("%s: %w", b, err)
-		}
-		results = append(results, result{b, ms, time.Since(start)})
-	}
-
-	// Total work-items over the timed launches: two kernel versions per
-	// measurement, each launched cfg.Runs times.
-	runs := cfg.Runs
-	if runs < 1 {
-		runs = 1
-	}
-	var items int64
-	for _, m := range results[0].ms {
-		items += 2 * int64(runs) * m.Items
-	}
-
-	invariant := true
-	for _, r := range results[1:] {
-		if len(r.ms) != len(results[0].ms) {
-			invariant = false
-			break
-		}
-		for i, m := range results[0].ms {
-			o := r.ms[i]
-			if m.App != o.App || m.Device != o.Device ||
-				m.WithLM != o.WithLM || m.WithoutLM != o.WithoutLM {
-				invariant = false
-				break
-			}
-		}
-	}
-	interpWall := results[0].wall
-	speedup := 1.0
-	for _, r := range results[1:] {
-		if s := float64(interpWall) / float64(r.wall); s > speedup {
-			speedup = s
-		}
-	}
-
-	functional, err := runFunctional(cfg)
-	if err != nil {
-		return err
-	}
-
-	if format == "json" {
-		out := &backendBenchJSON{
-			Experiment:   "fig10-backends",
-			Scale:        cfg.Scale,
-			Runs:         cfg.Runs,
-			Speedup:      speedup,
-			Invariant:    invariant,
-			Measurements: toJSON(results[0].ms),
-			Functional:   functional,
-		}
-		for _, r := range results {
-			out.Backends = append(out.Backends, backendRunJSON{
-				Backend:   r.backend,
-				WallMS:    float64(r.wall) / float64(time.Millisecond),
-				NsPerItem: float64(r.wall.Nanoseconds()) / float64(items),
-				Speedup:   float64(interpWall) / float64(r.wall),
-			})
-		}
-		return emitJSON(out)
-	}
-	fmt.Println("Backend comparison — Fig. 10 sweep wall-clock")
-	for _, r := range results {
-		fmt.Printf("  %-8s %10.1f ms  %8.1f ns/item  %6.2fx\n",
-			r.backend, float64(r.wall)/float64(time.Millisecond),
-			float64(r.wall.Nanoseconds())/float64(items),
-			float64(interpWall)/float64(r.wall))
-	}
-	fmt.Printf("  best speedup %.2fx over interp (measurements identical: %v)\n", speedup, invariant)
-	fmt.Println("Functional comparison — untraced launches per app")
-	for _, f := range functional {
-		fmt.Printf("  %-10s", f.App)
-		for _, b := range f.Backends {
-			fmt.Printf("  %s %10.1f ms (%.2fx bcode)", b.Backend, b.WallMS, b.SpeedupBcode)
 		}
 		fmt.Println()
 	}

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	groverd [-addr :8372] [-cache 256] [-workers 0] [-backend bcode]
+//	groverd [-addr :8372] [-cache 256] [-workers 0] [-backend interp]
 //	        [-store grover.store] [-store-max 0] [-seed dir]
 //	        [-max-queue 0] [-trace-log path] [-trace-cap 256]
 //	        [-log-format text|json] [-log-level info] [-pprof addr]
@@ -28,7 +28,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -46,7 +45,7 @@ func main() {
 	addr := flag.String("addr", ":8372", "listen address")
 	cacheCap := flag.Int("cache", 0, "artifact cache capacity in entries (0 = default 256)")
 	workers := flag.Int("workers", 0, "max concurrent compile/tune jobs (0 = GOMAXPROCS)")
-	backend := flag.String("backend", "", "default execution backend (default: $GROVER_BACKEND, else interp)")
+	backend := flag.String("backend", "", "default execution backend (interp, wgvec, jit; default: $GROVER_BACKEND, else wgvec)")
 	jitNative := flag.Bool("jit-native", false, "enable the jit backend's native code generation (also: GROVER_JIT=native)")
 	storePath := flag.String("store", "", "persist the predictive-autotuning feature store at this path (empty = memory-only)")
 	storeMax := flag.Int("store-max", 0, "feature-store record bound (0 = unbounded)")
@@ -64,8 +63,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "groverd:", err)
 		os.Exit(2)
 	}
-	if *backend != "" && !vm.ValidBackend(*backend) {
-		logger.Error("unknown backend", "backend", *backend, "available", strings.Join(vm.Backends(), ", "))
+	// Resolve the default once, here: a bad -backend or GROVER_BACKEND
+	// stops the daemon instead of failing every request.
+	resolved, err := vm.ResolveBackend(*backend)
+	if err != nil {
+		logger.Error(err.Error())
 		os.Exit(2)
 	}
 	if *jitNative {
@@ -74,7 +76,7 @@ func main() {
 	srv := service.New(service.Config{
 		CacheCapacity:   *cacheCap,
 		Workers:         *workers,
-		Backend:         *backend,
+		Backend:         resolved,
 		Logger:          logger,
 		StorePath:       *storePath,
 		StoreMaxRecords: *storeMax,

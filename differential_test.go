@@ -163,7 +163,7 @@ func TestPlanDifferentialBackendsExist(t *testing.T) {
 // setDiffEngines are the engines the shared pass is checked on: one that
 // hands the device models a barrier region at a time and one that reports
 // every access.
-var setDiffEngines = []string{"wgvec", "bcode"}
+var setDiffEngines = []string{"wgvec", "interp"}
 
 // deviceLaunch times one kernel and returns one result per device.
 type deviceLaunch func(*opencl.Kernel) ([]device.Result, error)

@@ -9,12 +9,13 @@ import (
 )
 
 // BenchmarkBackends times functional (untraced) launches of three
-// representative benchmarks on each backend. Run with
+// representative benchmarks on each engine — the micro view of the
+// ledger's engine.* rows (bench/README.md). Run with
 //
 //	go test -bench BenchmarkBackends -run '^$' ./internal/bcode/
 //
-// The committed BENCH_vm.json holds the wall-clock comparison for the
-// full Fig. 10 sweep (cmd/groverbench -experiment backends).
+// and with GROVER_JIT=native in the environment for a jit column that
+// runs native code.
 func BenchmarkBackends(b *testing.B) {
 	plat := opencl.NewPlatform()
 	for _, id := range []string{"NVD-MT", "AMD-MM", "NVD-NBody"} {

@@ -11,15 +11,9 @@ import (
 	"grover/internal/vm"
 )
 
-func init() {
-	vm.RegisterBackend(Name, func(ctx context.Context, p *vm.Program) (vm.Executor, error) {
-		return CompileCtx(ctx, p)
-	})
-}
-
-// Machine is a prepared program compiled to bytecode. It implements
-// vm.Executor; the vm caches one Machine per program, so each function
-// is compiled once and executed many times.
+// Machine is a prepared program compiled to bytecode: one BFunc per
+// function of the module. It executes nothing itself; wgvec builds its
+// region programs from it and jit's codegen reads the same BFuncs.
 type Machine struct {
 	p     *vm.Program
 	funcs map[*ir.Function]*BFunc
@@ -123,8 +117,6 @@ func (m *Machine) compileFunc(f *ir.Function) error {
 		bf.Params[i] = r
 		fc.vals[p] = r
 	}
-	bf.IntInitLen = bf.NInt
-	bf.FltInitLen = bf.NFlt
 
 	fc.analyzeFusion()
 	for _, b := range f.Blocks {

@@ -1,9 +1,10 @@
-// Differential gate for the compiled backends (bcode and wgvec): every
-// benchmark app, in both its baseline and Grover-transformed form, must
-// produce bit-identical global memory on the interpreter and on each
-// compiled backend, and every device profile must report identical
-// simulated counters (which requires all backends to emit identical
-// memory-trace streams).
+// Differential gate for the engines built on this lowering (wgvec, and
+// jit's native code under GROVER_JIT=native): every benchmark app, in
+// both its baseline and Grover-transformed form, must produce
+// bit-identical global memory on the interpreter and on each compiled
+// engine, and every device profile must report identical simulated
+// counters (which requires all engines to emit identical memory-trace
+// streams).
 package bcode_test
 
 import (
@@ -26,9 +27,8 @@ var backends = enginetest.Engines()
 func TestBackendDifferentialApps(t *testing.T) {
 	profiles := device.All()
 	if testing.Short() {
-		// One profile keeps the race pass fast now that the matrix
-		// covers three backends; the full 6-profile sweep runs in the
-		// (un-raced) backends CI job.
+		// One profile keeps the race pass fast; the full 6-profile
+		// sweep runs in the (un-raced) backends CI job.
 		profiles = profiles[:1]
 	}
 	plat := opencl.NewPlatform()

@@ -1,58 +1,27 @@
-// Package bcode is a register-bytecode execution backend for the kernel
-// VM. Each ir.Function is compiled once into flat register-machine
-// bytecode: values live in dense per-bank register slots (int64, float64,
-// and vector lanes) instead of boxed interpreter values, operands and
-// branch targets are resolved to indices at compile time, opcodes are
+// Package bcode is the shared lowering under the compiled engines: each
+// ir.Function is compiled once into flat register-machine bytecode.
+// Values live in dense per-bank register slots (int64, float64, and
+// vector lanes) instead of boxed interpreter values, operands and branch
+// targets are resolved to indices at compile time, opcodes are
 // specialized by scalar/vector type, and the GEP+load / GEP+store address
 // chains that dominate the benchmark kernels are fused into
-// superinstructions. The dispatch loop preserves the interpreter's
-// contract exactly — cooperative barrier suspend/resume, divergence
-// detection, and bit-identical memory-trace emission — so simulated cycle
-// counts from internal/memsim are backend-invariant.
+// superinstructions. Every instruction keeps its originating IR
+// instruction and retire count, so an engine built on this form emits the
+// interpreter's memory trace bit for bit.
 //
-// The backend registers itself with the VM under the name "bcode";
-// importing the package (a blank import suffices) enables it.
-//
-// The compiled form (Inst, BFunc, the Op* opcode space) is exported so
-// other backends can consume bcode's output as their input IR; the
-// work-group-vectorized backend in internal/wgvec compiles region
-// programs directly from these instructions.
+// The package registers no backend and executes nothing. The compiled
+// form (Inst, BFunc, the Op* opcode space) is the input IR of the engines
+// that do: the work-group-vectorized engine in internal/wgvec compiles
+// its region programs from these instructions, and internal/jit's native
+// codegen reads the same BFuncs through wgvec.Machine.Bytecode.
 package bcode
 
 import (
 	"grover/internal/ir"
 )
 
-// Name is the backend's registration name.
-const Name = "bcode"
-
 // Opcode enumerates bytecode operations.
 type Opcode uint16
-
-// MemKind classifies an opcode's memory traffic for profiler accounting:
-// MemLoad / MemStore for the opcodes that emit one tracer Access per
-// executed lane, MemNone for everything else. The ranges lean on the
-// opcode layout below (scalar and fused loads, then stores, then the
-// vector forms) — keep them contiguous when adding opcodes.
-type MemKind uint8
-
-// Memory-op classes.
-const (
-	MemNone MemKind = iota
-	MemLoad
-	MemStore
-)
-
-// MemKind reports whether op is a load, a store, or neither.
-func (op Opcode) MemKind() MemKind {
-	switch {
-	case op >= OpLdI8 && op <= OpLdXF64, op >= OpLdVI && op <= OpLdXVF:
-		return MemLoad
-	case op >= OpStI8 && op <= OpStXF64, op >= OpStVI && op <= OpStXVF:
-		return MemStore
-	}
-	return MemNone
-}
 
 const (
 	OpNop Opcode = iota
@@ -313,11 +282,9 @@ type BFunc struct {
 	// Register-file initialization: the int/float banks open with a
 	// constant region (preloaded from these templates) followed by the
 	// parameter region; Params[i] names parameter i's register.
-	IntConsts  []int64
-	FltConsts  []float64
-	IntInitLen int
-	FltInitLen int
-	Params     []Ref
+	IntConsts []int64
+	FltConsts []float64
+	Params    []Ref
 
 	FrameSize int // private alloca frame, bytes
 	LocalSize int // static __local arena, bytes

@@ -149,7 +149,7 @@ func TestProfilerWithTracer(t *testing.T) {
 	o[get_global_id(0)] = tile[3 - l];
 }`
 	plat := opencl.NewPlatform()
-	for _, backend := range []string{vm.BackendInterp, "bcode", "wgvec"} {
+	for _, backend := range backends {
 		ctx := opencl.NewContext(plat.Devices()[0])
 		prog, err := ctx.CompileProgram("proftr", src, nil)
 		if err != nil {

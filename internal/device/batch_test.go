@@ -48,8 +48,8 @@ func (r *recorder) Instrs(wi int, n int64) {
 }
 func (r *recorder) GroupEnd() { r.evs = append(r.evs, event{kind: evGroupEnd}) }
 
-// feedPerAccess replays a recorded stream call by call, as interp and
-// bcode deliver it.
+// feedPerAccess replays a recorded stream call by call, as the
+// interpreter delivers it.
 func feedPerAccess(tr vm.Tracer, evs []event) {
 	for _, e := range evs {
 		switch e.kind {
@@ -466,7 +466,7 @@ __kernel void ragged(__global float* out, __global float* in, __local float* tmp
 `
 
 // TestEnginesMatchRecordedStream launches one kernel through every engine
-// on a simulator — wgvec (and jit) hand over batches, interp and bcode go
+// on a simulator — wgvec (and jit) hand over batches, interp goes
 // through the adapter — and requires the Result the reference model
 // computes from the recorded per-access stream.
 func TestEnginesMatchRecordedStream(t *testing.T) {

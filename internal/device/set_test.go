@@ -48,7 +48,7 @@ func TestSetMatchesSimulators(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []string{"wgvec", "bcode"} {
+	for _, backend := range []string{"wgvec", "interp"} {
 		for _, groups := range []int{3, 16, 150} {
 			got := setResults(t, set, profiles, backend, groups)
 			for i, p := range profiles {

@@ -330,14 +330,15 @@ func (w *workerSim) chargeWarpAccess(addrs []uint64, sizes []int, space clc.Addr
 	}
 }
 
-// regionGather gathers the per-access calls of the engines that report one
-// access at a time (interp, bcode) into one barrier region's batch, for its
-// owner to deliver before the Barrier or GroupEnd that closes the region.
+// regionGather gathers the per-access calls of an engine that reports one
+// access at a time (the interpreter) into one barrier region's batch, for
+// its owner to deliver before the Barrier or GroupEnd that closes the
+// region.
 type regionGather struct {
 	region  vm.AccessBatch
 	pending bool
 	// intern is set when a consumer forms warps: only warp formation looks
-	// at the instruction, and these engines switch instruction with every
+	// at the instruction, and such an engine switches instruction with every
 	// access, so each one is a table lookup worth skipping otherwise.
 	intern bool
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"grover/internal/apps"
+	"grover/internal/vm"
 )
 
 func TestRunCaseTranspose(t *testing.T) {
@@ -27,6 +28,28 @@ func TestRunCaseTranspose(t *testing.T) {
 	}
 	if m.Report == nil || !m.Report.Transformed() {
 		t.Error("missing transformation report")
+	}
+}
+
+// TestRunCaseDefaultEngine: a case with no Backend goes through the VM
+// default — wgvec in this binary, whatever GROVER_BACKEND names otherwise,
+// so a name nobody registered fails the case and blames the variable.
+func TestRunCaseDefaultEngine(t *testing.T) {
+	t.Setenv(vm.EnvBackend, "")
+	if got, err := vm.ResolveBackend(""); err != nil || got != vm.BackendWgvec {
+		t.Fatalf("default engine = %q, %v; want %q", got, err, vm.BackendWgvec)
+	}
+	app, err := apps.ByID("NVD-MT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv(vm.EnvBackend, "bcode")
+	_, err = RunCase(app, "SNB", Config{})
+	if err == nil || !strings.Contains(err.Error(), vm.EnvBackend) || !strings.Contains(err.Error(), "[interp jit wgvec]") {
+		t.Errorf("RunCase under %s=bcode: %v; want the unknown-backend error", vm.EnvBackend, err)
+	}
+	if _, err := RunCase(app, "SNB", Config{Backend: vm.BackendInterp}); err != nil {
+		t.Errorf("a named oracle must not consult the environment: %v", err)
 	}
 }
 

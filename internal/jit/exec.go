@@ -26,7 +26,7 @@ func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts 
 }
 
 // launchNative marshals the launch into the generated module's flat
-// calling convention with bcode's exact launch contract (argument
+// calling convention with wgvec's exact launch contract (argument
 // checks, dynamic __local layout, group order and error wrap) and runs
 // it through the module's transport.
 func (m *Machine) launchNative(nat *nativeKernel, kernel string, cfg vm.Config, gmem []byte, opts *vm.LaunchOpts) error {

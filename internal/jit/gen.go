@@ -17,7 +17,7 @@ import (
 // map, and ok=false when no kernel is eligible.
 //
 // The generated code is a statement-for-statement transliteration of
-// bcode's per-lane interpreter: identical expression forms (so Go
+// the bytecode's per-lane semantics: identical expression forms (so Go
 // compiles identical float operations — no FMA contraction on amd64,
 // no reassociation), identical arena-decode order, and identical error
 // strings. Bit-identical results are by construction, and the
@@ -177,8 +177,8 @@ func (g *srcGen) supported(bf *bcode.BFunc, seen map[*bcode.BFunc]bool) bool {
 }
 
 // genPreamble is the static part of every generated module: the lane
-// environment, the arena decode with its exact bcode error diagnostics,
-// the group runner with bcode's round structure and divergence
+// environment, the arena decode with the interpreter's exact error
+// diagnostics, the group runner with its round structure and divergence
 // messages, and the subprocess worker loop.
 const genPreamble = `// Code generated by grover/internal/jit. DO NOT EDIT.
 package main
@@ -228,8 +228,8 @@ func (e *env) arena(tag uint64) []byte {
 	return e.pmem
 }
 
-// memErr reproduces bcode's two-stage bounds diagnostics for a failed
-// scalar access.
+// memErr reproduces the interpreter's two-stage bounds diagnostics for a
+// failed scalar access.
 func (e *env) memErr(addr uint64, sz int, store bool) error {
 	off := addr & addrMask
 	name := "private"
@@ -251,7 +251,7 @@ func (e *env) memErr(addr uint64, sz int, store bool) error {
 }
 
 // vecErr attributes a failed vector access to its first failing
-// element, matching bcode's per-element decode order.
+// element, matching wgvec's per-element decode order.
 func (e *env) vecErr(addr uint64, es, lanes int, store bool) error {
 	for i := 0; i < lanes; i++ {
 		a := addr + uint64(i*es)
@@ -327,8 +327,8 @@ func NewRunner() func(kernel int, gmem, local []byte, priv [][]byte, pi []int64,
 }
 
 // runGroup executes one work-group in barrier-delimited rounds with
-// bcode's exact divergence diagnostics: a lane function returns 0 when
-// the work-item finished and a positive barrier-site id when it
+// the interpreter's exact divergence diagnostics: a lane function returns
+// 0 when the work-item finished and a positive barrier-site id when it
 // suspended there.
 func (s *runnerState) runGroup(kern func(*env, int) (int, error), needI, needF int,
 	gmem, local []byte, priv [][]byte, pi []int64, pf []float64, geom []int64) error {
@@ -417,7 +417,7 @@ type workerResp struct {
 }
 
 // workerMain is the subprocess transport: one whole launch per request,
-// groups run in ascending linear order with bcode's group error wrap.
+// groups run in ascending linear order with wgvec's group error wrap.
 func workerMain() {
 	dec := gob.NewDecoder(bufio.NewReader(os.Stdin))
 	bw := bufio.NewWriter(os.Stdout)

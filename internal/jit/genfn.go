@@ -14,7 +14,7 @@ import (
 // Kernels become `kern<i>(e *env, resume int) (int, error)` state
 // machines (0 = done, k>0 = suspended at barrier site k); callees
 // become `fn<i>(e *env, fb int, args...) (int64, float64, []int64,
-// []float64, error)` with bcode's return-stash semantics.
+// []float64, error)` with wgvec's return-stash semantics.
 type fnEmit struct {
 	g       *srcGen
 	bf      *bcode.BFunc
@@ -450,7 +450,7 @@ func roundE(k clc.ScalarKind, x string) string {
 	return x
 }
 
-// ldIntE is bcode loadIntLane's decode expression for one element.
+// ldIntE is wgvec loadIntLane's decode expression for one element.
 func ldIntE(k clc.ScalarKind, off string) string {
 	switch k {
 	case clc.KBool, clc.KUChar:
@@ -469,7 +469,7 @@ func ldIntE(k clc.ScalarKind, off string) string {
 	return fmt.Sprintf("int64(binary.LittleEndian.Uint64(ab[%s:]))", off)
 }
 
-// stIntS is bcode storeIntLane's encode statement for one element.
+// stIntS is wgvec storeIntLane's encode statement for one element.
 func stIntS(k clc.ScalarKind, off, x string) string {
 	switch k {
 	case clc.KBool, clc.KChar, clc.KUChar:

@@ -45,8 +45,8 @@ func fusedMem(op bcode.Opcode) bool {
 	return false
 }
 
-// memCheck emits the scalar-access prologue: address, tag decode, and
-// the combined bounds check with bcode's diagnostics on failure.
+// memCheck emits the scalar-access prologue: address, tag decode, and the
+// combined bounds check with the interpreter's diagnostics on failure.
 // Leaves ab/tb bound for the access expression.
 func (fe *fnEmit) memCheck(in *bcode.Inst, sz int, store bool) {
 	if fusedMem(in.Op) {
@@ -62,7 +62,7 @@ func (fe *fnEmit) memCheck(in *bcode.Inst, sz int, store bool) {
 }
 
 // vecCheck is memCheck for a whole contiguous vector access; the error
-// path re-scans per element for bcode's exact first-failure diagnostic.
+// path re-scans per element for wgvec's exact first-failure diagnostic.
 func (fe *fnEmit) vecCheck(in *bcode.Inst, es, lanes int, store bool) {
 	if fusedMem(in.Op) {
 		fe.wl("ta = uint64(r%d + r%d*%d)", in.B, in.C, in.Imm)
@@ -459,7 +459,7 @@ func (fe *fnEmit) emitInst(pc int, in *bcode.Inst) {
 		}
 		fe.wl("w%d[%d] = f%d", A, in.Imm, C)
 	case bcode.OpShufI:
-		// Sequential ascending assignments replicate bcode's behaviour when
+		// Sequential ascending assignments replicate wgvec's behaviour when
 		// destination and source alias.
 		for i, c := range bf.Aux[in.Imm].Comps {
 			fe.wl("v%d[%d] = v%d[%d]", A, i, B, c)
@@ -690,7 +690,7 @@ func (fe *fnEmit) emitVConv(in *bcode.Inst) {
 	}
 }
 
-// emitCall emits a user-function call with bcode's exact frame, stash,
+// emitCall emits a user-function call with wgvec's exact frame, stash,
 // and return-merge semantics: scalar destinations zero on a stash-tag
 // mismatch, vector destinations stay untouched.
 func (fe *fnEmit) emitCall(in *bcode.Inst) {

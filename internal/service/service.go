@@ -66,7 +66,7 @@ type Config struct {
 	Workers int
 	// Backend is the default execution backend for autotune launches
 	// (requests may override per call). Empty or unknown names fall back
-	// to the VM default (GROVER_BACKEND, else the interpreter).
+	// to the VM default (GROVER_BACKEND, else wgvec).
 	Backend string
 	// Logger receives one structured line per request; nil discards them
 	// (tests, embedded use). The daemon wires a real handler here.
@@ -113,13 +113,20 @@ type Server struct {
 
 // New builds a ready-to-serve Server.
 func New(cfg Config) *Server {
-	backend := cfg.Backend
-	if !vm.ValidBackend(backend) {
-		backend = vm.DefaultBackend()
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+	}
+	backend := cfg.Backend
+	if !vm.ValidBackend(backend) {
+		// The default is resolved once, here, so the server never holds a
+		// name a request would fail on. groverd refuses to start on a bad
+		// GROVER_BACKEND; an embedding caller gets the engine and this line.
+		var err error
+		if backend, err = vm.ResolveBackend(""); err != nil {
+			logger.Warn("ignoring "+vm.EnvBackend, "err", err)
+			backend = vm.BackendWgvec
+		}
 	}
 	traceCap := cfg.TraceCapacity
 	if traceCap <= 0 {
@@ -605,7 +612,7 @@ type AutotuneRequest struct {
 	// Runs averages this many timed executions per version (default 1).
 	Runs int `json:"runs,omitempty"`
 	// Backend overrides the server's default execution backend for this
-	// request ("interp", "bcode", ...). Simulated timings are
+	// request ("interp", "wgvec", "jit"). Simulated timings are
 	// backend-invariant; this picks how fast the tuning itself runs.
 	Backend string `json:"backend,omitempty"`
 	// Characterize attaches an AIWC-style feature vector for both kernel

@@ -8,7 +8,7 @@
 // stream every backend is contractually required to emit bit-identically
 // (the PR 3/PR 4 invariance gate). Features are therefore
 // backend-invariant by construction: the same launch characterized on the
-// interpreter, bcode or wgvec produces a byte-identical feature vector.
+// interpreter or on wgvec produces a byte-identical feature vector.
 // They are also worker-count-invariant: per-worker partials merge only
 // through commutative integer sums and map unions, and every float is
 // derived from the merged integers in a deterministic (sorted) order.

@@ -1,7 +1,7 @@
 // Backend-invariance gate for the characterizer: every benchmark app, in
 // both its baseline and Grover-transformed form, must produce a
-// byte-identical feature vector on the interpreter, bcode and wgvec, and
-// the vector must be independent of the launch's worker count.
+// byte-identical feature vector on the interpreter and on wgvec, and the
+// vector must be independent of the launch's worker count.
 package aiwc_test
 
 import (

@@ -11,8 +11,14 @@ import (
 	"grover/internal/ir"
 )
 
-// BackendInterp names the built-in tree-walking interpreter backend.
+// BackendInterp names the built-in tree-walking interpreter backend: the
+// oracle every other engine is checked against.
 const BackendInterp = "interp"
+
+// BackendWgvec names the work-group-vectorized engine (internal/wgvec),
+// the default wherever it is linked in. The vm cannot import it — the
+// engine is built on the vm — so the name lives here.
+const BackendWgvec = "wgvec"
 
 // EnvBackend is the environment variable that selects the default
 // execution backend for launches whose Config.Backend is empty.
@@ -72,10 +78,15 @@ func ValidBackend(name string) bool {
 }
 
 // DefaultBackend returns the backend used when Config.Backend is empty:
-// the GROVER_BACKEND environment variable when set, else the interpreter.
+// the GROVER_BACKEND environment variable when set, else wgvec, else —
+// in a binary that links no compiled engine — the interpreter. The
+// environment value is returned as given; ResolveBackend validates it.
 func DefaultBackend() string {
 	if v := os.Getenv(EnvBackend); v != "" {
 		return v
+	}
+	if ValidBackend(BackendWgvec) {
+		return BackendWgvec
 	}
 	return BackendInterp
 }

@@ -67,6 +67,9 @@ func TestResolveBackendEnvValidation(t *testing.T) {
 	}
 }
 
+// TestResolveBackendDefaults: this test binary links no compiled engine,
+// so an unset knob means the interpreter; once wgvec registers (here a
+// stand-in under its name, in opencl's tests the real one) it means wgvec.
 func TestResolveBackendDefaults(t *testing.T) {
 	t.Setenv(EnvBackend, "")
 	name, err := ResolveBackend("")
@@ -75,6 +78,14 @@ func TestResolveBackendDefaults(t *testing.T) {
 	}
 	if name, err := ResolveBackend(BackendInterp); err != nil || name != BackendInterp {
 		t.Fatalf("ResolveBackend(interp) = %q, %v", name, err)
+	}
+	registerForTest(t, BackendWgvec, func(context.Context, *Program) (Executor, error) { return nil, nil })
+	if name, err := ResolveBackend(""); err != nil || name != BackendWgvec {
+		t.Fatalf("ResolveBackend(\"\") with wgvec registered = %q, %v; want wgvec, nil", name, err)
+	}
+	t.Setenv(EnvBackend, BackendInterp)
+	if name, err := ResolveBackend(""); err != nil || name != BackendInterp {
+		t.Fatalf("ResolveBackend(\"\") under %s=interp = %q, %v", EnvBackend, name, err)
 	}
 }
 

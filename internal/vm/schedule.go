@@ -15,7 +15,7 @@ import "sync/atomic"
 //     (early-exit guards, divergent tails) no longer leave workers idle
 //     behind a statically assigned straggler.
 //
-// Every backend (interp, bcode, wgvec) schedules through this type so the
+// Every backend (interp, wgvec) schedules through this type so the
 // policy choice stays in one place.
 type GroupSchedule struct {
 	nGroups int

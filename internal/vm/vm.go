@@ -150,9 +150,10 @@ type Config struct {
 	GlobalSize [3]int
 	LocalSize  [3]int
 	Args       []Arg
-	// Backend selects the execution backend ("interp", "bcode", ...).
+	// Backend selects the execution backend ("interp", "wgvec", "jit").
 	// Empty means DefaultBackend(): the GROVER_BACKEND environment
-	// variable when set, else the interpreter.
+	// variable when set, else wgvec where it is linked in, else the
+	// interpreter.
 	Backend string
 }
 
@@ -216,8 +217,8 @@ type LaunchOpts struct {
 	// TracerFor, when non-nil, supplies a tracer per worker.
 	TracerFor func(worker int) Tracer
 	// Profiler, when non-nil, attributes the launch's wall time and
-	// retire/traffic counters to barrier-delimited regions. interp, bcode
-	// and wgvec implement the hook (jit hands profiled launches to wgvec);
+	// retire/traffic counters to barrier-delimited regions. interp and
+	// wgvec implement the hook (jit hands profiled launches to wgvec);
 	// nil keeps every hot path untouched.
 	Profiler *Profiler
 }

@@ -1,7 +1,7 @@
 // Divergence-stress fixtures for the lockstep backend: kernels chosen
 // to force mask partitioning, reconvergence, and uniform-branch barrier
 // placement. Every kernel must produce bit-identical memory and retire
-// the same instruction count on the interpreter, bcode and wgvec.
+// the same instruction count on the interpreter and on wgvec.
 package wgvec_test
 
 import (

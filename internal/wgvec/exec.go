@@ -15,7 +15,7 @@ import (
 
 // Return-value tags for the per-lane stash of a columnar call frame. A
 // lane's copy-out reads the stash only when the tag matches the
-// destination bank, mirroring bcode's clear-then-set return fields.
+// destination bank.
 const (
 	retNone = iota
 	retInt
@@ -142,7 +142,7 @@ func (fr *colFrame) ensure(bf *bcode.BFunc, rp *regionProgram, n int) {
 	}
 }
 
-// Launch implements vm.Executor with bcode's exact launch contract:
+// Launch implements vm.Executor with the interpreter's launch contract:
 // traced launches distribute work-groups round-robin over workers,
 // untraced launches balance groups dynamically, and work-items within a
 // group advance in barrier-delimited rounds — here as lockstep segments

@@ -1,11 +1,12 @@
 // Package wgvec is a work-group-vectorized execution backend for the
 // kernel VM. It consumes the register bytecode produced by internal/bcode
-// and flips bcode's loop nest: instead of dispatching every instruction
-// once per work-item, the executor walks instructions once per work-group
-// and sweeps all active work-items over columnar (struct-of-arrays)
-// register banks — ri[reg][wi], rf[reg][wi] — so the dispatch overhead of
-// a barrier region is paid once instead of local_size times and the inner
-// loops are tight, bounds-check-friendly sweeps over contiguous columns.
+// and flips the interpreter's loop nest: instead of dispatching every
+// instruction once per work-item, the executor walks instructions once per
+// work-group and sweeps all active work-items over columnar
+// (struct-of-arrays) register banks — ri[reg][wi], rf[reg][wi] — so the
+// dispatch overhead of a barrier region is paid once instead of local_size
+// times and the inner loops are tight, bounds-check-friendly sweeps over
+// contiguous columns.
 //
 // Control flow is handled with per-work-item active masks: the CFG of
 // each function is annotated with reverse-post-order block priorities,
@@ -25,7 +26,7 @@
 // per work-item during lockstep execution and handed to the tracer at the
 // end of each barrier round — as one vm.AccessBatch when the tracer takes
 // batches, else replayed access by access in work-item-major order — so
-// memsim observes the same stream as the interpreter and bcode.
+// memsim observes the same stream as from the interpreter.
 //
 // The backend registers itself with the VM under the name "wgvec";
 // importing the package (a blank import suffices) enables it.
@@ -43,8 +44,9 @@ import (
 	"grover/internal/vm"
 )
 
-// Name is the backend's registration name.
-const Name = "wgvec"
+// Name is the backend's registration name, the one vm.DefaultBackend
+// falls to when nothing selects an engine.
+const Name = vm.BackendWgvec
 
 func init() {
 	vm.RegisterBackend(Name, func(ctx context.Context, p *vm.Program) (vm.Executor, error) {

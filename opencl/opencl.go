@@ -27,7 +27,6 @@ import (
 	"strings"
 
 	"grover/internal/analysis"
-	_ "grover/internal/bcode" // register the bytecode execution backend
 	"grover/internal/clc"
 	"grover/internal/debug"
 	"grover/internal/device"
@@ -114,10 +113,9 @@ func NewContext(d *Device) *Context {
 // Device returns the context's device.
 func (c *Context) Device() *Device { return c.dev }
 
-// SetBackend selects the VM execution backend ("interp", "bcode",
-// "wgvec", "jit") for all
-// launches from this context's queues. The empty string restores the
-// default (the GROVER_BACKEND environment variable, else the interpreter).
+// SetBackend selects the VM execution backend ("interp", "wgvec", "jit")
+// for all launches from this context's queues. The empty string restores
+// the default (the GROVER_BACKEND environment variable, else wgvec).
 func (c *Context) SetBackend(name string) error {
 	if name != "" && !vm.ValidBackend(name) {
 		return fmt.Errorf("opencl: unknown backend %q (available: %v)", name, vm.Backends())

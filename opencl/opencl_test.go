@@ -1,11 +1,13 @@
 package opencl
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	igrover "grover/internal/grover"
+	"grover/internal/vm"
 )
 
 const testKernel = `
@@ -298,6 +300,91 @@ func TestDeviceByNameErrorListsDevices(t *testing.T) {
 		if !strings.Contains(msg, name) {
 			t.Errorf("error %q does not mention %q", msg, name)
 		}
+	}
+}
+
+// TestEngineNames pins what linking this package makes available: the
+// oracle and the engine (plus jit on top of it), wgvec when nothing is
+// named, and "bcode" — an engine until PR 15, still the name of the
+// lowering package — an unknown name like any other, from every door.
+func TestEngineNames(t *testing.T) {
+	const available = "[interp jit wgvec]"
+	if got := fmt.Sprint(vm.Backends()); got != available {
+		t.Fatalf("vm.Backends() = %s, want %s", got, available)
+	}
+	t.Setenv(vm.EnvBackend, "")
+	if got := vm.DefaultBackend(); got != vm.BackendWgvec {
+		t.Errorf("vm.DefaultBackend() = %q, want %q", got, vm.BackendWgvec)
+	}
+	if got, err := vm.ResolveBackend(""); err != nil || got != vm.BackendWgvec {
+		t.Errorf(`vm.ResolveBackend("") = %q, %v; want %q`, got, err, vm.BackendWgvec)
+	}
+
+	unknown := func(door string, err error, blame string) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s: bcode accepted", door)
+			return
+		}
+		for _, want := range []string{blame, `"bcode"`, available} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %s", door, err, want)
+			}
+		}
+	}
+	_, err := vm.ResolveBackend("bcode")
+	unknown("ResolveBackend", err, "unknown backend")
+	ctx := NewContext(NewPlatform().Devices()[0])
+	unknown("SetBackend", ctx.SetBackend("bcode"), "unknown backend")
+	if ctx.Backend() != "" {
+		t.Errorf("a rejected SetBackend stuck: %q", ctx.Backend())
+	}
+	t.Setenv(vm.EnvBackend, "bcode")
+	_, err = vm.ResolveBackend("")
+	unknown("GROVER_BACKEND", err, vm.EnvBackend)
+
+	for _, name := range []string{"", "interp", "wgvec", "jit"} {
+		if err := ctx.SetBackend(name); err != nil {
+			t.Errorf("SetBackend(%q): %v", name, err)
+		}
+	}
+}
+
+// TestUnsetBackendRunsOnWgvec launches through a queue with nothing
+// selected and reads which engine ran off the kernel profiler's report;
+// naming the interpreter — on the context or in the environment — still
+// gets the oracle.
+func TestUnsetBackendRunsOnWgvec(t *testing.T) {
+	ran := func(name string) string {
+		t.Helper()
+		ctx := NewContext(NewPlatform().Devices()[0])
+		if err := ctx.SetBackend(name); err != nil {
+			t.Fatal(err)
+		}
+		prog, err := ctx.CompileProgram("scale.cl", testKernel, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, _ := prog.Kernel("scale")
+		q := ctx.NewQueue()
+		prof := vm.NewProfiler()
+		q.SetKernelProfiler(prof)
+		nd := NDRange{Global: [3]int{64, 1, 1}, Local: [3]int{16, 1, 1}}
+		if _, err := q.EnqueueNDRange(k, nd, ctx.NewBuffer(64*4), float32(2), int32(64)); err != nil {
+			t.Fatal(err)
+		}
+		return prof.Report().Backend
+	}
+	t.Setenv(vm.EnvBackend, "")
+	if got := ran(""); got != vm.BackendWgvec {
+		t.Errorf("nothing set: ran on %q, want %q", got, vm.BackendWgvec)
+	}
+	if got := ran(vm.BackendInterp); got != vm.BackendInterp {
+		t.Errorf("SetBackend(interp): ran on %q", got)
+	}
+	t.Setenv(vm.EnvBackend, vm.BackendInterp)
+	if got := ran(""); got != vm.BackendInterp {
+		t.Errorf("%s=interp: ran on %q", vm.EnvBackend, got)
 	}
 }
 
