@@ -28,7 +28,6 @@ import (
 	"strings"
 
 	igrover "grover/internal/grover"
-	"grover/internal/jit"
 	"grover/internal/telemetry"
 	"grover/internal/telemetry/aiwc"
 	"grover/internal/vm"
@@ -50,17 +49,13 @@ func main() {
 		useGrover  = flag.Bool("grover", false, "run the Grover-transformed kernel as well and compare times")
 		timed      = flag.Bool("time", false, "use the device cost model and report simulated time")
 		dump       = flag.String("dump", "", "print buffer contents after the run: ARGINDEX:COUNT")
-		backend    = flag.String("backend", "", "execution backend (interp, wgvec, jit; default: $GROVER_BACKEND, else wgvec)")
-		jitNative  = flag.Bool("jit-native", false, "enable the jit backend's native code generation (also: GROVER_JIT=native)")
+		backend    = flag.String("backend", "", "execution backend (interp, wgvec; default: $GROVER_BACKEND, else wgvec)")
 		profile    = flag.Bool("profile", false, "run one extra traced launch per kernel version and print its AIWC-style feature vector")
 		kprofile   = flag.Bool("kernel-profile", false, "attribute each launch's wall time and retire/traffic counters to its barrier-delimited regions")
 		traceOut   = flag.String("trace-out", "", "append this run's telemetry trace (compile stages, launches) to a JSONL file")
 	)
 	flag.Var(&args, "arg", "kernel argument spec (repeatable, in declaration order)")
 	flag.Parse()
-	if *jitNative {
-		jit.SetNative(true)
-	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: clrun [flags] kernel.cl")
 		flag.PrintDefaults()

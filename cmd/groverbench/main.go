@@ -17,7 +17,7 @@
 //	groverbench -experiment predict -device all -format json  # predictive-autotuning cross-validation
 //	groverbench -experiment service -format json       # groverd load harness (open-loop)
 //
-// -backend selects the execution backend (interp, wgvec or jit; wgvec
+// -backend selects the execution backend (interp or wgvec; wgvec
 // unless named) and -format json emits machine-readable measurements;
 // engine against engine is the ledger's business (bench/, the engine.*
 // rows). The committed BENCH_characterize.json is the output of the
@@ -47,7 +47,6 @@ import (
 	"grover/internal/apps"
 	igrover "grover/internal/grover"
 	"grover/internal/harness"
-	"grover/internal/jit"
 	"grover/internal/telemetry/aiwc"
 	"grover/internal/vm"
 	"grover/opencl"
@@ -61,8 +60,7 @@ func main() {
 		scale      = flag.Int("scale", 1, "dataset scale factor")
 		runs       = flag.Int("runs", 1, "simulated executions to average per version")
 		validate   = flag.Bool("validate", false, "also validate both kernel versions against host references")
-		backend    = flag.String("backend", "", "execution backend (interp, wgvec, jit; default: $GROVER_BACKEND, else wgvec)")
-		jitNative  = flag.Bool("jit-native", false, "enable the jit backend's native code generation (also: GROVER_JIT=native)")
+		backend    = flag.String("backend", "", "execution backend (interp, wgvec; default: $GROVER_BACKEND, else wgvec)")
 		format     = flag.String("format", "text", "output format: text | json")
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -73,9 +71,6 @@ func main() {
 		loadWork   = flag.Int("load-workers", 0, "-experiment service: saturation-probe concurrency (0 = 2 x GOMAXPROCS)")
 	)
 	flag.Parse()
-	if *jitNative {
-		jit.SetNative(true)
-	}
 
 	var logW io.Writer = os.Stderr
 	if *quiet {

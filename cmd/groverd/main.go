@@ -31,7 +31,6 @@ import (
 	"syscall"
 	"time"
 
-	"grover/internal/jit"
 	"grover/internal/service"
 	"grover/internal/vm"
 	"grover/opencl"
@@ -45,8 +44,7 @@ func main() {
 	addr := flag.String("addr", ":8372", "listen address")
 	cacheCap := flag.Int("cache", 0, "artifact cache capacity in entries (0 = default 256)")
 	workers := flag.Int("workers", 0, "max concurrent compile/tune jobs (0 = GOMAXPROCS)")
-	backend := flag.String("backend", "", "default execution backend (interp, wgvec, jit; default: $GROVER_BACKEND, else wgvec)")
-	jitNative := flag.Bool("jit-native", false, "enable the jit backend's native code generation (also: GROVER_JIT=native)")
+	backend := flag.String("backend", "", "default execution backend (interp, wgvec; default: $GROVER_BACKEND, else wgvec)")
 	storePath := flag.String("store", "", "persist the predictive-autotuning feature store at this path (empty = memory-only)")
 	storeMax := flag.Int("store-max", 0, "feature-store record bound (0 = unbounded)")
 	seedDir := flag.String("seed", "", "seed the feature store from the BENCH_*.json sweeps in this directory")
@@ -69,9 +67,6 @@ func main() {
 	if err != nil {
 		logger.Error(err.Error())
 		os.Exit(2)
-	}
-	if *jitNative {
-		jit.SetNative(true)
 	}
 	srv := service.New(service.Config{
 		CacheCapacity:   *cacheCap,

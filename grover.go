@@ -149,14 +149,7 @@ func (r TuneResult) String() string {
 // profiling queue, returning the event.
 func AutoTune(prog *opencl.Program, kernel string, opts Options, runs int,
 	launch func(k *opencl.Kernel) (*opencl.Event, error)) (*TuneResult, error) {
-	return AutoTuneCtx(context.Background(), prog, kernel, opts, runs, launch)
-}
-
-// AutoTuneCtx is AutoTune with pipeline span recording (grover.transform
-// and the re-prepare stages) when ctx carries a telemetry trace.
-func AutoTuneCtx(ctx context.Context, prog *opencl.Program, kernel string, opts Options, runs int,
-	launch func(k *opencl.Kernel) (*opencl.Event, error)) (*TuneResult, error) {
-	res, err := tuneVersions(ctx, prog, kernel, opts, runs, single(launch), []*opencl.Device{prog.Device()})
+	res, err := tuneVersions(context.Background(), prog, kernel, opts, runs, single(launch), []*opencl.Device{prog.Device()})
 	if err != nil {
 		return nil, err
 	}
@@ -278,14 +271,7 @@ func tuneVersions(ctx context.Context, prog *opencl.Program, kernel string, opts
 // whether or not it is listed, and serves as the speedup reference.
 func AutoTunePlans(prog *opencl.Program, kernel string, plans []string, runs int,
 	launch func(k *opencl.Kernel) (*opencl.Event, error)) (*TuneResult, error) {
-	return AutoTunePlansCtx(context.Background(), prog, kernel, plans, runs, launch)
-}
-
-// AutoTunePlansCtx is AutoTunePlans with pipeline span recording when ctx
-// carries a telemetry trace.
-func AutoTunePlansCtx(ctx context.Context, prog *opencl.Program, kernel string, plans []string, runs int,
-	launch func(k *opencl.Kernel) (*opencl.Event, error)) (*TuneResult, error) {
-	return AutoTunePlansOpts(ctx, prog, kernel, plans, runs, launch, PlanSearchOptions{})
+	return AutoTunePlansOpts(context.Background(), prog, kernel, plans, runs, launch, PlanSearchOptions{})
 }
 
 // PlanSearchOptions extend the plan search beyond exhaustive timing.
@@ -342,8 +328,9 @@ type PlanSearchOptions struct {
 	Profile func(plan string) *vm.Profiler
 }
 
-// AutoTunePlansOpts is AutoTunePlansCtx with search options (static
-// prune mode; see PlanSearchOptions).
+// AutoTunePlansOpts is AutoTunePlans with pipeline span recording when
+// ctx carries a telemetry trace, and with search options (static prune
+// mode; see PlanSearchOptions).
 func AutoTunePlansOpts(ctx context.Context, prog *opencl.Program, kernel string, plans []string, runs int,
 	launch func(k *opencl.Kernel) (*opencl.Event, error), popts PlanSearchOptions) (*TuneResult, error) {
 	if _, err := prog.Kernel(kernel); err != nil {

@@ -13,9 +13,6 @@ import (
 // ledger's engine.* rows (bench/README.md). Run with
 //
 //	go test -bench BenchmarkBackends -run '^$' ./internal/bcode/
-//
-// and with GROVER_JIT=native in the environment for a jit column that
-// runs native code.
 func BenchmarkBackends(b *testing.B) {
 	plat := opencl.NewPlatform()
 	for _, id := range []string{"NVD-MT", "AMD-MM", "NVD-NBody"} {

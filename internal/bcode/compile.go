@@ -13,7 +13,7 @@ import (
 
 // Machine is a prepared program compiled to bytecode: one BFunc per
 // function of the module. It executes nothing itself; wgvec builds its
-// region programs from it and jit's codegen reads the same BFuncs.
+// region programs from it.
 type Machine struct {
 	p     *vm.Program
 	funcs map[*ir.Function]*BFunc

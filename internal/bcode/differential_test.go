@@ -1,10 +1,8 @@
-// Differential gate for the engines built on this lowering (wgvec, and
-// jit's native code under GROVER_JIT=native): every benchmark app, in
-// both its baseline and Grover-transformed form, must produce
-// bit-identical global memory on the interpreter and on each compiled
+// Differential gate for the engine built on this lowering (wgvec): every
+// benchmark app, in both its baseline and Grover-transformed form, must
+// produce bit-identical global memory on the interpreter and on the
 // engine, and every device profile must report identical simulated
-// counters (which requires all engines to emit identical memory-trace
-// streams).
+// counters (which requires both to emit identical memory-trace streams).
 package bcode_test
 
 import (

@@ -1,5 +1,5 @@
-// Package bcode is the shared lowering under the compiled engines: each
-// ir.Function is compiled once into flat register-machine bytecode.
+// Package bcode is the lowering the engine reads: each ir.Function is
+// compiled once into flat register-machine bytecode.
 // Values live in dense per-bank register slots (int64, float64, and
 // vector lanes) instead of boxed interpreter values, operands and branch
 // targets are resolved to indices at compile time, opcodes are
@@ -10,10 +10,9 @@
 // interpreter's memory trace bit for bit.
 //
 // The package registers no backend and executes nothing. The compiled
-// form (Inst, BFunc, the Op* opcode space) is the input IR of the engines
-// that do: the work-group-vectorized engine in internal/wgvec compiles
-// its region programs from these instructions, and internal/jit's native
-// codegen reads the same BFuncs through wgvec.Machine.Bytecode.
+// form (Inst, BFunc, the Op* opcode space) is the input IR of the engine
+// that does: the work-group-vectorized engine in internal/wgvec compiles
+// its region programs from these instructions.
 package bcode
 
 import (

@@ -70,13 +70,7 @@ func testProfilerParity(t *testing.T, src string, wantRegions int) {
 		if rep == nil {
 			t.Fatalf("%s: nil profile report", backend)
 		}
-		// jit's native code cannot attribute regions: its profiled launches
-		// run on, and are labeled, wgvec.
-		label := backend
-		if backend == "jit" {
-			label = "wgvec"
-		}
-		if rep.Backend != label {
+		if rep.Backend != backend {
 			t.Errorf("%s: report labeled backend %q", backend, rep.Backend)
 		}
 		if rep.Kernel != "k" {

@@ -466,9 +466,9 @@ __kernel void ragged(__global float* out, __global float* in, __local float* tmp
 `
 
 // TestEnginesMatchRecordedStream launches one kernel through every engine
-// on a simulator — wgvec (and jit) hand over batches, interp goes
-// through the adapter — and requires the Result the reference model
-// computes from the recorded per-access stream.
+// on a simulator — wgvec hands over batches, interp goes through the
+// adapter — and requires the Result the reference model computes from
+// the recorded per-access stream.
 func TestEnginesMatchRecordedStream(t *testing.T) {
 	const n, local = 48 * 40, 48
 	prog := compile(t, raggedSrc)

@@ -389,7 +389,7 @@ func (r *regionGather) reset() {
 }
 
 // accessAdapter is the tracer a worker hands the VM. Engines that buffer
-// a barrier region (wgvec, jit) reach the embedded workerSim's AccessBatch
+// a barrier region (wgvec) reach the embedded workerSim's AccessBatch
 // directly; for the ones that report one access at a time the adapter
 // gathers the region and delivers it the same way.
 type accessAdapter struct {

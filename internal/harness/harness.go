@@ -30,7 +30,7 @@ type Config struct {
 	// Validate additionally checks both kernel versions against the host
 	// reference before timing.
 	Validate bool
-	// Backend selects the execution backend ("interp", "wgvec", "jit").
+	// Backend selects the execution backend ("interp", "wgvec").
 	// Empty uses the VM default (GROVER_BACKEND, else wgvec).
 	// Simulated timings are backend-invariant; this picks how fast the
 	// experiment itself runs.

@@ -43,10 +43,12 @@ func TestRunCaseDefaultEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Setenv(vm.EnvBackend, "bcode")
-	_, err = RunCase(app, "SNB", Config{})
-	if err == nil || !strings.Contains(err.Error(), vm.EnvBackend) || !strings.Contains(err.Error(), "[interp jit wgvec]") {
-		t.Errorf("RunCase under %s=bcode: %v; want the unknown-backend error", vm.EnvBackend, err)
+	for _, removed := range []string{"bcode", "jit"} {
+		t.Setenv(vm.EnvBackend, removed)
+		_, err = RunCase(app, "SNB", Config{})
+		if err == nil || !strings.Contains(err.Error(), vm.EnvBackend) || !strings.Contains(err.Error(), "[interp wgvec]") {
+			t.Errorf("RunCase under %s=%s: %v; want the unknown-backend error", vm.EnvBackend, removed, err)
+		}
 	}
 	if _, err := RunCase(app, "SNB", Config{Backend: vm.BackendInterp}); err != nil {
 		t.Errorf("a named oracle must not consult the environment: %v", err)

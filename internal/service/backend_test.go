@@ -14,7 +14,8 @@ import (
 // on the engine and checks the verdicts match (the VM contract makes
 // simulated timings backend-invariant), that per-backend counters
 // surface on /v1/stats, and that unknown names — a made-up one and the
-// removed "bcode" — are rejected with the list of what is available.
+// names of the two removed engines — are rejected with the list of what
+// is available.
 func TestAutotuneBackendOverride(t *testing.T) {
 	ts := httptest.NewServer(New(Config{CacheCapacity: 64, Workers: 4}))
 	defer ts.Close()
@@ -50,12 +51,12 @@ func TestAutotuneBackendOverride(t *testing.T) {
 		t.Errorf("backend counters = %v, want 1 run each", stats.Backends)
 	}
 
-	for _, name := range []string{"nope", "bcode"} {
+	for _, name := range []string{"nope", "bcode", "jit"} {
 		req.Backend = name
 		code, body := postJSON(t, ts.URL+"/v1/autotune", req, nil)
 		if code != http.StatusBadRequest || !strings.Contains(body, "unknown backend") ||
-			!strings.Contains(body, "interp, jit, wgvec") {
-			t.Errorf("backend %q: got %d %s, want a 400 listing interp, jit, wgvec", name, code, body)
+			!strings.Contains(body, "interp, wgvec") {
+			t.Errorf("backend %q: got %d %s, want a 400 listing interp, wgvec", name, code, body)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"grover/internal/analysis"
 	igrover "grover/internal/grover"
 	"grover/internal/ir"
-	"grover/internal/jit"
 	"grover/internal/kcache"
 	"grover/internal/opt"
 	"grover/internal/predict"
@@ -746,7 +745,6 @@ func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	ps := s.stats.predictSnapshot()
 	ps.Store = s.store.Stats()
-	jb, jh := jit.NativeStats()
 	verdicts, executions := s.stats.backendSnapshot()
 	writeJSON(w, http.StatusOK, &StatsResponse{
 		Cache:      s.cache.Snapshot(),
@@ -756,7 +754,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Executions: executions,
 		Endpoints:  s.stats.snapshot(),
 		Predict:    ps,
-		JIT:        JITStats{Native: jit.NativeEnabled(), Compiles: jb, CacheHits: jh},
 	})
 }
 

@@ -46,7 +46,6 @@ import (
 	"grover"
 	"grover/internal/analysis"
 	igrover "grover/internal/grover"
-	"grover/internal/jit"
 	"grover/internal/kcache"
 	"grover/internal/predict"
 	"grover/internal/profit"
@@ -250,12 +249,6 @@ func (s *Server) registerGauges() {
 		func() float64 { return float64(s.store.Stats().Hits) })
 	m.CounterFunc("groverd_store_evictions_total", "feature-store records evicted by the size bound",
 		func() float64 { return float64(s.store.Stats().Evictions) })
-	m.CounterFunc("groverd_jit_compile_total", "native jit modules built (codegen + go build)",
-		func() float64 { b, _ := jit.NativeStats(); return float64(b) })
-	m.CounterFunc("groverd_jit_cache_hits_total", "native jit artifacts served from the content-addressed disk cache",
-		func() float64 { _, h := jit.NativeStats(); return float64(h) })
-	bh := m.Histogram("groverd_jit_build_seconds", "native jit build wall-clock per module", nil)
-	jit.SetBuildObserver(func(d time.Duration) { bh.Observe(d.Seconds()) })
 }
 
 // reqState accumulates per-request observations (cache outcomes) that
@@ -612,8 +605,8 @@ type AutotuneRequest struct {
 	// Runs averages this many timed executions per version (default 1).
 	Runs int `json:"runs,omitempty"`
 	// Backend overrides the server's default execution backend for this
-	// request ("interp", "wgvec", "jit"). Simulated timings are
-	// backend-invariant; this picks how fast the tuning itself runs.
+	// request ("interp", "wgvec"). Simulated timings are backend-invariant;
+	// this picks how fast the tuning itself runs.
 	Backend string `json:"backend,omitempty"`
 	// Characterize attaches an AIWC-style feature vector for both kernel
 	// versions to each device verdict (one extra traced launch per
@@ -783,8 +776,6 @@ type StatsResponse struct {
 	// Predict tallies predictive-autotuning outcomes and feature-store
 	// occupancy.
 	Predict PredictStats `json:"predict"`
-	// JIT reports the jit backend's native compile activity.
-	JIT JITStats `json:"jit"`
 }
 
 // TracesResponse is the traces endpoint payload: up to the requested
@@ -794,17 +785,6 @@ type TracesResponse struct {
 	Count    int                     `json:"count"`
 	Buffered int                     `json:"buffered"`
 	Traces   []telemetry.TraceExport `json:"traces"`
-}
-
-// JITStats is the /v1/stats row for the jit backend's native compiler.
-type JITStats struct {
-	// Native reports whether native code generation is enabled
-	// (GROVER_JIT=native or the -jit-native flag).
-	Native bool `json:"native"`
-	// Compiles counts actual codegen+go-build runs; CacheHits counts
-	// artifacts served from the content-addressed disk cache instead.
-	Compiles  int64 `json:"compiles"`
-	CacheHits int64 `json:"cache_hits"`
 }
 
 // ------------------------------------------------------------- plumbing

@@ -120,8 +120,8 @@ func (p *Program) Executor(name string) (Executor, error) {
 // At most one build per backend name is in flight: concurrent first uses
 // of one name share that build, and builds of different names do not wait
 // on each other, so a builder may itself ask this program for another
-// backend's executor (jit builds on the shared wgvec machine). A failed
-// build is not cached; the next call tries again.
+// backend's executor. A failed build is not cached; the next call tries
+// again.
 func (p *Program) ExecutorCtx(ctx context.Context, name string) (Executor, error) {
 	backendsMu.RLock()
 	build, ok := backendBuilders[name]

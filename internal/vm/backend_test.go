@@ -116,8 +116,8 @@ type stubExecutor struct{ inner Executor }
 func (stubExecutor) Launch(string, Config, *GlobalMem, *LaunchOpts) error { return nil }
 
 // TestExecutorBuildPerName: a backend's builder may ask the same program
-// for another backend's executor (jit builds on the wgvec machine) without
-// deadlocking, and concurrent first uses of a name share one build.
+// for another backend's executor without deadlocking, and concurrent
+// first uses of a name share one build.
 func TestExecutorBuildPerName(t *testing.T) {
 	var innerBuilds, outerBuilds atomic.Int64
 	registerForTest(t, "backend-test-inner", func(context.Context, *Program) (Executor, error) {

@@ -38,10 +38,10 @@ type AccessBatch struct {
 
 // BatchTracer is the optional extension of Tracer for consumers that take
 // a barrier region at a time. An engine that buffers a region anyway
-// (wgvec, and jit through it) calls AccessBatch once per region in place
-// of that region's Access and Instrs calls; GroupBegin, Barrier and
-// GroupEnd arrive as for any Tracer. The batch and everything it points
-// to belong to the caller again when AccessBatch returns.
+// (wgvec) calls AccessBatch once per region in place of that region's
+// Access and Instrs calls; GroupBegin, Barrier and GroupEnd arrive as for
+// any Tracer. The batch and everything it points to belong to the caller
+// again when AccessBatch returns.
 type BatchTracer interface {
 	Tracer
 	AccessBatch(b *AccessBatch)

@@ -150,7 +150,7 @@ type Config struct {
 	GlobalSize [3]int
 	LocalSize  [3]int
 	Args       []Arg
-	// Backend selects the execution backend ("interp", "wgvec", "jit").
+	// Backend selects the execution backend ("interp", "wgvec").
 	// Empty means DefaultBackend(): the GROVER_BACKEND environment
 	// variable when set, else wgvec where it is linked in, else the
 	// interpreter.
@@ -218,8 +218,7 @@ type LaunchOpts struct {
 	TracerFor func(worker int) Tracer
 	// Profiler, when non-nil, attributes the launch's wall time and
 	// retire/traffic counters to barrier-delimited regions. interp and
-	// wgvec implement the hook (jit hands profiled launches to wgvec);
-	// nil keeps every hot path untouched.
+	// wgvec implement the hook; nil keeps every hot path untouched.
 	Profiler *Profiler
 }
 

@@ -107,11 +107,6 @@ func CompileCtx(ctx context.Context, p *vm.Program) (*Machine, error) {
 // Program returns the prepared program this machine executes.
 func (m *Machine) Program() *vm.Program { return m.bm.Program() }
 
-// Bytecode returns the compiled bytecode the region programs run over,
-// so a code generator layered on this machine (internal/jit) reads the
-// same lowering instead of compiling the program a second time.
-func (m *Machine) Bytecode() *bcode.Machine { return m.bm }
-
 // regionProgram is the per-function execution metadata layered over the
 // bytecode: the pc→block map, reverse-post-order block priorities for the
 // reconvergence scheduler, the barrier-region count, and the set of

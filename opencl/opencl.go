@@ -32,7 +32,6 @@ import (
 	"grover/internal/device"
 	igrover "grover/internal/grover"
 	"grover/internal/ir"
-	_ "grover/internal/jit" // register the native-codegen JIT backend (wgvec when native is off)
 	"grover/internal/lower"
 	"grover/internal/opt"
 	"grover/internal/rewrite"
@@ -113,7 +112,7 @@ func NewContext(d *Device) *Context {
 // Device returns the context's device.
 func (c *Context) Device() *Device { return c.dev }
 
-// SetBackend selects the VM execution backend ("interp", "wgvec", "jit")
+// SetBackend selects the VM execution backend ("interp", "wgvec")
 // for all launches from this context's queues. The empty string restores
 // the default (the GROVER_BACKEND environment variable, else wgvec).
 func (c *Context) SetBackend(name string) error {
@@ -386,8 +385,7 @@ type Queue struct {
 // queue: subsequent launches attribute wall time and retire/traffic
 // counters to their barrier-delimited regions (vm.Profiler accumulates
 // across launches). Pass nil to detach. Works on both functional and
-// profiling queues; on the jit backend a profiled launch runs on wgvec
-// and is reported as wgvec (native code cannot attribute regions).
+// profiling queues.
 func (q *Queue) SetKernelProfiler(p *vm.Profiler) { q.profiler = p }
 
 // NewQueue creates a functional (non-profiling) queue: launches execute

@@ -304,11 +304,11 @@ func TestDeviceByNameErrorListsDevices(t *testing.T) {
 }
 
 // TestEngineNames pins what linking this package makes available: the
-// oracle and the engine (plus jit on top of it), wgvec when nothing is
-// named, and "bcode" — an engine until PR 15, still the name of the
-// lowering package — an unknown name like any other, from every door.
+// oracle and the engine, wgvec when nothing is named, and the names of
+// the engines removed in PRs 15 and 16 (the first still names the
+// lowering package) unknown like any other, from every door.
 func TestEngineNames(t *testing.T) {
-	const available = "[interp jit wgvec]"
+	const available = "[interp wgvec]"
 	if got := fmt.Sprint(vm.Backends()); got != available {
 		t.Fatalf("vm.Backends() = %s, want %s", got, available)
 	}
@@ -320,30 +320,32 @@ func TestEngineNames(t *testing.T) {
 		t.Errorf(`vm.ResolveBackend("") = %q, %v; want %q`, got, err, vm.BackendWgvec)
 	}
 
-	unknown := func(door string, err error, blame string) {
+	unknown := func(door, name string, err error, blame string) {
 		t.Helper()
 		if err == nil {
-			t.Errorf("%s: bcode accepted", door)
+			t.Errorf("%s: %s accepted", door, name)
 			return
 		}
-		for _, want := range []string{blame, `"bcode"`, available} {
+		for _, want := range []string{blame, fmt.Sprintf("%q", name), available} {
 			if !strings.Contains(err.Error(), want) {
 				t.Errorf("%s: error %q does not mention %s", door, err, want)
 			}
 		}
 	}
-	_, err := vm.ResolveBackend("bcode")
-	unknown("ResolveBackend", err, "unknown backend")
 	ctx := NewContext(NewPlatform().Devices()[0])
-	unknown("SetBackend", ctx.SetBackend("bcode"), "unknown backend")
-	if ctx.Backend() != "" {
-		t.Errorf("a rejected SetBackend stuck: %q", ctx.Backend())
+	for _, removed := range []string{"bcode", "jit"} {
+		_, err := vm.ResolveBackend(removed)
+		unknown("ResolveBackend", removed, err, "unknown backend")
+		unknown("SetBackend", removed, ctx.SetBackend(removed), "unknown backend")
+		if ctx.Backend() != "" {
+			t.Errorf("a rejected SetBackend stuck: %q", ctx.Backend())
+		}
+		t.Setenv(vm.EnvBackend, removed)
+		_, err = vm.ResolveBackend("")
+		unknown("GROVER_BACKEND", removed, err, vm.EnvBackend)
 	}
-	t.Setenv(vm.EnvBackend, "bcode")
-	_, err = vm.ResolveBackend("")
-	unknown("GROVER_BACKEND", err, vm.EnvBackend)
 
-	for _, name := range []string{"", "interp", "wgvec", "jit"} {
+	for _, name := range []string{"", "interp", "wgvec"} {
 		if err := ctx.SetBackend(name); err != nil {
 			t.Errorf("SetBackend(%q): %v", name, err)
 		}
