@@ -1,6 +1,7 @@
 package device
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -91,6 +92,85 @@ func feedBatches(tr vm.BatchTracer, evs []event, n int) {
 			tr.GroupEnd()
 		}
 	}
+}
+
+// feedMixed replays a recorded stream a barrier region at a time in the
+// form a lockstep engine records: an access every work-item of the group
+// makes with the same instruction, size and direction becomes an op and a
+// column of addresses, everything else a record stamped with the ops before
+// it. The ops are a common subsequence of the items' streams, found
+// greedily along item 0's: its next access becomes an op if every other
+// item still has one like it to come, and whatever those items do before
+// theirs becomes records. It returns how many ops and records it fed.
+func feedMixed(tr vm.BatchTracer, evs []event, n int) (ops, recs int) {
+	var b vm.AccessBatch
+	items := make([][]event, n)
+	record := func(e event) {
+		b.Items[e.wi] = append(b.Items[e.wi], vm.AccessRec{Addr: e.addr, Instr: b.Intern(e.in),
+			Size: int32(e.size), Seq: int32(len(b.Ops)), Store: e.store})
+		recs++
+	}
+	// like returns the index of item's first access with e's instruction,
+	// size and direction, or -1.
+	like := func(item []event, e event) int {
+		for i, o := range item {
+			if o.in == e.in && o.size == e.size && o.store == e.store {
+				return i
+			}
+		}
+		return -1
+	}
+	deliver := func() {
+		at := make([]int, n)
+	item0:
+		for len(items[0]) > 0 {
+			e := items[0][0]
+			for wi := range items {
+				if at[wi] = like(items[wi], e); at[wi] < 0 {
+					record(e)
+					items[0] = items[0][1:]
+					continue item0
+				}
+			}
+			for wi := range items {
+				for _, o := range items[wi][:at[wi]] {
+					record(o)
+				}
+			}
+			col := b.AppendOp(e.in, int32(e.size), e.store)
+			ops++
+			for wi := range items {
+				col[wi] = items[wi][at[wi]].addr
+				items[wi] = items[wi][at[wi]+1:]
+			}
+		}
+		for wi := range items {
+			for _, o := range items[wi] {
+				record(o)
+			}
+			items[wi] = items[wi][:0]
+		}
+		tr.AccessBatch(&b)
+		b.Clear()
+	}
+	for _, e := range evs {
+		switch e.kind {
+		case evGroupBegin:
+			b.Reset(n)
+			tr.GroupBegin([3]int{}, 0)
+		case evAccess:
+			items[e.wi] = append(items[e.wi], e)
+		case evInstrs:
+			b.Retired[e.wi] += e.n
+		case evBarrier:
+			deliver()
+			tr.Barrier(e.wi)
+		case evGroupEnd:
+			deliver()
+			tr.GroupEnd()
+		}
+	}
+	return ops, recs
 }
 
 // refWorker is the per-access device model this package had before the
@@ -290,14 +370,16 @@ func refResult(t *testing.T, p *Profile, streams [][]event) Result {
 // reused (Reset) from check to check, so buffers sized by one stream's
 // groups meet the next stream's.
 type deliveries struct {
-	prof               *Profile
-	perAccess, batched *Simulator
+	prof                      *Profile
+	perAccess, batched, mixed *Simulator
+	// What feedMixed made of the streams so far.
+	ops, recs int
 }
 
 func newDeliveries(t *testing.T, p *Profile) *deliveries {
 	t.Helper()
 	d := &deliveries{prof: p}
-	for _, s := range []**Simulator{&d.perAccess, &d.batched} {
+	for _, s := range []**Simulator{&d.perAccess, &d.batched, &d.mixed} {
 		sim, err := NewSimulator(p)
 		if err != nil {
 			t.Fatal(err)
@@ -318,24 +400,32 @@ func simResult(sim *Simulator, streams [][]event, feed func(vm.BatchTracer, []ev
 }
 
 // run delivers the streams (groups of n work-items) per access through
-// the adapter and as batches.
-func (d *deliveries) run(streams [][]event, n int) (perAccess, batched Result) {
+// the adapter, as batches of records, and as batches of columns and
+// records.
+func (d *deliveries) run(streams [][]event, n int) (perAccess, batched, mixed Result) {
 	perAccess = simResult(d.perAccess, streams, func(tr vm.BatchTracer, evs []event) { feedPerAccess(tr, evs) })
 	batched = simResult(d.batched, streams, func(tr vm.BatchTracer, evs []event) { feedBatches(tr, evs, n) })
-	return perAccess, batched
+	mixed = simResult(d.mixed, streams, func(tr vm.BatchTracer, evs []event) {
+		ops, recs := feedMixed(tr, evs, n)
+		d.ops, d.recs = d.ops+ops, d.recs+recs
+	})
+	return perAccess, batched, mixed
 }
 
-// check requires the reference model and both deliveries to agree on
+// check requires the reference model and all deliveries to agree on
 // every counter, and returns the agreed Result.
 func (d *deliveries) check(t *testing.T, streams [][]event, n int) Result {
 	t.Helper()
 	want := refResult(t, d.prof, streams)
-	perAccess, batched := d.run(streams, n)
+	perAccess, batched, mixed := d.run(streams, n)
 	if !reflect.DeepEqual(perAccess, want) {
 		t.Errorf("%s: per-access delivery\n got %+v\nwant %+v", d.prof.Name, perAccess, want)
 	}
 	if !reflect.DeepEqual(batched, want) {
 		t.Errorf("%s: batch delivery\n got %+v\nwant %+v", d.prof.Name, batched, want)
+	}
+	if !reflect.DeepEqual(mixed, want) {
+		t.Errorf("%s: column delivery\n got %+v\nwant %+v", d.prof.Name, mixed, want)
 	}
 	if want.Accesses == 0 || want.Cycles == 0 {
 		t.Errorf("%s: empty stream proves nothing: %+v", d.prof.Name, want)
@@ -343,11 +433,25 @@ func (d *deliveries) check(t *testing.T, streams [][]event, n int) Result {
 	return want
 }
 
+// streamShape says how far a random stream's work-items stray from
+// lockstep, as one-in-N odds (0: never): an item sits a region out, stops
+// early, or picks another instruction at one position.
+type streamShape struct{ idle, short, diverge int }
+
+// ragged strays in every way at once; hardly any access of such a stream
+// is converged.
+var ragged = streamShape{idle: 9, short: 3, diverge: 16}
+
+func (s streamShape) String() string { return fmt.Sprintf("%d/%d/%d", s.idle, s.short, s.diverge) }
+
+func oneIn(r *rand.Rand, n int) bool { return n > 0 && r.Intn(n) == 0 }
+
 // randomStream draws one worker's stream of a few groups of n items.
-// Lanes are ragged (different access counts per item and region, some
-// items idle), positions diverge (an item may pick another instruction),
-// and spaces, sizes and directions are mixed.
-func randomStream(r *rand.Rand, n int, instrs []*ir.Instr, sizes []int) []event {
+// As far as the shape has them stray, lanes are ragged (different access
+// counts per item and region, some items idle) and positions diverge (an
+// item may pick another instruction); spaces, sizes and directions are
+// mixed.
+func randomStream(r *rand.Rand, n int, instrs []*ir.Instr, sizes []int, shape streamShape) []event {
 	var evs []event
 	for g := 0; g < 3; g++ {
 		evs = append(evs, event{kind: evGroupBegin})
@@ -374,16 +478,16 @@ func randomStream(r *rand.Rand, n int, instrs []*ir.Instr, sizes []int) []event 
 				}
 			}
 			for wi := 0; wi < n; wi++ {
-				if r.Intn(9) == 0 {
+				if oneIn(r, shape.idle) {
 					continue // an idle item: no accesses, nothing retired
 				}
 				count := len(steps)
-				if r.Intn(3) == 0 {
+				if oneIn(r, shape.short) {
 					count = r.Intn(len(steps) + 1)
 				}
 				for k := 0; k < count; k++ {
 					s := steps[k]
-					if r.Intn(16) == 0 {
+					if oneIn(r, shape.diverge) {
 						s = steps[r.Intn(len(steps))] // diverge at this position
 					}
 					addr := vm.MakeAddr(s.space, s.base+uint64(wi)*s.stride)
@@ -402,24 +506,64 @@ func randomStream(r *rand.Rand, n int, instrs []*ir.Instr, sizes []int) []event 
 	return evs
 }
 
+// skipRejoinStream is one group of n items in which lanes leave lockstep
+// and come back: the even items below 40 make an access of their own, then
+// all make one together, then the first five another of their own, then
+// all two more together. A warp holding such items aligns its lanes by
+// position, so after the first access its even lanes are a position ahead
+// of its odd ones for good; a warp without is one instruction per position.
+func skipRejoinStream(n int, instrs []*ir.Instr) []event {
+	evs := []event{{kind: evGroupBegin}}
+	for wi := 0; wi < n; wi++ {
+		access := func(in int, space clc.AddrSpace, off uint64, store bool) {
+			evs = append(evs, event{kind: evAccess, in: instrs[in], wi: wi, addr: vm.MakeAddr(space, off), size: 4, store: store})
+		}
+		u := uint64(wi)
+		if wi%2 == 0 && wi < 40 {
+			access(0, clc.ASGlobal, 1<<16+512*u, false)
+		}
+		access(1, clc.ASGlobal, 4*u, false)
+		if wi < 5 {
+			access(2, clc.ASLocal, 128*u, true)
+		}
+		access(3, clc.ASLocal, 4*u, true)
+		access(4, clc.ASGlobal, 1<<20+132*u, true)
+		evs = append(evs, event{kind: evInstrs, wi: wi, n: int64(10 + wi%3)})
+	}
+	return append(evs, event{kind: evGroupEnd})
+}
+
 func TestDeliveriesMatchReferenceModel(t *testing.T) {
 	instrs := make([]*ir.Instr, 6)
 	for i := range instrs {
 		instrs[i] = &ir.Instr{}
 	}
+	// From no lockstep to speak of to nothing but: the converged accesses
+	// of a stream are what the column delivery turns into columns.
+	shapes := []streamShape{ragged, {}, {diverge: 40}, {short: 6}, {short: 12, diverge: 100}, {idle: 30, diverge: 60}}
 	for _, p := range []*Profile{Fermi(), Tahiti(), SNB()} {
 		d := newDeliveries(t, p)
 		r := rand.New(rand.NewSource(12))
-		for trial := 0; trial < 30; trial++ {
+		for trial := 0; trial < 60; trial++ {
+			// 7 and 100 are multiples of neither a warp nor an item tile.
 			n := []int{1, 7, 32, 48, 64, 100}[r.Intn(6)]
+			shape := shapes[trial%len(shapes)]
 			streams := make([][]event, 1+r.Intn(3))
 			for w := range streams {
-				streams[w] = randomStream(r, n, instrs, []int{1, 2, 4, 4, 8, 16})
+				streams[w] = randomStream(r, n, instrs, []int{1, 2, 4, 4, 8, 16}, shape)
 			}
 			d.check(t, streams, n)
 			if t.Failed() {
-				t.Fatalf("%s: trial %d (n=%d) differs", p.Name, trial, n)
+				t.Fatalf("%s: trial %d (n=%d, shape %v) differs", p.Name, trial, n, shape)
 			}
+		}
+		for _, n := range []int{48, 100} {
+			if d.check(t, [][]event{skipRejoinStream(n, instrs)}, n); t.Failed() {
+				t.Fatalf("%s: lanes that skip an access and rejoin (n=%d) differ", p.Name, n)
+			}
+		}
+		if d.ops < 1000 || d.recs < 1000 {
+			t.Errorf("%s: the column delivery fed %d ops and %d records: too few of one to prove anything", p.Name, d.ops, d.recs)
 		}
 	}
 }
@@ -430,16 +574,18 @@ func TestDeliveriesMatchReferenceModel(t *testing.T) {
 func TestDeliveriesAgreeOnSizeZero(t *testing.T) {
 	instrs := []*ir.Instr{{}, {}}
 	for _, p := range []*Profile{Kepler(), MIC()} {
-		r := rand.New(rand.NewSource(3))
-		streams := [][]event{randomStream(r, 32, instrs, []int{0, 0, 4})}
-		streams[0] = append([]event{
-			{kind: evGroupBegin},
-			{kind: evAccess, in: instrs[0], wi: 0, addr: vm.MakeAddr(clc.ASGlobal, 0), size: 0},
-			{kind: evGroupEnd},
-		}, streams[0]...)
-		perAccess, batched := newDeliveries(t, p).run(streams, 32)
-		if !reflect.DeepEqual(perAccess, batched) {
-			t.Errorf("%s:\nper-access %+v\n   batched %+v", p.Name, perAccess, batched)
+		for _, shape := range []streamShape{ragged, {diverge: 40}} {
+			r := rand.New(rand.NewSource(3))
+			streams := [][]event{randomStream(r, 32, instrs, []int{0, 0, 4}, shape)}
+			streams[0] = append([]event{
+				{kind: evGroupBegin},
+				{kind: evAccess, in: instrs[0], wi: 0, addr: vm.MakeAddr(clc.ASGlobal, 0), size: 0},
+				{kind: evGroupEnd},
+			}, streams[0]...)
+			perAccess, batched, mixed := newDeliveries(t, p).run(streams, 32)
+			if !reflect.DeepEqual(perAccess, batched) || !reflect.DeepEqual(perAccess, mixed) {
+				t.Errorf("%s, shape %v:\nper-access %+v\n   batched %+v\n   columns %+v", p.Name, shape, perAccess, batched, mixed)
+			}
 		}
 	}
 }
@@ -509,20 +655,30 @@ func TestEnginesMatchRecordedStream(t *testing.T) {
 }
 
 // steadyGroup is one uniform work-group for the allocation guard and the
-// benchmark: 256 items, two regions, coalesced and strided global
-// accesses and conflict-free and conflicting local ones.
-func steadyGroup() *vm.AccessBatch {
+// benchmark, as a lockstep engine records it: 256 items, two regions of
+// four ops — coalesced and strided global accesses and conflict-free and
+// conflicting local ones. The first own items also make an access of
+// their own between the ops, so that their warp is charged lane by lane.
+func steadyGroup(own int) *vm.AccessBatch {
 	b := new(vm.AccessBatch)
 	b.Reset(256)
-	instrs := []*ir.Instr{{}, {}, {}, {}}
-	for wi := range b.Items {
-		u := uint64(wi)
-		b.Items[wi] = append(b.Items[wi],
-			vm.AccessRec{Addr: vm.MakeAddr(clc.ASGlobal, 4*u), Instr: b.Intern(instrs[0]), Size: 4},
-			vm.AccessRec{Addr: vm.MakeAddr(clc.ASGlobal, 4096*u), Instr: b.Intern(instrs[1]), Size: 4},
-			vm.AccessRec{Addr: vm.MakeAddr(clc.ASLocal, 4*u), Instr: b.Intern(instrs[2]), Size: 4, Store: true},
-			vm.AccessRec{Addr: vm.MakeAddr(clc.ASLocal, 128*u), Instr: b.Intern(instrs[3]), Size: 4},
-		)
+	ops := []struct {
+		space  clc.AddrSpace
+		stride uint64
+		store  bool
+	}{{clc.ASGlobal, 4, false}, {clc.ASGlobal, 4096, false}, {clc.ASLocal, 4, true}, {clc.ASLocal, 128, false}}
+	for k, op := range ops {
+		if k == 2 {
+			for wi := 0; wi < own; wi++ {
+				b.Items[wi] = append(b.Items[wi], vm.AccessRec{Addr: vm.MakeAddr(clc.ASGlobal, 1<<20+64*uint64(wi)),
+					Instr: b.Intern(&ir.Instr{}), Size: 4, Seq: int32(len(b.Ops))})
+			}
+		}
+		for wi, col := 0, b.AppendOp(&ir.Instr{}, 4, op.store); wi < len(col); wi++ {
+			col[wi] = vm.MakeAddr(op.space, op.stride*uint64(wi))
+		}
+	}
+	for wi := range b.Retired {
 		b.Retired[wi] = 20
 	}
 	return b
@@ -538,19 +694,21 @@ func runSteadyGroup(tr vm.BatchTracer, b *vm.AccessBatch) {
 
 func TestSteadyStateGroupDoesNotAllocate(t *testing.T) {
 	for _, p := range []*Profile{Fermi(), Kepler(), Tahiti()} {
-		sim, err := NewSimulator(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := sim.Opts().TracerFor(0).(vm.BatchTracer)
-		b := steadyGroup()
-		runSteadyGroup(tr, b) // warm-up: buffers grow here
-		if allocs := testing.AllocsPerRun(20, func() { runSteadyGroup(tr, b) }); allocs != 0 {
-			t.Errorf("%s: a steady-state work-group allocates %.0f objects, want 0", p.Name, allocs)
-		}
-		sim.Reset()
-		if allocs := testing.AllocsPerRun(1, func() { runSteadyGroup(tr, b) }); allocs != 0 {
-			t.Errorf("%s: the first group after Reset allocates %.0f objects, want 0", p.Name, allocs)
+		for _, own := range []int{0, 5} {
+			sim, err := NewSimulator(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := sim.Opts().TracerFor(0).(vm.BatchTracer)
+			b := steadyGroup(own)
+			runSteadyGroup(tr, b) // warm-up: buffers grow here
+			if allocs := testing.AllocsPerRun(20, func() { runSteadyGroup(tr, b) }); allocs != 0 {
+				t.Errorf("%s, %d items on their own: a steady-state work-group allocates %.0f objects, want 0", p.Name, own, allocs)
+			}
+			sim.Reset()
+			if allocs := testing.AllocsPerRun(1, func() { runSteadyGroup(tr, b) }); allocs != 0 {
+				t.Errorf("%s, %d items on their own: the first group after Reset allocates %.0f objects, want 0", p.Name, own, allocs)
+			}
 		}
 	}
 }
@@ -563,7 +721,7 @@ func BenchmarkWarpModel(b *testing.B) {
 				b.Fatal(err)
 			}
 			tr := sim.Opts().TracerFor(0).(vm.BatchTracer)
-			group := steadyGroup()
+			group := steadyGroup(0)
 			runSteadyGroup(tr, group)
 			b.ReportAllocs()
 			b.ResetTimer()

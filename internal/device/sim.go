@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"grover/internal/clc"
@@ -120,10 +121,10 @@ func (s *Simulator) Reset() {
 }
 
 // getGroup lends out an empty group trace: on a GPU a work-group's trace
-// is collected as one batch spanning all its barrier regions (per
-// work-item, its records and retired count so far; the instruction table
-// stays the producer's). It is pointer-free and keeps its capacity from
-// group to group.
+// is collected as one batch spanning all its barrier regions (the ops and
+// columns so far and, per work-item, its records and retired count; the
+// instruction table stays the producer's). It is pointer-free and keeps its
+// capacity from group to group.
 func (s *Simulator) getGroup() *vm.AccessBatch {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -145,8 +146,8 @@ func (s *Simulator) putGroup(g *vm.AccessBatch) {
 // workerSim is one simulated core / compute unit. It consumes the trace a
 // barrier region at a time and has one charging path per device kind: a
 // CPU walks each region item-major through its cache hierarchy as it
-// arrives; a GPU collects the group's regions per work-item and forms
-// warps over them at GroupEnd.
+// arrives; a GPU collects the group's regions and forms warps over them at
+// GroupEnd.
 type workerSim struct {
 	sim  *Simulator
 	prof *Profile
@@ -160,6 +161,13 @@ type workerSim struct {
 	// group is the current work-group's trace (GPU only), borrowed from
 	// the simulator between GroupBegin and GroupEnd.
 	group *vm.AccessBatch
+
+	// rows holds a tile of work-items' slots of every column, item-major
+	// (vm.AccessBatch.Transpose).
+	rows []uint64
+	// lanes holds, for a warp some of whose lanes made accesses of their
+	// own, every lane's accesses in program order.
+	lanes [][]vm.AccessRec
 
 	// Scratch for one warp position: the lanes' addresses and sizes, and
 	// the segments they coalesce into.
@@ -184,23 +192,7 @@ func (w *workerSim) GroupBegin(group [3]int, linear int) {
 // AccessBatch implements vm.BatchTracer.
 func (w *workerSim) AccessBatch(b *vm.AccessBatch) {
 	if w.prof.Kind == CPUKind {
-		for wi, recs := range b.Items {
-			for i := range recs {
-				r := &recs[i]
-				switch space, off := vm.SplitAddr(r.Addr); space {
-				case clc.ASPrivate:
-					w.cycles += w.prof.PrivCost
-				case clc.ASLocal:
-					// Local memory on a cache-only processor is ordinary memory.
-					w.cycles += w.hier.Access(localBase+off, int(r.Size), r.Store)
-				default:
-					w.cycles += w.hier.Access(off, int(r.Size), r.Store)
-				}
-			}
-			w.accesses += int64(len(recs))
-			w.instrs += b.Retired[wi]
-			w.cycles += int64(float64(b.Retired[wi]) * w.prof.IssueCost)
-		}
+		w.chargeRegion(b)
 		return
 	}
 	// GPU: collect for warp-level processing at GroupEnd.
@@ -209,13 +201,71 @@ func (w *workerSim) AccessBatch(b *vm.AccessBatch) {
 	w.instrs += instrs
 }
 
-// appendRegion adds barrier region b to the whole-group trace g, work-item
-// by work-item, and returns the accesses and retired instructions it held.
+// chargeRegion walks a barrier region through this core's cache hierarchy
+// item-major — each work-item's accesses in program order, then its issue
+// cost — a tile of work-items' column slots transposed at a time.
+func (w *workerSim) chargeRegion(b *vm.AccessBatch) {
+	ops, priv := b.Ops, w.prof.PrivCost
+	for lo := 0; lo < len(b.Items); lo += vm.ItemTile {
+		hi := min(lo+vm.ItemTile, len(b.Items))
+		w.rows = b.Transpose(w.rows, lo, hi)
+		for wi := lo; wi < hi; wi++ {
+			row, recs := w.rows[(wi-lo)*len(ops):(wi-lo+1)*len(ops)], b.Items[wi]
+			w.accesses += int64(len(row) + len(recs))
+			var cycles int64
+			for k := 0; ; {
+				// The item's next access: a record of its own that comes
+				// before op k, else its slot of op k.
+				var addr uint64
+				var size int32
+				var store bool
+				if len(recs) > 0 && int(recs[0].Seq) <= k {
+					addr, size, store = recs[0].Addr, recs[0].Size, recs[0].Store
+					recs = recs[1:]
+				} else if k < len(row) {
+					addr, size, store = row[k], ops[k].Size, ops[k].Store
+					k++
+				} else {
+					break
+				}
+				switch space, off := vm.SplitAddr(addr); space {
+				case clc.ASPrivate:
+					cycles += priv
+				case clc.ASLocal:
+					// Local memory on a cache-only processor is ordinary memory.
+					cycles += w.hier.Access(localBase+off, int(size), store)
+				default:
+					cycles += w.hier.Access(off, int(size), store)
+				}
+			}
+			w.instrs += b.Retired[wi]
+			w.cycles += cycles + int64(float64(b.Retired[wi])*w.prof.IssueCost)
+		}
+	}
+}
+
+// appendRegion adds barrier region b to the whole-group trace g — its
+// columns after g's, its records work-item by work-item with Seq counting
+// on from g's ops — and returns the accesses and retired instructions it
+// held.
 func appendRegion(g, b *vm.AccessBatch) (accesses, instrs int64) {
 	g.Extend(len(b.Items))
+	before := int32(len(g.Ops))
+	g.Ops = append(g.Ops, b.Ops...)
+	g.Cols = append(vm.GrowCols(g.Cols, len(b.Cols)), b.Cols...)
+	accesses = int64(len(b.Ops)) * int64(len(b.Items))
 	for wi, recs := range b.Items {
-		g.Items[wi] = append(g.Items[wi], recs...)
-		accesses += int64(len(recs))
+		if len(recs) > 0 {
+			had := len(g.Items[wi])
+			g.Items[wi] = append(g.Items[wi], recs...)
+			if before > 0 {
+				added := g.Items[wi][had:]
+				for i := range added {
+					added[i].Seq += before
+				}
+			}
+			accesses += int64(len(recs))
+		}
 		g.Retired[wi] += b.Retired[wi]
 		instrs += b.Retired[wi]
 	}
@@ -251,22 +301,99 @@ func (w *workerSim) chargeGroup(g *vm.AccessBatch) {
 	ww := w.prof.WarpWidth
 	n := len(g.Items)
 	for lo := 0; lo < n; lo += ww {
-		w.processWarp(g, lo, min(lo+ww, n))
+		hi := min(lo+ww, n)
+		w.chargeIssue(g.Retired[lo:hi])
+		if onColumns(g.Items[lo:hi]) {
+			w.chargeColumns(g, lo, hi)
+		} else {
+			w.processWarp(w.mergeLanes(g, lo, hi))
+		}
 	}
 }
 
-func (w *workerSim) processWarp(g *vm.AccessBatch, lo, hi int) {
-	// Instruction issue: lockstep execution costs the longest lane.
+// chargeIssue charges a warp's instruction issue: lockstep execution costs
+// the longest lane.
+func (w *workerSim) chargeIssue(retired []int64) {
 	var maxInstr int64
-	for _, n := range g.Retired[lo:hi] {
+	for _, n := range retired {
 		maxInstr = max(maxInstr, n)
 	}
 	w.cycles += int64(float64(maxInstr) * w.prof.IssueCost)
+}
 
-	// Memory: align lanes position-by-position. Uniform kernels produce
-	// identical access sequences per lane; on divergence (differing
-	// instructions at one position) each lane is charged separately.
-	lanes := g.Items[lo:hi]
+// onColumns reports whether none of a warp's lanes made an access of its
+// own: then every lane's stream is the group's ops, one for one.
+func onColumns(lanes [][]vm.AccessRec) bool {
+	for _, recs := range lanes {
+		if len(recs) > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// chargeColumns charges the memory accesses of a warp whose lanes all ran
+// converged with the group: its position k is op k — one instruction, one
+// size, one direction — and the lanes' addresses are that column's slots
+// lo to hi.
+func (w *workerSim) chargeColumns(g *vm.AccessBatch, lo, hi int) {
+	n := len(g.Items)
+	addrs := slices.Grow(w.addrs[:0], hi-lo)[:hi-lo]
+	sizes := slices.Grow(w.sizes[:0], hi-lo)[:hi-lo]
+	filled, size := false, int32(0) // whether sizes is filled, and with what
+	for k := range g.Ops {
+		op := &g.Ops[k]
+		col := g.Cols[k*n+lo : k*n+hi]
+		// The position's space is its first lane's, and a private access
+		// costs the same wherever it goes.
+		space, _ := vm.SplitAddr(col[0])
+		if space != clc.ASPrivate {
+			for i, a := range col {
+				_, addrs[i] = vm.SplitAddr(a)
+			}
+			if !filled || op.Size != size {
+				filled, size = true, op.Size
+				for i := range sizes {
+					sizes[i] = int(size)
+				}
+			}
+		}
+		w.chargeWarpAccess(addrs, sizes, space, op.Store)
+	}
+	w.addrs, w.sizes = addrs, sizes
+}
+
+// mergeLanes spells out work-items lo to hi's accesses in program order,
+// each lane's column slots merged with its own records, in w.lanes.
+func (w *workerSim) mergeLanes(g *vm.AccessBatch, lo, hi int) [][]vm.AccessRec {
+	for len(w.lanes) < hi-lo {
+		w.lanes = append(w.lanes, nil)
+	}
+	ops := len(g.Ops)
+	for tlo := lo; tlo < hi; tlo += vm.ItemTile {
+		thi := min(tlo+vm.ItemTile, hi)
+		w.rows = g.Transpose(w.rows, tlo, thi)
+		for wi := tlo; wi < thi; wi++ {
+			recs, lane := g.Items[wi], w.lanes[wi-lo][:0]
+			for k, addr := range w.rows[(wi-tlo)*ops : (wi-tlo+1)*ops] {
+				for len(recs) > 0 && int(recs[0].Seq) <= k {
+					lane = append(lane, recs[0])
+					recs = recs[1:]
+				}
+				op := &g.Ops[k]
+				lane = append(lane, vm.AccessRec{Addr: addr, Instr: op.Instr, Size: op.Size, Store: op.Store})
+			}
+			w.lanes[wi-lo] = append(lane, recs...)
+		}
+	}
+	return w.lanes[:hi-lo]
+}
+
+// processWarp charges the memory accesses of a warp given lane by lane:
+// lanes are aligned position by position. Uniform kernels produce
+// identical access sequences per lane; on divergence (differing
+// instructions at one position) each lane is charged separately.
+func (w *workerSim) processWarp(lanes [][]vm.AccessRec) {
 	maxLen := 0
 	for _, lane := range lanes {
 		maxLen = max(maxLen, len(lane))

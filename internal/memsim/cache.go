@@ -6,7 +6,10 @@
 // power-of-two strides) is exactly what these components reproduce.
 package memsim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Stats aggregates one cache's activity.
 type Stats struct {
@@ -65,6 +68,12 @@ type Cache struct {
 	latency  int64
 	next     Level
 
+	// sets and lineSize are powers of two, so a line address is
+	// addr >> lineShift, its set the low bits under setMask and its tag
+	// the rest, lineAddr >> setShift.
+	lineShift, setShift uint
+	setMask             uint64
+
 	lines []line // sets*ways
 	clock uint64
 	stats Stats
@@ -85,7 +94,10 @@ func NewCache(name string, sets, ways, lineSize int, latency int64, next Level) 
 	return &Cache{
 		name: name, sets: sets, ways: ways, lineSize: lineSize,
 		latency: latency, next: next,
-		lines: make([]line, sets*ways),
+		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
+		setShift:  uint(bits.TrailingZeros(uint(sets))),
+		setMask:   uint64(sets - 1),
+		lines:     make([]line, sets*ways),
 	}, nil
 }
 
@@ -113,9 +125,12 @@ func (c *Cache) Access(addr uint64, size int, store bool) int64 {
 	if size <= 0 {
 		size = 1
 	}
+	first := addr >> c.lineShift
+	last := (addr + uint64(size) - 1) >> c.lineShift
+	if first == last {
+		return c.accessLine(first, store)
+	}
 	var cost int64
-	first := addr / uint64(c.lineSize)
-	last := (addr + uint64(size) - 1) / uint64(c.lineSize)
 	for ln := first; ln <= last; ln++ {
 		cost += c.accessLine(ln, store)
 	}
@@ -125,9 +140,8 @@ func (c *Cache) Access(addr uint64, size int, store bool) int64 {
 func (c *Cache) accessLine(lineAddr uint64, store bool) int64 {
 	c.clock++
 	c.stats.Accesses++
-	set := int(lineAddr % uint64(c.sets))
-	tag := lineAddr / uint64(c.sets)
-	base := set * c.ways
+	tag := lineAddr >> c.setShift
+	base := int(lineAddr&c.setMask) * c.ways
 
 	// Hit?
 	for i := 0; i < c.ways; i++ {
@@ -143,7 +157,7 @@ func (c *Cache) accessLine(lineAddr uint64, store bool) int64 {
 	}
 	// Miss: fetch from the next level (write-allocate).
 	c.stats.Misses++
-	cost := c.latency + c.next.Access(lineAddr*uint64(c.lineSize), c.lineSize, false)
+	cost := c.latency + c.next.Access(lineAddr<<c.lineShift, c.lineSize, false)
 
 	// Choose victim: invalid way or LRU.
 	victim := base
@@ -161,7 +175,7 @@ func (c *Cache) accessLine(lineAddr uint64, store bool) int64 {
 	if v.valid && v.dirty {
 		// Write back the evicted line.
 		c.stats.Writebacks++
-		cost += c.next.Access(v.tag*uint64(c.sets)*uint64(c.lineSize), c.lineSize, true) / 2
+		cost += c.next.Access(v.tag<<c.setShift<<c.lineShift, c.lineSize, true) / 2
 	}
 	*v = line{tag: tag, valid: true, dirty: store, age: c.clock}
 	return cost

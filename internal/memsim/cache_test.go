@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -129,6 +130,140 @@ func TestCacheGeometryErrors(t *testing.T) {
 	}
 	if _, err := NewCache("x", 8, 2, 64, 1, nil); err == nil {
 		t.Error("nil next level accepted")
+	}
+}
+
+// divCache is Cache as it was written before the geometry was precomputed
+// into shifts and masks: it divides by the set count and the line size on
+// every access. Kept as the oracle for TestCacheMatchesDivisionForm.
+type divCache struct {
+	sets, ways, lineSize int
+	latency              int64
+	next                 Level
+	lines                []line
+	clock                uint64
+	stats                Stats
+}
+
+func newDivCache(sets, ways, lineSize int, latency int64, next Level) *divCache {
+	return &divCache{sets: sets, ways: ways, lineSize: lineSize, latency: latency, next: next,
+		lines: make([]line, sets*ways)}
+}
+
+func (c *divCache) Name() string { return "div" }
+
+func (c *divCache) Access(addr uint64, size int, store bool) int64 {
+	if size <= 0 {
+		size = 1
+	}
+	var cost int64
+	first := addr / uint64(c.lineSize)
+	last := (addr + uint64(size) - 1) / uint64(c.lineSize)
+	for ln := first; ln <= last; ln++ {
+		cost += c.accessLine(ln, store)
+	}
+	return cost
+}
+
+func (c *divCache) accessLine(lineAddr uint64, store bool) int64 {
+	c.clock++
+	c.stats.Accesses++
+	set := int(lineAddr % uint64(c.sets))
+	tag := lineAddr / uint64(c.sets)
+	base := set * c.ways
+	for i := 0; i < c.ways; i++ {
+		l := &c.lines[base+i]
+		if l.valid && l.tag == tag {
+			c.stats.Hits++
+			l.age = c.clock
+			if store {
+				l.dirty = true
+			}
+			return c.latency
+		}
+	}
+	c.stats.Misses++
+	cost := c.latency + c.next.Access(lineAddr*uint64(c.lineSize), c.lineSize, false)
+	victim := base
+	for i := 0; i < c.ways; i++ {
+		l := &c.lines[base+i]
+		if !l.valid {
+			victim = base + i
+			break
+		}
+		if l.age < c.lines[victim].age {
+			victim = base + i
+		}
+	}
+	v := &c.lines[victim]
+	if v.valid && v.dirty {
+		c.stats.Writebacks++
+		cost += c.next.Access(v.tag*uint64(c.sets)*uint64(c.lineSize), c.lineSize, true) / 2
+	}
+	*v = line{tag: tag, valid: true, dirty: store, age: c.clock}
+	return cost
+}
+
+// TestCacheMatchesDivisionForm drives seeded random streams — sizes that
+// straddle one or several lines, sizes ≤ 0, loads and stores, addresses
+// that alias in the small first level — through a two-level chain of Cache
+// and of divCache: every access must cost the same, and every counter of
+// both levels and the DRAM behind them must end up equal.
+func TestCacheMatchesDivisionForm(t *testing.T) {
+	geometries := []struct{ sets1, ways1, line1, sets2, ways2, line2 int }{
+		{8, 2, 64, 64, 4, 64},
+		{1, 1, 16, 4, 2, 128}, // one set: all tag; a wider line behind a narrower
+		{64, 8, 32, 512, 16, 64},
+		{16, 3, 128, 32, 5, 128}, // ways need not be a power of two
+	}
+	sizes := []int{-3, 0, 1, 2, 4, 4, 4, 8, 16, 60, 64, 65, 200, 700}
+	for gi, geo := range geometries {
+		r := rand.New(rand.NewSource(int64(41 + gi)))
+		dram, divDRAM := &DRAM{Latency: 100}, &DRAM{Latency: 100}
+		l2, err := NewCache("L2", geo.sets2, geo.ways2, geo.line2, 12, dram)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l1, err := NewCache("L1", geo.sets1, geo.ways1, geo.line1, 4, l2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		div2 := newDivCache(geo.sets2, geo.ways2, geo.line2, 12, divDRAM)
+		div1 := newDivCache(geo.sets1, geo.ways1, geo.line1, 4, div2)
+		for i := 0; i < 20000; i++ {
+			var addr uint64
+			switch r.Intn(4) {
+			case 0: // anywhere in a footprint a few times the second level
+				addr = uint64(r.Intn(8 * geo.sets2 * geo.ways2 * geo.line2))
+			case 1: // just below a line boundary, so most sizes straddle
+				addr = uint64(r.Intn(1<<12))*uint64(geo.line1) + uint64(geo.line1-1-r.Intn(4))
+			case 2: // a power-of-two stride: one set, many tags
+				addr = uint64(r.Intn(64)) * uint64(geo.sets1*geo.line1)
+			default: // high addresses: tags that need the upper bits
+				addr = 1<<40 + uint64(r.Intn(1<<16))
+			}
+			size, store := sizes[r.Intn(len(sizes))], r.Intn(3) == 0
+			if got, want := l1.Access(addr, size, store), div1.Access(addr, size, store); got != want {
+				t.Fatalf("geometry %d, access %d (addr %#x, size %d, store %v): cost %d, division form %d",
+					gi, i, addr, size, store, got, want)
+			}
+		}
+		if l1.Stats() != div1.stats || l2.Stats() != div2.stats || dram.Accesses != divDRAM.Accesses {
+			t.Errorf("geometry %d: counters differ:\n L1 %+v / %+v\n L2 %+v / %+v\n DRAM %d / %d",
+				gi, l1.Stats(), div1.stats, l2.Stats(), div2.stats, dram.Accesses, divDRAM.Accesses)
+		}
+		if st := l1.Stats(); st.Writebacks == 0 || st.Hits == 0 || st.Misses == 0 {
+			t.Errorf("geometry %d: stream proves little: %+v", gi, st)
+		}
+	}
+	// The shifts are only right for powers of two, which NewCache insists on.
+	for _, bad := range []int{3, 6, 12, 48, 100} {
+		if _, err := NewCache("x", bad, 2, 64, 1, &DRAM{}); err == nil {
+			t.Errorf("%d sets accepted", bad)
+		}
+		if _, err := NewCache("x", 8, 2, bad, 1, &DRAM{}); err == nil {
+			t.Errorf("%d-byte lines accepted", bad)
+		}
 	}
 }
 

@@ -1,29 +1,68 @@
 package vm
 
-import "grover/internal/ir"
+import (
+	"slices"
 
-// AccessRec is one memory access of an AccessBatch. It holds no pointer:
-// the instruction is an index into the batch's Instrs table, so record
-// buffers are neither scanned by the garbage collector nor need write
-// barriers on append.
-type AccessRec struct {
-	Addr  uint64
+	"grover/internal/ir"
+)
+
+// AccessOp is one converged memory instruction of an AccessBatch: every
+// work-item of the group executed it together, so the instruction, the
+// size and the direction are held once and the addresses as a column.
+type AccessOp struct {
 	Instr int32
 	Size  int32
 	Store bool
 }
 
-// AccessBatch is one barrier region of one work-group's trace: per
-// work-item, the accesses it made in program order and the instructions
-// it retired. It carries the same stream as the per-access Tracer calls
-// (Replay spells that stream out).
+// AccessRec is one memory access a work-item made on its own — under a
+// partial lockstep mask, or reported by an engine that runs one work-item
+// at a time. It holds no pointer: the instruction is an index into the
+// batch's Instrs table, so record buffers are neither scanned by the
+// garbage collector nor need write barriers on append.
+type AccessRec struct {
+	Addr  uint64
+	Instr int32
+	Size  int32
+	// Seq places the access among the batch's Ops: it is the number of ops
+	// recorded before it, so the work-item made it after op Seq-1 and
+	// before op Seq.
+	Seq   int32
+	Store bool
+}
+
+// ItemTile is how many work-items a reader that walks a batch item-major
+// transposes at a time (see Transpose): the eight address slots that share
+// a cache line of each column. Measured, not configurable.
+const ItemTile = 8
+
+// AccessBatch is one barrier region of one work-group's trace, written
+// down the way a lockstep engine runs it. A memory instruction the whole
+// group executed together is one entry of Ops plus one column of
+// len(Items) addresses in Cols; an access a work-item made on its own is a
+// record in Items. A work-item's accesses in program order are the merge of
+// the two: its slot of every column in op order, with each of its records
+// before the op its Seq names (records with Seq == len(Ops) come last).
+// That merge, work-item after work-item, is the stream the per-access
+// Tracer calls carry, and Replay spells it out.
+//
+// A consumer that reads only Items sees a complete region only from a
+// producer that records no Ops (an engine running one work-item at a
+// time); from wgvec it would miss every converged access — most of them.
+// Read Ops and Cols too, or go through Replay.
 type AccessBatch struct {
-	// Instrs is the table AccessRec.Instr indexes. It holds each
-	// instruction once and only grows between Resets — at least a whole
-	// work-group — so equal indices mean the same instruction across all
-	// batches of one group.
+	// Instrs is the table AccessOp.Instr and AccessRec.Instr index. It holds
+	// each instruction once and only grows between Resets — at least a
+	// whole work-group — so equal indices mean the same instruction across
+	// all batches of one group.
 	Instrs []*ir.Instr
-	// Items[wi] are work-item wi's accesses in the region, in program
+	// Ops are the converged memory instructions in execution order, and
+	// Cols their addresses, column after column: work-item wi's address at
+	// op k is Cols[k*len(Items)+wi]. The stride is len(Items), so a batch
+	// keeps its shape from its first op to the next Reset.
+	Ops  []AccessOp
+	Cols []uint64
+	// Items[wi] are the accesses work-item wi made on its own, in program
 	// order; Retired[wi] is its retired-instruction count. Both have one
 	// entry per work-item of the group.
 	Items   [][]AccessRec
@@ -34,6 +73,8 @@ type AccessBatch struct {
 	index   map[*ir.Instr]int32
 	lastIn  *ir.Instr
 	lastIdx int32
+
+	rows []uint64 // Replay's transposition scratch
 }
 
 // BatchTracer is the optional extension of Tracer for consumers that take
@@ -51,6 +92,7 @@ type BatchTracer interface {
 // region, an empty instruction table, every buffer's capacity kept.
 func (b *AccessBatch) Reset(n int) {
 	b.Items, b.Retired = b.Items[:0], b.Retired[:0]
+	b.Ops, b.Cols = b.Ops[:0], b.Cols[:0]
 	b.Extend(n)
 	clear(b.Instrs) // drop the pointers, not just the length
 	b.Instrs = b.Instrs[:0]
@@ -60,11 +102,15 @@ func (b *AccessBatch) Reset(n int) {
 
 // Extend lengthens the batch to n work-items if it has fewer. The new
 // items are empty with nothing retired, and take up the buffers an
-// earlier, larger shape left behind.
+// earlier, larger shape left behind. A batch that holds Ops cannot grow:
+// its columns are as long as it had work-items when they were recorded.
 func (b *AccessBatch) Extend(n int) {
 	had := len(b.Items)
 	if had >= n {
 		return
+	}
+	if len(b.Ops) > 0 {
+		panic("vm: AccessBatch extended with columns recorded")
 	}
 	if c := cap(b.Items); c < n {
 		b.Items = append(b.Items[:c], make([][]AccessRec, n-c)...)
@@ -98,17 +144,74 @@ func (b *AccessBatch) Intern(in *ir.Instr) int32 {
 	return idx
 }
 
+// AppendOp records instruction in as executed by the whole group and
+// returns its address column, one slot per work-item, for the caller to
+// fill: the slots hold whatever the buffer held before.
+func (b *AccessBatch) AppendOp(in *ir.Instr, size int32, store bool) []uint64 {
+	b.Ops = append(b.Ops, AccessOp{Instr: b.Intern(in), Size: size, Store: store})
+	off, n := len(b.Cols), len(b.Items)
+	b.Cols = GrowCols(b.Cols, n)[:off+n]
+	return b.Cols[off:]
+}
+
+// GrowCols returns cols with room for n more slots. When that takes a new
+// buffer it is at least twice the old one's size: a region's columns come
+// one at a time and a group's region by region, and append's own growth —
+// a quarter at a time at these sizes — would copy them four times over on
+// the way up.
+func GrowCols(cols []uint64, n int) []uint64 {
+	if cap(cols)-len(cols) >= n {
+		return cols
+	}
+	return slices.Grow(cols, max(n, cap(cols)))
+}
+
+// Transpose lays work-items lo to hi's slots of every column out item by
+// item in rows, which it grows as needed and returns: item wi's address at
+// op k is rows[(wi-lo)*len(Ops)+k]. Walking a batch item-major a tile of
+// ItemTile items at a time reads each cache line of Cols once.
+func (b *AccessBatch) Transpose(rows []uint64, lo, hi int) []uint64 {
+	ops, n := len(b.Ops), len(b.Items)
+	rows = slices.Grow(rows[:0], (hi-lo)*ops)[:(hi-lo)*ops]
+	for k := 0; k < ops; k++ {
+		for i, a := range b.Cols[k*n+lo : k*n+hi] {
+			rows[i*ops+k] = a
+		}
+	}
+	return rows
+}
+
 // Replay delivers the region to t one access at a time, work-item-major:
 // each item's accesses, then its retired count when non-zero — the stream
 // the work-item-at-a-time engines produce.
+//
+// The merge step is spelled out here and again in the device model's two
+// readers: a cursor type owning it cost 45 % of the Fig. 10 sweep's wall
+// time (it and the record it returns go through memory on every access).
 func (b *AccessBatch) Replay(t Tracer) {
-	for wi, recs := range b.Items {
-		for i := range recs {
-			r := &recs[i]
-			t.Access(b.Instrs[r.Instr], wi, r.Addr, int(r.Size), r.Store)
-		}
-		if n := b.Retired[wi]; n > 0 {
-			t.Instrs(wi, n)
+	ops := b.Ops
+	for lo := 0; lo < len(b.Items); lo += ItemTile {
+		hi := min(lo+ItemTile, len(b.Items))
+		b.rows = b.Transpose(b.rows, lo, hi)
+		for wi := lo; wi < hi; wi++ {
+			row, recs := b.rows[(wi-lo)*len(ops):(wi-lo+1)*len(ops)], b.Items[wi]
+			for k := 0; ; {
+				// The item's next access: a record of its own that comes
+				// before op k, else its slot of op k.
+				if len(recs) > 0 && int(recs[0].Seq) <= k {
+					r := &recs[0]
+					t.Access(b.Instrs[r.Instr], wi, r.Addr, int(r.Size), r.Store)
+					recs = recs[1:]
+				} else if k < len(row) {
+					t.Access(b.Instrs[ops[k].Instr], wi, row[k], int(ops[k].Size), ops[k].Store)
+					k++
+				} else {
+					break
+				}
+			}
+			if n := b.Retired[wi]; n > 0 {
+				t.Instrs(wi, n)
+			}
 		}
 	}
 }
@@ -119,4 +222,5 @@ func (b *AccessBatch) Clear() {
 		b.Items[wi] = b.Items[wi][:0]
 	}
 	clear(b.Retired)
+	b.Ops, b.Cols = b.Ops[:0], b.Cols[:0]
 }

@@ -209,7 +209,8 @@ func AbortGroup(t Tracer) {
 	}
 }
 
-// LaunchOpts control scheduling, tracing, and profiling.
+// LaunchOpts control scheduling, tracing, and profiling. A nil *LaunchOpts
+// is the zero value: GOMAXPROCS workers, untraced, unprofiled.
 type LaunchOpts struct {
 	// Workers is the number of concurrent group executors (simulated
 	// cores when tracing). Defaults to GOMAXPROCS when zero.
@@ -255,14 +256,10 @@ func (p *Program) launchInterp(kernel string, cfg Config, gmem *GlobalMem, opts 
 	if len(ncfg.Args) != len(fn.Params) {
 		return fmt.Errorf("vm: kernel %s expects %d args, got %d", kernel, len(fn.Params), len(ncfg.Args))
 	}
-	workers := 1
-	var tracerFor func(int) Tracer
-	var prof *Profiler
-	if opts != nil {
-		workers = opts.Workers
-		tracerFor = opts.TracerFor
-		prof = opts.Profiler
+	if opts == nil {
+		opts = &LaunchOpts{}
 	}
+	workers, tracerFor, prof := opts.Workers, opts.TracerFor, opts.Profiler
 	if prof != nil {
 		prof.LaunchBegin(kernel, BackendInterp)
 		start := time.Now()

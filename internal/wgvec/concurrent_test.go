@@ -34,6 +34,17 @@ func (s *sumTracer) GroupEnd()             {}
 type batchSumTracer struct{ sumTracer }
 
 func (s *batchSumTracer) AccessBatch(b *vm.AccessBatch) {
+	// The sums do not depend on order, so the columns need no merging with
+	// the records — but they do need reading: most accesses are in them.
+	for k, op := range b.Ops {
+		if b.Instrs[op.Instr] == nil {
+			panic("op without an instruction")
+		}
+		for _, addr := range b.Cols[k*len(b.Items) : (k+1)*len(b.Items)] {
+			s.accesses++
+			s.addrSum += addr * uint64(op.Size)
+		}
+	}
 	for wi, recs := range b.Items {
 		for _, r := range recs {
 			if b.Instrs[r.Instr] == nil {

@@ -161,14 +161,10 @@ func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts 
 	if len(ncfg.Args) != len(fn.Params) {
 		return fmt.Errorf("vm: kernel %s expects %d args, got %d", kernel, len(fn.Params), len(ncfg.Args))
 	}
-	workers := 1
-	var tracerFor func(int) vm.Tracer
-	var prof *vm.Profiler
-	if opts != nil {
-		workers = opts.Workers
-		tracerFor = opts.TracerFor
-		prof = opts.Profiler
+	if opts == nil {
+		opts = &vm.LaunchOpts{}
 	}
+	workers, tracerFor, prof := opts.Workers, opts.TracerFor, opts.Profiler
 	if prof != nil {
 		prof.LaunchBegin(kernel, Name)
 		start := time.Now()
@@ -225,34 +221,44 @@ func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts 
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	sched := vm.NewGroupSchedule(nGroups, workers, tracerFor != nil)
-	// A traced group fills a trace buffer here and often another in its
-	// tracer. A traced launch has one worker per simulated core, far more
-	// than can run, so the launch owns only as many trace buffers as the
-	// host runs goroutines at a time and a worker holds one for the length
-	// of a group: the rest wait here instead of sitting preempted on
-	// full-grown buffers of their own. Each worker's stream is its own, so
-	// the order between workers is free.
-	var traces chan *vm.AccessBatch
+	newState := func() *groupState {
+		g := newGroupState(m, bf, ncfg, gmem.Data, paramI, paramF, localTotal, stack, n)
+		g.prof = prof
+		if prof != nil && tracerFor == nil {
+			// Untraced retire accounting needs counters of its own;
+			// traced launches use the trace's.
+			g.retired = make([]int64, n)
+		}
+		return g
+	}
+	// A traced launch has one worker per simulated core, far more than can
+	// run, and a traced group needs its execution state — register columns,
+	// private stacks — and a trace buffer here, often another in its tracer.
+	// So the launch owns only as many of each as the host runs goroutines at
+	// a time and a worker holds one for the length of a group: the rest wait
+	// here instead of sitting preempted on full-grown buffers of their own.
+	// Each worker's stream is its own, so the order between workers is free.
+	// What is lent starts out as nil: the first worker to borrow one builds
+	// it, so the states are built side by side and only as many as get used.
+	var lent chan *groupState
 	if tracerFor != nil {
-		traces = make(chan *vm.AccessBatch, runtime.GOMAXPROCS(0))
-		for i := 0; i < cap(traces); i++ {
-			traces <- m.traces.Get().(*vm.AccessBatch)
+		lent = make(chan *groupState, min(workers, runtime.GOMAXPROCS(0)))
+		for i := 0; i < cap(lent); i++ {
+			lent <- nil
 		}
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
+			var g *groupState
 			var tr vm.Tracer
+			var batcher vm.BatchTracer
 			if tracerFor != nil {
 				tr = tracerFor(worker)
-			}
-			g := newGroupState(m, bf, ncfg, gmem.Data, paramI, paramF, localTotal, stack, n, tr)
-			g.prof = prof
-			if prof != nil && tr == nil {
-				// Untraced retire accounting needs counters of its own;
-				// traced launches use the trace's.
-				g.retired = make([]int64, n)
+				batcher, _ = tr.(vm.BatchTracer)
+			} else {
+				g = newState()
 			}
 			cur := sched.Cursor(worker)
 			for gi := cur.Next(); gi >= 0; gi = cur.Next() {
@@ -260,12 +266,16 @@ func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts 
 				rem := gi % (groups[0] * groups[1])
 				gy := rem / groups[0]
 				gx := rem % groups[0]
-				if traces != nil {
-					g.trace = <-traces
+				if lent != nil {
+					if g = <-lent; g == nil {
+						g = newState()
+						g.trace = m.traces.Get().(*vm.AccessBatch)
+					}
+					g.tracer, g.batcher = tr, batcher
 				}
 				err := g.runGroup([3]int{gx, gy, gz}, gi)
-				if traces != nil {
-					traces <- g.trace
+				if lent != nil {
+					lent <- g
 				}
 				if err != nil {
 					vm.AbortGroup(tr)
@@ -276,8 +286,10 @@ func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts 
 		}(w)
 	}
 	wg.Wait()
-	for i := 0; i < cap(traces); i++ {
-		m.traces.Put(<-traces)
+	for i := 0; i < cap(lent); i++ {
+		if g := <-lent; g != nil {
+			m.traces.Put(g.trace)
+		}
 	}
 	for _, e := range errs {
 		if e != nil {
@@ -287,19 +299,22 @@ func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts 
 	return nil
 }
 
-// groupState executes the work-groups assigned to one worker. Columns,
-// frames, and scratch buffers are allocated once per worker and reused
-// across all its groups.
+// groupState executes work-groups one at a time: an untraced worker's own
+// for all its groups, or one of a traced launch's, lent to a worker for the
+// length of a group. Columns, frames, and scratch buffers are allocated once
+// and reused across all the groups it runs.
 type groupState struct {
 	m          *Machine
 	gmem       []byte
 	local      []byte
 	localTotal int
 	stack      int
-	tracer     vm.Tracer
-	batcher    vm.BatchTracer // tracer's batch extension; nil: per-access replay
-	prof       *vm.Profiler
-	n          int
+	// tracer is the borrowing worker's; batcher its batch extension (nil:
+	// per-access replay).
+	tracer  vm.Tracer
+	batcher vm.BatchTracer
+	prof    *vm.Profiler
+	n       int
 
 	// Per-round profiler accumulators; harvested and reset by runGroup
 	// at every barrier round when prof is set.
@@ -317,11 +332,10 @@ type groupState struct {
 	barInstr []*ir.Instr
 	resumePC []int32
 
-	// trace buffers the current barrier round's accesses per lane during
-	// lockstep execution (traced launches only; one of the launch's
-	// buffers, held for the duration of a group). retired counts
-	// per-lane retired instructions; it is the trace's Retired column
-	// when tracing.
+	// trace buffers the current barrier round's accesses during lockstep
+	// execution (traced launches only): a column per converged memory
+	// instruction, a record per lane otherwise. retired counts per-lane
+	// retired instructions; it is the trace's Retired column when tracing.
 	trace   *vm.AccessBatch
 	retired []int64
 
@@ -332,11 +346,8 @@ type groupState struct {
 }
 
 func newGroupState(m *Machine, bf *bcode.BFunc, cfg vm.Config, gmem []byte,
-	paramI []int64, paramF []float64, localTotal, stack, n int, tr vm.Tracer) *groupState {
-	g := &groupState{
-		m: m, gmem: gmem, localTotal: localTotal, stack: stack,
-		tracer: tr, n: n,
-	}
+	paramI []int64, paramF []float64, localTotal, stack, n int) *groupState {
+	g := &groupState{m: m, gmem: gmem, localTotal: localTotal, stack: stack, n: n}
 	for d := 0; d < 3; d++ {
 		g.gsz[d] = int64(cfg.GlobalSize[d])
 		g.lsz[d] = int64(cfg.LocalSize[d])
@@ -366,7 +377,6 @@ func newGroupState(m *Machine, bf *bcode.BFunc, cfg vm.Config, gmem []byte,
 	g.maskT = make([]int32, 0, n)
 	g.maskF = make([]int32, 0, n)
 	g.addrs = make([]uint64, n)
-	g.batcher, _ = tr.(vm.BatchTracer)
 
 	fr := g.frame(0)
 	fr.ensure(bf, m.progs[bf.Fn], n)
@@ -557,24 +567,34 @@ func (g *groupState) schedule(depth int, fr *colFrame, lanes []int32) error {
 	}
 }
 
-// runSeg executes one lockstep segment: starting at pc with the given
-// active mask, it advances instruction by instruction — sweeping all
-// masked lanes per instruction — until control diverges, the activation
-// returns, or (kernel level) a barrier suspends the mask.
+// runSeg executes one lockstep segment and, when anything counts them,
+// credits the instructions it retired to the mask's lanes: once, at the
+// segment's end however it ends — the mask is constant within a segment and
+// the counts only add up, so when within the round a lane is credited makes
+// no difference to what the round reports.
 func (g *groupState) runSeg(depth int, fr *colFrame, mask []int32, pc int32) error {
+	retired, err := g.execSeg(depth, fr, mask, pc)
+	if retired != 0 && (g.tracer != nil || g.prof != nil) {
+		for _, l := range mask {
+			g.retired[l] += retired
+		}
+	}
+	return err
+}
+
+// execSeg is the segment itself: starting at pc with the given active
+// mask, it advances instruction by instruction — sweeping all masked lanes
+// per instruction — until control diverges, the activation returns, or
+// (kernel level) a barrier suspends the mask. It returns the instructions
+// each masked lane retired on the way.
+func (g *groupState) execSeg(depth int, fr *colFrame, mask []int32, pc int32) (retired int64, err error) {
 	bf := fr.bf
 	code := bf.Code
 	rp := fr.rp
 	n := g.n
-	acct := g.tracer != nil || g.prof != nil
 	for {
 		in := &code[pc]
-		if acct && in.Retire != 0 {
-			r := int64(in.Retire)
-			for _, l := range mask {
-				g.retired[l] += r
-			}
-		}
+		retired += int64(in.Retire)
 		switch in.Op {
 		case bcode.OpNop:
 
@@ -621,81 +641,81 @@ func (g *groupState) runSeg(depth int, fr *colFrame, mask []int32, pc int32) err
 			for _, l := range segF {
 				fr.pcs[l] = f
 			}
-			return nil
+			return retired, nil
 
 		case bcode.OpRet, bcode.OpRetI, bcode.OpRetF, bcode.OpRetVI, bcode.OpRetVF:
 			if depth == 0 {
 				for _, l := range mask {
 					fr.pcs[l] = -1
 				}
-				return nil
+				return retired, nil
 			}
 			g.retLanes(fr, in, mask)
-			return nil
+			return retired, nil
 
 		case bcode.OpBarrier:
 			if depth != 0 {
-				return laneErr(mask[0], errors.New("vm: barrier inside a function call is unsupported"))
+				return retired, laneErr(mask[0], errors.New("vm: barrier inside a function call is unsupported"))
 			}
 			for _, l := range mask {
 				fr.pcs[l] = -2
 				g.barInstr[l] = in.In
 				g.resumePC[l] = pc + 1
 			}
-			return nil
+			return retired, nil
 
 		case bcode.OpTrap:
-			return laneErr(mask[0], errors.New(bf.Aux[in.Imm].Name))
+			return retired, laneErr(mask[0], errors.New(bf.Aux[in.Imm].Name))
 
 		case bcode.OpCall:
 			if err := g.callCol(depth, fr, in, mask); err != nil {
-				return err
+				return retired, err
 			}
 
 		case bcode.OpLdI8, bcode.OpLdU8, bcode.OpLdI16, bcode.OpLdU16, bcode.OpLdI32,
 			bcode.OpLdU32, bcode.OpLdI64, bcode.OpLdF32, bcode.OpLdF64:
 			if err := g.loadCol(fr, in, mask, false, rp.uniform[pc] && len(mask) == n); err != nil {
-				return err
+				return retired, err
 			}
 		case bcode.OpLdXI8, bcode.OpLdXU8, bcode.OpLdXI16, bcode.OpLdXU16, bcode.OpLdXI32,
 			bcode.OpLdXU32, bcode.OpLdXI64, bcode.OpLdXF32, bcode.OpLdXF64:
 			if err := g.loadCol(fr, in, mask, true, rp.uniform[pc] && len(mask) == n); err != nil {
-				return err
+				return retired, err
 			}
 
 		case bcode.OpStI8, bcode.OpStI16, bcode.OpStI32, bcode.OpStI64, bcode.OpStF32, bcode.OpStF64:
 			if err := g.storeCol(fr, in, mask, false, rp.uniform[pc] && len(mask) == n); err != nil {
-				return err
+				return retired, err
 			}
 		case bcode.OpStXI8, bcode.OpStXI16, bcode.OpStXI32, bcode.OpStXI64, bcode.OpStXF32, bcode.OpStXF64:
 			if err := g.storeCol(fr, in, mask, true, rp.uniform[pc] && len(mask) == n); err != nil {
-				return err
+				return retired, err
 			}
 
 		case bcode.OpLdVI, bcode.OpLdVF:
 			if err := g.loadVecCol(fr, in, mask, false); err != nil {
-				return err
+				return retired, err
 			}
 		case bcode.OpLdXVI, bcode.OpLdXVF:
 			if err := g.loadVecCol(fr, in, mask, true); err != nil {
-				return err
+				return retired, err
 			}
 		case bcode.OpStVI, bcode.OpStVF:
 			if err := g.storeVecCol(fr, in, mask, false); err != nil {
-				return err
+				return retired, err
 			}
 		case bcode.OpStXVI, bcode.OpStXVF:
 			if err := g.storeVecCol(fr, in, mask, true); err != nil {
-				return err
+				return retired, err
 			}
 
 		default:
 			if rp.uniform[pc] && len(mask) == n {
 				if bank, ok := destBank(in.Op); ok {
 					// Execute once on lane 0 and broadcast the result
-					// column-wide; retire was already counted per lane.
+					// column-wide; retire is counted for every lane.
 					if err := g.execOp(fr, in, g.lane0, pc); err != nil {
-						return err
+						return retired, err
 					}
 					fr.broadcast(bank, in.A, n)
 					pc++
@@ -703,7 +723,7 @@ func (g *groupState) runSeg(depth int, fr *colFrame, mask []int32, pc int32) err
 				}
 			}
 			if err := g.execOp(fr, in, mask, pc); err != nil {
-				return err
+				return retired, err
 			}
 		}
 		pc++

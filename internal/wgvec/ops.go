@@ -850,13 +850,21 @@ func (g *groupState) arenaLane(addr uint64, l int32) ([]byte, uint64, error) {
 	}
 }
 
-// addrPass computes every masked lane's effective address into the
-// shared scratch and, when tracing, buffers one access event per lane.
-// Events are emitted before bounds are checked, matching the
-// interpreter's trace-then-fault ordering.
+// addrPass computes every masked lane's effective address and, when
+// tracing, records the access: under a full mask as one converged op whose
+// address column the addresses are computed straight into, otherwise into
+// the shared scratch with one record per masked lane, stamped with the
+// ops recorded so far. Events are emitted before bounds are checked,
+// matching the interpreter's trace-then-fault ordering.
 func (g *groupState) addrPass(fr *colFrame, in *bcode.Inst, mask []int32, fused, store bool) []uint64 {
 	base := fr.ri[in.B]
 	addrs := g.addrs
+	// A full mask is every lane in ascending order, so lane l's slot of the
+	// column is l, as it is of the scratch.
+	converged := g.tracer != nil && len(mask) == g.n
+	if converged {
+		addrs = g.trace.AppendOp(in.In, in.N, store)
+	}
 	if fused {
 		idx := fr.ri[in.C]
 		for _, l := range mask {
@@ -867,9 +875,9 @@ func (g *groupState) addrPass(fr *colFrame, in *bcode.Inst, mask []int32, fused,
 			addrs[l] = uint64(base[l])
 		}
 	}
-	if g.tracer != nil {
+	if g.tracer != nil && !converged {
 		items := g.trace.Items
-		rec := vm.AccessRec{Instr: g.trace.Intern(in.In), Size: in.N, Store: store}
+		rec := vm.AccessRec{Instr: g.trace.Intern(in.In), Size: in.N, Seq: int32(len(g.trace.Ops)), Store: store}
 		for _, l := range mask {
 			rec.Addr = addrs[l]
 			items[l] = append(items[l], rec)
@@ -887,7 +895,7 @@ func (g *groupState) addrPass(fr *colFrame, in *bcode.Inst, mask []int32, fused,
 
 // loadCol performs a scalar load for all masked lanes. With uni set (a
 // statically uniform access under a full mask) the value is loaded once
-// and broadcast; trace events are still buffered per lane. Private
+// and broadcast; the trace still holds an address per lane. Private
 // memory is per-lane storage even at a uniform address, so uniform
 // treatment only applies to the shared global and local arenas.
 func (g *groupState) loadCol(fr *colFrame, in *bcode.Inst, mask []int32, fused, uni bool) error {
@@ -1068,8 +1076,8 @@ func (g *groupState) stArena(addr uint64, l int32, sz int) ([]byte, uint64, erro
 }
 
 // storeCol performs a scalar store for all masked lanes. A uniform store
-// writes once (the write is idempotent across lanes) but still buffers
-// one trace event per lane. As with loadCol, private memory is per-lane
+// writes once (the write is idempotent across lanes) but the trace still
+// holds an address per lane. As with loadCol, private memory is per-lane
 // storage, so the write-once shortcut only applies to the shared global
 // and local arenas.
 func (g *groupState) storeCol(fr *colFrame, in *bcode.Inst, mask []int32, fused, uni bool) error {

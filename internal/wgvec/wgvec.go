@@ -23,10 +23,12 @@
 // The backend preserves the PR 3 execution contract exactly: cooperative
 // barrier semantics with barrier-divergence detection, and
 // backend-invariant simulated counters. Memory-trace events are buffered
-// per work-item during lockstep execution and handed to the tracer at the
-// end of each barrier round — as one vm.AccessBatch when the tracer takes
-// batches, else replayed access by access in work-item-major order — so
-// memsim observes the same stream as from the interpreter.
+// during lockstep execution — a memory instruction under a full mask as one
+// op and a column of addresses, any other as a record per active work-item
+// — and handed to the tracer at the end of each barrier round — as one
+// vm.AccessBatch when the tracer takes batches, else replayed access by
+// access in work-item-major order — so memsim observes the same stream as
+// from the interpreter.
 //
 // The backend registers itself with the VM under the name "wgvec";
 // importing the package (a blank import suffices) enables it.
