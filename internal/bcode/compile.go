@@ -63,10 +63,19 @@ type fnCompiler struct {
 	fusedIdx map[*ir.Instr]bool      // index instrs folded into a memory op
 	fuseWith map[*ir.Instr]*ir.Instr // memory op → its folded index
 
+	slots map[ir.Value]slot // private alloca → the register its variable lives in
+
 	code    []Inst
 	auxes   []Aux
 	blockPC map[*ir.Block]int32
 	fixups  []fixup
+}
+
+// slot is a private variable kept in a register: the register, and the
+// scalar kind its stores and loads convert through.
+type slot struct {
+	reg  Ref
+	kind clc.ScalarKind
 }
 
 // fixup is a branch-target patch applied after all block PCs are known.
@@ -84,6 +93,7 @@ func (m *Machine) compileFunc(f *ir.Function) error {
 		fltIdx:   map[uint64]int32{},
 		fusedIdx: map[*ir.Instr]bool{},
 		fuseWith: map[*ir.Instr]*ir.Instr{},
+		slots:    map[ir.Value]slot{},
 		blockPC:  map[*ir.Block]int32{},
 	}
 	bf := fc.bf
@@ -119,10 +129,15 @@ func (m *Machine) compileFunc(f *ir.Function) error {
 	}
 
 	fc.analyzeFusion()
+	fc.analyzeSlots()
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Producing() && !fc.fusedIdx[in] {
 				fc.vals[in] = fc.alloc(in.Typ)
+			}
+			if s, ok := fc.slots[in]; ok {
+				s.reg = fc.alloc(in.Typ.(*clc.PointerType).Elem)
+				fc.slots[in] = s
 			}
 		}
 	}
@@ -304,6 +319,60 @@ func (fc *fnCompiler) analyzeFusion() {
 			fc.fuseWith[in] = idx
 		}
 	}
+}
+
+// analyzeSlots picks the private variables that live in a register of
+// their own rather than on the work-item's stack, and enters them in
+// fc.slots with their scalar kinds (the registers come with everybody
+// else's): allocas of scalar or pointer type whose address never escapes
+// (ir.AllocaUses), so that every access is a direct load or store of the
+// whole variable, each moving a value of the variable's own kind. A store
+// to such a variable followed by a load is then a conversion through that
+// kind and nothing else, which is what the slot instructions do; the
+// accesses are still traced at the address the alloca has in the frame,
+// and the alloca instruction itself still executes. Vectors, arrays and
+// anything whose address goes elsewhere stay in memory.
+func (fc *fnCompiler) analyzeSlots() {
+	for a, u := range ir.AllocaUses(fc.f) {
+		pt, isPtr := a.Typ.(*clc.PointerType)
+		if a.Space == clc.ASLocal || u.Escapes || !isPtr {
+			continue
+		}
+		if k, ok := slotKind(pt.Elem); ok {
+			fc.slots[a] = slot{kind: k}
+		}
+	}
+	for _, b := range fc.f.Blocks {
+		for _, in := range b.Instrs {
+			var moved clc.Type
+			switch in.Op {
+			case ir.OpLoad:
+				moved = in.Typ
+			case ir.OpStore:
+				moved = in.Args[1].Type()
+			default:
+				continue
+			}
+			if s, tracked := fc.slots[in.Args[0]]; tracked {
+				if k, ok := slotKind(moved); !ok || k != s.kind {
+					delete(fc.slots, in.Args[0])
+				}
+			}
+		}
+	}
+}
+
+// slotKind returns the scalar kind a value of type t is stored and loaded
+// as — a pointer goes through memory as an unsigned 64-bit word — or false
+// when t is not something a slot can hold.
+func slotKind(t clc.Type) (clc.ScalarKind, bool) {
+	switch tt := t.(type) {
+	case *clc.ScalarType:
+		return tt.Kind, ldOp(tt.Kind) != OpNop
+	case *clc.PointerType:
+		return clc.KULong, true
+	}
+	return 0, false
 }
 
 func (fc *fnCompiler) add(i Inst) int32 {
@@ -511,6 +580,15 @@ func (fc *fnCompiler) emitLoad(in *ir.Instr) {
 		fc.trap("vm: load without destination register", 1)
 		return
 	}
+	if s, ok := fc.slots[in.Args[0]]; ok {
+		op := OpSlotLdI
+		if s.reg.Bank == BankFlt {
+			op = OpSlotLdF
+		}
+		fc.code = append(fc.code, Inst{Op: op, Kind: uint8(s.kind), A: d.Idx, B: s.reg.Idx,
+			N: int32(in.Typ.Size()), Imm: fc.slotOffset(in), Retire: 1, In: in})
+		return
+	}
 	base, idx, step, fused := fc.memAddr(in)
 	retire := uint8(1)
 	if fused {
@@ -551,7 +629,22 @@ func (fc *fnCompiler) emitLoad(in *ir.Instr) {
 	fc.code = append(fc.code, i)
 }
 
+// slotOffset returns the frame offset of the alloca a slot load or store
+// goes to.
+func (fc *fnCompiler) slotOffset(in *ir.Instr) int64 {
+	return int64(fc.p.AllocaOffset(in.Args[0].(*ir.Instr), fc.f))
+}
+
 func (fc *fnCompiler) emitStore(in *ir.Instr) {
+	if s, ok := fc.slots[in.Args[0]]; ok {
+		op := OpSlotStI
+		if s.reg.Bank == BankFlt {
+			op = OpSlotStF
+		}
+		fc.code = append(fc.code, Inst{Op: op, Kind: uint8(s.kind), A: fc.scalarRef(in.Args[1], s.reg.Bank).Idx, B: s.reg.Idx,
+			N: int32(in.Args[1].Type().Size()), Imm: fc.slotOffset(in), Retire: 1, In: in})
+		return
+	}
 	base, idx, step, fused := fc.memAddr(in)
 	retire := uint8(1)
 	if fused {

@@ -3,9 +3,11 @@
 // Values live in dense per-bank register slots (int64, float64, and
 // vector lanes) instead of boxed interpreter values, operands and branch
 // targets are resolved to indices at compile time, opcodes are
-// specialized by scalar/vector type, and the GEP+load / GEP+store address
+// specialized by scalar/vector type, the GEP+load / GEP+store address
 // chains that dominate the benchmark kernels are fused into
-// superinstructions. Every instruction keeps its originating IR
+// superinstructions, and the loads and stores of a private variable whose
+// address never escapes become moves to and from a register of its own
+// (slot instructions). Every instruction keeps its originating IR
 // instruction and retire count, so an engine built on this form emits the
 // interpreter's memory trace bit for bit.
 //
@@ -106,6 +108,16 @@ const (
 	OpStVF
 	OpStXVI
 	OpStXVF
+	// Slot loads and stores: the memory instructions of a private variable
+	// that lives in a register of its own instead of the work-item's stack
+	// (fnCompiler.analyzeSlots). a = dst or src, b = the variable's
+	// register, kind = its scalar kind, n = traced size, imm = its alloca's
+	// frame offset: the access is traced at private address frameBase+imm,
+	// where the variable would be.
+	OpSlotLdI // ri[a] = ri[b]
+	OpSlotLdF // rf[a] = rf[b]
+	OpSlotStI // ri[b] = ri[a] as a store and a load of kind leave it
+	OpSlotStF // rf[b] = rf[a] as a store and a load of kind leave it
 
 	// 64-bit integer arithmetic (no normalization: the kind's width is 64
 	// or the op is normalization-transparent).

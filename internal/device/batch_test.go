@@ -96,13 +96,15 @@ func feedBatches(tr vm.BatchTracer, evs []event, n int) {
 
 // feedMixed replays a recorded stream a barrier region at a time in the
 // form a lockstep engine records: an access every work-item of the group
-// makes with the same instruction, size and direction becomes an op and a
-// column of addresses, everything else a record stamped with the ops before
-// it. The ops are a common subsequence of the items' streams, found
-// greedily along item 0's: its next access becomes an op if every other
-// item still has one like it to come, and whatever those items do before
-// theirs becomes records. It returns how many ops and records it fed.
-func feedMixed(tr vm.BatchTracer, evs []event, n int) (ops, recs int) {
+// makes with the same instruction, size and direction becomes an op —
+// marked Private, without a column, when they all make it at one and the
+// same private address, else with a column of addresses — everything else
+// a record stamped with the ops before it. The ops are a common subsequence
+// of the items' streams, found greedily along item 0's: its next access
+// becomes an op if every other item still has one like it to come, and
+// whatever those items do before theirs becomes records. It returns how
+// many ops with a column, private ops and records it fed.
+func feedMixed(tr vm.BatchTracer, evs []event, n int) (ops, priv, recs int) {
 	var b vm.AccessBatch
 	items := make([][]event, n)
 	record := func(e event) {
@@ -137,10 +139,23 @@ func feedMixed(tr vm.BatchTracer, evs []event, n int) (ops, recs int) {
 					record(o)
 				}
 			}
-			col := b.AppendOp(e.in, int32(e.size), e.store)
-			ops++
+			space, off := vm.SplitAddr(e.addr)
+			private := space == clc.ASPrivate
 			for wi := range items {
-				col[wi] = items[wi][at[wi]].addr
+				private = private && items[wi][at[wi]].addr == e.addr
+			}
+			var col []uint64
+			if private {
+				b.AppendPrivate(e.in, int32(e.size), e.store, off)
+				priv++
+			} else {
+				col = b.AppendOp(e.in, int32(e.size), e.store)
+				ops++
+			}
+			for wi := range items {
+				if !private {
+					col[wi] = items[wi][at[wi]].addr
+				}
 				items[wi] = items[wi][at[wi]+1:]
 			}
 		}
@@ -170,7 +185,7 @@ func feedMixed(tr vm.BatchTracer, evs []event, n int) (ops, recs int) {
 			tr.GroupEnd()
 		}
 	}
-	return ops, recs
+	return ops, priv, recs
 }
 
 // refWorker is the per-access device model this package had before the
@@ -373,7 +388,7 @@ type deliveries struct {
 	prof                      *Profile
 	perAccess, batched, mixed *Simulator
 	// What feedMixed made of the streams so far.
-	ops, recs int
+	ops, priv, recs int
 }
 
 func newDeliveries(t *testing.T, p *Profile) *deliveries {
@@ -406,8 +421,8 @@ func (d *deliveries) run(streams [][]event, n int) (perAccess, batched, mixed Re
 	perAccess = simResult(d.perAccess, streams, func(tr vm.BatchTracer, evs []event) { feedPerAccess(tr, evs) })
 	batched = simResult(d.batched, streams, func(tr vm.BatchTracer, evs []event) { feedBatches(tr, evs, n) })
 	mixed = simResult(d.mixed, streams, func(tr vm.BatchTracer, evs []event) {
-		ops, recs := feedMixed(tr, evs, n)
-		d.ops, d.recs = d.ops+ops, d.recs+recs
+		ops, priv, recs := feedMixed(tr, evs, n)
+		d.ops, d.priv, d.recs = d.ops+ops, d.priv+priv, d.recs+recs
 	})
 	return perAccess, batched, mixed
 }
@@ -533,6 +548,67 @@ func skipRejoinStream(n int, instrs []*ir.Instr) []event {
 	return append(evs, event{kind: evGroupEnd})
 }
 
+// privateVarsStream is one group of n items that access private variables
+// in lockstep — every item at the same private address, which the column
+// delivery turns into ops without a column — in every place such an op can
+// take. Region one: a private access first, between two converged ones and
+// last, and before the one in the middle items 8 to 12 make an access of
+// their own, so their records' Seq falls on a private op and their warp is
+// charged lane by lane, its lanes a position apart, while the other warps
+// run on the columns. The global accesses of the region are 4 KiB apart —
+// one set of a CPU's L1 and L2, thrashing — and the converged one after an
+// item's own goes back seven lines, to the line next to be evicted: whether
+// it hits depends on the record having been placed before it, by op index
+// and not by column. Region two: private accesses and nothing
+// else, so not a single column. Region three: a converged private access
+// at a different address per item, which keeps its column, next to one at a
+// shared address, and an access of every third item's own at the very end.
+func privateVarsStream(n int, instrs []*ir.Instr) []event {
+	evs := []event{{kind: evGroupBegin}}
+	region := func(body func(wi int, access func(in int, space clc.AddrSpace, off uint64, size int, store bool))) {
+		for wi := 0; wi < n; wi++ {
+			wi := wi
+			body(wi, func(in int, space clc.AddrSpace, off uint64, size int, store bool) {
+				evs = append(evs, event{kind: evAccess, in: instrs[in], wi: wi, addr: vm.MakeAddr(space, off), size: size, store: store})
+			})
+			evs = append(evs, event{kind: evInstrs, wi: wi, n: int64(10 + wi%3)})
+		}
+	}
+	region(func(wi int, access func(int, clc.AddrSpace, uint64, int, bool)) {
+		const line = 4096
+		u := uint64(wi)
+		access(0, clc.ASPrivate, 16, 4, false)
+		access(1, clc.ASGlobal, line*u, 4, false)
+		if 8 <= wi && wi < 13 {
+			access(5, clc.ASGlobal, line*(1000+u), 4, false)
+		}
+		access(2, clc.ASPrivate, 32, 8, true)
+		if wi >= 7 {
+			access(3, clc.ASGlobal, line*(u-7), 4, true)
+		} else {
+			access(3, clc.ASGlobal, line*u+64, 4, true)
+		}
+		access(4, clc.ASPrivate, 48, 4, false)
+	})
+	evs = append(evs, event{kind: evBarrier, wi: n})
+	region(func(wi int, access func(int, clc.AddrSpace, uint64, int, bool)) {
+		access(2, clc.ASPrivate, 32, 8, false)
+		access(0, clc.ASPrivate, 16, 4, true)
+		access(2, clc.ASPrivate, 32, 8, true)
+	})
+	evs = append(evs, event{kind: evBarrier, wi: n})
+	region(func(wi int, access func(int, clc.AddrSpace, uint64, int, bool)) {
+		u := uint64(wi)
+		access(3, clc.ASPrivate, 64+4*u, 4, false)
+		access(4, clc.ASPrivate, 48, 4, true)
+		access(1, clc.ASGlobal, 1<<20+132*u, 4, true)
+		if wi%3 == 0 {
+			access(5, clc.ASGlobal, 1<<16+512*u, 4, false)
+		}
+	})
+	return append(evs, event{kind: evGroupEnd})
+}
+
 func TestDeliveriesMatchReferenceModel(t *testing.T) {
 	instrs := make([]*ir.Instr, 6)
 	for i := range instrs {
@@ -562,8 +638,23 @@ func TestDeliveriesMatchReferenceModel(t *testing.T) {
 				t.Fatalf("%s: lanes that skip an access and rejoin (n=%d) differ", p.Name, n)
 			}
 		}
-		if d.ops < 1000 || d.recs < 1000 {
-			t.Errorf("%s: the column delivery fed %d ops and %d records: too few of one to prove anything", p.Name, d.ops, d.recs)
+		for _, n := range []int{1, 48, 100} {
+			before := d.priv
+			if d.check(t, [][]event{privateVarsStream(n, instrs)}, n); t.Failed() {
+				t.Fatalf("%s: private variables accessed in lockstep (n=%d) differ", p.Name, n)
+			}
+			// Three in region one, three in region two, one in region three
+			// — two where a group of one has every address to itself.
+			want := 7
+			if n == 1 {
+				want = 8
+			}
+			if fed := d.priv - before; fed != want {
+				t.Fatalf("%s: the column delivery made %d private ops of the stream (n=%d), want %d", p.Name, fed, n, want)
+			}
+		}
+		if d.ops < 1000 || d.recs < 1000 || d.priv < 100 {
+			t.Errorf("%s: the column delivery fed %d ops with a column, %d private ops and %d records: too few of one to prove anything", p.Name, d.ops, d.priv, d.recs)
 		}
 	}
 }
@@ -656,8 +747,9 @@ func TestEnginesMatchRecordedStream(t *testing.T) {
 
 // steadyGroup is one uniform work-group for the allocation guard and the
 // benchmark, as a lockstep engine records it: 256 items, two regions of
-// four ops — coalesced and strided global accesses and conflict-free and
-// conflicting local ones. The first own items also make an access of
+// six ops — coalesced and strided global accesses and conflict-free and
+// conflicting local ones with a column each, and a load and a store of a
+// private variable without. The first own items also make an access of
 // their own between the ops, so that their warp is charged lane by lane.
 func steadyGroup(own int) *vm.AccessBatch {
 	b := new(vm.AccessBatch)
@@ -673,6 +765,9 @@ func steadyGroup(own int) *vm.AccessBatch {
 				b.Items[wi] = append(b.Items[wi], vm.AccessRec{Addr: vm.MakeAddr(clc.ASGlobal, 1<<20+64*uint64(wi)),
 					Instr: b.Intern(&ir.Instr{}), Size: 4, Seq: int32(len(b.Ops))})
 			}
+		}
+		if k%2 == 1 {
+			b.AppendPrivate(&ir.Instr{}, 4, k == 3, 16)
 		}
 		for wi, col := 0, b.AppendOp(&ir.Instr{}, 4, op.store); wi < len(col); wi++ {
 			col[wi] = vm.MakeAddr(op.space, op.stride*uint64(wi))
@@ -692,8 +787,10 @@ func runSteadyGroup(tr vm.BatchTracer, b *vm.AccessBatch) {
 	tr.GroupEnd()
 }
 
+// The GPUs form warps over the group's columns and records; the CPU walks
+// it tile by tile along the list of ops that have a column.
 func TestSteadyStateGroupDoesNotAllocate(t *testing.T) {
-	for _, p := range []*Profile{Fermi(), Kepler(), Tahiti()} {
+	for _, p := range []*Profile{Fermi(), Kepler(), Tahiti(), SNB()} {
 		for _, own := range []int{0, 5} {
 			sim, err := NewSimulator(p)
 			if err != nil {
@@ -728,7 +825,7 @@ func BenchmarkWarpModel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				runSteadyGroup(tr, group)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*4*len(group.Items)), "ns/access")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*len(group.Ops)*len(group.Items)), "ns/access")
 		})
 	}
 }

@@ -165,6 +165,8 @@ type workerSim struct {
 	// rows holds a tile of work-items' slots of every column, item-major
 	// (vm.AccessBatch.Transpose).
 	rows []uint64
+	// walk lists the ops of the region a CPU is walking that have a column.
+	walk []walkOp
 	// lanes holds, for a warp some of whose lanes made accesses of their
 	// own, every lane's accesses in program order.
 	lanes [][]vm.AccessRec
@@ -201,30 +203,48 @@ func (w *workerSim) AccessBatch(b *vm.AccessBatch) {
 	w.instrs += instrs
 }
 
+// walkOp is an op with a column as chargeRegion's walk meets it: seq is
+// its index in the region's Ops, which is what records' Seq count in.
+type walkOp struct {
+	seq, size int32
+	store     bool
+}
+
 // chargeRegion walks a barrier region through this core's cache hierarchy
 // item-major — each work-item's accesses in program order, then its issue
 // cost — a tile of work-items' column slots transposed at a time.
+//
+// The walk leaves out the ops that are Private. Each costs every item
+// PrivCost and touches no cache state, so where in the item's stream it is
+// charged changes nothing: they are all charged up front.
 func (w *workerSim) chargeRegion(b *vm.AccessBatch) {
-	ops, priv := b.Ops, w.prof.PrivCost
+	walk, priv := w.walk[:0], w.prof.PrivCost
+	for k := range b.Ops {
+		if op := &b.Ops[k]; !op.Private {
+			walk = append(walk, walkOp{seq: int32(k), size: op.Size, store: op.Store})
+		}
+	}
+	w.walk = walk
+	privOps := int64(len(b.Ops) - len(walk))
 	for lo := 0; lo < len(b.Items); lo += vm.ItemTile {
 		hi := min(lo+vm.ItemTile, len(b.Items))
 		w.rows = b.Transpose(w.rows, lo, hi)
 		for wi := lo; wi < hi; wi++ {
-			row, recs := w.rows[(wi-lo)*len(ops):(wi-lo+1)*len(ops)], b.Items[wi]
-			w.accesses += int64(len(row) + len(recs))
-			var cycles int64
-			for k := 0; ; {
+			row, recs := w.rows[(wi-lo)*len(walk):(wi-lo+1)*len(walk)], b.Items[wi]
+			w.accesses += int64(len(b.Ops) + len(recs))
+			cycles := privOps * priv
+			for j := 0; ; {
 				// The item's next access: a record of its own that comes
-				// before op k, else its slot of op k.
+				// before the walk's op j, else its slot of that op's column.
 				var addr uint64
 				var size int32
 				var store bool
-				if len(recs) > 0 && int(recs[0].Seq) <= k {
+				if len(recs) > 0 && (j == len(walk) || recs[0].Seq <= walk[j].seq) {
 					addr, size, store = recs[0].Addr, recs[0].Size, recs[0].Store
 					recs = recs[1:]
-				} else if k < len(row) {
-					addr, size, store = row[k], ops[k].Size, ops[k].Store
-					k++
+				} else if j < len(row) {
+					addr, size, store = row[j], walk[j].size, walk[j].store
+					j++
 				} else {
 					break
 				}
@@ -334,16 +354,22 @@ func onColumns(lanes [][]vm.AccessRec) bool {
 
 // chargeColumns charges the memory accesses of a warp whose lanes all ran
 // converged with the group: its position k is op k — one instruction, one
-// size, one direction — and the lanes' addresses are that column's slots
-// lo to hi.
+// size, one direction — and the lanes' addresses are the slots lo to hi of
+// that op's column, or private without one to look at.
 func (w *workerSim) chargeColumns(g *vm.AccessBatch, lo, hi int) {
 	n := len(g.Items)
 	addrs := slices.Grow(w.addrs[:0], hi-lo)[:hi-lo]
 	sizes := slices.Grow(w.sizes[:0], hi-lo)[:hi-lo]
 	filled, size := false, int32(0) // whether sizes is filled, and with what
+	c := 0                          // the next op's column
 	for k := range g.Ops {
 		op := &g.Ops[k]
-		col := g.Cols[k*n+lo : k*n+hi]
+		if op.Private {
+			w.chargeWarpAccess(addrs, sizes, clc.ASPrivate, op.Store)
+			continue
+		}
+		col := g.Cols[c*n+lo : c*n+hi]
+		c++
 		// The position's space is its first lane's, and a private access
 		// costs the same wherever it goes.
 		space, _ := vm.SplitAddr(col[0])
@@ -369,18 +395,25 @@ func (w *workerSim) mergeLanes(g *vm.AccessBatch, lo, hi int) [][]vm.AccessRec {
 	for len(w.lanes) < hi-lo {
 		w.lanes = append(w.lanes, nil)
 	}
-	ops := len(g.Ops)
+	cols := g.NumCols()
 	for tlo := lo; tlo < hi; tlo += vm.ItemTile {
 		thi := min(tlo+vm.ItemTile, hi)
 		w.rows = g.Transpose(w.rows, tlo, thi)
 		for wi := tlo; wi < thi; wi++ {
 			recs, lane := g.Items[wi], w.lanes[wi-lo][:0]
-			for k, addr := range w.rows[(wi-tlo)*ops : (wi-tlo+1)*ops] {
+			row := w.rows[(wi-tlo)*cols : (wi-tlo+1)*cols]
+			for k := range g.Ops {
 				for len(recs) > 0 && int(recs[0].Seq) <= k {
 					lane = append(lane, recs[0])
 					recs = recs[1:]
 				}
+				// A private op keeps its position in the lane: a warp with
+				// records aligns its lanes position by position.
 				op := &g.Ops[k]
+				addr := op.Addr
+				if !op.Private {
+					addr, row = row[0], row[1:]
+				}
 				lane = append(lane, vm.AccessRec{Addr: addr, Instr: op.Instr, Size: op.Size, Store: op.Store})
 			}
 			w.lanes[wi-lo] = append(lane, recs...)

@@ -140,12 +140,15 @@ func RunCase(app *apps.App, deviceName string, cfg Config) (*Measurement, error)
 	}
 	if cfg.Validate {
 		q := ctx.NewQueue()
-		for _, k := range []*opencl.Kernel{kLM, kNo} {
-			if _, err := q.EnqueueNDRange(k, inst.ND, inst.Args...); err != nil {
-				return nil, fmt.Errorf("%s: validation launch: %w", app.ID, err)
+		for _, v := range []struct {
+			k    *opencl.Kernel
+			what string
+		}{{kLM, "with local memory"}, {kNo, "local memory disabled"}} {
+			if _, err := q.EnqueueNDRange(v.k, inst.ND, inst.Args...); err != nil {
+				return nil, fmt.Errorf("%s (%s, %s): validation launch: %w", app.ID, app.Kernel, v.what, err)
 			}
 			if err := inst.Check(); err != nil {
-				return nil, fmt.Errorf("%s (%s): %w", app.ID, k.Program().KernelNames()[0], err)
+				return nil, fmt.Errorf("%s (%s, %s): %w", app.ID, app.Kernel, v.what, err)
 			}
 		}
 	}

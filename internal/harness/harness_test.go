@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"grover/internal/apps"
 	"grover/internal/vm"
+	"grover/opencl"
 )
 
 func TestRunCaseTranspose(t *testing.T) {
@@ -188,5 +190,43 @@ func TestFigGPUSingle(t *testing.T) {
 	}
 	if m.WithLM <= 0 || m.WithoutLM <= 0 {
 		t.Fatalf("bad GPU timing: %+v", m)
+	}
+}
+
+// TestRunCaseNamesTheFailedVersion: a validation failure says which kernel
+// and which of its two versions failed. The app copy's Check passes after
+// the first launch (with local memory) and fails after the second (local
+// memory disabled).
+func TestRunCaseNamesTheFailedVersion(t *testing.T) {
+	orig, err := apps.ByID("NVD-MT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := *orig
+	app.Setup = func(ctx *opencl.Context, scale int) (*apps.Instance, error) {
+		inst, err := orig.Setup(ctx, scale)
+		if err != nil {
+			return nil, err
+		}
+		check, checks := inst.Check, 0
+		inst.Check = func() error {
+			if checks++; checks == 2 {
+				return errors.New("mismatch at element 3")
+			}
+			return check()
+		}
+		return inst, nil
+	}
+	_, err = RunCase(&app, "SNB", Config{Validate: true})
+	if err == nil {
+		t.Fatal("the failing check went unreported")
+	}
+	for _, want := range []string{app.ID, app.Kernel, "local memory disabled", "mismatch at element 3"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "with local memory") {
+		t.Errorf("error %q blames the version that passed", err)
 	}
 }

@@ -486,45 +486,17 @@ func intScalar(t clc.Type) (*clc.ScalarType, bool) {
 	return s, true
 }
 
-// allocaAccessInfo classifies how each private alloca is used.
-type allocaAccessInfo struct {
-	loads   int
-	stores  int
-	escapes bool // any use that is not a direct load or direct store target
-}
-
-func analyzeAllocas(fn *ir.Function) map[*ir.Instr]*allocaAccessInfo {
-	info := map[*ir.Instr]*allocaAccessInfo{}
-	for _, b := range fn.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op == ir.OpAlloca && in.Space == clc.ASPrivate {
-				info[in] = &allocaAccessInfo{}
-			}
+// wholeVars returns fn's __private variables that are only ever read and
+// written whole — allocas whose address never escapes (ir.AllocaUses) —
+// with their load and store counts.
+func wholeVars(fn *ir.Function) map[*ir.Instr]*ir.AllocaUse {
+	vars := ir.AllocaUses(fn)
+	for a, u := range vars {
+		if a.Space != clc.ASPrivate || u.Escapes {
+			delete(vars, a)
 		}
 	}
-	for _, b := range fn.Blocks {
-		for _, in := range b.Instrs {
-			for ai, a := range in.Args {
-				src, ok := a.(*ir.Instr)
-				if !ok {
-					continue
-				}
-				ia, tracked := info[src]
-				if !tracked {
-					continue
-				}
-				switch {
-				case in.Op == ir.OpLoad && ai == 0:
-					ia.loads++
-				case in.Op == ir.OpStore && ai == 0:
-					ia.stores++
-				default:
-					ia.escapes = true
-				}
-			}
-		}
-	}
-	return info
+	return vars
 }
 
 // LoadForward performs block-local store-to-load forwarding and redundant
@@ -532,7 +504,7 @@ func analyzeAllocas(fn *ir.Function) map[*ir.Instr]*allocaAccessInfo {
 // for mem2reg): within a block, a load of a variable whose current value
 // is known — from a preceding store or load — is replaced by that value.
 func LoadForward(fn *ir.Function) bool {
-	info := analyzeAllocas(fn)
+	vars := wholeVars(fn)
 	changed := false
 	for _, b := range fn.Blocks {
 		known := map[*ir.Instr]ir.Value{}
@@ -541,7 +513,7 @@ func LoadForward(fn *ir.Function) bool {
 			switch in.Op {
 			case ir.OpStore:
 				if tgt, ok := in.Args[0].(*ir.Instr); ok {
-					if ia := info[tgt]; ia != nil && !ia.escapes {
+					if _, whole := vars[tgt]; whole {
 						known[tgt] = in.Args[1]
 						continue
 					}
@@ -550,7 +522,7 @@ func LoadForward(fn *ir.Function) bool {
 				// tracked non-escaping private alloca; keep the map.
 			case ir.OpLoad:
 				if src, ok := in.Args[0].(*ir.Instr); ok {
-					if ia := info[src]; ia != nil && !ia.escapes {
+					if _, whole := vars[src]; whole {
 						if v, ok := known[src]; ok {
 							ir.ReplaceUses(fn, in, v)
 							dead = append(dead, in)
@@ -576,14 +548,14 @@ func LoadForward(fn *ir.Function) bool {
 // DSE removes stores to private variables that are never loaded and never
 // escape (dead variables), so DCE can clean up their value chains.
 func DSE(fn *ir.Function) bool {
-	info := analyzeAllocas(fn)
+	vars := wholeVars(fn)
 	changed := false
 	for _, b := range fn.Blocks {
 		var keep []*ir.Instr
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpStore {
 				if tgt, ok := in.Args[0].(*ir.Instr); ok {
-					if ia := info[tgt]; ia != nil && !ia.escapes && ia.loads == 0 {
+					if u, whole := vars[tgt]; whole && u.Loads == 0 {
 						changed = true
 						continue
 					}

@@ -3,16 +3,23 @@ package vm
 import (
 	"slices"
 
+	"grover/internal/clc"
 	"grover/internal/ir"
 )
 
 // AccessOp is one converged memory instruction of an AccessBatch: every
 // work-item of the group executed it together, so the instruction, the
-// size and the direction are held once and the addresses as a column.
+// size and the direction are held once and the addresses as a column —
+// or, for a Private op, not at all.
 type AccessOp struct {
 	Instr int32
 	Size  int32
 	Store bool
+	// Private marks an access to a private variable in the function's
+	// frame: every work-item accessed its own copy at the one private
+	// address Addr, and the op has no column.
+	Private bool
+	Addr    uint64
 }
 
 // AccessRec is one memory access a work-item made on its own — under a
@@ -39,12 +46,19 @@ const ItemTile = 8
 // AccessBatch is one barrier region of one work-group's trace, written
 // down the way a lockstep engine runs it. A memory instruction the whole
 // group executed together is one entry of Ops plus one column of
-// len(Items) addresses in Cols; an access a work-item made on its own is a
+// len(Items) addresses in Cols — or, when it accesses a private variable at
+// its place in the frame, an entry of Ops marked Private that holds the
+// address and has no column; an access a work-item made on its own is a
 // record in Items. A work-item's accesses in program order are the merge of
-// the two: its slot of every column in op order, with each of its records
+// the two: its address at every op in op order, with each of its records
 // before the op its Seq names (records with Seq == len(Ops) come last).
 // That merge, work-item after work-item, is the stream the per-access
 // Tracer calls carry, and Replay spells it out.
+//
+// Columns are counted as they are met: op k's column is the number of ops
+// before it that are not Private, so a reader walking Ops keeps a column
+// cursor beside its op index and the batch holds len(Cols)/len(Items)
+// columns in all (NumCols).
 //
 // A consumer that reads only Items sees a complete region only from a
 // producer that records no Ops (an engine running one work-item at a
@@ -57,9 +71,10 @@ type AccessBatch struct {
 	// all batches of one group.
 	Instrs []*ir.Instr
 	// Ops are the converged memory instructions in execution order, and
-	// Cols their addresses, column after column: work-item wi's address at
-	// op k is Cols[k*len(Items)+wi]. The stride is len(Items), so a batch
-	// keeps its shape from its first op to the next Reset.
+	// Cols the addresses of those that are not Private, column after
+	// column: work-item wi's address in column c is Cols[c*len(Items)+wi].
+	// The stride is len(Items), so a batch keeps its shape from its first
+	// op to the next Reset.
 	Ops  []AccessOp
 	Cols []uint64
 	// Items[wi] are the accesses work-item wi made on its own, in program
@@ -154,6 +169,24 @@ func (b *AccessBatch) AppendOp(in *ir.Instr, size int32, store bool) []uint64 {
 	return b.Cols[off:]
 }
 
+// AppendPrivate records instruction in as executed by the whole group on
+// the private variable at offset off of the work-items' stacks: one op, no
+// column. It takes an offset, not an address — the one address a whole
+// group can share is a private one.
+func (b *AccessBatch) AppendPrivate(in *ir.Instr, size int32, store bool, off uint64) {
+	b.Ops = append(b.Ops, AccessOp{Instr: b.Intern(in), Size: size, Store: store,
+		Private: true, Addr: MakeAddr(clc.ASPrivate, off)})
+}
+
+// NumCols returns how many columns the batch holds: its ops that are not
+// Private.
+func (b *AccessBatch) NumCols() int {
+	if len(b.Items) == 0 {
+		return 0
+	}
+	return len(b.Cols) / len(b.Items)
+}
+
 // GrowCols returns cols with room for n more slots. When that takes a new
 // buffer it is at least twice the old one's size: a region's columns come
 // one at a time and a group's region by region, and append's own growth —
@@ -167,15 +200,15 @@ func GrowCols(cols []uint64, n int) []uint64 {
 }
 
 // Transpose lays work-items lo to hi's slots of every column out item by
-// item in rows, which it grows as needed and returns: item wi's address at
-// op k is rows[(wi-lo)*len(Ops)+k]. Walking a batch item-major a tile of
-// ItemTile items at a time reads each cache line of Cols once.
+// item in rows, which it grows as needed and returns: item wi's address in
+// column c is rows[(wi-lo)*NumCols()+c]. Walking a batch item-major a tile
+// of ItemTile items at a time reads each cache line of Cols once.
 func (b *AccessBatch) Transpose(rows []uint64, lo, hi int) []uint64 {
-	ops, n := len(b.Ops), len(b.Items)
-	rows = slices.Grow(rows[:0], (hi-lo)*ops)[:(hi-lo)*ops]
-	for k := 0; k < ops; k++ {
-		for i, a := range b.Cols[k*n+lo : k*n+hi] {
-			rows[i*ops+k] = a
+	cols, n := b.NumCols(), len(b.Items)
+	rows = slices.Grow(rows[:0], (hi-lo)*cols)[:(hi-lo)*cols]
+	for c := 0; c < cols; c++ {
+		for i, a := range b.Cols[c*n+lo : c*n+hi] {
+			rows[i*cols+c] = a
 		}
 	}
 	return rows
@@ -189,21 +222,28 @@ func (b *AccessBatch) Transpose(rows []uint64, lo, hi int) []uint64 {
 // readers: a cursor type owning it cost 45 % of the Fig. 10 sweep's wall
 // time (it and the record it returns go through memory on every access).
 func (b *AccessBatch) Replay(t Tracer) {
-	ops := b.Ops
+	ops, cols := b.Ops, b.NumCols()
 	for lo := 0; lo < len(b.Items); lo += ItemTile {
 		hi := min(lo+ItemTile, len(b.Items))
 		b.rows = b.Transpose(b.rows, lo, hi)
 		for wi := lo; wi < hi; wi++ {
-			row, recs := b.rows[(wi-lo)*len(ops):(wi-lo+1)*len(ops)], b.Items[wi]
-			for k := 0; ; {
+			row, recs := b.rows[(wi-lo)*cols:(wi-lo+1)*cols], b.Items[wi]
+			for k, c := 0, 0; ; {
 				// The item's next access: a record of its own that comes
-				// before op k, else its slot of op k.
+				// before op k, else op k — at its slot of the next column,
+				// or at the op's own address when it has no column.
 				if len(recs) > 0 && int(recs[0].Seq) <= k {
 					r := &recs[0]
 					t.Access(b.Instrs[r.Instr], wi, r.Addr, int(r.Size), r.Store)
 					recs = recs[1:]
-				} else if k < len(row) {
-					t.Access(b.Instrs[ops[k].Instr], wi, row[k], int(ops[k].Size), ops[k].Store)
+				} else if k < len(ops) {
+					op := &ops[k]
+					addr := op.Addr
+					if !op.Private {
+						addr = row[c]
+						c++
+					}
+					t.Access(b.Instrs[op.Instr], wi, addr, int(op.Size), op.Store)
 					k++
 				} else {
 					break

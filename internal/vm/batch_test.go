@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"grover/internal/clc"
 	"grover/internal/ir"
 )
 
@@ -135,5 +136,69 @@ func TestReplayOfRecordsOrColumnsAlone(t *testing.T) {
 func TestAccessRecSize(t *testing.T) {
 	if sz := unsafe.Sizeof(AccessRec{}); sz != 24 {
 		t.Errorf("AccessRec is %d bytes, want 24", sz)
+	}
+}
+
+// TestReplayPlacesPrivateOps: an op marked Private replays as one access
+// per item at the op's own address, in its place among the columns and the
+// records — first, between two columns, last, and where a record's Seq
+// falls on it — and takes no column: the batch transposes to fewer columns
+// than it has ops.
+func TestReplayPlacesPrivateOps(t *testing.T) {
+	ld, st, own := &ir.Instr{Op: ir.OpLoad}, &ir.Instr{Op: ir.OpStore}, &ir.Instr{Op: ir.OpLoad}
+	priv := func(off uint64) uint64 { return MakeAddr(clc.ASPrivate, off) }
+	var b AccessBatch
+	b.Reset(2)
+	record := func(wi int, addr uint64) {
+		b.Items[wi] = append(b.Items[wi], AccessRec{Addr: addr, Instr: b.Intern(own), Size: 1, Seq: int32(len(b.Ops))})
+	}
+	b.AppendPrivate(ld, 4, false, 16)
+	copy(b.AppendOp(st, 8, true), []uint64{100, 108})
+	record(1, 7) // before the private op in the middle
+	b.AppendPrivate(st, 4, true, 32)
+	copy(b.AppendOp(ld, 2, false), []uint64{200, 202})
+	record(0, 8) // before the last op, which is private
+	b.AppendPrivate(ld, 8, false, 48)
+	record(0, 9) // after it
+	b.Retired[1] = 6
+
+	if len(b.Ops) != 5 || b.NumCols() != 2 || len(b.Cols) != 4 {
+		t.Fatalf("%d ops, %d columns, %d slots; want 5, 2, 4", len(b.Ops), b.NumCols(), len(b.Cols))
+	}
+	if rows := b.Transpose(nil, 0, 2); !reflect.DeepEqual(rows, []uint64{100, 200, 108, 202}) {
+		t.Errorf("transposed %v, want each item's two column slots side by side", rows)
+	}
+	if rows := b.Transpose(nil, 1, 2); !reflect.DeepEqual(rows, []uint64{108, 202}) {
+		t.Errorf("item 1 transposed %v, want [108 202]", rows)
+	}
+	want := []string{
+		accessCall(ld, 0, priv(16), 4, false), accessCall(st, 0, 100, 8, true), accessCall(st, 0, priv(32), 4, true),
+		accessCall(ld, 0, 200, 2, false), accessCall(own, 0, 8, 1, false), accessCall(ld, 0, priv(48), 8, false),
+		accessCall(own, 0, 9, 1, false),
+		accessCall(ld, 1, priv(16), 4, false), accessCall(st, 1, 108, 8, true), accessCall(own, 1, 7, 1, false),
+		accessCall(st, 1, priv(32), 4, true), accessCall(ld, 1, 202, 2, false), accessCall(ld, 1, priv(48), 8, false),
+		"wi1 retired 6",
+	}
+	var got callLog
+	b.Replay(&got)
+	if !reflect.DeepEqual(got.calls, want) {
+		t.Errorf("replayed stream differs:\n got %q\nwant %q", got.calls, want)
+	}
+
+	// Private ops alone: a region without a single column.
+	b.Clear()
+	b.AppendPrivate(st, 4, true, 0)
+	b.AppendPrivate(ld, 4, false, 0)
+	if b.NumCols() != 0 || len(b.Transpose(nil, 0, 2)) != 0 {
+		t.Errorf("%d columns, want none", b.NumCols())
+	}
+	want = []string{
+		accessCall(st, 0, priv(0), 4, true), accessCall(ld, 0, priv(0), 4, false),
+		accessCall(st, 1, priv(0), 4, true), accessCall(ld, 1, priv(0), 4, false),
+	}
+	got.calls = nil
+	b.Replay(&got)
+	if !reflect.DeepEqual(got.calls, want) {
+		t.Errorf("private ops alone:\n got %q\nwant %q", got.calls, want)
 	}
 }

@@ -1,6 +1,7 @@
 package wgvec_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -31,19 +32,35 @@ func (s *sumTracer) GroupEnd()             {}
 
 // batchSumTracer also takes batches, and must then never see a
 // per-access call.
-type batchSumTracer struct{ sumTracer }
+type batchSumTracer struct {
+	sumTracer
+	privateOps int64
+}
 
 func (s *batchSumTracer) AccessBatch(b *vm.AccessBatch) {
 	// The sums do not depend on order, so the columns need no merging with
 	// the records — but they do need reading: most accesses are in them.
-	for k, op := range b.Ops {
+	// A private op is one access per item at the op's own address and has
+	// no column; the others take the columns in order.
+	n, col := len(b.Items), 0
+	for _, op := range b.Ops {
 		if b.Instrs[op.Instr] == nil {
 			panic("op without an instruction")
 		}
-		for _, addr := range b.Cols[k*len(b.Items) : (k+1)*len(b.Items)] {
+		if op.Private {
+			s.privateOps++
+			s.accesses += int64(n)
+			s.addrSum += uint64(n) * op.Addr * uint64(op.Size)
+			continue
+		}
+		for _, addr := range b.Cols[col*n : (col+1)*n] {
 			s.accesses++
 			s.addrSum += addr * uint64(op.Size)
 		}
+		col++
+	}
+	if col != b.NumCols() {
+		panic("columns left over")
 	}
 	for wi, recs := range b.Items {
 		for _, r := range recs {
@@ -112,10 +129,12 @@ __kernel void k(__global float* out, __global float* in, __local float* tmp) {
 			return sumTracer{}, err
 		}
 		var total sumTracer
+		var privateOps int64
 		for w := 0; w < workers; w++ {
 			s := plain[w]
 			if batches {
 				s = batch[w].sumTracer
+				privateOps += batch[w].privateOps
 			}
 			total.groups += s.groups
 			total.accesses += s.accesses
@@ -123,6 +142,10 @@ __kernel void k(__global float* out, __global float* in, __local float* tmp) {
 			total.addrSum += s.addrSum
 			total.retired += s.retired
 			total.perAccessCalls += s.perAccessCalls
+		}
+		if batches && privateOps == 0 {
+			// acc and i are variables in registers.
+			return total, errors.New("no private op in any batch")
 		}
 		return total, nil
 	}

@@ -692,6 +692,9 @@ func (g *groupState) execSeg(depth int, fr *colFrame, mask []int32, pc int32) (r
 				return retired, err
 			}
 
+		case bcode.OpSlotLdI, bcode.OpSlotLdF, bcode.OpSlotStI, bcode.OpSlotStF:
+			g.slotOp(fr, in, mask)
+
 		case bcode.OpLdVI, bcode.OpLdVF:
 			if err := g.loadVecCol(fr, in, mask, false); err != nil {
 				return retired, err

@@ -883,14 +883,90 @@ func (g *groupState) addrPass(fr *colFrame, in *bcode.Inst, mask []int32, fused,
 			items[l] = append(items[l], rec)
 		}
 	}
-	if g.prof != nil {
-		if store {
-			g.profStores += int64(len(mask))
+	g.countAccesses(store, len(mask))
+	return addrs
+}
+
+// countAccesses adds n loads or stores to the profiler's round, if there
+// is one.
+func (g *groupState) countAccesses(store bool, n int) {
+	if g.prof == nil {
+		return
+	}
+	if store {
+		g.profStores += int64(n)
+	} else {
+		g.profLoads += int64(n)
+	}
+}
+
+// slotOp performs a load or store of a private variable that lives in a
+// register column (bcode's slot instructions): a column move under the
+// mask, through the variable's kind on the way in. It is a memory
+// instruction all the same — every masked lane makes one access to the
+// variable's place on its stack, recorded under a full mask as one op that
+// holds the address and takes no column — so it never runs once for the
+// group, however uniform the value.
+func (g *groupState) slotOp(fr *colFrame, in *bcode.Inst, mask []int32) {
+	store := in.Op == bcode.OpSlotStI || in.Op == bcode.OpSlotStF
+	full := len(mask) == g.n
+	if g.tracer != nil {
+		off := uint64(fr.frameBase) + uint64(in.Imm)
+		if full {
+			g.trace.AppendPrivate(in.In, in.N, store, off)
 		} else {
-			g.profLoads += int64(len(mask))
+			items := g.trace.Items
+			rec := vm.AccessRec{Addr: vm.MakeAddr(clc.ASPrivate, off), Instr: g.trace.Intern(in.In),
+				Size: in.N, Seq: int32(len(g.trace.Ops)), Store: store}
+			for _, l := range mask {
+				items[l] = append(items[l], rec)
+			}
 		}
 	}
-	return addrs
+	g.countAccesses(store, len(mask))
+	switch in.Op {
+	case bcode.OpSlotLdI:
+		moveCol(fr.ri[in.A], fr.ri[in.B], mask, full)
+	case bcode.OpSlotLdF:
+		moveCol(fr.rf[in.A], fr.rf[in.B], mask, full)
+	case bcode.OpSlotStI:
+		// What the kind's store leaves in memory and its load reads back
+		// (storeCol, loadCol) is the value normalized to the kind, except
+		// that a bool is stored as a byte, not as NormInt's 0 or 1.
+		d, s := fr.ri[in.B], fr.ri[in.A]
+		switch k := clc.ScalarKind(in.Kind); k {
+		case clc.KLong, clc.KULong: // and pointers
+			moveCol(d, s, mask, full)
+		case clc.KBool:
+			k = clc.KUChar
+			fallthrough
+		default:
+			for _, l := range mask {
+				d[l] = vm.NormInt(s[l], k)
+			}
+		}
+	case bcode.OpSlotStF:
+		d, s := fr.rf[in.B], fr.rf[in.A]
+		if in.Kind == kF32 {
+			for _, l := range mask {
+				d[l] = float64(float32(s[l]))
+			}
+		} else {
+			moveCol(d, s, mask, full)
+		}
+	}
+}
+
+// moveCol copies the masked lanes of column s to column d. A full mask is
+// every lane of the column.
+func moveCol[T int64 | float64](d, s []T, mask []int32, full bool) {
+	if full {
+		copy(d, s)
+		return
+	}
+	for _, l := range mask {
+		d[l] = s[l]
+	}
 }
 
 // loadCol performs a scalar load for all masked lanes. With uni set (a
