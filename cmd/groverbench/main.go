@@ -15,22 +15,19 @@
 //	groverbench -experiment characterize -format json  # AIWC-style feature vectors
 //	groverbench -experiment rewrite -format json       # rewrite-plan search sweep
 //	groverbench -experiment predict -device all -format json  # predictive-autotuning cross-validation
-//	groverbench -experiment service -format json       # groverd load harness (open-loop)
 //
 // -backend selects the execution backend (interp or wgvec; wgvec
 // unless named) and -format json emits machine-readable measurements;
-// engine against engine is the ledger's business (bench/, the engine.*
-// rows). The committed BENCH_characterize.json is the output of the
-// characterize experiment and BENCH_rewrite.json of the rewrite
-// experiment (every app plus a synthetic window-sum kernel, autotuned
-// across the rewrite plan space on all six platforms).
-// BENCH_profit.json comes from the profit
-// experiment (static-ranking validation) and BENCH_predict.json from
-// the predict experiment (leave-one-app-out cross-validation of the
-// feature-store verdict predictor), both with -device all.
-// BENCH_service.json comes from the service experiment: open-loop
-// synthetic traffic against an in-process groverd, with per-endpoint
-// latency quantiles, saturation throughput, and queue-wait readings.
+// engine against engine, and groverd under load, are the ledger's
+// business (bench/: the engine.* rows, the serve-frontend workload). The
+// committed BENCH_characterize.json is the output of the characterize
+// experiment, BENCH_rewrite.json of rewrite (every app plus a synthetic
+// window-sum kernel, autotuned across the rewrite plan space on all six
+// platforms), BENCH_profit.json of profit (static-ranking validation)
+// and BENCH_predict.json of predict (leave-one-app-out cross-validation
+// of the feature-store verdict predictor), the last two with -device
+// all. Those three tune each app on the requested devices as one set
+// (grover.Tune).
 // -cpuprofile and -memprofile write pprof profiles of the
 // run for backend performance work.
 package main
@@ -54,7 +51,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig2 | fig10 | figgpu | table1 | table2 | table3 | table4 | case | characterize | rewrite | profit | predict | service | all")
+		experiment = flag.String("experiment", "all", "fig2 | fig10 | figgpu | table1 | table2 | table3 | table4 | case | characterize | rewrite | profit | predict | all")
 		app        = flag.String("app", "", "benchmark id for -experiment case (e.g. NVD-MT)")
 		device     = flag.String("device", "SNB", "device for -experiment case, profit and predict (profit/predict also accept \"all\")")
 		scale      = flag.Int("scale", 1, "dataset scale factor")
@@ -65,10 +62,6 @@ func main() {
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-		qps        = flag.Float64("qps", 0, "-experiment service: open-loop arrival rate (0 = default 150)")
-		loadSec    = flag.Float64("load-seconds", 0, "-experiment service: mixed-phase duration in seconds (0 = default 3)")
-		reuse      = flag.Float64("reuse", 0.75, "-experiment service: cache key-reuse ratio in [0, 1]")
-		loadWork   = flag.Int("load-workers", 0, "-experiment service: saturation-probe concurrency (0 = 2 x GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -95,10 +88,9 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	cfg := harness.Config{Scale: *scale, Runs: *runs, Validate: *validate, Backend: *backend, Log: logW}
-	lc := serviceLoadConfig{QPS: *qps, Seconds: *loadSec, Reuse: *reuse, Workers: *loadWork}
+	cfg := harness.Config{Scale: max(*scale, 1), Runs: max(*runs, 1), Validate: *validate, Backend: *backend, Log: logW}
 
-	err := run(*experiment, *app, *device, *format, cfg, lc)
+	err := run(*experiment, *app, *device, *format, cfg)
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
 	}
@@ -168,7 +160,7 @@ func emitMeasurements(title string, ms []*harness.Measurement, format string, ta
 	return nil
 }
 
-func run(experiment, appID, deviceName, format string, cfg harness.Config, lc serviceLoadConfig) error {
+func run(experiment, appID, deviceName, format string, cfg harness.Config) error {
 	switch experiment {
 	case "fig2":
 		ms, err := harness.Fig2(cfg)
@@ -196,8 +188,6 @@ func run(experiment, appID, deviceName, format string, cfg harness.Config, lc se
 		return runProfit(cfg, format, deviceName)
 	case "predict":
 		return runPredict(cfg, format, deviceName)
-	case "service":
-		return runService(cfg, format, lc)
 	case "table1":
 		fmt.Println("Table I — benchmarks and datasets")
 		fmt.Println(harness.Table1())

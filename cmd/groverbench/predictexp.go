@@ -6,10 +6,8 @@ import (
 
 	"grover"
 	"grover/internal/apps"
-	"grover/internal/device"
 	"grover/internal/harness"
 	"grover/internal/predict"
-	"grover/internal/profit"
 	"grover/internal/rewrite"
 	"grover/internal/telemetry/aiwc"
 	"grover/opencl"
@@ -92,22 +90,11 @@ type predictFold struct {
 // feature-hash twins) held out of the store. deviceName restricts the
 // sweep to one platform ("all" or "" sweeps every platform).
 func runPredict(cfg harness.Config, format, deviceName string) error {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
-	}
-	if cfg.Runs <= 0 {
-		cfg.Runs = 1
-	}
-	profs := device.All()
-	if deviceName != "" && deviceName != "all" {
-		p := device.ByName(deviceName)
-		if p == nil {
-			return fmt.Errorf("unknown device %q", deviceName)
-		}
-		profs = []*device.Profile{p}
+	devs, err := sweepDevices(deviceName)
+	if err != nil {
+		return err
 	}
 	sweep := append(apps.All(), synWS())
-	plat := opencl.NewPlatform()
 	store, err := predict.OpenStore("", 0)
 	if err != nil {
 		return err
@@ -117,17 +104,23 @@ func runPredict(cfg harness.Config, format, deviceName string) error {
 
 	var folds []predictFold
 	for _, app := range sweep {
-		var features *aiwc.Features
-		var hash string
-		for _, prof := range profs {
-			if cfg.Log != nil {
-				fmt.Fprintf(cfg.Log, "predict: measuring %s on %s\n", app.ID, prof.Name)
-			}
-			f, err := runPredictCase(plat, app, prof, cfg, features, hash, store)
+		if cfg.Log != nil {
+			fmt.Fprintf(cfg.Log, "predict: measuring %s\n", app.ID)
+		}
+		s, err := searchApp(app, devs, cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", app.ID, err)
+		}
+		// The feature vector is the kernel's, not a device's.
+		features, err := grover.CharacterizeLaunch(s.prog, app.Kernel, s.inst.ND, s.inst.Args)()
+		if err != nil {
+			return fmt.Errorf("%s: characterize: %w", app.ID, err)
+		}
+		for i, dev := range devs {
+			f, err := recordFold(s, dev, s.results[i], features, store)
 			if err != nil {
-				return fmt.Errorf("%s on %s: %w", app.ID, prof.Name, err)
+				return fmt.Errorf("%s on %s: %w", app.ID, dev.Name(), err)
 			}
-			features, hash = f.rec.Features, f.rec.Hash
 			folds = append(folds, *f)
 		}
 	}
@@ -222,58 +215,14 @@ func runPredict(cfg harness.Config, format, deviceName string) error {
 	return nil
 }
 
-// runPredictCase measures one (app, device) case exhaustively and
-// records it into the store, reusing the app's feature vector after the
-// first device (features are device-invariant).
-func runPredictCase(plat *opencl.Platform, app *apps.App, prof *device.Profile,
-	cfg harness.Config, features *aiwc.Features, hash string, store *predict.Store) (*predictFold, error) {
-	dev, err := plat.DeviceByName(prof.Name)
-	if err != nil {
-		return nil, err
-	}
-	ctx := opencl.NewContext(dev)
-	if cfg.Backend != "" {
-		if err := ctx.SetBackend(cfg.Backend); err != nil {
-			return nil, err
-		}
-	}
-	prog, err := ctx.CompileProgram(app.ID+".cl", app.Source, app.Defines)
-	if err != nil {
-		return nil, err
-	}
-	inst, err := app.Setup(ctx, cfg.Scale)
-	if err != nil {
-		return nil, fmt.Errorf("setup: %w", err)
-	}
-	if features == nil {
-		f, err := grover.CharacterizeLaunch(prog, app.Kernel, inst.ND, inst.Args)()
-		if err != nil {
-			return nil, fmt.Errorf("characterize: %w", err)
-		}
-		features, hash = f, predict.Hash(f)
-	}
-	pq, err := ctx.NewProfilingQueue()
-	if err != nil {
-		return nil, err
-	}
-	launch := func(k *opencl.Kernel) (*opencl.Event, error) {
-		return pq.EnqueueNDRange(k, inst.ND, inst.Args...)
-	}
-	plans := planSpaceFor(app, inst.ND.Local)
-	res, err := grover.AutoTunePlans(prog, app.Kernel, plans, cfg.Runs, launch)
-	if err != nil {
-		return nil, err
-	}
-
+// recordFold records one device's measured search into the store and
+// returns what its held-out prediction needs.
+func recordFold(s *appSearch, dev *opencl.Device, res *grover.TuneResult,
+	features *aiwc.Features, store *predict.Store) (*predictFold, error) {
+	app := s.app
 	rec := &predict.Record{
-		Hash: hash, Device: prof.Name, Label: app.ID, Kernel: app.Kernel,
+		Hash: predict.Hash(features), Device: dev.Name(), Label: app.ID, Kernel: app.Kernel,
 		Features: features, BaseMS: res.OriginalMS, Best: res.Plan, Source: "seed",
-	}
-	var canon []string
-	for _, ps := range plans {
-		if p, err := rewrite.ParsePlan(ps); err == nil {
-			canon = append(canon, p.String())
-		}
 	}
 	for _, t := range res.PlanSearch {
 		if t.Applied && t.MS > 0 {
@@ -286,21 +235,16 @@ func runPredictCase(plat *opencl.Platform, app *apps.App, prof *device.Profile,
 		return nil, err
 	}
 	return &predictFold{
-		app: app.ID, device: prof.Name, rec: rec, shapes: canon,
-		prior: staticShapePrior(prog, app.Kernel, canon, prof, inst),
+		app: app.ID, device: dev.Name(), rec: rec, shapes: s.plans,
+		prior: staticShapePrior(s, dev),
 	}, nil
 }
 
 // staticShapePrior reduces the profit model's per-plan cycle scores to
 // per-shape ms/base ratios — the prior the predictor blends in (the
 // same computation the grover facade performs in predict mode).
-func staticShapePrior(prog *opencl.Program, kernel string, canon []string,
-	prof *device.Profile, inst *apps.Instance) map[string]float64 {
-	ranked, err := profit.RankPlans(prog.Module(), kernel, canon, prof, profit.Options{
-		WorkGroup: inst.ND.Local,
-		Global:    inst.ND.Global,
-		ArgInts:   grover.IntArgs(inst.Args),
-	})
+func staticShapePrior(s *appSearch, dev *opencl.Device) map[string]float64 {
+	ranked, err := s.rankPlans(dev)
 	if err != nil {
 		return nil
 	}

@@ -7,10 +7,7 @@ import (
 
 	"grover"
 	"grover/internal/apps"
-	"grover/internal/device"
 	"grover/internal/harness"
-	"grover/internal/profit"
-	"grover/internal/rewrite"
 	"grover/opencl"
 )
 
@@ -93,35 +90,30 @@ type profitBenchJSON struct {
 // static ordering predicts the measured one. deviceName restricts the
 // sweep to one platform ("all" or "" sweeps every platform).
 func runProfit(cfg harness.Config, format, deviceName string) error {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
-	}
-	if cfg.Runs <= 0 {
-		cfg.Runs = 1
-	}
-	profs := device.All()
-	if deviceName != "" && deviceName != "all" {
-		p := device.ByName(deviceName)
-		if p == nil {
-			return fmt.Errorf("unknown device %q", deviceName)
-		}
-		profs = []*device.Profile{p}
+	devs, err := sweepDevices(deviceName)
+	if err != nil {
+		return err
 	}
 	sweep := append(apps.All(), synWS())
 	out := &profitBenchJSON{Experiment: "profit", Scale: cfg.Scale, Runs: cfg.Runs}
-	plat := opencl.NewPlatform()
 	var sGPU, sCPU []float64
 	hits, executed, total := 0, 0, 0
 	for _, app := range sweep {
-		for _, prof := range profs {
-			if cfg.Log != nil {
-				fmt.Fprintf(cfg.Log, "profit: %s on %s\n", app.ID, prof.Name)
-			}
-			c, err := runProfitCase(plat, app, prof, cfg)
+		if cfg.Log != nil {
+			fmt.Fprintf(cfg.Log, "profit: %s\n", app.ID)
+		}
+		// Measured side: the exhaustive search (identical to the rewrite
+		// experiment; the simulator is deterministic).
+		s, err := searchApp(app, devs, cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", app.ID, err)
+		}
+		for i, dev := range devs {
+			c, err := profitCase(s, dev, s.results[i])
 			if err != nil {
-				return fmt.Errorf("%s on %s: %w", app.ID, prof.Name, err)
+				return fmt.Errorf("%s on %s: %w", app.ID, dev.Name(), err)
 			}
-			if prof.Kind == device.GPUKind {
+			if dev.IsGPU() {
 				sGPU = append(sGPU, c.Spearman)
 			} else {
 				sCPU = append(sCPU, c.Spearman)
@@ -161,53 +153,10 @@ func runProfit(cfg harness.Config, format, deviceName string) error {
 	return nil
 }
 
-func runProfitCase(plat *opencl.Platform, app *apps.App, prof *device.Profile, cfg harness.Config) (*profitCaseJSON, error) {
-	dev, err := plat.DeviceByName(prof.Name)
-	if err != nil {
-		return nil, err
-	}
-	ctx := opencl.NewContext(dev)
-	if cfg.Backend != "" {
-		if err := ctx.SetBackend(cfg.Backend); err != nil {
-			return nil, err
-		}
-	}
-	prog, err := ctx.CompileProgram(app.ID+".cl", app.Source, app.Defines)
-	if err != nil {
-		return nil, err
-	}
-	inst, err := app.Setup(ctx, cfg.Scale)
-	if err != nil {
-		return nil, fmt.Errorf("setup: %w", err)
-	}
-	pq, err := ctx.NewProfilingQueue()
-	if err != nil {
-		return nil, err
-	}
-	launch := func(k *opencl.Kernel) (*opencl.Event, error) {
-		return pq.EnqueueNDRange(k, inst.ND, inst.Args...)
-	}
-	plans := planSpaceFor(app, inst.ND.Local)
-
-	// Measured side: the exhaustive search (identical to the rewrite
-	// experiment; the simulator is deterministic).
-	res, err := grover.AutoTunePlans(prog, app.Kernel, plans, cfg.Runs, launch)
-	if err != nil {
-		return nil, err
-	}
-
-	// Static side: rank the same (canonical) plan space.
-	var canon []string
-	for _, ps := range plans {
-		if p, err := rewrite.ParsePlan(ps); err == nil {
-			canon = append(canon, p.String())
-		}
-	}
-	ranked, err := profit.RankPlans(prog.Module(), app.Kernel, canon, prof, profit.Options{
-		WorkGroup: inst.ND.Local,
-		Global:    inst.ND.Global,
-		ArgInts:   grover.IntArgs(inst.Args),
-	})
+// profitCase compares one device's measured search res with the static
+// ranking of the same plan space on its cost model.
+func profitCase(s *appSearch, dev *opencl.Device, res *grover.TuneResult) (*profitCaseJSON, error) {
+	ranked, err := s.rankPlans(dev)
 	if err != nil {
 		return nil, err
 	}
@@ -220,8 +169,8 @@ func runProfitCase(plat *opencl.Platform, app *apps.App, prof *device.Profile, c
 		}
 	}
 
-	k := pruneFor(len(canon))
-	c := &profitCaseJSON{App: app.ID, Device: prof.Name, Prune: k}
+	k := pruneFor(len(s.plans))
+	c := &profitCaseJSON{App: s.app.ID, Device: dev.Name(), Prune: k}
 
 	// Assemble per-plan rows from the measured search, annotated with the
 	// static ordering.

@@ -1,13 +1,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"grover"
 	"grover/internal/apps"
-	"grover/internal/device"
 	"grover/internal/harness"
+	"grover/internal/profit"
+	"grover/internal/rewrite"
 	"grover/opencl"
 )
 
@@ -115,6 +117,98 @@ func planSpaceFor(app *apps.App, local [3]int) []string {
 	return plans
 }
 
+// sweepDevices resolves -device: one platform by name, every platform for
+// "all" or "".
+func sweepDevices(name string) ([]*opencl.Device, error) {
+	plat := opencl.NewPlatform()
+	if name == "" || name == "all" {
+		return plat.Devices(), nil
+	}
+	dev, err := plat.DeviceByName(name)
+	if err != nil {
+		return nil, err
+	}
+	return []*opencl.Device{dev}, nil
+}
+
+// appSearch is one app's exhaustive plan search on a set of devices, which
+// the rewrite, profit and predict experiments each read their own way.
+type appSearch struct {
+	app *apps.App
+	// prog and inst are the app instantiated and set up in a context the
+	// search never launches in: the module the static model scores, the
+	// launch geometry, pristine arguments to characterize on.
+	prog *opencl.Program
+	inst *apps.Instance
+	// plans is the app's plan space (planSpaceFor) in canonical form.
+	plans []string
+	// results holds each device's search, in the set's order.
+	results []*grover.TuneResult
+}
+
+// searchApp compiles app once and tunes it on devs as one set: every plan
+// executes once and is charged to each device's cost model (grover.Tune),
+// which gives every device the timings of a search of its own.
+func searchApp(app *apps.App, devs []*opencl.Device, cfg harness.Config) (*appSearch, error) {
+	mod, err := opencl.CompileModule(app.ID+".cl", app.Source, app.Defines)
+	if err != nil {
+		return nil, err
+	}
+	instantiate := func(ctx *opencl.Context) (*opencl.Program, error) {
+		if cfg.Backend != "" {
+			if err := ctx.SetBackend(cfg.Backend); err != nil {
+				return nil, err
+			}
+		}
+		return ctx.NewProgramFromIR(app.ID+".cl", mod)
+	}
+	s := &appSearch{app: app}
+	ctx := opencl.NewContext(devs[0])
+	if s.prog, err = instantiate(ctx); err != nil {
+		return nil, err
+	}
+	if s.inst, err = app.Setup(ctx, cfg.Scale); err != nil {
+		return nil, fmt.Errorf("setup: %w", err)
+	}
+	for _, ps := range planSpaceFor(app, s.inst.ND.Local) {
+		p, err := rewrite.ParsePlan(ps)
+		if err != nil {
+			return nil, err
+		}
+		s.plans = append(s.plans, p.String())
+	}
+	results := grover.Tune(context.Background(), devs, app.Kernel, grover.LaunchSpec{
+		Program: instantiate,
+		ND:      s.inst.ND,
+		Runs:    cfg.Runs,
+		Plans:   s.plans,
+		Args: func(ctx *opencl.Context) ([]interface{}, error) {
+			inst, err := app.Setup(ctx, cfg.Scale)
+			if err != nil {
+				return nil, fmt.Errorf("setup: %w", err)
+			}
+			return inst.Args, nil
+		},
+	})
+	for _, r := range results {
+		if r.Err != nil {
+			return nil, fmt.Errorf("on %s: %w", r.Device, r.Err)
+		}
+		s.results = append(s.results, r.Result)
+	}
+	return s, nil
+}
+
+// rankPlans scores the plan space statically on dev's cost model, most
+// promising first.
+func (s *appSearch) rankPlans(dev *opencl.Device) ([]*profit.PlanScore, error) {
+	return profit.RankPlans(s.prog.Module(), s.app.Kernel, s.plans, dev.CostModel(), profit.Options{
+		WorkGroup: s.inst.ND.Local,
+		Global:    s.inst.ND.Global,
+		ArgInts:   grover.IntArgs(s.inst.Args),
+	})
+}
+
 // planTimingJSON is one evaluated plan of a rewrite case.
 type planTimingJSON struct {
 	Plan string `json:"plan"`
@@ -156,28 +250,23 @@ type rewriteBenchJSON struct {
 // every platform, autotuning across the app's plan space on each, and
 // reports the per-case winner against base and grover-only.
 func runRewrite(cfg harness.Config, format string) error {
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
-	}
-	if cfg.Runs <= 0 {
-		cfg.Runs = 1
-	}
+	devs := opencl.NewPlatform().Devices()
 	sweep := append(apps.All(), synWS())
 	out := &rewriteBenchJSON{Experiment: "rewrite", Scale: cfg.Scale, Runs: cfg.Runs}
-	plat := opencl.NewPlatform()
 	for _, app := range sweep {
-		for _, prof := range device.All() {
-			if cfg.Log != nil {
-				fmt.Fprintf(cfg.Log, "rewrite: %s on %s\n", app.ID, prof.Name)
-			}
-			c, err := runRewriteCase(plat, app, prof.Name, cfg)
-			if err != nil {
-				return fmt.Errorf("%s on %s: %w", app.ID, prof.Name, err)
-			}
+		if cfg.Log != nil {
+			fmt.Fprintf(cfg.Log, "rewrite: %s\n", app.ID)
+		}
+		s, err := searchApp(app, devs, cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", app.ID, err)
+		}
+		for i, dev := range devs {
+			c := rewriteCase(app.ID, dev.Name(), s.results[i])
 			if c.Best != "base" {
 				out.NonBaseWins++
 			}
-			out.Cases = append(out.Cases, *c)
+			out.Cases = append(out.Cases, c)
 		}
 	}
 	if format == "json" {
@@ -192,39 +281,9 @@ func runRewrite(cfg harness.Config, format string) error {
 	return nil
 }
 
-func runRewriteCase(plat *opencl.Platform, app *apps.App, deviceName string, cfg harness.Config) (*rewriteCaseJSON, error) {
-	dev, err := plat.DeviceByName(deviceName)
-	if err != nil {
-		return nil, err
-	}
-	ctx := opencl.NewContext(dev)
-	if cfg.Backend != "" {
-		if err := ctx.SetBackend(cfg.Backend); err != nil {
-			return nil, err
-		}
-	}
-	prog, err := ctx.CompileProgram(app.ID+".cl", app.Source, app.Defines)
-	if err != nil {
-		return nil, err
-	}
-	inst, err := app.Setup(ctx, cfg.Scale)
-	if err != nil {
-		return nil, fmt.Errorf("setup: %w", err)
-	}
-	pq, err := ctx.NewProfilingQueue()
-	if err != nil {
-		return nil, err
-	}
-	launch := func(k *opencl.Kernel) (*opencl.Event, error) {
-		return pq.EnqueueNDRange(k, inst.ND, inst.Args...)
-	}
-	plans := planSpaceFor(app, inst.ND.Local)
-	res, err := grover.AutoTunePlans(prog, app.Kernel, plans, cfg.Runs, launch)
-	if err != nil {
-		return nil, err
-	}
-	c := &rewriteCaseJSON{
-		App: app.ID, Device: deviceName,
+func rewriteCase(appID, deviceName string, res *grover.TuneResult) rewriteCaseJSON {
+	c := rewriteCaseJSON{
+		App: appID, Device: deviceName,
 		Best: res.Plan, BestMS: res.TransformedMS, BaseMS: res.OriginalMS,
 	}
 	if c.BestMS > 0 {
@@ -239,5 +298,5 @@ func runRewriteCase(plat *opencl.Platform, app *apps.App, deviceName string, cfg
 	if c.GroverMS > 0 && c.BestMS > 0 {
 		c.NPGrover = c.GroverMS / c.BestMS
 	}
-	return c, nil
+	return c
 }

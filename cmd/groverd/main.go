@@ -12,7 +12,7 @@
 //	        [-max-queue 0] [-trace-log path] [-trace-cap 256]
 //	        [-log-format text|json] [-log-level info] [-pprof addr]
 //
-// Endpoints: POST /v1/compile, /v1/transform, /v1/autotune;
+// Endpoints: POST /v1/compile, /v1/transform, /v1/autotune, /v1/lint;
 // GET /v1/devices, /v1/stats, /v1/traces, /metrics, /healthz. See the
 // README "Serving", "Observability" and "Load & tracing" sections for a
 // curl walkthrough.

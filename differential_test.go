@@ -12,6 +12,7 @@ import (
 	"grover/internal/apps"
 	"grover/internal/device"
 	"grover/internal/enginetest"
+	"grover/internal/profit"
 	"grover/internal/rewrite"
 	"grover/internal/vm"
 	"grover/opencl"
@@ -202,10 +203,10 @@ func sharedQueue(t *testing.T, ctx *opencl.Context, devs []*opencl.Device, nd op
 	}
 }
 
-// planStats runs app's default plan space, one launch after the other on
-// the same buffers as an autotune does, and returns each executed plan's
-// device counters.
-func planStats(t *testing.T, ctx *opencl.Context, app *apps.App, engine string,
+// planStats runs app's default plan space — only the plans in keep, when
+// it is not nil — one launch after the other on the same buffers as an
+// autotune does, and returns each executed plan's device counters.
+func planStats(t *testing.T, ctx *opencl.Context, app *apps.App, engine string, keep map[string]bool,
 	queue func(*opencl.Context, *apps.Instance) deviceLaunch) map[string][]device.Result {
 	t.Helper()
 	if err := ctx.SetBackend(engine); err != nil {
@@ -225,6 +226,9 @@ func planStats(t *testing.T, ctx *opencl.Context, app *apps.App, engine string,
 		plan, err := rewrite.ParsePlan(ps)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if keep != nil && !keep[plan.String()] {
+			continue
 		}
 		p := prog
 		if len(plan.Steps) > 0 {
@@ -273,7 +277,7 @@ func TestSetDifferential(t *testing.T) {
 			t.Parallel()
 			own := make([]map[string][]device.Result, len(devs))
 			for i, dev := range devs {
-				own[i] = planStats(t, opencl.NewContext(dev), app, "wgvec",
+				own[i] = planStats(t, opencl.NewContext(dev), app, "wgvec", nil,
 					func(ctx *opencl.Context, inst *apps.Instance) deviceLaunch {
 						return ownQueue(t, ctx, inst.ND, inst.Args)
 					})
@@ -282,7 +286,7 @@ func TestSetDifferential(t *testing.T) {
 				t.Fatalf("only %d plans executed", len(own[0]))
 			}
 			for _, engine := range setDiffEngines {
-				shared := planStats(t, opencl.NewContext(devs[0]), app, engine,
+				shared := planStats(t, opencl.NewContext(devs[0]), app, engine, nil,
 					func(ctx *opencl.Context, inst *apps.Instance) deviceLaunch {
 						return sharedQueue(t, ctx, devs, inst.ND, inst.Args)
 					})
@@ -346,11 +350,12 @@ func TestSetDifferentialFewGroups(t *testing.T) {
 }
 
 // TestTuneSetPruneGroups: with static pruning every device ranks the plan
-// space with its own cost model, so the devices of one TuneSet call keep
-// different plans; TuneSet then tunes them group by group, each group in a
-// fresh context, and every device must still get exactly the search a tune
-// of its own (AutoTunePlansOpts on a context and profiling queue of its
-// own) performs: the same plans pruned, the same timings, the same winner.
+// space with its own cost model, so the devices of one Tune call keep
+// different plans; Tune then tunes them group by group, each group in a
+// fresh context, and every device must still get exactly the search it
+// would perform alone: the plans profit.RankPlans keeps on its cost model,
+// timed in plan order on a context and profiling queue of its own
+// (ownQueue) — the same plans pruned, the same timings, the same winner.
 func TestTuneSetPruneGroups(t *testing.T) {
 	app, err := apps.ByID("AMD-SS") // data-dependent early exits, seven plans
 	if err != nil {
@@ -361,7 +366,12 @@ func TestTuneSetPruneGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	devs := opencl.NewPlatform().Devices()
-	scratch, err := app.Setup(opencl.NewContext(devs[0]), 1)
+	sctx := opencl.NewContext(devs[0])
+	sprog, err := sctx.NewProgramFromIR(app.ID+".cl", mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := app.Setup(sctx, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +379,10 @@ func TestTuneSetPruneGroups(t *testing.T) {
 	const prune = 2
 
 	fills := 0
-	set := grover.TuneSet(context.Background(), devs, app.Kernel, grover.LaunchSpec{
+	set := grover.Tune(context.Background(), devs, app.Kernel, grover.LaunchSpec{
+		Program: func(ctx *opencl.Context) (*opencl.Program, error) {
+			return ctx.NewProgramFromIR(app.ID+".cl", mod)
+		},
 		ND: scratch.ND, Plans: plans, Prune: prune,
 		Args: func(ctx *opencl.Context) ([]interface{}, error) {
 			fills++
@@ -379,8 +392,6 @@ func TestTuneSetPruneGroups(t *testing.T) {
 			}
 			return inst.Args, nil
 		},
-	}, func(ctx *opencl.Context) (*opencl.Program, error) {
-		return ctx.NewProgramFromIR(app.ID+".cl", mod)
 	})
 
 	groups := map[*grover.LaunchSet]bool{}
@@ -390,39 +401,47 @@ func TestTuneSetPruneGroups(t *testing.T) {
 		}
 		groups[set[i].Set] = true
 
-		ctx := opencl.NewContext(dev)
-		prog, err := ctx.NewProgramFromIR(app.ID+".cl", mod)
+		ranked, err := profit.RankPlans(sprog.Module(), app.Kernel, plans, dev.CostModel(), profit.Options{
+			WorkGroup: scratch.ND.Local, Global: scratch.ND.Global, ArgInts: grover.IntArgs(scratch.Args)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		inst, err := app.Setup(ctx, 1)
-		if err != nil {
-			t.Fatal(err)
+		scores, keep := map[string]*profit.Score{}, map[string]bool{}
+		for j, ps := range ranked {
+			scores[ps.Plan] = ps.Score
+			keep[ps.Plan] = j < prune
 		}
-		q, err := ctx.NewProfilingQueue()
-		if err != nil {
-			t.Fatal(err)
-		}
-		own, err := grover.AutoTunePlansOpts(context.Background(), prog, app.Kernel, plans, 1,
-			func(k *opencl.Kernel) (*opencl.Event, error) { return q.EnqueueNDRange(k, inst.ND, inst.Args...) },
-			grover.PlanSearchOptions{Prune: prune, WorkGroup: inst.ND.Local, Global: inst.ND.Global,
-				ArgInts: grover.IntArgs(inst.Args)})
-		if err != nil {
-			t.Fatal(err)
-		}
+		own := planStats(t, opencl.NewContext(dev), app, "wgvec", keep,
+			func(ctx *opencl.Context, inst *apps.Instance) deviceLaunch {
+				return ownQueue(t, ctx, inst.ND, inst.Args)
+			})
+
 		got := set[i].Result
-		if got.Plan != own.Plan || got.OriginalMS != own.OriginalMS || got.TransformedMS != own.TransformedMS {
-			t.Errorf("%s: set verdict %s, own verdict %s", dev.Name(), got, own)
+		if len(got.PlanSearch) != len(plans) {
+			t.Fatalf("%s: %d plans in the set's search, want %d", dev.Name(), len(got.PlanSearch), len(plans))
 		}
-		if len(got.PlanSearch) != len(own.PlanSearch) {
-			t.Fatalf("%s: %d plans in the set's search, %d in its own", dev.Name(), len(got.PlanSearch), len(own.PlanSearch))
-		}
+		best, bestMS, baseMS := "", 0.0, 0.0
 		for j, g := range got.PlanSearch {
-			o := own.PlanSearch[j]
-			if g.Plan != o.Plan || g.Pruned != o.Pruned || g.Applied != o.Applied || g.MS != o.MS ||
-				g.Err != o.Err || !reflect.DeepEqual(g.Score, o.Score) {
-				t.Errorf("%s, plan %s: in the set %+v, on its own %+v", dev.Name(), g.Plan, g, o)
+			res, ran := own[g.Plan]
+			ms := 0.0
+			if ran {
+				ms = res[0].TimeMS
+				if best == "" || ms < bestMS {
+					best, bestMS = g.Plan, ms
+				}
+				if g.Plan == rewrite.BasePlanName {
+					baseMS = ms
+				}
 			}
+			if g.Plan != plans[j] || g.Pruned != !keep[g.Plan] || g.Applied != ran || g.MS != ms ||
+				g.Err != "" || !reflect.DeepEqual(g.Score, scores[g.Plan]) {
+				t.Errorf("%s, plan %s: in the set %+v; on its own kept %v, ran %v, %v ms, score %+v",
+					dev.Name(), plans[j], g, keep[g.Plan], ran, ms, scores[g.Plan])
+			}
+		}
+		if got.Plan != best || got.TransformedMS != bestMS || got.OriginalMS != baseMS {
+			t.Errorf("%s: set verdict %s; on its own plan %s, base %v ms, best %v ms",
+				dev.Name(), got, best, baseMS, bestMS)
 		}
 	}
 	if len(groups) < 2 {

@@ -9,7 +9,7 @@
 // solving an exact linear system, rewrites every LL into an equivalent new
 // global load (nGL), and removes the dead stores, allocations and
 // barriers. Running both kernel versions and keeping the faster one per
-// platform is the paper's auto-tuning use case, provided here as AutoTune.
+// platform is the paper's auto-tuning use case, provided here as Tune.
 //
 // The package is a facade over the repository's from-scratch stack: an
 // OpenCL C front-end, an LLVM-like IR, the transformation pass, an
@@ -67,7 +67,7 @@ func Disable(prog *opencl.Program, kernel string, opts Options) (*opencl.Program
 	return prog.WithLocalMemoryDisabled(kernel, opts)
 }
 
-// TuneResult reports an AutoTune decision.
+// TuneResult reports one device's tuning decision.
 type TuneResult struct {
 	// UseTransformed is true when the version without local memory won.
 	UseTransformed bool
@@ -88,7 +88,7 @@ type TuneResult struct {
 	// Report is the transformation report.
 	Report *Report
 	// Plan is the winning plan's canonical string when plan search ran
-	// (AutoTunePlans); empty for the classic two-version AutoTune.
+	// (LaunchSpec.Plans); empty for the classic two-version comparison.
 	Plan string
 	// Rewrite is the winning plan's per-step report when plan search ran
 	// and a non-base plan won.
@@ -124,7 +124,7 @@ type PlanTiming struct {
 	Pruned bool
 	// Profile is the plan's per-launch execution profile (wall time and
 	// retire/traffic counters per barrier-delimited region, accumulated
-	// over the timed runs) when PlanSearchOptions.Profile was set.
+	// over the timed runs) when LaunchSpec.Profile was set.
 	Profile *vm.ProfileReport
 }
 
@@ -142,34 +142,9 @@ func (r TuneResult) String() string {
 		verdict, r.OriginalMS, r.TransformedMS, r.Speedup)
 }
 
-// AutoTune implements the paper's auto-tuning step: transform the kernel,
-// run both versions `runs` times through the device cost model via the
-// caller's launch function, and pick the faster version for this device.
-// The launch function receives the kernel to time and must enqueue it on a
-// profiling queue, returning the event.
-func AutoTune(prog *opencl.Program, kernel string, opts Options, runs int,
-	launch func(k *opencl.Kernel) (*opencl.Event, error)) (*TuneResult, error) {
-	res, err := tuneVersions(context.Background(), prog, kernel, opts, runs, single(launch), []*opencl.Device{prog.Device()})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
 // setLaunch executes a kernel once and reports it for every device of a
-// set: one event per device, in the set's order. Every tuning entry point
-// runs on it — a single device is a set of one.
+// set: one event per device, in the set's order.
 type setLaunch func(k *opencl.Kernel) ([]*opencl.Event, error)
-
-func single(launch func(k *opencl.Kernel) (*opencl.Event, error)) setLaunch {
-	return func(k *opencl.Kernel) ([]*opencl.Event, error) {
-		evt, err := launch(k)
-		if err != nil {
-			return nil, err
-		}
-		return []*opencl.Event{evt}, nil
-	}
-}
 
 // deviceNames renders a set for the "devices" span attribute.
 func deviceNames(devs []*opencl.Device) string {
@@ -204,9 +179,6 @@ func timeKernel(k *opencl.Kernel, runs, devices int, launch setLaunch) ([]float6
 // verdict its own cost model supports.
 func tuneVersions(ctx context.Context, prog *opencl.Program, kernel string, opts Options, runs int,
 	launch setLaunch, devs []*opencl.Device) ([]*TuneResult, error) {
-	if runs <= 0 {
-		runs = 1
-	}
 	transformed, rep, err := prog.WithLocalMemoryDisabledCtx(ctx, kernel, opts)
 	if err != nil {
 		return nil, err
@@ -263,91 +235,6 @@ func tuneVersions(ctx context.Context, prog *opencl.Program, kernel string, opts
 	return out, nil
 }
 
-// AutoTunePlans generalizes AutoTune from two versions to a plan space:
-// every plan in plans is applied (illegal or inapplicable plans are
-// recorded and skipped, not fatal), each resulting kernel is timed runs
-// times through the caller's launch function, and the fastest legal
-// variant wins. "base" — the unrewritten kernel — is always evaluated,
-// whether or not it is listed, and serves as the speedup reference.
-func AutoTunePlans(prog *opencl.Program, kernel string, plans []string, runs int,
-	launch func(k *opencl.Kernel) (*opencl.Event, error)) (*TuneResult, error) {
-	return AutoTunePlansOpts(context.Background(), prog, kernel, plans, runs, launch, PlanSearchOptions{})
-}
-
-// PlanSearchOptions extend the plan search beyond exhaustive timing.
-type PlanSearchOptions struct {
-	// Prune > 0 enables static pre-ranking: every plan is scored with the
-	// profit cost model on this program's device and only the Prune most
-	// promising plans are executed; the rest appear in PlanSearch with
-	// Pruned set and their static Score, untimed. When base is pruned,
-	// OriginalMS and Speedup are left zero. 0 times every plan (the
-	// default exhaustive behavior).
-	Prune int
-	// WorkGroup and Global describe the launch shape for the static
-	// model; zero work-group entries default to 64×1×1.
-	WorkGroup [3]int
-	Global    [3]int
-	// ArgInts supplies known scalar argument values by parameter index,
-	// sharpening loop trip counts and guard decisions in the static model.
-	ArgInts map[int]int64
-
-	// Predict answers the search from the feature store instead of timing
-	// every plan: one characterization run (zero on an ExactKey hit)
-	// yields an AIWC vector, the predictor proposes a plan with a
-	// calibrated confidence, and only predictions below MinConfidence
-	// fall back to measurement — which is then recorded into the store so
-	// the predictor improves under traffic.
-	Predict bool
-	// Predictor supplies the feature store; nil uses the process-wide
-	// DefaultPredictor (memory-only).
-	Predictor *predict.Predictor
-	// MinConfidence is the measured-fallback threshold; 0 means
-	// DefaultMinConfidence.
-	MinConfidence float64
-	// Characterize runs one traced launch of the base kernel and returns
-	// its AIWC features. Required for predict mode (TuneSet wires it
-	// automatically); without it every request falls back to measurement.
-	Characterize func() (*aiwc.Features, error)
-	// Device names the store neighborhood; empty uses the program's
-	// device name.
-	Device string
-	// ExactKey is a content address of the entire request (source,
-	// defines, kernel, device, launch). When set, a repeat request
-	// answers from the store with zero runs, and measured fallbacks are
-	// recorded under it.
-	ExactKey string
-	// Label names the workload in records written by measured fallback
-	// (defaults to the kernel name).
-	Label string
-
-	// Profile, when non-nil, is called before each timed plan with the
-	// plan's canonical string and must return a fresh profiler wired into
-	// the caller's launch path (e.g. Queue.SetKernelProfiler). After the
-	// plan's runs complete its report lands in PlanTiming.Profile, so a
-	// verdict can show where each variant's execution time went.
-	Profile func(plan string) *vm.Profiler
-}
-
-// AutoTunePlansOpts is AutoTunePlans with pipeline span recording when
-// ctx carries a telemetry trace, and with search options (static prune
-// mode; see PlanSearchOptions).
-func AutoTunePlansOpts(ctx context.Context, prog *opencl.Program, kernel string, plans []string, runs int,
-	launch func(k *opencl.Kernel) (*opencl.Event, error), popts PlanSearchOptions) (*TuneResult, error) {
-	if _, err := prog.Kernel(kernel); err != nil {
-		return nil, err
-	}
-	plans = withBasePlan(plans)
-	answered, search := planDevice(ctx, prog, kernel, plans, prog.Device(), popts)
-	if answered != nil {
-		return answered, nil
-	}
-	res, err := measurePlans(ctx, prog, kernel, plans, runs, single(launch), popts.Profile, []*deviceSearch{search})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
-}
-
 // withBasePlan puts "base" in front of a plan list that does not have it.
 func withBasePlan(plans []string) []string {
 	for _, ps := range plans {
@@ -358,11 +245,31 @@ func withBasePlan(plans []string) []string {
 	return append([]string{rewrite.BasePlanName}, plans...)
 }
 
+// planSearch is what the devices of one Tune call share while their plan
+// searches are settled: the program the plans are ranked and predicted on,
+// the plan list with base in front, the launch spec, and what the static
+// model and predict mode need of the arguments.
+type planSearch struct {
+	prog   *opencl.Program
+	kernel string
+	plans  []string
+	spec   *LaunchSpec
+	// argInts are the integer scalar arguments by parameter index: they
+	// sharpen loop trip counts and guard decisions in the static model.
+	argInts map[int]int64
+	// characterize runs one traced launch of the base kernel and returns its
+	// AIWC features; set in predict mode only.
+	characterize func() (*aiwc.Features, error)
+}
+
 // deviceSearch is one device's side of a plan search: what predict mode
 // and the static ranking decided for it before anything runs.
 type deviceSearch struct {
-	dev   *opencl.Device
-	popts PlanSearchOptions
+	*planSearch
+	dev *opencl.Device
+	// exactKey is LaunchSpec.ExactKey's content address of the request on
+	// this device; empty when the spec has none.
+	exactKey string
 	// pending is set when predict mode fell back to measurement.
 	pending *pendingPredict
 	// scores and keep are the static ranking and the plans it lets run;
@@ -376,25 +283,27 @@ type deviceSearch struct {
 // returned and nothing runs; otherwise the static ranking (prune mode)
 // picks the plans to keep. A ranking failure falls back to exhaustive
 // timing rather than aborting the tune.
-func planDevice(ctx context.Context, prog *opencl.Program, kernel string, plans []string,
-	dev *opencl.Device, popts PlanSearchOptions) (*TuneResult, *deviceSearch) {
-	s := &deviceSearch{dev: dev, popts: popts}
-	if popts.Predict {
+func (ps *planSearch) planDevice(ctx context.Context, dev *opencl.Device) (*TuneResult, *deviceSearch) {
+	s := &deviceSearch{planSearch: ps, dev: dev}
+	if ps.spec.ExactKey != nil {
+		s.exactKey = ps.spec.ExactKey(dev.Name())
+	}
+	if ps.spec.Predict {
 		var answered *TuneResult
-		answered, s.pending = predictTune(ctx, prog, kernel, plans, dev, popts)
+		answered, s.pending = s.predictTune(ctx)
 		if answered != nil {
 			return answered, nil
 		}
 	}
-	if popts.Prune > 0 {
-		ranked, err := rankPlans(prog, kernel, plans, dev, popts)
+	if prune := ps.spec.Prune; prune > 0 {
+		ranked, err := ps.rankPlans(dev)
 		if err == nil {
 			s.scores = make(map[string]*profit.Score, len(ranked))
-			s.keep = make(map[string]bool, popts.Prune)
-			for i, ps := range ranked {
-				s.scores[ps.Plan] = ps.Score
-				if i < popts.Prune {
-					s.keep[ps.Plan] = true
+			s.keep = make(map[string]bool, prune)
+			for i, p := range ranked {
+				s.scores[p.Plan] = p.Score
+				if i < prune {
+					s.keep[p.Plan] = true
 				}
 			}
 		}
@@ -404,10 +313,9 @@ func planDevice(ctx context.Context, prog *opencl.Program, kernel string, plans 
 
 // rankPlans scores the parseable plans with the profit model on dev's cost
 // model, most promising first.
-func rankPlans(prog *opencl.Program, kernel string, plans []string, dev *opencl.Device,
-	popts PlanSearchOptions) ([]*profit.PlanScore, error) {
-	return profit.RankPlans(prog.Module(), kernel, canonicalPlans(plans), dev.CostModel(),
-		profit.Options{WorkGroup: popts.WorkGroup, Global: popts.Global, ArgInts: popts.ArgInts})
+func (ps *planSearch) rankPlans(dev *opencl.Device) ([]*profit.PlanScore, error) {
+	return profit.RankPlans(ps.prog.Module(), ps.kernel, canonicalPlans(ps.plans), dev.CostModel(),
+		profit.Options{WorkGroup: ps.spec.ND.Local, Global: ps.spec.ND.Global, ArgInts: ps.argInts})
 }
 
 // canonicalPlans returns the canonical strings of the parseable plans.
@@ -427,9 +335,9 @@ func (s *deviceSearch) runs(plan string) bool { return s.scores == nil || s.keep
 // executed is the list of plans this device's search executes. Devices
 // with equal lists see the same sequence of launches, so one execution of
 // each plan serves them all.
-func (s *deviceSearch) executed(plans []string) string {
+func (s *deviceSearch) executed() string {
 	var kept []string
-	for _, plan := range canonicalPlans(plans) {
+	for _, plan := range canonicalPlans(s.plans) {
 		if s.runs(plan) {
 			kept = append(kept, plan)
 		}
@@ -438,15 +346,16 @@ func (s *deviceSearch) executed(plans []string) string {
 }
 
 // measurePlans is the measured plan search for a group of devices that
-// execute the same plans: each plan is rewritten and prepared once and
-// executed runs times, every execution is charged to all of the group's
-// cost models (launch returns one event per device, in group order), and
-// each device gets its own timings, winner and static scores.
-func measurePlans(ctx context.Context, prog *opencl.Program, kernel string, plans []string, runs int,
-	launch setLaunch, profile func(plan string) *vm.Profiler, group []*deviceSearch) ([]*TuneResult, error) {
-	if runs <= 0 {
-		runs = 1
-	}
+// execute the same plans, on prog — the program of the launch environment
+// the group runs in: each plan is rewritten and prepared once and executed
+// spec.Runs times, every execution is charged to all of the group's cost
+// models (launch returns one event per device, in group order), and each
+// device gets its own timings, winner and static scores. profile, when
+// non-nil, is called before each timed plan and returns a fresh profiler
+// wired into launch; its report lands in PlanTiming.Profile.
+func measurePlans(ctx context.Context, prog *opencl.Program, launch setLaunch,
+	profile func() *vm.Profiler, group []*deviceSearch) ([]*TuneResult, error) {
+	kernel, plans, runs := group[0].kernel, group[0].plans, group[0].spec.Runs
 	orig, err := prog.Kernel(kernel)
 	if err != nil {
 		return nil, err
@@ -522,7 +431,7 @@ func measurePlans(ctx context.Context, prog *opencl.Program, kernel string, plan
 		}
 		var prof *vm.Profiler
 		if profile != nil {
-			prof = profile(t.Plan)
+			prof = profile()
 		}
 		ms, err := timeKernel(k, runs, len(group), launch)
 		span.End()
@@ -565,13 +474,13 @@ func measurePlans(ctx context.Context, prog *opencl.Program, kernel string, plan
 			// prediction and teach the store the measured outcome.
 			res.Fallback = true
 			res.Prediction = s.pending.prediction
-			recordMeasurement(s.popts, s.popts.storeDevice(s.dev), s.pending.features, res)
+			s.recordMeasurement(res)
 		}
 	}
 	return results, nil
 }
 
-// DefaultPlanSpace is the small plan space AutoTuneAll and the service
+// DefaultPlanSpace is the small plan space the service and the examples
 // enumerate when asked to search: base, the Grover direction with and
 // without extra address hoisting, hoisting alone, a phase-order variant
 // (no LICM after the Grover rewrite), and — for 1D work-groups — the
@@ -593,17 +502,22 @@ func DefaultPlanSpace(local [3]int) []string {
 }
 
 // LaunchSpec describes how to launch a kernel for timing on a set of
-// devices: pass options, launch geometry, run count, and a builder that
-// materializes the kernel arguments. Buffers belong to a context, and a
-// set of devices that executes the same plans is tuned in one context from
-// one execution per plan, so Args is called once for the whole set — and
-// once more, with a fresh context, for each group of devices whose static
-// pruning left it a different plan list to run.
+// devices: the program, pass options, launch geometry, run count, and a
+// builder that materializes the kernel arguments. Buffers belong to a
+// context, and a set of devices that executes the same plans is tuned in
+// one context from one execution per plan, so Program and Args are called
+// once for the whole set — and once more, with a fresh context, for each
+// group of devices whose static pruning left it a different plan list to
+// run.
 type LaunchSpec struct {
+	// Program instantiates the program to tune in the given fresh context,
+	// on which it may also select the backend (Context.SetBackend).
+	// Compilation is device-independent, so a module compiled once
+	// (opencl.CompileModule) is instantiated with Context.NewProgramFromIR.
+	// Required.
+	Program func(ctx *opencl.Context) (*opencl.Program, error)
 	// Options control the Grover pass.
 	Options Options
-	// Defines are extra preprocessor definitions for the compile.
-	Defines map[string]string
 	// ND is the launch geometry.
 	ND opencl.NDRange
 	// Runs is the number of timed executions averaged per version
@@ -613,17 +527,27 @@ type LaunchSpec struct {
 	// in the given context.
 	Args func(ctx *opencl.Context) ([]interface{}, error)
 	// Plans switches tuning from the classic two-version comparison to a
-	// rewrite-plan search over the listed plans (see AutoTunePlans). Use
-	// DefaultPlanSpace(ND.Local) for the standard small space.
+	// rewrite-plan search: every listed plan is applied (illegal or
+	// inapplicable plans are recorded and skipped, not fatal), each
+	// resulting kernel is timed Runs times, and the fastest legal variant
+	// wins per device. "base" — the unrewritten kernel — is always
+	// evaluated, whether or not it is listed, and serves as the speedup
+	// reference. Use DefaultPlanSpace(ND.Local) for the standard small
+	// space.
 	Plans []string
-	// Prune > 0 statically ranks Plans with the profit cost model and
-	// executes only the top Prune (see PlanSearchOptions.Prune). The
-	// launch shape and any integer scalar arguments are fed to the model
-	// automatically.
+	// Prune > 0 statically ranks Plans with the profit cost model on each
+	// device and executes only the Prune most promising plans; the rest
+	// appear in PlanSearch with Pruned set and their static Score, untimed.
+	// When base is pruned, OriginalMS and Speedup are left zero. The launch
+	// shape and any integer scalar arguments are fed to the model
+	// automatically. 0 times every plan.
 	Prune int
-	// Predict answers the plan search from the feature store (one
-	// characterization run for the whole set, measured fallback below
-	// MinConfidence — see PlanSearchOptions.Predict). Requires Plans.
+	// Predict answers the plan search from the feature store instead of
+	// timing every plan: one characterization run for the whole set (zero
+	// on an ExactKey hit) yields an AIWC vector, the predictor proposes a
+	// plan with a calibrated confidence, and only predictions below
+	// MinConfidence fall back to measurement — which is then recorded into
+	// the store so the predictor improves under traffic. Requires Plans.
 	Predict bool
 	// Predictor supplies the feature store for predict mode; nil uses
 	// DefaultPredictor.
@@ -631,10 +555,13 @@ type LaunchSpec struct {
 	// MinConfidence is predict mode's fallback threshold (0 means
 	// DefaultMinConfidence).
 	MinConfidence float64
-	// Label names the workload in records written by measured fallback.
+	// Label names the workload in records written by measured fallback
+	// (defaults to the kernel name).
 	Label string
 	// ExactKey, when set, gives predict mode a content address of the whole
-	// request on the named device (see PlanSearchOptions.ExactKey).
+	// request (source, defines, kernel, launch) on the named device: a
+	// repeat request answers from the store with zero runs, and measured
+	// fallbacks are recorded under it.
 	ExactKey func(device string) string
 	// Profile attaches a fresh execution profiler to every timed plan; the
 	// report of the one execution lands in PlanTiming.Profile on every
@@ -642,7 +569,7 @@ type LaunchSpec struct {
 	Profile bool
 }
 
-// DeviceTuneResult is one device's outcome from TuneSet or AutoTuneAll.
+// DeviceTuneResult is one device's outcome from Tune.
 type DeviceTuneResult struct {
 	// Device is the profile name ("SNB", "Fermi", ...).
 	Device string
@@ -655,7 +582,7 @@ type DeviceTuneResult struct {
 	Set *LaunchSet
 }
 
-// LaunchSet is one launch environment of a TuneSet call: a context of its
+// LaunchSet is one launch environment of a Tune call: a context of its
 // own, the arguments built in it, and the kernel executions that ran there.
 type LaunchSet struct {
 	// Args is what LaunchSpec.Args built.
@@ -673,10 +600,9 @@ type launchEnv struct {
 	set  *LaunchSet
 }
 
-func newLaunchEnv(dev *opencl.Device, spec LaunchSpec,
-	instantiate func(*opencl.Context) (*opencl.Program, error)) (*launchEnv, error) {
+func newLaunchEnv(dev *opencl.Device, spec *LaunchSpec) (*launchEnv, error) {
 	ctx := opencl.NewContext(dev)
-	prog, err := instantiate(ctx)
+	prog, err := spec.Program(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -702,15 +628,16 @@ func (e *launchEnv) queue(devs []*opencl.Device, nd opencl.NDRange) (*opencl.Set
 	}, nil
 }
 
-// TuneSet runs the paper's auto-tuning step for one kernel on a set of
-// devices from one execution per kernel version. What a kernel does — its
-// memory accesses, barrier by barrier and work-group by work-group — does
-// not depend on the device, only what a device's cost model makes of it
-// does; so the program is instantiated once (instantiate, in a fresh
-// context on which it may also select the backend), the arguments are
-// built once, every version or plan is rewritten, prepared and executed
-// once, and each execution is charged to all the devices' models
-// (opencl.SetQueue). Every device gets the verdict a tune of its own would
+// Tune runs the paper's auto-tuning step — run both kernel versions, keep
+// the faster one per platform — for one kernel on a set of devices from one
+// execution per kernel version. What a kernel does — its memory accesses,
+// barrier by barrier and work-group by work-group — does not depend on the
+// device, only what a device's cost model makes of it does; so the program
+// is instantiated once (LaunchSpec.Program, in a fresh context), the
+// arguments are built once, every version or plan is rewritten, prepared
+// and executed once, on as many host workers as there are processors, and
+// each execution is charged to all the devices' models (opencl.SetQueue).
+// Every device gets the verdict a tune of its own — devs[i:i+1] — would
 // have reached.
 //
 // Devices are grouped by the plans they will execute: static pruning
@@ -719,11 +646,16 @@ func (e *launchEnv) queue(devs []*opencl.Device, nd opencl.NDRange) (*opencl.Set
 // starts from a fresh context — every device sees the launch sequence, on
 // the buffer contents, of a tune of its own.
 //
-// Results are in devs order. A failure is reported in the slot of every
-// device it concerns.
-func TuneSet(ctx context.Context, devs []*opencl.Device, kernel string, spec LaunchSpec,
-	instantiate func(*opencl.Context) (*opencl.Program, error)) []DeviceTuneResult {
+// Results are in devs order; no devices, no results and nothing is built. A
+// failure is reported in the slot of every device it concerns.
+func Tune(ctx context.Context, devs []*opencl.Device, kernel string, spec LaunchSpec) []DeviceTuneResult {
 	out := make([]DeviceTuneResult, len(devs))
+	if len(devs) == 0 {
+		return out
+	}
+	if spec.Runs <= 0 {
+		spec.Runs = 1
+	}
 	all := make([]int, len(devs))
 	for i, d := range devs {
 		out[i].Device = d.Name()
@@ -734,7 +666,7 @@ func TuneSet(ctx context.Context, devs []*opencl.Device, kernel string, spec Lau
 			out[i].Err = err
 		}
 	}
-	env, err := newLaunchEnv(devs[0], spec, instantiate)
+	env, err := newLaunchEnv(devs[0], &spec)
 	if err != nil {
 		fail(all, err)
 		return out
@@ -760,22 +692,19 @@ func TuneSet(ctx context.Context, devs []*opencl.Device, kernel string, spec Lau
 		fail(all, err)
 		return out
 	}
-	plans := withBasePlan(spec.Plans)
-	popts := PlanSearchOptions{
-		Prune:         spec.Prune,
-		WorkGroup:     spec.ND.Local,
-		Global:        spec.ND.Global,
-		ArgInts:       IntArgs(env.set.Args),
-		Predict:       spec.Predict,
-		Predictor:     spec.Predictor,
-		MinConfidence: spec.MinConfidence,
-		Label:         spec.Label,
-	}
+	search := &planSearch{prog: env.prog, kernel: kernel, plans: withBasePlan(spec.Plans),
+		spec: &spec, argInts: IntArgs(env.set.Args)}
 	if spec.Predict {
+		if spec.Predictor == nil {
+			spec.Predictor = DefaultPredictor()
+		}
+		if spec.MinConfidence <= 0 {
+			spec.MinConfidence = DefaultMinConfidence
+		}
 		// The feature vector is the kernel's, not a device's: whichever
 		// device asks first pays for the run.
 		run, set := CharacterizeLaunch(env.prog, kernel, spec.ND, env.set.Args), env.set
-		popts.Characterize = sync.OnceValues(func() (*aiwc.Features, error) {
+		search.characterize = sync.OnceValues(func() (*aiwc.Features, error) {
 			set.Launches++
 			return run()
 		})
@@ -789,16 +718,12 @@ func TuneSet(ctx context.Context, devs []*opencl.Device, kernel string, spec Lau
 	var groups []*group
 	byPlans := map[string]*group{}
 	for i, dev := range devs {
-		popts.Device = dev.Name()
-		if spec.ExactKey != nil {
-			popts.ExactKey = spec.ExactKey(dev.Name())
-		}
-		answered, search := planDevice(ctx, env.prog, kernel, plans, dev, popts)
+		answered, s := search.planDevice(ctx, dev)
 		if answered != nil {
 			out[i].Result, out[i].Set = answered, env.set
 			continue
 		}
-		key := search.executed(plans)
+		key := s.executed()
 		g := byPlans[key]
 		if g == nil {
 			g = &group{}
@@ -806,13 +731,13 @@ func TuneSet(ctx context.Context, devs []*opencl.Device, kernel string, spec Lau
 			groups = append(groups, g)
 		}
 		g.members = append(g.members, i)
-		g.searches = append(g.searches, search)
+		g.searches = append(g.searches, s)
 	}
 
 	for gi, g := range groups {
 		if gi > 0 {
 			// Another plan list leaves other buffer contents behind.
-			if env, err = newLaunchEnv(devs[0], spec, instantiate); err != nil {
+			if env, err = newLaunchEnv(devs[0], &spec); err != nil {
 				fail(g.members, err)
 				continue
 			}
@@ -826,15 +751,15 @@ func TuneSet(ctx context.Context, devs []*opencl.Device, kernel string, spec Lau
 			fail(g.members, err)
 			continue
 		}
-		var profile func(plan string) *vm.Profiler
+		var profile func() *vm.Profiler
 		if spec.Profile {
-			profile = func(string) *vm.Profiler {
+			profile = func() *vm.Profiler {
 				prof := vm.NewProfiler()
 				q.SetKernelProfiler(prof)
 				return prof
 			}
 		}
-		res, err := measurePlans(ctx, env.prog, kernel, plans, spec.Runs, launch, profile, g.searches)
+		res, err := measurePlans(ctx, env.prog, launch, profile, g.searches)
 		if err != nil {
 			fail(g.members, err)
 			continue
@@ -844,34 +769,6 @@ func TuneSet(ctx context.Context, devs []*opencl.Device, kernel string, spec Lau
 		}
 	}
 	return out
-}
-
-// AutoTuneAll runs the paper's auto-tuning step for one kernel on every
-// simulated platform: the source is compiled once to the
-// device-independent IR and tuned as one device set (TuneSet), so every
-// kernel version executes once, on as many host workers as there are
-// processors, and is charged to all six cost models. Results are ordered as
-// opencl.NewPlatform().Devices(); a failure is reported in the slot of each
-// device it concerns. Only a compile failure is returned as a top-level
-// error.
-func AutoTuneAll(source, kernel string, spec LaunchSpec) ([]DeviceTuneResult, error) {
-	mod, err := opencl.CompileModule(kernel+".cl", source, spec.Defines)
-	if err != nil {
-		return nil, err
-	}
-	if build := spec.Args; build != nil {
-		spec.Args = func(ctx *opencl.Context) ([]interface{}, error) {
-			args, err := build(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("grover: building args: %w", err)
-			}
-			return args, nil
-		}
-	}
-	return TuneSet(context.Background(), opencl.NewPlatform().Devices(), kernel, spec,
-		func(ctx *opencl.Context) (*opencl.Program, error) {
-			return ctx.NewProgramFromIR(kernel+".cl", mod)
-		}), nil
 }
 
 // IntArgs extracts known integer scalar arguments by parameter index

@@ -1,6 +1,7 @@
 package grover_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -59,23 +60,38 @@ func TestDisable(t *testing.T) {
 	}
 }
 
+// transposeSpec is the two-version tune of an n×n tiled transpose.
+func transposeSpec(n, runs int) grover.LaunchSpec {
+	return grover.LaunchSpec{
+		Program: func(ctx *opencl.Context) (*opencl.Program, error) {
+			return ctx.CompileProgram("mt.cl", transposeSrc, nil)
+		},
+		ND:   opencl.NDRange{Global: [3]int{n, n, 1}, Local: [3]int{16, 16, 1}},
+		Runs: runs,
+		Args: func(ctx *opencl.Context) ([]interface{}, error) {
+			out := ctx.NewBuffer(n * n * 4)
+			in := ctx.NewBuffer(n * n * 4)
+			return []interface{}{out, in, int32(n), int32(n)}, nil
+		},
+	}
+}
+
+// tuneOn tunes on the one named device: a set of one.
+func tuneOn(t *testing.T, deviceName, kernel string, spec grover.LaunchSpec) grover.DeviceTuneResult {
+	t.Helper()
+	dev, err := opencl.NewPlatform().DeviceByName(deviceName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return grover.Tune(context.Background(), []*opencl.Device{dev}, kernel, spec)[0]
+}
+
 func TestAutoTunePrefersNoLMOnCPU(t *testing.T) {
-	ctx, prog := setup(t, "SNB")
-	const n = 64
-	in := ctx.NewBuffer(n * n * 4)
-	out := ctx.NewBuffer(n * n * 4)
-	q, err := ctx.NewProfilingQueue()
-	if err != nil {
-		t.Fatal(err)
+	r := tuneOn(t, "SNB", "transpose", transposeSpec(64, 2))
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
-	nd := opencl.NDRange{Global: [3]int{n, n, 1}, Local: [3]int{16, 16, 1}}
-	res, err := grover.AutoTune(prog, "transpose", grover.Options{}, 2,
-		func(k *opencl.Kernel) (*opencl.Event, error) {
-			return q.EnqueueNDRange(k, nd, out, in, int32(n), int32(n))
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := r.Result
 	if !res.UseTransformed {
 		t.Errorf("on SNB the transpose should win without local memory: %s", res)
 	}
@@ -85,41 +101,73 @@ func TestAutoTunePrefersNoLMOnCPU(t *testing.T) {
 	if res.Kernel == nil {
 		t.Fatal("no winning kernel")
 	}
+	if r.Set.Launches != 4 {
+		t.Errorf("%d executions, want two runs of each version", r.Set.Launches)
+	}
 }
 
 func TestAutoTunePrefersLMOnGPU(t *testing.T) {
-	ctx, prog := setup(t, "Kepler")
-	const n = 64
-	in := ctx.NewBuffer(n * n * 4)
-	out := ctx.NewBuffer(n * n * 4)
-	q, err := ctx.NewProfilingQueue()
-	if err != nil {
-		t.Fatal(err)
+	r := tuneOn(t, "Kepler", "transpose", transposeSpec(64, 1))
+	if r.Err != nil {
+		t.Fatal(r.Err)
 	}
-	nd := opencl.NDRange{Global: [3]int{n, n, 1}, Local: [3]int{16, 16, 1}}
-	res, err := grover.AutoTune(prog, "transpose", grover.Options{}, 1,
-		func(k *opencl.Kernel) (*opencl.Event, error) {
-			return q.EnqueueNDRange(k, nd, out, in, int32(n), int32(n))
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.UseTransformed {
-		t.Errorf("on Kepler the transpose should keep local memory: %s", res)
+	if r.Result.UseTransformed {
+		t.Errorf("on Kepler the transpose should keep local memory: %s", r.Result)
 	}
 }
 
 func TestAutoTuneNoCandidates(t *testing.T) {
-	plat := opencl.NewPlatform()
-	dev, _ := plat.DeviceByName("SNB")
-	ctx := opencl.NewContext(dev)
-	prog, err := ctx.CompileProgram("k.cl",
-		`__kernel void k(__global float* a) { a[get_global_id(0)] = 1.0f; }`, nil)
-	if err != nil {
-		t.Fatal(err)
+	r := tuneOn(t, "SNB", "k", grover.LaunchSpec{
+		Program: func(ctx *opencl.Context) (*opencl.Program, error) {
+			return ctx.CompileProgram("k.cl",
+				`__kernel void k(__global float* a) { a[get_global_id(0)] = 1.0f; }`, nil)
+		},
+	})
+	if r.Err != grover.ErrNoCandidates {
+		t.Errorf("err = %v, want ErrNoCandidates", r.Err)
 	}
-	if _, err := grover.AutoTune(prog, "k", grover.Options{}, 1, nil); err != grover.ErrNoCandidates {
-		t.Errorf("err = %v, want ErrNoCandidates", err)
+}
+
+// TestTuneFailures: what stops a tune before anything runs is reported in
+// every device's slot, and no devices means nothing is built at all.
+func TestTuneFailures(t *testing.T) {
+	devs := opencl.NewPlatform().Devices()
+	built := 0
+	spec := transposeSpec(64, 1)
+	program := spec.Program
+	spec.Program = func(ctx *opencl.Context) (*opencl.Program, error) {
+		built++
+		return program(ctx)
+	}
+	for _, tc := range []struct {
+		name   string
+		devs   []*opencl.Device
+		kernel string
+		plans  []string
+		built  int
+		errs   int
+	}{
+		{"no devices", nil, "transpose", nil, 0, 0},
+		{"no devices, plan search", devs[:0], "transpose", []string{"grover"}, 0, 0},
+		{"unknown kernel", devs[:2], "nope", nil, 1, 2},
+		{"unknown kernel, plan search", devs[:2], "nope", []string{"grover"}, 1, 2},
+	} {
+		built = 0
+		spec.Plans = tc.plans
+		results := grover.Tune(context.Background(), tc.devs, tc.kernel, spec)
+		if len(results) != len(tc.devs) {
+			t.Errorf("%s: %d results for %d devices", tc.name, len(results), len(tc.devs))
+		}
+		errs := 0
+		for _, r := range results {
+			if r.Err != nil && r.Result == nil {
+				errs++
+			}
+		}
+		if built != tc.built || errs != tc.errs {
+			t.Errorf("%s: %d programs built and %d devices failed, want %d and %d",
+				tc.name, built, errs, tc.built, tc.errs)
+		}
 	}
 }
 
@@ -169,26 +217,25 @@ __kernel void mm(__global float* C, __global float* A, __global float* B, int N)
 	}
 }
 
-// TestAutoTuneAll exercises the six-device set: one compile, one argument
+// TestTuneAllDevices exercises the six-device set: one compile, one argument
 // fill, one execution per kernel version charged to every device's cost
 // model, and the paper's Fig. 2 shape — the tiled transpose keeps local
 // memory on the NVIDIA-style GPUs and drops it on the cache-only CPUs.
-func TestAutoTuneAll(t *testing.T) {
-	const n = 64
-	built := 0
-	results, err := grover.AutoTuneAll(transposeSrc, "transpose", grover.LaunchSpec{
-		ND:   opencl.NDRange{Global: [3]int{n, n, 1}, Local: [3]int{16, 16, 1}},
-		Runs: 1,
-		Args: func(ctx *opencl.Context) ([]interface{}, error) {
-			built++
-			out := ctx.NewBuffer(n * n * 4)
-			in := ctx.NewBuffer(n * n * 4)
-			return []interface{}{out, in, int32(n), int32(n)}, nil
-		},
-	})
+func TestTuneAllDevices(t *testing.T) {
+	mod, err := opencl.CompileModule("mt.cl", transposeSrc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec := transposeSpec(64, 1)
+	spec.Program = func(ctx *opencl.Context) (*opencl.Program, error) {
+		return ctx.NewProgramFromIR("mt.cl", mod)
+	}
+	built, args := 0, spec.Args
+	spec.Args = func(ctx *opencl.Context) ([]interface{}, error) {
+		built++
+		return args(ctx)
+	}
+	results := grover.Tune(context.Background(), opencl.NewPlatform().Devices(), "transpose", spec)
 	want := []string{"Fermi", "Kepler", "Tahiti", "SNB", "Nehalem", "MIC"}
 	if len(results) != len(want) {
 		t.Fatalf("got %d results, want %d", len(results), len(want))

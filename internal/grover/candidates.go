@@ -26,8 +26,8 @@ type Access struct {
 
 // RejectCode is a machine-readable reason a candidate was not rewritable.
 // Every bail-out path of the matcher and the correspondence analysis maps
-// to exactly one code, so callers (the legality detector, AutoTuneAll
-// logs, the lint endpoint) can report *why* the pass did not fire instead
+// to exactly one code, so callers (the legality detector, tuning
+// reports, the lint endpoint) can report *why* the pass did not fire instead
 // of silently skipping.
 type RejectCode string
 

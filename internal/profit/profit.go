@@ -8,7 +8,7 @@
 // a cycles-per-work-group score whose ordering across rewrite plans
 // approximates the ordering of measured timings, so the autotuner can
 // rank a plan space and execute only the most promising entries (the
-// prune mode of grover.AutoTunePlans and groverd's "prune" field).
+// prune mode of grover.Tune and groverd's "prune" field).
 package profit
 
 import (

@@ -313,7 +313,7 @@ func (s *Server) autotuneDevices(rctx context.Context, req *AutotuneRequest, dev
 	return arts, outs, errs
 }
 
-// tuneSet computes the verdicts of a device set (grover.TuneSet). exact
+// tuneSet computes the verdicts of a device set (grover.Tune). exact
 // maps each device to its cache key, which is a full content address of
 // the request on that device — exactly what the feature store's alias
 // index wants, so a repeat predict-mode request after a cache eviction (or
@@ -341,7 +341,13 @@ func (s *Server) tuneSet(rctx context.Context, req *AutotuneRequest, devices []s
 		}
 	}
 	nd := opencl.NDRange{Global: req.Global, Local: req.Local}
-	spec := grover.LaunchSpec{
+	results := grover.Tune(rctx, devs, req.Kernel, grover.LaunchSpec{
+		Program: func(ctx *opencl.Context) (*opencl.Program, error) {
+			if err := ctx.SetBackend(backend); err != nil {
+				return nil, badRequest("%v", err)
+			}
+			return ctx.NewProgramFromPrepared(programName(req.Name), comp.prog), nil
+		},
 		Options: req.Options.options(),
 		ND:      nd,
 		Runs:    req.Runs,
@@ -356,14 +362,7 @@ func (s *Server) tuneSet(rctx context.Context, req *AutotuneRequest, devices []s
 		Label:         programName(req.Name) + "/" + req.Kernel,
 		ExactKey:      func(device string) string { return exact[device] },
 		Profile:       req.Profile,
-	}
-	results := grover.TuneSet(rctx, devs, req.Kernel, spec,
-		func(ctx *opencl.Context) (*opencl.Program, error) {
-			if err := ctx.SetBackend(backend); err != nil {
-				return nil, badRequest("%v", err)
-			}
-			return ctx.NewProgramFromPrepared(programName(req.Name), comp.prog), nil
-		})
+	})
 
 	var launches int64
 	counted := map[*grover.LaunchSet]bool{}
@@ -392,11 +391,11 @@ func (s *Server) tuneSet(rctx context.Context, req *AutotuneRequest, devices []s
 		if req.Predict {
 			correct := res.Fallback && res.Prediction != nil &&
 				res.Prediction.Verdict == predict.PlanShape(res.Plan)
-			s.stats.recordPredict(!res.Fallback,
+			s.tune.recordPredict(!res.Fallback,
 				res.Prediction != nil && res.Prediction.Exact, correct)
 		}
 	}
-	s.stats.recordBackend(backend, int64(len(devices)), launches)
+	s.tune.recordBackend(backend, int64(len(devices)), launches)
 	if req.Characterize {
 		characterizeVerdicts(rctx, results, arts, errs, nd, backend)
 	}
@@ -743,17 +742,21 @@ func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	ps := s.stats.predictSnapshot()
-	ps.Store = s.store.Stats()
-	verdicts, executions := s.stats.backendSnapshot()
+	verdicts, executions := s.tune.backendStats()
+	endpoints := map[string]EndpointStats{}
+	for _, ep := range s.endpoints {
+		if st := ep.stats(); st.Requests > 0 {
+			endpoints[ep.name] = st
+		}
+	}
 	writeJSON(w, http.StatusOK, &StatsResponse{
 		Cache:      s.cache.Snapshot(),
 		Pool:       s.pool.Snapshot(),
 		Backend:    s.backend,
 		Backends:   verdicts,
 		Executions: executions,
-		Endpoints:  s.stats.snapshot(),
-		Predict:    ps,
+		Endpoints:  endpoints,
+		Predict:    s.tune.predictStats(s.store.Stats()),
 	})
 }
 

@@ -2,10 +2,13 @@ package service
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"net/http"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -70,6 +73,66 @@ func validateExposition(t *testing.T, out string) {
 	}
 }
 
+// samples parses a scrape into sample name (with its label set) → value.
+func samples(t *testing.T, out string) map[string]float64 {
+	t.Helper()
+	m := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(strings.Replace(line[i+1:], "+Inf", "Inf", 1), 64)
+		if i < 0 || err != nil {
+			t.Fatalf("unparseable sample %q", line)
+		}
+		m[line[:i]] = v
+	}
+	return m
+}
+
+// checkStatsMatchScrape re-derives every per-endpoint number of /v1/stats
+// from a scrape taken right after it: the two are views of one set of
+// series, so they must agree exactly, in both directions.
+func checkStatsMatchScrape(t *testing.T, url string) {
+	t.Helper()
+	var stats StatsResponse
+	if code := getJSON(t, url+"/v1/stats", &stats); code != http.StatusOK {
+		t.Fatalf("stats: %d", code)
+	}
+	m := samples(t, scrape(t, url))
+	for name, st := range stats.Endpoints {
+		sample := func(series, labels string) float64 {
+			return m[fmt.Sprintf("%s{endpoint=%q%s}", series, name, labels)]
+		}
+		got := EndpointStats{Requests: st.Requests, Errors: st.Errors, CacheHits: st.CacheHits,
+			CacheMisses: st.CacheMisses, CacheDedups: st.CacheDedups, TotalMS: st.TotalMS}
+		want := EndpointStats{
+			Requests:    int64(sample("groverd_request_duration_seconds_count", "")),
+			Errors:      int64(sample("groverd_request_errors_total", "")),
+			CacheHits:   int64(sample("groverd_cache_outcomes_total", `,outcome="hit"`)),
+			CacheMisses: int64(sample("groverd_cache_outcomes_total", `,outcome="miss"`)),
+			CacheDedups: int64(sample("groverd_cache_outcomes_total", `,outcome="dedup"`)),
+			TotalMS:     sample("groverd_request_duration_seconds_sum", "") * 1000,
+		}
+		if name == "stats" {
+			// The stats request itself is tallied between the two reads.
+			got.Requests++
+			got.TotalMS = want.TotalMS
+		}
+		if got != want || float64(want.Requests) != sample("groverd_requests_total", "") {
+			t.Errorf("%s: /v1/stats has %+v; the scrape %+v and groverd_requests_total %g",
+				name, got, want, sample("groverd_requests_total", ""))
+		}
+	}
+	for key, v := range m {
+		name, ok := strings.CutPrefix(key, `groverd_requests_total{endpoint="`)
+		if _, listed := stats.Endpoints[strings.TrimSuffix(name, `"}`)]; ok && v > 0 && !listed {
+			t.Errorf("the scrape has %s = %g, /v1/stats no such row", key, v)
+		}
+	}
+}
+
 // TestMetricsEndpoint drives real traffic and scrapes /metrics, checking
 // the exposition parses line-by-line and the advertised series exist
 // with plausible values.
@@ -118,6 +181,69 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !strings.Contains(out, wantHits) {
 		t.Errorf("scrape missing %q (cache stats: %+v)", wantHits, stats.Cache)
 	}
+
+	// Concurrent clients on the same series — hits, dedups, misses of their
+	// own, failures, an unrouted path — and then /v1/stats must be what a
+	// scrape says, number for number.
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			postJSON(t, ts.URL+"/v1/compile", CompileRequest{Source: source}, nil)
+			postJSON(t, ts.URL+"/v1/compile", CompileRequest{Source: source,
+				Defines: map[string]string{"CLIENT": strconv.Itoa(i % 4)}}, nil)
+			postJSON(t, ts.URL+"/v1/compile", CompileRequest{Source: "__kernel broken("}, nil)
+			postJSON(t, ts.URL+"/v1/autotune", tuneReq, nil)
+			postJSON(t, ts.URL+"/v1/nowhere", struct{}{}, nil)
+		}(i)
+	}
+	wg.Wait()
+	checkStatsMatchScrape(t, ts.URL)
+}
+
+// TestUnroutedPathsAreOneEndpoint: a client decides which paths it asks
+// for, so they must not decide how much the daemon remembers. Every path the
+// mux does not route is tallied under the endpoint "other".
+func TestUnroutedPathsAreOneEndpoint(t *testing.T) {
+	ts := newTestServer(t)
+	read := func() (StatsResponse, string) {
+		var stats StatsResponse
+		if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != http.StatusOK {
+			t.Fatalf("stats: %d", code)
+		}
+		return stats, scrape(t, ts.URL)
+	}
+	read() // so that both reads have their own rows from here on
+	before, scrapeBefore := read()
+
+	const paths = 500
+	for i := 0; i < paths; i++ {
+		r, err := http.Get(fmt.Sprintf("%s/v1/x%d", ts.URL, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, r.Body)
+		r.Body.Close()
+		if r.StatusCode != http.StatusNotFound || len(r.Header.Get("X-Request-ID")) != 16 {
+			t.Fatalf("GET /v1/x%d: status %d, request id %q", i, r.StatusCode, r.Header.Get("X-Request-ID"))
+		}
+	}
+
+	after, scrapeAfter := read()
+	if len(after.Endpoints) != len(before.Endpoints)+1 {
+		t.Errorf("%d endpoint rows before, %d after %d unrouted paths: want one more", len(before.Endpoints), len(after.Endpoints), paths)
+	}
+	if o := after.Endpoints[otherEndpoint]; o.Requests != paths || o.Errors != paths || o.MaxMS <= 0 {
+		t.Errorf("endpoint %q = %+v, want %d requests, all errors", otherEndpoint, o, paths)
+	}
+	// The scrape may grow by the one endpoint's series, not by a set per path.
+	one := strings.Count(scrapeAfter, fmt.Sprintf("endpoint=%q", otherEndpoint))
+	grown := strings.Count(scrapeAfter, "\n") - strings.Count(scrapeBefore, "\n")
+	if one == 0 || grown > one {
+		t.Errorf("/metrics grew by %d lines; endpoint %q has %d", grown, otherEndpoint, one)
+	}
+	validateExposition(t, scrapeAfter)
 }
 
 // TestRequestIDAndStatsQuantiles checks X-Request-ID propagation (echoed

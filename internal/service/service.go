@@ -14,8 +14,12 @@
 //	POST /v1/lint       run the static analyzers, return findings + legality verdicts
 //	GET  /v1/devices    the six simulated platforms
 //	GET  /v1/stats      cache, pool, per-endpoint and per-backend counters
+//	GET  /v1/traces     recent finished request traces
 //	GET  /metrics       Prometheus text exposition of the same counters
 //	GET  /healthz       readiness (pool and cache liveness)
+//
+// Those nine are the values of the "endpoint" label; a request for any
+// other path is tallied under "other".
 //
 // Every request is wrapped in observability middleware: an X-Request-ID
 // is propagated (or generated), a telemetry trace rides the request
@@ -34,6 +38,7 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"path"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -98,8 +103,9 @@ type Server struct {
 	plat      *opencl.Platform
 	cache     *kcache.Cache
 	pool      *Pool
-	stats     *registry
 	metrics   *telemetry.Registry
+	endpoints map[string]*endpoint // by routed request path, plus otherEndpoint
+	tune      *tuneCounters
 	logger    *slog.Logger
 	backend   string
 	store     *predict.Store
@@ -137,16 +143,17 @@ func New(cfg Config) *Server {
 	}
 	metrics := telemetry.NewRegistry()
 	s := &Server{
-		plat:    opencl.NewPlatform(),
-		cache:   kcache.New(cfg.CacheCapacity),
-		pool:    NewPool(cfg.Workers),
-		stats:   newRegistry(metrics),
-		metrics: metrics,
-		logger:  logger,
-		backend: backend,
-		traces:  telemetry.NewTraceBuffer(traceCap),
-		version: version,
-		mux:     http.NewServeMux(),
+		plat:      opencl.NewPlatform(),
+		cache:     kcache.New(cfg.CacheCapacity),
+		pool:      NewPool(cfg.Workers),
+		metrics:   metrics,
+		endpoints: map[string]*endpoint{otherEndpoint: newEndpoint(metrics, otherEndpoint)},
+		tune:      newTuneCounters(metrics),
+		logger:    logger,
+		backend:   backend,
+		traces:    telemetry.NewTraceBuffer(traceCap),
+		version:   version,
+		mux:       http.NewServeMux(),
 	}
 	s.pool.SetMaxQueue(cfg.MaxQueue)
 	qw := metrics.Histogram("groverd_queue_wait_seconds",
@@ -155,15 +162,25 @@ func New(cfg Config) *Server {
 	s.store = openStore(cfg, logger)
 	s.predictor = predict.NewPredictor(s.store, predict.Config{})
 	s.registerGauges()
-	s.mux.HandleFunc("POST /v1/compile", s.handleCompile)
-	s.mux.HandleFunc("POST /v1/transform", s.handleTransform)
-	s.mux.HandleFunc("POST /v1/autotune", s.handleAutotune)
-	s.mux.HandleFunc("POST /v1/lint", s.handleLint)
-	s.mux.HandleFunc("GET /v1/devices", s.handleDevices)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/traces", s.handleTraces)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	for _, rt := range []struct {
+		method, path string
+		handler      http.HandlerFunc
+	}{
+		{"POST", "/v1/compile", s.handleCompile},
+		{"POST", "/v1/transform", s.handleTransform},
+		{"POST", "/v1/autotune", s.handleAutotune},
+		{"POST", "/v1/lint", s.handleLint},
+		{"GET", "/v1/devices", s.handleDevices},
+		{"GET", "/v1/stats", s.handleStats},
+		{"GET", "/v1/traces", s.handleTraces},
+		{"GET", "/metrics", s.handleMetrics},
+		{"GET", "/healthz", s.handleHealthz},
+	} {
+		s.mux.HandleFunc(rt.method+" "+rt.path, rt.handler)
+		// The endpoint is named after the last path element: "compile",
+		// "metrics", "healthz".
+		s.endpoints[rt.path] = newEndpoint(metrics, path.Base(rt.path))
+	}
 	return s
 }
 
@@ -285,17 +302,6 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// endpointName maps a request path to its stats/metrics key ("compile",
-// "devices", "healthz", ...).
-func endpointName(path string) string {
-	p := strings.TrimPrefix(path, "/v1/")
-	p = strings.Trim(p, "/")
-	if p == "" {
-		return "root"
-	}
-	return p
-}
-
 // tracedEndpoint reports whether finished requests to this endpoint land
 // in the trace ring. Scrape and introspection traffic (metrics, healthz,
 // the traces endpoint itself) is excluded: it would flood the ring with
@@ -324,7 +330,10 @@ func newRequestID() string {
 // one structured log line.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	endpoint := endpointName(r.URL.Path)
+	ep := s.endpoints[r.URL.Path]
+	if ep == nil {
+		ep = s.endpoints[otherEndpoint]
+	}
 	reqID := r.Header.Get("X-Request-ID")
 	if reqID == "" {
 		reqID = newRequestID()
@@ -344,7 +353,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		sw.status = http.StatusOK
 	}
 	tr.Finish()
-	if tracedEndpoint(endpoint) {
+	if tracedEndpoint(ep.name) {
 		exp := tr.Export()
 		exp.Status = strconv.Itoa(sw.status)
 		s.traces.Add(exp)
@@ -354,7 +363,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	st.mu.Lock()
 	outcomes := append([]kcache.Outcome(nil), st.outcomes...)
 	st.mu.Unlock()
-	s.stats.record(endpoint, dur, sw.status >= 400, outcomes...)
+	ep.record(dur, sw.status >= 400, outcomes)
 
 	attrs := []slog.Attr{
 		slog.String("method", r.Method),

@@ -1,12 +1,11 @@
 package service
 
 import (
-	"maps"
-	"sync"
 	"time"
 
 	"grover/internal/kcache"
 	"grover/internal/telemetry"
+	"grover/internal/vm"
 )
 
 // EndpointStats aggregates per-endpoint request metrics.
@@ -51,164 +50,155 @@ type PredictStats struct {
 	Store kcache.DiskStats `json:"store"`
 }
 
-// registry collects EndpointStats keyed by endpoint name plus verdict and
-// execution counts keyed by backend name, mirroring every tally into a
-// telemetry registry so /v1/stats and /metrics are two views of one set
-// of counters.
-type registry struct {
-	mu      sync.Mutex
-	m       map[string]*EndpointStats
-	hist    map[string]*telemetry.Histogram
-	be      map[string]int64
-	exec    map[string]int64
-	predict PredictStats
-	prom    *telemetry.Registry
+// otherEndpoint is the "endpoint" label value of every path the mux does not
+// route — a client chooses its paths, so they must not size the daemon's
+// state — and that endpoint's key in Server.endpoints, where no routed path
+// can collide with it (they start with a slash).
+const otherEndpoint = "other"
+
+// endpoint is one value of the "endpoint" label: its series, resolved once
+// so a request does atomic adds and one histogram observation. /v1/stats
+// reads the same series, so it and /metrics cannot disagree.
+type endpoint struct {
+	name     string
+	requests *telemetry.Counter
+	errors   *telemetry.Counter
+	outcomes [3]*telemetry.Counter // by kcache.Outcome
+	latency  *telemetry.Histogram
 }
 
-func newRegistry(prom *telemetry.Registry) *registry {
-	return &registry{
-		m:    make(map[string]*EndpointStats),
-		hist: make(map[string]*telemetry.Histogram),
-		be:   make(map[string]int64),
-		exec: make(map[string]int64),
-		prom: prom,
+func newEndpoint(m *telemetry.Registry, name string) *endpoint {
+	label := telemetry.Label{Name: "endpoint", Value: name}
+	e := &endpoint{
+		name:     name,
+		requests: m.Counter("groverd_requests_total", "requests served per endpoint", label),
+		errors:   m.Counter("groverd_request_errors_total", "requests answered with status >= 400", label),
+		latency: m.Histogram("groverd_request_duration_seconds",
+			"request wall-clock latency per endpoint", nil, label),
 	}
+	for _, o := range []kcache.Outcome{kcache.Miss, kcache.Hit, kcache.Dedup} {
+		e.outcomes[o] = m.Counter("groverd_cache_outcomes_total", "artifact-cache outcomes observed by requests",
+			label, telemetry.Label{Name: "outcome", Value: o.String()})
+	}
+	return e
+}
+
+// record tallies one finished request: its latency, whether it failed, and
+// the cache outcomes it observed.
+func (e *endpoint) record(d time.Duration, failed bool, outcomes []kcache.Outcome) {
+	e.requests.Inc()
+	if failed {
+		e.errors.Inc()
+	}
+	for _, o := range outcomes {
+		e.outcomes[o].Inc()
+	}
+	e.latency.Observe(d.Seconds())
+}
+
+// stats reads the endpoint's /v1/stats row off its series.
+func (e *endpoint) stats() EndpointStats {
+	const ms = 1000 // the histogram is in seconds
+	st := EndpointStats{
+		Requests:    e.requests.Value(),
+		Errors:      e.errors.Value(),
+		CacheHits:   e.outcomes[kcache.Hit].Value(),
+		CacheMisses: e.outcomes[kcache.Miss].Value(),
+		CacheDedups: e.outcomes[kcache.Dedup].Value(),
+		TotalMS:     e.latency.Sum() * ms,
+		MaxMS:       e.latency.Max() * ms,
+		P50MS:       e.latency.Quantile(0.50) * ms,
+		P95MS:       e.latency.Quantile(0.95) * ms,
+		P99MS:       e.latency.Quantile(0.99) * ms,
+	}
+	if st.Requests > 0 {
+		st.AvgMS = st.TotalMS / float64(st.Requests)
+	}
+	return st
+}
+
+// tuneCounters are the series autotune requests write besides their
+// endpoint's: verdicts and host executions per backend, and predict-mode
+// outcomes. /v1/stats reads them back.
+type tuneCounters struct {
+	// verdicts and executions are keyed by backend name.
+	verdicts, executions map[string]*telemetry.Counter
+
+	predictRequests, predictAnswered, predictExact *telemetry.Counter
+	predictFallbacks, predictFallbackCorrect       *telemetry.Counter
+}
+
+func newTuneCounters(m *telemetry.Registry) *tuneCounters {
+	c := &tuneCounters{
+		verdicts:   map[string]*telemetry.Counter{},
+		executions: map[string]*telemetry.Counter{},
+		predictRequests: m.Counter("groverd_predict_requests_total",
+			"predict-mode device-tunes served"),
+		predictAnswered: m.Counter("groverd_predict_answered_total",
+			"device-tunes answered from the feature store without measuring"),
+		predictExact: m.Counter("groverd_predict_exact_total",
+			"store answers from an exact feature or request-key hit"),
+		predictFallbacks: m.Counter("groverd_predict_fallbacks_total",
+			"predict-mode device-tunes that fell back to measurement"),
+		predictFallbackCorrect: m.Counter("groverd_predict_fallback_correct_total",
+			"measured fallbacks whose untrusted prediction matched the measured winner"),
+	}
+	for _, name := range vm.Backends() {
+		backend := telemetry.Label{Name: "backend", Value: name}
+		c.verdicts[name] = m.Counter("groverd_backend_runs_total",
+			"autotune device verdicts computed per execution backend", backend)
+		c.executions[name] = m.Counter("groverd_host_executions_total",
+			"kernel executions on the host per execution backend; one serves every device of a set", backend)
+	}
+	return c
 }
 
 // recordBackend tallies the device verdicts computed on the named backend
 // (cache hits replay a stored verdict and run nothing) and the kernel
 // executions on the host they came from: one execution serves every
 // device of a set.
-func (r *registry) recordBackend(name string, verdicts, executions int64) {
-	r.mu.Lock()
-	r.be[name] += verdicts
-	r.exec[name] += executions
-	r.mu.Unlock()
-	backend := telemetry.Label{Name: "backend", Value: name}
-	r.prom.Counter("groverd_backend_runs_total",
-		"autotune device verdicts computed per execution backend", backend).Add(verdicts)
-	r.prom.Counter("groverd_host_executions_total",
-		"kernel executions on the host per execution backend; one serves every device of a set",
-		backend).Add(executions)
+func (c *tuneCounters) recordBackend(name string, verdicts, executions int64) {
+	c.verdicts[name].Add(verdicts)
+	c.executions[name].Add(executions)
 }
 
 // recordPredict tallies one predict-mode device-tune outcome.
-func (r *registry) recordPredict(answered, exact, correct bool) {
-	r.mu.Lock()
-	r.predict.Requests++
+func (c *tuneCounters) recordPredict(answered, exact, correct bool) {
+	c.predictRequests.Inc()
 	if answered {
-		r.predict.Answered++
+		c.predictAnswered.Inc()
 		if exact {
-			r.predict.Exact++
+			c.predictExact.Inc()
 		}
 	} else {
-		r.predict.Fallbacks++
+		c.predictFallbacks.Inc()
 		if correct {
-			r.predict.FallbackCorrect++
-		}
-	}
-	r.mu.Unlock()
-	r.prom.Counter("groverd_predict_requests_total",
-		"predict-mode device-tunes served").Inc()
-	if answered {
-		r.prom.Counter("groverd_predict_answered_total",
-			"device-tunes answered from the feature store without measuring").Inc()
-		if exact {
-			r.prom.Counter("groverd_predict_exact_total",
-				"store answers from an exact feature or request-key hit").Inc()
-		}
-	} else {
-		r.prom.Counter("groverd_predict_fallbacks_total",
-			"predict-mode device-tunes that fell back to measurement").Inc()
-		if correct {
-			r.prom.Counter("groverd_predict_fallback_correct_total",
-				"measured fallbacks whose untrusted prediction matched the measured winner").Inc()
+			c.predictFallbackCorrect.Inc()
 		}
 	}
 }
 
-// predictSnapshot copies the predict tallies (the caller fills in the
-// live store stats).
-func (r *registry) predictSnapshot() PredictStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.predict
-}
-
-// backendSnapshot copies the per-backend verdict and host-execution
-// counts.
-func (r *registry) backendSnapshot() (verdicts, executions map[string]int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return maps.Clone(r.be), maps.Clone(r.exec)
-}
-
-// record tallies one request: its latency, whether it failed, and the
-// cache outcomes it observed.
-func (r *registry) record(endpoint string, d time.Duration, failed bool, outcomes ...kcache.Outcome) {
-	ms := float64(d) / float64(time.Millisecond)
-	ep := telemetry.Label{Name: "endpoint", Value: endpoint}
-	r.prom.Counter("groverd_requests_total", "requests served per endpoint", ep).Inc()
-	if failed {
-		r.prom.Counter("groverd_request_errors_total", "requests answered with status >= 400", ep).Inc()
-	}
-	for _, o := range outcomes {
-		r.prom.Counter("groverd_cache_outcomes_total", "artifact-cache outcomes observed by requests",
-			ep, telemetry.Label{Name: "outcome", Value: o.String()}).Inc()
-	}
-
-	r.mu.Lock()
-	st := r.m[endpoint]
-	if st == nil {
-		st = &EndpointStats{}
-		r.m[endpoint] = st
-	}
-	h := r.hist[endpoint]
-	if h == nil {
-		h = r.prom.Histogram("groverd_request_duration_seconds",
-			"request wall-clock latency per endpoint", nil, ep)
-		r.hist[endpoint] = h
-	}
-	st.Requests++
-	if failed {
-		st.Errors++
-	}
-	st.TotalMS += ms
-	if ms > st.MaxMS {
-		st.MaxMS = ms
-	}
-	for _, o := range outcomes {
-		switch o {
-		case kcache.Hit:
-			st.CacheHits++
-		case kcache.Miss:
-			st.CacheMisses++
-		case kcache.Dedup:
-			st.CacheDedups++
+// backendStats reads the per-backend verdict and host-execution counts of
+// the backends that have computed a verdict.
+func (c *tuneCounters) backendStats() (verdicts, executions map[string]int64) {
+	verdicts, executions = map[string]int64{}, map[string]int64{}
+	for name, v := range c.verdicts {
+		if n := v.Value(); n > 0 {
+			verdicts[name], executions[name] = n, c.executions[name].Value()
 		}
 	}
-	r.mu.Unlock()
-	h.Observe(float64(d) / float64(time.Second))
+	return verdicts, executions
 }
 
-// snapshot copies the per-endpoint stats with derived averages and
-// histogram quantiles.
-func (r *registry) snapshot() map[string]EndpointStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]EndpointStats, len(r.m))
-	for k, st := range r.m {
-		cp := *st
-		if cp.Requests > 0 {
-			cp.AvgMS = cp.TotalMS / float64(cp.Requests)
-		}
-		if h := r.hist[k]; h != nil {
-			const sec = 1000 // histogram is in seconds, stats in ms
-			cp.P50MS = h.Quantile(0.50) * sec
-			cp.P95MS = h.Quantile(0.95) * sec
-			cp.P99MS = h.Quantile(0.99) * sec
-		}
-		out[k] = cp
+// predictStats reads the predict tallies; store is the feature store's
+// live state.
+func (c *tuneCounters) predictStats(store kcache.DiskStats) PredictStats {
+	return PredictStats{
+		Requests:        c.predictRequests.Value(),
+		Answered:        c.predictAnswered.Value(),
+		Exact:           c.predictExact.Value(),
+		Fallbacks:       c.predictFallbacks.Value(),
+		FallbackCorrect: c.predictFallbackCorrect.Value(),
+		Store:           store,
 	}
-	return out
 }

@@ -185,6 +185,7 @@ type Histogram struct {
 	counts []int64 // per-bucket (non-cumulative), len(bounds)+1 with the +Inf tail
 	count  int64
 	sum    float64
+	max    float64 // not exposed: the text format has no series for it
 }
 
 // newHistogram copies the bounds so callers cannot mutate them later.
@@ -201,6 +202,9 @@ func (h *Histogram) Observe(v float64) {
 	h.counts[i]++
 	h.count++
 	h.sum += v
+	if v > h.max {
+		h.max = v
+	}
 	h.mu.Unlock()
 }
 
@@ -209,6 +213,10 @@ func (h *Histogram) Count() int64 { h.mu.Lock(); defer h.mu.Unlock(); return h.c
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { h.mu.Lock(); defer h.mu.Unlock(); return h.sum }
+
+// Max returns the largest observed value, the one aggregate the buckets
+// cannot give back; 0 with no observations.
+func (h *Histogram) Max() float64 { h.mu.Lock(); defer h.mu.Unlock(); return h.max }
 
 // Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
 // within the owning bucket, the same estimate Prometheus's

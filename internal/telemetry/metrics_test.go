@@ -70,6 +70,9 @@ func TestHistogramExposition(t *testing.T) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
+	if h.Max() != 50 || h.Sum() != 56.05 || h.Count() != 5 {
+		t.Errorf("max %g sum %g count %d, want 50, 56.05 and 5", h.Max(), h.Sum(), h.Count())
+	}
 }
 
 func TestHistogramQuantile(t *testing.T) {

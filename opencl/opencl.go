@@ -188,7 +188,7 @@ func (c *Context) CompileProgramCtx(ctx context.Context, name, source string, de
 // device-independent (the cost model is applied at launch time), so one
 // compiled module can be instantiated on every device with
 // Context.NewProgramFromIR — the compile-once primitive behind
-// grover.AutoTuneAll and the groverd compilation cache.
+// grover.Tune's LaunchSpec.Program and the groverd compilation cache.
 func CompileModule(name, source string, defines map[string]string) (*ir.Module, error) {
 	return CompileModuleCtx(context.Background(), name, source, defines)
 }

@@ -39,7 +39,7 @@ func CharacterizeLaunch(prog *opencl.Program, kernel string, nd opencl.NDRange, 
 type Prediction = predict.Prediction
 
 // DefaultMinConfidence is the measured-fallback threshold predict mode
-// uses when the caller leaves PlanSearchOptions.MinConfidence zero.
+// uses when the caller leaves LaunchSpec.MinConfidence zero.
 const DefaultMinConfidence = predict.DefaultMinConfidence
 
 var (
@@ -59,28 +59,6 @@ func DefaultPredictor() *predict.Predictor {
 	return defaultPredictor
 }
 
-func (popts *PlanSearchOptions) predictor() *predict.Predictor {
-	if popts.Predictor != nil {
-		return popts.Predictor
-	}
-	return DefaultPredictor()
-}
-
-// storeDevice names the store neighborhood of a search on dev.
-func (popts *PlanSearchOptions) storeDevice(dev *opencl.Device) string {
-	if popts.Device != "" {
-		return popts.Device
-	}
-	return dev.Name()
-}
-
-func (popts *PlanSearchOptions) minConfidence() float64 {
-	if popts.MinConfidence > 0 {
-		return popts.MinConfidence
-	}
-	return DefaultMinConfidence
-}
-
 // pendingPredict carries a below-threshold prediction through the
 // measured fallback so the result reports it and the measurement is
 // recorded back into the store.
@@ -95,15 +73,14 @@ type pendingPredict struct {
 // confidence threshold, or (nil, pending) to route the caller into
 // measured fallback — pending carries whatever was learned so the
 // measurement is recorded back.
-func predictTune(ctx context.Context, prog *opencl.Program, kernel string, plans []string,
-	dev *opencl.Device, popts PlanSearchOptions) (*TuneResult, *pendingPredict) {
-	pred := popts.predictor()
-	device := popts.storeDevice(dev)
+func (s *deviceSearch) predictTune(ctx context.Context) (*TuneResult, *pendingPredict) {
+	pred := s.spec.Predictor
+	device := s.dev.Name()
 
 	// Exact request hit: this source+kernel+launch was tuned on this
 	// device before — answer from the record with zero runs.
-	if popts.ExactKey != "" {
-		if rec, ok := pred.Store().LookupAlias(popts.ExactKey); ok {
+	if s.exactKey != "" {
+		if rec, ok := pred.Store().LookupAlias(s.exactKey); ok {
 			pr := &predict.Prediction{
 				Device: rec.Device, Hash: rec.Hash, Verdict: rec.BestShape,
 				Plan: rec.Best, Ratio: 1, Confidence: 1, Exact: true,
@@ -111,16 +88,13 @@ func predictTune(ctx context.Context, prog *opencl.Program, kernel string, plans
 			if r, ok := rec.ShapeRatio(rec.BestShape); ok {
 				pr.Ratio = r
 			}
-			if res := materializePrediction(ctx, prog, kernel, plans, pr); res != nil {
+			if res := s.materializePrediction(ctx, pr); res != nil {
 				return res, nil
 			}
 		}
 	}
 
-	if popts.Characterize == nil {
-		return nil, &pendingPredict{}
-	}
-	feats, err := popts.Characterize()
+	feats, err := s.characterize()
 	if err != nil {
 		// Characterization failing is not fatal to the tune: measure.
 		return nil, &pendingPredict{}
@@ -128,22 +102,22 @@ func predictTune(ctx context.Context, prog *opencl.Program, kernel string, plans
 	pr := pred.Predict(predict.Query{
 		Features: feats,
 		Device:   device,
-		Shapes:   plans,
-		Prior:    staticPrior(prog, kernel, plans, dev, popts),
+		Shapes:   s.plans,
+		Prior:    s.staticPrior(),
 	})
 	pending := &pendingPredict{features: feats, prediction: pr}
-	if pr.Confidence < popts.minConfidence() {
+	if pr.Confidence < s.spec.MinConfidence {
 		return nil, pending
 	}
-	res := materializePrediction(ctx, prog, kernel, plans, pr)
+	res := s.materializePrediction(ctx, pr)
 	if res == nil {
 		// The predicted plan could not be applied here; measure instead.
 		return nil, pending
 	}
-	if pr.Exact && popts.ExactKey != "" {
+	if pr.Exact && s.exactKey != "" {
 		// Remember the exact request so the next one skips even the
 		// characterization run.
-		pred.Store().Alias(popts.ExactKey, pr.Hash, device)
+		pred.Store().Alias(s.exactKey, pr.Hash, device)
 	}
 	return res, nil
 }
@@ -152,8 +126,8 @@ func predictTune(ctx context.Context, prog *opencl.Program, kernel string, plans
 // predicted cycles ratio against base per plan shape — the prior the
 // predictor blends with measured neighbors. nil when the model cannot
 // score this kernel.
-func staticPrior(prog *opencl.Program, kernel string, plans []string, dev *opencl.Device, popts PlanSearchOptions) map[string]float64 {
-	ranked, err := rankPlans(prog, kernel, plans, dev, popts)
+func (s *deviceSearch) staticPrior() map[string]float64 {
+	ranked, err := s.rankPlans(s.dev)
 	if err != nil {
 		return nil
 	}
@@ -188,9 +162,8 @@ func staticPrior(prog *opencl.Program, kernel string, plans []string, dev *openc
 // TransformedMS stay zero), Speedup carries the predicted normalized
 // performance. nil when no candidate plan matches the verdict or the
 // plan fails to apply — the caller falls back to measurement.
-func materializePrediction(ctx context.Context, prog *opencl.Program, kernel string,
-	plans []string, pr *predict.Prediction) *TuneResult {
-	planStr := concretePlan(plans, pr)
+func (ps *planSearch) materializePrediction(ctx context.Context, pr *predict.Prediction) *TuneResult {
+	planStr := concretePlan(ps.plans, pr)
 	if planStr == "" {
 		return nil
 	}
@@ -198,7 +171,7 @@ func materializePrediction(ctx context.Context, prog *opencl.Program, kernel str
 	if err != nil {
 		return nil
 	}
-	orig, err := prog.Kernel(kernel)
+	orig, err := ps.prog.Kernel(ps.kernel)
 	if err != nil {
 		return nil
 	}
@@ -214,11 +187,11 @@ func materializePrediction(ctx context.Context, prog *opencl.Program, kernel str
 	if len(p.Steps) == 0 {
 		return res
 	}
-	rp, rep, err := prog.WithRewritePlanCtx(ctx, kernel, p)
+	rp, rep, err := ps.prog.WithRewritePlanCtx(ctx, ps.kernel, p)
 	if err != nil || !rep.Changed() {
 		return nil
 	}
-	k, err := rp.Kernel(kernel)
+	k, err := rp.Kernel(ps.kernel)
 	if err != nil {
 		return nil
 	}
@@ -264,19 +237,21 @@ func concretePlan(plans []string, pr *predict.Prediction) string {
 	return ""
 }
 
-// recordMeasurement writes a measured plan search back into the feature
-// store, so the next similar workload can be answered without running.
-func recordMeasurement(popts PlanSearchOptions, device string, feats *aiwc.Features, res *TuneResult) {
-	if feats == nil || res == nil {
+// recordMeasurement writes the measured plan search predict mode fell back
+// to into the feature store, so the next similar workload can be answered
+// without running.
+func (s *deviceSearch) recordMeasurement(res *TuneResult) {
+	feats := s.pending.features
+	if feats == nil {
 		return
 	}
-	label := popts.Label
+	label := s.spec.Label
 	if label == "" {
 		label = feats.Kernel
 	}
 	rec := &predict.Record{
 		Hash:     predict.Hash(feats),
-		Device:   device,
+		Device:   s.dev.Name(),
 		Label:    label,
 		Kernel:   feats.Kernel,
 		Features: feats,
@@ -295,5 +270,5 @@ func recordMeasurement(popts PlanSearchOptions, device string, feats *aiwc.Featu
 	if len(rec.Plans) == 0 {
 		return
 	}
-	popts.predictor().Store().Put(rec, popts.ExactKey)
+	s.spec.Predictor.Store().Put(rec, s.exactKey)
 }

@@ -6,65 +6,48 @@ import (
 
 	"grover"
 	"grover/internal/predict"
-	"grover/internal/telemetry/aiwc"
 	"grover/opencl"
 )
 
 // TestPredictMode walks predict mode through its whole lifecycle on one
-// program: empty store → measured fallback (recorded), repeat workload →
-// exact feature hit with zero timed runs, repeat request key → zero-run
-// alias answer without even a characterization.
+// workload: empty store → measured fallback (recorded), repeat workload →
+// exact feature hit with one characterization and zero timed runs, repeat
+// request key → zero-run alias answer without even a characterization.
 func TestPredictMode(t *testing.T) {
-	ctx, prog := setup(t, "SNB")
-	const n = 64
-	in := ctx.NewBuffer(n * n * 4)
-	out := ctx.NewBuffer(n * n * 4)
-	q, err := ctx.NewProfilingQueue()
+	dev, err := opencl.NewPlatform().DeviceByName("SNB")
 	if err != nil {
 		t.Fatal(err)
 	}
-	nd := opencl.NDRange{Global: [3]int{n, n, 1}, Local: [3]int{16, 16, 1}}
-	args := []interface{}{out, in, int32(n), int32(n)}
-
-	launches := 0
-	launch := func(k *opencl.Kernel) (*opencl.Event, error) {
-		launches++
-		return q.EnqueueNDRange(k, nd, args...)
-	}
-
 	store, err := predict.OpenStore("", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	pred := predict.NewPredictor(store, predict.Config{})
-	plans := grover.DefaultPlanSpace(nd.Local)
-	popts := grover.PlanSearchOptions{
-		WorkGroup:    nd.Local,
-		Global:       nd.Global,
-		ArgInts:      grover.IntArgs(args),
-		Predict:      true,
-		Predictor:    pred,
-		Characterize: grover.CharacterizeLaunch(prog, "transpose", nd, args),
-		Device:       "SNB",
-		ExactKey:     "req-mt-snb",
-		Label:        "MT-test",
+	spec := transposeSpec(64, 1)
+	spec.Plans = grover.DefaultPlanSpace(spec.ND.Local)
+	spec.Predict = true
+	spec.Predictor = predict.NewPredictor(store, predict.Config{})
+	spec.Label = "MT-test"
+	spec.ExactKey = func(device string) string { return "req-mt-" + device }
+	tune := func(spec grover.LaunchSpec) (*grover.TuneResult, int) {
+		t.Helper()
+		r := grover.Tune(context.Background(), []*opencl.Device{dev}, "transpose", spec)[0]
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		return r.Result, r.Set.Launches
 	}
 
 	// 1. Empty store: the prediction cannot clear the threshold, so the
 	// search falls back to measurement and records the outcome.
-	res, err := grover.AutoTunePlansOpts(context.Background(), prog, "transpose",
-		plans, 1, launch, popts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, launches := tune(spec)
 	if !res.Fallback {
 		t.Fatalf("empty store did not fall back: %+v", res.Prediction)
 	}
 	if res.Prediction == nil || res.Prediction.Confidence >= grover.DefaultMinConfidence {
 		t.Errorf("fallback prediction = %+v, want confidence below threshold", res.Prediction)
 	}
-	if res.OriginalMS <= 0 || launches == 0 {
+	if res.OriginalMS <= 0 || launches < 2 {
 		t.Errorf("fallback did not measure: originalMS=%v launches=%d", res.OriginalMS, launches)
 	}
 	if store.Len() != 1 {
@@ -77,21 +60,16 @@ func TestPredictMode(t *testing.T) {
 	}
 
 	// 2. Same workload again (no ExactKey): the characterization hashes to
-	// the stored record — exact hit, zero timed runs.
-	launches = 0
-	popts2 := popts
-	popts2.ExactKey = ""
-	res2, err := grover.AutoTunePlansOpts(context.Background(), prog, "transpose",
-		plans, 1, launch, popts2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// the stored record — exact hit, one traced run, zero timed runs.
+	unkeyed := spec
+	unkeyed.ExactKey = nil
+	res2, launches := tune(unkeyed)
 	if res2.Fallback || res2.Prediction == nil || !res2.Prediction.Exact {
 		t.Fatalf("repeat workload not answered exactly: fallback=%v prediction=%+v",
 			res2.Fallback, res2.Prediction)
 	}
-	if launches != 0 {
-		t.Errorf("exact hit executed %d timed runs, want 0", launches)
+	if launches != 1 {
+		t.Errorf("exact hit executed %d runs, want the one characterization", launches)
 	}
 	if res2.Plan != measuredPlan {
 		t.Errorf("predicted plan %q, measured winner was %q", res2.Plan, measuredPlan)
@@ -106,19 +84,7 @@ func TestPredictMode(t *testing.T) {
 	// 3. Same request key: answered from the alias with zero runs and zero
 	// characterizations. (Step 2 ran with no ExactKey, so the alias written
 	// by step 1's fallback is still the resolving entry.)
-	launches = 0
-	characterized := 0
-	inner := popts.Characterize
-	res3opts := popts
-	res3opts.Characterize = func() (*aiwc.Features, error) {
-		characterized++
-		return inner()
-	}
-	res3, err := grover.AutoTunePlansOpts(context.Background(), prog, "transpose",
-		plans, 1, launch, res3opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res3, launches := tune(spec)
 	if res3.Fallback {
 		t.Fatal("alias-keyed repeat request fell back to measurement")
 	}
@@ -126,10 +92,7 @@ func TestPredictMode(t *testing.T) {
 		t.Errorf("alias prediction = %+v", res3.Prediction)
 	}
 	if launches != 0 {
-		t.Errorf("alias hit executed %d runs, want 0", launches)
-	}
-	if characterized != 0 {
-		t.Errorf("alias hit characterized %d times, want 0", characterized)
+		t.Errorf("alias hit executed %d runs (timed or traced), want 0", launches)
 	}
 	if res3.Plan != measuredPlan {
 		t.Errorf("alias answer plan %q, want %q", res3.Plan, measuredPlan)
