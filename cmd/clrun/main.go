@@ -110,20 +110,39 @@ func run(file, deviceName, kernel, globalStr, localStr string, argSpecs []string
 	if err != nil {
 		return err
 	}
+	// -dump is checked before anything runs: the count is outside input and
+	// must be one the buffer holds.
+	var dumpBuf *opencl.Buffer
+	var dumpIdx, dumpCnt int
+	if dump != "" {
+		idxStr, cntStr, _ := strings.Cut(dump, ":")
+		idx, err1 := strconv.Atoi(idxStr)
+		cnt, err2 := strconv.Atoi(cntStr)
+		if err1 != nil || err2 != nil || idx < 0 || idx >= len(kargs) {
+			return fmt.Errorf("bad -dump spec %q", dump)
+		}
+		b, ok := bufs[idx]
+		if !ok {
+			return fmt.Errorf("-dump argument %d is not a buffer", idx)
+		}
+		if cnt < 0 || cnt > b.Size()/4 {
+			return fmt.Errorf("bad -dump spec %q: argument %d holds %d values", dump, idx, b.Size()/4)
+		}
+		dumpBuf, dumpIdx, dumpCnt = b, idx, cnt
+	}
 
+	// One queue for the run: a profiling queue holds the device model —
+	// a cache hierarchy per core — and every launch starts it afresh.
+	q := ctx.NewQueue()
+	if timed {
+		if q, err = ctx.NewProfilingQueue(); err != nil {
+			return err
+		}
+	}
 	launch := func(p *opencl.Program, label string) error {
 		k, err := p.Kernel(kernel)
 		if err != nil {
 			return err
-		}
-		var q *opencl.Queue
-		if timed {
-			q, err = ctx.NewProfilingQueue()
-			if err != nil {
-				return err
-			}
-		} else {
-			q = ctx.NewQueue()
 		}
 		var prof *vm.Profiler
 		if kprofile {
@@ -188,18 +207,8 @@ func run(file, deviceName, kernel, globalStr, localStr string, argSpecs []string
 			fmt.Printf("\n--- characterization (%s) ---\n%s", v.label, f.Table())
 		}
 	}
-	if dump != "" {
-		idxStr, cntStr, _ := strings.Cut(dump, ":")
-		idx, err1 := strconv.Atoi(idxStr)
-		cnt, err2 := strconv.Atoi(cntStr)
-		if err1 != nil || err2 != nil || idx < 0 || idx >= len(kargs) {
-			return fmt.Errorf("bad -dump spec %q", dump)
-		}
-		b, ok := bufs[idx]
-		if !ok {
-			return fmt.Errorf("-dump argument %d is not a buffer", idx)
-		}
-		fmt.Printf("arg %d: %v\n", idx, b.ReadFloat32(cnt))
+	if dumpBuf != nil {
+		fmt.Printf("arg %d: %v\n", dumpIdx, dumpBuf.ReadFloat32(dumpCnt))
 	}
 	if traceOut != "" {
 		tr.Finish()

@@ -57,8 +57,8 @@ func synWSSetup(ctx *opencl.Context, scale int) (*apps.Instance, error) {
 	a := ctx.NewBuffer(g * n * 4)
 	b := ctx.NewBuffer(g * 4)
 	out := ctx.NewBuffer(g * 4)
-	av := pattern32(g*n, 11)
-	bv := pattern32(g, 13)
+	av := opencl.Pattern(g*n, 11)
+	bv := opencl.Pattern(g, 13)
 	a.WriteFloat32(av)
 	b.WriteFloat32(bv)
 	check := func() error {
@@ -81,17 +81,6 @@ func synWSSetup(ctx *opencl.Context, scale int) (*apps.Instance, error) {
 		Check: check,
 		Bytes: (g*n + 2*g) * 4,
 	}, nil
-}
-
-// pattern32 mirrors the apps package's deterministic input generator.
-func pattern32(n int, seed uint32) []float32 {
-	out := make([]float32, n)
-	s := seed*2654435761 + 1
-	for i := range out {
-		s = s*1664525 + 1013904223
-		out[i] = float32(s%1024)/512.0 - 1.0
-	}
-	return out
 }
 
 // planSpaceFor builds the per-app plan list: the default space with the

@@ -288,7 +288,7 @@ func parseArgs(ctx *opencl.Context, spec string) ([]interface{}, error) {
 				return nil, fmt.Errorf("-args %d: buffer needs a positive byte size, got %q", i, val)
 			}
 			buf := ctx.NewBuffer(size)
-			buf.WriteFloat32(fill(size/4, uint32(i+1)))
+			buf.WriteFloat32(opencl.Pattern(size/4, uint32(i+1)))
 			args = append(args, buf)
 		case "local":
 			size, err := strconv.Atoi(val)
@@ -313,17 +313,6 @@ func parseArgs(ctx *opencl.Context, spec string) ([]interface{}, error) {
 		}
 	}
 	return args, nil
-}
-
-// fill generates deterministic buffer contents (matches groverd's).
-func fill(n int, seed uint32) []float32 {
-	out := make([]float32, n)
-	s := seed*2654435761 + 1
-	for i := range out {
-		s = s*1664525 + 1013904223
-		out[i] = float32(s%1024)/512.0 - 1.0
-	}
-	return out
 }
 
 // parseLocal parses "x", "x,y" or "x,y,z" into work-group extents;

@@ -169,7 +169,10 @@ var setDiffEngines = []string{"wgvec", "interp"}
 // deviceLaunch times one kernel and returns one result per device.
 type deviceLaunch func(*opencl.Kernel) ([]device.Result, error)
 
-// ownQueue launches on ctx's own device through a profiling queue.
+// ownQueue launches on ctx's own device through a profiling queue — a
+// device set of one. What a set must report, of one or of six, is
+// internal/device's business (the per-access reference model fed the
+// per-core streams of a recorded launch).
 func ownQueue(t *testing.T, ctx *opencl.Context, nd opencl.NDRange, args []interface{}) deviceLaunch {
 	q, err := ctx.NewProfilingQueue()
 	if err != nil {

@@ -83,17 +83,6 @@ func ByID(id string) (*App, error) {
 
 // ---------------------------------------------------------------- helpers
 
-// pattern fills a deterministic pseudo-random float32 slice.
-func pattern(n int, seed uint32) []float32 {
-	out := make([]float32, n)
-	s := seed*2654435761 + 1
-	for i := range out {
-		s = s*1664525 + 1013904223
-		out[i] = float32(s%1024)/512.0 - 1.0
-	}
-	return out
-}
-
 // almostEqual compares with a relative+absolute tolerance suited to
 // float32 accumulation.
 func almostEqual(a, b float32, tol float64) bool {

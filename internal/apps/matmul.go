@@ -40,8 +40,8 @@ func mmSetup(ctx *opencl.Context, scale int) (*Instance, error) {
 	}
 	n := 128 * scale
 	k := n
-	a := pattern(n*k, 3)
-	b := pattern(k*n, 5)
+	a := opencl.Pattern(n*k, 3)
+	b := opencl.Pattern(k*n, 5)
 	bufA := ctx.NewBuffer(n * k * 4)
 	bufB := ctx.NewBuffer(k * n * 4)
 	bufC := ctx.NewBuffer(n * n * 4)
@@ -139,8 +139,8 @@ func AMDMM() *App {
 			n := 128 * scale
 			k := n
 			n4 := n / 4
-			a := pattern(n*k, 13)
-			b := pattern(k*n, 17)
+			a := opencl.Pattern(n*k, 13)
+			b := opencl.Pattern(k*n, 17)
 			bufA := ctx.NewBuffer(n * k * 4)
 			bufB := ctx.NewBuffer(k * n * 4)
 			bufC := ctx.NewBuffer(n * n * 4)

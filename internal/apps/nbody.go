@@ -62,7 +62,7 @@ func NVDNBody() *App {
 			}
 			n := 1024 * scale
 			const eps = float32(0.01)
-			posv := pattern(n*4, 23)
+			posv := opencl.Pattern(n*4, 23)
 			pos := ctx.NewBuffer(n * 16)
 			out := ctx.NewBuffer(n * 16)
 			pos.WriteFloat32(posv)

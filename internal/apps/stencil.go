@@ -49,7 +49,7 @@ func PABST() *App {
 			n := 256 * scale
 			c0 := float32(0.5)
 			c1 := float32(0.125)
-			iv := pattern(n*n, 31)
+			iv := opencl.Pattern(n*n, 31)
 			in := ctx.NewBuffer(n * n * 4)
 			out := ctx.NewBuffer(n * n * 4)
 			in.WriteFloat32(iv)

@@ -45,7 +45,7 @@ func RODSC() *App {
 			n := 8192 * scale // power-of-two point count: column stride aliases cache sets
 			const dim = 16
 			const center = 37
-			coords := pattern(dim*n, 41)
+			coords := opencl.Pattern(dim*n, 41)
 			coordBuf := ctx.NewBuffer(dim * n * 4)
 			distBuf := ctx.NewBuffer(n * 4)
 			coordBuf.WriteFloat32(coords)

@@ -38,7 +38,7 @@ func transposeSetup(kernel string, tile int) func(ctx *opencl.Context, scale int
 		// power-of-two row stride the paper's CPUs see on 1024² inputs
 		in := ctx.NewBuffer(n * n * 4)
 		out := ctx.NewBuffer(n * n * 4)
-		iv := pattern(n*n, 7)
+		iv := opencl.Pattern(n*n, 7)
 		in.WriteFloat32(iv)
 		check := func() error {
 			got := out.ReadFloat32(n * n)
@@ -159,7 +159,7 @@ func AMDMT() *App {
 			n4 := n / 4
 			in := ctx.NewBuffer(n * n * 4)
 			out := ctx.NewBuffer(n * n * 4)
-			iv := pattern(n*n, 11)
+			iv := opencl.Pattern(n*n, 11)
 			in.WriteFloat32(iv)
 			check := func() error {
 				got := out.ReadFloat32(n * n)

@@ -29,7 +29,7 @@ const (
 type event struct {
 	kind  evKind
 	in    *ir.Instr
-	wi    int // evBarrier: the work-item count
+	wi    int // evGroupBegin: the group's linear id; evBarrier: the work-item count
 	addr  uint64
 	size  int
 	store bool
@@ -39,7 +39,9 @@ type event struct {
 // recorder is a plain vm.Tracer, so engines deliver to it per access.
 type recorder struct{ evs []event }
 
-func (r *recorder) GroupBegin([3]int, int) { r.evs = append(r.evs, event{kind: evGroupBegin}) }
+func (r *recorder) GroupBegin(_ [3]int, linear int) {
+	r.evs = append(r.evs, event{kind: evGroupBegin, wi: linear})
+}
 func (r *recorder) Access(in *ir.Instr, wi int, addr uint64, size int, store bool) {
 	r.evs = append(r.evs, event{kind: evAccess, in: in, wi: wi, addr: addr, size: size, store: store})
 }
@@ -55,7 +57,7 @@ func feedPerAccess(tr vm.Tracer, evs []event) {
 	for _, e := range evs {
 		switch e.kind {
 		case evGroupBegin:
-			tr.GroupBegin([3]int{}, 0)
+			tr.GroupBegin([3]int{}, e.wi)
 		case evAccess:
 			tr.Access(e.in, e.wi, e.addr, e.size, e.store)
 		case evInstrs:
@@ -76,7 +78,7 @@ func feedBatches(tr vm.BatchTracer, evs []event, n int) {
 		switch e.kind {
 		case evGroupBegin:
 			b.Reset(n)
-			tr.GroupBegin([3]int{}, 0)
+			tr.GroupBegin([3]int{}, e.wi)
 		case evAccess:
 			b.Items[e.wi] = append(b.Items[e.wi],
 				vm.AccessRec{Addr: e.addr, Instr: b.Intern(e.in), Size: int32(e.size), Store: e.store})
@@ -172,7 +174,7 @@ func feedMixed(tr vm.BatchTracer, evs []event, n int) (ops, priv, recs int) {
 		switch e.kind {
 		case evGroupBegin:
 			b.Reset(n)
-			tr.GroupBegin([3]int{}, 0)
+			tr.GroupBegin([3]int{}, e.wi)
 		case evAccess:
 			items[e.wi] = append(items[e.wi], e)
 		case evInstrs:
@@ -348,8 +350,8 @@ func (w *refWorker) chargeWarpAccess(addrs []uint64, sizes []int, space clc.Addr
 	}
 }
 
-// refResult runs each worker's stream through the reference model and
-// sums up like Simulator.Result.
+// refResult runs each core's stream through the reference model and sums
+// up like Simulator.Result.
 func refResult(t *testing.T, p *Profile, streams [][]event) Result {
 	t.Helper()
 	var r Result
@@ -404,19 +406,31 @@ func newDeliveries(t *testing.T, p *Profile) *deliveries {
 	return d
 }
 
-// simResult feeds each worker's stream to the simulator's tracers.
+// onCore stamps a generated stream's groups with the linear ids a launch
+// gives the groups of core c on a device of that many cores: c, c+cores, …
+func onCore(evs []event, c, cores int) []event {
+	for i := range evs {
+		if evs[i].kind == evGroupBegin {
+			evs[i].wi = c
+			c += cores
+		}
+	}
+	return evs
+}
+
+// simResult feeds each core's stream to the simulator's tracer, one stream
+// after the other: a core waits for no group but its own.
 func simResult(sim *Simulator, streams [][]event, feed func(vm.BatchTracer, []event)) Result {
 	sim.Reset()
-	opts := sim.Opts()
-	for w, evs := range streams {
-		feed(opts.TracerFor(w).(vm.BatchTracer), evs)
+	tr := sim.Opts().TracerFor(0).(vm.BatchTracer)
+	for _, evs := range streams {
+		feed(tr, evs)
 	}
 	return sim.Result()
 }
 
-// run delivers the streams (groups of n work-items) per access through
-// the adapter, as batches of records, and as batches of columns and
-// records.
+// run delivers the streams (groups of n work-items) per access, as batches
+// of records, and as batches of columns and records.
 func (d *deliveries) run(streams [][]event, n int) (perAccess, batched, mixed Result) {
 	perAccess = simResult(d.perAccess, streams, func(tr vm.BatchTracer, evs []event) { feedPerAccess(tr, evs) })
 	batched = simResult(d.batched, streams, func(tr vm.BatchTracer, evs []event) { feedBatches(tr, evs, n) })
@@ -461,7 +475,7 @@ func (s streamShape) String() string { return fmt.Sprintf("%d/%d/%d", s.idle, s.
 
 func oneIn(r *rand.Rand, n int) bool { return n > 0 && r.Intn(n) == 0 }
 
-// randomStream draws one worker's stream of a few groups of n items.
+// randomStream draws one core's stream of a few groups of n items.
 // As far as the shape has them stray, lanes are ragged (different access
 // counts per item and region, some items idle) and positions diverge (an
 // item may pick another instruction); spaces, sizes and directions are
@@ -626,7 +640,7 @@ func TestDeliveriesMatchReferenceModel(t *testing.T) {
 			shape := shapes[trial%len(shapes)]
 			streams := make([][]event, 1+r.Intn(3))
 			for w := range streams {
-				streams[w] = randomStream(r, n, instrs, []int{1, 2, 4, 4, 8, 16}, shape)
+				streams[w] = onCore(randomStream(r, n, instrs, []int{1, 2, 4, 4, 8, 16}, shape), w, p.Cores)
 			}
 			d.check(t, streams, n)
 			if t.Failed() {
@@ -668,11 +682,11 @@ func TestDeliveriesAgreeOnSizeZero(t *testing.T) {
 		for _, shape := range []streamShape{ragged, {diverge: 40}} {
 			r := rand.New(rand.NewSource(3))
 			streams := [][]event{randomStream(r, 32, instrs, []int{0, 0, 4}, shape)}
-			streams[0] = append([]event{
+			streams[0] = onCore(append([]event{
 				{kind: evGroupBegin},
 				{kind: evAccess, in: instrs[0], wi: 0, addr: vm.MakeAddr(clc.ASGlobal, 0), size: 0},
 				{kind: evGroupEnd},
-			}, streams[0]...)
+			}, streams[0]...), 0, p.Cores)
 			perAccess, batched, mixed := newDeliveries(t, p).run(streams, 32)
 			if !reflect.DeepEqual(perAccess, batched) || !reflect.DeepEqual(perAccess, mixed) {
 				t.Errorf("%s, shape %v:\nper-access %+v\n   batched %+v\n   columns %+v", p.Name, shape, perAccess, batched, mixed)
@@ -703,43 +717,61 @@ __kernel void ragged(__global float* out, __global float* in, __local float* tmp
 `
 
 // TestEnginesMatchRecordedStream launches one kernel through every engine
-// on a simulator — wgvec hands over batches, interp goes through the
-// adapter — and requires the Result the reference model computes from
-// the recorded per-access stream.
+// — wgvec hands over batches, interp reports every access — on all six
+// models at once and on each alone, with fewer work-groups than the
+// smallest device has cores and with more than the largest, and requires
+// of every model the Result the reference model computes from the per-core
+// streams a recorder launch writes down: group g on core g mod Cores, each
+// core's groups in ascending order, whichever models share the set.
 func TestEnginesMatchRecordedStream(t *testing.T) {
-	const n, local = 48 * 40, 48
+	const local = 48
 	prog := compile(t, raggedSrc)
-	launch := func(backend string, opts *vm.LaunchOpts) {
+	launch := func(backend string, groups int, opts *vm.LaunchOpts) {
 		t.Helper()
+		n := local * groups
 		g := vm.NewGlobalMem(1 << 20)
 		out, in := g.Alloc(n*4), g.Alloc(n*4)
 		cfg := vm.Config{
 			GlobalSize: [3]int{n, 1, 1}, LocalSize: [3]int{local, 1, 1}, Backend: backend,
-			Args: []vm.Arg{vm.BufArg(out), vm.BufArg(in), vm.LocalArg(local * 4), vm.IntArg(n)},
+			Args: []vm.Arg{vm.BufArg(out), vm.BufArg(in), vm.LocalArg(local * 4), vm.IntArg(int64(n))},
 		}
 		if err := prog.Launch("ragged", cfg, g, opts); err != nil {
 			t.Fatalf("%s: %v", backend, err)
 		}
 	}
-	for _, p := range []*Profile{Fermi(), SNB()} {
-		recs := make([]*recorder, p.Cores)
-		for i := range recs {
-			recs[i] = &recorder{}
+	profiles := All()
+	for _, groups := range []int{3, 150} {
+		want := make([]Result, len(profiles))
+		for i, p := range profiles {
+			recs := make([]*recorder, p.Cores)
+			for c := range recs {
+				recs[c] = &recorder{}
+			}
+			launch(wgvec.Name, groups, &vm.LaunchOpts{Workers: p.Cores, TracerFor: func(w int) vm.Tracer { return recs[w] }})
+			streams := make([][]event, len(recs))
+			for c, r := range recs {
+				streams[c] = r.evs
+			}
+			want[i] = newDeliveries(t, p).check(t, streams, local)
 		}
-		launch(wgvec.Name, &vm.LaunchOpts{Workers: p.Cores, TracerFor: func(w int) vm.Tracer { return recs[w] }})
-		streams := make([][]event, len(recs))
-		for i, r := range recs {
-			streams[i] = r.evs
-		}
-		want := newDeliveries(t, p).check(t, streams, local)
 		for _, backend := range enginetest.Engines() {
-			sim, err := NewSimulator(p)
+			set, err := NewSet(profiles)
 			if err != nil {
 				t.Fatal(err)
 			}
-			launch(backend, sim.Opts())
-			if got := sim.Result(); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s on %s:\n got %+v\nwant %+v", backend, p.Name, got, want)
+			launch(backend, groups, set.Opts())
+			for i, p := range profiles {
+				if got := set.Result(i); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("%s, %d groups on %s, in the set of six:\n got %+v\nwant %+v", p.Name, groups, backend, got, want[i])
+				}
+				one, err := NewSimulator(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				launch(backend, groups, one.Opts())
+				if got := one.Result(); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("%s, %d groups on %s, as a set of one:\n got %+v\nwant %+v", p.Name, groups, backend, got, want[i])
+				}
 			}
 		}
 	}
@@ -779,8 +811,9 @@ func steadyGroup(own int) *vm.AccessBatch {
 	return b
 }
 
-func runSteadyGroup(tr vm.BatchTracer, b *vm.AccessBatch) {
-	tr.GroupBegin([3]int{}, 0)
+// runSteadyGroup delivers b twice over as work-group linear.
+func runSteadyGroup(tr vm.BatchTracer, b *vm.AccessBatch, linear int) {
+	tr.GroupBegin([3]int{}, linear)
 	tr.AccessBatch(b)
 	tr.Barrier(len(b.Items))
 	tr.AccessBatch(b)
@@ -788,7 +821,9 @@ func runSteadyGroup(tr vm.BatchTracer, b *vm.AccessBatch) {
 }
 
 // The GPUs form warps over the group's columns and records; the CPU walks
-// it tile by tile along the list of ops that have a column.
+// it tile by tile along the list of ops that have a column. All the groups
+// are core 0's — ids a multiple of Cores apart — so each takes its turn on
+// the core and passes it on.
 func TestSteadyStateGroupDoesNotAllocate(t *testing.T) {
 	for _, p := range []*Profile{Fermi(), Kepler(), Tahiti(), SNB()} {
 		for _, own := range []int{0, 5} {
@@ -798,12 +833,18 @@ func TestSteadyStateGroupDoesNotAllocate(t *testing.T) {
 			}
 			tr := sim.Opts().TracerFor(0).(vm.BatchTracer)
 			b := steadyGroup(own)
-			runSteadyGroup(tr, b) // warm-up: buffers grow here
-			if allocs := testing.AllocsPerRun(20, func() { runSteadyGroup(tr, b) }); allocs != 0 {
+			id := 0
+			run := func() {
+				runSteadyGroup(tr, b, id)
+				id += p.Cores
+			}
+			run() // warm-up: buffers grow here
+			if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 				t.Errorf("%s, %d items on their own: a steady-state work-group allocates %.0f objects, want 0", p.Name, own, allocs)
 			}
 			sim.Reset()
-			if allocs := testing.AllocsPerRun(1, func() { runSteadyGroup(tr, b) }); allocs != 0 {
+			id = 0
+			if allocs := testing.AllocsPerRun(1, run); allocs != 0 {
 				t.Errorf("%s, %d items on their own: the first group after Reset allocates %.0f objects, want 0", p.Name, own, allocs)
 			}
 		}
@@ -819,11 +860,11 @@ func BenchmarkWarpModel(b *testing.B) {
 			}
 			tr := sim.Opts().TracerFor(0).(vm.BatchTracer)
 			group := steadyGroup(0)
-			runSteadyGroup(tr, group)
+			runSteadyGroup(tr, group, 0)
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runSteadyGroup(tr, group)
+			for i := 1; i <= b.N; i++ {
+				runSteadyGroup(tr, group, i*p.Cores)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*len(group.Ops)*len(group.Items)), "ns/access")
 		})

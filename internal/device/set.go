@@ -4,62 +4,59 @@ import (
 	"runtime"
 	"sync"
 
+	"grover/internal/ir"
 	"grover/internal/vm"
 )
 
-// Set charges one traced launch to several device models at once. The
+// Set charges one traced launch to one or more device models at once. The
 // functional trace of a launch does not depend on the device — only which
 // simulated core a work-group lands on and what that core makes of it do —
 // so the launch runs once, on as many workers as the host has processors,
-// and every barrier region it produces goes to the right simulated worker
-// of every model: work-group g to worker g mod Cores, each worker taking
-// its groups in ascending order. That is the stream a Simulator's own
-// tracers see in a launch of their own, so Result(i) equals what
-// NewSimulator(profiles[i]) reports for the same launch.
+// and every barrier region it produces goes to the right simulated core of
+// every model: work-group g to core g mod Cores, each core taking its
+// groups in ascending order. What a model is charged depends on nothing
+// else, so Result(i) is the same whichever models share the set: a single
+// device is a set of one (Simulator.Opts).
 //
 // A Set serves one launch at a time.
 type Set struct {
-	models []*setModel
-	cpus   []*setModel
-	gpus   []*setModel
+	models []*Simulator
+	cpus   []*Simulator
+	gpus   []*Simulator
 
 	hosts []*setTracer
 
-	// A simulated worker is charged by whichever host worker runs its next
+	// A simulated core is charged by whichever host worker runs its next
 	// group; a host worker holding any other group for it waits on turn.
 	mu     sync.Mutex
 	turn   *sync.Cond
 	failed bool
 }
 
-// setModel is one device model of a Set. next[w] is the group its worker w
-// takes next.
-type setModel struct {
-	*Simulator
-	next []int
-}
-
 // NewSet prepares one model per profile.
 func NewSet(profiles []*Profile) (*Set, error) {
-	s := &Set{}
-	s.turn = sync.NewCond(&s.mu)
-	for _, p := range profiles {
-		sim, err := NewSimulator(p)
+	models := make([]*Simulator, len(profiles))
+	for i, p := range profiles {
+		m, err := NewSimulator(p)
 		if err != nil {
 			return nil, err
 		}
-		m := &setModel{Simulator: sim, next: make([]int, p.Cores)}
-		for w := range m.next {
-			m.next[w] = w
-		}
-		s.models = append(s.models, m)
-		if p.Kind == GPUKind {
+		models[i] = m
+	}
+	return newSet(models), nil
+}
+
+func newSet(models []*Simulator) *Set {
+	s := &Set{models: models}
+	s.turn = sync.NewCond(&s.mu)
+	for _, m := range models {
+		if m.Prof.Kind == GPUKind {
 			s.gpus = append(s.gpus, m)
 		} else {
 			s.cpus = append(s.cpus, m)
 		}
 	}
-	return s, nil
+	return s
 }
 
 // Opts returns the launch options wiring every model of the set into one
@@ -78,18 +75,20 @@ func (s *Set) Opts() *vm.LaunchOpts {
 	}
 }
 
-// Result collects model i's counters, as Simulator.Result does.
+// Result collects model i's counters (Simulator.Result).
 func (s *Set) Result(i int) Result { return s.models[i].Result() }
 
-// Reset clears every model, as Simulator.Reset does, and whatever a failed
-// launch left behind.
+// Reset clears every model (Simulator.Reset) and whatever a failed launch
+// left behind.
 func (s *Set) Reset() {
 	for _, m := range s.models {
-		m.Simulator.Reset()
-		for w := range m.next {
-			m.next[w] = w
-		}
+		m.Reset()
 	}
+	s.resetHosts()
+}
+
+// resetHosts puts the host side of the set back where a launch starts.
+func (s *Set) resetHosts() {
 	for _, t := range s.hosts {
 		t.reset()
 		t.live = false
@@ -97,24 +96,24 @@ func (s *Set) Reset() {
 	s.failed = false
 }
 
-// acquire waits until m's worker for group g has been charged every earlier
+// acquire waits until m's core for group g has been charged every earlier
 // group of its own and returns it. It returns nil when the launch has
-// failed: the group that worker is waiting for may never come.
-func (s *Set) acquire(m *setModel, g int) *workerSim {
-	w := g % len(m.next)
+// failed: the group that core is waiting for may never come.
+func (s *Set) acquire(m *Simulator, g int) *workerSim {
+	c := g % len(m.next)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for m.next[w] != g && !s.failed {
+	for m.next[c] != g && !s.failed {
 		s.turn.Wait()
 	}
 	if s.failed {
 		return nil
 	}
-	return &m.workers[w].workerSim
+	return m.cores[c]
 }
 
-// release passes m's worker for group g on to that worker's next group.
-func (s *Set) release(m *setModel, g int) {
+// release passes m's core for group g on to that core's next group.
+func (s *Set) release(m *Simulator, g int) {
 	s.mu.Lock()
 	m.next[g%len(m.next)] = g + len(m.next)
 	s.mu.Unlock()
@@ -128,12 +127,14 @@ func (s *Set) fail() {
 	s.turn.Broadcast()
 }
 
-// setTracer is the tracer one host worker hands the VM. It takes a barrier
-// region at a time from the engines that produce one and gathers the
-// per-access calls of the others, once for all models. CPU models are
-// charged region by region as the group runs; GPU models form warps over a
-// whole group, so the group is collected here once and each of them reads
-// it in place at GroupEnd.
+// setTracer is the tracer one host worker hands the VM, and the only one
+// this package has. It takes a barrier region at a time from the engines
+// that produce one and gathers the per-access calls of the others, once for
+// all models. CPU models are charged region by region as the group runs;
+// GPU models form warps over a whole group, so the group is collected here
+// once — as one batch spanning all its barrier regions, pointer-free and
+// keeping its capacity from group to group — and each of them reads it in
+// place at GroupEnd.
 type setTracer struct {
 	regionGather
 	set *Set
@@ -142,7 +143,7 @@ type setTracer struct {
 	// begins after the launch has failed is not.
 	live   bool
 	linear int
-	// held are the CPU models' workers for this group, from GroupBegin to
+	// held are the CPU models' cores for this group, from GroupBegin to
 	// GroupEnd.
 	held []*workerSim
 
@@ -177,7 +178,7 @@ func (t *setTracer) AccessBatch(b *vm.AccessBatch) {
 		return
 	}
 	for _, w := range t.held {
-		w.AccessBatch(b)
+		w.chargeRegion(b)
 	}
 	if len(t.set.gpus) > 0 {
 		accesses, instrs := appendRegion(&t.group, b)
@@ -230,9 +231,59 @@ func (t *setTracer) GroupAbort() {
 	t.set.fail()
 }
 
+// flush delivers the region gathered from per-access calls, if any.
 func (t *setTracer) flush() {
-	if b := t.take(); b != nil {
-		t.AccessBatch(b)
+	if t.pending {
+		t.AccessBatch(&t.region)
 		t.drop()
 	}
+}
+
+// regionGather gathers the per-access calls of an engine that reports one
+// access at a time (the interpreter) into one barrier region's batch, for
+// its owner to deliver (while pending) before the Barrier or GroupEnd that
+// closes the region, and then drop.
+type regionGather struct {
+	region  vm.AccessBatch
+	pending bool
+	// intern is set when a consumer forms warps: only warp formation looks
+	// at the instruction, and such an engine switches instruction with every
+	// access, so each one is a table lookup worth skipping otherwise.
+	intern bool
+}
+
+// Access implements vm.Tracer.
+func (r *regionGather) Access(in *ir.Instr, wi int, addr uint64, size int, store bool) {
+	if wi >= len(r.region.Items) {
+		r.region.Extend(wi + 1)
+	}
+	rec := vm.AccessRec{Addr: addr, Size: int32(size), Store: store}
+	if r.intern {
+		rec.Instr = r.region.Intern(in)
+	}
+	r.region.Items[wi] = append(r.region.Items[wi], rec)
+	r.pending = true
+}
+
+// Instrs implements vm.Tracer.
+func (r *regionGather) Instrs(wi int, n int64) {
+	if wi >= len(r.region.Items) {
+		r.region.Extend(wi + 1)
+	}
+	r.region.Retired[wi] += n
+	r.pending = true
+}
+
+// drop empties the region: after delivery, or an aborted group's leftovers.
+func (r *regionGather) drop() {
+	if r.pending {
+		r.region.Clear()
+		r.pending = false
+	}
+}
+
+// reset is drop plus the instruction table, between launches.
+func (r *regionGather) reset() {
+	r.region.Reset(0)
+	r.pending = false
 }

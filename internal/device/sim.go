@@ -3,55 +3,48 @@ package device
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"grover/internal/clc"
-	"grover/internal/ir"
 	"grover/internal/memsim"
 	"grover/internal/vm"
 )
 
-// Simulator turns a VM execution trace into simulated device time for one
-// profile. It supplies one tracer per VM worker (one worker models one
-// core / compute unit); workers accumulate cycles independently and the
-// device time is the maximum across workers (they run in parallel).
+// Simulator is the model of one device: the state of each simulated core /
+// compute unit and what they add up to. Cores accumulate cycles
+// independently and the device time is the maximum across them (they run
+// in parallel). A launch reaches it through a Set — NewSet's, or the set of
+// one behind Opts.
 type Simulator struct {
-	Prof    *Profile
-	workers []*accessAdapter
-
-	// free holds the group traces no GPU worker is filling. A launch has
-	// one worker per compute unit but the host runs only GOMAXPROCS of
-	// them at a time, so a shared list grows a few buffers to full size
-	// where per-worker buffers would grow one per unit.
-	mu   sync.Mutex
-	free []*vm.AccessBatch
+	Prof  *Profile
+	cores []*workerSim
+	// next[c] is the work-group core c takes next: group g of a launch runs
+	// on core g mod Cores, and a core takes its groups in ascending order.
+	next []int
+	// one is the set of one Opts launches through.
+	one *Set
 }
 
 // NewSimulator prepares per-core state for the profile.
 func NewSimulator(p *Profile) (*Simulator, error) {
-	s := &Simulator{Prof: p, workers: make([]*accessAdapter, p.Cores)}
-	for i := range s.workers {
+	s := &Simulator{Prof: p, cores: make([]*workerSim, p.Cores), next: make([]int, p.Cores)}
+	for c := range s.cores {
 		h, err := memsim.NewHierarchy(p.Caches, p.DRAMLatency)
 		if err != nil {
 			return nil, fmt.Errorf("device %s: %w", p.Name, err)
 		}
-		s.workers[i] = &accessAdapter{
-			workerSim:    workerSim{sim: s, prof: p, hier: h},
-			regionGather: regionGather{intern: p.Kind == GPUKind},
-		}
+		s.cores[c] = &workerSim{prof: p, hier: h}
+		s.next[c] = c
 	}
 	return s, nil
 }
 
-// Opts returns the launch options wiring this simulator into a VM launch.
-// The tracers take a barrier region at a time (vm.BatchTracer) from the
-// engines that produce one, and gather the per-access calls of the others
-// into the same batches.
+// Opts returns the launch options wiring this simulator into a VM launch:
+// those of a set of one over it.
 func (s *Simulator) Opts() *vm.LaunchOpts {
-	return &vm.LaunchOpts{
-		Workers:   s.Prof.Cores,
-		TracerFor: func(w int) vm.Tracer { return s.workers[w%len(s.workers)] },
+	if s.one == nil {
+		s.one = newSet([]*Simulator{s})
 	}
+	return s.one.Opts()
 }
 
 // LevelStats is one cache level's aggregate activity across all workers.
@@ -79,11 +72,11 @@ type Result struct {
 	DRAMAccesses int64
 }
 
-// Result collects the per-worker counters (counters keep accumulating
+// Result collects the per-core counters (counters keep accumulating
 // until Reset).
 func (s *Simulator) Result() Result {
 	var r Result
-	for wi, w := range s.workers {
+	for wi, w := range s.cores {
 		if w.cycles > r.Cycles {
 			r.Cycles = w.cycles
 		}
@@ -108,48 +101,25 @@ func (s *Simulator) Result() Result {
 	return r
 }
 
-// Reset clears all worker state (cycles and cache contents). Buffers keep
-// their capacity.
+// Reset clears all core state (cycles and cache contents) and whatever a
+// failed launch through Opts left behind; the next launch starts at group
+// 0. Buffers keep their capacity.
 func (s *Simulator) Reset() {
-	for _, w := range s.workers {
+	for c, w := range s.cores {
 		w.cycles, w.instrs, w.accesses, w.transactions = 0, 0, 0, 0
 		w.hier.Reset()
-		// An aborted launch may have left a group half-delivered.
-		w.group = nil
-		w.regionGather.reset()
+		s.next[c] = c
+	}
+	if s.one != nil {
+		s.one.resetHosts()
 	}
 }
 
-// getGroup lends out an empty group trace: on a GPU a work-group's trace
-// is collected as one batch spanning all its barrier regions (the ops and
-// columns so far and, per work-item, its records and retired count; the
-// instruction table stays the producer's). It is pointer-free and keeps its
-// capacity from group to group.
-func (s *Simulator) getGroup() *vm.AccessBatch {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := len(s.free); n > 0 {
-		g := s.free[n-1]
-		s.free = s.free[:n-1]
-		return g
-	}
-	return new(vm.AccessBatch)
-}
-
-func (s *Simulator) putGroup(g *vm.AccessBatch) {
-	g.Reset(0)
-	s.mu.Lock()
-	s.free = append(s.free, g)
-	s.mu.Unlock()
-}
-
-// workerSim is one simulated core / compute unit. It consumes the trace a
-// barrier region at a time and has one charging path per device kind: a
-// CPU walks each region item-major through its cache hierarchy as it
-// arrives; a GPU collects the group's regions and forms warps over them at
-// GroupEnd.
+// workerSim is one simulated core / compute unit: what a work-group's trace
+// is charged with. It has one charging path per device kind: a CPU walks
+// each barrier region item-major through its cache hierarchy as it arrives
+// (chargeRegion); a GPU forms warps over the whole group (chargeGroup).
 type workerSim struct {
-	sim  *Simulator
 	prof *Profile
 	hier *memsim.Hierarchy
 
@@ -157,10 +127,6 @@ type workerSim struct {
 	instrs       int64
 	accesses     int64
 	transactions int64
-
-	// group is the current work-group's trace (GPU only), borrowed from
-	// the simulator between GroupBegin and GroupEnd.
-	group *vm.AccessBatch
 
 	// rows holds a tile of work-items' slots of every column, item-major
 	// (vm.AccessBatch.Transpose).
@@ -183,25 +149,6 @@ type workerSim struct {
 // group on the same core, exactly like a CPU OpenCL runtime's per-thread
 // local buffer, so it stays cache-resident.
 const localBase = uint64(1) << 40
-
-// GroupBegin implements vm.Tracer.
-func (w *workerSim) GroupBegin(group [3]int, linear int) {
-	if w.prof.Kind == GPUKind {
-		w.group = w.sim.getGroup()
-	}
-}
-
-// AccessBatch implements vm.BatchTracer.
-func (w *workerSim) AccessBatch(b *vm.AccessBatch) {
-	if w.prof.Kind == CPUKind {
-		w.chargeRegion(b)
-		return
-	}
-	// GPU: collect for warp-level processing at GroupEnd.
-	accesses, instrs := appendRegion(w.group, b)
-	w.accesses += accesses
-	w.instrs += instrs
-}
 
 // walkOp is an op with a column as chargeRegion's walk meets it: seq is
 // its index in the region's Ops, which is what records' Seq count in.
@@ -292,7 +239,7 @@ func appendRegion(g, b *vm.AccessBatch) (accesses, instrs int64) {
 	return accesses, instrs
 }
 
-// Barrier implements vm.Tracer.
+// Barrier charges one work-group barrier executed by wiCount items.
 func (w *workerSim) Barrier(wiCount int) {
 	if w.prof.Kind == CPUKind {
 		w.cycles += int64(wiCount) * w.prof.BarrierCost
@@ -302,21 +249,11 @@ func (w *workerSim) Barrier(wiCount int) {
 	w.cycles += int64(warps) * w.prof.BarrierCost
 }
 
-// GroupEnd implements vm.Tracer. For GPUs this is where warps are formed
-// and the coalescing/bank models run: over the whole group, warp by warp,
-// because the warps share this compute unit's cache state and charging
-// them in any other order would change what hits.
-func (w *workerSim) GroupEnd() {
-	if w.prof.Kind != GPUKind {
-		return
-	}
-	w.chargeGroup(w.group)
-	w.sim.putGroup(w.group)
-	w.group = nil
-}
-
-// chargeGroup charges a whole work-group's trace to this compute unit, warp
-// by warp. It only reads g.
+// chargeGroup charges a whole work-group's trace to this compute unit: this
+// is where warps are formed and the coalescing/bank models run — over the
+// whole group, warp by warp, because the warps share this compute unit's
+// cache state and charging them in any other order would change what hits.
+// It only reads g.
 func (w *workerSim) chargeGroup(g *vm.AccessBatch) {
 	ww := w.prof.WarpWidth
 	n := len(g.Items)
@@ -487,97 +424,5 @@ func (w *workerSim) chargeWarpAccess(addrs []uint64, sizes []int, space clc.Addr
 		for _, s := range w.segs {
 			w.cycles += w.prof.TransCost + w.hier.Access(s*seg, w.prof.Segment, store)
 		}
-	}
-}
-
-// regionGather gathers the per-access calls of an engine that reports one
-// access at a time (the interpreter) into one barrier region's batch, for
-// its owner to deliver before the Barrier or GroupEnd that closes the
-// region.
-type regionGather struct {
-	region  vm.AccessBatch
-	pending bool
-	// intern is set when a consumer forms warps: only warp formation looks
-	// at the instruction, and such an engine switches instruction with every
-	// access, so each one is a table lookup worth skipping otherwise.
-	intern bool
-}
-
-// Access implements vm.Tracer.
-func (r *regionGather) Access(in *ir.Instr, wi int, addr uint64, size int, store bool) {
-	if wi >= len(r.region.Items) {
-		r.region.Extend(wi + 1)
-	}
-	rec := vm.AccessRec{Addr: addr, Size: int32(size), Store: store}
-	if r.intern {
-		rec.Instr = r.region.Intern(in)
-	}
-	r.region.Items[wi] = append(r.region.Items[wi], rec)
-	r.pending = true
-}
-
-// Instrs implements vm.Tracer.
-func (r *regionGather) Instrs(wi int, n int64) {
-	if wi >= len(r.region.Items) {
-		r.region.Extend(wi + 1)
-	}
-	r.region.Retired[wi] += n
-	r.pending = true
-}
-
-// take returns the gathered region, or nil when nothing is pending; the
-// caller delivers it and calls drop.
-func (r *regionGather) take() *vm.AccessBatch {
-	if !r.pending {
-		return nil
-	}
-	return &r.region
-}
-
-// drop empties the region: after delivery, or an aborted group's leftovers.
-func (r *regionGather) drop() {
-	if r.pending {
-		r.region.Clear()
-		r.pending = false
-	}
-}
-
-// reset is drop plus the instruction table, between launches.
-func (r *regionGather) reset() {
-	r.region.Reset(0)
-	r.pending = false
-}
-
-// accessAdapter is the tracer a worker hands the VM. Engines that buffer
-// a barrier region (wgvec) reach the embedded workerSim's AccessBatch
-// directly; for the ones that report one access at a time the adapter
-// gathers the region and delivers it the same way.
-type accessAdapter struct {
-	workerSim
-	regionGather
-}
-
-// GroupBegin implements vm.Tracer.
-func (t *accessAdapter) GroupBegin(group [3]int, linear int) {
-	t.drop()
-	t.workerSim.GroupBegin(group, linear)
-}
-
-// Barrier implements vm.Tracer.
-func (t *accessAdapter) Barrier(wiCount int) {
-	t.flush()
-	t.workerSim.Barrier(wiCount)
-}
-
-// GroupEnd implements vm.Tracer.
-func (t *accessAdapter) GroupEnd() {
-	t.flush()
-	t.workerSim.GroupEnd()
-}
-
-func (t *accessAdapter) flush() {
-	if b := t.take(); b != nil {
-		t.workerSim.AccessBatch(b)
-		t.drop()
 	}
 }

@@ -368,8 +368,11 @@ func LICM(fn *ir.Function) bool {
 		// Allocas stored inside the loop: loads of them are not invariant.
 		storedAllocas := map[*ir.Instr]bool{}
 		anyWildStore := false
-		for bi := range loop {
-			for _, in := range fn.Blocks[bi].Instrs {
+		for bi, blk := range fn.Blocks {
+			if !loop[bi] {
+				continue
+			}
+			for _, in := range blk.Instrs {
 				if in.Op == ir.OpStore {
 					if tgt, ok := in.Args[0].(*ir.Instr); ok && tgt.Op == ir.OpAlloca {
 						storedAllocas[tgt] = true
@@ -397,8 +400,13 @@ func LICM(fn *ir.Function) bool {
 		// Iterate to drag whole invariant chains out.
 		for pass := 0; pass < 16; pass++ {
 			moved := false
-			for bi := range loop {
-				blk := fn.Blocks[bi]
+			// In function order, not the set's: the order invariant
+			// instructions of different blocks reach the preheader in is
+			// part of the output.
+			for bi, blk := range fn.Blocks {
+				if !loop[bi] {
+					continue
+				}
 				for _, in := range append([]*ir.Instr(nil), blk.Instrs...) {
 					hoistable := false
 					switch {

@@ -259,3 +259,35 @@ __kernel void mm(__global float* C, __global float* A, __global float* B, int N)
 		t.Fatalf("optimized original invalid: %v", err)
 	}
 }
+
+// TestOptimizeIsDeterministic: both arms of the if hold an expression of a
+// and b that is invariant in the loop, so LICM hoists instructions out of
+// two blocks in one pass, and the order they reach the preheader in — hence
+// the value numbering and the printed IR, which /v1/compile and
+// /v1/transform answer under a content address — must not follow Go's map
+// order.
+func TestOptimizeIsDeterministic(t *testing.T) {
+	const src = `
+__kernel void k(__global float* out, __global float* in, int a, int b, int n) {
+    float acc = 0.0f;
+    for (int i = 0; i < n; i++) {
+        if (i % 2 == 0) {
+            acc += in[a * 3 + b];
+        } else {
+            acc -= in[b * 5 - a];
+        }
+    }
+    out[get_global_id(0)] = acc;
+}
+`
+	var first string
+	for i := 0; i < 50; i++ {
+		m := compileNoOpt(t, src)
+		Optimize(m)
+		if text := m.String(); i == 0 {
+			first = text
+		} else if text != first {
+			t.Fatalf("compile %d produced different IR:\n%s\nthe first:\n%s", i, text, first)
+		}
+	}
+}

@@ -10,8 +10,12 @@ import (
 // or staging code in front of the preheader's terminator, exactly where
 // LICM places loop-invariant values.
 type loop struct {
-	header    *ir.Block
-	blocks    map[*ir.Block]bool
+	header *ir.Block
+	blocks map[*ir.Block]bool
+	// body lists blocks in function order. Rules walk it, not the set: the
+	// order they hoist instructions and allocate tiles in is part of their
+	// output.
+	body      []*ir.Block
 	preheader *ir.Block
 }
 
@@ -76,6 +80,11 @@ func findLoops(fn *ir.Function, dom *opt.Dominance) []*loop {
 		// iteration), and must end in a terminator we can insert before.
 		if len(outside) == 1 && dom.Dominates(outside[0], h) && outside[0].Terminator() != nil {
 			l.preheader = outside[0]
+			for _, b := range fn.Blocks {
+				if l.blocks[b] {
+					l.body = append(l.body, b)
+				}
+			}
 			out = append(out, l)
 		}
 	}

@@ -52,7 +52,7 @@ func applyHoistAddr(m *ir.Module, kernel string, opts map[string]string) (*StepR
 				mark(a)
 			}
 		}
-		for b := range l.blocks {
+		for _, b := range l.body {
 			for _, in := range b.Instrs {
 				if in.Op == ir.OpIndex {
 					mark(in)
@@ -63,7 +63,7 @@ func applyHoistAddr(m *ir.Module, kernel string, opts map[string]string) (*StepR
 		// Iterate so whole invariant chains drain out of the loop.
 		for pass := 0; pass < 16; pass++ {
 			any := false
-			for b := range l.blocks {
+			for _, b := range l.body {
 				for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
 					if !inSlice[in] {
 						continue

@@ -75,7 +75,7 @@ func applyStageLocal(m *ir.Module, kernel string, opts map[string]string) (*Step
 		if uni.DivergentBlock(l.preheader) {
 			continue // a staging barrier here would be divergent
 		}
-		for b := range l.blocks {
+		for _, b := range l.body {
 			for _, in := range b.Instrs {
 				if in.Op != ir.OpLoad || staged[in] {
 					continue
@@ -189,7 +189,7 @@ func stageable(load *ir.Instr, l *loop, dom *opt.Dominance, uni *analysis.Unifor
 	// The load must execute every iteration: its block has to dominate
 	// every latch (in-loop predecessor of the header). This keeps the
 	// preheader copy-in from speculating loads the loop body would guard.
-	for b := range l.blocks {
+	for _, b := range l.body {
 		for _, s := range b.Succs() {
 			if s == l.header && !dom.Dominates(load.Block, b) {
 				return none, false
@@ -280,7 +280,7 @@ func stageable(load *ir.Instr, l *loop, dom *opt.Dominance, uni *analysis.Unifor
 // allocaStoredIn reports whether any block of the loop stores to the
 // alloca, directly or through an Index chain rooted at it.
 func allocaStoredIn(alloca *ir.Instr, l *loop) bool {
-	for b := range l.blocks {
+	for _, b := range l.body {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpStore && rootAlloca(in.Args[0]) == alloca {
 				return true

@@ -235,7 +235,7 @@ func buildArgs(ctx *opencl.Context, specs []ArgSpec) ([]interface{}, error) {
 				return nil, badRequest("arg %d: buffer size %d exceeds the %d-byte limit", i, a.Size, maxBufferBytes)
 			}
 			buf := ctx.NewBuffer(a.Size)
-			buf.WriteFloat32(fill(a.Size/4, uint32(i+1)))
+			buf.WriteFloat32(opencl.Pattern(a.Size/4, uint32(i+1)))
 			args[i] = buf
 		case "local":
 			if a.Size <= 0 {
@@ -251,17 +251,6 @@ func buildArgs(ctx *opencl.Context, specs []ArgSpec) ([]interface{}, error) {
 		}
 	}
 	return args, nil
-}
-
-// fill generates the deterministic buffer contents.
-func fill(n int, seed uint32) []float32 {
-	out := make([]float32, n)
-	s := seed*2654435761 + 1
-	for i := range out {
-		s = s*1664525 + 1013904223
-		out[i] = float32(s%1024)/512.0 - 1.0
-	}
-	return out
 }
 
 // autotuneKey is the cache address of the tuning verdict for (request,

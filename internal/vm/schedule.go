@@ -7,8 +7,8 @@ import "sync/atomic"
 //
 //   - Static round-robin: worker w runs groups w, w+workers, w+2·workers,
 //     … in ascending order. Deterministic, and required whenever
-//     per-worker tracers are attached — each tracer models one simulated
-//     core, so the set and order of groups a worker executes must not
+//     per-worker tracers are attached — a tracer's stream is its worker's
+//     groups, so the set and order of groups a worker executes must not
 //     depend on scheduling timing.
 //   - Dynamic chunked grab: workers claim the next chunk of group indices
 //     from a shared atomic counter, so heterogeneous group costs

@@ -175,9 +175,11 @@ func (c *Config) Normalized() (Config, error) {
 	return out, nil
 }
 
-// Tracer observes one worker's execution stream (one worker models one
-// simulated core; work-groups are distributed over workers round-robin and
-// executed serially within a worker).
+// Tracer observes one worker's execution stream: work-groups are dealt to
+// a traced launch's workers round-robin by linear id and a worker executes
+// its groups serially, in ascending order. A worker is a host goroutine,
+// not a simulated core: which core a group runs on is for the consumer to
+// decide from the linear id GroupBegin carries (device.Set does).
 type Tracer interface {
 	// GroupBegin starts a work-group with the given group coordinates.
 	GroupBegin(group [3]int, linear int)
@@ -212,8 +214,8 @@ func AbortGroup(t Tracer) {
 // LaunchOpts control scheduling, tracing, and profiling. A nil *LaunchOpts
 // is the zero value: GOMAXPROCS workers, untraced, unprofiled.
 type LaunchOpts struct {
-	// Workers is the number of concurrent group executors (simulated
-	// cores when tracing). Defaults to GOMAXPROCS when zero.
+	// Workers is the number of concurrent group executors. Defaults to
+	// GOMAXPROCS when zero.
 	Workers int
 	// TracerFor, when non-nil, supplies a tracer per worker.
 	TracerFor func(worker int) Tracer

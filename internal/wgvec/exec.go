@@ -231,9 +231,11 @@ func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts 
 		}
 		return g
 	}
-	// A traced launch has one worker per simulated core, far more than can
-	// run, and a traced group needs its execution state — register columns,
-	// private stacks — and a trace buffer here, often another in its tracer.
+	// A traced launch may ask for far more workers than can run (the device
+	// model asks for GOMAXPROCS, but a caller that wants one stream per
+	// simulated core asks for up to 60), and a traced group needs its
+	// execution state — register columns, private stacks — and a trace
+	// buffer here, often another in its tracer.
 	// So the launch owns only as many of each as the host runs goroutines at
 	// a time and a worker holds one for the length of a group: the rest wait
 	// here instead of sitting preempted on full-grown buffers of their own.

@@ -147,6 +147,21 @@ func (b *Buffer) Size() int { return b.buf.Size }
 // WriteFloat32 copies host float32 data into the buffer.
 func (b *Buffer) WriteFloat32(vals []float32) { b.buf.WriteFloat32s(vals) }
 
+// Pattern returns the n deterministic pseudo-random float32 values in
+// [-1, 1) that seed stands for: the one fill behind the benchmark apps'
+// inputs, groverd's and groverc's buffer arguments and groverbench's
+// synthetic kernels, so the same (size, seed) is the same data — and the
+// same data-dependent control flow — everywhere.
+func Pattern(n int, seed uint32) []float32 {
+	out := make([]float32, n)
+	s := seed*2654435761 + 1
+	for i := range out {
+		s = s*1664525 + 1013904223
+		out[i] = float32(s%1024)/512.0 - 1.0
+	}
+	return out
+}
+
 // ReadFloat32 reads n float32 values from the buffer.
 func (b *Buffer) ReadFloat32(n int) []float32 { return b.buf.ReadFloat32s(n) }
 
@@ -374,11 +389,11 @@ type NDRange struct {
 // Queue issues kernel launches on the context's device.
 type Queue struct {
 	ctx *Context
-	// profile enables the device cost model; without it launches run at
-	// full host speed with no timing.
-	profiling bool
-	sim       *device.Simulator
-	profiler  *vm.Profiler
+	// set is the context's device as a device set of one: the cost model a
+	// profiling queue charges its launches to. A functional queue has none;
+	// its launches run at full host speed with no timing.
+	set      *device.Set
+	profiler *vm.Profiler
 }
 
 // SetKernelProfiler attaches a per-launch execution profiler to the
@@ -395,11 +410,11 @@ func (c *Context) NewQueue() *Queue { return &Queue{ctx: c} }
 // NewProfilingQueue creates a queue whose launches run through the device
 // cost model; events report simulated device time.
 func (c *Context) NewProfilingQueue() (*Queue, error) {
-	sim, err := device.NewSimulator(c.dev.prof)
+	set, err := device.NewSet([]*device.Profile{c.dev.prof})
 	if err != nil {
 		return nil, err
 	}
-	return &Queue{ctx: c, profiling: true, sim: sim}, nil
+	return &Queue{ctx: c, set: set}, nil
 }
 
 // Event describes a completed launch.
@@ -418,34 +433,39 @@ type Event struct {
 // Duration returns the simulated time in milliseconds.
 func (e *Event) Duration() float64 { return e.Millis }
 
+func newEvent(res device.Result) *Event {
+	return &Event{Millis: res.TimeMS, Cycles: res.Cycles, Instrs: res.Instrs, Stats: res}
+}
+
+// launch is every queue's launch: it runs the kernel once over the NDRange,
+// charged to every device model of set when there is one.
+func (c *Context) launch(set *device.Set, profiler *vm.Profiler, k *Kernel, nd NDRange, args []interface{}) error {
+	vargs, err := VMArgs(args...)
+	if err != nil {
+		return err
+	}
+	cfg := vm.Config{GlobalSize: nd.Global, LocalSize: nd.Local, Args: vargs,
+		Backend: c.backend}
+	opts := &vm.LaunchOpts{}
+	if set != nil {
+		set.Reset()
+		opts = set.Opts()
+	}
+	opts.Profiler = profiler
+	return k.prog.prog.Launch(k.name, cfg, c.gmem, opts)
+}
+
 // EnqueueNDRange launches the kernel over the NDRange. Arguments may be
 // *Buffer, LocalMem, int/int32/int64/uint32, float32/float64. The call
 // blocks until completion (the simulated queue is in-order).
 func (q *Queue) EnqueueNDRange(k *Kernel, nd NDRange, args ...interface{}) (*Event, error) {
-	vargs, err := VMArgs(args...)
-	if err != nil {
+	if err := q.ctx.launch(q.set, q.profiler, k, nd, args); err != nil {
 		return nil, err
 	}
-	cfg := vm.Config{GlobalSize: nd.Global, LocalSize: nd.Local, Args: vargs,
-		Backend: q.ctx.backend}
-	if !q.profiling {
-		var opts *vm.LaunchOpts
-		if q.profiler != nil {
-			opts = &vm.LaunchOpts{Profiler: q.profiler}
-		}
-		if err := k.prog.prog.Launch(k.name, cfg, q.ctx.gmem, opts); err != nil {
-			return nil, err
-		}
+	if q.set == nil {
 		return &Event{}, nil
 	}
-	q.sim.Reset()
-	opts := q.sim.Opts()
-	opts.Profiler = q.profiler
-	if err := k.prog.prog.Launch(k.name, cfg, q.ctx.gmem, opts); err != nil {
-		return nil, err
-	}
-	res := q.sim.Result()
-	return &Event{Millis: res.TimeMS, Cycles: res.Cycles, Instrs: res.Instrs, Stats: res}, nil
+	return newEvent(q.set.Result(0)), nil
 }
 
 // SetQueue is a profiling queue over a set of devices: a launch executes
@@ -480,22 +500,12 @@ func (q *SetQueue) SetKernelProfiler(p *vm.Profiler) { q.profiler = p }
 // EnqueueNDRange launches the kernel once and returns one event per
 // device, in the order the queue was created with. Arguments are as for Queue.EnqueueNDRange.
 func (q *SetQueue) EnqueueNDRange(k *Kernel, nd NDRange, args ...interface{}) ([]*Event, error) {
-	vargs, err := VMArgs(args...)
-	if err != nil {
-		return nil, err
-	}
-	cfg := vm.Config{GlobalSize: nd.Global, LocalSize: nd.Local, Args: vargs,
-		Backend: q.ctx.backend}
-	q.set.Reset()
-	opts := q.set.Opts()
-	opts.Profiler = q.profiler
-	if err := k.prog.prog.Launch(k.name, cfg, q.ctx.gmem, opts); err != nil {
+	if err := q.ctx.launch(q.set, q.profiler, k, nd, args); err != nil {
 		return nil, err
 	}
 	evts := make([]*Event, len(q.devs))
 	for i := range evts {
-		res := q.set.Result(i)
-		evts[i] = &Event{Millis: res.TimeMS, Cycles: res.Cycles, Instrs: res.Instrs, Stats: res}
+		evts[i] = newEvent(q.set.Result(i))
 	}
 	return evts, nil
 }

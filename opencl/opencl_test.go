@@ -2,9 +2,12 @@ package opencl
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	igrover "grover/internal/grover"
 	"grover/internal/vm"
@@ -153,6 +156,110 @@ func TestProfilingQueueTimes(t *testing.T) {
 		if evt.Cycles != evt2.Cycles {
 			t.Errorf("%s: non-deterministic events: %d vs %d", devName, evt.Cycles, evt2.Cycles)
 		}
+	}
+}
+
+// divergentKernel fails in work-group 0, whose second half skips the
+// barrier, while the other groups run to completion.
+const divergentKernel = `
+__kernel void bad(__global float* out) {
+    __local float tile[16];
+    tile[get_local_id(0)] = 1.0f;
+    if (get_group_id(0) != 0 || get_local_id(0) < 8) barrier(CLK_LOCAL_MEM_FENCE);
+    out[get_global_id(0)] = tile[0];
+}
+`
+
+// TestProfilingQueueSurvivesFailedLaunch: a kernel that fails mid-group on
+// a single-device profiling queue returns its error promptly — no host
+// worker is left waiting for a simulated core's turn behind the group that
+// never ends — and the next launch on the same queue reports what a fresh
+// queue reports.
+func TestProfilingQueueSurvivesFailedLaunch(t *testing.T) {
+	// Every device has an even number of cores, so with two host workers a
+	// simulated core only ever takes groups from one of them; with three,
+	// host workers cross and one can wait behind the failed group.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	plat := NewPlatform()
+	for _, devName := range []string{"SNB", "Fermi"} {
+		for _, backend := range vm.Backends() {
+			dev, _ := plat.DeviceByName(devName)
+			ctx := NewContext(dev)
+			if err := ctx.SetBackend(backend); err != nil {
+				t.Fatal(err)
+			}
+			kernel := func(name, src, kname string) *Kernel {
+				prog, err := ctx.CompileProgram(name, src, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				k, err := prog.Kernel(kname)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return k
+			}
+			bad, scale := kernel("bad.cl", divergentKernel, "bad"), kernel("scale.cl", testKernel, "scale")
+			const n = 16 * 128
+			nd := NDRange{Global: [3]int{n, 1, 1}, Local: [3]int{16, 1, 1}}
+			buf := ctx.NewBuffer(n * 4)
+			q, err := ctx.NewProfilingQueue()
+			if err != nil {
+				t.Fatal(err)
+			}
+			failed := make(chan error, 1)
+			go func() {
+				_, err := q.EnqueueNDRange(bad, nd, buf)
+				failed <- err
+			}()
+			select {
+			case err := <-failed:
+				if err == nil || !strings.Contains(err.Error(), "barrier divergence") {
+					t.Fatalf("%s on %s: error %v, want barrier divergence", devName, backend, err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s on %s: the failing launch has not returned", devName, backend)
+			}
+			fresh, err := ctx.NewProfilingQueue()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.EnqueueNDRange(scale, nd, buf, float32(1), int32(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := q.EnqueueNDRange(scale, nd, buf, float32(1), int32(n))
+			if err != nil {
+				t.Fatalf("%s on %s: launch after the failed one: %v", devName, backend, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s on %s: after a failed launch\n got %+v\nwant %+v", devName, backend, got.Stats, want.Stats)
+			}
+		}
+	}
+}
+
+// TestPattern pins the deterministic fill: the apps' inputs — hence the
+// data-dependent exits of AMD-SS and ROD-SC, the golden cells and every
+// committed tune — and the service's buffer arguments are computed from it.
+func TestPattern(t *testing.T) {
+	for _, c := range []struct {
+		seed uint32
+		want []float32
+	}{
+		{1, []float32{-0.29492188, 0.8515625, 0.7558594, 0.51171875, 0.33789062, -0.921875, -0.29882812, 0.80078125}},
+		{41, []float32{-0.5292969, -0.1953125, -0.8535156, -0.41015625, 0.35351562, -0.71875, 0.34179688, -0.87109375}},
+	} {
+		if got := Pattern(len(c.want), c.seed); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Pattern(%d, %d) = %v, want %v", len(c.want), c.seed, got, c.want)
+		}
+		// A longer fill starts the same way.
+		if got := Pattern(100, c.seed)[:len(c.want)]; !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Pattern(100, %d) starts %v, want %v", c.seed, got, c.want)
+		}
+	}
+	if len(Pattern(0, 1)) != 0 {
+		t.Error("Pattern(0, 1) is not empty")
 	}
 }
 
