@@ -29,7 +29,6 @@ import (
 
 	igrover "grover/internal/grover"
 	"grover/internal/telemetry"
-	"grover/internal/telemetry/aiwc"
 	"grover/internal/vm"
 	"grover/opencl"
 )
@@ -188,11 +187,6 @@ func run(file, deviceName, kernel, globalStr, localStr string, argSpecs []string
 		}
 	}
 	if profile {
-		vargs, err := opencl.VMArgs(kargs...)
-		if err != nil {
-			return err
-		}
-		cfg := vm.Config{GlobalSize: nd.Global, LocalSize: nd.Local, Args: vargs, Backend: backend}
 		for _, v := range []struct {
 			label string
 			p     *opencl.Program
@@ -200,7 +194,11 @@ func run(file, deviceName, kernel, globalStr, localStr string, argSpecs []string
 			if v.p == nil {
 				continue
 			}
-			f, err := aiwc.Characterize(v.p.VM(), kernel, cfg, ctx.Mem())
+			k, err := v.p.Kernel(kernel)
+			if err != nil {
+				return err
+			}
+			f, err := k.Characterize(nd, kargs...)
 			if err != nil {
 				return fmt.Errorf("profile %s: %w", v.label, err)
 			}

@@ -14,7 +14,6 @@
 //	groverbench -experiment case -app NVD-MT -device SNB
 //	groverbench -experiment characterize -format json  # AIWC-style feature vectors
 //	groverbench -experiment rewrite -format json       # rewrite-plan search sweep
-//	groverbench -experiment predict -device all -format json  # predictive-autotuning cross-validation
 //
 // -backend selects the execution backend (interp or wgvec; wgvec
 // unless named) and -format json emits machine-readable measurements;
@@ -23,11 +22,9 @@
 // committed BENCH_characterize.json is the output of the characterize
 // experiment, BENCH_rewrite.json of rewrite (every app plus a synthetic
 // window-sum kernel, autotuned across the rewrite plan space on all six
-// platforms), BENCH_profit.json of profit (static-ranking validation)
-// and BENCH_predict.json of predict (leave-one-app-out cross-validation
-// of the feature-store verdict predictor), the last two with -device
-// all. Those three tune each app on the requested devices as one set
-// (grover.Tune).
+// platforms) and BENCH_profit.json of profit (static-ranking validation,
+// with -device all). Those two tune each app on the requested devices as
+// one set (grover.Tune).
 // -cpuprofile and -memprofile write pprof profiles of the
 // run for backend performance work.
 package main
@@ -51,9 +48,9 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig2 | fig10 | figgpu | table1 | table2 | table3 | table4 | case | characterize | rewrite | profit | predict | all")
+		experiment = flag.String("experiment", "all", "fig2 | fig10 | figgpu | table1 | table2 | table3 | table4 | case | characterize | rewrite | profit | all")
 		app        = flag.String("app", "", "benchmark id for -experiment case (e.g. NVD-MT)")
-		device     = flag.String("device", "SNB", "device for -experiment case, profit and predict (profit/predict also accept \"all\")")
+		device     = flag.String("device", "SNB", "device for -experiment case and profit (profit also accepts \"all\")")
 		scale      = flag.Int("scale", 1, "dataset scale factor")
 		runs       = flag.Int("runs", 1, "simulated executions to average per version")
 		validate   = flag.Bool("validate", false, "also validate both kernel versions against host references")
@@ -186,8 +183,6 @@ func run(experiment, appID, deviceName, format string, cfg harness.Config) error
 		return runRewrite(cfg, format)
 	case "profit":
 		return runProfit(cfg, format, deviceName)
-	case "predict":
-		return runPredict(cfg, format, deviceName)
 	case "table1":
 		fmt.Println("Table I — benchmarks and datasets")
 		fmt.Println(harness.Table1())
@@ -302,6 +297,9 @@ func runCharacterize(cfg harness.Config, format string) error {
 			fmt.Fprintf(cfg.Log, "characterize: tracing %s\n", app.ID)
 		}
 		ctx := opencl.NewContext(plat.Devices()[0])
+		if err := ctx.SetBackend(cfg.Backend); err != nil {
+			return err
+		}
 		prog, err := ctx.CompileProgram(app.ID, app.Source, app.Defines)
 		if err != nil {
 			return fmt.Errorf("%s: %w", app.ID, err)
@@ -310,15 +308,14 @@ func runCharacterize(cfg harness.Config, format string) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", app.ID, err)
 		}
-		vargs, err := opencl.VMArgs(inst.Args...)
-		if err != nil {
-			return fmt.Errorf("%s: %w", app.ID, err)
+		characterize := func(p *opencl.Program) (*aiwc.Features, error) {
+			k, err := p.Kernel(app.Kernel)
+			if err != nil {
+				return nil, err
+			}
+			return k.Characterize(inst.ND, inst.Args...)
 		}
-		mem := ctx.Mem()
-		initial := append([]byte(nil), mem.Data...)
-		c := vm.Config{GlobalSize: inst.ND.Global, LocalSize: inst.ND.Local,
-			Args: vargs, Backend: cfg.Backend}
-		base, err := aiwc.Characterize(prog.VM(), app.Kernel, c, mem)
+		base, err := characterize(prog)
 		if err != nil {
 			return fmt.Errorf("%s: %w", app.ID, err)
 		}
@@ -331,8 +328,7 @@ func runCharacterize(cfg harness.Config, format string) error {
 		case err != nil:
 			return fmt.Errorf("%s: transform: %w", app.ID, err)
 		default:
-			copy(mem.Data[:len(initial)], initial)
-			g, err := aiwc.Characterize(noLM.VM(), app.Kernel, c, mem)
+			g, err := characterize(noLM)
 			if err != nil {
 				return fmt.Errorf("%s (grover): %w", app.ID, err)
 			}

@@ -121,12 +121,12 @@ func sweepDevices(name string) ([]*opencl.Device, error) {
 }
 
 // appSearch is one app's exhaustive plan search on a set of devices, which
-// the rewrite, profit and predict experiments each read their own way.
+// the rewrite and profit experiments each read their own way.
 type appSearch struct {
 	app *apps.App
 	// prog and inst are the app instantiated and set up in a context the
 	// search never launches in: the module the static model scores, the
-	// launch geometry, pristine arguments to characterize on.
+	// launch geometry and the scalar arguments it is sharpened with.
 	prog *opencl.Program
 	inst *apps.Instance
 	// plans is the app's plan space (planSpaceFor) in canonical form.

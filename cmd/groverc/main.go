@@ -22,9 +22,7 @@
 // work-group extents the summary assumes (default 64,1,1).
 //
 // With -features, groverc runs one traced launch of the kernel and
-// dumps its AIWC feature vector as JSON — the raw dynamic counts, the
-// normalized vector the predictive autotuner compares neighbors in, and
-// the feature-store hash a daemon would file the workload under — so
+// dumps its AIWC feature vector (the raw dynamic counts) as JSON, so
 // features are inspectable without running groverd. -global/-local give
 // the launch geometry and -args the kernel arguments ("buffer:SIZE",
 // "local:SIZE", "int:N", "float:X", comma-separated, declaration
@@ -40,11 +38,9 @@ import (
 	"strconv"
 	"strings"
 
-	"grover"
 	"grover/internal/analysis"
 	"grover/internal/analysis/memaccess"
 	igrover "grover/internal/grover"
-	"grover/internal/predict"
 	"grover/internal/rewrite"
 	"grover/internal/telemetry"
 	"grover/internal/telemetry/aiwc"
@@ -220,13 +216,8 @@ type featureDump struct {
 	Kernel string `json:"kernel"`
 	Global [3]int `json:"global"`
 	Local  [3]int `json:"local"`
-	// Hash is the feature-store content address the predictive autotuner
-	// files this workload under (device-independent).
-	Hash string `json:"hash"`
-	// Features are the raw dynamic counts; Vector the normalized
-	// dimensions the predictor measures distance in, keyed by name.
-	Features *aiwc.Features     `json:"features"`
-	Vector   map[string]float64 `json:"vector"`
+	// Features are the raw dynamic counts.
+	Features *aiwc.Features `json:"features"`
 }
 
 // dumpFeatures characterizes each kernel with one traced launch and
@@ -251,20 +242,16 @@ func dumpFeatures(prog *opencl.Program, kernels []string, globalSize, localSize,
 	}
 	nd := opencl.NDRange{Global: global, Local: local}
 	var dumps []featureDump
-	for _, k := range kernels {
-		f, err := grover.CharacterizeLaunch(prog, k, nd, args)()
+	for _, name := range kernels {
+		k, err := prog.Kernel(name)
 		if err != nil {
-			return fmt.Errorf("kernel %s: %v", k, err)
+			return err
 		}
-		vec := predict.Vector(f)
-		named := make(map[string]float64, len(vec))
-		for i, name := range predict.FeatureNames() {
-			named[name] = vec[i]
+		f, err := k.Characterize(nd, args...)
+		if err != nil {
+			return fmt.Errorf("kernel %s: %v", name, err)
 		}
-		dumps = append(dumps, featureDump{
-			Kernel: k, Global: global, Local: local,
-			Hash: predict.Hash(f), Features: f, Vector: named,
-		})
+		dumps = append(dumps, featureDump{Kernel: name, Global: global, Local: local, Features: f})
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

@@ -8,7 +8,6 @@
 // Usage:
 //
 //	groverd [-addr :8372] [-cache 256] [-workers 0] [-backend interp]
-//	        [-store grover.store] [-store-max 0] [-seed dir]
 //	        [-max-queue 0] [-trace-log path] [-trace-cap 256]
 //	        [-log-format text|json] [-log-level info] [-pprof addr]
 //
@@ -45,9 +44,6 @@ func main() {
 	cacheCap := flag.Int("cache", 0, "artifact cache capacity in entries (0 = default 256)")
 	workers := flag.Int("workers", 0, "max concurrent compile/tune jobs (0 = GOMAXPROCS)")
 	backend := flag.String("backend", "", "default execution backend (interp, wgvec; default: $GROVER_BACKEND, else wgvec)")
-	storePath := flag.String("store", "", "persist the predictive-autotuning feature store at this path (empty = memory-only)")
-	storeMax := flag.Int("store-max", 0, "feature-store record bound (0 = unbounded)")
-	seedDir := flag.String("seed", "", "seed the feature store from the BENCH_*.json sweeps in this directory")
 	maxQueue := flag.Int("max-queue", 0, "max jobs waiting for a worker slot before shedding with 503 (0 = unbounded)")
 	traceLog := flag.String("trace-log", "", "append every finished request trace to this JSONL file (empty = disabled)")
 	traceCap := flag.Int("trace-cap", 0, "in-memory trace ring capacity served by /v1/traces (0 = default 256)")
@@ -69,18 +65,14 @@ func main() {
 		os.Exit(2)
 	}
 	srv := service.New(service.Config{
-		CacheCapacity:   *cacheCap,
-		Workers:         *workers,
-		Backend:         resolved,
-		Logger:          logger,
-		StorePath:       *storePath,
-		StoreMaxRecords: *storeMax,
-		SeedDir:         *seedDir,
-		MaxQueue:        *maxQueue,
-		TraceCapacity:   *traceCap,
-		Version:         version,
+		CacheCapacity: *cacheCap,
+		Workers:       *workers,
+		Backend:       resolved,
+		Logger:        logger,
+		MaxQueue:      *maxQueue,
+		TraceCapacity: *traceCap,
+		Version:       version,
 	})
-	defer srv.Close()
 
 	if *traceLog != "" {
 		f, err := os.OpenFile(*traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

@@ -28,14 +28,11 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	igrover "grover/internal/grover"
-	"grover/internal/predict"
 	"grover/internal/profit"
 	"grover/internal/rewrite"
 	"grover/internal/telemetry"
-	"grover/internal/telemetry/aiwc"
 	"grover/internal/vm"
 	"grover/opencl"
 )
@@ -95,13 +92,6 @@ type TuneResult struct {
 	Rewrite *rewrite.Report
 	// PlanSearch holds one entry per evaluated plan when plan search ran.
 	PlanSearch []PlanTiming
-	// Prediction is the predictor's answer when predict mode ran. When it
-	// decided the tune (confidence cleared the threshold), OriginalMS and
-	// TransformedMS are zero — nothing was timed — and Speedup carries the
-	// predicted normalized performance. Fallback marks that the prediction
-	// was below threshold and the verdict above came from measurement.
-	Prediction *Prediction
-	Fallback   bool
 }
 
 // PlanTiming is one evaluated plan in a plan search.
@@ -246,9 +236,9 @@ func withBasePlan(plans []string) []string {
 }
 
 // planSearch is what the devices of one Tune call share while their plan
-// searches are settled: the program the plans are ranked and predicted on,
-// the plan list with base in front, the launch spec, and what the static
-// model and predict mode need of the arguments.
+// searches are settled: the program the plans are ranked on, the plan list
+// with base in front, the launch spec, and what the static model needs of
+// the arguments.
 type planSearch struct {
 	prog   *opencl.Program
 	kernel string
@@ -257,65 +247,43 @@ type planSearch struct {
 	// argInts are the integer scalar arguments by parameter index: they
 	// sharpen loop trip counts and guard decisions in the static model.
 	argInts map[int]int64
-	// characterize runs one traced launch of the base kernel and returns its
-	// AIWC features; set in predict mode only.
-	characterize func() (*aiwc.Features, error)
 }
 
-// deviceSearch is one device's side of a plan search: what predict mode
-// and the static ranking decided for it before anything runs.
+// deviceSearch is one device's side of a plan search: what the static
+// ranking decided for it before anything runs.
 type deviceSearch struct {
 	*planSearch
 	dev *opencl.Device
-	// exactKey is LaunchSpec.ExactKey's content address of the request on
-	// this device; empty when the spec has none.
-	exactKey string
-	// pending is set when predict mode fell back to measurement.
-	pending *pendingPredict
 	// scores and keep are the static ranking and the plans it lets run;
 	// both nil when every plan runs.
 	scores map[string]*profit.Score
 	keep   map[string]bool
 }
 
-// planDevice settles what one device's search will execute. Predict mode
-// may answer it from the feature store, and then the finished result is
-// returned and nothing runs; otherwise the static ranking (prune mode)
-// picks the plans to keep. A ranking failure falls back to exhaustive
-// timing rather than aborting the tune.
-func (ps *planSearch) planDevice(ctx context.Context, dev *opencl.Device) (*TuneResult, *deviceSearch) {
+// planDevice settles what one device's search will execute: every plan, or
+// in prune mode the ones the static ranking on dev's cost model keeps. A
+// ranking failure falls back to exhaustive timing rather than aborting the
+// tune.
+func (ps *planSearch) planDevice(dev *opencl.Device) *deviceSearch {
 	s := &deviceSearch{planSearch: ps, dev: dev}
-	if ps.spec.ExactKey != nil {
-		s.exactKey = ps.spec.ExactKey(dev.Name())
+	prune := ps.spec.Prune
+	if prune <= 0 {
+		return s
 	}
-	if ps.spec.Predict {
-		var answered *TuneResult
-		answered, s.pending = s.predictTune(ctx)
-		if answered != nil {
-			return answered, nil
-		}
-	}
-	if prune := ps.spec.Prune; prune > 0 {
-		ranked, err := ps.rankPlans(dev)
-		if err == nil {
-			s.scores = make(map[string]*profit.Score, len(ranked))
-			s.keep = make(map[string]bool, prune)
-			for i, p := range ranked {
-				s.scores[p.Plan] = p.Score
-				if i < prune {
-					s.keep[p.Plan] = true
-				}
-			}
-		}
-	}
-	return nil, s
-}
-
-// rankPlans scores the parseable plans with the profit model on dev's cost
-// model, most promising first.
-func (ps *planSearch) rankPlans(dev *opencl.Device) ([]*profit.PlanScore, error) {
-	return profit.RankPlans(ps.prog.Module(), ps.kernel, canonicalPlans(ps.plans), dev.CostModel(),
+	ranked, err := profit.RankPlans(ps.prog.Module(), ps.kernel, canonicalPlans(ps.plans), dev.CostModel(),
 		profit.Options{WorkGroup: ps.spec.ND.Local, Global: ps.spec.ND.Global, ArgInts: ps.argInts})
+	if err != nil {
+		return s
+	}
+	s.scores = make(map[string]*profit.Score, len(ranked))
+	s.keep = make(map[string]bool, prune)
+	for i, p := range ranked {
+		s.scores[p.Plan] = p.Score
+		if i < prune {
+			s.keep[p.Plan] = true
+		}
+	}
+	return s
 }
 
 // canonicalPlans returns the canonical strings of the parseable plans.
@@ -449,8 +417,8 @@ func measurePlans(ctx context.Context, prog *opencl.Program, launch setLaunch,
 	if bests[0].plan == "" {
 		return nil, fmt.Errorf("grover: no plan could be evaluated for kernel %q", kernel)
 	}
-	for i, s := range group {
-		res, b := results[i], bests[i]
+	for i, res := range results {
+		b := bests[i]
 		res.Plan = b.plan
 		res.Kernel = b.k
 		res.TransformedMS = b.ms
@@ -468,13 +436,6 @@ func measurePlans(ctx context.Context, prog *opencl.Program, launch setLaunch,
 					}
 				}
 			}
-		}
-		if s.pending != nil {
-			// Measured fallback under predict mode: report the shaky
-			// prediction and teach the store the measured outcome.
-			res.Fallback = true
-			res.Prediction = s.pending.prediction
-			s.recordMeasurement(res)
 		}
 	}
 	return results, nil
@@ -542,27 +503,6 @@ type LaunchSpec struct {
 	// shape and any integer scalar arguments are fed to the model
 	// automatically. 0 times every plan.
 	Prune int
-	// Predict answers the plan search from the feature store instead of
-	// timing every plan: one characterization run for the whole set (zero
-	// on an ExactKey hit) yields an AIWC vector, the predictor proposes a
-	// plan with a calibrated confidence, and only predictions below
-	// MinConfidence fall back to measurement — which is then recorded into
-	// the store so the predictor improves under traffic. Requires Plans.
-	Predict bool
-	// Predictor supplies the feature store for predict mode; nil uses
-	// DefaultPredictor.
-	Predictor *predict.Predictor
-	// MinConfidence is predict mode's fallback threshold (0 means
-	// DefaultMinConfidence).
-	MinConfidence float64
-	// Label names the workload in records written by measured fallback
-	// (defaults to the kernel name).
-	Label string
-	// ExactKey, when set, gives predict mode a content address of the whole
-	// request (source, defines, kernel, launch) on the named device: a
-	// repeat request answers from the store with zero runs, and measured
-	// fallbacks are recorded under it.
-	ExactKey func(device string) string
 	// Profile attaches a fresh execution profiler to every timed plan; the
 	// report of the one execution lands in PlanTiming.Profile on every
 	// device it was charged to. Requires Plans.
@@ -588,8 +528,7 @@ type LaunchSet struct {
 	// Args is what LaunchSpec.Args built.
 	Args []interface{}
 	// Launches counts the kernel executions on the host: timed runs, each
-	// charged to every device of the group, and predict mode's
-	// characterization run.
+	// charged to every device of the group.
 	Launches int
 }
 
@@ -641,10 +580,9 @@ func (e *launchEnv) queue(devs []*opencl.Device, nd opencl.NDRange) (*opencl.Set
 // have reached.
 //
 // Devices are grouped by the plans they will execute: static pruning
-// (LaunchSpec.Prune) ranks per device and predict mode answers some devices
-// without measuring, so the groups can differ, and each further group
-// starts from a fresh context — every device sees the launch sequence, on
-// the buffer contents, of a tune of its own.
+// (LaunchSpec.Prune) ranks per device, so the groups can differ, and each
+// further group starts from a fresh context — every device sees the launch
+// sequence, on the buffer contents, of a tune of its own.
 //
 // Results are in devs order; no devices, no results and nothing is built. A
 // failure is reported in the slot of every device it concerns.
@@ -694,21 +632,6 @@ func Tune(ctx context.Context, devs []*opencl.Device, kernel string, spec Launch
 	}
 	search := &planSearch{prog: env.prog, kernel: kernel, plans: withBasePlan(spec.Plans),
 		spec: &spec, argInts: IntArgs(env.set.Args)}
-	if spec.Predict {
-		if spec.Predictor == nil {
-			spec.Predictor = DefaultPredictor()
-		}
-		if spec.MinConfidence <= 0 {
-			spec.MinConfidence = DefaultMinConfidence
-		}
-		// The feature vector is the kernel's, not a device's: whichever
-		// device asks first pays for the run.
-		run, set := CharacterizeLaunch(env.prog, kernel, spec.ND, env.set.Args), env.set
-		search.characterize = sync.OnceValues(func() (*aiwc.Features, error) {
-			set.Launches++
-			return run()
-		})
-	}
 
 	// Settle what each device will execute; equal plan lists share a group.
 	type group struct {
@@ -718,11 +641,7 @@ func Tune(ctx context.Context, devs []*opencl.Device, kernel string, spec Launch
 	var groups []*group
 	byPlans := map[string]*group{}
 	for i, dev := range devs {
-		answered, s := search.planDevice(ctx, dev)
-		if answered != nil {
-			out[i].Result, out[i].Set = answered, env.set
-			continue
-		}
+		s := search.planDevice(dev)
 		key := s.executed()
 		g := byPlans[key]
 		if g == nil {

@@ -14,7 +14,6 @@ import (
 	"grover/internal/ir"
 	"grover/internal/kcache"
 	"grover/internal/opt"
-	"grover/internal/predict"
 	"grover/internal/rewrite"
 	"grover/internal/telemetry"
 	"grover/internal/telemetry/aiwc"
@@ -67,12 +66,6 @@ type verdictArtifact struct {
 	// char carries the kernel feature vectors when the request asked for
 	// characterization.
 	char *Characterization
-	// predictMode, prediction and fallback record how predict mode
-	// answered (predictMode is true whenever the request set predict, even
-	// if characterization failed and no prediction was formed).
-	predictMode bool
-	prediction  *grover.Prediction
-	fallback    bool
 }
 
 func programName(name string) string {
@@ -215,8 +208,9 @@ func launchField(req *AutotuneRequest) string {
 	return sb.String()
 }
 
-// maxBufferBytes bounds one declared buffer argument. Device memory grows
-// on demand, so without a cap a single request could balloon the daemon;
+// maxBufferBytes bounds one declared buffer or local argument. Device memory
+// grows on demand and both engines allocate a local argument's bytes per
+// work-group, so without a cap a single request could balloon the daemon;
 // 64 MiB is far beyond any scaled benchmark dataset.
 const maxBufferBytes = 64 << 20
 
@@ -241,6 +235,9 @@ func buildArgs(ctx *opencl.Context, specs []ArgSpec) ([]interface{}, error) {
 			if a.Size <= 0 {
 				return nil, badRequest("arg %d: local needs a positive size", i)
 			}
+			if a.Size > maxBufferBytes {
+				return nil, badRequest("arg %d: local size %d exceeds the %d-byte limit", i, a.Size, maxBufferBytes)
+			}
 			args[i] = opencl.LocalMem{Size: a.Size}
 		case "int":
 			args[i] = a.Int
@@ -262,7 +259,6 @@ func autotuneKey(req *AutotuneRequest, devName, backend string, plans []string) 
 		req.Kernel, req.Options.field(), devName, backend, launchField(req),
 		fmt.Sprintf("char=%t", req.Characterize), "plans="+strings.Join(plans, "|"),
 		fmt.Sprintf("prune=%d", req.Prune),
-		fmt.Sprintf("predict=%t;minconf=%g", req.Predict, req.MinConfidence),
 		fmt.Sprintf("profile=%t", req.Profile))
 }
 
@@ -279,12 +275,11 @@ func (s *Server) autotuneDevices(rctx context.Context, req *AutotuneRequest, dev
 		keys[i] = autotuneKey(req, name, backend, plans)
 	}
 	vals, outs, errs := s.cache.DoMany(keys, func(miss []int) ([]interface{}, []error) {
-		names, exact := make([]string, len(miss)), make(map[string]string, len(miss))
+		names := make([]string, len(miss))
 		for j, i := range miss {
 			names[j] = devices[i]
-			exact[devices[i]] = keys[i]
 		}
-		arts, errs := s.tuneSet(rctx, req, names, exact, backend, plans)
+		arts, errs := s.tuneSet(rctx, req, names, backend, plans)
 		vals := make([]interface{}, len(arts))
 		for j, art := range arts {
 			if errs[j] == nil {
@@ -302,13 +297,9 @@ func (s *Server) autotuneDevices(rctx context.Context, req *AutotuneRequest, dev
 	return arts, outs, errs
 }
 
-// tuneSet computes the verdicts of a device set (grover.Tune). exact
-// maps each device to its cache key, which is a full content address of
-// the request on that device — exactly what the feature store's alias
-// index wants, so a repeat predict-mode request after a cache eviction (or
-// restart, with a persistent store) still answers with zero runs.
+// tuneSet computes the verdicts of a device set (grover.Tune).
 func (s *Server) tuneSet(rctx context.Context, req *AutotuneRequest, devices []string,
-	exact map[string]string, backend string, plans []string) ([]*verdictArtifact, []error) {
+	backend string, plans []string) ([]*verdictArtifact, []error) {
 	arts, errs := make([]*verdictArtifact, len(devices)), make([]error, len(devices))
 	failAll := func(err error) ([]*verdictArtifact, []error) {
 		for i := range errs {
@@ -343,14 +334,9 @@ func (s *Server) tuneSet(rctx context.Context, req *AutotuneRequest, devices []s
 		Args: func(ctx *opencl.Context) ([]interface{}, error) {
 			return buildArgs(ctx, req.Args)
 		},
-		Plans:         plans,
-		Prune:         req.Prune,
-		Predict:       req.Predict,
-		Predictor:     s.predictor,
-		MinConfidence: req.MinConfidence,
-		Label:         programName(req.Name) + "/" + req.Kernel,
-		ExactKey:      func(device string) string { return exact[device] },
-		Profile:       req.Profile,
+		Plans:   plans,
+		Prune:   req.Prune,
+		Profile: req.Profile,
 	})
 
 	var launches int64
@@ -373,20 +359,11 @@ func (s *Server) tuneSet(rctx context.Context, req *AutotuneRequest, devices []s
 			plan:           res.Plan,
 			search:         res.PlanSearch,
 			rewriteRep:     res.Rewrite,
-			predictMode:    req.Predict,
-			prediction:     res.Prediction,
-			fallback:       res.Fallback,
-		}
-		if req.Predict {
-			correct := res.Fallback && res.Prediction != nil &&
-				res.Prediction.Verdict == predict.PlanShape(res.Plan)
-			s.tune.recordPredict(!res.Fallback,
-				res.Prediction != nil && res.Prediction.Exact, correct)
 		}
 	}
 	s.tune.recordBackend(backend, int64(len(devices)), launches)
 	if req.Characterize {
-		characterizeVerdicts(rctx, results, arts, errs, nd, backend)
+		characterizeVerdicts(rctx, results, arts, errs, nd)
 	}
 	return arts, errs
 }
@@ -397,7 +374,7 @@ func (s *Server) tuneSet(rctx context.Context, req *AutotuneRequest, devices []s
 // once, in the launch environment it was tuned in, and every verdict that
 // names it shares the result.
 func characterizeVerdicts(rctx context.Context, results []grover.DeviceTuneResult,
-	arts []*verdictArtifact, errs []error, nd opencl.NDRange, backend string) {
+	arts []*verdictArtifact, errs []error, nd opencl.NDRange) {
 	defer telemetry.StartSpan(rctx, "characterize")()
 	type version struct {
 		prog   *vm.Program
@@ -412,12 +389,7 @@ func characterizeVerdicts(rctx context.Context, results []grover.DeviceTuneResul
 		if f := done[v]; f != nil {
 			return f, nil
 		}
-		vargs, err := opencl.VMArgs(args...)
-		if err != nil {
-			return nil, err
-		}
-		cfg := vm.Config{GlobalSize: nd.Global, LocalSize: nd.Local, Args: vargs, Backend: backend}
-		f, err := aiwc.Characterize(v.prog, v.kernel, cfg, k.Program().Context().Mem())
+		f, err := k.Characterize(nd, args...)
 		if err != nil {
 			return nil, fmt.Errorf("characterize %s: %w", v.prog.Module.Name, err)
 		}
@@ -461,13 +433,6 @@ func (v *verdictArtifact) verdict(device string, outcome kcache.Outcome) TuneVer
 		Rewrite:          renderRewrite(v.rewriteRep),
 		Cache:            outcome.String(),
 		Characterization: v.char,
-	}
-	if v.predictMode {
-		pr := &PredictionResult{Fallback: v.fallback}
-		if v.prediction != nil {
-			pr.Prediction = *v.prediction
-		}
-		out.Prediction = pr
 	}
 	for _, t := range v.search {
 		out.Plans = append(out.Plans, PlanResult{
@@ -612,18 +577,6 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("prune requires a plan search (set plan)"))
 		return
 	}
-	if req.MinConfidence < 0 || req.MinConfidence > 1 {
-		writeError(w, badRequest("min_confidence must be within [0, 1]"))
-		return
-	}
-	if req.MinConfidence > 0 && !req.Predict {
-		writeError(w, badRequest("min_confidence requires predict"))
-		return
-	}
-	if req.Predict && len(plans) == 0 {
-		writeError(w, badRequest("predict requires a plan search (set plan)"))
-		return
-	}
 	if req.Profile && len(plans) == 0 {
 		writeError(w, badRequest("profile requires a plan search (set plan)"))
 		return
@@ -745,7 +698,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Backends:   verdicts,
 		Executions: executions,
 		Endpoints:  endpoints,
-		Predict:    s.tune.predictStats(s.store.Stats()),
 	})
 }
 

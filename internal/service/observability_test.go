@@ -172,6 +172,12 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("scrape missing %q", want)
 		}
 	}
+	// The predictor and its feature store left with their series.
+	for _, family := range []string{"predict", "store"} {
+		if gone := "groverd_" + family + "_"; strings.Contains(out, gone) {
+			t.Errorf("scrape still has a %s* series", gone)
+		}
+	}
 	// Sampled cache counters agree with /v1/stats.
 	var stats StatsResponse
 	if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != http.StatusOK {

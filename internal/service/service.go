@@ -37,9 +37,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"path"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -52,7 +50,6 @@ import (
 	"grover/internal/analysis"
 	igrover "grover/internal/grover"
 	"grover/internal/kcache"
-	"grover/internal/predict"
 	"grover/internal/profit"
 	"grover/internal/rewrite"
 	"grover/internal/telemetry"
@@ -75,16 +72,6 @@ type Config struct {
 	// Logger receives one structured line per request; nil discards them
 	// (tests, embedded use). The daemon wires a real handler here.
 	Logger *slog.Logger
-	// StorePath persists the predictive-autotuning feature store at this
-	// path; empty keeps it memory-only (predictions still learn from this
-	// process's measured fallbacks, but forget on restart).
-	StorePath string
-	// StoreMaxRecords bounds the feature store (<= 0 means unbounded).
-	StoreMaxRecords int
-	// SeedDir seeds the feature store from the committed benchmark sweeps
-	// in this directory (BENCH_characterize.json joined with
-	// BENCH_rewrite.json and BENCH_profit.json); empty skips seeding.
-	SeedDir string
 	// TraceCapacity bounds the in-process ring of exportable traces served
 	// by GET /v1/traces; <= 0 uses DefaultTraceCapacity.
 	TraceCapacity int
@@ -108,8 +95,6 @@ type Server struct {
 	tune      *tuneCounters
 	logger    *slog.Logger
 	backend   string
-	store     *predict.Store
-	predictor *predict.Predictor
 	traces    *telemetry.TraceBuffer
 	version   string
 	inflight  atomic.Int64
@@ -159,8 +144,6 @@ func New(cfg Config) *Server {
 	qw := metrics.Histogram("groverd_queue_wait_seconds",
 		"time jobs spent waiting for a worker-pool slot", nil)
 	s.pool.SetWaitObserver(func(d time.Duration) { qw.Observe(d.Seconds()) })
-	s.store = openStore(cfg, logger)
-	s.predictor = predict.NewPredictor(s.store, predict.Config{})
 	s.registerGauges()
 	for _, rt := range []struct {
 		method, path string
@@ -184,38 +167,10 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// openStore opens (and optionally seeds) the predictive-autotuning
-// feature store. Failures degrade to a memory-only store rather than
-// refusing to serve: prediction is an accelerator, not a dependency.
-func openStore(cfg Config, logger *slog.Logger) *predict.Store {
-	store, err := predict.OpenStore(cfg.StorePath, cfg.StoreMaxRecords)
-	if err != nil {
-		logger.Warn("feature store unavailable, predictions start cold",
-			"path", cfg.StorePath, "err", err)
-		store, _ = predict.OpenStore("", cfg.StoreMaxRecords)
-	}
-	if cfg.SeedDir != "" {
-		char := filepath.Join(cfg.SeedDir, "BENCH_characterize.json")
-		var sweeps []string
-		for _, name := range []string{"BENCH_rewrite.json", "BENCH_profit.json"} {
-			p := filepath.Join(cfg.SeedDir, name)
-			if _, err := os.Stat(p); err == nil {
-				sweeps = append(sweeps, p)
-			}
-		}
-		n, err := predict.SeedFromBench(store, char, sweeps...)
-		if err != nil {
-			logger.Warn("feature-store seeding failed", "dir", cfg.SeedDir, "err", err)
-		} else {
-			logger.Info("feature store seeded", "records", n, "dir", cfg.SeedDir)
-		}
-	}
-	return store
-}
-
-// Close releases the feature store's log file. The HTTP side needs no
-// teardown; the daemon calls this on shutdown.
-func (s *Server) Close() error { return s.store.Close() }
+// Close releases nothing: the server holds no file and no goroutine of its
+// own. It stays because bench/ (frozen outside benchmark PRs) still calls
+// it, in update.go and workloads.go.
+func (s *Server) Close() error { return nil }
 
 // registerGauges surfaces pool occupancy and cache state as sampled
 // gauges/counters: the existing snapshots are the single source of truth
@@ -256,16 +211,6 @@ func (s *Server) registerGauges() {
 		func() float64 { return float64(s.cache.Snapshot().Entries) })
 	m.GaugeFunc("groverd_cache_capacity", "artifact-cache entry bound",
 		func() float64 { return float64(s.cache.Snapshot().Capacity) })
-	m.GaugeFunc("groverd_store_records", "feature-store live records (including aliases)",
-		func() float64 { return float64(s.store.Stats().Records) })
-	m.GaugeFunc("groverd_store_bytes", "feature-store on-disk log size in bytes",
-		func() float64 { return float64(s.store.Stats().Bytes) })
-	m.CounterFunc("groverd_store_puts_total", "feature-store record writes",
-		func() float64 { return float64(s.store.Stats().Puts) })
-	m.CounterFunc("groverd_store_hits_total", "feature-store lookup hits",
-		func() float64 { return float64(s.store.Stats().Hits) })
-	m.CounterFunc("groverd_store_evictions_total", "feature-store records evicted by the size bound",
-		func() float64 { return float64(s.store.Stats().Evictions) })
 }
 
 // reqState accumulates per-request observations (cache outcomes) that
@@ -633,19 +578,10 @@ type AutotuneRequest struct {
 	// verdict's plan list untimed, with their static scores. Requires a
 	// plan search. Part of the cache key.
 	Prune int `json:"prune,omitempty"`
-	// Predict answers the plan search from the feature store when it can:
-	// zero timed runs on a store hit, one characterization run for a
-	// nearest-neighbor prediction, measured fallback (recorded back into
-	// the store) when the prediction's confidence is below the threshold.
-	// Requires a plan search. Part of the cache key.
-	Predict bool `json:"predict,omitempty"`
 	// Profile attaches a per-launch execution profile (wall time and
 	// retire/traffic counters per barrier-delimited region) to every timed
 	// plan in the verdict. Requires a plan search. Part of the cache key.
 	Profile bool `json:"profile,omitempty"`
-	// MinConfidence is the predict-mode fallback threshold in [0, 1];
-	// zero uses grover.DefaultMinConfidence. Part of the cache key.
-	MinConfidence float64 `json:"min_confidence,omitempty"`
 }
 
 // Characterization pairs the feature vectors of the two kernel versions:
@@ -679,22 +615,8 @@ type TuneVerdict struct {
 	// Characterization carries the kernel feature vectors when the
 	// request set characterize.
 	Characterization *Characterization `json:"characterization,omitempty"`
-	// Prediction explains how predict mode answered: the predicted
-	// verdict, its confidence and neighbors, and whether the verdict fell
-	// back to measurement. Present only on predict requests.
-	Prediction *PredictionResult `json:"prediction,omitempty"`
 	// Error reports a per-device failure during an "all" sweep.
 	Error string `json:"error,omitempty"`
-}
-
-// PredictionResult is the per-verdict predict-mode evidence: the
-// predictor's answer plus whether the service trusted it or measured.
-type PredictionResult struct {
-	predict.Prediction
-	// Fallback is true when the prediction's confidence was below the
-	// threshold and the timings in the verdict were actually measured
-	// (and recorded back into the store).
-	Fallback bool `json:"fallback"`
 }
 
 // PlanResult is one evaluated plan in a plan-search verdict.
@@ -782,9 +704,6 @@ type StatsResponse struct {
 	Backends   map[string]int64         `json:"backends"`
 	Executions map[string]int64         `json:"executions"`
 	Endpoints  map[string]EndpointStats `json:"endpoints"`
-	// Predict tallies predictive-autotuning outcomes and feature-store
-	// occupancy.
-	Predict PredictStats `json:"predict"`
 }
 
 // TracesResponse is the traces endpoint payload: up to the requested

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -303,6 +304,57 @@ func TestUnknownKernelIs404(t *testing.T) {
 	}
 	if !bytes.Contains([]byte(body), []byte("transpose")) {
 		t.Errorf("404 body should list available kernels: %s", body)
+	}
+}
+
+// TestRemovedAutotuneFieldsAre400: the predictor's request fields are gone,
+// and a client that still sends one is told which, not silently measured.
+func TestRemovedAutotuneFieldsAre400(t *testing.T) {
+	ts := newTestServer(t)
+	_, req := nvdMT()
+	raw, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for field, value := range map[string]interface{}{"predict": true, "min_confidence": 0.5} {
+		var body map[string]interface{}
+		if err := json.Unmarshal(raw, &body); err != nil {
+			t.Fatal(err)
+		}
+		body[field] = value
+		code, msg := postJSON(t, ts.URL+"/v1/autotune", body, nil)
+		if code != http.StatusBadRequest || !strings.Contains(msg, "unknown field") || !strings.Contains(msg, field) {
+			t.Errorf("%s: got %d %s, want a 400 naming the field", field, code, msg)
+		}
+	}
+}
+
+// TestLocalArgSizeIsBounded: both engines allocate a local argument's bytes
+// per work-group, so an unchecked size ends the process with an
+// out-of-memory fatal error no recover can contain. It is a 400, and the
+// server answers the next request.
+func TestLocalArgSizeIsBounded(t *testing.T) {
+	ts := newTestServer(t)
+	const src = `__kernel void k(__global float* out, __local float* tile) {
+		tile[get_local_id(0)] = 1.0f;
+		out[get_global_id(0)] = tile[get_local_id(0)];
+	}`
+	req := AutotuneRequest{
+		Source: src, Kernel: "k", Device: "SNB", Plan: "base",
+		Global: [3]int{16, 1, 1}, Local: [3]int{16, 1, 1},
+		Args: []ArgSpec{{Kind: "buffer", Size: 64}, {Kind: "local", Size: 64}},
+	}
+	for _, size := range []int{1 << 40, 1 << 62} {
+		req.Args[1].Size = size
+		code, body := postJSON(t, ts.URL+"/v1/autotune", req, nil)
+		want := fmt.Sprintf("arg 1: local size %d exceeds the %d-byte limit", size, maxBufferBytes)
+		if code != http.StatusBadRequest || !strings.Contains(body, want) {
+			t.Errorf("local size %d: got %d %s, want 400 %q", size, code, body, want)
+		}
+	}
+	req.Args[1].Size = 64
+	if code, body := postJSON(t, ts.URL+"/v1/autotune", req, nil); code != http.StatusOK {
+		t.Fatalf("request after the refused ones: %d %s", code, body)
 	}
 }
 

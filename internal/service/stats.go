@@ -28,28 +28,6 @@ type EndpointStats struct {
 	P99MS   float64 `json:"p99_ms"`
 }
 
-// PredictStats tallies predictive-autotuning outcomes: how often the
-// feature store answered without measuring, and how the below-threshold
-// predictions fared against the measurements that overrode them.
-type PredictStats struct {
-	// Requests counts predict-mode device-tunes that actually ran (cache
-	// hits replay a stored verdict and consult no predictor).
-	Requests int64 `json:"requests"`
-	// Answered counts tunes served from the store without a timed run;
-	// Exact of those came from an exact feature or request-key hit rather
-	// than a nearest-neighbor prediction.
-	Answered int64 `json:"answered"`
-	Exact    int64 `json:"exact"`
-	// Fallbacks counts tunes measured because the prediction's confidence
-	// was below the threshold; FallbackCorrect of those had nonetheless
-	// predicted the shape the measurement confirmed — the live accuracy
-	// signal on the predictions the service did not trust.
-	Fallbacks       int64 `json:"fallbacks"`
-	FallbackCorrect int64 `json:"fallback_correct"`
-	// Store is the feature store's occupancy and churn.
-	Store kcache.DiskStats `json:"store"`
-}
-
 // otherEndpoint is the "endpoint" label value of every path the mux does not
 // route — a client chooses its paths, so they must not size the daemon's
 // state — and that endpoint's key in Server.endpoints, where no routed path
@@ -118,30 +96,17 @@ func (e *endpoint) stats() EndpointStats {
 }
 
 // tuneCounters are the series autotune requests write besides their
-// endpoint's: verdicts and host executions per backend, and predict-mode
-// outcomes. /v1/stats reads them back.
+// endpoint's: verdicts and host executions per backend. /v1/stats reads
+// them back.
 type tuneCounters struct {
 	// verdicts and executions are keyed by backend name.
 	verdicts, executions map[string]*telemetry.Counter
-
-	predictRequests, predictAnswered, predictExact *telemetry.Counter
-	predictFallbacks, predictFallbackCorrect       *telemetry.Counter
 }
 
 func newTuneCounters(m *telemetry.Registry) *tuneCounters {
 	c := &tuneCounters{
 		verdicts:   map[string]*telemetry.Counter{},
 		executions: map[string]*telemetry.Counter{},
-		predictRequests: m.Counter("groverd_predict_requests_total",
-			"predict-mode device-tunes served"),
-		predictAnswered: m.Counter("groverd_predict_answered_total",
-			"device-tunes answered from the feature store without measuring"),
-		predictExact: m.Counter("groverd_predict_exact_total",
-			"store answers from an exact feature or request-key hit"),
-		predictFallbacks: m.Counter("groverd_predict_fallbacks_total",
-			"predict-mode device-tunes that fell back to measurement"),
-		predictFallbackCorrect: m.Counter("groverd_predict_fallback_correct_total",
-			"measured fallbacks whose untrusted prediction matched the measured winner"),
 	}
 	for _, name := range vm.Backends() {
 		backend := telemetry.Label{Name: "backend", Value: name}
@@ -162,22 +127,6 @@ func (c *tuneCounters) recordBackend(name string, verdicts, executions int64) {
 	c.executions[name].Add(executions)
 }
 
-// recordPredict tallies one predict-mode device-tune outcome.
-func (c *tuneCounters) recordPredict(answered, exact, correct bool) {
-	c.predictRequests.Inc()
-	if answered {
-		c.predictAnswered.Inc()
-		if exact {
-			c.predictExact.Inc()
-		}
-	} else {
-		c.predictFallbacks.Inc()
-		if correct {
-			c.predictFallbackCorrect.Inc()
-		}
-	}
-}
-
 // backendStats reads the per-backend verdict and host-execution counts of
 // the backends that have computed a verdict.
 func (c *tuneCounters) backendStats() (verdicts, executions map[string]int64) {
@@ -188,17 +137,4 @@ func (c *tuneCounters) backendStats() (verdicts, executions map[string]int64) {
 		}
 	}
 	return verdicts, executions
-}
-
-// predictStats reads the predict tallies; store is the feature store's
-// live state.
-func (c *tuneCounters) predictStats(store kcache.DiskStats) PredictStats {
-	return PredictStats{
-		Requests:        c.predictRequests.Value(),
-		Answered:        c.predictAnswered.Value(),
-		Exact:           c.predictExact.Value(),
-		Fallbacks:       c.predictFallbacks.Value(),
-		FallbackCorrect: c.predictFallbackCorrect.Value(),
-		Store:           store,
-	}
 }

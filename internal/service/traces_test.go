@@ -149,7 +149,7 @@ func TestStatsGoldenSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := map[string][]string{
-		"": {"cache", "pool", "backend", "backends", "executions", "endpoints", "predict"},
+		"": {"cache", "pool", "backend", "backends", "executions", "endpoints"},
 		"cache": {"hits", "misses", "dedups", "evictions", "entries", "capacity",
 			"in_flight", "hit_ratio"},
 		"pool": {"workers", "active", "queued", "completed", "shed"},
