@@ -35,7 +35,8 @@ type Instance struct {
 	ND opencl.NDRange
 	// Args are the kernel arguments in declaration order.
 	Args []interface{}
-	// Check validates device results against the host reference.
+	// Check validates device results against the host reference, which the
+	// first call computes and later calls reuse.
 	Check func() error
 	// Bytes is the total dataset size (for reports).
 	Bytes int

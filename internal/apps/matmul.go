@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"sync"
+
 	"grover/opencl"
 )
 
@@ -32,6 +34,22 @@ __kernel void matrixMul(__global float* C, __global float* A, __global float* B,
 }
 `
 
+// matmulRef is the n×k by k×n product on the host, in float32 and in the
+// kernels' accumulation order.
+func matmulRef(a, b []float32, n, k int) []float32 {
+	want := make([]float32, n*n)
+	for y := 0; y < n; y++ {
+		for x := 0; x < n; x++ {
+			var acc float32
+			for kk := 0; kk < k; kk++ {
+				acc += a[y*k+kk] * b[kk*n+x]
+			}
+			want[y*n+x] = acc
+		}
+	}
+	return want
+}
+
 // mmSetup builds square matmul instances with a float32 host reference
 // evaluated in the kernel's accumulation order.
 func mmSetup(ctx *opencl.Context, scale int) (*Instance, error) {
@@ -47,19 +65,9 @@ func mmSetup(ctx *opencl.Context, scale int) (*Instance, error) {
 	bufC := ctx.NewBuffer(n * n * 4)
 	bufA.WriteFloat32(a)
 	bufB.WriteFloat32(b)
+	want := sync.OnceValue(func() []float32 { return matmulRef(a, b, n, k) })
 	check := func() error {
-		got := bufC.ReadFloat32(n * n)
-		want := make([]float32, n*n)
-		for y := 0; y < n; y++ {
-			for x := 0; x < n; x++ {
-				var acc float32
-				for kk := 0; kk < k; kk++ {
-					acc += a[y*k+kk] * b[kk*n+x]
-				}
-				want[y*n+x] = acc
-			}
-		}
-		return compare("matmul", got, want, 1e-3)
+		return compare("matmul", bufC.ReadFloat32(n*n), want(), 1e-3)
 	}
 	return &Instance{
 		ND: opencl.NDRange{
@@ -146,19 +154,9 @@ func AMDMM() *App {
 			bufC := ctx.NewBuffer(n * n * 4)
 			bufA.WriteFloat32(a)
 			bufB.WriteFloat32(b)
+			want := sync.OnceValue(func() []float32 { return matmulRef(a, b, n, k) })
 			check := func() error {
-				got := bufC.ReadFloat32(n * n)
-				want := make([]float32, n*n)
-				for y := 0; y < n; y++ {
-					for x := 0; x < n; x++ {
-						var acc float32
-						for kk := 0; kk < k; kk++ {
-							acc += a[y*k+kk] * b[kk*n+x]
-						}
-						want[y*n+x] = acc
-					}
-				}
-				return compare("AMD-MM", got, want, 1e-3)
+				return compare("AMD-MM", bufC.ReadFloat32(n*n), want(), 1e-3)
 			}
 			return &Instance{
 				ND: opencl.NDRange{

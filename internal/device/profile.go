@@ -45,8 +45,9 @@ func (k Kind) String() string {
 type Profile struct {
 	Name string
 	Kind Kind
-	// Cores is the number of CPU cores or GPU compute units; the VM
-	// schedules one worker per core.
+	// Cores is the number of CPU cores or GPU compute units: work-group g
+	// of a launch is charged to core g mod Cores (a Set runs the launch on
+	// GOMAXPROCS host workers, however many cores the model has).
 	Cores int
 	// FreqGHz converts cycles to wall-clock time.
 	FreqGHz float64

@@ -137,6 +137,7 @@ func (s *Set) fail() {
 // place at GroupEnd.
 type setTracer struct {
 	regionGather
+	scratch
 	set *Set
 
 	// live is set while the current group is being delivered; a group that
@@ -177,9 +178,7 @@ func (t *setTracer) AccessBatch(b *vm.AccessBatch) {
 	if !t.live {
 		return
 	}
-	for _, w := range t.held {
-		w.chargeRegion(b)
-	}
+	t.chargeRegion(b, t.held)
 	if len(t.set.gpus) > 0 {
 		accesses, instrs := appendRegion(&t.group, b)
 		t.accesses += accesses
@@ -219,7 +218,7 @@ func (t *setTracer) GroupEnd() {
 		for _, n := range t.barriers {
 			w.Barrier(n)
 		}
-		w.chargeGroup(&t.group)
+		w.chargeGroup(&t.group, &t.scratch)
 		t.set.release(m, t.linear)
 	}
 }

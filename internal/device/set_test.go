@@ -9,26 +9,44 @@ import (
 	"grover/internal/vm"
 )
 
-// setResults launches the strided-copy kernel once for all profiles
-// through a Set and returns one result per profile.
-func setResults(t *testing.T, set *Set, profiles []*Profile, backend string, groups int) []Result {
-	t.Helper()
-	p := compile(t, `
-__kernel void copy(__global float* dst, __global float* src, int stride) {
+// setSrc holds the kernels of the set tests, which take the same arguments:
+// a strided copy — one barrier region, every access a full column — and a
+// staged one: two regions, a __local tile, and an access only every third
+// work-item makes, which those hold as records of their own beside the
+// others' columns.
+const setSrc = `
+__kernel void copy(__global float* dst, __global float* src, int stride, __local float* tile) {
     int i = get_global_id(0);
     dst[i] = src[i * stride];
 }
-`)
+__kernel void stage(__global float* dst, __global float* src, int stride, __local float* tile) {
+    int i = get_global_id(0);
+    int l = get_local_id(0);
+    tile[l] = src[i * stride];
+    barrier(CLK_LOCAL_MEM_FENCE);
+    float v = tile[63 - l];
+    if (l % 3 == 0) {
+        v += src[i + 1];
+    }
+    dst[i] = v;
+}
+`
+
+// setResults launches a kernel of setSrc once for all profiles through a
+// Set and returns one result per profile.
+func setResults(t *testing.T, set *Set, profiles []*Profile, backend, kernel string, groups int) []Result {
+	t.Helper()
+	p := compile(t, setSrc)
 	n := 64 * groups
 	g := vm.NewGlobalMem(1 << 24)
 	cfg := vm.Config{
 		GlobalSize: [3]int{n, 1, 1},
 		LocalSize:  [3]int{64, 1, 1},
-		Args:       []vm.Arg{vm.BufArg(g.Alloc(n * 4)), vm.BufArg(g.Alloc(n * 4 * 3)), vm.IntArg(3)},
+		Args:       []vm.Arg{vm.BufArg(g.Alloc(n * 4)), vm.BufArg(g.Alloc(n * 4 * 3)), vm.IntArg(3), vm.LocalArg(64 * 4)},
 		Backend:    backend,
 	}
 	set.Reset()
-	if err := p.Launch("copy", cfg, g, set.Opts()); err != nil {
+	if err := p.Launch(kernel, cfg, g, set.Opts()); err != nil {
 		t.Fatal(err)
 	}
 	out := make([]Result, len(profiles))
@@ -38,9 +56,10 @@ __kernel void copy(__global float* dst, __global float* src, int stride) {
 	return out
 }
 
-// TestSetMatchesSimulators: one launch charged to all six models reports,
-// per profile, what a set of that profile alone reports for a launch of
-// its own — on an engine that delivers regions and one that reports every
+// TestSetMatchesSimulators: one launch charged to all six models — the CPU
+// ones walking each tile of a region one after the other — reports, per
+// profile, what a set of that profile alone reports for a launch of its
+// own: on an engine that delivers regions and one that reports every
 // access, with more groups than any device has cores and with fewer. (What
 // either must report is TestEnginesMatchRecordedStream's business.)
 func TestSetMatchesSimulators(t *testing.T) {
@@ -50,15 +69,17 @@ func TestSetMatchesSimulators(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, backend := range []string{"wgvec", "interp"} {
-		for _, groups := range []int{3, 16, 150} {
-			got := setResults(t, set, profiles, backend, groups)
-			for i, p := range profiles {
-				one, err := NewSet([]*Profile{p})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if alone := setResults(t, one, profiles[i:i+1], backend, groups)[0]; !reflect.DeepEqual(got[i], alone) {
-					t.Errorf("%s, %d groups on %s: in the set of six\n %+v\nalone\n %+v", p.Name, groups, backend, got[i], alone)
+		for _, kernel := range []string{"copy", "stage"} {
+			for _, groups := range []int{3, 16, 150} {
+				got := setResults(t, set, profiles, backend, kernel, groups)
+				for i, p := range profiles {
+					one, err := NewSet([]*Profile{p})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if alone := setResults(t, one, profiles[i:i+1], backend, kernel, groups)[0]; !reflect.DeepEqual(got[i], alone) {
+						t.Errorf("%s, %s, %d groups on %s: in the set of six\n %+v\nalone\n %+v", p.Name, kernel, groups, backend, got[i], alone)
+					}
 				}
 			}
 		}
@@ -106,8 +127,8 @@ func TestSetAbortReleasesWaiters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := setResults(t, fresh, profiles, "wgvec", 12)
-	if got := setResults(t, set, profiles, "wgvec", 12); !reflect.DeepEqual(got, want) {
+	want := setResults(t, fresh, profiles, "wgvec", "stage", 12)
+	if got := setResults(t, set, profiles, "wgvec", "stage", 12); !reflect.DeepEqual(got, want) {
 		t.Errorf("after an aborted launch and Reset:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -118,7 +118,8 @@ func (s *Simulator) Reset() {
 // workerSim is one simulated core / compute unit: what a work-group's trace
 // is charged with. It has one charging path per device kind: a CPU walks
 // each barrier region item-major through its cache hierarchy as it arrives
-// (chargeRegion); a GPU forms warps over the whole group (chargeGroup).
+// (chargeTile); a GPU forms warps over the whole group (chargeGroup). Both
+// work in the scratch of the host worker that holds the core.
 type workerSim struct {
 	prof *Profile
 	hier *memsim.Hierarchy
@@ -127,18 +128,22 @@ type workerSim struct {
 	instrs       int64
 	accesses     int64
 	transactions int64
+}
 
+// scratch is what one host worker charges groups in, whichever simulated
+// cores it holds: buffers that keep their capacity from group to group.
+type scratch struct {
 	// rows holds a tile of work-items' slots of every column, item-major
-	// (vm.AccessBatch.Transpose).
+	// (vm.AccessBatch.Transpose), and walk lists the ops of the region that
+	// have a column: both built once for all the CPU cores a worker holds.
 	rows []uint64
-	// walk lists the ops of the region a CPU is walking that have a column.
 	walk []walkOp
 	// lanes holds, for a warp some of whose lanes made accesses of their
 	// own, every lane's accesses in program order.
 	lanes [][]vm.AccessRec
 
-	// Scratch for one warp position: the lanes' addresses and sizes, and
-	// the segments they coalesce into.
+	// One warp position: the lanes' addresses and sizes, and the segments
+	// they coalesce into.
 	addrs []uint64
 	sizes []int
 	segs  []uint64
@@ -150,64 +155,72 @@ type workerSim struct {
 // local buffer, so it stays cache-resident.
 const localBase = uint64(1) << 40
 
-// walkOp is an op with a column as chargeRegion's walk meets it: seq is
-// its index in the region's Ops, which is what records' Seq count in.
+// walkOp is an op with a column as the CPU walk meets it: seq is its index
+// in the region's Ops, which is what records' Seq count in.
 type walkOp struct {
 	seq, size int32
 	store     bool
 }
 
-// chargeRegion walks a barrier region through this core's cache hierarchy
-// item-major — each work-item's accesses in program order, then its issue
-// cost — a tile of work-items' column slots transposed at a time.
+// chargeRegion walks barrier region b through the cache hierarchies of the
+// CPU cores held, item-major — each work-item's accesses in program order,
+// then its issue cost — a tile of work-items' column slots transposed at a
+// time, once for all the cores: each core still sees the items in order.
+func (s *scratch) chargeRegion(b *vm.AccessBatch, held []*workerSim) {
+	s.walk = s.walk[:0]
+	for k := range b.Ops {
+		if op := &b.Ops[k]; !op.Private {
+			s.walk = append(s.walk, walkOp{seq: int32(k), size: op.Size, store: op.Store})
+		}
+	}
+	for lo := 0; lo < len(b.Items); lo += vm.ItemTile {
+		hi := min(lo+vm.ItemTile, len(b.Items))
+		s.rows = b.Transpose(s.rows, lo, hi)
+		for _, w := range held {
+			w.chargeTile(b, s.walk, s.rows, lo, hi)
+		}
+	}
+}
+
+// chargeTile charges this core work-items lo to hi of region b, whose
+// column slots are rows.
 //
 // The walk leaves out the ops that are Private. Each costs every item
 // PrivCost and touches no cache state, so where in the item's stream it is
 // charged changes nothing: they are all charged up front.
-func (w *workerSim) chargeRegion(b *vm.AccessBatch) {
-	walk, priv := w.walk[:0], w.prof.PrivCost
-	for k := range b.Ops {
-		if op := &b.Ops[k]; !op.Private {
-			walk = append(walk, walkOp{seq: int32(k), size: op.Size, store: op.Store})
-		}
-	}
-	w.walk = walk
-	privOps := int64(len(b.Ops) - len(walk))
-	for lo := 0; lo < len(b.Items); lo += vm.ItemTile {
-		hi := min(lo+vm.ItemTile, len(b.Items))
-		w.rows = b.Transpose(w.rows, lo, hi)
-		for wi := lo; wi < hi; wi++ {
-			row, recs := w.rows[(wi-lo)*len(walk):(wi-lo+1)*len(walk)], b.Items[wi]
-			w.accesses += int64(len(b.Ops) + len(recs))
-			cycles := privOps * priv
-			for j := 0; ; {
-				// The item's next access: a record of its own that comes
-				// before the walk's op j, else its slot of that op's column.
-				var addr uint64
-				var size int32
-				var store bool
-				if len(recs) > 0 && (j == len(walk) || recs[0].Seq <= walk[j].seq) {
-					addr, size, store = recs[0].Addr, recs[0].Size, recs[0].Store
-					recs = recs[1:]
-				} else if j < len(row) {
-					addr, size, store = row[j], walk[j].size, walk[j].store
-					j++
-				} else {
-					break
-				}
-				switch space, off := vm.SplitAddr(addr); space {
-				case clc.ASPrivate:
-					cycles += priv
-				case clc.ASLocal:
-					// Local memory on a cache-only processor is ordinary memory.
-					cycles += w.hier.Access(localBase+off, int(size), store)
-				default:
-					cycles += w.hier.Access(off, int(size), store)
-				}
+func (w *workerSim) chargeTile(b *vm.AccessBatch, walk []walkOp, rows []uint64, lo, hi int) {
+	privCycles := int64(len(b.Ops)-len(walk)) * w.prof.PrivCost
+	for wi := lo; wi < hi; wi++ {
+		row, recs := rows[(wi-lo)*len(walk):(wi-lo+1)*len(walk)], b.Items[wi]
+		w.accesses += int64(len(b.Ops) + len(recs))
+		cycles := privCycles
+		for j, addr := range row {
+			// A record of the item's own comes before the op its Seq names;
+			// hardly any item has one.
+			for len(recs) > 0 && recs[0].Seq <= walk[j].seq {
+				cycles += w.access(recs[0].Addr, recs[0].Size, recs[0].Store)
+				recs = recs[1:]
 			}
-			w.instrs += b.Retired[wi]
-			w.cycles += cycles + int64(float64(b.Retired[wi])*w.prof.IssueCost)
+			cycles += w.access(addr, walk[j].size, walk[j].store)
 		}
+		for i := range recs {
+			cycles += w.access(recs[i].Addr, recs[i].Size, recs[i].Store)
+		}
+		w.instrs += b.Retired[wi]
+		w.cycles += cycles + int64(float64(b.Retired[wi])*w.prof.IssueCost)
+	}
+}
+
+// access is the cost of one access of a work-item on a CPU core.
+func (w *workerSim) access(addr uint64, size int32, store bool) int64 {
+	switch space, off := vm.SplitAddr(addr); space {
+	case clc.ASPrivate:
+		return w.prof.PrivCost
+	case clc.ASLocal:
+		// Local memory on a cache-only processor is ordinary memory.
+		return w.hier.Access(localBase+off, int(size), store)
+	default:
+		return w.hier.Access(off, int(size), store)
 	}
 }
 
@@ -254,16 +267,16 @@ func (w *workerSim) Barrier(wiCount int) {
 // whole group, warp by warp, because the warps share this compute unit's
 // cache state and charging them in any other order would change what hits.
 // It only reads g.
-func (w *workerSim) chargeGroup(g *vm.AccessBatch) {
+func (w *workerSim) chargeGroup(g *vm.AccessBatch, s *scratch) {
 	ww := w.prof.WarpWidth
 	n := len(g.Items)
 	for lo := 0; lo < n; lo += ww {
 		hi := min(lo+ww, n)
 		w.chargeIssue(g.Retired[lo:hi])
 		if onColumns(g.Items[lo:hi]) {
-			w.chargeColumns(g, lo, hi)
+			w.chargeColumns(g, s, lo, hi)
 		} else {
-			w.processWarp(w.mergeLanes(g, lo, hi))
+			w.processWarp(s, s.mergeLanes(g, lo, hi))
 		}
 	}
 }
@@ -293,16 +306,16 @@ func onColumns(lanes [][]vm.AccessRec) bool {
 // converged with the group: its position k is op k — one instruction, one
 // size, one direction — and the lanes' addresses are the slots lo to hi of
 // that op's column, or private without one to look at.
-func (w *workerSim) chargeColumns(g *vm.AccessBatch, lo, hi int) {
+func (w *workerSim) chargeColumns(g *vm.AccessBatch, s *scratch, lo, hi int) {
 	n := len(g.Items)
-	addrs := slices.Grow(w.addrs[:0], hi-lo)[:hi-lo]
-	sizes := slices.Grow(w.sizes[:0], hi-lo)[:hi-lo]
+	addrs := slices.Grow(s.addrs[:0], hi-lo)[:hi-lo]
+	sizes := slices.Grow(s.sizes[:0], hi-lo)[:hi-lo]
 	filled, size := false, int32(0) // whether sizes is filled, and with what
 	c := 0                          // the next op's column
 	for k := range g.Ops {
 		op := &g.Ops[k]
 		if op.Private {
-			w.chargeWarpAccess(addrs, sizes, clc.ASPrivate, op.Store)
+			w.chargeWarpAccess(s, addrs, sizes, clc.ASPrivate, op.Store)
 			continue
 		}
 		col := g.Cols[c*n+lo : c*n+hi]
@@ -321,24 +334,24 @@ func (w *workerSim) chargeColumns(g *vm.AccessBatch, lo, hi int) {
 				}
 			}
 		}
-		w.chargeWarpAccess(addrs, sizes, space, op.Store)
+		w.chargeWarpAccess(s, addrs, sizes, space, op.Store)
 	}
-	w.addrs, w.sizes = addrs, sizes
+	s.addrs, s.sizes = addrs, sizes
 }
 
 // mergeLanes spells out work-items lo to hi's accesses in program order,
-// each lane's column slots merged with its own records, in w.lanes.
-func (w *workerSim) mergeLanes(g *vm.AccessBatch, lo, hi int) [][]vm.AccessRec {
-	for len(w.lanes) < hi-lo {
-		w.lanes = append(w.lanes, nil)
+// each lane's column slots merged with its own records, in s.lanes.
+func (s *scratch) mergeLanes(g *vm.AccessBatch, lo, hi int) [][]vm.AccessRec {
+	for len(s.lanes) < hi-lo {
+		s.lanes = append(s.lanes, nil)
 	}
 	cols := g.NumCols()
 	for tlo := lo; tlo < hi; tlo += vm.ItemTile {
 		thi := min(tlo+vm.ItemTile, hi)
-		w.rows = g.Transpose(w.rows, tlo, thi)
+		s.rows = g.Transpose(s.rows, tlo, thi)
 		for wi := tlo; wi < thi; wi++ {
-			recs, lane := g.Items[wi], w.lanes[wi-lo][:0]
-			row := w.rows[(wi-tlo)*cols : (wi-tlo+1)*cols]
+			recs, lane := g.Items[wi], s.lanes[wi-lo][:0]
+			row := s.rows[(wi-tlo)*cols : (wi-tlo+1)*cols]
 			for k := range g.Ops {
 				for len(recs) > 0 && int(recs[0].Seq) <= k {
 					lane = append(lane, recs[0])
@@ -353,23 +366,23 @@ func (w *workerSim) mergeLanes(g *vm.AccessBatch, lo, hi int) [][]vm.AccessRec {
 				}
 				lane = append(lane, vm.AccessRec{Addr: addr, Instr: op.Instr, Size: op.Size, Store: op.Store})
 			}
-			w.lanes[wi-lo] = append(lane, recs...)
+			s.lanes[wi-lo] = append(lane, recs...)
 		}
 	}
-	return w.lanes[:hi-lo]
+	return s.lanes[:hi-lo]
 }
 
 // processWarp charges the memory accesses of a warp given lane by lane:
 // lanes are aligned position by position. Uniform kernels produce
 // identical access sequences per lane; on divergence (differing
 // instructions at one position) each lane is charged separately.
-func (w *workerSim) processWarp(lanes [][]vm.AccessRec) {
+func (w *workerSim) processWarp(s *scratch, lanes [][]vm.AccessRec) {
 	maxLen := 0
 	for _, lane := range lanes {
 		maxLen = max(maxLen, len(lane))
 	}
 	for k := 0; k < maxLen; k++ {
-		addrs, sizes := w.addrs[:0], w.sizes[:0]
+		addrs, sizes := s.addrs[:0], s.sizes[:0]
 		var first *vm.AccessRec
 		uniform := true
 		for _, lane := range lanes {
@@ -386,7 +399,7 @@ func (w *workerSim) processWarp(lanes [][]vm.AccessRec) {
 			addrs = append(addrs, off)
 			sizes = append(sizes, int(a.Size))
 		}
-		w.addrs, w.sizes = addrs, sizes
+		s.addrs, s.sizes = addrs, sizes
 		if first == nil {
 			continue
 		}
@@ -395,17 +408,17 @@ func (w *workerSim) processWarp(lanes [][]vm.AccessRec) {
 		if !uniform {
 			// Divergent warp position: serialize each lane.
 			for i := range addrs {
-				w.chargeWarpAccess(addrs[i:i+1], sizes[i:i+1], space, first.Store)
+				w.chargeWarpAccess(s, addrs[i:i+1], sizes[i:i+1], space, first.Store)
 			}
 			continue
 		}
-		w.chargeWarpAccess(addrs, sizes, space, first.Store)
+		w.chargeWarpAccess(s, addrs, sizes, space, first.Store)
 	}
 }
 
 // chargeWarpAccess charges one warp-wide access. addrs is scratch the
 // caller is done with.
-func (w *workerSim) chargeWarpAccess(addrs []uint64, sizes []int, space clc.AddrSpace, store bool) {
+func (w *workerSim) chargeWarpAccess(s *scratch, addrs []uint64, sizes []int, space clc.AddrSpace, store bool) {
 	switch space {
 	case clc.ASPrivate:
 		w.cycles += w.prof.PrivCost
@@ -418,11 +431,11 @@ func (w *workerSim) chargeWarpAccess(addrs []uint64, sizes []int, space clc.Addr
 	default:
 		// Each transaction pays the issue cost plus the hierarchy cost of
 		// one segment.
-		w.segs = memsim.Segments(w.segs[:0], addrs, sizes, w.prof.Segment)
-		w.transactions += int64(len(w.segs))
+		s.segs = memsim.Segments(s.segs[:0], addrs, sizes, w.prof.Segment)
+		w.transactions += int64(len(s.segs))
 		seg := uint64(w.prof.Segment)
-		for _, s := range w.segs {
-			w.cycles += w.prof.TransCost + w.hier.Access(s*seg, w.prof.Segment, store)
+		for _, b := range s.segs {
+			w.cycles += w.prof.TransCost + w.hier.Access(b*seg, w.prof.Segment, store)
 		}
 	}
 }

@@ -51,15 +51,8 @@ func (d *DRAM) Access(addr uint64, size int, store bool) int64 {
 // Name returns "dram".
 func (d *DRAM) Name() string { return "dram" }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	// age is the LRU timestamp.
-	age uint64
-}
-
-// Cache is one set-associative, write-allocate, write-back cache level.
+// Cache is one set-associative, write-allocate, write-back cache level
+// with LRU replacement.
 type Cache struct {
 	name     string
 	sets     int
@@ -74,8 +67,12 @@ type Cache struct {
 	lineShift, setShift uint
 	setMask             uint64
 
-	lines []line // sets*ways
-	clock uint64
+	// lines holds every set's ways entries, and a set is its LRU order: the
+	// most recently touched line first, 0 for an empty way, else
+	// (tag+1)<<1 | dirty. A set only fills between Resets, so its empty
+	// ways always trail. Which physical way a line sits in was never
+	// observable — only a set's contents and their recency order are.
+	lines []uint64
 	stats Stats
 }
 
@@ -97,7 +94,7 @@ func NewCache(name string, sets, ways, lineSize int, latency int64, next Level) 
 		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
 		setShift:  uint(bits.TrailingZeros(uint(sets))),
 		setMask:   uint64(sets - 1),
-		lines:     make([]line, sets*ways),
+		lines:     make([]uint64, sets*ways),
 	}, nil
 }
 
@@ -112,10 +109,7 @@ func (c *Cache) SizeBytes() int { return c.sets * c.ways * c.lineSize }
 
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-	c.clock = 0
+	clear(c.lines)
 	c.stats = Stats{}
 }
 
@@ -137,47 +131,45 @@ func (c *Cache) Access(addr uint64, size int, store bool) int64 {
 	return cost
 }
 
-func (c *Cache) accessLine(lineAddr uint64, store bool) int64 {
-	c.clock++
-	c.stats.Accesses++
-	tag := lineAddr >> c.setShift
-	base := int(lineAddr&c.setMask) * c.ways
+// entry is line lineAddr as its set holds it, clean. Byte addresses below
+// 1<<62 — every offset the VM can make — lose nothing to the shift.
+func (c *Cache) entry(lineAddr uint64) uint64 { return (lineAddr>>c.setShift + 1) << 1 }
 
-	// Hit?
-	for i := 0; i < c.ways; i++ {
-		l := &c.lines[base+i]
-		if l.valid && l.tag == tag {
+func (c *Cache) accessLine(lineAddr uint64, store bool) int64 {
+	c.stats.Accesses++
+	base := int(lineAddr&c.setMask) * c.ways
+	set := c.lines[base : base+c.ways]
+	want, dirty := c.entry(lineAddr), uint64(0)
+	if store {
+		dirty = 1
+	}
+	// Hit, or else the victim: the first empty way, or the last — the least
+	// recently used — of a full set.
+	victim := len(set) - 1
+	for i, e := range set {
+		if e&^1 == want {
 			c.stats.Hits++
-			l.age = c.clock
-			if store {
-				l.dirty = true
-			}
+			copy(set[1:i+1], set[:i])
+			set[0] = e | dirty
 			return c.latency
+		}
+		if e == 0 {
+			victim = i
+			break
 		}
 	}
 	// Miss: fetch from the next level (write-allocate).
 	c.stats.Misses++
 	cost := c.latency + c.next.Access(lineAddr<<c.lineShift, c.lineSize, false)
-
-	// Choose victim: invalid way or LRU.
-	victim := base
-	for i := 0; i < c.ways; i++ {
-		l := &c.lines[base+i]
-		if !l.valid {
-			victim = base + i
-			break
-		}
-		if l.age < c.lines[victim].age {
-			victim = base + i
-		}
-	}
-	v := &c.lines[victim]
-	if v.valid && v.dirty {
-		// Write back the evicted line.
+	if e := set[victim]; e&1 != 0 {
+		// Write back the evicted line — to its tag's address in set 0: the
+		// set index is dropped. A known model defect carried over as it was,
+		// because fixing it moves counts (ROADMAP item 6).
 		c.stats.Writebacks++
-		cost += c.next.Access(v.tag<<c.setShift<<c.lineShift, c.lineSize, true) / 2
+		cost += c.next.Access((e>>1-1)<<c.setShift<<c.lineShift, c.lineSize, true) / 2
 	}
-	*v = line{tag: tag, valid: true, dirty: store, age: c.clock}
+	copy(set[1:victim+1], set[:victim])
+	set[0] = want | dirty
 	return cost
 }
 
@@ -216,12 +208,25 @@ func NewHierarchy(specs []CacheSpec, dramLatency int64) (*Hierarchy, error) {
 }
 
 // Access goes through the innermost level (or straight to DRAM when the
-// hierarchy has no caches).
+// hierarchy has no caches). The commonest single case — one line, and the
+// line its set touched last — is answered here.
 func (h *Hierarchy) Access(addr uint64, size int, store bool) int64 {
 	if len(h.Levels) == 0 {
 		return h.Mem.Access(addr, size, store)
 	}
-	return h.Levels[0].Access(addr, size, store)
+	c := h.Levels[0]
+	if first := addr >> c.lineShift; size > 0 && first == (addr+uint64(size)-1)>>c.lineShift {
+		if e := &c.lines[int(first&c.setMask)*c.ways]; *e&^1 == c.entry(first) {
+			c.stats.Accesses++
+			c.stats.Hits++
+			if store {
+				*e |= 1
+			}
+			return c.latency
+		}
+		return c.accessLine(first, store)
+	}
+	return c.Access(addr, size, store)
 }
 
 // Reset clears every level.

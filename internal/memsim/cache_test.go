@@ -133,9 +133,18 @@ func TestCacheGeometryErrors(t *testing.T) {
 	}
 }
 
-// divCache is Cache as it was written before the geometry was precomputed
-// into shifts and masks: it divides by the set count and the line size on
-// every access. Kept as the oracle for TestCacheMatchesDivisionForm.
+// line is a way of divCache: a tag with its flags and an LRU timestamp.
+type line struct {
+	tag   uint64
+	valid bool
+	dirty bool
+	age   uint64
+}
+
+// divCache is Cache as it was first written: every way a line record in a
+// fixed place, hit and victim found by scanning a set's ways and comparing
+// ages, set and tag by dividing by the set count and the line size. Kept
+// as the oracle for TestCacheMatchesDivisionForm.
 type divCache struct {
 	sets, ways, lineSize int
 	latency              int64
@@ -204,56 +213,101 @@ func (c *divCache) accessLine(lineAddr uint64, store bool) int64 {
 	return cost
 }
 
+// divChain builds the oracle's chain for specs, innermost first, in front
+// of dram.
+func divChain(specs []CacheSpec, dram *DRAM) []*divCache {
+	chain := make([]*divCache, len(specs))
+	var next Level = dram
+	for i := len(specs) - 1; i >= 0; i-- {
+		chain[i] = newDivCache(specs[i].Sets, specs[i].Ways, specs[i].LineSize, specs[i].Latency, next)
+		next = chain[i]
+	}
+	return chain
+}
+
 // TestCacheMatchesDivisionForm drives seeded random streams — sizes that
-// straddle one or several lines, sizes ≤ 0, loads and stores, addresses
-// that alias in the small first level — through a two-level chain of Cache
-// and of divCache: every access must cost the same, and every counter of
-// both levels and the DRAM behind them must end up equal.
+// straddle one or several lines, sizes ≤ 0, loads and stores, stores to the
+// line touched last (which must still be written back when it goes),
+// addresses that alias in the small first level — through a three-level
+// Hierarchy and a chain of divCache, entering now through Hierarchy.Access
+// (which answers a hit on a set's most recent line itself) and now through
+// the first level's Cache.Access, with a Reset of both half-way: every
+// access must cost the same, and every counter of every level and the DRAM
+// behind them must be equal before the Reset and at the end.
 func TestCacheMatchesDivisionForm(t *testing.T) {
-	geometries := []struct{ sets1, ways1, line1, sets2, ways2, line2 int }{
-		{8, 2, 64, 64, 4, 64},
-		{1, 1, 16, 4, 2, 128}, // one set: all tag; a wider line behind a narrower
-		{64, 8, 32, 512, 16, 64},
-		{16, 3, 128, 32, 5, 128}, // ways need not be a power of two
+	geometries := [][]CacheSpec{
+		{{Sets: 8, Ways: 2, LineSize: 64}, {Sets: 64, Ways: 4, LineSize: 64}, {Sets: 128, Ways: 8, LineSize: 64}},
+		{{Sets: 1, Ways: 1, LineSize: 16}, {Sets: 4, Ways: 3, LineSize: 128}, {Sets: 8, Ways: 1, LineSize: 128}}, // one set: all tag; a wider line behind a narrower; direct-mapped
+		{{Sets: 64, Ways: 8, LineSize: 32}, {Sets: 512, Ways: 16, LineSize: 64}, {Sets: 512, Ways: 16, LineSize: 128}},
+		{{Sets: 16, Ways: 3, LineSize: 128}, {Sets: 32, Ways: 5, LineSize: 128}, {Sets: 64, Ways: 16, LineSize: 128}}, // ways need not be a power of two
+		{{Sets: 8, Ways: 8, LineSize: 64}, {Sets: 64, Ways: 8, LineSize: 64}, {Sets: 256, Ways: 16, LineSize: 64}},    // SNB
 	}
 	sizes := []int{-3, 0, 1, 2, 4, 4, 4, 8, 16, 60, 64, 65, 200, 700}
-	for gi, geo := range geometries {
+	const accesses = 40000
+	for gi, specs := range geometries {
+		for li := range specs {
+			specs[li].Name, specs[li].Latency = []string{"L1", "L2", "L3"}[li], []int64{4, 12, 30}[li]
+		}
 		r := rand.New(rand.NewSource(int64(41 + gi)))
-		dram, divDRAM := &DRAM{Latency: 100}, &DRAM{Latency: 100}
-		l2, err := NewCache("L2", geo.sets2, geo.ways2, geo.line2, 12, dram)
+		h, err := NewHierarchy(specs, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l1, err := NewCache("L1", geo.sets1, geo.ways1, geo.line1, 4, l2)
-		if err != nil {
-			t.Fatal(err)
+		divDRAM := &DRAM{Latency: 100}
+		div := divChain(specs, divDRAM)
+		equalCounters := func(when string) {
+			t.Helper()
+			for li, c := range h.Levels {
+				if c.Stats() != div[li].stats {
+					t.Errorf("geometry %d, %s: %s counters %+v, division form %+v", gi, when, c.Name(), c.Stats(), div[li].stats)
+				}
+			}
+			if h.Mem.Accesses != divDRAM.Accesses {
+				t.Errorf("geometry %d, %s: DRAM accesses %d, division form %d", gi, when, h.Mem.Accesses, divDRAM.Accesses)
+			}
+			if st := h.Levels[0].Stats(); st.Writebacks == 0 || st.Hits == 0 || st.Misses == 0 {
+				t.Errorf("geometry %d, %s: stream proves little: %+v", gi, when, st)
+			}
 		}
-		div2 := newDivCache(geo.sets2, geo.ways2, geo.line2, 12, divDRAM)
-		div1 := newDivCache(geo.sets1, geo.ways1, geo.line1, 4, div2)
-		for i := 0; i < 20000; i++ {
-			var addr uint64
-			switch r.Intn(4) {
-			case 0: // anywhere in a footprint a few times the second level
-				addr = uint64(r.Intn(8 * geo.sets2 * geo.ways2 * geo.line2))
-			case 1: // just below a line boundary, so most sizes straddle
-				addr = uint64(r.Intn(1<<12))*uint64(geo.line1) + uint64(geo.line1-1-r.Intn(4))
-			case 2: // a power-of-two stride: one set, many tags
-				addr = uint64(r.Intn(64)) * uint64(geo.sets1*geo.line1)
-			default: // high addresses: tags that need the upper bits
-				addr = 1<<40 + uint64(r.Intn(1<<16))
+		l1, last := specs[0], specs[len(specs)-1]
+		var addr, recent uint64 // recent is the line touched last, as a byte address
+		frontStores := 0
+		for i := 0; i < accesses; i++ {
+			if i == accesses/2 {
+				equalCounters("before Reset")
+				h.Reset()
+				divDRAM.Accesses = 0
+				div = divChain(specs, divDRAM)
 			}
 			size, store := sizes[r.Intn(len(sizes))], r.Intn(3) == 0
-			if got, want := l1.Access(addr, size, store), div1.Access(addr, size, store); got != want {
-				t.Fatalf("geometry %d, access %d (addr %#x, size %d, store %v): cost %d, division form %d",
-					gi, i, addr, size, store, got, want)
+			switch r.Intn(6) {
+			case 0: // anywhere in a footprint twice the last level
+				addr = uint64(r.Intn(2 * last.Sets * last.Ways * last.LineSize))
+			case 1: // just below a line boundary, so most sizes straddle
+				addr = uint64(r.Intn(1<<12))*uint64(l1.LineSize) + uint64(l1.LineSize-1-r.Intn(4))
+			case 2: // a power-of-two stride: one set, many tags
+				addr = uint64(r.Intn(64)) * uint64(l1.Sets*l1.LineSize)
+			case 3: // high addresses: tags that need the upper bits
+				addr = 1<<40 + uint64(r.Intn(1<<16))
+			case 4: // a store into the line touched last
+				addr, size, store = recent+uint64(r.Intn(l1.LineSize)), 1, true
+				frontStores++
+			default: // the same line again
+				addr = recent + uint64(r.Intn(l1.LineSize))
+			}
+			recent = (addr + uint64(max(size, 1)) - 1) &^ uint64(l1.LineSize-1)
+			access, via := h.Access, "Hierarchy.Access"
+			if r.Intn(2) == 0 {
+				access, via = h.Levels[0].Access, "Cache.Access"
+			}
+			if got, want := access(addr, size, store), div[0].Access(addr, size, store); got != want {
+				t.Fatalf("geometry %d, access %d (%s, addr %#x, size %d, store %v): cost %d, division form %d",
+					gi, i, via, addr, size, store, got, want)
 			}
 		}
-		if l1.Stats() != div1.stats || l2.Stats() != div2.stats || dram.Accesses != divDRAM.Accesses {
-			t.Errorf("geometry %d: counters differ:\n L1 %+v / %+v\n L2 %+v / %+v\n DRAM %d / %d",
-				gi, l1.Stats(), div1.stats, l2.Stats(), div2.stats, dram.Accesses, divDRAM.Accesses)
-		}
-		if st := l1.Stats(); st.Writebacks == 0 || st.Hits == 0 || st.Misses == 0 {
-			t.Errorf("geometry %d: stream proves little: %+v", gi, st)
+		equalCounters("at the end")
+		if frontStores < accesses/10 {
+			t.Errorf("geometry %d: only %d stores to the most recent line", gi, frontStores)
 		}
 	}
 	// The shifts are only right for powers of two, which NewCache insists on.
@@ -265,6 +319,45 @@ func TestCacheMatchesDivisionForm(t *testing.T) {
 			t.Errorf("%d-byte lines accepted", bad)
 		}
 	}
+}
+
+// BenchmarkHierarchyWalk walks what one 16×16 work-group of a 128×128
+// float matmul makes a CPU core see — item by item, A along a row and B
+// down a column, then the store to C — through SNB's hierarchy.
+func BenchmarkHierarchyWalk(b *testing.B) {
+	const n, tile = 128, 16
+	type access struct {
+		addr  uint64
+		store bool
+	}
+	var stream []access
+	for y := 0; y < tile; y++ {
+		for x := 0; x < tile; x++ {
+			for k := 0; k < n; k++ {
+				stream = append(stream, access{addr: uint64(4 * (y*n + k))}, access{addr: uint64(4 * (n*n + k*n + x))})
+			}
+			stream = append(stream, access{addr: uint64(4 * (2*n*n + y*n + x)), store: true})
+		}
+	}
+	h, err := NewHierarchy([]CacheSpec{
+		{Name: "L1", Sets: 8, Ways: 8, LineSize: 64, Latency: 4},
+		{Name: "L2", Sets: 64, Ways: 8, LineSize: 64, Latency: 12},
+		{Name: "LLC", Sets: 256, Ways: 16, LineSize: 64, Latency: 28},
+	}, 180)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var cycles int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, a := range stream {
+			cycles += h.Access(a.addr, 4, a.store)
+		}
+	}
+	if cycles == 0 {
+		b.Fatal("the walk cost nothing")
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(stream)), "ns/access")
 }
 
 func TestCacheStatsProperty(t *testing.T) {

@@ -15,17 +15,40 @@ package memsim
 func Segments(dst []uint64, addrs []uint64, sizes []int, segment int) []uint64 {
 	seg := uint64(segment)
 	start := len(dst)
+	// top is one past the highest block found so far: a block from there on
+	// is new and the one just below is not, without looking, so a warp whose
+	// lanes ascend — any unit- or positive-stride column — never scans. lo
+	// is the first byte of the block the lane before ended in: a lane inside
+	// that block adds nothing and costs no division, and one that does not
+	// straddle costs one.
+	var top, lo uint64
 	for i, a := range addrs {
 		sz := 4
 		if i < len(sizes) && sizes[i] > 0 {
 			sz = sizes[i]
 		}
-		last := (a + uint64(sz) - 1) / seg
+		end := a + uint64(sz) - 1
+		if i > 0 && a >= lo && end-lo < seg {
+			continue
+		}
+		last := end / seg
+		lo = last * seg
+		first := last
+		if a < lo {
+			first = a / seg
+		}
 	blocks:
-		for s := a / seg; s <= last; s++ {
-			for _, t := range dst[start:] {
-				if t == s {
-					continue blocks
+		for s := first; s <= last; s++ {
+			switch {
+			case s >= top:
+				top = s + 1
+			case s+1 == top:
+				continue blocks
+			default:
+				for _, t := range dst[start:] {
+					if t == s {
+						continue blocks
+					}
 				}
 			}
 			dst = append(dst, s)

@@ -73,7 +73,9 @@ func oracleBankConflictDegree(addrs []uint64, banks, bankWidth int) int {
 // randomWarp draws one warp access: a lane count up to past the 64-lane
 // scratch, and one of the address patterns the models distinguish
 // (broadcast, unit stride, power-of-two stride, scattered, clustered near
-// zero), with sizes from 0 (the hazard) to a 16-byte vector.
+// zero, descending, an ascending run that starts over every few lanes),
+// with sizes from 0 (the hazard) to a 16-byte vector and one that spans
+// several segments.
 func randomWarp(r *rand.Rand) (addrs []uint64, sizes []int) {
 	lanes := 1 + r.Intn(64)
 	if r.Intn(8) == 0 {
@@ -84,8 +86,8 @@ func randomWarp(r *rand.Rand) (addrs []uint64, sizes []int) {
 		base = 0
 	}
 	stride := uint64([]int{0, 1, 4, 8, 64, 128, 132, 4096}[r.Intn(8)])
-	pattern := r.Intn(3)
-	sizeChoices := []int{0, 1, 2, 4, 4, 4, 8, 16}
+	pattern := r.Intn(5)
+	sizeChoices := []int{0, 1, 2, 4, 4, 4, 8, 16, 100}
 	uniformSize := sizeChoices[r.Intn(len(sizeChoices))]
 	mixed := r.Intn(3) == 0
 	for l := 0; l < lanes; l++ {
@@ -95,6 +97,10 @@ func randomWarp(r *rand.Rand) (addrs []uint64, sizes []int) {
 			a = base + uint64(l)*stride
 		case 1:
 			a = uint64(r.Intn(1 << 14))
+		case 2:
+			a = base + uint64(lanes-1-l)*stride
+		case 3:
+			a = base + uint64(l%5)*stride
 		default:
 			a = base + uint64(r.Intn(8))*stride
 		}
