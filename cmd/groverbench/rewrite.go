@@ -135,9 +135,10 @@ type appSearch struct {
 	results []*grover.TuneResult
 }
 
-// searchApp compiles app once and tunes it on devs as one set: every plan
-// executes once and is charged to each device's cost model (grover.Tune),
-// which gives every device the timings of a search of its own.
+// searchApp compiles app once and tunes it on devs as one set: every
+// distinct kernel executes once per memory state and is charged to each
+// device's cost model (grover.Tune), which gives every device the timings
+// of a search of its own.
 func searchApp(app *apps.App, devs []*opencl.Device, cfg harness.Config) (*appSearch, error) {
 	mod, err := opencl.CompileModule(app.ID+".cl", app.Source, app.Defines)
 	if err != nil {

@@ -25,6 +25,7 @@
 package grover
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -318,9 +319,11 @@ func (s *deviceSearch) executed() string {
 // the group runs in: each plan is rewritten and prepared once and executed
 // spec.Runs times, every execution is charged to all of the group's cost
 // models (launch returns one event per device, in group order), and each
-// device gets its own timings, winner and static scores. profile, when
-// non-nil, is called before each timed plan and returns a fresh profiler
-// wired into launch; its report lands in PlanTiming.Profile.
+// device gets its own timings, winner and static scores — except that a
+// plan whose kernel already ran, on the memory that is still there, takes
+// that run's timings and profile instead of executing. profile, when
+// non-nil, is called before each executed plan and returns a fresh
+// profiler wired into launch; its report lands in PlanTiming.Profile.
 func measurePlans(ctx context.Context, prog *opencl.Program, launch setLaunch,
 	profile func() *vm.Profiler, group []*deviceSearch) ([]*TuneResult, error) {
 	kernel, plans, runs := group[0].kernel, group[0].plans, group[0].spec.Runs
@@ -363,6 +366,17 @@ func measurePlans(ctx context.Context, prog *opencl.Program, launch setLaunch,
 			results[i].PlanSearch = append(results[i].PlanSearch, t)
 		}
 	}
+	// memo holds, by module key, the executions that left global memory as
+	// they found it (snap): the run is deterministic, so a later plan with
+	// the same kernel would time the same and leave the same memory.
+	type timing struct {
+		plan string
+		ms   []float64
+		prof *vm.ProfileReport
+	}
+	memo := map[string]timing{}
+	mem := prog.Context().Mem()
+	snap := append([]byte(nil), mem.Data...)
 	for _, ps := range plans {
 		p, err := rewrite.ParsePlan(ps)
 		if err != nil {
@@ -379,14 +393,16 @@ func measurePlans(ctx context.Context, prog *opencl.Program, launch setLaunch,
 		// its children.
 		sctx, span := telemetry.StartSpanCtx(ctx, "tune:"+t.Plan)
 		span.SetAttr("devices", devices)
-		k := orig
+		k, mod := orig, prog.Module()
 		if len(p.Steps) > 0 {
 			var rp *opencl.Program
 			rp, t.Report, err = prog.WithRewritePlanCtx(sctx, kernel, p)
 			if err == nil && t.Report.Changed() {
 				k, err = rp.Kernel(kernel)
+				mod = rp.Module()
 			}
-			// Nothing matched: identical to base, skip the timing.
+			// No rule matched: base's kernel, not timed. (A plan that did
+			// match may still yield an earlier plan's kernel: see memo.)
 			if err != nil || !t.Report.Changed() {
 				if err != nil {
 					t.Err = err.Error()
@@ -397,6 +413,14 @@ func measurePlans(ctx context.Context, prog *opencl.Program, launch setLaunch,
 				continue
 			}
 		}
+		key := mod.Key()
+		if m, ok := memo[key]; ok {
+			span.SetAttr("reused", m.plan)
+			span.End()
+			t.Applied, t.Profile = true, m.prof
+			record(t, k, m.ms)
+			continue
+		}
 		var prof *vm.Profiler
 		if profile != nil {
 			prof = profile()
@@ -405,6 +429,12 @@ func measurePlans(ctx context.Context, prog *opencl.Program, launch setLaunch,
 		span.End()
 		if prof != nil {
 			t.Profile = prof.Report()
+		}
+		if !bytes.Equal(mem.Data, snap) {
+			clear(memo)
+			snap = append(snap[:0], mem.Data...)
+		} else if err == nil {
+			memo[key] = timing{t.Plan, ms, t.Profile}
 		}
 		if err != nil {
 			t.Err = fmt.Sprintf("timing: %v", err)
@@ -505,7 +535,7 @@ type LaunchSpec struct {
 	Prune int
 	// Profile attaches a fresh execution profiler to every timed plan; the
 	// report of the one execution lands in PlanTiming.Profile on every
-	// device it was charged to. Requires Plans.
+	// device it was charged to and every plan reusing it. Requires Plans.
 	Profile bool
 }
 
@@ -528,7 +558,8 @@ type LaunchSet struct {
 	// Args is what LaunchSpec.Args built.
 	Args []interface{}
 	// Launches counts the kernel executions on the host: timed runs, each
-	// charged to every device of the group.
+	// charged to every device of the group. A plan that took an earlier
+	// plan's timings, its kernel having run on unchanged memory, ran none.
 	Launches int
 }
 
@@ -573,9 +604,10 @@ func (e *launchEnv) queue(devs []*opencl.Device, nd opencl.NDRange) (*opencl.Set
 // barrier by barrier and work-group by work-group — does not depend on the
 // device, only what a device's cost model makes of it does; so the program
 // is instantiated once (LaunchSpec.Program, in a fresh context), the
-// arguments are built once, every version or plan is rewritten, prepared
-// and executed once, on as many host workers as there are processors, and
-// each execution is charged to all the devices' models (opencl.SetQueue).
+// arguments are built once, every version or plan is rewritten and
+// prepared once, every distinct kernel is executed once per memory state
+// it meets, on as many host workers as there are processors, and each
+// execution is charged to all the devices' models (opencl.SetQueue).
 // Every device gets the verdict a tune of its own — devs[i:i+1] — would
 // have reached.
 //

@@ -2,6 +2,7 @@ package grover
 
 import (
 	"fmt"
+	"sort"
 
 	"grover/internal/clc"
 	"grover/internal/exprtree"
@@ -237,8 +238,14 @@ func transformCandidate(fn *ir.Function, a *analysis, cloneAll bool) (int, error
 		plan := a.plans[ll.Instr]
 		mz := newMaterializer(fn, ll.Instr, a.reg, dom)
 		solVals := map[int]ir.Value{}
-		for dim, aff := range plan.sol {
-			v, err := mz.affineValue(aff)
+		// In dimension order: the rewritten kernel is the same every time.
+		dims := make([]int, 0, len(plan.sol))
+		for dim := range plan.sol {
+			dims = append(dims, dim)
+		}
+		sort.Ints(dims)
+		for _, dim := range dims {
+			v, err := mz.affineValue(plan.sol[dim])
 			if err != nil {
 				return totalCloned, err
 			}
