@@ -9,6 +9,7 @@ import (
 	"grover/internal/exprtree"
 	"grover/internal/ir"
 	"grover/internal/linsolve"
+	"grover/internal/opt"
 )
 
 // Options control the pass.
@@ -167,10 +168,10 @@ func TransformKernel(m *ir.Module, kernel string, opts Options) (*Report, error)
 		tb = exprtree.NewBuilder(fn)
 	}
 	if anyTransformed {
-		rep.DeadInstrsRemoved = eliminateDeadCode(fn)
+		rep.DeadInstrsRemoved = opt.DCE(fn)
 		if !opts.KeepBarriers && !usesLocalMemory(fn) {
 			rep.BarriersRemoved = removeLocalBarriers(fn)
-			rep.DeadInstrsRemoved += eliminateDeadCode(fn)
+			rep.DeadInstrsRemoved += opt.DCE(fn)
 		}
 		fn.AssignIDs()
 		if err := ir.VerifyFunc(fn); err != nil {

@@ -274,42 +274,6 @@ func transformCandidate(fn *ir.Function, a *analysis, cloneAll bool) (int, error
 	return totalCloned, nil
 }
 
-// eliminateDeadCode removes value-producing instructions with no remaining
-// uses (transitively). Stores, calls, barriers and terminators are roots.
-func eliminateDeadCode(fn *ir.Function) int {
-	removed := 0
-	for {
-		uses := map[ir.Value]int{}
-		for _, b := range fn.Blocks {
-			for _, in := range b.Instrs {
-				for _, a := range in.Args {
-					uses[a]++
-				}
-			}
-		}
-		var dead []*ir.Instr
-		for _, b := range fn.Blocks {
-			for _, in := range b.Instrs {
-				if uses[in] > 0 {
-					continue
-				}
-				switch in.Op {
-				case ir.OpStore, ir.OpCall, ir.OpBarrier, ir.OpBr, ir.OpCondBr, ir.OpRet:
-					continue
-				}
-				dead = append(dead, in)
-			}
-		}
-		if len(dead) == 0 {
-			return removed
-		}
-		for _, in := range dead {
-			ir.RemoveInstr(in)
-			removed++
-		}
-	}
-}
-
 // usesLocalMemory reports whether the function still touches __local
 // memory (remaining candidates, dynamic local args, local accesses).
 func usesLocalMemory(fn *ir.Function) bool {

@@ -9,6 +9,9 @@ package opt
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
+	"strconv"
 
 	"grover/internal/clc"
 	"grover/internal/debug"
@@ -115,98 +118,186 @@ func pureNonFaulting(op ir.Op) bool {
 	return false
 }
 
-// CSE eliminates duplicate pure expressions within each basic block.
-func CSE(fn *ir.Function) bool {
-	changed := false
-	valID := map[ir.Value]string{}
-	id := func(v ir.Value) string {
-		switch t := v.(type) {
-		case *ir.ConstInt:
-			return fmt.Sprintf("ci:%d:%s", t.Val, t.Typ)
-		case *ir.ConstFloat:
-			return fmt.Sprintf("cf:%g:%s", t.Val, t.Typ)
-		case *ir.Param:
-			return "p:" + t.Name_
+// subst is one pass's replacements: each replaced instruction maps to the
+// value that takes its place. A pass resolves operands through it as it
+// reads them, and apply rewrites the function in one sweep at the end, so
+// a replacement costs a map entry rather than a scan of the function.
+type subst map[*ir.Instr]ir.Value
+
+// resolve follows v's replacements to the value that stands for it now.
+// Passes record replacements already resolved, so that a run of forwarded
+// copies does not become a chain each read walks.
+func (s subst) resolve(v ir.Value) ir.Value {
+	for {
+		in, ok := v.(*ir.Instr)
+		if !ok {
+			return v
 		}
-		if s, ok := valID[v]; ok {
-			return s
+		r, ok := s[in]
+		if !ok {
+			return v
 		}
-		s := fmt.Sprintf("v:%p", v)
-		valID[v] = s
-		return s
+		v = r
+	}
+}
+
+// apply drops every replaced instruction and rewrites every operand to its
+// resolved value, one sweep over each block. It reports whether anything
+// was replaced.
+func (s subst) apply(fn *ir.Function) bool {
+	if len(s) == 0 {
+		return false
 	}
 	for _, b := range fn.Blocks {
-		seen := map[string]*ir.Instr{}
-		var dead []*ir.Instr
+		b.Instrs = slices.DeleteFunc(b.Instrs, func(in *ir.Instr) bool { _, gone := s[in]; return gone })
+		for _, in := range b.Instrs {
+			for i, a := range in.Args {
+				in.Args[i] = s.resolve(a)
+			}
+		}
+	}
+	return true
+}
+
+// cseKeys builds CSE keys in one reused buffer. Two instructions share a
+// key when they agree on op, result type, Func, Comps and operands;
+// constants compare by value and type, every other operand by identity.
+type cseKeys struct {
+	buf   []byte
+	types map[clc.Type]string
+	ids   map[ir.Value]int
+}
+
+func (k *cseKeys) typ(t clc.Type) {
+	s, ok := k.types[t]
+	if !ok {
+		s = fmt.Sprint(t)
+		k.types[t] = s
+	}
+	k.buf = append(k.buf, s...)
+}
+
+// key returns in's key with its operands resolved through s. The bytes are
+// valid until the next call.
+func (k *cseKeys) key(in *ir.Instr, s subst) []byte {
+	k.buf = strconv.AppendInt(k.buf[:0], int64(in.Op), 10)
+	k.buf = append(k.buf, '|')
+	k.typ(in.Typ)
+	k.buf = append(k.buf, '|')
+	k.buf = append(k.buf, in.Func...)
+	k.buf = append(k.buf, '|')
+	for _, c := range in.Comps {
+		k.buf = strconv.AppendInt(k.buf, int64(c), 10)
+		k.buf = append(k.buf, ',')
+	}
+	for _, a := range in.Args {
+		switch c := s.resolve(a).(type) {
+		case *ir.ConstInt:
+			k.buf = strconv.AppendInt(append(k.buf, "|i"...), c.Val, 10)
+			k.buf = append(k.buf, ':')
+			k.typ(c.Typ)
+		case *ir.ConstFloat:
+			// Shortest round-trip form: 0 and -0 differ, as do all
+			// other distinct values.
+			k.buf = strconv.AppendFloat(append(k.buf, "|f"...), c.Val, 'g', -1, 64)
+			k.buf = append(k.buf, ':')
+			k.typ(c.Typ)
+		default:
+			id, ok := k.ids[c]
+			if !ok {
+				id = len(k.ids)
+				k.ids[c] = id
+			}
+			k.buf = strconv.AppendInt(append(k.buf, "|v"...), int64(id), 10)
+		}
+	}
+	return k.buf
+}
+
+// CSE eliminates duplicate pure expressions within each basic block.
+func CSE(fn *ir.Function) bool {
+	s := subst{}
+	keys := &cseKeys{types: map[clc.Type]string{}, ids: map[ir.Value]int{}}
+	seen := map[string]*ir.Instr{}
+	for _, b := range fn.Blocks {
+		clear(seen)
 		for _, in := range b.Instrs {
 			if !pureNonFaulting(in.Op) || !in.Producing() {
 				continue
 			}
-			key := fmt.Sprintf("%d|%s|%s|%v", in.Op, in.Typ, in.Func, in.Comps)
-			for _, a := range in.Args {
-				key += "|" + id(a)
-			}
-			if prev, ok := seen[key]; ok {
-				ir.ReplaceUses(fn, in, prev)
-				dead = append(dead, in)
-				changed = true
+			key := keys.key(in, s)
+			if prev, ok := seen[string(key)]; ok {
+				s[in] = prev
 				continue
 			}
-			seen[key] = in
-		}
-		for _, in := range dead {
-			ir.RemoveInstr(in)
+			seen[string(key)] = in
 		}
 	}
-	return changed
+	return s.apply(fn)
 }
 
 // DCE removes value-producing instructions with no remaining uses,
-// transitively, and returns the number removed.
+// transitively, and returns the number removed. Stores, calls, barriers
+// and terminators are roots.
 func DCE(fn *ir.Function) int {
-	removed := 0
-	for {
-		uses := map[ir.Value]int{}
-		for _, b := range fn.Blocks {
-			for _, in := range b.Instrs {
-				for _, a := range in.Args {
-					uses[a]++
+	uses := map[*ir.Instr]int{}
+	for _, b := range fn.Blocks {
+		for _, in := range b.Instrs {
+			for _, a := range in.Args {
+				if d, ok := a.(*ir.Instr); ok {
+					uses[d]++
 				}
 			}
-		}
-		var dead []*ir.Instr
-		for _, b := range fn.Blocks {
-			for _, in := range b.Instrs {
-				if uses[in] > 0 {
-					continue
-				}
-				switch in.Op {
-				case ir.OpStore, ir.OpCall, ir.OpBarrier, ir.OpBr, ir.OpCondBr, ir.OpRet:
-					continue
-				}
-				dead = append(dead, in)
-			}
-		}
-		if len(dead) == 0 {
-			return removed
-		}
-		for _, in := range dead {
-			ir.RemoveInstr(in)
-			removed++
 		}
 	}
+	removable := func(in *ir.Instr) bool {
+		switch in.Op {
+		case ir.OpStore, ir.OpCall, ir.OpBarrier, ir.OpBr, ir.OpCondBr, ir.OpRet:
+			return false
+		}
+		return uses[in] == 0
+	}
+	var work []*ir.Instr
+	for _, b := range fn.Blocks {
+		for _, in := range b.Instrs {
+			if removable(in) {
+				work = append(work, in)
+			}
+		}
+	}
+	removed := 0
+	for len(work) > 0 {
+		in := work[len(work)-1]
+		work = work[:len(work)-1]
+		uses[in] = -1 // dead
+		removed++
+		for _, a := range in.Args {
+			if d, ok := a.(*ir.Instr); ok {
+				uses[d]--
+				if removable(d) {
+					work = append(work, d)
+				}
+			}
+		}
+	}
+	if removed > 0 {
+		for _, b := range fn.Blocks {
+			b.Instrs = slices.DeleteFunc(b.Instrs, func(in *ir.Instr) bool { return uses[in] < 0 })
+		}
+	}
+	return removed
 }
 
 // ---------------------------------------------------------------- LICM
 
 // cfg holds per-function analysis state for LICM.
 type cfg struct {
-	fn     *ir.Function
-	index  map[*ir.Block]int
-	preds  [][]int
-	dom    []uint64 // dominator sets as bitsets (≤64 blocks) or spilled
-	domBig [][]bool // used when >64 blocks
-	n      int
+	fn    *ir.Function
+	index map[*ir.Block]int
+	preds [][]int
+	dom   []uint64 // block i's dominator set is the bitset row(i)
+	words int      // 64-bit words per row
+	n     int
 }
 
 func buildCFG(fn *ir.Function) *cfg {
@@ -225,76 +316,50 @@ func buildCFG(fn *ir.Function) *cfg {
 	return c
 }
 
-// computeDominators runs the classic iterative data-flow algorithm.
+// computeDominators runs the classic iterative data-flow algorithm: the
+// entry is dominated by itself alone, a block without predecessors
+// (unreachable) likewise, and any other block by itself and every block
+// that dominates all of its predecessors.
 func (c *cfg) computeDominators() {
-	if c.n <= 64 {
-		full := uint64(0)
-		for i := 0; i < c.n; i++ {
-			full |= 1 << uint(i)
-		}
-		c.dom = make([]uint64, c.n)
-		for i := range c.dom {
-			c.dom[i] = full
-		}
-		c.dom[0] = 1
-		for changed := true; changed; {
-			changed = false
-			for i := 1; i < c.n; i++ {
-				nd := full
-				if len(c.preds[i]) == 0 {
-					nd = 0 // unreachable
-				}
-				for _, p := range c.preds[i] {
-					nd &= c.dom[p]
-				}
-				nd |= 1 << uint(i)
-				if nd != c.dom[i] {
-					c.dom[i] = nd
-					changed = true
-				}
-			}
-		}
-		return
+	c.words = (c.n + 63) / 64
+	full := make([]uint64, c.words)
+	for i := 0; i < c.n; i++ {
+		full[i/64] |= 1 << (i % 64)
 	}
-	c.domBig = make([][]bool, c.n)
-	for i := range c.domBig {
-		c.domBig[i] = make([]bool, c.n)
-		for j := range c.domBig[i] {
-			c.domBig[i][j] = true
-		}
+	c.dom = make([]uint64, c.n*c.words)
+	for i := 1; i < c.n; i++ {
+		copy(c.row(i), full)
 	}
-	for j := 1; j < c.n; j++ {
-		c.domBig[0][j] = false
-	}
+	c.dom[0] = 1
+	nd := make([]uint64, c.words)
 	for changed := true; changed; {
 		changed = false
 		for i := 1; i < c.n; i++ {
-			for j := 0; j < c.n; j++ {
-				if j == i {
-					continue
+			if len(c.preds[i]) == 0 {
+				clear(nd) // unreachable
+			} else {
+				copy(nd, full)
+			}
+			for _, p := range c.preds[i] {
+				for w, x := range c.row(p) {
+					nd[w] &= x
 				}
-				v := len(c.preds[i]) > 0
-				for _, p := range c.preds[i] {
-					if !c.domBig[p][j] {
-						v = false
-						break
-					}
-				}
-				if v != c.domBig[i][j] {
-					c.domBig[i][j] = v
-					changed = true
-				}
+			}
+			nd[i/64] |= 1 << (i % 64)
+			if row := c.row(i); !slices.Equal(nd, row) {
+				copy(row, nd)
+				changed = true
 			}
 		}
 	}
 }
 
+// row is block i's dominator set, bit j for block j.
+func (c *cfg) row(i int) []uint64 { return c.dom[i*c.words : (i+1)*c.words] }
+
 // dominates reports whether block a dominates block b.
 func (c *cfg) dominates(a, b int) bool {
-	if c.dom != nil {
-		return c.dom[b]&(1<<uint(a)) != 0
-	}
-	return c.domBig[b][a]
+	return c.dom[b*c.words+a/64]&(1<<(a%64)) != 0
 }
 
 // idom returns b's immediate dominator, or -1 for the entry.
@@ -303,42 +368,36 @@ func (c *cfg) idom(b int) int {
 		return -1
 	}
 	best := -1
-	for a := 0; a < c.n; a++ {
-		if a == b || !c.dominates(a, b) {
-			continue
-		}
-		if best == -1 {
-			best = a
-			continue
-		}
-		// The closest dominator is dominated by every other dominator.
-		if c.dominates(best, a) {
-			best = a
+	for w, x := range c.row(b) {
+		for ; x != 0; x &= x - 1 {
+			a := w*64 + bits.TrailingZeros64(x)
+			// The closest dominator is dominated by every other dominator.
+			if a != b && (best == -1 || c.dominates(best, a)) {
+				best = a
+			}
 		}
 	}
 	return best
 }
 
-// naturalLoop returns the block set of the natural loop of back edge
-// tail→head.
-func (c *cfg) naturalLoop(tail, head int) map[int]bool {
-	loop := map[int]bool{head: true}
-	var stack []int
+// naturalLoop returns the blocks of the natural loop of back edge
+// tail→head, as a set and in function order.
+func (c *cfg) naturalLoop(tail, head int) (map[int]bool, []int) {
+	loop := map[int]bool{head: true, tail: true}
+	blocks := []int{head}
 	if tail != head {
-		loop[tail] = true
-		stack = append(stack, tail)
+		blocks = append(blocks, tail)
 	}
-	for len(stack) > 0 {
-		b := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range c.preds[b] {
+	for i := 1; i < len(blocks); i++ {
+		for _, p := range c.preds[blocks[i]] {
 			if !loop[p] {
 				loop[p] = true
-				stack = append(stack, p)
+				blocks = append(blocks, p)
 			}
 		}
 	}
-	return loop
+	slices.Sort(blocks)
+	return loop, blocks
 }
 
 // LICM hoists loop-invariant pure instructions (and loads of variables not
@@ -359,7 +418,7 @@ func LICM(fn *ir.Function) bool {
 		}
 	}
 	for _, e := range backEdges {
-		loop := c.naturalLoop(e.tail, e.head)
+		loop, blocks := c.naturalLoop(e.tail, e.head)
 		hoistTo := c.idom(e.head)
 		if hoistTo < 0 || loop[hoistTo] {
 			continue
@@ -368,11 +427,8 @@ func LICM(fn *ir.Function) bool {
 		// Allocas stored inside the loop: loads of them are not invariant.
 		storedAllocas := map[*ir.Instr]bool{}
 		anyWildStore := false
-		for bi, blk := range fn.Blocks {
-			if !loop[bi] {
-				continue
-			}
-			for _, in := range blk.Instrs {
+		for _, bi := range blocks {
+			for _, in := range fn.Blocks[bi].Instrs {
 				if in.Op == ir.OpStore {
 					if tgt, ok := in.Args[0].(*ir.Instr); ok && tgt.Op == ir.OpAlloca {
 						storedAllocas[tgt] = true
@@ -399,15 +455,12 @@ func LICM(fn *ir.Function) bool {
 		}
 		// Iterate to drag whole invariant chains out.
 		for pass := 0; pass < 16; pass++ {
-			moved := false
+			var moved []*ir.Instr
 			// In function order, not the set's: the order invariant
 			// instructions of different blocks reach the preheader in is
 			// part of the output.
-			for bi, blk := range fn.Blocks {
-				if !loop[bi] {
-					continue
-				}
-				for _, in := range append([]*ir.Instr(nil), blk.Instrs...) {
+			for _, bi := range blocks {
+				for _, in := range fn.Blocks[bi].Instrs {
 					hoistable := false
 					switch {
 					case pureNonFaulting(in.Op) && in.Producing():
@@ -432,16 +485,21 @@ func LICM(fn *ir.Function) bool {
 					if !ok {
 						continue
 					}
-					ir.RemoveInstr(in)
-					term := hoistBlk.Terminator()
-					ir.InsertBefore(term, in)
-					moved = true
-					changed = true
+					// Moved now, so its users later in this pass see it
+					// available; the blocks are rewritten once below.
+					in.Block = hoistBlk
+					moved = append(moved, in)
 				}
 			}
-			if !moved {
+			if len(moved) == 0 {
 				break
 			}
+			changed = true
+			for _, bi := range blocks {
+				blk := fn.Blocks[bi]
+				blk.Instrs = slices.DeleteFunc(blk.Instrs, func(in *ir.Instr) bool { return in.Block != blk })
+			}
+			hoistBlk.Instrs = slices.Insert(hoistBlk.Instrs, len(hoistBlk.Instrs)-1, moved...)
 		}
 	}
 	return changed
@@ -454,19 +512,20 @@ func LICM(fn *ir.Function) bool {
 // would do.
 func Peephole(fn *ir.Function) bool {
 	changed := false
+	s := subst{}
 	for _, b := range fn.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op != ir.OpConvert {
 				continue
 			}
-			src, ok := in.Args[0].(*ir.Instr)
+			src, ok := s.resolve(in.Args[0]).(*ir.Instr)
 			if !ok || src.Op != ir.OpConvert {
 				continue
 			}
 			// in converts B→C over src converting A→B: when A, B are
 			// integers and B is at least as wide as A, the intermediate
 			// conversion is value-preserving and can be skipped.
-			a, aok := intScalar(src.Args[0].Type())
+			a, aok := intScalar(s.resolve(src.Args[0]).Type())
 			bk, bok := intScalar(src.Typ)
 			if _, cok := intScalar(in.Typ); aok && bok && cok && bk.Size() >= a.Size() {
 				in.Args[0] = src.Args[0]
@@ -474,15 +533,16 @@ func Peephole(fn *ir.Function) bool {
 			}
 		}
 		// Identity conversions: forward the operand.
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
-			if in.Op == ir.OpConvert && clc.TypesEqual(in.Typ, in.Args[0].Type()) {
-				ir.ReplaceUses(fn, in, in.Args[0])
-				ir.RemoveInstr(in)
-				changed = true
+		for _, in := range b.Instrs {
+			if in.Op != ir.OpConvert {
+				continue
+			}
+			if x := s.resolve(in.Args[0]); clc.TypesEqual(in.Typ, x.Type()) {
+				s[in] = x
 			}
 		}
 	}
-	return changed
+	return s.apply(fn) || changed
 }
 
 // intScalar returns the scalar type when t is an integer scalar.
@@ -513,14 +573,14 @@ func wholeVars(fn *ir.Function) map[*ir.Instr]*ir.AllocaUse {
 // is known — from a preceding store or load — is replaced by that value.
 func LoadForward(fn *ir.Function) bool {
 	vars := wholeVars(fn)
-	changed := false
+	s := subst{}
+	known := map[*ir.Instr]ir.Value{}
 	for _, b := range fn.Blocks {
-		known := map[*ir.Instr]ir.Value{}
-		var dead []*ir.Instr
+		clear(known)
 		for _, in := range b.Instrs {
 			switch in.Op {
 			case ir.OpStore:
-				if tgt, ok := in.Args[0].(*ir.Instr); ok {
+				if tgt, ok := s.resolve(in.Args[0]).(*ir.Instr); ok {
 					if _, whole := vars[tgt]; whole {
 						known[tgt] = in.Args[1]
 						continue
@@ -529,12 +589,10 @@ func LoadForward(fn *ir.Function) bool {
 				// A store through a computed pointer cannot alias a
 				// tracked non-escaping private alloca; keep the map.
 			case ir.OpLoad:
-				if src, ok := in.Args[0].(*ir.Instr); ok {
+				if src, ok := s.resolve(in.Args[0]).(*ir.Instr); ok {
 					if _, whole := vars[src]; whole {
 						if v, ok := known[src]; ok {
-							ir.ReplaceUses(fn, in, v)
-							dead = append(dead, in)
-							changed = true
+							s[in] = s.resolve(v)
 						} else {
 							known[src] = in
 						}
@@ -543,14 +601,11 @@ func LoadForward(fn *ir.Function) bool {
 			case ir.OpCall:
 				// Callees cannot reach caller-private non-escaping
 				// allocas, but stay conservative.
-				known = map[*ir.Instr]ir.Value{}
+				clear(known)
 			}
 		}
-		for _, in := range dead {
-			ir.RemoveInstr(in)
-		}
 	}
-	return changed
+	return s.apply(fn)
 }
 
 // DSE removes stores to private variables that are never loaded and never
@@ -559,19 +614,17 @@ func DSE(fn *ir.Function) bool {
 	vars := wholeVars(fn)
 	changed := false
 	for _, b := range fn.Blocks {
-		var keep []*ir.Instr
-		for _, in := range b.Instrs {
+		b.Instrs = slices.DeleteFunc(b.Instrs, func(in *ir.Instr) bool {
 			if in.Op == ir.OpStore {
 				if tgt, ok := in.Args[0].(*ir.Instr); ok {
 					if u, whole := vars[tgt]; whole && u.Loads == 0 {
 						changed = true
-						continue
+						return true
 					}
 				}
 			}
-			keep = append(keep, in)
-		}
-		b.Instrs = keep
+			return false
+		})
 	}
 	return changed
 }

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"grover/internal/clc"
@@ -288,6 +290,233 @@ __kernel void k(__global float* out, __global float* in, int a, int b, int n) {
 			first = text
 		} else if text != first {
 			t.Fatalf("compile %d produced different IR:\n%s\nthe first:\n%s", i, text, first)
+		}
+	}
+}
+
+// newFunc returns a kernel with an int parameter p and an int buffer out,
+// and a builder at its entry block.
+func newFunc() (*ir.Function, *ir.Builder, *ir.Param, *ir.Param) {
+	fn := &ir.Function{Name: "k", IsKernel: true, Ret: clc.TypeVoid}
+	p := &ir.Param{Name_: "p", Typ: clc.TypeInt, Index: 0}
+	out := &ir.Param{Name_: "out", Typ: &clc.PointerType{Elem: clc.TypeInt, Space: clc.ASGlobal}, Index: 1}
+	fn.Params = []*ir.Param{p, out}
+	return fn, ir.NewBuilder(fn), p, out
+}
+
+// usesOf counts the operands in fn that are v.
+func usesOf(fn *ir.Function, v ir.Value) int {
+	n := 0
+	for _, b := range fn.Blocks {
+		for _, in := range b.Instrs {
+			for _, a := range in.Args {
+				if a == v {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// TestDCERemovesDeadChainInOneCall: a chain of n instructions, each used
+// only by the next and the last by nothing, is dead as a whole, and one
+// call removes all of it; stores, calls, barriers and terminators stay.
+func TestDCERemovesDeadChainInOneCall(t *testing.T) {
+	const n = 1000
+	fn, b, p, out := newFunc()
+	v := ir.Value(p)
+	for i := 0; i < n; i++ {
+		v = b.Bin(ir.OpAdd, clc.TypeInt, v, ir.IntConst(1), clc.Pos{})
+	}
+	b.Store(out, p, clc.Pos{})
+	b.Call(&ir.Function{Name: "f", Ret: clc.TypeVoid}, nil, clc.Pos{})
+	b.Barrier(ir.IntConst(1), clc.Pos{})
+	b.Ret(nil, clc.Pos{})
+	if got := DCE(fn); got != n {
+		t.Fatalf("DCE removed %d instructions, want %d", got, n)
+	}
+	var ops []ir.Op
+	for _, in := range fn.Blocks[0].Instrs {
+		ops = append(ops, in.Op)
+	}
+	if want := []ir.Op{ir.OpStore, ir.OpCall, ir.OpBarrier, ir.OpRet}; !slices.Equal(ops, want) {
+		t.Errorf("left %v, want %v", ops, want)
+	}
+	if got := DCE(fn); got != 0 {
+		t.Errorf("a second DCE removed %d", got)
+	}
+}
+
+// TestCSERewritesEveryUse: the duplicate is defined in a block that
+// dominates a loop header listed above it and an exit listed below it,
+// and both uses move to the value it duplicates.
+func TestCSERewritesEveryUse(t *testing.T) {
+	fn, b, p, out := newFunc()
+	head, def, exit := fn.NewBlock("head"), fn.NewBlock("def"), fn.NewBlock("exit")
+	b.Br(def, clc.Pos{})
+	b.SetBlock(def)
+	x := b.Bin(ir.OpMul, clc.TypeInt, p, p, clc.Pos{})
+	dup := b.Bin(ir.OpMul, clc.TypeInt, p, p, clc.Pos{})
+	b.Br(head, clc.Pos{})
+	b.SetBlock(head)
+	cond := b.Cmp(ir.OpLt, dup, ir.IntConst(10), clc.Pos{})
+	b.CondBr(cond, head, exit, clc.Pos{})
+	b.SetBlock(exit)
+	b.Store(out, b.Bin(ir.OpAdd, clc.TypeInt, dup, ir.IntConst(1), clc.Pos{}), clc.Pos{})
+	b.Ret(nil, clc.Pos{})
+	if err := ir.VerifyFunc(fn); err != nil {
+		t.Fatal(err)
+	}
+	if !CSE(fn) {
+		t.Fatal("CSE changed nothing")
+	}
+	if n := usesOf(fn, dup); n != 0 {
+		t.Errorf("%d uses of the duplicate left", n)
+	}
+	if n := usesOf(fn, x); n != 2 {
+		t.Errorf("%d uses of the kept value, want 2 (loop header and exit)", n)
+	}
+	if len(def.Instrs) != 2 {
+		t.Errorf("def holds %d instructions, want the kept mul and the branch", len(def.Instrs))
+	}
+	if err := ir.VerifyFunc(fn); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCSEKeepsConstantsApart: constants compare by value and type, so
+// int 1 and long 1 are different operands, and so are 0.0 and -0.0.
+func TestCSEKeepsConstantsApart(t *testing.T) {
+	fn, b, p, out := newFunc()
+	f := b.Convert(p, clc.TypeFloat, clc.Pos{})
+	vals := []ir.Value{
+		b.Convert(ir.IntConst(1), clc.TypeFloat, clc.Pos{}),
+		b.Convert(ir.LongConst(1), clc.TypeFloat, clc.Pos{}),
+		b.Bin(ir.OpMul, clc.TypeFloat, f, ir.FloatConst(0), clc.Pos{}),
+		b.Bin(ir.OpMul, clc.TypeFloat, f, ir.FloatConst(math.Copysign(0, -1)), clc.Pos{}),
+	}
+	again := b.Convert(ir.IntConst(1), clc.TypeFloat, clc.Pos{})
+	for _, v := range append(vals, again) {
+		b.Store(out, b.Convert(v, clc.TypeInt, clc.Pos{}), clc.Pos{})
+	}
+	b.Ret(nil, clc.Pos{})
+	if !CSE(fn) {
+		t.Fatal("CSE did not merge the repeated int 1 conversion")
+	}
+	if usesOf(fn, again) != 0 {
+		t.Error("the repeated int 1 conversion is still used")
+	}
+	for i, v := range vals {
+		if usesOf(fn, v) == 0 {
+			t.Errorf("value %d (%s) was merged into another", i, v.(*ir.Instr).Format())
+		}
+	}
+}
+
+// TestLoadForwardThroughForwardedLoad: b is stored from a load of a that
+// is itself forwarded, so a load of b forwards to what was stored to a.
+func TestLoadForwardThroughForwardedLoad(t *testing.T) {
+	fn, b, p, out := newFunc()
+	va := b.Alloca(clc.TypeInt, clc.ASPrivate, "a", clc.Pos{})
+	vb := b.Alloca(clc.TypeInt, clc.ASPrivate, "b", clc.Pos{})
+	b.Store(va, p, clc.Pos{})
+	la := b.Load(va, clc.Pos{})
+	b.Store(vb, la, clc.Pos{})
+	lb := b.Load(vb, clc.Pos{})
+	st := b.Store(out, lb, clc.Pos{})
+	b.Ret(nil, clc.Pos{})
+	if !LoadForward(fn) {
+		t.Fatal("LoadForward changed nothing")
+	}
+	if countInBlocks(fn, nil, ir.OpLoad) != 0 {
+		t.Errorf("loads left:\n%s", fn.Format())
+	}
+	if st.Args[1] != p {
+		t.Errorf("the store to out stores %s, want %%p", st.Args[1])
+	}
+	if err := ir.VerifyFunc(fn); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// refDominators solves the equations LICM's dominator sets solve, one bool
+// per pair: the entry and every block without predecessors are dominated
+// by themselves alone, and any other block by itself and by every block
+// that dominates all of its predecessors.
+func refDominators(preds [][]int) [][]bool {
+	n := len(preds)
+	dom := make([][]bool, n)
+	for i := range dom {
+		dom[i] = make([]bool, n)
+		for j := range dom[i] {
+			dom[i][j] = i > 0 || j == 0
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := 1; i < n; i++ {
+			for j := 0; j < n; j++ {
+				v := j == i || len(preds[i]) > 0
+				for _, p := range preds[i] {
+					v = v && (j == i || dom[p][j])
+				}
+				if v != dom[i][j] {
+					dom[i][j], changed = v, true
+				}
+			}
+		}
+	}
+	return dom
+}
+
+// TestDominatorsMatchReference: on CFGs of one and of two bitset words,
+// with loops, forward skips and a block without predecessors whose edge
+// lands in the middle, the dominator sets are the reference's.
+func TestDominatorsMatchReference(t *testing.T) {
+	for _, n := range []int{40, 70} {
+		fn, b, p, _ := newFunc()
+		blocks := []*ir.Block{fn.Blocks[0]}
+		for len(blocks) < n {
+			blocks = append(blocks, fn.NewBlock("b"))
+		}
+		dead := n - 10 // no predecessors
+		for i, blk := range blocks {
+			b.SetBlock(blk)
+			next, far := i+1, (i*37+11)%n
+			if next == dead {
+				next++
+			}
+			if far == dead {
+				far = 0
+			}
+			switch {
+			case i == dead:
+				b.Br(blocks[n/2], clc.Pos{})
+			case i == n-1:
+				b.Ret(nil, clc.Pos{})
+			default:
+				b.CondBr(p, blocks[next], blocks[far], clc.Pos{})
+			}
+		}
+		preds := make([][]int, n)
+		for i, blk := range blocks {
+			for _, s := range blk.Succs() {
+				j := slices.Index(blocks, s)
+				preds[j] = append(preds[j], i)
+			}
+		}
+		if len(preds[dead]) != 0 {
+			t.Fatalf("n=%d: block %d has predecessors %v", n, dead, preds[dead])
+		}
+		want := refDominators(preds)
+		d := ComputeDominance(fn)
+		for a := range blocks {
+			for bi := range blocks {
+				if got := d.Dominates(blocks[a], blocks[bi]); got != want[bi][a] {
+					t.Errorf("n=%d: Dominates(%d, %d) = %v, want %v", n, a, bi, got, want[bi][a])
+				}
+			}
 		}
 	}
 }
