@@ -22,9 +22,7 @@
 // committed BENCH_characterize.json is the output of the characterize
 // experiment, BENCH_rewrite.json of rewrite (every app plus a synthetic
 // window-sum kernel, autotuned across the rewrite plan space on all six
-// platforms) and BENCH_profit.json of profit (static-ranking validation,
-// with -device all). Those two tune each app on the requested devices as
-// one set (grover.Tune).
+// platforms as one device set, grover.Tune).
 // -cpuprofile and -memprofile write pprof profiles of the
 // run for backend performance work.
 package main
@@ -48,9 +46,9 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig2 | fig10 | figgpu | table1 | table2 | table3 | table4 | case | characterize | rewrite | profit | all")
+		experiment = flag.String("experiment", "all", "fig2 | fig10 | figgpu | table1 | table2 | table3 | table4 | case | characterize | rewrite | all")
 		app        = flag.String("app", "", "benchmark id for -experiment case (e.g. NVD-MT)")
-		device     = flag.String("device", "SNB", "device for -experiment case and profit (profit also accepts \"all\")")
+		device     = flag.String("device", "SNB", "device for -experiment case")
 		scale      = flag.Int("scale", 1, "dataset scale factor")
 		runs       = flag.Int("runs", 1, "simulated executions to average per version")
 		validate   = flag.Bool("validate", false, "also validate both kernel versions against host references")
@@ -181,8 +179,6 @@ func run(experiment, appID, deviceName, format string, cfg harness.Config) error
 		return runCharacterize(cfg, format)
 	case "rewrite":
 		return runRewrite(cfg, format)
-	case "profit":
-		return runProfit(cfg, format, deviceName)
 	case "table1":
 		fmt.Println("Table I — benchmarks and datasets")
 		fmt.Println(harness.Table1())

@@ -8,7 +8,6 @@ import (
 	"grover"
 	"grover/internal/apps"
 	"grover/internal/harness"
-	"grover/internal/profit"
 	"grover/internal/rewrite"
 	"grover/opencl"
 )
@@ -106,72 +105,41 @@ func planSpaceFor(app *apps.App, local [3]int) []string {
 	return plans
 }
 
-// sweepDevices resolves -device: one platform by name, every platform for
-// "all" or "".
-func sweepDevices(name string) ([]*opencl.Device, error) {
-	plat := opencl.NewPlatform()
-	if name == "" || name == "all" {
-		return plat.Devices(), nil
-	}
-	dev, err := plat.DeviceByName(name)
-	if err != nil {
-		return nil, err
-	}
-	return []*opencl.Device{dev}, nil
-}
-
-// appSearch is one app's exhaustive plan search on a set of devices, which
-// the rewrite and profit experiments each read their own way.
-type appSearch struct {
-	app *apps.App
-	// prog and inst are the app instantiated and set up in a context the
-	// search never launches in: the module the static model scores, the
-	// launch geometry and the scalar arguments it is sharpened with.
-	prog *opencl.Program
-	inst *apps.Instance
-	// plans is the app's plan space (planSpaceFor) in canonical form.
-	plans []string
-	// results holds each device's search, in the set's order.
-	results []*grover.TuneResult
-}
-
 // searchApp compiles app once and tunes it on devs as one set: every
 // distinct kernel executes once per memory state and is charged to each
 // device's cost model (grover.Tune), which gives every device the timings
-// of a search of its own.
-func searchApp(app *apps.App, devs []*opencl.Device, cfg harness.Config) (*appSearch, error) {
+// of a search of its own. The results are in devs order.
+func searchApp(app *apps.App, devs []*opencl.Device, cfg harness.Config) ([]*grover.TuneResult, error) {
 	mod, err := opencl.CompileModule(app.ID+".cl", app.Source, app.Defines)
 	if err != nil {
 		return nil, err
 	}
-	instantiate := func(ctx *opencl.Context) (*opencl.Program, error) {
-		if cfg.Backend != "" {
-			if err := ctx.SetBackend(cfg.Backend); err != nil {
-				return nil, err
-			}
-		}
-		return ctx.NewProgramFromIR(app.ID+".cl", mod)
-	}
-	s := &appSearch{app: app}
-	ctx := opencl.NewContext(devs[0])
-	if s.prog, err = instantiate(ctx); err != nil {
-		return nil, err
-	}
-	if s.inst, err = app.Setup(ctx, cfg.Scale); err != nil {
+	// The launch geometry, which the plan space depends on, comes from a
+	// setup in a context the search never launches in.
+	inst, err := app.Setup(opencl.NewContext(devs[0]), cfg.Scale)
+	if err != nil {
 		return nil, fmt.Errorf("setup: %w", err)
 	}
-	for _, ps := range planSpaceFor(app, s.inst.ND.Local) {
+	var plans []string
+	for _, ps := range planSpaceFor(app, inst.ND.Local) {
 		p, err := rewrite.ParsePlan(ps)
 		if err != nil {
 			return nil, err
 		}
-		s.plans = append(s.plans, p.String())
+		plans = append(plans, p.String())
 	}
 	results := grover.Tune(context.Background(), devs, app.Kernel, grover.LaunchSpec{
-		Program: instantiate,
-		ND:      s.inst.ND,
-		Runs:    cfg.Runs,
-		Plans:   s.plans,
+		Program: func(ctx *opencl.Context) (*opencl.Program, error) {
+			if cfg.Backend != "" {
+				if err := ctx.SetBackend(cfg.Backend); err != nil {
+					return nil, err
+				}
+			}
+			return ctx.NewProgramFromIR(app.ID+".cl", mod)
+		},
+		ND:    inst.ND,
+		Runs:  cfg.Runs,
+		Plans: plans,
 		Args: func(ctx *opencl.Context) ([]interface{}, error) {
 			inst, err := app.Setup(ctx, cfg.Scale)
 			if err != nil {
@@ -180,23 +148,14 @@ func searchApp(app *apps.App, devs []*opencl.Device, cfg harness.Config) (*appSe
 			return inst.Args, nil
 		},
 	})
-	for _, r := range results {
+	out := make([]*grover.TuneResult, len(results))
+	for i, r := range results {
 		if r.Err != nil {
 			return nil, fmt.Errorf("on %s: %w", r.Device, r.Err)
 		}
-		s.results = append(s.results, r.Result)
+		out[i] = r.Result
 	}
-	return s, nil
-}
-
-// rankPlans scores the plan space statically on dev's cost model, most
-// promising first.
-func (s *appSearch) rankPlans(dev *opencl.Device) ([]*profit.PlanScore, error) {
-	return profit.RankPlans(s.prog.Module(), s.app.Kernel, s.plans, dev.CostModel(), profit.Options{
-		WorkGroup: s.inst.ND.Local,
-		Global:    s.inst.ND.Global,
-		ArgInts:   grover.IntArgs(s.inst.Args),
-	})
+	return out, nil
 }
 
 // planTimingJSON is one evaluated plan of a rewrite case.
@@ -247,12 +206,12 @@ func runRewrite(cfg harness.Config, format string) error {
 		if cfg.Log != nil {
 			fmt.Fprintf(cfg.Log, "rewrite: %s\n", app.ID)
 		}
-		s, err := searchApp(app, devs, cfg)
+		results, err := searchApp(app, devs, cfg)
 		if err != nil {
 			return fmt.Errorf("%s: %w", app.ID, err)
 		}
 		for i, dev := range devs {
-			c := rewriteCase(app.ID, dev.Name(), s.results[i])
+			c := rewriteCase(app.ID, dev.Name(), results[i])
 			if c.Best != "base" {
 				out.NonBaseWins++
 			}

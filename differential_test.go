@@ -12,7 +12,6 @@ import (
 	"grover/internal/apps"
 	"grover/internal/device"
 	"grover/internal/enginetest"
-	"grover/internal/profit"
 	"grover/internal/rewrite"
 	"grover/internal/vm"
 	"grover/opencl"
@@ -206,10 +205,10 @@ func sharedQueue(t *testing.T, ctx *opencl.Context, devs []*opencl.Device, nd op
 	}
 }
 
-// planStats runs app's default plan space — only the plans in keep, when
-// it is not nil — one launch after the other on the same buffers as an
-// autotune does, and returns each executed plan's device counters.
-func planStats(t *testing.T, ctx *opencl.Context, app *apps.App, engine string, keep map[string]bool,
+// planStats runs app's default plan space one launch after the other on
+// the same buffers as an autotune does, and returns each executed plan's
+// device counters.
+func planStats(t *testing.T, ctx *opencl.Context, app *apps.App, engine string,
 	queue func(*opencl.Context, *apps.Instance) deviceLaunch) map[string][]device.Result {
 	t.Helper()
 	if err := ctx.SetBackend(engine); err != nil {
@@ -229,9 +228,6 @@ func planStats(t *testing.T, ctx *opencl.Context, app *apps.App, engine string, 
 		plan, err := rewrite.ParsePlan(ps)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if keep != nil && !keep[plan.String()] {
-			continue
 		}
 		p := prog
 		if len(plan.Steps) > 0 {
@@ -280,7 +276,7 @@ func TestSetDifferential(t *testing.T) {
 			t.Parallel()
 			own := make([]map[string][]device.Result, len(devs))
 			for i, dev := range devs {
-				own[i] = planStats(t, opencl.NewContext(dev), app, "wgvec", nil,
+				own[i] = planStats(t, opencl.NewContext(dev), app, "wgvec",
 					func(ctx *opencl.Context, inst *apps.Instance) deviceLaunch {
 						return ownQueue(t, ctx, inst.ND, inst.Args)
 					})
@@ -289,7 +285,7 @@ func TestSetDifferential(t *testing.T) {
 				t.Fatalf("only %d plans executed", len(own[0]))
 			}
 			for _, engine := range setDiffEngines {
-				shared := planStats(t, opencl.NewContext(devs[0]), app, engine, nil,
+				shared := planStats(t, opencl.NewContext(devs[0]), app, engine,
 					func(ctx *opencl.Context, inst *apps.Instance) deviceLaunch {
 						return sharedQueue(t, ctx, devs, inst.ND, inst.Args)
 					})
@@ -352,14 +348,12 @@ func TestSetDifferentialFewGroups(t *testing.T) {
 	}
 }
 
-// TestTuneSetPruneGroups: with static pruning every device ranks the plan
-// space with its own cost model, so the devices of one Tune call keep
-// different plans; Tune then tunes them group by group, each group in a
-// fresh context, and every device must still get exactly the search it
-// would perform alone: the plans profit.RankPlans keeps on its cost model,
-// timed in plan order on a context and profiling queue of its own
-// (ownQueue) — the same plans pruned, the same timings, the same winner.
-func TestTuneSetPruneGroups(t *testing.T) {
+// TestTuneSetOwnSequences: Tune runs the whole device set in one context
+// from one execution per plan, and every device must still get exactly the
+// search it would perform alone: the default plan space timed in plan order
+// on a context and profiling queue of its own (ownQueue) — the same plans
+// applied, the same timings, the same winner.
+func TestTuneSetOwnSequences(t *testing.T) {
 	app, err := apps.ByID("AMD-SS") // data-dependent early exits, seven plans
 	if err != nil {
 		t.Fatal(err)
@@ -369,24 +363,18 @@ func TestTuneSetPruneGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	devs := opencl.NewPlatform().Devices()
-	sctx := opencl.NewContext(devs[0])
-	sprog, err := sctx.NewProgramFromIR(app.ID+".cl", mod)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch, err := app.Setup(sctx, 1)
+	scratch, err := app.Setup(opencl.NewContext(devs[0]), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plans := grover.DefaultPlanSpace(scratch.ND.Local)
-	const prune = 2
 
 	fills := 0
 	set := grover.Tune(context.Background(), devs, app.Kernel, grover.LaunchSpec{
 		Program: func(ctx *opencl.Context) (*opencl.Program, error) {
 			return ctx.NewProgramFromIR(app.ID+".cl", mod)
 		},
-		ND: scratch.ND, Plans: plans, Prune: prune,
+		ND: scratch.ND, Plans: plans,
 		Args: func(ctx *opencl.Context) ([]interface{}, error) {
 			fills++
 			inst, err := app.Setup(ctx, 1)
@@ -397,24 +385,14 @@ func TestTuneSetPruneGroups(t *testing.T) {
 		},
 	})
 
-	groups := map[*grover.LaunchSet]bool{}
+	sets := map[*grover.LaunchSet]bool{}
 	for i, dev := range devs {
 		if set[i].Err != nil {
 			t.Fatalf("%s: %v", dev.Name(), set[i].Err)
 		}
-		groups[set[i].Set] = true
+		sets[set[i].Set] = true
 
-		ranked, err := profit.RankPlans(sprog.Module(), app.Kernel, plans, dev.CostModel(), profit.Options{
-			WorkGroup: scratch.ND.Local, Global: scratch.ND.Global, ArgInts: grover.IntArgs(scratch.Args)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		scores, keep := map[string]*profit.Score{}, map[string]bool{}
-		for j, ps := range ranked {
-			scores[ps.Plan] = ps.Score
-			keep[ps.Plan] = j < prune
-		}
-		own := planStats(t, opencl.NewContext(dev), app, "wgvec", keep,
+		own := planStats(t, opencl.NewContext(dev), app, "wgvec",
 			func(ctx *opencl.Context, inst *apps.Instance) deviceLaunch {
 				return ownQueue(t, ctx, inst.ND, inst.Args)
 			})
@@ -436,10 +414,9 @@ func TestTuneSetPruneGroups(t *testing.T) {
 					baseMS = ms
 				}
 			}
-			if g.Plan != plans[j] || g.Pruned != !keep[g.Plan] || g.Applied != ran || g.MS != ms ||
-				g.Err != "" || !reflect.DeepEqual(g.Score, scores[g.Plan]) {
-				t.Errorf("%s, plan %s: in the set %+v; on its own kept %v, ran %v, %v ms, score %+v",
-					dev.Name(), plans[j], g, keep[g.Plan], ran, ms, scores[g.Plan])
+			if g.Plan != plans[j] || g.Applied != ran || g.MS != ms || g.Err != "" {
+				t.Errorf("%s, plan %s: in the set %+v; on its own ran %v, %v ms",
+					dev.Name(), plans[j], g, ran, ms)
 			}
 		}
 		if got.Plan != best || got.TransformedMS != bestMS || got.OriginalMS != baseMS {
@@ -447,10 +424,10 @@ func TestTuneSetPruneGroups(t *testing.T) {
 				dev.Name(), got, best, baseMS, bestMS)
 		}
 	}
-	if len(groups) < 2 {
-		t.Errorf("all six devices kept the same plans: the test no longer splits the set")
+	if len(sets) != 1 {
+		t.Errorf("the six results name %d launch sets, want 1", len(sets))
 	}
-	if fills != len(groups) {
-		t.Errorf("Args built %d argument lists for %d groups", fills, len(groups))
+	if fills != 1 {
+		t.Errorf("Args built %d argument lists, want 1", fills)
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"strings"
 
 	igrover "grover/internal/grover"
-	"grover/internal/profit"
 	"grover/internal/rewrite"
 	"grover/internal/telemetry"
 	"grover/internal/vm"
@@ -109,10 +108,6 @@ type PlanTiming struct {
 	Err string
 	// Report is the plan's per-step rewrite report, when it ran.
 	Report *rewrite.Report
-	// Score is the static profitability estimate when prune mode ran.
-	Score *profit.Score
-	// Pruned marks plans the static ranking decided not to execute.
-	Pruned bool
 	// Profile is the plan's per-launch execution profile (wall time and
 	// retire/traffic counters per barrier-delimited region, accumulated
 	// over the timed runs) when LaunchSpec.Profile was set.
@@ -236,104 +231,20 @@ func withBasePlan(plans []string) []string {
 	return append([]string{rewrite.BasePlanName}, plans...)
 }
 
-// planSearch is what the devices of one Tune call share while their plan
-// searches are settled: the program the plans are ranked on, the plan list
-// with base in front, the launch spec, and what the static model needs of
-// the arguments.
-type planSearch struct {
-	prog   *opencl.Program
-	kernel string
-	plans  []string
-	spec   *LaunchSpec
-	// argInts are the integer scalar arguments by parameter index: they
-	// sharpen loop trip counts and guard decisions in the static model.
-	argInts map[int]int64
-}
-
-// deviceSearch is one device's side of a plan search: what the static
-// ranking decided for it before anything runs.
-type deviceSearch struct {
-	*planSearch
-	dev *opencl.Device
-	// scores and keep are the static ranking and the plans it lets run;
-	// both nil when every plan runs.
-	scores map[string]*profit.Score
-	keep   map[string]bool
-}
-
-// planDevice settles what one device's search will execute: every plan, or
-// in prune mode the ones the static ranking on dev's cost model keeps. A
-// ranking failure falls back to exhaustive timing rather than aborting the
-// tune.
-func (ps *planSearch) planDevice(dev *opencl.Device) *deviceSearch {
-	s := &deviceSearch{planSearch: ps, dev: dev}
-	prune := ps.spec.Prune
-	if prune <= 0 {
-		return s
-	}
-	ranked, err := profit.RankPlans(ps.prog.Module(), ps.kernel, canonicalPlans(ps.plans), dev.CostModel(),
-		profit.Options{WorkGroup: ps.spec.ND.Local, Global: ps.spec.ND.Global, ArgInts: ps.argInts})
-	if err != nil {
-		return s
-	}
-	s.scores = make(map[string]*profit.Score, len(ranked))
-	s.keep = make(map[string]bool, prune)
-	for i, p := range ranked {
-		s.scores[p.Plan] = p.Score
-		if i < prune {
-			s.keep[p.Plan] = true
-		}
-	}
-	return s
-}
-
-// canonicalPlans returns the canonical strings of the parseable plans.
-func canonicalPlans(plans []string) []string {
-	var canon []string
-	for _, ps := range plans {
-		if p, err := rewrite.ParsePlan(ps); err == nil {
-			canon = append(canon, p.String())
-		}
-	}
-	return canon
-}
-
-// runs reports whether this device's search executes the (canonical) plan.
-func (s *deviceSearch) runs(plan string) bool { return s.scores == nil || s.keep[plan] }
-
-// executed is the list of plans this device's search executes. Devices
-// with equal lists see the same sequence of launches, so one execution of
-// each plan serves them all.
-func (s *deviceSearch) executed() string {
-	var kept []string
-	for _, plan := range canonicalPlans(s.plans) {
-		if s.runs(plan) {
-			kept = append(kept, plan)
-		}
-	}
-	return strings.Join(kept, "|")
-}
-
-// measurePlans is the measured plan search for a group of devices that
-// execute the same plans, on prog — the program of the launch environment
-// the group runs in: each plan is rewritten and prepared once and executed
-// spec.Runs times, every execution is charged to all of the group's cost
-// models (launch returns one event per device, in group order), and each
-// device gets its own timings, winner and static scores — except that a
+// measurePlans is the measured plan search for devs on prog — the program
+// of the launch environment the set runs in: each plan is rewritten and
+// prepared once and executed runs times, every execution is charged to all
+// of the set's cost models (launch returns one event per device, in devs
+// order), and each device gets its own timings and winner — except that a
 // plan whose kernel already ran, on the memory that is still there, takes
 // that run's timings and profile instead of executing. profile, when
 // non-nil, is called before each executed plan and returns a fresh
 // profiler wired into launch; its report lands in PlanTiming.Profile.
-func measurePlans(ctx context.Context, prog *opencl.Program, launch setLaunch,
-	profile func() *vm.Profiler, group []*deviceSearch) ([]*TuneResult, error) {
-	kernel, plans, runs := group[0].kernel, group[0].plans, group[0].spec.Runs
+func measurePlans(ctx context.Context, prog *opencl.Program, kernel string, plans []string, runs int,
+	launch setLaunch, profile func() *vm.Profiler, devs []*opencl.Device) ([]*TuneResult, error) {
 	orig, err := prog.Kernel(kernel)
 	if err != nil {
 		return nil, err
-	}
-	devs := make([]*opencl.Device, len(group))
-	for i, s := range group {
-		devs[i] = s.dev
 	}
 	devices := deviceNames(devs)
 
@@ -343,17 +254,16 @@ func measurePlans(ctx context.Context, prog *opencl.Program, launch setLaunch,
 		plan    string
 		rewrite *rewrite.Report
 	}
-	results := make([]*TuneResult, len(group))
-	bests := make([]best, len(group))
+	results := make([]*TuneResult, len(devs))
+	bests := make([]best, len(devs))
 	for i := range results {
 		results[i] = &TuneResult{Original: orig}
 	}
 	// record files one plan's outcome with every device: the shared part
-	// in t, the device's own static score and, when the plan was timed
-	// (ms non-nil), its own time.
+	// in t and, when the plan was timed (ms non-nil), the device's own
+	// time.
 	record := func(t PlanTiming, k *opencl.Kernel, ms []float64) {
-		for i, s := range group {
-			t.Score = s.scores[t.Plan]
+		for i := range devs {
 			if ms != nil {
 				t.MS = ms[i]
 				if t.Plan == rewrite.BasePlanName {
@@ -384,11 +294,6 @@ func measurePlans(ctx context.Context, prog *opencl.Program, launch setLaunch,
 			continue
 		}
 		t := PlanTiming{Plan: p.String()}
-		if !group[0].runs(t.Plan) {
-			t.Pruned = true
-			record(t, nil, nil)
-			continue
-		}
 		// One span per plan per set: the rewrite and re-prepare stages are
 		// its children.
 		sctx, span := telemetry.StartSpanCtx(ctx, "tune:"+t.Plan)
@@ -425,7 +330,7 @@ func measurePlans(ctx context.Context, prog *opencl.Program, launch setLaunch,
 		if profile != nil {
 			prof = profile()
 		}
-		ms, err := timeKernel(k, runs, len(group), launch)
+		ms, err := timeKernel(k, runs, len(devs), launch)
 		span.End()
 		if prof != nil {
 			t.Profile = prof.Report()
@@ -495,11 +400,8 @@ func DefaultPlanSpace(local [3]int) []string {
 // LaunchSpec describes how to launch a kernel for timing on a set of
 // devices: the program, pass options, launch geometry, run count, and a
 // builder that materializes the kernel arguments. Buffers belong to a
-// context, and a set of devices that executes the same plans is tuned in
-// one context from one execution per plan, so Program and Args are called
-// once for the whole set — and once more, with a fresh context, for each
-// group of devices whose static pruning left it a different plan list to
-// run.
+// context, and a set of devices is tuned in one context from one execution
+// per plan, so Program and Args are called once for the whole set.
 type LaunchSpec struct {
 	// Program instantiates the program to tune in the given fresh context,
 	// on which it may also select the backend (Context.SetBackend).
@@ -526,13 +428,6 @@ type LaunchSpec struct {
 	// reference. Use DefaultPlanSpace(ND.Local) for the standard small
 	// space.
 	Plans []string
-	// Prune > 0 statically ranks Plans with the profit cost model on each
-	// device and executes only the Prune most promising plans; the rest
-	// appear in PlanSearch with Pruned set and their static Score, untimed.
-	// When base is pruned, OriginalMS and Speedup are left zero. The launch
-	// shape and any integer scalar arguments are fed to the model
-	// automatically. 0 times every plan.
-	Prune int
 	// Profile attaches a fresh execution profiler to every timed plan; the
 	// report of the one execution lands in PlanTiming.Profile on every
 	// device it was charged to and every plan reusing it. Requires Plans.
@@ -547,18 +442,18 @@ type DeviceTuneResult struct {
 	Result *TuneResult
 	// Err reports a per-device failure.
 	Err error
-	// Set is the launch environment Result's kernels live in, shared with
-	// every device that was tuned from the same executions.
+	// Set is the launch environment Result's kernels live in, shared by
+	// every device of the Tune call.
 	Set *LaunchSet
 }
 
-// LaunchSet is one launch environment of a Tune call: a context of its
-// own, the arguments built in it, and the kernel executions that ran there.
+// LaunchSet is the launch environment of a Tune call: a context of its own,
+// the arguments built in it, and the kernel executions that ran there.
 type LaunchSet struct {
 	// Args is what LaunchSpec.Args built.
 	Args []interface{}
 	// Launches counts the kernel executions on the host: timed runs, each
-	// charged to every device of the group. A plan that took an earlier
+	// charged to every device of the set. A plan that took an earlier
 	// plan's timings, its kernel having run on unchanged memory, ran none.
 	Launches int
 }
@@ -611,97 +506,41 @@ func (e *launchEnv) queue(devs []*opencl.Device, nd opencl.NDRange) (*opencl.Set
 // Every device gets the verdict a tune of its own — devs[i:i+1] — would
 // have reached.
 //
-// Devices are grouped by the plans they will execute: static pruning
-// (LaunchSpec.Prune) ranks per device, so the groups can differ, and each
-// further group starts from a fresh context — every device sees the launch
-// sequence, on the buffer contents, of a tune of its own.
-//
 // Results are in devs order; no devices, no results and nothing is built. A
-// failure is reported in the slot of every device it concerns.
+// failure is reported in every device's slot.
 func Tune(ctx context.Context, devs []*opencl.Device, kernel string, spec LaunchSpec) []DeviceTuneResult {
 	out := make([]DeviceTuneResult, len(devs))
 	if len(devs) == 0 {
 		return out
 	}
-	if spec.Runs <= 0 {
-		spec.Runs = 1
-	}
-	all := make([]int, len(devs))
+	res, set, err := tune(ctx, devs, kernel, &spec)
 	for i, d := range devs {
 		out[i].Device = d.Name()
-		all[i] = i
-	}
-	fail := func(members []int, err error) {
-		for _, i := range members {
+		if err != nil {
 			out[i].Err = err
+		} else {
+			out[i].Result, out[i].Set = res[i], set
 		}
 	}
-	env, err := newLaunchEnv(devs[0], &spec)
+	return out
+}
+
+// tune instantiates spec in one launch environment, opens one queue over
+// devs and runs the classic two-version tune or the plan search there.
+func tune(ctx context.Context, devs []*opencl.Device, kernel string, spec *LaunchSpec) ([]*TuneResult, *LaunchSet, error) {
+	env, err := newLaunchEnv(devs[0], spec)
 	if err != nil {
-		fail(all, err)
-		return out
+		return nil, nil, err
 	}
-
+	q, launch, err := env.queue(devs, spec.ND)
+	if err != nil {
+		return nil, nil, err
+	}
+	runs := max(spec.Runs, 1)
+	var res []*TuneResult
 	if len(spec.Plans) == 0 {
-		_, launch, err := env.queue(devs, spec.ND)
-		var res []*TuneResult
-		if err == nil {
-			res, err = tuneVersions(ctx, env.prog, kernel, spec.Options, spec.Runs, launch, devs)
-		}
-		if err != nil {
-			fail(all, err)
-			return out
-		}
-		for i := range out {
-			out[i].Result, out[i].Set = res[i], env.set
-		}
-		return out
-	}
-
-	if _, err := env.prog.Kernel(kernel); err != nil {
-		fail(all, err)
-		return out
-	}
-	search := &planSearch{prog: env.prog, kernel: kernel, plans: withBasePlan(spec.Plans),
-		spec: &spec, argInts: IntArgs(env.set.Args)}
-
-	// Settle what each device will execute; equal plan lists share a group.
-	type group struct {
-		members  []int
-		searches []*deviceSearch
-	}
-	var groups []*group
-	byPlans := map[string]*group{}
-	for i, dev := range devs {
-		s := search.planDevice(dev)
-		key := s.executed()
-		g := byPlans[key]
-		if g == nil {
-			g = &group{}
-			byPlans[key] = g
-			groups = append(groups, g)
-		}
-		g.members = append(g.members, i)
-		g.searches = append(g.searches, s)
-	}
-
-	for gi, g := range groups {
-		if gi > 0 {
-			// Another plan list leaves other buffer contents behind.
-			if env, err = newLaunchEnv(devs[0], &spec); err != nil {
-				fail(g.members, err)
-				continue
-			}
-		}
-		gdevs := make([]*opencl.Device, len(g.members))
-		for j, i := range g.members {
-			gdevs[j] = devs[i]
-		}
-		q, launch, err := env.queue(gdevs, spec.ND)
-		if err != nil {
-			fail(g.members, err)
-			continue
-		}
+		res, err = tuneVersions(ctx, env.prog, kernel, spec.Options, runs, launch, devs)
+	} else {
 		var profile func() *vm.Profiler
 		if spec.Profile {
 			profile = func() *vm.Profiler {
@@ -710,21 +549,19 @@ func Tune(ctx context.Context, devs []*opencl.Device, kernel string, spec Launch
 				return prof
 			}
 		}
-		res, err := measurePlans(ctx, env.prog, launch, profile, g.searches)
-		if err != nil {
-			fail(g.members, err)
-			continue
-		}
-		for j, i := range g.members {
-			out[i].Result, out[i].Set = res[j], env.set
-		}
+		res, err = measurePlans(ctx, env.prog, kernel, withBasePlan(spec.Plans), runs, launch, profile, devs)
 	}
-	return out
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, env.set, nil
 }
 
 // IntArgs extracts known integer scalar arguments by parameter index
-// from a kernel argument list, for the static profitability model.
-// Non-integer arguments (buffers, local reservations, floats) are
+// from a kernel argument list, for the static profitability model
+// (internal/profit). Tune does not rank plans statically; IntArgs stays
+// only because the performance ledger's profit.rank probe (bench/) calls
+// it. Non-integer arguments (buffers, local reservations, floats) are
 // skipped; nil is returned when no integers are present.
 func IntArgs(args []interface{}) map[int]int64 {
 	var m map[int]int64

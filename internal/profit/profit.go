@@ -6,9 +6,10 @@
 // conflicts, the set-associative cache hierarchy, per-warp or per-item
 // issue and barrier costs), without executing the kernel. The result is
 // a cycles-per-work-group score whose ordering across rewrite plans
-// approximates the ordering of measured timings, so the autotuner can
-// rank a plan space and execute only the most promising entries (the
-// prune mode of grover.Tune and groverd's "prune" field).
+// approximates the ordering of measured timings. Tuning does not use it:
+// grover.Tune times every plan, which measured faster than pruning by
+// this rank. The package is kept only for the performance ledger's
+// profit.rank probe (bench/).
 package profit
 
 import (

@@ -208,6 +208,10 @@ func launchField(req *AutotuneRequest) string {
 	return sb.String()
 }
 
+// maxRuns bounds the timed executions a request may ask for per kernel
+// version: each one is a full launch on a pool worker.
+const maxRuns = 1000
+
 // maxBufferBytes bounds one declared buffer or local argument. Device memory
 // grows on demand and both engines allocate a local argument's bytes per
 // work-group, so without a cap a single request could balloon the daemon;
@@ -258,7 +262,6 @@ func autotuneKey(req *AutotuneRequest, devName, backend string, plans []string) 
 	return kcache.Key("autotune", req.Source, kcache.DefinesField(req.Defines),
 		req.Kernel, req.Options.field(), devName, backend, launchField(req),
 		fmt.Sprintf("char=%t", req.Characterize), "plans="+strings.Join(plans, "|"),
-		fmt.Sprintf("prune=%d", req.Prune),
 		fmt.Sprintf("profile=%t", req.Profile))
 }
 
@@ -335,7 +338,6 @@ func (s *Server) tuneSet(rctx context.Context, req *AutotuneRequest, devices []s
 			return buildArgs(ctx, req.Args)
 		},
 		Plans:   plans,
-		Prune:   req.Prune,
 		Profile: req.Profile,
 	})
 
@@ -436,8 +438,7 @@ func (v *verdictArtifact) verdict(device string, outcome kcache.Outcome) TuneVer
 	}
 	for _, t := range v.search {
 		out.Plans = append(out.Plans, PlanResult{
-			Plan: t.Plan, MS: t.MS, Applied: t.Applied, Error: t.Err,
-			Pruned: t.Pruned, Score: t.Score, Profile: t.Profile,
+			Plan: t.Plan, MS: t.MS, Applied: t.Applied, Error: t.Err, Profile: t.Profile,
 		})
 	}
 	return out
@@ -569,12 +570,13 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 			plans = append(plans, p.String())
 		}
 	}
-	if req.Prune < 0 {
-		writeError(w, badRequest("prune must be >= 0"))
-		return
+	// Tune times a version once for any runs <= 0: key those requests
+	// alike.
+	if req.Runs <= 0 {
+		req.Runs = 1
 	}
-	if req.Prune > 0 && len(plans) == 0 {
-		writeError(w, badRequest("prune requires a plan search (set plan)"))
+	if req.Runs > maxRuns {
+		writeError(w, badRequest("runs %d exceeds the limit of %d", req.Runs, maxRuns))
 		return
 	}
 	if req.Profile && len(plans) == 0 {

@@ -164,71 +164,6 @@ func TestAutotunePlanSearch(t *testing.T) {
 	}
 }
 
-// TestAutotunePrune checks the static-prune mode: only the requested
-// number of plans is timed, every listed plan carries a static score or
-// a pruned marker, and the prune count is part of the cache key.
-func TestAutotunePrune(t *testing.T) {
-	ts := newTestServer(t)
-	url := ts.URL + "/v1/autotune"
-
-	req := winsumAutotune("search")
-	req.Prune = 2
-	var resp AutotuneResponse
-	if code, body := postJSON(t, url, req, &resp); code != http.StatusOK {
-		t.Fatalf("autotune prune: %d %s", code, body)
-	}
-	v := resp.Results[0]
-	if v.Error != "" {
-		t.Fatalf("verdict error: %s", v.Error)
-	}
-	if v.Plan == "" {
-		t.Fatalf("pruned search picked no plan: %+v", v)
-	}
-	timed, pruned, scored := 0, 0, 0
-	for _, p := range v.Plans {
-		if p.Applied {
-			timed++
-		}
-		if p.Pruned {
-			pruned++
-			if p.MS != 0 {
-				t.Errorf("pruned plan %q was timed: %+v", p.Plan, p)
-			}
-		}
-		if p.Score != nil {
-			scored++
-		}
-	}
-	if timed > 2 {
-		t.Errorf("prune=2 timed %d plans:\n%+v", timed, v.Plans)
-	}
-	if pruned == 0 {
-		t.Errorf("no plans pruned from the default space:\n%+v", v.Plans)
-	}
-	if scored == 0 {
-		t.Errorf("no static scores reported:\n%+v", v.Plans)
-	}
-
-	// The exhaustive search must not share the pruned verdict's cache
-	// entry.
-	var full AutotuneResponse
-	if code, body := postJSON(t, url, winsumAutotune("search"), &full); code != http.StatusOK {
-		t.Fatalf("autotune search: %d %s", code, body)
-	}
-	if full.Results[0].Cache != "miss" {
-		t.Fatalf("exhaustive search hit the pruned cache entry: %+v", full.Results[0])
-	}
-}
-
-func TestAutotunePruneRequiresPlans(t *testing.T) {
-	ts := newTestServer(t)
-	req := winsumAutotune("")
-	req.Prune = 3
-	if code, _ := postJSON(t, ts.URL+"/v1/autotune", req, nil); code != http.StatusBadRequest {
-		t.Fatalf("prune without plans: got %d, want 400", code)
-	}
-}
-
 func TestAutotuneBadPlan(t *testing.T) {
 	ts := newTestServer(t)
 	if code, _ := postJSON(t, ts.URL+"/v1/autotune", winsumAutotune("nope(x=1)"), nil); code != http.StatusBadRequest {

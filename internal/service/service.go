@@ -50,7 +50,6 @@ import (
 	"grover/internal/analysis"
 	igrover "grover/internal/grover"
 	"grover/internal/kcache"
-	"grover/internal/profit"
 	"grover/internal/rewrite"
 	"grover/internal/telemetry"
 	"grover/internal/telemetry/aiwc"
@@ -556,7 +555,8 @@ type AutotuneRequest struct {
 	Local  [3]int `json:"local"`
 	// Args are the kernel arguments in declaration order.
 	Args []ArgSpec `json:"args"`
-	// Runs averages this many timed executions per version (default 1).
+	// Runs averages this many timed executions per version (default 1; at
+	// most 1000).
 	Runs int `json:"runs,omitempty"`
 	// Backend overrides the server's default execution backend for this
 	// request ("interp", "wgvec"). Simulated timings are backend-invariant;
@@ -573,11 +573,6 @@ type AutotuneRequest struct {
 	// (plans use "," between steps). The canonical plan list is part of the
 	// cache key.
 	Plan string `json:"plan,omitempty"`
-	// Prune > 0 statically ranks the plan space with the profitability
-	// model and executes only the top Prune plans; the rest appear in the
-	// verdict's plan list untimed, with their static scores. Requires a
-	// plan search. Part of the cache key.
-	Prune int `json:"prune,omitempty"`
 	// Profile attaches a per-launch execution profile (wall time and
 	// retire/traffic counters per barrier-delimited region) to every timed
 	// plan in the verdict. Requires a plan search. Part of the cache key.
@@ -630,11 +625,6 @@ type PlanResult struct {
 	// Error records why the plan was skipped (illegal, inapplicable, or a
 	// launch failure).
 	Error string `json:"error,omitempty"`
-	// Pruned is true when the static ranking skipped this plan's timing
-	// (prune mode only).
-	Pruned bool `json:"pruned,omitempty"`
-	// Score is the static profitability estimate (prune mode only).
-	Score *profit.Score `json:"score,omitempty"`
 	// Profile is the plan's region-level execution profile (profile mode
 	// only).
 	Profile *vm.ProfileReport `json:"profile,omitempty"`

@@ -307,8 +307,9 @@ func TestUnknownKernelIs404(t *testing.T) {
 	}
 }
 
-// TestRemovedAutotuneFieldsAre400: the predictor's request fields are gone,
-// and a client that still sends one is told which, not silently measured.
+// TestRemovedAutotuneFieldsAre400: the predictor's request fields and the
+// static-pruning field are gone, and a client that still sends one is told
+// which, not silently measured.
 func TestRemovedAutotuneFieldsAre400(t *testing.T) {
 	ts := newTestServer(t)
 	_, req := nvdMT()
@@ -316,7 +317,7 @@ func TestRemovedAutotuneFieldsAre400(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for field, value := range map[string]interface{}{"predict": true, "min_confidence": 0.5} {
+	for field, value := range map[string]interface{}{"predict": true, "min_confidence": 0.5, "prune": 2} {
 		var body map[string]interface{}
 		if err := json.Unmarshal(raw, &body); err != nil {
 			t.Fatal(err)
@@ -326,6 +327,33 @@ func TestRemovedAutotuneFieldsAre400(t *testing.T) {
 		if code != http.StatusBadRequest || !strings.Contains(msg, "unknown field") || !strings.Contains(msg, field) {
 			t.Errorf("%s: got %d %s, want a 400 naming the field", field, code, msg)
 		}
+	}
+}
+
+// TestAutotuneRunsKeyedAndBounded: Tune times a version once for any runs
+// <= 0, so those requests share the runs=1 cache entry; a run count above
+// the limit is a 400 naming the limit, before any work is queued.
+func TestAutotuneRunsKeyedAndBounded(t *testing.T) {
+	ts := newTestServer(t)
+	_, req := nvdMT()
+	for i, runs := range []int{0, 1, -3} {
+		req.Runs = runs
+		var resp AutotuneResponse
+		if code, body := postJSON(t, ts.URL+"/v1/autotune", req, &resp); code != http.StatusOK {
+			t.Fatalf("runs %d: %d %s", runs, code, body)
+		}
+		want := "hit"
+		if i == 0 {
+			want = "miss"
+		}
+		if got := resp.Results[0].Cache; got != want {
+			t.Errorf("runs %d: cache %s, want %s", runs, got, want)
+		}
+	}
+	req.Runs = maxRuns + 1
+	code, msg := postJSON(t, ts.URL+"/v1/autotune", req, nil)
+	if code != http.StatusBadRequest || !strings.Contains(msg, fmt.Sprint(maxRuns)) {
+		t.Errorf("runs %d: got %d %s, want a 400 naming the limit %d", req.Runs, code, msg, maxRuns)
 	}
 }
 

@@ -43,18 +43,15 @@ func comparable(v TuneVerdict) TuneVerdict {
 }
 
 // TestAutotuneSetMatchesSingleDevices: every verdict of an all-device
-// request — timings, per-plan list, scores, winner, reports — equals the
-// one a single-device request for that device gets from a fresh server.
-// With prune the devices' keep-sets differ, so the set splits into groups.
+// request — timings, per-plan list, winner, reports — equals the one a
+// single-device request for that device gets from a fresh server.
 func TestAutotuneSetMatchesSingleDevices(t *testing.T) {
 	_, classic := nvdMT()
 	search := winsumAutotune("search")
-	pruned := winsumAutotune("search")
-	pruned.Prune = 2
 	profiled := winsumAutotune("grover|hoist-addr")
 	profiled.Profile = true
 	for name, req := range map[string]AutotuneRequest{
-		"classic": classic, "search": search, "prune": pruned, "profile": profiled,
+		"classic": classic, "search": search, "profile": profiled,
 	} {
 		t.Run(name, func(t *testing.T) {
 			req.Device = "all"
@@ -63,7 +60,6 @@ func TestAutotuneSetMatchesSingleDevices(t *testing.T) {
 				t.Fatalf("%d verdicts, want %d", len(set.Results), len(allDevices))
 			}
 			single := newTestServer(t)
-			executed := map[string]bool{}
 			for i, dev := range allDevices {
 				req.Device = dev
 				own := tune(t, single.URL, req).Results[0]
@@ -76,19 +72,11 @@ func TestAutotuneSetMatchesSingleDevices(t *testing.T) {
 					o, _ := json.Marshal(comparable(own))
 					t.Errorf("%s: set verdict differs from its own request's\n set %s\n own %s", dev, g, o)
 				}
-				var ran []string
 				for _, p := range got.Plans {
 					if req.Profile && p.Applied && p.Profile == nil {
 						t.Errorf("%s: plan %s has no profile", dev, p.Plan)
 					}
-					if !p.Pruned {
-						ran = append(ran, p.Plan)
-					}
 				}
-				executed[strings.Join(ran, "|")] = true
-			}
-			if name == "prune" && len(executed) < 2 {
-				t.Errorf("the devices' keep-sets do not differ (%v): the test no longer splits the set", executed)
 			}
 		})
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"grover"
-	"grover/internal/apps"
 	"grover/internal/telemetry"
 	"grover/opencl"
 )
@@ -140,72 +139,6 @@ func TestPlanMemoSkipsErrors(t *testing.T) {
 	for _, sp := range tunes {
 		if r, ok := sp.Attrs["reused"]; ok {
 			t.Errorf("%s reused %s, whose launch failed", sp.Name, r)
-		}
-	}
-}
-
-// TestPlanMemoPerGroup: with pruning every group of devices searches in a
-// context of its own, so a plan reuses only a plan its own group executed,
-// and each device's search equals the one it performs alone.
-func TestPlanMemoPerGroup(t *testing.T) {
-	app, err := apps.ByID("AMD-SS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := opencl.CompileModule(app.ID+".cl", app.Source, app.Defines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	devs := opencl.NewPlatform().Devices()
-	scratch, err := app.Setup(opencl.NewContext(devs[0]), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := grover.LaunchSpec{
-		Program: func(ctx *opencl.Context) (*opencl.Program, error) {
-			return ctx.NewProgramFromIR(app.ID+".cl", mod)
-		},
-		ND: scratch.ND, Plans: grover.DefaultPlanSpace(scratch.ND.Local), Prune: 3,
-		Args: func(ctx *opencl.Context) ([]interface{}, error) {
-			inst, err := app.Setup(ctx, 1)
-			if err != nil {
-				return nil, err
-			}
-			return inst.Args, nil
-		},
-	}
-	set, tunes := tuneSpans(devs, app.Kernel, spec)
-
-	ran := map[string]map[string]bool{} // group → plans it executed
-	reusing := map[string]bool{}        // groups with a reused plan
-	for _, sp := range tunes {
-		group, plan := sp.Attrs["devices"], strings.TrimPrefix(sp.Name, "tune:")
-		if ran[group] == nil {
-			ran[group] = map[string]bool{}
-		}
-		src, ok := sp.Attrs["reused"]
-		if !ok {
-			ran[group][plan] = true
-			continue
-		}
-		reusing[group] = true
-		if !ran[group][src] {
-			t.Errorf("group %s: %s reused %s, which the group did not execute before it", group, plan, src)
-		}
-	}
-	if len(ran) < 2 || len(reusing) < 2 {
-		t.Errorf("%d groups, %d of them reusing: the test no longer splits the set with reuse on both sides", len(ran), len(reusing))
-	}
-	for i, dev := range devs {
-		alone := grover.Tune(context.Background(), devs[i:i+1], app.Kernel, spec)[0]
-		if set[i].Err != nil || alone.Err != nil {
-			t.Fatalf("%s: set error %v, alone %v", dev.Name(), set[i].Err, alone.Err)
-		}
-		for j, got := range set[i].Result.PlanSearch {
-			want := alone.Result.PlanSearch[j]
-			if got.Plan != want.Plan || got.Applied != want.Applied || got.Pruned != want.Pruned || got.MS != want.MS {
-				t.Errorf("%s, plan %s: in the set %+v, alone %+v", dev.Name(), got.Plan, got, want)
-			}
 		}
 	}
 }
