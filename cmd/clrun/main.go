@@ -49,7 +49,6 @@ func main() {
 		timed      = flag.Bool("time", false, "use the device cost model and report simulated time")
 		dump       = flag.String("dump", "", "print buffer contents after the run: ARGINDEX:COUNT")
 		backend    = flag.String("backend", "", "execution backend (interp, wgvec; default: $GROVER_BACKEND, else wgvec)")
-		profile    = flag.Bool("profile", false, "run one extra traced launch per kernel version and print its AIWC-style feature vector")
 		kprofile   = flag.Bool("kernel-profile", false, "attribute each launch's wall time and retire/traffic counters to its barrier-delimited regions")
 		traceOut   = flag.String("trace-out", "", "append this run's telemetry trace (compile stages, launches) to a JSONL file")
 	)
@@ -64,14 +63,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "clrun:", err)
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), *deviceName, *kernel, *globalStr, *localStr, args, *useGrover, *timed, *profile, *kprofile, *backend, *dump, *traceOut); err != nil {
+	if err := run(flag.Arg(0), *deviceName, *kernel, *globalStr, *localStr, args, *useGrover, *timed, *kprofile, *backend, *dump, *traceOut); err != nil {
 		fmt.Fprintln(os.Stderr, "clrun:", err)
 		os.Exit(1)
 	}
 }
 
 func run(file, deviceName, kernel, globalStr, localStr string, argSpecs []string,
-	useGrover, timed, profile, kprofile bool, backend, dump, traceOut string) error {
+	useGrover, timed, kprofile bool, backend, dump, traceOut string) error {
 	src, err := os.ReadFile(file)
 	if err != nil {
 		return err
@@ -174,35 +173,14 @@ func run(file, deviceName, kernel, globalStr, localStr string, argSpecs []string
 	if err := launch(prog, "with-LM"); err != nil {
 		return err
 	}
-	var noLM *opencl.Program
 	if useGrover {
-		var rep *igrover.Report
-		noLM, rep, err = prog.WithLocalMemoryDisabledCtx(rctx, kernel, igrover.Options{})
+		noLM, rep, err := prog.WithLocalMemoryDisabledCtx(rctx, kernel, igrover.Options{})
 		if err != nil {
 			return err
 		}
 		fmt.Print(rep)
 		if err := launch(noLM, "without-LM"); err != nil {
 			return err
-		}
-	}
-	if profile {
-		for _, v := range []struct {
-			label string
-			p     *opencl.Program
-		}{{"with-LM", prog}, {"without-LM", noLM}} {
-			if v.p == nil {
-				continue
-			}
-			k, err := v.p.Kernel(kernel)
-			if err != nil {
-				return err
-			}
-			f, err := k.Characterize(nd, kargs...)
-			if err != nil {
-				return fmt.Errorf("profile %s: %w", v.label, err)
-			}
-			fmt.Printf("\n--- characterization (%s) ---\n%s", v.label, f.Table())
 		}
 	}
 	if dumpBuf != nil {

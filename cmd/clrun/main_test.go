@@ -32,7 +32,7 @@ func runTile(t *testing.T, device string, useGrover, timed bool, dump string) er
 	defer func(stdout *os.File) { os.Stdout = stdout }(os.Stdout)
 	os.Stdout = null
 	return run(file, device, "", "64", "16", []string{"fbuf:64", "fbuf:64:seed"},
-		useGrover, timed, false, false, "", dump, "")
+		useGrover, timed, false, "", dump, "")
 }
 
 // TestDumpSpecChecksCount: -dump ARG:COUNT is outside input; a count the

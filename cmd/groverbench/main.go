@@ -12,17 +12,15 @@
 //	groverbench -experiment table4          # gain/loss distribution
 //	groverbench -experiment all             # everything
 //	groverbench -experiment case -app NVD-MT -device SNB
-//	groverbench -experiment characterize -format json  # AIWC-style feature vectors
 //	groverbench -experiment rewrite -format json       # rewrite-plan search sweep
 //
 // -backend selects the execution backend (interp or wgvec; wgvec
 // unless named) and -format json emits machine-readable measurements;
 // engine against engine, and groverd under load, are the ledger's
 // business (bench/: the engine.* rows, the serve-frontend workload). The
-// committed BENCH_characterize.json is the output of the characterize
-// experiment, BENCH_rewrite.json of rewrite (every app plus a synthetic
-// window-sum kernel, autotuned across the rewrite plan space on all six
-// platforms as one device set, grover.Tune).
+// committed BENCH_rewrite.json is the output of the rewrite experiment
+// (every app plus a synthetic window-sum kernel, autotuned across the
+// rewrite plan space on all six platforms as one device set, grover.Tune).
 // -cpuprofile and -memprofile write pprof profiles of the
 // run for backend performance work.
 package main
@@ -37,16 +35,13 @@ import (
 	"runtime/pprof"
 
 	"grover/internal/apps"
-	igrover "grover/internal/grover"
 	"grover/internal/harness"
-	"grover/internal/telemetry/aiwc"
 	"grover/internal/vm"
-	"grover/opencl"
 )
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig2 | fig10 | figgpu | table1 | table2 | table3 | table4 | case | characterize | rewrite | all")
+		experiment = flag.String("experiment", "all", "fig2 | fig10 | figgpu | table1 | table2 | table3 | table4 | case | rewrite | all")
 		app        = flag.String("app", "", "benchmark id for -experiment case (e.g. NVD-MT)")
 		device     = flag.String("device", "SNB", "device for -experiment case")
 		scale      = flag.Int("scale", 1, "dataset scale factor")
@@ -175,8 +170,6 @@ func run(experiment, appID, deviceName, format string, cfg harness.Config) error
 			return err
 		}
 		return emitMeasurements("GPU sweep (paper future work) — all benchmarks on the GPU platforms", ms, format, true)
-	case "characterize":
-		return runCharacterize(cfg, format)
 	case "rewrite":
 		return runRewrite(cfg, format)
 	case "table1":
@@ -260,87 +253,5 @@ func runFig10(cfg harness.Config) error {
 		"Figure 10 — all benchmarks on the cache-only platforms", ms))
 	fmt.Println("Table IV — performance gain/loss distribution (5% threshold)")
 	fmt.Println(harness.MakeTable4(ms))
-	return nil
-}
-
-// appCharJSON pairs one benchmark app with the AIWC-style feature
-// vectors of its two kernel versions.
-type appCharJSON struct {
-	App    string         `json:"app"`
-	Kernel string         `json:"kernel"`
-	Base   *aiwc.Features `json:"base"`
-	// Grover is absent for apps the pass leaves alone (no local memory).
-	Grover *aiwc.Features `json:"grover,omitempty"`
-}
-
-// charBenchJSON is the characterize experiment output
-// (BENCH_characterize.json).
-type charBenchJSON struct {
-	Experiment string        `json:"experiment"`
-	Scale      int           `json:"scale"`
-	Apps       []appCharJSON `json:"apps"`
-}
-
-// runCharacterize runs one traced launch of every benchmark app — base
-// and Grover-transformed — and reports the feature vectors. The vectors
-// are backend-invariant, so -backend only changes the wall-clock of this
-// experiment, never its output.
-func runCharacterize(cfg harness.Config, format string) error {
-	plat := opencl.NewPlatform()
-	var out []appCharJSON
-	for _, app := range apps.All() {
-		if cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, "characterize: tracing %s\n", app.ID)
-		}
-		ctx := opencl.NewContext(plat.Devices()[0])
-		if err := ctx.SetBackend(cfg.Backend); err != nil {
-			return err
-		}
-		prog, err := ctx.CompileProgram(app.ID, app.Source, app.Defines)
-		if err != nil {
-			return fmt.Errorf("%s: %w", app.ID, err)
-		}
-		inst, err := app.Setup(ctx, cfg.Scale)
-		if err != nil {
-			return fmt.Errorf("%s: %w", app.ID, err)
-		}
-		characterize := func(p *opencl.Program) (*aiwc.Features, error) {
-			k, err := p.Kernel(app.Kernel)
-			if err != nil {
-				return nil, err
-			}
-			return k.Characterize(inst.ND, inst.Args...)
-		}
-		base, err := characterize(prog)
-		if err != nil {
-			return fmt.Errorf("%s: %w", app.ID, err)
-		}
-		entry := appCharJSON{App: app.ID, Kernel: app.Kernel, Base: base}
-		noLM, _, err := prog.WithLocalMemoryDisabled(app.Kernel,
-			igrover.Options{Candidates: app.Candidates})
-		switch {
-		case err == igrover.ErrNoCandidates:
-			// No local memory to disable; the base vector stands alone.
-		case err != nil:
-			return fmt.Errorf("%s: transform: %w", app.ID, err)
-		default:
-			g, err := characterize(noLM)
-			if err != nil {
-				return fmt.Errorf("%s (grover): %w", app.ID, err)
-			}
-			entry.Grover = g
-		}
-		out = append(out, entry)
-	}
-	if format == "json" {
-		return emitJSON(&charBenchJSON{Experiment: "characterize", Scale: cfg.Scale, Apps: out})
-	}
-	for _, e := range out {
-		fmt.Printf("=== %s (base) ===\n%s", e.App, e.Base.Table())
-		if e.Grover != nil {
-			fmt.Printf("--- %s (grover) ---\n%s", e.App, e.Grover.Table())
-		}
-		fmt.Println()
-	}
 	return nil
 }

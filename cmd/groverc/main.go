@@ -9,7 +9,6 @@
 //	groverc -D TILE=16 -D N=1024 kernel.cl
 //	groverc -rewrite 'stage-local(ls=64),hoist-addr' -ir kernel.cl
 //	groverc -access -local 64,1,1 kernel.cl
-//	groverc -features -global 64,64 -local 16,16 -args buffer:16384,buffer:16384,int:64,int:64 kernel.cl
 //
 // With -rewrite, an arbitrary rewrite plan (see the rewrite package's
 // plan syntax) replaces the default Grover pass; the per-step report is
@@ -20,18 +19,10 @@
 // and per-loop-iteration strides, loops with trip estimates, and
 // barriers — instead of transforming anything. -local supplies the
 // work-group extents the summary assumes (default 64,1,1).
-//
-// With -features, groverc runs one traced launch of the kernel and
-// dumps its AIWC feature vector (the raw dynamic counts) as JSON, so
-// features are inspectable without running groverd. -global/-local give
-// the launch geometry and -args the kernel arguments ("buffer:SIZE",
-// "local:SIZE", "int:N", "float:X", comma-separated, declaration
-// order); buffers get the same deterministic fill groverd uses.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -43,7 +34,6 @@ import (
 	igrover "grover/internal/grover"
 	"grover/internal/rewrite"
 	"grover/internal/telemetry"
-	"grover/internal/telemetry/aiwc"
 	"grover/opencl"
 )
 
@@ -72,10 +62,7 @@ func main() {
 		timings      = flag.Bool("timings", false, "print per-stage compile pipeline timings to stderr")
 		rewritePlan  = flag.String("rewrite", "", "apply a rewrite plan (e.g. 'grover', 'stage-local(ls=64),hoist-addr') instead of the Grover pass")
 		accessDump   = flag.Bool("access", false, "print the static memory-access summary per kernel and exit")
-		localSize    = flag.String("local", "", "work-group size x[,y[,z]] used by -access and -features (default 64,1,1)")
-		features     = flag.Bool("features", false, "run one traced launch and dump the kernel's AIWC feature vector as JSON")
-		globalSize   = flag.String("global", "", "global launch size x[,y[,z]] for -features (default: the work-group size)")
-		argSpecs     = flag.String("args", "", "kernel arguments for -features: comma-separated buffer:SIZE, local:SIZE, int:N or float:X")
+		localSize    = flag.String("local", "", "work-group size x[,y[,z]] used by -access (default 64,1,1)")
 	)
 	flag.Var(defines, "D", "preprocessor define NAME[=VALUE] (repeatable)")
 	flag.Parse()
@@ -125,12 +112,6 @@ func main() {
 		opts.Candidates = strings.Split(*candidates, ",")
 	}
 
-	if *features {
-		if err := dumpFeatures(prog, kernels, *globalSize, *localSize, *argSpecs); err != nil {
-			fatal(err)
-		}
-		os.Exit(0)
-	}
 	if *accessDump {
 		wg := [3]int{}
 		if *localSize != "" {
@@ -209,97 +190,6 @@ func main() {
 		fmt.Fprint(os.Stderr, tr.Table())
 	}
 	os.Exit(exit)
-}
-
-// featureDump is the -features JSON payload for one kernel.
-type featureDump struct {
-	Kernel string `json:"kernel"`
-	Global [3]int `json:"global"`
-	Local  [3]int `json:"local"`
-	// Features are the raw dynamic counts.
-	Features *aiwc.Features `json:"features"`
-}
-
-// dumpFeatures characterizes each kernel with one traced launch and
-// prints the feature dumps as a JSON array.
-func dumpFeatures(prog *opencl.Program, kernels []string, globalSize, localSize, argSpecs string) error {
-	local := [3]int{64, 1, 1}
-	var err error
-	if localSize != "" {
-		if local, err = parseLocal(localSize); err != nil {
-			return err
-		}
-	}
-	global := local
-	if globalSize != "" {
-		if global, err = parseLocal(globalSize); err != nil {
-			return err
-		}
-	}
-	args, err := parseArgs(prog.Context(), argSpecs)
-	if err != nil {
-		return err
-	}
-	nd := opencl.NDRange{Global: global, Local: local}
-	var dumps []featureDump
-	for _, name := range kernels {
-		k, err := prog.Kernel(name)
-		if err != nil {
-			return err
-		}
-		f, err := k.Characterize(nd, args...)
-		if err != nil {
-			return fmt.Errorf("kernel %s: %v", name, err)
-		}
-		dumps = append(dumps, featureDump{Kernel: name, Global: global, Local: local, Features: f})
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(dumps)
-}
-
-// parseArgs materializes -args kernel arguments. Buffers get the same
-// deterministic pseudo-random fill groverd uses: feature extraction
-// depends on the access pattern, not the values.
-func parseArgs(ctx *opencl.Context, spec string) ([]interface{}, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var args []interface{}
-	for i, part := range strings.Split(spec, ",") {
-		kind, val, _ := strings.Cut(strings.TrimSpace(part), ":")
-		switch kind {
-		case "buffer", "buf":
-			size, err := strconv.Atoi(val)
-			if err != nil || size <= 0 {
-				return nil, fmt.Errorf("-args %d: buffer needs a positive byte size, got %q", i, val)
-			}
-			buf := ctx.NewBuffer(size)
-			buf.WriteFloat32(opencl.Pattern(size/4, uint32(i+1)))
-			args = append(args, buf)
-		case "local":
-			size, err := strconv.Atoi(val)
-			if err != nil || size <= 0 {
-				return nil, fmt.Errorf("-args %d: local needs a positive byte size, got %q", i, val)
-			}
-			args = append(args, opencl.LocalMem{Size: size})
-		case "int":
-			n, err := strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("-args %d: bad int %q", i, val)
-			}
-			args = append(args, n)
-		case "float":
-			x, err := strconv.ParseFloat(val, 64)
-			if err != nil {
-				return nil, fmt.Errorf("-args %d: bad float %q", i, val)
-			}
-			args = append(args, x)
-		default:
-			return nil, fmt.Errorf("-args %d: unknown kind %q (want buffer, local, int or float)", i, kind)
-		}
-	}
-	return args, nil
 }
 
 // parseLocal parses "x", "x,y" or "x,y,z" into work-group extents;

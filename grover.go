@@ -70,12 +70,6 @@ type TuneResult struct {
 	UseTransformed bool
 	// Kernel is the winning kernel.
 	Kernel *opencl.Kernel
-	// Original is the untransformed kernel; Transformed is the
-	// local-memory-free version (nil when the pass found no candidates).
-	// Both stay runnable so callers can profile or characterize either
-	// version after the verdict.
-	Original    *opencl.Kernel
-	Transformed *opencl.Kernel
 	// OriginalMS and TransformedMS are the average simulated times.
 	OriginalMS    float64
 	TransformedMS float64
@@ -176,7 +170,7 @@ func tuneVersions(ctx context.Context, prog *opencl.Program, kernel string, opts
 	out := make([]*TuneResult, len(devs))
 	if !rep.Transformed() {
 		for i := range out {
-			out[i] = &TuneResult{Kernel: orig, Original: orig, Report: rep, Speedup: 1}
+			out[i] = &TuneResult{Kernel: orig, Report: rep, Speedup: 1}
 		}
 		return out, nil
 	}
@@ -205,8 +199,6 @@ func tuneVersions(ctx context.Context, prog *opencl.Program, kernel string, opts
 	for i := range out {
 		res := &TuneResult{
 			Kernel:        orig,
-			Original:      orig,
-			Transformed:   noLM,
 			OriginalMS:    origMS[i],
 			TransformedMS: noLMMS[i],
 			Report:        rep,
@@ -257,7 +249,7 @@ func measurePlans(ctx context.Context, prog *opencl.Program, kernel string, plan
 	results := make([]*TuneResult, len(devs))
 	bests := make([]best, len(devs))
 	for i := range results {
-		results[i] = &TuneResult{Original: orig}
+		results[i] = &TuneResult{}
 	}
 	// record files one plan's outcome with every device: the shared part
 	// in t and, when the plan was timed (ms non-nil), the device's own
@@ -362,7 +354,6 @@ func measurePlans(ctx context.Context, prog *opencl.Program, kernel string, plan
 		}
 		if b.plan != rewrite.BasePlanName {
 			res.UseTransformed = true
-			res.Transformed = b.k
 			res.Rewrite = b.rewrite
 			if b.rewrite != nil {
 				for _, st := range b.rewrite.Steps {
@@ -447,11 +438,9 @@ type DeviceTuneResult struct {
 	Set *LaunchSet
 }
 
-// LaunchSet is the launch environment of a Tune call: a context of its own,
-// the arguments built in it, and the kernel executions that ran there.
+// LaunchSet is the launch environment of a Tune call: the kernel executions
+// that ran in its context.
 type LaunchSet struct {
-	// Args is what LaunchSpec.Args built.
-	Args []interface{}
 	// Launches counts the kernel executions on the host: timed runs, each
 	// charged to every device of the set. A plan that took an earlier
 	// plan's timings, its kernel having run on unchanged memory, ran none.
@@ -462,6 +451,7 @@ type LaunchSet struct {
 // built arguments.
 type launchEnv struct {
 	prog *opencl.Program
+	args []interface{}
 	set  *LaunchSet
 }
 
@@ -473,7 +463,7 @@ func newLaunchEnv(dev *opencl.Device, spec *LaunchSpec) (*launchEnv, error) {
 	}
 	env := &launchEnv{prog: prog, set: &LaunchSet{}}
 	if spec.Args != nil {
-		if env.set.Args, err = spec.Args(ctx); err != nil {
+		if env.args, err = spec.Args(ctx); err != nil {
 			return nil, err
 		}
 	}
@@ -489,7 +479,7 @@ func (e *launchEnv) queue(devs []*opencl.Device, nd opencl.NDRange) (*opencl.Set
 	}
 	return q, func(k *opencl.Kernel) ([]*opencl.Event, error) {
 		e.set.Launches++
-		return q.EnqueueNDRange(k, nd, e.set.Args...)
+		return q.EnqueueNDRange(k, nd, e.args...)
 	}, nil
 }
 

@@ -16,7 +16,6 @@ import (
 	"grover/internal/opt"
 	"grover/internal/rewrite"
 	"grover/internal/telemetry"
-	"grover/internal/telemetry/aiwc"
 	"grover/internal/vm"
 	"grover/opencl"
 )
@@ -63,9 +62,6 @@ type verdictArtifact struct {
 	plan       string
 	search     []grover.PlanTiming
 	rewriteRep *rewrite.Report
-	// char carries the kernel feature vectors when the request asked for
-	// characterization.
-	char *Characterization
 }
 
 func programName(name string) string {
@@ -75,12 +71,13 @@ func programName(name string) string {
 	return name
 }
 
-// compile returns the cached compiled module for (source, defines),
-// compiling at most once across concurrent requests. On a miss the
-// compile runs under the requesting context, so its pipeline stages land
-// in that request's span list; hits and dedups record nothing.
+// compile returns the cached compiled module for (name, source, defines),
+// compiling at most once across concurrent requests. The program name is
+// keyed because every source position in the module carries it. On a miss
+// the compile runs under the requesting context, so its pipeline stages
+// land in that request's span list; hits and dedups record nothing.
 func (s *Server) compile(ctx context.Context, name, source string, defines map[string]string) (*compiledArtifact, kcache.Outcome, error) {
-	key := kcache.Key("compile", source, kcache.DefinesField(defines))
+	key := kcache.Key("compile", programName(name), source, kcache.DefinesField(defines))
 	v, out, err := s.cache.Do(key, func() (interface{}, error) {
 		mod, err := opencl.CompileModuleCtx(ctx, programName(name), source, defines)
 		if err != nil {
@@ -173,9 +170,11 @@ func (s *Server) transform(ctx context.Context, req *TransformRequest) (*transfo
 	return v.(*transformArtifact), out, nil
 }
 
-// lint returns the cached static-analysis result for the request.
+// lint returns the cached static-analysis result for the request. Findings
+// and legality verdicts carry source positions, so the program name is
+// keyed.
 func (s *Server) lint(ctx context.Context, req *LintRequest) (*lintArtifact, kcache.Outcome, error) {
-	key := kcache.Key("lint", req.Source, kcache.DefinesField(req.Defines),
+	key := kcache.Key("lint", programName(req.Name), req.Source, kcache.DefinesField(req.Defines),
 		req.Kernel, fmt.Sprintf("l=%v", req.Local))
 	v, out, err := s.cache.Do(key, func() (interface{}, error) {
 		comp, _, err := s.compile(ctx, req.Name, req.Source, req.Defines)
@@ -257,11 +256,13 @@ func buildArgs(ctx *opencl.Context, specs []ArgSpec) ([]interface{}, error) {
 // autotuneKey is the cache address of the tuning verdict for (request,
 // device, backend). The backend is part of the key: the verdict is
 // backend-invariant by the VM contract, but keeping the entries separate
-// keeps the cache an honest record of what actually ran.
+// keeps the cache an honest record of what actually ran. The program name
+// is keyed because a plan's error can quote a source position (stage-local
+// rejects a staged kernel with the safety analysis' messages).
 func autotuneKey(req *AutotuneRequest, devName, backend string, plans []string) string {
-	return kcache.Key("autotune", req.Source, kcache.DefinesField(req.Defines),
+	return kcache.Key("autotune", programName(req.Name), req.Source, kcache.DefinesField(req.Defines),
 		req.Kernel, req.Options.field(), devName, backend, launchField(req),
-		fmt.Sprintf("char=%t", req.Characterize), "plans="+strings.Join(plans, "|"),
+		"plans="+strings.Join(plans, "|"),
 		fmt.Sprintf("profile=%t", req.Profile))
 }
 
@@ -323,7 +324,6 @@ func (s *Server) tuneSet(rctx context.Context, req *AutotuneRequest, devices []s
 			return failAll(notFound("%v", err))
 		}
 	}
-	nd := opencl.NDRange{Global: req.Global, Local: req.Local}
 	results := grover.Tune(rctx, devs, req.Kernel, grover.LaunchSpec{
 		Program: func(ctx *opencl.Context) (*opencl.Program, error) {
 			if err := ctx.SetBackend(backend); err != nil {
@@ -332,7 +332,7 @@ func (s *Server) tuneSet(rctx context.Context, req *AutotuneRequest, devices []s
 			return ctx.NewProgramFromPrepared(programName(req.Name), comp.prog), nil
 		},
 		Options: req.Options.options(),
-		ND:      nd,
+		ND:      opencl.NDRange{Global: req.Global, Local: req.Local},
 		Runs:    req.Runs,
 		Args: func(ctx *opencl.Context) ([]interface{}, error) {
 			return buildArgs(ctx, req.Args)
@@ -364,55 +364,7 @@ func (s *Server) tuneSet(rctx context.Context, req *AutotuneRequest, devices []s
 		}
 	}
 	s.tune.recordBackend(backend, int64(len(devices)), launches)
-	if req.Characterize {
-		characterizeVerdicts(rctx, results, arts, errs, nd)
-	}
 	return arts, errs
-}
-
-// characterizeVerdicts attaches the AIWC-style feature vectors of each
-// verdict's two kernel versions. The vectors are the kernels' — backend-
-// and device-invariant — so each distinct kernel of the set is traced
-// once, in the launch environment it was tuned in, and every verdict that
-// names it shares the result.
-func characterizeVerdicts(rctx context.Context, results []grover.DeviceTuneResult,
-	arts []*verdictArtifact, errs []error, nd opencl.NDRange) {
-	defer telemetry.StartSpan(rctx, "characterize")()
-	type version struct {
-		prog   *vm.Program
-		kernel string
-	}
-	done := map[version]*aiwc.Features{}
-	characterize := func(k *opencl.Kernel, args []interface{}) (*aiwc.Features, error) {
-		if k == nil {
-			return nil, nil
-		}
-		v := version{k.Program().VM(), k.Name()}
-		if f := done[v]; f != nil {
-			return f, nil
-		}
-		f, err := k.Characterize(nd, args...)
-		if err != nil {
-			return nil, fmt.Errorf("characterize %s: %w", v.prog.Module.Name, err)
-		}
-		done[v] = f
-		return f, nil
-	}
-	for i, r := range results {
-		if errs[i] != nil {
-			continue
-		}
-		char := &Characterization{}
-		var err error
-		if char.Original, err = characterize(r.Result.Original, r.Set.Args); err == nil {
-			char.Transformed, err = characterize(r.Result.Transformed, r.Set.Args)
-		}
-		if err != nil {
-			arts[i], errs[i] = nil, err
-			continue
-		}
-		arts[i].char = char
-	}
 }
 
 func (v *verdictArtifact) verdict(device string, outcome kcache.Outcome) TuneVerdict {
@@ -424,17 +376,16 @@ func (v *verdictArtifact) verdict(device string, outcome kcache.Outcome) TuneVer
 		text = "plan " + v.plan
 	}
 	out := TuneVerdict{
-		Device:           device,
-		UseTransformed:   v.useTransformed,
-		Verdict:          text,
-		OriginalMS:       v.origMS,
-		TransformedMS:    v.transMS,
-		Speedup:          v.speedup,
-		Report:           renderReport(v.report),
-		Plan:             v.plan,
-		Rewrite:          renderRewrite(v.rewriteRep),
-		Cache:            outcome.String(),
-		Characterization: v.char,
+		Device:         device,
+		UseTransformed: v.useTransformed,
+		Verdict:        text,
+		OriginalMS:     v.origMS,
+		TransformedMS:  v.transMS,
+		Speedup:        v.speedup,
+		Report:         renderReport(v.report),
+		Plan:           v.plan,
+		Rewrite:        renderRewrite(v.rewriteRep),
+		Cache:          outcome.String(),
 	}
 	for _, t := range v.search {
 		out.Plans = append(out.Plans, PlanResult{

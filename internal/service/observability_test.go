@@ -345,50 +345,3 @@ func TestCompileSpans(t *testing.T) {
 		}
 	}
 }
-
-// TestAutotuneCharacterize checks the opt-in characterization on an
-// autotune verdict: the base transpose stages through local memory with
-// barriers, the Grover version must not.
-func TestAutotuneCharacterize(t *testing.T) {
-	ts := newTestServer(t)
-	_, req := nvdMT()
-	req.Characterize = true
-
-	var tune AutotuneResponse
-	if code, body := postJSON(t, ts.URL+"/v1/autotune", req, &tune); code != http.StatusOK {
-		t.Fatalf("autotune: %d %s", code, body)
-	}
-	if len(tune.Spans) == 0 {
-		t.Error("miss autotune response has no spans")
-	}
-	c := tune.Results[0].Characterization
-	if c == nil || c.Original == nil || c.Transformed == nil {
-		t.Fatalf("missing characterization: %+v", tune.Results[0])
-	}
-	if c.Original.LocalLoads == 0 || c.Original.Barriers == 0 {
-		t.Errorf("base transpose features lack local traffic: %+v", c.Original)
-	}
-	if c.Transformed.LocalLoads != 0 || c.Transformed.Barriers != 0 {
-		t.Errorf("grover transpose still uses local memory: %+v", c.Transformed)
-	}
-	// Transpose has no data reuse, so Grover trades local traffic for the
-	// same number of direct global loads — never fewer.
-	if c.Transformed.GlobalLoads < c.Original.GlobalLoads {
-		t.Errorf("grover version dropped global loads: %d vs %d",
-			c.Transformed.GlobalLoads, c.Original.GlobalLoads)
-	}
-
-	// Without the flag the same tuning is a separate cache entry with no
-	// characterization.
-	req.Characterize = false
-	var plain AutotuneResponse
-	if code, body := postJSON(t, ts.URL+"/v1/autotune", req, &plain); code != http.StatusOK {
-		t.Fatalf("plain autotune: %d %s", code, body)
-	}
-	if plain.Results[0].Characterization != nil {
-		t.Error("characterization returned without the flag")
-	}
-	if plain.Results[0].Cache != "miss" {
-		t.Errorf("characterize flag should be part of the cache key, got %q", plain.Results[0].Cache)
-	}
-}

@@ -52,7 +52,6 @@ import (
 	"grover/internal/kcache"
 	"grover/internal/rewrite"
 	"grover/internal/telemetry"
-	"grover/internal/telemetry/aiwc"
 	"grover/internal/vm"
 	"grover/opencl"
 )
@@ -562,11 +561,6 @@ type AutotuneRequest struct {
 	// request ("interp", "wgvec"). Simulated timings are backend-invariant;
 	// this picks how fast the tuning itself runs.
 	Backend string `json:"backend,omitempty"`
-	// Characterize attaches an AIWC-style feature vector for both kernel
-	// versions to each device verdict (one extra traced launch per
-	// version, shared by the devices of the request). The flag is part of
-	// the cache key.
-	Characterize bool `json:"characterize,omitempty"`
 	// Plan switches tuning from the classic two-version comparison to a
 	// rewrite-plan search: "search" enumerates the default plan space for
 	// the launch geometry, anything else is a "|"-separated list of plans
@@ -577,15 +571,6 @@ type AutotuneRequest struct {
 	// retire/traffic counters per barrier-delimited region) to every timed
 	// plan in the verdict. Requires a plan search. Part of the cache key.
 	Profile bool `json:"profile,omitempty"`
-}
-
-// Characterization pairs the feature vectors of the two kernel versions:
-// the backend-invariant evidence behind a tuning verdict (how much local
-// traffic the base version has, how the rewritten global accesses
-// spread).
-type Characterization struct {
-	Original    *aiwc.Features `json:"original,omitempty"`
-	Transformed *aiwc.Features `json:"transformed,omitempty"`
 }
 
 // TuneVerdict is one device's auto-tuning outcome.
@@ -607,9 +592,6 @@ type TuneVerdict struct {
 	Plans   []PlanResult   `json:"plans,omitempty"`
 	Rewrite *RewriteReport `json:"rewrite,omitempty"`
 	Cache   string         `json:"cache"`
-	// Characterization carries the kernel feature vectors when the
-	// request set characterize.
-	Characterization *Characterization `json:"characterization,omitempty"`
 	// Error reports a per-device failure during an "all" sweep.
 	Error string `json:"error,omitempty"`
 }

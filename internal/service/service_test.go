@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -307,9 +308,9 @@ func TestUnknownKernelIs404(t *testing.T) {
 	}
 }
 
-// TestRemovedAutotuneFieldsAre400: the predictor's request fields and the
-// static-pruning field are gone, and a client that still sends one is told
-// which, not silently measured.
+// TestRemovedAutotuneFieldsAre400: the predictor's request fields, the
+// static-pruning field and the characterization flag are gone, and a client
+// that still sends one is told which, not silently measured.
 func TestRemovedAutotuneFieldsAre400(t *testing.T) {
 	ts := newTestServer(t)
 	_, req := nvdMT()
@@ -317,7 +318,9 @@ func TestRemovedAutotuneFieldsAre400(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for field, value := range map[string]interface{}{"predict": true, "min_confidence": 0.5, "prune": 2} {
+	for field, value := range map[string]interface{}{
+		"predict": true, "min_confidence": 0.5, "prune": 2, "characterize": true,
+	} {
 		var body map[string]interface{}
 		if err := json.Unmarshal(raw, &body); err != nil {
 			t.Fatal(err)
@@ -326,6 +329,131 @@ func TestRemovedAutotuneFieldsAre400(t *testing.T) {
 		code, msg := postJSON(t, ts.URL+"/v1/autotune", body, nil)
 		if code != http.StatusBadRequest || !strings.Contains(msg, "unknown field") || !strings.Contains(msg, field) {
 			t.Errorf("%s: got %d %s, want a 400 naming the field", field, code, msg)
+		}
+	}
+}
+
+// keyExempt lists the AutotuneRequest fields autotuneKey does not read from
+// the request, each with the reason the verdict is still keyed by it.
+var keyExempt = map[string]string{
+	"Device":  "resolved by the handler (\"\" and \"all\" expand) and keyed as devName",
+	"Backend": "resolved by the handler (\"\" is the server default) and keyed as backend",
+	"Plan":    "resolved by the handler (\"search\" expands, plans are canonicalized) and keyed as plans",
+}
+
+// TestAutotuneKeyCoversEveryField walks AutotuneRequest by reflection and
+// changes one value at a time — every field, and every field of a nested
+// struct, array or argument — requiring the verdict's cache key to change.
+// A field added to the request without deciding how it is keyed fails
+// here; only keyExempt's fields are excused.
+func TestAutotuneKeyCoversEveryField(t *testing.T) {
+	_, base := nvdMT()
+	key := func(req *AutotuneRequest) string { return autotuneKey(req, "SNB", "wgvec", nil) }
+	want := key(&base)
+	typ := reflect.TypeOf(base)
+	for name := range keyExempt {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("keyExempt names %s, which AutotuneRequest no longer has", name)
+		}
+	}
+	// clone deep-copies the base request so a change reaches no other case.
+	clone := func() AutotuneRequest {
+		raw, err := json.Marshal(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var req AutotuneRequest
+		if err := json.Unmarshal(raw, &req); err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	var walk func(path string, at []int, v reflect.Value)
+	check := func(path string, at []int) {
+		req := clone()
+		v := reflect.ValueOf(&req).Elem()
+		for _, i := range at {
+			if v.Kind() == reflect.Struct {
+				v = v.Field(i)
+			} else {
+				v = v.Index(i)
+			}
+		}
+		perturb(t, path, v)
+		if key(&req) == want {
+			t.Errorf("changing %s leaves the autotune key unchanged", path)
+		}
+	}
+	walk = func(path string, at []int, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				name := v.Type().Field(i).Name
+				if len(at) == 0 && keyExempt[name] != "" {
+					continue
+				}
+				walk(strings.TrimPrefix(path+"."+name, "."), append(at[:len(at):len(at)], i), v.Field(i))
+			}
+		case reflect.Array, reflect.Slice:
+			for i := 0; i < v.Len(); i++ {
+				walk(fmt.Sprintf("%s[%d]", path, i), append(at[:len(at):len(at)], i), v.Index(i))
+			}
+			if v.Kind() == reflect.Slice {
+				check(path, at)
+			}
+		default:
+			check(path, at)
+		}
+	}
+	walk("", nil, reflect.ValueOf(base))
+}
+
+// perturb sets v to another value of its type.
+func perturb(t *testing.T, path string, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int64:
+		v.SetInt(v.Int() + 7)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 0.5)
+	case reflect.Map:
+		m := reflect.MakeMap(v.Type())
+		m.SetMapIndex(reflect.ValueOf("KEY_TEST"), reflect.ValueOf("1"))
+		v.Set(m)
+	case reflect.Slice:
+		elem := reflect.New(v.Type().Elem()).Elem()
+		if v.Len() > 0 {
+			elem.Set(v.Index(v.Len() - 1))
+		} else {
+			perturb(t, path, elem)
+		}
+		v.Set(reflect.Append(v, elem))
+	default:
+		t.Fatalf("%s: no way to change a %s; teach perturb", path, v.Type())
+	}
+}
+
+// TestLintKeysProgramName: every position in a lint response names the
+// program, so the same source linted under two names is two results.
+func TestLintKeysProgramName(t *testing.T) {
+	ts := newTestServer(t)
+	source, _ := nvdMT()
+	for _, name := range []string{"a.cl", "b.cl"} {
+		var resp LintResponse
+		code, body := postJSON(t, ts.URL+"/v1/lint",
+			LintRequest{Name: name, Source: source, Local: [3]int{16, 16, 1}}, &resp)
+		if code != http.StatusOK {
+			t.Fatalf("lint %s: %d %s", name, code, body)
+		}
+		if len(resp.Legality) == 0 {
+			t.Fatalf("lint %s: no legality verdicts", name)
+		}
+		if got := resp.Legality[0].Pos.File; got != name {
+			t.Errorf("lint %s (cache %s): legality[0].pos is %s, want a position in %s",
+				name, resp.Cache, resp.Legality[0].Pos, name)
 		}
 	}
 }

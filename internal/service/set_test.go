@@ -363,40 +363,3 @@ func TestAutotuneSetSpans(t *testing.T) {
 		t.Errorf("top-level spans explain only %.3f of %.3f ms (< 90%%)", top, trace.DurMS)
 	}
 }
-
-// TestAutotuneSetCharacterizesOnce: feature vectors are the kernels', so an
-// all-device request traces each kernel version once for the whole set
-// and every verdict carries the same vectors.
-func TestAutotuneSetCharacterizesOnce(t *testing.T) {
-	ts := newTestServer(t)
-	_, req := nvdMT()
-	req.Device = "all"
-	req.Characterize = true
-	resp := tune(t, ts.URL, req)
-	spans := 0
-	for _, sp := range resp.Spans {
-		if sp.Name == "characterize" {
-			spans++
-		}
-	}
-	if spans != 1 {
-		t.Errorf("%d characterize spans, want 1 for the set", spans)
-	}
-	first := resp.Results[0].Characterization
-	if first == nil || first.Original == nil || first.Transformed == nil {
-		t.Fatalf("missing characterization: %+v", resp.Results[0])
-	}
-	for _, v := range resp.Results[1:] {
-		if !reflect.DeepEqual(v.Characterization, first) {
-			t.Errorf("%s: characterization differs from %s's", v.Device, resp.Results[0].Device)
-		}
-	}
-
-	// Both versions ran once for the set; the characterization launches are
-	// traced, not timed, and count as no host execution.
-	var stats StatsResponse
-	getJSON(t, ts.URL+"/v1/stats", &stats)
-	if got := stats.Executions[resp.Backend]; got != 2 {
-		t.Errorf("%d host executions, want 2 (one per version)", got)
-	}
-}

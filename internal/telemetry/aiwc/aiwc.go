@@ -5,28 +5,22 @@
 // branch-divergence rate and per-work-item instruction spread.
 //
 // The characterizer is a vm.Tracer, so it observes exactly the execution
-// stream every backend is contractually required to emit bit-identically
-// (the PR 3/PR 4 invariance gate). Features are therefore
-// backend-invariant by construction: the same launch characterized on the
-// interpreter or on wgvec produces a byte-identical feature vector.
-// They are also worker-count-invariant: per-worker partials merge only
-// through commutative integer sums and map unions, and every float is
-// derived from the merged integers in a deterministic (sorted) order.
+// stream every backend is contractually required to emit bit-identically.
+// Features are therefore backend-invariant by construction: the same launch
+// characterized on the interpreter or on wgvec produces a byte-identical
+// feature vector. They are also worker-count-invariant: per-worker partials
+// merge only through commutative integer sums and map unions, and every
+// float is derived from the merged integers in a deterministic (sorted)
+// order.
 //
-// These are precisely the features that explain local-vs-global memory
-// trade-offs: a kernel whose local accesses have low entropy (heavy
-// reuse of few addresses) benefits from a scratch-pad, while one whose
-// rewritten global accesses coalesce well loses nothing by dropping it —
-// the signal the Grover auto-tuner's verdicts ship alongside.
+// Nothing in the tuning path reads these features; the performance
+// ledger's aiwc.characterize probe (bench/) is the package's only caller.
 package aiwc
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
-	"text/tabwriter"
 
 	"grover/internal/clc"
 	"grover/internal/ir"
@@ -338,40 +332,6 @@ func entropy(hist map[uint64]int64) float64 {
 		h -= p * math.Log2(p)
 	}
 	return h
-}
-
-// Table renders the feature vector as an aligned two-column table (the
-// clrun -profile output).
-func (f *Features) Table() string {
-	var sb strings.Builder
-	w := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', 0)
-	row := func(k string, v interface{}) { fmt.Fprintf(w, "%s\t%v\n", k, v) }
-	row("kernel", f.Kernel)
-	row("groups", f.Groups)
-	row("work-items", f.WorkItems)
-	row("instructions", f.Instructions)
-	var ops []string
-	for op := range f.Opcodes {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
-	for _, op := range ops {
-		row("  opcode "+op, f.Opcodes[op])
-	}
-	row("global loads/stores", fmt.Sprintf("%d / %d", f.GlobalLoads, f.GlobalStores))
-	row("local loads/stores", fmt.Sprintf("%d / %d", f.LocalLoads, f.LocalStores))
-	row("private loads/stores", fmt.Sprintf("%d / %d", f.PrivateLoads, f.PrivateStores))
-	row("bytes loaded/stored", fmt.Sprintf("%d / %d", f.LoadBytes, f.StoreBytes))
-	row("unique global addrs", f.UniqueGlobalAddrs)
-	row("unique local addrs", f.UniqueLocalAddrs)
-	row("global entropy (bits)", fmt.Sprintf("%.4f", f.GlobalEntropy))
-	row("local entropy (bits)", fmt.Sprintf("%.4f", f.LocalEntropy))
-	row("barriers", fmt.Sprintf("%d (%.2f/group)", f.Barriers, f.BarriersPerGroup))
-	row("branch divergence", fmt.Sprintf("%.4f (%d/%d groups)", f.BranchDivergence, f.DivergentGroups, f.Groups))
-	row("item instrs min/mean/max", fmt.Sprintf("%d / %.1f / %d (cv %.4f)",
-		f.MinItemInstrs, f.MeanItemInstrs, f.MaxItemInstrs, f.ItemInstrCV))
-	w.Flush()
-	return sb.String()
 }
 
 // Characterize runs one traced launch of the kernel with a fresh

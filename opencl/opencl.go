@@ -36,7 +36,6 @@ import (
 	"grover/internal/opt"
 	"grover/internal/rewrite"
 	"grover/internal/telemetry"
-	"grover/internal/telemetry/aiwc"
 	"grover/internal/vm"
 	_ "grover/internal/wgvec" // register the work-group-vectorized backend
 )
@@ -454,25 +453,6 @@ func (c *Context) launch(set *device.Set, profiler *vm.Profiler, k *Kernel, nd N
 	}
 	opts.Profiler = profiler
 	return k.prog.prog.Launch(k.name, cfg, c.gmem, opts)
-}
-
-// Characterize runs one traced launch of the kernel on the context's backend
-// and returns its AIWC feature vector. Arguments are as for
-// Queue.EnqueueNDRange. Global memory is restored afterwards: characterizing
-// is invisible to later launches, and two versions of a kernel characterized
-// in one context see the same inputs.
-func (k *Kernel) Characterize(nd NDRange, args ...interface{}) (*aiwc.Features, error) {
-	vargs, err := VMArgs(args...)
-	if err != nil {
-		return nil, err
-	}
-	c := k.prog.ctx
-	saved := append([]byte(nil), c.gmem.Data...)
-	cfg := vm.Config{GlobalSize: nd.Global, LocalSize: nd.Local, Args: vargs,
-		Backend: c.backend}
-	f, err := aiwc.Characterize(k.prog.prog, k.name, cfg, c.gmem)
-	copy(c.gmem.Data, saved)
-	return f, err
 }
 
 // EnqueueNDRange launches the kernel over the NDRange. Arguments may be

@@ -242,52 +242,6 @@ func TestProfilingQueueSurvivesFailedLaunch(t *testing.T) {
 // TestPattern pins the deterministic fill: the apps' inputs — hence the
 // data-dependent exits of AMD-SS and ROD-SC, the golden cells and every
 // committed tune — and the service's buffer arguments are computed from it.
-// TestCharacterizeRestoresMemory: a characterization is invisible to what
-// runs after it. An in-place kernel whose control flow reads its own output
-// reports the same features however often it is characterized in one
-// context, and leaves the buffer as it found it.
-func TestCharacterizeRestoresMemory(t *testing.T) {
-	const src = `__kernel void scale(__global int* a) {
-		int i = get_global_id(0);
-		if (a[i] < 8) a[i] = a[i] * 2;
-	}`
-	const n = 64
-	dev, _ := NewPlatform().DeviceByName("SNB")
-	ctx := NewContext(dev)
-	prog, err := ctx.CompileProgram("scale.cl", src, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, err := prog.Kernel("scale")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := make([]int32, n)
-	for i := range in {
-		in[i] = 5 // doubled once, 10 takes the other branch
-	}
-	buf := ctx.NewBuffer(n * 4)
-	buf.WriteInt32(in)
-	nd := NDRange{Global: [3]int{n, 1, 1}, Local: [3]int{16, 1, 1}}
-	first, err := k.Characterize(nd, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := k.Characterize(nd, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.GlobalStores != n {
-		t.Errorf("%d global stores, want %d", first.GlobalStores, n)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Errorf("second characterization differs from the first:\n%+v\n%+v", first, second)
-	}
-	if got := buf.ReadInt32(n); !reflect.DeepEqual(got, in) {
-		t.Errorf("buffer after characterizing = %v, want the input back", got)
-	}
-}
-
 func TestPattern(t *testing.T) {
 	for _, c := range []struct {
 		seed uint32
