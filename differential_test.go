@@ -3,7 +3,6 @@ package grover_test
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,49 +12,23 @@ import (
 	"grover/internal/device"
 	"grover/internal/enginetest"
 	"grover/internal/rewrite"
-	"grover/internal/vm"
 	"grover/opencl"
 )
 
-// planDiffBackends are the backends every rewrite plan must agree on.
-var planDiffBackends = enginetest.Engines()
-
-// planSpace is the differential plan list for one app: the Grover
-// direction pinned to the app's candidate set, address hoisting alone and
-// combined, a phase-order variant, and — for 1D launches — the inverse
-// stage-local direction plus the stage-local→grover round trip.
-func planSpace(app *apps.App, local [3]int) []string {
-	g := "grover"
-	if len(app.Candidates) > 0 {
-		g = fmt.Sprintf("grover(cands=%s)", strings.Join(app.Candidates, "+"))
-	}
-	plans := []string{
-		g,
-		g + ",hoist-addr",
-		"hoist-addr",
-		g + ",opt(passes=cse+load-forward+dse+peephole+dce)",
-	}
-	if local[0] > 1 && local[1] <= 1 && local[2] <= 1 {
-		plans = append(plans,
-			fmt.Sprintf("stage-local(ls=%d)", local[0]),
-			fmt.Sprintf("stage-local(ls=%d),grover", local[0]))
-	}
-	return plans
-}
-
-// TestPlanDifferential runs every rewrite plan over every benchmark app
-// and requires bit-identical global memory across the three execution
-// backends, plus a pass of the app's host-reference check. This is the
-// rewrite engine's semantics gate: a plan may change the instruction
-// stream, never the result.
+// TestPlanDifferential is the rewrite engine's semantics gate: every plan
+// of every app's plan space must apply (an error fails, whatever it is),
+// change the kernel, and leave global memory byte-identical to the base
+// kernel's, which must pass the app's host check. A plan may change the
+// instruction stream, never the result. It runs on the default engine; that
+// the interpreter computes the same memory and device counters for each of
+// these programs is internal/enginetest's equivalence suite.
 func TestPlanDifferential(t *testing.T) {
 	sweep := apps.All()
 	if testing.Short() {
 		// One staging app (2D), one candidate-restricted matmul, and the
 		// strided-gather app cover the distinct rewrite shapes.
-		short := []string{"NVD-MT", "NVD-MM-A", "ROD-SC"}
 		sweep = sweep[:0]
-		for _, id := range short {
+		for _, id := range []string{"NVD-MT", "NVD-MM-A", "ROD-SC"} {
 			a, err := apps.ByID(id)
 			if err != nil {
 				t.Fatal(err)
@@ -63,107 +36,60 @@ func TestPlanDifferential(t *testing.T) {
 			sweep = append(sweep, a)
 		}
 	}
-	plat := opencl.NewPlatform()
+	dev := opencl.NewPlatform().Devices()[0]
 	for _, app := range sweep {
 		app := app
 		t.Run(app.ID, func(t *testing.T) {
-			dev, err := plat.DeviceByName("SNB")
+			t.Parallel()
+			ctx := opencl.NewContext(dev)
+			prog, err := ctx.CompileProgram(app.ID+".cl", app.Source, app.Defines)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// One setup decides the launch geometry and the plan list; each
-			// plan then re-runs setup so buffer contents start identical.
-			ctx := opencl.NewContext(dev)
 			inst, err := app.Setup(ctx, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, ps := range planSpace(app, inst.ND.Local) {
-				ps := ps
-				t.Run(ps, func(t *testing.T) { diffOnePlan(t, app, ps) })
+			mem := ctx.Mem()
+			initial := append([]byte(nil), mem.Data...)
+			run := func(p *opencl.Program) []byte {
+				t.Helper()
+				k, err := p.Kernel(app.Kernel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mem.Data = mem.Data[:len(initial)]
+				copy(mem.Data, initial)
+				if _, err := ctx.NewQueue().EnqueueNDRange(k, inst.ND, inst.Args...); err != nil {
+					t.Fatal(err)
+				}
+				return append([]byte(nil), mem.Data...)
+			}
+			ref := run(prog)
+			if err := inst.Check(); err != nil {
+				t.Fatalf("base kernel: %v", err)
+			}
+			for _, ps := range app.PlanSpace(inst.ND.Local) {
+				t.Run(ps, func(t *testing.T) {
+					plan, err := rewrite.ParsePlan(ps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rp, rep, err := prog.WithRewritePlan(app.Kernel, plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !rep.Changed() {
+						t.Fatalf("plan is a no-op on %s", app.ID)
+					}
+					if got := run(rp); !bytes.Equal(got, ref) {
+						t.Fatalf("global memory under plan %s differs from the base kernel's", rep.Plan)
+					}
+				})
 			}
 		})
 	}
 }
-
-func diffOnePlan(t *testing.T, app *apps.App, planStr string) {
-	plan, err := rewrite.ParsePlan(planStr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plat := opencl.NewPlatform()
-	dev, err := plat.DeviceByName("SNB")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := opencl.NewContext(dev)
-	prog, err := ctx.CompileProgram(app.ID+".cl", app.Source, app.Defines)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := app.Setup(ctx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, rep, err := prog.WithRewritePlan(app.Kernel, plan)
-	if err != nil {
-		// Inapplicable plans (e.g. grover on an app whose tile the rule
-		// rejects) are outside this suite's scope; illegal ones are not.
-		t.Skipf("plan not applicable: %v", err)
-	}
-	if !rep.Changed() {
-		t.Skipf("plan is a no-op on %s", app.ID)
-	}
-	k, err := rp.Kernel(app.Kernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := ctx.Mem()
-	initial := append([]byte(nil), mem.Data...)
-	var ref []byte
-	for _, b := range planDiffBackends {
-		copy(mem.Data[:len(initial)], initial)
-		if err := ctx.SetBackend(b); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ctx.NewQueue().EnqueueNDRange(k, inst.ND, inst.Args...); err != nil {
-			t.Fatalf("launch on %s: %v", b, err)
-		}
-		if ref == nil {
-			ref = append([]byte(nil), mem.Data...)
-			// The reference backend also validates against the host
-			// reference: bit-identical wrong answers are still wrong.
-			if err := inst.Check(); err != nil {
-				t.Fatalf("host check under plan %s: %v", rep.Plan, err)
-			}
-			continue
-		}
-		if !bytes.Equal(ref, mem.Data) {
-			t.Fatalf("backend %s memory diverges from %s under plan %s",
-				b, planDiffBackends[0], rep.Plan)
-		}
-	}
-}
-
-// TestPlanDifferentialBackendsExist pins the backend list this suite
-// sweeps: if a backend is renamed or removed the differential test must
-// be updated, not silently weakened.
-func TestPlanDifferentialBackendsExist(t *testing.T) {
-	have := map[string]bool{}
-	for _, b := range vm.Backends() {
-		have[b] = true
-	}
-	for _, b := range planDiffBackends {
-		if !have[b] {
-			t.Fatalf("backend %q not registered (have %v)", b, vm.Backends())
-		}
-	}
-}
-
-// setDiffEngines are the engines the shared pass is checked on: one that
-// hands the device models a barrier region at a time and one that reports
-// every access.
-var setDiffEngines = []string{"wgvec", "interp"}
 
 // deviceLaunch times one kernel and returns one result per device.
 type deviceLaunch func(*opencl.Kernel) ([]device.Result, error)
@@ -254,9 +180,11 @@ func planStats(t *testing.T, ctx *opencl.Context, app *apps.App, engine string,
 // charged to all six device models (opencl.SetQueue) must report, for every
 // app, plan and device, exactly the counters of that device's own sequence
 // of launches on a fresh context — cycles, instructions, accesses,
-// transactions, every cache level, DRAM traffic and time. The six own
-// sequences run on wgvec; that a device's counters do not depend on the
-// engine is the engine suites' business (internal/device, internal/bcode).
+// transactions, every cache level, DRAM traffic and time. The own
+// sequences and the shared pass run on wgvec; that the interpreter on a set
+// of six reports what wgvec does is internal/enginetest's equivalence
+// suite, and the interpreter's sets of one and of six are
+// TestSetDifferentialFewGroups'.
 func TestSetDifferential(t *testing.T) {
 	devs := opencl.NewPlatform().Devices()
 	ran := map[string]string{}
@@ -284,20 +212,17 @@ func TestSetDifferential(t *testing.T) {
 			if len(own[0]) < 2 {
 				t.Fatalf("only %d plans executed", len(own[0]))
 			}
-			for _, engine := range setDiffEngines {
-				shared := planStats(t, opencl.NewContext(devs[0]), app, engine,
-					func(ctx *opencl.Context, inst *apps.Instance) deviceLaunch {
-						return sharedQueue(t, ctx, devs, inst.ND, inst.Args)
-					})
-				for i, dev := range devs {
-					if len(own[i]) != len(shared) {
-						t.Fatalf("%s executed %d plans, the shared pass on %s %d", dev.Name(), len(own[i]), engine, len(shared))
-					}
-					for plan, res := range own[i] {
-						if !reflect.DeepEqual(res[0], shared[plan][i]) {
-							t.Errorf("%s, plan %s, shared pass on %s:\n own    %+v\n shared %+v",
-								dev.Name(), plan, engine, res[0], shared[plan][i])
-						}
+			shared := planStats(t, opencl.NewContext(devs[0]), app, "wgvec",
+				func(ctx *opencl.Context, inst *apps.Instance) deviceLaunch {
+					return sharedQueue(t, ctx, devs, inst.ND, inst.Args)
+				})
+			for i, dev := range devs {
+				if len(own[i]) != len(shared) {
+					t.Fatalf("%s executed %d plans, the shared pass %d", dev.Name(), len(own[i]), len(shared))
+				}
+				for plan, res := range own[i] {
+					if !reflect.DeepEqual(res[0], shared[plan][i]) {
+						t.Errorf("%s, plan %s:\n own    %+v\n shared %+v", dev.Name(), plan, res[0], shared[plan][i])
 					}
 				}
 			}
@@ -312,7 +237,7 @@ func TestSetDifferentialFewGroups(t *testing.T) {
 	devs := opencl.NewPlatform().Devices()
 	for _, n := range []int{16, 32, 64} { // 1, 4 and 16 groups of 16×16
 		nd := opencl.NDRange{Global: [3]int{n, n, 1}, Local: [3]int{16, 16, 1}}
-		for _, engine := range setDiffEngines {
+		for _, engine := range enginetest.Engines() {
 			run := func(dev *opencl.Device, queue func(*opencl.Context, []interface{}) deviceLaunch) []device.Result {
 				ctx := opencl.NewContext(dev)
 				if err := ctx.SetBackend(engine); err != nil {

@@ -24,6 +24,7 @@ package apps
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"grover/opencl"
 )
@@ -80,6 +81,30 @@ func ByID(id string) (*App, error) {
 		}
 	}
 	return nil, fmt.Errorf("apps: unknown benchmark %q", id)
+}
+
+// PlanSpace is the differential rewrite-plan list for a, launched with
+// work-group size local: the Grover direction pinned to the app's candidate
+// set, address hoisting alone and combined, a phase-order variant, and —
+// for 1D launches — the inverse stage-local direction plus the
+// stage-local→grover round trip.
+func (a *App) PlanSpace(local [3]int) []string {
+	g := "grover"
+	if len(a.Candidates) > 0 {
+		g = fmt.Sprintf("grover(cands=%s)", strings.Join(a.Candidates, "+"))
+	}
+	plans := []string{
+		g,
+		g + ",hoist-addr",
+		"hoist-addr",
+		g + ",opt(passes=cse+load-forward+dse+peephole+dce)",
+	}
+	if local[0] > 1 && local[1] <= 1 && local[2] <= 1 {
+		plans = append(plans,
+			fmt.Sprintf("stage-local(ls=%d)", local[0]),
+			fmt.Sprintf("stage-local(ls=%d),grover", local[0]))
+	}
+	return plans
 }
 
 // ---------------------------------------------------------------- helpers

@@ -1,4 +1,4 @@
-package bcode_test
+package enginetest_test
 
 import (
 	"testing"
@@ -12,7 +12,7 @@ import (
 // representative benchmarks on each engine — the micro view of the
 // ledger's engine.* rows (bench/README.md). Run with
 //
-//	go test -bench BenchmarkBackends -run '^$' ./internal/bcode/
+//	go test -bench BenchmarkBackends -run '^$' ./internal/enginetest/
 func BenchmarkBackends(b *testing.B) {
 	plat := opencl.NewPlatform()
 	for _, id := range []string{"NVD-MT", "AMD-MM", "NVD-NBody"} {

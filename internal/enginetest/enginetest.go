@@ -1,5 +1,7 @@
-// Package enginetest names the execution engines the differential,
-// property, divergence and invariance test matrices compare.
+// Package enginetest names the execution engines the equivalence,
+// property and divergence test matrices compare. Its own tests are the
+// engine equivalence suite: every distinct kernel the repo times, run once
+// per engine on a set of all six device models.
 package enginetest
 
 import (

@@ -1,4 +1,4 @@
-package bcode_test
+package enginetest_test
 
 import (
 	"strings"

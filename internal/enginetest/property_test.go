@@ -3,7 +3,7 @@
 // every registered backend with a fixed worker count, and the full trace
 // streams (hashed per worker, including instruction identity) plus the
 // final memory images must agree exactly.
-package bcode_test
+package enginetest_test
 
 import (
 	"bytes"

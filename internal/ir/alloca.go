@@ -14,7 +14,7 @@ type AllocaUse struct {
 // AllocaUses classifies every alloca of fn by its uses. A variable that
 // does not escape is only ever read and written whole, by the loads and
 // stores counted here, so its value can be followed (opt.LoadForward,
-// opt.DSE) or kept out of memory altogether (bcode's slot registers).
+// opt.DSE) or kept out of memory altogether (wgvec's slot registers).
 func AllocaUses(fn *Function) map[*Instr]*AllocaUse {
 	uses := map[*Instr]*AllocaUse{}
 	for _, b := range fn.Blocks {

@@ -85,10 +85,14 @@ func TestTracesEndpoint(t *testing.T) {
 			t.Errorf("negative span timing: %+v", sp)
 		}
 	}
-	for _, want := range []string{"queue.wait", "clc.parse", "lower", "tune:original", "tune:transformed"} {
+	for _, want := range []string{"queue.wait", "clc.parse", "lower", "wgvec.compile", "tune:original", "tune:transformed"} {
 		if !seen[want] {
 			t.Errorf("span %q missing from trace: %v", want, slow.Spans)
 		}
+	}
+	// Compiling the engine is one layer, named as the ledger names it.
+	if seen["bcode.compile"] {
+		t.Errorf("span bcode.compile in trace: the engine compile is wgvec.compile alone")
 	}
 	if sum > slow.DurMS {
 		t.Errorf("top-level spans sum to %.3f ms > trace %.3f ms", sum, slow.DurMS)

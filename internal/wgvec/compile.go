@@ -1,61 +1,22 @@
-package bcode
+package wgvec
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"grover/internal/clc"
 	"grover/internal/ir"
-	"grover/internal/telemetry"
 	"grover/internal/vm"
 )
 
-// Machine is a prepared program compiled to bytecode: one BFunc per
-// function of the module. It executes nothing itself; wgvec builds its
-// region programs from it.
-type Machine struct {
-	p     *vm.Program
-	funcs map[*ir.Function]*BFunc
-}
-
-// Compile translates every function of a prepared program to bytecode.
-func Compile(p *vm.Program) (*Machine, error) {
-	return CompileCtx(context.Background(), p)
-}
-
-// CompileCtx is Compile recording a bcode.compile span into the trace
-// carried by ctx, if any.
-func CompileCtx(ctx context.Context, p *vm.Program) (*Machine, error) {
-	defer telemetry.StartSpan(ctx, "bcode.compile")()
-	m := &Machine{p: p, funcs: map[*ir.Function]*BFunc{}}
-	// Shells first so call sites can reference not-yet-compiled callees.
-	for _, f := range p.Module.Funcs {
-		m.funcs[f] = &BFunc{Fn: f}
-	}
-	for _, f := range p.Module.Funcs {
-		if err := m.compileFunc(f); err != nil {
-			return nil, fmt.Errorf("bcode: %s: %w", f.Name, err)
-		}
-	}
-	return m, nil
-}
-
-// Program returns the prepared program this machine was compiled from.
-func (m *Machine) Program() *vm.Program { return m.p }
-
-// Func returns the compiled form of f, or nil if f is not part of the
-// machine's module.
-func (m *Machine) Func(f *ir.Function) *BFunc { return m.funcs[f] }
-
 // fnCompiler holds per-function compilation state.
 type fnCompiler struct {
-	m  *Machine
-	p  *vm.Program
-	f  *ir.Function
-	bf *BFunc
+	p     *vm.Program
+	funcs map[*ir.Function]*bfunc // every function's compiled form, callees included
+	f     *ir.Function
+	bf    *bfunc
 
-	vals   map[ir.Value]Ref
+	vals   map[ir.Value]ref
 	intIdx map[int64]int32
 	fltIdx map[uint64]int32
 	sealed bool // constant region closed; late interning is a bug
@@ -65,8 +26,8 @@ type fnCompiler struct {
 
 	slots map[ir.Value]slot // private alloca → the register its variable lives in
 
-	code    []Inst
-	auxes   []Aux
+	code    []inst
+	auxes   []aux
 	blockPC map[*ir.Block]int32
 	fixups  []fixup
 }
@@ -74,7 +35,7 @@ type fnCompiler struct {
 // slot is a private variable kept in a register: the register, and the
 // scalar kind its stores and loads convert through.
 type slot struct {
-	reg  Ref
+	reg  ref
 	kind clc.ScalarKind
 }
 
@@ -85,10 +46,12 @@ type fixup struct {
 	blk  *ir.Block
 }
 
-func (m *Machine) compileFunc(f *ir.Function) error {
+// compileFunc lowers f into its shell funcs[f]; the other shells are
+// there so a call can name a callee not compiled yet.
+func compileFunc(p *vm.Program, funcs map[*ir.Function]*bfunc, f *ir.Function) {
 	fc := &fnCompiler{
-		m: m, p: m.p, f: f, bf: m.funcs[f],
-		vals:     map[ir.Value]Ref{},
+		p: p, funcs: funcs, f: f, bf: funcs[f],
+		vals:     map[ir.Value]ref{},
 		intIdx:   map[int64]int32{},
 		fltIdx:   map[uint64]int32{},
 		fusedIdx: map[*ir.Instr]bool{},
@@ -97,10 +60,10 @@ func (m *Machine) compileFunc(f *ir.Function) error {
 		blockPC:  map[*ir.Block]int32{},
 	}
 	bf := fc.bf
-	bf.FrameSize = m.p.FrameSize(f)
-	bf.LocalSize = m.p.LocalStaticSize(f)
+	bf.FrameSize = p.FrameSize(f)
+	bf.LocalSize = p.LocalStaticSize(f)
 
-	// Register numbering per Bank: constants first (so the preload
+	// Register numbering per bank: constants first (so the preload
 	// templates are a literal prefix of the register file), then
 	// parameters, then instruction results. Zero constants are always
 	// present: they stand in for the interpreter's boxed-value semantics
@@ -121,7 +84,7 @@ func (m *Machine) compileFunc(f *ir.Function) error {
 		}
 	}
 	fc.sealed = true
-	bf.Params = make([]Ref, len(f.Params))
+	bf.Params = make([]ref, len(f.Params))
 	for i, p := range f.Params {
 		r := fc.alloc(p.Typ)
 		bf.Params[i] = r
@@ -179,38 +142,37 @@ func (m *Machine) compileFunc(f *ir.Function) error {
 	}
 	bf.Code = fc.code
 	bf.Aux = fc.auxes
-	return nil
 }
 
 // alloc assigns a fresh register for a value of type t.
-func (fc *fnCompiler) alloc(t clc.Type) Ref {
+func (fc *fnCompiler) alloc(t clc.Type) ref {
 	bf := fc.bf
 	switch tt := t.(type) {
 	case *clc.VectorType:
 		if tt.Elem.Kind.IsFloat() {
 			bf.VecFLens = append(bf.VecFLens, tt.Len)
-			return Ref{BankVecF, int32(len(bf.VecFLens) - 1)}
+			return ref{bankVecF, int32(len(bf.VecFLens) - 1)}
 		}
 		bf.VecILens = append(bf.VecILens, tt.Len)
-		return Ref{BankVecI, int32(len(bf.VecILens) - 1)}
+		return ref{bankVecI, int32(len(bf.VecILens) - 1)}
 	case *clc.ScalarType:
 		if tt.Kind.IsFloat() {
 			bf.NFlt++
-			return Ref{BankFlt, int32(bf.NFlt - 1)}
+			return ref{bankFlt, int32(bf.NFlt - 1)}
 		}
 	}
 	// Integers, pointers, and anything else addressable as a word.
 	bf.NInt++
-	return Ref{BankInt, int32(bf.NInt - 1)}
+	return ref{bankInt, int32(bf.NInt - 1)}
 }
 
-// intConst interns an integer constant into the int Bank's const region.
+// intConst interns an integer constant into the int bank's const region.
 func (fc *fnCompiler) intConst(v int64) int32 {
 	if i, ok := fc.intIdx[v]; ok {
 		return i
 	}
 	if fc.sealed {
-		panic("bcode: constant interned after the const region was sealed")
+		panic("wgvec: constant interned after the const region was sealed")
 	}
 	i := int32(fc.bf.NInt)
 	fc.bf.NInt++
@@ -226,7 +188,7 @@ func (fc *fnCompiler) fltConst(v float64) int32 {
 		return i
 	}
 	if fc.sealed {
-		panic("bcode: constant interned after the const region was sealed")
+		panic("wgvec: constant interned after the const region was sealed")
 	}
 	i := int32(fc.bf.NFlt)
 	fc.bf.NFlt++
@@ -236,38 +198,38 @@ func (fc *fnCompiler) fltConst(v float64) int32 {
 }
 
 // operand resolves v to its natural register.
-func (fc *fnCompiler) operand(v ir.Value) (Ref, bool) {
+func (fc *fnCompiler) operand(v ir.Value) (ref, bool) {
 	switch t := v.(type) {
 	case *ir.ConstInt:
-		return Ref{BankInt, fc.intConst(t.Val)}, true
+		return ref{bankInt, fc.intConst(t.Val)}, true
 	case *ir.ConstFloat:
-		return Ref{BankFlt, fc.fltConst(t.Val)}, true
+		return ref{bankFlt, fc.fltConst(t.Val)}, true
 	}
 	r, ok := fc.vals[v]
 	return r, ok
 }
 
-// scalarRef resolves v for a context that reads the given scalar Bank.
-// When the value's natural Bank differs, the shared zero constant is
+// scalarRef resolves v for a context that reads the given scalar bank.
+// When the value's natural bank differs, the shared zero constant is
 // substituted, mirroring the interpreter's boxed values where the unused
 // field of an rv is zero.
-func (fc *fnCompiler) scalarRef(v ir.Value, b Bank) Ref {
+func (fc *fnCompiler) scalarRef(v ir.Value, b bank) ref {
 	r, ok := fc.operand(v)
 	if ok && r.Bank == b {
 		return r
 	}
-	if b == BankFlt {
-		return Ref{BankFlt, fc.fltIdx[0]}
+	if b == bankFlt {
+		return ref{bankFlt, fc.fltIdx[0]}
 	}
-	return Ref{BankInt, fc.intIdx[0]}
+	return ref{bankInt, fc.intIdx[0]}
 }
 
-// vecRef resolves v for a context that reads the given vector Bank, or
+// vecRef resolves v for a context that reads the given vector bank, or
 // reports failure (the interpreter would fault on a nil lane slice).
-func (fc *fnCompiler) vecRef(v ir.Value, b Bank) (Ref, bool) {
+func (fc *fnCompiler) vecRef(v ir.Value, b bank) (ref, bool) {
 	r, ok := fc.operand(v)
 	if !ok || r.Bank != b {
-		return Ref{}, false
+		return ref{}, false
 	}
 	return r, true
 }
@@ -368,14 +330,14 @@ func (fc *fnCompiler) analyzeSlots() {
 func slotKind(t clc.Type) (clc.ScalarKind, bool) {
 	switch tt := t.(type) {
 	case *clc.ScalarType:
-		return tt.Kind, ldOp(tt.Kind) != OpNop
+		return tt.Kind, ldOp(tt.Kind) != opNop
 	case *clc.PointerType:
 		return clc.KULong, true
 	}
 	return 0, false
 }
 
-func (fc *fnCompiler) add(i Inst) int32 {
+func (fc *fnCompiler) add(i inst) int32 {
 	if i.Retire == 0 {
 		i.Retire = 1
 	}
@@ -387,75 +349,75 @@ func (fc *fnCompiler) add(i Inst) int32 {
 // for constructs whose error the interpreter only raises at runtime, so
 // dead invalid code stays launchable on both backends.
 func (fc *fnCompiler) trap(msg string, retire uint8) {
-	ax := fc.auxAdd(Aux{Name: msg})
-	fc.code = append(fc.code, Inst{Op: OpTrap, Retire: retire, Imm: ax})
+	ax := fc.auxAdd(aux{Name: msg})
+	fc.code = append(fc.code, inst{Op: opTrap, Retire: retire, Imm: ax})
 }
 
-func (fc *fnCompiler) auxAdd(a Aux) int64 {
+func (fc *fnCompiler) auxAdd(a aux) int64 {
 	fc.auxes = append(fc.auxes, a)
 	return int64(len(fc.auxes) - 1)
 }
 
 // dst returns the destination register of a producing instruction.
-func (fc *fnCompiler) dst(in *ir.Instr) (Ref, bool) {
+func (fc *fnCompiler) dst(in *ir.Instr) (ref, bool) {
 	r, ok := fc.vals[in]
 	return r, ok
 }
 
-// ldOp returns the specialized scalar-load Opcode for a kind.
-func ldOp(k clc.ScalarKind) Opcode {
+// ldOp returns the specialized scalar-load opcode for a kind.
+func ldOp(k clc.ScalarKind) opcode {
 	switch k {
 	case clc.KBool, clc.KUChar:
-		return OpLdU8
+		return opLdU8
 	case clc.KChar:
-		return OpLdI8
+		return opLdI8
 	case clc.KShort:
-		return OpLdI16
+		return opLdI16
 	case clc.KUShort:
-		return OpLdU16
+		return opLdU16
 	case clc.KInt:
-		return OpLdI32
+		return opLdI32
 	case clc.KUInt:
-		return OpLdU32
+		return opLdU32
 	case clc.KLong, clc.KULong:
-		return OpLdI64
+		return opLdI64
 	case clc.KFloat:
-		return OpLdF32
+		return opLdF32
 	case clc.KDouble:
-		return OpLdF64
+		return opLdF64
 	}
-	return OpNop
+	return opNop
 }
 
-// stOp returns the specialized scalar-store Opcode for a kind.
-func stOp(k clc.ScalarKind) Opcode {
+// stOp returns the specialized scalar-store opcode for a kind.
+func stOp(k clc.ScalarKind) opcode {
 	switch k {
 	case clc.KBool, clc.KChar, clc.KUChar:
-		return OpStI8
+		return opStI8
 	case clc.KShort, clc.KUShort:
-		return OpStI16
+		return opStI16
 	case clc.KInt, clc.KUInt:
-		return OpStI32
+		return opStI32
 	case clc.KLong, clc.KULong:
-		return OpStI64
+		return opStI64
 	case clc.KFloat:
-		return OpStF32
+		return opStF32
 	case clc.KDouble:
-		return OpStF64
+		return opStF64
 	}
-	return OpNop
+	return opNop
 }
 
 // memAddr resolves the address operand of a load/store: either the fused
 // base+index pair (retire 2) or a plain address register.
-func (fc *fnCompiler) memAddr(in *ir.Instr) (base, idx Ref, step int64, fused bool) {
+func (fc *fnCompiler) memAddr(in *ir.Instr) (base, idx ref, step int64, fused bool) {
 	if gep := fc.fuseWith[in]; gep != nil {
-		base = fc.scalarRef(gep.Args[0], BankInt)
-		idx = fc.scalarRef(gep.Args[1], BankInt)
+		base = fc.scalarRef(gep.Args[0], bankInt)
+		idx = fc.scalarRef(gep.Args[1], bankInt)
 		step = int64(ir.PointeeSize(gep.Args[0].Type()))
 		return base, idx, step, true
 	}
-	return fc.scalarRef(in.Args[0], BankInt), Ref{}, 0, false
+	return fc.scalarRef(in.Args[0], bankInt), ref{}, 0, false
 }
 
 // emit translates one IR instruction into bytecode.
@@ -463,15 +425,15 @@ func (fc *fnCompiler) emit(in *ir.Instr) {
 	switch in.Op {
 	case ir.OpAlloca:
 		d, ok := fc.dst(in)
-		if !ok || d.Bank != BankInt {
+		if !ok || d.Bank != bankInt {
 			fc.trap(fmt.Sprintf("vm: alloca %s without pointer register", in.VarName), 1)
 			return
 		}
 		if in.Space == clc.ASLocal {
 			addr := vm.MakeAddr(clc.ASLocal, uint64(fc.p.AllocaOffset(in, fc.f)))
-			fc.add(Inst{Op: OpAllocaL, A: d.Idx, Imm: int64(addr)})
+			fc.add(inst{Op: opAllocaL, A: d.Idx, Imm: int64(addr)})
 		} else {
-			fc.add(Inst{Op: OpAllocaP, A: d.Idx, Imm: int64(fc.p.AllocaOffset(in, fc.f))})
+			fc.add(inst{Op: opAllocaP, A: d.Idx, Imm: int64(fc.p.AllocaOffset(in, fc.f))})
 		}
 
 	case ir.OpLoad:
@@ -482,17 +444,17 @@ func (fc *fnCompiler) emit(in *ir.Instr) {
 
 	case ir.OpIndex:
 		d, ok := fc.dst(in)
-		if !ok || d.Bank != BankInt {
+		if !ok || d.Bank != bankInt {
 			fc.trap("vm: index without pointer register", 1)
 			return
 		}
-		base := fc.scalarRef(in.Args[0], BankInt)
+		base := fc.scalarRef(in.Args[0], bankInt)
 		step := int64(ir.PointeeSize(in.Args[0].Type()))
 		if ci, isC := in.Args[1].(*ir.ConstInt); isC {
-			fc.add(Inst{Op: OpIndexC, A: d.Idx, B: base.Idx, Imm: ci.Val * step})
+			fc.add(inst{Op: opIndexC, A: d.Idx, B: base.Idx, Imm: ci.Val * step})
 		} else {
-			idx := fc.scalarRef(in.Args[1], BankInt)
-			fc.add(Inst{Op: OpIndex, A: d.Idx, B: base.Idx, C: idx.Idx, Imm: step})
+			idx := fc.scalarRef(in.Args[1], bankInt)
+			fc.add(inst{Op: opIndex, A: d.Idx, B: base.Idx, C: idx.Idx, Imm: step})
 		}
 
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
@@ -527,46 +489,46 @@ func (fc *fnCompiler) emit(in *ir.Instr) {
 		fc.emitMath(in)
 
 	case ir.OpBarrier:
-		fc.add(Inst{Op: OpBarrier, In: in})
+		fc.add(inst{Op: opBarrier, In: in})
 
 	case ir.OpCall:
 		fc.emitCall(in)
 
 	case ir.OpBr:
-		pc := fc.add(Inst{Op: OpJmp})
+		pc := fc.add(inst{Op: opJmp})
 		fc.fixups = append(fc.fixups, fixup{pc: pc, slot: 0, blk: in.Targets[0]})
 
 	case ir.OpCondBr:
-		op := OpCondBrI
-		cb := BankInt
+		op := opCondBrI
+		cb := bankInt
 		if s, ok := in.Args[0].Type().(*clc.ScalarType); ok && s.Kind.IsFloat() {
-			op, cb = OpCondBrF, BankFlt
+			op, cb = opCondBrF, bankFlt
 		}
 		cond := fc.scalarRef(in.Args[0], cb)
-		pc := fc.add(Inst{Op: op, A: cond.Idx})
+		pc := fc.add(inst{Op: op, A: cond.Idx})
 		fc.fixups = append(fc.fixups,
 			fixup{pc: pc, slot: 0, blk: in.Targets[0]},
 			fixup{pc: pc, slot: 1, blk: in.Targets[1]})
 
 	case ir.OpRet:
 		if len(in.Args) == 0 {
-			fc.add(Inst{Op: OpRet})
+			fc.add(inst{Op: opRet})
 			return
 		}
 		r, ok := fc.operand(in.Args[0])
 		if !ok {
-			fc.add(Inst{Op: OpRet})
+			fc.add(inst{Op: opRet})
 			return
 		}
 		switch r.Bank {
-		case BankInt:
-			fc.add(Inst{Op: OpRetI, B: r.Idx})
-		case BankFlt:
-			fc.add(Inst{Op: OpRetF, B: r.Idx})
-		case BankVecI:
-			fc.add(Inst{Op: OpRetVI, B: r.Idx})
-		case BankVecF:
-			fc.add(Inst{Op: OpRetVF, B: r.Idx})
+		case bankInt:
+			fc.add(inst{Op: opRetI, B: r.Idx})
+		case bankFlt:
+			fc.add(inst{Op: opRetF, B: r.Idx})
+		case bankVecI:
+			fc.add(inst{Op: opRetVI, B: r.Idx})
+		case bankVecF:
+			fc.add(inst{Op: opRetVF, B: r.Idx})
 		}
 
 	default:
@@ -581,11 +543,11 @@ func (fc *fnCompiler) emitLoad(in *ir.Instr) {
 		return
 	}
 	if s, ok := fc.slots[in.Args[0]]; ok {
-		op := OpSlotLdI
-		if s.reg.Bank == BankFlt {
-			op = OpSlotLdF
+		op := opSlotLdI
+		if s.reg.Bank == bankFlt {
+			op = opSlotLdF
 		}
-		fc.code = append(fc.code, Inst{Op: op, Kind: uint8(s.kind), A: d.Idx, B: s.reg.Idx,
+		fc.code = append(fc.code, inst{Op: op, Kind: uint8(s.kind), A: d.Idx, B: s.reg.Idx,
 			N: int32(in.Typ.Size()), Imm: fc.slotOffset(in), Retire: 1, In: in})
 		return
 	}
@@ -594,33 +556,33 @@ func (fc *fnCompiler) emitLoad(in *ir.Instr) {
 	if fused {
 		retire = 2
 	}
-	i := Inst{A: d.Idx, B: base.Idx, C: idx.Idx, Imm: step,
+	i := inst{A: d.Idx, B: base.Idx, C: idx.Idx, Imm: step,
 		N: int32(in.Typ.Size()), Retire: retire, In: in}
 	switch tt := in.Typ.(type) {
 	case *clc.ScalarType:
 		i.Op = ldOp(tt.Kind)
-		if i.Op == OpNop {
+		if i.Op == opNop {
 			fc.trap(fmt.Sprintf("vm: load of unsupported scalar %s", tt.Kind), retire)
 			return
 		}
 		if fused {
-			i.Op += OpLdXI8 - OpLdI8
+			i.Op += opLdXI8 - opLdI8
 		}
 	case *clc.VectorType:
 		i.Kind = uint8(tt.Elem.Kind)
 		i.Sub = uint8(tt.Len)
 		if tt.Elem.Kind.IsFloat() {
-			i.Op = OpLdVF
+			i.Op = opLdVF
 		} else {
-			i.Op = OpLdVI
+			i.Op = opLdVI
 		}
 		if fused {
-			i.Op += OpLdXVI - OpLdVI
+			i.Op += opLdXVI - opLdVI
 		}
 	case *clc.PointerType:
-		i.Op = OpLdI64
+		i.Op = opLdI64
 		if fused {
-			i.Op += OpLdXI8 - OpLdI8
+			i.Op += opLdXI8 - opLdI8
 		}
 	default:
 		fc.trap(fmt.Sprintf("vm: load of unsupported type %s", in.Typ), retire)
@@ -637,11 +599,11 @@ func (fc *fnCompiler) slotOffset(in *ir.Instr) int64 {
 
 func (fc *fnCompiler) emitStore(in *ir.Instr) {
 	if s, ok := fc.slots[in.Args[0]]; ok {
-		op := OpSlotStI
-		if s.reg.Bank == BankFlt {
-			op = OpSlotStF
+		op := opSlotStI
+		if s.reg.Bank == bankFlt {
+			op = opSlotStF
 		}
-		fc.code = append(fc.code, Inst{Op: op, Kind: uint8(s.kind), A: fc.scalarRef(in.Args[1], s.reg.Bank).Idx, B: s.reg.Idx,
+		fc.code = append(fc.code, inst{Op: op, Kind: uint8(s.kind), A: fc.scalarRef(in.Args[1], s.reg.Bank).Idx, B: s.reg.Idx,
 			N: int32(in.Args[1].Type().Size()), Imm: fc.slotOffset(in), Retire: 1, In: in})
 		return
 	}
@@ -651,28 +613,28 @@ func (fc *fnCompiler) emitStore(in *ir.Instr) {
 		retire = 2
 	}
 	t := in.Args[1].Type()
-	i := Inst{B: base.Idx, C: idx.Idx, Imm: step,
+	i := inst{B: base.Idx, C: idx.Idx, Imm: step,
 		N: int32(t.Size()), Retire: retire, In: in}
 	switch tt := t.(type) {
 	case *clc.ScalarType:
 		i.Op = stOp(tt.Kind)
-		if i.Op == OpNop {
+		if i.Op == opNop {
 			fc.trap(fmt.Sprintf("vm: store of unsupported scalar %s", tt.Kind), retire)
 			return
 		}
-		vb := BankInt
+		vb := bankInt
 		if tt.Kind.IsFloat() {
-			vb = BankFlt
+			vb = bankFlt
 		}
 		i.A = fc.scalarRef(in.Args[1], vb).Idx
 		if fused {
-			i.Op += OpStXI8 - OpStI8
+			i.Op += opStXI8 - opStI8
 		}
 	case *clc.VectorType:
-		vb := BankVecI
-		i.Op = OpStVI
+		vb := bankVecI
+		i.Op = opStVI
 		if tt.Elem.Kind.IsFloat() {
-			vb, i.Op = BankVecF, OpStVF
+			vb, i.Op = bankVecF, opStVF
 		}
 		src, ok := fc.vecRef(in.Args[1], vb)
 		if !ok {
@@ -683,13 +645,13 @@ func (fc *fnCompiler) emitStore(in *ir.Instr) {
 		i.Kind = uint8(tt.Elem.Kind)
 		i.Sub = uint8(tt.Len)
 		if fused {
-			i.Op += OpStXVI - OpStVI
+			i.Op += opStXVI - opStVI
 		}
 	case *clc.PointerType:
-		i.Op = OpStI64
-		i.A = fc.scalarRef(in.Args[1], BankInt).Idx
+		i.Op = opStI64
+		i.A = fc.scalarRef(in.Args[1], bankInt).Idx
 		if fused {
-			i.Op += OpStXI8 - OpStI8
+			i.Op += opStXI8 - opStI8
 		}
 	default:
 		fc.trap(fmt.Sprintf("vm: store of unsupported type %s", t), retire)
@@ -707,94 +669,94 @@ func (fc *fnCompiler) emitBin(in *ir.Instr) {
 	switch tt := in.Typ.(type) {
 	case *clc.ScalarType:
 		if tt.Kind.IsFloat() {
-			a := fc.scalarRef(in.Args[0], BankFlt)
-			b := fc.scalarRef(in.Args[1], BankFlt)
-			var op Opcode
+			a := fc.scalarRef(in.Args[0], bankFlt)
+			b := fc.scalarRef(in.Args[1], bankFlt)
+			var op opcode
 			switch in.Op {
 			case ir.OpAdd:
-				op = OpAddF
+				op = opAddF
 			case ir.OpSub:
-				op = OpSubF
+				op = opSubF
 			case ir.OpMul:
-				op = OpMulF
+				op = opMulF
 			case ir.OpDiv:
-				op = OpDivF
+				op = opDivF
 			default:
-				op = OpFltBin
+				op = opFltBin
 			}
-			if op != OpFltBin && tt.Kind == clc.KFloat {
-				op += OpAddF32 - OpAddF
+			if op != opFltBin && tt.Kind == clc.KFloat {
+				op += opAddF32 - opAddF
 			}
-			fc.add(Inst{Op: op, Kind: uint8(tt.Kind), Sub: uint8(in.Op),
+			fc.add(inst{Op: op, Kind: uint8(tt.Kind), Sub: uint8(in.Op),
 				A: d.Idx, B: a.Idx, C: b.Idx})
 			return
 		}
-		a := fc.scalarRef(in.Args[0], BankInt)
-		b := fc.scalarRef(in.Args[1], BankInt)
-		op := OpIntBin
+		a := fc.scalarRef(in.Args[0], bankInt)
+		b := fc.scalarRef(in.Args[1], bankInt)
+		op := opIntBin
 		// Specializations hold for arbitrary (even unnormalized) inputs:
 		// wrap-to-32 equals normInt after the raw 64-bit op, and 64-bit
 		// kinds need no normalization at all. Narrow kinds and the
 		// div/rem/shift family keep the generic path.
 		switch in.Op {
 		case ir.OpAdd:
-			op = pickIntOp(tt.Kind, OpAddI, OpAddI32, OpAddU32)
+			op = pickIntOp(tt.Kind, opAddI, opAddI32, opAddU32)
 		case ir.OpSub:
-			op = pickIntOp(tt.Kind, OpSubI, OpSubI32, OpSubU32)
+			op = pickIntOp(tt.Kind, opSubI, opSubI32, opSubU32)
 		case ir.OpMul:
-			op = pickIntOp(tt.Kind, OpMulI, OpMulI32, OpMulU32)
+			op = pickIntOp(tt.Kind, opMulI, opMulI32, opMulU32)
 		case ir.OpAnd:
-			op = pickIntOp(tt.Kind, OpAndI, OpIntBin, OpIntBin)
+			op = pickIntOp(tt.Kind, opAndI, opIntBin, opIntBin)
 		case ir.OpOr:
-			op = pickIntOp(tt.Kind, OpOrI, OpIntBin, OpIntBin)
+			op = pickIntOp(tt.Kind, opOrI, opIntBin, opIntBin)
 		case ir.OpXor:
-			op = pickIntOp(tt.Kind, OpXorI, OpIntBin, OpIntBin)
+			op = pickIntOp(tt.Kind, opXorI, opIntBin, opIntBin)
 		}
-		fc.add(Inst{Op: op, Kind: uint8(tt.Kind), Sub: uint8(in.Op),
+		fc.add(inst{Op: op, Kind: uint8(tt.Kind), Sub: uint8(in.Op),
 			A: d.Idx, B: a.Idx, C: b.Idx})
 	case *clc.VectorType:
 		ek := tt.Elem.Kind
 		if ek.IsFloat() {
-			a, okA := fc.vecRef(in.Args[0], BankVecF)
-			b, okB := fc.vecRef(in.Args[1], BankVecF)
-			if !okA || !okB || d.Bank != BankVecF {
+			a, okA := fc.vecRef(in.Args[0], bankVecF)
+			b, okB := fc.vecRef(in.Args[1], bankVecF)
+			if !okA || !okB || d.Bank != bankVecF {
 				fc.trap(fmt.Sprintf("vm: binary op %s on unsupported type %s", in.Op, in.Typ), 1)
 				return
 			}
-			var op Opcode
+			var op opcode
 			switch in.Op {
 			case ir.OpAdd:
-				op = OpVAddF
+				op = opVAddF
 			case ir.OpSub:
-				op = OpVSubF
+				op = opVSubF
 			case ir.OpMul:
-				op = OpVMulF
+				op = opVMulF
 			case ir.OpDiv:
-				op = OpVDivF
+				op = opVDivF
 			default:
-				op = OpVBinF
+				op = opVBinF
 			}
-			fc.add(Inst{Op: op, Kind: uint8(ek), Sub: uint8(in.Op),
+			fc.add(inst{Op: op, Kind: uint8(ek), Sub: uint8(in.Op),
 				A: d.Idx, B: a.Idx, C: b.Idx})
 			return
 		}
-		a, okA := fc.vecRef(in.Args[0], BankVecI)
-		b, okB := fc.vecRef(in.Args[1], BankVecI)
-		if !okA || !okB || d.Bank != BankVecI {
+		a, okA := fc.vecRef(in.Args[0], bankVecI)
+		b, okB := fc.vecRef(in.Args[1], bankVecI)
+		if !okA || !okB || d.Bank != bankVecI {
 			fc.trap(fmt.Sprintf("vm: binary op %s on unsupported type %s", in.Op, in.Typ), 1)
 			return
 		}
-		fc.add(Inst{Op: OpVBinI, Kind: uint8(ek), Sub: uint8(in.Op),
+		fc.add(inst{Op: opVBinI, Kind: uint8(ek), Sub: uint8(in.Op),
 			A: d.Idx, B: a.Idx, C: b.Idx})
 	case *clc.PointerType:
 		// Raw byte arithmetic on pointers, no normalization.
-		a := fc.scalarRef(in.Args[0], BankInt)
-		b := fc.scalarRef(in.Args[1], BankInt)
+		a := fc.scalarRef(in.Args[0], bankInt)
+		b := fc.scalarRef(in.Args[1], bankInt)
 		switch in.Op {
 		case ir.OpAdd:
-			fc.add(Inst{Op: OpAddI, A: d.Idx, B: a.Idx, C: b.Idx})
+			fc.add(inst{Op: opAddI, A: d.Idx, B: a.Idx, C: b.Idx})
 		case ir.OpSub:
-			fc.add(Inst{Op: OpSubI, A: d.Idx, B: a.Idx, C: b.Idx})
+			fc.add(inst{Op: opSubI, A: d.Idx, B: a.Idx, C: b.Idx})
 		default:
 			fc.trap(fmt.Sprintf("vm: binary op %s on unsupported type %s", in.Op, in.Typ), 1)
 		}
@@ -803,10 +765,10 @@ func (fc *fnCompiler) emitBin(in *ir.Instr) {
 	}
 }
 
-// pickIntOp selects the specialized Opcode for an integer Kind: raw64 for
+// pickIntOp selects the specialized opcode for an integer Kind: raw64 for
 // 64-bit kinds, the wrapping 32-bit variants for int/uint, generic
 // otherwise.
-func pickIntOp(k clc.ScalarKind, raw64, i32, u32 Opcode) Opcode {
+func pickIntOp(k clc.ScalarKind, raw64, i32, u32 opcode) opcode {
 	switch k {
 	case clc.KLong, clc.KULong:
 		return raw64
@@ -815,7 +777,7 @@ func pickIntOp(k clc.ScalarKind, raw64, i32, u32 Opcode) Opcode {
 	case clc.KUInt:
 		return u32
 	}
-	return OpIntBin
+	return opIntBin
 }
 
 func (fc *fnCompiler) emitUn(in *ir.Instr) {
@@ -831,38 +793,38 @@ func (fc *fnCompiler) emitUn(in *ir.Instr) {
 				fc.trap(fmt.Sprintf("vm: %s on float", in.Op), 1)
 				return
 			}
-			a := fc.scalarRef(in.Args[0], BankFlt)
-			fc.add(Inst{Op: OpNegF, A: d.Idx, B: a.Idx})
+			a := fc.scalarRef(in.Args[0], bankFlt)
+			fc.add(inst{Op: opNegF, A: d.Idx, B: a.Idx})
 			return
 		}
-		a := fc.scalarRef(in.Args[0], BankInt)
-		op := OpNotI
+		a := fc.scalarRef(in.Args[0], bankInt)
+		op := opNotI
 		if in.Op == ir.OpNeg {
-			op = OpNegI
+			op = opNegI
 		}
-		fc.add(Inst{Op: op, Kind: uint8(tt.Kind), A: d.Idx, B: a.Idx})
+		fc.add(inst{Op: op, Kind: uint8(tt.Kind), A: d.Idx, B: a.Idx})
 	case *clc.VectorType:
 		if tt.Elem.Kind.IsFloat() {
-			a, okA := fc.vecRef(in.Args[0], BankVecF)
-			if !okA || d.Bank != BankVecF {
+			a, okA := fc.vecRef(in.Args[0], bankVecF)
+			if !okA || d.Bank != bankVecF {
 				fc.trap(fmt.Sprintf("vm: unary op %s on unsupported type %s", in.Op, in.Typ), 1)
 				return
 			}
 			// The interpreter negates float vectors for both Neg and Not;
 			// replicated bit for bit.
-			fc.add(Inst{Op: OpVNegF, A: d.Idx, B: a.Idx})
+			fc.add(inst{Op: opVNegF, A: d.Idx, B: a.Idx})
 			return
 		}
-		a, okA := fc.vecRef(in.Args[0], BankVecI)
-		if !okA || d.Bank != BankVecI {
+		a, okA := fc.vecRef(in.Args[0], bankVecI)
+		if !okA || d.Bank != bankVecI {
 			fc.trap(fmt.Sprintf("vm: unary op %s on unsupported type %s", in.Op, in.Typ), 1)
 			return
 		}
-		op := OpVNotI
+		op := opVNotI
 		if in.Op == ir.OpNeg {
-			op = OpVNegI
+			op = opVNegI
 		}
-		fc.add(Inst{Op: op, Kind: uint8(tt.Elem.Kind), A: d.Idx, B: a.Idx})
+		fc.add(inst{Op: op, Kind: uint8(tt.Elem.Kind), A: d.Idx, B: a.Idx})
 	default:
 		fc.trap(fmt.Sprintf("vm: unary op %s on unsupported type %s", in.Op, in.Typ), 1)
 	}
@@ -874,40 +836,40 @@ func (fc *fnCompiler) emitCmp(in *ir.Instr) {
 		fc.trap(fmt.Sprintf("vm: compare %s without register", in.Op), 1)
 		return
 	}
-	if d.Bank == BankFlt {
+	if d.Bank == bankFlt {
 		// A float-typed compare result: the interpreter boxes {i: 0/1}
 		// and any float-reading consumer sees zero.
-		fc.add(Inst{Op: OpZeroF, A: d.Idx})
+		fc.add(inst{Op: opZeroF, A: d.Idx})
 		return
 	}
-	if d.Bank != BankInt {
+	if d.Bank != bankInt {
 		fc.trap(fmt.Sprintf("vm: compare %s with vector result", in.Op), 1)
 		return
 	}
-	rel := in.Op - ir.OpEq // OpEq..OpGe are contiguous
+	rel := in.Op - ir.OpEq // opEq..OpGe are contiguous
 	switch ot := in.Args[0].Type().(type) {
 	case *clc.ScalarType:
 		if ot.Kind.IsFloat() {
-			a := fc.scalarRef(in.Args[0], BankFlt)
-			b := fc.scalarRef(in.Args[1], BankFlt)
-			fc.add(Inst{Op: OpEqF + Opcode(rel), A: d.Idx, B: a.Idx, C: b.Idx})
+			a := fc.scalarRef(in.Args[0], bankFlt)
+			b := fc.scalarRef(in.Args[1], bankFlt)
+			fc.add(inst{Op: opEqF + opcode(rel), A: d.Idx, B: a.Idx, C: b.Idx})
 			return
 		}
-		a := fc.scalarRef(in.Args[0], BankInt)
-		b := fc.scalarRef(in.Args[1], BankInt)
-		op := OpEqI + Opcode(rel)
+		a := fc.scalarRef(in.Args[0], bankInt)
+		b := fc.scalarRef(in.Args[1], bankInt)
+		op := opEqI + opcode(rel)
 		if ot.Kind.IsUnsigned() && in.Op != ir.OpEq && in.Op != ir.OpNe {
-			op = OpLtU + Opcode(in.Op-ir.OpLt)
+			op = opLtU + opcode(in.Op-ir.OpLt)
 		}
-		fc.add(Inst{Op: op, A: d.Idx, B: a.Idx, C: b.Idx})
+		fc.add(inst{Op: op, A: d.Idx, B: a.Idx, C: b.Idx})
 	case *clc.PointerType:
-		a := fc.scalarRef(in.Args[0], BankInt)
-		b := fc.scalarRef(in.Args[1], BankInt)
-		fc.add(Inst{Op: OpEqI + Opcode(rel), A: d.Idx, B: a.Idx, C: b.Idx})
+		a := fc.scalarRef(in.Args[0], bankInt)
+		b := fc.scalarRef(in.Args[1], bankInt)
+		fc.add(inst{Op: opEqI + opcode(rel), A: d.Idx, B: a.Idx, C: b.Idx})
 	default:
 		// Vector (and any other) comparisons fall through to zero in the
 		// interpreter.
-		fc.add(Inst{Op: OpZeroI, A: d.Idx})
+		fc.add(inst{Op: opZeroI, A: d.Idx})
 	}
 }
 
@@ -925,11 +887,11 @@ func (fc *fnCompiler) emitConvert(in *ir.Instr) {
 			fc.emitScalarConvert(in, d, ft.Kind, tt.Kind)
 			return
 		case *clc.PointerType:
-			a := fc.scalarRef(in.Args[0], BankInt)
+			a := fc.scalarRef(in.Args[0], bankInt)
 			if tt.Kind == clc.KLong || tt.Kind == clc.KULong {
-				fc.add(Inst{Op: OpMovI, A: d.Idx, B: a.Idx})
+				fc.add(inst{Op: opMovI, A: d.Idx, B: a.Idx})
 			} else {
-				fc.add(Inst{Op: OpConvI, Kind: uint8(tt.Kind), A: d.Idx, B: a.Idx})
+				fc.add(inst{Op: opConvI, Kind: uint8(tt.Kind), A: d.Idx, B: a.Idx})
 			}
 			return
 		}
@@ -938,10 +900,10 @@ func (fc *fnCompiler) emitConvert(in *ir.Instr) {
 		// The interpreter reuses the boxed value's integer field; for a
 		// float source that field is zero.
 		r, okR := fc.operand(in.Args[0])
-		if okR && r.Bank == BankInt {
-			fc.add(Inst{Op: OpMovI, A: d.Idx, B: r.Idx})
+		if okR && r.Bank == bankInt {
+			fc.add(inst{Op: opMovI, A: d.Idx, B: r.Idx})
 		} else {
-			fc.add(Inst{Op: OpZeroI, A: d.Idx})
+			fc.add(inst{Op: opZeroI, A: d.Idx})
 		}
 	case *clc.VectorType:
 		ft, okV := from.(*clc.VectorType)
@@ -949,16 +911,16 @@ func (fc *fnCompiler) emitConvert(in *ir.Instr) {
 			fc.trap(fmt.Sprintf("vm: bad vector conversion %s → %s", from, in.Typ), 1)
 			return
 		}
-		sb := BankVecI
+		sb := bankVecI
 		if ft.Elem.Kind.IsFloat() {
-			sb = BankVecF
+			sb = bankVecF
 		}
 		src, okS := fc.vecRef(in.Args[0], sb)
 		if !okS {
 			fc.trap(fmt.Sprintf("vm: bad vector conversion %s → %s", from, in.Typ), 1)
 			return
 		}
-		fc.add(Inst{Op: OpVConv, Sub: uint8(ft.Elem.Kind), Kind: uint8(tt.Elem.Kind),
+		fc.add(inst{Op: opVConv, Sub: uint8(ft.Elem.Kind), Kind: uint8(tt.Elem.Kind),
 			A: d.Idx, B: src.Idx})
 	default:
 		fc.trap(fmt.Sprintf("vm: unsupported conversion %s → %s", from, in.Typ), 1)
@@ -966,31 +928,31 @@ func (fc *fnCompiler) emitConvert(in *ir.Instr) {
 }
 
 // emitScalarConvert specializes scalar-to-scalar conversions.
-func (fc *fnCompiler) emitScalarConvert(in *ir.Instr, d Ref, from, to clc.ScalarKind) {
+func (fc *fnCompiler) emitScalarConvert(in *ir.Instr, d ref, from, to clc.ScalarKind) {
 	switch {
 	case from.IsFloat() && to.IsFloat():
-		a := fc.scalarRef(in.Args[0], BankFlt)
+		a := fc.scalarRef(in.Args[0], bankFlt)
 		if to == clc.KFloat {
-			fc.add(Inst{Op: OpF2F32, A: d.Idx, B: a.Idx})
+			fc.add(inst{Op: opF2F32, A: d.Idx, B: a.Idx})
 		} else {
-			fc.add(Inst{Op: OpMovF, A: d.Idx, B: a.Idx})
+			fc.add(inst{Op: opMovF, A: d.Idx, B: a.Idx})
 		}
 	case from.IsFloat():
-		a := fc.scalarRef(in.Args[0], BankFlt)
-		fc.add(Inst{Op: OpF2I, Kind: uint8(to), A: d.Idx, B: a.Idx})
+		a := fc.scalarRef(in.Args[0], bankFlt)
+		fc.add(inst{Op: opF2I, Kind: uint8(to), A: d.Idx, B: a.Idx})
 	case to.IsFloat():
-		a := fc.scalarRef(in.Args[0], BankInt)
-		op := OpI2F
+		a := fc.scalarRef(in.Args[0], bankInt)
+		op := opI2F
 		if from.IsUnsigned() {
-			op = OpU2F
+			op = opU2F
 		}
-		fc.add(Inst{Op: op, Kind: uint8(to), A: d.Idx, B: a.Idx})
+		fc.add(inst{Op: op, Kind: uint8(to), A: d.Idx, B: a.Idx})
 	default:
-		a := fc.scalarRef(in.Args[0], BankInt)
+		a := fc.scalarRef(in.Args[0], bankInt)
 		if to == clc.KLong || to == clc.KULong {
-			fc.add(Inst{Op: OpMovI, A: d.Idx, B: a.Idx})
+			fc.add(inst{Op: opMovI, A: d.Idx, B: a.Idx})
 		} else {
-			fc.add(Inst{Op: OpConvI, Kind: uint8(to), A: d.Idx, B: a.Idx})
+			fc.add(inst{Op: opConvI, Kind: uint8(to), A: d.Idx, B: a.Idx})
 		}
 	}
 }
@@ -1004,20 +966,20 @@ func (fc *fnCompiler) emitExtract(in *ir.Instr) {
 	}
 	lane := int64(in.Comps[0])
 	if vt.Elem.Kind.IsFloat() {
-		src, okS := fc.vecRef(in.Args[0], BankVecF)
-		if !okS || d.Bank != BankFlt {
+		src, okS := fc.vecRef(in.Args[0], bankVecF)
+		if !okS || d.Bank != bankFlt {
 			fc.trap("vm: extract on non-vector operand", 1)
 			return
 		}
-		fc.add(Inst{Op: OpExtF, A: d.Idx, B: src.Idx, Imm: lane})
+		fc.add(inst{Op: opExtF, A: d.Idx, B: src.Idx, Imm: lane})
 		return
 	}
-	src, okS := fc.vecRef(in.Args[0], BankVecI)
-	if !okS || d.Bank != BankInt {
+	src, okS := fc.vecRef(in.Args[0], bankVecI)
+	if !okS || d.Bank != bankInt {
 		fc.trap("vm: extract on non-vector operand", 1)
 		return
 	}
-	fc.add(Inst{Op: OpExtI, A: d.Idx, B: src.Idx, Imm: lane})
+	fc.add(inst{Op: opExtI, A: d.Idx, B: src.Idx, Imm: lane})
 }
 
 func (fc *fnCompiler) emitInsert(in *ir.Instr) {
@@ -1029,22 +991,22 @@ func (fc *fnCompiler) emitInsert(in *ir.Instr) {
 	}
 	lane := int64(in.Comps[0])
 	if vt.Elem.Kind.IsFloat() {
-		src, okS := fc.vecRef(in.Args[0], BankVecF)
-		if !okS || d.Bank != BankVecF {
+		src, okS := fc.vecRef(in.Args[0], bankVecF)
+		if !okS || d.Bank != bankVecF {
 			fc.trap("vm: insert on non-vector operand", 1)
 			return
 		}
-		sc := fc.scalarRef(in.Args[1], BankFlt)
-		fc.add(Inst{Op: OpInsF, A: d.Idx, B: src.Idx, C: sc.Idx, Imm: lane})
+		sc := fc.scalarRef(in.Args[1], bankFlt)
+		fc.add(inst{Op: opInsF, A: d.Idx, B: src.Idx, C: sc.Idx, Imm: lane})
 		return
 	}
-	src, okS := fc.vecRef(in.Args[0], BankVecI)
-	if !okS || d.Bank != BankVecI {
+	src, okS := fc.vecRef(in.Args[0], bankVecI)
+	if !okS || d.Bank != bankVecI {
 		fc.trap("vm: insert on non-vector operand", 1)
 		return
 	}
-	sc := fc.scalarRef(in.Args[1], BankInt)
-	fc.add(Inst{Op: OpInsI, A: d.Idx, B: src.Idx, C: sc.Idx, Imm: lane})
+	sc := fc.scalarRef(in.Args[1], bankInt)
+	fc.add(inst{Op: opInsI, A: d.Idx, B: src.Idx, C: sc.Idx, Imm: lane})
 }
 
 func (fc *fnCompiler) emitShuffle(in *ir.Instr) {
@@ -1058,22 +1020,22 @@ func (fc *fnCompiler) emitShuffle(in *ir.Instr) {
 	for i, c := range in.Comps {
 		comps[i] = int32(c)
 	}
-	ax := fc.auxAdd(Aux{Comps: comps})
+	ax := fc.auxAdd(aux{Comps: comps})
 	if vt.Elem.Kind.IsFloat() {
-		src, okS := fc.vecRef(in.Args[0], BankVecF)
-		if !okS || d.Bank != BankVecF {
+		src, okS := fc.vecRef(in.Args[0], bankVecF)
+		if !okS || d.Bank != bankVecF {
 			fc.trap("vm: shuffle on non-vector operand", 1)
 			return
 		}
-		fc.add(Inst{Op: OpShufF, A: d.Idx, B: src.Idx, Imm: ax})
+		fc.add(inst{Op: opShufF, A: d.Idx, B: src.Idx, Imm: ax})
 		return
 	}
-	src, okS := fc.vecRef(in.Args[0], BankVecI)
-	if !okS || d.Bank != BankVecI {
+	src, okS := fc.vecRef(in.Args[0], bankVecI)
+	if !okS || d.Bank != bankVecI {
 		fc.trap("vm: shuffle on non-vector operand", 1)
 		return
 	}
-	fc.add(Inst{Op: OpShufI, A: d.Idx, B: src.Idx, Imm: ax})
+	fc.add(inst{Op: opShufI, A: d.Idx, B: src.Idx, Imm: ax})
 }
 
 func (fc *fnCompiler) emitBuild(in *ir.Instr) {
@@ -1083,22 +1045,22 @@ func (fc *fnCompiler) emitBuild(in *ir.Instr) {
 		fc.trap("vm: build on non-vector type", 1)
 		return
 	}
-	eb := BankInt
-	op := OpBuildI
-	want := BankVecI
+	eb := bankInt
+	op := opBuildI
+	want := bankVecI
 	if vt.Elem.Kind.IsFloat() {
-		eb, op, want = BankFlt, OpBuildF, BankVecF
+		eb, op, want = bankFlt, opBuildF, bankVecF
 	}
 	if d.Bank != want {
 		fc.trap("vm: build on non-vector type", 1)
 		return
 	}
-	refs := make([]Ref, len(in.Args))
+	refs := make([]ref, len(in.Args))
 	for i, a := range in.Args {
 		refs[i] = fc.scalarRef(a, eb)
 	}
-	ax := fc.auxAdd(Aux{Refs: refs})
-	fc.add(Inst{Op: op, A: d.Idx, Imm: ax})
+	ax := fc.auxAdd(aux{Refs: refs})
+	fc.add(inst{Op: op, A: d.Idx, Imm: ax})
 }
 
 func (fc *fnCompiler) emitWorkItem(in *ir.Instr) {
@@ -1107,32 +1069,32 @@ func (fc *fnCompiler) emitWorkItem(in *ir.Instr) {
 		fc.trap("vm: work-item query without register", 1)
 		return
 	}
-	if d.Bank == BankFlt {
-		fc.add(Inst{Op: OpZeroF, A: d.Idx})
+	if d.Bank == bankFlt {
+		fc.add(inst{Op: opZeroF, A: d.Idx})
 		return
 	}
-	if d.Bank != BankInt {
+	if d.Bank != bankInt {
 		fc.trap(fmt.Sprintf("vm: work-item query %s with vector result", in.Func), 1)
 		return
 	}
 	var q int32
 	switch in.Func {
 	case "get_global_id":
-		q = QGlobalID
+		q = qGlobalID
 	case "get_local_id":
-		q = QLocalID
+		q = qLocalID
 	case "get_group_id":
-		q = QGroupID
+		q = qGroupID
 	case "get_global_size":
-		q = QGlobalSize
+		q = qGlobalSize
 	case "get_local_size":
-		q = QLocalSize
+		q = qLocalSize
 	case "get_num_groups":
-		q = QNumGroups
+		q = qNumGroups
 	case "get_work_dim":
-		q = QWorkDim
+		q = qWorkDim
 	default:
-		q = QNone
+		q = qNone
 	}
 	// Dimension argument: constants (including the no-arg default 0) fold
 	// into specialized opcodes; anything else is resolved at runtime.
@@ -1149,29 +1111,29 @@ func (fc *fnCompiler) emitWorkItem(in *ir.Instr) {
 		}
 	}
 	if dynamic {
-		dim := fc.scalarRef(in.Args[0], BankInt)
-		fc.add(Inst{Op: OpWIQ, A: d.Idx, B: dim.Idx, N: q})
+		dim := fc.scalarRef(in.Args[0], bankInt)
+		fc.add(inst{Op: opWIQ, A: d.Idx, B: dim.Idx, N: q})
 		return
 	}
-	if d64 < 0 || d64 > 2 || q == QNone {
-		fc.add(Inst{Op: OpZeroI, A: d.Idx})
+	if d64 < 0 || d64 > 2 || q == qNone {
+		fc.add(inst{Op: opZeroI, A: d.Idx})
 		return
 	}
 	switch q {
-	case QGlobalID:
-		fc.add(Inst{Op: OpGID, A: d.Idx, Imm: d64})
-	case QLocalID:
-		fc.add(Inst{Op: OpLID, A: d.Idx, Imm: d64})
-	case QGroupID:
-		fc.add(Inst{Op: OpGRP, A: d.Idx, Imm: d64})
-	case QGlobalSize:
-		fc.add(Inst{Op: OpGSZ, A: d.Idx, Imm: d64})
-	case QLocalSize:
-		fc.add(Inst{Op: OpLSZ, A: d.Idx, Imm: d64})
-	case QNumGroups:
-		fc.add(Inst{Op: OpNGRP, A: d.Idx, Imm: d64})
-	case QWorkDim:
-		fc.add(Inst{Op: OpConstI, A: d.Idx, Imm: 3})
+	case qGlobalID:
+		fc.add(inst{Op: opGID, A: d.Idx, Imm: d64})
+	case qLocalID:
+		fc.add(inst{Op: opLID, A: d.Idx, Imm: d64})
+	case qGroupID:
+		fc.add(inst{Op: opGRP, A: d.Idx, Imm: d64})
+	case qGlobalSize:
+		fc.add(inst{Op: opGSZ, A: d.Idx, Imm: d64})
+	case qLocalSize:
+		fc.add(inst{Op: opLSZ, A: d.Idx, Imm: d64})
+	case qNumGroups:
+		fc.add(inst{Op: opNGRP, A: d.Idx, Imm: d64})
+	case qWorkDim:
+		fc.add(inst{Op: opConstI, A: d.Idx, Imm: 3})
 	}
 }
 
@@ -1185,69 +1147,69 @@ func (fc *fnCompiler) emitMath(in *ir.Instr) {
 	switch in.Func {
 	case "dot", "length":
 		if vt, isVec := in.Args[0].Type().(*clc.VectorType); isVec {
-			if d.Bank != BankFlt {
+			if d.Bank != bankFlt {
 				// An integer-typed consumer of the boxed float sees zero.
-				fc.add(Inst{Op: OpZeroI, A: d.Idx})
+				fc.add(inst{Op: opZeroI, A: d.Idx})
 				return
 			}
-			a, okA := fc.vecRef(in.Args[0], BankVecF)
+			a, okA := fc.vecRef(in.Args[0], bankVecF)
 			if !okA {
 				fc.trap(fmt.Sprintf("vm: math builtin %q with unsupported type %s", in.Func, in.Args[0].Type()), 1)
 				return
 			}
 			if in.Func == "length" {
-				fc.add(Inst{Op: OpLenVF, Kind: uint8(vt.Elem.Kind), A: d.Idx, B: a.Idx})
+				fc.add(inst{Op: opLenVF, Kind: uint8(vt.Elem.Kind), A: d.Idx, B: a.Idx})
 				return
 			}
-			b, okB := fc.vecRef(in.Args[1], BankVecF)
+			b, okB := fc.vecRef(in.Args[1], bankVecF)
 			if !okB {
 				fc.trap(fmt.Sprintf("vm: math builtin %q with unsupported type %s", in.Func, in.Args[1].Type()), 1)
 				return
 			}
-			fc.add(Inst{Op: OpDotVF, Kind: uint8(vt.Elem.Kind), A: d.Idx, B: a.Idx, C: b.Idx})
+			fc.add(inst{Op: opDotVF, Kind: uint8(vt.Elem.Kind), A: d.Idx, B: a.Idx, C: b.Idx})
 			return
 		}
-		if d.Bank != BankFlt {
-			fc.add(Inst{Op: OpZeroI, A: d.Idx})
+		if d.Bank != bankFlt {
+			fc.add(inst{Op: opZeroI, A: d.Idx})
 			return
 		}
-		a := fc.scalarRef(in.Args[0], BankFlt)
+		a := fc.scalarRef(in.Args[0], bankFlt)
 		if in.Func == "length" {
-			fc.add(Inst{Op: OpLenSS, A: d.Idx, B: a.Idx})
+			fc.add(inst{Op: opLenSS, A: d.Idx, B: a.Idx})
 			return
 		}
-		b := fc.scalarRef(in.Args[1], BankFlt)
-		fc.add(Inst{Op: OpDotSS, A: d.Idx, B: a.Idx, C: b.Idx})
+		b := fc.scalarRef(in.Args[1], bankFlt)
+		fc.add(inst{Op: opDotSS, A: d.Idx, B: a.Idx, C: b.Idx})
 		return
 	}
 	switch tt := in.Typ.(type) {
 	case *clc.ScalarType:
 		if tt.Kind.IsFloat() {
-			refs := make([]Ref, len(in.Args))
+			refs := make([]ref, len(in.Args))
 			for i, a := range in.Args {
-				refs[i] = fc.scalarRef(a, BankFlt)
+				refs[i] = fc.scalarRef(a, bankFlt)
 			}
-			ax := fc.auxAdd(Aux{Name: in.Func, Refs: refs})
-			fc.add(Inst{Op: OpMathF, Kind: uint8(tt.Kind), A: d.Idx, Imm: ax})
+			ax := fc.auxAdd(aux{Name: in.Func, Refs: refs})
+			fc.add(inst{Op: opMathF, Kind: uint8(tt.Kind), A: d.Idx, Imm: ax})
 			return
 		}
-		refs := make([]Ref, len(in.Args))
+		refs := make([]ref, len(in.Args))
 		for i, a := range in.Args {
-			refs[i] = fc.scalarRef(a, BankInt)
+			refs[i] = fc.scalarRef(a, bankInt)
 		}
-		ax := fc.auxAdd(Aux{Name: in.Func, Refs: refs})
-		fc.add(Inst{Op: OpMathI, Kind: uint8(tt.Kind), A: d.Idx, Imm: ax})
+		ax := fc.auxAdd(aux{Name: in.Func, Refs: refs})
+		fc.add(inst{Op: opMathI, Kind: uint8(tt.Kind), A: d.Idx, Imm: ax})
 	case *clc.VectorType:
-		vb := BankVecI
-		op := OpVMathI
+		vb := bankVecI
+		op := opVMathI
 		if tt.Elem.Kind.IsFloat() {
-			vb, op = BankVecF, OpVMathF
+			vb, op = bankVecF, opVMathF
 		}
 		if d.Bank != vb {
 			fc.trap(fmt.Sprintf("vm: math builtin %q with unsupported type %s", in.Func, in.Typ), 1)
 			return
 		}
-		refs := make([]Ref, len(in.Args))
+		refs := make([]ref, len(in.Args))
 		for i, a := range in.Args {
 			r, okR := fc.vecRef(a, vb)
 			if !okR {
@@ -1256,15 +1218,15 @@ func (fc *fnCompiler) emitMath(in *ir.Instr) {
 			}
 			refs[i] = r
 		}
-		ax := fc.auxAdd(Aux{Name: in.Func, Refs: refs})
-		fc.add(Inst{Op: op, Kind: uint8(tt.Elem.Kind), A: d.Idx, Imm: ax})
+		ax := fc.auxAdd(aux{Name: in.Func, Refs: refs})
+		fc.add(inst{Op: op, Kind: uint8(tt.Elem.Kind), A: d.Idx, Imm: ax})
 	default:
 		fc.trap(fmt.Sprintf("vm: math builtin %q with unsupported type %s", in.Func, in.Typ), 1)
 	}
 }
 
 func (fc *fnCompiler) emitCall(in *ir.Instr) {
-	callee := fc.m.funcs[in.Callee]
+	callee := fc.funcs[in.Callee]
 	if callee == nil {
 		fc.trap("vm: call to unknown function", 1)
 		return
@@ -1274,13 +1236,13 @@ func (fc *fnCompiler) emitCall(in *ir.Instr) {
 			callee.Fn.Name, len(in.Args), len(callee.Fn.Params)), 1)
 		return
 	}
-	refs := make([]Ref, len(in.Args))
+	refs := make([]ref, len(in.Args))
 	for i, a := range in.Args {
 		switch callee.Params[i].Bank {
-		case BankInt:
-			refs[i] = fc.scalarRef(a, BankInt)
-		case BankFlt:
-			refs[i] = fc.scalarRef(a, BankFlt)
+		case bankInt:
+			refs[i] = fc.scalarRef(a, bankInt)
+		case bankFlt:
+			refs[i] = fc.scalarRef(a, bankFlt)
 		default:
 			r, okR := fc.vecRef(a, callee.Params[i].Bank)
 			if !okR {
@@ -1291,7 +1253,7 @@ func (fc *fnCompiler) emitCall(in *ir.Instr) {
 			refs[i] = r
 		}
 	}
-	i := Inst{Op: OpCall, A: -1, Imm: fc.auxAdd(Aux{Callee: callee, Refs: refs})}
+	i := inst{Op: opCall, A: -1, Imm: fc.auxAdd(aux{Callee: callee, Refs: refs})}
 	if in.Producing() {
 		d, okD := fc.dst(in)
 		if !okD {

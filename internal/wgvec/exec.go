@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"grover/internal/bcode"
 	"grover/internal/clc"
 	"grover/internal/ir"
 	"grover/internal/vm"
@@ -29,8 +28,7 @@ const (
 // lane-major columns (lane l of register r occupies
 // vi[r][l*L:(l+1)*L] with L the register's lane count).
 type colFrame struct {
-	bf *bcode.BFunc
-	rp *regionProgram
+	bf *bfunc
 	n  int
 
 	ri [][]int64
@@ -94,8 +92,7 @@ func growVecCols[T int64 | float64](cols [][]T, lens []int, n int) [][]T {
 // ensure shapes the frame for bf with n lanes, refilling constant
 // columns only when the shape changes (constant and parameter registers
 // are never written by compiled code, so a matching shape stays valid).
-func (fr *colFrame) ensure(bf *bcode.BFunc, rp *regionProgram, n int) {
-	fr.rp = rp
+func (fr *colFrame) ensure(bf *bfunc, n int) {
 	if fr.bf == bf && fr.n == n {
 		return
 	}
@@ -148,12 +145,12 @@ func (fr *colFrame) ensure(bf *bcode.BFunc, rp *regionProgram, n int) {
 // group advance in barrier-delimited rounds — here as lockstep segments
 // over columnar registers rather than one work-item at a time.
 func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts *vm.LaunchOpts) error {
-	p := m.bm.Program()
+	p := m.p
 	fn := p.Module.Kernel(kernel)
 	if fn == nil {
 		return fmt.Errorf("vm: no kernel %q", kernel)
 	}
-	bf := m.bm.Func(fn)
+	bf := m.funcs[fn]
 	ncfg, err := cfg.Normalized()
 	if err != nil {
 		return err
@@ -347,7 +344,7 @@ type groupState struct {
 	mathI        []int64
 }
 
-func newGroupState(m *Machine, bf *bcode.BFunc, cfg vm.Config, gmem []byte,
+func newGroupState(m *Machine, bf *bfunc, cfg vm.Config, gmem []byte,
 	paramI []int64, paramF []float64, localTotal, stack, n int) *groupState {
 	g := &groupState{m: m, gmem: gmem, localTotal: localTotal, stack: stack, n: n}
 	for d := 0; d < 3; d++ {
@@ -381,16 +378,16 @@ func newGroupState(m *Machine, bf *bcode.BFunc, cfg vm.Config, gmem []byte,
 	g.addrs = make([]uint64, n)
 
 	fr := g.frame(0)
-	fr.ensure(bf, m.progs[bf.Fn], n)
+	fr.ensure(bf, n)
 	for k, pr := range bf.Params {
 		switch pr.Bank {
-		case bcode.BankInt:
+		case bankInt:
 			col := fr.ri[pr.Idx]
 			v := paramI[k]
 			for i := range col {
 				col[i] = v
 			}
-		case bcode.BankFlt:
+		case bankFlt:
 			col := fr.rf[pr.Idx]
 			v := paramF[k]
 			for i := range col {
@@ -538,7 +535,7 @@ func (g *groupState) replay() {
 // post-dominator while lanes remain inside the region, so divergent
 // lanes reconverge exactly there.
 func (g *groupState) schedule(depth int, fr *colFrame, lanes []int32) error {
-	rp := fr.rp
+	bf := fr.bf
 	const inf = int64(1) << 62
 	for {
 		best := inf
@@ -547,7 +544,7 @@ func (g *groupState) schedule(depth int, fr *colFrame, lanes []int32) error {
 			if pc < 0 {
 				continue
 			}
-			key := int64(rp.prio[rp.blockOf[pc]])<<32 | int64(pc)
+			key := int64(bf.prio[bf.blockOf[pc]])<<32 | int64(pc)
 			if key < best {
 				best = key
 			}
@@ -592,22 +589,21 @@ func (g *groupState) runSeg(depth int, fr *colFrame, mask []int32, pc int32) err
 func (g *groupState) execSeg(depth int, fr *colFrame, mask []int32, pc int32) (retired int64, err error) {
 	bf := fr.bf
 	code := bf.Code
-	rp := fr.rp
 	n := g.n
 	for {
 		in := &code[pc]
 		retired += int64(in.Retire)
 		switch in.Op {
-		case bcode.OpNop:
+		case opNop:
 
-		case bcode.OpJmp:
+		case opJmp:
 			pc = int32(in.Imm)
 			continue
 
-		case bcode.OpCondBrI, bcode.OpCondBrF:
+		case opCondBrI, opCondBrF:
 			t, f := int32(in.Imm), in.N
 			segT, segF := g.maskT[:0], g.maskF[:0]
-			if in.Op == bcode.OpCondBrI {
+			if in.Op == opCondBrI {
 				x := fr.ri[in.A]
 				for _, l := range mask {
 					if x[l] != 0 {
@@ -645,7 +641,7 @@ func (g *groupState) execSeg(depth int, fr *colFrame, mask []int32, pc int32) (r
 			}
 			return retired, nil
 
-		case bcode.OpRet, bcode.OpRetI, bcode.OpRetF, bcode.OpRetVI, bcode.OpRetVF:
+		case opRet, opRetI, opRetF, opRetVI, opRetVF:
 			if depth == 0 {
 				for _, l := range mask {
 					fr.pcs[l] = -1
@@ -655,7 +651,7 @@ func (g *groupState) execSeg(depth int, fr *colFrame, mask []int32, pc int32) (r
 			g.retLanes(fr, in, mask)
 			return retired, nil
 
-		case bcode.OpBarrier:
+		case opBarrier:
 			if depth != 0 {
 				return retired, laneErr(mask[0], errors.New("vm: barrier inside a function call is unsupported"))
 			}
@@ -666,56 +662,56 @@ func (g *groupState) execSeg(depth int, fr *colFrame, mask []int32, pc int32) (r
 			}
 			return retired, nil
 
-		case bcode.OpTrap:
+		case opTrap:
 			return retired, laneErr(mask[0], errors.New(bf.Aux[in.Imm].Name))
 
-		case bcode.OpCall:
+		case opCall:
 			if err := g.callCol(depth, fr, in, mask); err != nil {
 				return retired, err
 			}
 
-		case bcode.OpLdI8, bcode.OpLdU8, bcode.OpLdI16, bcode.OpLdU16, bcode.OpLdI32,
-			bcode.OpLdU32, bcode.OpLdI64, bcode.OpLdF32, bcode.OpLdF64:
-			if err := g.loadCol(fr, in, mask, false, rp.uniform[pc] && len(mask) == n); err != nil {
+		case opLdI8, opLdU8, opLdI16, opLdU16, opLdI32,
+			opLdU32, opLdI64, opLdF32, opLdF64:
+			if err := g.loadCol(fr, in, mask, false, bf.uniform[pc] && len(mask) == n); err != nil {
 				return retired, err
 			}
-		case bcode.OpLdXI8, bcode.OpLdXU8, bcode.OpLdXI16, bcode.OpLdXU16, bcode.OpLdXI32,
-			bcode.OpLdXU32, bcode.OpLdXI64, bcode.OpLdXF32, bcode.OpLdXF64:
-			if err := g.loadCol(fr, in, mask, true, rp.uniform[pc] && len(mask) == n); err != nil {
-				return retired, err
-			}
-
-		case bcode.OpStI8, bcode.OpStI16, bcode.OpStI32, bcode.OpStI64, bcode.OpStF32, bcode.OpStF64:
-			if err := g.storeCol(fr, in, mask, false, rp.uniform[pc] && len(mask) == n); err != nil {
-				return retired, err
-			}
-		case bcode.OpStXI8, bcode.OpStXI16, bcode.OpStXI32, bcode.OpStXI64, bcode.OpStXF32, bcode.OpStXF64:
-			if err := g.storeCol(fr, in, mask, true, rp.uniform[pc] && len(mask) == n); err != nil {
+		case opLdXI8, opLdXU8, opLdXI16, opLdXU16, opLdXI32,
+			opLdXU32, opLdXI64, opLdXF32, opLdXF64:
+			if err := g.loadCol(fr, in, mask, true, bf.uniform[pc] && len(mask) == n); err != nil {
 				return retired, err
 			}
 
-		case bcode.OpSlotLdI, bcode.OpSlotLdF, bcode.OpSlotStI, bcode.OpSlotStF:
+		case opStI8, opStI16, opStI32, opStI64, opStF32, opStF64:
+			if err := g.storeCol(fr, in, mask, false, bf.uniform[pc] && len(mask) == n); err != nil {
+				return retired, err
+			}
+		case opStXI8, opStXI16, opStXI32, opStXI64, opStXF32, opStXF64:
+			if err := g.storeCol(fr, in, mask, true, bf.uniform[pc] && len(mask) == n); err != nil {
+				return retired, err
+			}
+
+		case opSlotLdI, opSlotLdF, opSlotStI, opSlotStF:
 			g.slotOp(fr, in, mask)
 
-		case bcode.OpLdVI, bcode.OpLdVF:
+		case opLdVI, opLdVF:
 			if err := g.loadVecCol(fr, in, mask, false); err != nil {
 				return retired, err
 			}
-		case bcode.OpLdXVI, bcode.OpLdXVF:
+		case opLdXVI, opLdXVF:
 			if err := g.loadVecCol(fr, in, mask, true); err != nil {
 				return retired, err
 			}
-		case bcode.OpStVI, bcode.OpStVF:
+		case opStVI, opStVF:
 			if err := g.storeVecCol(fr, in, mask, false); err != nil {
 				return retired, err
 			}
-		case bcode.OpStXVI, bcode.OpStXVF:
+		case opStXVI, opStXVF:
 			if err := g.storeVecCol(fr, in, mask, true); err != nil {
 				return retired, err
 			}
 
 		default:
-			if rp.uniform[pc] && len(mask) == n {
+			if bf.uniform[pc] && len(mask) == n {
 				if bank, ok := destBank(in.Op); ok {
 					// Execute once on lane 0 and broadcast the result
 					// column-wide; retire is counted for every lane.
@@ -737,28 +733,28 @@ func (g *groupState) execSeg(depth int, fr *colFrame, mask []int32, pc int32) (r
 
 // retLanes stashes per-lane return values and retires the mask from the
 // current activation.
-func (g *groupState) retLanes(fr *colFrame, in *bcode.Inst, mask []int32) {
+func (g *groupState) retLanes(fr *colFrame, in *inst, mask []int32) {
 	switch in.Op {
-	case bcode.OpRet:
+	case opRet:
 		for _, l := range mask {
 			fr.retSet[l] = retNone
 			fr.pcs[l] = -1
 		}
-	case bcode.OpRetI:
+	case opRetI:
 		src := fr.ri[in.B]
 		for _, l := range mask {
 			fr.retSet[l] = retInt
 			fr.retI[l] = src[l]
 			fr.pcs[l] = -1
 		}
-	case bcode.OpRetF:
+	case opRetF:
 		src := fr.rf[in.B]
 		for _, l := range mask {
 			fr.retSet[l] = retFlt
 			fr.retF[l] = src[l]
 			fr.pcs[l] = -1
 		}
-	case bcode.OpRetVI:
+	case opRetVI:
 		ls := fr.bf.VecILens[in.B]
 		src := fr.vi[in.B]
 		fr.retVILen = ls
@@ -767,7 +763,7 @@ func (g *groupState) retLanes(fr *colFrame, in *bcode.Inst, mask []int32) {
 			copy(fr.retVI[int(l)*fr.maxVI:int(l)*fr.maxVI+ls], src[int(l)*ls:int(l)*ls+ls])
 			fr.pcs[l] = -1
 		}
-	case bcode.OpRetVF:
+	case opRetVF:
 		ls := fr.bf.VecFLens[in.B]
 		src := fr.vf[in.B]
 		fr.retVFLen = ls
@@ -785,32 +781,32 @@ func (g *groupState) retLanes(fr *colFrame, in *bcode.Inst, mask []int32) {
 // copy out per lane from the stash (a lane whose stash tag mismatches
 // the destination bank gets zero, exactly like reading the unused field
 // of a boxed return value).
-func (g *groupState) callCol(depth int, fr *colFrame, in *bcode.Inst, mask []int32) error {
+func (g *groupState) callCol(depth int, fr *colFrame, in *inst, mask []int32) error {
 	ax := &fr.bf.Aux[in.Imm]
 	callee := ax.Callee
 	child := g.frame(depth + 1)
-	child.ensure(callee, g.m.progs[callee.Fn], g.n)
+	child.ensure(callee, g.n)
 	for i, r := range ax.Refs {
 		p := callee.Params[i]
 		switch p.Bank {
-		case bcode.BankInt:
+		case bankInt:
 			dst, src := child.ri[p.Idx], fr.ri[r.Idx]
 			for _, l := range mask {
 				dst[l] = src[l]
 			}
-		case bcode.BankFlt:
+		case bankFlt:
 			dst, src := child.rf[p.Idx], fr.rf[r.Idx]
 			for _, l := range mask {
 				dst[l] = src[l]
 			}
-		case bcode.BankVecI:
+		case bankVecI:
 			ld, ls := callee.VecILens[p.Idx], fr.bf.VecILens[r.Idx]
 			m := min(ld, ls)
 			dst, src := child.vi[p.Idx], fr.vi[r.Idx]
 			for _, l := range mask {
 				copy(dst[int(l)*ld:int(l)*ld+m], src[int(l)*ls:int(l)*ls+m])
 			}
-		case bcode.BankVecF:
+		case bankVecF:
 			ld, ls := callee.VecFLens[p.Idx], fr.bf.VecFLens[r.Idx]
 			m := min(ld, ls)
 			dst, src := child.vf[p.Idx], fr.vf[r.Idx]
@@ -831,8 +827,8 @@ func (g *groupState) callCol(depth int, fr *colFrame, in *bcode.Inst, mask []int
 		return err
 	}
 	if in.A >= 0 {
-		switch bcode.Bank(in.Sub) {
-		case bcode.BankInt:
+		switch bank(in.Sub) {
+		case bankInt:
 			d := fr.ri[in.A]
 			for _, l := range mask {
 				if child.retSet[l] == retInt {
@@ -841,7 +837,7 @@ func (g *groupState) callCol(depth int, fr *colFrame, in *bcode.Inst, mask []int
 					d[l] = 0
 				}
 			}
-		case bcode.BankFlt:
+		case bankFlt:
 			d := fr.rf[in.A]
 			for _, l := range mask {
 				if child.retSet[l] == retFlt {
@@ -850,7 +846,7 @@ func (g *groupState) callCol(depth int, fr *colFrame, in *bcode.Inst, mask []int
 					d[l] = 0
 				}
 			}
-		case bcode.BankVecI:
+		case bankVecI:
 			ld := fr.bf.VecILens[in.A]
 			d := fr.vi[in.A]
 			for _, l := range mask {
@@ -859,7 +855,7 @@ func (g *groupState) callCol(depth int, fr *colFrame, in *bcode.Inst, mask []int
 					copy(d[int(l)*ld:int(l)*ld+m], child.retVI[int(l)*child.maxVI:int(l)*child.maxVI+m])
 				}
 			}
-		case bcode.BankVecF:
+		case bankVecF:
 			ld := fr.bf.VecFLens[in.A]
 			d := fr.vf[in.A]
 			for _, l := range mask {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"grover/internal/bcode"
 	"grover/internal/clc"
 	"grover/internal/ir"
 	"grover/internal/vm"
@@ -17,35 +16,35 @@ const kF32 = uint8(clc.KFloat)
 // uniform execute-once path. Opcodes with vector destinations, memory
 // effects, or control behavior are excluded (they either have dedicated
 // uniform handling or always run the full mask).
-func destBank(op bcode.Opcode) (bcode.Bank, bool) {
+func destBank(op opcode) (bank, bool) {
 	switch op {
-	case bcode.OpConstI, bcode.OpZeroI, bcode.OpMovI, bcode.OpGRP, bcode.OpGSZ,
-		bcode.OpLSZ, bcode.OpNGRP, bcode.OpWIQ, bcode.OpAllocaP, bcode.OpAllocaL,
-		bcode.OpIndex, bcode.OpIndexC,
-		bcode.OpAddI, bcode.OpSubI, bcode.OpMulI, bcode.OpAndI, bcode.OpOrI, bcode.OpXorI,
-		bcode.OpAddI32, bcode.OpSubI32, bcode.OpMulI32,
-		bcode.OpAddU32, bcode.OpSubU32, bcode.OpMulU32,
-		bcode.OpIntBin, bcode.OpNegI, bcode.OpNotI,
-		bcode.OpEqI, bcode.OpNeI, bcode.OpLtI, bcode.OpLeI, bcode.OpGtI, bcode.OpGeI,
-		bcode.OpLtU, bcode.OpLeU, bcode.OpGtU, bcode.OpGeU,
-		bcode.OpEqF, bcode.OpNeF, bcode.OpLtF, bcode.OpLeF, bcode.OpGtF, bcode.OpGeF,
-		bcode.OpConvI, bcode.OpF2I, bcode.OpExtI, bcode.OpMathI:
-		return bcode.BankInt, true
-	case bcode.OpZeroF, bcode.OpMovF,
-		bcode.OpAddF, bcode.OpSubF, bcode.OpMulF, bcode.OpDivF,
-		bcode.OpAddF32, bcode.OpSubF32, bcode.OpMulF32, bcode.OpDivF32,
-		bcode.OpFltBin, bcode.OpNegF, bcode.OpI2F, bcode.OpU2F, bcode.OpF2F32,
-		bcode.OpExtF, bcode.OpDotVF, bcode.OpDotSS, bcode.OpLenVF, bcode.OpLenSS,
-		bcode.OpMathF:
-		return bcode.BankFlt, true
+	case opConstI, opZeroI, opMovI, opGRP, opGSZ,
+		opLSZ, opNGRP, opWIQ, opAllocaP, opAllocaL,
+		opIndex, opIndexC,
+		opAddI, opSubI, opMulI, opAndI, opOrI, opXorI,
+		opAddI32, opSubI32, opMulI32,
+		opAddU32, opSubU32, opMulU32,
+		opIntBin, opNegI, opNotI,
+		opEqI, opNeI, opLtI, opLeI, opGtI, opGeI,
+		opLtU, opLeU, opGtU, opGeU,
+		opEqF, opNeF, opLtF, opLeF, opGtF, opGeF,
+		opConvI, opF2I, opExtI, opMathI:
+		return bankInt, true
+	case opZeroF, opMovF,
+		opAddF, opSubF, opMulF, opDivF,
+		opAddF32, opSubF32, opMulF32, opDivF32,
+		opFltBin, opNegF, opI2F, opU2F, opF2F32,
+		opExtF, opDotVF, opDotSS, opLenVF, opLenSS,
+		opMathF:
+		return bankFlt, true
 	}
 	return 0, false
 }
 
 // broadcast copies lane 0's value of a scalar register column to all n
 // lanes after a uniform execute-once.
-func (fr *colFrame) broadcast(bank bcode.Bank, reg int32, n int) {
-	if bank == bcode.BankInt {
+func (fr *colFrame) broadcast(bank bank, reg int32, n int) {
+	if bank == bankInt {
 		col := fr.ri[reg]
 		v := col[0]
 		for i := 1; i < n; i++ {
@@ -63,156 +62,156 @@ func (fr *colFrame) broadcast(bank bcode.Bank, reg int32, n int) {
 // execOp executes one non-control, non-memory instruction for every lane
 // in the mask, sweeping the columnar register banks. Errors carry the
 // lane they occurred at.
-func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32) error {
+func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) error {
 	ri, rf := fr.ri, fr.rf
 	switch in.Op {
-	case bcode.OpConstI:
+	case opConstI:
 		d, v := ri[in.A], in.Imm
 		for _, l := range mask {
 			d[l] = v
 		}
-	case bcode.OpZeroI:
+	case opZeroI:
 		d := ri[in.A]
 		for _, l := range mask {
 			d[l] = 0
 		}
-	case bcode.OpZeroF:
+	case opZeroF:
 		d := rf[in.A]
 		for _, l := range mask {
 			d[l] = 0
 		}
-	case bcode.OpMovI:
+	case opMovI:
 		d, s := ri[in.A], ri[in.B]
 		for _, l := range mask {
 			d[l] = s[l]
 		}
-	case bcode.OpMovF:
+	case opMovF:
 		d, s := rf[in.A], rf[in.B]
 		for _, l := range mask {
 			d[l] = s[l]
 		}
 
-	case bcode.OpGID:
+	case opGID:
 		d, s := ri[in.A], g.gidCol[in.Imm]
 		for _, l := range mask {
 			d[l] = s[l]
 		}
-	case bcode.OpLID:
+	case opLID:
 		d, s := ri[in.A], g.lidCol[in.Imm]
 		for _, l := range mask {
 			d[l] = s[l]
 		}
-	case bcode.OpGRP:
+	case opGRP:
 		d, v := ri[in.A], g.grp[in.Imm]
 		for _, l := range mask {
 			d[l] = v
 		}
-	case bcode.OpGSZ:
+	case opGSZ:
 		d, v := ri[in.A], g.gsz[in.Imm]
 		for _, l := range mask {
 			d[l] = v
 		}
-	case bcode.OpLSZ:
+	case opLSZ:
 		d, v := ri[in.A], g.lsz[in.Imm]
 		for _, l := range mask {
 			d[l] = v
 		}
-	case bcode.OpNGRP:
+	case opNGRP:
 		d, v := ri[in.A], g.ngrp[in.Imm]
 		for _, l := range mask {
 			d[l] = v
 		}
-	case bcode.OpWIQ:
+	case opWIQ:
 		d, dim := ri[in.A], ri[in.B]
 		for _, l := range mask {
 			d[l] = g.wiQueryLane(l, in.N, dim[l])
 		}
 
-	case bcode.OpAllocaP:
+	case opAllocaP:
 		// Private allocas resolve against the lane's own arena, so the
 		// tagged address itself is uniform across the group.
 		d, v := ri[in.A], int64(vm.MakeAddr(clc.ASPrivate, uint64(fr.frameBase)+uint64(in.Imm)))
 		for _, l := range mask {
 			d[l] = v
 		}
-	case bcode.OpAllocaL:
+	case opAllocaL:
 		d, v := ri[in.A], in.Imm
 		for _, l := range mask {
 			d[l] = v
 		}
 
-	case bcode.OpIndex:
+	case opIndex:
 		d, b, c, m := ri[in.A], ri[in.B], ri[in.C], in.Imm
 		for _, l := range mask {
 			d[l] = b[l] + c[l]*m
 		}
-	case bcode.OpIndexC:
+	case opIndexC:
 		d, b, m := ri[in.A], ri[in.B], in.Imm
 		for _, l := range mask {
 			d[l] = b[l] + m
 		}
 
-	case bcode.OpAddI:
+	case opAddI:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = x[l] + y[l]
 		}
-	case bcode.OpSubI:
+	case opSubI:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = x[l] - y[l]
 		}
-	case bcode.OpMulI:
+	case opMulI:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = x[l] * y[l]
 		}
-	case bcode.OpAndI:
+	case opAndI:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = x[l] & y[l]
 		}
-	case bcode.OpOrI:
+	case opOrI:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = x[l] | y[l]
 		}
-	case bcode.OpXorI:
+	case opXorI:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = x[l] ^ y[l]
 		}
-	case bcode.OpAddI32:
+	case opAddI32:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = int64(int32(x[l] + y[l]))
 		}
-	case bcode.OpSubI32:
+	case opSubI32:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = int64(int32(x[l] - y[l]))
 		}
-	case bcode.OpMulI32:
+	case opMulI32:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = int64(int32(x[l] * y[l]))
 		}
-	case bcode.OpAddU32:
+	case opAddU32:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = int64(uint32(x[l] + y[l]))
 		}
-	case bcode.OpSubU32:
+	case opSubU32:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = int64(uint32(x[l] - y[l]))
 		}
-	case bcode.OpMulU32:
+	case opMulU32:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = int64(uint32(x[l] * y[l]))
 		}
-	case bcode.OpIntBin:
+	case opIntBin:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		op, k := ir.Op(in.Sub), clc.ScalarKind(in.Kind)
 		for _, l := range mask {
@@ -223,47 +222,47 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 			d[l] = v
 		}
 
-	case bcode.OpAddF:
+	case opAddF:
 		d, x, y := rf[in.A], rf[in.B], rf[in.C]
 		for _, l := range mask {
 			d[l] = x[l] + y[l]
 		}
-	case bcode.OpSubF:
+	case opSubF:
 		d, x, y := rf[in.A], rf[in.B], rf[in.C]
 		for _, l := range mask {
 			d[l] = x[l] - y[l]
 		}
-	case bcode.OpMulF:
+	case opMulF:
 		d, x, y := rf[in.A], rf[in.B], rf[in.C]
 		for _, l := range mask {
 			d[l] = x[l] * y[l]
 		}
-	case bcode.OpDivF:
+	case opDivF:
 		d, x, y := rf[in.A], rf[in.B], rf[in.C]
 		for _, l := range mask {
 			d[l] = x[l] / y[l]
 		}
-	case bcode.OpAddF32:
+	case opAddF32:
 		d, x, y := rf[in.A], rf[in.B], rf[in.C]
 		for _, l := range mask {
 			d[l] = float64(float32(x[l] + y[l]))
 		}
-	case bcode.OpSubF32:
+	case opSubF32:
 		d, x, y := rf[in.A], rf[in.B], rf[in.C]
 		for _, l := range mask {
 			d[l] = float64(float32(x[l] - y[l]))
 		}
-	case bcode.OpMulF32:
+	case opMulF32:
 		d, x, y := rf[in.A], rf[in.B], rf[in.C]
 		for _, l := range mask {
 			d[l] = float64(float32(x[l] * y[l]))
 		}
-	case bcode.OpDivF32:
+	case opDivF32:
 		d, x, y := rf[in.A], rf[in.B], rf[in.C]
 		for _, l := range mask {
 			d[l] = float64(float32(x[l] / y[l]))
 		}
-	case bcode.OpFltBin:
+	case opFltBin:
 		d, x, y := rf[in.A], rf[in.B], rf[in.C]
 		op, k := ir.Op(in.Sub), clc.ScalarKind(in.Kind)
 		for _, l := range mask {
@@ -274,24 +273,24 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 			d[l] = v
 		}
 
-	case bcode.OpNegF:
+	case opNegF:
 		d, s := rf[in.A], rf[in.B]
 		for _, l := range mask {
 			d[l] = -s[l]
 		}
-	case bcode.OpNegI:
+	case opNegI:
 		d, s := ri[in.A], ri[in.B]
 		k := clc.ScalarKind(in.Kind)
 		for _, l := range mask {
 			d[l] = vm.NormInt(-s[l], k)
 		}
-	case bcode.OpNotI:
+	case opNotI:
 		d, s := ri[in.A], ri[in.B]
 		k := clc.ScalarKind(in.Kind)
 		for _, l := range mask {
 			d[l] = vm.NormInt(^s[l], k)
 		}
-	case bcode.OpVNegF:
+	case opVNegF:
 		ld := fr.bf.VecFLens[in.A]
 		d, s := fr.vf[in.A], fr.vf[in.B]
 		for _, l := range mask {
@@ -300,7 +299,7 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 				d[o+i] = -s[o+i]
 			}
 		}
-	case bcode.OpVNegI:
+	case opVNegI:
 		ld := fr.bf.VecILens[in.A]
 		d, s := fr.vi[in.A], fr.vi[in.B]
 		k := clc.ScalarKind(in.Kind)
@@ -310,7 +309,7 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 				d[o+i] = vm.NormInt(-s[o+i], k)
 			}
 		}
-	case bcode.OpVNotI:
+	case opVNotI:
 		ld := fr.bf.VecILens[in.A]
 		d, s := fr.vi[in.A], fr.vi[in.B]
 		k := clc.ScalarKind(in.Kind)
@@ -321,106 +320,106 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 			}
 		}
 
-	case bcode.OpEqI:
+	case opEqI:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = b2i(x[l] == y[l])
 		}
-	case bcode.OpNeI:
+	case opNeI:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = b2i(x[l] != y[l])
 		}
-	case bcode.OpLtI:
+	case opLtI:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = b2i(x[l] < y[l])
 		}
-	case bcode.OpLeI:
+	case opLeI:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = b2i(x[l] <= y[l])
 		}
-	case bcode.OpGtI:
+	case opGtI:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = b2i(x[l] > y[l])
 		}
-	case bcode.OpGeI:
+	case opGeI:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = b2i(x[l] >= y[l])
 		}
-	case bcode.OpLtU:
+	case opLtU:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = b2i(uint64(x[l]) < uint64(y[l]))
 		}
-	case bcode.OpLeU:
+	case opLeU:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = b2i(uint64(x[l]) <= uint64(y[l]))
 		}
-	case bcode.OpGtU:
+	case opGtU:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = b2i(uint64(x[l]) > uint64(y[l]))
 		}
-	case bcode.OpGeU:
+	case opGeU:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
 			d[l] = b2i(uint64(x[l]) >= uint64(y[l]))
 		}
-	case bcode.OpEqF:
+	case opEqF:
 		d, x, y := ri[in.A], rf[in.B], rf[in.C]
 		for _, l := range mask {
 			d[l] = b2i(x[l] == y[l])
 		}
-	case bcode.OpNeF:
+	case opNeF:
 		d, x, y := ri[in.A], rf[in.B], rf[in.C]
 		for _, l := range mask {
 			d[l] = b2i(x[l] != y[l])
 		}
-	case bcode.OpLtF:
+	case opLtF:
 		d, x, y := ri[in.A], rf[in.B], rf[in.C]
 		for _, l := range mask {
 			d[l] = b2i(x[l] < y[l])
 		}
-	case bcode.OpLeF:
+	case opLeF:
 		d, x, y := ri[in.A], rf[in.B], rf[in.C]
 		for _, l := range mask {
 			d[l] = b2i(x[l] <= y[l])
 		}
-	case bcode.OpGtF:
+	case opGtF:
 		d, x, y := ri[in.A], rf[in.B], rf[in.C]
 		for _, l := range mask {
 			d[l] = b2i(x[l] > y[l])
 		}
-	case bcode.OpGeF:
+	case opGeF:
 		d, x, y := ri[in.A], rf[in.B], rf[in.C]
 		for _, l := range mask {
 			d[l] = b2i(x[l] >= y[l])
 		}
 
-	case bcode.OpConvI:
+	case opConvI:
 		d, s := ri[in.A], ri[in.B]
 		k := clc.ScalarKind(in.Kind)
 		for _, l := range mask {
 			d[l] = vm.NormInt(s[l], k)
 		}
-	case bcode.OpI2F:
+	case opI2F:
 		d, s := rf[in.A], ri[in.B]
 		k := clc.ScalarKind(in.Kind)
 		for _, l := range mask {
 			d[l] = vm.Round32(k, float64(s[l]))
 		}
-	case bcode.OpU2F:
+	case opU2F:
 		d, s := rf[in.A], ri[in.B]
 		k := clc.ScalarKind(in.Kind)
 		for _, l := range mask {
 			d[l] = vm.Round32(k, float64(uint64(s[l])))
 		}
-	case bcode.OpF2I:
+	case opF2I:
 		d, s := ri[in.A], rf[in.B]
 		k := clc.ScalarKind(in.Kind)
 		for _, l := range mask {
@@ -431,15 +430,15 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 				d[l] = vm.NormInt(int64(f), k)
 			}
 		}
-	case bcode.OpF2F32:
+	case opF2F32:
 		d, s := rf[in.A], rf[in.B]
 		for _, l := range mask {
 			d[l] = float64(float32(s[l]))
 		}
-	case bcode.OpVConv:
+	case opVConv:
 		g.vconvCol(fr, in, mask)
 
-	case bcode.OpVAddF:
+	case opVAddF:
 		ld := fr.bf.VecFLens[in.A]
 		d, x, y := fr.vf[in.A], fr.vf[in.B], fr.vf[in.C]
 		if in.Kind == kF32 {
@@ -457,7 +456,7 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 				}
 			}
 		}
-	case bcode.OpVSubF:
+	case opVSubF:
 		ld := fr.bf.VecFLens[in.A]
 		d, x, y := fr.vf[in.A], fr.vf[in.B], fr.vf[in.C]
 		if in.Kind == kF32 {
@@ -475,7 +474,7 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 				}
 			}
 		}
-	case bcode.OpVMulF:
+	case opVMulF:
 		ld := fr.bf.VecFLens[in.A]
 		d, x, y := fr.vf[in.A], fr.vf[in.B], fr.vf[in.C]
 		if in.Kind == kF32 {
@@ -493,7 +492,7 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 				}
 			}
 		}
-	case bcode.OpVDivF:
+	case opVDivF:
 		ld := fr.bf.VecFLens[in.A]
 		d, x, y := fr.vf[in.A], fr.vf[in.B], fr.vf[in.C]
 		if in.Kind == kF32 {
@@ -511,7 +510,7 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 				}
 			}
 		}
-	case bcode.OpVBinF:
+	case opVBinF:
 		ld := fr.bf.VecFLens[in.A]
 		d, x, y := fr.vf[in.A], fr.vf[in.B], fr.vf[in.C]
 		op, k := ir.Op(in.Sub), clc.ScalarKind(in.Kind)
@@ -525,7 +524,7 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 				d[o+i] = v
 			}
 		}
-	case bcode.OpVBinI:
+	case opVBinI:
 		ld := fr.bf.VecILens[in.A]
 		d, x, y := fr.vi[in.A], fr.vi[in.B], fr.vi[in.C]
 		op, k := ir.Op(in.Sub), clc.ScalarKind(in.Kind)
@@ -540,19 +539,19 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 			}
 		}
 
-	case bcode.OpExtI:
+	case opExtI:
 		ls := fr.bf.VecILens[in.B]
 		d, s := ri[in.A], fr.vi[in.B]
 		for _, l := range mask {
 			d[l] = s[int(l)*ls+int(in.Imm)]
 		}
-	case bcode.OpExtF:
+	case opExtF:
 		ls := fr.bf.VecFLens[in.B]
 		d, s := rf[in.A], fr.vf[in.B]
 		for _, l := range mask {
 			d[l] = s[int(l)*ls+int(in.Imm)]
 		}
-	case bcode.OpInsI:
+	case opInsI:
 		ld, ls := fr.bf.VecILens[in.A], fr.bf.VecILens[in.B]
 		m := min(ld, ls)
 		d, s, v := fr.vi[in.A], fr.vi[in.B], ri[in.C]
@@ -560,7 +559,7 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 			copy(d[int(l)*ld:int(l)*ld+m], s[int(l)*ls:int(l)*ls+m])
 			d[int(l)*ld+int(in.Imm)] = v[l]
 		}
-	case bcode.OpInsF:
+	case opInsF:
 		ld, ls := fr.bf.VecFLens[in.A], fr.bf.VecFLens[in.B]
 		m := min(ld, ls)
 		d, s, v := fr.vf[in.A], fr.vf[in.B], rf[in.C]
@@ -568,7 +567,7 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 			copy(d[int(l)*ld:int(l)*ld+m], s[int(l)*ls:int(l)*ls+m])
 			d[int(l)*ld+int(in.Imm)] = v[l]
 		}
-	case bcode.OpShufI:
+	case opShufI:
 		ld, ls := fr.bf.VecILens[in.A], fr.bf.VecILens[in.B]
 		comps := fr.bf.Aux[in.Imm].Comps
 		d, s := fr.vi[in.A], fr.vi[in.B]
@@ -578,7 +577,7 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 				d[od+i] = s[os+int(c)]
 			}
 		}
-	case bcode.OpShufF:
+	case opShufF:
 		ld, ls := fr.bf.VecFLens[in.A], fr.bf.VecFLens[in.B]
 		comps := fr.bf.Aux[in.Imm].Comps
 		d, s := fr.vf[in.A], fr.vf[in.B]
@@ -588,7 +587,7 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 				d[od+i] = s[os+int(c)]
 			}
 		}
-	case bcode.OpBuildI:
+	case opBuildI:
 		ld := fr.bf.VecILens[in.A]
 		refs := fr.bf.Aux[in.Imm].Refs
 		d := fr.vi[in.A]
@@ -598,7 +597,7 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 				d[o+i] = ri[r.Idx][l]
 			}
 		}
-	case bcode.OpBuildF:
+	case opBuildF:
 		ld := fr.bf.VecFLens[in.A]
 		refs := fr.bf.Aux[in.Imm].Refs
 		d := fr.vf[in.A]
@@ -609,7 +608,7 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 			}
 		}
 
-	case bcode.OpDotVF:
+	case opDotVF:
 		ls := fr.bf.VecFLens[in.B]
 		d, x, y := rf[in.A], fr.vf[in.B], fr.vf[in.C]
 		k := clc.ScalarKind(in.Kind)
@@ -621,12 +620,12 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 			}
 			d[l] = vm.Round32(k, sum)
 		}
-	case bcode.OpDotSS:
+	case opDotSS:
 		d, x, y := rf[in.A], rf[in.B], rf[in.C]
 		for _, l := range mask {
 			d[l] = x[l] * y[l]
 		}
-	case bcode.OpLenVF:
+	case opLenVF:
 		ls := fr.bf.VecFLens[in.B]
 		d, x := rf[in.A], fr.vf[in.B]
 		k := clc.ScalarKind(in.Kind)
@@ -638,13 +637,13 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 			}
 			d[l] = vm.Round32(k, math.Sqrt(sum))
 		}
-	case bcode.OpLenSS:
+	case opLenSS:
 		d, s := rf[in.A], rf[in.B]
 		for _, l := range mask {
 			d[l] = math.Abs(s[l])
 		}
 
-	case bcode.OpMathF:
+	case opMathF:
 		ax := &fr.bf.Aux[in.Imm]
 		d := rf[in.A]
 		fa := g.scratchF(len(ax.Refs))
@@ -659,7 +658,7 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 			}
 			d[l] = v
 		}
-	case bcode.OpMathI:
+	case opMathI:
 		ax := &fr.bf.Aux[in.Imm]
 		d := ri[in.A]
 		ia := g.scratchI(len(ax.Refs))
@@ -674,7 +673,7 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 			}
 			d[l] = v
 		}
-	case bcode.OpVMathF:
+	case opVMathF:
 		ax := &fr.bf.Aux[in.Imm]
 		ld := fr.bf.VecFLens[in.A]
 		d := fr.vf[in.A]
@@ -693,7 +692,7 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 				d[o+j] = v
 			}
 		}
-	case bcode.OpVMathI:
+	case opVMathI:
 		ax := &fr.bf.Aux[in.Imm]
 		ld := fr.bf.VecILens[in.A]
 		d := fr.vi[in.A]
@@ -722,7 +721,7 @@ func (g *groupState) execOp(fr *colFrame, in *bcode.Inst, mask []int32, pc int32
 // vconvCol performs a lane-wise vector conversion for all masked lanes.
 // The source and destination lane counts match (the compiler traps
 // mismatched conversions), so one offset walks both columns.
-func (g *groupState) vconvCol(fr *colFrame, in *bcode.Inst, mask []int32) {
+func (g *groupState) vconvCol(fr *colFrame, in *inst, mask []int32) {
 	from := clc.ScalarKind(in.Sub)
 	to := clc.ScalarKind(in.Kind)
 	if from.IsFloat() {
@@ -776,19 +775,19 @@ func (g *groupState) wiQueryLane(l int32, q int32, d int64) int64 {
 		return 0
 	}
 	switch q {
-	case bcode.QGlobalID:
+	case qGlobalID:
 		return g.gidCol[d][l]
-	case bcode.QLocalID:
+	case qLocalID:
 		return g.lidCol[d][l]
-	case bcode.QGroupID:
+	case qGroupID:
 		return g.grp[d]
-	case bcode.QGlobalSize:
+	case qGlobalSize:
 		return g.gsz[d]
-	case bcode.QLocalSize:
+	case qLocalSize:
 		return g.lsz[d]
-	case bcode.QNumGroups:
+	case qNumGroups:
 		return g.ngrp[d]
-	case bcode.QWorkDim:
+	case qWorkDim:
 		return 3
 	}
 	return 0
@@ -856,7 +855,7 @@ func (g *groupState) arenaLane(addr uint64, l int32) ([]byte, uint64, error) {
 // the shared scratch with one record per masked lane, stamped with the
 // ops recorded so far. Events are emitted before bounds are checked,
 // matching the interpreter's trace-then-fault ordering.
-func (g *groupState) addrPass(fr *colFrame, in *bcode.Inst, mask []int32, fused, store bool) []uint64 {
+func (g *groupState) addrPass(fr *colFrame, in *inst, mask []int32, fused, store bool) []uint64 {
 	base := fr.ri[in.B]
 	addrs := g.addrs
 	// A full mask is every lane in ascending order, so lane l's slot of the
@@ -901,14 +900,14 @@ func (g *groupState) countAccesses(store bool, n int) {
 }
 
 // slotOp performs a load or store of a private variable that lives in a
-// register column (bcode's slot instructions): a column move under the
+// register column (a slot instruction): a column move under the
 // mask, through the variable's kind on the way in. It is a memory
 // instruction all the same — every masked lane makes one access to the
 // variable's place on its stack, recorded under a full mask as one op that
 // holds the address and takes no column — so it never runs once for the
 // group, however uniform the value.
-func (g *groupState) slotOp(fr *colFrame, in *bcode.Inst, mask []int32) {
-	store := in.Op == bcode.OpSlotStI || in.Op == bcode.OpSlotStF
+func (g *groupState) slotOp(fr *colFrame, in *inst, mask []int32) {
+	store := in.Op == opSlotStI || in.Op == opSlotStF
 	full := len(mask) == g.n
 	if g.tracer != nil {
 		off := uint64(fr.frameBase) + uint64(in.Imm)
@@ -925,11 +924,11 @@ func (g *groupState) slotOp(fr *colFrame, in *bcode.Inst, mask []int32) {
 	}
 	g.countAccesses(store, len(mask))
 	switch in.Op {
-	case bcode.OpSlotLdI:
+	case opSlotLdI:
 		moveCol(fr.ri[in.A], fr.ri[in.B], mask, full)
-	case bcode.OpSlotLdF:
+	case opSlotLdF:
 		moveCol(fr.rf[in.A], fr.rf[in.B], mask, full)
-	case bcode.OpSlotStI:
+	case opSlotStI:
 		// What the kind's store leaves in memory and its load reads back
 		// (storeCol, loadCol) is the value normalized to the kind, except
 		// that a bool is stored as a byte, not as NormInt's 0 or 1.
@@ -945,7 +944,7 @@ func (g *groupState) slotOp(fr *colFrame, in *bcode.Inst, mask []int32) {
 				d[l] = vm.NormInt(s[l], k)
 			}
 		}
-	case bcode.OpSlotStF:
+	case opSlotStF:
 		d, s := fr.rf[in.B], fr.rf[in.A]
 		if in.Kind == kF32 {
 			for _, l := range mask {
@@ -974,7 +973,7 @@ func moveCol[T int64 | float64](d, s []T, mask []int32, full bool) {
 // and broadcast; the trace still holds an address per lane. Private
 // memory is per-lane storage even at a uniform address, so uniform
 // treatment only applies to the shared global and local arenas.
-func (g *groupState) loadCol(fr *colFrame, in *bcode.Inst, mask []int32, fused, uni bool) error {
+func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bool) error {
 	addrs := g.addrPass(fr, in, mask, fused, false)
 	sz := int(in.N)
 	if uni {
@@ -992,29 +991,29 @@ func (g *groupState) loadCol(fr *colFrame, in *bcode.Inst, mask []int32, fused, 
 			return laneErr(l0, fmt.Errorf("vm: load of %d bytes at %d overruns arena (%d)", sz, off, len(a)))
 		}
 		switch in.Op {
-		case bcode.OpLdI8, bcode.OpLdXI8:
+		case opLdI8, opLdXI8:
 			broadcastI(fr.ri[in.A], mask, int64(int8(a[off])))
-		case bcode.OpLdU8, bcode.OpLdXU8:
+		case opLdU8, opLdXU8:
 			broadcastI(fr.ri[in.A], mask, int64(a[off]))
-		case bcode.OpLdI16, bcode.OpLdXI16:
+		case opLdI16, opLdXI16:
 			broadcastI(fr.ri[in.A], mask, int64(int16(binary.LittleEndian.Uint16(a[off:]))))
-		case bcode.OpLdU16, bcode.OpLdXU16:
+		case opLdU16, opLdXU16:
 			broadcastI(fr.ri[in.A], mask, int64(binary.LittleEndian.Uint16(a[off:])))
-		case bcode.OpLdI32, bcode.OpLdXI32:
+		case opLdI32, opLdXI32:
 			broadcastI(fr.ri[in.A], mask, int64(int32(binary.LittleEndian.Uint32(a[off:]))))
-		case bcode.OpLdU32, bcode.OpLdXU32:
+		case opLdU32, opLdXU32:
 			broadcastI(fr.ri[in.A], mask, int64(binary.LittleEndian.Uint32(a[off:])))
-		case bcode.OpLdI64, bcode.OpLdXI64:
+		case opLdI64, opLdXI64:
 			broadcastI(fr.ri[in.A], mask, int64(binary.LittleEndian.Uint64(a[off:])))
-		case bcode.OpLdF32, bcode.OpLdXF32:
+		case opLdF32, opLdXF32:
 			broadcastF(fr.rf[in.A], mask, float64(math.Float32frombits(binary.LittleEndian.Uint32(a[off:]))))
-		case bcode.OpLdF64, bcode.OpLdXF64:
+		case opLdF64, opLdXF64:
 			broadcastF(fr.rf[in.A], mask, math.Float64frombits(binary.LittleEndian.Uint64(a[off:])))
 		}
 		return nil
 	}
 	switch in.Op {
-	case bcode.OpLdI8, bcode.OpLdXI8:
+	case opLdI8, opLdXI8:
 		d := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1026,7 +1025,7 @@ func (g *groupState) loadCol(fr *colFrame, in *bcode.Inst, mask []int32, fused, 
 			}
 			d[l] = int64(int8(a[off]))
 		}
-	case bcode.OpLdU8, bcode.OpLdXU8:
+	case opLdU8, opLdXU8:
 		d := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1038,7 +1037,7 @@ func (g *groupState) loadCol(fr *colFrame, in *bcode.Inst, mask []int32, fused, 
 			}
 			d[l] = int64(a[off])
 		}
-	case bcode.OpLdI16, bcode.OpLdXI16:
+	case opLdI16, opLdXI16:
 		d := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1050,7 +1049,7 @@ func (g *groupState) loadCol(fr *colFrame, in *bcode.Inst, mask []int32, fused, 
 			}
 			d[l] = int64(int16(binary.LittleEndian.Uint16(a[off:])))
 		}
-	case bcode.OpLdU16, bcode.OpLdXU16:
+	case opLdU16, opLdXU16:
 		d := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1062,7 +1061,7 @@ func (g *groupState) loadCol(fr *colFrame, in *bcode.Inst, mask []int32, fused, 
 			}
 			d[l] = int64(binary.LittleEndian.Uint16(a[off:]))
 		}
-	case bcode.OpLdI32, bcode.OpLdXI32:
+	case opLdI32, opLdXI32:
 		d := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1074,7 +1073,7 @@ func (g *groupState) loadCol(fr *colFrame, in *bcode.Inst, mask []int32, fused, 
 			}
 			d[l] = int64(int32(binary.LittleEndian.Uint32(a[off:])))
 		}
-	case bcode.OpLdU32, bcode.OpLdXU32:
+	case opLdU32, opLdXU32:
 		d := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1086,7 +1085,7 @@ func (g *groupState) loadCol(fr *colFrame, in *bcode.Inst, mask []int32, fused, 
 			}
 			d[l] = int64(binary.LittleEndian.Uint32(a[off:]))
 		}
-	case bcode.OpLdI64, bcode.OpLdXI64:
+	case opLdI64, opLdXI64:
 		d := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1098,7 +1097,7 @@ func (g *groupState) loadCol(fr *colFrame, in *bcode.Inst, mask []int32, fused, 
 			}
 			d[l] = int64(binary.LittleEndian.Uint64(a[off:]))
 		}
-	case bcode.OpLdF32, bcode.OpLdXF32:
+	case opLdF32, opLdXF32:
 		d := fr.rf[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1110,7 +1109,7 @@ func (g *groupState) loadCol(fr *colFrame, in *bcode.Inst, mask []int32, fused, 
 			}
 			d[l] = float64(math.Float32frombits(binary.LittleEndian.Uint32(a[off:])))
 		}
-	case bcode.OpLdF64, bcode.OpLdXF64:
+	case opLdF64, opLdXF64:
 		d := fr.rf[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1156,7 +1155,7 @@ func (g *groupState) stArena(addr uint64, l int32, sz int) ([]byte, uint64, erro
 // holds an address per lane. As with loadCol, private memory is per-lane
 // storage, so the write-once shortcut only applies to the shared global
 // and local arenas.
-func (g *groupState) storeCol(fr *colFrame, in *bcode.Inst, mask []int32, fused, uni bool) error {
+func (g *groupState) storeCol(fr *colFrame, in *inst, mask []int32, fused, uni bool) error {
 	addrs := g.addrPass(fr, in, mask, fused, true)
 	sz := int(in.N)
 	if uni {
@@ -1165,7 +1164,7 @@ func (g *groupState) storeCol(fr *colFrame, in *bcode.Inst, mask []int32, fused,
 		}
 	}
 	switch in.Op {
-	case bcode.OpStI8, bcode.OpStXI8:
+	case opStI8, opStXI8:
 		src := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1177,7 +1176,7 @@ func (g *groupState) storeCol(fr *colFrame, in *bcode.Inst, mask []int32, fused,
 			}
 			a[off] = byte(src[l])
 		}
-	case bcode.OpStI16, bcode.OpStXI16:
+	case opStI16, opStXI16:
 		src := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1189,7 +1188,7 @@ func (g *groupState) storeCol(fr *colFrame, in *bcode.Inst, mask []int32, fused,
 			}
 			binary.LittleEndian.PutUint16(a[off:], uint16(src[l]))
 		}
-	case bcode.OpStI32, bcode.OpStXI32:
+	case opStI32, opStXI32:
 		src := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1201,7 +1200,7 @@ func (g *groupState) storeCol(fr *colFrame, in *bcode.Inst, mask []int32, fused,
 			}
 			binary.LittleEndian.PutUint32(a[off:], uint32(src[l]))
 		}
-	case bcode.OpStI64, bcode.OpStXI64:
+	case opStI64, opStXI64:
 		src := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1213,7 +1212,7 @@ func (g *groupState) storeCol(fr *colFrame, in *bcode.Inst, mask []int32, fused,
 			}
 			binary.LittleEndian.PutUint64(a[off:], uint64(src[l]))
 		}
-	case bcode.OpStF32, bcode.OpStXF32:
+	case opStF32, opStXF32:
 		src := fr.rf[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1225,7 +1224,7 @@ func (g *groupState) storeCol(fr *colFrame, in *bcode.Inst, mask []int32, fused,
 			}
 			binary.LittleEndian.PutUint32(a[off:], math.Float32bits(float32(src[l])))
 		}
-	case bcode.OpStF64, bcode.OpStXF64:
+	case opStF64, opStXF64:
 		src := fr.rf[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1243,12 +1242,12 @@ func (g *groupState) storeCol(fr *colFrame, in *bcode.Inst, mask []int32, fused,
 
 // loadVecCol loads a vector register lane by lane at element-size
 // strides for all masked lanes.
-func (g *groupState) loadVecCol(fr *colFrame, in *bcode.Inst, mask []int32, fused bool) error {
+func (g *groupState) loadVecCol(fr *colFrame, in *inst, mask []int32, fused bool) error {
 	addrs := g.addrPass(fr, in, mask, fused, false)
 	k := clc.ScalarKind(in.Kind)
 	es := k.Size()
 	lanes := int(in.Sub)
-	if in.Op == bcode.OpLdVF || in.Op == bcode.OpLdXVF {
+	if in.Op == opLdVF || in.Op == opLdXVF {
 		ld := fr.bf.VecFLens[in.A]
 		d := fr.vf[in.A]
 		for _, l := range mask {
@@ -1309,12 +1308,12 @@ func (g *groupState) loadVecCol(fr *colFrame, in *bcode.Inst, mask []int32, fuse
 }
 
 // storeVecCol stores a vector register lane by lane for all masked lanes.
-func (g *groupState) storeVecCol(fr *colFrame, in *bcode.Inst, mask []int32, fused bool) error {
+func (g *groupState) storeVecCol(fr *colFrame, in *inst, mask []int32, fused bool) error {
 	addrs := g.addrPass(fr, in, mask, fused, true)
 	k := clc.ScalarKind(in.Kind)
 	es := k.Size()
 	lanes := int(in.Sub)
-	if in.Op == bcode.OpStVF || in.Op == bcode.OpStXVF {
+	if in.Op == opStVF || in.Op == opStXVF {
 		ls := fr.bf.VecFLens[in.A]
 		s := fr.vf[in.A]
 		for _, l := range mask {

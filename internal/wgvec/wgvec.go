@@ -1,12 +1,12 @@
 // Package wgvec is a work-group-vectorized execution backend for the
-// kernel VM. It consumes the register bytecode produced by internal/bcode
-// and flips the interpreter's loop nest: instead of dispatching every
-// instruction once per work-item, the executor walks instructions once per
-// work-group and sweeps all active work-items over columnar
-// (struct-of-arrays) register banks — ri[reg][wi], rf[reg][wi] — so the
-// dispatch overhead of a barrier region is paid once instead of local_size
-// times and the inner loops are tight, bounds-check-friendly sweeps over
-// contiguous columns.
+// kernel VM. It compiles each function once into register bytecode
+// (bytecode.go, compile.go) and flips the interpreter's loop nest: instead
+// of dispatching every instruction once per work-item, the executor walks
+// instructions once per work-group and sweeps all active work-items over
+// columnar (struct-of-arrays) register banks — ri[reg][wi], rf[reg][wi] —
+// so the dispatch overhead of a barrier region is paid once instead of
+// local_size times and the inner loops are tight, bounds-check-friendly
+// sweeps over contiguous columns.
 //
 // Control flow is handled with per-work-item active masks: the CFG of
 // each function is annotated with reverse-post-order block priorities,
@@ -40,7 +40,6 @@ import (
 
 	"grover/internal/analysis"
 	"grover/internal/analysis/graph"
-	"grover/internal/bcode"
 	"grover/internal/ir"
 	"grover/internal/telemetry"
 	"grover/internal/vm"
@@ -56,12 +55,12 @@ func init() {
 	})
 }
 
-// Machine is a prepared program compiled to region programs: the shared
-// bytecode plus per-function scheduling and uniformity metadata. It
+// Machine is a prepared program compiled to bytecode: one bfunc per
+// function of the module, with its scheduling and uniformity metadata. It
 // implements vm.Executor; the vm caches one Machine per program.
 type Machine struct {
-	bm    *bcode.Machine
-	progs map[*ir.Function]*regionProgram
+	p     *vm.Program
+	funcs map[*ir.Function]*bfunc
 
 	// traces pools the trace buffers (*vm.AccessBatch) traced launches
 	// work with, so a machine launched again — concurrently, under an
@@ -70,28 +69,25 @@ type Machine struct {
 	traces sync.Pool
 }
 
-// Compile lowers every function of a prepared program to a region
-// program over its bytecode.
+// Compile lowers every function of a prepared program to bytecode and
+// annotates it for the lockstep scheduler.
 func Compile(p *vm.Program) (*Machine, error) {
 	return CompileCtx(context.Background(), p)
 }
 
-// CompileCtx is Compile with span recording: the embedded bytecode
-// compile reports as bcode.compile, the region lowering as
-// wgvec.compile.
+// CompileCtx is Compile recording a wgvec.compile span into the trace
+// carried by ctx, if any.
 func CompileCtx(ctx context.Context, p *vm.Program) (*Machine, error) {
-	bm, err := bcode.CompileCtx(ctx, p)
-	if err != nil {
-		return nil, err
-	}
 	defer telemetry.StartSpan(ctx, "wgvec.compile")()
-	m := &Machine{bm: bm, progs: map[*ir.Function]*regionProgram{}}
+	m := &Machine{p: p, funcs: map[*ir.Function]*bfunc{}}
 	m.traces.New = func() any { return new(vm.AccessBatch) }
 	// Uniform execute-once facts assume work-group-uniform parameters,
 	// which holds for launch arguments but not for call arguments; only
 	// kernels that are never themselves called qualify.
 	called := map[*ir.Function]bool{}
 	for _, f := range p.Module.Funcs {
+		// Shells first so call sites can reference not-yet-compiled callees.
+		m.funcs[f] = &bfunc{Fn: f}
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				if in.Op == ir.OpCall && in.Callee != nil {
@@ -101,46 +97,26 @@ func CompileCtx(ctx context.Context, p *vm.Program) (*Machine, error) {
 		}
 	}
 	for _, f := range p.Module.Funcs {
-		m.progs[f] = newRegionProgram(bm.Func(f), f.IsKernel && !called[f])
+		compileFunc(p, m.funcs, f)
+		m.funcs[f].annotate(f.IsKernel && !called[f])
 	}
 	return m, nil
 }
 
 // Program returns the prepared program this machine executes.
-func (m *Machine) Program() *vm.Program { return m.bm.Program() }
+func (m *Machine) Program() *vm.Program { return m.p }
 
-// regionProgram is the per-function execution metadata layered over the
-// bytecode: the pc→block map, reverse-post-order block priorities for the
-// reconvergence scheduler, the barrier-region count, and the set of
-// instructions that may execute once per group.
-type regionProgram struct {
-	bf      *bcode.BFunc
-	blockOf []int32 // pc → block index
-	prio    []int32 // block index → scheduling priority (RPO position)
-	uniform []bool  // pc → eligible for execute-once-and-broadcast
-	regions int     // barrier-delimited region count (metadata)
-}
-
-// newRegionProgram builds the metadata for one compiled function. root
+// annotate fills in the scheduling metadata of a compiled function. root
 // marks functions whose parameters are work-group-uniform (kernels never
 // called as functions); only those get uniform execute-once flags.
-func newRegionProgram(bf *bcode.BFunc, root bool) *regionProgram {
+func (bf *bfunc) annotate(root bool) {
 	fn := bf.Fn
-	rp := &regionProgram{
-		bf:      bf,
-		blockOf: make([]int32, len(bf.Code)),
-		uniform: make([]bool, len(bf.Code)),
-		regions: 1,
-	}
-	for i := range bf.Code {
-		if bf.Code[i].Op == bcode.OpBarrier {
-			rp.regions++
-		}
-	}
+	bf.blockOf = make([]int32, len(bf.Code))
+	bf.uniform = make([]bool, len(bf.Code))
 	nb := len(fn.Blocks)
 	if nb == 0 {
-		rp.prio = []int32{0}
-		return rp
+		bf.prio = []int32{0}
+		return
 	}
 	for bi := 0; bi < nb; bi++ {
 		start := bf.BlockStart[bi]
@@ -149,7 +125,7 @@ func newRegionProgram(bf *bcode.BFunc, root bool) *regionProgram {
 			end = bf.BlockStart[bi+1]
 		}
 		for pc := start; pc < end; pc++ {
-			rp.blockOf[pc] = int32(bi)
+			bf.blockOf[pc] = int32(bi)
 		}
 	}
 	cfg := analysis.NewCFG(fn)
@@ -157,21 +133,20 @@ func newRegionProgram(bf *bcode.BFunc, root bool) *regionProgram {
 	// the region's immediate post-dominator (for reducible CFGs), so the
 	// min-priority scheduler keeps divergent work-items inside the region
 	// until all of them arrive at the reconvergence point.
-	rp.prio = make([]int32, nb)
-	for i := range rp.prio {
-		rp.prio[i] = int32(nb) // unreachable blocks last; never executed
+	bf.prio = make([]int32, nb)
+	for i := range bf.prio {
+		bf.prio[i] = int32(nb) // unreachable blocks last; never executed
 	}
 	for i, b := range graph.ReversePostOrder(nb, cfg.Succ, 0) {
-		rp.prio[b] = int32(i)
+		bf.prio[b] = int32(i)
 	}
 	if !root {
-		return rp
+		return
 	}
 	u := analysis.ComputeUniformity(cfg, analysis.ComputeReachingDefs(cfg))
 	for pc := range bf.Code {
-		rp.uniform[pc] = uniformInst(&bf.Code[pc], u)
+		bf.uniform[pc] = uniformInst(&bf.Code[pc], u)
 	}
-	return rp
 }
 
 // uniformInst reports whether one bytecode instruction is statically
@@ -179,11 +154,11 @@ func newRegionProgram(bf *bcode.BFunc, root bool) *regionProgram {
 // value for every work-item and sits in a control-uniform block. The
 // executor additionally requires a full active mask at runtime before
 // applying execute-once-and-broadcast.
-func uniformInst(in *bcode.Inst, u *analysis.Uniformity) bool {
+func uniformInst(in *inst, u *analysis.Uniformity) bool {
 	switch in.Op {
-	case bcode.OpNop, bcode.OpJmp, bcode.OpCondBrI, bcode.OpCondBrF,
-		bcode.OpRet, bcode.OpRetI, bcode.OpRetF, bcode.OpRetVI, bcode.OpRetVF,
-		bcode.OpBarrier, bcode.OpCall, bcode.OpTrap:
+	case opNop, opJmp, opCondBrI, opCondBrF,
+		opRet, opRetI, opRetF, opRetVI, opRetVF,
+		opBarrier, opCall, opTrap:
 		// Control flow is handled by the scheduler; calls execute
 		// per-work-item so nested trace and retire accounting stay exact.
 		return false
