@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation, plus ablations for the design choices called out in
-// DESIGN.md §6. Each figure benchmark reports the paper's metric —
-// normalized performance np = t(with LM)/t(without LM) — per
-// (benchmark, device) case:
+// DESIGN.md §6. Each figure benchmark is one figure row per app and
+// reports the paper's metric — normalized performance np = t(with LM) /
+// t(without LM) — per device of the row, as np_<device>:
 //
 //	go test -bench Fig2 .          # Figure 2 rows
 //	go test -bench Fig10/NVD-MT .  # one Figure 10 row
@@ -10,7 +10,6 @@
 package grover_test
 
 import (
-	"fmt"
 	"testing"
 
 	"grover"
@@ -20,49 +19,46 @@ import (
 	"grover/opencl"
 )
 
-// benchCase measures one (app, device) pair once per b.N iteration and
-// reports np.
-func benchCase(b *testing.B, appID, deviceName string) {
+// benchSet measures one app on a figure's device set — one row of the
+// figure, each version executed once per iteration and charged to every
+// device — and reports np per device.
+func benchSet(b *testing.B, app *apps.App, profs []*device.Profile) {
 	b.Helper()
-	app, err := apps.ByID(appID)
-	if err != nil {
-		b.Fatal(err)
+	names := make([]string, len(profs))
+	for i, p := range profs {
+		names[i] = p.Name
 	}
-	var last *harness.Measurement
+	var last []*harness.Measurement
 	for i := 0; i < b.N; i++ {
-		m, err := harness.RunCase(app, deviceName, harness.Config{})
+		ms, err := harness.RunSet(app, names, harness.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		last = m
+		last = ms
 	}
-	b.ReportMetric(last.NP, "np")
-	b.ReportMetric(last.WithLM, "ms_withLM")
-	b.ReportMetric(last.WithoutLM, "ms_withoutLM")
+	for _, m := range last {
+		b.ReportMetric(m.NP, "np_"+m.Device)
+	}
 }
 
 // BenchmarkFig2 regenerates Figure 2: MT and MM (matrix A de-staged) on
-// all six platforms.
+// all six platforms, one row per app.
 func BenchmarkFig2(b *testing.B) {
 	for _, id := range []string{"NVD-MT", "NVD-MM-A"} {
-		for _, prof := range device.All() {
-			b.Run(fmt.Sprintf("%s/%s", id, prof.Name), func(b *testing.B) {
-				benchCase(b, id, prof.Name)
-			})
+		app, err := apps.ByID(id)
+		if err != nil {
+			b.Fatal(err)
 		}
+		b.Run(id, func(b *testing.B) { benchSet(b, app, device.All()) })
 	}
 }
 
 // BenchmarkFig10 regenerates Figure 10: the 11 benchmarks on the three
-// cache-only platforms. Together with the 5% threshold this also yields
-// Table IV.
+// cache-only platforms, one row per app. Together with the 5% threshold
+// this also yields Table IV.
 func BenchmarkFig10(b *testing.B) {
 	for _, app := range apps.All() {
-		for _, prof := range device.CPUs() {
-			b.Run(fmt.Sprintf("%s/%s", app.ID, prof.Name), func(b *testing.B) {
-				benchCase(b, app.ID, prof.Name)
-			})
-		}
+		b.Run(app.ID, func(b *testing.B) { benchSet(b, app, device.CPUs()) })
 	}
 }
 

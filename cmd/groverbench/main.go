@@ -46,7 +46,7 @@ func main() {
 		device     = flag.String("device", "SNB", "device for -experiment case")
 		scale      = flag.Int("scale", 1, "dataset scale factor")
 		runs       = flag.Int("runs", 1, "simulated executions to average per version")
-		validate   = flag.Bool("validate", false, "also validate both kernel versions against host references")
+		validate   = flag.Bool("validate", false, "check the memory each timed launch leaves against the host reference")
 		backend    = flag.String("backend", "", "execution backend (interp, wgvec; default: $GROVER_BACKEND, else wgvec)")
 		format     = flag.String("format", "text", "output format: text | json")
 		quiet      = flag.Bool("quiet", false, "suppress progress output")

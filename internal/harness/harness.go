@@ -27,8 +27,9 @@ type Config struct {
 	// simulator is deterministic, so 1 suffices; the paper used 20 on
 	// real hardware).
 	Runs int
-	// Validate additionally checks both kernel versions against the host
-	// reference before timing.
+	// Validate checks the memory each timed launch of either version
+	// leaves against the host reference. It costs no launch: the timed
+	// launches are the ones checked.
 	Validate bool
 	// Backend selects the execution backend ("interp", "wgvec").
 	// Empty uses the VM default (GROVER_BACKEND, else wgvec).
@@ -103,15 +104,36 @@ func (m *Measurement) Classify() Verdict {
 	}
 }
 
-// RunCase measures one benchmark on one device.
+// RunCase measures one benchmark on one device: RunSet of one.
 func RunCase(app *apps.App, deviceName string, cfg Config) (*Measurement, error) {
-	cfg = cfg.normalized()
-	plat := opencl.NewPlatform()
-	dev, err := plat.DeviceByName(deviceName)
+	ms, err := RunSet(app, []string{deviceName}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	ctx := opencl.NewContext(dev)
+	return ms[0], nil
+}
+
+// RunSet measures one benchmark on a set of devices and returns one
+// Measurement per device, in deviceNames order. The program is compiled,
+// transformed and set up once; each version's launch executes once and is
+// charged to every device's cost model (opencl.SetQueue), so each
+// Measurement equals what RunCase reports for its device alone. Both
+// versions run on the one app instance, with local memory first.
+func RunSet(app *apps.App, deviceNames []string, cfg Config) ([]*Measurement, error) {
+	cfg = cfg.normalized()
+	if len(deviceNames) == 0 {
+		return nil, fmt.Errorf("%s: no devices", app.ID)
+	}
+	plat := opencl.NewPlatform()
+	devs := make([]*opencl.Device, len(deviceNames))
+	for i, name := range deviceNames {
+		dev, err := plat.DeviceByName(name)
+		if err != nil {
+			return nil, err
+		}
+		devs[i] = dev
+	}
+	ctx := opencl.NewContext(devs[0])
 	if cfg.Backend != "" {
 		if err := ctx.SetBackend(cfg.Backend); err != nil {
 			return nil, err
@@ -138,42 +160,40 @@ func RunCase(app *apps.App, deviceName string, cfg Config) (*Measurement, error)
 	if err != nil {
 		return nil, fmt.Errorf("%s: setup: %w", app.ID, err)
 	}
-	if cfg.Validate {
-		q := ctx.NewQueue()
-		for _, v := range []struct {
-			k    *opencl.Kernel
-			what string
-		}{{kLM, "with local memory"}, {kNo, "local memory disabled"}} {
-			if _, err := q.EnqueueNDRange(v.k, inst.ND, inst.Args...); err != nil {
-				return nil, fmt.Errorf("%s (%s, %s): validation launch: %w", app.ID, app.Kernel, v.what, err)
-			}
-			if err := inst.Check(); err != nil {
-				return nil, fmt.Errorf("%s (%s, %s): %w", app.ID, app.Kernel, v.what, err)
-			}
-		}
-	}
-	pq, err := ctx.NewProfilingQueue()
+	q, err := ctx.NewProfilingQueueSet(devs...)
 	if err != nil {
 		return nil, err
 	}
-	avg := func(k *opencl.Kernel) (float64, error) {
-		var total float64
+	// avg times k cfg.Runs times and returns its mean time per device,
+	// checking each launch when cfg.Validate is set.
+	avg := func(k *opencl.Kernel, what string) ([]float64, error) {
+		total := make([]float64, len(devs))
 		for i := 0; i < cfg.Runs; i++ {
-			evt, err := pq.EnqueueNDRange(k, inst.ND, inst.Args...)
+			evts, err := q.EnqueueNDRange(k, inst.ND, inst.Args...)
 			if err != nil {
-				return 0, err
+				return nil, fmt.Errorf("%s (%s, %s): timed launch: %w", app.ID, app.Kernel, what, err)
 			}
-			total += evt.Duration()
+			for d, evt := range evts {
+				total[d] += evt.Duration()
+			}
+			if cfg.Validate {
+				if err := inst.Check(); err != nil {
+					return nil, fmt.Errorf("%s (%s, %s): %w", app.ID, app.Kernel, what, err)
+				}
+			}
 		}
-		return total / float64(cfg.Runs), nil
+		for d := range total {
+			total[d] /= float64(cfg.Runs)
+		}
+		return total, nil
 	}
-	withLM, err := avg(kLM)
+	withLM, err := avg(kLM, "with local memory")
 	if err != nil {
-		return nil, fmt.Errorf("%s: timing with LM: %w", app.ID, err)
+		return nil, err
 	}
-	withoutLM, err := avg(kNo)
+	withoutLM, err := avg(kNo, "local memory disabled")
 	if err != nil {
-		return nil, fmt.Errorf("%s: timing without LM: %w", app.ID, err)
+		return nil, err
 	}
 	items := int64(1)
 	for _, d := range inst.ND.Global {
@@ -181,80 +201,73 @@ func RunCase(app *apps.App, deviceName string, cfg Config) (*Measurement, error)
 			items *= int64(d)
 		}
 	}
-	m := &Measurement{
-		App: app.ID, Device: deviceName,
-		WithLM: withLM, WithoutLM: withoutLM,
-		NP:     withLM / withoutLM,
-		Items:  items,
-		Report: rep,
+	out := make([]*Measurement, len(devs))
+	for d, name := range deviceNames {
+		m := &Measurement{
+			App: app.ID, Device: name,
+			WithLM: withLM[d], WithoutLM: withoutLM[d],
+			NP:     withLM[d] / withoutLM[d],
+			Items:  items,
+			Report: rep,
+		}
+		cfg.logf("  %-10s %-8s withLM=%.4fms withoutLM=%.4fms np=%.2f [%s]",
+			m.App, m.Device, m.WithLM, m.WithoutLM, m.NP, m.Classify())
+		out[d] = m
 	}
-	cfg.logf("  %-10s %-8s withLM=%.4fms withoutLM=%.4fms np=%.2f [%s]",
-		m.App, m.Device, m.WithLM, m.WithoutLM, m.NP, m.Classify())
-	return m, nil
+	return out, nil
+}
+
+// figure runs each app as one device set over profs, in app order, and
+// logs one progress line per set under the figure's name.
+func figure(cfg Config, name string, appList []*apps.App, profs []*device.Profile) ([]*Measurement, error) {
+	names := make([]string, len(profs))
+	for i, p := range profs {
+		names[i] = p.Name
+	}
+	var out []*Measurement
+	for _, app := range appList {
+		cfg.logf("%s: %s on %s", name, app.ID, strings.Join(names, ","))
+		ms, err := RunSet(app, names, cfg)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ms...)
+	}
+	return out, nil
 }
 
 // Fig2 reproduces Figure 2: the motivation experiment — MT and MM on all
-// six platforms. Per §II-C, MT is the NVIDIA transpose and MM removes
-// local memory for matrix A only.
+// six platforms, each app one set of six. Per §II-C, MT is the NVIDIA
+// transpose and MM removes local memory for matrix A only.
 func Fig2(cfg Config) ([]*Measurement, error) {
-	cfg = cfg.normalized()
-	var out []*Measurement
-	ids := []string{"NVD-MT", "NVD-MM-A"}
-	for _, id := range ids {
+	var appList []*apps.App
+	for _, id := range []string{"NVD-MT", "NVD-MM-A"} {
 		app, err := apps.ByID(id)
 		if err != nil {
 			return nil, err
 		}
-		for _, prof := range device.All() {
-			cfg.logf("fig2: %s on %s", id, prof.Name)
-			m, err := RunCase(app, prof.Name, cfg)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, m)
-		}
+		appList = append(appList, app)
 	}
-	return out, nil
+	return figure(cfg, "fig2", appList, device.All())
 }
 
 // Fig10 reproduces Figure 10: all 11 benchmarks on the three cache-only
-// platforms (SNB, Nehalem, MIC).
+// platforms (SNB, Nehalem, MIC), each app one set of three.
 func Fig10(cfg Config) ([]*Measurement, error) {
-	cfg = cfg.normalized()
-	var out []*Measurement
-	for _, app := range apps.All() {
-		for _, prof := range device.CPUs() {
-			cfg.logf("fig10: %s on %s", app.ID, prof.Name)
-			m, err := RunCase(app, prof.Name, cfg)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, m)
-		}
-	}
-	return out, nil
+	return figure(cfg, "fig10", apps.All(), device.CPUs())
 }
 
 // FigGPU is the paper's stated future work ("investigate Grover's impact
 // on other types of devices (e.g., GPUs)"): the full benchmark suite on
-// the three GPU profiles.
+// the three GPU profiles, each app one set of three.
 func FigGPU(cfg Config) ([]*Measurement, error) {
-	cfg = cfg.normalized()
-	var out []*Measurement
-	for _, app := range apps.All() {
-		for _, prof := range device.All() {
-			if prof.Kind != device.GPUKind {
-				continue
-			}
-			cfg.logf("figgpu: %s on %s", app.ID, prof.Name)
-			m, err := RunCase(app, prof.Name, cfg)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, m)
+	var gpus []*device.Profile
+	for _, prof := range device.All() {
+		if prof.Kind == device.GPUKind {
+			gpus = append(gpus, prof)
 		}
 	}
-	return out, nil
+	return figure(cfg, "figgpu", apps.All(), gpus)
 }
 
 // Table4 derives the gain/loss/similar distribution (paper Table IV) from

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"grover/internal/apps"
+	"grover/internal/device"
 	"grover/internal/vm"
 	"grover/opencl"
 )
@@ -54,6 +55,42 @@ func TestRunCaseDefaultEngine(t *testing.T) {
 	}
 	if _, err := RunCase(app, "SNB", Config{Backend: vm.BackendInterp}); err != nil {
 		t.Errorf("a named oracle must not consult the environment: %v", err)
+	}
+}
+
+// TestRunSetEqualsRunCase: one set of six devices reports, field by field,
+// what six single-device cases do, for Fig. 2's apps.
+func TestRunSetEqualsRunCase(t *testing.T) {
+	var names []string
+	for _, p := range device.All() {
+		names = append(names, p.Name)
+	}
+	for _, id := range []string{"NVD-MT", "NVD-MM-A"} {
+		app, err := apps.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := RunSet(app, names, Config{Validate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(set) != len(names) {
+			t.Fatalf("%s: %d measurements for %d devices", id, len(set), len(names))
+		}
+		for i, name := range names {
+			one, err := RunCase(app, name, Config{Validate: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := set[i]
+			if got.App != one.App || got.Device != one.Device || got.WithLM != one.WithLM ||
+				got.WithoutLM != one.WithoutLM || got.NP != one.NP || got.Items != one.Items {
+				t.Errorf("%s on %s: set %+v, case %+v", id, name, got, one)
+			}
+			if got.Report.String() != one.Report.String() {
+				t.Errorf("%s on %s: reports differ:\n%s\nvs\n%s", id, name, got.Report, one.Report)
+			}
+		}
 	}
 }
 
@@ -228,5 +265,39 @@ func TestRunCaseNamesTheFailedVersion(t *testing.T) {
 	}
 	if strings.Contains(err.Error(), "with local memory") {
 		t.Errorf("error %q blames the version that passed", err)
+	}
+}
+
+// TestValidateChecksEachTimedLaunch: with Validate, the host reference is
+// checked once after each timed launch of each version, and only then: a
+// set of three at Runs 2 checks four times, without Validate never.
+func TestValidateChecksEachTimedLaunch(t *testing.T) {
+	orig, err := apps.ByID("AMD-MT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checks := 0
+	app := *orig
+	app.Setup = func(ctx *opencl.Context, scale int) (*apps.Instance, error) {
+		inst, err := orig.Setup(ctx, scale)
+		if err != nil {
+			return nil, err
+		}
+		check := inst.Check
+		inst.Check = func() error { checks++; return check() }
+		return inst, nil
+	}
+	devs := []string{"SNB", "Nehalem", "MIC"}
+	for _, c := range []struct {
+		validate bool
+		want     int
+	}{{true, 4}, {false, 0}} {
+		checks = 0
+		if _, err := RunSet(&app, devs, Config{Runs: 2, Validate: c.validate}); err != nil {
+			t.Fatal(err)
+		}
+		if checks != c.want {
+			t.Errorf("Validate %v: %d checks, want %d", c.validate, checks, c.want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,11 +53,7 @@ func (s Step) String() string {
 	if len(s.Opts) == 0 {
 		return s.Rule
 	}
-	keys := make([]string, 0, len(s.Opts))
-	for k := range s.Opts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(s.Opts)
 	parts := make([]string, len(keys))
 	for i, k := range keys {
 		if v := s.Opts[k]; v == "" {
@@ -99,8 +96,9 @@ func (p *Plan) String() string {
 //	stage-local(ls=64),hoist-addr
 //	grover(cands=As+Bs;strict),opt(passes=cse+dce)
 //
-// "" and "base" parse to the empty plan. Unknown rule names are rejected
-// here so CLI and service callers get the error before any IR is touched.
+// "" and "base" parse to the empty plan. Unknown rule names, and option
+// keys the rule does not list in Rule.Options, are rejected here so CLI
+// and service callers get the error before any IR is touched.
 func ParsePlan(s string) (*Plan, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || s == BasePlanName {
@@ -131,13 +129,33 @@ func ParsePlan(s string) (*Plan, error) {
 				opts[k] = v
 			}
 		}
-		if Lookup(name) == nil {
+		rule := Lookup(name)
+		if rule == nil {
 			return nil, fmt.Errorf("rewrite: unknown rule %q (available: %s)",
 				name, strings.Join(RuleNames(), ", "))
+		}
+		for _, k := range sortedKeys(opts) {
+			if !slices.Contains(rule.Options, k) {
+				accepts := strings.Join(rule.Options, ", ")
+				if accepts == "" {
+					accepts = "none"
+				}
+				return nil, fmt.Errorf("rewrite: step %q: unknown option %q (%s accepts: %s)",
+					item, k, name, accepts)
+			}
 		}
 		p.Steps = append(p.Steps, Step{Rule: name, Opts: opts})
 	}
 	return p, nil
+}
+
+func sortedKeys(opts map[string]string) []string {
+	keys := make([]string, 0, len(opts))
+	for k := range opts {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // splitTop splits on commas that are not inside parentheses.

@@ -54,6 +54,31 @@ func TestParsePlanErrors(t *testing.T) {
 	}
 }
 
+// TestParsePlanRejectsUnknownOptions: a step may set only the option keys
+// its rule lists. A comma inside the parentheses is not a separator, so
+// "strict,cands=As" is one key, not two, and must not reach the rule.
+func TestParsePlanRejectsUnknownOptions(t *testing.T) {
+	for _, c := range []struct {
+		in, step, key, accepts string
+	}{
+		{"grover(strict,cands=As)", "grover(strict,cands=As)", "strict,cands", "cands, keep-barriers, clone-all, strict"},
+		{"grover(bogus)", "grover(bogus)", "bogus", "cands, keep-barriers, clone-all, strict"},
+		{"stage-local(l=64)", "stage-local(l=64)", "l", "ls"},
+		{"grover,hoist-addr(x=1)", "hoist-addr(x=1)", "x", "none"},
+	} {
+		_, err := ParsePlan(c.in)
+		if err == nil {
+			t.Errorf("ParsePlan(%q): expected an unknown-option error", c.in)
+			continue
+		}
+		for _, want := range []string{`"` + c.step + `"`, `"` + c.key + `"`, c.accepts} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("ParsePlan(%q) = %v; the error does not say %s", c.in, err, want)
+			}
+		}
+	}
+}
+
 func TestStepOpts(t *testing.T) {
 	p := MustParsePlan("stage-local(ls=16),grover(strict;cands=lm)")
 	s := p.Steps[0]

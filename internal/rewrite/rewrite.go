@@ -48,6 +48,9 @@ type Rule struct {
 	Name string
 	// Doc is a one-line description for CLI help and docs.
 	Doc string
+	// Options lists the option keys the rule reads; ParsePlan rejects a
+	// step that sets any other.
+	Options []string
 	// Match reports whether the rule could do anything in fn; used to skip
 	// Apply cheaply. Nil means "always try".
 	Match func(fn *ir.Function, opts map[string]string) bool

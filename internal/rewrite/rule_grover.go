@@ -21,8 +21,9 @@ import (
 // are untouched; this rule is the plan-facing entry point.
 func init() {
 	Register(&Rule{
-		Name: "grover",
-		Doc:  "remove local-memory staging (LL→nGL, the paper's pass)",
+		Name:    "grover",
+		Doc:     "remove local-memory staging (LL→nGL, the paper's pass)",
+		Options: []string{"cands", "keep-barriers", "clone-all", "strict"},
 		Match: func(fn *ir.Function, opts map[string]string) bool {
 			return len(igrover.FindCandidates(fn)) > 0
 		},

@@ -19,9 +19,10 @@ import (
 // execute.
 func init() {
 	Register(&Rule{
-		Name:  "opt",
-		Doc:   "run the scalar optimization pipeline (passes=a+b selects phase order)",
-		Apply: applyOpt,
+		Name:    "opt",
+		Doc:     "run the scalar optimization pipeline (passes=a+b selects phase order)",
+		Options: []string{"passes"},
+		Apply:   applyOpt,
 	})
 }
 

@@ -38,9 +38,10 @@ import (
 // load into the preheader.
 func init() {
 	Register(&Rule{
-		Name:  "stage-local",
-		Doc:   "stage reused global loads into a __local tile with barriers (inverse Grover)",
-		Apply: applyStageLocal,
+		Name:    "stage-local",
+		Doc:     "stage reused global loads into a __local tile with barriers (inverse Grover)",
+		Options: []string{"ls"},
+		Apply:   applyStageLocal,
 	})
 }
 

@@ -87,9 +87,11 @@ func TestTransformPlanCacheKeys(t *testing.T) {
 
 func TestTransformPlanBadPlan(t *testing.T) {
 	ts := newTestServer(t)
-	req := TransformRequest{Source: planTestSrc, Kernel: "winsum", Plan: "bogus-rule"}
-	if code, _ := postJSON(t, ts.URL+"/v1/transform", req, nil); code != http.StatusBadRequest {
-		t.Fatalf("bad plan: got %d, want 400", code)
+	for _, plan := range []string{"bogus-rule", "grover(strict,cands=lm)"} {
+		req := TransformRequest{Source: planTestSrc, Kernel: "winsum", Plan: plan}
+		if code, _ := postJSON(t, ts.URL+"/v1/transform", req, nil); code != http.StatusBadRequest {
+			t.Errorf("bad plan %q: got %d, want 400", plan, code)
+		}
 	}
 }
 

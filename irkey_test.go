@@ -144,3 +144,51 @@ func TestIRIdentity(t *testing.T) {
 	}
 	t.Logf("the modules now hash to:\n%s", strings.Join(got, "\n"))
 }
+
+// TestPlanSpacesParse: every plan the default and per-app plan spaces name
+// parses, options included, for each app's launch geometry.
+func TestPlanSpacesParse(t *testing.T) {
+	ctx := opencl.NewContext(opencl.NewPlatform().Devices()[0])
+	for _, app := range apps.All() {
+		inst, err := app.Setup(ctx, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", app.ID, err)
+		}
+		plans := append(grover.DefaultPlanSpace(inst.ND.Local), app.PlanSpace(inst.ND.Local)...)
+		for _, ps := range plans {
+			if _, err := rewrite.ParsePlan(ps); err != nil {
+				t.Errorf("%s: %v", app.ID, err)
+			}
+		}
+	}
+}
+
+// TestGroverPlanMatchesDisable: on every app, the grover rewrite plan pinned
+// to the app's candidates and strict yields the module
+// WithLocalMemoryDisabled does with the same options, by ir.Module.Key. The
+// figures time the latter and a plan search the former, so a figure can
+// become a plan search without moving a number.
+func TestGroverPlanMatchesDisable(t *testing.T) {
+	dev := opencl.NewPlatform().Devices()[0]
+	for _, app := range apps.All() {
+		prog, err := opencl.NewContext(dev).CompileProgram(app.ID+".cl", app.Source, app.Defines)
+		if err != nil {
+			t.Fatalf("%s: %v", app.ID, err)
+		}
+		ps := "grover"
+		if len(app.Candidates) > 0 {
+			ps = "grover(strict;cands=" + strings.Join(app.Candidates, "+") + ")"
+		}
+		rp, _, err := prog.WithRewritePlan(app.Kernel, rewrite.MustParsePlan(ps))
+		if err != nil {
+			t.Fatalf("%s %s: %v", app.ID, ps, err)
+		}
+		noLM, _, err := prog.WithLocalMemoryDisabled(app.Kernel, grover.Options{Candidates: app.Candidates, Strict: true})
+		if err != nil {
+			t.Fatalf("%s: %v", app.ID, err)
+		}
+		if rp.Module().Key() != noLM.Module().Key() {
+			t.Errorf("%s: plan %s and WithLocalMemoryDisabled give different modules", app.ID, ps)
+		}
+	}
+}
