@@ -78,13 +78,14 @@ type TuneResult struct {
 	Speedup float64
 	// Report is the transformation report.
 	Report *Report
-	// Plan is the winning plan's canonical string when plan search ran
-	// (LaunchSpec.Plans); empty for the classic two-version comparison.
+	// Plan is the winning plan's canonical string when LaunchSpec.Plans
+	// was searched; the two-version comparison leaves it, Rewrite and
+	// PlanSearch empty.
 	Plan string
-	// Rewrite is the winning plan's per-step report when plan search ran
-	// and a non-base plan won.
+	// Rewrite is the winning plan's per-step report when a listed plan
+	// other than base won.
 	Rewrite *rewrite.Report
-	// PlanSearch holds one entry per evaluated plan when plan search ran.
+	// PlanSearch holds one entry per evaluated plan of LaunchSpec.Plans.
 	PlanSearch []PlanTiming
 }
 
@@ -94,8 +95,8 @@ type PlanTiming struct {
 	Plan string
 	// MS is the average simulated time; meaningful only when timed.
 	MS float64
-	// Applied is true when the plan changed the kernel (base counts: it is
-	// the reference version). Unapplied plans are not timed.
+	// Applied is true when the plan was rewritten and timed, or took an
+	// earlier plan's timings; Err says why it was not.
 	Applied bool
 	// Err records why the plan was skipped: parse failure, illegal
 	// transform (a rule's safety analysis rejected it), or a launch error.
@@ -154,65 +155,6 @@ func timeKernel(k *opencl.Kernel, runs, devices int, launch setLaunch) ([]float6
 	return ms, nil
 }
 
-// tuneVersions is the two-version tune for a set of devices: the pass runs
-// once, each version executes runs times, and every device gets the
-// verdict its own cost model supports.
-func tuneVersions(ctx context.Context, prog *opencl.Program, kernel string, opts Options, runs int,
-	launch setLaunch, devs []*opencl.Device) ([]*TuneResult, error) {
-	transformed, rep, err := prog.WithLocalMemoryDisabledCtx(ctx, kernel, opts)
-	if err != nil {
-		return nil, err
-	}
-	orig, err := prog.Kernel(kernel)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*TuneResult, len(devs))
-	if !rep.Transformed() {
-		for i := range out {
-			out[i] = &TuneResult{Kernel: orig, Report: rep, Speedup: 1}
-		}
-		return out, nil
-	}
-	noLM, err := transformed.Kernel(kernel)
-	if err != nil {
-		return nil, err
-	}
-	timed := func(name string, k *opencl.Kernel) ([]float64, error) {
-		_, span := telemetry.StartSpanCtx(ctx, "tune:"+name)
-		span.SetAttr("devices", deviceNames(devs))
-		defer span.End()
-		ms, err := timeKernel(k, runs, len(devs), launch)
-		if err != nil {
-			return nil, fmt.Errorf("grover: timing %s: %w", name, err)
-		}
-		return ms, nil
-	}
-	origMS, err := timed("original", orig)
-	if err != nil {
-		return nil, err
-	}
-	noLMMS, err := timed("transformed", noLM)
-	if err != nil {
-		return nil, err
-	}
-	for i := range out {
-		res := &TuneResult{
-			Kernel:        orig,
-			OriginalMS:    origMS[i],
-			TransformedMS: noLMMS[i],
-			Report:        rep,
-			Speedup:       origMS[i] / noLMMS[i],
-		}
-		if noLMMS[i] < origMS[i] {
-			res.UseTransformed = true
-			res.Kernel = noLM
-		}
-		out[i] = res
-	}
-	return out, nil
-}
-
 // withBasePlan puts "base" in front of a plan list that does not have it.
 func withBasePlan(plans []string) []string {
 	for _, ps := range plans {
@@ -223,6 +165,33 @@ func withBasePlan(plans []string) []string {
 	return append([]string{rewrite.BasePlanName}, plans...)
 }
 
+// versionPlans is the two-version tune as a plan space: base and the
+// grover step opts spell. A kernel the step does not match has no version
+// without local memory, which is ErrNoCandidates before anything launches.
+func versionPlans(prog *opencl.Program, kernel string, opts Options) ([]string, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	step := rewrite.GroverStep(opts)
+	if fn := prog.Module().Kernel(kernel); fn != nil && !rewrite.Lookup("grover").Match(fn, step.Opts) {
+		return nil, ErrNoCandidates
+	}
+	noLM := &rewrite.Plan{Steps: []rewrite.Step{step}}
+	return []string{rewrite.BasePlanName, noLM.String()}, nil
+}
+
+// versions reads the two-version verdict off a search over versionPlans:
+// TransformedMS is the grover plan's time and Report its step's report,
+// whichever plan won, and the search's own fields stay empty.
+func versions(results []*TuneResult) {
+	for _, r := range results {
+		g := r.PlanSearch[1]
+		r.TransformedMS, r.Speedup = g.MS, r.OriginalMS/g.MS
+		r.Report = g.Report.Steps[0].Grover
+		r.Plan, r.PlanSearch, r.Rewrite = "", nil, nil
+	}
+}
+
 // measurePlans is the measured plan search for devs on prog — the program
 // of the launch environment the set runs in: each plan is rewritten and
 // prepared once and executed runs times, every execution is charged to all
@@ -231,8 +200,10 @@ func withBasePlan(plans []string) []string {
 // plan whose kernel already ran, on the memory that is still there, takes
 // that run's timings and profile instead of executing. profile, when
 // non-nil, is called before each executed plan and returns a fresh
-// profiler wired into launch; its report lands in PlanTiming.Profile.
-func measurePlans(ctx context.Context, prog *opencl.Program, kernel string, plans []string, runs int,
+// profiler wired into launch; its report lands in PlanTiming.Profile. A
+// plan that fails to rewrite or to launch is recorded and skipped, or,
+// when strict, fails the search with its error.
+func measurePlans(ctx context.Context, prog *opencl.Program, kernel string, plans []string, strict bool, runs int,
 	launch setLaunch, profile func() *vm.Profiler, devs []*opencl.Device) ([]*TuneResult, error) {
 	orig, err := prog.Kernel(kernel)
 	if err != nil {
@@ -293,19 +264,20 @@ func measurePlans(ctx context.Context, prog *opencl.Program, kernel string, plan
 		k, mod := orig, prog.Module()
 		if len(p.Steps) > 0 {
 			var rp *opencl.Program
+			// A plan that matched nothing still ends in the standard
+			// pipeline; its kernel is an earlier plan's (see memo).
 			rp, t.Report, err = prog.WithRewritePlanCtx(sctx, kernel, p)
-			if err == nil && t.Report.Changed() {
+			if err == nil {
 				k, err = rp.Kernel(kernel)
 				mod = rp.Module()
 			}
-			// No rule matched: base's kernel, not timed. (A plan that did
-			// match may still yield an earlier plan's kernel: see memo.)
-			if err != nil || !t.Report.Changed() {
-				if err != nil {
-					t.Err = err.Error()
-				}
+			if err != nil {
 				span.SetAttr("applied", "false")
 				span.End()
+				if strict {
+					return nil, err
+				}
+				t.Err = err.Error()
 				record(t, nil, nil)
 				continue
 			}
@@ -334,6 +306,9 @@ func measurePlans(ctx context.Context, prog *opencl.Program, kernel string, plan
 			memo[key] = timing{t.Plan, ms, t.Profile}
 		}
 		if err != nil {
+			if strict {
+				return nil, fmt.Errorf("grover: timing %s: %w", t.Plan, err)
+			}
 			t.Err = fmt.Sprintf("timing: %v", err)
 			record(t, nil, nil)
 			continue
@@ -355,11 +330,9 @@ func measurePlans(ctx context.Context, prog *opencl.Program, kernel string, plan
 		if b.plan != rewrite.BasePlanName {
 			res.UseTransformed = true
 			res.Rewrite = b.rewrite
-			if b.rewrite != nil {
-				for _, st := range b.rewrite.Steps {
-					if st.Grover != nil {
-						res.Report = st.Grover
-					}
+			for _, st := range b.rewrite.Steps {
+				if st.Grover != nil {
+					res.Report = st.Grover
 				}
 			}
 		}
@@ -400,7 +373,8 @@ type LaunchSpec struct {
 	// (opencl.CompileModule) is instantiated with Context.NewProgramFromIR.
 	// Required.
 	Program func(ctx *opencl.Context) (*opencl.Program, error)
-	// Options control the Grover pass.
+	// Options control the Grover pass of the two-version comparison; a
+	// plan search does not read them. Candidates must be C identifiers.
 	Options Options
 	// ND is the launch geometry.
 	ND opencl.NDRange
@@ -410,14 +384,15 @@ type LaunchSpec struct {
 	// Args builds the kernel argument list (buffers, scalars, LocalMem)
 	// in the given context.
 	Args func(ctx *opencl.Context) ([]interface{}, error)
-	// Plans switches tuning from the classic two-version comparison to a
-	// rewrite-plan search: every listed plan is applied (illegal or
-	// inapplicable plans are recorded and skipped, not fatal), each
-	// resulting kernel is timed Runs times, and the fastest legal variant
-	// wins per device. "base" — the unrewritten kernel — is always
+	// Plans is the plan space to search: every listed plan is applied
+	// (illegal or inapplicable plans are recorded and skipped, not fatal),
+	// each resulting kernel is timed Runs times, and the fastest legal
+	// variant wins per device. "base" — the unrewritten kernel — is always
 	// evaluated, whether or not it is listed, and serves as the speedup
 	// reference. Use DefaultPlanSpace(ND.Local) for the standard small
-	// space.
+	// space. Empty is the two-version comparison: the search over base and
+	// rewrite.GroverStep(Options), failed by ErrNoCandidates (before any
+	// launch), a Strict rejection or a launch error. base keeps a tie.
 	Plans []string
 	// Profile attaches a fresh execution profiler to every timed plan; the
 	// report of the one execution lands in PlanTiming.Profile on every
@@ -516,7 +491,8 @@ func Tune(ctx context.Context, devs []*opencl.Device, kernel string, spec Launch
 }
 
 // tune instantiates spec in one launch environment, opens one queue over
-// devs and runs the classic two-version tune or the plan search there.
+// devs and runs the plan search there: spec.Plans, or for the classic
+// two-version tune base and the grover step spec.Options spell.
 func tune(ctx context.Context, devs []*opencl.Device, kernel string, spec *LaunchSpec) ([]*TuneResult, *LaunchSet, error) {
 	env, err := newLaunchEnv(devs[0], spec)
 	if err != nil {
@@ -526,23 +502,26 @@ func tune(ctx context.Context, devs []*opencl.Device, kernel string, spec *Launc
 	if err != nil {
 		return nil, nil, err
 	}
-	runs := max(spec.Runs, 1)
-	var res []*TuneResult
-	if len(spec.Plans) == 0 {
-		res, err = tuneVersions(ctx, env.prog, kernel, spec.Options, runs, launch, devs)
-	} else {
-		var profile func() *vm.Profiler
-		if spec.Profile {
-			profile = func() *vm.Profiler {
-				prof := vm.NewProfiler()
-				q.SetKernelProfiler(prof)
-				return prof
-			}
+	plans, twoVersions := withBasePlan(spec.Plans), len(spec.Plans) == 0
+	if twoVersions {
+		if plans, err = versionPlans(env.prog, kernel, spec.Options); err != nil {
+			return nil, nil, err
 		}
-		res, err = measurePlans(ctx, env.prog, kernel, withBasePlan(spec.Plans), runs, launch, profile, devs)
 	}
+	var profile func() *vm.Profiler
+	if spec.Profile {
+		profile = func() *vm.Profiler {
+			prof := vm.NewProfiler()
+			q.SetKernelProfiler(prof)
+			return prof
+		}
+	}
+	res, err := measurePlans(ctx, env.prog, kernel, plans, twoVersions, max(spec.Runs, 1), launch, profile, devs)
 	if err != nil {
 		return nil, nil, err
+	}
+	if twoVersions {
+		versions(res)
 	}
 	return res, env.set, nil
 }

@@ -114,17 +114,26 @@ func TestAutoTunePrefersLMOnGPU(t *testing.T) {
 	if r.Result.UseTransformed {
 		t.Errorf("on Kepler the transpose should keep local memory: %s", r.Result)
 	}
+	// The verdict carries the pass's report whichever version won.
+	if r.Result.Report == nil || !r.Result.Report.Transformed() {
+		t.Errorf("Kepler: report %v, want the transformed candidate's", r.Result.Report)
+	}
 }
 
+// TestAutoTuneNoCandidates: a kernel without local memory has no second
+// version; the tune fails before anything launches.
 func TestAutoTuneNoCandidates(t *testing.T) {
-	r := tuneOn(t, "SNB", "k", grover.LaunchSpec{
+	results, tunes := tuneSpans(opencl.NewPlatform().Devices()[:1], "k", grover.LaunchSpec{
 		Program: func(ctx *opencl.Context) (*opencl.Program, error) {
 			return ctx.CompileProgram("k.cl",
 				`__kernel void k(__global float* a) { a[get_global_id(0)] = 1.0f; }`, nil)
 		},
 	})
-	if r.Err != grover.ErrNoCandidates {
-		t.Errorf("err = %v, want ErrNoCandidates", r.Err)
+	if results[0].Err != grover.ErrNoCandidates {
+		t.Errorf("err = %v, want ErrNoCandidates", results[0].Err)
+	}
+	if len(tunes) != 0 {
+		t.Errorf("tune spans %v, want none: nothing may launch", tunes)
 	}
 }
 

@@ -2,6 +2,7 @@ package grover
 
 import (
 	"fmt"
+	"regexp"
 	"sort"
 	"strings"
 
@@ -26,6 +27,20 @@ type Options struct {
 	// reversible; otherwise such candidates are skipped and reported.
 	Strict bool
 }
+
+// Validate reports a candidate name that is not a C identifier. Such a name
+// selects no __local variable, and spelled into a plan step it would end
+// the step's option list or split into two names.
+func (o Options) Validate() error {
+	for _, name := range o.Candidates {
+		if !identRE.MatchString(name) {
+			return fmt.Errorf("grover: candidate %q is not a C identifier", name)
+		}
+	}
+	return nil
+}
+
+var identRE = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*$`)
 
 // CandidateReport describes the analysis and transformation of one
 // candidate (one row of the paper's Table III).
@@ -107,7 +122,7 @@ var ErrNoCandidates = fmt.Errorf("grover: kernel uses no local memory")
 
 // TransformKernel runs the full pass over one kernel of m, mutating m in
 // place. Callers that need the original should transform an ir.CloneModule
-// copy (the top-level grover package does this).
+// copy (rewrite.Apply, which runs the pass as the grover rule, does this).
 func TransformKernel(m *ir.Module, kernel string, opts Options) (*Report, error) {
 	fn := m.Kernel(kernel)
 	if fn == nil {
@@ -221,14 +236,6 @@ func fillReportAnalysis(cr *CandidateReport, a *analysis) {
 		}
 		cr.Solution = strings.Join(parts, ", ")
 	}
-}
-
-func renderDims(dims []*linsolve.Affine) string {
-	var parts []string
-	for _, d := range dims {
-		parts = append(parts, d.String())
-	}
-	return "(" + strings.Join(parts, ", ") + ")"
 }
 
 // renderAffine renders an affine form using display names from the

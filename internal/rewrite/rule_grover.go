@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	igrover "grover/internal/grover"
@@ -16,9 +17,9 @@ import (
 //	clone-all      duplicate the whole GL tree per load (ablation)
 //	strict         fail the plan when a selected candidate is irreversible
 //
-// The transformation itself stays in internal/grover —
-// grover.TransformKernel remains the implementation so existing callers
-// are untouched; this rule is the plan-facing entry point.
+// The transformation itself stays in internal/grover; this rule is
+// grover.TransformKernel's one caller. Callers that hold pass Options
+// rather than a plan go through ApplyGrover, which runs the same rule.
 func init() {
 	Register(&Rule{
 		Name:    "grover",
@@ -42,6 +43,43 @@ func groverOptions(opts map[string]string) igrover.Options {
 		o.Candidates = strings.Split(cands, "+")
 	}
 	return o
+}
+
+// GroverStep is the grover step that runs the pass with o, spelled
+// canonically: candidates sorted and deduplicated, switches as bare flags.
+// It carries o exactly when o.Validate() holds.
+func GroverStep(o igrover.Options) Step {
+	opts := map[string]string{}
+	if len(o.Candidates) > 0 {
+		cands := slices.Clone(o.Candidates)
+		slices.Sort(cands)
+		opts["cands"] = strings.Join(slices.Compact(cands), "+")
+	}
+	for key, on := range map[string]bool{"keep-barriers": o.KeepBarriers, "clone-all": o.CloneAll, "strict": o.Strict} {
+		if on {
+			opts[key] = ""
+		}
+	}
+	return Step{Rule: "grover", Opts: opts}
+}
+
+// ApplyGrover is the paper's pass as a plan of one step: it applies
+// GroverStep(o) to the named kernel of m (Apply: the pass, then the
+// standard pipeline) and returns the rewritten module and the step's
+// report. A kernel the step does not match uses no local memory:
+// igrover.ErrNoCandidates.
+func ApplyGrover(m *ir.Module, kernel string, o igrover.Options) (*ir.Module, *igrover.Report, error) {
+	if err := o.Validate(); err != nil {
+		return nil, nil, err
+	}
+	out, rep, err := Apply(m, kernel, &Plan{Steps: []Step{GroverStep(o)}})
+	if err != nil {
+		return nil, nil, err
+	}
+	if g := rep.Steps[0].Grover; g != nil {
+		return out, g, nil
+	}
+	return nil, nil, igrover.ErrNoCandidates
 }
 
 func applyGrover(m *ir.Module, kernel string, opts map[string]string) (*StepResult, error) {

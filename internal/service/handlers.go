@@ -13,7 +13,6 @@ import (
 	igrover "grover/internal/grover"
 	"grover/internal/ir"
 	"grover/internal/kcache"
-	"grover/internal/opt"
 	"grover/internal/rewrite"
 	"grover/internal/telemetry"
 	"grover/internal/vm"
@@ -50,19 +49,10 @@ type lintArtifact struct {
 	res *analysis.Result
 }
 
-// verdictArtifact is the cached result of one (request, device) tuning.
-type verdictArtifact struct {
-	useTransformed bool
-	origMS         float64
-	transMS        float64
-	speedup        float64
-	report         *igrover.Report
-	// plan, search and rewriteRep are set when the tuning was a plan
-	// search.
-	plan       string
-	search     []grover.PlanTiming
-	rewriteRep *rewrite.Report
-}
+// verdictArtifact is the cached result of one (request, device) tuning,
+// without the winning kernel: that belongs to the tune's launch
+// environment, which the cache must not keep alive.
+type verdictArtifact struct{ grover.TuneResult }
 
 func programName(name string) string {
 	if name == "" {
@@ -120,21 +110,26 @@ func kernelIn(comp *compiledArtifact, kernel string) error {
 }
 
 // transform returns the cached Grover pass (or rewrite plan) result for
-// the request. The canonical plan string is a key field alongside the
-// full option set, so distinct plans — and a plan versus the classic
-// options path — can never collide on one artifact.
+// the request. The canonical plan string is the key field, or for the
+// classic options the canonical grover step, marked apart: a plan's
+// response and the classic one differ even where the step is the same.
 func (s *Server) transform(ctx context.Context, req *TransformRequest) (*transformArtifact, kcache.Outcome, error) {
 	var plan *rewrite.Plan
-	planField := ""
+	opts := req.Options.options()
+	var field string
 	if req.Plan != "" {
 		var err error
 		if plan, err = rewrite.ParsePlan(req.Plan); err != nil {
 			return nil, kcache.Miss, badRequest("%v", err)
 		}
-		planField = plan.String()
+		field = "plan=" + plan.String()
+	} else {
+		if err := opts.Validate(); err != nil {
+			return nil, kcache.Miss, badRequest("%v", err)
+		}
+		field = "options=" + rewrite.GroverStep(opts).String()
 	}
-	key := kcache.Key("transform", req.Source, kcache.DefinesField(req.Defines),
-		req.Kernel, req.Options.field(), "plan="+planField)
+	key := kcache.Key("transform", req.Source, kcache.DefinesField(req.Defines), req.Kernel, field)
 	v, out, err := s.cache.Do(key, func() (interface{}, error) {
 		comp, _, err := s.compile(ctx, req.Name, req.Source, req.Defines)
 		if err != nil {
@@ -143,8 +138,8 @@ func (s *Server) transform(ctx context.Context, req *TransformRequest) (*transfo
 		if err := kernelIn(comp, req.Kernel); err != nil {
 			return nil, err
 		}
+		end := telemetry.StartSpan(ctx, "rewrite.apply")
 		if plan != nil {
-			end := telemetry.StartSpan(ctx, "rewrite.apply")
 			mod, rep, err := rewrite.Apply(comp.mod, req.Kernel, plan)
 			end()
 			if err != nil {
@@ -152,17 +147,12 @@ func (s *Server) transform(ctx context.Context, req *TransformRequest) (*transfo
 			}
 			return &transformArtifact{rewrite: rep, plan: rep.Plan, ir: mod.String()}, nil
 		}
-		end := telemetry.StartSpan(ctx, "grover.transform")
-		clone := ir.CloneModule(comp.mod)
-		rep, err := igrover.TransformKernel(clone, req.Kernel, req.Options.options())
+		mod, rep, err := rewrite.ApplyGrover(comp.mod, req.Kernel, opts)
 		end()
 		if err != nil {
 			return nil, err
 		}
-		end = telemetry.StartSpan(ctx, "opt")
-		opt.Optimize(clone)
-		end()
-		return &transformArtifact{report: rep, ir: clone.String()}, nil
+		return &transformArtifact{report: rep, ir: mod.String()}, nil
 	})
 	if err != nil {
 		return nil, out, err
@@ -259,10 +249,15 @@ func buildArgs(ctx *opencl.Context, specs []ArgSpec) ([]interface{}, error) {
 // keeps the cache an honest record of what actually ran. The program name
 // is keyed because a plan's error can quote a source position (stage-local
 // rejects a staged kernel with the safety analysis' messages).
+// Options are keyed for the two-version tune alone, as the grover step they
+// spell: a plan search never reads them.
 func autotuneKey(req *AutotuneRequest, devName, backend string, plans []string) string {
+	tuned := "plans=" + strings.Join(plans, "|")
+	if len(plans) == 0 {
+		tuned = "versions=" + rewrite.GroverStep(req.Options.options()).String()
+	}
 	return kcache.Key("autotune", programName(req.Name), req.Source, kcache.DefinesField(req.Defines),
-		req.Kernel, req.Options.field(), devName, backend, launchField(req),
-		"plans="+strings.Join(plans, "|"),
+		req.Kernel, devName, backend, launchField(req), tuned,
 		fmt.Sprintf("profile=%t", req.Profile))
 }
 
@@ -351,17 +346,8 @@ func (s *Server) tuneSet(rctx context.Context, req *AutotuneRequest, devices []s
 		if errs[i] = r.Err; r.Err != nil {
 			continue
 		}
-		res := r.Result
-		arts[i] = &verdictArtifact{
-			useTransformed: res.UseTransformed,
-			origMS:         res.OriginalMS,
-			transMS:        res.TransformedMS,
-			speedup:        res.Speedup,
-			report:         res.Report,
-			plan:           res.Plan,
-			search:         res.PlanSearch,
-			rewriteRep:     res.Rewrite,
-		}
+		arts[i] = &verdictArtifact{*r.Result}
+		arts[i].Kernel = nil
 	}
 	s.tune.recordBackend(backend, int64(len(devices)), launches)
 	return arts, errs
@@ -369,25 +355,25 @@ func (s *Server) tuneSet(rctx context.Context, req *AutotuneRequest, devices []s
 
 func (v *verdictArtifact) verdict(device string, outcome kcache.Outcome) TuneVerdict {
 	text := "keep local memory"
-	if v.useTransformed {
+	if v.UseTransformed {
 		text = "disable local memory"
 	}
-	if v.plan != "" {
-		text = "plan " + v.plan
+	if v.Plan != "" {
+		text = "plan " + v.Plan
 	}
 	out := TuneVerdict{
 		Device:         device,
-		UseTransformed: v.useTransformed,
+		UseTransformed: v.UseTransformed,
 		Verdict:        text,
-		OriginalMS:     v.origMS,
-		TransformedMS:  v.transMS,
-		Speedup:        v.speedup,
-		Report:         renderReport(v.report),
-		Plan:           v.plan,
-		Rewrite:        renderRewrite(v.rewriteRep),
+		OriginalMS:     v.OriginalMS,
+		TransformedMS:  v.TransformedMS,
+		Speedup:        v.Speedup,
+		Report:         renderReport(v.Report),
+		Plan:           v.Plan,
+		Rewrite:        renderRewrite(v.Rewrite),
 		Cache:          outcome.String(),
 	}
-	for _, t := range v.search {
+	for _, t := range v.PlanSearch {
 		out.Plans = append(out.Plans, PlanResult{
 			Plan: t.Plan, MS: t.MS, Applied: t.Applied, Error: t.Err, Profile: t.Profile,
 		})
@@ -530,9 +516,15 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 		writeError(w, badRequest("runs %d exceeds the limit of %d", req.Runs, maxRuns))
 		return
 	}
-	if req.Profile && len(plans) == 0 {
-		writeError(w, badRequest("profile requires a plan search (set plan)"))
-		return
+	if len(plans) == 0 {
+		if req.Profile {
+			writeError(w, badRequest("profile requires a plan search (set plan)"))
+			return
+		}
+		if err := req.Options.options().Validate(); err != nil {
+			writeError(w, badRequest("%v", err))
+			return
+		}
 	}
 	// Resolve the device list up front so an unknown name is a 404 with
 	// the available devices, before any compile work is queued.

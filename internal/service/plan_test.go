@@ -2,6 +2,7 @@ package service
 
 import (
 	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -170,5 +171,53 @@ func TestAutotuneBadPlan(t *testing.T) {
 	ts := newTestServer(t)
 	if code, _ := postJSON(t, ts.URL+"/v1/autotune", winsumAutotune("nope(x=1)"), nil); code != http.StatusBadRequest {
 		t.Fatalf("bad plan: got %d, want 400", code)
+	}
+}
+
+// reduceSrc uses local memory as read/write temporal storage, which the
+// pass refuses (paper §VI-D).
+const reduceSrc = `
+__kernel void reduce(__global float* in, __global float* out) {
+    __local float sm[64];
+    int lx = get_local_id(0);
+    sm[lx] = in[get_global_id(0)];
+    barrier(CLK_LOCAL_MEM_FENCE);
+    for (int s = 32; s > 0; s >>= 1) {
+        if (lx < s) sm[lx] += sm[lx + s];
+        barrier(CLK_LOCAL_MEM_FENCE);
+    }
+    if (lx == 0) out[get_group_id(0)] = sm[0];
+}
+`
+
+// TestAutotuneRefusedKernel: the two-version tune of a kernel the pass
+// refuses. With strict it is a 422 carrying the pass's reason; without, it
+// is timed like any plan — two equal non-zero times, np = 1, local memory
+// kept — and the verdict carries the pass's report.
+func TestAutotuneRefusedKernel(t *testing.T) {
+	ts := newTestServer(t)
+	req := AutotuneRequest{
+		Name: "reduce.cl", Source: reduceSrc, Kernel: "reduce", Device: "SNB",
+		Global: [3]int{256, 1, 1}, Local: [3]int{64, 1, 1},
+		Args:    []ArgSpec{{Kind: "buffer", Size: 256 * 4}, {Kind: "buffer", Size: 4 * 4}},
+		Options: OptionsSpec{Strict: true},
+	}
+	code, body := postJSON(t, ts.URL+"/v1/autotune", req, nil)
+	if code != http.StatusUnprocessableEntity || !strings.Contains(body, "is not reversible") {
+		t.Errorf("strict: %d %s, want 422 with the pass's reason", code, body)
+	}
+	req.Options.Strict = false
+	var resp AutotuneResponse
+	if code, body := postJSON(t, ts.URL+"/v1/autotune", req, &resp); code != http.StatusOK {
+		t.Fatalf("not strict: %d %s", code, body)
+	}
+	v := resp.Results[0]
+	if v.UseTransformed || v.Verdict != "keep local memory" || v.OriginalMS <= 0 ||
+		v.TransformedMS != v.OriginalMS || v.Speedup != 1 {
+		t.Errorf("not strict: %+v, want two equal non-zero times, np 1, local memory kept", v)
+	}
+	if v.Report == nil || len(v.Report.Candidates) != 1 || v.Report.Candidates[0].Transformed ||
+		v.Report.Candidates[0].Reason == "" {
+		t.Errorf("not strict: report %+v, want the refused candidate and its reason", v.Report)
 	}
 }

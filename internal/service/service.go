@@ -39,7 +39,6 @@ import (
 	"net/http"
 	"path"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -349,7 +348,8 @@ func (s *Server) Metrics() *telemetry.Registry { return s.metrics }
 
 // OptionsSpec mirrors grover.Options with JSON tags.
 type OptionsSpec struct {
-	// Candidates restricts the pass to the named __local variables.
+	// Candidates restricts the pass to the named __local variables; each
+	// must be a C identifier (400 otherwise).
 	Candidates []string `json:"candidates,omitempty"`
 	// KeepBarriers / CloneAll are the paper's ablation switches.
 	KeepBarriers bool `json:"keep_barriers,omitempty"`
@@ -366,15 +366,6 @@ func (o OptionsSpec) options() grover.Options {
 		CloneAll:     o.CloneAll,
 		Strict:       o.Strict,
 	}
-}
-
-// field renders the options canonically (candidate order is irrelevant to
-// the pass, so it must not change the content address).
-func (o OptionsSpec) field() string {
-	cands := append([]string(nil), o.Candidates...)
-	sort.Strings(cands)
-	return fmt.Sprintf("cands=%s;kb=%t;ca=%t;strict=%t",
-		strings.Join(cands, ","), o.KeepBarriers, o.CloneAll, o.Strict)
 }
 
 // CompileRequest compiles OpenCL C source.
@@ -565,7 +556,7 @@ type AutotuneRequest struct {
 	// rewrite-plan search: "search" enumerates the default plan space for
 	// the launch geometry, anything else is a "|"-separated list of plans
 	// (plans use "," between steps). The canonical plan list is part of the
-	// cache key.
+	// cache key; Options are not read, nor keyed, when Plan is set.
 	Plan string `json:"plan,omitempty"`
 	// Profile attaches a per-launch execution profile (wall time and
 	// retire/traffic counters per barrier-delimited region) to every timed

@@ -341,19 +341,41 @@ var keyExempt = map[string]string{
 	"Plan":    "resolved by the handler (\"search\" expands, plans are canonicalized) and keyed as plans",
 }
 
+// searchKeyExempt adds the fields a plan search does not read to keyExempt.
+var searchKeyExempt = map[string]string{
+	"Device":  keyExempt["Device"],
+	"Backend": keyExempt["Backend"],
+	"Plan":    keyExempt["Plan"],
+	"Options": "read by the two-version tune alone: a plan search never runs them",
+}
+
 // TestAutotuneKeyCoversEveryField walks AutotuneRequest by reflection and
 // changes one value at a time — every field, and every field of a nested
-// struct, array or argument — requiring the verdict's cache key to change.
-// A field added to the request without deciding how it is keyed fails
-// here; only keyExempt's fields are excused.
+// struct, array or argument — requiring the verdict's cache key to change,
+// for the two-version tune and for a plan search. A field added to the
+// request without deciding how it is keyed fails here; only the exempt
+// fields are excused.
 func TestAutotuneKeyCoversEveryField(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		plans  []string
+		exempt map[string]string
+	}{
+		{"two versions", nil, keyExempt},
+		{"plan search", []string{"base", "grover"}, searchKeyExempt},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkKeyCoversFields(t, tc.plans, tc.exempt) })
+	}
+}
+
+func checkKeyCoversFields(t *testing.T, plans []string, exempt map[string]string) {
 	_, base := nvdMT()
-	key := func(req *AutotuneRequest) string { return autotuneKey(req, "SNB", "wgvec", nil) }
+	key := func(req *AutotuneRequest) string { return autotuneKey(req, "SNB", "wgvec", plans) }
 	want := key(&base)
 	typ := reflect.TypeOf(base)
-	for name := range keyExempt {
+	for name := range exempt {
 		if _, ok := typ.FieldByName(name); !ok {
-			t.Errorf("keyExempt names %s, which AutotuneRequest no longer has", name)
+			t.Errorf("exempt names %s, which AutotuneRequest no longer has", name)
 		}
 	}
 	// clone deep-copies the base request so a change reaches no other case.
@@ -389,7 +411,7 @@ func TestAutotuneKeyCoversEveryField(t *testing.T) {
 		case reflect.Struct:
 			for i := 0; i < v.NumField(); i++ {
 				name := v.Type().Field(i).Name
-				if len(at) == 0 && keyExempt[name] != "" {
+				if len(at) == 0 && exempt[name] != "" {
 					continue
 				}
 				walk(strings.TrimPrefix(path+"."+name, "."), append(at[:len(at):len(at)], i), v.Field(i))
@@ -406,6 +428,49 @@ func TestAutotuneKeyCoversEveryField(t *testing.T) {
 		}
 	}
 	walk("", nil, reflect.ValueOf(base))
+}
+
+// TestPlanSearchIgnoresOptions: a plan search does not read the pass
+// options, so two searches that differ only in them are one verdict.
+func TestPlanSearchIgnoresOptions(t *testing.T) {
+	ts := newTestServer(t)
+	_, req := nvdMT()
+	req.Plan = "base|grover"
+	for i, opts := range []OptionsSpec{{}, {Candidates: []string{"tile"}, Strict: true}} {
+		req.Options = opts
+		var resp AutotuneResponse
+		if code, body := postJSON(t, ts.URL+"/v1/autotune", req, &resp); code != http.StatusOK {
+			t.Fatalf("options %+v: %d %s", opts, code, body)
+		}
+		want := "hit"
+		if i == 0 {
+			want = "miss"
+		}
+		if got := resp.Results[0].Cache; got != want {
+			t.Errorf("options %+v: cache %s, want %s", opts, got, want)
+		}
+	}
+}
+
+// TestCandidateNamesAreIdentifiers: a candidate that is not a C identifier
+// is a 400 on both endpoints that run the pass. ["tile,x"] once shared a
+// cache key with ["tile","x"].
+func TestCandidateNamesAreIdentifiers(t *testing.T) {
+	ts := newTestServer(t)
+	source, tune := nvdMT()
+	for _, name := range []string{"tile,x", "tile+x", "tile;strict", "x)", "9x", ""} {
+		opts := OptionsSpec{Candidates: []string{name}}
+		code, body := postJSON(t, ts.URL+"/v1/transform",
+			TransformRequest{Source: source, Kernel: "transpose", Options: opts}, nil)
+		if code != http.StatusBadRequest || !strings.Contains(body, "not a C identifier") {
+			t.Errorf("transform with candidate %q: %d %s, want 400", name, code, body)
+		}
+		tune.Options = opts
+		code, body = postJSON(t, ts.URL+"/v1/autotune", tune, nil)
+		if code != http.StatusBadRequest || !strings.Contains(body, "not a C identifier") {
+			t.Errorf("autotune with candidate %q: %d %s, want 400", name, code, body)
+		}
+	}
 }
 
 // perturb sets v to another value of its type.

@@ -85,7 +85,7 @@ func TestTracesEndpoint(t *testing.T) {
 			t.Errorf("negative span timing: %+v", sp)
 		}
 	}
-	for _, want := range []string{"queue.wait", "clc.parse", "lower", "wgvec.compile", "tune:original", "tune:transformed"} {
+	for _, want := range []string{"queue.wait", "clc.parse", "lower", "wgvec.compile", "tune:base", "tune:grover"} {
 		if !seen[want] {
 			t.Errorf("span %q missing from trace: %v", want, slow.Spans)
 		}

@@ -310,32 +310,25 @@ func (p *Program) WithLocalMemoryDisabled(kernel string, opts igrover.Options) (
 }
 
 // WithLocalMemoryDisabledCtx is WithLocalMemoryDisabled with span
-// recording (grover.transform, opt, vm.prepare) when ctx carries a
-// telemetry trace.
+// recording (rewrite.apply, vm.prepare) when ctx carries a telemetry trace.
+// The pass runs as the one-step grover plan (rewrite.ApplyGrover).
 func (p *Program) WithLocalMemoryDisabledCtx(ctx context.Context, kernel string, opts igrover.Options) (*Program, *igrover.Report, error) {
-	end := telemetry.StartSpan(ctx, "grover.transform")
-	clone := ir.CloneModule(p.module)
-	rep, err := igrover.TransformKernel(clone, kernel, opts)
+	end := telemetry.StartSpan(ctx, "rewrite.apply")
+	mod, rep, err := rewrite.ApplyGrover(p.module, kernel, opts)
 	end()
 	if err != nil {
-		return nil, rep, err
+		return nil, nil, err
 	}
-	end = telemetry.StartSpan(ctx, "opt")
-	opt.Optimize(clone)
-	end()
-	np, err := p.ctx.newProgramFromModule(ctx, p.name+"+grover", clone)
-	if err != nil {
-		return nil, rep, err
-	}
-	return np, rep, nil
+	np, err := p.ctx.newProgramFromModule(ctx, p.name+"+grover", mod)
+	return np, rep, err
 }
 
 // WithRewritePlan applies a rewrite plan to a copy of the program — any
 // ordered sequence of registered rewrite rules, e.g. "grover",
 // "stage-local(ls=64),hoist-addr" or "base" — and returns the rewritten
-// program plus the per-step report. The receiver is unchanged. The Grover
-// path (WithLocalMemoryDisabled) remains the direct entry point for the
-// paper's single transform; plans generalize it for autotune search.
+// program plus the per-step report. The receiver is unchanged.
+// WithLocalMemoryDisabled is this with the one-step plan
+// rewrite.GroverStep(opts) and the step's own report.
 func (p *Program) WithRewritePlan(kernel string, plan *rewrite.Plan) (*Program, *rewrite.Report, error) {
 	return p.WithRewritePlanCtx(context.Background(), kernel, plan)
 }
@@ -350,10 +343,7 @@ func (p *Program) WithRewritePlanCtx(ctx context.Context, kernel string, plan *r
 		return nil, rep, err
 	}
 	np, err := p.ctx.newProgramFromModule(ctx, p.name+"+"+rep.Plan, mod)
-	if err != nil {
-		return nil, rep, err
-	}
-	return np, rep, nil
+	return np, rep, err
 }
 
 // Kernel returns a handle on the named kernel.
