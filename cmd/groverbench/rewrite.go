@@ -106,9 +106,9 @@ func planSpaceFor(app *apps.App, local [3]int) []string {
 }
 
 // searchApp compiles app once and tunes it on devs as one set: every
-// distinct kernel executes once per memory state and is charged to each
-// device's cost model (grover.Tune), which gives every device the timings
-// of a search of its own. The results are in devs order.
+// distinct kernel executes once and is charged to each device's cost model
+// (grover.Tune), which gives every device the timings of a search of its
+// own. The results are in devs order.
 func searchApp(app *apps.App, devs []*opencl.Device, cfg harness.Config) ([]*grover.TuneResult, error) {
 	mod, err := opencl.CompileModule(app.ID+".cl", app.Source, app.Defines)
 	if err != nil {

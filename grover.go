@@ -25,7 +25,6 @@
 package grover
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -196,9 +195,10 @@ func versions(results []*TuneResult) {
 // of the launch environment the set runs in: each plan is rewritten and
 // prepared once and executed runs times, every execution is charged to all
 // of the set's cost models (launch returns one event per device, in devs
-// order), and each device gets its own timings and winner — except that a
-// plan whose kernel already ran, on the memory that is still there, takes
-// that run's timings and profile instead of executing. profile, when
+// order), and each device gets its own timings and winner. Every plan starts
+// from the memory the search started with, which is copied back after each
+// execution, so a plan whose kernel an earlier plan already ran takes that
+// run's timings and profile instead of executing. profile, when
 // non-nil, is called before each executed plan and returns a fresh
 // profiler wired into launch; its report lands in PlanTiming.Profile. A
 // plan that fails to rewrite or to launch is recorded and skipped, or,
@@ -239,9 +239,9 @@ func measurePlans(ctx context.Context, prog *opencl.Program, kernel string, plan
 			results[i].PlanSearch = append(results[i].PlanSearch, t)
 		}
 	}
-	// memo holds, by module key, the executions that left global memory as
-	// they found it (snap): the run is deterministic, so a later plan with
-	// the same kernel would time the same and leave the same memory.
+	// memo holds, by module key, the timings of every execution that
+	// succeeded: each starts from snap and the run is deterministic, so a
+	// later plan with the same kernel would time the same.
 	type timing struct {
 		plan string
 		ms   []float64
@@ -299,12 +299,7 @@ func measurePlans(ctx context.Context, prog *opencl.Program, kernel string, plan
 		if prof != nil {
 			t.Profile = prof.Report()
 		}
-		if !bytes.Equal(mem.Data, snap) {
-			clear(memo)
-			snap = append(snap[:0], mem.Data...)
-		} else if err == nil {
-			memo[key] = timing{t.Plan, ms, t.Profile}
-		}
+		copy(mem.Data, snap)
 		if err != nil {
 			if strict {
 				return nil, fmt.Errorf("grover: timing %s: %w", t.Plan, err)
@@ -313,6 +308,7 @@ func measurePlans(ctx context.Context, prog *opencl.Program, kernel string, plan
 			record(t, nil, nil)
 			continue
 		}
+		memo[key] = timing{t.Plan, ms, t.Profile}
 		t.Applied = true
 		record(t, k, ms)
 	}
@@ -418,7 +414,7 @@ type DeviceTuneResult struct {
 type LaunchSet struct {
 	// Launches counts the kernel executions on the host: timed runs, each
 	// charged to every device of the set. A plan that took an earlier
-	// plan's timings, its kernel having run on unchanged memory, ran none.
+	// plan's timings, its kernel having run already, ran none.
 	Launches int
 }
 
@@ -465,9 +461,10 @@ func (e *launchEnv) queue(devs []*opencl.Device, nd opencl.NDRange) (*opencl.Set
 // device, only what a device's cost model makes of it does; so the program
 // is instantiated once (LaunchSpec.Program, in a fresh context), the
 // arguments are built once, every version or plan is rewritten and
-// prepared once, every distinct kernel is executed once per memory state
-// it meets, on as many host workers as there are processors, and each
-// execution is charged to all the devices' models (opencl.SetQueue).
+// prepared once, every distinct kernel is executed once from the memory the
+// arguments were built with (their buffers hold it again when Tune returns)
+// on as many host workers as there are processors, and each execution is
+// charged to all the devices' models (opencl.SetQueue).
 // Every device gets the verdict a tune of its own — devs[i:i+1] — would
 // have reached.
 //

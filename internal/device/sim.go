@@ -167,6 +167,9 @@ type walkOp struct {
 // then its issue cost — a tile of work-items' column slots transposed at a
 // time, once for all the cores: each core still sees the items in order.
 func (s *scratch) chargeRegion(b *vm.AccessBatch, held []*workerSim) {
+	if len(held) == 0 {
+		return
+	}
 	s.walk = s.walk[:0]
 	for k := range b.Ops {
 		if op := &b.Ops[k]; !op.Private {

@@ -2,17 +2,20 @@ package grover_test
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"grover"
+	"grover/internal/apps"
 	"grover/internal/telemetry"
 	"grover/opencl"
 )
 
-// The tests below hold a plan search's memo — a plan whose kernel an
-// earlier plan ran on memory it left unchanged takes that plan's timings
-// instead of executing — to what executing would have given.
+// The tests below hold a plan search's memo — every plan starts from the
+// memory Args built, so a plan whose kernel an earlier plan ran takes that
+// plan's timings instead of executing — to what executing would have given.
 
 // tuneSpans runs Tune under a trace and returns the results and the
 // tune:<plan> spans, in plan order.
@@ -28,8 +31,8 @@ func tuneSpans(devs []*opencl.Device, kernel string, spec grover.LaunchSpec) ([]
 	return results, tunes
 }
 
-// patternTranspose is transposeSpec with a patterned input, so the first
-// launch changes the output buffer and every later one leaves it be.
+// patternTranspose is transposeSpec with a patterned input, so every
+// launch writes the output buffer.
 func patternTranspose(plans ...string) grover.LaunchSpec {
 	spec := transposeSpec(64, 1)
 	spec.Plans = plans
@@ -80,35 +83,172 @@ func TestPlanMemoReuses(t *testing.T) {
 	}
 }
 
-// TestPlanMemoGuardsMemory: the kernel's trip count reads what it writes,
-// so a second run of the same kernel sees other memory and takes longer:
-// both runs must execute.
-func TestPlanMemoGuardsMemory(t *testing.T) {
-	const src = `__kernel void bump(__global int* a, __global float* out, __global float* b) {
+// bumpSrc's trip count reads what the kernel writes, so a run on the
+// memory an earlier run left takes longer than one on the memory it
+// started from.
+const bumpSrc = `__kernel void bump(__global int* a, __global float* out, __global float* b) {
     int i = get_global_id(0);
     float s = 0.0f;
     for (int j = 0; j < a[i]; j++) s += b[j * get_global_size(0) + i];
     out[i] = s;
     a[i] += 1;
 }`
-	const n = 256
-	spec := grover.LaunchSpec{
-		Program: func(ctx *opencl.Context) (*opencl.Program, error) { return ctx.CompileProgram("bump.cl", src, nil) },
-		ND:      opencl.NDRange{Global: [3]int{n, 1, 1}, Local: [3]int{64, 1, 1}},
-		Plans:   []string{"base", "base"},
+
+const bumpN = 256
+
+// bumpSpec searches plans for bump, with a patterned trip count and
+// operand; bufs, when non-nil, receives the buffers Args builds.
+func bumpSpec(bufs *[]*opencl.Buffer, plans ...string) grover.LaunchSpec {
+	return grover.LaunchSpec{
+		Program: func(ctx *opencl.Context) (*opencl.Program, error) { return ctx.CompileProgram("bump.cl", bumpSrc, nil) },
+		ND:      opencl.NDRange{Global: [3]int{bumpN, 1, 1}, Local: [3]int{64, 1, 1}},
+		Plans:   plans,
 		Args: func(ctx *opencl.Context) ([]interface{}, error) {
-			// a starts at 0: the first run loops no time, the second once.
-			return []interface{}{ctx.NewBuffer(n * 4), ctx.NewBuffer(n * 4), ctx.NewBuffer(n * 4)}, nil
+			a, out, b := ctx.NewBuffer(bumpN*4), ctx.NewBuffer(bumpN*4), ctx.NewBuffer(8*bumpN*4)
+			trips := make([]int32, bumpN)
+			for i := range trips {
+				trips[i] = int32(i % 3)
+			}
+			a.WriteInt32(trips)
+			b.WriteFloat32(opencl.Pattern(8*bumpN, 1))
+			if bufs != nil {
+				*bufs = []*opencl.Buffer{a, out, b}
+			}
+			return []interface{}{a, out, b}, nil
 		},
 	}
-	for _, r := range grover.Tune(context.Background(), opencl.NewPlatform().Devices(), "bump", spec) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
+}
+
+// TestPlanMemoStartsFromArgs: bump writes what it reads, yet base listed
+// twice executes once, because each plan starts from the memory Args
+// built; both times are those of a search that lists base once.
+func TestPlanMemoStartsFromArgs(t *testing.T) {
+	devs := opencl.NewPlatform().Devices()
+	twice := grover.Tune(context.Background(), devs, "bump", bumpSpec(nil, "base", "base"))
+	once := grover.Tune(context.Background(), devs, "bump", bumpSpec(nil, "base"))
+	for i, r := range twice {
+		if r.Err != nil || once[i].Err != nil {
+			t.Fatal(r.Err, once[i].Err)
 		}
-		ps := r.Result.PlanSearch
-		if r.Set.Launches != 2 || !ps[0].Applied || !ps[1].Applied || ps[0].MS == ps[1].MS {
-			t.Errorf("%s: %d executions, base twice at %v and %v ms; want two executions and two times",
-				r.Device, r.Set.Launches, ps[0].MS, ps[1].MS)
+		ps, want := r.Result.PlanSearch, once[i].Result.PlanSearch[0].MS
+		if r.Set.Launches != 1 || !ps[0].Applied || !ps[1].Applied || ps[0].MS != want || ps[1].MS != want {
+			t.Errorf("%s: %d executions, base twice at %v and %v ms; want one execution and %v ms twice",
+				r.Device, r.Set.Launches, ps[0].MS, ps[1].MS, want)
+		}
+	}
+}
+
+// planMS maps each plan of a device's search to its outcome.
+func planMS(r grover.DeviceTuneResult) map[string]grover.PlanTiming {
+	m := map[string]grover.PlanTiming{}
+	for _, p := range r.Result.PlanSearch {
+		p.Report, p.Profile = nil, nil
+		m[p.Plan] = p
+	}
+	return m
+}
+
+// TestPlanSearchOrder: a plan's timings depend on its kernel and the
+// memory the search started with, not on the plans before it, so a plan
+// space searched forwards and backwards gives every plan the same times
+// on every device.
+func TestPlanSearchOrder(t *testing.T) {
+	devs := opencl.NewPlatform().Devices()
+	type search struct {
+		name, kernel string
+		spec         grover.LaunchSpec
+	}
+	cases := []search{{"bump", "bump", bumpSpec(nil, "base", "hoist-addr")}}
+	for _, id := range []string{"AMD-MM", "NVD-MT", "ROD-SC"} {
+		app, err := apps.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod, err := opencl.CompileModule(app.ID+".cl", app.Source, app.Defines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch, err := app.Setup(opencl.NewContext(devs[0]), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, search{id, app.Kernel, grover.LaunchSpec{
+			Program: func(ctx *opencl.Context) (*opencl.Program, error) {
+				return ctx.NewProgramFromIR(app.ID+".cl", mod)
+			},
+			ND:    scratch.ND,
+			Plans: grover.DefaultPlanSpace(scratch.ND.Local),
+			Args: func(ctx *opencl.Context) ([]interface{}, error) {
+				inst, err := app.Setup(ctx, 1)
+				if err != nil {
+					return nil, err
+				}
+				return inst.Args, nil
+			},
+		}})
+	}
+	for _, c := range cases {
+		fwd := grover.Tune(context.Background(), devs, c.kernel, c.spec)
+		c.spec.Plans = slices.Clone(c.spec.Plans)
+		slices.Reverse(c.spec.Plans)
+		bwd := grover.Tune(context.Background(), devs, c.kernel, c.spec)
+		for i, r := range fwd {
+			if r.Err != nil || bwd[i].Err != nil {
+				t.Fatalf("%s on %s: %v, %v", c.name, r.Device, r.Err, bwd[i].Err)
+			}
+			if got, want := planMS(bwd[i]), planMS(r); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s on %s: reversed search %+v, forward %+v", c.name, r.Device, got, want)
+			}
+		}
+	}
+}
+
+// TestPlanMemoRestoresArgs: the buffers Args built hold their initial
+// bytes when Tune returns — after a search whose plans all wrote them, and
+// after one whose launch wrote part of its output and then failed.
+func TestPlanMemoRestoresArgs(t *testing.T) {
+	devs := opencl.NewPlatform().Devices()
+	var bufs []*opencl.Buffer
+	spec := bumpSpec(&bufs, grover.DefaultPlanSpace([3]int{64, 1, 1})...)
+	if r := grover.Tune(context.Background(), devs, "bump", spec)[0]; r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	for i, v := range bufs[0].ReadInt32(bumpN) {
+		if v != int32(i%3) {
+			t.Fatalf("a[%d] = %d after Tune, want %d", i, v, i%3)
+		}
+	}
+	for i, v := range bufs[1].ReadFloat32(bumpN) {
+		if v != 0 {
+			t.Fatalf("out[%d] = %v after Tune, want 0", i, v)
+		}
+	}
+	if !slices.Equal(bufs[2].ReadFloat32(8*bumpN), opencl.Pattern(8*bumpN, 1)) {
+		t.Error("b changed after Tune")
+	}
+
+	// The last work-group stores out of bounds after the others stored.
+	const partSrc = `__kernel void part(__global float* out) {
+    int i = get_global_id(0);
+    out[i] = 1.0f;
+    if (get_group_id(0) == get_num_groups(0) - 1) out[i + (1 << 28)] = 1.0f;
+}`
+	var out *opencl.Buffer
+	r := grover.Tune(context.Background(), devs, "part", grover.LaunchSpec{
+		Program: func(ctx *opencl.Context) (*opencl.Program, error) { return ctx.CompileProgram("part.cl", partSrc, nil) },
+		ND:      opencl.NDRange{Global: [3]int{bumpN, 1, 1}, Local: [3]int{64, 1, 1}},
+		Plans:   []string{"base"},
+		Args: func(ctx *opencl.Context) ([]interface{}, error) {
+			out = ctx.NewBuffer(bumpN * 4)
+			return []interface{}{out}, nil
+		},
+	})[0]
+	if r.Err == nil {
+		t.Fatal("a kernel that stores out of bounds tuned")
+	}
+	for i, v := range out.ReadFloat32(bumpN) {
+		if v != 0 {
+			t.Fatalf("out[%d] = %v after a failed search, want 0", i, v)
 		}
 	}
 }
