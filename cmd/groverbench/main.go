@@ -45,7 +45,6 @@ func main() {
 		app        = flag.String("app", "", "benchmark id for -experiment case (e.g. NVD-MT)")
 		device     = flag.String("device", "SNB", "device for -experiment case")
 		scale      = flag.Int("scale", 1, "dataset scale factor")
-		runs       = flag.Int("runs", 1, "simulated executions to average per version")
 		validate   = flag.Bool("validate", false, "check the memory each timed launch leaves against the host reference")
 		backend    = flag.String("backend", "", "execution backend (interp, wgvec; default: $GROVER_BACKEND, else wgvec)")
 		format     = flag.String("format", "text", "output format: text | json")
@@ -78,7 +77,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	cfg := harness.Config{Scale: max(*scale, 1), Runs: max(*runs, 1), Validate: *validate, Backend: *backend, Log: logW}
+	cfg := harness.Config{Scale: max(*scale, 1), Validate: *validate, Backend: *backend, Log: logW}
 
 	err := run(*experiment, *app, *device, *format, cfg)
 	if *cpuprofile != "" {

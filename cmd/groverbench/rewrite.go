@@ -8,7 +8,7 @@ import (
 	"grover"
 	"grover/internal/apps"
 	"grover/internal/harness"
-	"grover/internal/rewrite"
+	"grover/internal/search"
 	"grover/opencl"
 )
 
@@ -105,57 +105,29 @@ func planSpaceFor(app *apps.App, local [3]int) []string {
 	return plans
 }
 
-// searchApp compiles app once and tunes it on devs as one set: every
-// distinct kernel executes once and is charged to each device's cost model
-// (grover.Tune), which gives every device the timings of a search of its
-// own. The results are in devs order.
+// searchApp sets app up once and searches its plan space on devs as one
+// set (internal/search, the search grover.Tune runs): every distinct
+// kernel executes once and is charged to each device's cost model, which
+// gives every device the timings of a search of its own. The results are
+// in devs order.
 func searchApp(app *apps.App, devs []*opencl.Device, cfg harness.Config) ([]*grover.TuneResult, error) {
-	mod, err := opencl.CompileModule(app.ID+".cl", app.Source, app.Defines)
+	ctx := opencl.NewContext(devs[0])
+	if cfg.Backend != "" {
+		if err := ctx.SetBackend(cfg.Backend); err != nil {
+			return nil, err
+		}
+	}
+	prog, err := ctx.CompileProgram(app.ID+".cl", app.Source, app.Defines)
 	if err != nil {
 		return nil, err
 	}
-	// The launch geometry, which the plan space depends on, comes from a
-	// setup in a context the search never launches in.
-	inst, err := app.Setup(opencl.NewContext(devs[0]), cfg.Scale)
+	inst, err := app.Setup(ctx, cfg.Scale)
 	if err != nil {
 		return nil, fmt.Errorf("setup: %w", err)
 	}
-	var plans []string
-	for _, ps := range planSpaceFor(app, inst.ND.Local) {
-		p, err := rewrite.ParsePlan(ps)
-		if err != nil {
-			return nil, err
-		}
-		plans = append(plans, p.String())
-	}
-	results := grover.Tune(context.Background(), devs, app.Kernel, grover.LaunchSpec{
-		Program: func(ctx *opencl.Context) (*opencl.Program, error) {
-			if cfg.Backend != "" {
-				if err := ctx.SetBackend(cfg.Backend); err != nil {
-					return nil, err
-				}
-			}
-			return ctx.NewProgramFromIR(app.ID+".cl", mod)
-		},
-		ND:    inst.ND,
-		Runs:  cfg.Runs,
-		Plans: plans,
-		Args: func(ctx *opencl.Context) ([]interface{}, error) {
-			inst, err := app.Setup(ctx, cfg.Scale)
-			if err != nil {
-				return nil, fmt.Errorf("setup: %w", err)
-			}
-			return inst.Args, nil
-		},
-	})
-	out := make([]*grover.TuneResult, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			return nil, fmt.Errorf("on %s: %w", r.Device, r.Err)
-		}
-		out[i] = r.Result
-	}
-	return out, nil
+	res, _, err := search.Run(context.Background(), devs, &search.Spec{Prog: prog, Kernel: app.Kernel,
+		Args: inst.Args, ND: inst.ND, Plans: planSpaceFor(app, inst.ND.Local)})
+	return res, err
 }
 
 // planTimingJSON is one evaluated plan of a rewrite case.
@@ -189,7 +161,6 @@ type rewriteCaseJSON struct {
 type rewriteBenchJSON struct {
 	Experiment string `json:"experiment"`
 	Scale      int    `json:"scale"`
-	Runs       int    `json:"runs"`
 	// NonBaseWins counts cases where a rewrite plan beat the base kernel.
 	NonBaseWins int               `json:"non_base_wins"`
 	Cases       []rewriteCaseJSON `json:"cases"`
@@ -201,7 +172,7 @@ type rewriteBenchJSON struct {
 func runRewrite(cfg harness.Config, format string) error {
 	devs := opencl.NewPlatform().Devices()
 	sweep := append(apps.All(), synWS())
-	out := &rewriteBenchJSON{Experiment: "rewrite", Scale: cfg.Scale, Runs: cfg.Runs}
+	out := &rewriteBenchJSON{Experiment: "rewrite", Scale: cfg.Scale}
 	for _, app := range sweep {
 		if cfg.Log != nil {
 			fmt.Fprintf(cfg.Log, "rewrite: %s\n", app.ID)

@@ -57,7 +57,6 @@ func main() {
 		},
 		Options: grover.Options{Candidates: []string{"As"}},
 		ND:      opencl.NDRange{Global: [3]int{n, n, 1}, Local: [3]int{16, 16, 1}},
-		Runs:    1,
 		Args: func(ctx *opencl.Context) ([]interface{}, error) {
 			a := ctx.NewBuffer(n * n * 4)
 			b := ctx.NewBuffer(n * n * 4)

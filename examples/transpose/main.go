@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,47 +32,31 @@ __kernel void transpose(__global float* odata, __global float* idata,
 
 func main() {
 	const n = 128
-	plat := opencl.NewPlatform()
+	// One Tune call executes each version once and charges it to all six
+	// platforms' cost models.
+	results := grover.Tune(context.Background(), opencl.NewPlatform().Devices(), "transpose", grover.LaunchSpec{
+		Program: func(ctx *opencl.Context) (*opencl.Program, error) {
+			return ctx.CompileProgram("mt.cl", transposeSource, nil)
+		},
+		ND: opencl.NDRange{Global: [3]int{n, n, 1}, Local: [3]int{16, 16, 1}},
+		Args: func(ctx *opencl.Context) ([]interface{}, error) {
+			in := ctx.NewBuffer(n * n * 4)
+			out := ctx.NewBuffer(n * n * 4)
+			vals := make([]float32, n*n)
+			for i := range vals {
+				vals[i] = float32(i)
+			}
+			in.WriteFloat32(vals)
+			return []interface{}{out, in, int32(n), int32(n)}, nil
+		},
+	})
 
 	fmt.Printf("%-8s  %-12s %-12s %-6s verdict\n", "device", "with LM", "without LM", "np")
-	for _, dev := range plat.Devices() {
-		ctx := opencl.NewContext(dev)
-		prog, err := ctx.CompileProgram("mt.cl", transposeSource, nil)
-		if err != nil {
-			log.Fatal(err)
+	for _, r := range results {
+		if r.Err != nil {
+			log.Fatal(r.Err)
 		}
-		noLM, _, err := grover.Disable(prog, "transpose", grover.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-
-		in := ctx.NewBuffer(n * n * 4)
-		out := ctx.NewBuffer(n * n * 4)
-		vals := make([]float32, n*n)
-		for i := range vals {
-			vals[i] = float32(i)
-		}
-		in.WriteFloat32(vals)
-
-		q, err := ctx.NewProfilingQueue()
-		if err != nil {
-			log.Fatal(err)
-		}
-		nd := opencl.NDRange{Global: [3]int{n, n, 1}, Local: [3]int{16, 16, 1}}
-		time := func(p *opencl.Program) float64 {
-			k, err := p.Kernel("transpose")
-			if err != nil {
-				log.Fatal(err)
-			}
-			evt, err := q.EnqueueNDRange(k, nd, out, in, int32(n), int32(n))
-			if err != nil {
-				log.Fatal(err)
-			}
-			return evt.Duration()
-		}
-		withLM := time(prog)
-		withoutLM := time(noLM)
-		np := withLM / withoutLM
+		withLM, withoutLM, np := r.Result.OriginalMS, r.Result.TransformedMS, r.Result.Speedup
 		verdict := "similar"
 		switch {
 		case np > 1.05:
@@ -79,7 +64,6 @@ func main() {
 		case np < 0.95:
 			verdict = "keep local memory"
 		}
-		fmt.Printf("%-8s  %9.4f ms %9.4f ms %6.2f %s\n",
-			dev.Name(), withLM, withoutLM, np, verdict)
+		fmt.Printf("%-8s  %9.4f ms %9.4f ms %6.2f %s\n", r.Device, withLM, withoutLM, np, verdict)
 	}
 }

@@ -353,7 +353,7 @@ func (s *Summary) scheduleBlock(r *Region, b *ir.Block) {
 // collectAccess builds the Access record for one load/store, or nil when
 // the pointer does not root at a parameter or alloca.
 func (s *Summary) collectAccess(in *ir.Instr, b *ir.Block, w float64) *Access {
-	base, chain := pointerRoot(in.Args[0])
+	base, chain := PointerRoot(in.Args[0])
 	if base == nil {
 		return nil
 	}
@@ -395,10 +395,10 @@ func (s *Summary) collectAccess(in *ir.Instr, b *ir.Block, w float64) *Access {
 	return acc
 }
 
-// pointerRoot walks OpIndex/OpConvert chains up to the pointer root,
+// PointerRoot walks OpIndex/OpConvert chains up to the pointer root,
 // returning the root (an *ir.Param or alloca *ir.Instr, nil otherwise)
 // and the index chain outermost first.
-func pointerRoot(v ir.Value) (ir.Value, []*ir.Instr) {
+func PointerRoot(v ir.Value) (ir.Value, []*ir.Instr) {
 	var rev []*ir.Instr
 	for {
 		switch x := v.(type) {

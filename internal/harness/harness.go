@@ -8,6 +8,8 @@
 package harness
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -16,6 +18,8 @@ import (
 	"grover/internal/apps"
 	"grover/internal/device"
 	igrover "grover/internal/grover"
+	"grover/internal/rewrite"
+	"grover/internal/search"
 	"grover/opencl"
 )
 
@@ -23,10 +27,6 @@ import (
 type Config struct {
 	// Scale multiplies dataset sizes (1 = default).
 	Scale int
-	// Runs averages this many simulated executions per version (the
-	// simulator is deterministic, so 1 suffices; the paper used 20 on
-	// real hardware).
-	Runs int
 	// Validate checks the memory each timed launch of either version
 	// leaves against the host reference. It costs no launch: the timed
 	// launches are the ones checked.
@@ -38,16 +38,6 @@ type Config struct {
 	Backend string
 	// Log receives progress lines (may be nil).
 	Log io.Writer
-}
-
-func (c Config) normalized() Config {
-	if c.Scale <= 0 {
-		c.Scale = 1
-	}
-	if c.Runs <= 0 {
-		c.Runs = 1
-	}
-	return c
 }
 
 func (c Config) logf(format string, args ...interface{}) {
@@ -114,13 +104,12 @@ func RunCase(app *apps.App, deviceName string, cfg Config) (*Measurement, error)
 }
 
 // RunSet measures one benchmark on a set of devices and returns one
-// Measurement per device, in deviceNames order. The program is compiled,
-// transformed and set up once; each version's launch executes once and is
-// charged to every device's cost model (opencl.SetQueue), so each
-// Measurement equals what RunCase reports for its device alone. Both
-// versions run on the one app instance, with local memory first.
+// Measurement per device, in deviceNames order. It is the two-version
+// search (internal/search) over base and the grover step of the app's
+// candidates on one app instance: each version executes once and is
+// charged to every device's cost model, so each Measurement equals what
+// RunCase reports for its device alone.
 func RunSet(app *apps.App, deviceNames []string, cfg Config) ([]*Measurement, error) {
-	cfg = cfg.normalized()
 	if len(deviceNames) == 0 {
 		return nil, fmt.Errorf("%s: no devices", app.ID)
 	}
@@ -143,57 +132,26 @@ func RunSet(app *apps.App, deviceNames []string, cfg Config) ([]*Measurement, er
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", app.ID, err)
 	}
-	noLM, rep, err := prog.WithLocalMemoryDisabled(app.Kernel,
-		igrover.Options{Candidates: app.Candidates, Strict: true})
-	if err != nil {
-		return nil, fmt.Errorf("%s: transform: %w", app.ID, err)
-	}
-	kLM, err := prog.Kernel(app.Kernel)
-	if err != nil {
-		return nil, err
-	}
-	kNo, err := noLM.Kernel(app.Kernel)
-	if err != nil {
-		return nil, err
-	}
 	inst, err := app.Setup(ctx, cfg.Scale)
 	if err != nil {
 		return nil, fmt.Errorf("%s: setup: %w", app.ID, err)
 	}
-	q, err := ctx.NewProfilingQueueSet(devs...)
-	if err != nil {
-		return nil, err
+	spec := &search.Spec{Prog: prog, Kernel: app.Kernel, Args: inst.Args, ND: inst.ND,
+		Options: igrover.Options{Candidates: app.Candidates, Strict: true}}
+	if cfg.Validate {
+		spec.Check = inst.Check
 	}
-	// avg times k cfg.Runs times and returns its mean time per device,
-	// checking each launch when cfg.Validate is set.
-	avg := func(k *opencl.Kernel, what string) ([]float64, error) {
-		total := make([]float64, len(devs))
-		for i := 0; i < cfg.Runs; i++ {
-			evts, err := q.EnqueueNDRange(k, inst.ND, inst.Args...)
-			if err != nil {
-				return nil, fmt.Errorf("%s (%s, %s): timed launch: %w", app.ID, app.Kernel, what, err)
-			}
-			for d, evt := range evts {
-				total[d] += evt.Duration()
-			}
-			if cfg.Validate {
-				if err := inst.Check(); err != nil {
-					return nil, fmt.Errorf("%s (%s, %s): %w", app.ID, app.Kernel, what, err)
-				}
-			}
+	res, _, err := search.Run(context.Background(), devs, spec)
+	var pe *search.PlanError
+	if errors.As(err, &pe) {
+		version := "local memory disabled"
+		if pe.Plan == rewrite.BasePlanName {
+			version = "with local memory"
 		}
-		for d := range total {
-			total[d] /= float64(cfg.Runs)
-		}
-		return total, nil
+		return nil, fmt.Errorf("%s (%s, %s): %w", app.ID, app.Kernel, version, pe.Err)
 	}
-	withLM, err := avg(kLM, "with local memory")
 	if err != nil {
-		return nil, err
-	}
-	withoutLM, err := avg(kNo, "local memory disabled")
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", app.ID, err)
 	}
 	items := int64(1)
 	for _, d := range inst.ND.Global {
@@ -203,12 +161,13 @@ func RunSet(app *apps.App, deviceNames []string, cfg Config) ([]*Measurement, er
 	}
 	out := make([]*Measurement, len(devs))
 	for d, name := range deviceNames {
+		r := res[d]
 		m := &Measurement{
 			App: app.ID, Device: name,
-			WithLM: withLM[d], WithoutLM: withoutLM[d],
-			NP:     withLM[d] / withoutLM[d],
+			WithLM: r.OriginalMS, WithoutLM: r.TransformedMS,
+			NP:     r.Speedup,
 			Items:  items,
-			Report: rep,
+			Report: r.Report,
 		}
 		cfg.logf("  %-10s %-8s withLM=%.4fms withoutLM=%.4fms np=%.2f [%s]",
 			m.App, m.Device, m.WithLM, m.WithoutLM, m.NP, m.Classify())

@@ -189,17 +189,13 @@ func (s *Server) lint(ctx context.Context, req *LintRequest) (*lintArtifact, kca
 // launchField canonicalizes the launch geometry and arguments for keying.
 func launchField(req *AutotuneRequest) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "g=%v;l=%v;runs=%d;", req.Global, req.Local, req.Runs)
+	fmt.Fprintf(&sb, "g=%v;l=%v;", req.Global, req.Local)
 	for _, a := range req.Args {
 		sb.WriteString(a.field())
 		sb.WriteByte(';')
 	}
 	return sb.String()
 }
-
-// maxRuns bounds the timed executions a request may ask for per kernel
-// version: each one is a full launch on a pool worker.
-const maxRuns = 1000
 
 // maxBufferBytes bounds one declared buffer or local argument. Device memory
 // grows on demand and both engines allocate a local argument's bytes per
@@ -328,8 +324,8 @@ func (s *Server) tuneSet(rctx context.Context, req *AutotuneRequest, devices []s
 		},
 		Options: req.Options.options(),
 		ND:      opencl.NDRange{Global: req.Global, Local: req.Local},
-		Runs:    req.Runs,
 		Args: func(ctx *opencl.Context) ([]interface{}, error) {
+			defer telemetry.StartSpan(rctx, "service.args")()
 			return buildArgs(ctx, req.Args)
 		},
 		Plans:   plans,
@@ -506,15 +502,6 @@ func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
 			}
 			plans = append(plans, p.String())
 		}
-	}
-	// Tune times a version once for any runs <= 0: key those requests
-	// alike.
-	if req.Runs <= 0 {
-		req.Runs = 1
-	}
-	if req.Runs > maxRuns {
-		writeError(w, badRequest("runs %d exceeds the limit of %d", req.Runs, maxRuns))
-		return
 	}
 	if len(plans) == 0 {
 		if req.Profile {

@@ -111,7 +111,6 @@ func winsumAutotune(plan string) AutotuneRequest {
 			{Kind: "buffer", Size: g * 4},
 			{Kind: "int", Int: 8},
 		},
-		Runs: 1,
 		Plan: plan,
 	}
 }

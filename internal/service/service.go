@@ -545,9 +545,6 @@ type AutotuneRequest struct {
 	Local  [3]int `json:"local"`
 	// Args are the kernel arguments in declaration order.
 	Args []ArgSpec `json:"args"`
-	// Runs averages this many timed executions per version (default 1; at
-	// most 1000).
-	Runs int `json:"runs,omitempty"`
 	// Backend overrides the server's default execution backend for this
 	// request ("interp", "wgvec"). Simulated timings are backend-invariant;
 	// this picks how fast the tuning itself runs.

@@ -309,18 +309,32 @@ func TestUnknownKernelIs404(t *testing.T) {
 }
 
 // TestRemovedAutotuneFieldsAre400: the predictor's request fields, the
-// static-pruning field and the characterization flag are gone, and a client
-// that still sends one is told which, not silently measured.
+// static-pruning field and the characterization flag are gone, and a
+// client that still sends one is told which, not silently measured.
 func TestRemovedAutotuneFieldsAre400(t *testing.T) {
+	checkFieldsAre400(t, map[string]interface{}{
+		"predict": true, "min_confidence": 0.5, "prune": 2, "characterize": true,
+	})
+}
+
+// TestAutotuneRunsIs400: the run count is gone too — a launch is
+// deterministic, so each version runs once — and a body that still sends
+// "runs" is a 400 naming the field.
+func TestAutotuneRunsIs400(t *testing.T) {
+	checkFieldsAre400(t, map[string]interface{}{"runs": 2})
+}
+
+// checkFieldsAre400 posts a valid autotune body with one extra field at a
+// time and requires a 400 that names it.
+func checkFieldsAre400(t *testing.T, fields map[string]interface{}) {
+	t.Helper()
 	ts := newTestServer(t)
 	_, req := nvdMT()
 	raw, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for field, value := range map[string]interface{}{
-		"predict": true, "min_confidence": 0.5, "prune": 2, "characterize": true,
-	} {
+	for field, value := range fields {
 		var body map[string]interface{}
 		if err := json.Unmarshal(raw, &body); err != nil {
 			t.Fatal(err)
@@ -520,33 +534,6 @@ func TestLintKeysProgramName(t *testing.T) {
 			t.Errorf("lint %s (cache %s): legality[0].pos is %s, want a position in %s",
 				name, resp.Cache, resp.Legality[0].Pos, name)
 		}
-	}
-}
-
-// TestAutotuneRunsKeyedAndBounded: Tune times a version once for any runs
-// <= 0, so those requests share the runs=1 cache entry; a run count above
-// the limit is a 400 naming the limit, before any work is queued.
-func TestAutotuneRunsKeyedAndBounded(t *testing.T) {
-	ts := newTestServer(t)
-	_, req := nvdMT()
-	for i, runs := range []int{0, 1, -3} {
-		req.Runs = runs
-		var resp AutotuneResponse
-		if code, body := postJSON(t, ts.URL+"/v1/autotune", req, &resp); code != http.StatusOK {
-			t.Fatalf("runs %d: %d %s", runs, code, body)
-		}
-		want := "hit"
-		if i == 0 {
-			want = "miss"
-		}
-		if got := resp.Results[0].Cache; got != want {
-			t.Errorf("runs %d: cache %s, want %s", runs, got, want)
-		}
-	}
-	req.Runs = maxRuns + 1
-	code, msg := postJSON(t, ts.URL+"/v1/autotune", req, nil)
-	if code != http.StatusBadRequest || !strings.Contains(msg, fmt.Sprint(maxRuns)) {
-		t.Errorf("runs %d: got %d %s, want a 400 naming the limit %d", req.Runs, code, msg, maxRuns)
 	}
 }
 

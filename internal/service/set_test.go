@@ -266,7 +266,12 @@ func TestAutotuneSetSpans(t *testing.T) {
 	ts := newTestServer(t)
 	req := winsumAutotune("search")
 	req.Device = "all"
-	req.Runs = 200 // let the three executed kernels dominate the fixed HTTP/JSON overhead
+	// 500 times the fixture's global size lets the three executed kernels
+	// dominate the fixed overhead: HTTP/JSON and building the six-device
+	// cost-model set, a few milliseconds outside any span.
+	const g = 64 * 500
+	req.Global[0] = g
+	req.Args[0].Size, req.Args[1].Size, req.Args[2].Size = g*4, g*8*4, g*4
 	body, _ := json.Marshal(&req)
 	hreq, err := http.NewRequest("POST", ts.URL+"/v1/autotune", strings.NewReader(string(body)))
 	if err != nil {

@@ -19,11 +19,14 @@ import (
 func TestTracesEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 	_, tuneReq := nvdMT()
-	// Enough timed launches that the tuning dominates the request and
+	// A transpose large enough that the tuning dominates the request and
 	// the fixed HTTP/JSON overhead — and one GC or scheduler pause on a
-	// loaded box — stays inside the 10% budget: ~100 ms of tuning on the
-	// default engine.
-	tuneReq.Runs = 125
+	// loaded box — stays inside the 10% budget: each version's one launch
+	// covers 23×23 tiles of 16×16, about 130 times the fixture's 2×2.
+	const n = 23 * 16
+	tuneReq.Global = [3]int{n, n, 1}
+	tuneReq.Args[0].Size, tuneReq.Args[1].Size = n*n*4, n*n*4
+	tuneReq.Args[2].Int, tuneReq.Args[3].Int = n, n
 
 	body, err := json.Marshal(&tuneReq)
 	if err != nil {

@@ -34,7 +34,7 @@ func tuneSpans(devs []*opencl.Device, kernel string, spec grover.LaunchSpec) ([]
 // patternTranspose is transposeSpec with a patterned input, so every
 // launch writes the output buffer.
 func patternTranspose(plans ...string) grover.LaunchSpec {
-	spec := transposeSpec(64, 1)
+	spec := transposeSpec(64)
 	spec.Plans = plans
 	spec.Args = func(ctx *opencl.Context) ([]interface{}, error) {
 		out, in := ctx.NewBuffer(64*64*4), ctx.NewBuffer(64*64*4)

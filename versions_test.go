@@ -133,7 +133,7 @@ func TestCandidateNames(t *testing.T) {
 		if _, _, err := grover.Disable(prog, "transpose", opts); err == nil || !strings.Contains(err.Error(), "not a C identifier") {
 			t.Errorf("Disable with candidate %q: err %v, want a name error", name, err)
 		}
-		spec := transposeSpec(64, 1)
+		spec := transposeSpec(64)
 		spec.Options = opts
 		if r := tuneOn(t, "SNB", "transpose", spec); r.Err == nil || !strings.Contains(r.Err.Error(), "not a C identifier") {
 			t.Errorf("Tune with candidate %q: err %v, want a name error", name, r.Err)
