@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"grover"
+	"grover/internal/analysis"
+	"grover/internal/analysis/memaccess"
 	"grover/internal/apps"
 	"grover/internal/ir"
 	"grover/internal/rewrite"
@@ -122,13 +124,22 @@ func TestIRIdentity(t *testing.T) {
 		add(k.name, m)
 	}
 
-	data, err := os.ReadFile(irKeyGolden)
+	if !matchGolden(t, irKeyGolden, got) {
+		t.Logf("the modules now hash to:\n%s", strings.Join(got, "\n"))
+	}
+}
+
+// matchGolden compares got with the lines of a golden file and reports
+// each line that differs; it returns whether they all matched.
+func matchGolden(t *testing.T, path string, got []string) bool {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSpace(string(data)), "\n")
 	if strings.Join(got, "\n") == strings.Join(want, "\n") {
-		return
+		return true
 	}
 	for i := 0; i < len(got) || i < len(want); i++ {
 		var g, w string
@@ -139,10 +150,65 @@ func TestIRIdentity(t *testing.T) {
 			w = want[i]
 		}
 		if g != w {
-			t.Errorf("line %d: got %q, want %q", i+1, g, w)
+			t.Errorf("%s line %d: got %q, want %q", path, i+1, g, w)
 		}
 	}
-	t.Logf("the modules now hash to:\n%s", strings.Join(got, "\n"))
+	return false
+}
+
+// accessSummaryGolden holds, per kernel form, the static access summary
+// and the lint findings with the access detectors on.
+const accessSummaryGolden = "testdata/access_summary.golden"
+
+// TestAccessSummaryIdentity pins what the static analyses conclude about
+// each app kernel, with local memory and with it disabled, and about the
+// generated stress kernels: memaccess's loops, trip counts, guard weights
+// and access forms, and every AnalyzeKernel finding. A change to the CFG,
+// dominance or loop facts those analyses share must leave every line in
+// place.
+func TestAccessSummaryIdentity(t *testing.T) {
+	var got []string
+	add := func(name string, fn *ir.Function, wg [3]int) {
+		got = append(got, "== "+name)
+		sum := memaccess.Summarize(fn, memaccess.Options{WorkGroup: wg}).String()
+		got = append(got, strings.Split(strings.TrimSuffix(sum, "\n"), "\n")...)
+		res := analysis.AnalyzeKernel(fn, analysis.Options{WorkGroupSize: wg, AccessChecks: true})
+		for _, f := range res.Findings {
+			got = append(got, fmt.Sprintf("  %s %s @%s: %s %v", f.Severity, f.Detector, f.Pos, f.Message, f.Related))
+		}
+	}
+	dev := opencl.NewPlatform().Devices()[0]
+	for _, app := range apps.All() {
+		ctx := opencl.NewContext(dev)
+		prog, err := ctx.CompileProgram(app.ID+".cl", app.Source, app.Defines)
+		if err != nil {
+			t.Fatalf("%s: %v", app.ID, err)
+		}
+		inst, err := app.Setup(ctx, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", app.ID, err)
+		}
+		noLM, _, err := prog.WithLocalMemoryDisabled(app.Kernel, grover.Options{Candidates: app.Candidates, Strict: true})
+		if err != nil {
+			t.Fatalf("%s: %v", app.ID, err)
+		}
+		add(app.ID+" opt", prog.Module().Kernel(app.Kernel), inst.ND.Local)
+		add(app.ID+" disabled", noLM.Module().Kernel(app.Kernel), inst.ND.Local)
+	}
+	for _, k := range stressKernels {
+		m, err := opencl.CompileModule(k.name+".cl", k.src, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", k.name, err)
+		}
+		add(k.name, m.Kernel("k"), [3]int{})
+	}
+	if _, err := os.Stat(accessSummaryGolden); os.IsNotExist(err) {
+		if err := os.WriteFile(accessSummaryGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("wrote %s: review it and commit it", accessSummaryGolden)
+	}
+	matchGolden(t, accessSummaryGolden, got)
 }
 
 // TestPlanSpacesParse: every plan the default and per-app plan spaces name
