@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"grover/internal/telemetry"
+	"grover/internal/vm"
 )
 
 // TestTracesEndpoint drives a slow request and checks the issue's
@@ -88,10 +89,15 @@ func TestTracesEndpoint(t *testing.T) {
 			t.Errorf("negative span timing: %+v", sp)
 		}
 	}
-	for _, want := range []string{"queue.wait", "clc.parse", "lower", "wgvec.compile", "tune:base", "tune:grover"} {
+	for _, want := range []string{"queue.wait", "clc.parse", "lower", "vm.prepare", "tune:base", "tune:grover"} {
 		if !seen[want] {
 			t.Errorf("span %q missing from trace: %v", want, slow.Spans)
 		}
+	}
+	// The engine compile is recorded by the engine that ran: wgvec
+	// compiles, the interpreter runs the IR as prepared.
+	if engine := vm.DefaultBackend() == vm.BackendWgvec; seen["wgvec.compile"] != engine {
+		t.Errorf("span wgvec.compile present=%v on backend %s, want %v", seen["wgvec.compile"], vm.DefaultBackend(), engine)
 	}
 	// Compiling the engine is one layer, named as the ledger names it.
 	if seen["bcode.compile"] {
