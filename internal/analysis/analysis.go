@@ -1,7 +1,7 @@
 // Package analysis is a dataflow-based static analysis suite over the
-// compiler IR: a reusable framework (CFG with dominance and
-// post-dominance, a generic bitset dataflow solver, reaching
-// definitions, and a GPU uniformity analysis) plus detectors for barrier
+// compiler IR: a reusable framework (a generic bitset dataflow solver,
+// reaching definitions, and a GPU uniformity analysis, all over ir.CFG's
+// dominance and post-dominance) plus detectors for barrier
 // divergence, local-memory races, local-array bounds violations, and
 // Grover rewrite legality. It is the correctness gate in front of the
 // local-memory-disabling pass: the pass assumes a well-formed staging
@@ -107,7 +107,7 @@ func AnalyzeModule(m *ir.Module, opts Options) *Result {
 
 // AnalyzeKernel runs every detector over one kernel.
 func AnalyzeKernel(fn *ir.Function, opts Options) *Result {
-	cfg := NewCFG(fn)
+	cfg := ir.NewCFG(fn)
 	rd := ComputeReachingDefs(cfg)
 	uni := ComputeUniformity(cfg, rd)
 	tb := exprtree.NewBuilder(fn)

@@ -21,7 +21,7 @@ type interval = intervals.Interval
 // Only finite violations are reported: an access whose range is
 // unbounded because it depends on a loop counter or parameter stays
 // silent rather than drowning real findings in noise.
-func checkBounds(cfg *CFG, bufs []*localBuffer, tb *exprtree.Builder, reg *exprtree.Registry, wg [3]int) []Finding {
+func checkBounds(cfg *ir.CFG, bufs []*localBuffer, tb *exprtree.Builder, reg *exprtree.Registry, wg [3]int) []Finding {
 	var out []Finding
 	guardCache := map[int]map[string]interval{}
 	for _, buf := range bufs {
@@ -85,37 +85,20 @@ func boundsFindings(kernel, name string, a *access, iv interval, size, limit int
 }
 
 // guardBounds collects interval constraints on identity-stable terms
-// from the comparisons of conditional branches dominating block bi. A
-// branch contributes when one successor both (a) dominates bi and (b)
-// has the branch block as its only predecessor, so every path to bi
-// crossed that edge with the condition decided.
-func guardBounds(cfg *CFG, bi int, tb *exprtree.Builder, reg *exprtree.Registry) map[string]interval {
+// from the comparisons of the conditional branches guarding block bi
+// (ir.CFG.Guards).
+func guardBounds(cfg *ir.CFG, bi int, tb *exprtree.Builder, reg *exprtree.Registry) map[string]interval {
 	out := map[string]interval{}
-	for anc := cfg.Dom.Idom[bi]; anc >= 0; anc = cfg.Dom.Idom[anc] {
-		b := cfg.Blocks[anc]
-		term := b.Instrs[len(b.Instrs)-1]
-		if term.Op != ir.OpCondBr {
-			continue
+	cfg.Guards(bi, func(_ *ir.Block, cond *ir.Instr, negated bool) {
+		key, iv, ok := intervals.ConstraintFromCond(cond, negated, tb, reg)
+		if !ok || !stableTerm(reg, key) {
+			return
 		}
-		cond, ok := term.Args[0].(*ir.Instr)
-		if !ok {
-			continue
+		cur, has := out[key]
+		if !has {
+			cur = intervals.Top()
 		}
-		for side, target := range term.Targets {
-			ti, known := cfg.Index[target]
-			if !known || len(cfg.Pred[ti]) != 1 || !cfg.Dom.Dominates(ti, bi) {
-				continue
-			}
-			key, iv, ok := intervals.ConstraintFromCond(cond, side == 1, tb, reg)
-			if !ok || !stableTerm(reg, key) {
-				continue
-			}
-			cur, has := out[key]
-			if !has {
-				cur = intervals.Top()
-			}
-			out[key] = cur.Refine(iv)
-		}
-	}
+		out[key] = cur.Refine(iv)
+	})
 	return out
 }

@@ -44,9 +44,9 @@ type ForwardProblem struct {
 	Gen, Kill []BitSet
 }
 
-// SolveForward iterates the problem to fixpoint in reverse postorder and
+// SolveForward iterates the problem to fixpoint in block order and
 // returns the In and Out sets per block.
-func SolveForward(cfg *CFG, p *ForwardProblem) (in, out []BitSet) {
+func SolveForward(cfg *ir.CFG, p *ForwardProblem) (in, out []BitSet) {
 	n := len(cfg.Blocks)
 	in = make([]BitSet, n)
 	out = make([]BitSet, n)
@@ -83,7 +83,7 @@ func SolveForward(cfg *CFG, p *ForwardProblem) (in, out []BitSet) {
 // (scalar variables) kill earlier stores to the same alloca; stores
 // through an index chain (array elements) only generate.
 type ReachingDefs struct {
-	cfg *CFG
+	cfg *ir.CFG
 	// Defs are all stores rooted at an alloca, in block order.
 	Defs []*ir.Instr
 	idx  map[*ir.Instr]int
@@ -115,7 +115,7 @@ func rootAlloca(v ir.Value) *ir.Instr {
 
 // ComputeReachingDefs builds and solves the reaching-definitions problem
 // over all alloca-rooted stores of cfg's function.
-func ComputeReachingDefs(cfg *CFG) *ReachingDefs {
+func ComputeReachingDefs(cfg *ir.CFG) *ReachingDefs {
 	rd := &ReachingDefs{
 		cfg:      cfg,
 		idx:      map[*ir.Instr]int{},

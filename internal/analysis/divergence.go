@@ -11,7 +11,7 @@ import (
 // reached by either all work-items of a work-group or none; a barrier in
 // the influence region of a divergent branch can deadlock or desync the
 // group (undefined behaviour).
-func checkBarrierDivergence(cfg *CFG, uni *Uniformity) []Finding {
+func checkBarrierDivergence(cfg *ir.CFG, uni *Uniformity) []Finding {
 	var out []Finding
 	for _, b := range cfg.Blocks {
 		if !uni.DivergentBlock(b) {

@@ -1,13 +1,13 @@
-// Package graph implements the pure graph algorithms underlying the
-// dataflow analyses in internal/analysis: reverse postorder and dominator
-// trees over plain adjacency lists. It deliberately has no dependency on
-// the IR so that internal/ir can use it too (the verifier's
-// defs-dominate-uses check) without an import cycle.
+// Package graph implements the pure graph algorithms under the IR's
+// control-flow graph: reverse postorder and dominator trees over plain
+// adjacency lists. It has no dependency on the IR so that internal/ir,
+// which builds the one CFG every analysis reads (ir.NewCFG), can use it
+// without an import cycle.
 package graph
 
-// ReversePostOrder returns the nodes reachable from root in reverse
+// reversePostOrder returns the nodes reachable from root in reverse
 // postorder of a depth-first traversal of succ.
-func ReversePostOrder(n int, succ [][]int, root int) []int {
+func reversePostOrder(n int, succ [][]int, root int) []int {
 	seen := make([]bool, n)
 	var post []int
 	// Iterative DFS with an explicit frame stack so deep CFGs cannot
@@ -45,10 +45,9 @@ type Tree struct {
 	// Idom is the immediate dominator of each node (-1 for the root and
 	// for unreachable nodes).
 	Idom []int
-	// Root is the tree root.
-	Root string
 
 	root     int
+	rpo      []int
 	reach    []bool
 	pre, pst []int // preorder interval numbering for O(1) queries
 }
@@ -56,7 +55,7 @@ type Tree struct {
 // Dominators computes the dominator tree of the graph rooted at root using
 // the Cooper–Harvey–Kennedy iterative algorithm over reverse postorder.
 func Dominators(n int, succ [][]int, root int) *Tree {
-	rpo := ReversePostOrder(n, succ, root)
+	rpo := reversePostOrder(n, succ, root)
 	order := make([]int, n) // rpo index per node; -1 when unreachable
 	for i := range order {
 		order[i] = -1
@@ -112,7 +111,7 @@ func Dominators(n int, succ [][]int, root int) *Tree {
 			}
 		}
 	}
-	t := &Tree{Idom: make([]int, n), root: root, reach: make([]bool, n)}
+	t := &Tree{Idom: make([]int, n), root: root, rpo: rpo, reach: make([]bool, n)}
 	for i := range t.Idom {
 		t.Idom[i] = -1
 	}
@@ -160,6 +159,11 @@ func (t *Tree) number(n int) {
 		stack = stack[:len(stack)-1]
 	}
 }
+
+// ReversePostOrder returns the nodes reachable from the root in the
+// reverse postorder the tree was computed over. The slice is shared; do
+// not modify it.
+func (t *Tree) ReversePostOrder() []int { return t.rpo }
 
 // Reachable reports whether v is reachable from the root.
 func (t *Tree) Reachable(v int) bool { return t.reach[v] }

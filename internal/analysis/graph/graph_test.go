@@ -62,7 +62,7 @@ func TestDominatorsUnreachable(t *testing.T) {
 
 func TestReversePostOrder(t *testing.T) {
 	succ := [][]int{{1, 2}, {3}, {3}, {}}
-	rpo := ReversePostOrder(4, succ, 0)
+	rpo := Dominators(4, succ, 0).ReversePostOrder()
 	if len(rpo) != 4 || rpo[0] != 0 || rpo[len(rpo)-1] != 3 {
 		t.Errorf("rpo = %v: want entry first, join last", rpo)
 	}

@@ -2,7 +2,6 @@ package memaccess
 
 import (
 	"math/big"
-	"sort"
 
 	"grover/internal/analysis/intervals"
 	"grover/internal/clc"
@@ -11,47 +10,14 @@ import (
 	"grover/internal/linsolve"
 )
 
-// findLoops discovers natural loops from dominator back edges, nests
-// them, recognizes induction variables, and estimates trip counts.
-func (s *Summary) findLoops() {
-	byHeader := map[int]*Loop{}
-	var headers []int
-	for ui := range s.blocks {
-		if !s.dom.Reachable(ui) {
-			continue
-		}
-		for _, hi := range s.succ[ui] {
-			if !s.dom.Dominates(hi, ui) {
-				continue // not a back edge
-			}
-			l := byHeader[hi]
-			if l == nil {
-				l = &Loop{Header: s.blocks[hi], Blocks: map[*ir.Block]bool{s.blocks[hi]: true}}
-				byHeader[hi] = l
-				headers = append(headers, hi)
-			}
-			s.collectBody(l, ui, hi)
-		}
-	}
-	sort.Ints(headers)
-	for _, hi := range headers {
-		s.Loops = append(s.Loops, byHeader[hi])
-	}
-	// Nest: the parent is the smallest strict superset.
-	for _, l := range s.Loops {
-		for _, outer := range s.Loops {
-			if outer == l || len(outer.Blocks) <= len(l.Blocks) || !outer.Blocks[l.Header] {
-				continue
-			}
-			if l.Parent == nil || len(outer.Blocks) < len(l.Parent.Blocks) {
-				l.Parent = outer
-			}
-		}
-	}
-	for _, l := range s.Loops {
-		for p := l.Parent; p != nil; p = p.Parent {
-			l.Depth++
-		}
+// summarizeLoops takes the CFG's natural loops, records each block's
+// innermost loop, recognizes induction variables, and estimates trip
+// counts.
+func (s *Summary) summarizeLoops() {
+	for _, il := range s.cfg.Loops() {
+		l := &Loop{Loop: il}
+		s.loopOf[il] = l
+		s.Loops = append(s.Loops, l)
 	}
 	// Innermost loop per block: deeper wins.
 	for _, l := range s.Loops {
@@ -66,25 +32,8 @@ func (s *Summary) findLoops() {
 	}
 }
 
-// collectBody adds to l every block that reaches the back edge source ui
-// without passing the header.
-func (s *Summary) collectBody(l *Loop, ui, hi int) {
-	stack := []int{ui}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		b := s.blocks[n]
-		if l.Blocks[b] {
-			continue
-		}
-		l.Blocks[b] = true
-		for _, p := range s.pred[n] {
-			if p != hi || n == hi {
-				stack = append(stack, p)
-			}
-		}
-	}
-}
+// parent returns the summary's loop around l, nil at top level.
+func (s *Summary) parent(l *Loop) *Loop { return s.loopOf[l.Parent] }
 
 // analyzeLoop recognizes the induction variable from the loop's exit
 // comparison and estimates the trip count.
@@ -157,13 +106,8 @@ func (s *Summary) exitBranch(l *Loop) (cond *ir.Instr, contSide int, ok bool) {
 	if c, side, found := try(l.Header); found {
 		return c, side, true
 	}
-	var idxs []int
-	for b := range l.Blocks {
-		idxs = append(idxs, s.index[b])
-	}
-	sort.Ints(idxs)
-	for _, bi := range idxs {
-		if c, side, found := try(s.blocks[bi]); found {
+	for _, b := range l.Body {
+		if c, side, found := try(b); found {
 			return c, side, true
 		}
 	}
@@ -186,14 +130,9 @@ func (s *Summary) recurrence(l *Loop) {
 		}
 	}
 	// Initial value: the last dominating out-of-loop store.
-	hi := s.index[l.Header]
 	var init *ir.Instr
 	for _, st := range s.TB.Stores(l.IndVar) {
-		if l.Blocks[st.Block] {
-			continue
-		}
-		si, ok := s.index[st.Block]
-		if !ok || !s.dom.Dominates(si, hi) {
+		if l.Blocks[st.Block] || !s.cfg.Dominates(st.Block, l.Header) {
 			continue
 		}
 		init = st // stores are in block order; the last dominating one wins

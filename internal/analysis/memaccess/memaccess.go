@@ -3,17 +3,17 @@
 // every global, local, and private load and store, attaching to each an
 // affine access function over work-item identities, group identities,
 // and loop induction variables, plus per-dimension lane strides and
-// per-loop iteration strides. Loops are discovered as natural loops over
-// the dominator tree, induction variables recognized from their in-loop
-// update stores, and trip counts estimated from the exit comparison with
+// per-loop iteration strides. Loops are the natural loops of ir.NewCFG,
+// induction variables are recognized from their in-loop update stores,
+// and trip counts are estimated from the exit comparison with
 // guard-refined interval analysis (the same machinery the bounds
 // detector uses, shared via internal/analysis/intervals).
 //
 // The summary is the substrate for the internal/profit cost model, for
 // the groverlint access detectors, and for `groverc -access` dumps. It
 // deliberately does not import internal/analysis (which imports this
-// package for its detectors); the small CFG it needs is built directly
-// on internal/analysis/graph.
+// package for its detectors); the CFG, dominance and loop facts it needs
+// are ir.CFG's.
 package memaccess
 
 import (
@@ -22,7 +22,6 @@ import (
 	"sort"
 	"strings"
 
-	"grover/internal/analysis/graph"
 	"grover/internal/analysis/intervals"
 	"grover/internal/clc"
 	"grover/internal/exprtree"
@@ -94,12 +93,10 @@ type Barrier struct {
 	Weight float64
 }
 
-// Loop is one natural loop.
+// Loop is one natural loop of the kernel's CFG with what the summary
+// learned about it.
 type Loop struct {
-	Header *ir.Block
-	Blocks map[*ir.Block]bool
-	Parent *Loop
-	Depth  int
+	*ir.Loop
 	// IndVar is the recognized induction variable's alloca, nil when the
 	// exit condition did not expose one.
 	IndVar *ir.Instr
@@ -180,12 +177,9 @@ type Summary struct {
 	// simulator's per-core local region).
 	LocalBytes  int64
 	LocalOffset map[*ir.Instr]int64
-	// cfg state retained for evaluation.
-	blocks  []*ir.Block
-	index   map[*ir.Block]int
-	succ    [][]int
-	pred    [][]int
-	dom     *graph.Tree
+
+	cfg     *ir.CFG
+	loopOf  map[*ir.Loop]*Loop
 	inLoop  map[*ir.Block]*Loop // innermost
 	weights map[*ir.Block]float64
 }
@@ -216,49 +210,23 @@ func Summarize(fn *ir.Function, opts Options) *Summary {
 		Reg:         exprtree.NewRegistry(),
 		TB:          exprtree.NewBuilder(fn),
 		LocalOffset: map[*ir.Instr]int64{},
+		cfg:         ir.NewCFG(fn),
+		loopOf:      map[*ir.Loop]*Loop{},
 		inLoop:      map[*ir.Block]*Loop{},
 		weights:     map[*ir.Block]float64{},
 	}
-	s.buildCFG()
-	s.findLoops()
+	s.summarizeLoops()
 	s.computeWeights()
 	s.placeLocals()
 	s.buildSchedule()
 	return s
 }
 
-// buildCFG indexes blocks and computes successors, predecessors and the
-// dominator tree.
-func (s *Summary) buildCFG() {
-	s.blocks = s.Fn.Blocks
-	s.index = make(map[*ir.Block]int, len(s.blocks))
-	for i, b := range s.blocks {
-		s.index[b] = i
-	}
-	s.succ = make([][]int, len(s.blocks))
-	s.pred = make([][]int, len(s.blocks))
-	for i, b := range s.blocks {
-		t := b.Terminator()
-		if t == nil {
-			continue
-		}
-		for _, tgt := range t.Targets {
-			j, ok := s.index[tgt]
-			if !ok {
-				continue
-			}
-			s.succ[i] = append(s.succ[i], j)
-			s.pred[j] = append(s.pred[j], i)
-		}
-	}
-	s.dom = graph.Dominators(len(s.blocks), s.succ, 0)
-}
-
 // placeLocals lays the __local allocas out in a contiguous arena,
 // 16-byte aligned, recording per-alloca offsets and the total.
 func (s *Summary) placeLocals() {
 	var off int64
-	for _, b := range s.blocks {
+	for _, b := range s.Fn.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op != ir.OpAlloca || in.Space != clc.ASLocal {
 				continue
@@ -290,13 +258,12 @@ func (s *Summary) buildSchedule() {
 		regions[l] = &Region{Loop: l}
 	}
 	linked := map[*Loop]bool{}
-	order := graph.ReversePostOrder(len(s.blocks), s.succ, 0)
-	for _, bi := range order {
-		b := s.blocks[bi]
+	for _, bi := range s.cfg.RPO() {
+		b := s.cfg.Blocks[bi]
 		l := s.inLoop[b]
 		if l != nil && l.Header == b && !linked[l] {
 			linked[l] = true
-			parent := regions[l.Parent]
+			parent := regions[s.parent(l)]
 			parent.Events = append(parent.Events, Event{
 				Kind: EvLoop, Child: regions[l], Weight: s.weights[b],
 			})
@@ -383,7 +350,7 @@ func (s *Summary) collectAccess(in *ir.Instr, b *ir.Block, w float64) *Access {
 	acc.Offset = s.accessOffset(acc)
 	if acc.Offset != nil {
 		acc.Lane, acc.LaneOK = laneStrides(acc.Offset)
-		for l := acc.Loop; l != nil; l = l.Parent {
+		for l := acc.Loop; l != nil; l = s.parent(l) {
 			if l.Key == "" {
 				continue
 			}
@@ -475,40 +442,20 @@ func laneStrides(aff *linsolve.Affine) (c [3]int64, ok bool) {
 // edges of the guard's probability, with loop-exit tests of enclosing
 // loops skipped (iteration counts are the region's job).
 func (s *Summary) computeWeights() {
-	for bi, b := range s.blocks {
-		if !s.dom.Reachable(bi) {
+	for bi, b := range s.cfg.Blocks {
+		if !s.cfg.Dom.Reachable(bi) {
 			s.weights[b] = 0
 			continue
 		}
-		s.weights[b] = s.blockWeight(bi)
-	}
-}
-
-func (s *Summary) blockWeight(bi int) float64 {
-	w := 1.0
-	target := s.blocks[bi]
-	for anc := s.dom.Idom[bi]; anc >= 0; anc = s.dom.Idom[anc] {
-		b := s.blocks[anc]
-		term := b.Terminator()
-		if term == nil || term.Op != ir.OpCondBr {
-			continue
-		}
-		if l := s.exitTestLoop(b); l != nil && l.Blocks[target] {
-			continue // trip guard of an enclosing loop
-		}
-		cond, ok := term.Args[0].(*ir.Instr)
-		if !ok {
-			continue
-		}
-		for side, tgt := range term.Targets {
-			ti, known := s.index[tgt]
-			if !known || len(s.pred[ti]) != 1 || !s.dom.Dominates(ti, bi) {
-				continue
+		w := 1.0
+		s.cfg.Guards(bi, func(br *ir.Block, cond *ir.Instr, negated bool) {
+			if l := s.exitTestLoop(br); l != nil && l.Blocks[b] {
+				return // trip guard of an enclosing loop
 			}
-			w *= s.guardProb(cond, side == 1)
-		}
+			w *= s.guardProb(cond, negated)
+		})
+		s.weights[b] = w
 	}
-	return w
 }
 
 // exitTestLoop returns the loop whose exit test block b is (a block of
@@ -518,9 +465,8 @@ func (s *Summary) exitTestLoop(b *ir.Block) *Loop {
 	if l == nil {
 		return nil
 	}
-	bi := s.index[b]
-	for _, si := range s.succ[bi] {
-		if !l.Blocks[s.blocks[si]] {
+	for _, si := range s.cfg.Succ[s.cfg.Index[b]] {
+		if !l.Blocks[s.cfg.Blocks[si]] {
 			return l
 		}
 	}
@@ -601,7 +547,7 @@ func (s *Summary) String() string {
 		if a.LaneOK {
 			fmt.Fprintf(&sb, " lane(%d,%d,%d)", a.Lane[0], a.Lane[1], a.Lane[2])
 		}
-		for l := a.Loop; l != nil; l = l.Parent {
+		for l := a.Loop; l != nil; l = s.parent(l) {
 			if st, ok := a.IterStride[l]; ok {
 				fmt.Fprintf(&sb, " %s-stride %d", l.Name(), st)
 			}

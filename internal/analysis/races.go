@@ -24,7 +24,7 @@ import (
 // or when the offsets are identical, identity-stable, and injective in
 // the work-item id — then a shared cell implies a shared work-item and
 // the accesses are ordered by program order within it.
-func checkRaces(cfg *CFG, uni *Uniformity, bufs []*localBuffer, reg *exprtree.Registry, wg [3]int) []Finding {
+func checkRaces(cfg *ir.CFG, uni *Uniformity, bufs []*localBuffer, reg *exprtree.Registry, wg [3]int) []Finding {
 	var out []Finding
 	for _, buf := range bufs {
 		out = append(out, checkBufferRaces(cfg, uni, buf, reg, wg)...)
@@ -49,7 +49,7 @@ func barrierCuts(in *ir.Instr) bool {
 
 // barrierFreeReach returns, per access, the accesses of the same buffer
 // reachable from it along some CFG path with no local-fence barrier.
-func barrierFreeReach(cfg *CFG, buf *localBuffer) map[*access][]*access {
+func barrierFreeReach(cfg *ir.CFG, buf *localBuffer) map[*access][]*access {
 	accAt := map[*ir.Instr]*access{}
 	for _, a := range buf.accesses {
 		accAt[a.instr] = a
@@ -97,7 +97,7 @@ func barrierFreeReach(cfg *CFG, buf *localBuffer) map[*access][]*access {
 	return reach
 }
 
-func checkBufferRaces(cfg *CFG, uni *Uniformity, buf *localBuffer, reg *exprtree.Registry, wg [3]int) []Finding {
+func checkBufferRaces(cfg *ir.CFG, uni *Uniformity, buf *localBuffer, reg *exprtree.Registry, wg [3]int) []Finding {
 	var out []Finding
 	reach := barrierFreeReach(cfg, buf)
 	type pairKey struct{ a, b *ir.Instr }
@@ -343,7 +343,7 @@ func solveLinear(vars []varRange, target int64) (hasSolution, proven bool) {
 // work-items write different data to the same cell with no ordering.
 // Uniform-value collisions (a broadcast) are benign and skipped, as is
 // everything when the work-group extents are unknown.
-func checkBroadcastStores(cfg *CFG, uni *Uniformity, buf *localBuffer, reg *exprtree.Registry, wg [3]int) []Finding {
+func checkBroadcastStores(cfg *ir.CFG, uni *Uniformity, buf *localBuffer, reg *exprtree.Registry, wg [3]int) []Finding {
 	if wg[0] <= 0 && wg[1] <= 0 && wg[2] <= 0 {
 		return nil
 	}

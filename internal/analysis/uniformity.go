@@ -19,14 +19,14 @@ import (
 // which work-item wrote it. Loads from private allocas instead take the
 // divergence of their reaching stores.
 type Uniformity struct {
-	cfg    *CFG
+	cfg    *ir.CFG
 	rd     *ReachingDefs
 	divVal map[ir.Value]bool
 	divBlk []bool
 }
 
 // ComputeUniformity runs the fixpoint over cfg's function.
-func ComputeUniformity(cfg *CFG, rd *ReachingDefs) *Uniformity {
+func ComputeUniformity(cfg *ir.CFG, rd *ReachingDefs) *Uniformity {
 	u := &Uniformity{
 		cfg:    cfg,
 		rd:     rd,

@@ -8,7 +8,6 @@ import (
 	"grover/internal/exprtree"
 	"grover/internal/ir"
 	"grover/internal/linsolve"
-	"grover/internal/opt"
 )
 
 // materializer emits the instructions computing an affine solution value in
@@ -17,14 +16,13 @@ type materializer struct {
 	fn  *ir.Function
 	at  *ir.Instr // insertion point (the LL instruction)
 	reg *exprtree.Registry
-	dom *opt.Dominance
 	// termVals caches the long-typed value of each term at the insertion
 	// point.
 	termVals map[string]ir.Value
 }
 
-func newMaterializer(fn *ir.Function, at *ir.Instr, reg *exprtree.Registry, dom *opt.Dominance) *materializer {
-	return &materializer{fn: fn, at: at, reg: reg, dom: dom, termVals: map[string]ir.Value{}}
+func newMaterializer(fn *ir.Function, at *ir.Instr, reg *exprtree.Registry) *materializer {
+	return &materializer{fn: fn, at: at, reg: reg, termVals: map[string]ir.Value{}}
 }
 
 func (mz *materializer) insert(in *ir.Instr) *ir.Instr { return ir.InsertBefore(mz.at, in) }
@@ -133,17 +131,14 @@ type duplicator struct {
 	cloneAll bool
 	// cloned counts duplicated instructions.
 	cloned int
-	// dom validates that reused values dominate the insertion point.
-	dom *opt.Dominance
+	// cfg validates that reused values dominate the insertion point.
+	cfg *ir.CFG
 }
 
 // reusable reports whether an existing instruction's value may be
 // referenced at the insertion point (its block must dominate the LL's).
 func (du *duplicator) reusable(in *ir.Instr) bool {
-	if du.dom == nil {
-		return true
-	}
-	return du.dom.Dominates(in.Block, du.mz.at.Block)
+	return du.cfg.Dominates(in.Block, du.mz.at.Block)
 }
 
 // duplicate returns a value computing node's expression at the insertion
@@ -232,11 +227,11 @@ func transformCandidate(fn *ir.Function, a *analysis, cloneAll bool) (int, error
 			return in != nil && in.Op == ir.OpWorkItem && in.Func == "get_local_id"
 		})
 	}
-	dom := opt.ComputeDominance(fn)
+	cfg := ir.NewCFG(fn)
 	totalCloned := 0
 	for _, ll := range a.cand.Loads {
 		plan := a.plans[ll.Instr]
-		mz := newMaterializer(fn, ll.Instr, a.reg, dom)
+		mz := newMaterializer(fn, ll.Instr, a.reg)
 		solVals := map[int]ir.Value{}
 		// In dimension order: the rewritten kernel is the same every time.
 		dims := make([]int, 0, len(plan.sol))
@@ -253,7 +248,7 @@ func transformCandidate(fn *ir.Function, a *analysis, cloneAll bool) (int, error
 			u := mz.insert(&ir.Instr{Op: ir.OpConvert, Typ: clc.TypeULong, Args: []ir.Value{v}, Pos: ll.Instr.Pos})
 			solVals[dim] = u
 		}
-		du := &duplicator{mz: mz, sol: solVals, cloneAll: cloneAll, dom: dom}
+		du := &duplicator{mz: mz, sol: solVals, cloneAll: cloneAll, cfg: cfg}
 		nGL, err := du.duplicate(plan.store.glTree)
 		if err != nil {
 			return totalCloned, err

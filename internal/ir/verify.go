@@ -3,7 +3,6 @@ package ir
 import (
 	"fmt"
 
-	"grover/internal/analysis/graph"
 	"grover/internal/clc"
 )
 
@@ -223,17 +222,8 @@ func verifyPointerProducer(v Value) error {
 // undefined there; dead blocks are sealed by the lowerer and removed by
 // cleanup passes).
 func verifyDominance(f *Function) error {
-	idx := map[*Block]int{}
-	for i, b := range f.Blocks {
-		idx[b] = i
-	}
-	succ := make([][]int, len(f.Blocks))
-	for i, b := range f.Blocks {
-		for _, s := range b.Succs() {
-			succ[i] = append(succ[i], idx[s])
-		}
-	}
-	dom := graph.Dominators(len(f.Blocks), succ, 0)
+	cfg := NewCFG(f)
+	idx, dom := cfg.Index, cfg.Dom
 	// pos gives each instruction's index within its block.
 	pos := map[*Instr]int{}
 	for _, b := range f.Blocks {

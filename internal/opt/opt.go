@@ -628,27 +628,3 @@ func DSE(fn *ir.Function) bool {
 	}
 	return changed
 }
-
-// Dominance exposes block dominance for other passes (the Grover
-// transformation checks that reused subexpressions dominate their new use
-// sites).
-type Dominance struct{ c *cfg }
-
-// ComputeDominance analyzes fn's control-flow graph.
-func ComputeDominance(fn *ir.Function) *Dominance {
-	return &Dominance{c: buildCFG(fn)}
-}
-
-// Dominates reports whether block a dominates block b. Unknown blocks
-// (not part of the analyzed function) never dominate.
-func (d *Dominance) Dominates(a, b *ir.Block) bool {
-	ai, ok := d.c.index[a]
-	if !ok {
-		return false
-	}
-	bi, ok := d.c.index[b]
-	if !ok {
-		return false
-	}
-	return d.c.dominates(ai, bi)
-}

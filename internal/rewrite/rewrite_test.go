@@ -301,10 +301,9 @@ func hoistSpec() runSpec {
 }
 
 func inLoopIndexes(fn *ir.Function) int {
-	dom := opt.ComputeDominance(fn)
 	count := 0
-	for _, l := range findLoops(fn, dom) {
-		for b := range l.blocks {
+	for _, l := range preheaderLoops(ir.NewCFG(fn)) {
+		for b := range l.Blocks {
 			for _, in := range b.Instrs {
 				if in.Op == ir.OpIndex {
 					count++

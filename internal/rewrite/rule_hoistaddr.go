@@ -4,15 +4,14 @@ import (
 	"fmt"
 
 	"grover/internal/ir"
-	"grover/internal/opt"
 )
 
 // The hoist-addr rule moves loop-invariant address computations — Index
 // chains and the integer arithmetic feeding them — into the loop
-// preheader, layered on opt.ComputeDominance. It is a targeted sibling of
-// the full LICM pass: plans that restrict the cleanup pipeline (phase
-// ordering experiments) can still get address hoisting, which is the part
-// of LICM the Grover-materialized nGL chains depend on most.
+// preheader, layered on ir.CFG's loops and dominance. It is a targeted
+// sibling of the full LICM pass: plans that restrict the cleanup pipeline
+// (phase ordering experiments) can still get address hoisting, which is
+// the part of LICM the Grover-materialized nGL chains depend on most.
 func init() {
 	Register(&Rule{
 		Name:  "hoist-addr",
@@ -33,8 +32,8 @@ func addrOp(o ir.Op) bool {
 
 func applyHoistAddr(m *ir.Module, kernel string, opts map[string]string) (*StepResult, error) {
 	fn := m.Kernel(kernel)
-	dom := opt.ComputeDominance(fn)
-	loops := findLoops(fn, dom)
+	cfg := ir.NewCFG(fn)
+	loops := preheaderLoops(cfg)
 	moved := 0
 	for _, l := range loops {
 		// Restrict to the backward slice of Index instructions: values
@@ -44,7 +43,7 @@ func applyHoistAddr(m *ir.Module, kernel string, opts map[string]string) (*StepR
 		var mark func(v ir.Value)
 		mark = func(v ir.Value) {
 			in, ok := v.(*ir.Instr)
-			if !ok || inSlice[in] || in.Block == nil || !l.contains(in.Block) || !addrOp(in.Op) {
+			if !ok || inSlice[in] || in.Block == nil || !l.Blocks[in.Block] || !addrOp(in.Op) {
 				return
 			}
 			inSlice[in] = true
@@ -52,25 +51,25 @@ func applyHoistAddr(m *ir.Module, kernel string, opts map[string]string) (*StepR
 				mark(a)
 			}
 		}
-		for _, b := range l.body {
+		for _, b := range l.Body {
 			for _, in := range b.Instrs {
 				if in.Op == ir.OpIndex {
 					mark(in)
 				}
 			}
 		}
-		term := l.preheader.Terminator()
+		term := l.Preheader.Terminator()
 		// Iterate so whole invariant chains drain out of the loop.
 		for pass := 0; pass < 16; pass++ {
 			any := false
-			for _, b := range l.body {
+			for _, b := range l.Body {
 				for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
 					if !inSlice[in] {
 						continue
 					}
 					ok := true
 					for _, a := range in.Args {
-						if !availableAt(a, l.preheader, l, dom) {
+						if !availableAt(a, l.Preheader, l, cfg) {
 							ok = false
 							break
 						}

@@ -10,7 +10,6 @@ import (
 	"grover/internal/exprtree"
 	"grover/internal/ir"
 	"grover/internal/linsolve"
-	"grover/internal/opt"
 )
 
 // The stage-local rule is the inverse of the Grover pass: it finds global
@@ -48,7 +47,7 @@ func init() {
 // stageCand is one in-loop global load eligible for staging.
 type stageCand struct {
 	load *ir.Instr
-	l    *loop
+	l    *ir.Loop
 	base ir.Value
 	aff  *linsolve.Affine
 }
@@ -60,12 +59,11 @@ func applyStageLocal(m *ir.Module, kernel string, opts map[string]string) (*Step
 		return nil, fmt.Errorf("stage-local: option ls=<work-group dim-0 size> is required and must be positive")
 	}
 	fn := m.Kernel(kernel)
-	dom := opt.ComputeDominance(fn)
-	loops := findLoops(fn, dom)
+	cfg := ir.NewCFG(fn)
+	loops := preheaderLoops(cfg)
 	if len(loops) == 0 {
 		return &StepResult{Detail: "no loops with preheaders"}, nil
 	}
-	cfg := analysis.NewCFG(fn)
 	uni := analysis.ComputeUniformity(cfg, analysis.ComputeReachingDefs(cfg))
 	tb := exprtree.NewBuilder(fn)
 	reg := exprtree.NewRegistry()
@@ -73,10 +71,10 @@ func applyStageLocal(m *ir.Module, kernel string, opts map[string]string) (*Step
 	var cands []stageCand
 	staged := map[*ir.Instr]bool{}
 	for _, l := range loops {
-		if uni.DivergentBlock(l.preheader) {
+		if uni.DivergentBlock(l.Preheader) {
 			continue // a staging barrier here would be divergent
 		}
-		for _, b := range l.body {
+		for _, b := range l.Body {
 			for _, in := range b.Instrs {
 				if in.Op != ir.OpLoad || staged[in] {
 					continue
@@ -84,7 +82,7 @@ func applyStageLocal(m *ir.Module, kernel string, opts map[string]string) (*Step
 				if ir.PointerSpace(in.Args[0].Type()) != clc.ASGlobal {
 					continue
 				}
-				c, ok := stageable(in, l, dom, uni, tb, reg)
+				c, ok := stageable(in, l, cfg, uni, tb, reg)
 				if !ok {
 					continue
 				}
@@ -100,7 +98,7 @@ func applyStageLocal(m *ir.Module, kernel string, opts map[string]string) (*Step
 	// One tile per distinct (loop, base, index form, element type): loads
 	// of the same element share the staged copy.
 	type groupKey struct {
-		l    *loop
+		l    *ir.Loop
 		base ir.Value
 		aff  string
 		typ  string
@@ -132,7 +130,7 @@ func applyStageLocal(m *ir.Module, kernel string, opts map[string]string) (*Step
 		tiles++
 
 		// Preheader: gl = base[affine]; tile[lid0] = gl; barrier(LOCAL).
-		em := &stageEmitter{at: c.l.preheader.Terminator(), l: c.l, reg: reg, vals: map[string]ir.Value{}}
+		em := &stageEmitter{at: c.l.Preheader.Terminator(), l: c.l, reg: reg, vals: map[string]ir.Value{}}
 		idx, err := em.affine(c.aff)
 		if err != nil {
 			return nil, fmt.Errorf("stage-local: %w", err)
@@ -184,17 +182,15 @@ func applyStageLocal(m *ir.Module, kernel string, opts map[string]string) (*Step
 
 // stageable decides whether the in-loop global load can be staged, and if
 // so returns its base pointer and combined element-index affine form.
-func stageable(load *ir.Instr, l *loop, dom *opt.Dominance, uni *analysis.Uniformity,
+func stageable(load *ir.Instr, l *ir.Loop, cfg *ir.CFG, uni *analysis.Uniformity,
 	tb *exprtree.Builder, reg *exprtree.Registry) (stageCand, bool) {
 	none := stageCand{}
 	// The load must execute every iteration: its block has to dominate
 	// every latch (in-loop predecessor of the header). This keeps the
 	// preheader copy-in from speculating loads the loop body would guard.
-	for _, b := range l.body {
-		for _, s := range b.Succs() {
-			if s == l.header && !dom.Dominates(load.Block, b) {
-				return none, false
-			}
+	for _, p := range cfg.Pred[cfg.Index[l.Header]] {
+		if latch := cfg.Blocks[p]; l.Blocks[latch] && !cfg.Dominates(load.Block, latch) {
+			return none, false
 		}
 	}
 	elemSize := load.Typ.Size()
@@ -231,7 +227,7 @@ func stageable(load *ir.Instr, l *loop, dom *opt.Dominance, uni *analysis.Unifor
 		return none, false
 	}
 	base := cur
-	if !availableAt(base, l.preheader, l, dom) {
+	if !availableAt(base, l.Preheader, l, cfg) {
 		return none, false
 	}
 	// Exactly lid₀ + uniform loop-invariant terms.
@@ -262,7 +258,7 @@ func stageable(load *ir.Instr, l *loop, dom *opt.Dominance, uni *analysis.Unifor
 		if !ok {
 			continue // parameters are always available
 		}
-		if rep.Block != nil && l.contains(rep.Block) {
+		if rep.Block != nil && l.Blocks[rep.Block] {
 			// In-loop value: only loads of variables the loop never writes
 			// can be recomputed at the preheader.
 			src, ok := rep.Args[0].(*ir.Instr)
@@ -271,7 +267,7 @@ func stageable(load *ir.Instr, l *loop, dom *opt.Dominance, uni *analysis.Unifor
 			}
 			continue
 		}
-		if !availableAt(rep, l.preheader, l, dom) {
+		if !availableAt(rep, l.Preheader, l, cfg) {
 			return none, false
 		}
 	}
@@ -280,8 +276,8 @@ func stageable(load *ir.Instr, l *loop, dom *opt.Dominance, uni *analysis.Unifor
 
 // allocaStoredIn reports whether any block of the loop stores to the
 // alloca, directly or through an Index chain rooted at it.
-func allocaStoredIn(alloca *ir.Instr, l *loop) bool {
-	for _, b := range l.body {
+func allocaStoredIn(alloca *ir.Instr, l *ir.Loop) bool {
+	for _, b := range l.Body {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpStore && rootAlloca(in.Args[0]) == alloca {
 				return true
@@ -326,7 +322,7 @@ func affineKey(a *linsolve.Affine) string {
 // referenced directly.
 type stageEmitter struct {
 	at   *ir.Instr
-	l    *loop
+	l    *ir.Loop
 	reg  *exprtree.Registry
 	vals map[string]ir.Value
 }
@@ -355,7 +351,7 @@ func (e *stageEmitter) term(key string) (ir.Value, error) {
 			Args: []ir.Value{ir.IntConst(int64(t.Dim))}, Pos: e.at.Pos})
 	default:
 		v = t.Rep
-		if rep, ok := t.Rep.(*ir.Instr); ok && rep.Block != nil && e.l.contains(rep.Block) {
+		if rep, ok := t.Rep.(*ir.Instr); ok && rep.Block != nil && e.l.Blocks[rep.Block] {
 			// Validated as a load of a variable the loop never writes:
 			// the preheader re-load observes the same value.
 			v = e.insert(&ir.Instr{Op: ir.OpLoad, Typ: rep.Typ, Args: []ir.Value{rep.Args[0]}, Pos: e.at.Pos})

@@ -39,7 +39,6 @@ import (
 	"sync"
 
 	"grover/internal/analysis"
-	"grover/internal/analysis/graph"
 	"grover/internal/ir"
 	"grover/internal/telemetry"
 	"grover/internal/vm"
@@ -128,7 +127,7 @@ func (bf *bfunc) annotate(root bool) {
 			bf.blockOf[pc] = int32(bi)
 		}
 	}
-	cfg := analysis.NewCFG(fn)
+	cfg := ir.NewCFG(fn)
 	// Reverse post-order places every block of a divergence region before
 	// the region's immediate post-dominator (for reducible CFGs), so the
 	// min-priority scheduler keeps divergent work-items inside the region
@@ -137,7 +136,7 @@ func (bf *bfunc) annotate(root bool) {
 	for i := range bf.prio {
 		bf.prio[i] = int32(nb) // unreachable blocks last; never executed
 	}
-	for i, b := range graph.ReversePostOrder(nb, cfg.Succ, 0) {
+	for i, b := range cfg.RPO() {
 		bf.prio[b] = int32(i)
 	}
 	if !root {
