@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"grover/internal/vm"
@@ -55,6 +56,39 @@ func TestNilLaunchOptsIsZeroValue(t *testing.T) {
 				}
 			} else if !bytes.Equal(mem.Data, want) {
 				t.Errorf("%s: %s options leave other memory than one worker", backend, tc.name)
+			}
+		}
+	}
+}
+
+// TestGeometryNegativeDimIsAnError: a negative global or local dimension
+// passes the divisibility check (-32 % 16 and 32 % -16 are both 0), so it
+// is refused by vm.Config.Normalized with an error naming the dimension,
+// on every engine, before any work-group runs.
+func TestGeometryNegativeDimIsAnError(t *testing.T) {
+	ctx := opencl.NewContext(opencl.NewPlatform().Devices()[0])
+	prog, err := ctx.CompileProgram("stage", stageSrc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, out := ctx.NewBuffer(32*32*4), ctx.NewBuffer(32*32*4)
+	vargs, err := opencl.VMArgs(out, in, opencl.LocalMem{Size: 16 * 16 * 4}, int32(32*32), float32(0.25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range backends {
+		for _, tc := range []struct {
+			global, local [3]int
+			dim           string
+		}{
+			{[3]int{-32, 32, 1}, [3]int{16, 16, 1}, "dim 0"},
+			{[3]int{32, 32, 1}, [3]int{16, -16, 1}, "dim 1"},
+			{[3]int{32, 32, -1}, [3]int{16, 16, 0}, "dim 2"},
+		} {
+			cfg := vm.Config{GlobalSize: tc.global, LocalSize: tc.local, Args: vargs, Backend: backend}
+			err := prog.VM().Launch("stage", cfg, ctx.Mem(), nil)
+			if err == nil || !strings.Contains(err.Error(), "negative") || !strings.Contains(err.Error(), tc.dim) {
+				t.Errorf("%s: global %v over local %v: %v, want an error naming %s", backend, tc.global, tc.local, err, tc.dim)
 			}
 		}
 	}

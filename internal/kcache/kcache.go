@@ -20,44 +20,28 @@ package kcache
 import (
 	"container/list"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 )
 
-// Key derives the content address for a piece of compiler work. Every
-// field is length-prefixed before hashing so that field boundaries cannot
-// collide ("ab","c" never hashes like "a","bc").
-func Key(fields ...string) string {
+// Key derives the content address for a piece of compiler work: the
+// SHA-256 of each part's encoding/json encoding. The encoding quotes every
+// string and sorts map keys, and the encoder ends each part with a newline
+// no encoding holds, so parts whose encodings differ never share a key
+// ("ab","c" never hashes like "a","bc"). Strings are encoded as UTF-8, so
+// two that differ only in invalid bytes share one; a string decoded from
+// JSON holds none.
+func Key(parts ...any) string {
 	h := sha256.New()
-	var n [8]byte
-	for _, f := range fields {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(f)))
-		h.Write(n[:])
-		h.Write([]byte(f))
+	enc := json.NewEncoder(h)
+	for _, p := range parts {
+		if err := enc.Encode(p); err != nil {
+			panic("kcache: key part: " + err.Error())
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// DefinesField renders a preprocessor-define map in canonical (sorted)
-// form for use as a Key field.
-func DefinesField(defines map[string]string) string {
-	if len(defines) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(defines))
-	for k := range defines {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&sb, "%s=%s\n", k, defines[k])
-	}
-	return sb.String()
 }
 
 // Outcome classifies how a Do call was served.

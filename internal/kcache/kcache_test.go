@@ -22,17 +22,6 @@ func TestKeyFieldBoundaries(t *testing.T) {
 	}
 }
 
-func TestDefinesFieldCanonical(t *testing.T) {
-	a := DefinesField(map[string]string{"TILE": "16", "N": "128"})
-	b := DefinesField(map[string]string{"N": "128", "TILE": "16"})
-	if a != b {
-		t.Errorf("map order leaked into the field: %q vs %q", a, b)
-	}
-	if DefinesField(nil) != "" {
-		t.Error("nil defines should render empty")
-	}
-}
-
 func TestHitMiss(t *testing.T) {
 	c := New(4)
 	calls := 0

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -33,43 +32,26 @@ type compiledArtifact struct {
 	ir      string
 }
 
-// transformArtifact is the cached result of a Grover pass or rewrite-plan
-// run.
+// transformArtifact is the cached result of a rewrite plan (rewrite) or of
+// the classic Grover pass (report).
 type transformArtifact struct {
-	report *igrover.Report
-	// rewrite is set for plan-based transforms; plan is the canonical plan
-	// string.
+	report  *igrover.Report
 	rewrite *rewrite.Report
-	plan    string
 	ir      string
 }
 
-// lintArtifact is the cached result of a static-analysis run.
-type lintArtifact struct {
-	res *analysis.Result
-}
-
-// verdictArtifact is the cached result of one (request, device) tuning,
-// without the winning kernel: that belongs to the tune's launch
-// environment, which the cache must not keep alive.
+// verdictArtifact is the cached result of one (job, device) tuning, without
+// the winning kernel: that belongs to the tune's launch environment, which
+// the cache must not keep alive.
 type verdictArtifact struct{ grover.TuneResult }
 
-func programName(name string) string {
-	if name == "" {
-		return "kernel.cl"
-	}
-	return name
-}
-
-// compile returns the cached compiled module for (name, source, defines),
-// compiling at most once across concurrent requests. The program name is
-// keyed because every source position in the module carries it. On a miss
-// the compile runs under the requesting context, so its pipeline stages
-// land in that request's span list; hits and dedups record nothing.
-func (s *Server) compile(ctx context.Context, name, source string, defines map[string]string) (*compiledArtifact, kcache.Outcome, error) {
-	key := kcache.Key("compile", programName(name), source, kcache.DefinesField(defines))
-	v, out, err := s.cache.Do(key, func() (interface{}, error) {
-		mod, err := opencl.CompileModuleCtx(ctx, programName(name), source, defines)
+// compile returns the cached compiled module for the program, compiling at
+// most once across concurrent requests. On a miss the compile runs under
+// the requesting context, so its pipeline stages land in that request's
+// span list; hits and dedups record nothing.
+func (s *Server) compile(ctx context.Context, p program) (*compiledArtifact, kcache.Outcome, error) {
+	v, out, err := s.cache.Do(jobKey("compile", p), func() (interface{}, error) {
+		mod, err := opencl.CompileModuleCtx(ctx, p.Name, p.Source, p.Defines)
 		if err != nil {
 			return nil, err
 		}
@@ -99,55 +81,33 @@ func (s *Server) compile(ctx context.Context, name, source string, defines map[s
 	return v.(*compiledArtifact), out, nil
 }
 
-// kernelIn checks that the compiled module contains the kernel, returning
-// an actionable 404 otherwise.
-func kernelIn(comp *compiledArtifact, kernel string) error {
-	if comp.mod.Kernel(kernel) == nil {
-		return notFound("no kernel %q in program (available: %s)",
-			kernel, strings.Join(comp.kernels, ", "))
+// compileKernel compiles the program and checks that it has the kernel,
+// returning an actionable 404 otherwise.
+func (s *Server) compileKernel(ctx context.Context, p program, kernel string) (*compiledArtifact, error) {
+	comp, _, err := s.compile(ctx, p)
+	if err == nil && comp.mod.Kernel(kernel) == nil {
+		err = notFound("no kernel %q in program (available: %s)", kernel, strings.Join(comp.kernels, ", "))
 	}
-	return nil
+	return comp, err
 }
 
-// transform returns the cached Grover pass (or rewrite plan) result for
-// the request. The canonical plan string is the key field, or for the
-// classic options the canonical grover step, marked apart: a plan's
-// response and the classic one differ even where the step is the same.
-func (s *Server) transform(ctx context.Context, req *TransformRequest) (*transformArtifact, kcache.Outcome, error) {
-	var plan *rewrite.Plan
-	opts := req.Options.options()
-	var field string
-	if req.Plan != "" {
-		var err error
-		if plan, err = rewrite.ParsePlan(req.Plan); err != nil {
-			return nil, kcache.Miss, badRequest("%v", err)
-		}
-		field = "plan=" + plan.String()
-	} else {
-		if err := opts.Validate(); err != nil {
-			return nil, kcache.Miss, badRequest("%v", err)
-		}
-		field = "options=" + rewrite.GroverStep(opts).String()
-	}
-	key := kcache.Key("transform", req.Source, kcache.DefinesField(req.Defines), req.Kernel, field)
-	v, out, err := s.cache.Do(key, func() (interface{}, error) {
-		comp, _, err := s.compile(ctx, req.Name, req.Source, req.Defines)
+// transform returns the cached rewrite-plan or Grover pass result.
+func (s *Server) transform(ctx context.Context, job *transformJob) (*transformArtifact, kcache.Outcome, error) {
+	v, out, err := s.cache.Do(jobKey("transform", job), func() (interface{}, error) {
+		comp, err := s.compileKernel(ctx, job.program, job.Kernel)
 		if err != nil {
 			return nil, err
 		}
-		if err := kernelIn(comp, req.Kernel); err != nil {
-			return nil, err
-		}
 		end := telemetry.StartSpan(ctx, "rewrite.apply")
-		if plan != nil {
-			mod, rep, err := rewrite.Apply(comp.mod, req.Kernel, plan)
+		if job.Plan != nil {
+			mod, rep, err := rewrite.Apply(comp.mod, job.Kernel, job.Plan)
 			end()
 			if err != nil {
 				return nil, err
 			}
-			return &transformArtifact{rewrite: rep, plan: rep.Plan, ir: mod.String()}, nil
+			return &transformArtifact{rewrite: rep, ir: mod.String()}, nil
 		}
-		mod, rep, err := rewrite.ApplyGrover(comp.mod, req.Kernel, opts)
+		mod, rep, err := rewrite.ApplyGrover(comp.mod, job.Kernel, *job.Options)
 		end()
 		if err != nil {
 			return nil, err
@@ -160,176 +120,94 @@ func (s *Server) transform(ctx context.Context, req *TransformRequest) (*transfo
 	return v.(*transformArtifact), out, nil
 }
 
-// lint returns the cached static-analysis result for the request. Findings
-// and legality verdicts carry source positions, so the program name is
-// keyed.
-func (s *Server) lint(ctx context.Context, req *LintRequest) (*lintArtifact, kcache.Outcome, error) {
-	key := kcache.Key("lint", programName(req.Name), req.Source, kcache.DefinesField(req.Defines),
-		req.Kernel, fmt.Sprintf("l=%v", req.Local))
-	v, out, err := s.cache.Do(key, func() (interface{}, error) {
-		comp, _, err := s.compile(ctx, req.Name, req.Source, req.Defines)
+// lint returns the cached static-analysis result.
+func (s *Server) lint(ctx context.Context, job *lintJob) (*analysis.Result, kcache.Outcome, error) {
+	v, out, err := s.cache.Do(jobKey("lint", job), func() (interface{}, error) {
+		opts := analysis.Options{WorkGroupSize: job.Local}
+		if job.Kernel == "" {
+			comp, _, err := s.compile(ctx, job.program)
+			if err != nil {
+				return nil, err
+			}
+			return analysis.AnalyzeModule(comp.mod, opts), nil
+		}
+		comp, err := s.compileKernel(ctx, job.program, job.Kernel)
 		if err != nil {
 			return nil, err
 		}
-		opts := analysis.Options{WorkGroupSize: req.Local}
-		if req.Kernel != "" {
-			if err := kernelIn(comp, req.Kernel); err != nil {
-				return nil, err
-			}
-			return &lintArtifact{res: analysis.AnalyzeKernel(comp.mod.Kernel(req.Kernel), opts)}, nil
-		}
-		return &lintArtifact{res: analysis.AnalyzeModule(comp.mod, opts)}, nil
+		return analysis.AnalyzeKernel(comp.mod.Kernel(job.Kernel), opts), nil
 	})
 	if err != nil {
 		return nil, out, err
 	}
-	return v.(*lintArtifact), out, nil
+	return v.(*analysis.Result), out, nil
 }
 
-// launchField canonicalizes the launch geometry and arguments for keying.
-func launchField(req *AutotuneRequest) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "g=%v;l=%v;", req.Global, req.Local)
-	for _, a := range req.Args {
-		sb.WriteString(a.field())
-		sb.WriteByte(';')
-	}
-	return sb.String()
-}
-
-// maxBufferBytes bounds one declared buffer or local argument. Device memory
-// grows on demand and both engines allocate a local argument's bytes per
-// work-group, so without a cap a single request could balloon the daemon;
-// 64 MiB is far beyond any scaled benchmark dataset.
-const maxBufferBytes = 64 << 20
-
-// buildArgs materializes the declared arguments in a context. Buffers get
-// a deterministic pseudo-random fill: simulated timing depends on the
-// access pattern, not the values.
-func buildArgs(ctx *opencl.Context, specs []ArgSpec) ([]interface{}, error) {
+// buildArgs materializes the job's arguments in a context. Buffers get a
+// deterministic pseudo-random fill: simulated timing depends on the access
+// pattern, not the values.
+func buildArgs(ctx *opencl.Context, specs []arg) []interface{} {
 	args := make([]interface{}, len(specs))
 	for i, a := range specs {
 		switch a.Kind {
 		case "buffer":
-			if a.Size <= 0 {
-				return nil, badRequest("arg %d: buffer needs a positive size", i)
-			}
-			if a.Size > maxBufferBytes {
-				return nil, badRequest("arg %d: buffer size %d exceeds the %d-byte limit", i, a.Size, maxBufferBytes)
-			}
 			buf := ctx.NewBuffer(a.Size)
 			buf.WriteFloat32(opencl.Pattern(a.Size/4, uint32(i+1)))
 			args[i] = buf
 		case "local":
-			if a.Size <= 0 {
-				return nil, badRequest("arg %d: local needs a positive size", i)
-			}
-			if a.Size > maxBufferBytes {
-				return nil, badRequest("arg %d: local size %d exceeds the %d-byte limit", i, a.Size, maxBufferBytes)
-			}
 			args[i] = opencl.LocalMem{Size: a.Size}
 		case "int":
 			args[i] = a.Int
 		case "float":
 			args[i] = a.Float
-		default:
-			return nil, badRequest("arg %d: unknown kind %q (want buffer, local, int or float)", i, a.Kind)
 		}
 	}
-	return args, nil
+	return args
 }
 
-// autotuneKey is the cache address of the tuning verdict for (request,
-// device, backend). The backend is part of the key: the verdict is
-// backend-invariant by the VM contract, but keeping the entries separate
-// keeps the cache an honest record of what actually ran. The program name
-// is keyed because a plan's error can quote a source position (stage-local
-// rejects a staged kernel with the safety analysis' messages).
-// Options are keyed for the two-version tune alone, as the grover step they
-// spell: a plan search never reads them.
-func autotuneKey(req *AutotuneRequest, devName, backend string, plans []string) string {
-	tuned := "plans=" + strings.Join(plans, "|")
-	if len(plans) == 0 {
-		tuned = "versions=" + rewrite.GroverStep(req.Options.options()).String()
+// verdictKeys are the cache addresses of the job's verdict on each device.
+// The backend is in the job: the verdict is backend-invariant by the VM
+// contract, but keeping the entries separate keeps the cache an honest
+// record of what actually ran.
+func verdictKeys(job *autotuneJob, devs []*opencl.Device) []string {
+	key := jobKey("autotune", job)
+	keys := make([]string, len(devs))
+	for i, d := range devs {
+		keys[i] = key + " " + d.Name()
 	}
-	return kcache.Key("autotune", programName(req.Name), req.Source, kcache.DefinesField(req.Defines),
-		req.Kernel, devName, backend, launchField(req), tuned,
-		fmt.Sprintf("profile=%t", req.Profile))
+	return keys
 }
 
-// autotuneDevices returns the tuning verdict of every named device, each
-// cached under its own key and computed at most once across concurrent
-// requests. The devices nobody holds a verdict for are tuned together as
-// one device set — one execution per kernel version, charged to each
-// device's cost model (tuneSet) — so a partially warm request computes
-// only what is missing.
-func (s *Server) autotuneDevices(rctx context.Context, req *AutotuneRequest, devices []string,
-	backend string, plans []string) ([]*verdictArtifact, []kcache.Outcome, []error) {
-	keys := make([]string, len(devices))
-	for i, name := range devices {
-		keys[i] = autotuneKey(req, name, backend, plans)
-	}
-	vals, outs, errs := s.cache.DoMany(keys, func(miss []int) ([]interface{}, []error) {
-		names := make([]string, len(miss))
-		for j, i := range miss {
-			names[j] = devices[i]
-		}
-		arts, errs := s.tuneSet(rctx, req, names, backend, plans)
-		vals := make([]interface{}, len(arts))
-		for j, art := range arts {
-			if errs[j] == nil {
-				vals[j] = art
-			}
-		}
-		return vals, errs
-	})
-	arts := make([]*verdictArtifact, len(devices))
-	for i, v := range vals {
-		if errs[i] == nil {
-			arts[i] = v.(*verdictArtifact)
-		}
-	}
-	return arts, outs, errs
-}
-
-// tuneSet computes the verdicts of a device set (grover.Tune).
-func (s *Server) tuneSet(rctx context.Context, req *AutotuneRequest, devices []string,
-	backend string, plans []string) ([]*verdictArtifact, []error) {
-	arts, errs := make([]*verdictArtifact, len(devices)), make([]error, len(devices))
-	failAll := func(err error) ([]*verdictArtifact, []error) {
+// tuneSet computes the verdicts (*verdictArtifact) of a device set with
+// grover.Tune.
+func (s *Server) tuneSet(rctx context.Context, job *autotuneJob, devs []*opencl.Device) ([]interface{}, []error) {
+	vals, errs := make([]interface{}, len(devs)), make([]error, len(devs))
+	comp, err := s.compileKernel(rctx, job.program, job.Kernel)
+	if err != nil {
 		for i := range errs {
 			errs[i] = err
 		}
-		return arts, errs
+		return vals, errs
 	}
-	comp, _, err := s.compile(rctx, req.Name, req.Source, req.Defines)
-	if err != nil {
-		return failAll(err)
+	var opts grover.Options
+	if job.Options != nil {
+		opts = *job.Options
 	}
-	if err := kernelIn(comp, req.Kernel); err != nil {
-		return failAll(err)
-	}
-	devs := make([]*opencl.Device, len(devices))
-	for i, name := range devices {
-		if devs[i], err = s.plat.DeviceByName(name); err != nil {
-			return failAll(notFound("%v", err))
-		}
-	}
-	results := grover.Tune(rctx, devs, req.Kernel, grover.LaunchSpec{
+	results := grover.Tune(rctx, devs, job.Kernel, grover.LaunchSpec{
 		Program: func(ctx *opencl.Context) (*opencl.Program, error) {
-			if err := ctx.SetBackend(backend); err != nil {
-				return nil, badRequest("%v", err)
+			if err := ctx.SetBackend(job.Backend); err != nil {
+				return nil, err
 			}
-			return ctx.NewProgramFromPrepared(programName(req.Name), comp.prog), nil
+			return ctx.NewProgramFromPrepared(job.Name, comp.prog), nil
 		},
-		Options: req.Options.options(),
-		ND:      opencl.NDRange{Global: req.Global, Local: req.Local},
+		Options: opts,
+		ND:      opencl.NDRange{Global: job.Global, Local: job.Local},
 		Args: func(ctx *opencl.Context) ([]interface{}, error) {
 			defer telemetry.StartSpan(rctx, "service.args")()
-			return buildArgs(ctx, req.Args)
+			return buildArgs(ctx, job.Args), nil
 		},
-		Plans:   plans,
-		Profile: req.Profile,
+		Plans:   job.Plans,
+		Profile: job.Profile,
 	})
 
 	var launches int64
@@ -339,14 +217,14 @@ func (s *Server) tuneSet(rctx context.Context, req *AutotuneRequest, devices []s
 			counted[r.Set] = true
 			launches += int64(r.Set.Launches)
 		}
-		if errs[i] = r.Err; r.Err != nil {
-			continue
+		if errs[i] = r.Err; r.Err == nil {
+			art := &verdictArtifact{*r.Result}
+			art.Kernel = nil
+			vals[i] = art
 		}
-		arts[i] = &verdictArtifact{*r.Result}
-		arts[i].Kernel = nil
 	}
-	s.tune.recordBackend(backend, int64(len(devices)), launches)
-	return arts, errs
+	s.tune.recordBackend(job.Backend, int64(len(devs)), launches)
+	return vals, errs
 }
 
 func (v *verdictArtifact) verdict(device string, outcome kcache.Outcome) TuneVerdict {
@@ -379,225 +257,129 @@ func (v *verdictArtifact) verdict(device string, outcome kcache.Outcome) TuneVer
 
 // ------------------------------------------------------------- handlers
 
-func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req CompileRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, err)
-		return
+// stamped is a POST response: stamp sets its latency and, where it carries
+// them, the spans its request recorded.
+type stamped interface {
+	stamp(ms float64, spans []telemetry.SpanJSON)
+}
+
+func (r *CompileResponse) stamp(ms float64, spans []telemetry.SpanJSON) {
+	r.LatencyMS, r.Spans = ms, spans
+}
+func (r *TransformResponse) stamp(ms float64, spans []telemetry.SpanJSON) {
+	r.LatencyMS, r.Spans = ms, spans
+}
+func (r *AutotuneResponse) stamp(ms float64, spans []telemetry.SpanJSON) {
+	r.LatencyMS, r.Spans = ms, spans
+}
+func (r *LintResponse) stamp(ms float64, _ []telemetry.SpanJSON) { r.LatencyMS = ms }
+
+// post serves a POST endpoint: decode the body into a Req, normalize it
+// into the endpoint's Job — which raises every 400 and 404 a request can
+// earn before a compile — and handle the job on the worker pool, which
+// computes the response and reports the cache outcomes it met.
+func post[Req, Job any](s *Server, normalize func(*Req) (Job, error),
+	handle func(context.Context, *Req, Job) (stamped, []kcache.Outcome, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		var req Req
+		if err := decode(r, &req); err != nil {
+			writeError(w, err)
+			return
+		}
+		job, err := normalize(&req)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		var (
+			resp stamped
+			outs []kcache.Outcome
+		)
+		if perr := s.pool.RunCtx(r.Context(), func() { resp, outs, err = handle(r.Context(), &req, job) }); perr != nil {
+			writeError(w, perr)
+			return
+		}
+		noteOutcome(r.Context(), outs...)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		resp.stamp(float64(time.Since(start))/float64(time.Millisecond), telemetry.FromContext(r.Context()).JSON())
+		writeJSON(w, http.StatusOK, resp)
 	}
-	if req.Source == "" {
-		writeError(w, badRequest("source is required"))
-		return
-	}
-	var (
-		comp *compiledArtifact
-		out  kcache.Outcome
-		err  error
-	)
-	if perr := s.pool.RunCtx(r.Context(), func() {
-		comp, out, err = s.compile(r.Context(), req.Name, req.Source, req.Defines)
-	}); perr != nil {
-		writeError(w, perr)
-		return
-	}
-	noteOutcome(r.Context(), out)
+}
+
+func (s *Server) handleCompile(ctx context.Context, req *CompileRequest, p program) (stamped, []kcache.Outcome, error) {
+	comp, out, err := s.compile(ctx, p)
 	if err != nil {
-		writeError(w, err)
-		return
+		return nil, []kcache.Outcome{out}, err
 	}
-	resp := &CompileResponse{
-		Name:      programName(req.Name),
-		Kernels:   comp.kernels,
-		Cache:     out.String(),
-		LatencyMS: float64(time.Since(start)) / float64(time.Millisecond),
-		Spans:     telemetry.FromContext(r.Context()).JSON(),
-	}
+	resp := &CompileResponse{Name: p.Name, Kernels: comp.kernels, Cache: out.String()}
 	if req.WantIR {
 		resp.IR = comp.ir
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, []kcache.Outcome{out}, nil
 }
 
-func (s *Server) handleTransform(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req TransformRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if req.Source == "" || req.Kernel == "" {
-		writeError(w, badRequest("source and kernel are required"))
-		return
-	}
-	var (
-		art *transformArtifact
-		out kcache.Outcome
-		err error
-	)
-	if perr := s.pool.RunCtx(r.Context(), func() {
-		art, out, err = s.transform(r.Context(), &req)
-	}); perr != nil {
-		writeError(w, perr)
-		return
-	}
-	noteOutcome(r.Context(), out)
+func (s *Server) handleTransform(ctx context.Context, req *TransformRequest, job *transformJob) (stamped, []kcache.Outcome, error) {
+	art, out, err := s.transform(ctx, job)
 	if err != nil {
-		writeError(w, err)
-		return
+		return nil, []kcache.Outcome{out}, err
 	}
-	resp := &TransformResponse{
-		Kernel:    req.Kernel,
-		Plan:      art.plan,
-		Rewrite:   renderRewrite(art.rewrite),
-		Cache:     out.String(),
-		LatencyMS: float64(time.Since(start)) / float64(time.Millisecond),
-		Spans:     telemetry.FromContext(r.Context()).JSON(),
-	}
+	resp := &TransformResponse{Kernel: job.Kernel, Rewrite: renderRewrite(art.rewrite), Cache: out.String()}
 	if art.rewrite != nil {
-		resp.Transformed = art.rewrite.Changed()
+		resp.Plan, resp.Transformed = art.rewrite.Plan, art.rewrite.Changed()
 	} else {
-		resp.Transformed = art.report.Transformed()
-		resp.Report = renderReport(art.report)
+		resp.Transformed, resp.Report = art.report.Transformed(), renderReport(art.report)
 	}
 	if req.WantIR {
 		resp.IR = art.ir
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, []kcache.Outcome{out}, nil
 }
 
-func (s *Server) handleAutotune(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req AutotuneRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if req.Source == "" || req.Kernel == "" {
-		writeError(w, badRequest("source and kernel are required"))
-		return
-	}
-	backend := req.Backend
-	if backend == "" {
-		backend = s.backend
-	}
-	if !vm.ValidBackend(backend) {
-		writeError(w, badRequest("unknown backend %q (available: %s)",
-			backend, strings.Join(vm.Backends(), ", ")))
-		return
-	}
-	// Resolve the plan list up front: "search" enumerates the default
-	// space for this launch geometry, anything else is "|"-separated
-	// plans, each validated and canonicalized here so malformed plans are
-	// a 400 and the cache key is spelling-independent.
-	var plans []string
-	if req.Plan == "search" {
-		plans = grover.DefaultPlanSpace(req.Local)
-	} else if req.Plan != "" {
-		for _, ps := range strings.Split(req.Plan, "|") {
-			p, err := rewrite.ParsePlan(ps)
-			if err != nil {
-				writeError(w, badRequest("%v", err))
-				return
-			}
-			plans = append(plans, p.String())
+// handleAutotune returns every device's verdict, each cached under its own
+// key and computed at most once across concurrent requests. The devices
+// nobody holds a verdict for are tuned together as one device set — one
+// execution per kernel version, charged to each device's cost model — so
+// a partially warm request computes only what is missing.
+func (s *Server) handleAutotune(ctx context.Context, _ *AutotuneRequest, t tuning) (stamped, []kcache.Outcome, error) {
+	vals, outs, errs := s.cache.DoMany(verdictKeys(t.job, t.devs), func(miss []int) ([]interface{}, []error) {
+		set := make([]*opencl.Device, len(miss))
+		for j, i := range miss {
+			set[j] = t.devs[i]
 		}
-	}
-	if len(plans) == 0 {
-		if req.Profile {
-			writeError(w, badRequest("profile requires a plan search (set plan)"))
-			return
-		}
-		if err := req.Options.options().Validate(); err != nil {
-			writeError(w, badRequest("%v", err))
-			return
-		}
-	}
-	// Resolve the device list up front so an unknown name is a 404 with
-	// the available devices, before any compile work is queued.
-	var devices []string
-	if req.Device == "" || req.Device == "all" {
-		for _, d := range s.plat.Devices() {
-			devices = append(devices, d.Name())
-		}
-	} else {
-		if _, err := s.plat.DeviceByName(req.Device); err != nil {
-			writeError(w, notFound("%v", err))
-			return
-		}
-		devices = []string{req.Device}
-	}
-
-	results := make([]TuneVerdict, len(devices))
-	var outcomes []kcache.Outcome
-	var errs []error
-	if perr := s.pool.RunCtx(r.Context(), func() {
-		// A sweep is one unit of queued work: its devices are tuned
-		// together, from one execution per kernel version.
-		var arts []*verdictArtifact
-		arts, outcomes, errs = s.autotuneDevices(r.Context(), &req, devices, backend, plans)
-		for i, name := range devices {
-			if errs[i] != nil {
-				results[i] = TuneVerdict{Device: name, Error: errs[i].Error()}
-				continue
-			}
-			results[i] = arts[i].verdict(name, outcomes[i])
-		}
-	}); perr != nil {
-		writeError(w, perr)
-		return
-	}
-	noteOutcome(r.Context(), outcomes...)
+		return s.tuneSet(ctx, t.job, set)
+	})
 	// A single-device failure is the request's failure (with its original
 	// HTTP status); sweeps report per-device errors inline instead.
-	if len(devices) == 1 && errs[0] != nil {
-		writeError(w, errs[0])
-		return
+	if len(t.devs) == 1 && errs[0] != nil {
+		return nil, outs, errs[0]
 	}
-	writeJSON(w, http.StatusOK, &AutotuneResponse{
-		Kernel:    req.Kernel,
-		Backend:   backend,
-		Results:   results,
-		LatencyMS: float64(time.Since(start)) / float64(time.Millisecond),
-		Spans:     telemetry.FromContext(r.Context()).JSON(),
-	})
+	resp := &AutotuneResponse{Kernel: t.job.Kernel, Backend: t.job.Backend, Results: make([]TuneVerdict, len(t.devs))}
+	for i, d := range t.devs {
+		if errs[i] != nil {
+			resp.Results[i] = TuneVerdict{Device: d.Name(), Error: errs[i].Error()}
+		} else {
+			resp.Results[i] = vals[i].(*verdictArtifact).verdict(d.Name(), outs[i])
+		}
+	}
+	return resp, outs, nil
 }
 
-func (s *Server) handleLint(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req LintRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if req.Source == "" {
-		writeError(w, badRequest("source is required"))
-		return
-	}
-	var (
-		art *lintArtifact
-		out kcache.Outcome
-		err error
-	)
-	if perr := s.pool.RunCtx(r.Context(), func() {
-		art, out, err = s.lint(r.Context(), &req)
-	}); perr != nil {
-		writeError(w, perr)
-		return
-	}
-	noteOutcome(r.Context(), out)
+func (s *Server) handleLint(ctx context.Context, _ *LintRequest, job *lintJob) (stamped, []kcache.Outcome, error) {
+	res, out, err := s.lint(ctx, job)
 	if err != nil {
-		writeError(w, err)
-		return
+		return nil, []kcache.Outcome{out}, err
 	}
-	writeJSON(w, http.StatusOK, &LintResponse{
-		Name:        programName(req.Name),
-		Findings:    art.res.Findings,
-		Legality:    art.res.Legality,
-		MaxSeverity: string(art.res.MaxSeverity()),
+	return &LintResponse{
+		Name:        job.Name,
+		Findings:    res.Findings,
+		Legality:    res.Legality,
+		MaxSeverity: string(res.MaxSeverity()),
 		Cache:       out.String(),
-		LatencyMS:   float64(time.Since(start)) / float64(time.Millisecond),
-	})
+	}, []kcache.Outcome{out}, nil
 }
 
 func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {

@@ -45,7 +45,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"grover"
 	"grover/internal/analysis"
 	igrover "grover/internal/grover"
 	"grover/internal/kcache"
@@ -146,10 +145,10 @@ func New(cfg Config) *Server {
 		method, path string
 		handler      http.HandlerFunc
 	}{
-		{"POST", "/v1/compile", s.handleCompile},
-		{"POST", "/v1/transform", s.handleTransform},
-		{"POST", "/v1/autotune", s.handleAutotune},
-		{"POST", "/v1/lint", s.handleLint},
+		{"POST", "/v1/compile", post(s, normalizeCompile, s.handleCompile)},
+		{"POST", "/v1/transform", post(s, normalizeTransform, s.handleTransform)},
+		{"POST", "/v1/autotune", post(s, s.normalizeAutotune, s.handleAutotune)},
+		{"POST", "/v1/lint", post(s, normalizeLint, s.handleLint)},
 		{"GET", "/v1/devices", s.handleDevices},
 		{"GET", "/v1/stats", s.handleStats},
 		{"GET", "/v1/traces", s.handleTraces},
@@ -359,15 +358,6 @@ type OptionsSpec struct {
 	Strict bool `json:"strict,omitempty"`
 }
 
-func (o OptionsSpec) options() grover.Options {
-	return grover.Options{
-		Candidates:   o.Candidates,
-		KeepBarriers: o.KeepBarriers,
-		CloneAll:     o.CloneAll,
-		Strict:       o.Strict,
-	}
-}
-
 // CompileRequest compiles OpenCL C source.
 type CompileRequest struct {
 	// Name labels the program in errors and reports (default "kernel.cl").
@@ -403,8 +393,7 @@ type TransformRequest struct {
 	Options OptionsSpec `json:"options"`
 	// Plan applies an arbitrary rewrite plan (e.g. "grover",
 	// "stage-local(ls=64),hoist-addr") instead of the default Grover pass;
-	// Options is ignored when set. The canonical plan string is part of the
-	// artifact cache key, so two plans never share a cached result.
+	// Options is ignored when set.
 	Plan string `json:"plan,omitempty"`
 	// WantIR includes the transformed IR in the response.
 	WantIR bool `json:"want_ir,omitempty"`
@@ -524,10 +513,6 @@ type ArgSpec struct {
 	Float float64 `json:"float,omitempty"`
 }
 
-func (a ArgSpec) field() string {
-	return fmt.Sprintf("%s:%d:%d:%g", a.Kind, a.Size, a.Int, a.Float)
-}
-
 // AutotuneRequest times both kernel versions and returns the winner.
 type AutotuneRequest struct {
 	Name    string            `json:"name,omitempty"`
@@ -552,12 +537,11 @@ type AutotuneRequest struct {
 	// Plan switches tuning from the classic two-version comparison to a
 	// rewrite-plan search: "search" enumerates the default plan space for
 	// the launch geometry, anything else is a "|"-separated list of plans
-	// (plans use "," between steps). The canonical plan list is part of the
-	// cache key; Options are not read, nor keyed, when Plan is set.
+	// (plans use "," between steps). Options are ignored when set.
 	Plan string `json:"plan,omitempty"`
 	// Profile attaches a per-launch execution profile (wall time and
 	// retire/traffic counters per barrier-delimited region) to every timed
-	// plan in the verdict. Requires a plan search. Part of the cache key.
+	// plan in the verdict. Requires a plan search.
 	Profile bool `json:"profile,omitempty"`
 }
 

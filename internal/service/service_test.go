@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"grover/internal/apps"
+	"grover/internal/vm"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -347,45 +348,72 @@ func checkFieldsAre400(t *testing.T, fields map[string]interface{}) {
 	}
 }
 
-// keyExempt lists the AutotuneRequest fields autotuneKey does not read from
-// the request, each with the reason the verdict is still keyed by it.
-var keyExempt = map[string]string{
-	"Device":  "resolved by the handler (\"\" and \"all\" expand) and keyed as devName",
-	"Backend": "resolved by the handler (\"\" is the server default) and keyed as backend",
-	"Plan":    "resolved by the handler (\"search\" expands, plans are canonicalized) and keyed as plans",
-}
-
-// searchKeyExempt adds the fields a plan search does not read to keyExempt.
+// searchKeyExempt lists the AutotuneRequest fields a plan search does not
+// read, each with the reason: the normalizer drops them, so changing one
+// leaves the verdict key as it is.
 var searchKeyExempt = map[string]string{
-	"Device":  keyExempt["Device"],
-	"Backend": keyExempt["Backend"],
-	"Plan":    keyExempt["Plan"],
 	"Options": "read by the two-version tune alone: a plan search never runs them",
 }
 
+// refused lists the fields whose change the normalizer refuses with a 400
+// for the two-version tune.
+var refused = map[string]string{
+	"Profile": "a profile needs a plan search",
+}
+
+// respell gives a field=value of the base request another valid value, so
+// that changing a name the normalizer resolves makes a request it accepts.
+var respell = map[string]string{
+	"Device=SNB":       "Fermi",
+	"Backend=":         vm.BackendInterp,
+	"Plan=":            "grover",
+	"Plan=base|grover": "grover",
+	"Kind=buffer":      "local",
+	"Kind=int":         "float",
+}
+
+// argReads names the one ArgSpec field each kind reads; the normalizer
+// zeroes the others.
+var argReads = map[string]string{"buffer": "Size", "local": "Size", "int": "Int", "float": "Float"}
+
 // TestAutotuneKeyCoversEveryField walks AutotuneRequest by reflection and
 // changes one value at a time — every field, and every field of a nested
-// struct, array or argument — requiring the verdict's cache key to change,
-// for the two-version tune and for a plan search. A field added to the
-// request without deciding how it is keyed fails here; only the exempt
-// fields are excused.
+// struct, array or argument — requiring the normalized request's verdict
+// keys to change, for the two-version tune and for a plan search. A field
+// added to the request without deciding how it is normalized fails here.
+// Only the exempt fields, and the argument fields their kind does not read,
+// leave the keys as they are; those must.
 func TestAutotuneKeyCoversEveryField(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		plans  []string
-		exempt map[string]string
+		name            string
+		plan            string
+		exempt, refused map[string]string
 	}{
-		{"two versions", nil, keyExempt},
-		{"plan search", []string{"base", "grover"}, searchKeyExempt},
+		{"two versions", "", nil, refused},
+		{"plan search", "base|grover", searchKeyExempt, nil},
 	} {
-		t.Run(tc.name, func(t *testing.T) { checkKeyCoversFields(t, tc.plans, tc.exempt) })
+		t.Run(tc.name, func(t *testing.T) { checkKeyCoversFields(t, tc.plan, tc.exempt, tc.refused) })
 	}
 }
 
-func checkKeyCoversFields(t *testing.T, plans []string, exempt map[string]string) {
+func checkKeyCoversFields(t *testing.T, plan string, exempt, refused map[string]string) {
+	// The server default is named, so that "" and "interp" differ whatever
+	// GROVER_BACKEND says.
+	srv := New(Config{Backend: vm.BackendWgvec})
 	_, base := nvdMT()
-	key := func(req *AutotuneRequest) string { return autotuneKey(req, "SNB", "wgvec", plans) }
-	want := key(&base)
+	base.Plan = plan
+	base.Global[2] = 2 // so that doubling Local[2] still divides it
+	key := func(req *AutotuneRequest) (string, error) {
+		t, err := srv.normalizeAutotune(req)
+		if err != nil {
+			return "", err
+		}
+		return strings.Join(verdictKeys(t.job, t.devs), ","), nil
+	}
+	want, err := key(&base)
+	if err != nil {
+		t.Fatal(err)
+	}
 	typ := reflect.TypeOf(base)
 	for name := range exempt {
 		if _, ok := typ.FieldByName(name); !ok {
@@ -416,7 +444,21 @@ func checkKeyCoversFields(t *testing.T, plans []string, exempt map[string]string
 			}
 		}
 		perturb(t, path, v)
-		if key(&req) == want {
+		got, err := key(&req)
+		top := typ.Field(at[0]).Name
+		dropped := exempt[top] != ""
+		if top == "Args" && len(at) == 3 {
+			// An argument field its kind does not read is zeroed.
+			f := reflect.TypeOf(ArgSpec{}).Field(at[2]).Name
+			dropped = f != "Kind" && f != argReads[base.Args[at[1]].Kind]
+		}
+		switch {
+		case err != nil && refused[top] == "":
+			t.Errorf("changing %s makes the request invalid: %v; teach respell or perturb a valid value", path, err)
+		case err != nil:
+		case dropped && got != want:
+			t.Errorf("changing %s changes the autotune key, but the normalizer should drop it", path)
+		case !dropped && got == want:
 			t.Errorf("changing %s leaves the autotune key unchanged", path)
 		}
 	}
@@ -424,11 +466,7 @@ func checkKeyCoversFields(t *testing.T, plans []string, exempt map[string]string
 		switch v.Kind() {
 		case reflect.Struct:
 			for i := 0; i < v.NumField(); i++ {
-				name := v.Type().Field(i).Name
-				if len(at) == 0 && exempt[name] != "" {
-					continue
-				}
-				walk(strings.TrimPrefix(path+"."+name, "."), append(at[:len(at):len(at)], i), v.Field(i))
+				walk(strings.TrimPrefix(path+"."+v.Type().Field(i).Name, "."), append(at[:len(at):len(at)], i), v.Field(i))
 			}
 		case reflect.Array, reflect.Slice:
 			for i := 0; i < v.Len(); i++ {
@@ -487,15 +525,25 @@ func TestCandidateNamesAreIdentifiers(t *testing.T) {
 	}
 }
 
-// perturb sets v to another value of its type.
+// perturb sets v to another value of its type: a name in respell to the
+// other valid name it lists, a size or count to twice itself.
 func perturb(t *testing.T, path string, v reflect.Value) {
 	switch v.Kind() {
 	case reflect.String:
-		v.SetString(v.String() + "x")
+		field := path[strings.LastIndex(path, ".")+1:]
+		if alt, ok := respell[field+"="+v.String()]; ok {
+			v.SetString(alt)
+		} else {
+			v.SetString(v.String() + "x")
+		}
 	case reflect.Bool:
 		v.SetBool(!v.Bool())
 	case reflect.Int, reflect.Int64:
-		v.SetInt(v.Int() + 7)
+		if v.Int() == 0 {
+			v.SetInt(7)
+		} else {
+			v.SetInt(2 * v.Int())
+		}
 	case reflect.Float64:
 		v.SetFloat(v.Float() + 0.5)
 	case reflect.Map:

@@ -157,7 +157,8 @@ type Config struct {
 	Backend string
 }
 
-// Normalized fills defaulted dimensions and checks divisibility.
+// Normalized fills defaulted dimensions and rejects a negative dimension
+// and an indivisible one.
 func (c *Config) Normalized() (Config, error) {
 	out := *c
 	for d := 0; d < 3; d++ {
@@ -166,6 +167,10 @@ func (c *Config) Normalized() (Config, error) {
 		}
 		if out.LocalSize[d] == 0 {
 			out.LocalSize[d] = 1
+		}
+		if out.GlobalSize[d] < 0 || out.LocalSize[d] < 0 {
+			return out, fmt.Errorf("vm: negative size in dim %d: global %d, local %d",
+				d, out.GlobalSize[d], out.LocalSize[d])
 		}
 		if out.GlobalSize[d]%out.LocalSize[d] != 0 {
 			return out, fmt.Errorf("vm: global size %d not divisible by local size %d in dim %d",
