@@ -1,9 +1,6 @@
 package analysis
 
 import (
-	"math/big"
-
-	"grover/internal/analysis/intervals"
 	"grover/internal/clc"
 	"grover/internal/exprtree"
 	"grover/internal/ir"
@@ -13,8 +10,6 @@ import (
 // access is one load or store of a __local buffer.
 type access struct {
 	instr *ir.Instr
-	// chain is the OpIndex path from the alloca, outermost first.
-	chain []*ir.Instr
 	store bool
 	// aff is the access's byte offset from the buffer base as an affine
 	// form, nil when some index is not affine.
@@ -39,8 +34,8 @@ func collectLocalBuffers(fn *ir.Function, tb *exprtree.Builder, reg *exprtree.Re
 			if in.Op != ir.OpLoad && in.Op != ir.OpStore {
 				continue
 			}
-			base := rootAlloca(in.Args[0])
-			if base == nil || base.Space != clc.ASLocal {
+			base, ok := ir.RootOf(in.Args[0]).(*ir.Instr)
+			if !ok || base.Space != clc.ASLocal {
 				continue
 			}
 			buf := byAlloca[base]
@@ -49,58 +44,13 @@ func collectLocalBuffers(fn *ir.Function, tb *exprtree.Builder, reg *exprtree.Re
 				byAlloca[base] = buf
 				order = append(order, buf)
 			}
-			acc := &access{instr: in, chain: indexChain(in.Args[0]), store: in.Op == ir.OpStore}
-			acc.aff = accessOffset(tb, acc, reg)
+			acc := &access{instr: in, store: in.Op == ir.OpStore}
+			_, chain := ir.PointerRoot(in.Args[0])
+			acc.aff, _ = tb.Offset(chain, reg)
 			buf.accesses = append(buf.accesses, acc)
 		}
 	}
 	return order
-}
-
-// indexChain returns the OpIndex instructions between a pointer value and
-// its root alloca, outermost first.
-func indexChain(v ir.Value) []*ir.Instr {
-	var rev []*ir.Instr
-	for {
-		in, ok := v.(*ir.Instr)
-		if !ok {
-			break
-		}
-		if in.Op == ir.OpIndex {
-			rev = append(rev, in)
-			v = in.Args[0]
-			continue
-		}
-		if in.Op == ir.OpConvert {
-			v = in.Args[0]
-			continue
-		}
-		break
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// accessOffset computes the byte offset of the access from the buffer
-// base, Σ idx_k · step_k over the index chain, or nil when an index is
-// not an affine function of the registry's terms.
-func accessOffset(tb *exprtree.Builder, acc *access, reg *exprtree.Registry) *linsolve.Affine {
-	total := linsolve.NewAffine()
-	for _, idx := range acc.chain {
-		step := int64(ir.PointeeSize(idx.Args[0].Type()))
-		node, err := tb.Build(idx.Args[1])
-		if err != nil {
-			return nil
-		}
-		aff, err := exprtree.ExtractAffine(node, reg)
-		if err != nil {
-			return nil
-		}
-		total.AddScaled(aff, big.NewRat(step, 1))
-	}
-	return total
 }
 
 // accessSize is the number of bytes the access reads or writes.
@@ -120,28 +70,6 @@ func bufferSize(alloca *ir.Instr) int {
 	return pt.Elem.Size()
 }
 
-// ratInt64 extracts an int64 from an integral rational, reporting
-// whether the extraction is exact.
-func ratInt64(r *big.Rat) (int64, bool) { return intervals.RatInt64(r) }
-
-// workItemCoeffs folds the affine's per-work-item coefficients by
-// dimension: get_global_id(d) varies with the work-item exactly like
-// get_local_id(d) inside one work-group, so both fold into dimension d.
-// ok is false when a coefficient is not an integer.
-func workItemCoeffs(aff *linsolve.Affine) (c [3]int64, ok bool) {
-	for d := 0; d < 3; d++ {
-		sum := new(big.Rat)
-		sum.Add(sum, aff.Coeff(exprtree.LocalIDKey(d)))
-		sum.Add(sum, aff.Coeff(exprtree.WorkItemKey("get_global_id", d)))
-		v, exact := ratInt64(sum)
-		if !exact {
-			return c, false
-		}
-		c[d] = v
-	}
-	return c, true
-}
-
 // isWorkItemDimKey reports whether key is a get_local_id or
 // get_global_id term (a per-work-item-varying dimension).
 func isWorkItemDimKey(key string) bool {
@@ -151,11 +79,4 @@ func isWorkItemDimKey(key string) bool {
 		}
 	}
 	return false
-}
-
-// stableTerm reports whether the registry term named key has the same
-// value every time one work-item evaluates it during a kernel run; see
-// intervals.StableTerm.
-func stableTerm(reg *exprtree.Registry, key string) bool {
-	return intervals.StableTerm(reg, key)
 }

@@ -91,7 +91,7 @@ func guardBounds(cfg *ir.CFG, bi int, tb *exprtree.Builder, reg *exprtree.Regist
 	out := map[string]interval{}
 	cfg.Guards(bi, func(_ *ir.Block, cond *ir.Instr, negated bool) {
 		key, iv, ok := intervals.ConstraintFromCond(cond, negated, tb, reg)
-		if !ok || !stableTerm(reg, key) {
+		if !ok || !intervals.StableTerm(reg, key) {
 			return
 		}
 		cur, has := out[key]

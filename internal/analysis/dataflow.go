@@ -94,25 +94,6 @@ type ReachingDefs struct {
 	in       []BitSet
 }
 
-// rootAlloca traces a pointer value through index/convert chains to its
-// defining alloca, or nil when the base is a parameter or unknown.
-func rootAlloca(v ir.Value) *ir.Instr {
-	for {
-		in, ok := v.(*ir.Instr)
-		if !ok {
-			return nil
-		}
-		switch in.Op {
-		case ir.OpAlloca:
-			return in
-		case ir.OpIndex, ir.OpConvert:
-			v = in.Args[0]
-		default:
-			return nil
-		}
-	}
-}
-
 // ComputeReachingDefs builds and solves the reaching-definitions problem
 // over all alloca-rooted stores of cfg's function.
 func ComputeReachingDefs(cfg *ir.CFG) *ReachingDefs {
@@ -127,8 +108,8 @@ func ComputeReachingDefs(cfg *ir.CFG) *ReachingDefs {
 			if in.Op != ir.OpStore {
 				continue
 			}
-			base := rootAlloca(in.Args[0])
-			if base == nil {
+			base, ok := ir.RootOf(in.Args[0]).(*ir.Instr)
+			if !ok {
 				continue
 			}
 			rd.idx[in] = len(rd.Defs)

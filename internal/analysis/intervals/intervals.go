@@ -269,19 +269,11 @@ func CondDiff(cond *ir.Instr, tb *exprtree.Builder, reg *exprtree.Registry) (*li
 	if len(cond.Args) != 2 {
 		return nil, false
 	}
-	ln, err := tb.Build(cond.Args[0])
+	la, err := tb.Affine(cond.Args[0], reg)
 	if err != nil {
 		return nil, false
 	}
-	la, err := exprtree.ExtractAffine(ln, reg)
-	if err != nil {
-		return nil, false
-	}
-	rn, err := tb.Build(cond.Args[1])
-	if err != nil {
-		return nil, false
-	}
-	ra, err := exprtree.ExtractAffine(rn, reg)
+	ra, err := tb.Affine(cond.Args[1], reg)
 	if err != nil {
 		return nil, false
 	}

@@ -5,7 +5,6 @@ import (
 
 	"grover/internal/analysis/intervals"
 	"grover/internal/clc"
-	"grover/internal/exprtree"
 	"grover/internal/ir"
 	"grover/internal/linsolve"
 )
@@ -120,7 +119,7 @@ func (s *Summary) exitBranch(l *Loop) (cond *ir.Instr, contSide int, ok bool) {
 func (s *Summary) recurrence(l *Loop) {
 	inStores := s.loopStores(l, l.IndVar)
 	if len(inStores) == 1 {
-		if aff := s.storeAffine(inStores[0]); aff != nil {
+		if aff, err := s.TB.Affine(inStores[0].Args[1], s.Reg); err == nil {
 			one := big.NewRat(1, 1)
 			if aff.Coeff(l.Key).Cmp(one) == 0 && len(aff.Terms()) == 1 {
 				if step, ok := intervals.RatInt64(aff.Const); ok && step != 0 {
@@ -138,7 +137,7 @@ func (s *Summary) recurrence(l *Loop) {
 		init = st // stores are in block order; the last dominating one wins
 	}
 	if init != nil {
-		if aff := s.storeAffine(init); aff != nil {
+		if aff, err := s.TB.Affine(init.Args[1], s.Reg); err == nil {
 			if iv, ok := intervals.EvalAffine(aff, s.Reg, s.WG, s.argGuards()); ok && !iv.LoInf && !iv.HiInf && iv.Lo == iv.Hi {
 				l.Init, l.InitOK = iv.Lo, true
 			}
@@ -155,19 +154,6 @@ func (s *Summary) loopStores(l *Loop, alloca *ir.Instr) []*ir.Instr {
 		}
 	}
 	return out
-}
-
-// storeAffine extracts the affine form of a store's value.
-func (s *Summary) storeAffine(st *ir.Instr) *linsolve.Affine {
-	node, err := s.TB.Build(st.Args[1])
-	if err != nil {
-		return nil
-	}
-	aff, err := exprtree.ExtractAffine(node, s.Reg)
-	if err != nil {
-		return nil
-	}
-	return aff
 }
 
 // estimateTrip bounds the induction variable from the exit comparison:

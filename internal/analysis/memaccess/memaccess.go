@@ -18,7 +18,6 @@ package memaccess
 
 import (
 	"fmt"
-	"math/big"
 	"sort"
 	"strings"
 
@@ -320,7 +319,7 @@ func (s *Summary) scheduleBlock(r *Region, b *ir.Block) {
 // collectAccess builds the Access record for one load/store, or nil when
 // the pointer does not root at a parameter or alloca.
 func (s *Summary) collectAccess(in *ir.Instr, b *ir.Block, w float64) *Access {
-	base, chain := PointerRoot(in.Args[0])
+	base, chain := ir.PointerRoot(in.Args[0])
 	if base == nil {
 		return nil
 	}
@@ -347,9 +346,9 @@ func (s *Summary) collectAccess(in *ir.Instr, b *ir.Block, w float64) *Access {
 		// caller as private traffic.
 		return acc
 	}
-	acc.Offset = s.accessOffset(acc)
+	acc.Offset, _ = s.TB.Offset(chain, s.Reg)
 	if acc.Offset != nil {
-		acc.Lane, acc.LaneOK = laneStrides(acc.Offset)
+		acc.Lane, acc.LaneOK = exprtree.WorkItemCoeffs(acc.Offset)
 		for l := acc.Loop; l != nil; l = s.parent(l) {
 			if l.Key == "" {
 				continue
@@ -360,81 +359,6 @@ func (s *Summary) collectAccess(in *ir.Instr, b *ir.Block, w float64) *Access {
 		}
 	}
 	return acc
-}
-
-// PointerRoot walks OpIndex/OpConvert chains up to the pointer root,
-// returning the root (an *ir.Param or alloca *ir.Instr, nil otherwise)
-// and the index chain outermost first.
-func PointerRoot(v ir.Value) (ir.Value, []*ir.Instr) {
-	var rev []*ir.Instr
-	for {
-		switch x := v.(type) {
-		case *ir.Param:
-			if _, ok := x.Typ.(*clc.PointerType); !ok {
-				return nil, nil
-			}
-			reverse(rev)
-			return x, rev
-		case *ir.Instr:
-			switch x.Op {
-			case ir.OpIndex:
-				rev = append(rev, x)
-				v = x.Args[0]
-			case ir.OpConvert:
-				v = x.Args[0]
-			case ir.OpAlloca:
-				reverse(rev)
-				return x, rev
-			default:
-				return nil, nil
-			}
-		default:
-			return nil, nil
-		}
-	}
-}
-
-func reverse(s []*ir.Instr) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-// accessOffset computes the byte offset of the access from its base,
-// Σ idx_k · step_k over the index chain, or nil when an index is not an
-// affine function of the registry's terms.
-func (s *Summary) accessOffset(acc *Access) *linsolve.Affine {
-	total := linsolve.NewAffine()
-	for _, idx := range acc.Chain {
-		step := int64(ir.PointeeSize(idx.Args[0].Type()))
-		node, err := s.TB.Build(idx.Args[1])
-		if err != nil {
-			return nil
-		}
-		aff, err := exprtree.ExtractAffine(node, s.Reg)
-		if err != nil {
-			return nil
-		}
-		total.AddScaled(aff, big.NewRat(step, 1))
-	}
-	return total
-}
-
-// laneStrides folds the per-work-item coefficients by dimension:
-// get_global_id(d) varies with the work-item exactly like
-// get_local_id(d) inside one work-group.
-func laneStrides(aff *linsolve.Affine) (c [3]int64, ok bool) {
-	for d := 0; d < 3; d++ {
-		sum := new(big.Rat)
-		sum.Add(sum, aff.Coeff(exprtree.LocalIDKey(d)))
-		sum.Add(sum, aff.Coeff(exprtree.WorkItemKey("get_global_id", d)))
-		v, exact := intervals.RatInt64(sum)
-		if !exact {
-			return c, false
-		}
-		c[d] = v
-	}
-	return c, true
 }
 
 // computeWeights estimates each block's execution probability within one

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"grover/internal/analysis/intervals"
 	"grover/internal/clc"
 	"grover/internal/exprtree"
 	"grover/internal/ir"
@@ -155,20 +156,11 @@ func excusedPair(x, y *access, reg *exprtree.Registry, wg [3]int) bool {
 		return false
 	}
 	for _, key := range x.aff.Terms() {
-		if !stableTerm(reg, key) {
+		if !intervals.StableTerm(reg, key) {
 			return false
 		}
 	}
 	return injectiveInWorkItem(x.aff, wg)
-}
-
-// extent returns the work-group extent of dimension d, or 0 when
-// unknown.
-func extent(wg [3]int, d int) int64 {
-	if d < 0 || d > 2 {
-		return 0
-	}
-	return int64(wg[d])
 }
 
 // injectiveInWorkItem reports whether the byte offset maps distinct
@@ -181,14 +173,14 @@ func extent(wg [3]int, d int) int64 {
 // ignored dimensions are assumed 1 (a 1D launch), a documented
 // imprecision when extents are not supplied.
 func injectiveInWorkItem(aff *linsolve.Affine, wg [3]int) bool {
-	c, ok := workItemCoeffs(aff)
+	c, ok := exprtree.WorkItemCoeffs(aff)
 	if !ok {
 		return false
 	}
 	type dim struct{ coeff, span int64 }
 	var varying []dim
 	for d := 0; d < 3; d++ {
-		l := extent(wg, d)
+		l := intervals.Extent(wg, d)
 		if c[d] == 0 {
 			if l > 1 {
 				return false
@@ -240,7 +232,7 @@ func abs64(v int64) int64 {
 // not cancel. Every varying dimension needs a known extent.
 func provablyDisjoint(ax, ay *linsolve.Affine, reg *exprtree.Registry, wg [3]int) bool {
 	diffConst := new(big.Rat).Sub(ay.Const, ax.Const)
-	target, ok := ratInt64(diffConst)
+	target, ok := intervals.RatInt64(diffConst)
 	if !ok {
 		return false
 	}
@@ -248,21 +240,21 @@ func provablyDisjoint(ax, ay *linsolve.Affine, reg *exprtree.Registry, wg [3]int
 		if isWorkItemDimKey(key) {
 			continue
 		}
-		if !stableTerm(reg, key) {
+		if !intervals.StableTerm(reg, key) {
 			return false
 		}
 		if new(big.Rat).Sub(ax.Coeff(key), ay.Coeff(key)).Sign() != 0 {
 			return false
 		}
 	}
-	cx, okx := workItemCoeffs(ax)
-	cy, oky := workItemCoeffs(ay)
+	cx, okx := exprtree.WorkItemCoeffs(ax)
+	cy, oky := exprtree.WorkItemCoeffs(ay)
 	if !okx || !oky {
 		return false
 	}
 	var vars []varRange
 	for d := 0; d < 3; d++ {
-		l := extent(wg, d)
+		l := intervals.Extent(wg, d)
 		for _, coeff := range [2]int64{cx[d], -cy[d]} {
 			if coeff == 0 {
 				continue
@@ -357,7 +349,7 @@ func checkBroadcastStores(cfg *ir.CFG, uni *Uniformity, buf *localBuffer, reg *e
 		}
 		opaque := false
 		for _, key := range a.aff.Terms() {
-			if !isWorkItemDimKey(key) && stableTerm(reg, key) {
+			if !isWorkItemDimKey(key) && intervals.StableTerm(reg, key) {
 				continue // uniform offset component, same for all colliders
 			}
 			if !isWorkItemDimKey(key) {
@@ -385,13 +377,13 @@ func checkBroadcastStores(cfg *ir.CFG, uni *Uniformity, buf *localBuffer, reg *e
 // provenCollision exhibits two distinct work-items mapped to the same
 // byte offset, returning a dimension along which they differ.
 func provenCollision(aff *linsolve.Affine, wg [3]int) (int, bool) {
-	c, ok := workItemCoeffs(aff)
+	c, ok := exprtree.WorkItemCoeffs(aff)
 	if !ok {
 		return 0, false
 	}
 	// A dimension the index ignores collides immediately.
 	for d := 0; d < 3; d++ {
-		if c[d] == 0 && extent(wg, d) > 1 {
+		if c[d] == 0 && intervals.Extent(wg, d) > 1 {
 			return d, true
 		}
 	}
@@ -402,7 +394,7 @@ func provenCollision(aff *linsolve.Affine, wg [3]int) (int, bool) {
 			if d == e || c[d] == 0 || c[e] == 0 {
 				continue
 			}
-			ld, le := extent(wg, d), extent(wg, e)
+			ld, le := intervals.Extent(wg, d), intervals.Extent(wg, e)
 			if ld <= 1 || le <= 1 {
 				continue
 			}

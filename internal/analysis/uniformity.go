@@ -88,7 +88,7 @@ func (u *Uniformity) instrDivergent(in *ir.Instr, callees map[*ir.Function]bool)
 		if u.Divergent(in.Args[0]) {
 			return true
 		}
-		if base := rootAlloca(in.Args[0]); base != nil && base.Space == clc.ASPrivate {
+		if base, ok := ir.RootOf(in.Args[0]).(*ir.Instr); ok && base.Space == clc.ASPrivate {
 			for _, st := range u.rd.ReachingStores(in, base) {
 				if u.Divergent(st.Args[1]) || u.Divergent(st.Args[0]) ||
 					u.DivergentBlock(st.Block) {

@@ -5,8 +5,11 @@
 // play in the paper's LLVM setting; here, loads of multi-store allocas).
 //
 // The package also extracts exact affine forms from trees (the engine
-// behind the paper's Equation 2) and renders trees symbolically for the
-// Table III style reports.
+// behind the paper's Equation 2), renders trees symbolically for the
+// Table III style reports, and holds the access facts every consumer of
+// them shares: a value's affine form, an index chain's byte offset, the
+// per-work-item coefficients of an offset, and the materializer that
+// emits an affine form back as IR.
 package exprtree
 
 import (
@@ -386,6 +389,46 @@ func ExtractAffine(n *Node, reg *Registry) (*linsolve.Affine, error) {
 	default:
 		return opaqueSubtree(n, reg)
 	}
+}
+
+// Affine is the affine form of v over reg's terms: the tree Build makes
+// of v, through ExtractAffine.
+func (b *Builder) Affine(v ir.Value, reg *Registry) (*linsolve.Affine, error) {
+	n, err := b.Build(v)
+	if err != nil {
+		return nil, err
+	}
+	return ExtractAffine(n, reg)
+}
+
+// Offset is the byte offset an OpIndex chain (ir.PointerRoot's) adds to
+// its root: Σ idx·step over the chain, each step the size of what the
+// indexed pointer points at.
+func (b *Builder) Offset(chain []*ir.Instr, reg *Registry) (*linsolve.Affine, error) {
+	total := linsolve.NewAffine()
+	for _, idx := range chain {
+		aff, err := b.Affine(idx.Args[1], reg)
+		if err != nil {
+			return nil, err
+		}
+		total.AddScaled(aff, big.NewRat(int64(ir.PointeeSize(idx.Args[0].Type())), 1))
+	}
+	return total, nil
+}
+
+// WorkItemCoeffs folds aff's per-work-item coefficients by dimension:
+// get_global_id(d) varies with the work-item exactly like get_local_id(d)
+// inside one work-group, so both count toward dimension d. ok is false
+// when a folded coefficient is not an int64.
+func WorkItemCoeffs(aff *linsolve.Affine) (c [3]int64, ok bool) {
+	for d := 0; d < 3; d++ {
+		sum := new(big.Rat).Add(aff.Coeff(LocalIDKey(d)), aff.Coeff(WorkItemKey("get_global_id", d)))
+		if !sum.IsInt() || !sum.Num().IsInt64() {
+			return c, false
+		}
+		c[d] = sum.Num().Int64()
+	}
+	return c, true
 }
 
 // opaqueSubtree registers the whole subtree as one symbolic term, provided

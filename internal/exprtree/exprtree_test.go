@@ -38,19 +38,7 @@ func findLocalStore(fn *ir.Function, n int) *ir.Instr {
 			if in.Op != ir.OpStore {
 				continue
 			}
-			base := in.Args[0]
-			for {
-				bi, ok := base.(*ir.Instr)
-				if !ok {
-					break
-				}
-				if bi.Op == ir.OpIndex || bi.Op == ir.OpConvert {
-					base = bi.Args[0]
-					continue
-				}
-				break
-			}
-			if bi, ok := base.(*ir.Instr); ok && bi.Op == ir.OpAlloca && bi.Space == clc.ASLocal {
+			if bi, ok := ir.RootOf(in.Args[0]).(*ir.Instr); ok && bi.Space == clc.ASLocal {
 				if count == n {
 					return in
 				}

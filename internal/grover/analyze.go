@@ -102,25 +102,6 @@ type analysis struct {
 	plans  map[*ir.Instr]*llPlan
 }
 
-// offsetAffine computes the byte-offset affine of an access path from the
-// candidate base: Σ idx_k · step_k over the index chain.
-func offsetAffine(tb *exprtree.Builder, acc *Access, reg *exprtree.Registry) (*linsolve.Affine, error) {
-	total := linsolve.NewAffine()
-	for _, idx := range acc.IndexChain {
-		step := int64(ir.PointeeSize(idx.Args[0].Type()))
-		node, err := tb.Build(idx.Args[1])
-		if err != nil {
-			return nil, err
-		}
-		aff, err := exprtree.ExtractAffine(node, reg)
-		if err != nil {
-			return nil, err
-		}
-		total.AddScaled(aff, big.NewRat(step, 1))
-	}
-	return total, nil
-}
-
 // localIDCoeffs splits an affine form into get_local_id coefficients per
 // dimension plus the local-id-free remainder.
 func localIDCoeffs(a *linsolve.Affine) (coeffs map[int]*big.Rat, rest *linsolve.Affine) {
@@ -219,7 +200,7 @@ func buildStorePlan(tb *exprtree.Builder, c *Candidate, st *Access, reg *exprtre
 	if err != nil {
 		return nil, err
 	}
-	lsOff, err := offsetAffine(tb, st, reg)
+	lsOff, err := tb.Offset(st.IndexChain, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +264,7 @@ func buildStorePlan(tb *exprtree.Builder, c *Candidate, st *Access, reg *exprtre
 // dimensions are the constant terms, and the solution must be integral and
 // consistent on the constraint rows.
 func solveForLL(tb *exprtree.Builder, sp *storePlan, ll *Access, reg *exprtree.Registry) (map[int]*linsolve.Affine, error) {
-	llOff, err := offsetAffine(tb, ll, reg)
+	llOff, err := tb.Offset(ll.IndexChain, reg)
 	if err != nil {
 		return nil, err
 	}

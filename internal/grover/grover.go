@@ -213,7 +213,7 @@ func fillReportAnalysis(cr *CandidateReport, a *analysis) {
 	tbLL := exprtree.NewBuilder(a.cand.Alloca.Block.Fn)
 	for _, ll := range a.cand.Loads {
 		plan := a.plans[ll.Instr]
-		llOff, err := offsetAffine(tbLL, ll, a.reg)
+		llOff, err := tbLL.Offset(ll.IndexChain, a.reg)
 		if err == nil {
 			if dims, derr := linsolve.DecomposeByStrides(llOff, plan.store.strides); derr == nil {
 				cr.LL = append(cr.LL, renderNamedDims(dims, a.reg))

@@ -7,124 +7,28 @@ import (
 	"grover/internal/clc"
 	"grover/internal/exprtree"
 	"grover/internal/ir"
-	"grover/internal/linsolve"
 )
 
-// materializer emits the instructions computing an affine solution value in
-// front of an LL instruction, reusing already-emitted sub-values.
-type materializer struct {
-	fn  *ir.Function
-	at  *ir.Instr // insertion point (the LL instruction)
-	reg *exprtree.Registry
-	// termVals caches the long-typed value of each term at the insertion
-	// point.
-	termVals map[string]ir.Value
-}
-
-func newMaterializer(fn *ir.Function, at *ir.Instr, reg *exprtree.Registry) *materializer {
-	return &materializer{fn: fn, at: at, reg: reg, termVals: map[string]ir.Value{}}
-}
-
-func (mz *materializer) insert(in *ir.Instr) *ir.Instr { return ir.InsertBefore(mz.at, in) }
-
-// termValue materializes one term as a long value valid at the insertion
-// point.
-func (mz *materializer) termValue(key string) (ir.Value, error) {
-	if v, ok := mz.termVals[key]; ok {
-		return v, nil
+// reloadVariable is the Grover pass's re-load rule for its materializer:
+// a load of a variable is re-loaded at the LL point. Between the staging
+// store and the dependent local load the variable is unchanged (they are
+// separated only by a barrier), so the fresh load observes the same
+// value. Any other value is referenced directly; it dominates the LL in
+// the supported staging pattern (GL/LS precede the barrier that precedes
+// LL).
+func reloadVariable(rep *ir.Instr) bool {
+	if rep.Op != ir.OpLoad {
+		return false
 	}
-	t := mz.reg.Term(key)
-	if t == nil {
-		return nil, fmt.Errorf("grover: unknown term %q", key)
-	}
-	var v ir.Value
-	switch {
-	case t.WorkItemFn != "":
-		// Emit a fresh work-item query: always valid anywhere.
-		wi := mz.insert(&ir.Instr{
-			Op: ir.OpWorkItem, Typ: clc.TypeULong, Func: t.WorkItemFn,
-			Args: []ir.Value{ir.IntConst(int64(t.Dim))}, Pos: mz.at.Pos,
-		})
-		v = wi
-	default:
-		switch rep := t.Rep.(type) {
-		case *ir.Param:
-			v = rep
-		case *ir.Instr:
-			if rep.Op == ir.OpLoad {
-				if src, ok := rep.Args[0].(*ir.Instr); ok && src.Op == ir.OpAlloca {
-					// Re-load the variable at the LL point: between the
-					// staging store and the dependent local load the
-					// variable is unchanged (they are separated only by a
-					// barrier), so the fresh load observes the same value.
-					v = mz.insert(&ir.Instr{Op: ir.OpLoad, Typ: rep.Typ, Args: []ir.Value{src}, Pos: mz.at.Pos})
-					break
-				}
-			}
-			// Reference the defining instruction directly; it dominates
-			// the LL in the supported staging pattern (GL/LS precede the
-			// barrier that precedes LL).
-			v = rep
-		default:
-			v = t.Rep
-		}
-	}
-	lv := mz.toLong(v)
-	mz.termVals[key] = lv
-	return lv, nil
-}
-
-// toLong converts v to a 64-bit signed value.
-func (mz *materializer) toLong(v ir.Value) ir.Value {
-	st, ok := v.Type().(*clc.ScalarType)
-	if ok && st.Kind == clc.KLong {
-		return v
-	}
-	return mz.insert(&ir.Instr{Op: ir.OpConvert, Typ: clc.TypeLong, Args: []ir.Value{v}, Pos: mz.at.Pos})
-}
-
-// affineValue materializes an affine form as a long value.
-func (mz *materializer) affineValue(a *linsolve.Affine) (ir.Value, error) {
-	var acc ir.Value
-	add := func(v ir.Value) {
-		if acc == nil {
-			acc = v
-			return
-		}
-		acc = mz.insert(&ir.Instr{Op: ir.OpAdd, Typ: clc.TypeLong, Args: []ir.Value{acc, v}, Pos: mz.at.Pos})
-	}
-	for _, key := range a.Terms() {
-		coeff := a.Coeff(key)
-		tv, err := mz.termValue(key)
-		if err != nil {
-			return nil, err
-		}
-		c := coeff.Num().Int64() // integrality checked during analysis
-		var term ir.Value = tv
-		switch c {
-		case 1:
-		case -1:
-			term = mz.insert(&ir.Instr{Op: ir.OpNeg, Typ: clc.TypeLong, Args: []ir.Value{tv}, Pos: mz.at.Pos})
-		default:
-			term = mz.insert(&ir.Instr{Op: ir.OpMul, Typ: clc.TypeLong,
-				Args: []ir.Value{tv, ir.LongConst(c)}, Pos: mz.at.Pos})
-		}
-		add(term)
-	}
-	if !a.Const.IsInt() {
-		return nil, fmt.Errorf("grover: non-integral constant in solution %s", a)
-	}
-	if cv := a.Const.Num().Int64(); cv != 0 || acc == nil {
-		add(ir.LongConst(cv))
-	}
-	return acc, nil
+	src, ok := rep.Args[0].(*ir.Instr)
+	return ok && src.Op == ir.OpAlloca
 }
 
 // duplicator implements Algorithm 1: clone the marked part of the GL tree
 // in front of an LL, substituting solved local-id leaves and reusing
 // unmarked subexpressions.
 type duplicator struct {
-	mz *materializer
+	mz *exprtree.Materializer
 	// sol maps local-id dimension to its materialized ULong value.
 	sol map[int]ir.Value
 	// cloneAll disables subexpression reuse (ablation mode).
@@ -138,7 +42,7 @@ type duplicator struct {
 // reusable reports whether an existing instruction's value may be
 // referenced at the insertion point (its block must dominate the LL's).
 func (du *duplicator) reusable(in *ir.Instr) bool {
-	return du.cfg.Dominates(in.Block, du.mz.at.Block)
+	return du.cfg.Dominates(in.Block, du.mz.At().Block)
 }
 
 // duplicate returns a value computing node's expression at the insertion
@@ -174,11 +78,9 @@ func (du *duplicator) duplicate(node *exprtree.Node) (ir.Value, error) {
 	if node.IsLeaf() {
 		// Other leaves: clone loads of variables so the value is read at
 		// the LL point; reuse everything else.
-		if in.Op == ir.OpLoad {
-			if src, ok := in.Args[0].(*ir.Instr); ok && src.Op == ir.OpAlloca {
-				du.cloned++
-				return du.mz.insert(&ir.Instr{Op: ir.OpLoad, Typ: in.Typ, Args: []ir.Value{src}, Pos: du.mz.at.Pos}), nil
-			}
+		if reloadVariable(in) {
+			du.cloned++
+			return du.mz.Insert(&ir.Instr{Op: ir.OpLoad, Typ: in.Typ, Args: []ir.Value{in.Args[0]}, Pos: du.mz.At().Pos}), nil
 		}
 		if !du.reusable(in) {
 			return nil, fmt.Errorf("grover: leaf value %%%d does not dominate the local load (conditional staging?)", in.ID)
@@ -205,14 +107,14 @@ func (du *duplicator) duplicate(node *exprtree.Node) (ir.Value, error) {
 	}
 	clone := &ir.Instr{
 		Op: in.Op, Typ: in.Typ, Func: in.Func, Callee: in.Callee,
-		Space: in.Space, VarName: in.VarName, Pos: du.mz.at.Pos,
+		Space: in.Space, VarName: in.VarName, Pos: du.mz.At().Pos,
 	}
 	if len(in.Comps) > 0 {
 		clone.Comps = append([]int(nil), in.Comps...)
 	}
 	clone.Args = args
 	du.cloned++
-	return du.mz.insert(clone), nil
+	return du.mz.Insert(clone), nil
 }
 
 // transformCandidate rewrites every LL of an analyzed candidate (S3–S4 and
@@ -231,7 +133,7 @@ func transformCandidate(fn *ir.Function, a *analysis, cloneAll bool) (int, error
 	totalCloned := 0
 	for _, ll := range a.cand.Loads {
 		plan := a.plans[ll.Instr]
-		mz := newMaterializer(fn, ll.Instr, a.reg)
+		mz := exprtree.NewMaterializer(ll.Instr, a.reg, reloadVariable)
 		solVals := map[int]ir.Value{}
 		// In dimension order: the rewritten kernel is the same every time.
 		dims := make([]int, 0, len(plan.sol))
@@ -240,12 +142,12 @@ func transformCandidate(fn *ir.Function, a *analysis, cloneAll bool) (int, error
 		}
 		sort.Ints(dims)
 		for _, dim := range dims {
-			v, err := mz.affineValue(plan.sol[dim])
+			v, err := mz.Affine(plan.sol[dim])
 			if err != nil {
 				return totalCloned, err
 			}
 			// get_local_id has ULong type; wrap so clone types line up.
-			u := mz.insert(&ir.Instr{Op: ir.OpConvert, Typ: clc.TypeULong, Args: []ir.Value{v}, Pos: ll.Instr.Pos})
+			u := mz.Insert(&ir.Instr{Op: ir.OpConvert, Typ: clc.TypeULong, Args: []ir.Value{v}, Pos: ll.Instr.Pos})
 			solVals[dim] = u
 		}
 		du := &duplicator{mz: mz, sol: solVals, cloneAll: cloneAll, cfg: cfg}
@@ -257,7 +159,7 @@ func transformCandidate(fn *ir.Function, a *analysis, cloneAll bool) (int, error
 		// The staged element type may differ from the LL result type only
 		// via implicit conversion; insert one if needed.
 		if !clc.TypesEqual(nGL.Type(), ll.Instr.Typ) {
-			nGL = mz.insert(&ir.Instr{Op: ir.OpConvert, Typ: ll.Instr.Typ, Args: []ir.Value{nGL}, Pos: ll.Instr.Pos})
+			nGL = mz.Insert(&ir.Instr{Op: ir.OpConvert, Typ: ll.Instr.Typ, Args: []ir.Value{nGL}, Pos: ll.Instr.Pos})
 		}
 		ir.ReplaceUses(fn, ll.Instr, nGL)
 	}

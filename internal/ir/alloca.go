@@ -1,5 +1,7 @@
 package ir
 
+import "grover/internal/clc"
+
 // AllocaUse says how a function uses one of its allocas.
 type AllocaUse struct {
 	// Loads and Stores count the direct accesses: the alloca itself is the
@@ -47,4 +49,61 @@ func AllocaUses(fn *Function) map[*Instr]*AllocaUse {
 		}
 	}
 	return uses
+}
+
+// PointerRoot walks pointer v up through OpIndex and OpConvert to what it
+// is rooted at, a pointer-typed *Param or an OpAlloca, and returns that
+// root with the OpIndex chain from it to v, outermost first. The root is
+// nil when the walk meets anything else: a loaded pointer, a call, a
+// non-pointer parameter. Callers that need only the root use RootOf,
+// which builds no chain.
+func PointerRoot(v Value) (Value, []*Instr) {
+	root, n := rootOf(v)
+	if root == nil || n == 0 {
+		return root, nil
+	}
+	chain := make([]*Instr, n)
+	for v != root {
+		in := v.(*Instr)
+		if in.Op == OpIndex {
+			n--
+			chain[n] = in
+		}
+		v = in.Args[0]
+	}
+	return root, chain
+}
+
+// RootOf is PointerRoot's root alone.
+func RootOf(v Value) Value {
+	root, _ := rootOf(v)
+	return root
+}
+
+// rootOf is the walk behind PointerRoot: the root, and how many OpIndex
+// lie between it and v.
+func rootOf(v Value) (Value, int) {
+	n := 0
+	for {
+		switch x := v.(type) {
+		case *Param:
+			if _, ok := x.Typ.(*clc.PointerType); !ok {
+				return nil, 0
+			}
+			return x, n
+		case *Instr:
+			switch x.Op {
+			case OpAlloca:
+				return x, n
+			case OpIndex:
+				n++
+			case OpConvert:
+			default:
+				return nil, 0
+			}
+			v = x.Args[0]
+		default:
+			return nil, 0
+		}
+	}
 }

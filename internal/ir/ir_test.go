@@ -295,3 +295,46 @@ func TestModuleLookups(t *testing.T) {
 		t.Error("Kernels() should list the kernel")
 	}
 }
+
+func TestPointerRoot(t *testing.T) {
+	gptr := &clc.PointerType{Elem: clc.TypeFloat, Space: clc.ASGlobal}
+	p := &Param{Name_: "p", Typ: gptr}
+	n := &Param{Name_: "n", Typ: clc.TypeInt, Index: 1}
+	tile := &clc.ArrayType{Elem: &clc.ArrayType{Elem: clc.TypeFloat, Len: 8}, Len: 4}
+	a := &Instr{Op: OpAlloca, Typ: &clc.PointerType{Elem: tile, Space: clc.ASLocal}, Space: clc.ASLocal}
+	row := &Instr{Op: OpIndex, Typ: IndexResultType(a.Typ), Args: []Value{a, IntConst(1)}}
+	cast := &Instr{Op: OpConvert, Typ: row.Typ, Args: []Value{row}}
+	elem := &Instr{Op: OpIndex, Typ: IndexResultType(cast.Typ), Args: []Value{cast, IntConst(2)}}
+	pv := &Instr{Op: OpAlloca, Typ: &clc.PointerType{Elem: gptr, Space: clc.ASPrivate}, Space: clc.ASPrivate}
+	loaded := &Instr{Op: OpLoad, Typ: gptr, Args: []Value{pv}}
+	called := &Instr{Op: OpCall, Typ: gptr}
+	pidx := &Instr{Op: OpIndex, Typ: gptr, Args: []Value{p, IntConst(3)}}
+	for _, tc := range []struct {
+		name  string
+		v     Value
+		root  Value
+		chain []*Instr
+	}{
+		{"global pointer param", p, p, nil},
+		{"index of a param", pidx, p, []*Instr{pidx}},
+		{"non-pointer param", n, nil, nil},
+		{"alloca through index, convert, index", elem, a, []*Instr{row, elem}},
+		{"bare alloca", a, a, nil},
+		{"load result", &Instr{Op: OpIndex, Typ: gptr, Args: []Value{loaded, IntConst(0)}}, nil, nil},
+		{"call result", called, nil, nil},
+	} {
+		root, chain := PointerRoot(tc.v)
+		if root != tc.root || len(chain) != len(tc.chain) {
+			t.Errorf("%s: PointerRoot = %v, %d links; want %v, %d", tc.name, root, len(chain), tc.root, len(tc.chain))
+			continue
+		}
+		for i := range tc.chain {
+			if chain[i] != tc.chain[i] {
+				t.Errorf("%s: chain[%d] = %v, want %v (outermost first)", tc.name, i, chain[i], tc.chain[i])
+			}
+		}
+		if r := RootOf(tc.v); r != tc.root {
+			t.Errorf("%s: RootOf = %v, want %v", tc.name, r, tc.root)
+		}
+	}
+}

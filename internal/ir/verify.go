@@ -191,7 +191,7 @@ func verifyInstr(in *Instr) error {
 // OpConvert, or an OpLoad (a pointer variable; chains rooted there are
 // opaque to the collector but legal IR). Pointer values synthesized by
 // any other opcode — integer arithmetic cast back to a pointer, vector
-// ops, calls — would make the collector's PointerRoot walk ill-founded,
+// ops, calls — would make PointerRoot's walk ill-founded,
 // so Verify rejects them structurally.
 //
 // Note this is a shape rule over value edges, not a block rule: a chain

@@ -130,20 +130,25 @@ func applyStageLocal(m *ir.Module, kernel string, opts map[string]string) (*Step
 		tiles++
 
 		// Preheader: gl = base[affine]; tile[lid0] = gl; barrier(LOCAL).
-		em := &stageEmitter{at: c.l.Preheader.Terminator(), l: c.l, reg: reg, vals: map[string]ir.Value{}}
-		idx, err := em.affine(c.aff)
+		// The only in-loop terms stageable admits are loads of variables
+		// the loop never writes, so re-loading them in the preheader
+		// observes the same value.
+		em := exprtree.NewMaterializer(c.l.Preheader.Terminator(), reg, func(rep *ir.Instr) bool {
+			return rep.Block != nil && c.l.Blocks[rep.Block]
+		})
+		idx, err := em.Affine(c.aff)
 		if err != nil {
 			return nil, fmt.Errorf("stage-local: %w", err)
 		}
-		gptr := em.insert(&ir.Instr{Op: ir.OpIndex, Typ: ir.IndexResultType(c.base.Type()),
+		gptr := em.Insert(&ir.Instr{Op: ir.OpIndex, Typ: ir.IndexResultType(c.base.Type()),
 			Args: []ir.Value{c.base, idx}, Pos: pos})
-		gl := em.insert(&ir.Instr{Op: ir.OpLoad, Typ: elem, Args: []ir.Value{gptr}, Pos: pos})
-		lid := em.insert(&ir.Instr{Op: ir.OpWorkItem, Typ: clc.TypeULong, Func: "get_local_id",
+		gl := em.Insert(&ir.Instr{Op: ir.OpLoad, Typ: elem, Args: []ir.Value{gptr}, Pos: pos})
+		lid := em.Insert(&ir.Instr{Op: ir.OpWorkItem, Typ: clc.TypeULong, Func: "get_local_id",
 			Args: []ir.Value{ir.IntConst(0)}, Pos: pos})
-		lptr := em.insert(&ir.Instr{Op: ir.OpIndex, Typ: ir.IndexResultType(tile.Typ),
+		lptr := em.Insert(&ir.Instr{Op: ir.OpIndex, Typ: ir.IndexResultType(tile.Typ),
 			Args: []ir.Value{tile, lid}, Pos: pos})
-		em.insert(&ir.Instr{Op: ir.OpStore, Typ: clc.TypeVoid, Args: []ir.Value{lptr, gl}, Pos: pos})
-		em.insert(&ir.Instr{Op: ir.OpBarrier, Typ: clc.TypeVoid, Args: []ir.Value{ir.IntConst(1)}, Pos: pos})
+		em.Insert(&ir.Instr{Op: ir.OpStore, Typ: clc.TypeVoid, Args: []ir.Value{lptr, gl}, Pos: pos})
+		em.Insert(&ir.Instr{Op: ir.OpBarrier, Typ: clc.TypeVoid, Args: []ir.Value{ir.IntConst(1)}, Pos: pos})
 
 		// Each load site becomes tile[lid0]; the dead address chain of the
 		// old load is left for the trailing opt step's DCE.
@@ -211,11 +216,7 @@ func stageable(load *ir.Instr, l *ir.Loop, cfg *ir.CFG, uni *analysis.Uniformity
 		if ir.PointeeSize(in.Args[0].Type()) != elemSize {
 			return none, false
 		}
-		node, err := tb.Build(in.Args[1])
-		if err != nil {
-			return none, false
-		}
-		aff, err := exprtree.ExtractAffine(node, reg)
+		aff, err := tb.Affine(in.Args[1], reg)
 		if err != nil {
 			return none, false
 		}
@@ -279,30 +280,12 @@ func stageable(load *ir.Instr, l *ir.Loop, cfg *ir.CFG, uni *analysis.Uniformity
 func allocaStoredIn(alloca *ir.Instr, l *ir.Loop) bool {
 	for _, b := range l.Body {
 		for _, in := range b.Instrs {
-			if in.Op == ir.OpStore && rootAlloca(in.Args[0]) == alloca {
+			if in.Op == ir.OpStore && ir.RootOf(in.Args[0]) == alloca {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-// rootAlloca resolves an Index chain to its base alloca, or nil.
-func rootAlloca(v ir.Value) *ir.Instr {
-	for {
-		in, ok := v.(*ir.Instr)
-		if !ok {
-			return nil
-		}
-		switch in.Op {
-		case ir.OpAlloca:
-			return in
-		case ir.OpIndex, ir.OpConvert:
-			v = in.Args[0]
-		default:
-			return nil
-		}
-	}
 }
 
 // affineKey renders the affine form canonically for grouping.
@@ -313,82 +296,4 @@ func affineKey(a *linsolve.Affine) string {
 	}
 	sb.WriteString(a.Const.RatString())
 	return sb.String()
-}
-
-// stageEmitter materializes an affine index in front of the preheader's
-// terminator, mirroring the Grover pass's materializer but at a loop
-// boundary: work-item queries re-emit fresh, in-loop loads of unwritten
-// variables re-load, everything else (validated by stageable) is
-// referenced directly.
-type stageEmitter struct {
-	at   *ir.Instr
-	l    *ir.Loop
-	reg  *exprtree.Registry
-	vals map[string]ir.Value
-}
-
-func (e *stageEmitter) insert(in *ir.Instr) *ir.Instr { return ir.InsertBefore(e.at, in) }
-
-func (e *stageEmitter) toLong(v ir.Value) ir.Value {
-	if st, ok := v.Type().(*clc.ScalarType); ok && st.Kind == clc.KLong {
-		return v
-	}
-	return e.insert(&ir.Instr{Op: ir.OpConvert, Typ: clc.TypeLong, Args: []ir.Value{v}, Pos: e.at.Pos})
-}
-
-func (e *stageEmitter) term(key string) (ir.Value, error) {
-	if v, ok := e.vals[key]; ok {
-		return v, nil
-	}
-	t := e.reg.Term(key)
-	if t == nil {
-		return nil, fmt.Errorf("unknown term %q", key)
-	}
-	var v ir.Value
-	switch {
-	case t.WorkItemFn != "":
-		v = e.insert(&ir.Instr{Op: ir.OpWorkItem, Typ: clc.TypeULong, Func: t.WorkItemFn,
-			Args: []ir.Value{ir.IntConst(int64(t.Dim))}, Pos: e.at.Pos})
-	default:
-		v = t.Rep
-		if rep, ok := t.Rep.(*ir.Instr); ok && rep.Block != nil && e.l.Blocks[rep.Block] {
-			// Validated as a load of a variable the loop never writes:
-			// the preheader re-load observes the same value.
-			v = e.insert(&ir.Instr{Op: ir.OpLoad, Typ: rep.Typ, Args: []ir.Value{rep.Args[0]}, Pos: e.at.Pos})
-		}
-	}
-	lv := e.toLong(v)
-	e.vals[key] = lv
-	return lv, nil
-}
-
-func (e *stageEmitter) affine(a *linsolve.Affine) (ir.Value, error) {
-	var acc ir.Value
-	add := func(v ir.Value) {
-		if acc == nil {
-			acc = v
-			return
-		}
-		acc = e.insert(&ir.Instr{Op: ir.OpAdd, Typ: clc.TypeLong, Args: []ir.Value{acc, v}, Pos: e.at.Pos})
-	}
-	for _, key := range a.Terms() {
-		tv, err := e.term(key)
-		if err != nil {
-			return nil, err
-		}
-		var term ir.Value = tv
-		switch c := a.Coeff(key).Num().Int64(); c {
-		case 1:
-		case -1:
-			term = e.insert(&ir.Instr{Op: ir.OpNeg, Typ: clc.TypeLong, Args: []ir.Value{tv}, Pos: e.at.Pos})
-		default:
-			term = e.insert(&ir.Instr{Op: ir.OpMul, Typ: clc.TypeLong,
-				Args: []ir.Value{tv, ir.LongConst(c)}, Pos: e.at.Pos})
-		}
-		add(term)
-	}
-	if cv := a.Const.Num().Int64(); cv != 0 || acc == nil {
-		add(ir.LongConst(cv))
-	}
-	return acc, nil
 }

@@ -12,7 +12,6 @@ import (
 	"slices"
 	"strings"
 
-	"grover/internal/analysis/memaccess"
 	"grover/internal/clc"
 	igrover "grover/internal/grover"
 	"grover/internal/ir"
@@ -369,7 +368,7 @@ type region struct{ off, end int }
 
 // writeSet is what a launch of fn with args may store to: the buffers
 // bound to the parameters outside __local that some store reaches
-// (memaccess.PointerRoot; an alloca is private or __local storage), or the
+// (ir.RootOf; an alloca is private or __local storage), or the
 // whole arena of size bytes when a store's pointer does not resolve or fn
 // calls a user function.
 func writeSet(fn *ir.Function, args []vm.Arg, size int) []region {
@@ -383,7 +382,7 @@ func writeSet(fn *ir.Function, args []vm.Arg, size int) []region {
 			if in.Op != ir.OpStore {
 				continue
 			}
-			switch r, _ := memaccess.PointerRoot(in.Args[0]); r := r.(type) {
+			switch r := ir.RootOf(in.Args[0]).(type) {
 			case nil:
 				return all
 			case *ir.Param:
