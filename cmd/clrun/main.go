@@ -23,11 +23,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 
 	igrover "grover/internal/grover"
+	"grover/internal/service"
 	"grover/internal/telemetry"
 	"grover/internal/vm"
 	"grover/opencl"
@@ -40,11 +42,10 @@ func (a *argList) Set(v string) error { *a = append(*a, v); return nil }
 
 func main() {
 	var args argList
+	var global, local service.Dims
 	var (
 		deviceName = flag.String("device", "SNB", "device (Fermi, Kepler, Tahiti, SNB, Nehalem, MIC)")
 		kernel     = flag.String("kernel", "", "kernel name (default: first kernel in file)")
-		globalStr  = flag.String("global", "1", "global size, comma separated (e.g. 128,128)")
-		localStr   = flag.String("local", "1", "local size, comma separated")
 		useGrover  = flag.Bool("grover", false, "run the Grover-transformed kernel as well and compare times")
 		timed      = flag.Bool("time", false, "use the device cost model and report simulated time")
 		dump       = flag.String("dump", "", "print buffer contents after the run: ARGINDEX:COUNT")
@@ -53,6 +54,8 @@ func main() {
 		traceOut   = flag.String("trace-out", "", "append this run's telemetry trace (compile stages, launches) to a JSONL file")
 	)
 	flag.Var(&args, "arg", "kernel argument spec (repeatable, in declaration order)")
+	flag.Var(&global, "global", "global size x[,y[,z]] (e.g. 128,128; default 1)")
+	flag.Var(&local, "local", "local size x[,y[,z]] (default 1)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: clrun [flags] kernel.cl")
@@ -63,14 +66,40 @@ func main() {
 		fmt.Fprintln(os.Stderr, "clrun:", err)
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), *deviceName, *kernel, *globalStr, *localStr, args, *useGrover, *timed, *kprofile, *backend, *dump, *traceOut); err != nil {
+	if err := run(flag.Arg(0), *deviceName, *kernel, global, local, args, *useGrover, *timed, *kprofile, *backend, *dump, *traceOut); err != nil {
 		fmt.Fprintln(os.Stderr, "clrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(file, deviceName, kernel, globalStr, localStr string, argSpecs []string,
+func run(file, deviceName, kernel string, global, local service.Dims, argSpecs []string,
 	useGrover, timed, kprofile bool, backend, dump, traceOut string) error {
+	// The launch passes groverd's geometry and size check, and -dump is
+	// checked against it, before anything is compiled or allocated.
+	specs, seeded, err := parseArgs(argSpecs)
+	if err != nil {
+		return err
+	}
+	nd, err := service.CheckLaunch(global, local, specs)
+	if err != nil {
+		return err
+	}
+	var dumpIdx, dumpCnt int
+	if dump != "" {
+		idxStr, cntStr, _ := strings.Cut(dump, ":")
+		idx, err1 := strconv.Atoi(idxStr)
+		cnt, err2 := strconv.Atoi(cntStr)
+		if err1 != nil || err2 != nil || idx < 0 || idx >= len(specs) {
+			return fmt.Errorf("bad -dump spec %q", dump)
+		}
+		if specs[idx].Kind != "buffer" {
+			return fmt.Errorf("-dump argument %d is not a buffer", idx)
+		}
+		if n := specs[idx].Size / 4; cnt < 0 || cnt > n {
+			return fmt.Errorf("bad -dump spec %q: argument %d holds %d values", dump, idx, n)
+		}
+		dumpIdx, dumpCnt = idx, cnt
+	}
 	src, err := os.ReadFile(file)
 	if err != nil {
 		return err
@@ -100,34 +129,7 @@ func run(file, deviceName, kernel, globalStr, localStr string, argSpecs []string
 		}
 		kernel = names[0]
 	}
-	nd, err := parseND(globalStr, localStr)
-	if err != nil {
-		return err
-	}
-	kargs, bufs, err := buildArgs(ctx, argSpecs)
-	if err != nil {
-		return err
-	}
-	// -dump is checked before anything runs: the count is outside input and
-	// must be one the buffer holds.
-	var dumpBuf *opencl.Buffer
-	var dumpIdx, dumpCnt int
-	if dump != "" {
-		idxStr, cntStr, _ := strings.Cut(dump, ":")
-		idx, err1 := strconv.Atoi(idxStr)
-		cnt, err2 := strconv.Atoi(cntStr)
-		if err1 != nil || err2 != nil || idx < 0 || idx >= len(kargs) {
-			return fmt.Errorf("bad -dump spec %q", dump)
-		}
-		b, ok := bufs[idx]
-		if !ok {
-			return fmt.Errorf("-dump argument %d is not a buffer", idx)
-		}
-		if cnt < 0 || cnt > b.Size()/4 {
-			return fmt.Errorf("bad -dump spec %q: argument %d holds %d values", dump, idx, b.Size()/4)
-		}
-		dumpBuf, dumpIdx, dumpCnt = b, idx, cnt
-	}
+	kargs := buildArgs(ctx, specs, seeded)
 
 	// One queue for the run: a profiling queue holds the device model —
 	// a cache hierarchy per core — and every launch starts it afresh.
@@ -183,8 +185,8 @@ func run(file, deviceName, kernel, globalStr, localStr string, argSpecs []string
 			return err
 		}
 	}
-	if dumpBuf != nil {
-		fmt.Printf("arg %d: %v\n", dumpIdx, dumpBuf.ReadFloat32(dumpCnt))
+	if dump != "" {
+		fmt.Printf("arg %d: %v\n", dumpIdx, kargs[dumpIdx].(*opencl.Buffer).ReadFloat32(dumpCnt))
 	}
 	if traceOut != "" {
 		tr.Finish()
@@ -212,46 +214,62 @@ func appendTrace(path string, exp telemetry.TraceExport) error {
 	return err
 }
 
-func parseND(globalStr, localStr string) (opencl.NDRange, error) {
-	var nd opencl.NDRange
-	parse := func(s string, out *[3]int) error {
-		parts := strings.Split(s, ",")
-		if len(parts) > 3 {
-			return fmt.Errorf("at most 3 dimensions, got %q", s)
-		}
-		for i, p := range parts {
-			v, err := strconv.Atoi(strings.TrimSpace(p))
-			if err != nil || v <= 0 {
-				return fmt.Errorf("bad dimension %q", p)
-			}
-			out[i] = v
-		}
-		return nil
-	}
-	if err := parse(globalStr, &nd.Global); err != nil {
-		return nd, err
-	}
-	if err := parse(localStr, &nd.Local); err != nil {
-		return nd, err
-	}
-	return nd, nil
-}
-
-func buildArgs(ctx *opencl.Context, specs []string) ([]interface{}, map[int]*opencl.Buffer, error) {
-	var out []interface{}
-	bufs := map[int]*opencl.Buffer{}
+// parseArgs decodes -arg specs into the arguments they declare, and which
+// float buffers are seeded; nothing is allocated.
+func parseArgs(specs []string) ([]service.ArgSpec, []bool, error) {
+	out := make([]service.ArgSpec, len(specs))
+	seeded := make([]bool, len(specs))
 	for i, spec := range specs {
 		kind, rest, _ := strings.Cut(spec, ":")
 		switch kind {
-		case "fbuf":
-			nStr, mode, _ := strings.Cut(rest, ":")
+		case "fbuf", "ibuf":
+			nStr, mode := rest, ""
+			if kind == "fbuf" {
+				nStr, mode, _ = strings.Cut(rest, ":")
+			}
 			n, err := strconv.Atoi(nStr)
 			if err != nil || n <= 0 {
-				return nil, nil, fmt.Errorf("bad fbuf size in %q", spec)
+				return nil, nil, fmt.Errorf("bad %s size in %q", kind, spec)
 			}
-			b := ctx.NewBuffer(n * 4)
-			if mode == "seed" {
-				vals := make([]float32, n)
+			// Clamped so that the byte size cannot wrap; the check refuses
+			// it either way.
+			out[i] = service.ArgSpec{Kind: "buffer", Size: min(n, math.MaxInt/4) * 4}
+			seeded[i] = mode == "seed"
+		case "local":
+			n, err := strconv.Atoi(rest)
+			if err != nil || n <= 0 {
+				return nil, nil, fmt.Errorf("bad local size in %q", spec)
+			}
+			out[i] = service.ArgSpec{Kind: "local", Size: n}
+		case "int":
+			v, err := strconv.ParseInt(rest, 0, 64)
+			if err != nil {
+				return nil, nil, fmt.Errorf("bad int in %q", spec)
+			}
+			out[i] = service.ArgSpec{Kind: "int", Int: v}
+		case "float":
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				return nil, nil, fmt.Errorf("bad float in %q", spec)
+			}
+			out[i] = service.ArgSpec{Kind: "float", Float: v}
+		default:
+			return nil, nil, fmt.Errorf("unknown argument kind %q (want fbuf/ibuf/local/int/float)", kind)
+		}
+	}
+	return out, seeded, nil
+}
+
+// buildArgs materializes checked arguments in ctx: buffers are zero filled
+// unless seeded with deterministic pseudo-random values.
+func buildArgs(ctx *opencl.Context, specs []service.ArgSpec, seeded []bool) []interface{} {
+	out := make([]interface{}, len(specs))
+	for i, a := range specs {
+		switch a.Kind {
+		case "buffer":
+			b := ctx.NewBuffer(a.Size)
+			if seeded[i] {
+				vals := make([]float32, a.Size/4)
 				s := uint32(12345)
 				for j := range vals {
 					s = s*1664525 + 1013904223
@@ -259,37 +277,14 @@ func buildArgs(ctx *opencl.Context, specs []string) ([]interface{}, map[int]*ope
 				}
 				b.WriteFloat32(vals)
 			}
-			bufs[i] = b
-			out = append(out, b)
-		case "ibuf":
-			n, err := strconv.Atoi(rest)
-			if err != nil || n <= 0 {
-				return nil, nil, fmt.Errorf("bad ibuf size in %q", spec)
-			}
-			b := ctx.NewBuffer(n * 4)
-			bufs[i] = b
-			out = append(out, b)
+			out[i] = b
 		case "local":
-			n, err := strconv.Atoi(rest)
-			if err != nil || n <= 0 {
-				return nil, nil, fmt.Errorf("bad local size in %q", spec)
-			}
-			out = append(out, opencl.LocalMem{Size: n})
+			out[i] = opencl.LocalMem{Size: a.Size}
 		case "int":
-			v, err := strconv.ParseInt(rest, 0, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("bad int in %q", spec)
-			}
-			out = append(out, v)
+			out[i] = a.Int
 		case "float":
-			v, err := strconv.ParseFloat(rest, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("bad float in %q", spec)
-			}
-			out = append(out, v)
-		default:
-			return nil, nil, fmt.Errorf("unknown argument kind %q (want fbuf/ibuf/local/int/float)", kind)
+			out[i] = a.Float
 		}
 	}
-	return out, bufs, nil
+	return out
 }

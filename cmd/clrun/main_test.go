@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"grover/internal/service"
 )
 
 const tileSrc = `__kernel void k(__global float* o, __global const float* i) {
@@ -19,6 +21,10 @@ const tileSrc = `__kernel void k(__global float* o, __global const float* i) {
 // runTile runs tileSrc over 64 items on two 64-float buffers with clrun's
 // output discarded.
 func runTile(t *testing.T, device string, useGrover, timed bool, dump string) error {
+	return runTileArgs(t, device, service.Dims{64}, []string{"fbuf:64", "fbuf:64:seed"}, useGrover, timed, dump)
+}
+
+func runTileArgs(t *testing.T, device string, global service.Dims, args []string, useGrover, timed bool, dump string) error {
 	t.Helper()
 	file := filepath.Join(t.TempDir(), "k.cl")
 	if err := os.WriteFile(file, []byte(tileSrc), 0o644); err != nil {
@@ -31,8 +37,7 @@ func runTile(t *testing.T, device string, useGrover, timed bool, dump string) er
 	defer null.Close()
 	defer func(stdout *os.File) { os.Stdout = stdout }(os.Stdout)
 	os.Stdout = null
-	return run(file, device, "", "64", "16", []string{"fbuf:64", "fbuf:64:seed"},
-		useGrover, timed, false, "", dump, "")
+	return run(file, device, "", global, service.Dims{16}, args, useGrover, timed, false, "", dump, "")
 }
 
 // TestDumpSpecChecksCount: -dump ARG:COUNT is outside input; a count the
@@ -59,6 +64,29 @@ func TestTimedGroverRun(t *testing.T) {
 	for _, device := range []string{"SNB", "Fermi"} {
 		if err := runTile(t, device, true, true, "0:8"); err != nil {
 			t.Errorf("-device %s -time -grover: %v", device, err)
+		}
+	}
+}
+
+// TestLaunchCaps: clrun's launch passes groverd's check before anything is
+// allocated, so an oversized buffer or NDRange and an indivisible
+// dimension are errors with the service's message, not an out-of-memory
+// crash.
+func TestLaunchCaps(t *testing.T) {
+	for _, tc := range []struct {
+		global service.Dims
+		args   []string
+		want   string
+	}{
+		{service.Dims{64}, []string{"fbuf:40000000000", "fbuf:64"}, "arg 0: buffer size 160000000000 exceeds the 67108864-byte limit"},
+		{service.Dims{64}, []string{"fbuf:64", "ibuf:16777217"}, "arg 1: buffer size 67108868 exceeds the 67108864-byte limit"},
+		{service.Dims{64}, []string{"fbuf:64", "local:67108865"}, "arg 1: local size 67108865 exceeds the 67108864-byte limit"},
+		{service.Dims{1 << 13, 1 << 12}, []string{"fbuf:64", "fbuf:64"}, "exceeds the 16777216-work-item limit"},
+		{service.Dims{72}, []string{"fbuf:64", "fbuf:64"}, "not divisible by local size 16 in dim 0"},
+	} {
+		err := runTileArgs(t, "SNB", tc.global, tc.args, false, false, "")
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("-global %v %v: error %v, want %q", tc.global, tc.args, err, tc.want)
 		}
 	}
 }

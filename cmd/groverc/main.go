@@ -5,10 +5,14 @@
 //
 // Usage:
 //
-//	groverc [-kernel name] [-candidates a,b] [-ir] [-keep-barriers] [-lint] [-timings] file.cl
+//	groverc [-kernel name] [-candidates a,b] [-ir] [-keep-barriers] [-timings] file.cl
 //	groverc -D TILE=16 -D N=1024 kernel.cl
 //	groverc -rewrite 'stage-local(ls=64),hoist-addr' -ir kernel.cl
 //	groverc -access -local 64,1,1 kernel.cl
+//
+// The file is one groverd compile request and each kernel one transform
+// request (POST /v1/compile, /v1/transform), run in process; the output
+// is a view of their responses. Lint findings are groverlint's.
 //
 // With -rewrite, an arbitrary rewrite plan (see the rewrite package's
 // plan syntax) replaces the default Grover pass; the per-step report is
@@ -23,194 +27,128 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"strings"
 
-	"grover/internal/analysis"
 	"grover/internal/analysis/memaccess"
 	igrover "grover/internal/grover"
-	"grover/internal/rewrite"
+	"grover/internal/service"
 	"grover/internal/telemetry"
-	"grover/opencl"
 )
 
-type defineFlags map[string]string
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func (d defineFlags) String() string { return "" }
-func (d defineFlags) Set(v string) error {
-	name, val, found := strings.Cut(v, "=")
-	if !found {
-		val = "1"
+// run is groverc with its command line, output streams and exit status
+// made explicit.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("groverc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: groverc [flags] kernel.cl  (lint findings: groverlint kernel.cl)")
+		fs.PrintDefaults()
 	}
-	d[name] = val
-	return nil
-}
-
-func main() {
-	defines := defineFlags{}
+	defines := service.Defines{}
+	var local service.Dims
 	var (
-		kernel       = flag.String("kernel", "", "kernel to transform (default: every kernel in the file)")
-		candidates   = flag.String("candidates", "", "comma-separated __local variables to disable (default: all)")
-		dumpIR       = flag.Bool("ir", false, "print the IR of the original and transformed kernels")
-		keepBarriers = flag.Bool("keep-barriers", false, "do not remove barriers after disabling local memory")
-		cloneAll     = flag.Bool("clone-all", false, "duplicate the whole GL tree per load (disable subexpression reuse)")
-		strict       = flag.Bool("strict", false, "fail when any candidate is not reversible")
-		lint         = flag.Bool("lint", false, "run the static analyzers before transforming and print their findings")
-		timings      = flag.Bool("timings", false, "print per-stage compile pipeline timings to stderr")
-		rewritePlan  = flag.String("rewrite", "", "apply a rewrite plan (e.g. 'grover', 'stage-local(ls=64),hoist-addr') instead of the Grover pass")
-		accessDump   = flag.Bool("access", false, "print the static memory-access summary per kernel and exit")
-		localSize    = flag.String("local", "", "work-group size x[,y[,z]] used by -access (default 64,1,1)")
+		kernel       = fs.String("kernel", "", "kernel to transform (default: every kernel in the file)")
+		candidates   = fs.String("candidates", "", "comma-separated __local variables to disable (default: all)")
+		dumpIR       = fs.Bool("ir", false, "print the IR of the original and transformed kernels")
+		keepBarriers = fs.Bool("keep-barriers", false, "do not remove barriers after disabling local memory")
+		cloneAll     = fs.Bool("clone-all", false, "duplicate the whole GL tree per load (disable subexpression reuse)")
+		strict       = fs.Bool("strict", false, "fail when any candidate is not reversible")
+		timings      = fs.Bool("timings", false, "print per-stage compile pipeline timings to stderr")
+		plan         = fs.String("rewrite", "", "apply a rewrite plan (e.g. 'grover', 'stage-local(ls=64),hoist-addr') instead of the Grover pass")
+		accessDump   = fs.Bool("access", false, "print the static memory-access summary per kernel and exit")
 	)
-	flag.Var(defines, "D", "preprocessor define NAME[=VALUE] (repeatable)")
-	flag.Parse()
-
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: groverc [flags] kernel.cl")
-		flag.PrintDefaults()
-		os.Exit(2)
+	fs.Var(defines, "D", "preprocessor define NAME[=VALUE] (repeatable)")
+	fs.Var(&local, "local", "work-group size x[,y[,z]] used by -access (default 64,1,1)")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	file := flag.Arg(0)
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "groverc:", err)
+		return 1
+	}
+	file := fs.Arg(0)
 	src, err := os.ReadFile(file)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
-	plat := opencl.NewPlatform()
-	dev, err := plat.DeviceByName("SNB")
-	if err != nil {
-		fatal(err)
-	}
-	ctx := opencl.NewContext(dev)
-	// With -timings every pipeline stage records a span on tctx; the
-	// table is printed once all compiles and transforms are done.
-	tctx := context.Background()
+	// With -timings every call records its spans on ctx's trace; the table
+	// is printed once all compiles and transforms are done.
+	ctx := context.Background()
 	if *timings {
-		tctx, _ = telemetry.WithTrace(tctx)
+		ctx, _ = telemetry.WithTrace(ctx)
 	}
-	prog, err := ctx.CompileProgramCtx(tctx, file, string(src), defines)
+	srv := service.New(service.Config{Workers: 1})
+	compile := &service.CompileRequest{Name: file, Source: string(src), Defines: defines, WantIR: *dumpIR}
+	comp, err := srv.Compile(ctx, compile)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-
-	kernels := prog.KernelNames()
+	kernels := comp.Kernels
 	if *kernel != "" {
 		kernels = []string{*kernel}
 	}
 	if len(kernels) == 0 {
-		fatal(fmt.Errorf("%s contains no kernels", file))
-	}
-
-	opts := igrover.Options{
-		KeepBarriers: *keepBarriers,
-		CloneAll:     *cloneAll,
-		Strict:       *strict,
-	}
-	if *candidates != "" {
-		opts.Candidates = strings.Split(*candidates, ",")
+		return fail(fmt.Errorf("%s contains no kernels", file))
 	}
 
 	if *accessDump {
-		wg := [3]int{}
-		if *localSize != "" {
-			if wg, err = parseLocal(*localSize); err != nil {
-				fatal(err)
-			}
+		mod, err := srv.Module(ctx, compile)
+		if err != nil {
+			return fail(err)
 		}
 		for _, k := range kernels {
-			fn := prog.Module().Kernel(k)
+			fn := mod.Kernel(k)
 			if fn == nil {
-				fatal(fmt.Errorf("%s: no kernel %q", file, k))
+				return fail(fmt.Errorf("%s: no kernel %q", file, k))
 			}
-			fmt.Print(memaccess.Summarize(fn, memaccess.Options{WorkGroup: wg}).String())
+			fmt.Fprint(stdout, memaccess.Summarize(fn, memaccess.Options{WorkGroup: local}).String())
 		}
-		os.Exit(0)
+		return 0
 	}
 
 	exit := 0
-	if *lint {
-		// Lint the compiled module before transforming. The work-group
-		// size is unknown here (it is a launch-time property), so bounds
-		// intervals are unbounded; use groverlint -local for tight checks.
-		mod, err := opencl.CompileModule(file, string(src), defines)
-		if err != nil {
-			fatal(err)
-		}
-		res := analysis.AnalyzeModule(mod, analysis.Options{})
-		for _, f := range res.Findings {
-			fmt.Fprintf(os.Stderr, "%s: %s: [%s] %s\n", f.Pos, f.Severity, f.Detector, f.Message)
-		}
-		if res.MaxSeverity() == analysis.SeverityError {
-			exit = 1
-		}
-	}
-	if *rewritePlan != "" {
-		plan, err := rewrite.ParsePlan(*rewritePlan)
-		if err != nil {
-			fatal(err)
-		}
-		for _, k := range kernels {
-			rp, rep, err := prog.WithRewritePlanCtx(tctx, k, plan)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "groverc: kernel %s: %v\n", k, err)
-				exit = 1
-				continue
-			}
-			fmt.Print(rep)
-			if *dumpIR {
-				fmt.Printf("\n--- original IR (%s) ---\n%s", k, prog.IR())
-				fmt.Printf("\n--- rewritten IR (%s) ---\n%s", k, rp.IR())
-			}
-		}
-		if tr := telemetry.FromContext(tctx); tr != nil {
-			fmt.Fprint(os.Stderr, tr.Table())
-		}
-		os.Exit(exit)
-	}
 	for _, k := range kernels {
-		noLM, rep, err := prog.WithLocalMemoryDisabledCtx(tctx, k, opts)
-		if err == igrover.ErrNoCandidates {
-			fmt.Printf("kernel %s: no local memory usage\n", k)
+		req := &service.TransformRequest{Name: file, Source: string(src), Defines: defines, Kernel: k, Plan: *plan, WantIR: *dumpIR,
+			Options: service.OptionsSpec{KeepBarriers: *keepBarriers, CloneAll: *cloneAll, Strict: *strict}}
+		if *candidates != "" {
+			req.Options.Candidates = strings.Split(*candidates, ",")
+		}
+		resp, err := srv.Transform(ctx, req)
+		if *plan == "" && errors.Is(err, igrover.ErrNoCandidates) {
+			fmt.Fprintf(stdout, "kernel %s: no local memory usage\n", k)
 			continue
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "groverc: kernel %s: %v\n", k, err)
+			fmt.Fprintf(stderr, "groverc: kernel %s: %v\n", k, err)
 			exit = 1
 			continue
 		}
-		fmt.Print(rep)
+		label := "rewritten"
+		if resp.Rewrite != nil {
+			fmt.Fprint(stdout, resp.Rewrite.Text)
+		} else {
+			label = "transformed"
+			fmt.Fprint(stdout, resp.Report.Text)
+		}
 		if *dumpIR {
-			fmt.Printf("\n--- original IR (%s) ---\n%s", k, prog.IR())
-			fmt.Printf("\n--- transformed IR (%s) ---\n%s", k, noLM.IR())
+			fmt.Fprintf(stdout, "\n--- original IR (%s) ---\n%s", k, comp.IR)
+			fmt.Fprintf(stdout, "\n--- %s IR (%s) ---\n%s", label, k, resp.IR)
 		}
 	}
-	if tr := telemetry.FromContext(tctx); tr != nil {
-		fmt.Fprint(os.Stderr, tr.Table())
+	if tr := telemetry.FromContext(ctx); tr != nil {
+		fmt.Fprint(stderr, tr.Table())
 	}
-	os.Exit(exit)
-}
-
-// parseLocal parses "x", "x,y" or "x,y,z" into work-group extents;
-// omitted trailing dimensions default to 1.
-func parseLocal(s string) ([3]int, error) {
-	wg := [3]int{1, 1, 1}
-	parts := strings.Split(s, ",")
-	if len(parts) > 3 {
-		return wg, fmt.Errorf("-local %q: at most three dimensions", s)
-	}
-	for d, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v <= 0 {
-			return wg, fmt.Errorf("-local %q: dimension %d is not a positive integer", s, d)
-		}
-		wg[d] = v
-	}
-	return wg, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "groverc:", err)
-	os.Exit(1)
+	return exit
 }

@@ -13,6 +13,9 @@
 //	groverlint -corpus -plan grover
 //	groverlint -access -local 64 kernel.cl
 //
+// Each file is one groverd lint request (POST /v1/lint), run in process,
+// and the output is a view of its response.
+//
 // With -plan, each kernel is first rewritten by the given rewrite plan
 // (e.g. "grover" or "stage-local(ls=64),hoist-addr") and the analyzers
 // run over the rewrite-produced IR — the check CI uses to prove rewrite
@@ -29,44 +32,32 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"grover/internal/analysis"
 	"grover/internal/apps"
-	"grover/internal/rewrite"
+	"grover/internal/service"
 	"grover/opencl"
 )
 
-type defineFlags map[string]string
-
-func (d defineFlags) String() string { return "" }
-func (d defineFlags) Set(v string) error {
-	name, val, found := strings.Cut(v, "=")
-	if !found {
-		val = "1"
-	}
-	d[name] = val
-	return nil
-}
-
 func main() {
-	defines := defineFlags{}
+	defines := service.Defines{}
+	var local service.Dims
 	var (
 		asJSON  = flag.Bool("json", false, "emit findings and legality verdicts as JSON")
 		kernel  = flag.String("kernel", "", "restrict the report to one kernel")
-		local   = flag.String("local", "", "work-group size as x[,y[,z]] (default: unknown)")
 		corpus  = flag.Bool("corpus", false, "lint the built-in benchmark applications instead of files")
 		wError  = flag.Bool("Werror", false, "treat warnings as errors for the exit status")
 		quietOK = flag.Bool("q", false, "suppress the per-file OK line and legality verdicts")
-		planStr = flag.String("plan", "", "apply a rewrite plan to every kernel before analysis")
+		plan    = flag.String("plan", "", "apply a rewrite plan to every kernel before analysis")
 		access  = flag.Bool("access", false, "enable the access-pattern performance detectors (coalescing, bank conflicts, barrier communication)")
 	)
 	flag.Var(defines, "D", "preprocessor define NAME[=VALUE] (repeatable)")
+	flag.Var(&local, "local", "work-group size as x[,y[,z]] (default: unknown)")
 	flag.Parse()
 
 	if *corpus != (flag.NArg() == 0) {
@@ -75,24 +66,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	wg, err := parseLocal(*local)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "groverlint:", err)
-		os.Exit(2)
-	}
-
-	var plan *rewrite.Plan
-	if *planStr != "" {
-		if plan, err = rewrite.ParsePlan(*planStr); err != nil {
-			fmt.Fprintln(os.Stderr, "groverlint:", err)
-			os.Exit(2)
-		}
-	}
-
-	l := &linter{json: *asJSON, werror: *wError, quiet: *quietOK, kernel: *kernel, plan: plan, access: *access}
+	l := &linter{srv: service.New(service.Config{Workers: 1}), json: *asJSON, werror: *wError, quiet: *quietOK}
+	req := service.LintRequest{Kernel: *kernel, Plan: *plan, Access: *access}
 	if *corpus {
 		for _, app := range apps.All() {
-			l.lintApp(app)
+			l.lintApp(req, app)
 		}
 	} else {
 		for _, file := range flag.Args() {
@@ -101,43 +79,18 @@ func main() {
 				fmt.Fprintln(os.Stderr, "groverlint:", err)
 				os.Exit(2)
 			}
-			l.lint(file, string(src), defines, wg)
+			req.Name, req.Source, req.Defines, req.Local = file, string(src), defines, local
+			l.lint(req)
 		}
 	}
 	os.Exit(l.exit)
 }
 
-// parseLocal parses "x", "x,y" or "x,y,z" into work-group extents;
-// omitted trailing dimensions default to 1.
-func parseLocal(s string) ([3]int, error) {
-	wg := [3]int{}
-	if s == "" {
-		return wg, nil
-	}
-	parts := strings.Split(s, ",")
-	if len(parts) > 3 {
-		return wg, fmt.Errorf("-local %q: at most three dimensions", s)
-	}
-	for d := range wg {
-		wg[d] = 1
-	}
-	for d, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v <= 0 {
-			return wg, fmt.Errorf("-local %q: dimension %d is not a positive integer", s, d)
-		}
-		wg[d] = v
-	}
-	return wg, nil
-}
-
 type linter struct {
+	srv    *service.Server
 	json   bool
 	werror bool
 	quiet  bool
-	kernel string
-	plan   *rewrite.Plan
-	access bool
 	exit   int
 }
 
@@ -147,7 +100,8 @@ type jsonReport struct {
 	*analysis.Result
 }
 
-func (l *linter) lintApp(app *apps.App) {
+// lintApp lints app at the work-group size of its default dataset.
+func (l *linter) lintApp(req service.LintRequest, app *apps.App) {
 	plat := opencl.NewPlatform()
 	dev, err := plat.DeviceByName("SNB")
 	if err != nil {
@@ -159,54 +113,22 @@ func (l *linter) lintApp(app *apps.App) {
 		l.fail(fmt.Errorf("%s: setup: %w", app.ID, err))
 		return
 	}
-	l.lint(app.ID+".cl", app.Source, app.Defines, inst.ND.Local)
+	req.Name, req.Source, req.Defines, req.Local = app.ID+".cl", app.Source, app.Defines, inst.ND.Local
+	l.lint(req)
 }
 
-func (l *linter) lint(file, source string, defines map[string]string, wg [3]int) {
-	mod, err := opencl.CompileModule(file, source, defines)
+// lint runs one lint request and reports its response.
+func (l *linter) lint(req service.LintRequest) {
+	resp, err := l.srv.Lint(context.Background(), &req)
 	if err != nil {
-		l.fail(err)
+		l.fail(fmt.Errorf("%s: %w", req.Name, err))
 		return
 	}
-	if l.plan != nil {
-		// Rewrite every kernel under the plan first, so the analyzers see
-		// the rewrite-produced IR. A plan a rule rejects as illegal is a
-		// lint failure, not a crash.
-		var names []string
-		for _, fn := range mod.Kernels() {
-			if l.kernel == "" || fn.Name == l.kernel {
-				names = append(names, fn.Name)
-			}
-		}
-		for _, name := range names {
-			mod2, _, err := rewrite.Apply(mod, name, l.plan)
-			if err != nil {
-				l.fail(fmt.Errorf("%s: plan %s on kernel %s: %w", file, l.plan, name, err))
-				return
-			}
-			mod = mod2
-		}
-	}
-	opts := analysis.Options{WorkGroupSize: wg, AccessChecks: l.access}
-	var res *analysis.Result
-	if l.kernel != "" {
-		fn := mod.Kernel(l.kernel)
-		if fn == nil {
-			l.fail(fmt.Errorf("%s: no kernel %q", file, l.kernel))
-			return
-		}
-		res = analysis.AnalyzeKernel(fn, opts)
-	} else {
-		res = analysis.AnalyzeModule(mod, opts)
-	}
-	l.report(file, res)
-}
-
-func (l *linter) report(file string, res *analysis.Result) {
+	res := &analysis.Result{Findings: resp.Findings, Legality: resp.Legality}
 	if l.json {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(jsonReport{File: file, Result: res}); err != nil {
+		if err := enc.Encode(jsonReport{File: req.Name, Result: res}); err != nil {
 			l.fail(err)
 		}
 	} else {
@@ -227,12 +149,11 @@ func (l *linter) report(file string, res *analysis.Result) {
 					v.Pos, v.Name, v.Kernel, v.NumLS, v.NumLL, verdict)
 			}
 			if len(res.Findings) == 0 {
-				fmt.Printf("%s: OK\n", file)
+				fmt.Printf("%s: OK\n", req.Name)
 			}
 		}
 	}
-	max := res.MaxSeverity()
-	if max == analysis.SeverityError || (l.werror && len(res.Findings) > 0) {
+	if resp.MaxSeverity == string(analysis.SeverityError) || (l.werror && len(res.Findings) > 0) {
 		if l.exit < 1 {
 			l.exit = 1
 		}

@@ -3,7 +3,7 @@ package main
 import (
 	"testing"
 
-	"grover/internal/rewrite"
+	"grover/internal/service"
 )
 
 // warnOnlySrc produces exactly one warning-severity finding (a may-run-
@@ -23,18 +23,11 @@ const warnOnlySrc = `__kernel void w(__global float* out, __global float* in, in
 }
 `
 
-func lintExit(t *testing.T, werror bool, planStr string) int {
-	t.Helper()
-	var plan *rewrite.Plan
-	if planStr != "" {
-		var err error
-		plan, err = rewrite.ParsePlan(planStr)
-		if err != nil {
-			t.Fatalf("plan %q: %v", planStr, err)
-		}
-	}
-	l := &linter{werror: werror, quiet: true, plan: plan}
-	l.lint("w.cl", warnOnlySrc, nil, [3]int{16, 1, 1})
+// lintExit lints warnOnlySrc as one lint request and returns the exit
+// status it earns.
+func lintExit(werror bool, plan string) int {
+	l := &linter{srv: service.New(service.Config{Workers: 1}), werror: werror, quiet: true}
+	l.lint(service.LintRequest{Name: "w.cl", Source: warnOnlySrc, Local: [3]int{16, 1, 1}, Plan: plan})
 	return l.exit
 }
 
@@ -55,7 +48,7 @@ func TestWerrorUniformAcrossPlan(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := lintExit(t, c.werror, c.plan); got != c.want {
+			if got := lintExit(c.werror, c.plan); got != c.want {
 				t.Errorf("werror=%v plan=%q: exit = %d, want %d", c.werror, c.plan, got, c.want)
 			}
 		})
@@ -65,10 +58,7 @@ func TestWerrorUniformAcrossPlan(t *testing.T) {
 // TestWerrorDoesNotMaskPlanFailure: an illegal/unparseable plan stays a
 // usage-level failure (exit 2), not a -Werror finding.
 func TestPlanApplyFailureExitsTwo(t *testing.T) {
-	plan := rewrite.MustParsePlan("stage-local(ls=0)")
-	l := &linter{werror: true, quiet: true, plan: plan}
-	l.lint("w.cl", warnOnlySrc, nil, [3]int{16, 1, 1})
-	if l.exit != 2 {
-		t.Errorf("illegal plan: exit = %d, want 2", l.exit)
+	if got := lintExit(true, "stage-local(ls=0)"); got != 2 {
+		t.Errorf("illegal plan: exit = %d, want 2", got)
 	}
 }

@@ -164,7 +164,8 @@ func (c *Cache) accessLine(lineAddr uint64, store bool) int64 {
 	if e := set[victim]; e&1 != 0 {
 		// Write back the evicted line — to its tag's address in set 0: the
 		// set index is dropped. A known model defect carried over as it was,
-		// because fixing it moves counts (ROADMAP item 6).
+		// because fixing it moves counts (ROADMAP item 8, "Paper fidelity is a
+		// gated number").
 		c.stats.Writebacks++
 		cost += c.next.Access((e>>1-1)<<c.setShift<<c.lineShift, c.lineSize, true) / 2
 	}

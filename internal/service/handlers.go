@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -82,65 +83,13 @@ func (s *Server) compile(ctx context.Context, p program) (*compiledArtifact, kca
 }
 
 // compileKernel compiles the program and checks that it has the kernel,
-// returning an actionable 404 otherwise.
+// when one is named, returning an actionable 404 otherwise.
 func (s *Server) compileKernel(ctx context.Context, p program, kernel string) (*compiledArtifact, error) {
 	comp, _, err := s.compile(ctx, p)
-	if err == nil && comp.mod.Kernel(kernel) == nil {
+	if err == nil && kernel != "" && comp.mod.Kernel(kernel) == nil {
 		err = notFound("no kernel %q in program (available: %s)", kernel, strings.Join(comp.kernels, ", "))
 	}
 	return comp, err
-}
-
-// transform returns the cached rewrite-plan or Grover pass result.
-func (s *Server) transform(ctx context.Context, job *transformJob) (*transformArtifact, kcache.Outcome, error) {
-	v, out, err := s.cache.Do(jobKey("transform", job), func() (interface{}, error) {
-		comp, err := s.compileKernel(ctx, job.program, job.Kernel)
-		if err != nil {
-			return nil, err
-		}
-		end := telemetry.StartSpan(ctx, "rewrite.apply")
-		if job.Plan != nil {
-			mod, rep, err := rewrite.Apply(comp.mod, job.Kernel, job.Plan)
-			end()
-			if err != nil {
-				return nil, err
-			}
-			return &transformArtifact{rewrite: rep, ir: mod.String()}, nil
-		}
-		mod, rep, err := rewrite.ApplyGrover(comp.mod, job.Kernel, *job.Options)
-		end()
-		if err != nil {
-			return nil, err
-		}
-		return &transformArtifact{report: rep, ir: mod.String()}, nil
-	})
-	if err != nil {
-		return nil, out, err
-	}
-	return v.(*transformArtifact), out, nil
-}
-
-// lint returns the cached static-analysis result.
-func (s *Server) lint(ctx context.Context, job *lintJob) (*analysis.Result, kcache.Outcome, error) {
-	v, out, err := s.cache.Do(jobKey("lint", job), func() (interface{}, error) {
-		opts := analysis.Options{WorkGroupSize: job.Local}
-		if job.Kernel == "" {
-			comp, _, err := s.compile(ctx, job.program)
-			if err != nil {
-				return nil, err
-			}
-			return analysis.AnalyzeModule(comp.mod, opts), nil
-		}
-		comp, err := s.compileKernel(ctx, job.program, job.Kernel)
-		if err != nil {
-			return nil, err
-		}
-		return analysis.AnalyzeKernel(comp.mod.Kernel(job.Kernel), opts), nil
-	})
-	if err != nil {
-		return nil, out, err
-	}
-	return v.(*analysis.Result), out, nil
 }
 
 // buildArgs materializes the job's arguments in a context. Buffers get a
@@ -274,12 +223,63 @@ func (r *AutotuneResponse) stamp(ms float64, spans []telemetry.SpanJSON) {
 }
 func (r *LintResponse) stamp(ms float64, _ []telemetry.SpanJSON) { r.LatencyMS = ms }
 
-// post serves a POST endpoint: decode the body into a Req, normalize it
-// into the endpoint's Job — which raises every 400 and 404 a request can
-// earn before a compile — and handle the job on the worker pool, which
-// computes the response and reports the cache outcomes it met.
-func post[Req, Job any](s *Server, normalize func(*Req) (Job, error),
-	handle func(context.Context, *Req, Job) (stamped, []kcache.Outcome, error)) http.HandlerFunc {
+// call runs an endpoint in process: normalize the request into the
+// endpoint's job — which raises every 400 and 404 a request can earn before
+// a compile — and handle the job on the worker pool, which computes the
+// response and reports the cache outcomes it met. The job's error is
+// returned as is.
+func call[Req, Job, Resp any](ctx context.Context, s *Server, req *Req, normalize func(*Req) (Job, error),
+	handle func(context.Context, *Req, Job) (Resp, []kcache.Outcome, error)) (Resp, error) {
+	var resp Resp
+	job, err := normalize(req)
+	if err != nil {
+		return resp, err
+	}
+	var outs []kcache.Outcome
+	if perr := s.pool.RunCtx(ctx, func() { resp, outs, err = handle(ctx, req, job) }); perr != nil {
+		return resp, perr
+	}
+	noteOutcome(ctx, outs...)
+	return resp, err
+}
+
+// Compile is POST /v1/compile in process.
+func (s *Server) Compile(ctx context.Context, req *CompileRequest) (*CompileResponse, error) {
+	return call(ctx, s, req, normalizeCompile, s.handleCompile)
+}
+
+// Transform is POST /v1/transform in process.
+func (s *Server) Transform(ctx context.Context, req *TransformRequest) (*TransformResponse, error) {
+	return call(ctx, s, req, normalizeTransform, s.handleTransform)
+}
+
+// Autotune is POST /v1/autotune in process.
+func (s *Server) Autotune(ctx context.Context, req *AutotuneRequest) (*AutotuneResponse, error) {
+	return call(ctx, s, req, s.normalizeAutotune, s.handleAutotune)
+}
+
+// Lint is POST /v1/lint in process.
+func (s *Server) Lint(ctx context.Context, req *LintRequest) (*LintResponse, error) {
+	return call(ctx, s, req, normalizeLint, s.handleLint)
+}
+
+// Module is the module Compile compiles for req, from the same cached
+// compile job; callers must treat it as read-only. It serves what no job
+// computes, such as groverc's access summary.
+func (s *Server) Module(ctx context.Context, req *CompileRequest) (*ir.Module, error) {
+	comp, err := call(ctx, s, req, normalizeCompile, func(ctx context.Context, _ *CompileRequest, p program) (*compiledArtifact, []kcache.Outcome, error) {
+		comp, out, err := s.compile(ctx, p)
+		return comp, []kcache.Outcome{out}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return comp.mod, nil
+}
+
+// post serves a POST endpoint: decode the body, make the in-process call,
+// and stamp and write its response.
+func post[Req any, Resp stamped](call func(context.Context, *Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		var req Req
@@ -287,20 +287,7 @@ func post[Req, Job any](s *Server, normalize func(*Req) (Job, error),
 			writeError(w, err)
 			return
 		}
-		job, err := normalize(&req)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		var (
-			resp stamped
-			outs []kcache.Outcome
-		)
-		if perr := s.pool.RunCtx(r.Context(), func() { resp, outs, err = handle(r.Context(), &req, job) }); perr != nil {
-			writeError(w, perr)
-			return
-		}
-		noteOutcome(r.Context(), outs...)
+		resp, err := call(r.Context(), &req)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -310,7 +297,7 @@ func post[Req, Job any](s *Server, normalize func(*Req) (Job, error),
 	}
 }
 
-func (s *Server) handleCompile(ctx context.Context, req *CompileRequest, p program) (stamped, []kcache.Outcome, error) {
+func (s *Server) handleCompile(ctx context.Context, req *CompileRequest, p program) (*CompileResponse, []kcache.Outcome, error) {
 	comp, out, err := s.compile(ctx, p)
 	if err != nil {
 		return nil, []kcache.Outcome{out}, err
@@ -322,11 +309,33 @@ func (s *Server) handleCompile(ctx context.Context, req *CompileRequest, p progr
 	return resp, []kcache.Outcome{out}, nil
 }
 
-func (s *Server) handleTransform(ctx context.Context, req *TransformRequest, job *transformJob) (stamped, []kcache.Outcome, error) {
-	art, out, err := s.transform(ctx, job)
+// handleTransform returns the cached rewrite-plan or Grover pass result.
+func (s *Server) handleTransform(ctx context.Context, req *TransformRequest, job *transformJob) (*TransformResponse, []kcache.Outcome, error) {
+	v, out, err := s.cache.Do(jobKey("transform", job), func() (interface{}, error) {
+		comp, err := s.compileKernel(ctx, job.program, job.Kernel)
+		if err != nil {
+			return nil, err
+		}
+		end := telemetry.StartSpan(ctx, "rewrite.apply")
+		if job.Plan != nil {
+			mod, rep, err := rewrite.Apply(comp.mod, job.Kernel, job.Plan)
+			end()
+			if err != nil {
+				return nil, err
+			}
+			return &transformArtifact{rewrite: rep, ir: mod.String()}, nil
+		}
+		mod, rep, err := rewrite.ApplyGrover(comp.mod, job.Kernel, *job.Options)
+		end()
+		if err != nil {
+			return nil, err
+		}
+		return &transformArtifact{report: rep, ir: mod.String()}, nil
+	})
 	if err != nil {
 		return nil, []kcache.Outcome{out}, err
 	}
+	art := v.(*transformArtifact)
 	resp := &TransformResponse{Kernel: job.Kernel, Rewrite: renderRewrite(art.rewrite), Cache: out.String()}
 	if art.rewrite != nil {
 		resp.Plan, resp.Transformed = art.rewrite.Plan, art.rewrite.Changed()
@@ -344,7 +353,7 @@ func (s *Server) handleTransform(ctx context.Context, req *TransformRequest, job
 // nobody holds a verdict for are tuned together as one device set — one
 // execution per kernel version, charged to each device's cost model — so
 // a partially warm request computes only what is missing.
-func (s *Server) handleAutotune(ctx context.Context, _ *AutotuneRequest, t tuning) (stamped, []kcache.Outcome, error) {
+func (s *Server) handleAutotune(ctx context.Context, _ *AutotuneRequest, t tuning) (*AutotuneResponse, []kcache.Outcome, error) {
 	vals, outs, errs := s.cache.DoMany(verdictKeys(t.job, t.devs), func(miss []int) ([]interface{}, []error) {
 		set := make([]*opencl.Device, len(miss))
 		for j, i := range miss {
@@ -368,11 +377,35 @@ func (s *Server) handleAutotune(ctx context.Context, _ *AutotuneRequest, t tunin
 	return resp, outs, nil
 }
 
-func (s *Server) handleLint(ctx context.Context, _ *LintRequest, job *lintJob) (stamped, []kcache.Outcome, error) {
-	res, out, err := s.lint(ctx, job)
+// handleLint returns the cached static-analysis result: the job's plan,
+// when set, rewrites each kernel in turn before the analyzers run.
+func (s *Server) handleLint(ctx context.Context, _ *LintRequest, job *lintJob) (*LintResponse, []kcache.Outcome, error) {
+	v, out, err := s.cache.Do(jobKey("lint", job), func() (interface{}, error) {
+		comp, err := s.compileKernel(ctx, job.program, job.Kernel)
+		if err != nil {
+			return nil, err
+		}
+		mod := comp.mod
+		if job.Plan != nil {
+			for _, name := range comp.kernels {
+				if job.Kernel != "" && name != job.Kernel {
+					continue
+				}
+				if mod, _, err = rewrite.Apply(mod, name, job.Plan); err != nil {
+					return nil, fmt.Errorf("plan %s on kernel %s: %w", job.Plan, name, err)
+				}
+			}
+		}
+		opts := analysis.Options{WorkGroupSize: job.Local, AccessChecks: job.Access}
+		if job.Kernel == "" {
+			return analysis.AnalyzeModule(mod, opts), nil
+		}
+		return analysis.AnalyzeKernel(mod.Kernel(job.Kernel), opts), nil
+	})
 	if err != nil {
 		return nil, []kcache.Outcome{out}, err
 	}
+	res := v.(*analysis.Result)
 	return &LintResponse{
 		Name:        job.Name,
 		Findings:    res.Findings,

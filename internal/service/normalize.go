@@ -25,11 +25,15 @@ type program struct {
 	Defines map[string]string // nil when empty
 }
 
-// lintJob is a lint: Local's zero dimensions mean unknown.
+// lintJob is a lint of the program after Plan, when set, has rewritten
+// Kernel, or every kernel when Kernel is empty. Local's zero dimensions
+// mean unknown.
 type lintJob struct {
 	program
 	Kernel string
 	Local  [3]int
+	Plan   *rewrite.Plan
+	Access bool
 }
 
 // transformJob applies Plan, or the classic pass with Options when Plan is
@@ -122,7 +126,15 @@ func normalizeLint(req *LintRequest) (*lintJob, error) {
 	if req.Source == "" {
 		return nil, badRequest("source is required")
 	}
-	return &lintJob{newProgram(req.Name, req.Source, req.Defines), req.Kernel, req.Local}, nil
+	job := &lintJob{program: newProgram(req.Name, req.Source, req.Defines),
+		Kernel: req.Kernel, Local: req.Local, Access: req.Access}
+	if req.Plan != "" {
+		var err error
+		if job.Plan, err = rewrite.ParsePlan(req.Plan); err != nil {
+			return nil, badRequest("%v", err)
+		}
+	}
+	return job, nil
 }
 
 func normalizeTransform(req *TransformRequest) (*transformJob, error) {
@@ -154,19 +166,11 @@ func (s *Server) normalizeAutotune(req *AutotuneRequest) (tuning, error) {
 		return tuning{}, badRequest("unknown backend %q (available: %s)",
 			job.Backend, strings.Join(vm.Backends(), ", "))
 	}
-	cfg := vm.Config{GlobalSize: req.Global, LocalSize: req.Local}
-	cfg, err := cfg.Normalized()
+	nd, err := CheckLaunch(req.Global, req.Local, req.Args)
 	if err != nil {
-		return tuning{}, badRequest("%v", err)
+		return tuning{}, err
 	}
-	job.Global, job.Local = cfg.GlobalSize, cfg.LocalSize
-	items := 1
-	for _, n := range job.Global {
-		if n > maxWorkItems/items {
-			return tuning{}, badRequest("global %v exceeds the %d-work-item limit", req.Global, maxWorkItems)
-		}
-		items *= n
-	}
+	job.Global, job.Local = nd.Global, nd.Local
 	// "search" enumerates the default space for this launch geometry,
 	// anything else is "|"-separated plans, each in its canonical spelling.
 	if req.Plan == "search" {
@@ -200,20 +204,47 @@ func (s *Server) normalizeAutotune(req *AutotuneRequest) (tuning, error) {
 	for i, a := range req.Args {
 		switch a.Kind {
 		case "buffer", "local":
-			if a.Size <= 0 {
-				return tuning{}, badRequest("arg %d: %s needs a positive size", i, a.Kind)
-			}
-			if a.Size > maxBufferBytes {
-				return tuning{}, badRequest("arg %d: %s size %d exceeds the %d-byte limit", i, a.Kind, a.Size, maxBufferBytes)
-			}
 			job.Args[i] = arg{Kind: a.Kind, Size: a.Size}
 		case "int":
 			job.Args[i] = arg{Kind: a.Kind, Int: a.Int}
 		case "float":
 			job.Args[i] = arg{Kind: a.Kind, Float: a.Float}
-		default:
-			return tuning{}, badRequest("arg %d: unknown kind %q (want buffer, local, int or float)", i, a.Kind)
 		}
 	}
 	return tuning{job, devs}, nil
+}
+
+// CheckLaunch is the check every launch's geometry and declared argument
+// sizes pass, in groverd and in clrun: a negative or indivisible dimension,
+// an NDRange over maxWorkItems and a buffer or local argument over
+// maxBufferBytes are refused before anything is allocated. It returns the
+// geometry with zero dimensions made 1.
+func CheckLaunch(global, local [3]int, args []ArgSpec) (opencl.NDRange, error) {
+	cfg := vm.Config{GlobalSize: global, LocalSize: local}
+	cfg, err := cfg.Normalized()
+	if err != nil {
+		return opencl.NDRange{}, badRequest("%v", err)
+	}
+	items := 1
+	for _, n := range cfg.GlobalSize {
+		if n > maxWorkItems/items {
+			return opencl.NDRange{}, badRequest("global %v exceeds the %d-work-item limit", global, maxWorkItems)
+		}
+		items *= n
+	}
+	for i, a := range args {
+		switch a.Kind {
+		case "buffer", "local":
+			if a.Size <= 0 {
+				return opencl.NDRange{}, badRequest("arg %d: %s needs a positive size", i, a.Kind)
+			}
+			if a.Size > maxBufferBytes {
+				return opencl.NDRange{}, badRequest("arg %d: %s size %d exceeds the %d-byte limit", i, a.Kind, a.Size, maxBufferBytes)
+			}
+		case "int", "float":
+		default:
+			return opencl.NDRange{}, badRequest("arg %d: unknown kind %q (want buffer, local, int or float)", i, a.Kind)
+		}
+	}
+	return opencl.NDRange{Global: cfg.GlobalSize, Local: cfg.LocalSize}, nil
 }

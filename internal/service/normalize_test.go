@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -54,6 +55,7 @@ func TestNormalizedRequestsHit(t *testing.T) {
 	compile := CompileRequest{Name: "nvd-mt.cl", Source: source}
 	transform := TransformRequest{Source: source, Kernel: "transpose"}
 	search := winsumAutotune("")
+	lint := LintRequest{Name: "nvd-mt.cl", Source: source, Local: [3]int{16, 16, 1}}
 	srcJSON, _ := json.Marshal(source)
 	defines := func(order string) json.RawMessage {
 		return json.RawMessage(`{"source":` + string(srcJSON) + `,"defines":` + order + `}`)
@@ -87,6 +89,9 @@ func TestNormalizedRequestsHit(t *testing.T) {
 		{"candidates are a set", "transform",
 			body(t, transform, func(m map[string]any) { m["options"] = map[string]any{"candidates": []string{"x", "tile"}} }),
 			body(t, transform, func(m map[string]any) { m["options"] = map[string]any{"candidates": []string{"tile", "x", "tile"}} })},
+		{"lint plan spellings", "lint",
+			body(t, lint, func(m map[string]any) { m["plan"] = "hoist-addr,grover(strict=true)" }),
+			body(t, lint, func(m map[string]any) { m["plan"] = " hoist-addr , grover( strict ) " })},
 		{"autotune candidates are a set", "autotune",
 			body(t, tune, func(m map[string]any) { m["options"] = map[string]any{"candidates": []string{"x", "tile"}} }),
 			body(t, tune, func(m map[string]any) { m["options"] = map[string]any{"candidates": []string{"tile", "x", "tile"}} })},
@@ -104,6 +109,53 @@ func TestNormalizedRequestsHit(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// lintKeyExempt lists the LintRequest fields the lint key does not cover,
+// each with the reason: none, since the lint reads every one.
+var lintKeyExempt = map[string]string{}
+
+// TestLintKeyCoversEveryField walks LintRequest by reflection and changes
+// one value at a time — every field, and every dimension of Local —
+// requiring the lint key to change unless the field is exempt, in which
+// case it must not. A field added to the request without deciding how it
+// is normalized fails here.
+func TestLintKeyCoversEveryField(t *testing.T) {
+	source, _ := nvdMT()
+	base := LintRequest{Name: "nvd-mt.cl", Source: source, Kernel: "transpose", Local: [3]int{16, 16, 1}}
+	key := func(req LintRequest) string {
+		job, err := normalizeLint(&req)
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		return jobKey("lint", job)
+	}
+	want := key(base)
+	typ := reflect.TypeOf(base)
+	for name := range lintKeyExempt {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("lintKeyExempt names %s, which LintRequest no longer has", name)
+		}
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		dims := 1
+		if f.Type.Kind() == reflect.Array {
+			dims = f.Type.Len()
+		}
+		for d := 0; d < dims; d++ {
+			req := base
+			v, path := reflect.ValueOf(&req).Elem().Field(i), f.Name
+			if f.Type.Kind() == reflect.Array {
+				v, path = v.Index(d), fmt.Sprintf("%s[%d]", f.Name, d)
+			}
+			perturb(t, path, v)
+			changed, exempt := key(req) != want, lintKeyExempt[f.Name] != ""
+			if changed == exempt {
+				t.Errorf("changing %s: lint key changed = %v, want %v", path, changed, !exempt)
+			}
+		}
 	}
 }
 

@@ -145,10 +145,10 @@ func New(cfg Config) *Server {
 		method, path string
 		handler      http.HandlerFunc
 	}{
-		{"POST", "/v1/compile", post(s, normalizeCompile, s.handleCompile)},
-		{"POST", "/v1/transform", post(s, normalizeTransform, s.handleTransform)},
-		{"POST", "/v1/autotune", post(s, s.normalizeAutotune, s.handleAutotune)},
-		{"POST", "/v1/lint", post(s, normalizeLint, s.handleLint)},
+		{"POST", "/v1/compile", post(s.Compile)},
+		{"POST", "/v1/transform", post(s.Transform)},
+		{"POST", "/v1/autotune", post(s.Autotune)},
+		{"POST", "/v1/lint", post(s.Lint)},
 		{"GET", "/v1/devices", s.handleDevices},
 		{"GET", "/v1/stats", s.handleStats},
 		{"GET", "/v1/traces", s.handleTraces},
@@ -356,6 +356,46 @@ type OptionsSpec struct {
 	// Strict fails the request when a selected candidate is not
 	// reversible instead of skipping it.
 	Strict bool `json:"strict,omitempty"`
+}
+
+// Defines is the command-line form of a request's defines: a flag.Value
+// taking NAME[=VALUE], repeatable, where VALUE defaults to 1.
+type Defines map[string]string
+
+func (d Defines) String() string { return "" }
+
+// Set adds one NAME[=VALUE] definition.
+func (d Defines) Set(v string) error {
+	name, val, found := strings.Cut(v, "=")
+	if !found {
+		val = "1"
+	}
+	d[name] = val
+	return nil
+}
+
+// Dims is the command-line form of a request's launch geometry: a
+// flag.Value taking x[,y[,z]], where omitted trailing dimensions are 1. The
+// zero value is unset.
+type Dims [3]int
+
+func (d *Dims) String() string { return fmt.Sprint(*d) }
+
+// Set parses x[,y[,z]]; every dimension must be a positive integer.
+func (d *Dims) Set(s string) error {
+	parts := strings.Split(s, ",")
+	if len(parts) > 3 {
+		return fmt.Errorf("%q: at most three dimensions", s)
+	}
+	*d = Dims{1, 1, 1}
+	for i, p := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil || v <= 0 {
+			return fmt.Errorf("%q: dimension %d is not a positive integer", s, i)
+		}
+		d[i] = v
+	}
+	return nil
 }
 
 // CompileRequest compiles OpenCL C source.
@@ -605,6 +645,14 @@ type LintRequest struct {
 	// mean unknown, which widens bounds intervals and disables the race
 	// prover's cross-work-item disjointness reasoning.
 	Local [3]int `json:"local,omitempty"`
+	// Plan, when set, rewrites the kernel (every kernel when Kernel is
+	// empty) before the analyzers run, so they see the rewrite-produced
+	// IR; a plan a rule rejects fails the request.
+	Plan string `json:"plan,omitempty"`
+	// Access enables the detectors backed by the static access summary:
+	// uncoalesced global accesses, bank-conflicted local staging and
+	// barriers that synchronize no cross-item communication.
+	Access bool `json:"access,omitempty"`
 }
 
 // LintResponse carries the findings and per-buffer legality verdicts.
