@@ -4,17 +4,19 @@
 //
 // Arguments are described positionally with -arg flags:
 //
-//	-arg fbuf:N        float buffer with N elements, zero filled
-//	-arg fbuf:N:seed   float buffer with N deterministic pseudo-random values
+//	-arg fbuf:N        float buffer with N elements
 //	-arg ibuf:N        int32 buffer with N elements
 //	-arg local:BYTES   dynamically sized __local buffer
 //	-arg int:V         int scalar
 //	-arg float:V       float scalar
 //
+// Every buffer is filled the way groverd fills an autotune's
+// (service.BuildArgs): deterministic pseudo-random values.
+//
 // Example (tiled transpose):
 //
 //	clrun -device SNB -kernel transpose -global 128,128 -local 16,16 \
-//	      -arg fbuf:16384 -arg fbuf:16384:seed -arg int:128 -arg int:128 \
+//	      -arg fbuf:16384 -arg fbuf:16384 -arg int:128 -arg int:128 \
 //	      -time -grover -dump 0:8 transpose.cl
 package main
 
@@ -76,7 +78,7 @@ func run(file, deviceName, kernel string, global, local service.Dims, argSpecs [
 	useGrover, timed, kprofile bool, backend, dump, traceOut string) error {
 	// The launch passes groverd's geometry and size check, and -dump is
 	// checked against it, before anything is compiled or allocated.
-	specs, seeded, err := parseArgs(argSpecs)
+	specs, err := parseArgs(argSpecs)
 	if err != nil {
 		return err
 	}
@@ -129,7 +131,7 @@ func run(file, deviceName, kernel string, global, local service.Dims, argSpecs [
 		}
 		kernel = names[0]
 	}
-	kargs := buildArgs(ctx, specs, seeded)
+	kargs := service.BuildArgs(ctx, specs)
 
 	// One queue for the run: a profiling queue holds the device model —
 	// a cache hierarchy per core — and every launch starts it afresh.
@@ -214,77 +216,45 @@ func appendTrace(path string, exp telemetry.TraceExport) error {
 	return err
 }
 
-// parseArgs decodes -arg specs into the arguments they declare, and which
-// float buffers are seeded; nothing is allocated.
-func parseArgs(specs []string) ([]service.ArgSpec, []bool, error) {
+// parseArgs decodes -arg specs into the arguments they declare; nothing is
+// allocated.
+func parseArgs(specs []string) ([]service.ArgSpec, error) {
 	out := make([]service.ArgSpec, len(specs))
-	seeded := make([]bool, len(specs))
 	for i, spec := range specs {
 		kind, rest, _ := strings.Cut(spec, ":")
 		switch kind {
 		case "fbuf", "ibuf":
-			nStr, mode := rest, ""
-			if kind == "fbuf" {
-				nStr, mode, _ = strings.Cut(rest, ":")
+			if strings.HasSuffix(rest, ":seed") {
+				return nil, fmt.Errorf("%q: :seed is no longer accepted: every buffer gets groverd's fill", spec)
 			}
-			n, err := strconv.Atoi(nStr)
+			n, err := strconv.Atoi(rest)
 			if err != nil || n <= 0 {
-				return nil, nil, fmt.Errorf("bad %s size in %q", kind, spec)
+				return nil, fmt.Errorf("bad %s size in %q", kind, spec)
 			}
 			// Clamped so that the byte size cannot wrap; the check refuses
 			// it either way.
 			out[i] = service.ArgSpec{Kind: "buffer", Size: min(n, math.MaxInt/4) * 4}
-			seeded[i] = mode == "seed"
 		case "local":
 			n, err := strconv.Atoi(rest)
 			if err != nil || n <= 0 {
-				return nil, nil, fmt.Errorf("bad local size in %q", spec)
+				return nil, fmt.Errorf("bad local size in %q", spec)
 			}
 			out[i] = service.ArgSpec{Kind: "local", Size: n}
 		case "int":
 			v, err := strconv.ParseInt(rest, 0, 64)
 			if err != nil {
-				return nil, nil, fmt.Errorf("bad int in %q", spec)
+				return nil, fmt.Errorf("bad int in %q", spec)
 			}
 			out[i] = service.ArgSpec{Kind: "int", Int: v}
 		case "float":
 			v, err := strconv.ParseFloat(rest, 64)
 			if err != nil {
-				return nil, nil, fmt.Errorf("bad float in %q", spec)
+				return nil, fmt.Errorf("bad float in %q", spec)
 			}
 			out[i] = service.ArgSpec{Kind: "float", Float: v}
 		default:
-			return nil, nil, fmt.Errorf("unknown argument kind %q (want fbuf/ibuf/local/int/float)", kind)
+			return nil, fmt.Errorf("unknown argument kind %q (want fbuf/ibuf/local/int/float)", kind)
 		}
 	}
-	return out, seeded, nil
-}
-
-// buildArgs materializes checked arguments in ctx: buffers are zero filled
-// unless seeded with deterministic pseudo-random values.
-func buildArgs(ctx *opencl.Context, specs []service.ArgSpec, seeded []bool) []interface{} {
-	out := make([]interface{}, len(specs))
-	for i, a := range specs {
-		switch a.Kind {
-		case "buffer":
-			b := ctx.NewBuffer(a.Size)
-			if seeded[i] {
-				vals := make([]float32, a.Size/4)
-				s := uint32(12345)
-				for j := range vals {
-					s = s*1664525 + 1013904223
-					vals[j] = float32(s%1000) / 1000
-				}
-				b.WriteFloat32(vals)
-			}
-			out[i] = b
-		case "local":
-			out[i] = opencl.LocalMem{Size: a.Size}
-		case "int":
-			out[i] = a.Int
-		case "float":
-			out[i] = a.Float
-		}
-	}
-	return out
+	return out, nil
 }

@@ -21,7 +21,7 @@ const tileSrc = `__kernel void k(__global float* o, __global const float* i) {
 // runTile runs tileSrc over 64 items on two 64-float buffers with clrun's
 // output discarded.
 func runTile(t *testing.T, device string, useGrover, timed bool, dump string) error {
-	return runTileArgs(t, device, service.Dims{64}, []string{"fbuf:64", "fbuf:64:seed"}, useGrover, timed, dump)
+	return runTileArgs(t, device, service.Dims{64}, []string{"fbuf:64", "fbuf:64"}, useGrover, timed, dump)
 }
 
 func runTileArgs(t *testing.T, device string, global service.Dims, args []string, useGrover, timed bool, dump string) error {
@@ -71,7 +71,7 @@ func TestTimedGroverRun(t *testing.T) {
 // TestLaunchCaps: clrun's launch passes groverd's check before anything is
 // allocated, so an oversized buffer or NDRange and an indivisible
 // dimension are errors with the service's message, not an out-of-memory
-// crash.
+// crash. A buffer asking for the removed :seed fill is refused by name.
 func TestLaunchCaps(t *testing.T) {
 	for _, tc := range []struct {
 		global service.Dims
@@ -83,6 +83,7 @@ func TestLaunchCaps(t *testing.T) {
 		{service.Dims{64}, []string{"fbuf:64", "local:67108865"}, "arg 1: local size 67108865 exceeds the 67108864-byte limit"},
 		{service.Dims{1 << 13, 1 << 12}, []string{"fbuf:64", "fbuf:64"}, "exceeds the 16777216-work-item limit"},
 		{service.Dims{72}, []string{"fbuf:64", "fbuf:64"}, "not divisible by local size 16 in dim 0"},
+		{service.Dims{64}, []string{"fbuf:64", "fbuf:64:seed"}, `"fbuf:64:seed": :seed is no longer accepted`},
 	} {
 		err := runTileArgs(t, "SNB", tc.global, tc.args, false, false, "")
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

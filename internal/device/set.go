@@ -62,8 +62,9 @@ func newSet(models []*Simulator) *Set {
 // Opts returns the launch options wiring every model of the set into one
 // VM launch on as many workers as the host has processors. More would not
 // only be idle: a worker waits for its group's turn holding what the engine
-// lent it for the group (wgvec lends a traced launch GOMAXPROCS trace
-// buffers), so workers beyond that could starve the one whose turn it is.
+// lent it for the group (vm.Program.Launch lends a traced launch at most
+// GOMAXPROCS group states), so workers beyond that could starve the one
+// whose turn it is.
 func (s *Set) Opts() *vm.LaunchOpts {
 	n := runtime.GOMAXPROCS(0)
 	for len(s.hosts) < n {

@@ -63,12 +63,10 @@ func (s *Server) compile(ctx context.Context, p program) (*compiledArtifact, kca
 		if err != nil {
 			return nil, err
 		}
-		if s.backend != vm.BackendInterp {
-			// Compile the default backend's bytecode now so it is cached
-			// with the artifact rather than rebuilt per request.
-			if _, err := prog.ExecutorCtx(ctx, s.backend); err != nil {
-				return nil, err
-			}
+		// Compile the default backend's bytecode now so it is cached
+		// with the artifact rather than rebuilt per request.
+		if _, err := prog.ExecutorCtx(ctx, s.backend); err != nil {
+			return nil, err
 		}
 		art := &compiledArtifact{mod: mod, prog: prog, ir: mod.String()}
 		for _, f := range mod.Kernels() {
@@ -92,10 +90,11 @@ func (s *Server) compileKernel(ctx context.Context, p program, kernel string) (*
 	return comp, err
 }
 
-// buildArgs materializes the job's arguments in a context. Buffers get a
-// deterministic pseudo-random fill: simulated timing depends on the access
-// pattern, not the values.
-func buildArgs(ctx *opencl.Context, specs []arg) []interface{} {
+// BuildArgs materializes checked arguments in a context, as groverd does
+// for every autotune: buffer i gets the deterministic pseudo-random fill
+// opencl.Pattern(size/4, i+1), since simulated timing depends on the
+// access pattern, not the values.
+func BuildArgs(ctx *opencl.Context, specs []ArgSpec) []interface{} {
 	args := make([]interface{}, len(specs))
 	for i, a := range specs {
 		switch a.Kind {
@@ -153,7 +152,11 @@ func (s *Server) tuneSet(rctx context.Context, job *autotuneJob, devs []*opencl.
 		ND:      opencl.NDRange{Global: job.Global, Local: job.Local},
 		Args: func(ctx *opencl.Context) ([]interface{}, error) {
 			defer telemetry.StartSpan(rctx, "service.args")()
-			return buildArgs(ctx, job.Args), nil
+			specs := make([]ArgSpec, len(job.Args))
+			for i, a := range job.Args {
+				specs[i] = ArgSpec(a)
+			}
+			return BuildArgs(ctx, specs), nil
 		},
 		Plans:   job.Plans,
 		Profile: job.Profile,

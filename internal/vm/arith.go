@@ -251,16 +251,62 @@ func (ge *groupExec) compare(c *wiCtx, in *ir.Instr) rv {
 	return rv{i: 0}
 }
 
+// FloatToInt converts f to integer kind k the one way every engine does:
+// toward zero, with NaN giving 0 and a value outside k's range saturating
+// to k's minimum or maximum, as OpenCL's convert_T_sat does (§6.2.3.3). A
+// bool is 1 for any value that truncates to nonzero. The result is k's
+// value in the int64 representation normInt gives it: a ulong above
+// MaxInt64 keeps its bit pattern.
+func FloatToInt(f float64, k clc.ScalarKind) int64 {
+	if math.IsNaN(f) {
+		return 0
+	}
+	f = math.Trunc(f)
+	var lo, hi float64
+	switch k {
+	case clc.KBool:
+		if f != 0 {
+			return 1
+		}
+		return 0
+	case clc.KChar:
+		lo, hi = math.MinInt8, math.MaxInt8
+	case clc.KUChar:
+		lo, hi = 0, math.MaxUint8
+	case clc.KShort:
+		lo, hi = math.MinInt16, math.MaxInt16
+	case clc.KUShort:
+		lo, hi = 0, math.MaxUint16
+	case clc.KInt:
+		lo, hi = math.MinInt32, math.MaxInt32
+	case clc.KUInt:
+		lo, hi = 0, math.MaxUint32
+	case clc.KULong:
+		switch {
+		case f <= 0:
+			return 0
+		case f >= 1<<64:
+			return -1 // MaxUint64
+		}
+		return int64(uint64(f))
+	default: // KLong
+		switch {
+		case f < -(1 << 63):
+			return math.MinInt64
+		case f >= 1<<63:
+			return math.MaxInt64
+		}
+		return int64(f)
+	}
+	return int64(max(lo, min(hi, f)))
+}
+
 func convertScalar(v rv, from, to clc.ScalarKind) rv {
 	switch {
 	case from.IsFloat() && to.IsFloat():
 		return rv{f: math32(to, v.f)}
 	case from.IsFloat() && !to.IsFloat():
-		f := v.f
-		if math.IsNaN(f) {
-			return rv{i: 0}
-		}
-		return rv{i: normInt(int64(f), to)}
+		return rv{i: FloatToInt(v.f, to)}
 	case !from.IsFloat() && to.IsFloat():
 		if from.IsUnsigned() {
 			return rv{f: math32(to, float64(uint64(v.i)))}

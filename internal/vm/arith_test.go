@@ -251,3 +251,53 @@ func TestMemBoundsChecked(t *testing.T) {
 		t.Error("private partially-OOB load accepted")
 	}
 }
+
+// TestFloatToIntSaturates pins the one float→integer rule both engines
+// call, row by row from OpenCL 1.2 §6.2.3.3 (out-of-range behavior and
+// saturated conversions): NaN converts to 0, and a value outside the
+// destination's range becomes the nearest representable value. A ulong is
+// held in its int64 bit pattern.
+func TestFloatToIntSaturates(t *testing.T) {
+	const two31, two63 = 1 << 31, 1 << 63
+	inf, nan := math.Inf(1), math.NaN()
+	type row struct {
+		f    float64
+		k    clc.ScalarKind
+		want int64
+	}
+	var rows []row
+	for _, k := range []clc.ScalarKind{clc.KChar, clc.KUChar, clc.KShort, clc.KUShort, clc.KInt, clc.KUInt, clc.KLong, clc.KULong} {
+		rows = append(rows, row{nan, k, 0}, row{-nan, k, 0})
+	}
+	rows = append(rows,
+		// +Inf is every kind's maximum, -Inf its minimum.
+		row{inf, clc.KChar, 127}, row{-inf, clc.KChar, -128},
+		row{inf, clc.KUChar, 255}, row{-inf, clc.KUChar, 0},
+		row{inf, clc.KShort, 32767}, row{-inf, clc.KShort, -32768},
+		row{inf, clc.KUShort, 65535}, row{-inf, clc.KUShort, 0},
+		row{inf, clc.KInt, 2147483647}, row{-inf, clc.KInt, -2147483648},
+		row{inf, clc.KUInt, 4294967295}, row{-inf, clc.KUInt, 0},
+		row{inf, clc.KLong, math.MaxInt64}, row{-inf, clc.KLong, math.MinInt64},
+		row{inf, clc.KULong, -1}, row{-inf, clc.KULong, 0},
+		// ±2³¹: one past INT_MAX saturates, INT_MIN itself is in range.
+		row{two31, clc.KInt, 2147483647}, row{-two31, clc.KInt, -2147483648},
+		row{two31, clc.KUInt, 2147483648}, row{-two31, clc.KUInt, 0},
+		row{two31, clc.KLong, two31}, row{two31, clc.KShort, 32767},
+		row{-two31, clc.KChar, -128},
+		// 2⁶³: one past LONG_MAX, and in range for ulong.
+		row{two63, clc.KLong, math.MaxInt64}, row{-two63, clc.KLong, math.MinInt64},
+		row{two63, clc.KULong, math.MinInt64}, row{2 * two63, clc.KULong, -1},
+		// −1.0 is below every unsigned kind's range.
+		row{-1, clc.KUChar, 0}, row{-1, clc.KUShort, 0}, row{-1, clc.KUInt, 0}, row{-1, clc.KULong, 0},
+		// In range, a conversion rounds toward zero (§6.2.3.2's default).
+		row{-2.7, clc.KInt, -2}, row{2.7, clc.KUChar, 2}, row{-0.5, clc.KUInt, 0}, row{255.9, clc.KUChar, 255},
+	)
+	for _, r := range rows {
+		if got := FloatToInt(r.f, r.k); got != r.want {
+			t.Errorf("FloatToInt(%g, %s) = %d, want %d", r.f, r.k, got, r.want)
+		}
+		if got, _ := ConvertKind(0, r.f, clc.KDouble, r.k); got != r.want {
+			t.Errorf("ConvertKind(%g, double → %s) = %d, want %d", r.f, r.k, got, r.want)
+		}
+	}
+}

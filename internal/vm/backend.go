@@ -24,12 +24,33 @@ const BackendWgvec = "wgvec"
 // execution backend for launches whose Config.Backend is empty.
 const EnvBackend = "GROVER_BACKEND"
 
-// Executor is an alternative execution backend for a prepared Program.
-// An Executor must preserve the VM contract exactly: identical results,
-// identical memory-trace emission, and identical error behavior, so that
+// Executor is an execution engine for a prepared Program. Program.Launch
+// owns everything about a launch but running its work-groups: it resolves
+// the kernel, geometry and arguments into a Dispatch, deals the groups to
+// host workers, lends traced launches their states and collects errors.
+// An engine builds one group state for a dispatch and runs work-groups
+// with it; Program.Launch releases the state when the launch ends.
+//
+// An engine must preserve the VM contract exactly — identical results,
+// identical memory-trace emission and identical error behavior — so that
 // simulated cycle counts are backend-invariant.
 type Executor interface {
-	Launch(kernel string, cfg Config, gmem *GlobalMem, opts *LaunchOpts) error
+	// NewGroup builds a state that runs work-groups of d. traced says
+	// whether the launch is traced: a traced state is lent from worker to
+	// worker, each Run with the borrowing worker's tracer.
+	NewGroup(d *Dispatch, traced bool) Group
+}
+
+// Group is one engine's execution state for a dispatch. It runs one
+// work-group at a time and keeps what it built (registers, stacks, scratch)
+// from one group to the next.
+type Group interface {
+	// Run executes one work-group with the given coordinates and linear
+	// id, reporting to tr (nil when the launch is untraced). A group that
+	// fails returns the error; Program.Launch aborts the tracer's group.
+	Run(group [3]int, linear int, tr Tracer) error
+	// Release gives back what the state borrowed; it runs no group after.
+	Release()
 }
 
 var backendsMu sync.RWMutex
@@ -108,7 +129,8 @@ func ResolveBackend(name string) (string, error) {
 }
 
 // Executor returns the named backend's executor for this program,
-// compiling it on first use and caching it alongside the program.
+// compiling it on first use and caching it alongside the program. The
+// interpreter compiles nothing: vm builds its executor on every call.
 func (p *Program) Executor(name string) (Executor, error) {
 	return p.ExecutorCtx(context.Background(), name)
 }
@@ -123,6 +145,9 @@ func (p *Program) Executor(name string) (Executor, error) {
 // backend's executor. A failed build is not cached; the next call tries
 // again.
 func (p *Program) ExecutorCtx(ctx context.Context, name string) (Executor, error) {
+	if name == BackendInterp {
+		return interpreter{p}, nil
+	}
 	backendsMu.RLock()
 	build, ok := backendBuilders[name]
 	backendsMu.RUnlock()
@@ -166,9 +191,6 @@ func (p *Program) AllocaOffset(in *ir.Instr, f *ir.Function) int {
 	}
 	return p.frames[f].offsets[in]
 }
-
-// LocalStaticSize returns the static __local arena size of f in bytes.
-func (p *Program) LocalStaticSize(f *ir.Function) int { return p.localSz[f] }
 
 // RegCount returns the number of producing instructions in f.
 func (p *Program) RegCount(f *ir.Function) int { return p.regCount[f] }

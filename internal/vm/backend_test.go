@@ -113,7 +113,7 @@ func registerForTest(t *testing.T, name string, build func(context.Context, *Pro
 
 type stubExecutor struct{ inner Executor }
 
-func (stubExecutor) Launch(string, Config, *GlobalMem, *LaunchOpts) error { return nil }
+func (stubExecutor) NewGroup(*Dispatch, bool) Group { return nil }
 
 // TestExecutorBuildPerName: a backend's builder may ask the same program
 // for another backend's executor without deadlocking, and concurrent

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -63,7 +64,33 @@ func storeRet(dst *rv, ret rv) {
 	}
 }
 
-// groupExec runs the work-groups assigned to one worker.
+// ErrDifferentBarriers is the barrier-divergence error every engine
+// reports for a round in which work-items reached different barriers.
+var ErrDifferentBarriers = errors.New("barrier divergence: work-items reached different barriers")
+
+// BarrierDivergence is the barrier-divergence error every engine reports
+// for a round in which atBarrier work-items reached a barrier while
+// finished others ran to completion.
+func BarrierDivergence(atBarrier, finished int) error {
+	return fmt.Errorf("barrier divergence: %d work-items at a barrier while %d finished", atBarrier, finished)
+}
+
+// interpreter is the tree-walking interpreter as an Executor: it compiles
+// nothing, and its group state walks the program's IR.
+type interpreter struct{ p *Program }
+
+// NewGroup implements Executor. The interpreter's state is the same traced
+// or not: it reports to whatever tracer the group runs with.
+func (e interpreter) NewGroup(d *Dispatch, traced bool) Group {
+	params := make([]rv, len(d.ParamI))
+	for i := range params {
+		params[i] = rv{i: d.ParamI[i], f: d.ParamF[i]}
+	}
+	return &groupExec{p: e.p, fn: d.Kernel, cfg: d.Config, gmem: d.Mem, params: params,
+		localTotal: d.LocalBytes, prof: d.Profiler}
+}
+
+// groupExec runs work-groups of one launch on the interpreter.
 type groupExec struct {
 	p          *Program
 	fn         *ir.Function
@@ -74,8 +101,8 @@ type groupExec struct {
 	tracer     Tracer
 	prof       *Profiler
 
-	// Per-round profiler accumulators; harvested and reset by runGroup
-	// at every barrier round when prof is set.
+	// Per-round profiler accumulators; harvested and reset by Run at
+	// every barrier round when prof is set.
 	profRetired int64
 	profLoads   int64
 	profStores  int64
@@ -91,7 +118,13 @@ type groupExec struct {
 	mathI    []int64
 }
 
-func (ge *groupExec) runGroup(group [3]int, linear int) error {
+// Release implements Group: the interpreter borrows nothing.
+func (ge *groupExec) Release() {}
+
+// Run implements Group: it runs every work-item of the group in
+// barrier-delimited rounds, one work-item at a time.
+func (ge *groupExec) Run(group [3]int, linear int, tr Tracer) error {
+	ge.tracer = tr
 	lsz := ge.cfg.LocalSize
 	n := lsz[0] * lsz[1] * lsz[2]
 
@@ -181,7 +214,7 @@ func (ge *groupExec) runGroup(group [3]int, linear int) error {
 				if barrierAt == nil {
 					barrierAt = bInstr
 				} else if barrierAt != bInstr {
-					return fmt.Errorf("barrier divergence: work-items reached different barriers")
+					return ErrDifferentBarriers
 				}
 			} else {
 				doneNow++
@@ -195,7 +228,7 @@ func (ge *groupExec) runGroup(group [3]int, linear int) error {
 			round++
 		}
 		if atBarrier > 0 && doneNow > 0 {
-			return fmt.Errorf("barrier divergence: %d work-items at a barrier while %d finished", atBarrier, doneNow)
+			return BarrierDivergence(atBarrier, doneNow)
 		}
 		if atBarrier > 0 && ge.tracer != nil {
 			ge.tracer.Barrier(atBarrier)

@@ -136,35 +136,37 @@ type memView struct {
 	private []byte
 }
 
-func (m *memView) arena(addr uint64) ([]byte, uint64, error) {
+// ResolveAccess resolves a tagged address against the arenas one
+// work-item sees, for a load or store of size bytes, and checks that the
+// access starts inside its arena and does not overrun it. Its errors are
+// the out-of-bounds diagnostics of every engine.
+func ResolveAccess(addr uint64, size int, store bool, global, local, private []byte) ([]byte, uint64, error) {
 	off := addr & offMask
+	a, space := private, "private"
 	switch addr >> tagShift {
 	case tagGlobal:
-		if int(off) >= len(m.global) {
-			return nil, 0, fmt.Errorf("vm: global access at %d out of bounds (%d)", off, len(m.global))
-		}
-		return m.global, off, nil
+		a, space = global, "global"
 	case tagLocal:
-		if int(off) >= len(m.local) {
-			return nil, 0, fmt.Errorf("vm: local access at %d out of bounds (%d)", off, len(m.local))
-		}
-		return m.local, off, nil
-	default:
-		if int(off) >= len(m.private) {
-			return nil, 0, fmt.Errorf("vm: private access at %d out of bounds (%d)", off, len(m.private))
-		}
-		return m.private, off, nil
+		a, space = local, "local"
 	}
+	if int(off) >= len(a) {
+		return nil, 0, fmt.Errorf("vm: %s access at %d out of bounds (%d)", space, off, len(a))
+	}
+	if int(off)+size > len(a) {
+		what := "load"
+		if store {
+			what = "store"
+		}
+		return nil, 0, fmt.Errorf("vm: %s of %d bytes at %d overruns arena (%d)", what, size, off, len(a))
+	}
+	return a, off, nil
 }
 
 // loadScalar reads a scalar of kind k at addr.
 func (m *memView) loadScalar(addr uint64, k clc.ScalarKind) (rv, error) {
-	a, off, err := m.arena(addr)
+	a, off, err := ResolveAccess(addr, k.Size(), false, m.global, m.local, m.private)
 	if err != nil {
 		return rv{}, err
-	}
-	if int(off)+k.Size() > len(a) {
-		return rv{}, fmt.Errorf("vm: load of %d bytes at %d overruns arena (%d)", k.Size(), off, len(a))
 	}
 	var out rv
 	switch k {
@@ -194,12 +196,9 @@ func (m *memView) loadScalar(addr uint64, k clc.ScalarKind) (rv, error) {
 
 // storeScalar writes a scalar of kind k at addr.
 func (m *memView) storeScalar(addr uint64, k clc.ScalarKind, v rv) error {
-	a, off, err := m.arena(addr)
+	a, off, err := ResolveAccess(addr, k.Size(), true, m.global, m.local, m.private)
 	if err != nil {
 		return err
-	}
-	if int(off)+k.Size() > len(a) {
-		return fmt.Errorf("vm: store of %d bytes at %d overruns arena (%d)", k.Size(), off, len(a))
 	}
 	switch k {
 	case clc.KBool, clc.KChar, clc.KUChar:
@@ -218,11 +217,4 @@ func (m *memView) storeScalar(addr uint64, k clc.ScalarKind, v rv) error {
 		return fmt.Errorf("vm: store of unsupported scalar %s", k)
 	}
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,7 +2,7 @@ package vm
 
 import "sync/atomic"
 
-// GroupSchedule hands out work-group indices to a launch's workers. Two
+// groupSchedule hands out work-group indices to a launch's workers. Two
 // policies exist:
 //
 //   - Static round-robin: worker w runs groups w, w+workers, w+2·workers,
@@ -15,9 +15,9 @@ import "sync/atomic"
 //     (early-exit guards, divergent tails) no longer leave workers idle
 //     behind a statically assigned straggler.
 //
-// Every backend (interp, wgvec) schedules through this type so the
-// policy choice stays in one place.
-type GroupSchedule struct {
+// Program.Launch is its one caller, so the policy is the same on every
+// engine.
+type groupSchedule struct {
 	nGroups int
 	workers int
 	chunk   int
@@ -25,11 +25,11 @@ type GroupSchedule struct {
 	next    atomic.Int64
 }
 
-// NewGroupSchedule builds a schedule over nGroups group indices for the
+// newGroupSchedule builds a schedule over nGroups group indices for the
 // given worker count. deterministic selects static round-robin; pass true
 // whenever a tracer observes the launch.
-func NewGroupSchedule(nGroups, workers int, deterministic bool) *GroupSchedule {
-	s := &GroupSchedule{nGroups: nGroups, workers: workers, static: deterministic}
+func newGroupSchedule(nGroups, workers int, deterministic bool) *groupSchedule {
+	s := &groupSchedule{nGroups: nGroups, workers: workers, static: deterministic}
 	if !s.static {
 		// Several grabs per worker give load balance without hammering
 		// the shared counter; the cap keeps the tail imbalance small
@@ -45,24 +45,24 @@ func NewGroupSchedule(nGroups, workers int, deterministic bool) *GroupSchedule {
 	return s
 }
 
-// Cursor returns worker's iterator over its share of the schedule.
-func (s *GroupSchedule) Cursor(worker int) GroupCursor {
+// cursor returns worker's iterator over its share of the schedule.
+func (s *groupSchedule) cursor(worker int) groupCursor {
 	if s.static {
-		return GroupCursor{s: s, pos: worker}
+		return groupCursor{s: s, pos: worker}
 	}
-	return GroupCursor{s: s}
+	return groupCursor{s: s}
 }
 
-// GroupCursor walks one worker's share of a GroupSchedule.
-type GroupCursor struct {
-	s   *GroupSchedule
+// groupCursor walks one worker's share of a groupSchedule.
+type groupCursor struct {
+	s   *groupSchedule
 	pos int
 	end int
 }
 
-// Next returns the next group index for this worker, or -1 when the
+// next returns the next group index for this worker, or -1 when the
 // schedule is drained.
-func (c *GroupCursor) Next() int {
+func (c *groupCursor) next() int {
 	s := c.s
 	if s.static {
 		if c.pos >= s.nGroups {

@@ -9,11 +9,11 @@ import (
 // historical round-robin assignment.
 func TestGroupScheduleStatic(t *testing.T) {
 	const nGroups, workers = 23, 4
-	s := NewGroupSchedule(nGroups, workers, true)
+	s := newGroupSchedule(nGroups, workers, true)
 	for w := 0; w < workers; w++ {
-		cur := s.Cursor(w)
+		cur := s.cursor(w)
 		want := w
-		for g := cur.Next(); g >= 0; g = cur.Next() {
+		for g := cur.next(); g >= 0; g = cur.next() {
 			if g != want {
 				t.Fatalf("worker %d: got group %d, want %d", w, g, want)
 			}
@@ -31,7 +31,7 @@ func TestGroupScheduleDynamic(t *testing.T) {
 	for _, tc := range []struct{ nGroups, workers int }{
 		{1, 1}, {7, 3}, {64, 8}, {1000, 7}, {4096, 16},
 	} {
-		s := NewGroupSchedule(tc.nGroups, tc.workers, false)
+		s := newGroupSchedule(tc.nGroups, tc.workers, false)
 		var mu sync.Mutex
 		seen := make([]int, tc.nGroups)
 		var wg sync.WaitGroup
@@ -39,10 +39,10 @@ func TestGroupScheduleDynamic(t *testing.T) {
 			wg.Add(1)
 			go func(worker int) {
 				defer wg.Done()
-				cur := s.Cursor(worker)
+				cur := s.cursor(worker)
 				prev := -1
 				var got []int
-				for g := cur.Next(); g >= 0; g = cur.Next() {
+				for g := cur.next(); g >= 0; g = cur.next() {
 					if g <= prev {
 						t.Errorf("worker %d: non-ascending grab %d after %d", worker, g, prev)
 					}

@@ -230,28 +230,40 @@ type LaunchOpts struct {
 	Profiler *Profiler
 }
 
+// Dispatch is a launch Program.Launch has resolved: what every work-group
+// of it shares. Engines build their group states from it.
+type Dispatch struct {
+	Kernel *ir.Function
+	// Config is the launch's normalized configuration.
+	Config Config
+	Mem    *GlobalMem
+	// ParamI and ParamF hold each kernel parameter's value: integers and
+	// pointers (a dynamic __local argument as its tagged address) in
+	// ParamI, floats in ParamF.
+	ParamI []int64
+	ParamF []float64
+	// LocalBytes is one work-group's __local arena: the kernel's static
+	// allocas, then the dynamic __local arguments.
+	LocalBytes int
+	Profiler   *Profiler
+}
+
 // Launch executes the named kernel over the NDRange on the backend
-// selected by cfg.Backend. Traced launches distribute work-groups
-// round-robin over workers, each worker running its groups in ascending
-// order, so traced streams are deterministic regardless of backend;
-// untraced launches balance groups dynamically (see GroupSchedule).
+// selected by cfg.Backend. It resolves the launch and deals its
+// work-groups to host workers; the engine only runs them, one group at a
+// time. Traced launches distribute work-groups round-robin over workers,
+// each worker running its groups in ascending order, so traced streams are
+// deterministic regardless of backend; untraced launches balance groups
+// dynamically (see groupSchedule).
 func (p *Program) Launch(kernel string, cfg Config, gmem *GlobalMem, opts *LaunchOpts) error {
 	backend, err := ResolveBackend(cfg.Backend)
 	if err != nil {
 		return err
 	}
-	if backend != BackendInterp {
-		ex, err := p.Executor(backend)
-		if err != nil {
-			return err
-		}
-		return ex.Launch(kernel, cfg, gmem, opts)
+	ex, err := p.Executor(backend)
+	if err != nil {
+		return err
 	}
-	return p.launchInterp(kernel, cfg, gmem, opts)
-}
-
-// launchInterp runs a launch on the tree-walking interpreter.
-func (p *Program) launchInterp(kernel string, cfg Config, gmem *GlobalMem, opts *LaunchOpts) error {
 	fn := p.Module.Kernel(kernel)
 	if fn == nil {
 		return fmt.Errorf("vm: no kernel %q", kernel)
@@ -268,7 +280,7 @@ func (p *Program) launchInterp(kernel string, cfg Config, gmem *GlobalMem, opts 
 	}
 	workers, tracerFor, prof := opts.Workers, opts.TracerFor, opts.Profiler
 	if prof != nil {
-		prof.LaunchBegin(kernel, BackendInterp)
+		prof.LaunchBegin(kernel, backend)
 		start := time.Now()
 		defer func() { prof.LaunchDone(time.Since(start)) }()
 	}
@@ -289,56 +301,75 @@ func (p *Program) launchInterp(kernel string, cfg Config, gmem *GlobalMem, opts 
 		return nil
 	}
 
+	d := &Dispatch{Kernel: fn, Config: ncfg, Mem: gmem, Profiler: prof,
+		ParamI: make([]int64, len(ncfg.Args)), ParamF: make([]float64, len(ncfg.Args))}
 	// Dynamic local buffers: lay out after the static local allocas.
-	staticLocal := p.localSz[fn]
-	dynOff := make([]int, len(ncfg.Args))
-	localTotal := staticLocal
-	for i, a := range ncfg.Args {
-		if a.Kind == ArgLocalBuf {
-			const align = 16
-			localTotal = (localTotal + align - 1) &^ (align - 1)
-			dynOff[i] = localTotal
-			localTotal += a.LocalBytes
-		}
-	}
-
-	// Parameter values shared by all work-items.
-	params := make([]rv, len(ncfg.Args))
+	d.LocalBytes = p.localSz[fn]
 	for i, a := range ncfg.Args {
 		switch a.Kind {
 		case ArgBuffer:
-			params[i] = rv{i: int64(a.Buf.Addr())}
+			d.ParamI[i] = int64(a.Buf.Addr())
 		case ArgInt:
-			params[i] = rv{i: a.I}
+			d.ParamI[i] = a.I
 		case ArgFloat:
-			params[i] = rv{f: a.F}
+			d.ParamF[i] = a.F
 		case ArgLocalBuf:
-			params[i] = rv{i: int64(MakeAddr(clc.ASLocal, uint64(dynOff[i])))}
+			const align = 16
+			d.LocalBytes = (d.LocalBytes + align - 1) &^ (align - 1)
+			d.ParamI[i] = int64(MakeAddr(clc.ASLocal, uint64(d.LocalBytes)))
+			d.LocalBytes += a.LocalBytes
 		}
 	}
 
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
-	sched := NewGroupSchedule(nGroups, workers, tracerFor != nil)
+	sched := newGroupSchedule(nGroups, workers, tracerFor != nil)
+	// A traced launch may ask for far more workers than can run (the device
+	// model asks for GOMAXPROCS, but a caller that wants one stream per
+	// simulated core asks for up to 60), and a traced group needs its
+	// execution state — registers, private stacks — and, on wgvec, a trace
+	// buffer here, often another in its tracer.
+	// So the launch owns only as many states as the host runs goroutines at
+	// a time and a worker holds one for the length of a group: the rest wait
+	// here instead of sitting preempted on full-grown states of their own.
+	// Each worker's stream is its own, so the order between workers is free.
+	// What is lent starts out as nil: the first worker to borrow one builds
+	// it, so the states are built side by side and only as many as get used.
+	var lent chan Group
+	if tracerFor != nil {
+		lent = make(chan Group, min(workers, runtime.GOMAXPROCS(0)))
+		for i := 0; i < cap(lent); i++ {
+			lent <- nil
+		}
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
+			var g Group
 			var tr Tracer
 			if tracerFor != nil {
 				tr = tracerFor(worker)
+			} else {
+				g = ex.NewGroup(d, false)
+				defer g.Release()
 			}
-			ge := &groupExec{
-				p: p, fn: fn, cfg: ncfg, gmem: gmem, params: params,
-				localTotal: localTotal, tracer: tr, prof: prof,
-			}
-			cur := sched.Cursor(worker)
-			for g := cur.Next(); g >= 0; g = cur.Next() {
-				gz := g / (groups[0] * groups[1])
-				rem := g % (groups[0] * groups[1])
+			cur := sched.cursor(worker)
+			for gi := cur.next(); gi >= 0; gi = cur.next() {
+				gz := gi / (groups[0] * groups[1])
+				rem := gi % (groups[0] * groups[1])
 				gy := rem / groups[0]
 				gx := rem % groups[0]
-				if err := ge.runGroup([3]int{gx, gy, gz}, g); err != nil {
+				if lent != nil {
+					if g = <-lent; g == nil {
+						g = ex.NewGroup(d, true)
+					}
+				}
+				err := g.Run([3]int{gx, gy, gz}, gi, tr)
+				if lent != nil {
+					lent <- g
+				}
+				if err != nil {
 					AbortGroup(tr)
 					errs[worker] = fmt.Errorf("group (%d,%d,%d): %w", gx, gy, gz, err)
 					return
@@ -347,6 +378,11 @@ func (p *Program) launchInterp(kernel string, cfg Config, gmem *GlobalMem, opts 
 		}(w)
 	}
 	wg.Wait()
+	for i := 0; i < cap(lent); i++ {
+		if g := <-lent; g != nil {
+			g.Release()
+		}
+	}
 	for _, e := range errs {
 		if e != nil {
 			return e

@@ -294,7 +294,6 @@ type bfunc struct {
 	Params    []ref
 
 	FrameSize int // private alloca frame, bytes
-	LocalSize int // static __local arena, bytes
 
 	// Scheduling metadata (annotate): the pc → block map, the
 	// reverse-post-order block priorities the reconvergence scheduler picks

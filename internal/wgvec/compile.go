@@ -61,7 +61,6 @@ func compileFunc(p *vm.Program, funcs map[*ir.Function]*bfunc, f *ir.Function) {
 	}
 	bf := fc.bf
 	bf.FrameSize = p.FrameSize(f)
-	bf.LocalSize = p.LocalStaticSize(f)
 
 	// Register numbering per bank: constants first (so the preload
 	// templates are a literal prefix of the register file), then

@@ -104,17 +104,13 @@ __kernel void k(__global float* out, __global float* in, __local float* tmp) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := wgvec.Compile(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	const workers = 4
 	launch := func(batches bool) (sumTracer, error) {
 		g := vm.NewGlobalMem(1 << 16)
 		out, in := g.Alloc(512*4), g.Alloc(512*4)
 		cfg := vm.Config{
-			GlobalSize: [3]int{512, 1, 1}, LocalSize: [3]int{16, 1, 1},
+			GlobalSize: [3]int{512, 1, 1}, LocalSize: [3]int{16, 1, 1}, Backend: wgvec.Name,
 			Args: []vm.Arg{vm.BufArg(out), vm.BufArg(in), vm.LocalArg(16 * 4)},
 		}
 		plain := make([]sumTracer, workers)
@@ -125,7 +121,7 @@ __kernel void k(__global float* out, __global float* in, __local float* tmp) {
 			}
 			return &plain[w]
 		}}
-		if err := m.Launch("k", cfg, g, opts); err != nil {
+		if err := prog.Launch("k", cfg, g, opts); err != nil {
 			return sumTracer{}, err
 		}
 		var total sumTracer

@@ -3,11 +3,8 @@ package wgvec
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
-	"grover/internal/clc"
 	"grover/internal/ir"
 	"grover/internal/vm"
 )
@@ -139,176 +136,34 @@ func (fr *colFrame) ensure(bf *bfunc, n int) {
 	}
 }
 
-// Launch implements vm.Executor with the interpreter's launch contract:
-// traced launches distribute work-groups round-robin over workers,
-// untraced launches balance groups dynamically, and work-items within a
-// group advance in barrier-delimited rounds — here as lockstep segments
-// over columnar registers rather than one work-item at a time.
-func (m *Machine) Launch(kernel string, cfg vm.Config, gmem *vm.GlobalMem, opts *vm.LaunchOpts) error {
-	p := m.p
-	fn := p.Module.Kernel(kernel)
-	if fn == nil {
-		return fmt.Errorf("vm: no kernel %q", kernel)
+// NewGroup implements vm.Executor: a state that runs work-groups of d the
+// way the interpreter does — work-items advance in barrier-delimited rounds
+// — here as lockstep segments over columnar registers rather than one
+// work-item at a time. A traced state takes a trace buffer from the
+// machine's pool; Release returns it.
+func (m *Machine) NewGroup(d *vm.Dispatch, traced bool) vm.Group {
+	g := newGroupState(m, d)
+	if traced {
+		g.trace = m.traces.Get().(*vm.AccessBatch)
+	} else if d.Profiler != nil {
+		// Untraced retire accounting needs counters of its own; traced
+		// launches use the trace's.
+		g.retired = make([]int64, g.n)
 	}
-	bf := m.funcs[fn]
-	ncfg, err := cfg.Normalized()
-	if err != nil {
-		return err
-	}
-	if len(ncfg.Args) != len(fn.Params) {
-		return fmt.Errorf("vm: kernel %s expects %d args, got %d", kernel, len(fn.Params), len(ncfg.Args))
-	}
-	if opts == nil {
-		opts = &vm.LaunchOpts{}
-	}
-	workers, tracerFor, prof := opts.Workers, opts.TracerFor, opts.Profiler
-	if prof != nil {
-		prof.LaunchBegin(kernel, Name)
-		start := time.Now()
-		defer func() { prof.LaunchDone(time.Since(start)) }()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	groups := [3]int{
-		ncfg.GlobalSize[0] / ncfg.LocalSize[0],
-		ncfg.GlobalSize[1] / ncfg.LocalSize[1],
-		ncfg.GlobalSize[2] / ncfg.LocalSize[2],
-	}
-	nGroups := groups[0] * groups[1] * groups[2]
-	if nGroups < workers {
-		workers = nGroups
-	}
-	if workers == 0 {
-		return nil
-	}
-
-	// Dynamic local buffers: lay out after the static local allocas.
-	staticLocal := bf.LocalSize
-	dynOff := make([]int, len(ncfg.Args))
-	localTotal := staticLocal
-	for i, a := range ncfg.Args {
-		if a.Kind == vm.ArgLocalBuf {
-			const align = 16
-			localTotal = (localTotal + align - 1) &^ (align - 1)
-			dynOff[i] = localTotal
-			localTotal += a.LocalBytes
-		}
-	}
-
-	paramI := make([]int64, len(ncfg.Args))
-	paramF := make([]float64, len(ncfg.Args))
-	for i, a := range ncfg.Args {
-		switch a.Kind {
-		case vm.ArgBuffer:
-			paramI[i] = int64(a.Buf.Addr())
-		case vm.ArgInt:
-			paramI[i] = a.I
-		case vm.ArgFloat:
-			paramF[i] = a.F
-		case vm.ArgLocalBuf:
-			paramI[i] = int64(vm.MakeAddr(clc.ASLocal, uint64(dynOff[i])))
-		}
-	}
-
-	n := ncfg.LocalSize[0] * ncfg.LocalSize[1] * ncfg.LocalSize[2]
-	stack := p.StackBytes()
-
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	sched := vm.NewGroupSchedule(nGroups, workers, tracerFor != nil)
-	newState := func() *groupState {
-		g := newGroupState(m, bf, ncfg, gmem.Data, paramI, paramF, localTotal, stack, n)
-		g.prof = prof
-		if prof != nil && tracerFor == nil {
-			// Untraced retire accounting needs counters of its own;
-			// traced launches use the trace's.
-			g.retired = make([]int64, n)
-		}
-		return g
-	}
-	// A traced launch may ask for far more workers than can run (the device
-	// model asks for GOMAXPROCS, but a caller that wants one stream per
-	// simulated core asks for up to 60), and a traced group needs its
-	// execution state — register columns, private stacks — and a trace
-	// buffer here, often another in its tracer.
-	// So the launch owns only as many of each as the host runs goroutines at
-	// a time and a worker holds one for the length of a group: the rest wait
-	// here instead of sitting preempted on full-grown buffers of their own.
-	// Each worker's stream is its own, so the order between workers is free.
-	// What is lent starts out as nil: the first worker to borrow one builds
-	// it, so the states are built side by side and only as many as get used.
-	var lent chan *groupState
-	if tracerFor != nil {
-		lent = make(chan *groupState, min(workers, runtime.GOMAXPROCS(0)))
-		for i := 0; i < cap(lent); i++ {
-			lent <- nil
-		}
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			var g *groupState
-			var tr vm.Tracer
-			var batcher vm.BatchTracer
-			if tracerFor != nil {
-				tr = tracerFor(worker)
-				batcher, _ = tr.(vm.BatchTracer)
-			} else {
-				g = newState()
-			}
-			cur := sched.Cursor(worker)
-			for gi := cur.Next(); gi >= 0; gi = cur.Next() {
-				gz := gi / (groups[0] * groups[1])
-				rem := gi % (groups[0] * groups[1])
-				gy := rem / groups[0]
-				gx := rem % groups[0]
-				if lent != nil {
-					if g = <-lent; g == nil {
-						g = newState()
-						g.trace = m.traces.Get().(*vm.AccessBatch)
-					}
-					g.tracer, g.batcher = tr, batcher
-				}
-				err := g.runGroup([3]int{gx, gy, gz}, gi)
-				if lent != nil {
-					lent <- g
-				}
-				if err != nil {
-					vm.AbortGroup(tr)
-					errs[worker] = fmt.Errorf("group (%d,%d,%d): %w", gx, gy, gz, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for i := 0; i < cap(lent); i++ {
-		if g := <-lent; g != nil {
-			m.traces.Put(g.trace)
-		}
-	}
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
+	return g
 }
 
-// groupState executes work-groups one at a time: an untraced worker's own
-// for all its groups, or one of a traced launch's, lent to a worker for the
-// length of a group. Columns, frames, and scratch buffers are allocated once
-// and reused across all the groups it runs.
+// groupState executes work-groups of one launch one at a time: an untraced
+// worker's own for all its groups, or one of a traced launch's, lent to a
+// worker for the length of a group. Columns, frames, and scratch buffers
+// are allocated once and reused across all the groups it runs.
 type groupState struct {
 	m          *Machine
 	gmem       []byte
 	local      []byte
 	localTotal int
 	stack      int
-	// tracer is the borrowing worker's; batcher its batch extension (nil:
+	// tracer is the running group's; batcher its batch extension (nil:
 	// per-access replay).
 	tracer  vm.Tracer
 	batcher vm.BatchTracer
@@ -344,9 +199,11 @@ type groupState struct {
 	mathI        []int64
 }
 
-func newGroupState(m *Machine, bf *bfunc, cfg vm.Config, gmem []byte,
-	paramI []int64, paramF []float64, localTotal, stack, n int) *groupState {
-	g := &groupState{m: m, gmem: gmem, localTotal: localTotal, stack: stack, n: n}
+func newGroupState(m *Machine, d *vm.Dispatch) *groupState {
+	cfg, bf := d.Config, m.funcs[d.Kernel]
+	n := cfg.LocalSize[0] * cfg.LocalSize[1] * cfg.LocalSize[2]
+	stack := m.p.StackBytes()
+	g := &groupState{m: m, gmem: d.Mem.Data, localTotal: d.LocalBytes, stack: stack, prof: d.Profiler, n: n}
 	for d := 0; d < 3; d++ {
 		g.gsz[d] = int64(cfg.GlobalSize[d])
 		g.lsz[d] = int64(cfg.LocalSize[d])
@@ -383,13 +240,13 @@ func newGroupState(m *Machine, bf *bfunc, cfg vm.Config, gmem []byte,
 		switch pr.Bank {
 		case bankInt:
 			col := fr.ri[pr.Idx]
-			v := paramI[k]
+			v := d.ParamI[k]
 			for i := range col {
 				col[i] = v
 			}
 		case bankFlt:
 			col := fr.rf[pr.Idx]
-			v := paramF[k]
+			v := d.ParamF[k]
 			for i := range col {
 				col[i] = v
 			}
@@ -410,12 +267,23 @@ func laneErr(l int32, err error) error {
 	return fmt.Errorf("work-item %d: %w", l, err)
 }
 
-// runGroup executes one work-group in barrier-delimited rounds. Each
-// round runs lockstep segments until every lane is done or suspended at
-// a barrier, replays the buffered trace in work-item-major order, checks
-// barrier divergence with the interpreter's exact diagnostics, then
-// releases the suspended lanes into the next round.
-func (g *groupState) runGroup(group [3]int, linear int) error {
+// Release implements vm.Group: a traced state's trace buffer goes back to
+// the machine's pool.
+func (g *groupState) Release() {
+	if g.trace != nil {
+		g.m.traces.Put(g.trace)
+		g.trace = nil
+	}
+}
+
+// Run implements vm.Group: it executes one work-group in barrier-delimited
+// rounds. Each round runs lockstep segments until every lane is done or
+// suspended at a barrier, replays the buffered trace in work-item-major
+// order, checks barrier divergence, then releases the suspended lanes into
+// the next round.
+func (g *groupState) Run(group [3]int, linear int, tr vm.Tracer) error {
+	g.tracer = tr
+	g.batcher, _ = tr.(vm.BatchTracer)
 	n := g.n
 	// Grover-rewritten kernels have no __local memory at all; skip the
 	// arena sizing and per-group clear entirely in that case.
@@ -483,7 +351,7 @@ func (g *groupState) runGroup(group [3]int, linear int) error {
 				if barrierAt == nil {
 					barrierAt = g.barInstr[l]
 				} else if barrierAt != g.barInstr[l] {
-					return fmt.Errorf("barrier divergence: work-items reached different barriers")
+					return vm.ErrDifferentBarriers
 				}
 			}
 		}
@@ -493,7 +361,7 @@ func (g *groupState) runGroup(group [3]int, linear int) error {
 		}
 		doneNow := doneTotal - doneBefore
 		if atBarrier > 0 && doneNow > 0 {
-			return fmt.Errorf("barrier divergence: %d work-items at a barrier while %d finished", atBarrier, doneNow)
+			return vm.BarrierDivergence(atBarrier, doneNow)
 		}
 		if atBarrier == 0 {
 			break

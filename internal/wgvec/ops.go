@@ -423,12 +423,7 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 		d, s := ri[in.A], rf[in.B]
 		k := clc.ScalarKind(in.Kind)
 		for _, l := range mask {
-			f := s[l]
-			if math.IsNaN(f) {
-				d[l] = 0
-			} else {
-				d[l] = vm.NormInt(int64(f), k)
-			}
+			d[l] = vm.FloatToInt(s[l], k)
 		}
 	case opF2F32:
 		d, s := rf[in.A], rf[in.B]
@@ -793,8 +788,6 @@ func (g *groupState) wiQueryLane(l int32, q int32, d int64) int64 {
 	return 0
 }
 
-// arenaLane resolves a tagged address against one lane's arenas, with
-// the interpreter's exact bounds diagnostics.
 // Address-space tags, mirroring the vm pointer encoding (top 2 bits; see
 // vm.MakeAddr). Decoded locally so hotArena stays within the inlining
 // budget of the per-lane memory loops.
@@ -808,8 +801,8 @@ const (
 
 // hotArena resolves a lane address with a combined tag decode and bounds
 // check and no error construction, so it inlines into the per-lane load
-// and store loops. ok=false sends the access down the checked resolvers,
-// which produce the canonical out-of-bounds diagnostics.
+// and store loops. ok=false sends the access down checkedArena, which
+// produces the canonical out-of-bounds diagnostics.
 func (g *groupState) hotArena(addr uint64, l int32, sz int) ([]byte, uint64, bool) {
 	off := addr & offMask
 	var a []byte
@@ -825,28 +818,6 @@ func (g *groupState) hotArena(addr uint64, l int32, sz int) ([]byte, uint64, boo
 		return nil, 0, false
 	}
 	return a, off, true
-}
-
-func (g *groupState) arenaLane(addr uint64, l int32) ([]byte, uint64, error) {
-	space, off := vm.SplitAddr(addr)
-	switch space {
-	case clc.ASGlobal:
-		if int(off) >= len(g.gmem) {
-			return nil, 0, fmt.Errorf("vm: global access at %d out of bounds (%d)", off, len(g.gmem))
-		}
-		return g.gmem, off, nil
-	case clc.ASLocal:
-		if int(off) >= len(g.local) {
-			return nil, 0, fmt.Errorf("vm: local access at %d out of bounds (%d)", off, len(g.local))
-		}
-		return g.local, off, nil
-	default:
-		p := g.priv[l]
-		if int(off) >= len(p) {
-			return nil, 0, fmt.Errorf("vm: private access at %d out of bounds (%d)", off, len(p))
-		}
-		return p, off, nil
-	}
 }
 
 // addrPass computes every masked lane's effective address and, when
@@ -982,13 +953,9 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 		}
 	}
 	if uni {
-		l0 := mask[0]
-		a, off, err := g.arenaLane(addrs[l0], l0)
+		a, off, err := g.checkedArena(addrs[mask[0]], mask[0], sz, false)
 		if err != nil {
-			return laneErr(l0, err)
-		}
-		if int(off)+sz > len(a) {
-			return laneErr(l0, fmt.Errorf("vm: load of %d bytes at %d overruns arena (%d)", sz, off, len(a)))
+			return err
 		}
 		switch in.Op {
 		case opLdI8, opLdXI8:
@@ -1019,7 +986,7 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 			a, off, ok := g.hotArena(addrs[l], l, sz)
 			if !ok {
 				var err error
-				if a, off, err = g.ldArena(addrs[l], l, sz); err != nil {
+				if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
 					return err
 				}
 			}
@@ -1031,7 +998,7 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 			a, off, ok := g.hotArena(addrs[l], l, sz)
 			if !ok {
 				var err error
-				if a, off, err = g.ldArena(addrs[l], l, sz); err != nil {
+				if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
 					return err
 				}
 			}
@@ -1043,7 +1010,7 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 			a, off, ok := g.hotArena(addrs[l], l, sz)
 			if !ok {
 				var err error
-				if a, off, err = g.ldArena(addrs[l], l, sz); err != nil {
+				if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
 					return err
 				}
 			}
@@ -1055,7 +1022,7 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 			a, off, ok := g.hotArena(addrs[l], l, sz)
 			if !ok {
 				var err error
-				if a, off, err = g.ldArena(addrs[l], l, sz); err != nil {
+				if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
 					return err
 				}
 			}
@@ -1067,7 +1034,7 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 			a, off, ok := g.hotArena(addrs[l], l, sz)
 			if !ok {
 				var err error
-				if a, off, err = g.ldArena(addrs[l], l, sz); err != nil {
+				if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
 					return err
 				}
 			}
@@ -1079,7 +1046,7 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 			a, off, ok := g.hotArena(addrs[l], l, sz)
 			if !ok {
 				var err error
-				if a, off, err = g.ldArena(addrs[l], l, sz); err != nil {
+				if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
 					return err
 				}
 			}
@@ -1091,7 +1058,7 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 			a, off, ok := g.hotArena(addrs[l], l, sz)
 			if !ok {
 				var err error
-				if a, off, err = g.ldArena(addrs[l], l, sz); err != nil {
+				if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
 					return err
 				}
 			}
@@ -1103,7 +1070,7 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 			a, off, ok := g.hotArena(addrs[l], l, sz)
 			if !ok {
 				var err error
-				if a, off, err = g.ldArena(addrs[l], l, sz); err != nil {
+				if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
 					return err
 				}
 			}
@@ -1115,7 +1082,7 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 			a, off, ok := g.hotArena(addrs[l], l, sz)
 			if !ok {
 				var err error
-				if a, off, err = g.ldArena(addrs[l], l, sz); err != nil {
+				if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
 					return err
 				}
 			}
@@ -1125,27 +1092,12 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 	return nil
 }
 
-// ldArena is arenaLane plus the load-width bounds check, with errors
-// already attributed to the lane.
-func (g *groupState) ldArena(addr uint64, l int32, sz int) ([]byte, uint64, error) {
-	a, off, err := g.arenaLane(addr, l)
+// checkedArena is the resolver a lane's access takes when hotArena refuses
+// it: vm.ResolveAccess, with the error attributed to the lane.
+func (g *groupState) checkedArena(addr uint64, l int32, sz int, store bool) ([]byte, uint64, error) {
+	a, off, err := vm.ResolveAccess(addr, sz, store, g.gmem, g.local, g.priv[l])
 	if err != nil {
 		return nil, 0, laneErr(l, err)
-	}
-	if int(off)+sz > len(a) {
-		return nil, 0, laneErr(l, fmt.Errorf("vm: load of %d bytes at %d overruns arena (%d)", sz, off, len(a)))
-	}
-	return a, off, nil
-}
-
-// stArena is arenaLane plus the store-width bounds check.
-func (g *groupState) stArena(addr uint64, l int32, sz int) ([]byte, uint64, error) {
-	a, off, err := g.arenaLane(addr, l)
-	if err != nil {
-		return nil, 0, laneErr(l, err)
-	}
-	if int(off)+sz > len(a) {
-		return nil, 0, laneErr(l, fmt.Errorf("vm: store of %d bytes at %d overruns arena (%d)", sz, off, len(a)))
 	}
 	return a, off, nil
 }
@@ -1170,7 +1122,7 @@ func (g *groupState) storeCol(fr *colFrame, in *inst, mask []int32, fused, uni b
 			a, off, ok := g.hotArena(addrs[l], l, sz)
 			if !ok {
 				var err error
-				if a, off, err = g.stArena(addrs[l], l, sz); err != nil {
+				if a, off, err = g.checkedArena(addrs[l], l, sz, true); err != nil {
 					return err
 				}
 			}
@@ -1182,7 +1134,7 @@ func (g *groupState) storeCol(fr *colFrame, in *inst, mask []int32, fused, uni b
 			a, off, ok := g.hotArena(addrs[l], l, sz)
 			if !ok {
 				var err error
-				if a, off, err = g.stArena(addrs[l], l, sz); err != nil {
+				if a, off, err = g.checkedArena(addrs[l], l, sz, true); err != nil {
 					return err
 				}
 			}
@@ -1194,7 +1146,7 @@ func (g *groupState) storeCol(fr *colFrame, in *inst, mask []int32, fused, uni b
 			a, off, ok := g.hotArena(addrs[l], l, sz)
 			if !ok {
 				var err error
-				if a, off, err = g.stArena(addrs[l], l, sz); err != nil {
+				if a, off, err = g.checkedArena(addrs[l], l, sz, true); err != nil {
 					return err
 				}
 			}
@@ -1206,7 +1158,7 @@ func (g *groupState) storeCol(fr *colFrame, in *inst, mask []int32, fused, uni b
 			a, off, ok := g.hotArena(addrs[l], l, sz)
 			if !ok {
 				var err error
-				if a, off, err = g.stArena(addrs[l], l, sz); err != nil {
+				if a, off, err = g.checkedArena(addrs[l], l, sz, true); err != nil {
 					return err
 				}
 			}
@@ -1218,7 +1170,7 @@ func (g *groupState) storeCol(fr *colFrame, in *inst, mask []int32, fused, uni b
 			a, off, ok := g.hotArena(addrs[l], l, sz)
 			if !ok {
 				var err error
-				if a, off, err = g.stArena(addrs[l], l, sz); err != nil {
+				if a, off, err = g.checkedArena(addrs[l], l, sz, true); err != nil {
 					return err
 				}
 			}
@@ -1230,7 +1182,7 @@ func (g *groupState) storeCol(fr *colFrame, in *inst, mask []int32, fused, uni b
 			a, off, ok := g.hotArena(addrs[l], l, sz)
 			if !ok {
 				var err error
-				if a, off, err = g.stArena(addrs[l], l, sz); err != nil {
+				if a, off, err = g.checkedArena(addrs[l], l, sz, true); err != nil {
 					return err
 				}
 			}
@@ -1271,7 +1223,7 @@ func (g *groupState) loadVecCol(fr *colFrame, in *inst, mask []int32, fused bool
 			// Slow path keeps the interpreter's per-element bounds checks
 			// and error attribution.
 			for i := 0; i < lanes; i++ {
-				a, off, err := g.ldArena(addr+uint64(i*es), l, es)
+				a, off, err := g.checkedArena(addr+uint64(i*es), l, es, false)
 				if err != nil {
 					return err
 				}
@@ -1296,7 +1248,7 @@ func (g *groupState) loadVecCol(fr *colFrame, in *inst, mask []int32, fused bool
 				continue
 			}
 			for i := 0; i < lanes; i++ {
-				a, off, err := g.ldArena(addr+uint64(i*es), l, es)
+				a, off, err := g.checkedArena(addr+uint64(i*es), l, es, false)
 				if err != nil {
 					return err
 				}
@@ -1335,7 +1287,7 @@ func (g *groupState) storeVecCol(fr *colFrame, in *inst, mask []int32, fused boo
 				continue
 			}
 			for i := 0; i < lanes; i++ {
-				a, off, err := g.stArena(addr+uint64(i*es), l, es)
+				a, off, err := g.checkedArena(addr+uint64(i*es), l, es, true)
 				if err != nil {
 					return err
 				}
@@ -1360,7 +1312,7 @@ func (g *groupState) storeVecCol(fr *colFrame, in *inst, mask []int32, fused boo
 				continue
 			}
 			for i := 0; i < lanes; i++ {
-				a, off, err := g.stArena(addr+uint64(i*es), l, es)
+				a, off, err := g.checkedArena(addr+uint64(i*es), l, es, true)
 				if err != nil {
 					return err
 				}
