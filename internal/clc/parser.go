@@ -2,6 +2,7 @@ package clc
 
 import (
 	"context"
+	"math"
 	"strconv"
 	"strings"
 
@@ -13,6 +14,7 @@ type Parser struct {
 	toks []Token
 	pos  int
 	file string
+	pp   bool // parsing an #if condition: literals are long or ulong
 }
 
 // Parse preprocesses, lexes, parses and semantically analyzes an OpenCL C
@@ -584,19 +586,24 @@ func (p *Parser) parseDecl() ([]Stmt, error) {
 		// Array dimensions (innermost last); sizes are integer constant
 		// expressions such as S*S or (TILE+2).
 		var dims []int
+		bytes := int64(max(typ.Size(), 1))
 		for p.accept("[") {
 			szPos := p.cur().Pos
 			szExpr, err := p.parseCondExpr()
 			if err != nil {
 				return nil, err
 			}
-			n, err := FoldConstInt(szExpr)
+			n, st, err := constFolder{}.fold(szExpr)
 			if err != nil {
 				return nil, errf(szPos, "array size must be an integer constant expression: %v", err)
 			}
-			if n <= 0 {
+			if n == 0 || n < 0 && !st.Kind.IsUnsigned() {
 				return nil, errf(szPos, "array size must be positive, got %d", n)
 			}
+			if n < 0 || n > MaxObjectBytes/bytes {
+				return nil, errf(szPos, "array %s exceeds the %d-byte limit", nameTok.Text, MaxObjectBytes)
+			}
+			bytes *= n
 			dims = append(dims, int(n))
 			if _, err := p.expect("]"); err != nil {
 				return nil, err
@@ -879,6 +886,7 @@ func (p *Parser) parsePrimaryExpr() (Expr, error) {
 		}
 		e := &IntLit{Value: int64(v)}
 		e.Pos = t.Pos
+		e.Typ = p.intLitType(v, text, t.Text[len(text):])
 		return e, nil
 	case TokFloatLit:
 		p.pos++
@@ -894,6 +902,7 @@ func (p *Parser) parsePrimaryExpr() (Expr, error) {
 		p.pos++
 		e := &IntLit{Value: int64(t.Text[0])}
 		e.Pos = t.Pos
+		e.Typ = TypeInt
 		return e, nil
 	case TokStringLit:
 		p.pos++
@@ -943,4 +952,27 @@ func (p *Parser) parsePrimaryExpr() (Expr, error) {
 		return x, nil
 	}
 	return nil, errf(t.Pos, "unexpected token %q in expression", t.String())
+}
+
+// intLitType types an integer literal from its digits, suffix and value as
+// C99 §6.4.4.1 does, which OpenCL C 1.2 §6.1 inherits with long as the only
+// 64-bit type: the first of int, long that holds a decimal value, the
+// first of int, uint, long, ulong that holds an octal or hex one; a u
+// suffix keeps only the unsigned types and an l suffix drops int and uint.
+// A decimal too large for long is a ulong, as compilers extend the table.
+// In an #if condition every literal is long, or ulong when it is suffixed
+// u or too large for long (C99 §6.10.1p4).
+func (p *Parser) intLitType(v uint64, digits, suffix string) *ScalarType {
+	u := strings.ContainsAny(suffix, "uU")
+	l := p.pp || strings.ContainsAny(suffix, "lL")
+	decimal := digits == "0" || digits[0] != '0'
+	switch {
+	case !u && !l && v <= math.MaxInt32:
+		return TypeInt
+	case !l && (u || !decimal) && v <= math.MaxUint32:
+		return TypeUInt
+	case !u && v <= math.MaxInt64:
+		return TypeLong
+	}
+	return TypeULong
 }

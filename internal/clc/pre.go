@@ -463,7 +463,7 @@ func (pp *Preprocessor) evalCondition(file string, lineNo int, rest string) (int
 		}
 	}
 	expanded = append(expanded, Token{Kind: TokEOF, Pos: pos})
-	p := &Parser{toks: expanded, file: file}
+	p := &Parser{toks: expanded, file: file, pp: true}
 	e, err := p.parseCondExpr()
 	if err != nil {
 		return 0, err
@@ -471,7 +471,7 @@ func (pp *Preprocessor) evalCondition(file string, lineNo int, rest string) (int
 	if !p.cur().Is("") && p.cur().Kind != TokEOF {
 		return 0, errf(pos, "trailing tokens in #if condition")
 	}
-	v, err := FoldConstInt(e)
+	v, _, err := constFolder{pp: true}.fold(e)
 	if err != nil {
 		return 0, errf(pos, "#if condition is not constant: %v", err)
 	}

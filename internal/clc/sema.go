@@ -222,10 +222,7 @@ func (a *analyzer) checkAssignable(pos Pos, to, from Type) error {
 func (a *analyzer) expr(e Expr) error {
 	switch ex := e.(type) {
 	case *IntLit:
-		if ex.Typ == nil {
-			ex.Typ = TypeInt
-		}
-		return nil
+		return nil // typed by the parser from its suffix and value
 	case *FloatLit:
 		ex.Typ = TypeFloat
 		return nil
@@ -301,8 +298,6 @@ func (a *analyzer) expr(e Expr) error {
 		}
 		lt, rt := ex.L.ExprType(), ex.R.ExprType()
 		switch ex.Op {
-		case "&&", "||", "==", "!=", "<", ">", "<=", ">=":
-			ex.Typ = TypeInt
 		case "+", "-":
 			// pointer arithmetic
 			if pt, ok := lt.(*PointerType); ok {
@@ -313,15 +308,12 @@ func (a *analyzer) expr(e Expr) error {
 				ex.Typ = &PointerType{Elem: at.Elem, Space: spaceOf(ex.L)}
 				return nil
 			}
-			ex.Typ = Promote(lt, rt)
 		case "%", "&", "|", "^", "<<", ">>":
-			ex.Typ = Promote(lt, rt)
-			if s, ok := ex.Typ.(*ScalarType); ok && !s.Kind.IsInteger() {
+			if s, ok := Promote(lt, rt).(*ScalarType); ok && !s.Kind.IsInteger() {
 				return errf(ex.Pos, "operator %q requires integer operands", ex.Op)
 			}
-		default:
-			ex.Typ = Promote(lt, rt)
 		}
+		ex.Typ = arithType(ex.Op, lt, rt)
 		return nil
 
 	case *Assign:
@@ -459,6 +451,24 @@ func (a *analyzer) expr(e Expr) error {
 		return nil
 	}
 	return fmt.Errorf("clc: unhandled expression %T", e)
+}
+
+// arithType is the type of binary operator op on operands of types lt and
+// rt: a comparison or logical operator gives int, a shift of scalars has
+// its left operand's promoted type (C99 §6.5.7p3), and the rest take the
+// usual arithmetic conversions.
+func arithType(op string, lt, rt Type) Type {
+	switch op {
+	case "&&", "||", "==", "!=", "<", ">", "<=", ">=":
+		return TypeInt
+	case "<<", ">>":
+		_, lv := lt.(*VectorType)
+		_, rv := rt.(*VectorType)
+		if !lv && !rv {
+			return Promote(lt, TypeInt)
+		}
+	}
+	return Promote(lt, rt)
 }
 
 // requireLValue checks that e can be assigned to.

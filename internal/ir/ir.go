@@ -93,6 +93,23 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
+// scalarOps maps each binary arithmetic and comparison opcode onto the
+// operator of clc's scalar semantics, which both engines evaluate.
+var scalarOps = [...]clc.Op{
+	OpAdd: clc.OpAdd, OpSub: clc.OpSub, OpMul: clc.OpMul, OpDiv: clc.OpDiv, OpRem: clc.OpRem,
+	OpAnd: clc.OpAnd, OpOr: clc.OpOr, OpXor: clc.OpXor, OpShl: clc.OpShl, OpShr: clc.OpShr,
+	OpEq: clc.OpEq, OpNe: clc.OpNe, OpLt: clc.OpLt, OpLe: clc.OpLe, OpGt: clc.OpGt, OpGe: clc.OpGe,
+}
+
+// Scalar returns the clc operator o applies to each scalar or lane, or
+// clc.OpInvalid when o is no binary arithmetic or comparison opcode.
+func (o Op) Scalar() clc.Op {
+	if o >= 0 && int(o) < len(scalarOps) {
+		return scalarOps[o]
+	}
+	return clc.OpInvalid
+}
+
 // IsTerminator reports whether the opcode ends a basic block.
 func (o Op) IsTerminator() bool { return o == OpBr || o == OpCondBr || o == OpRet }
 

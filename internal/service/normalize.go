@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"grover"
+	"grover/internal/clc"
 	"grover/internal/kcache"
 	"grover/internal/rewrite"
 	"grover/internal/vm"
@@ -74,12 +75,6 @@ type arg struct {
 	Int   int64
 	Float float64
 }
-
-// maxBufferBytes bounds one declared buffer or local argument. Device memory
-// grows on demand and both engines allocate a local argument's bytes per
-// work-group, so without a cap a single request could balloon the daemon;
-// 64 MiB is far beyond any scaled benchmark dataset.
-const maxBufferBytes = 64 << 20
 
 // maxWorkItems bounds a launch's NDRange. The largest app launch is 65,536
 // work-items at scale 1 and 262,144 at scale 2.
@@ -217,8 +212,9 @@ func (s *Server) normalizeAutotune(req *AutotuneRequest) (tuning, error) {
 // CheckLaunch is the check every launch's geometry and declared argument
 // sizes pass, in groverd and in clrun: a negative or indivisible dimension,
 // an NDRange over maxWorkItems and a buffer or local argument over
-// maxBufferBytes are refused before anything is allocated. It returns the
-// geometry with zero dimensions made 1.
+// clc.MaxObjectBytes, the cap a kernel's own arrays have, are refused
+// before anything is allocated. It returns the geometry with zero
+// dimensions made 1.
 func CheckLaunch(global, local [3]int, args []ArgSpec) (opencl.NDRange, error) {
 	cfg := vm.Config{GlobalSize: global, LocalSize: local}
 	cfg, err := cfg.Normalized()
@@ -238,8 +234,8 @@ func CheckLaunch(global, local [3]int, args []ArgSpec) (opencl.NDRange, error) {
 			if a.Size <= 0 {
 				return opencl.NDRange{}, badRequest("arg %d: %s needs a positive size", i, a.Kind)
 			}
-			if a.Size > maxBufferBytes {
-				return opencl.NDRange{}, badRequest("arg %d: %s size %d exceeds the %d-byte limit", i, a.Kind, a.Size, maxBufferBytes)
+			if a.Size > clc.MaxObjectBytes {
+				return opencl.NDRange{}, badRequest("arg %d: %s size %d exceeds the %d-byte limit", i, a.Kind, a.Size, clc.MaxObjectBytes)
 			}
 		case "int", "float":
 		default:

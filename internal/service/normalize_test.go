@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"grover/internal/clc"
 )
 
 // body is v's JSON object with edit applied: a request as a client may
@@ -222,7 +224,7 @@ func TestSweepBadArgIs400(t *testing.T) {
 		{ArgSpec{Kind: "bogus"}, `arg 0: unknown kind \"bogus\"`},
 		{ArgSpec{Kind: "buffer"}, "arg 0: buffer needs a positive size"},
 		{ArgSpec{Kind: "buffer", Size: -4}, "arg 0: buffer needs a positive size"},
-		{ArgSpec{Kind: "buffer", Size: maxBufferBytes + 1}, "arg 0: buffer size 67108865 exceeds the 67108864-byte limit"},
+		{ArgSpec{Kind: "buffer", Size: clc.MaxObjectBytes + 1}, "arg 0: buffer size 67108865 exceeds the 67108864-byte limit"},
 	} {
 		for _, device := range []string{"SNB", "all"} {
 			_, req := nvdMT()

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"grover/internal/apps"
+	"grover/internal/clc"
 	"grover/internal/vm"
 )
 
@@ -603,7 +604,7 @@ func TestLocalArgSizeIsBounded(t *testing.T) {
 	for _, size := range []int{1 << 40, 1 << 62} {
 		req.Args[1].Size = size
 		code, body := postJSON(t, ts.URL+"/v1/autotune", req, nil)
-		want := fmt.Sprintf("arg 1: local size %d exceeds the %d-byte limit", size, maxBufferBytes)
+		want := fmt.Sprintf("arg 1: local size %d exceeds the %d-byte limit", size, clc.MaxObjectBytes)
 		if code != http.StatusBadRequest || !strings.Contains(body, want) {
 			t.Errorf("local size %d: got %d %s, want 400 %q", size, code, body, want)
 		}

@@ -197,40 +197,3 @@ func (p *Program) RegCount(f *ir.Function) int { return p.regCount[f] }
 
 // StackBytes returns the conservative per-work-item private arena size.
 func (p *Program) StackBytes() int { return p.stackBytes }
-
-// The helpers below export the interpreter's exact scalar semantics so
-// alternative backends produce bit-identical values on every input.
-
-// NormInt truncates x to the width and signedness of kind k.
-func NormInt(x int64, k clc.ScalarKind) int64 { return normInt(x, k) }
-
-// Round32 rounds x to float32 precision when k is KFloat.
-func Round32(k clc.ScalarKind, x float64) float64 { return math32(k, x) }
-
-// IntBin evaluates one integer binary op with C wrapping semantics.
-func IntBin(op ir.Op, k clc.ScalarKind, a, b int64) (int64, error) { return intBin(op, k, a, b) }
-
-// FloatBin evaluates one floating binary op, rounding to float32 when
-// the kind is KFloat.
-func FloatBin(op ir.Op, k clc.ScalarKind, a, b float64) (float64, error) {
-	return floatBin(op, k, a, b)
-}
-
-// MathF evaluates a float math builtin on scalar operands.
-func MathF(name string, k clc.ScalarKind, a []float64) (float64, error) {
-	return scalarMathF(name, k, a)
-}
-
-// MathI evaluates an integer math builtin on scalar operands.
-func MathI(name string, k clc.ScalarKind, a []int64) (int64, error) {
-	return scalarMathI(name, k, a)
-}
-
-// ConvertKind converts one scalar value between kinds with the
-// interpreter's exact semantics (float32 rounding, NaN→0, C truncation).
-// Exactly one of the returned values is meaningful, selected by the
-// destination kind's class.
-func ConvertKind(i int64, f float64, from, to clc.ScalarKind) (int64, float64) {
-	out := convertScalar(rv{i: i, f: f}, from, to)
-	return out.i, out.f
-}

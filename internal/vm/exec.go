@@ -620,34 +620,3 @@ func (ge *groupExec) storeTyped(c *wiCtx, addr uint64, t clc.Type, v rv) error {
 	}
 	return fmt.Errorf("vm: store of unsupported type %s", t)
 }
-
-// normInt truncates x to the width and signedness of kind k.
-func normInt(x int64, k clc.ScalarKind) int64 {
-	switch k {
-	case clc.KBool:
-		if x != 0 {
-			return 1
-		}
-		return 0
-	case clc.KChar:
-		return int64(int8(x))
-	case clc.KUChar:
-		return int64(uint8(x))
-	case clc.KShort:
-		return int64(int16(x))
-	case clc.KUShort:
-		return int64(uint16(x))
-	case clc.KInt:
-		return int64(int32(x))
-	case clc.KUInt:
-		return int64(uint32(x))
-	}
-	return x
-}
-
-func math32(k clc.ScalarKind, x float64) float64 {
-	if k == clc.KFloat {
-		return float64(float32(x))
-	}
-	return x
-}

@@ -169,25 +169,13 @@ func (m *memView) loadScalar(addr uint64, k clc.ScalarKind) (rv, error) {
 		return rv{}, err
 	}
 	var out rv
-	switch k {
-	case clc.KBool, clc.KUChar:
-		out.i = int64(a[off])
-	case clc.KChar:
-		out.i = int64(int8(a[off]))
-	case clc.KShort:
-		out.i = int64(int16(binary.LittleEndian.Uint16(a[off:])))
-	case clc.KUShort:
-		out.i = int64(binary.LittleEndian.Uint16(a[off:]))
-	case clc.KInt:
-		out.i = int64(int32(binary.LittleEndian.Uint32(a[off:])))
-	case clc.KUInt:
-		out.i = int64(binary.LittleEndian.Uint32(a[off:]))
-	case clc.KLong, clc.KULong:
-		out.i = int64(binary.LittleEndian.Uint64(a[off:]))
-	case clc.KFloat:
+	switch {
+	case k == clc.KFloat:
 		out.f = float64(math.Float32frombits(binary.LittleEndian.Uint32(a[off:])))
-	case clc.KDouble:
+	case k == clc.KDouble:
 		out.f = math.Float64frombits(binary.LittleEndian.Uint64(a[off:]))
+	case k.IsInteger():
+		out.i = LoadInt(a, off, k)
 	default:
 		return rv{}, fmt.Errorf("vm: load of unsupported scalar %s", k)
 	}
@@ -200,21 +188,52 @@ func (m *memView) storeScalar(addr uint64, k clc.ScalarKind, v rv) error {
 	if err != nil {
 		return err
 	}
-	switch k {
-	case clc.KBool, clc.KChar, clc.KUChar:
-		a[off] = byte(v.i)
-	case clc.KShort, clc.KUShort:
-		binary.LittleEndian.PutUint16(a[off:], uint16(v.i))
-	case clc.KInt, clc.KUInt:
-		binary.LittleEndian.PutUint32(a[off:], uint32(v.i))
-	case clc.KLong, clc.KULong:
-		binary.LittleEndian.PutUint64(a[off:], uint64(v.i))
-	case clc.KFloat:
+	switch {
+	case k == clc.KFloat:
 		binary.LittleEndian.PutUint32(a[off:], math.Float32bits(float32(v.f)))
-	case clc.KDouble:
+	case k == clc.KDouble:
 		binary.LittleEndian.PutUint64(a[off:], math.Float64bits(v.f))
+	case k.IsInteger():
+		StoreInt(a, off, k, v.i)
 	default:
 		return fmt.Errorf("vm: store of unsupported scalar %s", k)
 	}
 	return nil
+}
+
+// LoadInt reads the integer of kind k at a[off:], the one memory image of
+// an integer both engines read: little-endian, sign- or zero-extended to
+// the kind's NormInt representation.
+func LoadInt(a []byte, off uint64, k clc.ScalarKind) int64 {
+	switch k {
+	case clc.KBool, clc.KUChar:
+		return int64(a[off])
+	case clc.KChar:
+		return int64(int8(a[off]))
+	case clc.KShort:
+		return int64(int16(binary.LittleEndian.Uint16(a[off:])))
+	case clc.KUShort:
+		return int64(binary.LittleEndian.Uint16(a[off:]))
+	case clc.KInt:
+		return int64(int32(binary.LittleEndian.Uint32(a[off:])))
+	case clc.KUInt:
+		return int64(binary.LittleEndian.Uint32(a[off:]))
+	default: // KLong, KULong
+		return int64(binary.LittleEndian.Uint64(a[off:]))
+	}
+}
+
+// StoreInt writes v, an integer of kind k, at a[off:] in the image
+// LoadInt reads.
+func StoreInt(a []byte, off uint64, k clc.ScalarKind, v int64) {
+	switch k {
+	case clc.KBool, clc.KChar, clc.KUChar:
+		a[off] = byte(v)
+	case clc.KShort, clc.KUShort:
+		binary.LittleEndian.PutUint16(a[off:], uint16(v))
+	case clc.KInt, clc.KUInt:
+		binary.LittleEndian.PutUint32(a[off:], uint32(v))
+	default: // KLong, KULong
+		binary.LittleEndian.PutUint64(a[off:], uint64(v))
+	}
 }

@@ -129,7 +129,7 @@ const (
 	opAddU32
 	opSubU32
 	opMulU32
-	// Generic integer binary op: sub = ir.Op, kind = scalar kind.
+	// Generic integer binary op: sub = clc.Op, kind = scalar kind.
 	opIntBin
 	// Double-precision float arithmetic.
 	opAddF
@@ -141,7 +141,7 @@ const (
 	opSubF32
 	opMulF32
 	opDivF32
-	// Generic float binary op: sub = ir.Op, kind = scalar kind.
+	// Generic float binary op: sub = clc.Op, kind = scalar kind.
 	opFltBin
 
 	// Unary ops (kind = scalar kind for integer normalization).
@@ -171,10 +171,10 @@ const (
 	opGeF
 
 	// Conversions.
-	opConvI // ri[a] = normInt(ri[b], kind)
+	opConvI // ri[a] = clc.NormInt(ri[b], kind)
 	opI2F   // rf[a] = round(kind, float64(ri[b]))
 	opU2F   // rf[a] = round(kind, float64(uint64(ri[b])))
-	opF2I   // ri[a] = NaN ? 0 : normInt(int64(rf[b]), kind)
+	opF2I   // ri[a] = clc.FloatToInt(rf[b], kind)
 	opF2F32 // rf[a] = float64(float32(rf[b]))
 	opVConv // lane-wise conversion; sub = from kind, kind = to kind
 
@@ -183,8 +183,8 @@ const (
 	opVSubF
 	opVMulF
 	opVDivF
-	opVBinF // generic: sub = ir.Op
-	opVBinI // generic: sub = ir.Op
+	opVBinF // generic: sub = clc.Op
+	opVBinI // generic: sub = clc.Op
 
 	// Vector shape ops.
 	opExtI   // ri[a] = vi[b][imm]
@@ -248,7 +248,7 @@ type ref struct {
 type inst struct {
 	Op     opcode
 	Kind   uint8 // clc.ScalarKind operand
-	Sub    uint8 // secondary operand: ir.Op, lane count, bank, or from-kind
+	Sub    uint8 // secondary operand: clc.Op, lane count, bank, or from-kind
 	Retire uint8
 	A      int32
 	B      int32

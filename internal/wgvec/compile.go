@@ -665,53 +665,32 @@ func (fc *fnCompiler) emitBin(in *ir.Instr) {
 		fc.trap(fmt.Sprintf("vm: binary op %s without register", in.Op), 1)
 		return
 	}
+	sop := in.Op.Scalar()
+	ops, ok := binOps[sop]
+	if !ok {
+		ops = genericBin
+	}
 	switch tt := in.Typ.(type) {
 	case *clc.ScalarType:
 		if tt.Kind.IsFloat() {
 			a := fc.scalarRef(in.Args[0], bankFlt)
 			b := fc.scalarRef(in.Args[1], bankFlt)
-			var op opcode
-			switch in.Op {
-			case ir.OpAdd:
-				op = opAddF
-			case ir.OpSub:
-				op = opSubF
-			case ir.OpMul:
-				op = opMulF
-			case ir.OpDiv:
-				op = opDivF
-			default:
-				op = opFltBin
+			op := ops.f
+			if tt.Kind == clc.KFloat {
+				op = ops.f32
 			}
-			if op != opFltBin && tt.Kind == clc.KFloat {
-				op += opAddF32 - opAddF
-			}
-			fc.add(inst{Op: op, Kind: uint8(tt.Kind), Sub: uint8(in.Op),
+			fc.add(inst{Op: op, Kind: uint8(tt.Kind), Sub: uint8(sop),
 				A: d.Idx, B: a.Idx, C: b.Idx})
 			return
 		}
 		a := fc.scalarRef(in.Args[0], bankInt)
 		b := fc.scalarRef(in.Args[1], bankInt)
-		op := opIntBin
 		// Specializations hold for arbitrary (even unnormalized) inputs:
-		// wrap-to-32 equals normInt after the raw 64-bit op, and 64-bit
+		// wrap-to-32 equals NormInt after the raw 64-bit op, and 64-bit
 		// kinds need no normalization at all. Narrow kinds and the
 		// div/rem/shift family keep the generic path.
-		switch in.Op {
-		case ir.OpAdd:
-			op = pickIntOp(tt.Kind, opAddI, opAddI32, opAddU32)
-		case ir.OpSub:
-			op = pickIntOp(tt.Kind, opSubI, opSubI32, opSubU32)
-		case ir.OpMul:
-			op = pickIntOp(tt.Kind, opMulI, opMulI32, opMulU32)
-		case ir.OpAnd:
-			op = pickIntOp(tt.Kind, opAndI, opIntBin, opIntBin)
-		case ir.OpOr:
-			op = pickIntOp(tt.Kind, opOrI, opIntBin, opIntBin)
-		case ir.OpXor:
-			op = pickIntOp(tt.Kind, opXorI, opIntBin, opIntBin)
-		}
-		fc.add(inst{Op: op, Kind: uint8(tt.Kind), Sub: uint8(in.Op),
+		op := pickIntOp(tt.Kind, ops.i64, ops.i32, ops.u32)
+		fc.add(inst{Op: op, Kind: uint8(tt.Kind), Sub: uint8(sop),
 			A: d.Idx, B: a.Idx, C: b.Idx})
 	case *clc.VectorType:
 		ek := tt.Elem.Kind
@@ -722,20 +701,7 @@ func (fc *fnCompiler) emitBin(in *ir.Instr) {
 				fc.trap(fmt.Sprintf("vm: binary op %s on unsupported type %s", in.Op, in.Typ), 1)
 				return
 			}
-			var op opcode
-			switch in.Op {
-			case ir.OpAdd:
-				op = opVAddF
-			case ir.OpSub:
-				op = opVSubF
-			case ir.OpMul:
-				op = opVMulF
-			case ir.OpDiv:
-				op = opVDivF
-			default:
-				op = opVBinF
-			}
-			fc.add(inst{Op: op, Kind: uint8(ek), Sub: uint8(in.Op),
+			fc.add(inst{Op: ops.vf, Kind: uint8(ek), Sub: uint8(sop),
 				A: d.Idx, B: a.Idx, C: b.Idx})
 			return
 		}
@@ -745,7 +711,7 @@ func (fc *fnCompiler) emitBin(in *ir.Instr) {
 			fc.trap(fmt.Sprintf("vm: binary op %s on unsupported type %s", in.Op, in.Typ), 1)
 			return
 		}
-		fc.add(inst{Op: opVBinI, Kind: uint8(ek), Sub: uint8(in.Op),
+		fc.add(inst{Op: opVBinI, Kind: uint8(ek), Sub: uint8(sop),
 			A: d.Idx, B: a.Idx, C: b.Idx})
 	case *clc.PointerType:
 		// Raw byte arithmetic on pointers, no normalization.
@@ -762,6 +728,25 @@ func (fc *fnCompiler) emitBin(in *ir.Instr) {
 	default:
 		fc.trap(fmt.Sprintf("vm: binary op %s on unsupported type %s", in.Op, in.Typ), 1)
 	}
+}
+
+// binForms names the opcodes one binary operator runs as: on double and
+// float scalars, on float vectors, and on 64-bit, int and uint integers.
+type binForms struct{ f, f32, vf, i64, i32, u32 opcode }
+
+// genericBin is the forms of an operator with no specialization: each
+// reads the operator from Sub.
+var genericBin = binForms{opFltBin, opFltBin, opVBinF, opIntBin, opIntBin, opIntBin}
+
+// binOps maps each operator with a specialized opcode to its forms.
+var binOps = map[clc.Op]binForms{
+	clc.OpAdd: {opAddF, opAddF32, opVAddF, opAddI, opAddI32, opAddU32},
+	clc.OpSub: {opSubF, opSubF32, opVSubF, opSubI, opSubI32, opSubU32},
+	clc.OpMul: {opMulF, opMulF32, opVMulF, opMulI, opMulI32, opMulU32},
+	clc.OpDiv: {opDivF, opDivF32, opVDivF, opIntBin, opIntBin, opIntBin},
+	clc.OpAnd: {opFltBin, opFltBin, opVBinF, opAndI, opIntBin, opIntBin},
+	clc.OpOr:  {opFltBin, opFltBin, opVBinF, opOrI, opIntBin, opIntBin},
+	clc.OpXor: {opFltBin, opFltBin, opVBinF, opXorI, opIntBin, opIntBin},
 }
 
 // pickIntOp selects the specialized opcode for an integer Kind: raw64 for

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"grover/internal/clc"
-	"grover/internal/ir"
 	"grover/internal/vm"
 )
 
@@ -213,9 +212,9 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 		}
 	case opIntBin:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
-		op, k := ir.Op(in.Sub), clc.ScalarKind(in.Kind)
+		op, k := clc.Op(in.Sub), clc.ScalarKind(in.Kind)
 		for _, l := range mask {
-			v, err := vm.IntBin(op, k, x[l], y[l])
+			v, err := clc.IntBin(op, k, x[l], y[l])
 			if err != nil {
 				return laneErr(l, err)
 			}
@@ -264,9 +263,9 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 		}
 	case opFltBin:
 		d, x, y := rf[in.A], rf[in.B], rf[in.C]
-		op, k := ir.Op(in.Sub), clc.ScalarKind(in.Kind)
+		op, k := clc.Op(in.Sub), clc.ScalarKind(in.Kind)
 		for _, l := range mask {
-			v, err := vm.FloatBin(op, k, x[l], y[l])
+			v, err := clc.FloatBin(op, k, x[l], y[l])
 			if err != nil {
 				return laneErr(l, err)
 			}
@@ -282,13 +281,13 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 		d, s := ri[in.A], ri[in.B]
 		k := clc.ScalarKind(in.Kind)
 		for _, l := range mask {
-			d[l] = vm.NormInt(-s[l], k)
+			d[l] = clc.NormInt(-s[l], k)
 		}
 	case opNotI:
 		d, s := ri[in.A], ri[in.B]
 		k := clc.ScalarKind(in.Kind)
 		for _, l := range mask {
-			d[l] = vm.NormInt(^s[l], k)
+			d[l] = clc.NormInt(^s[l], k)
 		}
 	case opVNegF:
 		ld := fr.bf.VecFLens[in.A]
@@ -306,7 +305,7 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 		for _, l := range mask {
 			o := int(l) * ld
 			for i := 0; i < ld; i++ {
-				d[o+i] = vm.NormInt(-s[o+i], k)
+				d[o+i] = clc.NormInt(-s[o+i], k)
 			}
 		}
 	case opVNotI:
@@ -316,7 +315,7 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 		for _, l := range mask {
 			o := int(l) * ld
 			for i := 0; i < ld; i++ {
-				d[o+i] = vm.NormInt(^s[o+i], k)
+				d[o+i] = clc.NormInt(^s[o+i], k)
 			}
 		}
 
@@ -405,25 +404,25 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 		d, s := ri[in.A], ri[in.B]
 		k := clc.ScalarKind(in.Kind)
 		for _, l := range mask {
-			d[l] = vm.NormInt(s[l], k)
+			d[l] = clc.NormInt(s[l], k)
 		}
 	case opI2F:
 		d, s := rf[in.A], ri[in.B]
 		k := clc.ScalarKind(in.Kind)
 		for _, l := range mask {
-			d[l] = vm.Round32(k, float64(s[l]))
+			d[l] = clc.Round32(k, float64(s[l]))
 		}
 	case opU2F:
 		d, s := rf[in.A], ri[in.B]
 		k := clc.ScalarKind(in.Kind)
 		for _, l := range mask {
-			d[l] = vm.Round32(k, float64(uint64(s[l])))
+			d[l] = clc.Round32(k, float64(uint64(s[l])))
 		}
 	case opF2I:
 		d, s := ri[in.A], rf[in.B]
 		k := clc.ScalarKind(in.Kind)
 		for _, l := range mask {
-			d[l] = vm.FloatToInt(s[l], k)
+			d[l] = clc.FloatToInt(s[l], k)
 		}
 	case opF2F32:
 		d, s := rf[in.A], rf[in.B]
@@ -508,11 +507,11 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 	case opVBinF:
 		ld := fr.bf.VecFLens[in.A]
 		d, x, y := fr.vf[in.A], fr.vf[in.B], fr.vf[in.C]
-		op, k := ir.Op(in.Sub), clc.ScalarKind(in.Kind)
+		op, k := clc.Op(in.Sub), clc.ScalarKind(in.Kind)
 		for _, l := range mask {
 			o := int(l) * ld
 			for i := 0; i < ld; i++ {
-				v, err := vm.FloatBin(op, k, x[o+i], y[o+i])
+				v, err := clc.FloatBin(op, k, x[o+i], y[o+i])
 				if err != nil {
 					return laneErr(l, err)
 				}
@@ -522,11 +521,11 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 	case opVBinI:
 		ld := fr.bf.VecILens[in.A]
 		d, x, y := fr.vi[in.A], fr.vi[in.B], fr.vi[in.C]
-		op, k := ir.Op(in.Sub), clc.ScalarKind(in.Kind)
+		op, k := clc.Op(in.Sub), clc.ScalarKind(in.Kind)
 		for _, l := range mask {
 			o := int(l) * ld
 			for i := 0; i < ld; i++ {
-				v, err := vm.IntBin(op, k, x[o+i], y[o+i])
+				v, err := clc.IntBin(op, k, x[o+i], y[o+i])
 				if err != nil {
 					return laneErr(l, err)
 				}
@@ -609,11 +608,7 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 		k := clc.ScalarKind(in.Kind)
 		for _, l := range mask {
 			o := int(l) * ls
-			var sum float64
-			for i := 0; i < ls; i++ {
-				sum += x[o+i] * y[o+i]
-			}
-			d[l] = vm.Round32(k, sum)
+			d[l] = clc.Dot(k, x[o:o+ls], y[o:o+ls])
 		}
 	case opDotSS:
 		d, x, y := rf[in.A], rf[in.B], rf[in.C]
@@ -626,11 +621,7 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 		k := clc.ScalarKind(in.Kind)
 		for _, l := range mask {
 			o := int(l) * ls
-			var sum float64
-			for i := 0; i < ls; i++ {
-				sum += x[o+i] * x[o+i]
-			}
-			d[l] = vm.Round32(k, math.Sqrt(sum))
+			d[l] = clc.Length(k, x[o:o+ls])
 		}
 	case opLenSS:
 		d, s := rf[in.A], rf[in.B]
@@ -638,72 +629,47 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 			d[l] = math.Abs(s[l])
 		}
 
-	case opMathF:
+	case opMathF, opVMathF:
+		// A scalar is a one-element column per lane.
 		ax := &fr.bf.Aux[in.Imm]
-		d := rf[in.A]
+		bank, ld := rf, 1
+		if in.Op == opVMathF {
+			bank, ld = fr.vf, fr.bf.VecFLens[in.A]
+		}
+		d := bank[in.A]
 		fa := g.scratchF(len(ax.Refs))
 		k := clc.ScalarKind(in.Kind)
 		for _, l := range mask {
-			for i, r := range ax.Refs {
-				fa[i] = rf[r.Idx][l]
-			}
-			v, err := vm.MathF(ax.Name, k, fa)
-			if err != nil {
-				return laneErr(l, err)
-			}
-			d[l] = v
-		}
-	case opMathI:
-		ax := &fr.bf.Aux[in.Imm]
-		d := ri[in.A]
-		ia := g.scratchI(len(ax.Refs))
-		k := clc.ScalarKind(in.Kind)
-		for _, l := range mask {
-			for i, r := range ax.Refs {
-				ia[i] = ri[r.Idx][l]
-			}
-			v, err := vm.MathI(ax.Name, k, ia)
-			if err != nil {
-				return laneErr(l, err)
-			}
-			d[l] = v
-		}
-	case opVMathF:
-		ax := &fr.bf.Aux[in.Imm]
-		ld := fr.bf.VecFLens[in.A]
-		d := fr.vf[in.A]
-		fa := g.scratchF(len(ax.Refs))
-		k := clc.ScalarKind(in.Kind)
-		for _, l := range mask {
-			o := int(l) * ld
-			for j := 0; j < ld; j++ {
+			for o := int(l) * ld; o < int(l+1)*ld; o++ {
 				for i, r := range ax.Refs {
-					fa[i] = fr.vf[r.Idx][o+j]
+					fa[i] = bank[r.Idx][o]
 				}
-				v, err := vm.MathF(ax.Name, k, fa)
+				v, err := clc.MathF(ax.Name, k, fa)
 				if err != nil {
 					return laneErr(l, err)
 				}
-				d[o+j] = v
+				d[o] = v
 			}
 		}
-	case opVMathI:
+	case opMathI, opVMathI:
 		ax := &fr.bf.Aux[in.Imm]
-		ld := fr.bf.VecILens[in.A]
-		d := fr.vi[in.A]
+		bank, ld := ri, 1
+		if in.Op == opVMathI {
+			bank, ld = fr.vi, fr.bf.VecILens[in.A]
+		}
+		d := bank[in.A]
 		ia := g.scratchI(len(ax.Refs))
 		k := clc.ScalarKind(in.Kind)
 		for _, l := range mask {
-			o := int(l) * ld
-			for j := 0; j < ld; j++ {
+			for o := int(l) * ld; o < int(l+1)*ld; o++ {
 				for i, r := range ax.Refs {
-					ia[i] = fr.vi[r.Idx][o+j]
+					ia[i] = bank[r.Idx][o]
 				}
-				v, err := vm.MathI(ax.Name, k, ia)
+				v, err := clc.MathI(ax.Name, k, ia)
 				if err != nil {
 					return laneErr(l, err)
 				}
-				d[o+j] = v
+				d[o] = v
 			}
 		}
 
@@ -715,52 +681,26 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 
 // vconvCol performs a lane-wise vector conversion for all masked lanes.
 // The source and destination lane counts match (the compiler traps
-// mismatched conversions), so one offset walks both columns.
+// mismatched conversions), so one offset walks both columns. Float and
+// int vector registers are numbered apart, so each index reads its own
+// bank.
 func (g *groupState) vconvCol(fr *colFrame, in *inst, mask []int32) {
-	from := clc.ScalarKind(in.Sub)
-	to := clc.ScalarKind(in.Kind)
+	from, to := clc.ScalarKind(in.Sub), clc.ScalarKind(in.Kind)
+	var si, di []int64
+	var sf, df []float64
 	if from.IsFloat() {
-		s := fr.vf[in.B]
-		if to.IsFloat() {
-			ld := fr.bf.VecFLens[in.A]
-			d := fr.vf[in.A]
-			for _, l := range mask {
-				o := int(l) * ld
-				for i := 0; i < ld; i++ {
-					_, d[o+i] = vm.ConvertKind(0, s[o+i], from, to)
-				}
-			}
-		} else {
-			ld := fr.bf.VecILens[in.A]
-			d := fr.vi[in.A]
-			for _, l := range mask {
-				o := int(l) * ld
-				for i := 0; i < ld; i++ {
-					d[o+i], _ = vm.ConvertKind(0, s[o+i], from, to)
-				}
-			}
-		}
+		sf = fr.vf[in.B]
 	} else {
-		s := fr.vi[in.B]
-		if to.IsFloat() {
-			ld := fr.bf.VecFLens[in.A]
-			d := fr.vf[in.A]
-			for _, l := range mask {
-				o := int(l) * ld
-				for i := 0; i < ld; i++ {
-					_, d[o+i] = vm.ConvertKind(s[o+i], 0, from, to)
-				}
-			}
-		} else {
-			ld := fr.bf.VecILens[in.A]
-			d := fr.vi[in.A]
-			for _, l := range mask {
-				o := int(l) * ld
-				for i := 0; i < ld; i++ {
-					d[o+i], _ = vm.ConvertKind(s[o+i], 0, from, to)
-				}
-			}
-		}
+		si = fr.vi[in.B]
+	}
+	var ld int
+	if to.IsFloat() {
+		df, ld = fr.vf[in.A], fr.bf.VecFLens[in.A]
+	} else {
+		di, ld = fr.vi[in.A], fr.bf.VecILens[in.A]
+	}
+	for _, l := range mask {
+		clc.ConvertVec(di, df, si, sf, from, to, int(l)*ld, int(l+1)*ld)
 	}
 }
 
@@ -912,7 +852,7 @@ func (g *groupState) slotOp(fr *colFrame, in *inst, mask []int32) {
 			fallthrough
 		default:
 			for _, l := range mask {
-				d[l] = vm.NormInt(s[l], k)
+				d[l] = clc.NormInt(s[l], k)
 			}
 		}
 	case opSlotStF:
@@ -1243,7 +1183,7 @@ func (g *groupState) loadVecCol(fr *colFrame, in *inst, mask []int32, fused bool
 			if a, off, ok := g.hotArena(addr, l, lanes*es); ok {
 				v := a[off:]
 				for i := 0; i < lanes; i++ {
-					d[o+i] = loadIntLane(v, uint64(i*es), k)
+					d[o+i] = vm.LoadInt(v, uint64(i*es), k)
 				}
 				continue
 			}
@@ -1252,7 +1192,7 @@ func (g *groupState) loadVecCol(fr *colFrame, in *inst, mask []int32, fused bool
 				if err != nil {
 					return err
 				}
-				d[o+i] = loadIntLane(a, off, k)
+				d[o+i] = vm.LoadInt(a, off, k)
 			}
 		}
 	}
@@ -1307,7 +1247,7 @@ func (g *groupState) storeVecCol(fr *colFrame, in *inst, mask []int32, fused boo
 			if a, off, ok := g.hotArena(addr, l, lanes*es); ok {
 				v := a[off:]
 				for i := 0; i < lanes; i++ {
-					storeIntLane(v, uint64(i*es), k, s[o+i])
+					vm.StoreInt(v, uint64(i*es), k, s[o+i])
 				}
 				continue
 			}
@@ -1316,43 +1256,11 @@ func (g *groupState) storeVecCol(fr *colFrame, in *inst, mask []int32, fused boo
 				if err != nil {
 					return err
 				}
-				storeIntLane(a, off, k, s[o+i])
+				vm.StoreInt(a, off, k, s[o+i])
 			}
 		}
 	}
 	return nil
-}
-
-func loadIntLane(a []byte, off uint64, k clc.ScalarKind) int64 {
-	switch k {
-	case clc.KBool, clc.KUChar:
-		return int64(a[off])
-	case clc.KChar:
-		return int64(int8(a[off]))
-	case clc.KShort:
-		return int64(int16(binary.LittleEndian.Uint16(a[off:])))
-	case clc.KUShort:
-		return int64(binary.LittleEndian.Uint16(a[off:]))
-	case clc.KInt:
-		return int64(int32(binary.LittleEndian.Uint32(a[off:])))
-	case clc.KUInt:
-		return int64(binary.LittleEndian.Uint32(a[off:]))
-	default: // KLong, KULong
-		return int64(binary.LittleEndian.Uint64(a[off:]))
-	}
-}
-
-func storeIntLane(a []byte, off uint64, k clc.ScalarKind, v int64) {
-	switch k {
-	case clc.KBool, clc.KChar, clc.KUChar:
-		a[off] = byte(v)
-	case clc.KShort, clc.KUShort:
-		binary.LittleEndian.PutUint16(a[off:], uint16(v))
-	case clc.KInt, clc.KUInt:
-		binary.LittleEndian.PutUint32(a[off:], uint32(v))
-	default: // KLong, KULong
-		binary.LittleEndian.PutUint64(a[off:], uint64(v))
-	}
 }
 
 func broadcastI(col []int64, mask []int32, v int64) {
