@@ -51,7 +51,6 @@ func main() {
 		useGrover  = flag.Bool("grover", false, "run the Grover-transformed kernel as well and compare times")
 		timed      = flag.Bool("time", false, "use the device cost model and report simulated time")
 		dump       = flag.String("dump", "", "print buffer contents after the run: ARGINDEX:COUNT")
-		backend    = flag.String("backend", "", "execution backend (interp, wgvec; default: $GROVER_BACKEND, else wgvec)")
 		kprofile   = flag.Bool("kernel-profile", false, "attribute each launch's wall time and retire/traffic counters to its barrier-delimited regions")
 		traceOut   = flag.String("trace-out", "", "append this run's telemetry trace (compile stages, launches) to a JSONL file")
 	)
@@ -64,18 +63,14 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	if _, err := vm.ResolveBackend(*backend); err != nil {
-		fmt.Fprintln(os.Stderr, "clrun:", err)
-		os.Exit(2)
-	}
-	if err := run(flag.Arg(0), *deviceName, *kernel, global, local, args, *useGrover, *timed, *kprofile, *backend, *dump, *traceOut); err != nil {
+	if err := run(flag.Arg(0), *deviceName, *kernel, global, local, args, *useGrover, *timed, *kprofile, *dump, *traceOut); err != nil {
 		fmt.Fprintln(os.Stderr, "clrun:", err)
 		os.Exit(1)
 	}
 }
 
 func run(file, deviceName, kernel string, global, local service.Dims, argSpecs []string,
-	useGrover, timed, kprofile bool, backend, dump, traceOut string) error {
+	useGrover, timed, kprofile bool, dump, traceOut string) error {
 	// The launch passes groverd's geometry and size check, and -dump is
 	// checked against it, before anything is compiled or allocated.
 	specs, err := parseArgs(argSpecs)
@@ -115,11 +110,6 @@ func run(file, deviceName, kernel string, global, local service.Dims, argSpecs [
 		return err
 	}
 	ctx := opencl.NewContext(dev)
-	if backend != "" {
-		if err := ctx.SetBackend(backend); err != nil {
-			return err
-		}
-	}
 	prog, err := ctx.CompileProgramCtx(rctx, file, string(src), nil)
 	if err != nil {
 		return err

@@ -37,7 +37,7 @@ func runTileArgs(t *testing.T, device string, global service.Dims, args []string
 	defer null.Close()
 	defer func(stdout *os.File) { os.Stdout = stdout }(os.Stdout)
 	os.Stdout = null
-	return run(file, device, "", global, service.Dims{16}, args, useGrover, timed, false, "", dump, "")
+	return run(file, device, "", global, service.Dims{16}, args, useGrover, timed, false, dump, "")
 }
 
 // TestDumpSpecChecksCount: -dump ARG:COUNT is outside input; a count the

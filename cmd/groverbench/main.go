@@ -14,15 +14,14 @@
 //	groverbench -experiment case -app NVD-MT -device SNB
 //	groverbench -experiment rewrite -format json       # rewrite-plan search sweep
 //
-// -backend selects the execution backend (interp or wgvec; wgvec
-// unless named) and -format json emits machine-readable measurements;
-// engine against engine, and groverd under load, are the ledger's
-// business (bench/: the engine.* rows, the serve-frontend workload). The
+// -format json emits machine-readable measurements; engine against
+// engine, and groverd under load, are the ledger's business (bench/: the
+// engine.* rows, the serve-frontend workload). The
 // committed BENCH_rewrite.json is the output of the rewrite experiment
 // (every app plus a synthetic window-sum kernel, autotuned across the
 // rewrite plan space on all six platforms as one device set, grover.Tune).
 // -cpuprofile and -memprofile write pprof profiles of the
-// run for backend performance work.
+// run for engine performance work.
 package main
 
 import (
@@ -36,7 +35,6 @@ import (
 
 	"grover/internal/apps"
 	"grover/internal/harness"
-	"grover/internal/vm"
 )
 
 func main() {
@@ -46,7 +44,6 @@ func main() {
 		device     = flag.String("device", "SNB", "device for -experiment case")
 		scale      = flag.Int("scale", 1, "dataset scale factor")
 		validate   = flag.Bool("validate", false, "check the memory each timed launch leaves against the host reference")
-		backend    = flag.String("backend", "", "execution backend (interp, wgvec; default: $GROVER_BACKEND, else wgvec)")
 		format     = flag.String("format", "text", "output format: text | json")
 		quiet      = flag.Bool("quiet", false, "suppress progress output")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -62,10 +59,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "groverbench: unknown format %q (want text or json)\n", *format)
 		os.Exit(2)
 	}
-	if _, err := vm.ResolveBackend(*backend); err != nil {
-		fmt.Fprintln(os.Stderr, "groverbench:", err)
-		os.Exit(2)
-	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
@@ -77,7 +70,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	cfg := harness.Config{Scale: max(*scale, 1), Validate: *validate, Backend: *backend, Log: logW}
+	cfg := harness.Config{Scale: max(*scale, 1), Validate: *validate, Log: logW}
 
 	err := run(*experiment, *app, *device, *format, cfg)
 	if *cpuprofile != "" {

@@ -112,11 +112,6 @@ func planSpaceFor(app *apps.App, local [3]int) []string {
 // in devs order.
 func searchApp(app *apps.App, devs []*opencl.Device, cfg harness.Config) ([]*grover.TuneResult, error) {
 	ctx := opencl.NewContext(devs[0])
-	if cfg.Backend != "" {
-		if err := ctx.SetBackend(cfg.Backend); err != nil {
-			return nil, err
-		}
-	}
 	prog, err := ctx.CompileProgram(app.ID+".cl", app.Source, app.Defines)
 	if err != nil {
 		return nil, err

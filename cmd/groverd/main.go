@@ -7,8 +7,8 @@
 //
 // Usage:
 //
-//	groverd [-addr :8372] [-cache 256] [-workers 0] [-backend interp]
-//	        [-max-queue 0] [-trace-log path] [-trace-cap 256]
+//	groverd [-addr :8372] [-cache 256] [-workers 0] [-max-queue 0]
+//	        [-trace-log path] [-trace-cap 256]
 //	        [-log-format text|json] [-log-level info] [-pprof addr]
 //
 // Endpoints: POST /v1/compile, /v1/transform, /v1/autotune, /v1/lint;
@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"grover/internal/service"
-	"grover/internal/vm"
 	"grover/opencl"
 )
 
@@ -43,7 +42,6 @@ func main() {
 	addr := flag.String("addr", ":8372", "listen address")
 	cacheCap := flag.Int("cache", 0, "artifact cache capacity in entries (0 = default 256)")
 	workers := flag.Int("workers", 0, "max concurrent compile/tune jobs (0 = GOMAXPROCS)")
-	backend := flag.String("backend", "", "default execution backend (interp, wgvec; default: $GROVER_BACKEND, else wgvec)")
 	maxQueue := flag.Int("max-queue", 0, "max jobs waiting for a worker slot before shedding with 503 (0 = unbounded)")
 	traceLog := flag.String("trace-log", "", "append every finished request trace to this JSONL file (empty = disabled)")
 	traceCap := flag.Int("trace-cap", 0, "in-memory trace ring capacity served by /v1/traces (0 = default 256)")
@@ -57,17 +55,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "groverd:", err)
 		os.Exit(2)
 	}
-	// Resolve the default once, here: a bad -backend or GROVER_BACKEND
-	// stops the daemon instead of failing every request.
-	resolved, err := vm.ResolveBackend(*backend)
-	if err != nil {
-		logger.Error(err.Error())
-		os.Exit(2)
-	}
 	srv := service.New(service.Config{
 		CacheCapacity: *cacheCap,
 		Workers:       *workers,
-		Backend:       resolved,
 		Logger:        logger,
 		MaxQueue:      *maxQueue,
 		TraceCapacity: *traceCap,

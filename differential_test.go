@@ -10,7 +10,6 @@ import (
 	"grover"
 	"grover/internal/apps"
 	"grover/internal/device"
-	"grover/internal/enginetest"
 	"grover/internal/rewrite"
 	"grover/opencl"
 )
@@ -134,12 +133,9 @@ func sharedQueue(t *testing.T, ctx *opencl.Context, devs []*opencl.Device, nd op
 // planStats runs app's default plan space one launch after the other on
 // the same buffers as an autotune does, and returns each executed plan's
 // device counters.
-func planStats(t *testing.T, ctx *opencl.Context, app *apps.App, engine string,
+func planStats(t *testing.T, ctx *opencl.Context, app *apps.App,
 	queue func(*opencl.Context, *apps.Instance) deviceLaunch) map[string][]device.Result {
 	t.Helper()
-	if err := ctx.SetBackend(engine); err != nil {
-		t.Fatal(err)
-	}
 	prog, err := ctx.CompileProgram(app.ID+".cl", app.Source, app.Defines)
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +165,7 @@ func planStats(t *testing.T, ctx *opencl.Context, app *apps.App, engine string,
 		}
 		res, err := launch(k)
 		if err != nil {
-			t.Fatalf("%s on %s: %v", plan, engine, err)
+			t.Fatalf("%s: %v", plan, err)
 		}
 		out[plan.String()] = res
 	}
@@ -181,10 +177,9 @@ func planStats(t *testing.T, ctx *opencl.Context, app *apps.App, engine string,
 // app, plan and device, exactly the counters of that device's own sequence
 // of launches on a fresh context — cycles, instructions, accesses,
 // transactions, every cache level, DRAM traffic and time. The own
-// sequences and the shared pass run on wgvec; that the interpreter on a set
-// of six reports what wgvec does is internal/enginetest's equivalence
-// suite, and the interpreter's sets of one and of six are
-// TestSetDifferentialFewGroups'.
+// sequences and the shared pass run on the engine, the interpreter under
+// -tags oracle; that the interpreter on a set of six reports what wgvec
+// does is internal/enginetest's equivalence suite.
 func TestSetDifferential(t *testing.T) {
 	devs := opencl.NewPlatform().Devices()
 	ran := map[string]string{}
@@ -204,7 +199,7 @@ func TestSetDifferential(t *testing.T) {
 			t.Parallel()
 			own := make([]map[string][]device.Result, len(devs))
 			for i, dev := range devs {
-				own[i] = planStats(t, opencl.NewContext(dev), app, "wgvec",
+				own[i] = planStats(t, opencl.NewContext(dev), app,
 					func(ctx *opencl.Context, inst *apps.Instance) deviceLaunch {
 						return ownQueue(t, ctx, inst.ND, inst.Args)
 					})
@@ -212,7 +207,7 @@ func TestSetDifferential(t *testing.T) {
 			if len(own[0]) < 2 {
 				t.Fatalf("only %d plans executed", len(own[0]))
 			}
-			shared := planStats(t, opencl.NewContext(devs[0]), app, "wgvec",
+			shared := planStats(t, opencl.NewContext(devs[0]), app,
 				func(ctx *opencl.Context, inst *apps.Instance) deviceLaunch {
 					return sharedQueue(t, ctx, devs, inst.ND, inst.Args)
 				})
@@ -232,42 +227,38 @@ func TestSetDifferential(t *testing.T) {
 
 // TestSetDifferentialFewGroups launches fewer work-groups than some devices
 // have cores (MIC has 60, Tahiti 32, Fermi 16), so most simulated workers
-// never get a group.
+// never get a group. It runs on the engine, the interpreter under -tags
+// oracle.
 func TestSetDifferentialFewGroups(t *testing.T) {
 	devs := opencl.NewPlatform().Devices()
 	for _, n := range []int{16, 32, 64} { // 1, 4 and 16 groups of 16×16
 		nd := opencl.NDRange{Global: [3]int{n, n, 1}, Local: [3]int{16, 16, 1}}
-		for _, engine := range enginetest.Engines() {
-			run := func(dev *opencl.Device, queue func(*opencl.Context, []interface{}) deviceLaunch) []device.Result {
-				ctx := opencl.NewContext(dev)
-				if err := ctx.SetBackend(engine); err != nil {
-					t.Fatal(err)
-				}
-				prog, err := ctx.CompileProgram("transpose.cl", transposeSrc, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				k, err := prog.Kernel("transpose")
-				if err != nil {
-					t.Fatal(err)
-				}
-				out, in := ctx.NewBuffer(n*n*4), ctx.NewBuffer(n*n*4)
-				res, err := queue(ctx, []interface{}{out, in, int32(n), int32(n)})(k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
+		run := func(dev *opencl.Device, queue func(*opencl.Context, []interface{}) deviceLaunch) []device.Result {
+			ctx := opencl.NewContext(dev)
+			prog, err := ctx.CompileProgram("transpose.cl", transposeSrc, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			shared := run(devs[0], func(ctx *opencl.Context, args []interface{}) deviceLaunch {
-				return sharedQueue(t, ctx, devs, nd, args)
+			k, err := prog.Kernel("transpose")
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, in := ctx.NewBuffer(n*n*4), ctx.NewBuffer(n*n*4)
+			res, err := queue(ctx, []interface{}{out, in, int32(n), int32(n)})(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		shared := run(devs[0], func(ctx *opencl.Context, args []interface{}) deviceLaunch {
+			return sharedQueue(t, ctx, devs, nd, args)
+		})
+		for i, dev := range devs {
+			own := run(dev, func(ctx *opencl.Context, args []interface{}) deviceLaunch {
+				return ownQueue(t, ctx, nd, args)
 			})
-			for i, dev := range devs {
-				own := run(dev, func(ctx *opencl.Context, args []interface{}) deviceLaunch {
-					return ownQueue(t, ctx, nd, args)
-				})
-				if !reflect.DeepEqual(own[0], shared[i]) {
-					t.Errorf("%s, %d×%d on %s:\n own    %+v\n shared %+v", dev.Name(), n, n, engine, own[0], shared[i])
-				}
+			if !reflect.DeepEqual(own[0], shared[i]) {
+				t.Errorf("%s, %d×%d:\n own    %+v\n shared %+v", dev.Name(), n, n, own[0], shared[i])
 			}
 		}
 	}
@@ -317,7 +308,7 @@ func TestTuneSetOwnSequences(t *testing.T) {
 		}
 		sets[set[i].Set] = true
 
-		own := planStats(t, opencl.NewContext(dev), app, "wgvec",
+		own := planStats(t, opencl.NewContext(dev), app,
 			func(ctx *opencl.Context, inst *apps.Instance) deviceLaunch {
 				return ownQueue(t, ctx, inst.ND, inst.Args)
 			})

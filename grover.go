@@ -97,8 +97,7 @@ func DefaultPlanSpace(local [3]int) []string {
 // of devices is tuned in one context from one execution per plan, so
 // Program and Args are called once for the whole set.
 type LaunchSpec struct {
-	// Program instantiates the program to tune in the given fresh context,
-	// on which it may also select the backend (Context.SetBackend).
+	// Program instantiates the program to tune in the given fresh context.
 	// Compilation is device-independent, so a module compiled once
 	// (opencl.CompileModule) is instantiated with Context.NewProgramFromIR.
 	// Required.

@@ -20,6 +20,7 @@ import (
 	igrover "grover/internal/grover"
 	"grover/internal/rewrite"
 	"grover/internal/search"
+	"grover/internal/vm"
 	"grover/opencl"
 )
 
@@ -31,10 +32,9 @@ type Config struct {
 	// leaves against the host reference. It costs no launch: the timed
 	// launches are the ones checked.
 	Validate bool
-	// Backend selects the execution backend ("interp", "wgvec").
-	// Empty uses the VM default (GROVER_BACKEND, else wgvec).
-	// Simulated timings are backend-invariant; this picks how fast the
-	// experiment itself runs.
+	// Backend selects nothing: every launch runs on vm.Engine(), and a
+	// name other than that one is an error. It stays because bench/
+	// (frozen outside benchmark PRs) still sets it, in workloads.go.
 	Backend string
 	// Log receives progress lines (may be nil).
 	Log io.Writer
@@ -122,12 +122,10 @@ func RunSet(app *apps.App, deviceNames []string, cfg Config) ([]*Measurement, er
 		}
 		devs[i] = dev
 	}
-	ctx := opencl.NewContext(devs[0])
-	if cfg.Backend != "" {
-		if err := ctx.SetBackend(cfg.Backend); err != nil {
-			return nil, err
-		}
+	if cfg.Backend != "" && cfg.Backend != vm.Engine() {
+		return nil, fmt.Errorf("harness: backend %q: launches run on %s", cfg.Backend, vm.Engine())
 	}
+	ctx := opencl.NewContext(devs[0])
 	prog, err := ctx.CompileProgram(app.ID+".cl", app.Source, app.Defines)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", app.ID, err)

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -34,27 +35,29 @@ func TestRunCaseTranspose(t *testing.T) {
 	}
 }
 
-// TestRunCaseDefaultEngine: a case with no Backend goes through the VM
-// default — wgvec in this binary, whatever GROVER_BACKEND names otherwise,
-// so a name nobody registered fails the case and blames the variable.
+// TestRunCaseDefaultEngine: Config.Backend selects nothing. A case runs
+// on the engine whether or not it names it, and naming any other engine —
+// the interpreter, or one of those removed in PRs 15 and 16 — fails the
+// case, naming the engine that runs.
 func TestRunCaseDefaultEngine(t *testing.T) {
-	t.Setenv(vm.EnvBackend, "")
-	if got, err := vm.ResolveBackend(""); err != nil || got != vm.BackendWgvec {
-		t.Fatalf("default engine = %q, %v; want %q", got, err, vm.BackendWgvec)
-	}
 	app, err := apps.ByID("NVD-MT")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, removed := range []string{"bcode", "jit"} {
-		t.Setenv(vm.EnvBackend, removed)
-		_, err = RunCase(app, "SNB", Config{})
-		if err == nil || !strings.Contains(err.Error(), vm.EnvBackend) || !strings.Contains(err.Error(), "[interp wgvec]") {
-			t.Errorf("RunCase under %s=%s: %v; want the unknown-backend error", vm.EnvBackend, removed, err)
+	for _, name := range []string{"", vm.Engine()} {
+		if _, err := RunCase(app, "SNB", Config{Backend: name}); err != nil {
+			t.Errorf("RunCase with Backend %q: %v", name, err)
 		}
 	}
-	if _, err := RunCase(app, "SNB", Config{Backend: vm.BackendInterp}); err != nil {
-		t.Errorf("a named oracle must not consult the environment: %v", err)
+	other := vm.BackendInterp
+	if vm.Engine() == other {
+		other = vm.BackendWgvec
+	}
+	for _, name := range []string{other, "bcode", "jit"} {
+		_, err := RunCase(app, "SNB", Config{Backend: name})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q: launches run on %s", name, vm.Engine())) {
+			t.Errorf("RunCase with Backend %q: %v; want an error naming the engine", name, err)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"grover/internal/apps"
-	"grover/internal/vm"
 	"grover/opencl"
 )
 
@@ -97,9 +96,10 @@ __kernel void viacall(__global float* a, __global float* b) {
 }
 
 // TestStrayStoreFailsTheSearch: out[gid+64] past a 64-float buffer lands in
-// the next 256-byte-aligned buffer, which the write set does not hold. On
-// both engines the search fails, naming the plan, instead of letting the
-// next plan start from memory the snapshot cannot restore.
+// the next 256-byte-aligned buffer, which the write set does not hold. The
+// search fails, naming the plan, instead of letting the next plan start
+// from memory the snapshot cannot restore. It runs on the engine, the
+// interpreter under -tags oracle.
 func TestStrayStoreFailsTheSearch(t *testing.T) {
 	const src = `__kernel void stray(__global float* out, __global float* in) {
     int i = get_global_id(0);
@@ -109,25 +109,20 @@ func TestStrayStoreFailsTheSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []string{vm.BackendInterp, vm.BackendWgvec} {
-		ctx := opencl.NewContext(dev)
-		if err := ctx.SetBackend(backend); err != nil {
-			t.Fatal(err)
-		}
-		prog, err := ctx.CompileProgram("stray.cl", src, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, in := ctx.NewBuffer(64*4), ctx.NewBuffer(64*4)
-		in.WriteFloat32(opencl.Pattern(64, 1))
-		_, _, err = Run(context.Background(), []*opencl.Device{dev}, &Spec{
-			Prog: prog, Kernel: "stray", Args: []interface{}{out, in},
-			ND:    opencl.NDRange{Global: [3]int{64, 1, 1}, Local: [3]int{16, 1, 1}},
-			Plans: []string{"base", "hoist-addr"},
-		})
-		var pe *PlanError
-		if !errors.As(err, &pe) || pe.Plan != "base" || !strings.Contains(err.Error(), "timing base") {
-			t.Errorf("%s: search error %v, want one naming plan base", backend, err)
-		}
+	ctx := opencl.NewContext(dev)
+	prog, err := ctx.CompileProgram("stray.cl", src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, in := ctx.NewBuffer(64*4), ctx.NewBuffer(64*4)
+	in.WriteFloat32(opencl.Pattern(64, 1))
+	_, _, err = Run(context.Background(), []*opencl.Device{dev}, &Spec{
+		Prog: prog, Kernel: "stray", Args: []interface{}{out, in},
+		ND:    opencl.NDRange{Global: [3]int{64, 1, 1}, Local: [3]int{16, 1, 1}},
+		Plans: []string{"base", "hoist-addr"},
+	})
+	var pe *PlanError
+	if !errors.As(err, &pe) || pe.Plan != "base" || !strings.Contains(err.Error(), "timing base") {
+		t.Errorf("search error %v, want one naming plan base", err)
 	}
 }

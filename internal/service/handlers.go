@@ -21,11 +21,10 @@ import (
 
 // compiledArtifact is the cached result of a compile: the pristine
 // device-independent module plus a prepared VM program shared across
-// requests via Context.NewProgramFromPrepared. Backend bytecode compiled
-// for the prepared program (eagerly for the server's default backend,
-// lazily for request overrides) is cached inside it, so the kcache entry
-// holds the bytecode alongside the module and each program is compiled
-// once no matter how many requests execute it.
+// requests via Context.NewProgramFromPrepared. The engine's bytecode,
+// compiled eagerly for the prepared program, is cached inside it, so the
+// kcache entry holds the bytecode alongside the module and each program is
+// compiled once no matter how many requests execute it.
 type compiledArtifact struct {
 	mod     *ir.Module
 	prog    *vm.Program
@@ -63,8 +62,8 @@ func (s *Server) compile(ctx context.Context, p program) (*compiledArtifact, kca
 		if err != nil {
 			return nil, err
 		}
-		// Compile the default backend's bytecode now so it is cached
-		// with the artifact rather than rebuilt per request.
+		// Compile the engine's bytecode now so it is cached with the
+		// artifact rather than rebuilt per request.
 		if _, err := prog.ExecutorCtx(ctx, s.backend); err != nil {
 			return nil, err
 		}
@@ -143,9 +142,6 @@ func (s *Server) tuneSet(rctx context.Context, job *autotuneJob, devs []*opencl.
 	}
 	results := grover.Tune(rctx, devs, job.Kernel, grover.LaunchSpec{
 		Program: func(ctx *opencl.Context) (*opencl.Program, error) {
-			if err := ctx.SetBackend(job.Backend); err != nil {
-				return nil, err
-			}
 			return ctx.NewProgramFromPrepared(job.Name, comp.prog), nil
 		},
 		Options: opts,
@@ -175,7 +171,7 @@ func (s *Server) tuneSet(rctx context.Context, job *autotuneJob, devs []*opencl.
 			vals[i] = art
 		}
 	}
-	s.tune.recordBackend(job.Backend, int64(len(devs)), launches)
+	s.tune.recordBackend(s.backend, int64(len(devs)), launches)
 	return vals, errs
 }
 
@@ -369,7 +365,7 @@ func (s *Server) handleAutotune(ctx context.Context, _ *AutotuneRequest, t tunin
 	if len(t.devs) == 1 && errs[0] != nil {
 		return nil, outs, errs[0]
 	}
-	resp := &AutotuneResponse{Kernel: t.job.Kernel, Backend: t.job.Backend, Results: make([]TuneVerdict, len(t.devs))}
+	resp := &AutotuneResponse{Kernel: t.job.Kernel, Backend: s.backend, Results: make([]TuneVerdict, len(t.devs))}
 	for i, d := range t.devs {
 		if errs[i] != nil {
 			resp.Results[i] = TuneVerdict{Device: d.Name(), Error: errs[i].Error()}

@@ -52,7 +52,6 @@ type transformJob struct {
 type autotuneJob struct {
 	program
 	Kernel        string
-	Backend       string
 	Plans         []string
 	Options       *grover.Options
 	Global, Local [3]int // vm.Config.Normalized
@@ -153,14 +152,7 @@ func (s *Server) normalizeAutotune(req *AutotuneRequest) (tuning, error) {
 		return tuning{}, badRequest("source and kernel are required")
 	}
 	job := &autotuneJob{program: newProgram(req.Name, req.Source, req.Defines),
-		Kernel: req.Kernel, Backend: req.Backend, Profile: req.Profile}
-	if job.Backend == "" {
-		job.Backend = s.backend
-	}
-	if !vm.ValidBackend(job.Backend) {
-		return tuning{}, badRequest("unknown backend %q (available: %s)",
-			job.Backend, strings.Join(vm.Backends(), ", "))
-	}
+		Kernel: req.Kernel, Profile: req.Profile}
 	nd, err := CheckLaunch(req.Global, req.Local, req.Args)
 	if err != nil {
 		return tuning{}, err

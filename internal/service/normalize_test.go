@@ -79,9 +79,6 @@ func TestNormalizedRequestsHit(t *testing.T) {
 		{"device defaults to all", "autotune",
 			body(t, tune, func(m map[string]any) { delete(m, "device") }),
 			body(t, tune, func(m map[string]any) { m["device"] = "all" })},
-		{"backend defaults to the server's", "autotune",
-			tune,
-			body(t, tune, func(m map[string]any) { m["backend"] = New(Config{}).Backend() })},
 		{"plan spellings", "autotune",
 			body(t, search, func(m map[string]any) { m["plan"] = "hoist-addr|grover(strict=true)" }),
 			body(t, search, func(m map[string]any) { m["plan"] = " hoist-addr | grover( strict ) " })},

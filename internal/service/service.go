@@ -61,9 +61,9 @@ type Config struct {
 	CacheCapacity int
 	// Workers bounds concurrent compile/tune jobs; <= 0 uses GOMAXPROCS.
 	Workers int
-	// Backend is the default execution backend for autotune launches
-	// (requests may override per call). Empty or unknown names fall back
-	// to the VM default (GROVER_BACKEND, else wgvec).
+	// Backend selects nothing: every launch runs on vm.Engine(), and New
+	// logs a name other than that one. It stays because bench/ (frozen
+	// outside benchmark PRs) still sets it, in workloads.go.
 	Backend string
 	// Logger receives one structured line per request; nil discards them
 	// (tests, embedded use). The daemon wires a real handler here.
@@ -103,16 +103,9 @@ func New(cfg Config) *Server {
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	backend := cfg.Backend
-	if !vm.ValidBackend(backend) {
-		// The default is resolved once, here, so the server never holds a
-		// name a request would fail on. groverd refuses to start on a bad
-		// GROVER_BACKEND; an embedding caller gets the engine and this line.
-		var err error
-		if backend, err = vm.ResolveBackend(""); err != nil {
-			logger.Warn("ignoring "+vm.EnvBackend, "err", err)
-			backend = vm.BackendWgvec
-		}
+	backend := vm.Engine()
+	if cfg.Backend != "" && cfg.Backend != backend {
+		logger.Warn("ignoring Config.Backend: launches run on "+backend, "backend", cfg.Backend)
 	}
 	traceCap := cfg.TraceCapacity
 	if traceCap <= 0 {
@@ -336,7 +329,7 @@ func (s *Server) Pool() *Pool { return s.pool }
 // (-trace-log) and tests can inspect exported traces directly.
 func (s *Server) Traces() *telemetry.TraceBuffer { return s.traces }
 
-// Backend reports the server's default execution backend.
+// Backend reports the engine the server's launches run on.
 func (s *Server) Backend() string { return s.backend }
 
 // Metrics exposes the server's telemetry registry (for embedding and
@@ -570,10 +563,6 @@ type AutotuneRequest struct {
 	Local  [3]int `json:"local"`
 	// Args are the kernel arguments in declaration order.
 	Args []ArgSpec `json:"args"`
-	// Backend overrides the server's default execution backend for this
-	// request ("interp", "wgvec"). Simulated timings are backend-invariant;
-	// this picks how fast the tuning itself runs.
-	Backend string `json:"backend,omitempty"`
 	// Plan switches tuning from the classic two-version comparison to a
 	// rewrite-plan search: "search" enumerates the default plan space for
 	// the launch geometry, anything else is a "|"-separated list of plans
@@ -627,7 +616,7 @@ type PlanResult struct {
 // AutotuneResponse aggregates the requested devices' verdicts.
 type AutotuneResponse struct {
 	Kernel string `json:"kernel"`
-	// Backend is the execution backend the launches ran on.
+	// Backend is the engine the launches ran on.
 	Backend   string               `json:"backend"`
 	Results   []TuneVerdict        `json:"results"`
 	LatencyMS float64              `json:"latency_ms"`
@@ -688,8 +677,8 @@ type HealthResponse struct {
 type StatsResponse struct {
 	Cache kcache.Stats `json:"cache"`
 	Pool  PoolStats    `json:"pool"`
-	// Backend is the server's default execution backend. Backends counts
-	// the autotune device verdicts computed per backend actually used
+	// Backend is the engine the server's launches run on. Backends counts
+	// the autotune device verdicts computed per engine
 	// (cache hits run nothing and are not counted), Executions the kernel
 	// executions on the host behind them: one serves a whole device set.
 	Backend    string                   `json:"backend"`

@@ -13,7 +13,6 @@ import (
 
 	"grover/internal/apps"
 	"grover/internal/clc"
-	"grover/internal/vm"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -326,25 +325,28 @@ func TestAutotuneRunsIs400(t *testing.T) {
 	checkFieldsAre400(t, map[string]interface{}{"runs": 2})
 }
 
-// checkFieldsAre400 posts a valid autotune body with one extra field at a
-// time and requires a 400 that names it.
+// checkFieldsAre400 posts a valid autotune body, on one device and on
+// "all", with one extra field at a time and requires a 400 that names it.
 func checkFieldsAre400(t *testing.T, fields map[string]interface{}) {
 	t.Helper()
 	ts := newTestServer(t)
 	_, req := nvdMT()
-	raw, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for field, value := range fields {
-		var body map[string]interface{}
-		if err := json.Unmarshal(raw, &body); err != nil {
+	for _, device := range []string{req.Device, "all"} {
+		req.Device = device
+		raw, err := json.Marshal(req)
+		if err != nil {
 			t.Fatal(err)
 		}
-		body[field] = value
-		code, msg := postJSON(t, ts.URL+"/v1/autotune", body, nil)
-		if code != http.StatusBadRequest || !strings.Contains(msg, "unknown field") || !strings.Contains(msg, field) {
-			t.Errorf("%s: got %d %s, want a 400 naming the field", field, code, msg)
+		for field, value := range fields {
+			var body map[string]interface{}
+			if err := json.Unmarshal(raw, &body); err != nil {
+				t.Fatal(err)
+			}
+			body[field] = value
+			code, msg := postJSON(t, ts.URL+"/v1/autotune", body, nil)
+			if code != http.StatusBadRequest || !strings.Contains(msg, "unknown field") || !strings.Contains(msg, field) {
+				t.Errorf("%s on %s: got %d %s, want a 400 naming the field", field, device, code, msg)
+			}
 		}
 	}
 }
@@ -366,7 +368,6 @@ var refused = map[string]string{
 // that changing a name the normalizer resolves makes a request it accepts.
 var respell = map[string]string{
 	"Device=SNB":       "Fermi",
-	"Backend=":         vm.BackendInterp,
 	"Plan=":            "grover",
 	"Plan=base|grover": "grover",
 	"Kind=buffer":      "local",
@@ -398,9 +399,7 @@ func TestAutotuneKeyCoversEveryField(t *testing.T) {
 }
 
 func checkKeyCoversFields(t *testing.T, plan string, exempt, refused map[string]string) {
-	// The server default is named, so that "" and "interp" differ whatever
-	// GROVER_BACKEND says.
-	srv := New(Config{Backend: vm.BackendWgvec})
+	srv := New(Config{})
 	_, base := nvdMT()
 	base.Plan = plan
 	base.Global[2] = 2 // so that doubling Local[2] still divides it

@@ -96,8 +96,8 @@ func TestTracesEndpoint(t *testing.T) {
 	}
 	// The engine compile is recorded by the engine that ran: wgvec
 	// compiles, the interpreter runs the IR as prepared.
-	if engine := vm.DefaultBackend() == vm.BackendWgvec; seen["wgvec.compile"] != engine {
-		t.Errorf("span wgvec.compile present=%v on backend %s, want %v", seen["wgvec.compile"], vm.DefaultBackend(), engine)
+	if engine := vm.Engine() == vm.BackendWgvec; seen["wgvec.compile"] != engine {
+		t.Errorf("span wgvec.compile present=%v on backend %s, want %v", seen["wgvec.compile"], vm.Engine(), engine)
 	}
 	// Compiling the engine is one layer, named as the ledger names it.
 	if seen["bcode.compile"] {

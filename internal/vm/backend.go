@@ -3,9 +3,6 @@ package vm
 import (
 	"context"
 	"fmt"
-	"os"
-	"sort"
-	"sync"
 
 	"grover/internal/clc"
 	"grover/internal/ir"
@@ -16,13 +13,9 @@ import (
 const BackendInterp = "interp"
 
 // BackendWgvec names the work-group-vectorized engine (internal/wgvec),
-// the default wherever it is linked in. The vm cannot import it — the
+// the engine wherever it is linked in. The vm cannot import it — the
 // engine is built on the vm — so the name lives here.
 const BackendWgvec = "wgvec"
-
-// EnvBackend is the environment variable that selects the default
-// execution backend for launches whose Config.Backend is empty.
-const EnvBackend = "GROVER_BACKEND"
 
 // Executor is an execution engine for a prepared Program. Program.Launch
 // owns everything about a launch but running its work-groups: it resolves
@@ -53,123 +46,73 @@ type Group interface {
 	Release()
 }
 
-var backendsMu sync.RWMutex
-var backendBuilders = map[string]func(context.Context, *Program) (Executor, error){}
+// buildEngine compiles wgvec's executor for a program; nil in a binary
+// that links no engine. oracle, set by the oracle build tag (oracle.go),
+// makes the interpreter run every launch that names no backend.
+var (
+	buildEngine func(context.Context, *Program) (Executor, error)
+	oracle      bool
+)
 
-// RegisterBackend makes a backend available under the given name.
-// Backends register themselves from an init function; importing the
-// backend package is enough to enable it. The builder receives the
-// caller's context so backend compilation shows up as a span when the
-// request is traced.
-func RegisterBackend(name string, build func(context.Context, *Program) (Executor, error)) {
-	if name == BackendInterp {
-		panic("vm: cannot replace the interpreter backend")
-	}
-	backendsMu.Lock()
-	defer backendsMu.Unlock()
-	if _, dup := backendBuilders[name]; dup {
-		panic(fmt.Sprintf("vm: duplicate backend %q", name))
-	}
-	backendBuilders[name] = build
+// InstallEngine makes build the engine, BackendWgvec: what every launch
+// whose Config.Backend is empty runs on. internal/wgvec calls it from init,
+// so importing that package is enough. The builder receives the caller's
+// context so compilation shows up as a span when the request is traced.
+func InstallEngine(build func(context.Context, *Program) (Executor, error)) {
+	buildEngine = build
 }
 
-// Backends returns the names of all available backends, sorted, always
-// including the built-in interpreter.
+// Engine names the engine that runs launches whose Config.Backend is
+// empty: wgvec where it is linked in, else — and in a binary built with
+// the oracle tag — the interpreter.
+func Engine() string {
+	if buildEngine == nil || oracle {
+		return BackendInterp
+	}
+	return BackendWgvec
+}
+
+// Backends returns the names a launch can give in Config.Backend, sorted:
+// the interpreter and, where it is linked in, wgvec.
 func Backends() []string {
-	backendsMu.RLock()
-	names := make([]string, 0, len(backendBuilders)+1)
-	for n := range backendBuilders {
-		names = append(names, n)
+	if buildEngine == nil {
+		return []string{BackendInterp}
 	}
-	backendsMu.RUnlock()
-	names = append(names, BackendInterp)
-	sort.Strings(names)
-	return names
+	return []string{BackendInterp, BackendWgvec}
 }
 
-// ValidBackend reports whether name refers to a registered backend.
+// ValidBackend reports whether a launch can name the engine.
 func ValidBackend(name string) bool {
-	if name == BackendInterp {
-		return true
-	}
-	backendsMu.RLock()
-	defer backendsMu.RUnlock()
-	_, ok := backendBuilders[name]
-	return ok
+	return name == BackendInterp || name == BackendWgvec && buildEngine != nil
 }
 
-// DefaultBackend returns the backend used when Config.Backend is empty:
-// the GROVER_BACKEND environment variable when set, else wgvec, else —
-// in a binary that links no compiled engine — the interpreter. The
-// environment value is returned as given; ResolveBackend validates it.
-func DefaultBackend() string {
-	if v := os.Getenv(EnvBackend); v != "" {
-		return v
-	}
-	if ValidBackend(BackendWgvec) {
-		return BackendWgvec
-	}
-	return BackendInterp
-}
-
-// ResolveBackend validates a requested backend name eagerly, before any
-// launch work happens: the empty string resolves through DefaultBackend
-// (so a bad GROVER_BACKEND value is caught here too), and an unknown
-// name errors immediately, listing every registered backend.
-func ResolveBackend(name string) (string, error) {
-	src := "backend"
-	if name == "" {
-		name = DefaultBackend()
-		src = EnvBackend
-	}
-	if !ValidBackend(name) {
-		return "", fmt.Errorf("vm: unknown %s %q (available: %v)", src, name, Backends())
-	}
-	return name, nil
-}
-
-// Executor returns the named backend's executor for this program,
-// compiling it on first use and caching it alongside the program. The
+// ExecutorCtx returns the named engine's executor for this program. The
 // interpreter compiles nothing: vm builds its executor on every call.
-func (p *Program) Executor(name string) (Executor, error) {
-	return p.ExecutorCtx(context.Background(), name)
-}
-
-// ExecutorCtx is Executor with the caller's context threaded into the
-// backend builder, so a first-use backend compile records its span into
-// the request trace. Cache hits never touch the context.
-//
-// At most one build per backend name is in flight: concurrent first uses
-// of one name share that build, and builds of different names do not wait
-// on each other, so a builder may itself ask this program for another
-// backend's executor. A failed build is not cached; the next call tries
-// again.
+// wgvec is compiled on first use, with the caller's context threaded into
+// the build so its span records into the request trace, and cached
+// alongside the program; cache hits never touch the context. Concurrent
+// first uses share one build. A failed build is not cached; the next call
+// tries again.
 func (p *Program) ExecutorCtx(ctx context.Context, name string) (Executor, error) {
 	if name == BackendInterp {
 		return interpreter{p}, nil
 	}
-	backendsMu.RLock()
-	build, ok := backendBuilders[name]
-	backendsMu.RUnlock()
-	if !ok {
+	if !ValidBackend(name) {
 		return nil, fmt.Errorf("vm: unknown backend %q (available: %v)", name, Backends())
 	}
 	p.execMu.Lock()
-	b := p.execs[name]
+	b := p.exec
 	if b == nil {
-		if p.execs == nil {
-			p.execs = map[string]*execBuild{}
-		}
 		b = new(execBuild)
-		p.execs[name] = b
+		p.exec = b
 	}
 	p.execMu.Unlock()
 	b.once.Do(func() {
-		b.exec, b.err = build(ctx, p)
+		b.exec, b.err = buildEngine(ctx, p)
 		if b.err != nil {
 			b.err = fmt.Errorf("vm: backend %q: %w", name, b.err)
 			p.execMu.Lock()
-			delete(p.execs, name)
+			p.exec = nil
 			p.execMu.Unlock()
 		}
 	})

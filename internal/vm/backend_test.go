@@ -3,6 +3,7 @@ package vm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,36 +11,10 @@ import (
 	"time"
 )
 
-func mustPanic(t *testing.T, want string, f func()) {
-	t.Helper()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatalf("expected panic containing %q, got none", want)
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, want) {
-			t.Fatalf("panic = %v, want substring %q", r, want)
-		}
-	}()
-	f()
-}
-
-func TestRegisterBackendDuplicatePanics(t *testing.T) {
-	build := func(context.Context, *Program) (Executor, error) { return nil, nil }
-	registerForTest(t, "backend-test-dup", build)
-	mustPanic(t, `duplicate backend "backend-test-dup"`, func() {
-		RegisterBackend("backend-test-dup", build)
-	})
-}
-
-func TestRegisterBackendInterpPanics(t *testing.T) {
-	mustPanic(t, "cannot replace the interpreter backend", func() {
-		RegisterBackend(BackendInterp, nil)
-	})
-}
-
+// TestResolveBackendUnknown: a name that is no engine fails listing the
+// engines a launch can name.
 func TestResolveBackendUnknown(t *testing.T) {
-	_, err := ResolveBackend("no-such-backend")
+	_, err := (&Program{}).ExecutorCtx(context.Background(), "no-such-backend")
 	if err == nil {
 		t.Fatal("expected error for unknown backend")
 	}
@@ -47,45 +22,34 @@ func TestResolveBackendUnknown(t *testing.T) {
 	if !strings.Contains(msg, `"no-such-backend"`) {
 		t.Errorf("error %q does not name the offending backend", msg)
 	}
-	// The error must list every registered backend so the user can fix
-	// the name without consulting the source.
 	for _, b := range Backends() {
 		if !strings.Contains(msg, b) {
-			t.Errorf("error %q does not list registered backend %q", msg, b)
+			t.Errorf("error %q does not list backend %q", msg, b)
 		}
 	}
 }
 
-func TestResolveBackendEnvValidation(t *testing.T) {
-	t.Setenv(EnvBackend, "garbage-backend")
-	_, err := ResolveBackend("")
-	if err == nil {
-		t.Fatal("expected error for invalid GROVER_BACKEND")
-	}
-	if !strings.Contains(err.Error(), EnvBackend) || !strings.Contains(err.Error(), "garbage-backend") {
-		t.Errorf("error %q should blame %s=garbage-backend", err, EnvBackend)
-	}
-}
-
 // TestResolveBackendDefaults: this test binary links no compiled engine,
-// so an unset knob means the interpreter; once wgvec registers (here a
-// stand-in under its name, in opencl's tests the real one) it means wgvec.
+// so a launch that names none runs the interpreter and wgvec is no name a
+// launch can give; once an engine is installed (here a stand-in, in
+// opencl's tests the real one) it is wgvec.
 func TestResolveBackendDefaults(t *testing.T) {
-	t.Setenv(EnvBackend, "")
-	name, err := ResolveBackend("")
-	if err != nil || name != BackendInterp {
-		t.Fatalf("ResolveBackend(\"\") = %q, %v; want interp, nil", name, err)
+	if got := Engine(); got != BackendInterp {
+		t.Fatalf("Engine() = %q with nothing installed, want interp", got)
 	}
-	if name, err := ResolveBackend(BackendInterp); err != nil || name != BackendInterp {
-		t.Fatalf("ResolveBackend(interp) = %q, %v", name, err)
+	if got := fmt.Sprint(Backends()); got != "[interp]" || ValidBackend(BackendWgvec) {
+		t.Fatalf("Backends() = %s, ValidBackend(wgvec) = %v with nothing installed", got, ValidBackend(BackendWgvec))
 	}
-	registerForTest(t, BackendWgvec, func(context.Context, *Program) (Executor, error) { return nil, nil })
-	if name, err := ResolveBackend(""); err != nil || name != BackendWgvec {
-		t.Fatalf("ResolveBackend(\"\") with wgvec registered = %q, %v; want wgvec, nil", name, err)
+	installForTest(t, func(context.Context, *Program) (Executor, error) { return &stubExecutor{}, nil })
+	want := BackendWgvec
+	if oracle {
+		want = BackendInterp
 	}
-	t.Setenv(EnvBackend, BackendInterp)
-	if name, err := ResolveBackend(""); err != nil || name != BackendInterp {
-		t.Fatalf("ResolveBackend(\"\") under %s=interp = %q, %v", EnvBackend, name, err)
+	if got := Engine(); got != want {
+		t.Fatalf("Engine() = %q with an engine installed, want %q", got, want)
+	}
+	if got := fmt.Sprint(Backends()); got != "[interp wgvec]" || !ValidBackend(BackendWgvec) {
+		t.Fatalf("Backends() = %s with an engine installed", got)
 	}
 }
 
@@ -100,34 +64,27 @@ func TestLaunchUnknownBackendEager(t *testing.T) {
 	}
 }
 
-// registerForTest registers a backend for the length of one test.
-func registerForTest(t *testing.T, name string, build func(context.Context, *Program) (Executor, error)) {
+// installForTest installs build as the engine for the length of one test.
+func installForTest(t *testing.T, build func(context.Context, *Program) (Executor, error)) {
 	t.Helper()
-	RegisterBackend(name, build)
-	t.Cleanup(func() {
-		backendsMu.Lock()
-		delete(backendBuilders, name)
-		backendsMu.Unlock()
-	})
+	prev := buildEngine
+	InstallEngine(build)
+	t.Cleanup(func() { buildEngine = prev })
 }
 
 type stubExecutor struct{ inner Executor }
 
 func (stubExecutor) NewGroup(*Dispatch, bool) Group { return nil }
 
-// TestExecutorBuildPerName: a backend's builder may ask the same program
-// for another backend's executor without deadlocking, and concurrent
-// first uses of a name share one build.
+// TestExecutorBuildPerName: concurrent first uses of the engine share one
+// build, which may itself ask the program for the interpreter's executor,
+// and every caller gets the executor that build made.
 func TestExecutorBuildPerName(t *testing.T) {
-	var innerBuilds, outerBuilds atomic.Int64
-	registerForTest(t, "backend-test-inner", func(context.Context, *Program) (Executor, error) {
-		innerBuilds.Add(1)
+	var builds atomic.Int64
+	installForTest(t, func(_ context.Context, p *Program) (Executor, error) {
+		builds.Add(1)
 		time.Sleep(10 * time.Millisecond) // hold the build open so first uses overlap
-		return &stubExecutor{}, nil
-	})
-	registerForTest(t, "backend-test-outer", func(_ context.Context, p *Program) (Executor, error) {
-		outerBuilds.Add(1)
-		inner, err := p.Executor("backend-test-inner")
+		inner, err := p.ExecutorCtx(context.Background(), BackendInterp)
 		if err != nil {
 			return nil, err
 		}
@@ -136,7 +93,7 @@ func TestExecutorBuildPerName(t *testing.T) {
 
 	p := &Program{}
 	const callers = 8
-	got := make([]Executor, 2*callers)
+	got := make([]Executor, callers)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -145,13 +102,9 @@ func TestExecutorBuildPerName(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				name := "backend-test-outer"
-				if i%2 == 1 {
-					name = "backend-test-inner"
-				}
-				e, err := p.Executor(name)
+				e, err := p.ExecutorCtx(context.Background(), BackendWgvec)
 				if err != nil {
-					t.Errorf("Executor(%s): %v", name, err)
+					t.Errorf("ExecutorCtx(wgvec): %v", err)
 				}
 				got[i] = e
 			}(i)
@@ -161,18 +114,18 @@ func TestExecutorBuildPerName(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("deadlock: a builder asking for another backend's executor never returned")
+		t.Fatal("deadlock: a build asking for the interpreter's executor never returned")
 	}
-	if i, o := innerBuilds.Load(), outerBuilds.Load(); i != 1 || o != 1 {
-		t.Fatalf("builds: inner %d, outer %d; want one each", i, o)
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("builds: %d, want one", n)
 	}
-	for i := 2; i < len(got); i++ {
-		if got[i] != got[i%2] {
-			t.Fatalf("caller %d got a different executor than caller %d", i, i%2)
+	for i := 1; i < len(got); i++ {
+		if got[i] != got[0] {
+			t.Fatalf("caller %d got a different executor than caller 0", i)
 		}
 	}
-	if got[0].(*stubExecutor).inner != got[1] {
-		t.Error("the outer builder saw a different inner executor than direct callers")
+	if _, ok := got[0].(*stubExecutor).inner.(interpreter); !ok {
+		t.Error("the build did not get the interpreter's executor")
 	}
 }
 
@@ -181,17 +134,17 @@ func TestExecutorBuildPerName(t *testing.T) {
 func TestExecutorFailedBuildRetries(t *testing.T) {
 	var builds atomic.Int64
 	boom := errors.New("boom")
-	registerForTest(t, "backend-test-flaky", func(context.Context, *Program) (Executor, error) {
+	installForTest(t, func(context.Context, *Program) (Executor, error) {
 		if builds.Add(1) == 1 {
 			return nil, boom
 		}
 		return &stubExecutor{}, nil
 	})
 	p := &Program{}
-	if _, err := p.Executor("backend-test-flaky"); !errors.Is(err, boom) || !strings.Contains(err.Error(), "backend-test-flaky") {
+	if _, err := p.ExecutorCtx(context.Background(), BackendWgvec); !errors.Is(err, boom) || !strings.Contains(err.Error(), BackendWgvec) {
 		t.Fatalf("first build error = %v, want boom wrapped with the backend name", err)
 	}
-	if e, err := p.Executor("backend-test-flaky"); err != nil || e == nil {
+	if e, err := p.ExecutorCtx(context.Background(), BackendWgvec); err != nil || e == nil {
 		t.Fatalf("second build = %v, %v; want a fresh attempt to succeed", e, err)
 	}
 	if builds.Load() != 2 {

@@ -40,14 +40,14 @@ type Program struct {
 	// frame in the module (OpenCL forbids recursion).
 	stackBytes int
 
-	// execMu guards execs, the per-backend compiled executors cached so
-	// each program is compiled once and executed many times. The lock is
-	// not held while a backend builds (see ExecutorCtx).
+	// execMu guards exec, wgvec's executor cached so each program is
+	// compiled once and executed many times. The lock is not held while
+	// the engine builds (see ExecutorCtx).
 	execMu sync.Mutex
-	execs  map[string]*execBuild
+	exec   *execBuild
 }
 
-// execBuild is one backend's executor for a program, built at most once.
+// execBuild is the engine's executor for a program, built at most once.
 type execBuild struct {
 	once sync.Once
 	exec Executor
@@ -150,10 +150,9 @@ type Config struct {
 	GlobalSize [3]int
 	LocalSize  [3]int
 	Args       []Arg
-	// Backend selects the execution backend ("interp", "wgvec").
-	// Empty means DefaultBackend(): the GROVER_BACKEND environment
-	// variable when set, else wgvec where it is linked in, else the
-	// interpreter.
+	// Backend names the engine to run on ("interp", "wgvec"): the seam
+	// that lets tests check one engine against the other. Empty means
+	// Engine(), which every launch the product makes runs on.
 	Backend string
 }
 
@@ -248,19 +247,19 @@ type Dispatch struct {
 	Profiler   *Profiler
 }
 
-// Launch executes the named kernel over the NDRange on the backend
-// selected by cfg.Backend. It resolves the launch and deals its
+// Launch executes the named kernel over the NDRange on the engine
+// cfg.Backend names, Engine() when it names none. It resolves the launch and deals its
 // work-groups to host workers; the engine only runs them, one group at a
 // time. Traced launches distribute work-groups round-robin over workers,
 // each worker running its groups in ascending order, so traced streams are
 // deterministic regardless of backend; untraced launches balance groups
 // dynamically (see groupSchedule).
 func (p *Program) Launch(kernel string, cfg Config, gmem *GlobalMem, opts *LaunchOpts) error {
-	backend, err := ResolveBackend(cfg.Backend)
-	if err != nil {
-		return err
+	backend := cfg.Backend
+	if backend == "" {
+		backend = Engine()
 	}
-	ex, err := p.Executor(backend)
+	ex, err := p.ExecutorCtx(context.Background(), backend)
 	if err != nil {
 		return err
 	}

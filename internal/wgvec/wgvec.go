@@ -30,8 +30,9 @@
 // access in work-item-major order — so memsim observes the same stream as
 // from the interpreter.
 //
-// The backend registers itself with the VM under the name "wgvec";
-// importing the package (a blank import suffices) enables it.
+// The package installs itself as the VM's engine, "wgvec"; importing it
+// (a blank import suffices) makes every launch that names no backend run
+// here.
 package wgvec
 
 import (
@@ -44,12 +45,11 @@ import (
 	"grover/internal/vm"
 )
 
-// Name is the backend's registration name, the one vm.DefaultBackend
-// falls to when nothing selects an engine.
+// Name is the engine's name, the one vm.Engine reports.
 const Name = vm.BackendWgvec
 
 func init() {
-	vm.RegisterBackend(Name, func(ctx context.Context, p *vm.Program) (vm.Executor, error) {
+	vm.InstallEngine(func(ctx context.Context, p *vm.Program) (vm.Executor, error) {
 		return CompileCtx(ctx, p)
 	})
 }

@@ -99,9 +99,6 @@ func (d *Device) CostModel() *device.Profile { return d.prof }
 type Context struct {
 	dev  *Device
 	gmem *vm.GlobalMem
-	// backend selects the VM execution backend for launches from this
-	// context's queues; empty defers to vm.DefaultBackend().
-	backend string
 }
 
 // NewContext creates a context on the device.
@@ -111,20 +108,6 @@ func NewContext(d *Device) *Context {
 
 // Device returns the context's device.
 func (c *Context) Device() *Device { return c.dev }
-
-// SetBackend selects the VM execution backend ("interp", "wgvec")
-// for all launches from this context's queues. The empty string restores
-// the default (the GROVER_BACKEND environment variable, else wgvec).
-func (c *Context) SetBackend(name string) error {
-	if name != "" && !vm.ValidBackend(name) {
-		return fmt.Errorf("opencl: unknown backend %q (available: %v)", name, vm.Backends())
-	}
-	c.backend = name
-	return nil
-}
-
-// Backend returns the backend selected with SetBackend ("" = default).
-func (c *Context) Backend() string { return c.backend }
 
 // Mem exposes the context's global-memory arena. It is intended for
 // harnesses that need to snapshot and restore device memory around
@@ -434,8 +417,7 @@ func (c *Context) launch(set *device.Set, profiler *vm.Profiler, k *Kernel, nd N
 	if err != nil {
 		return err
 	}
-	cfg := vm.Config{GlobalSize: nd.Global, LocalSize: nd.Local, Args: vargs,
-		Backend: c.backend}
+	cfg := vm.Config{GlobalSize: nd.Global, LocalSize: nd.Local, Args: vargs}
 	opts := &vm.LaunchOpts{}
 	if set != nil {
 		set.Reset()

@@ -174,7 +174,7 @@ __kernel void bad(__global float* out) {
 // a single-device profiling queue returns its error promptly — no host
 // worker is left waiting for a simulated core's turn behind the group that
 // never ends — and the next launch on the same queue reports what a fresh
-// queue reports.
+// queue reports. It runs on the engine, the interpreter under -tags oracle.
 func TestProfilingQueueSurvivesFailedLaunch(t *testing.T) {
 	// Every device has an even number of cores, so with two host workers a
 	// simulated core only ever takes groups from one of them; with three,
@@ -182,59 +182,54 @@ func TestProfilingQueueSurvivesFailedLaunch(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	plat := NewPlatform()
 	for _, devName := range []string{"SNB", "Fermi"} {
-		for _, backend := range vm.Backends() {
-			dev, _ := plat.DeviceByName(devName)
-			ctx := NewContext(dev)
-			if err := ctx.SetBackend(backend); err != nil {
-				t.Fatal(err)
-			}
-			kernel := func(name, src, kname string) *Kernel {
-				prog, err := ctx.CompileProgram(name, src, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				k, err := prog.Kernel(kname)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return k
-			}
-			bad, scale := kernel("bad.cl", divergentKernel, "bad"), kernel("scale.cl", testKernel, "scale")
-			const n = 16 * 128
-			nd := NDRange{Global: [3]int{n, 1, 1}, Local: [3]int{16, 1, 1}}
-			buf := ctx.NewBuffer(n * 4)
-			q, err := ctx.NewProfilingQueue()
+		dev, _ := plat.DeviceByName(devName)
+		ctx := NewContext(dev)
+		kernel := func(name, src, kname string) *Kernel {
+			prog, err := ctx.CompileProgram(name, src, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			failed := make(chan error, 1)
-			go func() {
-				_, err := q.EnqueueNDRange(bad, nd, buf)
-				failed <- err
-			}()
-			select {
-			case err := <-failed:
-				if err == nil || !strings.Contains(err.Error(), "barrier divergence") {
-					t.Fatalf("%s on %s: error %v, want barrier divergence", devName, backend, err)
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatalf("%s on %s: the failing launch has not returned", devName, backend)
-			}
-			fresh, err := ctx.NewProfilingQueue()
+			k, err := prog.Kernel(kname)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := fresh.EnqueueNDRange(scale, nd, buf, float32(1), int32(n))
-			if err != nil {
-				t.Fatal(err)
+			return k
+		}
+		bad, scale := kernel("bad.cl", divergentKernel, "bad"), kernel("scale.cl", testKernel, "scale")
+		const n = 16 * 128
+		nd := NDRange{Global: [3]int{n, 1, 1}, Local: [3]int{16, 1, 1}}
+		buf := ctx.NewBuffer(n * 4)
+		q, err := ctx.NewProfilingQueue()
+		if err != nil {
+			t.Fatal(err)
+		}
+		failed := make(chan error, 1)
+		go func() {
+			_, err := q.EnqueueNDRange(bad, nd, buf)
+			failed <- err
+		}()
+		select {
+		case err := <-failed:
+			if err == nil || !strings.Contains(err.Error(), "barrier divergence") {
+				t.Fatalf("%s: error %v, want barrier divergence", devName, err)
 			}
-			got, err := q.EnqueueNDRange(scale, nd, buf, float32(1), int32(n))
-			if err != nil {
-				t.Fatalf("%s on %s: launch after the failed one: %v", devName, backend, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s on %s: after a failed launch\n got %+v\nwant %+v", devName, backend, got.Stats, want.Stats)
-			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: the failing launch has not returned", devName)
+		}
+		fresh, err := ctx.NewProfilingQueue()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.EnqueueNDRange(scale, nd, buf, float32(1), int32(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := q.EnqueueNDRange(scale, nd, buf, float32(1), int32(n))
+		if err != nil {
+			t.Fatalf("%s: launch after the failed one: %v", devName, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: after a failed launch\n got %+v\nwant %+v", devName, got.Stats, want.Stats)
 		}
 	}
 }
@@ -410,91 +405,67 @@ func TestDeviceByNameErrorListsDevices(t *testing.T) {
 	}
 }
 
-// TestEngineNames pins what linking this package makes available: the
-// oracle and the engine, wgvec when nothing is named, and the names of
-// the engines removed in PRs 15 and 16 (the first still names the
-// lowering package) unknown like any other, from every door.
+// TestEngineNames pins what linking this package makes available to a
+// launch that names its engine (vm.Config.Backend, the oracle seam): the
+// oracle and the engine, and the names of the engines removed in PRs 15
+// and 16 (the first still names the lowering package) unknown like any
+// other.
 func TestEngineNames(t *testing.T) {
 	const available = "[interp wgvec]"
 	if got := fmt.Sprint(vm.Backends()); got != available {
 		t.Fatalf("vm.Backends() = %s, want %s", got, available)
 	}
-	t.Setenv(vm.EnvBackend, "")
-	if got := vm.DefaultBackend(); got != vm.BackendWgvec {
-		t.Errorf("vm.DefaultBackend() = %q, want %q", got, vm.BackendWgvec)
+	mod, err := CompileModule("scale.cl", testKernel, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, err := vm.ResolveBackend(""); err != nil || got != vm.BackendWgvec {
-		t.Errorf(`vm.ResolveBackend("") = %q, %v; want %q`, got, err, vm.BackendWgvec)
+	prog, err := vm.Prepare(mod)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	unknown := func(door, name string, err error, blame string) {
-		t.Helper()
+	mem := vm.NewGlobalMem(64 * 4)
+	buf := mem.Alloc(64 * 4)
+	launch := func(name string) error {
+		return prog.Launch("scale", vm.Config{GlobalSize: [3]int{64, 1, 1}, LocalSize: [3]int{16, 1, 1},
+			Args: []vm.Arg{vm.BufArg(buf), vm.FloatArg(2), vm.IntArg(64)}, Backend: name}, mem, nil)
+	}
+	for _, removed := range []string{"bcode", "jit"} {
+		err := launch(removed)
 		if err == nil {
-			t.Errorf("%s: %s accepted", door, name)
-			return
+			t.Errorf("%s accepted", removed)
+			continue
 		}
-		for _, want := range []string{blame, fmt.Sprintf("%q", name), available} {
+		for _, want := range []string{"unknown backend", fmt.Sprintf("%q", removed), available} {
 			if !strings.Contains(err.Error(), want) {
-				t.Errorf("%s: error %q does not mention %s", door, err, want)
+				t.Errorf("%s: error %q does not mention %s", removed, err, want)
 			}
 		}
 	}
-	ctx := NewContext(NewPlatform().Devices()[0])
-	for _, removed := range []string{"bcode", "jit"} {
-		_, err := vm.ResolveBackend(removed)
-		unknown("ResolveBackend", removed, err, "unknown backend")
-		unknown("SetBackend", removed, ctx.SetBackend(removed), "unknown backend")
-		if ctx.Backend() != "" {
-			t.Errorf("a rejected SetBackend stuck: %q", ctx.Backend())
-		}
-		t.Setenv(vm.EnvBackend, removed)
-		_, err = vm.ResolveBackend("")
-		unknown("GROVER_BACKEND", removed, err, vm.EnvBackend)
-	}
-
 	for _, name := range []string{"", "interp", "wgvec"} {
-		if err := ctx.SetBackend(name); err != nil {
-			t.Errorf("SetBackend(%q): %v", name, err)
+		if err := launch(name); err != nil {
+			t.Errorf("launch on %q: %v", name, err)
 		}
 	}
 }
 
-// TestUnsetBackendRunsOnWgvec launches through a queue with nothing
-// selected and reads which engine ran off the kernel profiler's report;
-// naming the interpreter — on the context or in the environment — still
-// gets the oracle.
-func TestUnsetBackendRunsOnWgvec(t *testing.T) {
-	ran := func(name string) string {
-		t.Helper()
-		ctx := NewContext(NewPlatform().Devices()[0])
-		if err := ctx.SetBackend(name); err != nil {
-			t.Fatal(err)
-		}
-		prog, err := ctx.CompileProgram("scale.cl", testKernel, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k, _ := prog.Kernel("scale")
-		q := ctx.NewQueue()
-		prof := vm.NewProfiler()
-		q.SetKernelProfiler(prof)
-		nd := NDRange{Global: [3]int{64, 1, 1}, Local: [3]int{16, 1, 1}}
-		if _, err := q.EnqueueNDRange(k, nd, ctx.NewBuffer(64*4), float32(2), int32(64)); err != nil {
-			t.Fatal(err)
-		}
-		return prof.Report().Backend
+// ranOn launches through a queue and reads which engine ran off the
+// kernel profiler's report. Nothing at this level can name an engine.
+func ranOn(t *testing.T) string {
+	t.Helper()
+	ctx := NewContext(NewPlatform().Devices()[0])
+	prog, err := ctx.CompileProgram("scale.cl", testKernel, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Setenv(vm.EnvBackend, "")
-	if got := ran(""); got != vm.BackendWgvec {
-		t.Errorf("nothing set: ran on %q, want %q", got, vm.BackendWgvec)
+	k, _ := prog.Kernel("scale")
+	q := ctx.NewQueue()
+	prof := vm.NewProfiler()
+	q.SetKernelProfiler(prof)
+	nd := NDRange{Global: [3]int{64, 1, 1}, Local: [3]int{16, 1, 1}}
+	if _, err := q.EnqueueNDRange(k, nd, ctx.NewBuffer(64*4), float32(2), int32(64)); err != nil {
+		t.Fatal(err)
 	}
-	if got := ran(vm.BackendInterp); got != vm.BackendInterp {
-		t.Errorf("SetBackend(interp): ran on %q", got)
-	}
-	t.Setenv(vm.EnvBackend, vm.BackendInterp)
-	if got := ran(""); got != vm.BackendInterp {
-		t.Errorf("%s=interp: ran on %q", vm.EnvBackend, got)
-	}
+	return prof.Report().Backend
 }
 
 // TestCompileModuleSharedAcrossContexts compiles once and instantiates the
