@@ -441,6 +441,20 @@ func (d *deliveries) run(streams [][]event, n int) (perAccess, batched, mixed Re
 	return perAccess, batched, mixed
 }
 
+// memoized sums what the CPU walk of each delivery's simulator charged
+// without a walk in its last run.
+func (d *deliveries) memoized() (perAccess, batched, mixed int64) {
+	return simMemoized(d.perAccess), simMemoized(d.batched), simMemoized(d.mixed)
+}
+
+func simMemoized(sim *Simulator) int64 {
+	var n int64
+	for _, w := range sim.cores {
+		n += w.memoized
+	}
+	return n
+}
+
 // check requires the reference model and all deliveries to agree on
 // every counter, and returns the agreed Result.
 func (d *deliveries) check(t *testing.T, streams [][]event, n int) Result {
@@ -623,6 +637,81 @@ func privateVarsStream(n int, instrs []*ir.Instr) []event {
 	return append(evs, event{kind: evGroupEnd})
 }
 
+// repeatStream draws one core's stream of a few groups of n items that
+// come in runs: the items of a run touch the same lines in the same order,
+// each at its own byte offset within them, so the CPU walk can charge all
+// but the first two items of a run from its memo. A region's steps mix a
+// burst of lines in one set of every level, more than it has ways; stores
+// whose dirty lines such a burst evicts later; an access spanning two lines
+// for every item; and private variables, at one shared address and at one
+// address per item. Now and then an item in the middle of a run makes an
+// access of its own, which breaks the run.
+func repeatStream(r *rand.Rand, n int, instrs []*ir.Instr) []event {
+	type step struct {
+		in     int
+		space  clc.AddrSpace
+		base   uint64
+		perRun uint64 // how far apart the runs' lines are
+		size   int
+		store  bool
+		whole  bool // every item at the run's address, no offset of its own
+	}
+	var evs []event
+	for g := 0; g < 2; g++ {
+		evs = append(evs, event{kind: evGroupBegin})
+		regions := 1 + r.Intn(2)
+		for reg := 0; reg < regions; reg++ {
+			run := []int{3, 4, 8, 16}[r.Intn(4)]
+			var steps []step
+			add := func(st step) {
+				st.in = len(steps) % (len(instrs) - 1)
+				steps = append(steps, st)
+			}
+			// A line the run stores to, then lines of its set at every level
+			// — 16 KiB apart is one set of each CPU profile's L1, L2 and LLC
+			// — more of them than any level has ways.
+			hot := uint64(r.Intn(64)) << 14
+			add(step{space: clc.ASGlobal, base: hot, perRun: 64, size: 4, store: true})
+			add(step{space: clc.ASPrivate, base: 16, size: 4, whole: true})
+			burst := uint64(9 + r.Intn(10))
+			for k := uint64(1); k <= burst; k++ {
+				add(step{space: clc.ASGlobal, base: hot + k<<14, size: 4, store: r.Intn(3) == 0})
+			}
+			add(step{space: clc.ASLocal, base: uint64(r.Intn(1<<12)) &^ 63, perRun: 64, size: 4, store: r.Intn(2) == 0})
+			add(step{space: clc.ASPrivate, base: 64, size: 4}) // an address per item
+			add(step{space: clc.ASGlobal, base: 1<<24 + 60, perRun: 128, size: 8, whole: true})
+			add(step{space: clc.ASGlobal, base: hot + 64, perRun: 64, size: 8})
+			r.Shuffle(len(steps)-1, func(i, j int) { steps[i+1], steps[j+1] = steps[j+1], steps[i+1] })
+			for wi := 0; wi < n; wi++ {
+				u, at := uint64(wi/run), wi%run
+				// An item that is not the first of its run breaks it.
+				breaker := at > 0 && r.Intn(4*run) == 0
+				for k, st := range steps {
+					if breaker && k == len(steps)/2 {
+						evs = append(evs, event{kind: evAccess, in: instrs[len(instrs)-1], wi: wi,
+							addr: vm.MakeAddr(clc.ASGlobal, 1<<26+64*uint64(wi)), size: 4})
+					}
+					off := st.base + st.perRun*u
+					if !st.whole {
+						off += uint64(4 * at % 48)
+					}
+					if st.space == clc.ASPrivate && !st.whole {
+						off = st.base + 4*uint64(wi)
+					}
+					evs = append(evs, event{kind: evAccess, in: instrs[st.in], wi: wi,
+						addr: vm.MakeAddr(st.space, off), size: st.size, store: st.store})
+				}
+				evs = append(evs, event{kind: evInstrs, wi: wi, n: int64(10 + wi%3)})
+			}
+			if reg+1 < regions {
+				evs = append(evs, event{kind: evBarrier, wi: n})
+			}
+		}
+		evs = append(evs, event{kind: evGroupEnd})
+	}
+	return evs
+}
+
 func TestDeliveriesMatchReferenceModel(t *testing.T) {
 	instrs := make([]*ir.Instr, 6)
 	for i := range instrs {
@@ -669,6 +758,106 @@ func TestDeliveriesMatchReferenceModel(t *testing.T) {
 		}
 		if d.ops < 1000 || d.recs < 1000 || d.priv < 100 {
 			t.Errorf("%s: the column delivery fed %d ops with a column, %d private ops and %d records: too few of one to prove anything", p.Name, d.ops, d.priv, d.recs)
+		}
+	}
+
+	// Items that repeat their predecessors' lines, on each CPU profile and
+	// on the three as one set: the CPU walk charges most of them from its
+	// memo, and every counter must still be the reference model's.
+	many := make([]*ir.Instr, 32)
+	for i := range many {
+		many[i] = &ir.Instr{}
+	}
+	for _, p := range CPUs() {
+		d := newDeliveries(t, p)
+		r := rand.New(rand.NewSource(45))
+		var memo [3]int64
+		var l1 int64
+		for trial := 0; trial < 12; trial++ {
+			n := []int{16, 48, 64, 100}[r.Intn(4)]
+			streams := make([][]event, 1+r.Intn(3))
+			for w := range streams {
+				streams[w] = onCore(repeatStream(r, n, many), w, p.Cores)
+			}
+			want := d.check(t, streams, n)
+			if t.Failed() {
+				t.Fatalf("%s: repeating items, trial %d (n=%d) differ", p.Name, trial, n)
+			}
+			a, b, c := d.memoized()
+			memo[0], memo[1], memo[2] = memo[0]+a, memo[1]+b, memo[2]+c
+			l1 += want.Caches[0].Accesses
+		}
+		requireMemo(t, p.Name, memo[:], l1)
+	}
+	set, err := NewSet(CPUs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(46))
+	for trial := 0; trial < 3; trial++ {
+		// More groups than MIC has cores, so that some cores take two.
+		var groups []event
+		for g := 0; g < 64; g += 2 {
+			groups = append(groups, repeatStream(r, 16, many)...)
+		}
+		checkSet(t, set, groups, 16)
+		if t.Failed() {
+			t.Fatalf("the three CPUs as one set: repeating items, trial %d differ", trial)
+		}
+	}
+}
+
+// requireMemo fails unless each delivery's CPU walk charged a fair share
+// of the l1 first-level accesses from its memo: a check of the memo that
+// never uses it proves nothing.
+func requireMemo(t *testing.T, name string, memo []int64, l1 int64) {
+	t.Helper()
+	for i, m := range memo {
+		if m*4 < l1 {
+			t.Errorf("%s: delivery %d charged %d of %d first-level accesses from the memo, want a quarter at least", name, i, m, l1)
+		}
+	}
+}
+
+// checkSet delivers one launch's work-groups — evs, the groups in the order
+// of their linear ids — to the set's first host worker per access, as
+// batches of records and as batches of columns and records, and requires of
+// every model the Result the reference model computes from that model's
+// per-core streams, and the memo to have fired.
+func checkSet(t *testing.T, set *Set, evs []event, n int) {
+	t.Helper()
+	g := -1
+	for i := range evs {
+		if evs[i].kind == evGroupBegin {
+			g++
+			evs[i].wi = g
+		}
+	}
+	want := make([]Result, len(set.models))
+	for i, m := range set.models {
+		streams := make([][]event, m.Prof.Cores)
+		core := 0
+		for _, e := range evs {
+			if e.kind == evGroupBegin {
+				core = e.wi % m.Prof.Cores
+			}
+			streams[core] = append(streams[core], e)
+		}
+		want[i] = refResult(t, m.Prof, streams)
+	}
+	feeds := map[string]func(vm.BatchTracer){
+		"per-access": func(tr vm.BatchTracer) { feedPerAccess(tr, evs) },
+		"batch":      func(tr vm.BatchTracer) { feedBatches(tr, evs, n) },
+		"column":     func(tr vm.BatchTracer) { feedMixed(tr, evs, n) },
+	}
+	for name, feed := range feeds {
+		set.Reset()
+		feed(set.Opts().TracerFor(0).(vm.BatchTracer))
+		for i, m := range set.models {
+			if got := set.Result(i); !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("%s in the set, %s delivery\n got %+v\nwant %+v", m.Prof.Name, name, got, want[i])
+			}
+			requireMemo(t, m.Prof.Name+" in the set, "+name, []int64{simMemoized(m)}, want[i].Caches[0].Accesses)
 		}
 	}
 }
@@ -783,7 +972,9 @@ func TestEnginesMatchRecordedStream(t *testing.T) {
 // conflicting local ones with a column each, and a load and a store of a
 // private variable without. The first own items also make an access of
 // their own between the ops, so that their warp is charged lane by lane.
-func steadyGroup(own int) *vm.AccessBatch {
+// When repeat is set, the strided ops stride 0 instead, so each run of 16
+// items touches the same lines: a CPU charges most of them from its memo.
+func steadyGroup(own int, repeat bool) *vm.AccessBatch {
 	b := new(vm.AccessBatch)
 	b.Reset(256)
 	ops := []struct {
@@ -801,8 +992,12 @@ func steadyGroup(own int) *vm.AccessBatch {
 		if k%2 == 1 {
 			b.AppendPrivate(&ir.Instr{}, 4, k == 3, 16)
 		}
+		stride := op.stride
+		if repeat && stride > 4 {
+			stride = 0
+		}
 		for wi, col := 0, b.AppendOp(&ir.Instr{}, 4, op.store); wi < len(col); wi++ {
-			col[wi] = vm.MakeAddr(op.space, op.stride*uint64(wi))
+			col[wi] = vm.MakeAddr(op.space, stride*uint64(wi))
 		}
 	}
 	for wi := range b.Retired {
@@ -820,32 +1015,37 @@ func runSteadyGroup(tr vm.BatchTracer, b *vm.AccessBatch, linear int) {
 	tr.GroupEnd()
 }
 
-// The GPUs form warps over the group's columns and records; the CPU walks
-// it tile by tile along the list of ops that have a column. All the groups
-// are core 0's — ids a multiple of Cores apart — so each takes its turn on
-// the core and passes it on.
+// The GPUs form warps over the group's columns and records; the CPU packs
+// it tile by tile into lines and walks them, or charges them from its memo
+// when they repeat. All the groups are core 0's — ids a multiple of Cores
+// apart — so each takes its turn on the core and passes it on.
 func TestSteadyStateGroupDoesNotAllocate(t *testing.T) {
-	for _, p := range []*Profile{Fermi(), Kepler(), Tahiti(), SNB()} {
+	for _, p := range All() {
 		for _, own := range []int{0, 5} {
-			sim, err := NewSimulator(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr := sim.Opts().TracerFor(0).(vm.BatchTracer)
-			b := steadyGroup(own)
-			id := 0
-			run := func() {
-				runSteadyGroup(tr, b, id)
-				id += p.Cores
-			}
-			run() // warm-up: buffers grow here
-			if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-				t.Errorf("%s, %d items on their own: a steady-state work-group allocates %.0f objects, want 0", p.Name, own, allocs)
-			}
-			sim.Reset()
-			id = 0
-			if allocs := testing.AllocsPerRun(1, run); allocs != 0 {
-				t.Errorf("%s, %d items on their own: the first group after Reset allocates %.0f objects, want 0", p.Name, own, allocs)
+			for _, repeat := range []bool{false, true} {
+				sim, err := NewSimulator(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr := sim.Opts().TracerFor(0).(vm.BatchTracer)
+				b := steadyGroup(own, repeat)
+				id := 0
+				run := func() {
+					runSteadyGroup(tr, b, id)
+					id += p.Cores
+				}
+				run() // warm-up: buffers grow here
+				if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+					t.Errorf("%s, %d items on their own, repeating %v: a steady-state work-group allocates %.0f objects, want 0", p.Name, own, repeat, allocs)
+				}
+				sim.Reset()
+				id = 0
+				if allocs := testing.AllocsPerRun(1, run); allocs != 0 {
+					t.Errorf("%s, %d items on their own, repeating %v: the first group after Reset allocates %.0f objects, want 0", p.Name, own, repeat, allocs)
+				}
+				if p.Kind == CPUKind && repeat && simMemoized(sim) == 0 {
+					t.Errorf("%s, %d items on their own: the repeating group charged nothing from the memo", p.Name, own)
+				}
 			}
 		}
 	}
@@ -859,7 +1059,7 @@ func BenchmarkWarpModel(b *testing.B) {
 				b.Fatal(err)
 			}
 			tr := sim.Opts().TracerFor(0).(vm.BatchTracer)
-			group := steadyGroup(0)
+			group := steadyGroup(0, false)
 			runSteadyGroup(tr, group, 0)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -867,6 +1067,107 @@ func BenchmarkWarpModel(b *testing.B) {
 				runSteadyGroup(tr, group, i*p.Cores)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*len(group.Ops)*len(group.Items)), "ns/access")
+		})
+	}
+}
+
+// matmulRegions is what one 16×16 work-group of a 128×128 float matmul
+// hands the device model, region by region: staged, each 16-wide tile of A
+// and B copied into local memory and read from there between two barriers,
+// or de-staged, one region of loads straight from global memory. Either
+// way the store to C comes last.
+func matmulRegions(staged bool) []*vm.AccessBatch {
+	const n, tile = 128, 16
+	const a, b, c = 0, 4 * n * n, 8 * n * n
+	var regions []*vm.AccessBatch
+	region := func(ops ...func(x, y uint64) (clc.AddrSpace, uint64, bool)) {
+		r := new(vm.AccessBatch)
+		r.Reset(tile * tile)
+		for _, op := range ops {
+			_, _, store := op(0, 0)
+			col := r.AppendOp(&ir.Instr{}, 4, store)
+			for wi := range col {
+				space, off, _ := op(uint64(wi%tile), uint64(wi/tile))
+				col[wi] = vm.MakeAddr(space, off)
+			}
+		}
+		for wi := range r.Retired {
+			r.Retired[wi] = int64(4 * len(ops))
+		}
+		regions = append(regions, r)
+	}
+	type op = func(x, y uint64) (clc.AddrSpace, uint64, bool)
+	global := func(base uint64, at func(x, y uint64) uint64, store bool) op {
+		return func(x, y uint64) (clc.AddrSpace, uint64, bool) { return clc.ASGlobal, base + 4*at(x, y), store }
+	}
+	local := func(base uint64, at func(x, y uint64) uint64, store bool) op {
+		return func(x, y uint64) (clc.AddrSpace, uint64, bool) { return clc.ASLocal, base + 4*at(x, y), store }
+	}
+	if staged {
+		for t := uint64(0); t < n/tile; t++ {
+			region(global(a, func(x, y uint64) uint64 { return y*n + t*tile + x }, false),
+				local(0, func(x, y uint64) uint64 { return y*tile + x }, true),
+				global(b, func(x, y uint64) uint64 { return (t*tile+y)*n + x }, false),
+				local(4*tile*tile, func(x, y uint64) uint64 { return y*tile + x }, true))
+			var ops []op
+			for k := uint64(0); k < tile; k++ {
+				ops = append(ops, local(0, func(x, y uint64) uint64 { return y*tile + k }, false),
+					local(4*tile*tile, func(x, y uint64) uint64 { return k*tile + x }, false))
+			}
+			region(ops...)
+		}
+	} else {
+		var ops []op
+		for k := uint64(0); k < n; k++ {
+			ops = append(ops, global(a, func(x, y uint64) uint64 { return y*n + k }, false),
+				global(b, func(x, y uint64) uint64 { return k*n + x }, false))
+		}
+		region(ops...)
+	}
+	region(global(c, func(x, y uint64) uint64 { return y*n + x }, true))
+	return regions
+}
+
+// BenchmarkCPUWalk charges a staged and a de-staged matmul work-group
+// (matmulRegions) to an SNB core, group after group, and reports the time
+// per access and the share of first-level accesses the memo charged.
+func BenchmarkCPUWalk(b *testing.B) {
+	for _, staged := range []bool{true, false} {
+		name := "de-staged"
+		if staged {
+			name = "staged"
+		}
+		b.Run(name, func(b *testing.B) {
+			sim, err := NewSimulator(SNB())
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr := sim.Opts().TracerFor(0).(vm.BatchTracer)
+			regions := matmulRegions(staged)
+			accesses := 0
+			group := func(id int) {
+				tr.GroupBegin([3]int{}, id)
+				for i, r := range regions {
+					if i > 0 {
+						tr.Barrier(len(r.Items))
+					}
+					tr.AccessBatch(r)
+				}
+				tr.GroupEnd()
+			}
+			for _, r := range regions {
+				accesses += len(r.Ops) * len(r.Items)
+			}
+			group(0)
+			sim.Reset()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				group(i * sim.Prof.Cores)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(accesses), "ns/access")
+			b.ReportMetric(float64(simMemoized(sim))/float64(sim.Result().Caches[0].Accesses), "memo-share")
 		})
 	}
 }

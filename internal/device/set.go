@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"grover/internal/ir"
+	"grover/internal/memsim"
 	"grover/internal/vm"
 )
 
@@ -170,6 +171,12 @@ func (t *setTracer) GroupBegin(group [3]int, linear int) {
 			return
 		}
 		t.held = append(t.held, w)
+	}
+	for len(t.memos) < len(t.held) {
+		t.memos = append(t.memos, memsim.Memo{})
+	}
+	for j := range t.held {
+		t.memos[j].Reset()
 	}
 	t.live = true
 }

@@ -98,7 +98,7 @@ func TestSetAbortReleasesWaiters(t *testing.T) {
 	// One host worker never waits for another.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	set.Opts()
-	b := steadyGroup(0)
+	b := steadyGroup(0, false)
 	a, w := set.hosts[0], set.hosts[1]
 
 	a.GroupBegin([3]int{}, 0)

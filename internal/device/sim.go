@@ -106,7 +106,7 @@ func (s *Simulator) Result() Result {
 // 0. Buffers keep their capacity.
 func (s *Simulator) Reset() {
 	for c, w := range s.cores {
-		w.cycles, w.instrs, w.accesses, w.transactions = 0, 0, 0, 0
+		w.cycles, w.instrs, w.accesses, w.transactions, w.memoized = 0, 0, 0, 0, 0
 		w.hier.Reset()
 		s.next[c] = c
 	}
@@ -128,16 +128,27 @@ type workerSim struct {
 	instrs       int64
 	accesses     int64
 	transactions int64
+	// memoized counts the lines of the CPU walk charged without a walk
+	// (memsim.Memo); it is in no Result.
+	memoized int64
 }
 
 // scratch is what one host worker charges groups in, whichever simulated
 // cores it holds: buffers that keep their capacity from group to group.
 type scratch struct {
-	// rows holds a tile of work-items' slots of every column, item-major
-	// (vm.AccessBatch.Transpose), and walk lists the ops of the region that
-	// have a column: both built once for all the CPU cores a worker holds.
-	rows []uint64
+	// q holds a tile of work-items' accesses as the lines they touch, item
+	// lo+i's in q[items[i].from:items[i].to] (packTile), built once for all
+	// the CPU cores a worker holds; memos[j] is what held core j was
+	// charged last, from the group's beginning on.
+	q     []uint64
+	items [vm.ItemTile]packed
+	memos []memsim.Memo
+	// walk lists the ops of the region that have a column.
 	walk []walkOp
+
+	// rows holds a tile of work-items' slots of every column, item-major
+	// (vm.AccessBatch.Transpose), for a warp whose lanes are merged.
+	rows []uint64
 	// lanes holds, for a warp some of whose lanes made accesses of their
 	// own, every lane's accesses in program order.
 	lanes [][]vm.AccessRec
@@ -149,23 +160,21 @@ type scratch struct {
 	segs  []uint64
 }
 
+// packed is one work-item of a tile as packTile lays it out: its lines are
+// q[from:to], and priv of its accesses were private, which touch no line.
+type packed struct{ from, to, priv int }
+
 // localBase maps the per-core local-memory arena into a distinct region of
 // the simulated physical address space. The arena is reused from group to
 // group on the same core, exactly like a CPU OpenCL runtime's per-thread
 // local buffer, so it stays cache-resident.
 const localBase = uint64(1) << 40
 
-// walkOp is an op with a column as the CPU walk meets it: seq is its index
-// in the region's Ops, which is what records' Seq count in.
-type walkOp struct {
-	seq, size int32
-	store     bool
-}
-
 // chargeRegion walks barrier region b through the cache hierarchies of the
 // CPU cores held, item-major — each work-item's accesses in program order,
-// then its issue cost — a tile of work-items' column slots transposed at a
-// time, once for all the cores: each core still sees the items in order.
+// then its issue cost — a tile of work-items packed at a time, once for all
+// the cores whose first level has the same line size: each core still sees
+// the items in order.
 func (s *scratch) chargeRegion(b *vm.AccessBatch, held []*workerSim) {
 	if len(held) == 0 {
 		return
@@ -173,57 +182,140 @@ func (s *scratch) chargeRegion(b *vm.AccessBatch, held []*workerSim) {
 	s.walk = s.walk[:0]
 	for k := range b.Ops {
 		if op := &b.Ops[k]; !op.Private {
-			s.walk = append(s.walk, walkOp{seq: int32(k), size: op.Size, store: op.Store})
+			w := walkOp{last: uint64(max(op.Size, 1) - 1)}
+			if op.Store {
+				w.store = 1
+			}
+			s.walk = append(s.walk, w)
 		}
 	}
 	for lo := 0; lo < len(b.Items); lo += vm.ItemTile {
 		hi := min(lo+vm.ItemTile, len(b.Items))
-		s.rows = b.Transpose(s.rows, lo, hi)
-		for _, w := range held {
-			w.chargeTile(b, s.walk, s.rows, lo, hi)
-		}
-	}
-}
-
-// chargeTile charges this core work-items lo to hi of region b, whose
-// column slots are rows.
-//
-// The walk leaves out the ops that are Private. Each costs every item
-// PrivCost and touches no cache state, so where in the item's stream it is
-// charged changes nothing: they are all charged up front.
-func (w *workerSim) chargeTile(b *vm.AccessBatch, walk []walkOp, rows []uint64, lo, hi int) {
-	privCycles := int64(len(b.Ops)-len(walk)) * w.prof.PrivCost
-	for wi := lo; wi < hi; wi++ {
-		row, recs := rows[(wi-lo)*len(walk):(wi-lo+1)*len(walk)], b.Items[wi]
-		w.accesses += int64(len(b.Ops) + len(recs))
-		cycles := privCycles
-		for j, addr := range row {
-			// A record of the item's own comes before the op its Seq names;
-			// hardly any item has one.
-			for len(recs) > 0 && recs[0].Seq <= walk[j].seq {
-				cycles += w.access(recs[0].Addr, recs[0].Size, recs[0].Store)
-				recs = recs[1:]
+		var shift uint
+		for j, w := range held {
+			if sh := w.hier.LineShift(); j == 0 || sh != shift {
+				shift = sh
+				s.packTile(b, lo, hi, shift)
 			}
-			cycles += w.access(addr, walk[j].size, walk[j].store)
+			w.chargeTile(b, s, &s.memos[j], lo, hi)
 		}
-		for i := range recs {
-			cycles += w.access(recs[i].Addr, recs[i].Size, recs[i].Store)
-		}
-		w.instrs += b.Retired[wi]
-		w.cycles += cycles + int64(float64(b.Retired[wi])*w.prof.IssueCost)
 	}
 }
 
-// access is the cost of one access of a work-item on a CPU core.
-func (w *workerSim) access(addr uint64, size int32, store bool) int64 {
-	switch space, off := vm.SplitAddr(addr); space {
-	case clc.ASPrivate:
-		return w.prof.PrivCost
-	case clc.ASLocal:
-		// Local memory on a cache-only processor is ordinary memory.
-		return w.hier.Access(localBase+off, int(size), store)
-	default:
-		return w.hier.Access(off, int(size), store)
+// walkOp is an op with a column as packTile meets it: the offset of its
+// last byte from its first, and its store bit.
+type walkOp struct{ last, store uint64 }
+
+// packTile lays work-items lo to hi of region b out in s.q as the lines
+// their accesses touch — the entries of memsim.Hierarchy.Charge for lines
+// of 1<<shift bytes — and counts their private accesses. The tile's slots
+// of every column are transposed into rows, one cache line of each column
+// read once per tile, and an item that made no access of its own — nearly
+// every item — has its row packed in place (packRow); any other item, or
+// one with a slot that spans lines, is laid out again after the rows, its
+// records merged in (appendItem).
+func (s *scratch) packTile(b *vm.AccessBatch, lo, hi int, shift uint) {
+	cols := b.NumCols()
+	s.q = b.Transpose(s.q, lo, hi)
+	for i := range hi - lo {
+		if len(b.Items[lo+i]) == 0 {
+			if kept, priv, ok := packRow(s.q[i*cols:(i+1)*cols], s.walk, shift); ok {
+				s.items[i] = packed{from: i * cols, to: i*cols + kept, priv: len(b.Ops) - cols + priv}
+				continue
+			}
+		}
+		from, priv := len(s.q), 0
+		s.q, priv = appendItem(s.q, b, lo+i, shift)
+		s.items[i] = packed{from: from, to: len(s.q), priv: priv}
+	}
+}
+
+// packRow turns a row of an item's slots, one per op in walk, into the
+// lines they touch, in place, and returns how many it kept and how many
+// slots were private, which touch none; it gives up on a slot that spans
+// lines.
+func packRow(row []uint64, walk []walkOp, shift uint) (kept, priv int, ok bool) {
+	walk = walk[:len(row)]
+	for j, a := range row {
+		space, off := vm.SplitAddr(a)
+		switch space {
+		case clc.ASPrivate:
+			priv++
+			continue
+		case clc.ASLocal:
+			// Local memory on a cache-only processor is ordinary memory.
+			off += localBase
+		}
+		line := off >> shift
+		if (off+walk[j].last)>>shift != line {
+			return 0, 0, false
+		}
+		row[kept] = line<<1 | walk[j].store
+		kept++
+	}
+	return kept, priv, true
+}
+
+// appendItem appends work-item wi's accesses of region b to q in program
+// order — its slot of every op, each of its records before the op its Seq
+// names — as the lines they touch, and returns q and how many of them were
+// private.
+func appendItem(q []uint64, b *vm.AccessBatch, wi int, shift uint) ([]uint64, int) {
+	recs, n, priv := b.Items[wi], len(b.Items), 0
+	add := func(addr uint64, size int32, store bool) {
+		space, off := vm.SplitAddr(addr)
+		switch space {
+		case clc.ASPrivate:
+			priv++
+			return
+		case clc.ASLocal:
+			// Local memory on a cache-only processor is ordinary memory.
+			off += localBase
+		}
+		st := uint64(0)
+		if store {
+			st = 1
+		}
+		for ln := off >> shift; ln <= (off+uint64(max(size, 1)-1))>>shift; ln++ {
+			q = append(q, ln<<1|st)
+		}
+	}
+	c := 0
+	for k := range b.Ops {
+		for len(recs) > 0 && int(recs[0].Seq) <= k {
+			add(recs[0].Addr, recs[0].Size, recs[0].Store)
+			recs = recs[1:]
+		}
+		if op := &b.Ops[k]; op.Private {
+			priv++
+		} else {
+			add(b.Cols[c*n+wi], op.Size, op.Store)
+			c++
+		}
+	}
+	for i := range recs {
+		add(recs[i].Addr, recs[i].Size, recs[i].Store)
+	}
+	return q, priv
+}
+
+// chargeTile charges this core work-items lo to hi of region b, as s
+// packed them, through m: an item whose lines repeat its predecessor's on
+// this core once walking them has been seen to change nothing is charged
+// what that walk did, without a walk (memsim.Memo). A private access costs
+// PrivCost and touches no cache state, so where in the item's stream it is
+// charged changes nothing.
+func (w *workerSim) chargeTile(b *vm.AccessBatch, s *scratch, m *memsim.Memo, lo, hi int) {
+	for wi := lo; wi < hi; wi++ {
+		it := s.items[wi-lo]
+		q := s.q[it.from:it.to]
+		cycles, memo := w.hier.Charge(m, q)
+		if memo {
+			w.memoized += int64(len(q))
+		}
+		w.accesses += int64(len(b.Ops) + len(b.Items[wi]))
+		w.instrs += b.Retired[wi]
+		w.cycles += cycles + int64(it.priv)*w.prof.PrivCost + int64(float64(b.Retired[wi])*w.prof.IssueCost)
 	}
 }
 

@@ -74,6 +74,12 @@ type Cache struct {
 	// observable — only a set's contents and their recency order are.
 	lines []uint64
 	stats Stats
+
+	// jn, while a Memo walks under it, keeps every set the walk touches as
+	// it was before (see journal); level is the cache's place in its
+	// Hierarchy.
+	jn    *journal
+	level int
 }
 
 // NewCache builds a cache level in front of next. sets and lineSize must
@@ -137,7 +143,11 @@ func (c *Cache) entry(lineAddr uint64) uint64 { return (lineAddr>>c.setShift + 1
 
 func (c *Cache) accessLine(lineAddr uint64, store bool) int64 {
 	c.stats.Accesses++
-	base := int(lineAddr&c.setMask) * c.ways
+	si := int(lineAddr & c.setMask)
+	if c.jn != nil {
+		c.jn.keep(c, si)
+	}
+	base := si * c.ways
 	set := c.lines[base : base+c.ways]
 	want, dirty := c.entry(lineAddr), uint64(0)
 	if store {
@@ -201,6 +211,7 @@ func NewHierarchy(specs []CacheSpec, dramLatency int64) (*Hierarchy, error) {
 		if err != nil {
 			return nil, err
 		}
+		c.level = i
 		caches[i] = c
 		next = c
 	}

@@ -235,19 +235,9 @@ func divChain(specs []CacheSpec, dram *DRAM) []*divCache {
 // access must cost the same, and every counter of every level and the DRAM
 // behind them must be equal before the Reset and at the end.
 func TestCacheMatchesDivisionForm(t *testing.T) {
-	geometries := [][]CacheSpec{
-		{{Sets: 8, Ways: 2, LineSize: 64}, {Sets: 64, Ways: 4, LineSize: 64}, {Sets: 128, Ways: 8, LineSize: 64}},
-		{{Sets: 1, Ways: 1, LineSize: 16}, {Sets: 4, Ways: 3, LineSize: 128}, {Sets: 8, Ways: 1, LineSize: 128}}, // one set: all tag; a wider line behind a narrower; direct-mapped
-		{{Sets: 64, Ways: 8, LineSize: 32}, {Sets: 512, Ways: 16, LineSize: 64}, {Sets: 512, Ways: 16, LineSize: 128}},
-		{{Sets: 16, Ways: 3, LineSize: 128}, {Sets: 32, Ways: 5, LineSize: 128}, {Sets: 64, Ways: 16, LineSize: 128}}, // ways need not be a power of two
-		{{Sets: 8, Ways: 8, LineSize: 64}, {Sets: 64, Ways: 8, LineSize: 64}, {Sets: 256, Ways: 16, LineSize: 64}},    // SNB
-	}
 	sizes := []int{-3, 0, 1, 2, 4, 4, 4, 8, 16, 60, 64, 65, 200, 700}
 	const accesses = 40000
-	for gi, specs := range geometries {
-		for li := range specs {
-			specs[li].Name, specs[li].Latency = []string{"L1", "L2", "L3"}[li], []int64{4, 12, 30}[li]
-		}
+	for gi, specs := range threeLevels() {
 		r := rand.New(rand.NewSource(int64(41 + gi)))
 		h, err := NewHierarchy(specs, 100)
 		if err != nil {
@@ -319,6 +309,25 @@ func TestCacheMatchesDivisionForm(t *testing.T) {
 			t.Errorf("%d-byte lines accepted", bad)
 		}
 	}
+}
+
+// threeLevels returns the three-level geometries the cache's oracles run
+// on: ways from 1 to 16, powers of two and not, lines of one size and of
+// several, and SNB's.
+func threeLevels() [][]CacheSpec {
+	geometries := [][]CacheSpec{
+		{{Sets: 8, Ways: 2, LineSize: 64}, {Sets: 64, Ways: 4, LineSize: 64}, {Sets: 128, Ways: 8, LineSize: 64}},
+		{{Sets: 1, Ways: 1, LineSize: 16}, {Sets: 4, Ways: 3, LineSize: 128}, {Sets: 8, Ways: 1, LineSize: 128}}, // one set: all tag; a wider line behind a narrower; direct-mapped
+		{{Sets: 64, Ways: 8, LineSize: 32}, {Sets: 512, Ways: 16, LineSize: 64}, {Sets: 512, Ways: 16, LineSize: 128}},
+		{{Sets: 16, Ways: 3, LineSize: 128}, {Sets: 32, Ways: 5, LineSize: 128}, {Sets: 64, Ways: 16, LineSize: 128}}, // ways need not be a power of two
+		{{Sets: 8, Ways: 8, LineSize: 64}, {Sets: 64, Ways: 8, LineSize: 64}, {Sets: 256, Ways: 16, LineSize: 64}},    // SNB
+	}
+	for _, specs := range geometries {
+		for li := range specs {
+			specs[li].Name, specs[li].Latency = []string{"L1", "L2", "L3"}[li], []int64{4, 12, 30}[li]
+		}
+	}
+	return geometries
 }
 
 // BenchmarkHierarchyWalk walks what one 16×16 work-group of a 128×128
