@@ -22,6 +22,7 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -30,7 +31,9 @@ import (
 	"strconv"
 	"strings"
 
+	"grover/internal/clc"
 	igrover "grover/internal/grover"
+	"grover/internal/ir"
 	"grover/internal/service"
 	"grover/internal/telemetry"
 	"grover/internal/vm"
@@ -71,8 +74,10 @@ func main() {
 
 func run(file, deviceName, kernel string, global, local service.Dims, argSpecs []string,
 	useGrover, timed, kprofile bool, dump, traceOut string) error {
-	// The launch passes groverd's geometry and size check, and -dump is
-	// checked against it, before anything is compiled or allocated.
+	// The launch passes groverd's geometry and size check, and -dump's
+	// argument is checked against it, before anything is compiled or
+	// allocated; its count is checked once the kernel's parameters are
+	// known, before any buffer is.
 	specs, err := parseArgs(argSpecs)
 	if err != nil {
 		return err
@@ -86,14 +91,11 @@ func run(file, deviceName, kernel string, global, local service.Dims, argSpecs [
 		idxStr, cntStr, _ := strings.Cut(dump, ":")
 		idx, err1 := strconv.Atoi(idxStr)
 		cnt, err2 := strconv.Atoi(cntStr)
-		if err1 != nil || err2 != nil || idx < 0 || idx >= len(specs) {
+		if err1 != nil || err2 != nil || idx < 0 || idx >= len(specs) || cnt < 0 {
 			return fmt.Errorf("bad -dump spec %q", dump)
 		}
 		if specs[idx].Kind != "buffer" {
 			return fmt.Errorf("-dump argument %d is not a buffer", idx)
-		}
-		if n := specs[idx].Size / 4; cnt < 0 || cnt > n {
-			return fmt.Errorf("bad -dump spec %q: argument %d holds %d values", dump, idx, n)
 		}
 		dumpIdx, dumpCnt = idx, cnt
 	}
@@ -120,6 +122,22 @@ func run(file, deviceName, kernel string, global, local service.Dims, argSpecs [
 			return fmt.Errorf("%s contains no kernels", file)
 		}
 		kernel = names[0]
+	}
+	var dumpKind clc.ScalarKind
+	if dump != "" {
+		if _, err := prog.Kernel(kernel); err != nil {
+			return err
+		}
+		params := prog.Module().Kernel(kernel).Params
+		if dumpIdx >= len(params) {
+			return fmt.Errorf("bad -dump spec %q: kernel %s takes %d arguments", dump, kernel, len(params))
+		}
+		if dumpKind = elemKind(params[dumpIdx]); dumpKind.Size() == 0 {
+			return fmt.Errorf("bad -dump spec %q: argument %d is a %s", dump, dumpIdx, params[dumpIdx].Typ)
+		}
+		if n := specs[dumpIdx].Size / dumpKind.Size(); dumpCnt > n {
+			return fmt.Errorf("bad -dump spec %q: argument %d holds %d %s values", dump, dumpIdx, n, dumpKind)
+		}
 	}
 	kargs := service.BuildArgs(ctx, specs)
 
@@ -178,7 +196,7 @@ func run(file, deviceName, kernel string, global, local service.Dims, argSpecs [
 		}
 	}
 	if dump != "" {
-		fmt.Printf("arg %d: %v\n", dumpIdx, kargs[dumpIdx].(*opencl.Buffer).ReadFloat32(dumpCnt))
+		fmt.Printf("arg %d: %v\n", dumpIdx, dumpValues(kargs[dumpIdx].(*opencl.Buffer), dumpKind, dumpCnt))
 	}
 	if traceOut != "" {
 		tr.Finish()
@@ -187,6 +205,41 @@ func run(file, deviceName, kernel string, global, local service.Dims, argSpecs [
 		}
 	}
 	return nil
+}
+
+// elemKind is the scalar kind of what param points to — a vector's
+// element kind — or KVoid when it is no pointer to scalars or vectors.
+func elemKind(param *ir.Param) clc.ScalarKind {
+	if ptr, ok := param.Typ.(*clc.PointerType); ok {
+		switch e := ptr.Elem.(type) {
+		case *clc.ScalarType:
+			return e.Kind
+		case *clc.VectorType:
+			return e.Elem.Kind
+		}
+	}
+	return clc.KVoid
+}
+
+// dumpValues reads the first n values of b as values of kind k, the
+// element kind of the kernel parameter b is bound to, so that an int
+// buffer prints ints, not the floats their bits would make.
+func dumpValues(b *opencl.Buffer, k clc.ScalarKind, n int) []any {
+	raw, out := b.ReadBytes(n*k.Size()), make([]any, n)
+	for i := range out {
+		off := uint64(i * k.Size())
+		switch k {
+		case clc.KFloat:
+			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[off:]))
+		case clc.KDouble:
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[off:]))
+		case clc.KULong:
+			out[i] = binary.LittleEndian.Uint64(raw[off:])
+		default:
+			out[i] = vm.LoadInt(raw, off, k)
+		}
+	}
+	return out
 }
 
 // appendTrace appends one trace export as a JSONL line, the same format

@@ -25,19 +25,66 @@ func runTile(t *testing.T, device string, useGrover, timed bool, dump string) er
 }
 
 func runTileArgs(t *testing.T, device string, global service.Dims, args []string, useGrover, timed bool, dump string) error {
+	_, err := runSource(t, tileSrc, device, global, args, useGrover, timed, dump)
+	return err
+}
+
+// runSource runs src's first kernel with a local size of 16 and returns
+// what clrun printed.
+func runSource(t *testing.T, src, device string, global service.Dims, args []string, useGrover, timed bool, dump string) (string, error) {
 	t.Helper()
-	file := filepath.Join(t.TempDir(), "k.cl")
-	if err := os.WriteFile(file, []byte(tileSrc), 0o644); err != nil {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "k.cl")
+	if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	out, err := os.Create(filepath.Join(dir, "stdout"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer null.Close()
+	defer out.Close()
 	defer func(stdout *os.File) { os.Stdout = stdout }(os.Stdout)
-	os.Stdout = null
-	return run(file, device, "", global, service.Dims{16}, args, useGrover, timed, false, dump, "")
+	os.Stdout = out
+	runErr := run(file, device, "", global, service.Dims{16}, args, useGrover, timed, false, dump, "")
+	printed, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(printed), runErr
+}
+
+// TestDumpPrintsDeclaredKind: -dump prints a buffer in the element kind of
+// the parameter it is bound to, so an int buffer holding -56 prints -56,
+// not the NaN its bits make as a float, and counts in that kind.
+func TestDumpPrintsDeclaredKind(t *testing.T) {
+	const src = `__kernel void k(__global int* o, __global float* f, __global uchar* c) {
+  int g = get_global_id(0);
+  o[g] = g - 56;
+  f[g] = 0.5f * g;
+  c[g] = (uchar)(254 + g);
+}
+`
+	args := []string{"ibuf:16", "fbuf:16", "ibuf:16"}
+	for _, tc := range []struct{ dump, want string }{
+		{"0:3", "arg 0: [-56 -55 -54]\n"},
+		{"1:3", "arg 1: [0 0.5 1]\n"},
+		{"2:3", "arg 2: [254 255 0]\n"},
+	} {
+		out, err := runSource(t, src, "SNB", service.Dims{16}, args, false, false, tc.dump)
+		if err != nil {
+			t.Fatalf("-dump %s: %v", tc.dump, err)
+		}
+		if !strings.HasSuffix(out, tc.want) {
+			t.Errorf("-dump %s printed %q, want it to end %q", tc.dump, out, tc.want)
+		}
+	}
+	// A count is in the parameter's elements: 64 bytes hold 64 uchars.
+	if _, err := runSource(t, src, "SNB", service.Dims{16}, args, false, false, "2:64"); err != nil {
+		t.Errorf("-dump 2:64: %v", err)
+	}
+	if _, err := runSource(t, src, "SNB", service.Dims{16}, args, false, false, "2:65"); err == nil || !strings.Contains(err.Error(), "holds 64 uchar values") {
+		t.Errorf("-dump 2:65: error %v, want the buffer to hold 64 uchar values", err)
+	}
 }
 
 // TestDumpSpecChecksCount: -dump ARG:COUNT is outside input; a count the

@@ -202,6 +202,13 @@ type refWorker struct {
 	group    [][]refAccess
 	wiInstrs []int64
 	groupN   int
+	q        []uint64
+}
+
+// walk charges the hierarchy one access — one segment on a GPU — alone.
+func (w *refWorker) walk(addr uint64, size int, store bool) int64 {
+	w.q = memsim.AppendLines(w.q[:0], addr, size, store, w.hier.LineShift())
+	return w.hier.Walk(w.q)
 }
 
 type refAccess struct {
@@ -224,9 +231,9 @@ func (w *refWorker) Access(in *ir.Instr, wi int, addr uint64, size int, store bo
 		case clc.ASPrivate:
 			w.cycles += w.prof.PrivCost
 		case clc.ASLocal:
-			w.cycles += w.hier.Access(localBase+off, size, store)
+			w.cycles += w.walk(localBase+off, size, store)
 		default:
-			w.cycles += w.hier.Access(off, size, store)
+			w.cycles += w.walk(off, size, store)
 		}
 		return
 	}
@@ -343,7 +350,7 @@ func (w *refWorker) chargeWarpAccess(addrs []uint64, sizes []int, space clc.Addr
 					continue
 				}
 				seen[s] = struct{}{}
-				w.cycles += w.prof.TransCost + w.hier.Access(s*uint64(w.prof.Segment), w.prof.Segment, store)
+				w.cycles += w.prof.TransCost + w.walk(s*uint64(w.prof.Segment), w.prof.Segment, store)
 			}
 		}
 		w.transactions += int64(len(seen))
@@ -367,15 +374,11 @@ func refResult(t *testing.T, p *Profile, streams [][]event) Result {
 		r.Instrs += w.instrs
 		r.Accesses += w.accesses
 		r.Transactions += w.transactions
-		for li, lvl := range h.Levels {
+		for li, c := range h.Levels {
 			if wi == 0 {
-				r.Caches = append(r.Caches, LevelStats{Name: lvl.Name()})
+				r.Caches = append(r.Caches, LevelStats{Name: c.Name()})
 			}
-			st := lvl.Stats()
-			r.Caches[li].Accesses += st.Accesses
-			r.Caches[li].Hits += st.Hits
-			r.Caches[li].Misses += st.Misses
-			r.Caches[li].Writebacks += st.Writebacks
+			r.Caches[li].Add(c.Stats())
 		}
 		r.DRAMAccesses += h.Mem.Accesses
 	}
@@ -720,7 +723,7 @@ func TestDeliveriesMatchReferenceModel(t *testing.T) {
 	// From no lockstep to speak of to nothing but: the converged accesses
 	// of a stream are what the column delivery turns into columns.
 	shapes := []streamShape{ragged, {}, {diverge: 40}, {short: 6}, {short: 12, diverge: 100}, {idle: 30, diverge: 60}}
-	for _, p := range []*Profile{Fermi(), Tahiti(), SNB()} {
+	for _, p := range All() {
 		d := newDeliveries(t, p)
 		r := rand.New(rand.NewSource(12))
 		for trial := 0; trial < 60; trial++ {

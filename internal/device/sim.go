@@ -84,16 +84,11 @@ func (s *Simulator) Result() Result {
 		r.Instrs += w.instrs
 		r.Accesses += w.accesses
 		r.Transactions += w.transactions
-		for li, lvl := range w.hier.Levels {
+		for li, c := range w.hier.Levels {
 			if wi == 0 {
-				r.Caches = append(r.Caches, LevelStats{Name: lvl.Name()})
+				r.Caches = append(r.Caches, LevelStats{Name: c.Name()})
 			}
-			st := lvl.Stats()
-			agg := &r.Caches[li]
-			agg.Accesses += st.Accesses
-			agg.Hits += st.Hits
-			agg.Misses += st.Misses
-			agg.Writebacks += st.Writebacks
+			r.Caches[li].Add(c.Stats())
 		}
 		r.DRAMAccesses += w.hier.Mem.Accesses
 	}
@@ -138,8 +133,8 @@ type workerSim struct {
 type scratch struct {
 	// q holds a tile of work-items' accesses as the lines they touch, item
 	// lo+i's in q[items[i].from:items[i].to] (packTile), built once for all
-	// the CPU cores a worker holds; memos[j] is what held core j was
-	// charged last, from the group's beginning on.
+	// the CPU cores a worker holds, or a GPU warp access's lines; memos[j]
+	// is what held core j was charged last, from the group's beginning on.
 	q     []uint64
 	items [vm.ItemTile]packed
 	memos []memsim.Memo
@@ -182,11 +177,7 @@ func (s *scratch) chargeRegion(b *vm.AccessBatch, held []*workerSim) {
 	s.walk = s.walk[:0]
 	for k := range b.Ops {
 		if op := &b.Ops[k]; !op.Private {
-			w := walkOp{last: uint64(max(op.Size, 1) - 1)}
-			if op.Store {
-				w.store = 1
-			}
-			s.walk = append(s.walk, w)
+			s.walk = append(s.walk, walkOp{last: uint64(max(op.Size, 1) - 1), store: op.Store})
 		}
 	}
 	for lo := 0; lo < len(b.Items); lo += vm.ItemTile {
@@ -203,17 +194,20 @@ func (s *scratch) chargeRegion(b *vm.AccessBatch, held []*workerSim) {
 }
 
 // walkOp is an op with a column as packTile meets it: the offset of its
-// last byte from its first, and its store bit.
-type walkOp struct{ last, store uint64 }
+// last byte from its first, and whether it stores.
+type walkOp struct {
+	last  uint64
+	store bool
+}
 
 // packTile lays work-items lo to hi of region b out in s.q as the lines
-// their accesses touch — the entries of memsim.Hierarchy.Charge for lines
-// of 1<<shift bytes — and counts their private accesses. The tile's slots
-// of every column are transposed into rows, one cache line of each column
-// read once per tile, and an item that made no access of its own — nearly
-// every item — has its row packed in place (packRow); any other item, or
-// one with a slot that spans lines, is laid out again after the rows, its
-// records merged in (appendItem).
+// their accesses touch — memsim.Entry's for lines of 1<<shift bytes — and
+// counts their private accesses. The tile's slots of every column are
+// transposed into rows, one cache line of each column read once per tile,
+// and an item that made no access of its own — nearly every item — has its
+// row packed in place (packRow); any other item, or one with a slot that
+// spans lines, is laid out again after the rows, its records merged in
+// (appendItem).
 func (s *scratch) packTile(b *vm.AccessBatch, lo, hi int, shift uint) {
 	cols := b.NumCols()
 	s.q = b.Transpose(s.q, lo, hi)
@@ -250,7 +244,7 @@ func packRow(row []uint64, walk []walkOp, shift uint) (kept, priv int, ok bool) 
 		if (off+walk[j].last)>>shift != line {
 			return 0, 0, false
 		}
-		row[kept] = line<<1 | walk[j].store
+		row[kept] = memsim.Entry(line, walk[j].store)
 		kept++
 	}
 	return kept, priv, true
@@ -272,13 +266,7 @@ func appendItem(q []uint64, b *vm.AccessBatch, wi int, shift uint) ([]uint64, in
 			// Local memory on a cache-only processor is ordinary memory.
 			off += localBase
 		}
-		st := uint64(0)
-		if store {
-			st = 1
-		}
-		for ln := off >> shift; ln <= (off+uint64(max(size, 1)-1))>>shift; ln++ {
-			q = append(q, ln<<1|st)
-		}
+		q = memsim.AppendLines(q, off, int(size), store, shift)
 	}
 	c := 0
 	for k := range b.Ops {
@@ -524,13 +512,15 @@ func (w *workerSim) chargeWarpAccess(s *scratch, addrs []uint64, sizes []int, sp
 		deg := memsim.BankConflictDegree(addrs, w.prof.SPMBanks, w.prof.BankWidth)
 		w.cycles += int64(deg) * w.prof.SPMLat
 	default:
-		// Each transaction pays the issue cost plus the hierarchy cost of
-		// one segment.
+		// Each transaction pays the issue cost, and the hierarchy is walked
+		// through every segment's lines, segment after segment.
 		s.segs = memsim.Segments(s.segs[:0], addrs, sizes, w.prof.Segment)
 		w.transactions += int64(len(s.segs))
-		seg := uint64(w.prof.Segment)
+		q, seg, shift := s.q[:0], uint64(w.prof.Segment), w.hier.LineShift()
 		for _, b := range s.segs {
-			w.cycles += w.prof.TransCost + w.hier.Access(b*seg, w.prof.Segment, store)
+			q = memsim.AppendLines(q, b*seg, w.prof.Segment, store, shift)
 		}
+		s.q = q
+		w.cycles += int64(len(s.segs))*w.prof.TransCost + w.hier.Walk(q)
 	}
 }

@@ -19,6 +19,14 @@ type Stats struct {
 	Writebacks int64
 }
 
+// Add adds d's counters to s's.
+func (s *Stats) Add(d Stats) {
+	s.Accesses += d.Accesses
+	s.Hits += d.Hits
+	s.Misses += d.Misses
+	s.Writebacks += d.Writebacks
+}
+
 // HitRate returns hits/accesses (0 when idle).
 func (s Stats) HitRate() float64 {
 	if s.Accesses == 0 {
@@ -27,29 +35,11 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses)
 }
 
-// Level is a stage of the memory hierarchy returning an access cost in
-// cycles.
-type Level interface {
-	// Access touches [addr, addr+size) and returns the cost in cycles.
-	Access(addr uint64, size int, store bool) int64
-	// Name identifies the level in reports.
-	Name() string
-}
-
 // DRAM is the hierarchy backstop with a fixed access latency.
 type DRAM struct {
 	Latency  int64
 	Accesses int64
 }
-
-// Access counts the access and returns the fixed latency.
-func (d *DRAM) Access(addr uint64, size int, store bool) int64 {
-	d.Accesses++
-	return d.Latency
-}
-
-// Name returns "dram".
-func (d *DRAM) Name() string { return "dram" }
 
 // Cache is one set-associative, write-allocate, write-back cache level
 // with LRU replacement.
@@ -59,7 +49,9 @@ type Cache struct {
 	ways     int
 	lineSize int
 	latency  int64
-	next     Level
+	// A miss goes to next, or to mem after the last level.
+	next *Cache
+	mem  *DRAM
 
 	// sets and lineSize are powers of two, so a line address is
 	// addr >> lineShift, its set the low bits under setMask and its tag
@@ -82,21 +74,17 @@ type Cache struct {
 	level int
 }
 
-// NewCache builds a cache level in front of next. sets and lineSize must
-// be powers of two.
-func NewCache(name string, sets, ways, lineSize int, latency int64, next Level) (*Cache, error) {
+// newCache builds a cache level. sets and lineSize must be powers of two.
+func newCache(spec CacheSpec) (*Cache, error) {
+	name, sets, ways, lineSize := spec.Name, spec.Sets, spec.Ways, spec.LineSize
 	if sets <= 0 || ways <= 0 || lineSize <= 0 {
 		return nil, fmt.Errorf("memsim: bad geometry for %s: sets=%d ways=%d line=%d", name, sets, ways, lineSize)
 	}
 	if sets&(sets-1) != 0 || lineSize&(lineSize-1) != 0 {
 		return nil, fmt.Errorf("memsim: %s: sets (%d) and line size (%d) must be powers of two", name, sets, lineSize)
 	}
-	if next == nil {
-		return nil, fmt.Errorf("memsim: %s has no next level", name)
-	}
 	return &Cache{
-		name: name, sets: sets, ways: ways, lineSize: lineSize,
-		latency: latency, next: next,
+		name: name, sets: sets, ways: ways, lineSize: lineSize, latency: spec.Latency,
 		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
 		setShift:  uint(bits.TrailingZeros(uint(sets))),
 		setMask:   uint64(sets - 1),
@@ -110,31 +98,10 @@ func (c *Cache) Name() string { return c.name }
 // Stats returns a copy of the level's counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// SizeBytes returns the total capacity.
-func (c *Cache) SizeBytes() int { return c.sets * c.ways * c.lineSize }
-
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
 	clear(c.lines)
 	c.stats = Stats{}
-}
-
-// Access touches [addr, addr+size), splitting accesses that straddle cache
-// lines, and returns the total cost in cycles.
-func (c *Cache) Access(addr uint64, size int, store bool) int64 {
-	if size <= 0 {
-		size = 1
-	}
-	first := addr >> c.lineShift
-	last := (addr + uint64(size) - 1) >> c.lineShift
-	if first == last {
-		return c.accessLine(first, store)
-	}
-	var cost int64
-	for ln := first; ln <= last; ln++ {
-		cost += c.accessLine(ln, store)
-	}
-	return cost
 }
 
 // entry is line lineAddr as its set holds it, clean. Byte addresses below
@@ -170,22 +137,37 @@ func (c *Cache) accessLine(lineAddr uint64, store bool) int64 {
 	}
 	// Miss: fetch from the next level (write-allocate).
 	c.stats.Misses++
-	cost := c.latency + c.next.Access(lineAddr<<c.lineShift, c.lineSize, false)
+	cost := c.latency + c.below(lineAddr<<c.lineShift, false)
 	if e := set[victim]; e&1 != 0 {
 		// Write back the evicted line — to its tag's address in set 0: the
 		// set index is dropped. A known model defect carried over as it was,
 		// because fixing it moves counts (ROADMAP item 8, "Paper fidelity is a
 		// gated number").
 		c.stats.Writebacks++
-		cost += c.next.Access((e>>1-1)<<c.setShift<<c.lineShift, c.lineSize, true) / 2
+		cost += c.below((e>>1-1)<<c.setShift<<c.lineShift, true) / 2
 	}
 	copy(set[1:victim+1], set[:victim])
 	set[0] = want | dirty
 	return cost
 }
 
-// Hierarchy is a convenience bundle: an ordered cache chain plus the DRAM
-// backstop, accessed from the innermost level.
+// below charges what follows c for c's line at byte addr: the next cache,
+// line by line in its own line size, or else the DRAM, once.
+func (c *Cache) below(addr uint64, store bool) int64 {
+	n := c.next
+	if n == nil {
+		c.mem.Accesses++
+		return c.mem.Latency
+	}
+	var cost int64
+	for ln, last := addr>>n.lineShift, (addr+uint64(c.lineSize)-1)>>n.lineShift; ln <= last; ln++ {
+		cost += n.accessLine(ln, store)
+	}
+	return cost
+}
+
+// Hierarchy is an ordered cache chain plus the DRAM backstop, charged
+// from the innermost level by Walk and Charge.
 type Hierarchy struct {
 	Levels []*Cache
 	Mem    *DRAM
@@ -202,43 +184,19 @@ type CacheSpec struct {
 
 // NewHierarchy builds the chain innermost-first.
 func NewHierarchy(specs []CacheSpec, dramLatency int64) (*Hierarchy, error) {
-	h := &Hierarchy{Mem: &DRAM{Latency: dramLatency}}
-	var next Level = h.Mem
-	// Build outermost first.
-	caches := make([]*Cache, len(specs))
+	h := &Hierarchy{Levels: make([]*Cache, len(specs)), Mem: &DRAM{Latency: dramLatency}}
 	for i := len(specs) - 1; i >= 0; i-- {
-		c, err := NewCache(specs[i].Name, specs[i].Sets, specs[i].Ways, specs[i].LineSize, specs[i].Latency, next)
+		c, err := newCache(specs[i])
 		if err != nil {
 			return nil, err
 		}
-		c.level = i
-		caches[i] = c
-		next = c
-	}
-	h.Levels = caches
-	return h, nil
-}
-
-// Access goes through the innermost level (or straight to DRAM when the
-// hierarchy has no caches). The commonest single case — one line, and the
-// line its set touched last — is answered here.
-func (h *Hierarchy) Access(addr uint64, size int, store bool) int64 {
-	if len(h.Levels) == 0 {
-		return h.Mem.Access(addr, size, store)
-	}
-	c := h.Levels[0]
-	if first := addr >> c.lineShift; size > 0 && first == (addr+uint64(size)-1)>>c.lineShift {
-		if e := &c.lines[int(first&c.setMask)*c.ways]; *e&^1 == c.entry(first) {
-			c.stats.Accesses++
-			c.stats.Hits++
-			if store {
-				*e |= 1
-			}
-			return c.latency
+		c.level, c.mem = i, h.Mem
+		if i+1 < len(specs) {
+			c.next = h.Levels[i+1]
 		}
-		return c.accessLine(first, store)
+		h.Levels[i] = c
 	}
-	return c.Access(addr, size, store)
+	return h, nil
 }
 
 // Reset clears every level.

@@ -10,8 +10,9 @@ package memsim
 // first-touch order: lanes in order, each lane's blocks ascending. addrs
 // are the byte addresses of the active lanes, sizes their access sizes
 // (a missing or non-positive size counts as 4 bytes), segment the
-// transaction size in bytes (e.g. 128). Both the transaction count and
-// the per-transaction hierarchy charge derive from this one walk.
+// transaction size in bytes (e.g. 128). Both the transaction count — the
+// list's length — and the lines the hierarchy is walked through derive
+// from this one list.
 func Segments(dst []uint64, addrs []uint64, sizes []int, segment int) []uint64 {
 	seg := uint64(segment)
 	start := len(dst)
@@ -55,14 +56,6 @@ func Segments(dst []uint64, addrs []uint64, sizes []int, segment int) []uint64 {
 		}
 	}
 	return dst
-}
-
-// Coalesce computes the number of memory transactions a warp's
-// simultaneous accesses generate: the count of distinct segment-aligned
-// blocks touched (the classic NVIDIA/AMD coalescing rule).
-func Coalesce(addrs []uint64, sizes []int, segment int) int {
-	var scratch [64]uint64
-	return len(Segments(scratch[:0], addrs, sizes, segment))
 }
 
 // BankConflictDegree computes the scratch-pad conflict factor of a warp

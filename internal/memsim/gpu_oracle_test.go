@@ -8,28 +8,13 @@ import (
 
 // The map-based warp helpers the scan-based ones replaced, kept as
 // oracles. oracleSegments is the hierarchy-charging walk that used to
-// follow Coalesce in device and profit, with Coalesce's size rule.
+// follow the transaction count in device and profit, with its size rule.
 
 func oracleSize(sizes []int, i int) int {
 	if i < len(sizes) && sizes[i] > 0 {
 		return sizes[i]
 	}
 	return 4
-}
-
-func oracleCoalesce(addrs []uint64, sizes []int, segment int) int {
-	if len(addrs) == 0 {
-		return 0
-	}
-	seen := map[uint64]struct{}{}
-	for i, a := range addrs {
-		first := a / uint64(segment)
-		last := (a + uint64(oracleSize(sizes, i)) - 1) / uint64(segment)
-		for s := first; s <= last; s++ {
-			seen[s] = struct{}{}
-		}
-	}
-	return len(seen)
 }
 
 func oracleSegments(addrs []uint64, sizes []int, segment int) []uint64 {
@@ -129,12 +114,41 @@ func TestWarpHelpersMatchMapOracles(t *testing.T) {
 		if want := oracleSegments(addrs, sizes, seg); !slices.Equal(scratch, want) {
 			t.Fatalf("Segments(%v, %v, %d) = %v, want %v", addrs, sizes, seg, scratch, want)
 		}
-		if got, want := Coalesce(addrs, sizes, seg), oracleCoalesce(addrs, sizes, seg); got != want {
-			t.Fatalf("Coalesce(%v, %v, %d) = %d, want %d", addrs, sizes, seg, got, want)
-		}
 		bk := bankings[r.Intn(len(bankings))]
 		if got, want := BankConflictDegree(addrs, bk[0], bk[1]), oracleBankConflictDegree(addrs, bk[0], bk[1]); got != want {
 			t.Fatalf("BankConflictDegree(%v, %d, %d) = %d, want %d", addrs, bk[0], bk[1], got, want)
+		}
+	}
+}
+
+// TestCoalesce: the 128-byte blocks of warp accesses whose answer is
+// known. The transaction count of the coalescing rule is the list's length.
+func TestCoalesce(t *testing.T) {
+	lanes := func(stride, base uint64) []uint64 {
+		out := make([]uint64, 32)
+		for i := range out {
+			out[i] = base + uint64(i)*stride
+		}
+		return out
+	}
+	fours := make([]int, 32)
+	for i := range fours {
+		fours[i] = 4
+	}
+	for _, tc := range []struct {
+		what  string
+		addrs []uint64
+		sizes []int
+		want  []uint64
+	}{
+		{"32 consecutive floats: one segment", lanes(4, 0), fours, []uint64{0}},
+		{"a 512-byte stride: a segment per lane", lanes(512, 0), fours, lanes(4, 0)},
+		{"a broadcast", lanes(0, 4096), fours, []uint64{32}},
+		{"no lanes", nil, nil, nil},
+		{"16 bytes over a boundary", []uint64{120}, []int{16}, []uint64{0, 1}},
+	} {
+		if got := Segments(nil, tc.addrs, tc.sizes, 128); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: segments %v, want %v", tc.what, got, tc.want)
 		}
 	}
 }
@@ -147,8 +161,8 @@ func TestSegmentsNonPositiveSize(t *testing.T) {
 		if want := []uint64{0, 1}; !slices.Equal(got, want) {
 			t.Errorf("size %d: segments %v, want %v", sz, got, want)
 		}
-		if n := Coalesce([]uint64{0}, []int{sz}, 128); n != 1 {
-			t.Errorf("size %d: Coalesce = %d, want 1", sz, n)
+		if n := len(Segments(nil, []uint64{0}, []int{sz}, 128)); n != 1 {
+			t.Errorf("size %d: %d transactions, want 1", sz, n)
 		}
 	}
 }
@@ -163,7 +177,6 @@ func TestWarpHelpersDoNotAllocate(t *testing.T) {
 	scratch := make([]uint64, 0, 128)
 	allocs := testing.AllocsPerRun(100, func() {
 		scratch = Segments(scratch[:0], addrs, sizes, 128)
-		_ = Coalesce(addrs, sizes, 128)
 		_ = BankConflictDegree(addrs, 32, 4)
 	})
 	if allocs != 0 {

@@ -3,7 +3,7 @@ package memsim
 import "slices"
 
 // LineShift is how far right an address is shifted to give its line in the
-// first level: what Charge's entries are made of. Without a cache every
+// first level: what a walk's entries are made of. Without a cache every
 // address is on line 0, so that an access is one entry whatever its size,
 // as it is one DRAM access.
 func (h *Hierarchy) LineShift() uint {
@@ -13,10 +13,34 @@ func (h *Hierarchy) LineShift() uint {
 	return h.Levels[0].lineShift
 }
 
-// walk charges the hierarchy a sequence of one-line accesses (see Charge)
-// in order and returns their cost: Access's, line by line. Hits on a set's
-// most recent line are answered here and counted in locals.
-func (h *Hierarchy) walk(q []uint64) int64 {
+// Entry is a walk's entry for an access to line, a first-level line (an
+// address shifted right by LineShift): the line shifted left once, with
+// the store bit below it.
+func Entry(line uint64, store bool) uint64 {
+	e := line << 1
+	if store {
+		e |= 1
+	}
+	return e
+}
+
+// AppendLines appends to q the entries of an access of size bytes at
+// addr (a non-positive size counts as 1): one per line of 1<<shift bytes
+// it touches, in order.
+func AppendLines(q []uint64, addr uint64, size int, store bool, shift uint) []uint64 {
+	for ln, last := addr>>shift, (addr+uint64(max(size, 1)-1))>>shift; ln <= last; ln++ {
+		q = append(q, Entry(ln, store))
+	}
+	return q
+}
+
+// Walk charges the hierarchy the entries of q in order (see Entry) and
+// returns their cost: a line's cost is its first level's latency, plus on
+// a miss what the line costs the level after it, plus half what writing
+// back the line it evicts costs there. Every cache and the DRAM count the
+// lines they see. Hits on a set's most recent line are answered here and
+// counted in locals.
+func (h *Hierarchy) Walk(q []uint64) int64 {
 	if len(h.Levels) == 0 {
 		h.Mem.Accesses += int64(len(q))
 		return int64(len(q)) * h.Mem.Latency
@@ -70,21 +94,18 @@ type Memo struct {
 // Reset forgets the sequence charged last; the buffers keep their capacity.
 func (m *Memo) Reset() { m.prev, m.fixed = m.prev[:0], false }
 
-// Charge walks the hierarchy through the accesses of q in order or, when
+// Charge walks the hierarchy through the entries of q in order or, when
 // walking them is known to repeat the walk before, adds what that walk did;
-// it returns the cost and whether q was charged without a walk. An entry of
-// q is one line of the first level — an address shifted right by LineShift
-// — shifted left once, with the store bit below it; an access that spans
-// lines is one entry per line, in order. Cost and counters are Access's,
-// line by line.
+// it returns the cost and whether q was charged without a walk. Cost and
+// counters are Walk's.
 func (h *Hierarchy) Charge(m *Memo, q []uint64) (cost int64, memo bool) {
 	if !slices.Equal(q, m.prev) {
 		m.prev, m.fixed = append(m.prev[:0], q...), false
-		return h.walk(q), false
+		return h.Walk(q), false
 	}
 	if m.fixed {
 		for i, c := range h.Levels {
-			c.stats.add(m.delta[i])
+			c.stats.Add(m.delta[i])
 		}
 		h.Mem.Accesses += m.dram
 		return m.cost, true
@@ -95,7 +116,7 @@ func (h *Hierarchy) Charge(m *Memo, q []uint64) (cost int64, memo bool) {
 	}
 	dram := h.Mem.Accesses
 	m.j.start(h)
-	cost = h.walk(q)
+	cost = h.Walk(q)
 	if m.fixed = m.j.finish(h); m.fixed {
 		for i, c := range h.Levels {
 			m.delta[i] = c.stats.minus(m.delta[i])
@@ -157,13 +178,6 @@ func (j *journal) finish(h *Hierarchy) bool {
 	}
 	j.sets, j.prior = j.sets[:0], j.prior[:0]
 	return same
-}
-
-func (s *Stats) add(d Stats) {
-	s.Accesses += d.Accesses
-	s.Hits += d.Hits
-	s.Misses += d.Misses
-	s.Writebacks += d.Writebacks
 }
 
 func (s Stats) minus(d Stats) Stats {

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// TestMemoMatchesPlainWalk sets two hierarchies of each three-level
-// geometry to one random state, then charges one of them a random sequence
-// of lines k times over through a Memo and the other the same accesses one
-// at a time (Access): every charge must cost the same, and every level's
+// TestMemoMatchesPlainWalk sets a hierarchy and a divCache chain of each
+// geometry to one random state, then charges the hierarchy a random
+// sequence of lines k times over through a Memo and the chain the same
+// lines one at a time: every charge must cost the same, and every level's
 // counters, DRAM's and every set's contents must be equal after each. The
 // sequences keep to a few sets of every level and hold more lines of each
 // than it has ways, stores among them, so that repeats evict dirty lines
@@ -17,9 +17,10 @@ import (
 // another sequence comes between two repeats, or the state is stirred
 // behind the memo's back and the memo Reset.
 func TestMemoMatchesPlainWalk(t *testing.T) {
-	for gi, specs := range threeLevels() {
+	for gi, specs := range geometries() {
 		r := rand.New(rand.NewSource(int64(7 + gi)))
-		memo, plain := mustHierarchy(t, specs), mustHierarchy(t, specs)
+		memo, dram := mustHierarchy(t, specs), &DRAM{Latency: 100}
+		div := divChain(specs, dram)
 		l1 := specs[0]
 		// Lines this many first-level lines apart share a set at every level.
 		period := uint64(0)
@@ -35,8 +36,8 @@ func TestMemoMatchesPlainWalk(t *testing.T) {
 		stir := func() {
 			for i := 0; i < 200; i++ {
 				addr, size, store := randomLine()*uint64(l1.LineSize)+uint64(r.Intn(l1.LineSize)), 1+r.Intn(8), r.Intn(3) == 0
-				memo.Access(addr, size, store)
-				plain.Access(addr, size, store)
+				access(memo, addr, size, store)
+				div[0].Access(addr, size, store)
 			}
 		}
 		var m Memo
@@ -48,9 +49,9 @@ func TestMemoMatchesPlainWalk(t *testing.T) {
 			}
 			q := make([]uint64, 1+r.Intn(60))
 			for i := range q {
-				q[i] = randomLine()<<1 | uint64(r.Intn(4)/3)
+				q[i] = Entry(randomLine(), r.Intn(4) == 3)
 			}
-			other := []uint64{randomLine() << 1, randomLine()<<1 | 1}
+			other := []uint64{Entry(randomLine(), false), Entry(randomLine(), true)}
 			for k := 1 + r.Intn(8); k > 0; k-- {
 				seq := q
 				if r.Intn(8) == 0 {
@@ -60,23 +61,22 @@ func TestMemoMatchesPlainWalk(t *testing.T) {
 				var want int64
 				for _, e := range seq {
 					addr := (e>>1)*uint64(l1.LineSize) + uint64(r.Intn(l1.LineSize))
-					want += plain.Access(addr, 1, e&1 != 0)
+					want += div[0].Access(addr, 1, e&1 != 0)
 				}
 				if got != want {
-					t.Fatalf("geometry %d, round %d: a charge costs %d (memo %v), the walk %d", gi, round, got, fromMemo, want)
+					t.Fatalf("geometry %d, round %d: a charge costs %d (memo %v), the division form %d", gi, round, got, fromMemo, want)
 				}
 				if fromMemo {
 					charged++
 				}
 				for li, c := range memo.Levels {
-					p := plain.Levels[li]
-					if c.Stats() != p.Stats() || !slices.Equal(c.lines, p.lines) {
-						t.Fatalf("geometry %d, round %d, %s: counters %+v, walked %+v; contents equal: %v",
-							gi, round, c.Name(), c.Stats(), p.Stats(), slices.Equal(c.lines, p.lines))
+					if c.Stats() != div[li].stats || !slices.Equal(c.lines, div[li].contents()) {
+						t.Fatalf("geometry %d, round %d, %s: counters %+v, division form %+v; contents equal: %v",
+							gi, round, c.Name(), c.Stats(), div[li].stats, slices.Equal(c.lines, div[li].contents()))
 					}
 				}
-				if memo.Mem.Accesses != plain.Mem.Accesses {
-					t.Fatalf("geometry %d, round %d: DRAM accesses %d, walked %d", gi, round, memo.Mem.Accesses, plain.Mem.Accesses)
+				if memo.Mem.Accesses != dram.Accesses {
+					t.Fatalf("geometry %d, round %d: DRAM accesses %d, division form %d", gi, round, memo.Mem.Accesses, dram.Accesses)
 				}
 			}
 		}

@@ -33,8 +33,9 @@ type replay struct {
 
 	// lane environments of the group (CPU: one at a time; GPU: per warp).
 	envs []*memaccess.Env
-	// segs is scratch for the segments one warp access coalesces into.
-	segs []uint64
+	// segs is scratch for the segments one warp access coalesces into, q
+	// for the lines one access or segment walks the hierarchy through.
+	segs, q []uint64
 }
 
 func newReplay(sum *memaccess.Summary, prof *device.Profile, opts Options) (*replay, error) {
@@ -183,11 +184,10 @@ func (r *replay) replayAccess(a *memaccess.Access, w float64) {
 			addr = r.fallback(a, 1)[0]
 		}
 		if a.Space == clc.ASLocal {
-			addr += memaccess.LocalBase
-			r.local += w * float64(r.hier.Access(addr, a.Bytes, a.Store))
+			r.local += w * float64(r.walk(addr+memaccess.LocalBase, a.Bytes, a.Store))
 			return
 		}
-		r.mem += w * float64(r.hier.Access(addr, a.Bytes, a.Store))
+		r.mem += w * float64(r.walk(addr, a.Bytes, a.Store))
 		return
 	}
 	// GPU: gather the warp's lane addresses.
@@ -220,16 +220,23 @@ func (r *replay) replayAccess(a *memaccess.Access, w float64) {
 		r.warpLocalDeg += w * float64(deg)
 		return
 	}
-	// Coalesce into segment transactions; each pays issue plus the
-	// hierarchy cost of one segment (device.workerSim mechanics).
+	// Coalesce into segment transactions; each pays issue plus the walk
+	// through its lines (device.workerSim mechanics), walked on its own so
+	// that r.mem adds the same weighted floats in the same order.
 	seg := uint64(r.prof.Segment)
 	r.segs = memsim.Segments(r.segs[:0], addrs, sizes, r.prof.Segment)
 	for _, s := range r.segs {
-		r.mem += w * float64(r.prof.TransCost+r.hier.Access(s*seg, r.prof.Segment, a.Store))
+		r.mem += w * float64(r.prof.TransCost+r.walk(s*seg, r.prof.Segment, a.Store))
 	}
 	r.transactions += w * float64(len(r.segs))
 	r.warpGlobal += w
 	r.warpGlobalLanes += w * float64(len(r.segs))
+}
+
+// walk charges the hierarchy an access of size bytes at addr, line by line.
+func (r *replay) walk(addr uint64, size int, store bool) int64 {
+	r.q = memsim.AppendLines(r.q[:0], addr, size, store, r.hier.LineShift())
+	return r.hier.Walk(r.q)
 }
 
 // fallback synthesizes streaming addresses for an access the evaluator

@@ -24,6 +24,7 @@ package opencl
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"grover/internal/analysis"
@@ -156,6 +157,9 @@ func (b *Buffer) ReadInt32(n int) []int32 { return b.buf.ReadInt32s(n) }
 
 // WriteBytes copies raw bytes into the buffer.
 func (b *Buffer) WriteBytes(p []byte) { b.buf.WriteBytes(p) }
+
+// ReadBytes copies the first n bytes out of the buffer.
+func (b *Buffer) ReadBytes(n int) []byte { return slices.Clone(b.buf.Bytes()[:n]) }
 
 // Program is a compiled module plus its prepared executable form.
 type Program struct {
