@@ -22,7 +22,6 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -230,11 +229,11 @@ func dumpValues(b *opencl.Buffer, k clc.ScalarKind, n int) []any {
 		off := uint64(i * k.Size())
 		switch k {
 		case clc.KFloat:
-			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[off:]))
+			out[i] = float32(vm.LoadFloat(raw, off, k))
 		case clc.KDouble:
-			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[off:]))
+			out[i] = vm.LoadFloat(raw, off, k)
 		case clc.KULong:
-			out[i] = binary.LittleEndian.Uint64(raw[off:])
+			out[i] = uint64(vm.LoadInt(raw, off, k))
 		default:
 			out[i] = vm.LoadInt(raw, off, k)
 		}

@@ -61,11 +61,9 @@ func newSet(models []*Simulator) *Set {
 }
 
 // Opts returns the launch options wiring every model of the set into one
-// VM launch on as many workers as the host has processors. More would not
-// only be idle: a worker waits for its group's turn holding what the engine
-// lent it for the group (vm.Program.Launch lends a traced launch at most
-// GOMAXPROCS group states), so workers beyond that could starve the one
-// whose turn it is.
+// VM launch on as many workers as the host has processors: each worker
+// builds a group state of its own, and more workers than processors would
+// only hold more of them idle while they wait for their groups' turns.
 func (s *Set) Opts() *vm.LaunchOpts {
 	n := runtime.GOMAXPROCS(0)
 	for len(s.hosts) < n {

@@ -212,13 +212,6 @@ func NewRegistry() *Registry {
 // Term returns the registered term for key, or nil.
 func (r *Registry) Term(key string) *Term { return r.byKey[key] }
 
-// KeyOf returns the term key registered for identity v (e.g. a mutable
-// variable's alloca, which every load of the variable maps to), if any.
-func (r *Registry) KeyOf(v ir.Value) (string, bool) {
-	key, ok := r.byVal[v]
-	return key, ok
-}
-
 // Terms returns all registered terms.
 func (r *Registry) Terms() map[string]*Term { return r.byKey }
 

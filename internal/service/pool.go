@@ -76,19 +76,8 @@ func (p *Pool) release() {
 	<-p.sem
 }
 
-// Run executes fn in the caller's goroutine once a slot is free, blocking
-// while the pool is saturated. Nested work spawned by fn (e.g. the host
-// workers of an autotune job's kernel launches) must not call Run, or a
-// full pool of parents waiting on children would deadlock; it runs within
-// the parent's slot. Run never sheds; use RunCtx on request paths
-// that should honor the queue bound.
-func (p *Pool) Run(fn func()) {
-	p.acquire(context.Background())
-	defer p.release()
-	fn()
-}
-
-// RunCtx is Run with request-path semantics: the queue wait lands as a
+// RunCtx executes fn in the caller's goroutine once a slot is free,
+// blocking while the pool is saturated. The queue wait lands as a
 // "queue.wait" span on ctx's trace, and when the queue bound is reached
 // the job is shed — fn never runs and the returned error carries HTTP
 // status 503.

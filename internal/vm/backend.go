@@ -20,17 +20,16 @@ const BackendWgvec = "wgvec"
 // Executor is an execution engine for a prepared Program. Program.Launch
 // owns everything about a launch but running its work-groups: it resolves
 // the kernel, geometry and arguments into a Dispatch, deals the groups to
-// host workers, lends traced launches their states and collects errors.
-// An engine builds one group state for a dispatch and runs work-groups
-// with it; Program.Launch releases the state when the launch ends.
+// host workers and collects errors. An engine builds one group state per
+// worker and runs that worker's work-groups with it; Program.Launch
+// releases the state when the worker is done.
 //
 // An engine must preserve the VM contract exactly — identical results,
 // identical memory-trace emission and identical error behavior — so that
 // simulated cycle counts are backend-invariant.
 type Executor interface {
-	// NewGroup builds a state that runs work-groups of d. traced says
-	// whether the launch is traced: a traced state is lent from worker to
-	// worker, each Run with the borrowing worker's tracer.
+	// NewGroup builds a state that runs one worker's work-groups of d.
+	// traced says whether each Run is given the worker's tracer.
 	NewGroup(d *Dispatch, traced bool) Group
 }
 
@@ -134,9 +133,6 @@ func (p *Program) AllocaOffset(in *ir.Instr, f *ir.Function) int {
 	}
 	return p.frames[f].offsets[in]
 }
-
-// RegCount returns the number of producing instructions in f.
-func (p *Program) RegCount(f *ir.Function) int { return p.regCount[f] }
 
 // StackBytes returns the conservative per-work-item private arena size.
 func (p *Program) StackBytes() int { return p.stackBytes }

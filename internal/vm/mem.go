@@ -165,38 +165,29 @@ func ResolveAccess(addr uint64, size int, store bool, global, local, private []b
 // loadScalar reads a scalar of kind k at addr.
 func (m *memView) loadScalar(addr uint64, k clc.ScalarKind) (rv, error) {
 	a, off, err := ResolveAccess(addr, k.Size(), false, m.global, m.local, m.private)
-	if err != nil {
-		return rv{}, err
-	}
-	var out rv
 	switch {
-	case k == clc.KFloat:
-		out.f = float64(math.Float32frombits(binary.LittleEndian.Uint32(a[off:])))
-	case k == clc.KDouble:
-		out.f = math.Float64frombits(binary.LittleEndian.Uint64(a[off:]))
+	case err != nil:
+		return rv{}, err
+	case k.IsFloat():
+		return rv{f: LoadFloat(a, off, k)}, nil
 	case k.IsInteger():
-		out.i = LoadInt(a, off, k)
-	default:
-		return rv{}, fmt.Errorf("vm: load of unsupported scalar %s", k)
+		return rv{i: LoadInt(a, off, k)}, nil
 	}
-	return out, nil
+	return rv{}, fmt.Errorf("vm: load of unsupported type %s", k)
 }
 
 // storeScalar writes a scalar of kind k at addr.
 func (m *memView) storeScalar(addr uint64, k clc.ScalarKind, v rv) error {
 	a, off, err := ResolveAccess(addr, k.Size(), true, m.global, m.local, m.private)
-	if err != nil {
-		return err
-	}
 	switch {
-	case k == clc.KFloat:
-		binary.LittleEndian.PutUint32(a[off:], math.Float32bits(float32(v.f)))
-	case k == clc.KDouble:
-		binary.LittleEndian.PutUint64(a[off:], math.Float64bits(v.f))
+	case err != nil:
+		return err
+	case k.IsFloat():
+		StoreFloat(a, off, k, v.f)
 	case k.IsInteger():
 		StoreInt(a, off, k, v.i)
 	default:
-		return fmt.Errorf("vm: store of unsupported scalar %s", k)
+		return fmt.Errorf("vm: store of unsupported type %s", k)
 	}
 	return nil
 }
@@ -236,4 +227,24 @@ func StoreInt(a []byte, off uint64, k clc.ScalarKind, v int64) {
 	default: // KLong, KULong
 		binary.LittleEndian.PutUint64(a[off:], uint64(v))
 	}
+}
+
+// LoadFloat reads the float of kind k (KFloat or KDouble) at a[off:], the
+// one memory image of a float both engines read: little-endian IEEE 754, a
+// float widened exactly to float64.
+func LoadFloat(a []byte, off uint64, k clc.ScalarKind) float64 {
+	if k == clc.KFloat {
+		return float64(math.Float32frombits(binary.LittleEndian.Uint32(a[off:])))
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(a[off:]))
+}
+
+// StoreFloat writes v, a float of kind k, at a[off:] in the image
+// LoadFloat reads: a float rounds to 32 bits.
+func StoreFloat(a []byte, off uint64, k clc.ScalarKind, v float64) {
+	if k == clc.KFloat {
+		binary.LittleEndian.PutUint32(a[off:], math.Float32bits(float32(v)))
+		return
+	}
+	binary.LittleEndian.PutUint64(a[off:], math.Float64bits(v))
 }

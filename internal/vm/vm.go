@@ -323,52 +323,23 @@ func (p *Program) Launch(kernel string, cfg Config, gmem *GlobalMem, opts *Launc
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	sched := newGroupSchedule(nGroups, workers, tracerFor != nil)
-	// A traced launch may ask for far more workers than can run (the device
-	// model asks for GOMAXPROCS, but a caller that wants one stream per
-	// simulated core asks for up to 60), and a traced group needs its
-	// execution state — registers, private stacks — and, on wgvec, a trace
-	// buffer here, often another in its tracer.
-	// So the launch owns only as many states as the host runs goroutines at
-	// a time and a worker holds one for the length of a group: the rest wait
-	// here instead of sitting preempted on full-grown states of their own.
-	// Each worker's stream is its own, so the order between workers is free.
-	// What is lent starts out as nil: the first worker to borrow one builds
-	// it, so the states are built side by side and only as many as get used.
-	var lent chan Group
-	if tracerFor != nil {
-		lent = make(chan Group, min(workers, runtime.GOMAXPROCS(0)))
-		for i := 0; i < cap(lent); i++ {
-			lent <- nil
-		}
-	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
 			defer wg.Done()
-			var g Group
 			var tr Tracer
 			if tracerFor != nil {
 				tr = tracerFor(worker)
-			} else {
-				g = ex.NewGroup(d, false)
-				defer g.Release()
 			}
+			g := ex.NewGroup(d, tr != nil)
+			defer g.Release()
 			cur := sched.cursor(worker)
 			for gi := cur.next(); gi >= 0; gi = cur.next() {
 				gz := gi / (groups[0] * groups[1])
 				rem := gi % (groups[0] * groups[1])
 				gy := rem / groups[0]
 				gx := rem % groups[0]
-				if lent != nil {
-					if g = <-lent; g == nil {
-						g = ex.NewGroup(d, true)
-					}
-				}
-				err := g.Run([3]int{gx, gy, gz}, gi, tr)
-				if lent != nil {
-					lent <- g
-				}
-				if err != nil {
+				if err := g.Run([3]int{gx, gy, gz}, gi, tr); err != nil {
 					AbortGroup(tr)
 					errs[worker] = fmt.Errorf("group (%d,%d,%d): %w", gx, gy, gz, err)
 					return
@@ -377,11 +348,6 @@ func (p *Program) Launch(kernel string, cfg Config, gmem *GlobalMem, opts *Launc
 		}(w)
 	}
 	wg.Wait()
-	for i := 0; i < cap(lent); i++ {
-		if g := <-lent; g != nil {
-			g.Release()
-		}
-	}
 	for _, e := range errs {
 		if e != nil {
 			return e

@@ -4,13 +4,14 @@ package wgvec
 // (compile.go) into flat register-machine code. Values live in dense
 // per-bank register slots (int64, float64, and vector lanes) instead of
 // boxed interpreter values, operands and branch targets are resolved to
-// indices at compile time, opcodes are specialized by scalar/vector type,
-// the GEP+load / GEP+store address chains that dominate the benchmark
-// kernels are fused into superinstructions, and the loads and stores of a
-// private variable whose address never escapes become moves to and from a
-// register of its own (slot instructions). Every instruction keeps its
-// originating IR instruction and retire count, so the engine emits the
-// interpreter's memory trace bit for bit.
+// indices at compile time, a load or store carries the element kind and
+// lane count of its access (vm.LoadInt and vm.LoadFloat say how each kind
+// sits in memory), the GEP+load / GEP+store address chains that dominate
+// the benchmark kernels are fused into superinstructions, and the loads
+// and stores of a private variable whose address never escapes become
+// moves to and from a register of its own (slot instructions). Every
+// instruction keeps its originating IR instruction and retire count, so
+// the engine emits the interpreter's memory trace bit for bit.
 
 import (
 	"grover/internal/ir"
@@ -59,60 +60,22 @@ const (
 	opIndex  // ri[a] = ri[b] + ri[c]*imm
 	opIndexC // ri[a] = ri[b] + imm
 
-	// Scalar loads: a = dst, b = address register, n = traced size.
-	opLdI8
-	opLdU8
-	opLdI16
-	opLdU16
-	opLdI32
-	opLdU32
-	opLdI64
-	opLdF32
-	opLdF64
-	// Fused index+load: address is ri[b] + ri[c]*imm.
-	opLdXI8
-	opLdXU8
-	opLdXI16
-	opLdXU16
-	opLdXI32
-	opLdXU32
-	opLdXI64
-	opLdXF32
-	opLdXF64
-	// Scalar stores: a = src, b = address register, n = traced size.
-	opStI8
-	opStI16
-	opStI32
-	opStI64
-	opStF32
-	opStF64
-	// Fused index+store: address is ri[b] + ri[c]*imm.
-	opStXI8
-	opStXI16
-	opStXI32
-	opStXI64
-	opStXF32
-	opStXF64
-	// Vector loads/stores: kind = element kind, sub = lanes, n = traced
-	// size; fused variants address through ri[b] + ri[c]*imm.
-	opLdVI
-	opLdVF
-	opLdXVI
-	opLdXVF
-	opStVI
-	opStVF
-	opStXVI
-	opStXVF
+	// Loads and stores: kind = element kind (a pointer is a ulong), sub =
+	// lanes (0: a scalar register), n = traced size, a = dst or src, b =
+	// address register. The X forms address ri[b] + ri[c]*imm (fused
+	// index+load, index+store).
+	opLd
+	opLdX
+	opSt
+	opStX
 	// Slot loads and stores: the memory instructions of a private variable
 	// that lives in a register of its own instead of the work-item's stack
 	// (fnCompiler.analyzeSlots). a = dst or src, b = the variable's
-	// register, kind = its scalar kind, n = traced size, imm = its alloca's
-	// frame offset: the access is traced at private address frameBase+imm,
-	// where the variable would be.
-	opSlotLdI // ri[a] = ri[b]
-	opSlotLdF // rf[a] = rf[b]
-	opSlotStI // ri[b] = ri[a] as a store and a load of kind leave it
-	opSlotStF // rf[b] = rf[a] as a store and a load of kind leave it
+	// register (float bank for a float kind), kind = its scalar kind, n =
+	// traced size, imm = its alloca's frame offset: the access is traced at
+	// private address frameBase+imm, where the variable would be.
+	opSlotLd // reg[a] = reg[b]
+	opSlotSt // reg[b] = reg[a] as a store and a load of kind leave it
 
 	// 64-bit integer arithmetic (no normalization: the kind's width is 64
 	// or the op is normalization-transparent).

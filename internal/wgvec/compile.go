@@ -324,16 +324,25 @@ func (fc *fnCompiler) analyzeSlots() {
 }
 
 // slotKind returns the scalar kind a value of type t is stored and loaded
-// as — a pointer goes through memory as an unsigned 64-bit word — or false
-// when t is not something a slot can hold.
+// as, or false when t is not something a slot can hold.
 func slotKind(t clc.Type) (clc.ScalarKind, bool) {
+	k, lanes, ok := memKind(t)
+	return k, ok && lanes == 0
+}
+
+// memKind returns the element kind and lane count (0 for a scalar) of a
+// value of type t in memory — a pointer goes through memory as an unsigned
+// 64-bit word — or false when t is nothing a load or store moves.
+func memKind(t clc.Type) (clc.ScalarKind, uint8, bool) {
 	switch tt := t.(type) {
 	case *clc.ScalarType:
-		return tt.Kind, ldOp(tt.Kind) != opNop
+		return tt.Kind, 0, tt.Kind != clc.KVoid
+	case *clc.VectorType:
+		return tt.Elem.Kind, uint8(tt.Len), true
 	case *clc.PointerType:
-		return clc.KULong, true
+		return clc.KULong, 0, true
 	}
-	return 0, false
+	return 0, 0, false
 }
 
 func (fc *fnCompiler) add(i inst) int32 {
@@ -361,50 +370,6 @@ func (fc *fnCompiler) auxAdd(a aux) int64 {
 func (fc *fnCompiler) dst(in *ir.Instr) (ref, bool) {
 	r, ok := fc.vals[in]
 	return r, ok
-}
-
-// ldOp returns the specialized scalar-load opcode for a kind.
-func ldOp(k clc.ScalarKind) opcode {
-	switch k {
-	case clc.KBool, clc.KUChar:
-		return opLdU8
-	case clc.KChar:
-		return opLdI8
-	case clc.KShort:
-		return opLdI16
-	case clc.KUShort:
-		return opLdU16
-	case clc.KInt:
-		return opLdI32
-	case clc.KUInt:
-		return opLdU32
-	case clc.KLong, clc.KULong:
-		return opLdI64
-	case clc.KFloat:
-		return opLdF32
-	case clc.KDouble:
-		return opLdF64
-	}
-	return opNop
-}
-
-// stOp returns the specialized scalar-store opcode for a kind.
-func stOp(k clc.ScalarKind) opcode {
-	switch k {
-	case clc.KBool, clc.KChar, clc.KUChar:
-		return opStI8
-	case clc.KShort, clc.KUShort:
-		return opStI16
-	case clc.KInt, clc.KUInt:
-		return opStI32
-	case clc.KLong, clc.KULong:
-		return opStI64
-	case clc.KFloat:
-		return opStF32
-	case clc.KDouble:
-		return opStF64
-	}
-	return opNop
 }
 
 // memAddr resolves the address operand of a load/store: either the fused
@@ -542,52 +507,35 @@ func (fc *fnCompiler) emitLoad(in *ir.Instr) {
 		return
 	}
 	if s, ok := fc.slots[in.Args[0]]; ok {
-		op := opSlotLdI
-		if s.reg.Bank == bankFlt {
-			op = opSlotLdF
-		}
-		fc.code = append(fc.code, inst{Op: op, Kind: uint8(s.kind), A: d.Idx, B: s.reg.Idx,
+		fc.code = append(fc.code, inst{Op: opSlotLd, Kind: uint8(s.kind), A: d.Idx, B: s.reg.Idx,
 			N: int32(in.Typ.Size()), Imm: fc.slotOffset(in), Retire: 1, In: in})
 		return
 	}
-	base, idx, step, fused := fc.memAddr(in)
-	retire := uint8(1)
-	if fused {
-		retire = 2
-	}
-	i := inst{A: d.Idx, B: base.Idx, C: idx.Idx, Imm: step,
-		N: int32(in.Typ.Size()), Retire: retire, In: in}
-	switch tt := in.Typ.(type) {
-	case *clc.ScalarType:
-		i.Op = ldOp(tt.Kind)
-		if i.Op == opNop {
-			fc.trap(fmt.Sprintf("vm: load of unsupported scalar %s", tt.Kind), retire)
-			return
-		}
-		if fused {
-			i.Op += opLdXI8 - opLdI8
-		}
-	case *clc.VectorType:
-		i.Kind = uint8(tt.Elem.Kind)
-		i.Sub = uint8(tt.Len)
-		if tt.Elem.Kind.IsFloat() {
-			i.Op = opLdVF
-		} else {
-			i.Op = opLdVI
-		}
-		if fused {
-			i.Op += opLdXVI - opLdVI
-		}
-	case *clc.PointerType:
-		i.Op = opLdI64
-		if fused {
-			i.Op += opLdXI8 - opLdI8
-		}
-	default:
-		fc.trap(fmt.Sprintf("vm: load of unsupported type %s", in.Typ), retire)
+	i := fc.memInst(in, in.Typ, opLd, opLdX)
+	if i.Op == opTrap {
+		fc.trap(fmt.Sprintf("vm: load of unsupported type %s", in.Typ), i.Retire)
 		return
 	}
+	i.A = d.Idx
 	fc.code = append(fc.code, i)
+}
+
+// memInst builds the load or store in makes of a value of type t: its
+// kind, lanes and address operands, and the opcode op, or opX when an
+// index instruction folds into it. Its Op is opTrap when memory holds no
+// value of type t.
+func (fc *fnCompiler) memInst(in *ir.Instr, t clc.Type, op, opX opcode) inst {
+	k, lanes, ok := memKind(t)
+	base, idx, step, fused := fc.memAddr(in)
+	i := inst{Op: op, Kind: uint8(k), Sub: lanes, B: base.Idx, C: idx.Idx, Imm: step,
+		N: int32(t.Size()), Retire: 1, In: in}
+	if fused {
+		i.Op, i.Retire = opX, 2
+	}
+	if !ok {
+		i.Op = opTrap
+	}
+	return i
 }
 
 // slotOffset returns the frame offset of the alloca a slot load or store
@@ -597,65 +545,30 @@ func (fc *fnCompiler) slotOffset(in *ir.Instr) int64 {
 }
 
 func (fc *fnCompiler) emitStore(in *ir.Instr) {
+	v := in.Args[1]
 	if s, ok := fc.slots[in.Args[0]]; ok {
-		op := opSlotStI
-		if s.reg.Bank == bankFlt {
-			op = opSlotStF
-		}
-		fc.code = append(fc.code, inst{Op: op, Kind: uint8(s.kind), A: fc.scalarRef(in.Args[1], s.reg.Bank).Idx, B: s.reg.Idx,
-			N: int32(in.Args[1].Type().Size()), Imm: fc.slotOffset(in), Retire: 1, In: in})
+		fc.code = append(fc.code, inst{Op: opSlotSt, Kind: uint8(s.kind), A: fc.scalarRef(v, s.reg.Bank).Idx, B: s.reg.Idx,
+			N: int32(v.Type().Size()), Imm: fc.slotOffset(in), Retire: 1, In: in})
 		return
 	}
-	base, idx, step, fused := fc.memAddr(in)
-	retire := uint8(1)
-	if fused {
-		retire = 2
-	}
-	t := in.Args[1].Type()
-	i := inst{B: base.Idx, C: idx.Idx, Imm: step,
-		N: int32(t.Size()), Retire: retire, In: in}
-	switch tt := t.(type) {
-	case *clc.ScalarType:
-		i.Op = stOp(tt.Kind)
-		if i.Op == opNop {
-			fc.trap(fmt.Sprintf("vm: store of unsupported scalar %s", tt.Kind), retire)
-			return
-		}
-		vb := bankInt
-		if tt.Kind.IsFloat() {
-			vb = bankFlt
-		}
-		i.A = fc.scalarRef(in.Args[1], vb).Idx
-		if fused {
-			i.Op += opStXI8 - opStI8
-		}
-	case *clc.VectorType:
-		vb := bankVecI
-		i.Op = opStVI
-		if tt.Elem.Kind.IsFloat() {
-			vb, i.Op = bankVecF, opStVF
-		}
-		src, ok := fc.vecRef(in.Args[1], vb)
-		if !ok {
-			fc.trap(fmt.Sprintf("vm: store of unsupported type %s", t), retire)
-			return
-		}
-		i.A = src.Idx
-		i.Kind = uint8(tt.Elem.Kind)
-		i.Sub = uint8(tt.Len)
-		if fused {
-			i.Op += opStXVI - opStVI
-		}
-	case *clc.PointerType:
-		i.Op = opStI64
-		i.A = fc.scalarRef(in.Args[1], bankInt).Idx
-		if fused {
-			i.Op += opStXI8 - opStI8
-		}
+	i := fc.memInst(in, v.Type(), opSt, opStX)
+	src, ok := ref{}, i.Op != opTrap
+	switch k := clc.ScalarKind(i.Kind); {
+	case !ok:
+	case i.Sub > 0 && k.IsFloat():
+		src, ok = fc.vecRef(v, bankVecF)
+	case i.Sub > 0:
+		src, ok = fc.vecRef(v, bankVecI)
+	case k.IsFloat():
+		src = fc.scalarRef(v, bankFlt)
 	default:
-		fc.trap(fmt.Sprintf("vm: store of unsupported type %s", t), retire)
+		src = fc.scalarRef(v, bankInt)
+	}
+	if !ok {
+		fc.trap(fmt.Sprintf("vm: store of unsupported type %s", v.Type()), i.Retire)
 		return
 	}
+	i.A = src.Idx
 	fc.code = append(fc.code, i)
 }
 

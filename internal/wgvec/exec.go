@@ -153,10 +153,9 @@ func (m *Machine) NewGroup(d *vm.Dispatch, traced bool) vm.Group {
 	return g
 }
 
-// groupState executes work-groups of one launch one at a time: an untraced
-// worker's own for all its groups, or one of a traced launch's, lent to a
-// worker for the length of a group. Columns, frames, and scratch buffers
-// are allocated once and reused across all the groups it runs.
+// groupState executes one worker's work-groups of a launch, one at a
+// time. Columns, frames, and scratch buffers are allocated once and reused
+// across all the groups it runs.
 type groupState struct {
 	m          *Machine
 	gmem       []byte
@@ -538,45 +537,16 @@ func (g *groupState) execSeg(depth int, fr *colFrame, mask []int32, pc int32) (r
 				return retired, err
 			}
 
-		case opLdI8, opLdU8, opLdI16, opLdU16, opLdI32,
-			opLdU32, opLdI64, opLdF32, opLdF64:
-			if err := g.loadCol(fr, in, mask, false, bf.uniform[pc] && len(mask) == n); err != nil {
+		case opLd, opLdX:
+			if err := g.loadCol(fr, in, mask, in.Op == opLdX, bf.uniform[pc] && len(mask) == n); err != nil {
 				return retired, err
 			}
-		case opLdXI8, opLdXU8, opLdXI16, opLdXU16, opLdXI32,
-			opLdXU32, opLdXI64, opLdXF32, opLdXF64:
-			if err := g.loadCol(fr, in, mask, true, bf.uniform[pc] && len(mask) == n); err != nil {
+		case opSt, opStX:
+			if err := g.storeCol(fr, in, mask, in.Op == opStX, bf.uniform[pc] && len(mask) == n); err != nil {
 				return retired, err
 			}
-
-		case opStI8, opStI16, opStI32, opStI64, opStF32, opStF64:
-			if err := g.storeCol(fr, in, mask, false, bf.uniform[pc] && len(mask) == n); err != nil {
-				return retired, err
-			}
-		case opStXI8, opStXI16, opStXI32, opStXI64, opStXF32, opStXF64:
-			if err := g.storeCol(fr, in, mask, true, bf.uniform[pc] && len(mask) == n); err != nil {
-				return retired, err
-			}
-
-		case opSlotLdI, opSlotLdF, opSlotStI, opSlotStF:
+		case opSlotLd, opSlotSt:
 			g.slotOp(fr, in, mask)
-
-		case opLdVI, opLdVF:
-			if err := g.loadVecCol(fr, in, mask, false); err != nil {
-				return retired, err
-			}
-		case opLdXVI, opLdXVF:
-			if err := g.loadVecCol(fr, in, mask, true); err != nil {
-				return retired, err
-			}
-		case opStVI, opStVF:
-			if err := g.storeVecCol(fr, in, mask, false); err != nil {
-				return retired, err
-			}
-		case opStXVI, opStXVF:
-			if err := g.storeVecCol(fr, in, mask, true); err != nil {
-				return retired, err
-			}
 
 		default:
 			if bf.uniform[pc] && len(mask) == n {

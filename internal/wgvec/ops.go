@@ -1,7 +1,6 @@
 package wgvec
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -818,7 +817,7 @@ func (g *groupState) countAccesses(store bool, n int) {
 // holds the address and takes no column — so it never runs once for the
 // group, however uniform the value.
 func (g *groupState) slotOp(fr *colFrame, in *inst, mask []int32) {
-	store := in.Op == opSlotStI || in.Op == opSlotStF
+	store := in.Op == opSlotSt
 	full := len(mask) == g.n
 	if g.tracer != nil {
 		off := uint64(fr.frameBase) + uint64(in.Imm)
@@ -834,35 +833,31 @@ func (g *groupState) slotOp(fr *colFrame, in *inst, mask []int32) {
 		}
 	}
 	g.countAccesses(store, len(mask))
-	switch in.Op {
-	case opSlotLdI:
-		moveCol(fr.ri[in.A], fr.ri[in.B], mask, full)
-	case opSlotLdF:
+	k := clc.ScalarKind(in.Kind)
+	switch {
+	case !store && k.IsFloat():
 		moveCol(fr.rf[in.A], fr.rf[in.B], mask, full)
-	case opSlotStI:
-		// What the kind's store leaves in memory and its load reads back
-		// (storeCol, loadCol) is the value normalized to the kind, except
-		// that a bool is stored as a byte, not as NormInt's 0 or 1.
-		d, s := fr.ri[in.B], fr.ri[in.A]
-		switch k := clc.ScalarKind(in.Kind); k {
-		case clc.KLong, clc.KULong: // and pointers
-			moveCol(d, s, mask, full)
-		case clc.KBool:
-			k = clc.KUChar
-			fallthrough
-		default:
-			for _, l := range mask {
-				d[l] = clc.NormInt(s[l], k)
-			}
-		}
-	case opSlotStF:
+	case !store:
+		moveCol(fr.ri[in.A], fr.ri[in.B], mask, full)
+	case k == clc.KFloat:
 		d, s := fr.rf[in.B], fr.rf[in.A]
-		if in.Kind == kF32 {
-			for _, l := range mask {
-				d[l] = float64(float32(s[l]))
-			}
-		} else {
-			moveCol(d, s, mask, full)
+		for _, l := range mask {
+			d[l] = float64(float32(s[l]))
+		}
+	case k == clc.KDouble:
+		moveCol(fr.rf[in.B], fr.rf[in.A], mask, full)
+	case k == clc.KLong, k == clc.KULong: // and pointers
+		moveCol(fr.ri[in.B], fr.ri[in.A], mask, full)
+	default:
+		// What the kind's store leaves in memory and its load reads back
+		// (vm.StoreInt, vm.LoadInt) is the value normalized to the kind,
+		// except that a bool is stored as a byte, not as NormInt's 0 or 1.
+		if k == clc.KBool {
+			k = clc.KUChar
+		}
+		d, s := fr.ri[in.B], fr.ri[in.A]
+		for _, l := range mask {
+			d[l] = clc.NormInt(s[l], k)
 		}
 	}
 }
@@ -879,14 +874,19 @@ func moveCol[T int64 | float64](d, s []T, mask []int32, full bool) {
 	}
 }
 
-// loadCol performs a scalar load for all masked lanes. With uni set (a
-// statically uniform access under a full mask) the value is loaded once
-// and broadcast; the trace still holds an address per lane. Private
-// memory is per-lane storage even at a uniform address, so uniform
-// treatment only applies to the shared global and local arenas.
+// loadCol performs a load for all masked lanes. With uni set (a
+// statically uniform access under a full mask) a scalar is loaded once and
+// broadcast; the trace still holds an address per lane. Private memory is
+// per-lane storage even at a uniform address, so uniform treatment only
+// applies to the shared global and local arenas. Each kind has a lane
+// loop of its own, so that the kind of a lane's value is decided once per
+// instruction, not once per lane.
 func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bool) error {
 	addrs := g.addrPass(fr, in, mask, fused, false)
-	sz := int(in.N)
+	if in.Sub > 0 {
+		return g.loadVecCol(fr, in, mask, addrs)
+	}
+	k, sz := clc.ScalarKind(in.Kind), int(in.N)
 	if uni {
 		if sp, _ := vm.SplitAddr(addrs[mask[0]]); sp == clc.ASPrivate {
 			uni = false
@@ -894,33 +894,18 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 	}
 	if uni {
 		a, off, err := g.checkedArena(addrs[mask[0]], mask[0], sz, false)
-		if err != nil {
+		switch {
+		case err != nil:
 			return err
-		}
-		switch in.Op {
-		case opLdI8, opLdXI8:
-			broadcastI(fr.ri[in.A], mask, int64(int8(a[off])))
-		case opLdU8, opLdXU8:
-			broadcastI(fr.ri[in.A], mask, int64(a[off]))
-		case opLdI16, opLdXI16:
-			broadcastI(fr.ri[in.A], mask, int64(int16(binary.LittleEndian.Uint16(a[off:]))))
-		case opLdU16, opLdXU16:
-			broadcastI(fr.ri[in.A], mask, int64(binary.LittleEndian.Uint16(a[off:])))
-		case opLdI32, opLdXI32:
-			broadcastI(fr.ri[in.A], mask, int64(int32(binary.LittleEndian.Uint32(a[off:]))))
-		case opLdU32, opLdXU32:
-			broadcastI(fr.ri[in.A], mask, int64(binary.LittleEndian.Uint32(a[off:])))
-		case opLdI64, opLdXI64:
-			broadcastI(fr.ri[in.A], mask, int64(binary.LittleEndian.Uint64(a[off:])))
-		case opLdF32, opLdXF32:
-			broadcastF(fr.rf[in.A], mask, float64(math.Float32frombits(binary.LittleEndian.Uint32(a[off:]))))
-		case opLdF64, opLdXF64:
-			broadcastF(fr.rf[in.A], mask, math.Float64frombits(binary.LittleEndian.Uint64(a[off:])))
+		case k.IsFloat():
+			broadcastF(fr.rf[in.A], mask, vm.LoadFloat(a, off, k))
+		default:
+			broadcastI(fr.ri[in.A], mask, vm.LoadInt(a, off, k))
 		}
 		return nil
 	}
-	switch in.Op {
-	case opLdI8, opLdXI8:
+	switch k {
+	case clc.KBool, clc.KUChar:
 		d := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -930,9 +915,9 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 					return err
 				}
 			}
-			d[l] = int64(int8(a[off]))
+			d[l] = vm.LoadInt(a, off, clc.KUChar)
 		}
-	case opLdU8, opLdXU8:
+	case clc.KChar:
 		d := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -942,9 +927,9 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 					return err
 				}
 			}
-			d[l] = int64(a[off])
+			d[l] = vm.LoadInt(a, off, clc.KChar)
 		}
-	case opLdI16, opLdXI16:
+	case clc.KShort:
 		d := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -954,9 +939,9 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 					return err
 				}
 			}
-			d[l] = int64(int16(binary.LittleEndian.Uint16(a[off:])))
+			d[l] = vm.LoadInt(a, off, clc.KShort)
 		}
-	case opLdU16, opLdXU16:
+	case clc.KUShort:
 		d := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -966,9 +951,9 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 					return err
 				}
 			}
-			d[l] = int64(binary.LittleEndian.Uint16(a[off:]))
+			d[l] = vm.LoadInt(a, off, clc.KUShort)
 		}
-	case opLdI32, opLdXI32:
+	case clc.KInt:
 		d := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -978,9 +963,9 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 					return err
 				}
 			}
-			d[l] = int64(int32(binary.LittleEndian.Uint32(a[off:])))
+			d[l] = vm.LoadInt(a, off, clc.KInt)
 		}
-	case opLdU32, opLdXU32:
+	case clc.KUInt:
 		d := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -990,21 +975,9 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 					return err
 				}
 			}
-			d[l] = int64(binary.LittleEndian.Uint32(a[off:]))
+			d[l] = vm.LoadInt(a, off, clc.KUInt)
 		}
-	case opLdI64, opLdXI64:
-		d := fr.ri[in.A]
-		for _, l := range mask {
-			a, off, ok := g.hotArena(addrs[l], l, sz)
-			if !ok {
-				var err error
-				if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
-					return err
-				}
-			}
-			d[l] = int64(binary.LittleEndian.Uint64(a[off:]))
-		}
-	case opLdF32, opLdXF32:
+	case clc.KFloat:
 		d := fr.rf[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1014,9 +987,9 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 					return err
 				}
 			}
-			d[l] = float64(math.Float32frombits(binary.LittleEndian.Uint32(a[off:])))
+			d[l] = vm.LoadFloat(a, off, clc.KFloat)
 		}
-	case opLdF64, opLdXF64:
+	case clc.KDouble:
 		d := fr.rf[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1026,7 +999,19 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 					return err
 				}
 			}
-			d[l] = math.Float64frombits(binary.LittleEndian.Uint64(a[off:]))
+			d[l] = vm.LoadFloat(a, off, clc.KDouble)
+		}
+	default: // KLong, KULong and pointers
+		d := fr.ri[in.A]
+		for _, l := range mask {
+			a, off, ok := g.hotArena(addrs[l], l, sz)
+			if !ok {
+				var err error
+				if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
+					return err
+				}
+			}
+			d[l] = vm.LoadInt(a, off, clc.KLong)
 		}
 	}
 	return nil
@@ -1042,21 +1027,24 @@ func (g *groupState) checkedArena(addr uint64, l int32, sz int, store bool) ([]b
 	return a, off, nil
 }
 
-// storeCol performs a scalar store for all masked lanes. A uniform store
-// writes once (the write is idempotent across lanes) but the trace still
-// holds an address per lane. As with loadCol, private memory is per-lane
-// storage, so the write-once shortcut only applies to the shared global
-// and local arenas.
+// storeCol performs a store for all masked lanes, with a lane loop per
+// kind as loadCol has. A uniform scalar store writes once (the write is
+// idempotent across lanes) but the trace still holds an address per lane.
+// As with loadCol, private memory is per-lane storage, so the write-once
+// shortcut only applies to the shared global and local arenas.
 func (g *groupState) storeCol(fr *colFrame, in *inst, mask []int32, fused, uni bool) error {
 	addrs := g.addrPass(fr, in, mask, fused, true)
+	if in.Sub > 0 {
+		return g.storeVecCol(fr, in, mask, addrs)
+	}
 	sz := int(in.N)
 	if uni {
 		if sp, _ := vm.SplitAddr(addrs[mask[0]]); sp != clc.ASPrivate {
 			mask = mask[:1]
 		}
 	}
-	switch in.Op {
-	case opStI8, opStXI8:
+	switch clc.ScalarKind(in.Kind) {
+	case clc.KBool, clc.KChar, clc.KUChar:
 		src := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1066,9 +1054,9 @@ func (g *groupState) storeCol(fr *colFrame, in *inst, mask []int32, fused, uni b
 					return err
 				}
 			}
-			a[off] = byte(src[l])
+			vm.StoreInt(a, off, clc.KChar, src[l])
 		}
-	case opStI16, opStXI16:
+	case clc.KShort, clc.KUShort:
 		src := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1078,9 +1066,9 @@ func (g *groupState) storeCol(fr *colFrame, in *inst, mask []int32, fused, uni b
 					return err
 				}
 			}
-			binary.LittleEndian.PutUint16(a[off:], uint16(src[l]))
+			vm.StoreInt(a, off, clc.KShort, src[l])
 		}
-	case opStI32, opStXI32:
+	case clc.KInt, clc.KUInt:
 		src := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1090,21 +1078,9 @@ func (g *groupState) storeCol(fr *colFrame, in *inst, mask []int32, fused, uni b
 					return err
 				}
 			}
-			binary.LittleEndian.PutUint32(a[off:], uint32(src[l]))
+			vm.StoreInt(a, off, clc.KInt, src[l])
 		}
-	case opStI64, opStXI64:
-		src := fr.ri[in.A]
-		for _, l := range mask {
-			a, off, ok := g.hotArena(addrs[l], l, sz)
-			if !ok {
-				var err error
-				if a, off, err = g.checkedArena(addrs[l], l, sz, true); err != nil {
-					return err
-				}
-			}
-			binary.LittleEndian.PutUint64(a[off:], uint64(src[l]))
-		}
-	case opStF32, opStXF32:
+	case clc.KFloat:
 		src := fr.rf[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1114,9 +1090,9 @@ func (g *groupState) storeCol(fr *colFrame, in *inst, mask []int32, fused, uni b
 					return err
 				}
 			}
-			binary.LittleEndian.PutUint32(a[off:], math.Float32bits(float32(src[l])))
+			vm.StoreFloat(a, off, clc.KFloat, src[l])
 		}
-	case opStF64, opStXF64:
+	case clc.KDouble:
 		src := fr.rf[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1126,36 +1102,44 @@ func (g *groupState) storeCol(fr *colFrame, in *inst, mask []int32, fused, uni b
 					return err
 				}
 			}
-			binary.LittleEndian.PutUint64(a[off:], math.Float64bits(src[l]))
+			vm.StoreFloat(a, off, clc.KDouble, src[l])
+		}
+	default: // KLong, KULong and pointers
+		src := fr.ri[in.A]
+		for _, l := range mask {
+			a, off, ok := g.hotArena(addrs[l], l, sz)
+			if !ok {
+				var err error
+				if a, off, err = g.checkedArena(addrs[l], l, sz, true); err != nil {
+					return err
+				}
+			}
+			vm.StoreInt(a, off, clc.KLong, src[l])
 		}
 	}
 	return nil
 }
 
-// loadVecCol loads a vector register lane by lane at element-size
+// loadVecCol loads a vector register element by element at element-size
 // strides for all masked lanes.
-func (g *groupState) loadVecCol(fr *colFrame, in *inst, mask []int32, fused bool) error {
-	addrs := g.addrPass(fr, in, mask, fused, false)
-	k := clc.ScalarKind(in.Kind)
+func (g *groupState) loadVecCol(fr *colFrame, in *inst, mask []int32, addrs []uint64) error {
+	k, lanes := clc.ScalarKind(in.Kind), int(in.Sub)
 	es := k.Size()
-	lanes := int(in.Sub)
-	if in.Op == opLdVF || in.Op == opLdXVF {
-		ld := fr.bf.VecFLens[in.A]
-		d := fr.vf[in.A]
+	if k.IsFloat() {
+		ld, d := fr.bf.VecFLens[in.A], fr.vf[in.A]
 		for _, l := range mask {
-			o := int(l) * ld
-			addr := addrs[l]
+			o, addr := int(l)*ld, addrs[l]
 			// Fast path: the whole vector sits in one arena, so resolve
-			// and bounds-check once and decode with a tight loop.
+			// and bounds-check once and decode at a constant stride.
 			if a, off, ok := g.hotArena(addr, l, lanes*es); ok {
 				v := a[off:]
 				if k == clc.KFloat {
 					for i := 0; i < lanes; i++ {
-						d[o+i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(v[i*4:])))
+						d[o+i] = vm.LoadFloat(v, uint64(4*i), clc.KFloat)
 					}
 				} else {
 					for i := 0; i < lanes; i++ {
-						d[o+i] = math.Float64frombits(binary.LittleEndian.Uint64(v[i*8:]))
+						d[o+i] = vm.LoadFloat(v, uint64(8*i), clc.KDouble)
 					}
 				}
 				continue
@@ -1167,61 +1151,49 @@ func (g *groupState) loadVecCol(fr *colFrame, in *inst, mask []int32, fused bool
 				if err != nil {
 					return err
 				}
-				if k == clc.KFloat {
-					d[o+i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(a[off:])))
-				} else {
-					d[o+i] = math.Float64frombits(binary.LittleEndian.Uint64(a[off:]))
-				}
+				d[o+i] = vm.LoadFloat(a, off, k)
 			}
 		}
-	} else {
-		ld := fr.bf.VecILens[in.A]
-		d := fr.vi[in.A]
-		for _, l := range mask {
-			o := int(l) * ld
-			addr := addrs[l]
-			if a, off, ok := g.hotArena(addr, l, lanes*es); ok {
-				v := a[off:]
-				for i := 0; i < lanes; i++ {
-					d[o+i] = vm.LoadInt(v, uint64(i*es), k)
-				}
-				continue
-			}
+		return nil
+	}
+	ld, d := fr.bf.VecILens[in.A], fr.vi[in.A]
+	for _, l := range mask {
+		o, addr := int(l)*ld, addrs[l]
+		if a, off, ok := g.hotArena(addr, l, lanes*es); ok {
 			for i := 0; i < lanes; i++ {
-				a, off, err := g.checkedArena(addr+uint64(i*es), l, es, false)
-				if err != nil {
-					return err
-				}
-				d[o+i] = vm.LoadInt(a, off, k)
+				d[o+i] = vm.LoadInt(a, off+uint64(i*es), k)
 			}
+			continue
+		}
+		for i := 0; i < lanes; i++ {
+			a, off, err := g.checkedArena(addr+uint64(i*es), l, es, false)
+			if err != nil {
+				return err
+			}
+			d[o+i] = vm.LoadInt(a, off, k)
 		}
 	}
 	return nil
 }
 
-// storeVecCol stores a vector register lane by lane for all masked lanes.
-func (g *groupState) storeVecCol(fr *colFrame, in *inst, mask []int32, fused bool) error {
-	addrs := g.addrPass(fr, in, mask, fused, true)
-	k := clc.ScalarKind(in.Kind)
+// storeVecCol stores a vector register element by element for all masked
+// lanes, with loadVecCol's fast and slow paths.
+func (g *groupState) storeVecCol(fr *colFrame, in *inst, mask []int32, addrs []uint64) error {
+	k, lanes := clc.ScalarKind(in.Kind), int(in.Sub)
 	es := k.Size()
-	lanes := int(in.Sub)
-	if in.Op == opStVF || in.Op == opStXVF {
-		ls := fr.bf.VecFLens[in.A]
-		s := fr.vf[in.A]
+	if k.IsFloat() {
+		ls, s := fr.bf.VecFLens[in.A], fr.vf[in.A]
 		for _, l := range mask {
-			o := int(l) * ls
-			addr := addrs[l]
-			// Fast path mirrors loadVecCol: one resolve + one bounds
-			// check when the whole vector fits in the arena.
+			o, addr := int(l)*ls, addrs[l]
 			if a, off, ok := g.hotArena(addr, l, lanes*es); ok {
 				v := a[off:]
 				if k == clc.KFloat {
 					for i := 0; i < lanes; i++ {
-						binary.LittleEndian.PutUint32(v[i*4:], math.Float32bits(float32(s[o+i])))
+						vm.StoreFloat(v, uint64(4*i), clc.KFloat, s[o+i])
 					}
 				} else {
 					for i := 0; i < lanes; i++ {
-						binary.LittleEndian.PutUint64(v[i*8:], math.Float64bits(s[o+i]))
+						vm.StoreFloat(v, uint64(8*i), clc.KDouble, s[o+i])
 					}
 				}
 				continue
@@ -1231,33 +1203,26 @@ func (g *groupState) storeVecCol(fr *colFrame, in *inst, mask []int32, fused boo
 				if err != nil {
 					return err
 				}
-				if k == clc.KFloat {
-					binary.LittleEndian.PutUint32(a[off:], math.Float32bits(float32(s[o+i])))
-				} else {
-					binary.LittleEndian.PutUint64(a[off:], math.Float64bits(s[o+i]))
-				}
+				vm.StoreFloat(a, off, k, s[o+i])
 			}
 		}
-	} else {
-		ls := fr.bf.VecILens[in.A]
-		s := fr.vi[in.A]
-		for _, l := range mask {
-			o := int(l) * ls
-			addr := addrs[l]
-			if a, off, ok := g.hotArena(addr, l, lanes*es); ok {
-				v := a[off:]
-				for i := 0; i < lanes; i++ {
-					vm.StoreInt(v, uint64(i*es), k, s[o+i])
-				}
-				continue
-			}
+		return nil
+	}
+	ls, s := fr.bf.VecILens[in.A], fr.vi[in.A]
+	for _, l := range mask {
+		o, addr := int(l)*ls, addrs[l]
+		if a, off, ok := g.hotArena(addr, l, lanes*es); ok {
 			for i := 0; i < lanes; i++ {
-				a, off, err := g.checkedArena(addr+uint64(i*es), l, es, true)
-				if err != nil {
-					return err
-				}
-				vm.StoreInt(a, off, k, s[o+i])
+				vm.StoreInt(a, off+uint64(i*es), k, s[o+i])
 			}
+			continue
+		}
+		for i := 0; i < lanes; i++ {
+			a, off, err := g.checkedArena(addr+uint64(i*es), l, es, true)
+			if err != nil {
+				return err
+			}
+			vm.StoreInt(a, off, k, s[o+i])
 		}
 	}
 	return nil

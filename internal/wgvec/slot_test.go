@@ -75,7 +75,7 @@ __kernel void vars(__global float* out, __global float* in, int n) {
 
 func isSlotOp(op opcode) bool {
 	switch op {
-	case opSlotLdI, opSlotLdF, opSlotStI, opSlotStF:
+	case opSlotLd, opSlotSt:
 		return true
 	}
 	return false
@@ -342,10 +342,12 @@ func TestSlotStoreRoundTrip(t *testing.T) {
 	slotStores, memStores := 0, 0
 	for _, inst := range m.funcs[fn].Code {
 		switch inst.Op {
-		case opSlotStI, opSlotStF:
+		case opSlotSt:
 			slotStores++
-		case opStI32:
-			memStores++
+		case opSt:
+			if clc.ScalarKind(inst.Kind) == clc.KInt {
+				memStores++
+			}
 		}
 	}
 	if want := 2 * (nI + len(floats)); slotStores != want || memStores != 2 {
