@@ -36,7 +36,7 @@ type event struct {
 	n     int64
 }
 
-// recorder is a plain vm.Tracer, so engines deliver to it per access.
+// recorder is a vm.AccessTracer, so engines deliver to it per access.
 type recorder struct{ evs []event }
 
 func (r *recorder) GroupBegin(_ [3]int, linear int) {
@@ -51,9 +51,9 @@ func (r *recorder) Instrs(wi int, n int64) {
 }
 func (r *recorder) GroupEnd() { r.evs = append(r.evs, event{kind: evGroupEnd}) }
 
-// feedPerAccess replays a recorded stream call by call, as the
-// interpreter delivers it.
-func feedPerAccess(tr vm.Tracer, evs []event) {
+// feedPerAccess replays a recorded stream call by call: how the reference
+// model is fed.
+func feedPerAccess(tr vm.AccessTracer, evs []event) {
 	for _, e := range evs {
 		switch e.kind {
 		case evGroupBegin:
@@ -70,8 +70,9 @@ func feedPerAccess(tr vm.Tracer, evs []event) {
 	}
 }
 
-// feedBatches replays a recorded stream a barrier region at a time, as
-// wgvec delivers it: one batch shaped for the whole group of n items.
+// feedBatches replays a recorded stream a barrier region at a time in
+// records alone, the interpreter's form: one batch shaped for the whole
+// group of n items.
 func feedBatches(tr vm.BatchTracer, evs []event, n int) {
 	var b vm.AccessBatch
 	for _, e := range evs {
@@ -390,8 +391,8 @@ func refResult(t *testing.T, p *Profile, streams [][]event) Result {
 // reused (Reset) from check to check, so buffers sized by one stream's
 // groups meet the next stream's.
 type deliveries struct {
-	prof                      *Profile
-	perAccess, batched, mixed *Simulator
+	prof           *Profile
+	batched, mixed *Simulator
 	// What feedMixed made of the streams so far.
 	ops, priv, recs int
 }
@@ -399,7 +400,7 @@ type deliveries struct {
 func newDeliveries(t *testing.T, p *Profile) *deliveries {
 	t.Helper()
 	d := &deliveries{prof: p}
-	for _, s := range []**Simulator{&d.perAccess, &d.batched, &d.mixed} {
+	for _, s := range []**Simulator{&d.batched, &d.mixed} {
 		sim, err := NewSimulator(p)
 		if err != nil {
 			t.Fatal(err)
@@ -432,22 +433,21 @@ func simResult(sim *Simulator, streams [][]event, feed func(vm.BatchTracer, []ev
 	return sim.Result()
 }
 
-// run delivers the streams (groups of n work-items) per access, as batches
-// of records, and as batches of columns and records.
-func (d *deliveries) run(streams [][]event, n int) (perAccess, batched, mixed Result) {
-	perAccess = simResult(d.perAccess, streams, func(tr vm.BatchTracer, evs []event) { feedPerAccess(tr, evs) })
+// run delivers the streams (groups of n work-items) as batches of records
+// and as batches of columns and records.
+func (d *deliveries) run(streams [][]event, n int) (batched, mixed Result) {
 	batched = simResult(d.batched, streams, func(tr vm.BatchTracer, evs []event) { feedBatches(tr, evs, n) })
 	mixed = simResult(d.mixed, streams, func(tr vm.BatchTracer, evs []event) {
 		ops, priv, recs := feedMixed(tr, evs, n)
 		d.ops, d.priv, d.recs = d.ops+ops, d.priv+priv, d.recs+recs
 	})
-	return perAccess, batched, mixed
+	return batched, mixed
 }
 
 // memoized sums what the CPU walk of each delivery's simulator charged
 // without a walk in its last run.
-func (d *deliveries) memoized() (perAccess, batched, mixed int64) {
-	return simMemoized(d.perAccess), simMemoized(d.batched), simMemoized(d.mixed)
+func (d *deliveries) memoized() (batched, mixed int64) {
+	return simMemoized(d.batched), simMemoized(d.mixed)
 }
 
 func simMemoized(sim *Simulator) int64 {
@@ -463,10 +463,7 @@ func simMemoized(sim *Simulator) int64 {
 func (d *deliveries) check(t *testing.T, streams [][]event, n int) Result {
 	t.Helper()
 	want := refResult(t, d.prof, streams)
-	perAccess, batched, mixed := d.run(streams, n)
-	if !reflect.DeepEqual(perAccess, want) {
-		t.Errorf("%s: per-access delivery\n got %+v\nwant %+v", d.prof.Name, perAccess, want)
-	}
+	batched, mixed := d.run(streams, n)
 	if !reflect.DeepEqual(batched, want) {
 		t.Errorf("%s: batch delivery\n got %+v\nwant %+v", d.prof.Name, batched, want)
 	}
@@ -774,7 +771,7 @@ func TestDeliveriesMatchReferenceModel(t *testing.T) {
 	for _, p := range CPUs() {
 		d := newDeliveries(t, p)
 		r := rand.New(rand.NewSource(45))
-		var memo [3]int64
+		var memo [2]int64
 		var l1 int64
 		for trial := 0; trial < 12; trial++ {
 			n := []int{16, 48, 64, 100}[r.Intn(4)]
@@ -786,8 +783,8 @@ func TestDeliveriesMatchReferenceModel(t *testing.T) {
 			if t.Failed() {
 				t.Fatalf("%s: repeating items, trial %d (n=%d) differ", p.Name, trial, n)
 			}
-			a, b, c := d.memoized()
-			memo[0], memo[1], memo[2] = memo[0]+a, memo[1]+b, memo[2]+c
+			a, b := d.memoized()
+			memo[0], memo[1] = memo[0]+a, memo[1]+b
 			l1 += want.Caches[0].Accesses
 		}
 		requireMemo(t, p.Name, memo[:], l1)
@@ -823,8 +820,8 @@ func requireMemo(t *testing.T, name string, memo []int64, l1 int64) {
 }
 
 // checkSet delivers one launch's work-groups — evs, the groups in the order
-// of their linear ids — to the set's first host worker per access, as
-// batches of records and as batches of columns and records, and requires of
+// of their linear ids — to the set's first host worker as batches of
+// records and as batches of columns and records, and requires of
 // every model the Result the reference model computes from that model's
 // per-core streams, and the memo to have fired.
 func checkSet(t *testing.T, set *Set, evs []event, n int) {
@@ -849,9 +846,8 @@ func checkSet(t *testing.T, set *Set, evs []event, n int) {
 		want[i] = refResult(t, m.Prof, streams)
 	}
 	feeds := map[string]func(vm.BatchTracer){
-		"per-access": func(tr vm.BatchTracer) { feedPerAccess(tr, evs) },
-		"batch":      func(tr vm.BatchTracer) { feedBatches(tr, evs, n) },
-		"column":     func(tr vm.BatchTracer) { feedMixed(tr, evs, n) },
+		"batch":  func(tr vm.BatchTracer) { feedBatches(tr, evs, n) },
+		"column": func(tr vm.BatchTracer) { feedMixed(tr, evs, n) },
 	}
 	for name, feed := range feeds {
 		set.Reset()
@@ -879,9 +875,9 @@ func TestDeliveriesAgreeOnSizeZero(t *testing.T) {
 				{kind: evAccess, in: instrs[0], wi: 0, addr: vm.MakeAddr(clc.ASGlobal, 0), size: 0},
 				{kind: evGroupEnd},
 			}, streams[0]...), 0, p.Cores)
-			perAccess, batched, mixed := newDeliveries(t, p).run(streams, 32)
-			if !reflect.DeepEqual(perAccess, batched) || !reflect.DeepEqual(perAccess, mixed) {
-				t.Errorf("%s, shape %v:\nper-access %+v\n   batched %+v\n   columns %+v", p.Name, shape, perAccess, batched, mixed)
+			batched, mixed := newDeliveries(t, p).run(streams, 32)
+			if !reflect.DeepEqual(batched, mixed) {
+				t.Errorf("%s, shape %v:\nbatched %+v\ncolumns %+v", p.Name, shape, batched, mixed)
 			}
 		}
 	}
@@ -909,7 +905,7 @@ __kernel void ragged(__global float* out, __global float* in, __local float* tmp
 `
 
 // TestEnginesMatchRecordedStream launches one kernel through every engine
-// — wgvec hands over batches, interp reports every access — on all six
+// — wgvec's batches hold columns, interp's records alone — on all six
 // models at once and on each alone, with fewer work-groups than the
 // smallest device has cores and with more than the largest, and requires
 // of every model the Result the reference model computes from the per-core

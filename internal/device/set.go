@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 
-	"grover/internal/ir"
 	"grover/internal/memsim"
 	"grover/internal/vm"
 )
@@ -67,7 +66,7 @@ func newSet(models []*Simulator) *Set {
 func (s *Set) Opts() *vm.LaunchOpts {
 	n := runtime.GOMAXPROCS(0)
 	for len(s.hosts) < n {
-		s.hosts = append(s.hosts, &setTracer{set: s, regionGather: regionGather{intern: len(s.gpus) > 0}})
+		s.hosts = append(s.hosts, &setTracer{set: s})
 	}
 	return &vm.LaunchOpts{
 		Workers:   n,
@@ -90,7 +89,6 @@ func (s *Set) Reset() {
 // resetHosts puts the host side of the set back where a launch starts.
 func (s *Set) resetHosts() {
 	for _, t := range s.hosts {
-		t.reset()
 		t.live = false
 	}
 	s.failed = false
@@ -128,15 +126,13 @@ func (s *Set) fail() {
 }
 
 // setTracer is the tracer one host worker hands the VM, and the only one
-// this package has. It takes a barrier region at a time from the engines
-// that produce one and gathers the per-access calls of the others, once for
-// all models. CPU models are charged region by region as the group runs;
+// this package has. It takes a barrier region at a time, once for all
+// models. CPU models are charged region by region as the group runs;
 // GPU models form warps over a whole group, so the group is collected here
 // once — as one batch spanning all its barrier regions, pointer-free and
 // keeping its capacity from group to group — and each of them reads it in
 // place at GroupEnd.
 type setTracer struct {
-	regionGather
 	scratch
 	set *Set
 
@@ -156,7 +152,6 @@ type setTracer struct {
 
 // GroupBegin implements vm.Tracer.
 func (t *setTracer) GroupBegin(group [3]int, linear int) {
-	t.drop()
 	t.linear = linear
 	t.held = t.held[:0]
 	t.group.Reset(0)
@@ -194,7 +189,6 @@ func (t *setTracer) AccessBatch(b *vm.AccessBatch) {
 
 // Barrier implements vm.Tracer.
 func (t *setTracer) Barrier(wiCount int) {
-	t.flush()
 	if !t.live {
 		return
 	}
@@ -206,7 +200,6 @@ func (t *setTracer) Barrier(wiCount int) {
 
 // GroupEnd implements vm.Tracer.
 func (t *setTracer) GroupEnd() {
-	t.flush()
 	if !t.live {
 		return
 	}
@@ -234,61 +227,4 @@ func (t *setTracer) GroupEnd() {
 func (t *setTracer) GroupAbort() {
 	t.live = false
 	t.set.fail()
-}
-
-// flush delivers the region gathered from per-access calls, if any.
-func (t *setTracer) flush() {
-	if t.pending {
-		t.AccessBatch(&t.region)
-		t.drop()
-	}
-}
-
-// regionGather gathers the per-access calls of an engine that reports one
-// access at a time (the interpreter) into one barrier region's batch, for
-// its owner to deliver (while pending) before the Barrier or GroupEnd that
-// closes the region, and then drop.
-type regionGather struct {
-	region  vm.AccessBatch
-	pending bool
-	// intern is set when a consumer forms warps: only warp formation looks
-	// at the instruction, and such an engine switches instruction with every
-	// access, so each one is a table lookup worth skipping otherwise.
-	intern bool
-}
-
-// Access implements vm.Tracer.
-func (r *regionGather) Access(in *ir.Instr, wi int, addr uint64, size int, store bool) {
-	if wi >= len(r.region.Items) {
-		r.region.Extend(wi + 1)
-	}
-	rec := vm.AccessRec{Addr: addr, Size: int32(size), Store: store}
-	if r.intern {
-		rec.Instr = r.region.Intern(in)
-	}
-	r.region.Items[wi] = append(r.region.Items[wi], rec)
-	r.pending = true
-}
-
-// Instrs implements vm.Tracer.
-func (r *regionGather) Instrs(wi int, n int64) {
-	if wi >= len(r.region.Items) {
-		r.region.Extend(wi + 1)
-	}
-	r.region.Retired[wi] += n
-	r.pending = true
-}
-
-// drop empties the region: after delivery, or an aborted group's leftovers.
-func (r *regionGather) drop() {
-	if r.pending {
-		r.region.Clear()
-		r.pending = false
-	}
-}
-
-// reset is drop plus the instruction table, between launches.
-func (r *regionGather) reset() {
-	r.region.Reset(0)
-	r.pending = false
 }

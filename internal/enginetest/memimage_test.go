@@ -122,8 +122,8 @@ __kernel void image(__global %[1]s* in, __global %[1]s* out, __global %[2]s* wid
 // extension shows: a store writes only the kind's width, whatever the
 // register held. Last, every third work-item stores its own element, a
 // divergent store that must leave the other slots alone. The widening
-// comes before the divergent store because lanes that branched apart run
-// the rest of the kernel under partial masks, where nothing is uniform.
+// comes before the divergent store, so its uniform load runs under a full
+// mask whether or not the lanes reconverge after the branch.
 func TestMemoryImage(t *testing.T) {
 	const local, groups = 12, 2
 	const items = local * groups

@@ -18,31 +18,48 @@ const BackendInterp = "interp"
 const BackendWgvec = "wgvec"
 
 // Executor is an execution engine for a prepared Program. Program.Launch
-// owns everything about a launch but running its work-groups: it resolves
+// owns everything about a launch but running its work-items: it resolves
 // the kernel, geometry and arguments into a Dispatch, deals the groups to
-// host workers and collects errors. An engine builds one group state per
-// worker and runs that worker's work-groups with it; Program.Launch
-// releases the state when the worker is done.
+// host workers, runs each group's barrier rounds, hands each round's trace
+// to the worker's tracer and collects errors. An engine builds one group
+// state per worker and runs a round at a time with it.
 //
 // An engine must preserve the VM contract exactly — identical results,
-// identical memory-trace emission and identical error behavior — so that
+// identical memory traces and identical error behavior — so that
 // simulated cycle counts are backend-invariant.
 type Executor interface {
-	// NewGroup builds a state that runs one worker's work-groups of d.
-	// traced says whether each Run is given the worker's tracer.
-	NewGroup(d *Dispatch, traced bool) Group
+	// NewGroup builds a state that runs one worker's work-groups of d with
+	// local as their __local arena, which Program.Launch clears before
+	// each group.
+	NewGroup(d *Dispatch, local []byte) Group
 }
 
 // Group is one engine's execution state for a dispatch. It runs one
 // work-group at a time and keeps what it built (registers, stacks, scratch)
 // from one group to the next.
 type Group interface {
-	// Run executes one work-group with the given coordinates and linear
-	// id, reporting to tr (nil when the launch is untraced). A group that
-	// fails returns the error; Program.Launch aborts the tracer's group.
-	Run(group [3]int, linear int, tr Tracer) error
-	// Release gives back what the state borrowed; it runs no group after.
-	Release()
+	// Begin puts every work-item of the group with the given coordinates
+	// at the kernel entry.
+	Begin(group [3]int)
+	// Round runs the live work-items to their next barrier or to
+	// completion. A traced launch passes the round's trace, shaped for the
+	// group and empty, and the round writes its accesses and retired counts
+	// into it; an untraced one passes nil. A round that fails returns the
+	// error, naming the work-item, and what it traced up to the fault.
+	Round(trace *AccessBatch) (RoundStats, error)
+}
+
+// RoundStats is what a round tells Program.Launch: where its work-items
+// stopped, and the profiler's counts.
+type RoundStats struct {
+	// AtBarrier work-items stopped at Barrier, the one barrier they all
+	// reached — nil when they reached different ones, where the round may
+	// stop early — and Finished ran to completion in this round.
+	AtBarrier, Finished int
+	Barrier             *ir.Instr
+	// Retired, Loads and Stores sum the round's retired instructions and
+	// memory accesses over its work-items.
+	Retired, Loads, Stores int64
 }
 
 // buildEngine compiles wgvec's executor for a program; nil in a binary

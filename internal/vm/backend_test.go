@@ -74,7 +74,7 @@ func installForTest(t *testing.T, build func(context.Context, *Program) (Executo
 
 type stubExecutor struct{ inner Executor }
 
-func (stubExecutor) NewGroup(*Dispatch, bool) Group { return nil }
+func (stubExecutor) NewGroup(*Dispatch, []byte) Group { return nil }
 
 // TestExecutorBuildPerName: concurrent first uses of the engine share one
 // build, which may itself ask the program for the interpreter's executor,

@@ -52,8 +52,8 @@ const ItemTile = 8
 // record in Items. A work-item's accesses in program order are the merge of
 // the two: its address at every op in op order, with each of its records
 // before the op its Seq names (records with Seq == len(Ops) come last).
-// That merge, work-item after work-item, is the stream the per-access
-// Tracer calls carry, and Replay spells it out.
+// That merge, work-item after work-item, is the stream an AccessTracer
+// takes, and Replay spells it out.
 //
 // Columns are counted as they are met: op k's column is the number of ops
 // before it that are not Private, so a reader walking Ops keeps a column
@@ -61,8 +61,9 @@ const ItemTile = 8
 // columns in all (NumCols).
 //
 // A consumer that reads only Items sees a complete region only from a
-// producer that records no Ops (an engine running one work-item at a
-// time); from wgvec it would miss every converged access — most of them.
+// producer that records no Ops (the interpreter, which runs one work-item
+// at a time); from wgvec it would miss every converged access — most of
+// them.
 // Read Ops and Cols too, or go through Replay.
 type AccessBatch struct {
 	// Instrs is the table AccessOp.Instr and AccessRec.Instr index. It holds
@@ -92,12 +93,10 @@ type AccessBatch struct {
 	rows []uint64 // Replay's transposition scratch
 }
 
-// BatchTracer is the optional extension of Tracer for consumers that take
-// a barrier region at a time. An engine that buffers a region anyway
-// (wgvec) calls AccessBatch once per region in place of that region's
-// Access and Instrs calls; GroupBegin, Barrier and GroupEnd arrive as for
-// any Tracer. The batch and everything it points to belong to the caller
-// again when AccessBatch returns.
+// BatchTracer is a Tracer that takes a barrier region's accesses at a time:
+// Program.Launch calls AccessBatch once per region, before the Barrier or
+// GroupEnd that closes it. The batch and everything it points to belong to
+// the caller again when AccessBatch returns.
 type BatchTracer interface {
 	Tracer
 	AccessBatch(b *AccessBatch)
@@ -215,13 +214,12 @@ func (b *AccessBatch) Transpose(rows []uint64, lo, hi int) []uint64 {
 }
 
 // Replay delivers the region to t one access at a time, work-item-major:
-// each item's accesses, then its retired count when non-zero — the stream
-// the work-item-at-a-time engines produce.
+// each item's accesses, then its retired count when non-zero.
 //
 // The merge step is spelled out here and again in the device model's two
 // readers: a cursor type owning it cost 45 % of the Fig. 10 sweep's wall
 // time (it and the record it returns go through memory on every access).
-func (b *AccessBatch) Replay(t Tracer) {
+func (b *AccessBatch) Replay(t AccessTracer) {
 	ops, cols := b.Ops, b.NumCols()
 	for lo := 0; lo < len(b.Items); lo += ItemTile {
 		hi := min(lo+ItemTile, len(b.Items))

@@ -1,9 +1,7 @@
 package vm
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
 	"grover/internal/clc"
 	"grover/internal/ir"
@@ -25,7 +23,7 @@ type wiCtx struct {
 	sp        int
 
 	done    bool
-	pending int64 // retired instructions not yet flushed to the tracer
+	pending int64 // retired instructions not yet counted for the round
 	callRet rv    // return value stash for nested function calls
 
 	// depth is the current call-nesting depth; frames pools one register
@@ -64,52 +62,42 @@ func storeRet(dst *rv, ret rv) {
 	}
 }
 
-// ErrDifferentBarriers is the barrier-divergence error every engine
-// reports for a round in which work-items reached different barriers.
-var ErrDifferentBarriers = errors.New("barrier divergence: work-items reached different barriers")
-
-// BarrierDivergence is the barrier-divergence error every engine reports
-// for a round in which atBarrier work-items reached a barrier while
-// finished others ran to completion.
-func BarrierDivergence(atBarrier, finished int) error {
-	return fmt.Errorf("barrier divergence: %d work-items at a barrier while %d finished", atBarrier, finished)
-}
-
 // interpreter is the tree-walking interpreter as an Executor: it compiles
 // nothing, and its group state walks the program's IR.
 type interpreter struct{ p *Program }
 
-// NewGroup implements Executor. The interpreter's state is the same traced
-// or not: it reports to whatever tracer the group runs with.
-func (e interpreter) NewGroup(d *Dispatch, traced bool) Group {
+// NewGroup implements Executor.
+func (e interpreter) NewGroup(d *Dispatch, local []byte) Group {
 	params := make([]rv, len(d.ParamI))
 	for i := range params {
 		params[i] = rv{i: d.ParamI[i], f: d.ParamF[i]}
 	}
-	return &groupExec{p: e.p, fn: d.Kernel, cfg: d.Config, gmem: d.Mem, params: params,
-		localTotal: d.LocalBytes, prof: d.Profiler}
+	lsz := d.Config.LocalSize
+	n := lsz[0] * lsz[1] * lsz[2]
+	ge := &groupExec{p: e.p, fn: d.Kernel, cfg: d.Config, ctxs: make([]wiCtx, n)}
+	nRegs := e.p.regCount[d.Kernel]
+	for wi := range ge.ctxs {
+		c := &ge.ctxs[wi]
+		c.wi = wi
+		c.regs = make([]rv, nRegs)
+		c.prms = params
+		c.lid = [3]int64{int64(wi % lsz[0]), int64(wi / lsz[0] % lsz[1]), int64(wi / (lsz[0] * lsz[1]))}
+		c.mem = memView{global: d.Mem.Data, local: local, private: make([]byte, e.p.stackBytes)}
+	}
+	return ge
 }
 
-// groupExec runs work-groups of one launch on the interpreter.
+// groupExec runs work-groups of one launch on the interpreter, one
+// work-item at a time.
 type groupExec struct {
-	p          *Program
-	fn         *ir.Function
-	cfg        Config
-	gmem       *GlobalMem
-	params     []rv
-	localTotal int
-	tracer     Tracer
-	prof       *Profiler
+	p    *Program
+	fn   *ir.Function
+	cfg  Config
+	ctxs []wiCtx
 
-	// Per-round profiler accumulators; harvested and reset by Run at
-	// every barrier round when prof is set.
-	profRetired int64
-	profLoads   int64
-	profStores  int64
-
-	local []byte
-	ctxs  []wiCtx
-	priv  [][]byte
+	// The running round's trace (nil when untraced) and access counts.
+	trace         *AccessBatch
+	loads, stores int64
 
 	// Scratch buffers for evalMath argument marshaling (never live across
 	// a nested exec, so sharing them per worker is safe).
@@ -118,129 +106,69 @@ type groupExec struct {
 	mathI    []int64
 }
 
-// Release implements Group: the interpreter borrows nothing.
-func (ge *groupExec) Release() {}
-
-// Run implements Group: it runs every work-item of the group in
-// barrier-delimited rounds, one work-item at a time.
-func (ge *groupExec) Run(group [3]int, linear int, tr Tracer) error {
-	ge.tracer = tr
+// Begin implements Group.
+func (ge *groupExec) Begin(group [3]int) {
 	lsz := ge.cfg.LocalSize
-	n := lsz[0] * lsz[1] * lsz[2]
-
-	// Grover-rewritten kernels have no __local memory at all; skip the
-	// arena sizing and per-group clear entirely in that case.
-	if ge.localTotal == 0 {
-		ge.local = nil
-	} else if cap(ge.local) < ge.localTotal {
-		ge.local = make([]byte, ge.localTotal)
-	} else {
-		ge.local = ge.local[:ge.localTotal]
-		clear(ge.local)
-	}
-	if len(ge.ctxs) < n {
-		ge.ctxs = make([]wiCtx, n)
-		ge.priv = make([][]byte, n)
-	}
-	nRegs := ge.p.regCount[ge.fn]
-	stack := ge.p.stackBytes
-	for wi := 0; wi < n; wi++ {
+	for wi := range ge.ctxs {
 		c := &ge.ctxs[wi]
-		if c.regs == nil || len(c.regs) < nRegs {
-			c.regs = make([]rv, nRegs)
-		}
-		if ge.priv[wi] == nil || len(ge.priv[wi]) < stack {
-			ge.priv[wi] = make([]byte, stack)
-		}
-		lz := wi / (lsz[0] * lsz[1])
-		rem := wi % (lsz[0] * lsz[1])
-		ly := rem / lsz[0]
-		lx := rem % lsz[0]
-		c.wi = wi
 		c.fn = ge.fn
 		c.blk = ge.fn.Entry()
 		c.idx = 0
-		c.prms = ge.params
-		c.lid = [3]int64{int64(lx), int64(ly), int64(lz)}
 		c.grp = [3]int64{int64(group[0]), int64(group[1]), int64(group[2])}
-		c.gid = [3]int64{
-			int64(group[0]*lsz[0] + lx),
-			int64(group[1]*lsz[1] + ly),
-			int64(group[2]*lsz[2] + lz),
+		for d := range c.gid {
+			c.gid[d] = c.grp[d]*int64(lsz[d]) + c.lid[d]
 		}
 		c.frameBase = 0
 		c.sp = ge.p.frames[ge.fn].size
 		c.done = false
-		c.pending = 0
 		c.depth = 0
-		c.mem = memView{global: ge.gmem.Data, local: ge.local, private: ge.priv[wi]}
 	}
+}
 
-	if ge.tracer != nil {
-		ge.tracer.GroupBegin(group, linear)
+// Round implements Group: it runs each live work-item in turn to its next
+// barrier or to completion.
+func (ge *groupExec) Round(trace *AccessBatch) (RoundStats, error) {
+	ge.trace, ge.loads, ge.stores = trace, 0, 0
+	var s RoundStats
+	for wi := range ge.ctxs {
+		c := &ge.ctxs[wi]
+		if c.done {
+			continue
+		}
+		hitBarrier, bInstr, err := ge.exec(c, true)
+		s.Retired += c.pending
+		if trace != nil {
+			trace.Retired[wi] += c.pending
+		}
+		c.pending = 0
+		if err != nil {
+			return s, fmt.Errorf("work-item %d: %w", wi, err)
+		}
+		if !hitBarrier {
+			s.Finished++
+			continue
+		}
+		if s.AtBarrier > 0 && bInstr != s.Barrier {
+			s.AtBarrier, s.Barrier = s.AtBarrier+1, nil
+			return s, nil
+		}
+		s.AtBarrier, s.Barrier = s.AtBarrier+1, bInstr
 	}
-	// Rounds: run every live work-item to its next barrier (or to
-	// completion); repeat until all are done.
-	round := 0
-	var roundStart time.Time
-	for {
-		if ge.prof != nil {
-			roundStart = time.Now()
-			ge.profRetired, ge.profLoads, ge.profStores = 0, 0, 0
-		}
-		var barrierAt *ir.Instr
-		liveBefore := 0
-		atBarrier := 0
-		doneNow := 0
-		for wi := 0; wi < n; wi++ {
-			c := &ge.ctxs[wi]
-			if c.done {
-				continue
-			}
-			liveBefore++
-			hitBarrier, bInstr, err := ge.exec(c, true)
-			if c.pending > 0 && (ge.tracer != nil || ge.prof != nil) {
-				if ge.tracer != nil {
-					ge.tracer.Instrs(c.wi, c.pending)
-				}
-				ge.profRetired += c.pending
-				c.pending = 0
-			}
-			if err != nil {
-				return fmt.Errorf("work-item %d: %w", wi, err)
-			}
-			if hitBarrier {
-				atBarrier++
-				if barrierAt == nil {
-					barrierAt = bInstr
-				} else if barrierAt != bInstr {
-					return ErrDifferentBarriers
-				}
-			} else {
-				doneNow++
-			}
-		}
-		if liveBefore == 0 {
-			break
-		}
-		if ge.prof != nil {
-			ge.prof.Region(round, time.Since(roundStart), ge.profRetired, ge.profLoads, ge.profStores, atBarrier > 0)
-			round++
-		}
-		if atBarrier > 0 && doneNow > 0 {
-			return BarrierDivergence(atBarrier, doneNow)
-		}
-		if atBarrier > 0 && ge.tracer != nil {
-			ge.tracer.Barrier(atBarrier)
-		}
-		if atBarrier == 0 {
-			break
-		}
+	s.Loads, s.Stores = ge.loads, ge.stores
+	return s, nil
+}
+
+// access records one memory access of c's in the round's trace, if there
+// is one, and counts it.
+func (ge *groupExec) access(c *wiCtx, in *ir.Instr, addr uint64, size int, store bool) {
+	if t := ge.trace; t != nil {
+		t.Items[c.wi] = append(t.Items[c.wi], AccessRec{Addr: addr, Instr: t.Intern(in), Size: int32(size), Store: store})
 	}
-	if ge.tracer != nil {
-		ge.tracer.GroupEnd()
+	if store {
+		ge.stores++
+	} else {
+		ge.loads++
 	}
-	return nil
 }
 
 // val resolves an operand to its runtime value.
@@ -262,7 +190,6 @@ func (c *wiCtx) val(v ir.Value) rv {
 // It reports whether execution suspended at a barrier, and which barrier
 // instruction it was.
 func (ge *groupExec) exec(c *wiCtx, kernelLevel bool) (bool, *ir.Instr, error) {
-	tr := ge.tracer
 	for {
 		if c.idx >= len(c.blk.Instrs) {
 			return false, nil, fmt.Errorf("vm: fell off block %s", c.blk.Name)
@@ -282,12 +209,7 @@ func (ge *groupExec) exec(c *wiCtx, kernelLevel bool) (bool, *ir.Instr, error) {
 
 		case ir.OpLoad:
 			addr := uint64(c.val(in.Args[0]).i)
-			if tr != nil {
-				tr.Access(in, c.wi, addr, in.Typ.Size(), false)
-			}
-			if ge.prof != nil {
-				ge.profLoads++
-			}
+			ge.access(c, in, addr, in.Typ.Size(), false)
 			v, err := ge.loadTyped(c, addr, in.Typ, in)
 			if err != nil {
 				return false, nil, err
@@ -299,12 +221,7 @@ func (ge *groupExec) exec(c *wiCtx, kernelLevel bool) (bool, *ir.Instr, error) {
 			addr := uint64(c.val(in.Args[0]).i)
 			val := c.val(in.Args[1])
 			t := in.Args[1].Type()
-			if tr != nil {
-				tr.Access(in, c.wi, addr, t.Size(), true)
-			}
-			if ge.prof != nil {
-				ge.profStores++
-			}
+			ge.access(c, in, addr, t.Size(), true)
 			if err := ge.storeTyped(c, addr, t, val); err != nil {
 				return false, nil, err
 			}

@@ -11,16 +11,12 @@ import (
 // Profiler attributes one launch's execution to barrier-delimited
 // regions: every work-group runs as a sequence of rounds (round 0 from
 // entry to the first barrier, round 1 from there to the next, ...), and
-// each backend reports one Region call per round per work-group with the
-// round's wall time and retire/traffic counters. Regions are
-// backend-invariant — retire and traffic accounting mirrors the tracer
-// contract, which the differential suite holds bit-identical across
-// backends — so the same kernel profiled on interp and wgvec shows the
-// same counters with different wall columns.
-//
-// A nil *Profiler disables all accounting: backends gate every counter
-// on one pointer check so untraced, unprofiled launches stay on their
-// hot path.
+// Program.Launch reports one Region call per round per work-group with the
+// round's wall time and the retire/traffic counters the engine returns.
+// Those counters are backend-invariant — they count what the trace holds,
+// which the differential suite holds bit-identical across backends — so
+// the same kernel profiled on interp and wgvec shows the same counters
+// with different wall columns. A nil *Profiler records nothing.
 type Profiler struct {
 	mu       sync.Mutex
 	kernel   string
@@ -43,8 +39,7 @@ type regionStat struct {
 // profile a launch.
 func NewProfiler() *Profiler { return &Profiler{regions: map[int]*regionStat{}} }
 
-// LaunchBegin records the kernel/backend labels; called once per launch
-// by the dispatching backend.
+// LaunchBegin records the kernel/backend labels; called once per launch.
 func (p *Profiler) LaunchBegin(kernel, backend string) {
 	if p == nil {
 		return

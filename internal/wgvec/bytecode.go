@@ -265,3 +265,11 @@ type bfunc struct {
 	prio    []int32 // block index → scheduling priority (RPO position)
 	uniform []bool  // pc → eligible for execute-once-and-broadcast
 }
+
+// noKey is past every program point's scheduling key.
+const noKey = int64(1) << 62
+
+// key orders program points for the scheduler: block priority, then pc.
+func (bf *bfunc) key(pc int32) int64 {
+	return int64(bf.prio[bf.blockOf[pc]])<<32 | int64(pc)
+}

@@ -76,7 +76,7 @@ func (s *batchSumTracer) AccessBatch(b *vm.AccessBatch) {
 
 // TestConcurrentTracedLaunches launches one machine from several
 // goroutines at once — as an all-device autotune does — with batch and
-// per-access tracers attached, so the pooled trace buffers are borrowed
+// per-access tracers attached, so the vm's pooled trace batches are borrowed
 // and returned concurrently. Every launch must see the same stream. Run
 // under -race.
 func TestConcurrentTracedLaunches(t *testing.T) {

@@ -14,6 +14,7 @@ import (
 	"grover/internal/enginetest"
 	"grover/internal/ir"
 	"grover/internal/vm"
+	"grover/internal/wgvec"
 	"grover/opencl"
 )
 
@@ -347,5 +348,65 @@ func TestDivergenceFixtures(t *testing.T) {
 			t.Parallel()
 			runFixture(t, fx)
 		})
+	}
+}
+
+// outStores counts what reaches a batch tracer of the stores to one buffer
+// (addresses lo to hi): ops with a column, and records.
+type outStores struct {
+	lo, hi    uint64
+	ops, recs int
+}
+
+func (t *outStores) GroupBegin([3]int, int) {}
+func (t *outStores) Barrier(int)            {}
+func (t *outStores) GroupEnd()              {}
+func (t *outStores) AccessBatch(b *vm.AccessBatch) {
+	in := func(addr uint64) bool { return addr >= t.lo && addr < t.hi }
+	n, col := len(b.Items), 0
+	for _, op := range b.Ops {
+		if op.Private {
+			continue
+		}
+		if op.Store && in(b.Cols[col*n]) {
+			t.ops++
+		}
+		col++
+	}
+	for _, recs := range b.Items {
+		for _, r := range recs {
+			if r.Store && in(r.Addr) {
+				t.recs++
+			}
+		}
+	}
+}
+
+// TestLanesReconvergeAfterDivergentIf: the lanes that take a divergent
+// `if` wait at its join for the others, so the store after it runs under
+// the full mask and is traced as one op with a column per group, not a
+// record per lane.
+func TestLanesReconvergeAfterDivergentIf(t *testing.T) {
+	prog, err := opencl.NewContext(opencl.NewPlatform().Devices()[0]).CompileProgram("rejoin.cl", `
+__kernel void rejoin(__global int* out, __global int* in) {
+    int g = get_global_id(0);
+    if (get_local_id(0) < 5)
+        in[g] = 0;
+    out[g] = g;
+}
+`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := vm.NewGlobalMem(1 << 12)
+	out, in := g.Alloc(32*4), g.Alloc(32*4)
+	tr := &outStores{lo: out.Addr(), hi: out.Addr() + 32*4}
+	cfg := vm.Config{GlobalSize: [3]int{32, 1, 1}, LocalSize: [3]int{16, 1, 1}, Backend: wgvec.Name,
+		Args: []vm.Arg{vm.BufArg(out), vm.BufArg(in)}}
+	if err := prog.VM().Launch("rejoin", cfg, g, &vm.LaunchOpts{Workers: 1, TracerFor: func(int) vm.Tracer { return tr }}); err != nil {
+		t.Fatal(err)
+	}
+	if tr.ops != 2 || tr.recs != 0 {
+		t.Errorf("stores to out: %d ops and %d records, want one op per group (2) and no record", tr.ops, tr.recs)
 	}
 }

@@ -3,7 +3,6 @@ package wgvec
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"grover/internal/ir"
 	"grover/internal/vm"
@@ -139,40 +138,19 @@ func (fr *colFrame) ensure(bf *bfunc, n int) {
 // NewGroup implements vm.Executor: a state that runs work-groups of d the
 // way the interpreter does — work-items advance in barrier-delimited rounds
 // — here as lockstep segments over columnar registers rather than one
-// work-item at a time. A traced state takes a trace buffer from the
-// machine's pool; Release returns it.
-func (m *Machine) NewGroup(d *vm.Dispatch, traced bool) vm.Group {
-	g := newGroupState(m, d)
-	if traced {
-		g.trace = m.traces.Get().(*vm.AccessBatch)
-	} else if d.Profiler != nil {
-		// Untraced retire accounting needs counters of its own; traced
-		// launches use the trace's.
-		g.retired = make([]int64, g.n)
-	}
-	return g
+// work-item at a time.
+func (m *Machine) NewGroup(d *vm.Dispatch, local []byte) vm.Group {
+	return newGroupState(m, d, local)
 }
 
 // groupState executes one worker's work-groups of a launch, one at a
 // time. Columns, frames, and scratch buffers are allocated once and reused
 // across all the groups it runs.
 type groupState struct {
-	m          *Machine
-	gmem       []byte
-	local      []byte
-	localTotal int
-	stack      int
-	// tracer is the running group's; batcher its batch extension (nil:
-	// per-access replay).
-	tracer  vm.Tracer
-	batcher vm.BatchTracer
-	prof    *vm.Profiler
-	n       int
-
-	// Per-round profiler accumulators; harvested and reset by runGroup
-	// at every barrier round when prof is set.
-	profLoads  int64
-	profStores int64
+	gmem  []byte
+	local []byte
+	stack int
+	n     int
 
 	gsz, lsz, ngrp, grp [3]int64
 	gidCol, lidCol      [3][]int64
@@ -185,12 +163,11 @@ type groupState struct {
 	barInstr []*ir.Instr
 	resumePC []int32
 
-	// trace buffers the current barrier round's accesses during lockstep
-	// execution (traced launches only): a column per converged memory
-	// instruction, a record per lane otherwise. retired counts per-lane
-	// retired instructions; it is the trace's Retired column when tracing.
-	trace   *vm.AccessBatch
-	retired []int64
+	// trace is the running round's (nil when untraced): a column per
+	// converged memory instruction, a record per lane otherwise, and each
+	// lane's retired count. retired, loads and stores sum the round's.
+	trace                  *vm.AccessBatch
+	retired, loads, stores int64
 
 	maskT, maskF []int32
 	addrs        []uint64
@@ -198,11 +175,11 @@ type groupState struct {
 	mathI        []int64
 }
 
-func newGroupState(m *Machine, d *vm.Dispatch) *groupState {
+func newGroupState(m *Machine, d *vm.Dispatch, local []byte) *groupState {
 	cfg, bf := d.Config, m.funcs[d.Kernel]
 	n := cfg.LocalSize[0] * cfg.LocalSize[1] * cfg.LocalSize[2]
 	stack := m.p.StackBytes()
-	g := &groupState{m: m, gmem: d.Mem.Data, localTotal: d.LocalBytes, stack: stack, prof: d.Profiler, n: n}
+	g := &groupState{gmem: d.Mem.Data, local: local, stack: stack, n: n}
 	for d := 0; d < 3; d++ {
 		g.gsz[d] = int64(cfg.GlobalSize[d])
 		g.lsz[d] = int64(cfg.LocalSize[d])
@@ -266,194 +243,130 @@ func laneErr(l int32, err error) error {
 	return fmt.Errorf("work-item %d: %w", l, err)
 }
 
-// Release implements vm.Group: a traced state's trace buffer goes back to
-// the machine's pool.
-func (g *groupState) Release() {
-	if g.trace != nil {
-		g.m.traces.Put(g.trace)
-		g.trace = nil
-	}
-}
-
-// Run implements vm.Group: it executes one work-group in barrier-delimited
-// rounds. Each round runs lockstep segments until every lane is done or
-// suspended at a barrier, replays the buffered trace in work-item-major
-// order, checks barrier divergence, then releases the suspended lanes into
-// the next round.
-func (g *groupState) Run(group [3]int, linear int, tr vm.Tracer) error {
-	g.tracer = tr
-	g.batcher, _ = tr.(vm.BatchTracer)
-	n := g.n
-	// Grover-rewritten kernels have no __local memory at all; skip the
-	// arena sizing and per-group clear entirely in that case.
-	if g.localTotal == 0 {
-		g.local = nil
-	} else if cap(g.local) < g.localTotal {
-		g.local = make([]byte, g.localTotal)
-	} else {
-		g.local = g.local[:g.localTotal]
-		clear(g.local)
-	}
+// Begin implements vm.Group.
+func (g *groupState) Begin(group [3]int) {
 	for d := 0; d < 3; d++ {
 		g.grp[d] = int64(group[d])
 		base := g.grp[d] * g.lsz[d]
 		gid, lid := g.gidCol[d], g.lidCol[d]
-		for wi := 0; wi < n; wi++ {
+		for wi := range gid {
 			gid[wi] = base + lid[wi]
 		}
 	}
 	fr := g.frames[0]
 	fr.frameBase, fr.sp = 0, fr.bf.FrameSize
-	for l := 0; l < n; l++ {
-		fr.pcs[l] = 0
-	}
-
-	if g.tracer != nil {
-		g.trace.Reset(n)
-		g.retired = g.trace.Retired
-		g.tracer.GroupBegin(group, linear)
-	}
-	doneBefore := 0
-	round := 0
-	var roundStart time.Time
-	for {
-		if g.prof != nil {
-			roundStart = time.Now()
-			g.profLoads, g.profStores = 0, 0
-		}
-		err := g.schedule(0, fr, g.allLanes)
-		var roundRetired int64
-		if g.prof != nil {
-			// Harvest before replay flushes the per-lane counters to the
-			// tracer (which zeroes them); zero manually when untraced.
-			for l := 0; l < n; l++ {
-				roundRetired += g.retired[l]
-			}
-			if g.tracer == nil {
-				clear(g.retired)
-			}
-		}
-		if g.tracer != nil {
-			g.replay()
-		}
-		if err != nil {
-			return err
-		}
-		var barrierAt *ir.Instr
-		atBarrier, doneTotal := 0, 0
-		for l := 0; l < n; l++ {
-			switch fr.pcs[l] {
-			case -1:
-				doneTotal++
-			case -2:
-				atBarrier++
-				if barrierAt == nil {
-					barrierAt = g.barInstr[l]
-				} else if barrierAt != g.barInstr[l] {
-					return vm.ErrDifferentBarriers
-				}
-			}
-		}
-		if g.prof != nil {
-			g.prof.Region(round, time.Since(roundStart), roundRetired, g.profLoads, g.profStores, atBarrier > 0)
-			round++
-		}
-		doneNow := doneTotal - doneBefore
-		if atBarrier > 0 && doneNow > 0 {
-			return vm.BarrierDivergence(atBarrier, doneNow)
-		}
-		if atBarrier == 0 {
-			break
-		}
-		if g.tracer != nil {
-			g.tracer.Barrier(atBarrier)
-		}
-		doneBefore = doneTotal
-		for l := 0; l < n; l++ {
-			if fr.pcs[l] == -2 {
-				fr.pcs[l] = g.resumePC[l]
-			}
-		}
-	}
-	if g.tracer != nil {
-		g.tracer.GroupEnd()
-	}
-	return nil
+	clear(fr.pcs)
 }
 
-// replay hands the barrier round's buffered trace to the tracer: in one
-// call when it takes batches, else access by access in work-item-major
-// order, matching the per-round stream the work-item-at-a-time backends
-// produce.
-func (g *groupState) replay() {
-	if g.batcher != nil {
-		g.batcher.AccessBatch(g.trace)
-	} else {
-		g.trace.Replay(g.tracer)
+// Round implements vm.Group: it releases the lanes the last round
+// suspended at a barrier and runs lockstep segments until every lane is
+// done or suspended again.
+func (g *groupState) Round(trace *vm.AccessBatch) (vm.RoundStats, error) {
+	g.trace, g.retired, g.loads, g.stores = trace, 0, 0, 0
+	fr := g.frames[0]
+	doneBefore := 0
+	for l, pc := range fr.pcs {
+		switch pc {
+		case -1:
+			doneBefore++
+		case -2:
+			fr.pcs[l] = g.resumePC[l]
+		}
 	}
-	g.trace.Clear()
+	err := g.schedule(0, fr, g.allLanes)
+	s := vm.RoundStats{Retired: g.retired, Loads: g.loads, Stores: g.stores}
+	if err != nil {
+		return s, err
+	}
+	// Every lane is done (-1) or at a barrier (-2) now.
+	for l, pc := range fr.pcs {
+		if pc == -1 {
+			s.Finished++
+			continue
+		}
+		if s.AtBarrier > 0 && g.barInstr[l] != s.Barrier {
+			s.AtBarrier, s.Barrier = s.AtBarrier+1, nil
+			return s, nil
+		}
+		s.AtBarrier, s.Barrier = s.AtBarrier+1, g.barInstr[l]
+	}
+	s.Finished -= doneBefore
+	return s, nil
 }
 
 // schedule runs the given lanes to completion of the current function
 // activation (or to a barrier at kernel level): it repeatedly picks the
-// pending program point with minimal (block priority, pc) and executes
-// one lockstep segment there with the mask of all lanes waiting at it.
-// For structured CFGs the minimum is never past a divergence region's
-// post-dominator while lanes remain inside the region, so divergent
-// lanes reconverge exactly there.
+// pending program point with the least key (block priority, pc) and runs
+// one lockstep segment there with the mask of all lanes waiting at it. A
+// segment parks its mask at any jump whose target's key is not below the
+// least key of the lanes left waiting, so those run first and the two
+// meet where their paths join. For structured CFGs the least key is never
+// past a divergence region's post-dominator while lanes remain inside the
+// region, so divergent lanes reconverge exactly there.
 func (g *groupState) schedule(depth int, fr *colFrame, lanes []int32) error {
 	bf := fr.bf
-	const inf = int64(1) << 62
 	for {
-		best := inf
+		best := noKey
 		for _, l := range lanes {
-			pc := fr.pcs[l]
-			if pc < 0 {
-				continue
-			}
-			key := int64(bf.prio[bf.blockOf[pc]])<<32 | int64(pc)
-			if key < best {
-				best = key
+			if pc := fr.pcs[l]; pc >= 0 {
+				best = min(best, bf.key(pc))
 			}
 		}
-		if best == inf {
+		if best == noKey {
 			return nil
 		}
-		pc := int32(best)
+		pc, rest := int32(best), noKey
 		seg := fr.seg[:0]
 		for _, l := range lanes {
-			if fr.pcs[l] == pc {
+			switch p := fr.pcs[l]; {
+			case p == pc:
 				seg = append(seg, l)
+			case p >= 0:
+				rest = min(rest, bf.key(p))
 			}
 		}
 		fr.seg = seg
-		if err := g.runSeg(depth, fr, seg, pc); err != nil {
+		if err := g.runSeg(depth, fr, seg, pc, rest); err != nil {
 			return err
 		}
 	}
 }
 
-// runSeg executes one lockstep segment and, when anything counts them,
-// credits the instructions it retired to the mask's lanes: once, at the
+// runSeg executes one lockstep segment and credits the instructions it
+// retired to the round and, when tracing, to the mask's lanes: once, at the
 // segment's end however it ends — the mask is constant within a segment and
 // the counts only add up, so when within the round a lane is credited makes
 // no difference to what the round reports.
-func (g *groupState) runSeg(depth int, fr *colFrame, mask []int32, pc int32) error {
-	retired, err := g.execSeg(depth, fr, mask, pc)
-	if retired != 0 && (g.tracer != nil || g.prof != nil) {
+func (g *groupState) runSeg(depth int, fr *colFrame, mask []int32, pc int32, rest int64) error {
+	retired, err := g.execSeg(depth, fr, mask, pc, rest)
+	g.retired += retired * int64(len(mask))
+	if retired != 0 && g.trace != nil {
 		for _, l := range mask {
-			g.retired[l] += retired
+			g.trace.Retired[l] += retired
 		}
 	}
 	return err
 }
 
+// parks reports whether a segment jumping to pc stops there, rest being
+// the least key of the lanes waiting elsewhere, and if so leaves the mask
+// at pc for the scheduler.
+func (fr *colFrame) parks(mask []int32, pc int32, rest int64) bool {
+	if fr.bf.key(pc) < rest {
+		return false
+	}
+	for _, l := range mask {
+		fr.pcs[l] = pc
+	}
+	return true
+}
+
 // execSeg is the segment itself: starting at pc with the given active
 // mask, it advances instruction by instruction — sweeping all masked lanes
-// per instruction — until control diverges, the activation returns, or
-// (kernel level) a barrier suspends the mask. It returns the instructions
-// each masked lane retired on the way.
-func (g *groupState) execSeg(depth int, fr *colFrame, mask []int32, pc int32) (retired int64, err error) {
+// per instruction — until control diverges, a jump parks (see schedule),
+// the activation returns, or (kernel level) a barrier suspends the mask.
+// It returns the instructions each masked lane retired on the way.
+func (g *groupState) execSeg(depth int, fr *colFrame, mask []int32, pc int32, rest int64) (retired int64, err error) {
 	bf := fr.bf
 	code := bf.Code
 	n := g.n
@@ -465,6 +378,9 @@ func (g *groupState) execSeg(depth int, fr *colFrame, mask []int32, pc int32) (r
 
 		case opJmp:
 			pc = int32(in.Imm)
+			if fr.parks(mask, pc, rest) {
+				return retired, nil
+			}
 			continue
 
 		case opCondBrI, opCondBrF:
@@ -490,14 +406,15 @@ func (g *groupState) execSeg(depth int, fr *colFrame, mask []int32, pc int32) (r
 				}
 			}
 			g.maskT, g.maskF = segT, segF
-			// A branch all active lanes agree on continues the segment
-			// inline; only genuine divergence goes back to the scheduler.
-			if len(segF) == 0 {
-				pc = t
-				continue
-			}
-			if len(segT) == 0 {
-				pc = f
+			// A branch all active lanes agree on is a jump; only genuine
+			// divergence goes back to the scheduler.
+			if len(segF) == 0 || len(segT) == 0 {
+				if pc = t; len(segT) == 0 {
+					pc = f
+				}
+				if fr.parks(mask, pc, rest) {
+					return retired, nil
+				}
 				continue
 			}
 			for _, l := range segT {

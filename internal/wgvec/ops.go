@@ -770,7 +770,7 @@ func (g *groupState) addrPass(fr *colFrame, in *inst, mask []int32, fused, store
 	addrs := g.addrs
 	// A full mask is every lane in ascending order, so lane l's slot of the
 	// column is l, as it is of the scratch.
-	converged := g.tracer != nil && len(mask) == g.n
+	converged := g.trace != nil && len(mask) == g.n
 	if converged {
 		addrs = g.trace.AppendOp(in.In, in.N, store)
 	}
@@ -784,7 +784,7 @@ func (g *groupState) addrPass(fr *colFrame, in *inst, mask []int32, fused, store
 			addrs[l] = uint64(base[l])
 		}
 	}
-	if g.tracer != nil && !converged {
+	if g.trace != nil && !converged {
 		items := g.trace.Items
 		rec := vm.AccessRec{Instr: g.trace.Intern(in.In), Size: in.N, Seq: int32(len(g.trace.Ops)), Store: store}
 		for _, l := range mask {
@@ -796,16 +796,12 @@ func (g *groupState) addrPass(fr *colFrame, in *inst, mask []int32, fused, store
 	return addrs
 }
 
-// countAccesses adds n loads or stores to the profiler's round, if there
-// is one.
+// countAccesses adds n loads or stores to the round's.
 func (g *groupState) countAccesses(store bool, n int) {
-	if g.prof == nil {
-		return
-	}
 	if store {
-		g.profStores += int64(n)
+		g.stores += int64(n)
 	} else {
-		g.profLoads += int64(n)
+		g.loads += int64(n)
 	}
 }
 
@@ -819,7 +815,7 @@ func (g *groupState) countAccesses(store bool, n int) {
 func (g *groupState) slotOp(fr *colFrame, in *inst, mask []int32) {
 	store := in.Op == opSlotSt
 	full := len(mask) == g.n
-	if g.tracer != nil {
+	if g.trace != nil {
 		off := uint64(fr.frameBase) + uint64(in.Imm)
 		if full {
 			g.trace.AppendPrivate(in.In, in.N, store, off)

@@ -11,24 +11,22 @@
 // Control flow is handled with per-work-item active masks: the CFG of
 // each function is annotated with reverse-post-order block priorities,
 // and a scheduler repeatedly runs the pending program point with minimal
-// (block priority, pc), with the mask of all work-items waiting there.
-// For the reducible, structured CFGs the frontend emits this reconverges
-// divergent work-items exactly at the immediate post-dominator of the
-// branch (the divergence-region machinery of internal/analysis); on
-// adversarial shapes it degrades to smaller masks, never to wrong
-// results. Instructions proven work-group-uniform by the uniformity
-// analysis execute once per group and broadcast, guarded at runtime by a
-// full-mask check.
+// (block priority, pc), with the mask of all work-items waiting there. A
+// segment that jumps to a point no earlier in that order than where other
+// work-items wait parks there, so the scheduler runs those first. For the
+// reducible, structured CFGs the frontend emits this reconverges divergent
+// work-items exactly at the immediate post-dominator of the branch (the
+// divergence-region machinery of internal/analysis); on adversarial shapes
+// it degrades to smaller masks, never to wrong results. Instructions
+// proven work-group-uniform by the uniformity analysis execute once per
+// group and broadcast, guarded at runtime by a full-mask check.
 //
-// The backend preserves the PR 3 execution contract exactly: cooperative
-// barrier semantics with barrier-divergence detection, and
-// backend-invariant simulated counters. Memory-trace events are buffered
-// during lockstep execution — a memory instruction under a full mask as one
-// op and a column of addresses, any other as a record per active work-item
-// — and handed to the tracer at the end of each barrier round — as one
-// vm.AccessBatch when the tracer takes batches, else replayed access by
-// access in work-item-major order — so memsim observes the same stream as
-// from the interpreter.
+// The engine runs a work-group a barrier round at a time under vm's round
+// loop (vm.Group), which checks barrier divergence and hands the round's
+// trace to the tracer. A round writes its trace into the vm.AccessBatch
+// the loop passes — a memory instruction under a full mask as one op and a
+// column of addresses, any other as a record per active work-item — so
+// memsim observes the same stream as from the interpreter.
 //
 // The package installs itself as the VM's engine, "wgvec"; importing it
 // (a blank import suffices) makes every launch that names no backend run
@@ -37,7 +35,6 @@ package wgvec
 
 import (
 	"context"
-	"sync"
 
 	"grover/internal/analysis"
 	"grover/internal/ir"
@@ -60,12 +57,6 @@ func init() {
 type Machine struct {
 	p     *vm.Program
 	funcs map[*ir.Function]*bfunc
-
-	// traces pools the trace buffers (*vm.AccessBatch) traced launches
-	// work with, so a machine launched again — concurrently, under an
-	// all-device autotune — does not regrow them every time. Their
-	// instruction tables point into this machine's own program.
-	traces sync.Pool
 }
 
 // Compile lowers every function of a prepared program to bytecode and
@@ -79,7 +70,6 @@ func Compile(p *vm.Program) (*Machine, error) {
 func CompileCtx(ctx context.Context, p *vm.Program) (*Machine, error) {
 	defer telemetry.StartSpan(ctx, "wgvec.compile")()
 	m := &Machine{p: p, funcs: map[*ir.Function]*bfunc{}}
-	m.traces.New = func() any { return new(vm.AccessBatch) }
 	// Uniform execute-once facts assume work-group-uniform parameters,
 	// which holds for launch arguments but not for call arguments; only
 	// kernels that are never themselves called qualify.
