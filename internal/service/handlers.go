@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"grover"
@@ -20,24 +21,48 @@ import (
 )
 
 // compiledArtifact is the cached result of a compile: the pristine
-// device-independent module plus a prepared VM program shared across
-// requests via Context.NewProgramFromPrepared. The engine's bytecode,
-// compiled eagerly for the prepared program, is cached inside it, so the
-// kcache entry holds the bytecode alongside the module and each program is
-// compiled once no matter how many requests execute it.
+// device-independent module and what is derived from it the first time a
+// request needs it. Most requests need only the module. The IR text is
+// rendered on the first response that asks for it (want_ir). The prepared VM
+// program, with the engine's executor built inside it, is made on the first
+// autotune that executes the program, under that request's context, so its
+// vm.prepare and wgvec.compile spans land in that request's trace; requests
+// share it via Context.NewProgramFromPrepared, so each program is prepared
+// and compiled once no matter how many requests execute it.
 type compiledArtifact struct {
 	mod     *ir.Module
-	prog    *vm.Program
 	kernels []string
-	ir      string
+	ir      func() string
+
+	prepare sync.Once
+	prog    *vm.Program
+	prepErr error
+}
+
+// program returns the artifact's prepared program, preparing it under ctx
+// on first use; concurrent first users wait for one preparation. Preparing
+// a module is deterministic, so an error is kept as a program would be.
+func (a *compiledArtifact) program(ctx context.Context, backend string) (*vm.Program, error) {
+	a.prepare.Do(func() {
+		// Prepare from a clone: preparation mutates the module, and the
+		// artifact's module stays pristine for rendering, linting and
+		// rewriting.
+		prog, err := vm.PrepareCtx(ctx, ir.CloneModule(a.mod))
+		if err == nil {
+			_, err = prog.ExecutorCtx(ctx, backend)
+		}
+		a.prog, a.prepErr = prog, err
+	})
+	return a.prog, a.prepErr
 }
 
 // transformArtifact is the cached result of a rewrite plan (rewrite) or of
-// the classic Grover pass (report).
+// the classic Grover pass (report), with the rewritten module's IR text
+// rendered on the first response that asks for it.
 type transformArtifact struct {
 	report  *igrover.Report
 	rewrite *rewrite.Report
-	ir      string
+	ir      func() string
 }
 
 // verdictArtifact is the cached result of one (job, device) tuning, without
@@ -55,19 +80,7 @@ func (s *Server) compile(ctx context.Context, p program) (*compiledArtifact, kca
 		if err != nil {
 			return nil, err
 		}
-		// Prepare a shared execution program from a clone (preparation
-		// mutates the module; the artifact's module stays pristine for IR
-		// rendering and transform cloning).
-		prog, err := vm.PrepareCtx(ctx, ir.CloneModule(mod))
-		if err != nil {
-			return nil, err
-		}
-		// Compile the engine's bytecode now so it is cached with the
-		// artifact rather than rebuilt per request.
-		if _, err := prog.ExecutorCtx(ctx, s.backend); err != nil {
-			return nil, err
-		}
-		art := &compiledArtifact{mod: mod, prog: prog, ir: mod.String()}
+		art := &compiledArtifact{mod: mod, ir: sync.OnceValue(mod.String)}
 		for _, f := range mod.Kernels() {
 			art.kernels = append(art.kernels, f.Name)
 		}
@@ -130,6 +143,10 @@ func verdictKeys(job *autotuneJob, devs []*opencl.Device) []string {
 func (s *Server) tuneSet(rctx context.Context, job *autotuneJob, devs []*opencl.Device) ([]interface{}, []error) {
 	vals, errs := make([]interface{}, len(devs)), make([]error, len(devs))
 	comp, err := s.compileKernel(rctx, job.program, job.Kernel)
+	var prog *vm.Program
+	if err == nil {
+		prog, err = comp.program(rctx, s.backend)
+	}
 	if err != nil {
 		for i := range errs {
 			errs[i] = err
@@ -142,7 +159,7 @@ func (s *Server) tuneSet(rctx context.Context, job *autotuneJob, devs []*opencl.
 	}
 	results := grover.Tune(rctx, devs, job.Kernel, grover.LaunchSpec{
 		Program: func(ctx *opencl.Context) (*opencl.Program, error) {
-			return ctx.NewProgramFromPrepared(job.Name, comp.prog), nil
+			return ctx.NewProgramFromPrepared(job.Name, prog), nil
 		},
 		Options: opts,
 		ND:      opencl.NDRange{Global: job.Global, Local: job.Local},
@@ -303,7 +320,7 @@ func (s *Server) handleCompile(ctx context.Context, req *CompileRequest, p progr
 	}
 	resp := &CompileResponse{Name: p.Name, Kernels: comp.kernels, Cache: out.String()}
 	if req.WantIR {
-		resp.IR = comp.ir
+		resp.IR = comp.ir()
 	}
 	return resp, []kcache.Outcome{out}, nil
 }
@@ -322,14 +339,14 @@ func (s *Server) handleTransform(ctx context.Context, req *TransformRequest, job
 			if err != nil {
 				return nil, err
 			}
-			return &transformArtifact{rewrite: rep, ir: mod.String()}, nil
+			return &transformArtifact{rewrite: rep, ir: sync.OnceValue(mod.String)}, nil
 		}
 		mod, rep, err := rewrite.ApplyGrover(comp.mod, job.Kernel, *job.Options)
 		end()
 		if err != nil {
 			return nil, err
 		}
-		return &transformArtifact{report: rep, ir: mod.String()}, nil
+		return &transformArtifact{report: rep, ir: sync.OnceValue(mod.String)}, nil
 	})
 	if err != nil {
 		return nil, []kcache.Outcome{out}, err
@@ -342,7 +359,7 @@ func (s *Server) handleTransform(ctx context.Context, req *TransformRequest, job
 		resp.Transformed, resp.Report = art.report.Transformed(), renderReport(art.report)
 	}
 	if req.WantIR {
-		resp.IR = art.ir
+		resp.IR = art.ir()
 	}
 	return resp, []kcache.Outcome{out}, nil
 }

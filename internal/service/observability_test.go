@@ -299,9 +299,10 @@ func TestRequestIDAndStatsQuantiles(t *testing.T) {
 	}
 }
 
-// TestCompileSpans checks that a cache-missing compile reports pipeline
-// spans that sum to no more than the request wall-clock, and that the
-// cached repeat omits them.
+// TestCompileSpans checks that a cache-missing compile reports the front
+// end's pipeline spans, summing to no more than the request wall-clock, and
+// does not prepare the program for execution; and that the cached repeat
+// omits them.
 func TestCompileSpans(t *testing.T) {
 	ts := newTestServer(t)
 	source, _ := nvdMT()
@@ -323,9 +324,15 @@ func TestCompileSpans(t *testing.T) {
 			t.Errorf("negative span timing: %+v", sp)
 		}
 	}
-	for _, stage := range []string{"clc.pre", "clc.lex", "clc.parse", "clc.sema", "lower", "opt", "vm.prepare"} {
+	for _, stage := range []string{"clc.pre", "clc.lex", "clc.parse", "clc.sema", "lower", "opt"} {
 		if !seen[stage] {
 			t.Errorf("missing pipeline stage %q in %v", stage, first.Spans)
+		}
+	}
+	// Only an autotune executes the program (TestFirstAutotunePrepares).
+	for _, stage := range []string{"vm.prepare", "wgvec.compile"} {
+		if seen[stage] {
+			t.Errorf("cold compile ran %q: %v", stage, first.Spans)
 		}
 	}
 	if sum > first.LatencyMS {
