@@ -140,7 +140,7 @@ func TestStripUnterminatedBlockComment(t *testing.T) {
 
 func TestPreprocessorIf(t *testing.T) {
 	pp, _ := NewPreprocessor(map[string]string{"TILE": "16"})
-	out, err := pp.Process("t", `#if TILE > 8
+	out, err := ProcessText(pp, `#if TILE > 8
 int big;
 #elif TILE > 4
 int mid;
@@ -169,7 +169,7 @@ int never;
 
 func TestPreprocessorElifChain(t *testing.T) {
 	pp, _ := NewPreprocessor(map[string]string{"V": "2"})
-	out, err := pp.Process("t", `#if V == 1
+	out, err := ProcessText(pp, `#if V == 1
 int a;
 #elif V == 2
 int b;
@@ -195,7 +195,7 @@ func TestPreprocessorIfErrors(t *testing.T) {
 		"#if defined(\nint a;\n#endif",
 		"#if 1 +\nint a;\n#endif",
 	} {
-		if _, err := pp.Process("t", src); err == nil {
+		if _, err := ProcessText(pp, src); err == nil {
 			t.Errorf("Process(%q): expected error", src)
 		}
 	}

@@ -17,15 +17,16 @@ type Parser struct {
 	pp   bool // parsing an #if condition: literals are long or ulong
 }
 
-// Parse preprocesses, lexes, parses and semantically analyzes an OpenCL C
-// source string, returning the typed AST. defines are predefined macros
-// (may be nil).
+// Parse preprocesses (lexing as it goes), parses and semantically analyzes
+// an OpenCL C source string, returning the typed AST. defines are
+// predefined macros (may be nil).
 func Parse(file, src string, defines map[string]string) (*File, error) {
 	return ParseCtx(context.Background(), file, src, defines)
 }
 
 // ParseCtx is Parse with per-stage span recording when ctx carries a
-// telemetry trace (clc.pre, clc.lex, clc.parse, clc.sema).
+// telemetry trace (clc.pre, clc.parse, clc.sema). The parser reads the
+// preprocessor's tokens, which carry their source positions.
 func ParseCtx(ctx context.Context, file, src string, defines map[string]string) (*File, error) {
 	all := PredefinedMacros()
 	for k, v := range defines {
@@ -33,16 +34,10 @@ func ParseCtx(ctx context.Context, file, src string, defines map[string]string) 
 	}
 	end := telemetry.StartSpan(ctx, "clc.pre")
 	pp, err := NewPreprocessor(all)
-	if err != nil {
-		return nil, err
+	var toks []Token
+	if err == nil {
+		toks, err = pp.Process(file, src)
 	}
-	expanded, err := pp.Process(file, src)
-	end()
-	if err != nil {
-		return nil, err
-	}
-	end = telemetry.StartSpan(ctx, "clc.lex")
-	toks, err := LexAll(file, expanded)
 	end()
 	if err != nil {
 		return nil, err

@@ -9,9 +9,7 @@ import (
 type Macro struct {
 	Name     string
 	Params   []string // nil for object-like macros
-	IsFunc   bool
 	Body     []Token
-	Builtin  bool
 	Expanded bool // cycle guard during expansion
 }
 
@@ -39,265 +37,256 @@ func NewPreprocessor(defines map[string]string) (*Preprocessor, error) {
 	return pp, nil
 }
 
-// Process expands the source text and returns the preprocessed text. Line
-// structure is preserved: directives become empty lines so diagnostics in
-// later phases keep meaningful line numbers.
-func (pp *Preprocessor) Process(file, src string) (string, error) {
-	// Splice line continuations.
-	src = strings.ReplaceAll(src, "\\\r\n", "\n")
-	src = strings.ReplaceAll(src, "\\\n", "\n")
-	var err error
-	src, err = stripBlockComments(file, src)
+// Process lexes and macro-expands the source and returns its tokens,
+// terminated by a TokEOF token at the end of the source. Each token
+// carries its own source position, and each token of a macro expansion
+// the position of the macro name it replaces. The source is lexed one
+// logical line at a time, a line continuation (backslash-newline) being
+// blank space. In a group a conditional directive skips, only a line's
+// first token is read: the conditional directives count, for nesting,
+// and nothing else does (C99 §6.10.1p6).
+func (pp *Preprocessor) Process(file, src string) ([]Token, error) {
+	src, err := stripBlockComments(file, src)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	lines := strings.Split(src, "\n")
-
-	var out strings.Builder
-	// condStack tracks #ifdef nesting; each entry is whether the branch is
-	// active and whether any branch in the group has been taken.
-	type cond struct{ active, taken, parentActive bool }
+	// stack holds the open conditional groups: whether the current
+	// branch's lines are processed (it and every enclosing branch are
+	// taken), and whether a later branch can no longer be taken.
+	type cond struct {
+		pos           Pos
+		active, taken bool
+	}
 	var stack []cond
-	active := func() bool {
-		for _, c := range stack {
-			if !c.active {
-				return false
+	active := func() bool { return len(stack) == 0 || stack[len(stack)-1].active }
+	out := make([]Token, 0, len(src)/4)
+	var line []Token
+	lineNo := 1
+	for off := 0; off <= len(src); {
+		end := lineEnd(src, off)
+		lx := &Lexer{src: src[off:end], file: file, line: lineNo, col: 1}
+		lineNo += 1 + strings.Count(src[off:end], "\n")
+		off = end + 1
+		first, err := lx.Next()
+		if err != nil || !first.Is("#") {
+			if !active() {
+				continue
 			}
-		}
-		return true
-	}
-
-	for i, line := range lines {
-		lineNo := i + 1
-		trimmed := strings.TrimSpace(line)
-		if strings.HasPrefix(trimmed, "#") {
-			dir := strings.TrimSpace(trimmed[1:])
-			word := dir
-			rest := ""
-			if idx := strings.IndexAny(dir, " \t("); idx >= 0 {
-				word = dir[:idx]
-				rest = strings.TrimSpace(dir[idx:])
-				if strings.HasPrefix(dir[idx:], "(") {
-					// function-like define written as "#define F(x) ..." with
-					// no space: word captured correctly above only when the
-					// split is on '('; rejoin for defines below.
-					rest = dir[idx:]
-				}
+			if err == nil {
+				line, err = lexLine(append(line[:0], first), lx)
 			}
-			switch word {
-			case "define":
-				if active() {
-					if err := pp.define(file, lineNo, rest); err != nil {
-						return "", err
-					}
-				}
-			case "undef":
-				if active() {
-					delete(pp.macros, strings.TrimSpace(rest))
-				}
-			case "ifdef":
-				name := strings.TrimSpace(rest)
-				on := pp.macros[name] != nil
-				stack = append(stack, cond{active: on, taken: on, parentActive: active()})
-			case "ifndef":
-				name := strings.TrimSpace(rest)
-				on := pp.macros[name] == nil
-				stack = append(stack, cond{active: on, taken: on, parentActive: active()})
-			case "if":
-				on := false
-				if active() {
-					v, err := pp.evalCondition(file, lineNo, rest)
-					if err != nil {
-						return "", err
-					}
-					on = v != 0
-				}
-				stack = append(stack, cond{active: on, taken: on, parentActive: active()})
-			case "elif":
-				if len(stack) == 0 {
-					return "", errf(Pos{File: file, Line: lineNo, Col: 1}, "#elif without #if")
-				}
-				top := &stack[len(stack)-1]
-				if top.taken {
-					top.active = false
-				} else {
-					v, err := pp.evalCondition(file, lineNo, rest)
-					if err != nil {
-						return "", err
-					}
-					top.active = v != 0
-					top.taken = top.active
-				}
-			case "else":
-				if len(stack) == 0 {
-					return "", errf(Pos{File: file, Line: lineNo, Col: 1}, "#else without #ifdef")
-				}
-				top := &stack[len(stack)-1]
-				top.active = !top.taken
-				top.taken = true
-			case "endif":
-				if len(stack) == 0 {
-					return "", errf(Pos{File: file, Line: lineNo, Col: 1}, "#endif without #ifdef")
-				}
-				stack = stack[:len(stack)-1]
-			case "pragma", "line":
-				// dropped
-			case "include":
-				return "", errf(Pos{File: file, Line: lineNo, Col: 1}, "#include is not supported; kernels must be self-contained")
-			default:
-				return "", errf(Pos{File: file, Line: lineNo, Col: 1}, "unknown directive #%s", word)
+			if err == nil {
+				out, err = pp.expand(out, line[:len(line)-1], 0)
 			}
-			out.WriteString("\n")
+			if err != nil {
+				return nil, err
+			}
 			continue
 		}
-		if !active() {
-			out.WriteString("\n")
+		name, err := lx.Next()
+		parent := active()
+		if !parent && (err != nil || !conditional(name.Text)) {
 			continue
 		}
-		expanded, err := pp.expandLine(file, lineNo, line)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		out.WriteString(expanded)
-		out.WriteString("\n")
-	}
-	if len(stack) != 0 {
-		return "", errf(Pos{File: file, Line: len(lines), Col: 1}, "unterminated #ifdef")
-	}
-	return out.String(), nil
-}
-
-// define parses the remainder of a #define directive.
-func (pp *Preprocessor) define(file string, lineNo int, rest string) error {
-	pos := Pos{File: file, Line: lineNo, Col: 1}
-	toks, err := LexAll(file, rest)
-	if err != nil {
-		return err
-	}
-	if len(toks) == 0 || toks[0].Kind != TokIdent && toks[0].Kind != TokKeyword {
-		return errf(pos, "#define requires a macro name")
-	}
-	name := toks[0].Text
-	m := &Macro{Name: name}
-	idx := 1
-	// Function-like only when '(' immediately follows the name in the raw
-	// text (no whitespace). We approximate: the '(' token directly follows
-	// and rest has "name(" as a prefix.
-	if idx < len(toks) && toks[idx].Is("(") && strings.HasPrefix(strings.TrimSpace(rest), name+"(") {
-		m.IsFunc = true
-		m.Params = []string{}
-		idx++
-		for {
-			if idx >= len(toks) {
-				return errf(pos, "unterminated macro parameter list")
+		switch name.Text {
+		case "define":
+			toks, err := lexLine(nil, lx)
+			if err == nil {
+				err = pp.define(first.Pos, toks)
 			}
-			if toks[idx].Is(")") {
-				idx++
+			if err != nil {
+				return nil, err
+			}
+		case "undef":
+			t, err := lx.Next()
+			if err != nil {
+				return nil, err
+			}
+			delete(pp.macros, t.Text)
+		case "if", "ifdef", "ifndef":
+			on := parent
+			if on && name.Text == "if" {
+				v, err := pp.evalCondition(first.Pos, lx)
+				if err != nil {
+					return nil, err
+				}
+				on = v != 0
+			} else if on {
+				t, err := lx.Next()
+				if err != nil {
+					return nil, err
+				}
+				on = (pp.macros[t.Text] != nil) == (name.Text == "ifdef")
+			}
+			// Under a skipped branch no branch of the group is taken.
+			stack = append(stack, cond{pos: first.Pos, active: on, taken: on || !parent})
+		case "elif":
+			if len(stack) == 0 {
+				return nil, errf(first.Pos, "#elif without #if")
+			}
+			top := &stack[len(stack)-1]
+			if top.taken {
+				top.active = false
 				break
 			}
-			if toks[idx].Kind != TokIdent {
-				return errf(pos, "bad macro parameter %q", toks[idx].Text)
+			v, err := pp.evalCondition(first.Pos, lx)
+			if err != nil {
+				return nil, err
 			}
-			m.Params = append(m.Params, toks[idx].Text)
-			idx++
-			if idx < len(toks) && toks[idx].Is(",") {
-				idx++
+			top.active = v != 0
+			top.taken = top.active
+		case "else":
+			if len(stack) == 0 {
+				return nil, errf(first.Pos, "#else without #ifdef")
+			}
+			top := &stack[len(stack)-1]
+			top.active = !top.taken
+			top.taken = true
+		case "endif":
+			if len(stack) == 0 {
+				return nil, errf(first.Pos, "#endif without #ifdef")
+			}
+			stack = stack[:len(stack)-1]
+		case "pragma", "line":
+			// dropped
+		case "include":
+			return nil, errf(first.Pos, "#include is not supported; kernels must be self-contained")
+		default:
+			return nil, errf(first.Pos, "unknown directive #%s", name.Text)
+		}
+	}
+	if len(stack) != 0 {
+		return nil, errf(stack[len(stack)-1].pos, "unterminated #ifdef")
+	}
+	eof := Pos{File: file, Line: lineNo - 1, Col: len(src) - strings.LastIndexByte(src, '\n')}
+	return append(out, Token{Kind: TokEOF, Pos: eof}), nil
+}
+
+// conditional reports whether a directive opens, continues or closes a
+// conditional group.
+func conditional(name string) bool {
+	switch name {
+	case "if", "ifdef", "ifndef", "elif", "else", "endif":
+		return true
+	}
+	return false
+}
+
+// lineEnd returns the index of the newline that ends the logical line
+// starting at off, or len(src): a newline right after a backslash is a
+// line continuation and does not end it.
+func lineEnd(src string, off int) int {
+	for {
+		i := strings.IndexByte(src[off:], '\n')
+		if i < 0 {
+			return len(src)
+		}
+		off += i
+		if !strings.HasSuffix(src[:off], "\\") && !strings.HasSuffix(src[:off], "\\\r") {
+			return off
+		}
+		off++
+	}
+}
+
+// define records the macro of a #define directive from the tokens after
+// "define", which end with a TokEOF. The macro is function-like when its
+// '(' sits in the column right after the name.
+func (pp *Preprocessor) define(pos Pos, toks []Token) error {
+	name := toks[0]
+	if name.Kind != TokIdent && name.Kind != TokKeyword {
+		return errf(pos, "#define requires a macro name")
+	}
+	m := &Macro{Name: name.Text}
+	body := toks[1 : len(toks)-1]
+	if open := toks[1]; open.Is("(") && open.Pos.Line == name.Pos.Line && open.Pos.Col == name.Pos.Col+len(name.Text) {
+		m.Params = []string{}
+		body = body[1:]
+		for {
+			if len(body) == 0 {
+				return errf(open.Pos, "unterminated macro parameter list")
+			}
+			t := body[0]
+			body = body[1:]
+			if t.Is(")") {
+				break
+			}
+			if t.Kind != TokIdent {
+				return errf(t.Pos, "bad macro parameter %q", t.Text)
+			}
+			m.Params = append(m.Params, t.Text)
+			if len(body) > 0 && body[0].Is(",") {
+				body = body[1:]
 			}
 		}
 	}
-	body := toks[idx:]
-	if len(body) > 0 && body[len(body)-1].Kind == TokEOF {
-		body = body[:len(body)-1]
-	}
 	m.Body = body
-	pp.macros[name] = m
+	pp.macros[name.Text] = m
 	return nil
-}
-
-// expandLine macro-expands one source line.
-func (pp *Preprocessor) expandLine(file string, lineNo int, line string) (string, error) {
-	toks, err := LexAll(file, line)
-	if err != nil {
-		return "", err
-	}
-	toks = toks[:len(toks)-1] // drop EOF
-	expanded, err := pp.expandTokens(toks, 0)
-	if err != nil {
-		return "", err
-	}
-	return renderTokens(expanded), nil
 }
 
 const maxExpandDepth = 64
 
-// expandTokens performs macro substitution over a token slice.
-func (pp *Preprocessor) expandTokens(toks []Token, depth int) ([]Token, error) {
-	if depth > maxExpandDepth {
-		return nil, fmt.Errorf("clc: macro expansion too deep (recursive macro?)")
-	}
-	var out []Token
+// expand appends toks to dst with every macro use replaced by its
+// expansion. The tokens of an expansion take the position of the macro
+// name they replace.
+func (pp *Preprocessor) expand(dst, toks []Token, depth int) ([]Token, error) {
 	for i := 0; i < len(toks); i++ {
 		t := toks[i]
-		if t.Kind != TokIdent {
-			out = append(out, t)
+		var m *Macro
+		if t.Kind == TokIdent {
+			m = pp.macros[t.Text]
+		}
+		// A function-like macro's name not followed by '(' is left as is.
+		if m == nil || m.Expanded || m.Params != nil && (i+1 == len(toks) || !toks[i+1].Is("(")) {
+			dst = append(dst, t)
 			continue
 		}
-		m := pp.macros[t.Text]
-		if m == nil || m.Expanded {
-			out = append(out, t)
-			continue
+		if depth == maxExpandDepth {
+			return nil, errf(t.Pos, "macro expansion too deep (recursive macro?)")
 		}
-		if !m.IsFunc {
-			m.Expanded = true
-			sub, err := pp.expandTokens(m.Body, depth+1)
-			m.Expanded = false
+		body := m.Body
+		if m.Params != nil {
+			args, next, err := splitMacroArgs(toks, i+1)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, sub...)
-			continue
-		}
-		// Function-like: require '(' as the next token, else leave as-is.
-		if i+1 >= len(toks) || !toks[i+1].Is("(") {
-			out = append(out, t)
-			continue
-		}
-		args, next, err := splitMacroArgs(toks, i+1)
-		if err != nil {
-			return nil, err
-		}
-		if len(args) != len(m.Params) && !(len(m.Params) == 0 && len(args) == 1 && len(args[0]) == 0) {
-			return nil, errf(t.Pos, "macro %s expects %d arguments, got %d", m.Name, len(m.Params), len(args))
-		}
-		// Pre-expand the arguments.
-		argMap := map[string][]Token{}
-		for pi, p := range m.Params {
-			ea, err := pp.expandTokens(args[pi], depth+1)
-			if err != nil {
-				return nil, err
+			if len(args) != len(m.Params) && !(len(m.Params) == 0 && len(args) == 1 && len(args[0]) == 0) {
+				return nil, errf(t.Pos, "macro %s expects %d arguments, got %d", m.Name, len(m.Params), len(args))
 			}
-			argMap[p] = ea
-		}
-		var body []Token
-		for _, bt := range m.Body {
-			if bt.Kind == TokIdent {
-				if rep, ok := argMap[bt.Text]; ok {
-					body = append(body, rep...)
-					continue
+			// Pre-expand the arguments.
+			argMap := make(map[string][]Token, len(m.Params))
+			for pi, p := range m.Params {
+				if argMap[p], err = pp.expand(nil, args[pi], depth+1); err != nil {
+					return nil, err
 				}
 			}
-			body = append(body, bt)
+			body = nil
+			for _, bt := range m.Body {
+				if rep, ok := argMap[bt.Text]; ok && bt.Kind == TokIdent {
+					body = append(body, rep...)
+				} else {
+					body = append(body, bt)
+				}
+			}
+			i = next - 1
 		}
+		start := len(dst)
+		var err error
 		m.Expanded = true
-		sub, err := pp.expandTokens(body, depth+1)
+		dst, err = pp.expand(dst, body, depth+1)
 		m.Expanded = false
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, sub...)
-		i = next - 1
+		for k := start; k < len(dst); k++ {
+			dst[k].Pos = t.Pos
+		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // splitMacroArgs parses a parenthesized argument list beginning at
@@ -333,28 +322,10 @@ func splitMacroArgs(toks []Token, open int) ([][]Token, int, error) {
 	return nil, 0, errf(toks[open].Pos, "unterminated macro argument list")
 }
 
-// renderTokens turns tokens back into source text with separating spaces.
-func renderTokens(toks []Token) string {
-	var sb strings.Builder
-	for i, t := range toks {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		switch t.Kind {
-		case TokStringLit:
-			sb.WriteString(fmt.Sprintf("%q", t.Text))
-		case TokCharLit:
-			sb.WriteString("'" + t.Text + "'")
-		default:
-			sb.WriteString(t.Text)
-		}
-	}
-	return sb.String()
-}
-
 // stripBlockComments blanks /* ... */ comments (which may span lines,
-// unlike the line-oriented directive scanner) while preserving newlines so
-// diagnostics keep their positions. String literals are respected.
+// unlike the line-oriented directive scanner) column for column and keeps
+// their newlines, so every token keeps its position. String literals are
+// respected.
 func stripBlockComments(file, src string) (string, error) {
 	out := []byte(src)
 	i := 0
@@ -384,7 +355,7 @@ func stripBlockComments(file, src string) (string, error) {
 				i++
 			}
 		case c == '/' && i+1 < len(out) && out[i+1] == '*':
-			start := line
+			start, startLine := i, line
 			closed := false
 			for i < len(out) {
 				if out[i] == '*' && i+1 < len(out) && out[i+1] == '/' {
@@ -401,7 +372,8 @@ func stripBlockComments(file, src string) (string, error) {
 				i++
 			}
 			if !closed {
-				return "", errf(Pos{File: file, Line: start, Col: 1}, "unterminated block comment")
+				col := start - strings.LastIndexByte(src[:start], '\n')
+				return "", errf(Pos{File: file, Line: startLine, Col: col}, "unterminated block comment")
 			}
 		default:
 			i++
@@ -410,35 +382,34 @@ func stripBlockComments(file, src string) (string, error) {
 	return string(out), nil
 }
 
-// evalCondition evaluates a #if/#elif controlling expression: defined()
-// is resolved first, macros are expanded, any remaining identifiers become
-// 0 (the C rule), and the result is folded as an integer constant.
-func (pp *Preprocessor) evalCondition(file string, lineNo int, rest string) (int64, error) {
-	pos := Pos{File: file, Line: lineNo, Col: 1}
-	toks, err := LexAll(file, rest)
+// evalCondition evaluates the controlling expression of the #if or #elif
+// at pos, the rest of lx's line: defined() is resolved first, macros are
+// expanded, any remaining identifiers become 0 (the C rule), and the
+// result is folded as an integer constant.
+func (pp *Preprocessor) evalCondition(pos Pos, lx *Lexer) (int64, error) {
+	toks, err := lexLine(nil, lx)
 	if err != nil {
 		return 0, err
 	}
-	toks = toks[:len(toks)-1]
-	// Resolve defined(NAME) / defined NAME before macro expansion.
+	// Resolve defined(NAME) / defined NAME before macro expansion. toks
+	// ends with a TokEOF, which no test below reads past.
 	var resolved []Token
 	for i := 0; i < len(toks); i++ {
 		t := toks[i]
 		if t.Kind == TokIdent && t.Text == "defined" {
 			j := i + 1
-			paren := false
-			if j < len(toks) && toks[j].Is("(") {
-				paren = true
+			paren := toks[j].Is("(")
+			if paren {
 				j++
 			}
-			if j >= len(toks) || (toks[j].Kind != TokIdent && toks[j].Kind != TokKeyword) {
-				return 0, errf(pos, "defined requires a macro name")
+			if toks[j].Kind != TokIdent && toks[j].Kind != TokKeyword {
+				return 0, errf(t.Pos, "defined requires a macro name")
 			}
 			name := toks[j].Text
 			j++
 			if paren {
-				if j >= len(toks) || !toks[j].Is(")") {
-					return 0, errf(pos, "unbalanced defined(...)")
+				if !toks[j].Is(")") {
+					return 0, errf(t.Pos, "unbalanced defined(...)")
 				}
 				j++
 			}
@@ -452,7 +423,7 @@ func (pp *Preprocessor) evalCondition(file string, lineNo int, rest string) (int
 		}
 		resolved = append(resolved, t)
 	}
-	expanded, err := pp.expandTokens(resolved, 0)
+	expanded, err := pp.expand(nil, resolved, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -462,14 +433,13 @@ func (pp *Preprocessor) evalCondition(file string, lineNo int, rest string) (int
 			expanded[i] = Token{Kind: TokIntLit, Text: "0", Pos: t.Pos}
 		}
 	}
-	expanded = append(expanded, Token{Kind: TokEOF, Pos: pos})
-	p := &Parser{toks: expanded, file: file, pp: true}
+	p := &Parser{toks: expanded, pp: true}
 	e, err := p.parseCondExpr()
 	if err != nil {
 		return 0, err
 	}
-	if !p.cur().Is("") && p.cur().Kind != TokEOF {
-		return 0, errf(pos, "trailing tokens in #if condition")
+	if p.cur().Kind != TokEOF {
+		return 0, errf(p.cur().Pos, "trailing tokens in #if condition")
 	}
 	v, _, err := constFolder{pp: true}.fold(e)
 	if err != nil {

@@ -165,11 +165,11 @@ func TestSpecSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := pp.Process("t", "#if (1 << 33) > 0 && -1 < 0xFFFFFFFF\nint wide;\n#endif\n")
+	out, err := clc.ProcessText(pp, "#if (1 << 33) > 0 && -1 < 0xFFFFFFFF\nint wide;\n#endif\n")
 	if err != nil || !strings.Contains(out, "wide") {
 		t.Errorf("#if does not fold in long: %q, %v", out, err)
 	}
-	out, err = pp.Process("t", "#define N 0\n#if N ? 16 / N : 1\nint taken;\n#endif\n")
+	out, err = clc.ProcessText(pp, "#define N 0\n#if N ? 16 / N : 1\nint taken;\n#endif\n")
 	if err != nil || !strings.Contains(out, "taken") {
 		t.Errorf("#if evaluates the arm of ?: not taken: %q, %v", out, err)
 	}

@@ -1,6 +1,9 @@
 // Package clc implements an OpenCL C front-end: a lexer, a small
 // preprocessor, a recursive-descent parser producing an AST, and a semantic
-// analyzer that resolves types and address spaces.
+// analyzer that resolves types and address spaces. The source is lexed
+// once: the preprocessor lexes it line by line and hands the parser the
+// expanded tokens, each carrying its position in the source, so every
+// diagnostic and every IR position names the source's own line and column.
 //
 // The supported language is the OpenCL C 1.x subset exercised by the
 // benchmark suite of the Grover paper: scalar and vector arithmetic types,

@@ -324,7 +324,7 @@ func TestCompileSpans(t *testing.T) {
 			t.Errorf("negative span timing: %+v", sp)
 		}
 	}
-	for _, stage := range []string{"clc.pre", "clc.lex", "clc.parse", "clc.sema", "lower", "opt"} {
+	for _, stage := range []string{"clc.pre", "clc.parse", "clc.sema", "lower", "opt"} {
 		if !seen[stage] {
 			t.Errorf("missing pipeline stage %q in %v", stage, first.Spans)
 		}

@@ -196,7 +196,7 @@ func CompileModule(name, source string, defines map[string]string) (*ir.Module, 
 }
 
 // CompileModuleCtx is CompileModule with per-stage span recording
-// (clc.pre, clc.lex, clc.parse, clc.sema, lower, opt) when ctx carries a
+// (clc.pre, clc.parse, clc.sema, lower, opt) when ctx carries a
 // telemetry trace.
 func CompileModuleCtx(ctx context.Context, name, source string, defines map[string]string) (*ir.Module, error) {
 	f, err := clc.ParseCtx(ctx, name, source, defines)
