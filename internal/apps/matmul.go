@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"sync"
-
 	"grover/opencl"
 )
 
@@ -65,7 +63,7 @@ func mmSetup(ctx *opencl.Context, scale int) (*Instance, error) {
 	bufC := ctx.NewBuffer(n * n * 4)
 	bufA.WriteFloat32(a)
 	bufB.WriteFloat32(b)
-	want := sync.OnceValue(func() []float32 { return matmulRef(a, b, n, k) })
+	want := reference("matmul", scale, func() []float32 { return matmulRef(a, b, n, k) })
 	check := func() error {
 		return compare("matmul", bufC.ReadFloat32(n*n), want(), 1e-3)
 	}
@@ -154,7 +152,7 @@ func AMDMM() *App {
 			bufC := ctx.NewBuffer(n * n * 4)
 			bufA.WriteFloat32(a)
 			bufB.WriteFloat32(b)
-			want := sync.OnceValue(func() []float32 { return matmulRef(a, b, n, k) })
+			want := reference("AMD-MM", scale, func() []float32 { return matmulRef(a, b, n, k) })
 			check := func() error {
 				return compare("AMD-MM", bufC.ReadFloat32(n*n), want(), 1e-3)
 			}

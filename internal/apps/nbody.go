@@ -2,7 +2,6 @@ package apps
 
 import (
 	"math"
-	"sync"
 
 	"grover/opencl"
 )
@@ -67,7 +66,7 @@ func NVDNBody() *App {
 			pos := ctx.NewBuffer(n * 16)
 			out := ctx.NewBuffer(n * 16)
 			pos.WriteFloat32(posv)
-			want := sync.OnceValue(func() []float32 {
+			want := reference("nbody", scale, func() []float32 {
 				ref := make([]float32, n*4)
 				for i := 0; i < n; i++ {
 					mx, my, mz := posv[i*4], posv[i*4+1], posv[i*4+2]

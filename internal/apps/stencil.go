@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"sync"
-
 	"grover/opencl"
 )
 
@@ -55,7 +53,7 @@ func PABST() *App {
 			in := ctx.NewBuffer(n * n * 4)
 			out := ctx.NewBuffer(n * n * 4)
 			in.WriteFloat32(iv)
-			want := sync.OnceValue(func() []float32 {
+			want := reference("stencil", scale, func() []float32 {
 				ref := make([]float32, n*n)
 				for y := 0; y < n; y++ {
 					for x := 0; x < n; x++ {

@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"sync"
-
 	"grover/opencl"
 )
 
@@ -51,7 +49,7 @@ func RODSC() *App {
 			coordBuf := ctx.NewBuffer(dim * n * 4)
 			distBuf := ctx.NewBuffer(n * 4)
 			coordBuf.WriteFloat32(coords)
-			want := sync.OnceValue(func() []float32 {
+			want := reference("streamcluster", scale, func() []float32 {
 				ref := make([]float32, n)
 				for i := 0; i < n; i++ {
 					var d float32
