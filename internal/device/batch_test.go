@@ -1050,6 +1050,10 @@ func TestSteadyStateGroupDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// BenchmarkWarpModel charges the GPUs the steady-state group, and Fermi
+// and Tahiti a staged and a de-staged matmul work-group (matmulRegions),
+// whose columns are rows of 16 lanes: two runs to a 32-lane warp, four to
+// a 64-lane one.
 func BenchmarkWarpModel(b *testing.B) {
 	for _, p := range []*Profile{Fermi(), Kepler(), Tahiti()} {
 		b.Run(p.Name, func(b *testing.B) {
@@ -1067,6 +1071,13 @@ func BenchmarkWarpModel(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*len(group.Ops)*len(group.Items)), "ns/access")
 		})
+	}
+	for _, p := range []*Profile{Fermi(), Tahiti()} {
+		for _, staged := range []bool{true, false} {
+			b.Run(p.Name+"/"+stagedName(staged), func(b *testing.B) {
+				benchmarkRegions(b, p, matmulRegions(staged))
+			})
+		}
 	}
 }
 
@@ -1132,41 +1143,50 @@ func matmulRegions(staged bool) []*vm.AccessBatch {
 // per access and the share of first-level accesses the memo charged.
 func BenchmarkCPUWalk(b *testing.B) {
 	for _, staged := range []bool{true, false} {
-		name := "de-staged"
-		if staged {
-			name = "staged"
-		}
-		b.Run(name, func(b *testing.B) {
-			sim, err := NewSimulator(SNB())
-			if err != nil {
-				b.Fatal(err)
-			}
-			tr := sim.Opts().TracerFor(0).(vm.BatchTracer)
-			regions := matmulRegions(staged)
-			accesses := 0
-			group := func(id int) {
-				tr.GroupBegin([3]int{}, id)
-				for i, r := range regions {
-					if i > 0 {
-						tr.Barrier(len(r.Items))
-					}
-					tr.AccessBatch(r)
-				}
-				tr.GroupEnd()
-			}
-			for _, r := range regions {
-				accesses += len(r.Ops) * len(r.Items)
-			}
-			group(0)
-			sim.Reset()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				group(i * sim.Prof.Cores)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(accesses), "ns/access")
+		b.Run(stagedName(staged), func(b *testing.B) {
+			sim := benchmarkRegions(b, SNB(), matmulRegions(staged))
 			b.ReportMetric(float64(simMemoized(sim))/float64(sim.Result().Caches[0].Accesses), "memo-share")
 		})
 	}
+}
+
+func stagedName(staged bool) string {
+	if staged {
+		return "staged"
+	}
+	return "de-staged"
+}
+
+// benchmarkRegions charges p's core 0 a work-group made of regions, group
+// after group, and reports the time per access.
+func benchmarkRegions(b *testing.B, p *Profile, regions []*vm.AccessBatch) *Simulator {
+	sim, err := NewSimulator(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := sim.Opts().TracerFor(0).(vm.BatchTracer)
+	accesses := 0
+	group := func(id int) {
+		tr.GroupBegin([3]int{}, id)
+		for i, r := range regions {
+			if i > 0 {
+				tr.Barrier(len(r.Items))
+			}
+			tr.AccessBatch(r)
+		}
+		tr.GroupEnd()
+	}
+	for _, r := range regions {
+		accesses += len(r.Ops) * len(r.Items)
+	}
+	group(0)
+	sim.Reset()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		group(i * p.Cores)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(accesses), "ns/access")
+	return sim
 }

@@ -40,16 +40,14 @@ func MakeAddr(space clc.AddrSpace, off uint64) uint64 {
 	return tag<<tagShift | (off & offMask)
 }
 
-// SplitAddr decomposes a tagged pointer.
+// tagSpaces is the address space each tag names; the unused fourth tag
+// reads as private.
+var tagSpaces = [4]clc.AddrSpace{tagPrivate: clc.ASPrivate, tagGlobal: clc.ASGlobal, tagLocal: clc.ASLocal, 3: clc.ASPrivate}
+
+// SplitAddr decomposes a tagged pointer. It does not branch, so a caller
+// that only wants the offset pays one mask.
 func SplitAddr(addr uint64) (space clc.AddrSpace, off uint64) {
-	switch addr >> tagShift {
-	case tagGlobal:
-		return clc.ASGlobal, addr & offMask
-	case tagLocal:
-		return clc.ASLocal, addr & offMask
-	default:
-		return clc.ASPrivate, addr & offMask
-	}
+	return tagSpaces[addr>>tagShift], addr & offMask
 }
 
 // GlobalMem is the device's global memory arena. Buffers are allocated
