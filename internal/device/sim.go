@@ -499,16 +499,16 @@ func (w *workerSim) processWarp(s *scratch, lanes [][]vm.AccessRec) {
 	}
 }
 
-// chargeWarpAccess charges one warp-wide access. addrs is scratch the
-// caller is done with.
+// chargeWarpAccess charges one warp-wide access: addrs are the lanes'
+// offsets in space, and sizes their sizes.
 func (w *workerSim) chargeWarpAccess(s *scratch, addrs []uint64, sizes []int, space clc.AddrSpace, store bool) {
 	switch space {
 	case clc.ASPrivate:
 		w.cycles += w.prof.PrivCost
 	case clc.ASLocal:
-		for i := range addrs {
-			addrs[i] += localBase
-		}
+		// The offsets are charged without localBase: a shift common to every
+		// lane moves each word to another bank by the same amount, which
+		// leaves the degree as it is.
 		deg := memsim.BankConflictDegree(addrs, w.prof.SPMBanks, w.prof.BankWidth)
 		w.cycles += int64(deg) * w.prof.SPMLat
 	default:

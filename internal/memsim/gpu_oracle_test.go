@@ -221,6 +221,44 @@ func TestRunPathShapes(t *testing.T) {
 	}
 }
 
+// TestBankConflictDegreeIgnoresACommonShift: adding k·bankWidth to every
+// lane moves each word to the bank k further on, for every lane alike, so
+// neither the degree nor the path that charges it changes. The device's GPU
+// model relies on this to charge local offsets as they are.
+func TestBankConflictDegreeIgnoresACommonShift(t *testing.T) {
+	r := rand.New(rand.NewSource(20140910))
+	for _, banks := range []int{32, 48} {
+		for _, width := range []int{4, 8} {
+			for _, warp := range []func(*rand.Rand) ([]uint64, []int){randomWarp, progressionWarp} {
+				var runs, chains int
+				for i := 0; i < 5000; i++ {
+					addrs, _ := warp(r)
+					k := []uint64{1, 7, uint64(banks), uint64(banks) + 1, 1 << 38, uint64(r.Intn(1 << 20))}[r.Intn(6)]
+					shifted := make([]uint64, len(addrs))
+					for j, a := range addrs {
+						shifted[j] = a + k*uint64(width)
+					}
+					deg, viaRuns := BankConflictDegree(addrs, banks, width), false
+					if _, ok := runConflictDegree(addrs, banks, width); ok {
+						viaRuns, runs = true, runs+1
+					} else {
+						chains++
+					}
+					if got := BankConflictDegree(shifted, banks, width); got != deg {
+						t.Fatalf("%d banks of %d bytes: degree %d, %d after adding %d words to %v", banks, width, deg, got, k, addrs)
+					}
+					if _, ok := runConflictDegree(shifted, banks, width); ok != viaRuns {
+						t.Fatalf("%d banks of %d bytes: from runs %v, %v after adding %d words to %v", banks, width, viaRuns, ok, k, addrs)
+					}
+				}
+				if runs == 0 || chains == 0 {
+					t.Errorf("%d banks of %d bytes: %d warps charged from runs and %d by the chain, want both", banks, width, runs, chains)
+				}
+			}
+		}
+	}
+}
+
 // uniform is n lanes' sizes, all size.
 func uniform(n, size int) []int {
 	sizes := make([]int, n)
