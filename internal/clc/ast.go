@@ -254,10 +254,12 @@ type VecLit struct {
 	Elems []Expr
 }
 
-// SizeofExpr is sizeof(type).
+// SizeofExpr is sizeof(type), or sizeof of an expression X, whose type
+// sema puts in Of. X is never evaluated.
 type SizeofExpr struct {
 	exprBase
 	Of Type
+	X  Expr
 }
 
 // Symbol is a resolved declaration: a parameter or local variable.

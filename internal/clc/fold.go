@@ -45,6 +45,14 @@ func (f constFolder) fold(e Expr) (int64, *ScalarType, error) {
 	case *IntLit:
 		return f.typed(ex.Value, ex.Typ)
 	case *SizeofExpr:
+		if ex.X != nil {
+			// Only the operand's type counts, as in an arm not evaluated.
+			_, t, err := constFolder{pp: f.pp, dead: true}.fold(ex.X)
+			if err != nil {
+				return 0, nil, err
+			}
+			return f.typed(int64(t.Size()), TypeULong)
+		}
 		return f.typed(int64(ex.Of.Size()), TypeULong)
 	case *Cast:
 		x, _, err := f.fold(ex.X)

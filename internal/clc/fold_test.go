@@ -40,6 +40,10 @@ func TestFoldConstInt(t *testing.T) {
 		{"0 || 0", 0},
 		{"sizeof(float)", 4},
 		{"sizeof(float4)", 16},
+		{"sizeof 1", 4},
+		{"sizeof (1L) * 2", 16},
+		{"sizeof -1 < 0", 0},
+		{"sizeof(sizeof(char))", 8},
 		{"(int)12", 12},
 		{"!5", 0},
 		{"+9", 9},

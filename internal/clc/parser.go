@@ -741,10 +741,20 @@ func (p *Parser) parseUnaryExpr() (Expr, error) {
 		u.Pos = t.Pos
 		return u, nil
 	case t.Is("sizeof"):
+		// sizeof ( type-name ), or sizeof unary-expression: a parenthesized
+		// expression is one.
 		p.pos++
-		if _, err := p.expect("("); err != nil {
-			return nil, err
+		e := &SizeofExpr{}
+		e.Pos = t.Pos
+		if !p.isCastAhead() {
+			x, err := p.parseUnaryExpr()
+			if err != nil {
+				return nil, err
+			}
+			e.X = x
+			return e, nil
 		}
+		p.pos++
 		typ, _, err := p.parseTypeSpec()
 		if err != nil {
 			return nil, err
@@ -756,8 +766,7 @@ func (p *Parser) parseUnaryExpr() (Expr, error) {
 		if _, err := p.expect(")"); err != nil {
 			return nil, err
 		}
-		e := &SizeofExpr{Of: typ}
-		e.Pos = t.Pos
+		e.Of = typ
 		return e, nil
 	case t.Is("("):
 		// Cast or parenthesized expression.

@@ -447,6 +447,12 @@ func (a *analyzer) expr(e Expr) error {
 		return nil
 
 	case *SizeofExpr:
+		if ex.X != nil {
+			if err := a.expr(ex.X); err != nil {
+				return err
+			}
+			ex.Of = ex.X.ExprType()
+		}
 		ex.Typ = TypeULong
 		return nil
 	}

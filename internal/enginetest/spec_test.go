@@ -73,6 +73,41 @@ func TestSpecEngines(t *testing.T) {
 	}
 }
 
+// TestSizeofExprEngines: sizeof of an expression has the operand's type's
+// size and a ulong's type, and leaves the operand unevaluated — the index
+// of o[i++] is not incremented — on both engines.
+func TestSizeofExprEngines(t *testing.T) {
+	const src = `__kernel void spec(__global long* o) {
+    int i = 0;
+    char c = 1;
+    short s = 2;
+    float4 v = (float4)(0.0f);
+    float arr[5];
+    o[0] = sizeof i;
+    o[1] = sizeof(o[0]);
+    o[2] = sizeof c + sizeof s;
+    o[3] = sizeof(o[i++]);
+    o[4] = i;
+    o[5] = sizeof v;
+    o[6] = sizeof arr;
+    o[7] = sizeof (c) * 2;
+    o[8] = sizeof(float);
+    o[9] = sizeof o;
+    o[10] = sizeof -1 < 0;
+    o[11] = sizeof(sizeof(int));
+}
+`
+	want := []int64{4, 8, 3, 8, 0, 16, 20, 2, 4, 8, 0, 8}
+	for _, engine := range enginetest.Engines() {
+		got := runSpec(t, engine, src, 1, len(want), 0, nil, nil)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: o[%d] = %d, want %d", engine, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // runSpec compiles src as the repo does, runs its kernel spec over items
 // work-items on engine with operand buffers as and bs of kind k (none when
 // as is nil) and an output buffer of outs longs, and returns the output.
