@@ -19,7 +19,7 @@ var engines = []string{vm.BackendInterp, Name}
 // prepare compiles OpenCL C source the way a program is built — parse,
 // lower, optimize, prepare — without the host API, which imports this
 // package.
-func prepare(t *testing.T, name, src string) *vm.Program {
+func prepare(t testing.TB, name, src string) *vm.Program {
 	t.Helper()
 	f, err := clc.Parse(name, src, nil)
 	if err != nil {
