@@ -77,35 +77,18 @@ const (
 	opSlotLd // reg[a] = reg[b]
 	opSlotSt // reg[b] = reg[a] as a store and a load of kind leave it
 
-	// 64-bit integer arithmetic (no normalization: the kind's width is 64
-	// or the op is normalization-transparent).
-	opAddI
-	opSubI
-	opMulI
-	opAndI
-	opOrI
-	opXorI
-	// 32-bit integer arithmetic with C wrapping.
-	opAddI32
+	// Binary arithmetic. The specialized opcodes are the forms a CPU profile
+	// of the sweeps shows; every other operator and kind runs the generic
+	// op, which calls clc's one copy of the semantics.
+	opAddI   // ri[a] = ri[b] + ri[c] (a 64-bit kind, or a pointer)
+	opAddI32 // int: wraps to 32 bits
 	opSubI32
 	opMulI32
-	opAddU32
-	opSubU32
-	opMulU32
-	// Generic integer binary op: sub = clc.Op, kind = scalar kind.
-	opIntBin
-	// Double-precision float arithmetic.
-	opAddF
-	opSubF
-	opMulF
-	opDivF
-	// Single-precision float arithmetic (round to float32).
-	opAddF32
+	opIntBin // generic: sub = clc.Op, kind = scalar kind
+	opAddF32 // float: rounds to float32
 	opSubF32
 	opMulF32
-	opDivF32
-	// Generic float binary op: sub = clc.Op, kind = scalar kind.
-	opFltBin
+	opFltBin // generic: sub = clc.Op, kind = scalar kind
 
 	// Unary ops (kind = scalar kind for integer normalization).
 	opNegF
@@ -115,23 +98,16 @@ const (
 	opVNegI
 	opVNotI
 
-	// Comparisons (dst = int register; 0 or 1).
+	// Comparisons (dst = int register; 0 or 1). The signed forms also
+	// answer == and != of any integer kind and every pointer comparison.
 	opEqI
 	opNeI
 	opLtI
 	opLeI
 	opGtI
 	opGeI
-	opLtU
-	opLeU
-	opGtU
-	opGeU
-	opEqF
-	opNeF
-	opLtF
-	opLeF
-	opGtF
-	opGeF
+	opCmpI // generic: sub = clc.Op, kind = scalar kind (unsigned ordering)
+	opCmpF // generic: sub = clc.Op
 
 	// Conversions.
 	opConvI // ri[a] = clc.NormInt(ri[b], kind)
@@ -142,10 +118,8 @@ const (
 	opVConv // lane-wise conversion; sub = from kind, kind = to kind
 
 	// Vector arithmetic: a/b/c are vector registers, kind = element kind.
-	opVAddF
-	opVSubF
+	opVAddF // float4 and the like: rounds to float32
 	opVMulF
-	opVDivF
 	opVBinF // generic: sub = clc.Op
 	opVBinI // generic: sub = clc.Op
 

@@ -588,7 +588,7 @@ func (fc *fnCompiler) emitBin(in *ir.Instr) {
 		if tt.Kind.IsFloat() {
 			a := fc.scalarRef(in.Args[0], bankFlt)
 			b := fc.scalarRef(in.Args[1], bankFlt)
-			op := ops.f
+			op := opFltBin
 			if tt.Kind == clc.KFloat {
 				op = ops.f32
 			}
@@ -600,9 +600,14 @@ func (fc *fnCompiler) emitBin(in *ir.Instr) {
 		b := fc.scalarRef(in.Args[1], bankInt)
 		// Specializations hold for arbitrary (even unnormalized) inputs:
 		// wrap-to-32 equals NormInt after the raw 64-bit op, and 64-bit
-		// kinds need no normalization at all. Narrow kinds and the
-		// div/rem/shift family keep the generic path.
-		op := pickIntOp(tt.Kind, ops.i64, ops.i32, ops.u32)
+		// kinds need no normalization at all.
+		op := opIntBin
+		switch tt.Kind {
+		case clc.KLong, clc.KULong:
+			op = ops.i64
+		case clc.KInt:
+			op = ops.i32
+		}
 		fc.add(inst{Op: op, Kind: uint8(tt.Kind), Sub: uint8(sop),
 			A: d.Idx, B: a.Idx, C: b.Idx})
 	case *clc.VectorType:
@@ -614,7 +619,11 @@ func (fc *fnCompiler) emitBin(in *ir.Instr) {
 				fc.trap(fmt.Sprintf("vm: binary op %s on unsupported type %s", in.Op, in.Typ), 1)
 				return
 			}
-			fc.add(inst{Op: ops.vf, Kind: uint8(ek), Sub: uint8(sop),
+			op := opVBinF
+			if ek == clc.KFloat {
+				op = ops.vf32
+			}
+			fc.add(inst{Op: op, Kind: uint8(ek), Sub: uint8(sop),
 				A: d.Idx, B: a.Idx, C: b.Idx})
 			return
 		}
@@ -627,14 +636,14 @@ func (fc *fnCompiler) emitBin(in *ir.Instr) {
 		fc.add(inst{Op: opVBinI, Kind: uint8(ek), Sub: uint8(sop),
 			A: d.Idx, B: a.Idx, C: b.Idx})
 	case *clc.PointerType:
-		// Raw byte arithmetic on pointers, no normalization.
+		// Raw byte arithmetic on pointers: a long's.
 		a := fc.scalarRef(in.Args[0], bankInt)
 		b := fc.scalarRef(in.Args[1], bankInt)
 		switch in.Op {
 		case ir.OpAdd:
 			fc.add(inst{Op: opAddI, A: d.Idx, B: a.Idx, C: b.Idx})
 		case ir.OpSub:
-			fc.add(inst{Op: opSubI, A: d.Idx, B: a.Idx, C: b.Idx})
+			fc.add(inst{Op: opIntBin, Kind: uint8(clc.KLong), Sub: uint8(clc.OpSub), A: d.Idx, B: a.Idx, C: b.Idx})
 		default:
 			fc.trap(fmt.Sprintf("vm: binary op %s on unsupported type %s", in.Op, in.Typ), 1)
 		}
@@ -643,38 +652,21 @@ func (fc *fnCompiler) emitBin(in *ir.Instr) {
 	}
 }
 
-// binForms names the opcodes one binary operator runs as: on double and
-// float scalars, on float vectors, and on 64-bit, int and uint integers.
-type binForms struct{ f, f32, vf, i64, i32, u32 opcode }
+// binForms names the specialized opcodes of one binary operator: on float
+// (not double) scalars and vectors, and on 64-bit and int integers. Every
+// other kind runs the generic op.
+type binForms struct{ f32, vf32, i64, i32 opcode }
 
 // genericBin is the forms of an operator with no specialization: each
 // reads the operator from Sub.
-var genericBin = binForms{opFltBin, opFltBin, opVBinF, opIntBin, opIntBin, opIntBin}
+var genericBin = binForms{opFltBin, opVBinF, opIntBin, opIntBin}
 
-// binOps maps each operator with a specialized opcode to its forms.
+// binOps maps each operator with a specialized opcode to its forms: the
+// ones a CPU profile of the sweeps shows (EXPERIMENTS.md).
 var binOps = map[clc.Op]binForms{
-	clc.OpAdd: {opAddF, opAddF32, opVAddF, opAddI, opAddI32, opAddU32},
-	clc.OpSub: {opSubF, opSubF32, opVSubF, opSubI, opSubI32, opSubU32},
-	clc.OpMul: {opMulF, opMulF32, opVMulF, opMulI, opMulI32, opMulU32},
-	clc.OpDiv: {opDivF, opDivF32, opVDivF, opIntBin, opIntBin, opIntBin},
-	clc.OpAnd: {opFltBin, opFltBin, opVBinF, opAndI, opIntBin, opIntBin},
-	clc.OpOr:  {opFltBin, opFltBin, opVBinF, opOrI, opIntBin, opIntBin},
-	clc.OpXor: {opFltBin, opFltBin, opVBinF, opXorI, opIntBin, opIntBin},
-}
-
-// pickIntOp selects the specialized opcode for an integer Kind: raw64 for
-// 64-bit kinds, the wrapping 32-bit variants for int/uint, generic
-// otherwise.
-func pickIntOp(k clc.ScalarKind, raw64, i32, u32 opcode) opcode {
-	switch k {
-	case clc.KLong, clc.KULong:
-		return raw64
-	case clc.KInt:
-		return i32
-	case clc.KUInt:
-		return u32
-	}
-	return opIntBin
+	clc.OpAdd: {opAddF32, opVAddF, opAddI, opAddI32},
+	clc.OpSub: {opSubF32, opVBinF, opIntBin, opSubI32},
+	clc.OpMul: {opMulF32, opVMulF, opIntBin, opMulI32},
 }
 
 func (fc *fnCompiler) emitUn(in *ir.Instr) {
@@ -749,16 +741,16 @@ func (fc *fnCompiler) emitCmp(in *ir.Instr) {
 		if ot.Kind.IsFloat() {
 			a := fc.scalarRef(in.Args[0], bankFlt)
 			b := fc.scalarRef(in.Args[1], bankFlt)
-			fc.add(inst{Op: opEqF + opcode(rel), A: d.Idx, B: a.Idx, C: b.Idx})
+			fc.add(inst{Op: opCmpF, Sub: uint8(in.Op.Scalar()), A: d.Idx, B: a.Idx, C: b.Idx})
 			return
 		}
 		a := fc.scalarRef(in.Args[0], bankInt)
 		b := fc.scalarRef(in.Args[1], bankInt)
-		op := opEqI + opcode(rel)
 		if ot.Kind.IsUnsigned() && in.Op != ir.OpEq && in.Op != ir.OpNe {
-			op = opLtU + opcode(in.Op-ir.OpLt)
+			fc.add(inst{Op: opCmpI, Kind: uint8(ot.Kind), Sub: uint8(in.Op.Scalar()), A: d.Idx, B: a.Idx, C: b.Idx})
+			return
 		}
-		fc.add(inst{Op: op, A: d.Idx, B: a.Idx, C: b.Idx})
+		fc.add(inst{Op: opEqI + opcode(rel), A: d.Idx, B: a.Idx, C: b.Idx})
 	case *clc.PointerType:
 		a := fc.scalarRef(in.Args[0], bankInt)
 		b := fc.scalarRef(in.Args[1], bankInt)

@@ -238,12 +238,33 @@ func TestFullOpMatchesMaskLoop(t *testing.T) {
 			}
 		}
 	}
-	// Off the table: a double vector add, and an op fullOp does not cover.
+	// Off the table: an op fullOp does not cover.
 	fr := laneFrame(r, 4, 4)
-	for _, in := range []inst{{Op: opVAddF, Kind: uint8(clc.KDouble)}, {Op: opAddI, Kind: uint8(clc.KLong)}} {
-		if fr.fullOp(&in, 4) {
-			t.Errorf("op %d of kind %d ran as a full-mask loop", in.Op, in.Kind)
+	if in := (inst{Op: opAddI, Kind: uint8(clc.KLong)}); fr.fullOp(&in, 4) {
+		t.Errorf("op %d ran as a full-mask loop", in.Op)
+	}
+	// opVAddF and opVMulF round to float32, so a double vector's add and
+	// multiply compile to the generic op.
+	prog := prepare(t, "dadd", `__kernel void dadd(__global double4* a) {
+    int i = get_global_id(0);
+    a[i] = a[i] + a[i] * a[i];
+}
+`)
+	m, err := Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	generic := 0
+	for _, in := range m.funcs[prog.Module.Funcs[0]].Code {
+		switch in.Op {
+		case opVAddF, opVMulF:
+			t.Errorf("a double4 operator compiled to the float32 op %d", in.Op)
+		case opVBinF:
+			generic++
 		}
+	}
+	if generic != 2 {
+		t.Errorf("a double4 add and multiply compiled to %d generic ops, want 2", generic)
 	}
 }
 

@@ -8,8 +8,6 @@ import (
 	"grover/internal/vm"
 )
 
-const kF32 = uint8(clc.KFloat)
-
 // destBank maps an opcode to its scalar destination bank for the
 // uniform execute-once path. Opcodes with vector destinations, memory
 // effects, or control behavior are excluded (they either have dedicated
@@ -19,19 +17,13 @@ func destBank(op opcode) (bank, bool) {
 	case opConstI, opZeroI, opMovI, opGRP, opGSZ,
 		opLSZ, opNGRP, opWIQ, opAllocaP, opAllocaL,
 		opIndex, opIndexC,
-		opAddI, opSubI, opMulI, opAndI, opOrI, opXorI,
-		opAddI32, opSubI32, opMulI32,
-		opAddU32, opSubU32, opMulU32,
+		opAddI, opAddI32, opSubI32, opMulI32,
 		opIntBin, opNegI, opNotI,
-		opEqI, opNeI, opLtI, opLeI, opGtI, opGeI,
-		opLtU, opLeU, opGtU, opGeU,
-		opEqF, opNeF, opLtF, opLeF, opGtF, opGeF,
+		opEqI, opNeI, opLtI, opLeI, opGtI, opGeI, opCmpI, opCmpF,
 		opConvI, opF2I, opExtI, opMathI:
 		return bankInt, true
 	case opZeroF, opMovF,
-		opAddF, opSubF, opMulF, opDivF,
-		opAddF32, opSubF32, opMulF32, opDivF32,
-		opFltBin, opNegF, opI2F, opU2F, opF2F32,
+		opAddF32, opSubF32, opMulF32, opFltBin, opNegF, opI2F, opU2F, opF2F32,
 		opExtF, opDotVF, opDotSS, opLenVF, opLenSS,
 		opMathF:
 		return bankFlt, true
@@ -88,9 +80,6 @@ func (fr *colFrame) fullOp(in *inst, n int) bool {
 			d[l] = float64(float32(x[l] * y[l]))
 		}
 	case opVAddF, opVMulF:
-		if in.Kind != kF32 {
-			return false
-		}
 		m := n * fr.bf.VecFLens[in.A]
 		d, x, y := fr.vf[in.A][:m], fr.vf[in.B][:m], fr.vf[in.C][:m]
 		if in.Op == opVAddF {
@@ -216,31 +205,6 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 		for _, l := range mask {
 			d[l] = x[l] + y[l]
 		}
-	case opSubI:
-		d, x, y := ri[in.A], ri[in.B], ri[in.C]
-		for _, l := range mask {
-			d[l] = x[l] - y[l]
-		}
-	case opMulI:
-		d, x, y := ri[in.A], ri[in.B], ri[in.C]
-		for _, l := range mask {
-			d[l] = x[l] * y[l]
-		}
-	case opAndI:
-		d, x, y := ri[in.A], ri[in.B], ri[in.C]
-		for _, l := range mask {
-			d[l] = x[l] & y[l]
-		}
-	case opOrI:
-		d, x, y := ri[in.A], ri[in.B], ri[in.C]
-		for _, l := range mask {
-			d[l] = x[l] | y[l]
-		}
-	case opXorI:
-		d, x, y := ri[in.A], ri[in.B], ri[in.C]
-		for _, l := range mask {
-			d[l] = x[l] ^ y[l]
-		}
 	case opAddI32:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		for _, l := range mask {
@@ -256,21 +220,6 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 		for _, l := range mask {
 			d[l] = int64(int32(x[l] * y[l]))
 		}
-	case opAddU32:
-		d, x, y := ri[in.A], ri[in.B], ri[in.C]
-		for _, l := range mask {
-			d[l] = int64(uint32(x[l] + y[l]))
-		}
-	case opSubU32:
-		d, x, y := ri[in.A], ri[in.B], ri[in.C]
-		for _, l := range mask {
-			d[l] = int64(uint32(x[l] - y[l]))
-		}
-	case opMulU32:
-		d, x, y := ri[in.A], ri[in.B], ri[in.C]
-		for _, l := range mask {
-			d[l] = int64(uint32(x[l] * y[l]))
-		}
 	case opIntBin:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
 		op, k := clc.Op(in.Sub), clc.ScalarKind(in.Kind)
@@ -282,26 +231,6 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 			d[l] = v
 		}
 
-	case opAddF:
-		d, x, y := rf[in.A], rf[in.B], rf[in.C]
-		for _, l := range mask {
-			d[l] = x[l] + y[l]
-		}
-	case opSubF:
-		d, x, y := rf[in.A], rf[in.B], rf[in.C]
-		for _, l := range mask {
-			d[l] = x[l] - y[l]
-		}
-	case opMulF:
-		d, x, y := rf[in.A], rf[in.B], rf[in.C]
-		for _, l := range mask {
-			d[l] = x[l] * y[l]
-		}
-	case opDivF:
-		d, x, y := rf[in.A], rf[in.B], rf[in.C]
-		for _, l := range mask {
-			d[l] = x[l] / y[l]
-		}
 	case opAddF32:
 		d, x, y := rf[in.A], rf[in.B], rf[in.C]
 		for _, l := range mask {
@@ -316,11 +245,6 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 		d, x, y := rf[in.A], rf[in.B], rf[in.C]
 		for _, l := range mask {
 			d[l] = float64(float32(x[l] * y[l]))
-		}
-	case opDivF32:
-		d, x, y := rf[in.A], rf[in.B], rf[in.C]
-		for _, l := range mask {
-			d[l] = float64(float32(x[l] / y[l]))
 		}
 	case opFltBin:
 		d, x, y := rf[in.A], rf[in.B], rf[in.C]
@@ -410,55 +334,17 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 		for _, l := range mask {
 			d[l] = b2i(x[l] >= y[l])
 		}
-	case opLtU:
+	case opCmpI:
 		d, x, y := ri[in.A], ri[in.B], ri[in.C]
+		op, k := clc.Op(in.Sub), clc.ScalarKind(in.Kind)
 		for _, l := range mask {
-			d[l] = b2i(uint64(x[l]) < uint64(y[l]))
+			d[l] = b2i(clc.IntCmp(op, k, x[l], y[l]))
 		}
-	case opLeU:
-		d, x, y := ri[in.A], ri[in.B], ri[in.C]
-		for _, l := range mask {
-			d[l] = b2i(uint64(x[l]) <= uint64(y[l]))
-		}
-	case opGtU:
-		d, x, y := ri[in.A], ri[in.B], ri[in.C]
-		for _, l := range mask {
-			d[l] = b2i(uint64(x[l]) > uint64(y[l]))
-		}
-	case opGeU:
-		d, x, y := ri[in.A], ri[in.B], ri[in.C]
-		for _, l := range mask {
-			d[l] = b2i(uint64(x[l]) >= uint64(y[l]))
-		}
-	case opEqF:
+	case opCmpF:
 		d, x, y := ri[in.A], rf[in.B], rf[in.C]
+		op := clc.Op(in.Sub)
 		for _, l := range mask {
-			d[l] = b2i(x[l] == y[l])
-		}
-	case opNeF:
-		d, x, y := ri[in.A], rf[in.B], rf[in.C]
-		for _, l := range mask {
-			d[l] = b2i(x[l] != y[l])
-		}
-	case opLtF:
-		d, x, y := ri[in.A], rf[in.B], rf[in.C]
-		for _, l := range mask {
-			d[l] = b2i(x[l] < y[l])
-		}
-	case opLeF:
-		d, x, y := ri[in.A], rf[in.B], rf[in.C]
-		for _, l := range mask {
-			d[l] = b2i(x[l] <= y[l])
-		}
-	case opGtF:
-		d, x, y := ri[in.A], rf[in.B], rf[in.C]
-		for _, l := range mask {
-			d[l] = b2i(x[l] > y[l])
-		}
-	case opGeF:
-		d, x, y := ri[in.A], rf[in.B], rf[in.C]
-		for _, l := range mask {
-			d[l] = b2i(x[l] >= y[l])
+			d[l] = b2i(clc.FloatCmp(op, x[l], y[l]))
 		}
 
 	case opConvI:
@@ -496,73 +382,19 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 	case opVAddF:
 		ld := fr.bf.VecFLens[in.A]
 		d, x, y := fr.vf[in.A], fr.vf[in.B], fr.vf[in.C]
-		if in.Kind == kF32 {
-			for _, l := range mask {
-				o := int(l) * ld
-				for i := 0; i < ld; i++ {
-					d[o+i] = float64(float32(x[o+i] + y[o+i]))
-				}
-			}
-		} else {
-			for _, l := range mask {
-				o := int(l) * ld
-				for i := 0; i < ld; i++ {
-					d[o+i] = x[o+i] + y[o+i]
-				}
-			}
-		}
-	case opVSubF:
-		ld := fr.bf.VecFLens[in.A]
-		d, x, y := fr.vf[in.A], fr.vf[in.B], fr.vf[in.C]
-		if in.Kind == kF32 {
-			for _, l := range mask {
-				o := int(l) * ld
-				for i := 0; i < ld; i++ {
-					d[o+i] = float64(float32(x[o+i] - y[o+i]))
-				}
-			}
-		} else {
-			for _, l := range mask {
-				o := int(l) * ld
-				for i := 0; i < ld; i++ {
-					d[o+i] = x[o+i] - y[o+i]
-				}
+		for _, l := range mask {
+			o := int(l) * ld
+			for i := 0; i < ld; i++ {
+				d[o+i] = float64(float32(x[o+i] + y[o+i]))
 			}
 		}
 	case opVMulF:
 		ld := fr.bf.VecFLens[in.A]
 		d, x, y := fr.vf[in.A], fr.vf[in.B], fr.vf[in.C]
-		if in.Kind == kF32 {
-			for _, l := range mask {
-				o := int(l) * ld
-				for i := 0; i < ld; i++ {
-					d[o+i] = float64(float32(x[o+i] * y[o+i]))
-				}
-			}
-		} else {
-			for _, l := range mask {
-				o := int(l) * ld
-				for i := 0; i < ld; i++ {
-					d[o+i] = x[o+i] * y[o+i]
-				}
-			}
-		}
-	case opVDivF:
-		ld := fr.bf.VecFLens[in.A]
-		d, x, y := fr.vf[in.A], fr.vf[in.B], fr.vf[in.C]
-		if in.Kind == kF32 {
-			for _, l := range mask {
-				o := int(l) * ld
-				for i := 0; i < ld; i++ {
-					d[o+i] = float64(float32(x[o+i] / y[o+i]))
-				}
-			}
-		} else {
-			for _, l := range mask {
-				o := int(l) * ld
-				for i := 0; i < ld; i++ {
-					d[o+i] = x[o+i] / y[o+i]
-				}
+		for _, l := range mask {
+			o := int(l) * ld
+			for i := 0; i < ld; i++ {
+				d[o+i] = float64(float32(x[o+i] * y[o+i]))
 			}
 		}
 	case opVBinF:
@@ -956,9 +788,10 @@ func moveCol[T int64 | float64](d, s []T, mask []int32, full bool) {
 // statically uniform access under a full mask) a scalar is loaded once and
 // broadcast; the trace still holds an address per lane. Private memory is
 // per-lane storage even at a uniform address, so uniform treatment only
-// applies to the shared global and local arenas. Each kind has a lane
-// loop of its own, so that the kind of a lane's value is decided once per
-// instruction, not once per lane.
+// applies to the shared global and local arenas. Each bank has one lane
+// loop that reads the kind it is given; a float under a full mask, the
+// one load loop a profile of the sweeps shows hot, has a straight loop of
+// its own.
 func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bool) error {
 	addrs := g.addrPass(fr, in, mask, fused, false)
 	if in.Sub > 0 {
@@ -982,8 +815,7 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 		}
 		return nil
 	}
-	switch k {
-	case clc.KBool, clc.KUChar:
+	if !k.IsFloat() {
 		d := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -993,118 +825,34 @@ func (g *groupState) loadCol(fr *colFrame, in *inst, mask []int32, fused, uni bo
 					return err
 				}
 			}
-			d[l] = vm.LoadInt(a, off, clc.KUChar)
+			d[l] = vm.LoadInt(a, off, k)
 		}
-	case clc.KChar:
-		d := fr.ri[in.A]
-		for _, l := range mask {
-			a, off, ok := g.hotArena(addrs[l], l, sz)
+		return nil
+	}
+	d := fr.rf[in.A]
+	if k == clc.KFloat && len(mask) == g.n {
+		d, addrs := d[:g.n], addrs[:g.n]
+		for l := range d {
+			a, off, ok := g.hotArena(addrs[l], int32(l), sz)
 			if !ok {
 				var err error
-				if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
-					return err
-				}
-			}
-			d[l] = vm.LoadInt(a, off, clc.KChar)
-		}
-	case clc.KShort:
-		d := fr.ri[in.A]
-		for _, l := range mask {
-			a, off, ok := g.hotArena(addrs[l], l, sz)
-			if !ok {
-				var err error
-				if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
-					return err
-				}
-			}
-			d[l] = vm.LoadInt(a, off, clc.KShort)
-		}
-	case clc.KUShort:
-		d := fr.ri[in.A]
-		for _, l := range mask {
-			a, off, ok := g.hotArena(addrs[l], l, sz)
-			if !ok {
-				var err error
-				if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
-					return err
-				}
-			}
-			d[l] = vm.LoadInt(a, off, clc.KUShort)
-		}
-	case clc.KInt:
-		d := fr.ri[in.A]
-		for _, l := range mask {
-			a, off, ok := g.hotArena(addrs[l], l, sz)
-			if !ok {
-				var err error
-				if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
-					return err
-				}
-			}
-			d[l] = vm.LoadInt(a, off, clc.KInt)
-		}
-	case clc.KUInt:
-		d := fr.ri[in.A]
-		for _, l := range mask {
-			a, off, ok := g.hotArena(addrs[l], l, sz)
-			if !ok {
-				var err error
-				if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
-					return err
-				}
-			}
-			d[l] = vm.LoadInt(a, off, clc.KUInt)
-		}
-	case clc.KFloat:
-		d := fr.rf[in.A]
-		if len(mask) == g.n {
-			d, addrs := d[:g.n], addrs[:g.n]
-			for l := range d {
-				a, off, ok := g.hotArena(addrs[l], int32(l), sz)
-				if !ok {
-					var err error
-					if a, off, err = g.checkedArena(addrs[l], int32(l), sz, false); err != nil {
-						return err
-					}
-				}
-				d[l] = vm.LoadFloat(a, off, clc.KFloat)
-			}
-			break
-		}
-		for _, l := range mask {
-			a, off, ok := g.hotArena(addrs[l], l, sz)
-			if !ok {
-				var err error
-				if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
+				if a, off, err = g.checkedArena(addrs[l], int32(l), sz, false); err != nil {
 					return err
 				}
 			}
 			d[l] = vm.LoadFloat(a, off, clc.KFloat)
 		}
-	case clc.KDouble:
-		d := fr.rf[in.A]
-		for _, l := range mask {
-			a, off, ok := g.hotArena(addrs[l], l, sz)
-			if !ok {
-				var err error
-				if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
-					return err
-				}
+		return nil
+	}
+	for _, l := range mask {
+		a, off, ok := g.hotArena(addrs[l], l, sz)
+		if !ok {
+			var err error
+			if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
+				return err
 			}
-			d[l] = vm.LoadFloat(a, off, clc.KDouble)
 		}
-	default: // KLong, KULong and pointers
-		d := fr.ri[in.A]
-		for _, l := range mask {
-			a, off, ok := g.hotArena(addrs[l], l, sz)
-			if !ok {
-				var err error
-				if a, off, err = g.checkedArena(addrs[l], l, sz, false); err != nil {
-					return err
-				}
-			}
-			d[l] = vm.LoadInt(a, off, clc.KLong)
-		}
+		d[l] = vm.LoadFloat(a, off, k)
 	}
 	return nil
 }
@@ -1120,7 +868,7 @@ func (g *groupState) checkedArena(addr uint64, l int32, sz int, store bool) ([]b
 }
 
 // storeCol performs a store for all masked lanes, with a lane loop per
-// kind as loadCol has. A uniform scalar store writes once (the write is
+// bank as loadCol has. A uniform scalar store writes once (the write is
 // idempotent across lanes) but the trace still holds an address per lane.
 // As with loadCol, private memory is per-lane storage, so the write-once
 // shortcut only applies to the shared global and local arenas.
@@ -1135,44 +883,7 @@ func (g *groupState) storeCol(fr *colFrame, in *inst, mask []int32, fused, uni b
 			mask = mask[:1]
 		}
 	}
-	switch clc.ScalarKind(in.Kind) {
-	case clc.KBool, clc.KChar, clc.KUChar:
-		src := fr.ri[in.A]
-		for _, l := range mask {
-			a, off, ok := g.hotArena(addrs[l], l, sz)
-			if !ok {
-				var err error
-				if a, off, err = g.checkedArena(addrs[l], l, sz, true); err != nil {
-					return err
-				}
-			}
-			vm.StoreInt(a, off, clc.KChar, src[l])
-		}
-	case clc.KShort, clc.KUShort:
-		src := fr.ri[in.A]
-		for _, l := range mask {
-			a, off, ok := g.hotArena(addrs[l], l, sz)
-			if !ok {
-				var err error
-				if a, off, err = g.checkedArena(addrs[l], l, sz, true); err != nil {
-					return err
-				}
-			}
-			vm.StoreInt(a, off, clc.KShort, src[l])
-		}
-	case clc.KInt, clc.KUInt:
-		src := fr.ri[in.A]
-		for _, l := range mask {
-			a, off, ok := g.hotArena(addrs[l], l, sz)
-			if !ok {
-				var err error
-				if a, off, err = g.checkedArena(addrs[l], l, sz, true); err != nil {
-					return err
-				}
-			}
-			vm.StoreInt(a, off, clc.KInt, src[l])
-		}
-	case clc.KFloat:
+	if k := clc.ScalarKind(in.Kind); k.IsFloat() {
 		src := fr.rf[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1182,21 +893,9 @@ func (g *groupState) storeCol(fr *colFrame, in *inst, mask []int32, fused, uni b
 					return err
 				}
 			}
-			vm.StoreFloat(a, off, clc.KFloat, src[l])
+			vm.StoreFloat(a, off, k, src[l])
 		}
-	case clc.KDouble:
-		src := fr.rf[in.A]
-		for _, l := range mask {
-			a, off, ok := g.hotArena(addrs[l], l, sz)
-			if !ok {
-				var err error
-				if a, off, err = g.checkedArena(addrs[l], l, sz, true); err != nil {
-					return err
-				}
-			}
-			vm.StoreFloat(a, off, clc.KDouble, src[l])
-		}
-	default: // KLong, KULong and pointers
+	} else {
 		src := fr.ri[in.A]
 		for _, l := range mask {
 			a, off, ok := g.hotArena(addrs[l], l, sz)
@@ -1206,7 +905,7 @@ func (g *groupState) storeCol(fr *colFrame, in *inst, mask []int32, fused, uni b
 					return err
 				}
 			}
-			vm.StoreInt(a, off, clc.KLong, src[l])
+			vm.StoreInt(a, off, k, src[l])
 		}
 	}
 	return nil
