@@ -51,3 +51,32 @@ func TestCompileScales(t *testing.T) {
 		}
 	}
 }
+
+// TestCompileAllocScales is TestCompileScales' deterministic companion:
+// the bytes allocated compiling the if-chain at 2n statements are less
+// than 2.5 times those at n. Allocation is exact where time is not:
+// linear work gives 2.0, and a dominator set per block, a bitset over
+// every block, gave 2.7 at these sizes and tends to 4 as n grows.
+func TestCompileAllocScales(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles a generated kernel of 2,000 and 4,000 statements")
+	}
+	const n = 2000
+	var alloc [2]uint64
+	for i, src := range []string{ifChainSource(n), ifChainSource(2 * n)} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := opencl.CompileModule("if-chain.cl", src, nil); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		alloc[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	ratio := float64(alloc[1]) / float64(alloc[0])
+	msg := fmt.Sprintf("if-chain: %d statements allocated %d bytes, %d allocated %d: %.2f times as many", n, alloc[0], 2*n, alloc[1], ratio)
+	if ratio >= 2.5 {
+		t.Error(msg + ", want below 2.5")
+	} else {
+		t.Log(msg)
+	}
+}

@@ -6,7 +6,7 @@ import "grover/internal/analysis/graph"
 // position, with its dominator tree. Post-dominators and natural loops
 // are computed on first use, so the verifier pays only for dominance. It
 // is the one substrate the verifier, the analyses, the rewrite rules and
-// the Grover pass read; the optimizer's LICM keeps its own dominator sets.
+// the Grover pass read.
 // A CFG describes the blocks and edges it was built from: code may be
 // inserted into or moved between blocks, but adding a block or changing a
 // terminator needs a new CFG.

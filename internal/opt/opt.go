@@ -9,31 +9,37 @@ package opt
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"strconv"
 
+	"grover/internal/analysis/graph"
 	"grover/internal/clc"
 	"grover/internal/debug"
 	"grover/internal/ir"
 )
 
-// pass is one named scalar optimization.
+// pass is one named scalar optimization. It is handed the function's CFG,
+// which optimize builds once per function: no pass changes a terminator.
 type pass struct {
 	name string
-	run  func(*ir.Function) bool
+	run  func(*ir.Function, *cfg) bool
 }
 
 // passes is the standard pipeline, named so the debug verifier can say
 // which pass broke the IR — and so rewrite plans can select and reorder
 // a subset by name (phase ordering as a tunable).
 var passes = []pass{
-	{"cse", CSE},
-	{"load-forward", LoadForward},
-	{"dse", DSE},
-	{"peephole", Peephole},
-	{"licm", LICM},
-	{"dce", func(fn *ir.Function) bool { return DCE(fn) > 0 }},
+	{"cse", noCFG(CSE)},
+	{"load-forward", noCFG(LoadForward)},
+	{"dse", noCFG(DSE)},
+	{"peephole", noCFG(Peephole)},
+	{"licm", licm},
+	{"dce", noCFG(func(fn *ir.Function) bool { return DCE(fn) > 0 })},
+}
+
+// noCFG adapts a pass that does not read the CFG.
+func noCFG(run func(*ir.Function) bool) func(*ir.Function, *cfg) bool {
+	return func(fn *ir.Function, _ *cfg) bool { return run(fn) }
 }
 
 // PassNames returns the standard pipeline's pass names in order.
@@ -83,10 +89,11 @@ func OptimizeWith(m *ir.Module, names []string) error {
 
 func optimize(m *ir.Module, pipeline []pass) {
 	for _, fn := range m.Funcs {
+		c := buildCFG(fn)
 		for i := 0; i < 32; i++ { // fixpoint, bounded
 			changed := false
 			for _, p := range pipeline {
-				if !p.run(fn) {
+				if !p.run(fn, c) {
 					continue
 				}
 				changed = true
@@ -290,94 +297,51 @@ func DCE(fn *ir.Function) int {
 
 // ---------------------------------------------------------------- LICM
 
-// cfg holds per-function analysis state for LICM.
+// cfg holds per-function analysis state for LICM: the blocks' dominator
+// tree under a virtual root, numbered len(preds), that enters at the entry
+// and at every block without predecessors. Such a block is thus an entry
+// of its own, dominated by itself alone, and a block it reaches is
+// dominated only by blocks on every path to it from the root.
 type cfg struct {
-	fn    *ir.Function
 	index map[*ir.Block]int
 	preds [][]int
-	dom   []uint64 // block i's dominator set is the bitset row(i)
-	words int      // 64-bit words per row
-	n     int
+	dom   *graph.Tree
 }
 
 func buildCFG(fn *ir.Function) *cfg {
-	c := &cfg{fn: fn, index: map[*ir.Block]int{}, n: len(fn.Blocks)}
+	n := len(fn.Blocks)
+	c := &cfg{index: make(map[*ir.Block]int, n), preds: make([][]int, n)}
 	for i, b := range fn.Blocks {
 		c.index[b] = i
 	}
-	c.preds = make([][]int, c.n)
+	succ := make([][]int, n+1)
 	for i, b := range fn.Blocks {
 		for _, s := range b.Succs() {
 			j := c.index[s]
+			succ[i] = append(succ[i], j)
 			c.preds[j] = append(c.preds[j], i)
 		}
 	}
-	c.computeDominators()
+	succ[n] = append(succ[n], 0)
+	for i := 1; i < n; i++ {
+		if len(c.preds[i]) == 0 {
+			succ[n] = append(succ[n], i)
+		}
+	}
+	c.dom = graph.Dominators(n+1, succ, n)
 	return c
 }
 
-// computeDominators runs the classic iterative data-flow algorithm: the
-// entry is dominated by itself alone, a block without predecessors
-// (unreachable) likewise, and any other block by itself and every block
-// that dominates all of its predecessors.
-func (c *cfg) computeDominators() {
-	c.words = (c.n + 63) / 64
-	full := make([]uint64, c.words)
-	for i := 0; i < c.n; i++ {
-		full[i/64] |= 1 << (i % 64)
-	}
-	c.dom = make([]uint64, c.n*c.words)
-	for i := 1; i < c.n; i++ {
-		copy(c.row(i), full)
-	}
-	c.dom[0] = 1
-	nd := make([]uint64, c.words)
-	for changed := true; changed; {
-		changed = false
-		for i := 1; i < c.n; i++ {
-			if len(c.preds[i]) == 0 {
-				clear(nd) // unreachable
-			} else {
-				copy(nd, full)
-			}
-			for _, p := range c.preds[i] {
-				for w, x := range c.row(p) {
-					nd[w] &= x
-				}
-			}
-			nd[i/64] |= 1 << (i % 64)
-			if row := c.row(i); !slices.Equal(nd, row) {
-				copy(row, nd)
-				changed = true
-			}
-		}
-	}
-}
-
-// row is block i's dominator set, bit j for block j.
-func (c *cfg) row(i int) []uint64 { return c.dom[i*c.words : (i+1)*c.words] }
-
 // dominates reports whether block a dominates block b.
-func (c *cfg) dominates(a, b int) bool {
-	return c.dom[b*c.words+a/64]&(1<<(a%64)) != 0
-}
+func (c *cfg) dominates(a, b int) bool { return c.dom.Dominates(a, b) }
 
-// idom returns b's immediate dominator, or -1 for the entry.
+// idom returns b's immediate dominator, or -1 for the entry and for a
+// block only the virtual root dominates.
 func (c *cfg) idom(b int) int {
-	if b == 0 {
-		return -1
+	if d := c.dom.Idom[b]; d < len(c.preds) {
+		return d
 	}
-	best := -1
-	for w, x := range c.row(b) {
-		for ; x != 0; x &= x - 1 {
-			a := w*64 + bits.TrailingZeros64(x)
-			// The closest dominator is dominated by every other dominator.
-			if a != b && (best == -1 || c.dominates(best, a)) {
-				best = a
-			}
-		}
-	}
-	return best
+	return -1
 }
 
 // naturalLoop returns the blocks of the natural loop of back edge
@@ -400,11 +364,10 @@ func (c *cfg) naturalLoop(tail, head int) (map[int]bool, []int) {
 	return loop, blocks
 }
 
-// LICM hoists loop-invariant pure instructions (and loads of variables not
-// stored in the loop) to the loop header's immediate dominator. Returns
-// whether anything moved.
-func LICM(fn *ir.Function) bool {
-	c := buildCFG(fn)
+// licm hoists loop-invariant pure instructions (and loads of variables not
+// stored in the loop) out of fn, whose CFG is c, to each loop header's
+// immediate dominator. Returns whether anything moved.
+func licm(fn *ir.Function, c *cfg) bool {
 	changed := false
 	// Collect back edges.
 	type edge struct{ tail, head int }

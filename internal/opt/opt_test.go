@@ -1,7 +1,9 @@
 package opt
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -440,41 +442,96 @@ func TestLoadForwardThroughForwardedLoad(t *testing.T) {
 	}
 }
 
-// refDominators solves the equations LICM's dominator sets solve, one bool
-// per pair: the entry and every block without predecessors are dominated
-// by themselves alone, and any other block by itself and by every block
-// that dominates all of its predecessors.
-func refDominators(preds [][]int) [][]bool {
+// bitsetDominators is the data-flow form LICM's dominators had before
+// they were a tree under a virtual root, kept as their oracle: block i's
+// dominator set is bitset row i. The entry and every block without
+// predecessors are dominated by themselves alone, and any other block by
+// itself and by every block that dominates all of its predecessors.
+type bitsetDominators struct {
+	dom      []uint64
+	words, n int
+}
+
+func newBitsetDominators(preds [][]int) *bitsetDominators {
 	n := len(preds)
-	dom := make([][]bool, n)
-	for i := range dom {
-		dom[i] = make([]bool, n)
-		for j := range dom[i] {
-			dom[i][j] = i > 0 || j == 0
-		}
+	c := &bitsetDominators{n: n, words: (n + 63) / 64}
+	full := make([]uint64, c.words)
+	for i := 0; i < n; i++ {
+		full[i/64] |= 1 << (i % 64)
 	}
+	c.dom = make([]uint64, n*c.words)
+	for i := 1; i < n; i++ {
+		copy(c.row(i), full)
+	}
+	c.dom[0] = 1
+	nd := make([]uint64, c.words)
 	for changed := true; changed; {
 		changed = false
 		for i := 1; i < n; i++ {
-			for j := 0; j < n; j++ {
-				v := j == i || len(preds[i]) > 0
-				for _, p := range preds[i] {
-					v = v && (j == i || dom[p][j])
+			if len(preds[i]) == 0 {
+				clear(nd)
+			} else {
+				copy(nd, full)
+			}
+			for _, p := range preds[i] {
+				for w, x := range c.row(p) {
+					nd[w] &= x
 				}
-				if v != dom[i][j] {
-					dom[i][j], changed = v, true
-				}
+			}
+			nd[i/64] |= 1 << (i % 64)
+			if row := c.row(i); !slices.Equal(nd, row) {
+				copy(row, nd)
+				changed = true
 			}
 		}
 	}
-	return dom
+	return c
+}
+
+func (c *bitsetDominators) row(i int) []uint64 { return c.dom[i*c.words : (i+1)*c.words] }
+
+func (c *bitsetDominators) dominates(a, b int) bool {
+	return c.dom[b*c.words+a/64]&(1<<(a%64)) != 0
+}
+
+// idom is the closest of b's other dominators, which every other one
+// dominates, or -1.
+func (c *bitsetDominators) idom(b int) int {
+	best := -1
+	for a := 0; a < c.n; a++ {
+		if a != b && c.dominates(a, b) && (best == -1 || c.dominates(best, a)) {
+			best = a
+		}
+	}
+	return best
+}
+
+// checkDominators compares buildCFG's dominance and immediate dominators
+// on fn against the bitset oracle's.
+func checkDominators(t *testing.T, what string, fn *ir.Function) {
+	t.Helper()
+	c := buildCFG(fn)
+	want := newBitsetDominators(c.preds)
+	for b := range fn.Blocks {
+		for a := range fn.Blocks {
+			if got := c.dominates(a, b); got != want.dominates(a, b) {
+				t.Errorf("%s: dominates(%d, %d) = %v, want %v", what, a, b, got, !got)
+			}
+		}
+		if got, w := c.idom(b), want.idom(b); got != w {
+			t.Errorf("%s: idom(%d) = %d, want %d", what, b, got, w)
+		}
+	}
 }
 
 // TestDominatorsMatchReference: on CFGs of one and of two bitset words,
 // with loops, forward skips and a block without predecessors whose edge
-// lands in the middle, LICM's dominator sets are the reference's. They
-// keep the data-flow semantics for blocks unreachable from the entry,
-// which ir.CFG's dominator tree does not share.
+// lands in the middle, and on random CFGs, LICM's dominators are the
+// bitset oracle's. A block without predecessors is an entry of its own,
+// which ir.CFG's dominator tree does not share. Every block of the random
+// CFGs is reachable from the entry or from a block without predecessors:
+// a cycle that neither reaches is dominated by every block in the data-flow
+// form and by none in the tree.
 func TestDominatorsMatchReference(t *testing.T) {
 	for _, n := range []int{40, 70} {
 		fn, b, p, _ := newFunc()
@@ -501,24 +558,66 @@ func TestDominatorsMatchReference(t *testing.T) {
 				b.CondBr(p, blocks[next], blocks[far], clc.Pos{})
 			}
 		}
-		preds := make([][]int, n)
-		for i, blk := range blocks {
-			for _, s := range blk.Succs() {
-				j := slices.Index(blocks, s)
-				preds[j] = append(preds[j], i)
+		if c := buildCFG(fn); len(c.preds[dead]) != 0 {
+			t.Fatalf("n=%d: block %d has predecessors %v", n, dead, c.preds[dead])
+		}
+		checkDominators(t, fmt.Sprintf("n=%d", n), fn)
+	}
+	r := rand.New(rand.NewSource(28))
+	for iter := 0; iter < 300; iter++ {
+		n := 1 + r.Intn(90)
+		fn, b, p, _ := newFunc()
+		blocks := []*ir.Block{fn.Blocks[0]}
+		for len(blocks) < n {
+			blocks = append(blocks, fn.NewBlock("b"))
+		}
+		// Besides the entry, a few blocks have no predecessors. Each other
+		// block, in a random order, takes its first edge from a block placed
+		// before it, so every block is reachable from one of those roots;
+		// further edges go anywhere but into a root other than the entry.
+		root := make([]bool, n)
+		root[0] = true
+		for i := 1; i < n; i++ {
+			root[i] = r.Intn(8) == 0
+		}
+		succs := make([][]int, n)
+		placed := []int{}
+		for i := range root {
+			if root[i] {
+				placed = append(placed, i)
 			}
 		}
-		if len(preds[dead]) != 0 {
-			t.Fatalf("n=%d: block %d has predecessors %v", n, dead, preds[dead])
+		for _, j := range r.Perm(n) {
+			if root[j] {
+				continue
+			}
+			for {
+				from := placed[r.Intn(len(placed))]
+				if len(succs[from]) < 2 {
+					succs[from] = append(succs[from], j)
+					break
+				}
+			}
+			placed = append(placed, j)
 		}
-		want := refDominators(preds)
-		c := buildCFG(fn)
-		for a := range blocks {
-			for bi := range blocks {
-				if got := c.dominates(c.index[blocks[a]], c.index[blocks[bi]]); got != want[bi][a] {
-					t.Errorf("n=%d: Dominates(%d, %d) = %v, want %v", n, a, bi, got, want[bi][a])
+		for i := range succs {
+			for len(succs[i]) < 2 && r.Intn(2) == 0 {
+				if j := r.Intn(n); (j == 0 || !root[j]) && !slices.Contains(succs[i], j) {
+					succs[i] = append(succs[i], j)
 				}
 			}
 		}
+		for i, blk := range blocks {
+			b.SetBlock(blk)
+			switch s := succs[i]; len(s) {
+			case 0:
+				b.Ret(nil, clc.Pos{})
+			case 1:
+				b.Br(blocks[s[0]], clc.Pos{})
+			default:
+				b.CondBr(p, blocks[s[0]], blocks[s[1]], clc.Pos{})
+			}
+		}
+		checkDominators(t, fmt.Sprintf("random CFG %d (%d blocks)", iter, n), fn)
 	}
 }
