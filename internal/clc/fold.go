@@ -45,6 +45,9 @@ func (f constFolder) fold(e Expr) (int64, *ScalarType, error) {
 	case *IntLit:
 		return f.typed(ex.Value, ex.Typ)
 	case *SizeofExpr:
+		if _, ok := ex.X.(*StringLit); ok {
+			return f.typed(int64(sizeofType(ex.X).Size()), TypeULong)
+		}
 		if ex.X != nil {
 			// Only the operand's type counts, as in an arm not evaluated.
 			_, t, err := constFolder{pp: f.pp, dead: true}.fold(ex.X)

@@ -451,12 +451,22 @@ func (a *analyzer) expr(e Expr) error {
 			if err := a.expr(ex.X); err != nil {
 				return err
 			}
-			ex.Of = ex.X.ExprType()
+			ex.Of = sizeofType(ex.X)
 		}
 		ex.Typ = TypeULong
 		return nil
 	}
 	return fmt.Errorf("clc: unhandled expression %T", e)
+}
+
+// sizeofType is the type sizeof measures of operand x: a string literal is
+// an array of its chars and a terminating null (C99 §6.4.5p5), although it
+// converts to a pointer everywhere else.
+func sizeofType(x Expr) Type {
+	if s, ok := x.(*StringLit); ok {
+		return &ArrayType{Elem: TypeChar, Len: len(s.Value) + 1}
+	}
+	return x.ExprType()
 }
 
 // arithType is the type of binary operator op on operands of types lt and
