@@ -8,6 +8,8 @@ type Builtin struct {
 	Name string
 	// Kind classifies the builtin for lowering and execution.
 	Kind BuiltinKind
+	// Arity is the number of arguments it takes.
+	Arity int
 	// Check validates argument types and returns the result type.
 	Check func(pos Pos, args []Expr) (Type, error)
 }
@@ -93,7 +95,7 @@ func registerBuiltin(b *Builtin) { builtinTable[b.Name] = b }
 
 func init() {
 	for _, name := range workItemBuiltins {
-		registerBuiltin(&Builtin{Name: name, Kind: BWorkItem, Check: checkWorkItem(name)})
+		registerBuiltin(&Builtin{Name: name, Kind: BWorkItem, Arity: 1, Check: checkWorkItem(name)})
 	}
 	registerBuiltin(&Builtin{Name: "get_work_dim", Kind: BWorkItem,
 		Check: func(pos Pos, args []Expr) (Type, error) {
@@ -104,10 +106,13 @@ func init() {
 		}})
 	for _, name := range []string{"barrier", "mem_fence", "read_mem_fence", "write_mem_fence"} {
 		n := name
-		registerBuiltin(&Builtin{Name: n, Kind: BBarrier,
+		registerBuiltin(&Builtin{Name: n, Kind: BBarrier, Arity: 1,
 			Check: func(pos Pos, args []Expr) (Type, error) {
 				if len(args) != 1 {
 					return nil, errf(pos, "%s expects 1 argument", n)
+				}
+				if s, ok := args[0].ExprType().(*ScalarType); !ok || !s.Kind.IsInteger() {
+					return nil, errf(pos, "%s flags must be an integer", n)
 				}
 				return TypeVoid, nil
 			}})
@@ -120,42 +125,43 @@ func init() {
 		"half_sqrt", "half_rsqrt",
 	}
 	for _, name := range unary {
-		registerBuiltin(&Builtin{Name: name, Kind: BMath, Check: checkUnaryMath(name)})
+		registerBuiltin(&Builtin{Name: name, Kind: BMath, Arity: 1, Check: checkUnaryMath(name)})
 	}
 	binary := []string{"pow", "fmin", "fmax", "fmod", "min", "max", "native_divide", "atan2", "hypot"}
 	for _, name := range binary {
-		registerBuiltin(&Builtin{Name: name, Kind: BMath, Check: checkBinaryMath(name)})
+		registerBuiltin(&Builtin{Name: name, Kind: BMath, Arity: 2, Check: checkBinaryMath(name)})
 	}
 	ternary := []string{"mad", "fma", "clamp", "mix"}
 	for _, name := range ternary {
-		registerBuiltin(&Builtin{Name: name, Kind: BMath, Check: checkTernaryMath(name)})
+		registerBuiltin(&Builtin{Name: name, Kind: BMath, Arity: 3, Check: checkTernaryMath(name)})
 	}
-	registerBuiltin(&Builtin{Name: "abs", Kind: BMath, Check: checkUnaryMath("abs")})
-	registerBuiltin(&Builtin{Name: "dot", Kind: BGeom,
+	registerBuiltin(&Builtin{Name: "abs", Kind: BMath, Arity: 1, Check: checkUnaryMath("abs")})
+	registerBuiltin(&Builtin{Name: "dot", Kind: BGeom, Arity: 2,
 		Check: func(pos Pos, args []Expr) (Type, error) {
 			if len(args) != 2 {
 				return nil, errf(pos, "dot expects 2 arguments")
 			}
-			v, ok := args[0].ExprType().(*VectorType)
-			if !ok {
-				// dot on scalars degenerates to multiply
-				if s, ok := args[0].ExprType().(*ScalarType); ok && s.Kind.IsFloat() {
-					return s, nil
-				}
-				return nil, errf(pos, "dot requires vector arguments")
-			}
-			return v.Elem, nil
+			// dot on scalars degenerates to multiply
+			return geomType(pos, "dot", args)
 		}})
-	registerBuiltin(&Builtin{Name: "length", Kind: BGeom,
+	registerBuiltin(&Builtin{Name: "length", Kind: BGeom, Arity: 1,
 		Check: func(pos Pos, args []Expr) (Type, error) {
 			if len(args) != 1 {
 				return nil, errf(pos, "length expects 1 argument")
 			}
-			if v, ok := args[0].ExprType().(*VectorType); ok {
-				return v.Elem, nil
-			}
-			return TypeFloat, nil
+			return geomType(pos, "length", args)
 		}})
+}
+
+// geomType is the type of geometric builtin name over args: the element
+// type of its float scalar or vector operands.
+func geomType(pos Pos, name string, args []Expr) (Type, error) {
+	for _, a := range args {
+		if !ElemKind(a.ExprType()).IsFloat() {
+			return nil, errf(pos, "%s requires floating arguments, found %s", name, a.ExprType())
+		}
+	}
+	return &ScalarType{Kind: ElemKind(args[0].ExprType())}, nil
 }
 
 // LookupBuiltin returns the builtin descriptor for name, or nil.

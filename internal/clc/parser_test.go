@@ -1,6 +1,7 @@
 package clc
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -228,9 +229,43 @@ func TestSemaErrors(t *testing.T) {
 		"badindex":   `__kernel void k(__global float* a) { a[1.5f] = 0.0f; }`,
 		"assignarr":  `__kernel void k(__global int* a) { __local int lm[4]; lm = 0; }`,
 	}
+	for _, c := range refusedConstructs {
+		cases[c.msg] = c.src
+	}
 	for name, src := range cases {
 		if _, err := Parse("t.cl", src, nil); err == nil {
 			t.Errorf("%s: expected a semantic error", name)
+		}
+	}
+}
+
+// refusedConstructs are constructs of OpenCL C the subset refuses, each
+// with the position and the message of its error: vector operands of the
+// relational, equality and logical operators and a vector condition of ?:
+// (implemented nowhere yet), ~ on floats (§6.3.f), and differences of
+// pointers to different types or address spaces (C99 §6.5.6p3).
+var refusedConstructs = []struct{ src, pos, msg string }{
+	{`__kernel void k(__global float4* o, float4 v) { o[0] = ~v; }`, "t.cl:1:56", "operator ~ requires an integer operand, found float4"},
+	{`__kernel void k(__global double4* o, double4 v) { o[0] = ~v; }`, "t.cl:1:58", "operator ~ requires an integer operand, found double4"},
+	{`__kernel void k(__global float* o, float f) { o[0] = ~f; }`, "t.cl:1:54", "operator ~ requires an integer operand, found float"},
+	{`__kernel void k(__global int4* o, int4 v) { o[0] = !v; }`, "t.cl:1:52", "operator ! on a vector operand is not supported"},
+	{`__kernel void k(__global int4* o) { int4 c = (int4)(1,2,3,4) == (int4)(2); o[0] = c; }`, "t.cl:1:62", "operator == on vector operands is not supported"},
+	{`__kernel void k(__global int* o, float4 v) { o[0] = v < 1.0f; }`, "t.cl:1:55", "operator < on vector operands is not supported"},
+	{`__kernel void k(__global int4* o, int4 a) { int4 s = a && (int4)(1); o[0] = s; }`, "t.cl:1:56", "operator && on vector operands is not supported"},
+	{`__kernel void k(__global int* o, int4 a) { o[0] = 1 || a; }`, "t.cl:1:53", "operator || on vector operands is not supported"},
+	{`__kernel void k(__global int4* o, int4 a) { o[0] = a ? a : a; }`, "t.cl:1:52", "a vector condition of ?: is not supported"},
+	{`__kernel void k(__global float* p, __global int* q, __global long* o) { o[0] = p - q; }`, "t.cl:1:82", "difference of pointers __global float* and __global int*"},
+	{`__kernel void k(__global float* p, __local float* l, __global long* o) { o[4] = p - l; }`, "t.cl:1:83", "difference of pointers __global float* and __local float*"},
+}
+
+// TestRefusedConstructs: each refused construct is a compile error at its
+// position that names it.
+func TestRefusedConstructs(t *testing.T) {
+	for _, c := range refusedConstructs {
+		_, err := Parse("t.cl", c.src, nil)
+		var e *Error
+		if !errors.As(err, &e) || e.Pos.String() != c.pos || e.Msg != c.msg {
+			t.Errorf("%s\n  got %v, want %s: %s", c.src, err, c.pos, c.msg)
 		}
 	}
 }

@@ -90,8 +90,11 @@ func (a *analyzer) stmt(s Stmt) error {
 				return errf(st.Pos, "__local variable %s cannot have an initializer", st.Name)
 			}
 		}
+		if TypesEqual(st.Type, TypeVoid) {
+			return errf(st.Pos, "variable %s declared void", st.Name)
+		}
 		if st.Init != nil {
-			if err := a.expr(st.Init); err != nil {
+			if err := a.operand(st.Init); err != nil {
 				return err
 			}
 			if err := a.checkAssignable(st.Pos, st.Type, st.Init.ExprType()); err != nil {
@@ -154,7 +157,7 @@ func (a *analyzer) stmt(s Stmt) error {
 
 	case *ReturnStmt:
 		if st.X != nil {
-			if err := a.expr(st.X); err != nil {
+			if err := a.operand(st.X); err != nil {
 				return err
 			}
 			if TypesEqual(a.fn.Ret, TypeVoid) {
@@ -184,6 +187,183 @@ func (a *analyzer) requireScalarCond(e Expr) error {
 		return nil
 	}
 	return errf(e.NodePos(), "condition must be scalar, found %s", e.ExprType())
+}
+
+// operand analyzes e, whose value an enclosing construct uses: it must
+// not be void.
+func (a *analyzer) operand(e Expr) error {
+	if err := a.expr(e); err != nil {
+		return err
+	}
+	if TypesEqual(e.ExprType(), TypeVoid) {
+		return errf(e.NodePos(), "void value used as an operand")
+	}
+	return nil
+}
+
+// operands analyzes each of es as an operand.
+func (a *analyzer) operands(es ...Expr) error {
+	for _, e := range es {
+		if err := a.operand(e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// isArithmetic reports whether t is an integer or float scalar or vector.
+func isArithmetic(t Type) bool { return ElemKind(t) != KVoid }
+
+// ElemKind is the scalar kind of t's elements: t's own kind for a scalar,
+// void for anything but a scalar or vector.
+func ElemKind(t Type) ScalarKind {
+	switch tt := t.(type) {
+	case *ScalarType:
+		return tt.Kind
+	case *VectorType:
+		return tt.Elem.Kind
+	}
+	return KVoid
+}
+
+// pointee is the type of the element a pointer or array of type t
+// designates, for an operator that uses it (verb); a void pointer
+// designates nothing.
+func pointee(pos Pos, t Type, verb string) (Type, error) {
+	var elem Type
+	switch pt := t.(type) {
+	case *PointerType:
+		elem = pt.Elem
+	case *ArrayType:
+		elem = pt.Elem
+	default:
+		return nil, errf(pos, "cannot %s non-pointer %s", verb, t)
+	}
+	if TypesEqual(elem, TypeVoid) {
+		return nil, errf(pos, "cannot %s a void pointer", verb)
+	}
+	return elem, nil
+}
+
+// binaryType is the type of binary operator op on operands of types lt
+// and rt, or an error naming the construct where the subset refuses it:
+// vector operands of a comparison or a logical operator, an operator
+// other than + and - on a pointer, and an integer operator on floats.
+func binaryType(pos Pos, op string, l, r Expr) (Type, error) {
+	lt, rt := l.ExprType(), r.ExprType()
+	_, lv := lt.(*VectorType)
+	_, rv := rt.(*VectorType)
+	switch op {
+	case "&&", "||", "==", "!=", "<", ">", "<=", ">=":
+		if lv || rv {
+			return nil, errf(pos, "operator %s on vector operands is not supported", op)
+		}
+		_, lp := decay(l)
+		_, rp := decay(r)
+		if !lp && !isScalarOrPointer(lt) || !rp && !isScalarOrPointer(rt) {
+			return nil, errf(pos, "operator %s on %s and %s", op, lt, rt)
+		}
+		if other := lt; lp != rp && op != "&&" && op != "||" {
+			if lp {
+				other = rt
+			}
+			if !ElemKind(other).IsInteger() {
+				return nil, errf(pos, "comparison of a pointer with %s", other)
+			}
+		}
+		return TypeInt, nil
+	case "+", "-":
+		if t, ok, err := pointerArith(pos, op, l, r); ok || err != nil {
+			return t, err
+		}
+	}
+	if !isArithmetic(lt) || !isArithmetic(rt) {
+		return nil, errf(pos, "operator %s on %s and %s", op, lt, rt)
+	}
+	switch op {
+	case "%", "&", "|", "^", "<<", ">>":
+		if !ElemKind(Promote(lt, rt)).IsInteger() {
+			return nil, errf(pos, "operator %q requires integer operands", op)
+		}
+	}
+	return arithType(op, lt, rt), nil
+}
+
+// arithType is the type of binary operator op on arithmetic operands of
+// types lt and rt: a comparison or logical operator gives int, a shift of
+// scalars has its left operand's promoted type (C99 §6.5.7p3), and the
+// rest take the usual arithmetic conversions.
+func arithType(op string, lt, rt Type) Type {
+	switch op {
+	case "&&", "||", "==", "!=", "<", ">", "<=", ">=":
+		return TypeInt
+	case "<<", ">>":
+		if !isVector(lt) && !isVector(rt) {
+			return Promote(lt, TypeInt)
+		}
+	}
+	return Promote(lt, rt)
+}
+
+// pointerArith types + and - with a pointer or array operand: a pointer
+// plus or minus an integer is the pointer (C99 §6.5.6p8), and the
+// difference of two pointers to one type in one address space is a long
+// count of elements (§6.5.6p9). ok is false when neither operand is a
+// pointer.
+func pointerArith(pos Pos, op string, l, r Expr) (Type, bool, error) {
+	lt, rt := l.ExprType(), r.ExprType()
+	lp, lok := decay(l)
+	rp, rok := decay(r)
+	switch {
+	case lok && rok && op == "-":
+		if !TypesEqual(lp, rp) {
+			return nil, true, errf(pos, "difference of pointers %s and %s", lt, rt)
+		}
+		if _, err := pointee(pos, lp, "subtract"); err != nil {
+			return nil, true, err
+		}
+		return TypeLong, true, nil
+	case lok && !rok && ElemKind(rt).IsInteger() && !isVector(rt),
+		rok && !lok && op == "+" && ElemKind(lt).IsInteger() && !isVector(lt):
+		p := lp
+		if rok {
+			p = rp
+		}
+		if _, err := pointee(pos, p, "advance"); err != nil {
+			return nil, true, err
+		}
+		return p, true, nil
+	case lok || rok:
+		return nil, true, errf(pos, "operator %s on %s and %s: pointer arithmetic takes a pointer and an integer", op, lt, rt)
+	}
+	return nil, false, nil
+}
+
+// decay returns the pointer type the value of e is used as: its own type
+// for a pointer, a pointer to the first element for an array.
+func decay(e Expr) (*PointerType, bool) {
+	switch t := e.ExprType().(type) {
+	case *PointerType:
+		return t, true
+	case *ArrayType:
+		return &PointerType{Elem: t.Elem, Space: spaceOf(e)}, true
+	}
+	return nil, false
+}
+
+func isVector(t Type) bool {
+	_, ok := t.(*VectorType)
+	return ok
+}
+
+// isScalarOrPointer reports whether t is a non-void scalar or a pointer:
+// what a condition, !, && and || read.
+func isScalarOrPointer(t Type) bool {
+	if _, ok := t.(*PointerType); ok {
+		return true
+	}
+	s, ok := t.(*ScalarType)
+	return ok && s.Kind != KVoid
 }
 
 // checkAssignable validates an implicit conversion from 'from' to 'to'.
@@ -240,26 +420,35 @@ func (a *analyzer) expr(e Expr) error {
 		return nil
 
 	case *Unary:
-		if err := a.expr(ex.X); err != nil {
+		if err := a.operand(ex.X); err != nil {
 			return err
 		}
 		xt := ex.X.ExprType()
 		switch ex.Op {
 		case "+", "-":
+			if !isArithmetic(xt) {
+				return errf(ex.Pos, "operator %s on %s", ex.Op, xt)
+			}
 			ex.Typ = xt
 		case "~":
+			if !ElemKind(xt).IsInteger() {
+				return errf(ex.Pos, "operator ~ requires an integer operand, found %s", xt)
+			}
 			ex.Typ = xt
 		case "!":
+			if isVector(xt) {
+				return errf(ex.Pos, "operator ! on a vector operand is not supported")
+			}
+			if !isScalarOrPointer(xt) {
+				return errf(ex.Pos, "operator ! on %s", xt)
+			}
 			ex.Typ = TypeInt
 		case "*":
-			switch pt := xt.(type) {
-			case *PointerType:
-				ex.Typ = pt.Elem
-			case *ArrayType:
-				ex.Typ = pt.Elem
-			default:
-				return errf(ex.Pos, "cannot dereference non-pointer %s", xt)
+			t, err := pointee(ex.Pos, xt, "dereference")
+			if err != nil {
+				return err
 			}
+			ex.Typ = t
 		case "&":
 			space := ASPrivate
 			if id, ok := ex.X.(*Ident); ok && id.Sym != nil {
@@ -270,7 +459,7 @@ func (a *analyzer) expr(e Expr) error {
 			}
 			ex.Typ = &PointerType{Elem: xt, Space: space}
 		case "++", "--":
-			if err := a.requireLValue(ex.X); err != nil {
+			if err := a.requireStep(ex.Pos, ex.Op, ex.X); err != nil {
 				return err
 			}
 			ex.Typ = xt
@@ -280,95 +469,73 @@ func (a *analyzer) expr(e Expr) error {
 		return nil
 
 	case *Postfix:
-		if err := a.expr(ex.X); err != nil {
+		if err := a.operand(ex.X); err != nil {
 			return err
 		}
-		if err := a.requireLValue(ex.X); err != nil {
+		if err := a.requireStep(ex.Pos, ex.Op, ex.X); err != nil {
 			return err
 		}
 		ex.Typ = ex.X.ExprType()
 		return nil
 
 	case *Binary:
-		if err := a.expr(ex.L); err != nil {
+		if err := a.operands(ex.L, ex.R); err != nil {
 			return err
 		}
-		if err := a.expr(ex.R); err != nil {
-			return err
-		}
-		lt, rt := ex.L.ExprType(), ex.R.ExprType()
-		switch ex.Op {
-		case "+", "-":
-			// pointer arithmetic
-			if pt, ok := lt.(*PointerType); ok {
-				ex.Typ = pt
-				return nil
-			}
-			if at, ok := lt.(*ArrayType); ok {
-				ex.Typ = &PointerType{Elem: at.Elem, Space: spaceOf(ex.L)}
-				return nil
-			}
-		case "%", "&", "|", "^", "<<", ">>":
-			if s, ok := Promote(lt, rt).(*ScalarType); ok && !s.Kind.IsInteger() {
-				return errf(ex.Pos, "operator %q requires integer operands", ex.Op)
-			}
-		}
-		ex.Typ = arithType(ex.Op, lt, rt)
-		return nil
+		t, err := binaryType(ex.Pos, ex.Op, ex.L, ex.R)
+		ex.Typ = t
+		return err
 
 	case *Assign:
-		if err := a.expr(ex.L); err != nil {
-			return err
-		}
-		if err := a.expr(ex.R); err != nil {
+		if err := a.operands(ex.L, ex.R); err != nil {
 			return err
 		}
 		if err := a.requireLValue(ex.L); err != nil {
 			return err
 		}
-		if ex.Op == "=" {
-			if err := a.checkAssignable(ex.Pos, ex.L.ExprType(), ex.R.ExprType()); err != nil {
+		rt := ex.R.ExprType()
+		if ex.Op != "=" {
+			t, err := binaryType(ex.Pos, ex.Op[:len(ex.Op)-1], ex.L, ex.R)
+			if err != nil {
 				return err
 			}
+			rt = t
+		}
+		if err := a.checkAssignable(ex.Pos, ex.L.ExprType(), rt); err != nil {
+			return err
 		}
 		ex.Typ = ex.L.ExprType()
 		return nil
 
 	case *Cond:
-		if err := a.expr(ex.C); err != nil {
+		if err := a.operands(ex.C, ex.T, ex.F); err != nil {
 			return err
 		}
-		if err := a.expr(ex.T); err != nil {
-			return err
+		if isVector(ex.C.ExprType()) {
+			return errf(ex.C.NodePos(), "a vector condition of ?: is not supported")
 		}
-		if err := a.expr(ex.F); err != nil {
+		if err := a.requireScalarCond(ex.C); err != nil {
 			return err
 		}
 		ex.Typ = Promote(ex.T.ExprType(), ex.F.ExprType())
 		return nil
 
 	case *Index:
-		if err := a.expr(ex.X); err != nil {
+		if err := a.operands(ex.X, ex.I); err != nil {
 			return err
 		}
-		if err := a.expr(ex.I); err != nil {
+		t, err := pointee(ex.Pos, ex.X.ExprType(), "index")
+		if err != nil {
 			return err
 		}
-		switch xt := ex.X.ExprType().(type) {
-		case *PointerType:
-			ex.Typ = xt.Elem
-		case *ArrayType:
-			ex.Typ = xt.Elem
-		default:
-			return errf(ex.Pos, "cannot index non-pointer %s", ex.X.ExprType())
-		}
+		ex.Typ = t
 		if it, ok := ex.I.ExprType().(*ScalarType); !ok || !it.Kind.IsInteger() {
 			return errf(ex.Pos, "array index must be an integer, found %s", ex.I.ExprType())
 		}
 		return nil
 
 	case *Member:
-		if err := a.expr(ex.X); err != nil {
+		if err := a.operand(ex.X); err != nil {
 			return err
 		}
 		vt, ok := ex.X.ExprType().(*VectorType)
@@ -388,12 +555,17 @@ func (a *analyzer) expr(e Expr) error {
 		return nil
 
 	case *Call:
-		for _, arg := range ex.Args {
-			if err := a.expr(arg); err != nil {
-				return err
-			}
+		if err := a.operands(ex.Args...); err != nil {
+			return err
 		}
 		if b := LookupBuiltin(ex.FuncName); b != nil {
+			if b.Kind == BMath || b.Kind == BGeom {
+				for _, arg := range ex.Args {
+					if !isArithmetic(arg.ExprType()) {
+						return errf(arg.NodePos(), "%s takes no %s argument", ex.FuncName, arg.ExprType())
+					}
+				}
+			}
 			t, err := b.Check(ex.Pos, ex.Args)
 			if err != nil {
 				return err
@@ -422,8 +594,15 @@ func (a *analyzer) expr(e Expr) error {
 		return nil
 
 	case *Cast:
-		if err := a.expr(ex.X); err != nil {
+		if TypesEqual(ex.To, TypeVoid) {
+			if err := a.expr(ex.X); err != nil {
+				return err
+			}
+		} else if err := a.operand(ex.X); err != nil {
 			return err
+		}
+		if _, fromPtr := ex.X.ExprType().(*PointerType); fromPtr && ElemKind(ex.To).IsFloat() {
+			return errf(ex.Pos, "cannot cast pointer %s to %s", ex.X.ExprType(), ex.To)
 		}
 		ex.Typ = ex.To
 		return nil
@@ -431,8 +610,11 @@ func (a *analyzer) expr(e Expr) error {
 	case *VecLit:
 		n := 0
 		for _, el := range ex.Elems {
-			if err := a.expr(el); err != nil {
+			if err := a.operand(el); err != nil {
 				return err
+			}
+			if !isArithmetic(el.ExprType()) {
+				return errf(el.NodePos(), "vector literal element of type %s", el.ExprType())
 			}
 			if vt, ok := el.ExprType().(*VectorType); ok {
 				n += vt.Len
@@ -469,22 +651,21 @@ func sizeofType(x Expr) Type {
 	return x.ExprType()
 }
 
-// arithType is the type of binary operator op on operands of types lt and
-// rt: a comparison or logical operator gives int, a shift of scalars has
-// its left operand's promoted type (C99 §6.5.7p3), and the rest take the
-// usual arithmetic conversions.
-func arithType(op string, lt, rt Type) Type {
-	switch op {
-	case "&&", "||", "==", "!=", "<", ">", "<=", ">=":
-		return TypeInt
-	case "<<", ">>":
-		_, lv := lt.(*VectorType)
-		_, rv := rt.(*VectorType)
-		if !lv && !rv {
-			return Promote(lt, TypeInt)
-		}
+// requireStep checks the operand of ++ or --: an assignable scalar,
+// vector or pointer to a complete type.
+func (a *analyzer) requireStep(pos Pos, op string, e Expr) error {
+	if err := a.requireLValue(e); err != nil {
+		return err
 	}
-	return Promote(lt, rt)
+	t := e.ExprType()
+	if _, isPtr := t.(*PointerType); isPtr {
+		_, err := pointee(pos, t, "advance")
+		return err
+	}
+	if !isArithmetic(t) {
+		return errf(pos, "operator %s on %s", op, t)
+	}
+	return nil
 }
 
 // requireLValue checks that e can be assigned to.

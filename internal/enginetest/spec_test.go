@@ -292,6 +292,72 @@ func TestSizeofExprEngines(t *testing.T) {
 	}
 }
 
+// TestPointerDifferenceEngines: the difference of two pointers to one type
+// in one address space is a long count of elements (C99 §6.5.6p9), on
+// both engines, for int and float4 elements and either sign; ++, -- and
+// += step a pointer by elements, and a vector by 1 in every lane.
+func TestPointerDifferenceEngines(t *testing.T) {
+	const src = `__kernel void spec(__global long* o) {
+    int a[8];
+    int* p = a;
+    __local float4 v[4];
+    o[0] = (o + 3) - o;
+    o[1] = (p + 5) - p;
+    o[2] = p - (p + 5);
+    o[3] = &v[3] - v;
+    o[4] = (long)(v - &v[2]);
+    o[5] = (a + 7) - p;
+    int* q = p++;
+    ++p;
+    p += 3;
+    p--;
+    o[6] = p - q;
+    int4 w = (int4)(1, 2, 3, 4);
+    w++;
+    --w.y;
+    o[7] = w.x + 10 * w.y + 100 * w.z + 1000 * w.w;
+}
+`
+	want := []int64{3, 5, -5, 3, -2, 7, 4, 2 + 2*10 + 4*100 + 5*1000}
+	for _, engine := range enginetest.Engines() {
+		got := runSpec(t, engine, src, 1, len(want), 0, nil, nil)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: o[%d] = %d, want %d", engine, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestWorkItemDimsEngines: outside dimensions 0-2 the size queries answer
+// 1 and the id queries 0 (OpenCL 1.2 §6.12.1), on both engines, for a
+// constant dimension and for one known only at run time.
+func TestWorkItemDimsEngines(t *testing.T) {
+	const src = `__kernel void spec(__global long* o) {
+    int d = 3 + (int)get_local_id(0);
+    o[0] = get_global_size(3);
+    o[1] = get_local_size(5);
+    o[2] = get_num_groups(7);
+    o[3] = get_global_id(3);
+    o[4] = get_local_id(4);
+    o[5] = get_group_id(3);
+    o[6] = get_global_size(d);
+    o[7] = get_local_size(d);
+    o[8] = get_num_groups(d);
+    o[9] = get_local_id(d);
+}
+`
+	want := []int64{1, 1, 1, 0, 0, 0, 1, 1, 1, 0}
+	for _, engine := range enginetest.Engines() {
+		got := runSpec(t, engine, src, 1, len(want), 0, nil, nil)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: o[%d] = %d, want %d", engine, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // runSpec compiles src as the repo does, runs its kernel spec over items
 // work-items on engine with operand buffers as and bs of kind k (none when
 // as is nil) and an output buffer of outs longs, and returns the output.

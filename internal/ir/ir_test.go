@@ -94,27 +94,31 @@ func TestVerifyCatchesNonPointerLoad(t *testing.T) {
 // TestVerifyPointerChainShape exercises the chain-shape rule: pointer
 // values reaching an index base (or load/store address) must come from
 // a param, alloca, index, pointer convert, or pointer load — never from
-// arithmetic. The valid fixture already contains a param-rooted chain
-// used across blocks (alloca in entry, loads in the loop body), which
-// TestVerifyValid accepts; here we corrupt a base and expect rejection.
+// a call (or arithmetic, which the typing rules refuse first). The valid
+// fixture already contains a param-rooted chain used across blocks
+// (alloca in entry, loads in the loop body), which TestVerifyValid
+// accepts; here we corrupt a base and expect rejection.
 func TestVerifyPointerChainShape(t *testing.T) {
 	m, fn := buildTestFunc()
 	ptrTy := &clc.PointerType{Elem: clc.TypeFloat, Space: clc.ASGlobal}
+	id := &Function{Name: "id", Ret: ptrTy, Params: []*Param{{Name_: "p", Typ: ptrTy}}}
+	NewBuilder(id).Ret(id.Params[0], clc.Pos{})
+	m.Funcs = append(m.Funcs, id)
 	for _, b := range fn.Blocks {
 		for i, in := range b.Instrs {
 			if in.Op != OpIndex {
 				continue
 			}
-			// Synthesize a pointer with integer arithmetic and slide it in
-			// as the index base, keeping defs-dominate-uses intact.
-			bad := &Instr{Op: OpAdd, Typ: ptrTy, Args: []Value{in.Args[0], in.Args[0]}, Block: b}
+			// Synthesize a pointer with a call and slide it in as the
+			// index base, keeping defs-dominate-uses intact.
+			bad := &Instr{Op: OpCall, Typ: ptrTy, Callee: id, Args: []Value{in.Args[0]}, Block: b}
 			b.Instrs = append(b.Instrs[:i], append([]*Instr{bad}, b.Instrs[i:]...)...)
 			in.Args[0] = bad
 			err := Verify(m)
 			if err == nil {
-				t.Fatal("expected chain-shape error for arithmetic-produced pointer")
+				t.Fatal("expected chain-shape error for a call-produced pointer")
 			}
-			if !strings.Contains(err.Error(), "pointer produced by add") {
+			if !strings.Contains(err.Error(), "pointer produced by call") {
 				t.Fatalf("wrong error: %v", err)
 			}
 			return

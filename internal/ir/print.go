@@ -75,7 +75,9 @@ func (in *Instr) format(key bool) string {
 	case OpWorkItem, OpMath:
 		fmt.Fprintf(&sb, " %s", in.Func)
 	case OpCall:
-		fmt.Fprintf(&sb, " %s", in.Callee.Name)
+		if in.Callee != nil {
+			fmt.Fprintf(&sb, " %s", in.Callee.Name)
+		}
 	}
 	for i, a := range in.Args {
 		if i == 0 {

@@ -8,15 +8,27 @@ import (
 
 // Verify checks structural invariants of the module: every block ends in
 // exactly one terminator, branch targets belong to the same function,
-// memory ops have pointer operands, opcode-specific arity and type rules
-// hold (OpBarrier, OpAlloca, OpWorkItem, ...), every use of an
-// instruction value is dominated by its definition, and pointer values
-// feeding OpIndex and load/store addresses obey the chain-shape rule
-// (see verifyPointerProducer).
+// every instruction obeys its opcode's arity and typing rule (verifyInstr),
+// every call names a function of the module, every use of an instruction
+// value is dominated by its definition, and pointer values feeding OpIndex
+// and load/store addresses obey the chain-shape rule (see
+// verifyPointerProducer). Both engines define behaviour for verified IR
+// only.
 func Verify(m *Module) error {
+	inModule := make(map[*Function]bool, len(m.Funcs))
+	for _, f := range m.Funcs {
+		inModule[f] = true
+	}
 	for _, f := range m.Funcs {
 		if err := VerifyFunc(f); err != nil {
 			return fmt.Errorf("function %s: %w", f.Name, err)
+		}
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op == OpCall && !inModule[in.Callee] {
+					return fmt.Errorf("function %s: block %s: %s: callee is not in the module", f.Name, b.Name, in.Format())
+				}
+			}
 		}
 	}
 	return nil
@@ -66,12 +78,8 @@ func VerifyFunc(f *Function) error {
 				return fmt.Errorf("block %s: instruction %s has wrong block link", b.Name, in.Format())
 			}
 			for _, a := range in.Args {
-				switch a.(type) {
-				case *ConstInt, *ConstFloat:
-				default:
-					if !defined[a] {
-						return fmt.Errorf("block %s: %s uses undefined operand %s", b.Name, in.Format(), a)
-					}
+				if err := verifyOperand(a, defined); err != nil {
+					return fmt.Errorf("block %s: %s: %w", b.Name, in.Format(), err)
 				}
 			}
 			for _, t := range in.Targets {
@@ -79,7 +87,7 @@ func VerifyFunc(f *Function) error {
 					return fmt.Errorf("block %s: branch to foreign block %s", b.Name, t.Name)
 				}
 			}
-			if err := verifyInstr(in); err != nil {
+			if err := verifyInstr(f, in); err != nil {
 				return fmt.Errorf("block %s: %s: %w", b.Name, in.Format(), err)
 			}
 		}
@@ -87,52 +95,93 @@ func VerifyFunc(f *Function) error {
 	return verifyDominance(f)
 }
 
-// verifyInstr applies per-opcode arity and type rules.
-func verifyInstr(in *Instr) error {
+// verifyOperand checks that a is defined in the function, or is a
+// constant of a type constants have: an integer constant is an integer
+// scalar or a null pointer, a float constant a float scalar.
+func verifyOperand(a Value, defined map[Value]bool) error {
+	switch c := a.(type) {
+	case *ConstInt:
+		if _, ok := c.Typ.(*clc.PointerType); !ok && !isScalar(c.Typ, clc.ScalarKind.IsInteger) {
+			return fmt.Errorf("integer constant %s of type %s", c, c.Typ)
+		}
+	case *ConstFloat:
+		if !isScalar(c.Typ, clc.ScalarKind.IsFloat) {
+			return fmt.Errorf("float constant %s of type %s", c, c.Typ)
+		}
+	default:
+		if !defined[a] {
+			return fmt.Errorf("uses undefined operand %s", a)
+		}
+	}
+	return nil
+}
+
+// arity is the operand count of each opcode whose count is fixed.
+var arity = map[Op]int{
+	OpAlloca: 0, OpLoad: 1, OpStore: 2, OpIndex: 2,
+	OpAdd: 2, OpSub: 2, OpMul: 2, OpDiv: 2, OpRem: 2,
+	OpAnd: 2, OpOr: 2, OpXor: 2, OpShl: 2, OpShr: 2,
+	OpNeg: 1, OpNot: 1,
+	OpEq: 2, OpNe: 2, OpLt: 2, OpLe: 2, OpGt: 2, OpGe: 2,
+	OpConvert: 1, OpExtract: 1, OpInsert: 2, OpShuffle: 1,
+	OpBr: 0, OpCondBr: 1,
+}
+
+// verifyInstr applies the arity and typing rule of in's opcode; f is the
+// function in belongs to.
+func verifyInstr(f *Function, in *Instr) error {
+	if n, fixed := arity[in.Op]; fixed && len(in.Args) != n {
+		return fmt.Errorf("%s needs %d operand(s), has %d", in.Op, n, len(in.Args))
+	}
 	switch in.Op {
 	case OpLoad:
-		if len(in.Args) != 1 {
-			return fmt.Errorf("load needs 1 operand")
+		pt, err := pointerOperand(in, "load address")
+		if err != nil {
+			return err
 		}
-		if _, ok := in.Args[0].Type().(*clc.PointerType); !ok {
-			return fmt.Errorf("load operand is not a pointer: %s", in.Args[0].Type())
-		}
-		if err := verifyPointerProducer(in.Args[0]); err != nil {
-			return fmt.Errorf("load address: %w", err)
+		if !loadable(pt.Elem) || !clc.TypesEqual(in.Typ, pt.Elem) {
+			return fmt.Errorf("load of %s gives %s, want the pointee type, a scalar, vector or pointer", pt.Elem, in.Typ)
 		}
 	case OpStore:
-		if len(in.Args) != 2 {
-			return fmt.Errorf("store needs 2 operands")
+		pt, err := pointerOperand(in, "store address")
+		if err != nil {
+			return err
 		}
-		if _, ok := in.Args[0].Type().(*clc.PointerType); !ok {
-			return fmt.Errorf("store target is not a pointer: %s", in.Args[0].Type())
+		if !loadable(pt.Elem) || !clc.TypesEqual(in.Args[1].Type(), pt.Elem) {
+			return fmt.Errorf("store of %s to %s, want the pointee type, a scalar, vector or pointer", in.Args[1].Type(), pt)
 		}
-		if err := verifyPointerProducer(in.Args[0]); err != nil {
-			return fmt.Errorf("store address: %w", err)
-		}
+		return voidResult(in)
 	case OpIndex:
-		if len(in.Args) != 2 {
-			return fmt.Errorf("index needs 2 operands")
+		pt, err := pointerOperand(in, "index base")
+		if err != nil {
+			return err
 		}
-		if _, ok := in.Args[0].Type().(*clc.PointerType); !ok {
-			return fmt.Errorf("index base is not a pointer: %s", in.Args[0].Type())
+		if !isScalar(in.Args[1].Type(), clc.ScalarKind.IsInteger) {
+			return fmt.Errorf("index by %s, want an integer", in.Args[1].Type())
 		}
-		if err := verifyPointerProducer(in.Args[0]); err != nil {
-			return fmt.Errorf("index base: %w", err)
+		if !clc.TypesEqual(in.Typ, IndexResultType(pt)) {
+			return fmt.Errorf("index gives %s, want %s", in.Typ, IndexResultType(pt))
 		}
+	case OpAdd, OpSub, OpMul, OpDiv, OpRem, OpAnd, OpOr, OpXor, OpShl, OpShr, OpNeg:
+		return verifyOperands(in, in.Typ, arithmetic)
+	case OpNot:
+		return verifyOperands(in, in.Typ, integral)
+	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
+		if !clc.TypesEqual(in.Typ, clc.TypeInt) {
+			return fmt.Errorf("%s gives %s, want int", in.Op, in.Typ)
+		}
+		return verifyOperands(in, in.Args[0].Type(), scalarOrPointer)
 	case OpConvert:
-		if _, ok := in.Typ.(*clc.PointerType); ok {
-			if len(in.Args) != 1 {
-				return fmt.Errorf("convert needs 1 operand")
-			}
-			if _, src := in.Args[0].Type().(*clc.PointerType); !src {
-				return fmt.Errorf("pointer convert from non-pointer %s", in.Args[0].Type())
-			}
+		_, toPtr := in.Typ.(*clc.PointerType)
+		if _, fromPtr := in.Args[0].Type().(*clc.PointerType); toPtr && !fromPtr {
+			return fmt.Errorf("pointer convert from non-pointer %s", in.Args[0].Type())
 		}
+		if !convertible(in.Args[0].Type(), in.Typ) {
+			return fmt.Errorf("no conversion from %s to %s", in.Args[0].Type(), in.Typ)
+		}
+	case OpExtract, OpInsert, OpShuffle, OpBuild:
+		return verifyLanes(in)
 	case OpAlloca:
-		if len(in.Args) != 0 {
-			return fmt.Errorf("alloca takes no operands")
-		}
 		if _, ok := in.Typ.(*clc.PointerType); !ok {
 			return fmt.Errorf("alloca result is not a pointer: %s", in.Typ)
 		}
@@ -140,12 +189,10 @@ func verifyInstr(in *Instr) error {
 		if len(in.Args) > 1 {
 			return fmt.Errorf("barrier takes at most 1 fence-flags operand")
 		}
-		if len(in.Args) == 1 {
-			st, ok := in.Args[0].Type().(*clc.ScalarType)
-			if !ok || !st.Kind.IsInteger() {
-				return fmt.Errorf("barrier fence flags are not an integer: %s", in.Args[0].Type())
-			}
+		if len(in.Args) == 1 && !isScalar(in.Args[0].Type(), clc.ScalarKind.IsInteger) {
+			return fmt.Errorf("barrier fence flags are not an integer: %s", in.Args[0].Type())
 		}
+		return voidResult(in)
 	case OpWorkItem:
 		takesDim, known := workItemFuncs[in.Func]
 		if !known {
@@ -158,29 +205,208 @@ func verifyInstr(in *Instr) error {
 		if len(in.Args) != want {
 			return fmt.Errorf("%s needs %d operand(s), has %d", in.Func, want, len(in.Args))
 		}
-		if want == 1 {
-			st, ok := in.Args[0].Type().(*clc.ScalarType)
-			if !ok || !st.Kind.IsInteger() {
-				return fmt.Errorf("%s dimension is not an integer: %s", in.Func, in.Args[0].Type())
-			}
+		if want == 1 && !isScalar(in.Args[0].Type(), clc.ScalarKind.IsInteger) {
+			return fmt.Errorf("%s dimension is not an integer: %s", in.Func, in.Args[0].Type())
 		}
+		if !clc.TypesEqual(in.Typ, clc.TypeULong) {
+			return fmt.Errorf("%s gives %s, want ulong", in.Func, in.Typ)
+		}
+	case OpMath:
+		return verifyMath(in)
 	case OpCondBr:
 		if len(in.Targets) != 2 {
 			return fmt.Errorf("condbr needs 2 targets")
+		}
+		if !scalarOrPointer(in.Args[0].Type()) {
+			return fmt.Errorf("condbr on %s, want a scalar or pointer", in.Args[0].Type())
 		}
 	case OpBr:
 		if len(in.Targets) != 1 {
 			return fmt.Errorf("br needs 1 target")
 		}
+	case OpRet:
+		if clc.TypesEqual(f.Ret, clc.TypeVoid) {
+			if len(in.Args) != 0 {
+				return fmt.Errorf("ret of a value from void function %s", f.Name)
+			}
+			return nil
+		}
+		if len(in.Args) != 1 || !clc.TypesEqual(in.Args[0].Type(), f.Ret) {
+			return fmt.Errorf("ret needs one value of type %s", f.Ret)
+		}
 	case OpCall:
 		if in.Callee == nil {
 			return fmt.Errorf("call without callee")
 		}
-		if len(in.Args) != len(in.Callee.Params) {
-			return fmt.Errorf("call to %s: %d args, want %d", in.Callee.Name, len(in.Args), len(in.Callee.Params))
+		ps := in.Callee.Params
+		if len(in.Args) != len(ps) {
+			return fmt.Errorf("call to %s: %d args, want %d", in.Callee.Name, len(in.Args), len(ps))
+		}
+		for i, a := range in.Args {
+			if !clc.TypesEqual(a.Type(), ps[i].Typ) {
+				return fmt.Errorf("call to %s: argument %d is %s, want %s", in.Callee.Name, i, a.Type(), ps[i].Typ)
+			}
+		}
+		if !clc.TypesEqual(in.Typ, in.Callee.Ret) {
+			return fmt.Errorf("call to %s gives %s, want %s", in.Callee.Name, in.Typ, in.Callee.Ret)
+		}
+	default:
+		return fmt.Errorf("unknown opcode")
+	}
+	return nil
+}
+
+// verifyOperands checks that every operand of in has type t, which class
+// admits.
+func verifyOperands(in *Instr, t clc.Type, class func(clc.Type) bool) error {
+	if !class(t) {
+		return fmt.Errorf("%s on %s", in.Op, t)
+	}
+	for i, a := range in.Args {
+		if !clc.TypesEqual(a.Type(), t) {
+			return fmt.Errorf("%s operand %d is %s, want %s", in.Op, i, a.Type(), t)
 		}
 	}
 	return nil
+}
+
+// pointerOperand returns the type of in's pointer operand, the first,
+// which must obey the chain-shape rule.
+func pointerOperand(in *Instr, what string) (*clc.PointerType, error) {
+	pt, ok := in.Args[0].Type().(*clc.PointerType)
+	if !ok {
+		return nil, fmt.Errorf("%s is not a pointer: %s", what, in.Args[0].Type())
+	}
+	if err := verifyPointerProducer(in.Args[0]); err != nil {
+		return nil, fmt.Errorf("%s: %w", what, err)
+	}
+	return pt, nil
+}
+
+// voidResult checks that in, which produces nothing, has no result type.
+func voidResult(in *Instr) error {
+	if in.Producing() {
+		return fmt.Errorf("%s gives %s, want void", in.Op, in.Typ)
+	}
+	return nil
+}
+
+// verifyLanes checks a vector shape instruction: the element types, the
+// lanes it selects and the lane counts agree.
+func verifyLanes(in *Instr) error {
+	out, outVec := in.Typ.(*clc.VectorType)
+	if in.Op == OpBuild {
+		if !outVec || len(in.Args) != out.Len {
+			return fmt.Errorf("build of %s from %d lanes", in.Typ, len(in.Args))
+		}
+		return verifyOperands(in, out.Elem, arithmetic)
+	}
+	src, ok := in.Args[0].Type().(*clc.VectorType)
+	if !ok {
+		return fmt.Errorf("%s of non-vector %s", in.Op, in.Args[0].Type())
+	}
+	want := 1
+	switch in.Op {
+	case OpExtract:
+		if !clc.TypesEqual(in.Typ, src.Elem) {
+			return fmt.Errorf("extract from %s gives %s", src, in.Typ)
+		}
+	case OpInsert:
+		if !clc.TypesEqual(in.Typ, src) || !clc.TypesEqual(in.Args[1].Type(), src.Elem) {
+			return fmt.Errorf("insert of %s into %s gives %s", in.Args[1].Type(), src, in.Typ)
+		}
+	case OpShuffle:
+		if !outVec || !clc.TypesEqual(out.Elem, src.Elem) {
+			return fmt.Errorf("shuffle of %s gives %s", src, in.Typ)
+		}
+		want = out.Len
+	}
+	if len(in.Comps) != want {
+		return fmt.Errorf("%s selects %d lanes, want %d", in.Op, len(in.Comps), want)
+	}
+	for _, c := range in.Comps {
+		if c < 0 || c >= src.Len {
+			return fmt.Errorf("%s lane %d out of range for %s", in.Op, c, src)
+		}
+	}
+	return nil
+}
+
+// verifyMath checks a math builtin: a geometric one (dot, length) takes
+// operands of one float scalar or vector type and gives its element type;
+// any other takes operands of its integer or float result type.
+func verifyMath(in *Instr) error {
+	b := clc.LookupBuiltin(in.Func)
+	if b == nil || (b.Kind != clc.BMath && b.Kind != clc.BGeom) {
+		return fmt.Errorf("unknown math builtin %q", in.Func)
+	}
+	if len(in.Args) != b.Arity {
+		return fmt.Errorf("%s needs %d operand(s), has %d", in.Func, b.Arity, len(in.Args))
+	}
+	if b.Kind == clc.BMath {
+		return verifyOperands(in, in.Typ, arithmetic)
+	}
+	t := in.Args[0].Type()
+	if err := verifyOperands(in, t, func(t clc.Type) bool { return clc.ElemKind(t).IsFloat() }); err != nil {
+		return err
+	}
+	if s, ok := in.Typ.(*clc.ScalarType); !ok || s.Kind != clc.ElemKind(t) {
+		return fmt.Errorf("%s of %s gives %s, want %s", in.Func, t, in.Typ, clc.ElemKind(t))
+	}
+	return nil
+}
+
+// convertible reports whether OpConvert converts from to to: scalar to
+// scalar, pointer to pointer, pointer to integer, or vector to vector of
+// one length. No integer becomes a pointer: the chain-shape rule roots
+// every pointer at a parameter, alloca or load.
+func convertible(from, to clc.Type) bool {
+	switch t := to.(type) {
+	case *clc.ScalarType:
+		switch f := from.(type) {
+		case *clc.ScalarType:
+			return t.Kind != clc.KVoid && f.Kind != clc.KVoid
+		case *clc.PointerType:
+			return t.Kind.IsInteger()
+		}
+	case *clc.PointerType:
+		_, ok := from.(*clc.PointerType)
+		return ok
+	case *clc.VectorType:
+		f, ok := from.(*clc.VectorType)
+		return ok && f.Len == t.Len
+	}
+	return false
+}
+
+// arithmetic reports whether t is an integer or float scalar or vector:
+// what arithmetic and math instructions compute on.
+func arithmetic(t clc.Type) bool { return clc.ElemKind(t) != clc.KVoid }
+
+// integral reports whether t is an integer scalar or vector.
+func integral(t clc.Type) bool { return clc.ElemKind(t).IsInteger() }
+
+// isScalar reports whether t is a scalar whose kind is in class.
+func isScalar(t clc.Type, class func(clc.ScalarKind) bool) bool {
+	s, ok := t.(*clc.ScalarType)
+	return ok && class(s.Kind)
+}
+
+// scalarOrPointer reports whether t is a non-void scalar or a pointer:
+// what a comparison or a branch condition reads.
+func scalarOrPointer(t clc.Type) bool {
+	if _, ok := t.(*clc.PointerType); ok {
+		return true
+	}
+	s, ok := t.(*clc.ScalarType)
+	return ok && s.Kind != clc.KVoid
+}
+
+// loadable reports whether memory holds values of type t: a scalar, a
+// vector or a pointer.
+func loadable(t clc.Type) bool {
+	_, ptr := t.(*clc.PointerType)
+	return ptr || arithmetic(t)
 }
 
 // verifyPointerProducer enforces the pointer chain-shape rule that the

@@ -26,11 +26,7 @@ func (lw *lowerer) convert(v ir.Value, to clc.Type, pos clc.Pos) (ir.Value, erro
 			if err != nil {
 				return nil, err
 			}
-			lanes := make([]ir.Value, tt.Len)
-			for i := range lanes {
-				lanes[i] = s
-			}
-			return lw.b.BuildVec(tt, lanes, pos), nil
+			return lw.splat(s, tt, pos), nil
 		}
 		if fv, ok := from.(*clc.VectorType); ok && fv.Len == tt.Len {
 			return lw.b.Convert(v, tt, pos), nil
@@ -41,6 +37,15 @@ func (lw *lowerer) convert(v ir.Value, to clc.Type, pos clc.Pos) (ir.Value, erro
 		}
 	}
 	return nil, errAt(pos, "unsupported conversion %s → %s", from, to)
+}
+
+// splat builds a vector of type t with every lane s, of t's element type.
+func (lw *lowerer) splat(s ir.Value, t *clc.VectorType, pos clc.Pos) ir.Value {
+	lanes := make([]ir.Value, t.Len)
+	for i := range lanes {
+		lanes[i] = s
+	}
+	return lw.b.BuildVec(t, lanes, pos)
 }
 
 // lvalue lowers e to a pointer value addressing its storage.
@@ -81,7 +86,15 @@ func (lw *lowerer) lvalue(e clc.Expr) (ir.Value, error) {
 
 	case *clc.Unary:
 		if ex.Op == "*" {
-			return lw.expr(ex.X)
+			p, err := lw.expr(ex.X)
+			if err != nil {
+				return nil, err
+			}
+			if _, isArr := ex.X.ExprType().(*clc.ArrayType); isArr {
+				// An array's value is the pointer to it; *a is a[0].
+				return lw.b.Index(p, ir.LongConst(0), ex.Pos), nil
+			}
+			return p, nil
 		}
 	}
 	return nil, errAt(e.NodePos(), "expression is not addressable")
@@ -174,20 +187,8 @@ func (lw *lowerer) expr(e clc.Expr) (ir.Value, error) {
 		return lw.unary(ex)
 
 	case *clc.Postfix:
-		old, err := lw.rvalueOfLValue(ex.X)
-		if err != nil {
-			return nil, err
-		}
-		one := onefor(ex.X.ExprType())
-		op := ir.OpAdd
-		if ex.Op == "--" {
-			op = ir.OpSub
-		}
-		next := lw.b.Bin(op, ex.X.ExprType(), old, one, ex.Pos)
-		if err := lw.storeLValue(ex.X, next); err != nil {
-			return nil, err
-		}
-		return old, nil
+		old, _, err := lw.step(ex.X, ex.Op, ex.Pos)
+		return old, err
 
 	case *clc.Binary:
 		return lw.binary(ex)
@@ -222,8 +223,8 @@ func (lw *lowerer) expr(e clc.Expr) (ir.Value, error) {
 
 	case *clc.Cast:
 		v, err := lw.expr(ex.X)
-		if err != nil {
-			return nil, err
+		if err != nil || clc.TypesEqual(ex.To, clc.TypeVoid) {
+			return v, err // a cast to void only discards the value
 		}
 		return lw.convert(v, ex.To, ex.Pos)
 
@@ -236,11 +237,33 @@ func (lw *lowerer) expr(e clc.Expr) (ir.Value, error) {
 	return nil, errAt(e.NodePos(), "lower: unhandled expression %T", e)
 }
 
-func onefor(t clc.Type) ir.Value {
-	if s, ok := t.(*clc.ScalarType); ok && s.Kind.IsFloat() {
-		return &ir.ConstFloat{Val: 1, Typ: s}
+// step lowers ++ or -- (op) on the lvalue x: a pointer advances by one
+// element, and a scalar or vector adds or subtracts 1 in its own type. It
+// returns the old and the new value.
+func (lw *lowerer) step(x clc.Expr, op string, pos clc.Pos) (old, next ir.Value, err error) {
+	old, err = lw.rvalueOfLValue(x)
+	if err != nil {
+		return nil, nil, err
 	}
-	return &ir.ConstInt{Val: 1, Typ: t}
+	t := x.ExprType()
+	if _, isPtr := t.(*clc.PointerType); isPtr {
+		d := int64(1)
+		if op == "--" {
+			d = -1
+		}
+		next = lw.b.Index(old, ir.LongConst(d), pos)
+	} else {
+		one := constOf(1, t)
+		if vt, isVec := t.(*clc.VectorType); isVec {
+			one = lw.splat(constOf(1, vt.Elem), vt, pos)
+		}
+		bin := ir.OpAdd
+		if op == "--" {
+			bin = ir.OpSub
+		}
+		next = lw.b.Bin(bin, t, old, one, pos)
+	}
+	return old, next, lw.storeLValue(x, next)
 }
 
 func (lw *lowerer) unary(ex *clc.Unary) (ir.Value, error) {
@@ -264,38 +287,28 @@ func (lw *lowerer) unary(ex *clc.Unary) (ir.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		return lw.b.Cmp(ir.OpEq, x, zeroLike(x.Type()), ex.Pos), nil
+		return lw.b.Cmp(ir.OpEq, x, constOf(0, x.Type()), ex.Pos), nil
 	case "*":
-		p, err := lw.expr(ex.X)
-		if err != nil {
-			return nil, err
+		p, err := lw.lvalue(ex)
+		if _, isArr := ex.ExprType().(*clc.ArrayType); err != nil || isArr {
+			return p, err
 		}
 		return lw.b.Load(p, ex.Pos), nil
 	case "&":
 		return lw.lvalue(ex.X)
 	case "++", "--":
-		old, err := lw.rvalueOfLValue(ex.X)
-		if err != nil {
-			return nil, err
-		}
-		op := ir.OpAdd
-		if ex.Op == "--" {
-			op = ir.OpSub
-		}
-		next := lw.b.Bin(op, ex.X.ExprType(), old, onefor(ex.X.ExprType()), ex.Pos)
-		if err := lw.storeLValue(ex.X, next); err != nil {
-			return nil, err
-		}
-		return next, nil
+		_, next, err := lw.step(ex.X, ex.Op, ex.Pos)
+		return next, err
 	}
 	return nil, errAt(ex.Pos, "unsupported unary %q", ex.Op)
 }
 
-func zeroLike(t clc.Type) ir.Value {
+// constOf is the constant v of scalar or pointer type t.
+func constOf(v int64, t clc.Type) ir.Value {
 	if s, ok := t.(*clc.ScalarType); ok && s.Kind.IsFloat() {
-		return &ir.ConstFloat{Val: 0, Typ: s}
+		return &ir.ConstFloat{Val: float64(v), Typ: s}
 	}
-	return &ir.ConstInt{Val: 0, Typ: t}
+	return &ir.ConstInt{Val: v, Typ: t}
 }
 
 func (lw *lowerer) binary(ex *clc.Binary) (ir.Value, error) {
@@ -307,27 +320,21 @@ func (lw *lowerer) binary(ex *clc.Binary) (ir.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Pointer arithmetic.
-	if _, isPtr := l.Type().(*clc.PointerType); isPtr && (ex.Op == "+" || ex.Op == "-") {
-		r, err := lw.expr(ex.R)
-		if err != nil {
-			return nil, err
-		}
-		rl, err := lw.convert(r, clc.TypeLong, ex.Pos)
-		if err != nil {
-			return nil, err
-		}
-		if ex.Op == "-" {
-			rl = lw.b.Un(ir.OpNeg, clc.TypeLong, rl, ex.Pos)
-		}
-		return lw.b.Index(l, rl, ex.Pos), nil
-	}
 	r, err := lw.expr(ex.R)
 	if err != nil {
 		return nil, err
 	}
+	_, lp := l.Type().(*clc.PointerType)
+	_, rp := r.Type().(*clc.PointerType)
+	if (lp || rp) && (ex.Op == "+" || ex.Op == "-") {
+		return lw.pointerArith(ex.Op, l, r, ex.Pos)
+	}
 	if op, ok := cmpOps[ex.Op]; ok {
 		pt := clc.Promote(l.Type(), r.Type())
+		if lp != rp {
+			// A pointer against an integer compares addresses as longs.
+			pt = clc.TypeLong
+		}
 		lc, err := lw.convert(l, pt, ex.Pos)
 		if err != nil {
 			return nil, err
@@ -354,6 +361,31 @@ func (lw *lowerer) binary(ex *clc.Binary) (ir.Value, error) {
 	return lw.b.Bin(op, rt, lc, rc, ex.Pos), nil
 }
 
+// pointerArith lowers + and - with a pointer operand, as sema typed them:
+// a pointer plus or minus an integer advances it by whole elements, and
+// the difference of two pointers is their distance in bytes, in which the
+// address-space tag cancels, divided by the element size.
+func (lw *lowerer) pointerArith(op string, l, r ir.Value, pos clc.Pos) (ir.Value, error) {
+	if _, rp := r.Type().(*clc.PointerType); rp {
+		if _, lp := l.Type().(*clc.PointerType); lp {
+			lb := lw.b.Convert(l, clc.TypeLong, pos)
+			rb := lw.b.Convert(r, clc.TypeLong, pos)
+			bytes := lw.b.Bin(ir.OpSub, clc.TypeLong, lb, rb, pos)
+			size := ir.LongConst(int64(ir.PointeeSize(l.Type())))
+			return lw.b.Bin(ir.OpDiv, clc.TypeLong, bytes, size, pos), nil
+		}
+		l, r = r, l // n + p
+	}
+	n, err := lw.convert(r, clc.TypeLong, pos)
+	if err != nil {
+		return nil, err
+	}
+	if op == "-" {
+		n = lw.b.Un(ir.OpNeg, clc.TypeLong, n, pos)
+	}
+	return lw.b.Index(l, n, pos), nil
+}
+
 // shortCircuit lowers && and || via control flow into an int temp.
 func (lw *lowerer) shortCircuit(ex *clc.Binary) (ir.Value, error) {
 	tmp := lw.emitAlloca(clc.TypeInt, clc.ASPrivate, "sc.tmp", ex.Pos)
@@ -361,7 +393,7 @@ func (lw *lowerer) shortCircuit(ex *clc.Binary) (ir.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	lBool := lw.b.Cmp(ir.OpNe, l, zeroLike(l.Type()), ex.Pos)
+	lBool := lw.b.Cmp(ir.OpNe, l, constOf(0, l.Type()), ex.Pos)
 	evalR := lw.irf.NewBlock("sc.rhs")
 	short := lw.irf.NewBlock("sc.short")
 	done := lw.irf.NewBlock("sc.done")
@@ -384,7 +416,7 @@ func (lw *lowerer) shortCircuit(ex *clc.Binary) (ir.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	rBool := lw.b.Cmp(ir.OpNe, r, zeroLike(r.Type()), ex.Pos)
+	rBool := lw.b.Cmp(ir.OpNe, r, constOf(0, r.Type()), ex.Pos)
 	lw.b.Store(tmp, rBool, ex.Pos)
 	lw.b.Br(done, ex.Pos)
 
@@ -457,11 +489,19 @@ func (lw *lowerer) assign(ex *clc.Assign) (ir.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	rc, err := lw.convert(r, lt, ex.Pos)
+	var next ir.Value
+	if _, isPtr := lt.(*clc.PointerType); isPtr {
+		next, err = lw.pointerArith(ex.Op[:1], cur, r, ex.Pos)
+	} else {
+		var rc ir.Value
+		rc, err = lw.convert(r, lt, ex.Pos)
+		if err == nil {
+			next = lw.b.Bin(op, lt, cur, rc, ex.Pos)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	next := lw.b.Bin(op, lt, cur, rc, ex.Pos)
 	if err := lw.storeLValue(ex.L, next); err != nil {
 		return nil, err
 	}
@@ -551,7 +591,7 @@ func (lw *lowerer) vecLit(ex *clc.VecLit) (ir.Value, error) {
 		}
 		if vt, ok := v.Type().(*clc.VectorType); ok {
 			for i := 0; i < vt.Len; i++ {
-				lanes = append(lanes, lw.b.Extract(v, i, ex.Pos))
+				lanes = append(lanes, lw.b.Convert(lw.b.Extract(v, i, ex.Pos), ex.To.Elem, ex.Pos))
 			}
 			continue
 		}

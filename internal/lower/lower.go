@@ -87,11 +87,7 @@ func (lw *lowerer) lowerBody() error {
 		return err
 	}
 	if !lw.b.Terminated() {
-		if clc.TypesEqual(lw.fn.Ret, clc.TypeVoid) {
-			lw.b.Ret(nil, lw.fn.Pos)
-		} else {
-			lw.b.Ret(zeroValue(lw.fn.Ret), lw.fn.Pos)
-		}
+		lw.retZero()
 	}
 	// Terminate the alloca block with a branch to the body.
 	save := lw.b.Cur
@@ -112,11 +108,7 @@ func (lw *lowerer) sealDeadBlocks() {
 		if blk.Terminator() == nil {
 			save := lw.b.Cur
 			lw.b.SetBlock(blk)
-			if clc.TypesEqual(lw.fn.Ret, clc.TypeVoid) {
-				lw.b.Ret(nil, lw.fn.Pos)
-			} else {
-				lw.b.Ret(zeroValue(lw.fn.Ret), lw.fn.Pos)
-			}
+			lw.retZero()
 			lw.b.SetBlock(save)
 		}
 	}
@@ -246,15 +238,18 @@ func walkExprs(s clc.Stmt, f func(clc.Expr)) {
 	ws(s)
 }
 
-func zeroValue(t clc.Type) ir.Value {
-	switch tt := t.(type) {
-	case *clc.ScalarType:
-		if tt.Kind.IsFloat() {
-			return &ir.ConstFloat{Val: 0, Typ: tt}
-		}
-		return &ir.ConstInt{Val: 0, Typ: tt}
+// retZero ends the current block with the return a function that falls
+// off its end makes: nothing from a void function, else a zero of its
+// return type.
+func (lw *lowerer) retZero() {
+	switch t := lw.fn.Ret.(type) {
 	case *clc.VectorType:
-		return &ir.ConstFloat{Val: 0, Typ: tt.Elem} // splatted on use
+		lw.b.Ret(lw.splat(constOf(0, t.Elem), t, lw.fn.Pos), lw.fn.Pos)
+	default:
+		if clc.TypesEqual(t, clc.TypeVoid) {
+			lw.b.Ret(nil, lw.fn.Pos)
+		} else {
+			lw.b.Ret(constOf(0, t), lw.fn.Pos)
+		}
 	}
-	return ir.IntConst(0)
 }

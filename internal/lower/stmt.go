@@ -181,5 +181,5 @@ func (lw *lowerer) stmt(s clc.Stmt) error {
 }
 
 func errAt(pos clc.Pos, format string, args ...interface{}) error {
-	return fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...))
+	return &clc.Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }

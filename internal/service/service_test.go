@@ -621,6 +621,21 @@ func TestCompileErrorIs422(t *testing.T) {
 	if code != http.StatusUnprocessableEntity {
 		t.Fatalf("code = %d, want 422 (%s)", code, body)
 	}
+	// Constructs the subset refuses in sema: vector operands of a
+	// comparison, !, && and ?:, and ~ on floats.
+	for _, src := range []string{
+		`__kernel void k(__global float4* o, float4 v) { o[0] = ~v; }`,
+		`__kernel void k(__global float* o, float f) { o[0] = ~f; }`,
+		`__kernel void k(__global int4* o, int4 v) { o[0] = !v; }`,
+		`__kernel void k(__global int4* o) { int4 c = (int4)(1,2,3,4) == (int4)(2); o[0] = c; }`,
+		`__kernel void k(__global int4* o, int4 a) { int4 s = a && (int4)(1); o[0] = s; }`,
+		`__kernel void k(__global int4* o, int4 a) { o[0] = a ? a : a; }`,
+	} {
+		code, body := postJSON(t, ts.URL+"/v1/compile", CompileRequest{Source: src}, nil)
+		if code != http.StatusUnprocessableEntity || !strings.Contains(body, "kernel.cl:1:") || !strings.Contains(body, "supported") && !strings.Contains(body, "integer operand") {
+			t.Errorf("%s: got %d %s, want 422 at a position", src, code, body)
+		}
+	}
 }
 
 func TestDevicesEndpoint(t *testing.T) {

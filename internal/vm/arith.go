@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"fmt"
 	"math"
 
 	"grover/internal/clc"
@@ -9,95 +8,81 @@ import (
 )
 
 // The interpreter's arithmetic instructions unbox their operands and call
-// clc's scalar semantics, lane by lane for vectors.
+// clc's scalar semantics, lane by lane for vectors. Verified IR gives each
+// operand the type its instruction reads (ir.Verify).
 
 func (ge *groupExec) binArith(c *wiCtx, in *ir.Instr) (rv, error) {
 	a := c.val(in.Args[0])
 	b := c.val(in.Args[1])
-	switch tt := in.Typ.(type) {
-	case *clc.ScalarType:
+	op := in.Op.Scalar()
+	if tt, ok := in.Typ.(*clc.ScalarType); ok {
 		if tt.Kind.IsFloat() {
-			r, err := clc.FloatBin(in.Op.Scalar(), tt.Kind, a.f, b.f)
+			r, err := clc.FloatBin(op, tt.Kind, a.f, b.f)
 			return rv{f: r}, err
 		}
-		r, err := clc.IntBin(in.Op.Scalar(), tt.Kind, a.i, b.i)
+		r, err := clc.IntBin(op, tt.Kind, a.i, b.i)
 		return rv{i: r}, err
-	case *clc.VectorType:
-		op, k := in.Op.Scalar(), tt.Elem.Kind
-		var err error
-		if k.IsFloat() {
-			dst := ensureVF(&c.regs[in.ID], tt.Len)
-			for i := 0; i < tt.Len && err == nil; i++ {
-				dst[i], err = clc.FloatBin(op, k, a.vf[i], b.vf[i])
-			}
-		} else {
-			dst := ensureVI(&c.regs[in.ID], tt.Len)
-			for i := 0; i < tt.Len && err == nil; i++ {
-				dst[i], err = clc.IntBin(op, k, a.vi[i], b.vi[i])
-			}
+	}
+	tt := in.Typ.(*clc.VectorType)
+	k := tt.Elem.Kind
+	var err error
+	if k.IsFloat() {
+		dst := ensureVF(&c.regs[in.ID], tt.Len)
+		for i := 0; i < tt.Len && err == nil; i++ {
+			dst[i], err = clc.FloatBin(op, k, a.vf[i], b.vf[i])
 		}
-		return c.regs[in.ID], err
-	case *clc.PointerType:
-		// Pointer arithmetic lowered through OpIndex normally; tolerate
-		// raw add/sub on pointers measured in bytes.
-		switch in.Op {
-		case ir.OpAdd:
-			return rv{i: a.i + b.i}, nil
-		case ir.OpSub:
-			return rv{i: a.i - b.i}, nil
+	} else {
+		dst := ensureVI(&c.regs[in.ID], tt.Len)
+		for i := 0; i < tt.Len && err == nil; i++ {
+			dst[i], err = clc.IntBin(op, k, a.vi[i], b.vi[i])
 		}
 	}
-	return rv{}, fmt.Errorf("vm: binary op %s on unsupported type %s", in.Op, in.Typ)
+	return c.regs[in.ID], err
 }
 
-func (ge *groupExec) unArith(c *wiCtx, in *ir.Instr) (rv, error) {
+// unArith negates a value or, an integer one only, complements it.
+func (ge *groupExec) unArith(c *wiCtx, in *ir.Instr) rv {
 	a := c.val(in.Args[0])
-	switch tt := in.Typ.(type) {
-	case *clc.ScalarType:
-		if tt.Kind.IsFloat() {
-			if in.Op == ir.OpNeg {
-				return rv{f: -a.f}, nil
-			}
-			return rv{}, fmt.Errorf("vm: %s on float", in.Op)
-		}
+	un := func(x int64, k clc.ScalarKind) int64 {
 		if in.Op == ir.OpNeg {
-			return rv{i: clc.NormInt(-a.i, tt.Kind)}, nil
+			return clc.NormInt(-x, k)
 		}
-		return rv{i: clc.NormInt(^a.i, tt.Kind)}, nil
-	case *clc.VectorType:
-		if tt.Elem.Kind.IsFloat() {
-			dst := ensureVF(&c.regs[in.ID], tt.Len)
-			for i := range dst {
-				dst[i] = -a.vf[i]
-			}
-		} else {
-			dst := ensureVI(&c.regs[in.ID], tt.Len)
-			for i := range dst {
-				if in.Op == ir.OpNeg {
-					dst[i] = clc.NormInt(-a.vi[i], tt.Elem.Kind)
-				} else {
-					dst[i] = clc.NormInt(^a.vi[i], tt.Elem.Kind)
-				}
-			}
-		}
-		return c.regs[in.ID], nil
+		return clc.NormInt(^x, k)
 	}
-	return rv{}, fmt.Errorf("vm: unary op %s on unsupported type %s", in.Op, in.Typ)
+	if tt, ok := in.Typ.(*clc.ScalarType); ok {
+		if tt.Kind.IsFloat() {
+			return rv{f: -a.f}
+		}
+		return rv{i: un(a.i, tt.Kind)}
+	}
+	tt := in.Typ.(*clc.VectorType)
+	if tt.Elem.Kind.IsFloat() {
+		dst := ensureVF(&c.regs[in.ID], tt.Len)
+		for i := range dst {
+			dst[i] = -a.vf[i]
+		}
+	} else {
+		dst := ensureVI(&c.regs[in.ID], tt.Len)
+		for i := range dst {
+			dst[i] = un(a.vi[i], tt.Elem.Kind)
+		}
+	}
+	return c.regs[in.ID]
 }
 
+// compare compares two scalars or two pointers, which compare as longs.
 func (ge *groupExec) compare(c *wiCtx, in *ir.Instr) rv {
 	a := c.val(in.Args[0])
 	b := c.val(in.Args[1])
+	k := clc.KLong
+	if ot, ok := in.Args[0].Type().(*clc.ScalarType); ok {
+		k = ot.Kind
+	}
 	var res bool
-	switch ot := in.Args[0].Type().(type) {
-	case *clc.ScalarType:
-		if ot.Kind.IsFloat() {
-			res = clc.FloatCmp(in.Op.Scalar(), a.f, b.f)
-		} else {
-			res = clc.IntCmp(in.Op.Scalar(), ot.Kind, a.i, b.i)
-		}
-	case *clc.PointerType:
-		res = clc.IntCmp(in.Op.Scalar(), clc.KLong, a.i, b.i)
+	if k.IsFloat() {
+		res = clc.FloatCmp(in.Op.Scalar(), a.f, b.f)
+	} else {
+		res = clc.IntCmp(in.Op.Scalar(), k, a.i, b.i)
 	}
 	if res {
 		return rv{i: 1}
@@ -105,26 +90,18 @@ func (ge *groupExec) compare(c *wiCtx, in *ir.Instr) rv {
 	return rv{i: 0}
 }
 
-func (ge *groupExec) convert(c *wiCtx, in *ir.Instr) (rv, error) {
+func (ge *groupExec) convert(c *wiCtx, in *ir.Instr) rv {
 	v := c.val(in.Args[0])
 	from := in.Args[0].Type()
-	to := in.Typ
-	switch tt := to.(type) {
+	switch tt := in.Typ.(type) {
 	case *clc.ScalarType:
-		switch ft := from.(type) {
-		case *clc.ScalarType:
+		if ft, ok := from.(*clc.ScalarType); ok {
 			i, f := clc.ConvertScalar(v.i, v.f, ft.Kind, tt.Kind)
-			return rv{i: i, f: f}, nil
-		case *clc.PointerType:
-			return rv{i: clc.NormInt(v.i, tt.Kind)}, nil
+			return rv{i: i, f: f}
 		}
-	case *clc.PointerType:
-		return rv{i: v.i}, nil
+		return rv{i: clc.NormInt(v.i, tt.Kind)} // a pointer's address
 	case *clc.VectorType:
-		ft, ok := from.(*clc.VectorType)
-		if !ok || ft.Len != tt.Len {
-			return rv{}, fmt.Errorf("vm: bad vector conversion %s → %s", from, to)
-		}
+		ft := from.(*clc.VectorType)
 		var dstI []int64
 		var dstF []float64
 		if tt.Elem.Kind.IsFloat() {
@@ -133,9 +110,9 @@ func (ge *groupExec) convert(c *wiCtx, in *ir.Instr) (rv, error) {
 			dstI = ensureVI(&c.regs[in.ID], tt.Len)
 		}
 		clc.ConvertVec(dstI, dstF, v.vi, v.vf, ft.Elem.Kind, tt.Elem.Kind, 0, tt.Len)
-		return c.regs[in.ID], nil
+		return c.regs[in.ID]
 	}
-	return rv{}, fmt.Errorf("vm: unsupported conversion %s → %s", from, to)
+	return rv{i: v.i} // pointer to pointer
 }
 
 func (ge *groupExec) evalMath(c *wiCtx, in *ir.Instr) (rv, error) {
@@ -161,8 +138,7 @@ func (ge *groupExec) evalMath(c *wiCtx, in *ir.Instr) (rv, error) {
 		}
 		return rv{f: math.Abs(args[0].f)}, nil
 	}
-	switch tt := in.Typ.(type) {
-	case *clc.ScalarType:
+	if tt, ok := in.Typ.(*clc.ScalarType); ok {
 		if tt.Kind.IsFloat() {
 			fa := ge.mathScratchF(len(args))
 			for i := range args {
@@ -177,31 +153,30 @@ func (ge *groupExec) evalMath(c *wiCtx, in *ir.Instr) (rv, error) {
 		}
 		r, err := clc.MathI(in.Func, tt.Kind, ia)
 		return rv{i: r}, err
-	case *clc.VectorType:
-		k := tt.Elem.Kind
-		var err error
-		if k.IsFloat() {
-			dst := ensureVF(&c.regs[in.ID], tt.Len)
-			fa := ge.mathScratchF(len(args))
-			for l := 0; l < tt.Len && err == nil; l++ {
-				for i := range args {
-					fa[i] = args[i].vf[l]
-				}
-				dst[l], err = clc.MathF(in.Func, k, fa)
-			}
-		} else {
-			dst := ensureVI(&c.regs[in.ID], tt.Len)
-			ia := ge.mathScratchI(len(args))
-			for l := 0; l < tt.Len && err == nil; l++ {
-				for i := range args {
-					ia[i] = args[i].vi[l]
-				}
-				dst[l], err = clc.MathI(in.Func, k, ia)
-			}
-		}
-		return c.regs[in.ID], err
 	}
-	return rv{}, fmt.Errorf("vm: math builtin %q with unsupported type %s", in.Func, in.Typ)
+	tt := in.Typ.(*clc.VectorType)
+	k := tt.Elem.Kind
+	var err error
+	if k.IsFloat() {
+		dst := ensureVF(&c.regs[in.ID], tt.Len)
+		fa := ge.mathScratchF(len(args))
+		for l := 0; l < tt.Len && err == nil; l++ {
+			for i := range args {
+				fa[i] = args[i].vf[l]
+			}
+			dst[l], err = clc.MathF(in.Func, k, fa)
+		}
+	} else {
+		dst := ensureVI(&c.regs[in.ID], tt.Len)
+		ia := ge.mathScratchI(len(args))
+		for l := 0; l < tt.Len && err == nil; l++ {
+			for i := range args {
+				ia[i] = args[i].vi[l]
+			}
+			dst[l], err = clc.MathI(in.Func, k, ia)
+		}
+	}
+	return c.regs[in.ID], err
 }
 
 // mathScratchF returns the worker's pooled float argument buffer.

@@ -217,8 +217,14 @@ func (b *AccessBatch) Transpose(rows []uint64, lo, hi int) []uint64 {
 // each item's accesses, then its retired count when non-zero.
 //
 // The merge step is spelled out here and again in the device model's two
-// readers: a cursor type owning it cost 45 % of the Fig. 10 sweep's wall
-// time (it and the record it returns go through memory on every access).
+// readers (the CPU walk, and the GPU warp model's processWarp/mergeLanes).
+// A cursor type owning it has been tried twice and measured slower both
+// times: once at 45 % more wall time on the Fig. 10 sweep, and once,
+// shared by Replay, the device model's appendItem and processWarp with no
+// lane spelled out, at a median tune-all wall time of 0.710 s against
+// 0.535 s (6 of 6 alternated pairs worse; the cursor's Next 9.3 % of flat
+// samples, processWarp 5.3 → 11.7 %), every count unchanged. The cursor
+// and the record it returns go through memory on every access.
 func (b *AccessBatch) Replay(t AccessTracer) {
 	ops, cols := b.Ops, b.NumCols()
 	for lo := 0; lo < len(b.Items); lo += ItemTile {

@@ -191,10 +191,7 @@ func (c *wiCtx) val(v ir.Value) rv {
 // instruction it was.
 func (ge *groupExec) exec(c *wiCtx, kernelLevel bool) (bool, *ir.Instr, error) {
 	for {
-		if c.idx >= len(c.blk.Instrs) {
-			return false, nil, fmt.Errorf("vm: fell off block %s", c.blk.Name)
-		}
-		in := c.blk.Instrs[c.idx]
+		in := c.blk.Instrs[c.idx] // verified blocks end in a terminator
 		c.pending++
 		switch in.Op {
 		case ir.OpAlloca:
@@ -244,11 +241,7 @@ func (ge *groupExec) exec(c *wiCtx, kernelLevel bool) (bool, *ir.Instr, error) {
 			c.idx++
 
 		case ir.OpNeg, ir.OpNot:
-			v, err := ge.unArith(c, in)
-			if err != nil {
-				return false, nil, err
-			}
-			c.regs[in.ID] = v
+			c.regs[in.ID] = ge.unArith(c, in)
 			c.idx++
 
 		case ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
@@ -256,11 +249,7 @@ func (ge *groupExec) exec(c *wiCtx, kernelLevel bool) (bool, *ir.Instr, error) {
 			c.idx++
 
 		case ir.OpConvert:
-			v, err := ge.convert(c, in)
-			if err != nil {
-				return false, nil, err
-			}
-			c.regs[in.ID] = v
+			c.regs[in.ID] = ge.convert(c, in)
 			c.idx++
 
 		case ir.OpExtract:
@@ -435,6 +424,12 @@ func (ge *groupExec) workItem(c *wiCtx, in *ir.Instr) rv {
 		d = c.val(in.Args[0]).i
 	}
 	if d < 0 || d > 2 {
+		// Outside dimensions 0-2 a size is 1 and an id 0 (OpenCL 1.2
+		// §6.12.1).
+		switch in.Func {
+		case "get_global_size", "get_local_size", "get_num_groups":
+			return rv{i: 1}
+		}
 		return rv{}
 	}
 	switch in.Func {

@@ -34,12 +34,9 @@ const (
 	opRetVF   // return vf[b]
 	opBarrier // suspend at a work-group barrier (kernel level only)
 	opCall    // aux[imm]: callee + arg refs; a = dst (-1 none), sub = dst bank
-	opTrap    // raise the error in aux[imm].Name (deferred semantic error)
 
 	// Constants and moves.
 	opConstI // ri[a] = imm
-	opZeroI  // ri[a] = 0
-	opZeroF  // rf[a] = 0
 	opMovI   // ri[a] = ri[b]
 	opMovF   // rf[a] = rf[b]
 
@@ -146,8 +143,7 @@ const (
 
 // Work-item query codes for opWIQ (stored in inst.N).
 const (
-	qNone int32 = iota
-	qGlobalID
+	qGlobalID int32 = iota
 	qLocalID
 	qGroupID
 	qGlobalSize
@@ -176,7 +172,7 @@ type ref struct {
 // into the bank implied by the opcode; Imm and N carry immediates, branch
 // targets, or aux-table indices. Retire is the number of IR instructions
 // this instruction accounts for in the trace (2 for fused
-// superinstructions, 0 for synthetic traps covering fall-off-block).
+// superinstructions).
 // In is the originating IR instruction: memory ops and barriers need it
 // so trace emission is pointer-identical to the interpreter's (the GPU
 // warp model coalesces by instruction identity), and every other
@@ -197,7 +193,7 @@ type inst struct {
 
 // aux carries the variable-length operands that do not fit in an inst.
 type aux struct {
-	Name   string // math builtin name, or trap error message
+	Name   string // math builtin name
 	Callee *bfunc // opCall target
 	Refs   []ref  // call arguments, math arguments, or build lanes
 	Comps  []int32

@@ -30,6 +30,7 @@ type fnCompiler struct {
 	auxes   []aux
 	blockPC map[*ir.Block]int32
 	fixups  []fixup
+	err     error // the first instruction the compiler has no form for
 }
 
 // slot is a private variable kept in a register: the register, and the
@@ -46,9 +47,10 @@ type fixup struct {
 	blk  *ir.Block
 }
 
-// compileFunc lowers f into its shell funcs[f]; the other shells are
-// there so a call can name a callee not compiled yet.
-func compileFunc(p *vm.Program, funcs map[*ir.Function]*bfunc, f *ir.Function) {
+// compileFunc lowers f, which ir.Verify has accepted, into its shell
+// funcs[f]; the other shells are there so a call can name a callee not
+// compiled yet.
+func compileFunc(p *vm.Program, funcs map[*ir.Function]*bfunc, f *ir.Function) error {
 	fc := &fnCompiler{
 		p: p, funcs: funcs, f: f, bf: funcs[f],
 		vals:     map[ir.Value]ref{},
@@ -64,12 +66,7 @@ func compileFunc(p *vm.Program, funcs map[*ir.Function]*bfunc, f *ir.Function) {
 
 	// Register numbering per bank: constants first (so the preload
 	// templates are a literal prefix of the register file), then
-	// parameters, then instruction results. Zero constants are always
-	// present: they stand in for the interpreter's boxed-value semantics
-	// where reading the float field of an integer value (or vice versa)
-	// yields zero.
-	fc.intConst(0)
-	fc.fltConst(0)
+	// parameters, then instruction results.
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
@@ -122,14 +119,6 @@ func compileFunc(p *vm.Program, funcs map[*ir.Function]*bfunc, f *ir.Function) {
 				}
 			}
 		}
-		if b.Terminator() == nil {
-			// The interpreter raises this before counting the fetch,
-			// hence retire 0.
-			fc.trap(fmt.Sprintf("vm: fell off block %s", b.Name), 0)
-		}
-	}
-	if len(fc.code) == 0 {
-		fc.trap(fmt.Sprintf("vm: fell off block entry in %s", f.Name), 0)
 	}
 	for _, fx := range fc.fixups {
 		pc := fc.blockPC[fx.blk]
@@ -141,6 +130,7 @@ func compileFunc(p *vm.Program, funcs map[*ir.Function]*bfunc, f *ir.Function) {
 	}
 	bf.Code = fc.code
 	bf.Aux = fc.auxes
+	return fc.err
 }
 
 // alloc assigns a fresh register for a value of type t.
@@ -196,42 +186,20 @@ func (fc *fnCompiler) fltConst(v float64) int32 {
 	return i
 }
 
-// operand resolves v to its natural register.
-func (fc *fnCompiler) operand(v ir.Value) (ref, bool) {
+// reg resolves v to its register, in the bank its type lives in: verified
+// IR gives every operand the type its instruction reads.
+func (fc *fnCompiler) reg(v ir.Value) ref {
 	switch t := v.(type) {
 	case *ir.ConstInt:
-		return ref{bankInt, fc.intConst(t.Val)}, true
+		return ref{bankInt, fc.intConst(t.Val)}
 	case *ir.ConstFloat:
-		return ref{bankFlt, fc.fltConst(t.Val)}, true
+		return ref{bankFlt, fc.fltConst(t.Val)}
 	}
-	r, ok := fc.vals[v]
-	return r, ok
+	return fc.vals[v]
 }
 
-// scalarRef resolves v for a context that reads the given scalar bank.
-// When the value's natural bank differs, the shared zero constant is
-// substituted, mirroring the interpreter's boxed values where the unused
-// field of an rv is zero.
-func (fc *fnCompiler) scalarRef(v ir.Value, b bank) ref {
-	r, ok := fc.operand(v)
-	if ok && r.Bank == b {
-		return r
-	}
-	if b == bankFlt {
-		return ref{bankFlt, fc.fltIdx[0]}
-	}
-	return ref{bankInt, fc.intIdx[0]}
-}
-
-// vecRef resolves v for a context that reads the given vector bank, or
-// reports failure (the interpreter would fault on a nil lane slice).
-func (fc *fnCompiler) vecRef(v ir.Value, b bank) (ref, bool) {
-	r, ok := fc.operand(v)
-	if !ok || r.Bank != b {
-		return ref{}, false
-	}
-	return r, true
-}
+// idx is the register index of v.
+func (fc *fnCompiler) idx(v ir.Value) int32 { return fc.reg(v).Idx }
 
 // analyzeFusion marks single-use same-block index instructions whose only
 // consumer is the address operand of a load or store, with no barrier in
@@ -287,38 +255,21 @@ func (fc *fnCompiler) analyzeFusion() {
 // fc.slots with their scalar kinds (the registers come with everybody
 // else's): allocas of scalar or pointer type whose address never escapes
 // (ir.AllocaUses), so that every access is a direct load or store of the
-// whole variable, each moving a value of the variable's own kind. A store
-// to such a variable followed by a load is then a conversion through that
-// kind and nothing else, which is what the slot instructions do; the
-// accesses are still traced at the address the alloca has in the frame,
-// and the alloca instruction itself still executes. Vectors, arrays and
-// anything whose address goes elsewhere stay in memory.
+// whole variable, each moving a value of the variable's own type (Verify
+// holds a load and a store to the pointee type). A store to such a
+// variable followed by a load is then a conversion through its kind and
+// nothing else, which is what the slot instructions do; the accesses are
+// still traced at the address the alloca has in the frame, and the alloca
+// instruction itself still executes. Vectors, arrays and anything whose
+// address goes elsewhere stay in memory.
 func (fc *fnCompiler) analyzeSlots() {
 	for a, u := range ir.AllocaUses(fc.f) {
-		pt, isPtr := a.Typ.(*clc.PointerType)
-		if a.Space == clc.ASLocal || u.Escapes || !isPtr {
+		pt := a.Typ.(*clc.PointerType)
+		if a.Space == clc.ASLocal || u.Escapes {
 			continue
 		}
 		if k, ok := slotKind(pt.Elem); ok {
 			fc.slots[a] = slot{kind: k}
-		}
-	}
-	for _, b := range fc.f.Blocks {
-		for _, in := range b.Instrs {
-			var moved clc.Type
-			switch in.Op {
-			case ir.OpLoad:
-				moved = in.Typ
-			case ir.OpStore:
-				moved = in.Args[1].Type()
-			default:
-				continue
-			}
-			if s, tracked := fc.slots[in.Args[0]]; tracked {
-				if k, ok := slotKind(moved); !ok || k != s.kind {
-					delete(fc.slots, in.Args[0])
-				}
-			}
 		}
 	}
 }
@@ -353,12 +304,12 @@ func (fc *fnCompiler) add(i inst) int32 {
 	return int32(len(fc.code) - 1)
 }
 
-// trap emits an instruction that raises msg when executed. It stands in
-// for constructs whose error the interpreter only raises at runtime, so
-// dead invalid code stays launchable on both backends.
-func (fc *fnCompiler) trap(msg string, retire uint8) {
-	ax := fc.auxAdd(aux{Name: msg})
-	fc.code = append(fc.code, inst{Op: opTrap, Retire: retire, Imm: ax})
+// fail records that in has no bytecode form: verified IR never reaches
+// it, and Compile returns the error.
+func (fc *fnCompiler) fail(in *ir.Instr) {
+	if fc.err == nil {
+		fc.err = fmt.Errorf("wgvec: function %s: no bytecode for %s", fc.f.Name, in.Format())
+	}
 }
 
 func (fc *fnCompiler) auxAdd(a aux) int64 {
@@ -366,97 +317,104 @@ func (fc *fnCompiler) auxAdd(a aux) int64 {
 	return int64(len(fc.auxes) - 1)
 }
 
-// dst returns the destination register of a producing instruction.
-func (fc *fnCompiler) dst(in *ir.Instr) (ref, bool) {
-	r, ok := fc.vals[in]
-	return r, ok
-}
-
 // memAddr resolves the address operand of a load/store: either the fused
 // base+index pair (retire 2) or a plain address register.
 func (fc *fnCompiler) memAddr(in *ir.Instr) (base, idx ref, step int64, fused bool) {
 	if gep := fc.fuseWith[in]; gep != nil {
-		base = fc.scalarRef(gep.Args[0], bankInt)
-		idx = fc.scalarRef(gep.Args[1], bankInt)
 		step = int64(ir.PointeeSize(gep.Args[0].Type()))
-		return base, idx, step, true
+		return fc.reg(gep.Args[0]), fc.reg(gep.Args[1]), step, true
 	}
-	return fc.scalarRef(in.Args[0], bankInt), ref{}, 0, false
+	return fc.reg(in.Args[0]), ref{}, 0, false
 }
 
 // emit translates one IR instruction into bytecode.
 func (fc *fnCompiler) emit(in *ir.Instr) {
+	d := fc.vals[in].Idx // the destination register, if in produces a value
 	switch in.Op {
 	case ir.OpAlloca:
-		d, ok := fc.dst(in)
-		if !ok || d.Bank != bankInt {
-			fc.trap(fmt.Sprintf("vm: alloca %s without pointer register", in.VarName), 1)
-			return
-		}
 		if in.Space == clc.ASLocal {
 			addr := vm.MakeAddr(clc.ASLocal, uint64(fc.p.AllocaOffset(in, fc.f)))
-			fc.add(inst{Op: opAllocaL, A: d.Idx, Imm: int64(addr)})
+			fc.add(inst{Op: opAllocaL, A: d, Imm: int64(addr)})
 		} else {
-			fc.add(inst{Op: opAllocaP, A: d.Idx, Imm: int64(fc.p.AllocaOffset(in, fc.f))})
+			fc.add(inst{Op: opAllocaP, A: d, Imm: int64(fc.p.AllocaOffset(in, fc.f))})
 		}
 
 	case ir.OpLoad:
-		fc.emitLoad(in)
+		fc.emitLoad(in, d)
 
 	case ir.OpStore:
 		fc.emitStore(in)
 
 	case ir.OpIndex:
-		d, ok := fc.dst(in)
-		if !ok || d.Bank != bankInt {
-			fc.trap("vm: index without pointer register", 1)
-			return
-		}
-		base := fc.scalarRef(in.Args[0], bankInt)
+		base := fc.idx(in.Args[0])
 		step := int64(ir.PointeeSize(in.Args[0].Type()))
 		if ci, isC := in.Args[1].(*ir.ConstInt); isC {
-			fc.add(inst{Op: opIndexC, A: d.Idx, B: base.Idx, Imm: ci.Val * step})
+			fc.add(inst{Op: opIndexC, A: d, B: base, Imm: ci.Val * step})
 		} else {
-			idx := fc.scalarRef(in.Args[1], bankInt)
-			fc.add(inst{Op: opIndex, A: d.Idx, B: base.Idx, C: idx.Idx, Imm: step})
+			fc.add(inst{Op: opIndex, A: d, B: base, C: fc.idx(in.Args[1]), Imm: step})
 		}
 
 	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
 		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr:
-		fc.emitBin(in)
+		fc.emitBin(in, d)
 
 	case ir.OpNeg, ir.OpNot:
-		fc.emitUn(in)
+		fc.emitUn(in, d)
 
 	case ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
-		fc.emitCmp(in)
+		fc.emitCmp(in, d)
 
 	case ir.OpConvert:
-		fc.emitConvert(in)
+		fc.emitConvert(in, d)
 
 	case ir.OpExtract:
-		fc.emitExtract(in)
+		op := opExtI
+		if clc.ElemKind(in.Typ).IsFloat() {
+			op = opExtF
+		}
+		fc.add(inst{Op: op, A: d, B: fc.idx(in.Args[0]), Imm: int64(in.Comps[0])})
 
 	case ir.OpInsert:
-		fc.emitInsert(in)
+		op := opInsI
+		if clc.ElemKind(in.Typ).IsFloat() {
+			op = opInsF
+		}
+		fc.add(inst{Op: op, A: d, B: fc.idx(in.Args[0]), C: fc.idx(in.Args[1]), Imm: int64(in.Comps[0])})
 
 	case ir.OpShuffle:
-		fc.emitShuffle(in)
+		comps := make([]int32, len(in.Comps))
+		for i, c := range in.Comps {
+			comps[i] = int32(c)
+		}
+		op := opShufI
+		if clc.ElemKind(in.Typ).IsFloat() {
+			op = opShufF
+		}
+		fc.add(inst{Op: op, A: d, B: fc.idx(in.Args[0]), Imm: fc.auxAdd(aux{Comps: comps})})
 
 	case ir.OpBuild:
-		fc.emitBuild(in)
+		op := opBuildI
+		if clc.ElemKind(in.Typ).IsFloat() {
+			op = opBuildF
+		}
+		fc.add(inst{Op: op, A: d, Imm: fc.auxAdd(aux{Refs: fc.refs(in.Args)})})
 
 	case ir.OpWorkItem:
-		fc.emitWorkItem(in)
+		fc.emitWorkItem(in, d)
 
 	case ir.OpMath:
-		fc.emitMath(in)
+		fc.emitMath(in, d)
 
 	case ir.OpBarrier:
 		fc.add(inst{Op: opBarrier, In: in})
 
 	case ir.OpCall:
-		fc.emitCall(in)
+		i := inst{Op: opCall, A: -1, Imm: fc.auxAdd(aux{Callee: fc.funcs[in.Callee], Refs: fc.refs(in.Args)})}
+		if in.Producing() {
+			r := fc.vals[in]
+			i.A, i.Sub = r.Idx, uint8(r.Bank)
+		}
+		fc.add(i)
 
 	case ir.OpBr:
 		pc := fc.add(inst{Op: opJmp})
@@ -464,12 +422,10 @@ func (fc *fnCompiler) emit(in *ir.Instr) {
 
 	case ir.OpCondBr:
 		op := opCondBrI
-		cb := bankInt
-		if s, ok := in.Args[0].Type().(*clc.ScalarType); ok && s.Kind.IsFloat() {
-			op, cb = opCondBrF, bankFlt
+		if clc.ElemKind(in.Args[0].Type()).IsFloat() {
+			op = opCondBrF
 		}
-		cond := fc.scalarRef(in.Args[0], cb)
-		pc := fc.add(inst{Op: op, A: cond.Idx})
+		pc := fc.add(inst{Op: op, A: fc.idx(in.Args[0])})
 		fc.fixups = append(fc.fixups,
 			fixup{pc: pc, slot: 0, blk: in.Targets[0]},
 			fixup{pc: pc, slot: 1, blk: in.Targets[1]})
@@ -479,61 +435,44 @@ func (fc *fnCompiler) emit(in *ir.Instr) {
 			fc.add(inst{Op: opRet})
 			return
 		}
-		r, ok := fc.operand(in.Args[0])
-		if !ok {
-			fc.add(inst{Op: opRet})
-			return
-		}
-		switch r.Bank {
-		case bankInt:
-			fc.add(inst{Op: opRetI, B: r.Idx})
-		case bankFlt:
-			fc.add(inst{Op: opRetF, B: r.Idx})
-		case bankVecI:
-			fc.add(inst{Op: opRetVI, B: r.Idx})
-		case bankVecF:
-			fc.add(inst{Op: opRetVF, B: r.Idx})
-		}
+		r := fc.reg(in.Args[0])
+		fc.add(inst{Op: [...]opcode{bankInt: opRetI, bankFlt: opRetF, bankVecI: opRetVI, bankVecF: opRetVF}[r.Bank], B: r.Idx})
 
 	default:
-		fc.trap(fmt.Sprintf("vm: unhandled op %s", in.Op), 1)
+		fc.fail(in)
 	}
 }
 
-func (fc *fnCompiler) emitLoad(in *ir.Instr) {
-	d, ok := fc.dst(in)
-	if !ok {
-		fc.trap("vm: load without destination register", 1)
-		return
+// refs resolves each of vs to its register.
+func (fc *fnCompiler) refs(vs []ir.Value) []ref {
+	refs := make([]ref, len(vs))
+	for i, v := range vs {
+		refs[i] = fc.reg(v)
 	}
+	return refs
+}
+
+func (fc *fnCompiler) emitLoad(in *ir.Instr, d int32) {
 	if s, ok := fc.slots[in.Args[0]]; ok {
-		fc.code = append(fc.code, inst{Op: opSlotLd, Kind: uint8(s.kind), A: d.Idx, B: s.reg.Idx,
+		fc.code = append(fc.code, inst{Op: opSlotLd, Kind: uint8(s.kind), A: d, B: s.reg.Idx,
 			N: int32(in.Typ.Size()), Imm: fc.slotOffset(in), Retire: 1, In: in})
 		return
 	}
 	i := fc.memInst(in, in.Typ, opLd, opLdX)
-	if i.Op == opTrap {
-		fc.trap(fmt.Sprintf("vm: load of unsupported type %s", in.Typ), i.Retire)
-		return
-	}
-	i.A = d.Idx
+	i.A = d
 	fc.code = append(fc.code, i)
 }
 
 // memInst builds the load or store in makes of a value of type t: its
 // kind, lanes and address operands, and the opcode op, or opX when an
-// index instruction folds into it. Its Op is opTrap when memory holds no
-// value of type t.
+// index instruction folds into it.
 func (fc *fnCompiler) memInst(in *ir.Instr, t clc.Type, op, opX opcode) inst {
-	k, lanes, ok := memKind(t)
+	k, lanes, _ := memKind(t)
 	base, idx, step, fused := fc.memAddr(in)
 	i := inst{Op: op, Kind: uint8(k), Sub: lanes, B: base.Idx, C: idx.Idx, Imm: step,
 		N: int32(t.Size()), Retire: 1, In: in}
 	if fused {
 		i.Op, i.Retire = opX, 2
-	}
-	if !ok {
-		i.Op = opTrap
 	}
 	return i
 }
@@ -547,109 +486,52 @@ func (fc *fnCompiler) slotOffset(in *ir.Instr) int64 {
 func (fc *fnCompiler) emitStore(in *ir.Instr) {
 	v := in.Args[1]
 	if s, ok := fc.slots[in.Args[0]]; ok {
-		fc.code = append(fc.code, inst{Op: opSlotSt, Kind: uint8(s.kind), A: fc.scalarRef(v, s.reg.Bank).Idx, B: s.reg.Idx,
+		fc.code = append(fc.code, inst{Op: opSlotSt, Kind: uint8(s.kind), A: fc.idx(v), B: s.reg.Idx,
 			N: int32(v.Type().Size()), Imm: fc.slotOffset(in), Retire: 1, In: in})
 		return
 	}
 	i := fc.memInst(in, v.Type(), opSt, opStX)
-	src, ok := ref{}, i.Op != opTrap
-	switch k := clc.ScalarKind(i.Kind); {
-	case !ok:
-	case i.Sub > 0 && k.IsFloat():
-		src, ok = fc.vecRef(v, bankVecF)
-	case i.Sub > 0:
-		src, ok = fc.vecRef(v, bankVecI)
-	case k.IsFloat():
-		src = fc.scalarRef(v, bankFlt)
-	default:
-		src = fc.scalarRef(v, bankInt)
-	}
-	if !ok {
-		fc.trap(fmt.Sprintf("vm: store of unsupported type %s", v.Type()), i.Retire)
-		return
-	}
-	i.A = src.Idx
+	i.A = fc.idx(v)
 	fc.code = append(fc.code, i)
 }
 
-func (fc *fnCompiler) emitBin(in *ir.Instr) {
-	d, ok := fc.dst(in)
-	if !ok {
-		fc.trap(fmt.Sprintf("vm: binary op %s without register", in.Op), 1)
-		return
-	}
+func (fc *fnCompiler) emitBin(in *ir.Instr, d int32) {
 	sop := in.Op.Scalar()
 	ops, ok := binOps[sop]
 	if !ok {
 		ops = genericBin
 	}
+	i := inst{Sub: uint8(sop), A: d, B: fc.idx(in.Args[0]), C: fc.idx(in.Args[1])}
 	switch tt := in.Typ.(type) {
 	case *clc.ScalarType:
-		if tt.Kind.IsFloat() {
-			a := fc.scalarRef(in.Args[0], bankFlt)
-			b := fc.scalarRef(in.Args[1], bankFlt)
-			op := opFltBin
-			if tt.Kind == clc.KFloat {
-				op = ops.f32
-			}
-			fc.add(inst{Op: op, Kind: uint8(tt.Kind), Sub: uint8(sop),
-				A: d.Idx, B: a.Idx, C: b.Idx})
-			return
-		}
-		a := fc.scalarRef(in.Args[0], bankInt)
-		b := fc.scalarRef(in.Args[1], bankInt)
+		i.Kind = uint8(tt.Kind)
+		switch tt.Kind {
+		case clc.KFloat:
+			i.Op = ops.f32
+		case clc.KDouble:
+			i.Op = opFltBin
 		// Specializations hold for arbitrary (even unnormalized) inputs:
 		// wrap-to-32 equals NormInt after the raw 64-bit op, and 64-bit
 		// kinds need no normalization at all.
-		op := opIntBin
-		switch tt.Kind {
 		case clc.KLong, clc.KULong:
-			op = ops.i64
+			i.Op = ops.i64
 		case clc.KInt:
-			op = ops.i32
-		}
-		fc.add(inst{Op: op, Kind: uint8(tt.Kind), Sub: uint8(sop),
-			A: d.Idx, B: a.Idx, C: b.Idx})
-	case *clc.VectorType:
-		ek := tt.Elem.Kind
-		if ek.IsFloat() {
-			a, okA := fc.vecRef(in.Args[0], bankVecF)
-			b, okB := fc.vecRef(in.Args[1], bankVecF)
-			if !okA || !okB || d.Bank != bankVecF {
-				fc.trap(fmt.Sprintf("vm: binary op %s on unsupported type %s", in.Op, in.Typ), 1)
-				return
-			}
-			op := opVBinF
-			if ek == clc.KFloat {
-				op = ops.vf32
-			}
-			fc.add(inst{Op: op, Kind: uint8(ek), Sub: uint8(sop),
-				A: d.Idx, B: a.Idx, C: b.Idx})
-			return
-		}
-		a, okA := fc.vecRef(in.Args[0], bankVecI)
-		b, okB := fc.vecRef(in.Args[1], bankVecI)
-		if !okA || !okB || d.Bank != bankVecI {
-			fc.trap(fmt.Sprintf("vm: binary op %s on unsupported type %s", in.Op, in.Typ), 1)
-			return
-		}
-		fc.add(inst{Op: opVBinI, Kind: uint8(ek), Sub: uint8(sop),
-			A: d.Idx, B: a.Idx, C: b.Idx})
-	case *clc.PointerType:
-		// Raw byte arithmetic on pointers: a long's.
-		a := fc.scalarRef(in.Args[0], bankInt)
-		b := fc.scalarRef(in.Args[1], bankInt)
-		switch in.Op {
-		case ir.OpAdd:
-			fc.add(inst{Op: opAddI, A: d.Idx, B: a.Idx, C: b.Idx})
-		case ir.OpSub:
-			fc.add(inst{Op: opIntBin, Kind: uint8(clc.KLong), Sub: uint8(clc.OpSub), A: d.Idx, B: a.Idx, C: b.Idx})
+			i.Op = ops.i32
 		default:
-			fc.trap(fmt.Sprintf("vm: binary op %s on unsupported type %s", in.Op, in.Typ), 1)
+			i.Op = opIntBin
 		}
-	default:
-		fc.trap(fmt.Sprintf("vm: binary op %s on unsupported type %s", in.Op, in.Typ), 1)
+	case *clc.VectorType:
+		i.Kind = uint8(tt.Elem.Kind)
+		switch ek := tt.Elem.Kind; {
+		case ek == clc.KFloat:
+			i.Op = ops.vf32
+		case ek.IsFloat():
+			i.Op = opVBinF
+		default:
+			i.Op = opVBinI
+		}
 	}
+	fc.add(i)
 }
 
 // binForms names the specialized opcodes of one binary operator: on float
@@ -669,488 +551,160 @@ var binOps = map[clc.Op]binForms{
 	clc.OpMul: {opMulF32, opVMulF, opIntBin, opMulI32},
 }
 
-func (fc *fnCompiler) emitUn(in *ir.Instr) {
-	d, ok := fc.dst(in)
-	if !ok {
-		fc.trap(fmt.Sprintf("vm: unary op %s without register", in.Op), 1)
-		return
-	}
+// emitUn emits a negation or, on integers only, a complement.
+func (fc *fnCompiler) emitUn(in *ir.Instr, d int32) {
+	a := fc.idx(in.Args[0])
+	not := in.Op == ir.OpNot
 	switch tt := in.Typ.(type) {
 	case *clc.ScalarType:
-		if tt.Kind.IsFloat() {
-			if in.Op != ir.OpNeg {
-				fc.trap(fmt.Sprintf("vm: %s on float", in.Op), 1)
-				return
-			}
-			a := fc.scalarRef(in.Args[0], bankFlt)
-			fc.add(inst{Op: opNegF, A: d.Idx, B: a.Idx})
-			return
+		switch {
+		case tt.Kind.IsFloat():
+			fc.add(inst{Op: opNegF, A: d, B: a})
+		case not:
+			fc.add(inst{Op: opNotI, Kind: uint8(tt.Kind), A: d, B: a})
+		default:
+			fc.add(inst{Op: opNegI, Kind: uint8(tt.Kind), A: d, B: a})
 		}
-		a := fc.scalarRef(in.Args[0], bankInt)
-		op := opNotI
-		if in.Op == ir.OpNeg {
-			op = opNegI
-		}
-		fc.add(inst{Op: op, Kind: uint8(tt.Kind), A: d.Idx, B: a.Idx})
 	case *clc.VectorType:
-		if tt.Elem.Kind.IsFloat() {
-			a, okA := fc.vecRef(in.Args[0], bankVecF)
-			if !okA || d.Bank != bankVecF {
-				fc.trap(fmt.Sprintf("vm: unary op %s on unsupported type %s", in.Op, in.Typ), 1)
-				return
-			}
-			// The interpreter negates float vectors for both Neg and Not;
-			// replicated bit for bit.
-			fc.add(inst{Op: opVNegF, A: d.Idx, B: a.Idx})
-			return
+		switch {
+		case tt.Elem.Kind.IsFloat():
+			fc.add(inst{Op: opVNegF, A: d, B: a})
+		case not:
+			fc.add(inst{Op: opVNotI, Kind: uint8(tt.Elem.Kind), A: d, B: a})
+		default:
+			fc.add(inst{Op: opVNegI, Kind: uint8(tt.Elem.Kind), A: d, B: a})
 		}
-		a, okA := fc.vecRef(in.Args[0], bankVecI)
-		if !okA || d.Bank != bankVecI {
-			fc.trap(fmt.Sprintf("vm: unary op %s on unsupported type %s", in.Op, in.Typ), 1)
-			return
-		}
-		op := opVNotI
-		if in.Op == ir.OpNeg {
-			op = opVNegI
-		}
-		fc.add(inst{Op: op, Kind: uint8(tt.Elem.Kind), A: d.Idx, B: a.Idx})
-	default:
-		fc.trap(fmt.Sprintf("vm: unary op %s on unsupported type %s", in.Op, in.Typ), 1)
 	}
 }
 
-func (fc *fnCompiler) emitCmp(in *ir.Instr) {
-	d, ok := fc.dst(in)
-	if !ok {
-		fc.trap(fmt.Sprintf("vm: compare %s without register", in.Op), 1)
-		return
-	}
-	if d.Bank == bankFlt {
-		// A float-typed compare result: the interpreter boxes {i: 0/1}
-		// and any float-reading consumer sees zero.
-		fc.add(inst{Op: opZeroF, A: d.Idx})
-		return
-	}
-	if d.Bank != bankInt {
-		fc.trap(fmt.Sprintf("vm: compare %s with vector result", in.Op), 1)
-		return
-	}
-	rel := in.Op - ir.OpEq // opEq..OpGe are contiguous
-	switch ot := in.Args[0].Type().(type) {
-	case *clc.ScalarType:
-		if ot.Kind.IsFloat() {
-			a := fc.scalarRef(in.Args[0], bankFlt)
-			b := fc.scalarRef(in.Args[1], bankFlt)
-			fc.add(inst{Op: opCmpF, Sub: uint8(in.Op.Scalar()), A: d.Idx, B: a.Idx, C: b.Idx})
-			return
-		}
-		a := fc.scalarRef(in.Args[0], bankInt)
-		b := fc.scalarRef(in.Args[1], bankInt)
-		if ot.Kind.IsUnsigned() && in.Op != ir.OpEq && in.Op != ir.OpNe {
-			fc.add(inst{Op: opCmpI, Kind: uint8(ot.Kind), Sub: uint8(in.Op.Scalar()), A: d.Idx, B: a.Idx, C: b.Idx})
-			return
-		}
-		fc.add(inst{Op: opEqI + opcode(rel), A: d.Idx, B: a.Idx, C: b.Idx})
-	case *clc.PointerType:
-		a := fc.scalarRef(in.Args[0], bankInt)
-		b := fc.scalarRef(in.Args[1], bankInt)
-		fc.add(inst{Op: opEqI + opcode(rel), A: d.Idx, B: a.Idx, C: b.Idx})
+// emitCmp emits a comparison of two scalars or two pointers.
+func (fc *fnCompiler) emitCmp(in *ir.Instr, d int32) {
+	i := inst{Sub: uint8(in.Op.Scalar()), A: d, B: fc.idx(in.Args[0]), C: fc.idx(in.Args[1])}
+	ot, isScalar := in.Args[0].Type().(*clc.ScalarType)
+	switch {
+	case isScalar && ot.Kind.IsFloat():
+		i.Op = opCmpF
+	case isScalar && ot.Kind.IsUnsigned() && in.Op != ir.OpEq && in.Op != ir.OpNe:
+		i.Op, i.Kind = opCmpI, uint8(ot.Kind)
 	default:
-		// Vector (and any other) comparisons fall through to zero in the
-		// interpreter.
-		fc.add(inst{Op: opZeroI, A: d.Idx})
+		i.Op = opEqI + opcode(in.Op-ir.OpEq) // OpEq..OpGe are contiguous
 	}
+	fc.add(i)
 }
 
-func (fc *fnCompiler) emitConvert(in *ir.Instr) {
-	d, ok := fc.dst(in)
-	if !ok {
-		fc.trap("vm: convert without register", 1)
-		return
-	}
-	from := in.Args[0].Type()
+func (fc *fnCompiler) emitConvert(in *ir.Instr, d int32) {
+	a := fc.idx(in.Args[0])
 	switch tt := in.Typ.(type) {
 	case *clc.ScalarType:
-		switch ft := from.(type) {
-		case *clc.ScalarType:
-			fc.emitScalarConvert(in, d, ft.Kind, tt.Kind)
-			return
-		case *clc.PointerType:
-			a := fc.scalarRef(in.Args[0], bankInt)
-			if tt.Kind == clc.KLong || tt.Kind == clc.KULong {
-				fc.add(inst{Op: opMovI, A: d.Idx, B: a.Idx})
-			} else {
-				fc.add(inst{Op: opConvI, Kind: uint8(tt.Kind), A: d.Idx, B: a.Idx})
-			}
-			return
+		from := clc.KULong // a pointer converts as its address
+		if ft, ok := in.Args[0].Type().(*clc.ScalarType); ok {
+			from = ft.Kind
 		}
-		fc.trap(fmt.Sprintf("vm: unsupported conversion %s → %s", from, in.Typ), 1)
+		fc.emitScalarConvert(d, a, from, tt.Kind)
 	case *clc.PointerType:
-		// The interpreter reuses the boxed value's integer field; for a
-		// float source that field is zero.
-		r, okR := fc.operand(in.Args[0])
-		if okR && r.Bank == bankInt {
-			fc.add(inst{Op: opMovI, A: d.Idx, B: r.Idx})
-		} else {
-			fc.add(inst{Op: opZeroI, A: d.Idx})
-		}
+		fc.add(inst{Op: opMovI, A: d, B: a})
 	case *clc.VectorType:
-		ft, okV := from.(*clc.VectorType)
-		if !okV || ft.Len != tt.Len {
-			fc.trap(fmt.Sprintf("vm: bad vector conversion %s → %s", from, in.Typ), 1)
-			return
-		}
-		sb := bankVecI
-		if ft.Elem.Kind.IsFloat() {
-			sb = bankVecF
-		}
-		src, okS := fc.vecRef(in.Args[0], sb)
-		if !okS {
-			fc.trap(fmt.Sprintf("vm: bad vector conversion %s → %s", from, in.Typ), 1)
-			return
-		}
-		fc.add(inst{Op: opVConv, Sub: uint8(ft.Elem.Kind), Kind: uint8(tt.Elem.Kind),
-			A: d.Idx, B: src.Idx})
-	default:
-		fc.trap(fmt.Sprintf("vm: unsupported conversion %s → %s", from, in.Typ), 1)
+		ft := in.Args[0].Type().(*clc.VectorType)
+		fc.add(inst{Op: opVConv, Sub: uint8(ft.Elem.Kind), Kind: uint8(tt.Elem.Kind), A: d, B: a})
 	}
 }
 
 // emitScalarConvert specializes scalar-to-scalar conversions.
-func (fc *fnCompiler) emitScalarConvert(in *ir.Instr, d ref, from, to clc.ScalarKind) {
+func (fc *fnCompiler) emitScalarConvert(d, a int32, from, to clc.ScalarKind) {
 	switch {
 	case from.IsFloat() && to.IsFloat():
-		a := fc.scalarRef(in.Args[0], bankFlt)
 		if to == clc.KFloat {
-			fc.add(inst{Op: opF2F32, A: d.Idx, B: a.Idx})
+			fc.add(inst{Op: opF2F32, A: d, B: a})
 		} else {
-			fc.add(inst{Op: opMovF, A: d.Idx, B: a.Idx})
+			fc.add(inst{Op: opMovF, A: d, B: a})
 		}
 	case from.IsFloat():
-		a := fc.scalarRef(in.Args[0], bankFlt)
-		fc.add(inst{Op: opF2I, Kind: uint8(to), A: d.Idx, B: a.Idx})
+		fc.add(inst{Op: opF2I, Kind: uint8(to), A: d, B: a})
 	case to.IsFloat():
-		a := fc.scalarRef(in.Args[0], bankInt)
 		op := opI2F
 		if from.IsUnsigned() {
 			op = opU2F
 		}
-		fc.add(inst{Op: op, Kind: uint8(to), A: d.Idx, B: a.Idx})
+		fc.add(inst{Op: op, Kind: uint8(to), A: d, B: a})
+	case to == clc.KLong || to == clc.KULong:
+		fc.add(inst{Op: opMovI, A: d, B: a})
 	default:
-		a := fc.scalarRef(in.Args[0], bankInt)
-		if to == clc.KLong || to == clc.KULong {
-			fc.add(inst{Op: opMovI, A: d.Idx, B: a.Idx})
-		} else {
-			fc.add(inst{Op: opConvI, Kind: uint8(to), A: d.Idx, B: a.Idx})
-		}
+		fc.add(inst{Op: opConvI, Kind: uint8(to), A: d, B: a})
 	}
 }
 
-func (fc *fnCompiler) emitExtract(in *ir.Instr) {
-	d, ok := fc.dst(in)
-	vt, okT := in.Args[0].Type().(*clc.VectorType)
-	if !ok || !okT {
-		fc.trap("vm: extract on non-vector operand", 1)
+// emitWorkItem emits a work-item query. A constant dimension folds into a
+// specialized opcode; any other is resolved at runtime. Outside
+// dimensions 0-2 an id is 0 and a size 1 (OpenCL 1.2 §6.12.1).
+func (fc *fnCompiler) emitWorkItem(in *ir.Instr, d int32) {
+	q := wiQueries[in.Func]
+	if q == qWorkDim {
+		fc.add(inst{Op: opConstI, A: d, Imm: 3})
 		return
 	}
-	lane := int64(in.Comps[0])
-	if vt.Elem.Kind.IsFloat() {
-		src, okS := fc.vecRef(in.Args[0], bankVecF)
-		if !okS || d.Bank != bankFlt {
-			fc.trap("vm: extract on non-vector operand", 1)
-			return
-		}
-		fc.add(inst{Op: opExtF, A: d.Idx, B: src.Idx, Imm: lane})
-		return
-	}
-	src, okS := fc.vecRef(in.Args[0], bankVecI)
-	if !okS || d.Bank != bankInt {
-		fc.trap("vm: extract on non-vector operand", 1)
-		return
-	}
-	fc.add(inst{Op: opExtI, A: d.Idx, B: src.Idx, Imm: lane})
-}
-
-func (fc *fnCompiler) emitInsert(in *ir.Instr) {
-	d, ok := fc.dst(in)
-	vt, okT := in.Typ.(*clc.VectorType)
-	if !ok || !okT {
-		fc.trap("vm: insert on non-vector operand", 1)
-		return
-	}
-	lane := int64(in.Comps[0])
-	if vt.Elem.Kind.IsFloat() {
-		src, okS := fc.vecRef(in.Args[0], bankVecF)
-		if !okS || d.Bank != bankVecF {
-			fc.trap("vm: insert on non-vector operand", 1)
-			return
-		}
-		sc := fc.scalarRef(in.Args[1], bankFlt)
-		fc.add(inst{Op: opInsF, A: d.Idx, B: src.Idx, C: sc.Idx, Imm: lane})
-		return
-	}
-	src, okS := fc.vecRef(in.Args[0], bankVecI)
-	if !okS || d.Bank != bankVecI {
-		fc.trap("vm: insert on non-vector operand", 1)
-		return
-	}
-	sc := fc.scalarRef(in.Args[1], bankInt)
-	fc.add(inst{Op: opInsI, A: d.Idx, B: src.Idx, C: sc.Idx, Imm: lane})
-}
-
-func (fc *fnCompiler) emitShuffle(in *ir.Instr) {
-	d, ok := fc.dst(in)
-	vt, okT := in.Typ.(*clc.VectorType)
-	if !ok || !okT {
-		fc.trap("vm: shuffle on non-vector operand", 1)
-		return
-	}
-	comps := make([]int32, len(in.Comps))
-	for i, c := range in.Comps {
-		comps[i] = int32(c)
-	}
-	ax := fc.auxAdd(aux{Comps: comps})
-	if vt.Elem.Kind.IsFloat() {
-		src, okS := fc.vecRef(in.Args[0], bankVecF)
-		if !okS || d.Bank != bankVecF {
-			fc.trap("vm: shuffle on non-vector operand", 1)
-			return
-		}
-		fc.add(inst{Op: opShufF, A: d.Idx, B: src.Idx, Imm: ax})
-		return
-	}
-	src, okS := fc.vecRef(in.Args[0], bankVecI)
-	if !okS || d.Bank != bankVecI {
-		fc.trap("vm: shuffle on non-vector operand", 1)
-		return
-	}
-	fc.add(inst{Op: opShufI, A: d.Idx, B: src.Idx, Imm: ax})
-}
-
-func (fc *fnCompiler) emitBuild(in *ir.Instr) {
-	d, ok := fc.dst(in)
-	vt, okT := in.Typ.(*clc.VectorType)
-	if !ok || !okT {
-		fc.trap("vm: build on non-vector type", 1)
-		return
-	}
-	eb := bankInt
-	op := opBuildI
-	want := bankVecI
-	if vt.Elem.Kind.IsFloat() {
-		eb, op, want = bankFlt, opBuildF, bankVecF
-	}
-	if d.Bank != want {
-		fc.trap("vm: build on non-vector type", 1)
-		return
-	}
-	refs := make([]ref, len(in.Args))
-	for i, a := range in.Args {
-		refs[i] = fc.scalarRef(a, eb)
-	}
-	ax := fc.auxAdd(aux{Refs: refs})
-	fc.add(inst{Op: op, A: d.Idx, Imm: ax})
-}
-
-func (fc *fnCompiler) emitWorkItem(in *ir.Instr) {
-	d, ok := fc.dst(in)
-	if !ok {
-		fc.trap("vm: work-item query without register", 1)
-		return
-	}
-	if d.Bank == bankFlt {
-		fc.add(inst{Op: opZeroF, A: d.Idx})
-		return
-	}
-	if d.Bank != bankInt {
-		fc.trap(fmt.Sprintf("vm: work-item query %s with vector result", in.Func), 1)
-		return
-	}
-	var q int32
-	switch in.Func {
-	case "get_global_id":
-		q = qGlobalID
-	case "get_local_id":
-		q = qLocalID
-	case "get_group_id":
-		q = qGroupID
-	case "get_global_size":
-		q = qGlobalSize
-	case "get_local_size":
-		q = qLocalSize
-	case "get_num_groups":
-		q = qNumGroups
-	case "get_work_dim":
-		q = qWorkDim
+	dim, isConst := in.Args[0].(*ir.ConstInt)
+	switch {
+	case !isConst:
+		fc.add(inst{Op: opWIQ, A: d, B: fc.idx(in.Args[0]), N: q})
+	case dim.Val < 0 || dim.Val > 2:
+		fc.add(inst{Op: opConstI, A: d, Imm: outsideDims(q)})
 	default:
-		q = qNone
+		fc.add(inst{Op: wiOps[q], A: d, Imm: dim.Val})
 	}
-	// Dimension argument: constants (including the no-arg default 0) fold
-	// into specialized opcodes; anything else is resolved at runtime.
-	d64 := int64(0)
-	dynamic := false
-	if len(in.Args) > 0 {
-		switch t := in.Args[0].(type) {
-		case *ir.ConstInt:
-			d64 = t.Val
-		case *ir.ConstFloat:
-			d64 = 0 // the interpreter reads the int field of the box: zero
+}
+
+// wiQueries maps each work-item query to its code.
+var wiQueries = map[string]int32{
+	"get_global_id": qGlobalID, "get_local_id": qLocalID, "get_group_id": qGroupID,
+	"get_global_size": qGlobalSize, "get_local_size": qLocalSize, "get_num_groups": qNumGroups,
+	"get_work_dim": qWorkDim,
+}
+
+// wiOps is the constant-dimension opcode of each query that takes one.
+var wiOps = [...]opcode{
+	qGlobalID: opGID, qLocalID: opLID, qGroupID: opGRP,
+	qGlobalSize: opGSZ, qLocalSize: opLSZ, qNumGroups: opNGRP,
+}
+
+// outsideDims is what query q answers for a dimension outside 0-2: 1 for
+// a size, 0 for an id.
+func outsideDims(q int32) int64 {
+	if q == qGlobalSize || q == qLocalSize || q == qNumGroups {
+		return 1
+	}
+	return 0
+}
+
+func (fc *fnCompiler) emitMath(in *ir.Instr, d int32) {
+	a := fc.idx(in.Args[0])
+	if in.Func == "dot" || in.Func == "length" {
+		// Geometric builtins: float operands, a float result.
+		vt, isVec := in.Args[0].Type().(*clc.VectorType)
+		switch {
+		case in.Func == "length" && isVec:
+			fc.add(inst{Op: opLenVF, Kind: uint8(vt.Elem.Kind), A: d, B: a})
+		case in.Func == "length":
+			fc.add(inst{Op: opLenSS, A: d, B: a})
+		case isVec:
+			fc.add(inst{Op: opDotVF, Kind: uint8(vt.Elem.Kind), A: d, B: a, C: fc.idx(in.Args[1])})
 		default:
-			dynamic = true
+			fc.add(inst{Op: opDotSS, A: d, B: a, C: fc.idx(in.Args[1])})
 		}
-	}
-	if dynamic {
-		dim := fc.scalarRef(in.Args[0], bankInt)
-		fc.add(inst{Op: opWIQ, A: d.Idx, B: dim.Idx, N: q})
 		return
 	}
-	if d64 < 0 || d64 > 2 || q == qNone {
-		fc.add(inst{Op: opZeroI, A: d.Idx})
-		return
-	}
-	switch q {
-	case qGlobalID:
-		fc.add(inst{Op: opGID, A: d.Idx, Imm: d64})
-	case qLocalID:
-		fc.add(inst{Op: opLID, A: d.Idx, Imm: d64})
-	case qGroupID:
-		fc.add(inst{Op: opGRP, A: d.Idx, Imm: d64})
-	case qGlobalSize:
-		fc.add(inst{Op: opGSZ, A: d.Idx, Imm: d64})
-	case qLocalSize:
-		fc.add(inst{Op: opLSZ, A: d.Idx, Imm: d64})
-	case qNumGroups:
-		fc.add(inst{Op: opNGRP, A: d.Idx, Imm: d64})
-	case qWorkDim:
-		fc.add(inst{Op: opConstI, A: d.Idx, Imm: 3})
-	}
-}
-
-func (fc *fnCompiler) emitMath(in *ir.Instr) {
-	d, ok := fc.dst(in)
-	if !ok {
-		fc.trap(fmt.Sprintf("vm: math builtin %q without register", in.Func), 1)
-		return
-	}
-	// Geometric reductions: vector args, scalar float result.
-	switch in.Func {
-	case "dot", "length":
-		if vt, isVec := in.Args[0].Type().(*clc.VectorType); isVec {
-			if d.Bank != bankFlt {
-				// An integer-typed consumer of the boxed float sees zero.
-				fc.add(inst{Op: opZeroI, A: d.Idx})
-				return
-			}
-			a, okA := fc.vecRef(in.Args[0], bankVecF)
-			if !okA {
-				fc.trap(fmt.Sprintf("vm: math builtin %q with unsupported type %s", in.Func, in.Args[0].Type()), 1)
-				return
-			}
-			if in.Func == "length" {
-				fc.add(inst{Op: opLenVF, Kind: uint8(vt.Elem.Kind), A: d.Idx, B: a.Idx})
-				return
-			}
-			b, okB := fc.vecRef(in.Args[1], bankVecF)
-			if !okB {
-				fc.trap(fmt.Sprintf("vm: math builtin %q with unsupported type %s", in.Func, in.Args[1].Type()), 1)
-				return
-			}
-			fc.add(inst{Op: opDotVF, Kind: uint8(vt.Elem.Kind), A: d.Idx, B: a.Idx, C: b.Idx})
-			return
-		}
-		if d.Bank != bankFlt {
-			fc.add(inst{Op: opZeroI, A: d.Idx})
-			return
-		}
-		a := fc.scalarRef(in.Args[0], bankFlt)
-		if in.Func == "length" {
-			fc.add(inst{Op: opLenSS, A: d.Idx, B: a.Idx})
-			return
-		}
-		b := fc.scalarRef(in.Args[1], bankFlt)
-		fc.add(inst{Op: opDotSS, A: d.Idx, B: a.Idx, C: b.Idx})
-		return
-	}
+	ax := fc.auxAdd(aux{Name: in.Func, Refs: fc.refs(in.Args)})
 	switch tt := in.Typ.(type) {
 	case *clc.ScalarType:
+		op := opMathI
 		if tt.Kind.IsFloat() {
-			refs := make([]ref, len(in.Args))
-			for i, a := range in.Args {
-				refs[i] = fc.scalarRef(a, bankFlt)
-			}
-			ax := fc.auxAdd(aux{Name: in.Func, Refs: refs})
-			fc.add(inst{Op: opMathF, Kind: uint8(tt.Kind), A: d.Idx, Imm: ax})
-			return
+			op = opMathF
 		}
-		refs := make([]ref, len(in.Args))
-		for i, a := range in.Args {
-			refs[i] = fc.scalarRef(a, bankInt)
-		}
-		ax := fc.auxAdd(aux{Name: in.Func, Refs: refs})
-		fc.add(inst{Op: opMathI, Kind: uint8(tt.Kind), A: d.Idx, Imm: ax})
+		fc.add(inst{Op: op, Kind: uint8(tt.Kind), A: d, Imm: ax})
 	case *clc.VectorType:
-		vb := bankVecI
 		op := opVMathI
 		if tt.Elem.Kind.IsFloat() {
-			vb, op = bankVecF, opVMathF
+			op = opVMathF
 		}
-		if d.Bank != vb {
-			fc.trap(fmt.Sprintf("vm: math builtin %q with unsupported type %s", in.Func, in.Typ), 1)
-			return
-		}
-		refs := make([]ref, len(in.Args))
-		for i, a := range in.Args {
-			r, okR := fc.vecRef(a, vb)
-			if !okR {
-				fc.trap(fmt.Sprintf("vm: math builtin %q with unsupported type %s", in.Func, in.Typ), 1)
-				return
-			}
-			refs[i] = r
-		}
-		ax := fc.auxAdd(aux{Name: in.Func, Refs: refs})
-		fc.add(inst{Op: op, Kind: uint8(tt.Elem.Kind), A: d.Idx, Imm: ax})
-	default:
-		fc.trap(fmt.Sprintf("vm: math builtin %q with unsupported type %s", in.Func, in.Typ), 1)
+		fc.add(inst{Op: op, Kind: uint8(tt.Elem.Kind), A: d, Imm: ax})
 	}
-}
-
-func (fc *fnCompiler) emitCall(in *ir.Instr) {
-	callee := fc.funcs[in.Callee]
-	if callee == nil {
-		fc.trap("vm: call to unknown function", 1)
-		return
-	}
-	if len(in.Args) != len(callee.Fn.Params) {
-		fc.trap(fmt.Sprintf("vm: call to %s with %d args, want %d",
-			callee.Fn.Name, len(in.Args), len(callee.Fn.Params)), 1)
-		return
-	}
-	refs := make([]ref, len(in.Args))
-	for i, a := range in.Args {
-		switch callee.Params[i].Bank {
-		case bankInt:
-			refs[i] = fc.scalarRef(a, bankInt)
-		case bankFlt:
-			refs[i] = fc.scalarRef(a, bankFlt)
-		default:
-			r, okR := fc.vecRef(a, callee.Params[i].Bank)
-			if !okR {
-				fc.trap(fmt.Sprintf("vm: call to %s with mismatched vector argument %d",
-					callee.Fn.Name, i), 1)
-				return
-			}
-			refs[i] = r
-		}
-	}
-	i := inst{Op: opCall, A: -1, Imm: fc.auxAdd(aux{Callee: callee, Refs: refs})}
-	if in.Producing() {
-		d, okD := fc.dst(in)
-		if !okD {
-			fc.trap("vm: call without destination register", 1)
-			return
-		}
-		i.A = d.Idx
-		i.Sub = uint8(d.Bank)
-	}
-	fc.add(i)
 }

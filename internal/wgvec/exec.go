@@ -4,19 +4,9 @@ import (
 	"errors"
 	"fmt"
 
+	"grover/internal/clc"
 	"grover/internal/ir"
 	"grover/internal/vm"
-)
-
-// Return-value tags for the per-lane stash of a columnar call frame. A
-// lane's copy-out reads the stash only when the tag matches the
-// destination bank.
-const (
-	retNone = iota
-	retInt
-	retFlt
-	retVecI
-	retVecF
 )
 
 // colFrame is the pooled columnar register file for one call depth:
@@ -37,16 +27,12 @@ type colFrame struct {
 
 	frameBase, sp int
 
-	// Per-lane return stash (callee side). Vector stashes are strided by
-	// the frame's maximal vector length.
-	retSet       []uint8
-	retI         []int64
-	retF         []float64
-	retVI        []int64
-	retVF        []float64
-	retVILen     int
-	retVFLen     int
-	maxVI, maxVF int
+	// Per-lane return stash (callee side), in the bank of the function's
+	// return type. A vector stash is strided by the return type's length.
+	retI  []int64
+	retF  []float64
+	retVI []int64
+	retVF []float64
 }
 
 // growCols shapes a scalar column set to nregs columns of n lanes.
@@ -97,29 +83,18 @@ func (fr *colFrame) ensure(bf *bfunc, n int) {
 	fr.rf = growCols(fr.rf, bf.NFlt, n)
 	fr.vi = growVecCols(fr.vi, bf.VecILens, n)
 	fr.vf = growVecCols(fr.vf, bf.VecFLens, n)
-	fr.maxVI, fr.maxVF = 0, 0
-	for _, ln := range bf.VecILens {
-		fr.maxVI = max(fr.maxVI, ln)
-	}
-	for _, ln := range bf.VecFLens {
-		fr.maxVF = max(fr.maxVF, ln)
-	}
 	if cap(fr.pcs) < n {
 		fr.pcs = make([]int32, n)
 		fr.seg = make([]int32, 0, n)
-		fr.retSet = make([]uint8, n)
 		fr.retI = make([]int64, n)
 		fr.retF = make([]float64, n)
 	}
 	fr.pcs = fr.pcs[:n]
-	fr.retSet = fr.retSet[:n]
 	fr.retI = fr.retI[:n]
 	fr.retF = fr.retF[:n]
-	if sz := fr.maxVI * n; cap(fr.retVI) < sz {
-		fr.retVI = make([]int64, sz)
-	}
-	if sz := fr.maxVF * n; cap(fr.retVF) < sz {
-		fr.retVF = make([]float64, sz)
+	if vt, ok := bf.Fn.Ret.(*clc.VectorType); ok && cap(fr.retVI) < vt.Len*n {
+		fr.retVI = make([]int64, vt.Len*n)
+		fr.retVF = make([]float64, vt.Len*n)
 	}
 	for ci, v := range bf.IntConsts {
 		col := fr.ri[ci]
@@ -446,9 +421,6 @@ func (g *groupState) execSeg(depth int, fr *colFrame, mask []int32, pc int32, re
 			}
 			return retired, nil
 
-		case opTrap:
-			return retired, laneErr(mask[0], errors.New(bf.Aux[in.Imm].Name))
-
 		case opCall:
 			if err := g.callCol(depth, fr, in, mask); err != nil {
 				return retired, err
@@ -492,39 +464,32 @@ func (g *groupState) retLanes(fr *colFrame, in *inst, mask []int32) {
 	switch in.Op {
 	case opRet:
 		for _, l := range mask {
-			fr.retSet[l] = retNone
 			fr.pcs[l] = -1
 		}
 	case opRetI:
 		src := fr.ri[in.B]
 		for _, l := range mask {
-			fr.retSet[l] = retInt
 			fr.retI[l] = src[l]
 			fr.pcs[l] = -1
 		}
 	case opRetF:
 		src := fr.rf[in.B]
 		for _, l := range mask {
-			fr.retSet[l] = retFlt
 			fr.retF[l] = src[l]
 			fr.pcs[l] = -1
 		}
 	case opRetVI:
 		ls := fr.bf.VecILens[in.B]
 		src := fr.vi[in.B]
-		fr.retVILen = ls
 		for _, l := range mask {
-			fr.retSet[l] = retVecI
-			copy(fr.retVI[int(l)*fr.maxVI:int(l)*fr.maxVI+ls], src[int(l)*ls:int(l)*ls+ls])
+			copy(fr.retVI[int(l)*ls:int(l)*ls+ls], src[int(l)*ls:int(l)*ls+ls])
 			fr.pcs[l] = -1
 		}
 	case opRetVF:
 		ls := fr.bf.VecFLens[in.B]
 		src := fr.vf[in.B]
-		fr.retVFLen = ls
 		for _, l := range mask {
-			fr.retSet[l] = retVecF
-			copy(fr.retVF[int(l)*fr.maxVF:int(l)*fr.maxVF+ls], src[int(l)*ls:int(l)*ls+ls])
+			copy(fr.retVF[int(l)*ls:int(l)*ls+ls], src[int(l)*ls:int(l)*ls+ls])
 			fr.pcs[l] = -1
 		}
 	}
@@ -533,9 +498,8 @@ func (g *groupState) retLanes(fr *colFrame, in *inst, mask []int32) {
 // callCol executes a user function for all masked lanes as a nested
 // columnar activation: arguments copy column-to-column, the callee runs
 // under the same segment scheduler one depth down, and return values
-// copy out per lane from the stash (a lane whose stash tag mismatches
-// the destination bank gets zero, exactly like reading the unused field
-// of a boxed return value).
+// copy out per lane from the stash. Verified IR gives every argument its
+// parameter's type and every return the function's.
 func (g *groupState) callCol(depth int, fr *colFrame, in *inst, mask []int32) error {
 	ax := &fr.bf.Aux[in.Imm]
 	callee := ax.Callee
@@ -555,18 +519,14 @@ func (g *groupState) callCol(depth int, fr *colFrame, in *inst, mask []int32) er
 				dst[l] = src[l]
 			}
 		case bankVecI:
-			ld, ls := callee.VecILens[p.Idx], fr.bf.VecILens[r.Idx]
-			m := min(ld, ls)
-			dst, src := child.vi[p.Idx], fr.vi[r.Idx]
+			ln, dst, src := callee.VecILens[p.Idx], child.vi[p.Idx], fr.vi[r.Idx]
 			for _, l := range mask {
-				copy(dst[int(l)*ld:int(l)*ld+m], src[int(l)*ls:int(l)*ls+m])
+				copy(dst[int(l)*ln:int(l)*ln+ln], src[int(l)*ln:])
 			}
 		case bankVecF:
-			ld, ls := callee.VecFLens[p.Idx], fr.bf.VecFLens[r.Idx]
-			m := min(ld, ls)
-			dst, src := child.vf[p.Idx], fr.vf[r.Idx]
+			ln, dst, src := callee.VecFLens[p.Idx], child.vf[p.Idx], fr.vf[r.Idx]
 			for _, l := range mask {
-				copy(dst[int(l)*ld:int(l)*ld+m], src[int(l)*ls:int(l)*ls+m])
+				copy(dst[int(l)*ln:int(l)*ln+ln], src[int(l)*ln:])
 			}
 		}
 	}
@@ -586,38 +546,22 @@ func (g *groupState) callCol(depth int, fr *colFrame, in *inst, mask []int32) er
 		case bankInt:
 			d := fr.ri[in.A]
 			for _, l := range mask {
-				if child.retSet[l] == retInt {
-					d[l] = child.retI[l]
-				} else {
-					d[l] = 0
-				}
+				d[l] = child.retI[l]
 			}
 		case bankFlt:
 			d := fr.rf[in.A]
 			for _, l := range mask {
-				if child.retSet[l] == retFlt {
-					d[l] = child.retF[l]
-				} else {
-					d[l] = 0
-				}
+				d[l] = child.retF[l]
 			}
 		case bankVecI:
-			ld := fr.bf.VecILens[in.A]
-			d := fr.vi[in.A]
+			ln, d := fr.bf.VecILens[in.A], fr.vi[in.A]
 			for _, l := range mask {
-				if child.retSet[l] == retVecI {
-					m := min(ld, child.retVILen)
-					copy(d[int(l)*ld:int(l)*ld+m], child.retVI[int(l)*child.maxVI:int(l)*child.maxVI+m])
-				}
+				copy(d[int(l)*ln:int(l)*ln+ln], child.retVI[int(l)*ln:])
 			}
 		case bankVecF:
-			ld := fr.bf.VecFLens[in.A]
-			d := fr.vf[in.A]
+			ln, d := fr.bf.VecFLens[in.A], fr.vf[in.A]
 			for _, l := range mask {
-				if child.retSet[l] == retVecF {
-					m := min(ld, child.retVFLen)
-					copy(d[int(l)*ld:int(l)*ld+m], child.retVF[int(l)*child.maxVF:int(l)*child.maxVF+m])
-				}
+				copy(d[int(l)*ln:int(l)*ln+ln], child.retVF[int(l)*ln:])
 			}
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // uniform handling or always run the full mask).
 func destBank(op opcode) (bank, bool) {
 	switch op {
-	case opConstI, opZeroI, opMovI, opGRP, opGSZ,
+	case opConstI, opMovI, opGRP, opGSZ,
 		opLSZ, opNGRP, opWIQ, opAllocaP, opAllocaL,
 		opIndex, opIndexC,
 		opAddI, opAddI32, opSubI32, opMulI32,
@@ -22,7 +22,7 @@ func destBank(op opcode) (bank, bool) {
 		opEqI, opNeI, opLtI, opLeI, opGtI, opGeI, opCmpI, opCmpF,
 		opConvI, opF2I, opExtI, opMathI:
 		return bankInt, true
-	case opZeroF, opMovF,
+	case opMovF,
 		opAddF32, opSubF32, opMulF32, opFltBin, opNegF, opI2F, opU2F, opF2F32,
 		opExtF, opDotVF, opDotSS, opLenVF, opLenSS,
 		opMathF:
@@ -118,16 +118,6 @@ func (g *groupState) execOp(fr *colFrame, in *inst, mask []int32, pc int32) erro
 		d, v := ri[in.A], in.Imm
 		for _, l := range mask {
 			d[l] = v
-		}
-	case opZeroI:
-		d := ri[in.A]
-		for _, l := range mask {
-			d[l] = 0
-		}
-	case opZeroF:
-		d := rf[in.A]
-		for _, l := range mask {
-			d[l] = 0
 		}
 	case opMovI:
 		d, s := ri[in.A], ri[in.B]
@@ -600,7 +590,7 @@ func (g *groupState) vconvCol(fr *colFrame, in *inst, mask []int32) {
 // wiQueryLane answers a runtime-dimension work-item query for one lane.
 func (g *groupState) wiQueryLane(l int32, q int32, d int64) int64 {
 	if d < 0 || d > 2 {
-		return 0
+		return outsideDims(q)
 	}
 	switch q {
 	case qGlobalID:
@@ -613,12 +603,8 @@ func (g *groupState) wiQueryLane(l int32, q int32, d int64) int64 {
 		return g.gsz[d]
 	case qLocalSize:
 		return g.lsz[d]
-	case qNumGroups:
-		return g.ngrp[d]
-	case qWorkDim:
-		return 3
 	}
-	return 0
+	return g.ngrp[d]
 }
 
 // Address-space tags, mirroring the vm pointer encoding (top 2 bits; see

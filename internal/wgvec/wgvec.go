@@ -59,8 +59,8 @@ type Machine struct {
 	funcs map[*ir.Function]*bfunc
 }
 
-// Compile lowers every function of a prepared program to bytecode and
-// annotates it for the lockstep scheduler.
+// Compile lowers every function of a prepared program, which vm.Prepare
+// has verified, to bytecode and annotates it for the lockstep scheduler.
 func Compile(p *vm.Program) (*Machine, error) {
 	return CompileCtx(context.Background(), p)
 }
@@ -86,7 +86,9 @@ func CompileCtx(ctx context.Context, p *vm.Program) (*Machine, error) {
 		}
 	}
 	for _, f := range p.Module.Funcs {
-		compileFunc(p, m.funcs, f)
+		if err := compileFunc(p, m.funcs, f); err != nil {
+			return nil, err
+		}
 		m.funcs[f].annotate(f.IsKernel && !called[f])
 	}
 	return m, nil
@@ -147,7 +149,7 @@ func uniformInst(in *inst, u *analysis.Uniformity) bool {
 	switch in.Op {
 	case opNop, opJmp, opCondBrI, opCondBrF,
 		opRet, opRetI, opRetF, opRetVI, opRetVF,
-		opBarrier, opCall, opTrap:
+		opBarrier, opCall:
 		// Control flow is handled by the scheduler; calls execute
 		// per-work-item so nested trace and retire accounting stay exact.
 		return false
