@@ -17,7 +17,8 @@ import (
 // integer kind k, one kernel applies every operator to every pair of the
 // table's operands of k, one pair per work-item, and stores (k)(x op y)
 // or the comparison's int. A probe kernel stores each of
-// enginetest.SpecProbes. wgvec's specialized opcodes (opAddI32, opLtI, …)
+// enginetest.SpecProbes, and a third the result of each compound
+// assignment of its table. wgvec's specialized opcodes (opAddI32, opLtI, …)
 // and its generic ones (opIntBin, opCmpI) both run here.
 func TestSpecEngines(t *testing.T) {
 	for _, k := range enginetest.IntKinds {
@@ -69,6 +70,32 @@ func TestSpecEngines(t *testing.T) {
 		for i, p := range enginetest.SpecProbes {
 			if got[i] != p.Want {
 				t.Errorf("%s: %s = %d, want %d", engine, p.Expr, got[i], p.Want)
+			}
+		}
+	}
+	// A compound assignment computes in its operands' usual arithmetic
+	// conversions' type and converts the result back (C99 §6.5.16.2); a
+	// shift keeps the left operand's type.
+	compound := []struct {
+		stmts string // leave the result in x
+		want  int64
+	}{
+		{"int x = 3; x *= 0.5f;", 1},
+		{"int x = 7; x *= 1.5f;", 10},
+		{"float x = 2.5f; x += 1; x *= 2;", 7},
+		{"int x = 1; x <<= 33L;", 2},
+	}
+	src.Reset()
+	src.WriteString("__kernel void spec(__global long* o) {\n")
+	for i, c := range compound {
+		fmt.Fprintf(&src, "    { %s o[%d] = x; }\n", c.stmts, i)
+	}
+	src.WriteString("}\n")
+	for _, engine := range enginetest.Engines() {
+		got := runSpec(t, engine, src.String(), 1, len(compound), 0, nil, nil)
+		for i, c := range compound {
+			if got[i] != c.want {
+				t.Errorf("%s: %s gives x = %d, want %d", engine, c.stmts, got[i], c.want)
 			}
 		}
 	}

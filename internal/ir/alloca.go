@@ -15,8 +15,9 @@ type AllocaUse struct {
 
 // AllocaUses classifies every alloca of fn by its uses. A variable that
 // does not escape is only ever read and written whole, by the loads and
-// stores counted here, so its value can be followed (opt.LoadForward,
-// opt.DSE) or kept out of memory altogether (wgvec's slot registers).
+// stores counted here, so its value can be followed (opt.LoadForward and
+// opt.DSE, which count by instruction ID) or kept out of memory altogether
+// (wgvec's slot registers).
 func AllocaUses(fn *Function) map[*Instr]*AllocaUse {
 	uses := map[*Instr]*AllocaUse{}
 	for _, b := range fn.Blocks {
@@ -33,22 +34,25 @@ func AllocaUses(fn *Function) map[*Instr]*AllocaUse {
 				if !ok {
 					continue
 				}
-				u, tracked := uses[src]
-				if !tracked {
-					continue
-				}
-				switch {
-				case in.Op == OpLoad && ai == 0:
-					u.Loads++
-				case in.Op == OpStore && ai == 0:
-					u.Stores++
-				default:
-					u.Escapes = true
+				if u, tracked := uses[src]; tracked {
+					u.Count(in, ai)
 				}
 			}
 		}
 	}
 	return uses
+}
+
+// Count records a use of the alloca u describes as operand ai of in.
+func (u *AllocaUse) Count(in *Instr, ai int) {
+	switch {
+	case in.Op == OpLoad && ai == 0:
+		u.Loads++
+	case in.Op == OpStore && ai == 0:
+		u.Stores++
+	default:
+		u.Escapes = true
+	}
 }
 
 // PointerRoot walks pointer v up through OpIndex and OpConvert to what it

@@ -166,6 +166,8 @@ func (p *Param) String() string { return "%" + p.Name_ }
 // Instr is a single IR instruction. Instructions producing a value
 // implement Value.
 type Instr struct {
+	// ID numbers a producing instruction within its function (see
+	// Function.NextID); it is -1 for the others.
 	ID    int
 	Op    Op
 	Typ   clc.Type // result type; TypeVoid for non-producing instructions
@@ -255,6 +257,12 @@ func (f *Function) NewBlock(hint string) *Block {
 	f.Blocks = append(f.Blocks, b)
 	return b
 }
+
+// NextID returns the ID the next producing instruction will get. Every
+// producing instruction of f has a distinct ID in [0, NextID()), which
+// Verify checks, so a pass can keep per-instruction state in a slice of
+// that length.
+func (f *Function) NextID() int { return f.nextID }
 
 // AssignIDs renumbers all value-producing instructions (used after
 // transformation passes insert or delete instructions).

@@ -105,14 +105,14 @@ func TestVerifyPointerChainShape(t *testing.T) {
 	NewBuilder(id).Ret(id.Params[0], clc.Pos{})
 	m.Funcs = append(m.Funcs, id)
 	for _, b := range fn.Blocks {
-		for i, in := range b.Instrs {
+		for _, in := range b.Instrs {
 			if in.Op != OpIndex {
 				continue
 			}
 			// Synthesize a pointer with a call and slide it in as the
-			// index base, keeping defs-dominate-uses intact.
-			bad := &Instr{Op: OpCall, Typ: ptrTy, Callee: id, Args: []Value{in.Args[0]}, Block: b}
-			b.Instrs = append(b.Instrs[:i], append([]*Instr{bad}, b.Instrs[i:]...)...)
+			// index base, keeping defs-dominate-uses intact. InsertBefore
+			// gives it an ID of its own, so the ID rule holds.
+			bad := InsertBefore(in, &Instr{Op: OpCall, Typ: ptrTy, Callee: id, Args: []Value{in.Args[0]}})
 			in.Args[0] = bad
 			err := Verify(m)
 			if err == nil {

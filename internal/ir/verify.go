@@ -6,12 +6,13 @@ import (
 	"grover/internal/clc"
 )
 
-// Verify checks structural invariants of the module: every block ends in
-// exactly one terminator, branch targets belong to the same function,
-// every instruction obeys its opcode's arity and typing rule (verifyInstr),
-// every call names a function of the module, every use of an instruction
-// value is dominated by its definition, and pointer values feeding OpIndex
-// and load/store addresses obey the chain-shape rule (see
+// Verify checks structural invariants of the module: every producing
+// instruction has an ID of its own below its function's NextID, every
+// block ends in exactly one terminator, branch targets belong to the same
+// function, every instruction obeys its opcode's arity and typing rule
+// (verifyInstr), every call names a function of the module, every use of
+// an instruction value is dominated by its definition, and pointer values
+// feeding OpIndex and load/store addresses obey the chain-shape rule (see
 // verifyPointerProducer). Both engines define behaviour for verified IR
 // only.
 func Verify(m *Module) error {
@@ -47,21 +48,26 @@ func VerifyFunc(f *Function) error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("no blocks")
 	}
-	blockSet := map[*Block]bool{}
-	for _, b := range f.Blocks {
-		blockSet[b] = true
-	}
-	defined := map[Value]bool{}
-	for _, p := range f.Params {
-		defined[p] = true
-	}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Producing() {
-				defined[in] = true
+	// defs holds each producing instruction at its ID, with its place:
+	// the ID rule is checked here, and an operand is defined when its ID
+	// (its index, for a parameter) leads back to it.
+	defs := make([]def, f.nextID)
+	for bi, b := range f.Blocks {
+		for i, in := range b.Instrs {
+			if !in.Producing() {
+				continue
 			}
+			if in.ID < 0 || in.ID >= len(defs) {
+				return fmt.Errorf("block %s: %s: ID %d outside [0, %d)", b.Name, in.Format(), in.ID, len(defs))
+			}
+			if prev := defs[in.ID]; prev.in != nil {
+				return fmt.Errorf("block %s: %s: shares ID %d with the %s in block %s",
+					b.Name, in.Format(), in.ID, prev.in.Op, f.Blocks[prev.block].Name)
+			}
+			defs[in.ID] = def{in: in, block: int32(bi), pos: int32(i)}
 		}
 	}
+	cfg := NewCFG(f)
 	for _, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
 			return fmt.Errorf("block %s is empty", b.Name)
@@ -78,12 +84,12 @@ func VerifyFunc(f *Function) error {
 				return fmt.Errorf("block %s: instruction %s has wrong block link", b.Name, in.Format())
 			}
 			for _, a := range in.Args {
-				if err := verifyOperand(a, defined); err != nil {
+				if err := verifyOperand(f, a, defs); err != nil {
 					return fmt.Errorf("block %s: %s: %w", b.Name, in.Format(), err)
 				}
 			}
 			for _, t := range in.Targets {
-				if !blockSet[t] {
+				if _, ok := cfg.Index[t]; !ok {
 					return fmt.Errorf("block %s: branch to foreign block %s", b.Name, t.Name)
 				}
 			}
@@ -92,46 +98,65 @@ func VerifyFunc(f *Function) error {
 			}
 		}
 	}
-	return verifyDominance(f)
+	return verifyDominance(f, cfg, defs)
 }
 
-// verifyOperand checks that a is defined in the function, or is a
-// constant of a type constants have: an integer constant is an integer
-// scalar or a null pointer, a float constant a float scalar.
-func verifyOperand(a Value, defined map[Value]bool) error {
+// def is a producing instruction and its place: the index of its block in
+// the function and its index in the block.
+type def struct {
+	in         *Instr
+	block, pos int32
+}
+
+// verifyOperand checks that a is defined in f (defs holds f's producing
+// instructions by ID), or is a constant of a type constants have: an
+// integer constant is an integer scalar or a null pointer, a float
+// constant a float scalar.
+func verifyOperand(f *Function, a Value, defs []def) error {
 	switch c := a.(type) {
 	case *ConstInt:
 		if _, ok := c.Typ.(*clc.PointerType); !ok && !isScalar(c.Typ, clc.ScalarKind.IsInteger) {
 			return fmt.Errorf("integer constant %s of type %s", c, c.Typ)
 		}
+		return nil
 	case *ConstFloat:
 		if !isScalar(c.Typ, clc.ScalarKind.IsFloat) {
 			return fmt.Errorf("float constant %s of type %s", c, c.Typ)
 		}
-	default:
-		if !defined[a] {
-			return fmt.Errorf("uses undefined operand %s", a)
+		return nil
+	case *Param:
+		if c.Index >= 0 && c.Index < len(f.Params) && f.Params[c.Index] == c {
+			return nil
+		}
+	case *Instr:
+		if c.ID >= 0 && c.ID < len(defs) && defs[c.ID].in == c {
+			return nil
 		}
 	}
-	return nil
+	return fmt.Errorf("uses undefined operand %s", a)
 }
 
-// arity is the operand count of each opcode whose count is fixed.
-var arity = map[Op]int{
-	OpAlloca: 0, OpLoad: 1, OpStore: 2, OpIndex: 2,
+// arity is the operand count of each opcode whose count is fixed, and -1
+// for the others.
+var arity = [...]int{
+	OpInvalid: -1,
+	OpAlloca:  0, OpLoad: 1, OpStore: 2, OpIndex: 2,
 	OpAdd: 2, OpSub: 2, OpMul: 2, OpDiv: 2, OpRem: 2,
 	OpAnd: 2, OpOr: 2, OpXor: 2, OpShl: 2, OpShr: 2,
 	OpNeg: 1, OpNot: 1,
 	OpEq: 2, OpNe: 2, OpLt: 2, OpLe: 2, OpGt: 2, OpGe: 2,
-	OpConvert: 1, OpExtract: 1, OpInsert: 2, OpShuffle: 1,
-	OpBr: 0, OpCondBr: 1,
+	OpConvert: 1, OpExtract: 1, OpInsert: 2, OpShuffle: 1, OpBuild: -1,
+	OpCall: -1, OpWorkItem: -1, OpMath: -1, OpBarrier: -1,
+	OpBr: 0, OpCondBr: 1, OpRet: -1,
 }
 
 // verifyInstr applies the arity and typing rule of in's opcode; f is the
 // function in belongs to.
 func verifyInstr(f *Function, in *Instr) error {
-	if n, fixed := arity[in.Op]; fixed && len(in.Args) != n {
-		return fmt.Errorf("%s needs %d operand(s), has %d", in.Op, n, len(in.Args))
+	if in.Op >= 0 && int(in.Op) < len(arity) {
+		if n := arity[in.Op]; n >= 0 && len(in.Args) != n {
+			return fmt.Errorf("%s needs %d operand(s), has %d", in.Op, n, len(in.Args))
+		}
 	}
 	switch in.Op {
 	case OpLoad:
@@ -446,40 +471,29 @@ func verifyPointerProducer(v Value) error {
 // definition's block, and within one block the definition must come first.
 // Uses inside blocks unreachable from the entry are exempt (dominance is
 // undefined there; dead blocks are sealed by the lowerer and removed by
-// cleanup passes).
-func verifyDominance(f *Function) error {
-	cfg := NewCFG(f)
-	idx, dom := cfg.Index, cfg.Dom
-	// pos gives each instruction's index within its block.
-	pos := map[*Instr]int{}
-	for _, b := range f.Blocks {
-		for i, in := range b.Instrs {
-			pos[in] = i
-		}
-	}
+// cleanup passes). cfg is f's CFG and defs its definitions by ID, as
+// VerifyFunc builds them.
+func verifyDominance(f *Function, cfg *CFG, defs []def) error {
+	dom := cfg.Dom
 	for bi, b := range f.Blocks {
 		if !dom.Reachable(bi) {
 			continue
 		}
-		for _, in := range b.Instrs {
+		for i, in := range b.Instrs {
 			for _, a := range in.Args {
-				def, ok := a.(*Instr)
+				d, ok := a.(*Instr)
 				if !ok {
 					continue // constants and parameters dominate everything
 				}
-				di, known := idx[def.Block]
-				if !known {
-					return fmt.Errorf("block %s: %s uses value %s from a foreign function", b.Name, in.Format(), def)
-				}
-				if di == bi {
-					if pos[def] >= pos[in] {
-						return fmt.Errorf("block %s: %s uses %s before its definition", b.Name, in.Format(), def)
+				// VerifyFunc has found every operand among defs.
+				at := defs[d.ID]
+				if di := int(at.block); di == bi {
+					if int(at.pos) >= i {
+						return fmt.Errorf("block %s: %s uses %s before its definition", b.Name, in.Format(), d)
 					}
-					continue
-				}
-				if !dom.Dominates(di, bi) {
+				} else if !dom.Dominates(di, bi) {
 					return fmt.Errorf("block %s: %s uses %s whose definition (block %s) does not dominate the use",
-						b.Name, in.Format(), def, def.Block.Name)
+						b.Name, in.Format(), d, d.Block.Name)
 				}
 			}
 		}

@@ -109,3 +109,36 @@ func TestVerifyTypingRules(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyIDRule: every producing instruction has an ID of its own below
+// the function's NextID. Verify refuses an ID shared with another
+// instruction, one at NextID and a negative one, and names the
+// instruction it refuses.
+func TestVerifyIDRule(t *testing.T) {
+	cases := []struct {
+		name, want string
+		id         func(fn *Function) int
+	}{
+		{"shared", "shares ID 0 with the alloca", func(*Function) int { return 0 }},
+		{"at NextID", "outside [0,", func(fn *Function) int { return fn.NextID() }},
+		{"negative", "outside [0,", func(*Function) int { return -1 }},
+	}
+	for _, c := range cases {
+		m, fn := buildTestFunc()
+		// The compare in block cond.
+		in := fn.Blocks[1].Instrs[1]
+		if in.Op != OpLt {
+			t.Fatalf("fixture: %s is no compare", in.Format())
+		}
+		in.ID = c.id(fn)
+		err := Verify(m)
+		if err == nil {
+			t.Errorf("%s: verified", c.name)
+			continue
+		}
+		t.Logf("%s: %v", c.name, err)
+		if !strings.Contains(err.Error(), in.Format()) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error does not name %s and say %q: %v", c.name, in.Format(), c.want, err)
+		}
+	}
+}

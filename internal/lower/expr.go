@@ -493,11 +493,7 @@ func (lw *lowerer) assign(ex *clc.Assign) (ir.Value, error) {
 	if _, isPtr := lt.(*clc.PointerType); isPtr {
 		next, err = lw.pointerArith(ex.Op[:1], cur, r, ex.Pos)
 	} else {
-		var rc ir.Value
-		rc, err = lw.convert(r, lt, ex.Pos)
-		if err == nil {
-			next = lw.b.Bin(op, lt, cur, rc, ex.Pos)
-		}
+		next, err = lw.compound(op, cur, r, ex.Pos)
 	}
 	if err != nil {
 		return nil, err
@@ -506,6 +502,28 @@ func (lw *lowerer) assign(ex *clc.Assign) (ir.Value, error) {
 		return nil, err
 	}
 	return next, nil
+}
+
+// compound computes cur op r for a compound assignment to a variable of
+// cur's type, and converts the result back to that type (C99 §6.5.16.2):
+// the operands take their usual arithmetic conversions, so that
+// int x = 3; x *= 0.5f stores 1, not 0. A shift keeps the left operand's
+// type.
+func (lw *lowerer) compound(op ir.Op, cur, r ir.Value, pos clc.Pos) (ir.Value, error) {
+	lt := cur.Type()
+	ct := lt
+	if op != ir.OpShl && op != ir.OpShr {
+		ct = clc.Promote(lt, r.Type())
+	}
+	lc, err := lw.convert(cur, ct, pos)
+	if err != nil {
+		return nil, err
+	}
+	rc, err := lw.convert(r, ct, pos)
+	if err != nil {
+		return nil, err
+	}
+	return lw.convert(lw.b.Bin(op, ct, lc, rc, pos), lt, pos)
 }
 
 func (lw *lowerer) call(ex *clc.Call) (ir.Value, error) {
